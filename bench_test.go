@@ -268,7 +268,7 @@ func BenchmarkParallelScanAgg(b *testing.B) {
 		b.Fatal(err)
 	}
 	plan := &exec.HashAgg{
-		Child: &exec.ParallelScan{
+		Child: &exec.Scan{
 			Table:  tab,
 			Select: []string{"region", "amount"},
 			Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(int64(rows/100+10) * 4 / 5)}},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -15,17 +17,37 @@ import (
 // logical form -> optimizer -> executor) and through a trivial row-wise
 // reference evaluator; results must agree exactly.  This catches
 // integration bugs no unit test targets (predicate pushdown, zone-map
-// pruning, packed-scan edge cases, aggregation, coercion).
+// pruning, packed-scan edge cases, aggregation, coercion).  It runs over
+// {flat, k=4 shards} x {30 000, 150 000 rows} — a single-morsel, a
+// multi-morsel, and two multi-shard shapes of the one scan — so every
+// shape is checked against something other than the engine.
 func TestDifferentialRandomQueries(t *testing.T) {
-	const rows = 30_000
+	for _, rows := range []int{30_000, 150_000} {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("rows=%d/shards=%d", rows, shards), func(t *testing.T) {
+				differentialRandomQueries(t, rows, shards)
+			})
+		}
+	}
+}
+
+// differentialRandomQueries runs the random trials over one layout;
+// shards == 0 keeps the table flat (and indexes id), otherwise it is cut
+// into that many value-range shards on custkey.
+func differentialRandomQueries(t *testing.T, rows, shards int) {
 	e := Open()
 	loadOrders(t, e, rows)
+	// The flat table stays the reference's row source after sharding.
 	tab, err := e.Catalog().Table("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Also exercise the index path for id predicates.
-	if err := e.CreateIndex("orders", "id", "btree"); err != nil {
+	if shards > 0 {
+		if _, err := e.ShardTable("orders", "custkey", shards); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := e.CreateIndex("orders", "id", "btree"); err != nil {
+		// Also exercise the index path for id predicates.
 		t.Fatal(err)
 	}
 	id, _ := tab.IntCol("id")
@@ -76,7 +98,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			return true
 		}
 
-		if trial%2 == 0 {
+		switch trial % 3 {
+		case 0:
 			// Grouped aggregation: region -> (count, sum(amount)).
 			q := &opt.Query{
 				From:  "orders",
@@ -116,27 +139,64 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					t.Fatalf("trial %d group %s: sum %g want %g (preds %v)", trial, g, sc.F[i], wantS[g], preds)
 				}
 			}
-		} else {
-			// Row selection: the multiset of ids must match exactly.
+		case 1:
+			// Integer grouped aggregation (the fused fold on every layout):
+			// custkey -> (count, sum(id)), groups in first-appearance order.
+			q := &opt.Query{
+				From:  "orders",
+				Preds: preds,
+				Select: []opt.SelectItem{
+					{Col: "custkey"},
+					{Agg: expr.AggCount, As: "n"},
+					{Agg: expr.AggSum, Col: "id", As: "s"},
+				},
+				GroupBy: []string{"custkey"},
+			}
+			res, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("trial %d: %v (preds %v)", trial, err, preds)
+			}
+			var order []int64
+			wantN := map[int64]int64{}
+			wantS := map[int64]int64{}
+			for row := 0; row < rows; row++ {
+				if match(row) {
+					g := ck.Get(row)
+					if wantN[g] == 0 {
+						order = append(order, g)
+					}
+					wantN[g]++
+					wantS[g] += id.Get(row)
+				}
+			}
+			if res.Rel.N != len(order) {
+				t.Fatalf("trial %d: %d groups, want %d (preds %v)", trial, res.Rel.N, len(order), preds)
+			}
+			gc, _ := res.Rel.Col("custkey")
+			nc, _ := res.Rel.Col("n")
+			sc, _ := res.Rel.Col("s")
+			for i, g := range order {
+				if gc.I[i] != g || nc.I[i] != wantN[g] || sc.I[i] != wantS[g] {
+					t.Fatalf("trial %d group %d: got (%d, %d, %d) want (%d, %d, %d) (preds %v)",
+						trial, i, gc.I[i], nc.I[i], sc.I[i], g, wantN[g], wantS[g], preds)
+				}
+			}
+		default:
+			// Row selection: the ids must match exactly, in row order.
 			q := &opt.Query{From: "orders", Preds: preds, Select: []opt.SelectItem{{Col: "id"}}}
 			res, err := e.Run(q)
 			if err != nil {
 				t.Fatalf("trial %d: %v (preds %v)", trial, err, preds)
 			}
-			want := map[int64]bool{}
+			var want []int64
 			for row := 0; row < rows; row++ {
 				if match(row) {
-					want[id.Get(row)] = true
+					want = append(want, id.Get(row))
 				}
-			}
-			if res.Rel.N != len(want) {
-				t.Fatalf("trial %d: %d rows, want %d (preds %v)", trial, res.Rel.N, len(want), preds)
 			}
 			c, _ := res.Rel.Col("id")
-			for _, v := range c.I {
-				if !want[v] {
-					t.Fatalf("trial %d: unexpected id %d (preds %v)", trial, v, preds)
-				}
+			if !slices.Equal(c.I, want) {
+				t.Fatalf("trial %d: got %d rows, want %d, or order differs (preds %v)", trial, res.Rel.N, len(want), preds)
 			}
 		}
 	}

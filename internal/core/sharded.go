@@ -2,23 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/sched"
-	"repro/internal/txn"
-	"repro/internal/vec"
 )
 
 // Sharded-table support on the engine facade: cutting a loaded table
-// into value-range shards, and the DML path that routes writes to the
-// owning shard by key value.  One transaction spans every touched
-// shard, so a statement commits at one timestamp and visibility stays
-// invariant under the shard count.
+// into value-range shards, rebalancing them as a background query, and
+// the per-statement shard bookkeeping of the write path (write.go).
 
 // ShardTable cuts a registered flat table into k equi-depth value-range
 // shards on shardCol and re-registers it as a sharded table (the flat
@@ -136,185 +130,4 @@ func (t *shardTouch) touched() []int {
 		}
 	}
 	return out
-}
-
-// bufferShardedInserts validates INSERT tuples against the user schema,
-// routes each row to its owning shard by key value, and stamps the next
-// global sequence — the transactional counterpart of
-// colstore.ShardedTable.Append.
-func (e *Engine) bufferShardedInserts(tx *txn.TableTx, st *colstore.ShardedTable, d *opt.DML, work *energy.Counters, tch *shardTouch) error {
-	schema := st.Schema()
-	cols := d.Cols
-	if len(cols) == 0 {
-		cols = make([]string, len(schema))
-		for i, def := range schema {
-			cols[i] = def.Name
-		}
-	}
-	if len(cols) != len(schema) {
-		return fmt.Errorf("core: INSERT INTO %s must cover all %d columns, got %d", d.Table, len(schema), len(cols))
-	}
-	pos := make([]int, len(cols))
-	for i, c := range cols {
-		found := -1
-		for si, def := range schema {
-			if def.Name == c {
-				found = si
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("core: table %s has no column %q", d.Table, c)
-		}
-		pos[i] = found
-	}
-	ki := schema.ColIndex(st.ShardCol)
-	for _, row := range d.Rows {
-		if len(row) != len(cols) {
-			return fmt.Errorf("core: INSERT INTO %s: tuple has %d values, want %d", d.Table, len(row), len(cols))
-		}
-		vals := make([]any, len(schema)+1)
-		for i, v := range row {
-			av, err := coerceValue(v, schema[pos[i]].Type, schema[pos[i]].Name)
-			if err != nil {
-				return err
-			}
-			vals[pos[i]] = av
-		}
-		vals[len(schema)] = st.AllocSeq()
-		key := vals[ki].(int64)
-		si := st.ShardFor(key)
-		tx.Insert(st.Shard(si), vals...)
-		tch.add(si, key)
-		work.BytesWrittenDRAM += uint64(len(schema)+1) * 10
-		work.Instructions += uint64(len(schema)+1) * 4
-		work.TuplesOut++
-	}
-	return nil
-}
-
-// shardVictim is one UPDATE/DELETE target located on one shard, carrying
-// its global sequence so mutations apply in the flat statement order.
-type shardVictim struct {
-	shard *colstore.Table
-	idx   int // shard index within the sharded table
-	row   int
-	seq   int64
-}
-
-// bufferShardedMutations locates UPDATE/DELETE victims shard by shard —
-// pruned shards never stream a byte — then applies the mutations in
-// global sequence order: DELETE tombstones the victim in place; UPDATE
-// tombstones it and routes the new version to the shard owning its
-// (possibly changed) key with a fresh global sequence, so the new
-// versions land in statement order at every shard count and
-// co-partition alignment survives key-changing updates.
-func (e *Engine) bufferShardedMutations(tx *txn.TableTx, st *colstore.ShardedTable, d *opt.DML, work *energy.Counters, tch *shardTouch) (int, error) {
-	snap := tx.Snapshot()
-	keep := exec.PruneShards(st, d.Preds)
-	var victims []shardVictim
-	for i, sh := range st.Shards() {
-		if !keep[i] {
-			continue
-		}
-		n := sh.RowsAsOf(snap)
-		sel := vec.NewBitvec(n)
-		sel.SetAll()
-		for _, p := range d.Preds {
-			col, err := sh.Column(p.Col)
-			if err != nil {
-				return 0, err
-			}
-			p, err = coercePredTo(p, col.Type())
-			if err != nil {
-				return 0, err
-			}
-			pb := vec.NewBitvec(n)
-			switch c := col.(type) {
-			case *colstore.IntColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.I, 0, n, pb))
-			case *colstore.FloatColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.F, 0, n, pb))
-			case *colstore.StringColumn:
-				work.Add(c.ScanRows(p.Op, p.Val.S, 0, n, pb))
-			}
-			sel.And(pb)
-		}
-		work.Add(sh.FilterVisible(snap, 0, n, sel))
-		seqc, err := sh.IntCol(colstore.ShardSeqCol)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range sel.Indices() {
-			victims = append(victims, shardVictim{shard: sh, idx: i, row: int(r), seq: seqc.Get(int(r))})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-
-	schema := st.Schema() // user schema; shard rows append the sequence
-	var sets []setTarget
-	if d.Kind == opt.DMLUpdate {
-		for _, s := range d.Sets {
-			found := -1
-			for si, def := range schema {
-				if def.Name == s.Col {
-					found = si
-				}
-			}
-			if found < 0 {
-				return 0, fmt.Errorf("core: table %s has no column %q", d.Table, s.Col)
-			}
-			av, err := coerceValue(s.Val, schema[found].Type, s.Col)
-			if err != nil {
-				return 0, err
-			}
-			sets = append(sets, setTarget{slot: found, val: av})
-		}
-	}
-	ki := schema.ColIndex(st.ShardCol)
-	for _, v := range victims {
-		id := v.shard.RowID(v.row)
-		if d.Kind == opt.DMLDelete {
-			tx.Delete(v.shard, id)
-			tch.mark(v.idx)
-			work.Instructions += 16
-			work.BytesWrittenDRAM += 40
-			continue
-		}
-		vals := make([]any, len(schema)+1)
-		for si, def := range schema {
-			col, err := v.shard.Column(def.Name)
-			if err != nil {
-				return 0, err
-			}
-			switch c := col.(type) {
-			case *colstore.IntColumn:
-				vals[si] = c.Get(v.row)
-			case *colstore.FloatColumn:
-				vals[si] = c.Get(v.row)
-			case *colstore.StringColumn:
-				vals[si] = c.Get(v.row)
-			}
-			work.CacheMisses++
-			work.Instructions += 6
-		}
-		for _, s := range sets {
-			vals[s.slot] = s.val
-		}
-		vals[len(schema)] = st.AllocSeq()
-		key := vals[ki].(int64)
-		di := st.ShardFor(key)
-		if dst := st.Shard(di); dst == v.shard {
-			tx.Update(v.shard, id, vals...)
-		} else {
-			// The key moved across a cut: tombstone here, new version in
-			// the owning shard, one commit timestamp for both.
-			tx.Delete(v.shard, id)
-			tx.Insert(dst, vals...)
-		}
-		tch.mark(v.idx)
-		tch.add(di, key)
-		work.Instructions += 16 + uint64(len(schema)+1)*4
-		work.BytesWrittenDRAM += 40 + uint64(len(schema)+1)*10
-	}
-	return len(victims), nil
 }

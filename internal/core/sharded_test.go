@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/opt"
 	"repro/internal/sql"
 	"repro/internal/wal"
@@ -90,6 +91,73 @@ func TestShardedEngineMatchesFlatDML(t *testing.T) {
 		// Undo so the next k starts from the same flat history.
 		undo := "UPDATE orders SET custkey = -5 WHERE custkey = 499"
 		execStmt(t, flat, undo, 2*time.Second)
+	}
+}
+
+// TestOneShardEngineIsFlat is the k=1 identity through the engine: a
+// table cut into ONE shard plans, reads, and writes exactly like the flat
+// table — same relations, same query work, and the same statement work
+// for INSERT/UPDATE/DELETE (victim search through the shared filter
+// kernel, delta writes priced without the sequence column).  The REDO
+// records legitimately differ (shard name, the stored 8-byte sequence),
+// so each statement is compared net of its own commit's WAL work.
+func TestOneShardEngineIsFlat(t *testing.T) {
+	const n = 150_000 // three morsels
+	flat := Open(WithDurability(wal.Local, 0))
+	loadOrders(t, flat, n)
+	one := shardedOrders(t, n, 1, WithDurability(wal.Local, 0))
+
+	walWork := func(e *Engine) energy.Counters {
+		_, _, _, w := e.txm.Stats()
+		return w
+	}
+	at := time.Millisecond
+	for _, stmt := range []string{
+		"INSERT INTO orders VALUES (800001, -5, 'ASIA', 10.0, 15001), (800002, 7, 'ASIA', 20.0, 15001)",
+		"UPDATE orders SET amount = 99.0, region = 'AFRICA' WHERE custkey = 7 AND amount < 400.0",
+		"UPDATE orders SET custkey = 8 WHERE id < 70000 AND custkey = 7",
+		"DELETE FROM orders WHERE custkey = 3 AND amount > 5000.0",
+		"DELETE FROM orders WHERE id >= 800001",
+	} {
+		// work − ΔWAL must agree; Counters only add, so cross-add instead:
+		// flat.Work + ΔWAL(one) == one.Work + ΔWAL(flat).
+		fw, ow := walWork(flat), walWork(one) // the "before" halves of the deltas
+		fr := execStmt(t, flat, stmt, at)
+		or := execStmt(t, one, stmt, at)
+		fw.Add(fr.Work)
+		fw.Add(walWork(one))
+		ow.Add(or.Work)
+		ow.Add(walWork(flat))
+		if fr.Matched != or.Matched || fr.Applied != or.Applied || fw != ow {
+			t.Fatalf("%s:\nflat matched=%d applied=%d\nk=1  matched=%d applied=%d\nwork (cross-netted) %+v vs %+v",
+				stmt, fr.Matched, fr.Applied, or.Matched, or.Applied, fw, ow)
+		}
+		at += time.Millisecond
+	}
+	for _, q := range []string{
+		"SELECT id, custkey, region, amount FROM orders WHERE custkey < 40",
+		"SELECT custkey, COUNT(*) AS n, SUM(day) AS d FROM orders WHERE custkey < 120 GROUP BY custkey",
+		"SELECT region, COUNT(*) AS n, SUM(day) AS d FROM orders GROUP BY region",
+		"SELECT region, SUM(amount) AS rev FROM orders WHERE custkey >= 300 GROUP BY region",
+		"SELECT COUNT(*), SUM(amount) FROM orders",
+	} {
+		fr, err := flat.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		or, err := one.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !reflect.DeepEqual(or.Rel, fr.Rel) {
+			t.Fatalf("%s: k=1 relation diverged from flat", q)
+		}
+		if or.Work != fr.Work {
+			t.Fatalf("%s: k=1 work diverged from flat\n got %+v\nwant %+v", q, or.Work, fr.Work)
+		}
+		if or.PlanInfo.FusedAgg != fr.PlanInfo.FusedAgg || or.PlanInfo.Parallel != fr.PlanInfo.Parallel {
+			t.Fatalf("%s: k=1 plan decisions diverged from flat", q)
+		}
 	}
 }
 

@@ -2,23 +2,24 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/txn"
-	"repro/internal/vec"
 )
 
 // The engine's write path: DML statements execute synchronously at
-// their virtual arrival time — INSERT appends to the table's delta,
-// UPDATE/DELETE locate victims with the same snapshot-prefix scan
-// kernels reads use, and all of it commits through the transaction
-// manager (first-committer-wins validation, REDO logging, group-commit
-// durability).  The priced work lands in the engine's lifetime meter so
-// writes show up on the same energy books as queries.
+// their virtual arrival time — INSERT appends to the owning shard's
+// delta, UPDATE/DELETE locate victims with the same filter kernel reads
+// use (exec's ShardBinding.Filter), and all of it commits through the
+// transaction manager (first-committer-wins validation, REDO logging,
+// group-commit durability).  The priced work lands in the engine's
+// lifetime meter so writes show up on the same energy books as queries.
 
 // DMLResult reports one executed write statement.
 type DMLResult struct {
@@ -49,54 +50,85 @@ func (e *Engine) EstimateDML(d *opt.DML) (opt.Cost, error) {
 	return e.cm.Price(opt.EstimateDML(ts, d), 0), nil
 }
 
-// ExecDML executes one write statement, committing at virtual arrival
-// time `at` (which paces the group-commit window).  Conflicts surface as
-// txn.ErrConflict.
-func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
-	st, serr := e.cat.Sharded(d.Table)
-	var t *colstore.Table
-	if serr != nil {
-		var err error
-		t, err = e.cat.Table(d.Table)
+// dmlTarget is the table a statement writes, as a shard list: a flat
+// table is the one-shard case (no routing, no sequence column).
+type dmlTarget struct {
+	name   string
+	st     *colstore.ShardedTable // nil for a flat table
+	shards []*colstore.Table
+	schema colstore.Schema // user-visible schema
+	// width is the column count a written row is priced at: the hidden
+	// sequence column is charged only when it orders rows across more
+	// than one shard, so a k=1 sharded table books what a flat table does.
+	width int
+	touch *shardTouch
+}
+
+func (e *Engine) dmlTarget(name string) (*dmlTarget, error) {
+	t := &dmlTarget{name: name}
+	if st, err := e.cat.Sharded(name); err == nil {
+		t.st, t.shards, t.schema = st, st.Shards(), st.Schema()
+	} else {
+		flat, err := e.cat.Table(name)
 		if err != nil {
 			return nil, err
 		}
+		t.shards, t.schema = []*colstore.Table{flat}, flat.Schema()
+	}
+	t.width = len(t.schema)
+	if len(t.shards) > 1 {
+		t.width++
+	}
+	t.touch = newShardTouch(len(t.shards))
+	return t, nil
+}
+
+// slot returns the schema slot of a column.
+func (t *dmlTarget) slot(col string) (int, error) {
+	if si := t.schema.ColIndex(col); si >= 0 {
+		return si, nil
+	}
+	return 0, fmt.Errorf("core: table %s has no column %q", t.name, col)
+}
+
+// route completes a schema-ordered user row for writing: on a sharded
+// table it stamps the next global sequence and picks the shard owning
+// the row's key (the transactional counterpart of ShardedTable.Append);
+// a flat row is written as is.
+func (t *dmlTarget) route(vals []any) (int, []any) {
+	if t.st == nil {
+		return 0, vals
+	}
+	key := vals[t.schema.ColIndex(t.st.ShardCol)].(int64)
+	si := t.st.ShardFor(key)
+	t.touch.add(si, key)
+	return si, append(vals, t.st.AllocSeq())
+}
+
+// ExecDML executes one write statement, committing at virtual arrival
+// time `at` (which paces the group-commit window).  One transaction
+// spans every touched shard, so a statement commits at one timestamp and
+// visibility stays invariant under the shard count.  Conflicts surface
+// as txn.ErrConflict.
+func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
+	tgt, err := e.dmlTarget(d.Table)
+	if err != nil {
+		return nil, err
 	}
 	res := &DMLResult{Stmt: d.String(), Kind: d.Kind, Table: d.Table}
 	var work energy.Counters
-	var tch *shardTouch
-	if st != nil {
-		tch = newShardTouch(st.NumShards())
-	}
 	tx := e.txm.Begin()
 	switch d.Kind {
 	case opt.DMLInsert:
-		var err error
-		if st != nil {
-			err = e.bufferShardedInserts(tx, st, d, &work, tch)
-		} else {
-			err = e.bufferInserts(tx, t, d, &work)
-		}
-		if err != nil {
-			tx.Abort()
-			return nil, err
-		}
+		err = bufferInserts(tx, tgt, d, &work)
 	case opt.DMLUpdate, opt.DMLDelete:
-		var matched int
-		var err error
-		if st != nil {
-			matched, err = e.bufferShardedMutations(tx, st, d, &work, tch)
-		} else {
-			matched, err = e.bufferMutations(tx, t, d, &work)
-		}
-		if err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		res.Matched = matched
+		res.Matched, err = bufferMutations(tx, tgt, d, &work)
 	default:
+		err = fmt.Errorf("core: unknown DML kind %v", d.Kind)
+	}
+	if err != nil {
 		tx.Abort()
-		return nil, fmt.Errorf("core: unknown DML kind %v", d.Kind)
+		return nil, err
 	}
 	info, err := tx.Commit(at)
 	if err != nil {
@@ -122,25 +154,27 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	// what the statement touched: zone bounds widen in O(1) per routed
 	// key, and only the hit shards re-stat — a full RecomputeBounds here
 	// would rescan the whole table on every statement.
-	if st != nil {
-		for i, keys := range tch.keys {
+	if tgt.st != nil {
+		for i, keys := range tgt.touch.keys {
 			for _, k := range keys {
-				st.WidenBounds(i, k)
+				tgt.st.WidenBounds(i, k)
 			}
 		}
-		if err := e.cat.RefreshShardedShards(d.Table, tch.touched()); err != nil {
-			return nil, err
-		}
-	} else if err := e.cat.RefreshStats(d.Table); err != nil {
+		err = e.cat.RefreshShardedShards(d.Table, tgt.touch.touched())
+	} else {
+		err = e.cat.RefreshStats(d.Table)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// bufferInserts validates and buffers INSERT tuples in schema order.
-// Every schema column must be covered — delta rows are whole rows.
-func (e *Engine) bufferInserts(tx *txn.TableTx, t *colstore.Table, d *opt.DML, work *energy.Counters) error {
-	schema := t.Schema()
+// bufferInserts validates INSERT tuples against the user schema and
+// buffers them in schema order, each routed to its owning shard.  Every
+// schema column must be covered — delta rows are whole rows.
+func bufferInserts(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Counters) error {
+	schema := tgt.schema
 	cols := d.Cols
 	if len(cols) == 0 {
 		cols = make([]string, len(schema))
@@ -153,22 +187,17 @@ func (e *Engine) bufferInserts(tx *txn.TableTx, t *colstore.Table, d *opt.DML, w
 	}
 	pos := make([]int, len(cols)) // tuple slot -> schema slot
 	for i, c := range cols {
-		found := -1
-		for si, def := range schema {
-			if def.Name == c {
-				found = si
-			}
+		si, err := tgt.slot(c)
+		if err != nil {
+			return err
 		}
-		if found < 0 {
-			return fmt.Errorf("core: table %s has no column %q", d.Table, c)
-		}
-		pos[i] = found
+		pos[i] = si
 	}
 	for _, row := range d.Rows {
 		if len(row) != len(cols) {
 			return fmt.Errorf("core: INSERT INTO %s: tuple has %d values, want %d", d.Table, len(row), len(cols))
 		}
-		vals := make([]any, len(schema))
+		vals := make([]any, len(schema), len(schema)+1)
 		for i, v := range row {
 			av, err := coerceValue(v, schema[pos[i]].Type, schema[pos[i]].Name)
 			if err != nil {
@@ -176,87 +205,106 @@ func (e *Engine) bufferInserts(tx *txn.TableTx, t *colstore.Table, d *opt.DML, w
 			}
 			vals[pos[i]] = av
 		}
-		tx.Insert(t, vals...)
-		work.BytesWrittenDRAM += uint64(len(schema)) * 10
-		work.Instructions += uint64(len(schema)) * 4
+		si, vals := tgt.route(vals)
+		tx.Insert(tgt.shards[si], vals...)
+		work.BytesWrittenDRAM += uint64(tgt.width) * 10
+		work.Instructions += uint64(tgt.width) * 4
 		work.TuplesOut++
 	}
 	return nil
 }
 
-// bufferMutations locates UPDATE/DELETE victims with a snapshot-prefix
-// scan at the transaction's snapshot and buffers the tombstones (and,
-// for UPDATE, the replacement versions).
-func (e *Engine) bufferMutations(tx *txn.TableTx, t *colstore.Table, d *opt.DML, work *energy.Counters) (int, error) {
-	snap := tx.Snapshot()
-	n := t.RowsAsOf(snap)
-	sel := vec.NewBitvec(n)
-	sel.SetAll()
-	for _, p := range d.Preds {
-		col, err := t.Column(p.Col)
+// dmlVictim is one UPDATE/DELETE target: a bound shard, the row in it,
+// and — across more than one shard — its global sequence, so mutations
+// apply in the flat statement order.
+type dmlVictim struct {
+	shard int
+	row   int
+	seq   int64
+}
+
+// bufferMutations locates UPDATE/DELETE victims with the scan's own
+// filter kernel at the transaction's snapshot, shard by shard — pruned
+// shards never stream a byte — then buffers the mutations in global row
+// order: DELETE tombstones the victim in place; UPDATE tombstones it and
+// routes the new version to the shard owning its (possibly changed) key,
+// so new versions land in statement order at every shard count and
+// co-partition alignment survives key-changing updates.
+func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Counters) (int, error) {
+	schema := tgt.schema
+	preds := make([]expr.Pred, len(d.Preds))
+	for i, p := range d.Preds {
+		si, err := tgt.slot(p.Col)
 		if err != nil {
 			return 0, err
 		}
-		p, err = coercePredTo(p, col.Type())
-		if err != nil {
+		if preds[i], err = coercePredTo(p, schema[si].Type); err != nil {
 			return 0, err
 		}
-		pb := vec.NewBitvec(n)
-		switch c := col.(type) {
-		case *colstore.IntColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.I, 0, n, pb))
-		case *colstore.FloatColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.F, 0, n, pb))
-		case *colstore.StringColumn:
-			work.Add(c.ScanRows(p.Op, p.Val.S, 0, n, pb))
-		}
-		sel.And(pb)
 	}
-	work.Add(t.FilterVisible(snap, 0, n, sel))
-	rows := sel.Indices()
-	schema := t.Schema()
+	scan := &exec.Scan{Sharded: tgt.st, Preds: preds}
+	if tgt.st == nil {
+		scan.Table = tgt.shards[0]
+	}
+	b, err := scan.Bind()
+	if err != nil {
+		return 0, err
+	}
+	snap := tx.Snapshot()
+	var victims []dmlVictim
+	for i, sb := range b.Shards {
+		if sb.Pruned {
+			continue
+		}
+		sel, w := sb.Filter(snap, 0, sb.Table.RowsAsOf(snap))
+		work.Add(w)
+		for _, r := range sel.Indices() {
+			v := dmlVictim{shard: i, row: int(r)}
+			if sb.Seq != nil {
+				v.seq = sb.Seq.Get(v.row)
+			}
+			victims = append(victims, v)
+		}
+	}
+	if len(b.Shards) > 1 {
+		sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	}
+
 	var sets []setTarget
 	if d.Kind == opt.DMLUpdate {
 		for _, s := range d.Sets {
-			found := -1
-			for si, def := range schema {
-				if def.Name == s.Col {
-					found = si
-				}
-			}
-			if found < 0 {
-				return 0, fmt.Errorf("core: table %s has no column %q", d.Table, s.Col)
-			}
-			av, err := coerceValue(s.Val, schema[found].Type, s.Col)
+			si, err := tgt.slot(s.Col)
 			if err != nil {
 				return 0, err
 			}
-			sets = append(sets, setTarget{slot: found, val: av})
+			av, err := coerceValue(s.Val, schema[si].Type, s.Col)
+			if err != nil {
+				return 0, err
+			}
+			sets = append(sets, setTarget{slot: si, val: av})
 		}
 	}
-	for _, r := range rows {
-		id := t.RowID(int(r))
+	for _, v := range victims {
+		sb := b.Shards[v.shard]
+		id := sb.Table.RowID(v.row)
+		tgt.touch.mark(v.shard)
 		if d.Kind == opt.DMLDelete {
-			tx.Delete(t, id)
+			tx.Delete(sb.Table, id)
 			work.Instructions += 16
 			work.BytesWrittenDRAM += 40
 			continue
 		}
 		// UPDATE: read the current version, apply the assignments, append
 		// the new version (point reads priced like the index verify path).
-		vals := make([]any, len(schema))
-		for si, def := range schema {
-			col, err := t.Column(def.Name)
-			if err != nil {
-				return 0, err
-			}
-			switch c := col.(type) {
+		vals := make([]any, len(schema), len(schema)+1)
+		for si := range schema {
+			switch c := sb.Cols[si].(type) {
 			case *colstore.IntColumn:
-				vals[si] = c.Get(int(r))
+				vals[si] = c.Get(v.row)
 			case *colstore.FloatColumn:
-				vals[si] = c.Get(int(r))
+				vals[si] = c.Get(v.row)
 			case *colstore.StringColumn:
-				vals[si] = c.Get(int(r))
+				vals[si] = c.Get(v.row)
 			}
 			work.CacheMisses++
 			work.Instructions += 6
@@ -264,11 +312,19 @@ func (e *Engine) bufferMutations(tx *txn.TableTx, t *colstore.Table, d *opt.DML,
 		for _, s := range sets {
 			vals[s.slot] = s.val
 		}
-		tx.Update(t, id, vals...)
-		work.Instructions += 16 + uint64(len(schema))*4
-		work.BytesWrittenDRAM += 40 + uint64(len(schema))*10
+		di, vals := tgt.route(vals)
+		if di == v.shard {
+			tx.Update(sb.Table, id, vals...)
+		} else {
+			// The key moved across a cut: tombstone here, new version in
+			// the owning shard, one commit timestamp for both.
+			tx.Delete(sb.Table, id)
+			tx.Insert(tgt.shards[di], vals...)
+		}
+		work.Instructions += 16 + uint64(tgt.width)*4
+		work.BytesWrittenDRAM += 40 + uint64(tgt.width)*10
 	}
-	return len(rows), nil
+	return len(victims), nil
 }
 
 type setTarget struct {

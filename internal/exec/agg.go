@@ -24,10 +24,6 @@ type HashAgg struct {
 	Child   Node
 	GroupBy []string
 	Aggs    []expr.AggSpec
-	// Unfused pins the legacy scan-then-aggregate path even when the
-	// child is a fusable ParallelScan — the control arm of the E24
-	// experiment and of the fused-vs-unfused byte-identity tests.
-	Unfused bool
 }
 
 // ParallelAggRows is the input size at which HashAgg switches from the
@@ -302,7 +298,7 @@ func (a *HashAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation 
 }
 
 // aggOutName derives an aggregate's output column name — shared by the
-// legacy and fused output builders so fusion never changes the schema.
+// generic and fused output builders so fusion never changes the schema.
 func aggOutName(s expr.AggSpec) string {
 	if s.As != "" {
 		return s.As
@@ -331,19 +327,13 @@ func (a *HashAgg) rangeWork(lo, hi, groups int) energy.Counters {
 
 // Run implements Node.
 func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
-	// Fused filter→aggregate path: when the child is a fusable
-	// ParallelScan, aggregate straight off the compressed segments in one
-	// pass per morsel (fused.go) instead of materializing the filtered
-	// relation first.  The fused output is byte-identical to this
+	// Fused filter→aggregate path: when the child is a fusable Scan,
+	// aggregate straight off the compressed segments in one pass per
+	// morsel, shard by shard (fused.go), instead of materializing the
+	// filtered relation first.  The fused output is byte-identical to this
 	// operator's own output over the scan's relation.
 	if fp := a.fusedAggPlan(); fp != nil {
 		return a.runFusedAgg(ctx, fp)
-	}
-	// Sharded counterpart: a ShardedScan child folds shard-at-a-time
-	// through the same fused kernels, with merged groups ordered by each
-	// group's first-appearance sequence (sharded.go).
-	if sp := a.shardedAggPlan(); sp != nil {
-		return a.runShardedAgg(ctx, sp)
 	}
 	in, err := a.Child.Run(ctx)
 	if err != nil {

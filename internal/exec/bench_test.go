@@ -5,63 +5,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
-
-// BenchmarkAdaptiveVsFixedKernels is the reconfigurable-operator ablation
-// (§IV.B / Ross [17]): data whose selectivity drifts mid-stream, filtered
-// by a fixed branching kernel, a fixed predicated kernel, and the
-// adaptive operator that switches at batch boundaries.
-func BenchmarkAdaptiveVsFixedKernels(b *testing.B) {
-	n := 1 << 20
-	vals := make([]int64, n)
-	rng := workload.NewRNG(11)
-	for i := 0; i < n/2; i++ {
-		vals[i] = int64(rng.Intn(10)) // ~100% selectivity (predictable)
-	}
-	for i := n / 2; i < n; i++ {
-		vals[i] = int64(rng.Intn(1000)) // ~50% selectivity (hostile)
-	}
-	pred := expr.Pred{Col: "x", Op: vec.LT, Val: expr.IntVal(500)}
-
-	// Kernel-only reference points (no result materialization).
-	b.Run("kernel-branching", func(b *testing.B) {
-		b.SetBytes(int64(n) * 8)
-		for i := 0; i < b.N; i++ {
-			out := vec.NewBitvec(n)
-			vec.ScanBranching(vals, vec.LT, 500, out)
-		}
-	})
-	b.Run("kernel-predicated", func(b *testing.B) {
-		b.SetBytes(int64(n) * 8)
-		for i := 0; i < b.N; i++ {
-			out := vec.NewBitvec(n)
-			vec.ScanPredicated(vals, vec.LT, 500, out)
-		}
-	})
-	// Operator-level comparison: both filters materialize their result,
-	// so the delta is the kernel strategy alone.
-	b.Run("operator-plain-filter", func(b *testing.B) {
-		b.SetBytes(int64(n) * 8)
-		src := intRelation(vals)
-		for i := 0; i < b.N; i++ {
-			f := &Filter{Child: src, Preds: []expr.Pred{pred}}
-			if _, err := f.Run(NewCtx()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("operator-adaptive", func(b *testing.B) {
-		b.SetBytes(int64(n) * 8)
-		src := intRelation(vals)
-		for i := 0; i < b.N; i++ {
-			af := &AdaptiveFilter{Child: src, Pred: pred}
-			if _, err := af.Run(NewCtx()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkOperators measures the core physical operators end to end.
 func BenchmarkOperators(b *testing.B) {

@@ -55,7 +55,7 @@ func buildOrdersLike(t *testing.T, n int, seal bool) *colstore.Table {
 
 // TestCompressedStorageDOPInvariant is the acceptance test for the
 // compressed-segment pipeline, run under -race by the CI race job: the
-// same grouped aggregation over ParallelScan must produce byte-identical
+// same grouped aggregation over Scan must produce byte-identical
 // relations and identical logical row counters (TuplesIn/TuplesOut)
 // whether the table is stored raw or sealed into compressed segments, at
 // DOP 1 and DOP 8 — while the sealed variant streams strictly fewer DRAM
@@ -67,7 +67,7 @@ func TestCompressedStorageDOPInvariant(t *testing.T) {
 	compTab := buildOrdersLike(t, n, true)
 	plan := func(tab *colstore.Table) *HashAgg {
 		return &HashAgg{
-			Child: &ParallelScan{
+			Child: &Scan{
 				Table:  tab,
 				Select: []string{"region", "amount", "day"},
 				Preds: []expr.Pred{

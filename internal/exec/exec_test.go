@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,6 +143,29 @@ func TestScanIndexRangePredicate(t *testing.T) {
 	must(t, err)
 	if full.N != viaIdx.N || full.N == 0 {
 		t.Fatalf("range via index: %d vs %d rows", viaIdx.N, full.N)
+	}
+
+	// Extreme keys: the index bounds must span the whole int64 domain
+	// (keys beyond ±2^62 used to be dropped) and `< MinInt64` /
+	// `> MaxInt64` must select nothing instead of wrapping around.
+	keys := []int64{math.MinInt64, math.MinInt64 + 1, -1<<62 - 5, -7, 0, 9, 1<<62 + 5, math.MaxInt64 - 1, math.MaxInt64}
+	ext := colstore.NewTable("ext", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	must(t, ext.Writer().Int64("k", keys...).Close())
+	must(t, ext.Seal())
+	ebt := index.NewBTree()
+	index.BuildFrom(ebt, keys)
+	for _, op := range []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE} {
+		for _, c := range append([]int64{-1 << 62, 1 << 62}, keys...) {
+			preds := []expr.Pred{{Col: "k", Op: op, Val: expr.IntVal(c)}}
+			full, err := (&Scan{Table: ext, Preds: preds}).Run(NewCtx())
+			must(t, err)
+			viaIdx, err := (&Scan{Table: ext, Preds: preds,
+				Access: AccessSpec{Kind: IndexAccess, Index: ebt, IndexCol: "k"}}).Run(NewCtx())
+			must(t, err)
+			if !reflect.DeepEqual(full, viaIdx) {
+				t.Errorf("k %s %d: index returned %v, full scan %v", op, c, viaIdx.Cols[0].I, full.Cols[0].I)
+			}
+		}
 	}
 }
 

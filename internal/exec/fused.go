@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
@@ -31,130 +32,127 @@ import (
 //	             so a fused scan stays a pure function of (snapshot,
 //	             predicates) across the main/delta boundary.
 //
-// Fusion is transparent: HashAgg.Run and ParallelJoin.Run detect a
-// fusable ParallelScan child and bypass its materialization; every other
-// shape takes the legacy path unchanged, and the Unfused escape hatch
-// pins the legacy path for A/B runs (experiment E24) and the
-// byte-identity tests.
+// Fusion is structural: HashAgg.Run and ParallelJoin.Run fuse exactly
+// when their child is a full-scan *Scan of an eligible shape and consume
+// its Filter selection vectors directly; every other child — including a
+// scan hidden behind any wrapping Node, which is how E24's control arm
+// and the byte-identity tests reach the materializing pipeline — is run
+// to a relation first.
 //
 // Determinism contract.  The fused output relation is byte-identical to
-// the legacy path's: predicates run through the exact same ScanRows /
-// FilterVisible sequence, group keys are single int64 values (an integer
-// group value or a global dictionary code — never concatenated bytes, so
-// the aggRange NUL-collision class of bug cannot exist here), integer
-// aggregates accumulate in exact int64 arithmetic (associative, so the
-// table-grid and the legacy filtered-grid sum bit-identically), and
-// partials merge in morsel order.  Value-needing aggregates over Float64
-// columns are NOT eligible: float addition is non-associative and the
-// fused morsel grid differs from the legacy one, so those plans keep the
-// legacy path and its pinned accumulation order.  Charged counters are
-// pure functions of (snapshot, plan, data) — never of DOP — like every
-// other morsel kernel in this package.
+// the materializing pipeline's: predicates run through the same Filter
+// kernel, group keys are single int64 values (an integer group value or
+// a dictionary code — never concatenated bytes, so the aggRange
+// NUL-collision class of bug cannot exist here), integer aggregates
+// accumulate in exact int64 arithmetic (associative, so the table grid
+// and the filtered-relation grid sum bit-identically), and partials
+// merge in morsel order, shard by shard.  Value-needing aggregates over
+// Float64 columns are NOT eligible: float addition is non-associative
+// and the fused morsel grid differs from the materialized one, so those
+// plans keep the generic HashAgg and its pinned accumulation order.
+// Charged counters are pure functions of (snapshot, plan, data) — never
+// of DOP — like every other morsel kernel in this package.
 
 // ---------------------------------------------------------------------------
 // Fused filter→aggregate
 // ---------------------------------------------------------------------------
 
-// fusedAggPlan is a resolved, eligible Scan+HashAgg fusion: the scan's
-// predicate columns, the group-key source, and the aggregate inputs,
-// all bound against the base table before any worker starts.
+// fusedAggPlan is a resolved, eligible Scan+HashAgg fusion: the bound
+// scan plus, per shard, the group-key source and the aggregate inputs.
 type fusedAggPlan struct {
-	scan     *ParallelScan
-	predCols []colstore.Column
-	// Group-key source; both nil for global (no GROUP BY) aggregation.
-	// For a string group column, groupInts is its code column and keys
-	// are global dictionary codes, decoded to strings once at output.
-	groupInts *colstore.IntColumn
-	groupStr  *colstore.StringColumn
+	scan   *Binding
+	shards []fusedAggShard
+	// Group-key output; groupDict decodes a string group's dictionary
+	// codes once per output group (single-shard sources only).
 	groupName string
 	groupType colstore.Type
-	// aggInts[i] is the Int64 input of aggregate i, nil when the
-	// aggregate needs no values (COUNT).
-	aggInts []*colstore.IntColumn
-	// trackFirst makes every morsel table record the global row of each
-	// group's first selected appearance (fusedAggTable.first) — the
-	// sharded path needs it to order merged groups by sequence.
+	groupDict []string
+	// trackFirst makes every morsel table record the row of each group's
+	// first selected appearance (fusedAggTable.first): across more than
+	// one shard the merged groups are ordered by its global sequence.
 	trackFirst bool
 }
 
-// fusedAggPlan reports how (and whether) this HashAgg can fuse into its
-// child scan.  Any ineligibility — wrong child shape, multi-column or
-// float group keys, float aggregate inputs, unresolvable columns — simply
-// returns nil and the legacy path runs (and reports any binding errors
-// exactly as before).
+// fusedAggShard is one shard's column bindings of a fused aggregation.
+type fusedAggShard struct {
+	sb *ShardBinding
+	// groupInts yields the group keys — the group column itself, or a
+	// string group column's code column; nil for global aggregation.
+	groupInts *colstore.IntColumn
+	// aggInts[i] is the Int64 input of aggregate i, nil when the
+	// aggregate needs no values (COUNT).
+	aggInts []*colstore.IntColumn
+}
+
+// fusedAggPlan reports how (and whether) this HashAgg can fold its child
+// scan's selection vectors directly.  The one eligibility table:
+//
+//	child        a *Scan on the full-scan access path
+//	GROUP BY     none, or one BIGINT column, or — on a single-shard
+//	             source only (per-shard dictionaries assign incomparable
+//	             codes) — one string column not emitted as codes
+//	aggregates   COUNT(*), COUNT(col) of an emitted column, or
+//	             SUM/MIN/MAX/AVG of an emitted Int64 column
+//
+// Anything else returns nil and the generic HashAgg aggregates the
+// scan's relation (and reports any binding errors itself).
 func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
-	if a.Unfused || len(a.GroupBy) > 1 {
+	s, ok := a.Child.(*Scan)
+	if !ok || s.Access.Kind != FullScan || len(a.GroupBy) > 1 {
 		return nil
 	}
-	s, ok := a.Child.(*ParallelScan)
-	if !ok {
+	b, err := s.Bind()
+	if err != nil {
 		return nil
 	}
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	idxOf := func(name string) int {
-		for i, n := range names {
-			if n == name {
-				return i
-			}
-		}
-		return -1
-	}
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil // the legacy scan reports the error
-		}
-		outCols[i] = c
-	}
-	fp := &fusedAggPlan{scan: s}
-	fp.predCols = make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil || checkPredType(c, p) != nil {
-			return nil
-		}
-		fp.predCols[i] = c
-	}
-	asCode := codeFlags(names, outCols, s.Codes)
+	group := -1
+	fp := &fusedAggPlan{scan: b}
 	if len(a.GroupBy) == 1 {
-		g := a.GroupBy[0]
-		gi := idxOf(g)
-		if gi < 0 || asCode[gi] {
+		if group = b.index(a.GroupBy[0]); group < 0 {
 			return nil
 		}
-		switch gc := outCols[gi].(type) {
-		case *colstore.IntColumn:
-			fp.groupInts, fp.groupType = gc, colstore.Int64
-		case *colstore.StringColumn:
-			fp.groupStr, fp.groupInts, fp.groupType = gc, gc.CodeColumn(), colstore.String
-		default:
-			return nil // float group keys keep the generic path
-		}
-		fp.groupName = g
+		fp.groupName, fp.groupType = a.GroupBy[0], b.tmpl[group].Type
+		fp.trackFirst = b.multi()
 	}
-	fp.aggInts = make([]*colstore.IntColumn, len(a.Aggs))
+	aggIdx := make([]int, len(a.Aggs))
 	for i, spec := range a.Aggs {
+		aggIdx[i] = -1
 		if spec.Func == expr.AggCount {
-			if spec.Col != "" && idxOf(spec.Col) < 0 {
+			if spec.Col != "" && b.index(spec.Col) < 0 {
 				return nil // COUNT(col) on a column the scan doesn't emit
 			}
 			continue
 		}
-		ci := idxOf(spec.Col)
-		if ci < 0 || asCode[ci] {
+		if aggIdx[i] = b.index(spec.Col); aggIdx[i] < 0 {
 			return nil
 		}
-		ic, ok := outCols[ci].(*colstore.IntColumn)
-		if !ok {
-			return nil // float (or string) aggregate inputs stay legacy
+	}
+	for _, sb := range b.Shards {
+		fs := fusedAggShard{sb: sb, aggInts: make([]*colstore.IntColumn, len(a.Aggs))}
+		if group >= 0 {
+			switch gc := sb.Cols[group].(type) {
+			case *colstore.IntColumn:
+				fs.groupInts = gc
+			case *colstore.StringColumn:
+				if b.multi() || sb.asCode[group] {
+					return nil
+				}
+				fs.groupInts, fp.groupDict = gc.CodeColumn(), gc.Dict()
+			default:
+				return nil // float group keys keep the generic path
+			}
 		}
-		fp.aggInts[i] = ic
+		for i, ci := range aggIdx {
+			if ci < 0 {
+				continue
+			}
+			ic, ok := sb.Cols[ci].(*colstore.IntColumn)
+			if !ok {
+				return nil // float (or string) aggregate inputs stay generic
+			}
+			fs.aggInts[i] = ic
+		}
+		fp.shards = append(fp.shards, fs)
 	}
 	return fp
 }
@@ -333,73 +331,138 @@ func (t *fusedAggTable) mergeFrom(src *fusedAggTable) {
 	}
 }
 
-// runFusedAgg executes the fused filter→aggregate pipeline: one pass per
-// morsel over the base table, partials merged in morsel order.
+// sortByFirst reorders the table's groups by ascending first-appearance
+// sequence (unique per group), the merged global group order.
+func (t *fusedAggTable) sortByFirst() {
+	n := len(t.keys)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return t.firstOf(perm[a]) < t.firstOf(perm[b]) })
+	keys := make([]int64, n)
+	counts := make([]int64, n)
+	isums := make([]int64, n*t.nAggs)
+	imins := make([]int64, n*t.nAggs)
+	imaxs := make([]int64, n*t.nAggs)
+	seen := make([]bool, n*t.nAggs)
+	first := make([]int64, n)
+	for di, si := range perm {
+		keys[di] = t.keys[si]
+		counts[di] = t.counts[si]
+		first[di] = t.firstOf(si)
+		copy(isums[di*t.nAggs:(di+1)*t.nAggs], t.isums[si*t.nAggs:(si+1)*t.nAggs])
+		copy(imins[di*t.nAggs:(di+1)*t.nAggs], t.imins[si*t.nAggs:(si+1)*t.nAggs])
+		copy(imaxs[di*t.nAggs:(di+1)*t.nAggs], t.imaxs[si*t.nAggs:(si+1)*t.nAggs])
+		copy(seen[di*t.nAggs:(di+1)*t.nAggs], t.seen[si*t.nAggs:(si+1)*t.nAggs])
+	}
+	t.keys, t.counts, t.isums, t.imins, t.imaxs, t.seen, t.first = keys, counts, isums, imins, imaxs, seen, first
+	// The open-addressing slots now point at stale group indices; the
+	// table is output-only after sorting, so drop them defensively.
+	for i := range t.slotGroup {
+		t.slotGroup[i] = 0
+		t.slotKey[i] = 0
+	}
+	for gi, key := range t.keys {
+		i := mix64(uint64(key)) & t.mask
+		for t.slotGroup[i] != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slotKey[i] = key
+		t.slotGroup[i] = int32(gi + 1)
+	}
+}
+
+// runFusedAgg executes the fused filter→aggregate pipeline as one
+// shard-at-a-time fold: one pass per morsel over every surviving shard,
+// partials merged in morsel order per shard, shard tables merged in shard
+// order.  Across more than one shard each group's first-appearance row
+// is rewritten into its global sequence and the merged groups are sorted
+// by it — exactly the first-appearance order a scan of the unsharded
+// table produces; a single shard already is in that order.
 func (a *HashAgg) runFusedAgg(ctx *Ctx, fp *fusedAggPlan) (*Relation, error) {
 	snap := ctx.SnapTS
-	n := fp.scan.Table.RowsAsOf(snap)
-	partials, work := runMorsels(ctx, n, func(m, lo, hi int) (*fusedAggTable, energy.Counters) {
-		return a.fusedAggMorsel(fp, snap, lo, hi)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-	final := newFusedAggTable(len(a.Aggs))
+	var final *fusedAggTable
 	var partialGroups uint64
-	for _, p := range partials {
-		partialGroups += uint64(len(p.keys))
-		final.mergeFrom(p)
+	var mergeW energy.Counters
+	nparts := 0
+	err := fp.scan.eachShard(ctx, func(i int, sb *ShardBinding) error {
+		fs := &fp.shards[i]
+		partials, work := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*fusedAggTable, energy.Counters) {
+			return a.fusedAggMorsel(fp, fs, snap, lo, hi)
+		})
+		if ctx.Canceled() {
+			return ErrCanceled
+		}
+		shardT := newFusedAggTable(len(a.Aggs))
+		shardT.firstOn = fp.trackFirst
+		for _, p := range partials {
+			partialGroups += uint64(len(p.keys))
+			shardT.mergeFrom(p)
+		}
+		nparts += len(partials)
+		if fp.trackFirst {
+			// First-appearance rows become global sequences: point reads of
+			// the stored sequence column, priced like any sparse gather.
+			for gi := range shardT.keys {
+				if f := shardT.firstOf(gi); f >= 0 {
+					shardT.first[gi] = sb.Seq.Get(int(f))
+				}
+			}
+			g := uint64(len(shardT.keys))
+			mergeW.Add(energy.Counters{CacheMisses: g / 4, Instructions: g * 2})
+		}
+		label := a.Label() + " [fused]"
+		if fp.scan.multi() {
+			label = fmt.Sprintf("%s [fused shard %d]", a.Label(), i)
+		}
+		ctx.Trace(label, len(shardT.keys), work)
+		if final == nil {
+			final = shardT
+		} else {
+			final.mergeFrom(shardT)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ctx.Trace(a.Label()+" [fused]", len(final.keys), work)
-	// Same merge accounting as the legacy parallel path, over the fused
-	// morsel grid's partial-group count.
-	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", len(partials)), len(final.keys), energy.Counters{
+	if final == nil {
+		final = newFusedAggTable(len(a.Aggs))
+	}
+	if fp.trackFirst {
+		final.sortByFirst()
+	}
+	// The merge runs on the coordinator; its price is a function of the
+	// morsel grid's partial-group count, like the generic parallel path's.
+	w := energy.Counters{
 		TuplesIn:     partialGroups,
 		TuplesOut:    uint64(len(final.keys)),
 		Instructions: partialGroups * 12,
 		CacheMisses:  partialGroups / 4,
-	})
+	}
+	w.Add(mergeW)
+	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", nparts), len(final.keys), w)
 	return a.buildFusedOutput(fp, final), nil
 }
 
-// fusedAggMorsel filters rows [lo, hi) with the scan's own predicate
-// sequence — charging the exact same scan counters — and folds the
+// fusedAggMorsel filters rows [lo, hi) of one shard with the scan's own
+// kernel — charging the exact same scan counters — and folds the
 // selected rows into a partial table without materializing them.
-func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, snap int64, lo, hi int) (*fusedAggTable, energy.Counters) {
-	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	s := fp.scan
-	for i, p := range s.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := fp.predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(s.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	w.Add(s.Table.FilterVisible(snap, lo, hi, sel))
+func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, fs *fusedAggShard, snap int64, lo, hi int) (*fusedAggTable, energy.Counters) {
+	sel, w := fs.sb.selectRows(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
-
 	t := newFusedAggTable(len(a.Aggs))
 	if fp.trackFirst {
 		t.firstOn = true
 		t.base = int64(lo)
 	}
 	if selCnt > 0 {
-		w.Add(a.fusedFold(fp, t, sel, lo, hi, selCnt))
+		w.Add(fusedFold(fs, t, sel, lo, hi, selCnt))
 		// The aggregate stage's logical rows plus its fold budget; the
 		// physical decode/run-stream work is priced inside fusedFold per
-		// span.  Strictly below the legacy rangeWork, which pays one hash
+		// span.  Strictly below the generic rangeWork, which pays one hash
 		// probe miss per row and re-reads every group/agg value at full
 		// width from the materialized intermediate.
 		w.Add(energy.Counters{
@@ -417,7 +480,7 @@ func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, snap int64, lo, hi int) (*fus
 // (under 1/8 of the window) take point reads instead of span streams —
 // a fixed density rule, and like the rest of the fused pricing a pure
 // function of (snapshot, predicates, grid).
-func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec, lo, hi, selCnt int) energy.Counters {
+func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, selCnt int) energy.Counters {
 	var w energy.Counters
 	nrows := hi - lo
 	sparse := selCnt*8 < nrows
@@ -427,13 +490,13 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 
 	// Lazily materialized per-aggregate value windows, indexed by local
 	// row.  Only aggregates that cannot use a closed form read them.
-	vals := make([][]int64, len(fp.aggInts))
+	vals := make([][]int64, len(fs.aggInts))
 	getVals := func(ai int) []int64 {
 		if vals[ai] != nil {
 			return vals[ai]
 		}
 		buf := make([]int64, nrows)
-		c := fp.aggInts[ai]
+		c := fs.aggInts[ai]
 		if sparse {
 			sel.ForEach(func(i int) { buf[i] = c.Get(lo + i) })
 			w.Add(sparseWork(selCnt))
@@ -447,7 +510,7 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 	}
 	foldRow := func(g int32, i int) {
 		t.counts[g]++
-		for ai, ic := range fp.aggInts {
+		for ai, ic := range fs.aggInts {
 			if ic == nil {
 				continue
 			}
@@ -457,10 +520,10 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 
 	// Global aggregation: the count is free of any column touch, and RLE
 	// aggregate inputs fold run-at-a-time.
-	if fp.groupInts == nil {
+	if fs.groupInts == nil {
 		g := t.slot(0)
 		t.counts[g] += int64(selCnt)
-		for ai, ic := range fp.aggInts {
+		for ai, ic := range fs.aggInts {
 			if ic == nil {
 				continue
 			}
@@ -493,7 +556,7 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 	// selected rows only.
 	if sparse {
 		sel.ForEach(func(i int) {
-			g := t.slot(fp.groupInts.Get(lo + i))
+			g := t.slot(fs.groupInts.Get(lo + i))
 			t.noteFirst(g, i)
 			foldRow(g, i)
 		})
@@ -503,7 +566,7 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 
 	// Grouped aggregation, dense: sweep the group column span-wise in its
 	// physical layout.
-	for _, sp := range fp.groupInts.Spans(lo, hi) {
+	for _, sp := range fs.groupInts.Spans(lo, hi) {
 		la, lb := sp.A-lo, sp.B-lo
 		switch sp.Enc {
 		case colstore.EncRLE:
@@ -515,11 +578,11 @@ func (a *HashAgg) fusedFold(fp *fusedAggPlan, t *fusedAggTable, sel *vec.Bitvec,
 				g := t.slot(v)
 				t.noteFirstRange(g, sel, ra-lo, rb-lo)
 				t.counts[g] += int64(c)
-				for ai, ic := range fp.aggInts {
+				for ai, ic := range fs.aggInts {
 					if ic == nil {
 						continue
 					}
-					if ic == fp.groupInts {
+					if ic == fs.groupInts {
 						// SUM(x) GROUP BY x: run closed form, no expansion.
 						t.addN(g, ai, v, int64(c))
 						continue
@@ -568,11 +631,10 @@ func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation
 	out := &Relation{N: n}
 	if len(a.GroupBy) == 1 {
 		oc := Col{Name: fp.groupName, Type: fp.groupType}
-		if fp.groupStr != nil {
-			dict := fp.groupStr.Dict()
+		if fp.groupDict != nil {
 			oc.S = make([]string, n)
 			for i, k := range t.keys {
-				oc.S[i] = dict[k]
+				oc.S[i] = fp.groupDict[k]
 			}
 		} else {
 			oc.I = make([]int64, n)
@@ -581,7 +643,7 @@ func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation
 		out.Cols = append(out.Cols, oc)
 	}
 	for ai, s := range a.Aggs {
-		intIn := fp.aggInts[ai] != nil
+		intIn := fp.shards[0].aggInts[ai] != nil
 		intOut := s.Func == expr.AggCount ||
 			(intIn && (s.Func == expr.AggSum || s.Func == expr.AggMin || s.Func == expr.AggMax))
 		oc := Col{Name: aggOutName(s)}
@@ -622,17 +684,13 @@ func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation
 // Fused filter→probe
 // ---------------------------------------------------------------------------
 
-// fusedProbePlan is a resolved, eligible ParallelScan probe side of a
+// fusedProbePlan is a resolved, eligible probe-side Scan of a
 // ParallelJoin: the probe keys stream straight from the compressed key
 // segments, and the intermediate probe Relation is never built — matched
 // rows gather from the base table after the probe.
 type fusedProbePlan struct {
-	scan     *ParallelScan
-	names    []string // the scan's effective projection
-	outCols  []colstore.Column
-	asCode   []bool
-	predCols []colstore.Column
-	keyIdx   int
+	sb     *ShardBinding // the scan's one shard
+	keyIdx int
 	// keyInts yields the probe keys: the key column itself, or a string
 	// key's global code column (keys are then global dictionary codes).
 	keyInts *colstore.IntColumn
@@ -640,54 +698,28 @@ type fusedProbePlan struct {
 }
 
 // fusedProbePlan reports how (and whether) this join can fuse its probe
-// feed into the left child scan.  nil falls back to the legacy path,
-// which reports any binding errors itself.
+// feed into the left child: a full-scan *Scan over a single unpruned
+// shard (probe keys run in one dictionary's code domain) that emits the
+// join key as a BIGINT or as dictionary codes.  nil runs the child to a
+// relation first, which reports any binding errors itself.
 func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
-	if j.Unfused {
+	s, ok := j.Left.(*Scan)
+	if !ok || s.Access.Kind != FullScan {
 		return nil
 	}
-	s, ok := j.Left.(*ParallelScan)
-	if !ok {
+	b, err := s.Bind()
+	if err != nil || b.multi() || b.Shards[0].Pruned {
 		return nil
 	}
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	fp := &fusedProbePlan{scan: s, names: names, keyIdx: -1}
-	fp.outCols = make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil
-		}
-		fp.outCols[i] = c
-	}
-	fp.predCols = make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil || checkPredType(c, p) != nil {
-			return nil
-		}
-		fp.predCols[i] = c
-	}
-	fp.asCode = codeFlags(names, fp.outCols, s.Codes)
-	for i, name := range names {
-		if name == j.LeftKey {
-			fp.keyIdx = i
-			break
-		}
-	}
+	fp := &fusedProbePlan{sb: b.Shards[0], keyIdx: b.index(j.LeftKey)}
 	if fp.keyIdx < 0 {
 		return nil
 	}
-	switch kc := fp.outCols[fp.keyIdx].(type) {
+	switch kc := fp.sb.Cols[fp.keyIdx].(type) {
 	case *colstore.IntColumn:
 		fp.keyInts = kc
 	case *colstore.StringColumn:
-		if !fp.asCode[fp.keyIdx] {
+		if !fp.sb.asCode[fp.keyIdx] {
 			return nil // raw string keys: the serial string join handles them
 		}
 		fp.keyStr, fp.keyInts = kc, kc.CodeColumn()
@@ -715,7 +747,7 @@ func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relati
 		return nil, true, fmt.Errorf("exec: join key type mismatch %v vs %v", lkType, rk.Type)
 	}
 	snap := ctx.SnapTS
-	n := fp.scan.Table.RowsAsOf(snap)
+	n := fp.sb.Table.RowsAsOf(snap)
 	if n+right.N < ParallelJoinFallbackRows {
 		return nil, false, nil
 	}
@@ -796,25 +828,7 @@ func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relati
 // without ever materializing the probe side.
 func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTable, shift uint) (pairChunk, energy.Counters) {
 	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	for i, p := range fp.scan.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := fp.predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(fp.scan.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	w.Add(fp.scan.Table.FilterVisible(snap, lo, hi, sel))
+	sel, w := fp.sb.selectRows(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 
@@ -882,24 +896,21 @@ func (fp *fusedProbePlan) gatherOut(right *Relation, rightKey string, keys []int
 		}
 	}
 	rOut := pruned.gather(rRows)
-	lOut := &Relation{N: len(lRows), Cols: make([]Col, len(fp.names))}
+	lOut := &Relation{N: len(lRows), Cols: make([]Col, len(fp.sb.Cols))}
 	var w energy.Counters
-	for ci, col := range fp.outCols {
+	for ci, col := range fp.sb.Cols {
 		if ci == fp.keyIdx {
 			// The probe stage decoded the key for every match and emitted
 			// it with the row pair, so the output key column is those
 			// values verbatim — no second touch of the key segments (the
 			// re-read the fused feed exists to eliminate).  Movement into
 			// the output block is priced once, below.
-			oc := Col{Name: fp.names[ci], Type: col.Type()}
-			if fp.keyStr != nil {
-				oc.Dict = fp.keyStr.Dict()
-			}
+			oc := fp.sb.tmpl[ci] // name, type, and a string key's dictionary
 			oc.I = append([]int64(nil), keys...)
 			lOut.Cols[ci] = oc
 			continue
 		}
-		oc, gw := fusedGatherCol(col, fp.names[ci], fp.asCode[ci], lRows)
+		oc, gw := fusedGatherCol(col, fp.sb.tmpl[ci].Name, fp.sb.asCode[ci], lRows)
 		lOut.Cols[ci] = oc
 		w.Add(gw)
 	}
@@ -972,7 +983,7 @@ func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.C
 // FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs}
 // would take the fused filter→aggregate path — the planner's pricing
 // mirror of fusedAggPlan.
-func FusedAggEligible(scan *ParallelScan, groupBy []string, aggs []expr.AggSpec) bool {
+func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
 	return a.fusedAggPlan() != nil
 }
@@ -981,7 +992,7 @@ func FusedAggEligible(scan *ParallelScan, groupBy []string, aggs []expr.AggSpec)
 // leftKey would fuse its probe feed — the planner's pricing mirror of
 // fusedProbePlan (build-side shape is a runtime decision and not part
 // of the static answer).
-func FusedProbeEligible(scan *ParallelScan, leftKey string) bool {
+func FusedProbeEligible(scan *Scan, leftKey string) bool {
 	j := &ParallelJoin{Left: scan, LeftKey: leftKey}
 	return j.fusedProbePlan() != nil
 }

@@ -11,12 +11,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Fused-vs-unfused byte-identity matrix (ISSUE 9 acceptance).  The fused
-// operate-on-compressed pipelines must be invisible to results: for every
-// sealed codec (rle/dict/delta/bitpack/raw) and for a live main+delta
-// snapshot (whose tail scans as EncRaw spans), the fused filter→aggregate
-// and filter→probe paths return relations byte-identical to the pinned
-// legacy paths, each path's counters are DOP-invariant, and the fused
+// Fused-vs-materialized byte-identity matrix (ISSUE 9 acceptance).  The
+// fused operate-on-compressed pipelines must be invisible to results: for
+// every sealed codec (rle/dict/delta/bitpack/raw) and for a live
+// main+delta snapshot (whose tail scans as EncRaw spans), the fused
+// filter→aggregate and filter→probe paths return relations byte-identical
+// to the materializing pipeline (the same plan with its scan hidden
+// behind opaque), each path's counters are DOP-invariant, and the fused
 // path touches strictly fewer DRAM bytes on the dense compressed arms.
 // Never wall clock: CI has one CPU, so invariance is what is assertable.
 
@@ -175,19 +176,19 @@ type fusedArm struct {
 	w   energy.Counters
 }
 
-// runAggArm executes one HashAgg-over-ParallelScan plan at the given DOP
-// and snapshot, returning the relation and the full counter snapshot.
+// runAggArm executes one HashAgg-over-Scan plan at the given DOP and
+// snapshot, returning the relation and the full counter snapshot;
+// unfused hides the scan so the materializing pipeline runs.
 func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, dop int, unfused bool) fusedArm {
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Parallelism = dop
-	agg := &HashAgg{
-		Child:   &ParallelScan{Table: tab, Select: c.sel, Preds: c.preds},
-		GroupBy: c.groupBy,
-		Aggs:    c.aggs,
-		Unfused: unfused,
+	var child Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds}
+	if unfused {
+		child = opaque(child)
 	}
+	agg := &HashAgg{Child: child, GroupBy: c.groupBy, Aggs: c.aggs}
 	rel, err := agg.Run(ctx)
 	must(t, err)
 	return fusedArm{rel, ctx.Meter.Snapshot()}
@@ -213,7 +214,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedAggCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &ParallelScan{Table: tc.tab, Select: c.sel, Preds: c.preds}
+				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds}
 				if !FusedAggEligible(scan, c.groupBy, c.aggs) {
 					t.Fatalf("case unexpectedly ineligible for fusion")
 				}
@@ -250,70 +251,75 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestFusedAggEligibility pins every fallback edge: each ineligible
-// shape must return a nil fused plan (the legacy path owns it), and the
-// legacy path must still produce the same relation with the fused flag
-// on or off — ineligibility is a plan decision, never a result change.
+// TestFusedAggEligibility is the one eligibility table, over a flat
+// source and a k=4 sharded one: every shape either fuses or returns a
+// nil fused plan (the generic HashAgg owns it), and an ineligible shape
+// still answers through the materializing pipeline — ineligibility is a
+// plan decision, never a result change.
 func TestFusedAggEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	scan := func() *ParallelScan {
-		return &ParallelScan{Table: tab, Select: []string{"rle", "region", "amount"}}
+	_, twins := shardTwins(t, 4096, 0)
+	flat := func(sel ...string) *Scan { return &Scan{Table: tab, Select: sel} }
+	sharded := func() *Scan {
+		return &Scan{Sharded: twins[4], Select: []string{"grp", "region", "amount", "val"}}
 	}
 	count := []expr.AggSpec{{Func: expr.AggCount}}
+	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}}
 	cases := []struct {
-		name string
-		agg  *HashAgg
-		// run: "ok" → legacy path answers; "err" → legacy path owns the
-		// binding error; "skip" → a shape the planner never builds for the
-		// legacy path (only the nil fused plan matters).
+		name    string
+		child   Node
+		groupBy []string
+		aggs    []expr.AggSpec
+		fuses   bool
+		// run: "ok" → the generic path answers; "err" → it owns the binding
+		// error; "" → eligible, or a shape the planner never builds.
 		run string
 	}{
-		{"unfused-flag", &HashAgg{Child: scan(), GroupBy: []string{"rle"}, Aggs: count, Unfused: true}, "ok"},
-		{"multi-group", &HashAgg{Child: scan(), GroupBy: []string{"rle", "region"}, Aggs: count}, "ok"},
-		{"float-group", &HashAgg{Child: scan(), GroupBy: []string{"amount"}, Aggs: count}, "ok"},
-		{"float-agg-input", &HashAgg{Child: scan(), GroupBy: []string{"rle"},
-			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}, "ok"},
-		{"serial-scan-child", &HashAgg{Child: &Scan{Table: tab, Select: []string{"rle"}},
-			GroupBy: []string{"rle"}, Aggs: count}, "ok"},
-		{"count-col-not-selected", &HashAgg{Child: scan(), GroupBy: []string{"rle"},
-			Aggs: []expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}}, "err"},
-		{"code-domain-group", &HashAgg{
-			Child:   &ParallelScan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
-			GroupBy: []string{"region"}, Aggs: count}, "skip"},
+		{"flat/int-group", flat("rle", "region", "amount"), []string{"rle"}, count, true, ""},
+		{"flat/string-group", flat("rle", "region", "amount"), []string{"region"}, count, true, ""},
+		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, ""},
+		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, false, "ok"},
+		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
+		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
+			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
+		{"flat/opaque-child", opaque(flat("rle")), []string{"rle"}, count, false, "ok"},
+		{"flat/index-access", &Scan{Table: tab, Select: []string{"rle"}, Access: AccessSpec{Kind: IndexAccess}},
+			[]string{"rle"}, count, false, ""},
+		{"flat/count-col-not-selected", flat("rle", "region", "amount"), []string{"rle"},
+			[]expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}, false, "err"},
+		{"flat/code-domain-group", &Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			[]string{"region"}, count, false, ""},
+		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, ""},
+		{"sharded/global", sharded(), nil, sumVal, true, ""},
+		{"sharded/string-group", sharded(), []string{"region"}, sumVal, false, "ok"}, // per-shard dictionaries
+		{"sharded/float-agg-input", sharded(), []string{"grp"},
+			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
+		{"sharded/multi-group", sharded(), []string{"grp", "val"}, sumVal, false, "ok"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.agg.fusedAggPlan() != nil {
-				t.Fatal("shape must not be fusion-eligible")
+			agg := &HashAgg{Child: c.child, GroupBy: c.groupBy, Aggs: c.aggs}
+			if got := agg.fusedAggPlan() != nil; got != c.fuses {
+				t.Fatalf("fusion eligibility = %v, want %v", got, c.fuses)
 			}
-			if c.run == "skip" {
+			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.fuses {
+				t.Fatal("planner mirror disagrees with the executor")
+			}
+			if c.run == "" {
 				return
 			}
-			rel, err := c.agg.Run(NewCtx())
+			rel, err := agg.Run(NewCtx())
 			if c.run == "err" {
 				if err == nil {
-					t.Fatal("legacy path must report the binding error")
+					t.Fatal("the generic path must report the binding error")
 				}
 				return
 			}
 			must(t, err)
 			if rel.N == 0 {
-				t.Fatal("legacy path returned no groups")
+				t.Fatal("the generic path returned no groups")
 			}
 		})
-	}
-	// The float-input plan stays legacy but must still answer: SUM(amount)
-	// grouped by rle is identical with the Unfused pin on and off.
-	mk := func(unfused bool) *Relation {
-		ctx := NewCtx()
-		rel, err := (&HashAgg{Child: scan(), GroupBy: []string{"rle"},
-			Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}},
-			Unfused: unfused}).Run(ctx)
-		must(t, err)
-		return rel
-	}
-	if !reflect.DeepEqual(mk(false), mk(true)) {
-		t.Fatal("ineligible plan changed results under the fused flag")
 	}
 }
 
@@ -428,19 +434,18 @@ func fusedJoinCases() []fusedJoinCase {
 	}
 }
 
-// runJoinArm executes one ParallelJoin with a ParallelScan probe side.
+// runJoinArm executes one ParallelJoin with a Scan probe side; unfused
+// hides the scan so the materialize-then-probe pipeline runs.
 func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, dop int, unfused bool) fusedArm {
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Parallelism = dop
-	j := &ParallelJoin{
-		Left:     &ParallelScan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes},
-		Right:    c.right(t),
-		LeftKey:  c.leftKey,
-		RightKey: c.rightKey,
-		Unfused:  unfused,
+	var left Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
+	if unfused {
+		left = opaque(left)
 	}
+	j := &ParallelJoin{Left: left, Right: c.right(t), LeftKey: c.leftKey, RightKey: c.rightKey}
 	rel, err := j.Run(ctx)
 	must(t, err)
 	return fusedArm{rel, ctx.Meter.Snapshot()}
@@ -465,7 +470,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &ParallelScan{Table: tc.tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
+				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
 				if !FusedProbeEligible(scan, c.leftKey) {
 					t.Fatalf("case unexpectedly ineligible for probe fusion")
 				}
@@ -497,18 +502,19 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 
 // TestFusedProbeEligibilityAndBypass pins the plan-time nil edges and the
 // runtime bypasses: tiny inputs and raw build-side strings must fall back
-// to the classic paths and still answer identically under the fused flag.
+// to the classic paths and still answer identically with the scan hidden.
 func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	mkScan := func(sel []string, codes []string) *ParallelScan {
-		return &ParallelScan{Table: tab, Select: sel, Codes: codes}
+	mkScan := func(sel []string, codes []string) *Scan {
+		return &Scan{Table: tab, Select: sel, Codes: codes}
 	}
 	nilPlans := []struct {
 		name string
 		j    *ParallelJoin
 	}{
-		{"unfused-flag", &ParallelJoin{Left: mkScan([]string{"lowcard"}, nil),
-			LeftKey: "lowcard", Unfused: true}},
+		{"opaque-child", &ParallelJoin{Left: opaque(mkScan([]string{"lowcard"}, nil)), LeftKey: "lowcard"}},
+		{"index-access", &ParallelJoin{Left: &Scan{Table: tab, Select: []string{"lowcard"},
+			Access: AccessSpec{Kind: IndexAccess}}, LeftKey: "lowcard"}},
 		{"float-key", &ParallelJoin{Left: mkScan([]string{"amount"}, nil), LeftKey: "amount"}},
 		{"raw-string-key", &ParallelJoin{Left: mkScan([]string{"region"}, nil), LeftKey: "region"}},
 		{"key-not-selected", &ParallelJoin{Left: mkScan([]string{"rle"}, nil), LeftKey: "lowcard"}},
@@ -523,12 +529,18 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	// Runtime bypass 1: inputs below ParallelJoinFallbackRows — the fused
 	// plan exists but defers to the classic serial join.
 	tiny := fusedMatrixTable(t, 4096, 0)
+	// hide wraps the probe scan for the materializing arm.
+	hide := func(s *Scan, unfused bool) Node {
+		if unfused {
+			return opaque(s)
+		}
+		return s
+	}
 	runTiny := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tiny, Select: []string{"lowcard", "sorted"}},
+			Left:    hide(&Scan{Table: tiny, Select: []string{"lowcard", "sorted"}}, unfused),
 			Right:   intDimSource(),
 			LeftKey: "lowcard", RightKey: "k",
-			Unfused: unfused,
 		}).Run(NewCtx())
 		must(t, err)
 		return rel
@@ -545,10 +557,9 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	}}}
 	runRaw := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			Left:    hide(&Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}}, unfused),
 			Right:   rawDim,
 			LeftKey: "region", RightKey: "region",
-			Unfused: unfused,
 		}).Run(NewCtx())
 		must(t, err)
 		return rel
@@ -558,13 +569,12 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	}
 
 	// Error parity: a fused-eligible probe against a mismatched build key
-	// type reports the same error as the legacy path.
+	// type reports the same error as the materializing path.
 	mismatch := func(unfused bool) error {
 		_, err := (&ParallelJoin{
-			Left:    &ParallelScan{Table: tab, Select: []string{"lowcard"}},
+			Left:    hide(&Scan{Table: tab, Select: []string{"lowcard"}}, unfused),
 			Right:   &Scan{Table: fusedDimTable(t)},
 			LeftKey: "lowcard", RightKey: "region",
-			Unfused: unfused,
 		}).Run(NewCtx())
 		return err
 	}

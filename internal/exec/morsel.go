@@ -1,15 +1,11 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
-	"repro/internal/expr"
-	"repro/internal/vec"
 )
 
 // Morsel-driven parallel execution (Leis et al., SIGMOD 2014, adapted to
@@ -98,254 +94,4 @@ func runMorsels[T any](ctx *Ctx, n int, work func(m, lo, hi int) (T, energy.Coun
 		}
 		return work(m, lo, hi)
 	})
-}
-
-// ParallelScan is the morsel-driven counterpart of Scan: a full table
-// scan with conjunctive predicates pushed down, evaluated morsel-wise by
-// a worker pool.  Predicates run through the same zone-map-pruned
-// operate-on-compressed kernels as the serial scan (colstore's ScanRows
-// dispatching per segment codec: RLE runs, delta boundary search,
-// dictionary code rewrite, bit-packed SWAR), each morsel materializes
-// its own slice of the projected columns, and the coordinator
-// concatenates the slices in morsel order — so the output rows, their
-// order, and the charged counters match the serial Scan at any degree
-// of parallelism, whatever layout the table is sealed into.  The
-// optimizer emits it instead of Scan when a table's cardinality clears
-// opt.ParallelScanRows.
-type ParallelScan struct {
-	Table  *colstore.Table
-	Select []string // output columns; empty = all
-	Preds  []expr.Pred
-	// Codes lists string columns to emit in the dictionary code domain
-	// (Col.Dict set, I = codes) instead of materializing strings — the
-	// planner requests it for join keys on sealed tables so the join
-	// runs on 8-byte codes end to end.
-	Codes []string
-}
-
-// Label implements Node.
-func (s *ParallelScan) Label() string {
-	parts := []string{fmt.Sprintf("ParallelScan(%s, morsel=%d)", s.Table.Name, MorselRows)}
-	for _, p := range s.Preds {
-		parts = append(parts, p.String())
-	}
-	return strings.Join(parts, " ")
-}
-
-// Kids implements Node.
-func (s *ParallelScan) Kids() []Node { return nil }
-
-// Run implements Node.
-func (s *ParallelScan) Run(ctx *Ctx) (*Relation, error) {
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	// Resolve and type-check every column before any worker starts, so
-	// the morsel bodies cannot fail.
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		c, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		outCols[i] = c
-	}
-	predCols := make([]colstore.Column, len(s.Preds))
-	for i, p := range s.Preds {
-		c, err := s.Table.Column(p.Col)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkPredType(c, p); err != nil {
-			return nil, err
-		}
-		predCols[i] = c
-	}
-
-	asCode := codeFlags(names, outCols, s.Codes)
-	// The snapshot fixes the scan prefix — and with it the morsel grid —
-	// at admission, so concurrent writes never perturb results, counters,
-	// or the work distribution.
-	n := s.Table.RowsAsOf(ctx.SnapTS)
-	snap := ctx.SnapTS
-	parts, total := runMorsels(ctx, n, func(m, lo, hi int) (*Relation, energy.Counters) {
-		return s.runMorsel(predCols, outCols, names, asCode, snap, lo, hi)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-	out := concatParts(names, outCols, asCode, parts)
-	ctx.Trace(s.Label(), out.N, total)
-	return out, nil
-}
-
-// codeFlags marks which projected columns were requested in the
-// dictionary code domain and are actually servable there (a sealed,
-// order-preserving string column).
-func codeFlags(names []string, outCols []colstore.Column, codes []string) []bool {
-	flags := make([]bool, len(names))
-	for i, name := range names {
-		for _, c := range codes {
-			if c != name {
-				continue
-			}
-			if sc, ok := outCols[i].(*colstore.StringColumn); ok && sc.Ordered() {
-				flags[i] = true
-			}
-		}
-	}
-	return flags
-}
-
-// checkPredType verifies that a predicate literal matches its column.
-func checkPredType(c colstore.Column, p expr.Pred) error {
-	switch c.(type) {
-	case *colstore.IntColumn:
-		if p.Val.Kind != colstore.Int64 {
-			return fmt.Errorf("exec: predicate %s: column is BIGINT", p)
-		}
-	case *colstore.FloatColumn:
-		if p.Val.Kind != colstore.Float64 {
-			return fmt.Errorf("exec: predicate %s: column is DOUBLE", p)
-		}
-	case *colstore.StringColumn:
-		if p.Val.Kind != colstore.String {
-			return fmt.Errorf("exec: predicate %s: column is VARCHAR", p)
-		}
-	default:
-		return fmt.Errorf("exec: unsupported column type for %q", p.Col)
-	}
-	return nil
-}
-
-// runMorsel filters and materializes rows [lo, hi) visible at snap.
-func (s *ParallelScan) runMorsel(predCols, outCols []colstore.Column, names []string, asCode []bool, snap int64, lo, hi int) (*Relation, energy.Counters) {
-	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
-	var w energy.Counters
-	for i, p := range s.Preds {
-		pb := vec.NewBitvec(nrows)
-		switch c := predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		sel.And(pb)
-	}
-	if len(s.Preds) == 0 {
-		w.TuplesIn += uint64(nrows)
-	}
-	// Tombstone masking charges per visible tombstone in the window — a
-	// function of (snapshot, grid), so the morsel sweep stays
-	// counter-identical to the serial scan at every DOP.
-	w.Add(s.Table.FilterVisible(snap, lo, hi, sel))
-	rows := sel.Indices()
-	out := &Relation{N: len(rows), Cols: make([]Col, len(names))}
-	for ci, col := range outCols {
-		oc, gw := gatherCol(col, names[ci], asCode[ci], rows, lo, hi)
-		out.Cols[ci] = oc
-		w.Add(gw)
-	}
-	w.TuplesOut += uint64(len(rows))
-	return out, w
-}
-
-// gatherCol materializes the selected rows of one stored column out of
-// the window [lo, hi) (global row = lo + r), shared by the serial and
-// morsel scans, and prices the physical work.  A fully selected window
-// decodes sealed segments in bulk (DecodeRange streams each compressed
-// segment slice once — the reason join-key extraction is priced per
-// morsel, not per row); sparse selections pay roughly one cache-line
-// touch per value.  asCode emits a string column as dictionary codes.
-// The counters are a pure function of (column, rows, window).
-func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, hi int) (Col, energy.Counters) {
-	oc := Col{Name: name, Type: col.Type()}
-	n := len(rows)
-	dense := n == hi-lo
-	sparse := energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
-	switch c := col.(type) {
-	case *colstore.IntColumn:
-		oc.I = make([]int64, n)
-		if dense {
-			return oc, c.DecodeRange(lo, hi, oc.I)
-		}
-		for i, r := range rows {
-			oc.I[i] = c.Get(lo + int(r))
-		}
-		return oc, sparse
-	case *colstore.FloatColumn:
-		oc.F = make([]float64, n)
-		for i, r := range rows {
-			oc.F[i] = c.Get(lo + int(r))
-		}
-		if dense {
-			return oc, energy.Counters{BytesReadDRAM: uint64(n) * 8, Instructions: uint64(n)}
-		}
-		return oc, sparse
-	case *colstore.StringColumn:
-		if asCode {
-			oc.Dict = c.Dict()
-			oc.I = make([]int64, n)
-			codes := c.CodeColumn()
-			if dense {
-				return oc, codes.DecodeRange(lo, hi, oc.I)
-			}
-			for i, r := range rows {
-				oc.I[i] = codes.Get(lo + int(r))
-			}
-			// Codes gather cheaper than strings: no dictionary deref.
-			return oc, energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
-		}
-		oc.S = make([]string, n)
-		for i, r := range rows {
-			oc.S[i] = c.Get(lo + int(r))
-		}
-		return oc, sparse
-	}
-	return oc, energy.Counters{}
-}
-
-// concatParts stitches per-morsel relations back together in morsel
-// order, restoring the serial scan's ascending row order.
-func concatParts(names []string, outCols []colstore.Column, asCode []bool, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		total += p.N
-	}
-	out := &Relation{N: total, Cols: make([]Col, len(names))}
-	for ci := range names {
-		oc := Col{Name: names[ci], Type: outCols[ci].Type()}
-		switch {
-		case oc.Type == colstore.String && asCode[ci]:
-			oc.Dict = outCols[ci].(*colstore.StringColumn).Dict()
-			oc.I = make([]int64, 0, total)
-			for _, p := range parts {
-				oc.I = append(oc.I, p.Cols[ci].I...)
-			}
-		case oc.Type == colstore.Int64:
-			oc.I = make([]int64, 0, total)
-			for _, p := range parts {
-				oc.I = append(oc.I, p.Cols[ci].I...)
-			}
-		case oc.Type == colstore.Float64:
-			oc.F = make([]float64, 0, total)
-			for _, p := range parts {
-				oc.F = append(oc.F, p.Cols[ci].F...)
-			}
-		default:
-			oc.S = make([]string, 0, total)
-			for _, p := range parts {
-				oc.S = append(oc.S, p.Cols[ci].S...)
-			}
-		}
-		out.Cols[ci] = oc
-	}
-	return out
 }

@@ -12,7 +12,7 @@ import (
 // Ctx carries the per-query measurement state through operator execution.
 //
 // A Ctx is single-goroutine state with one exception: Meter is internally
-// mutex-guarded, so the workers of a parallel operator (ParallelScan, the
+// mutex-guarded, so the workers of a parallel operator (Scan, the
 // parallel HashAgg phase) may call Meter.Add concurrently.  SimTime and
 // OpReports must only be touched by the goroutine driving Node.Run.
 type Ctx struct {

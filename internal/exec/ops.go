@@ -8,6 +8,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/vec"
 )
 
 // Filter applies conjunctive predicates to an intermediate relation (for
@@ -46,11 +47,11 @@ func (f *Filter) Run(ctx *Ctx) (*Relation, error) {
 			}
 			switch c.Type {
 			case colstore.Int64:
-				ok = cmpInt(p.Op, c.I[i], p.Val.I)
+				ok = vec.CmpInt64(p.Op, c.I[i], p.Val.I)
 			case colstore.Float64:
-				ok = cmpFloat(p.Op, c.F[i], p.Val.F)
+				ok = cmpOrdered(p.Op, c.F[i], p.Val.F)
 			default:
-				ok = cmpStr(p.Op, c.S[i], p.Val.S)
+				ok = cmpOrdered(p.Op, c.S[i], p.Val.S)
 			}
 			if !ok {
 				break

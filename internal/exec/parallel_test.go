@@ -1,13 +1,28 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/expr"
 	"repro/internal/vec"
 )
+
+// relSource serves a fixed relation: the child of operator tests that
+// need no scan.
+type relSource struct{ rel *Relation }
+
+func (s *relSource) Run(*Ctx) (*Relation, error) { return s.rel, nil }
+func (s *relSource) Label() string               { return "source" }
+func (s *relSource) Kids() []Node                { return nil }
+
+// opaque hides a scan from its consumer: HashAgg and ParallelJoin fuse
+// only a *Scan child, so wrapping it runs the materializing pipeline —
+// the reference arm of the fused-vs-materialized identity tests.
+func opaque(n Node) Node { return struct{ Node }{n} }
 
 // runPlan executes a plan at a fixed DOP and returns the result plus the
 // total metered counters.
@@ -22,10 +37,72 @@ func runPlan(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 	return rel, ctx
 }
 
-// TestParallelScanMatchesSerial: the morsel scan must reproduce the
-// serial scan's rows, order, and column bytes exactly, across predicate
-// types (packed int, float, dictionary string) and projections.
-func TestParallelScanMatchesSerial(t *testing.T) {
+// refScan is the row-at-a-time reference evaluator the one scan is
+// anchored on: no bitvectors, no morsels, no column kernels — one Get
+// and one comparison per row and predicate, over a table without delta
+// rows or tombstones.
+func refScan(t testing.TB, tab *colstore.Table, sel []string, preds []expr.Pred) *Relation {
+	t.Helper()
+	if len(sel) == 0 {
+		for _, d := range tab.Schema() {
+			sel = append(sel, d.Name)
+		}
+	}
+	holds := func(op vec.CmpOp, c int) bool {
+		return map[vec.CmpOp]bool{vec.LT: c < 0, vec.LE: c <= 0, vec.GT: c > 0, vec.GE: c >= 0, vec.EQ: c == 0, vec.NE: c != 0}[op]
+	}
+	col := func(name string) colstore.Column {
+		c, err := tab.Column(name)
+		must(t, err)
+		return c
+	}
+	var rows []int
+	for r := 0; r < tab.Rows(); r++ {
+		ok := true
+		for _, p := range preds {
+			switch c := col(p.Col).(type) {
+			case *colstore.IntColumn:
+				ok = ok && holds(p.Op, cmp.Compare(c.Get(r), p.Val.I))
+			case *colstore.FloatColumn:
+				ok = ok && holds(p.Op, cmp.Compare(c.Get(r), p.Val.F))
+			case *colstore.StringColumn:
+				ok = ok && holds(p.Op, cmp.Compare(c.Get(r), p.Val.S))
+			}
+		}
+		if ok {
+			rows = append(rows, r)
+		}
+	}
+	out := &Relation{N: len(rows)}
+	for _, name := range sel {
+		oc := Col{Name: name, Type: col(name).Type()}
+		switch c := col(name).(type) {
+		case *colstore.IntColumn:
+			oc.I = make([]int64, len(rows))
+			for i, r := range rows {
+				oc.I[i] = c.Get(r)
+			}
+		case *colstore.FloatColumn:
+			oc.F = make([]float64, len(rows))
+			for i, r := range rows {
+				oc.F[i] = c.Get(r)
+			}
+		case *colstore.StringColumn:
+			oc.S = make([]string, len(rows))
+			for i, r := range rows {
+				oc.S[i] = c.Get(r)
+			}
+		}
+		out.Cols = append(out.Cols, oc)
+	}
+	return out
+}
+
+// TestScanMatchesReference: the morsel scan must reproduce the
+// row-at-a-time reference's rows, order, and column bytes exactly at
+// every DOP, with DOP-invariant Meter totals, across predicate types
+// (packed int, float, dictionary string) and projections.
+func TestScanMatchesReference(t *testing.T) {
 	tab := ordersTable(t, 200_000)
 	cases := []struct {
 		name  string
@@ -49,34 +126,37 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := &Scan{Table: tab, Select: tc.sel, Preds: tc.preds}
-			want, err := serial.Run(NewCtx())
-			if err != nil {
-				t.Fatal(err)
-			}
-			par := &ParallelScan{Table: tab, Select: tc.sel, Preds: tc.preds}
+			want := refScan(t, tab, tc.sel, tc.preds)
+			scan := &Scan{Table: tab, Select: tc.sel, Preds: tc.preds}
+			_, ctx1 := runPlan(t, scan, 1)
 			for _, dop := range []int{1, 3, 8} {
-				got, _ := runPlan(t, par, dop)
+				got, ctx := runPlan(t, scan, dop)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("DOP %d: parallel scan diverged from serial (%d vs %d rows)", dop, got.N, want.N)
+					t.Fatalf("DOP %d: scan diverged from the reference (%d vs %d rows)", dop, got.N, want.N)
+				}
+				if w, w1 := ctx.Meter.Snapshot(), ctx1.Meter.Snapshot(); w != w1 || w.IsZero() {
+					t.Fatalf("DOP %d: Meter totals not DOP-invariant:\n%+v\n%+v", dop, w, w1)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelScanErrors: mistyped predicates and unknown columns must
-// fail before any worker starts.
-func TestParallelScanErrors(t *testing.T) {
+// TestScanErrors: mistyped predicates and unknown columns must fail
+// before any worker starts.
+func TestScanErrors(t *testing.T) {
 	tab := ordersTable(t, 1000)
-	if _, err := (&ParallelScan{Table: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
 		t.Error("string literal against BIGINT column must error")
 	}
-	if _, err := (&ParallelScan{Table: tab, Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
 		t.Error("unknown predicate column must error")
 	}
-	if _, err := (&ParallelScan{Table: tab, Select: []string{"nope"}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Table: tab, Select: []string{"nope"}}).Run(NewCtx()); err == nil {
 		t.Error("unknown projection column must error")
+	}
+	if _, err := (&Scan{}).Run(NewCtx()); err == nil {
+		t.Error("a scan without a source must error")
 	}
 }
 
@@ -91,7 +171,7 @@ func TestParallelAggDOPInvariant(t *testing.T) {
 	tab := ordersTable(t, 400_000)
 	plan := func() *HashAgg {
 		return &HashAgg{
-			Child: &ParallelScan{
+			Child: &Scan{
 				Table:  tab,
 				Select: []string{"custkey", "region", "amount"},
 				Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(80)}},
@@ -163,7 +243,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 			want[key] = []float64{st.sums[0], float64(st.count), st.mins[2], st.maxs[3]}
 		}
 	}
-	got, _ := runPlan(t, mk(&ParallelScan{Table: tab, Select: []string{"region", "amount"}}), 4)
+	got, _ := runPlan(t, mk(&Scan{Table: tab, Select: []string{"region", "amount"}}), 4)
 	if got.N != len(want) {
 		t.Fatalf("group count: got %d want %d", got.N, len(want))
 	}

@@ -69,10 +69,6 @@ const maxRadixBits = 10
 type ParallelJoin struct {
 	Left, Right       Node
 	LeftKey, RightKey string
-	// Unfused pins the legacy materialize-then-probe path even when the
-	// probe side is a fusable ParallelScan — the control arm of the E24
-	// experiment and of the fused-vs-unfused byte-identity tests.
-	Unfused bool
 }
 
 // Label implements Node.
@@ -86,7 +82,7 @@ func (j *ParallelJoin) Kids() []Node { return []Node{j.Left, j.Right} }
 // Run implements Node.
 func (j *ParallelJoin) Run(ctx *Ctx) (*Relation, error) {
 	// Fused filter→probe path (fused.go): when the probe side is a
-	// fusable ParallelScan, selected probe keys stream straight from the
+	// fusable Scan, selected probe keys stream straight from the
 	// compressed segments morsel by morsel and the intermediate probe
 	// Relation is never built.
 	fp := j.fusedProbePlan()

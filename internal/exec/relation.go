@@ -9,9 +9,9 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Scan, Filter, Project, HashJoin, Sort, Limit, Exchange,
-// AdaptiveFilter, Materialize) runs entirely on that goroutine.  The
-// morsel-driven operators — ParallelScan, HashAgg above ParallelAggRows
+// operator (Filter, Project, HashJoin, Sort, Limit, Exchange,
+// Materialize) runs entirely on that goroutine.  The
+// morsel-driven operators — Scan, HashAgg above ParallelAggRows
 // input rows, and ParallelJoin above ParallelJoinFallbackRows combined
 // input rows — fan work out to Ctx.DOP() internal workers but present
 // the same single-goroutine interface: they return only after all

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/colstore"
@@ -37,25 +39,51 @@ type AccessSpec struct {
 	IndexEpoch int64
 }
 
-// Scan reads from a base table with conjunctive predicates pushed down.
+// Scan reads a base table with conjunctive predicates pushed down.  Its
+// source is a list of shards — a flat table is the one-shard case, a
+// value-range-sharded table contributes one shard per key range — and
+// there is one scan whatever the shape: whole shards are pruned against
+// the predicates before a morsel is enumerated (pruned shards charge
+// their logical rows and zero physical bytes, the zone-map convention
+// one level up), every surviving shard is cut into the fixed morsel grid
+// and filtered by the one kernel (ShardBinding.Filter) on a pool of
+// Ctx.DOP() workers, each morsel materializes its slice of the
+// projection, and the coordinator concatenates the slices in morsel
+// order.  A table under one morsel is one task, so the serial scan is
+// the DOP-clipped case of the same code.  Across more than one shard
+// the hidden global row sequence is selected alongside the projection
+// and a k-way merge by it restores the unsharded row order, so output
+// rows, their order, and the charged counters are a pure function of
+// (snapshot, predicates) at every DOP and shard count.
 type Scan struct {
-	Table  *colstore.Table
-	Select []string // output columns; empty = all
-	Preds  []expr.Pred
+	// Table is a flat source; Sharded, set instead of it, a value-range-
+	// sharded one.
+	Table   *colstore.Table
+	Sharded *colstore.ShardedTable
+	Select  []string // output columns; empty = all user columns
+	Preds   []expr.Pred
+	// Access picks the index path on a flat source (default: full scan).
 	Access AccessSpec
 	// Codes lists string columns to emit in the dictionary code domain
-	// (see ParallelScan.Codes); the planner requests it for join keys.
+	// (Col.Dict set, I = codes) instead of materializing strings — the
+	// planner requests it for join keys on sealed tables so the join runs
+	// on 8-byte codes end to end.  Single-shard sources only: per-shard
+	// dictionaries assign incomparable codes.
 	Codes []string
 }
 
 // Label implements Node.
 func (s *Scan) Label() string {
-	var parts []string
-	if s.Access.Kind == IndexAccess {
-		parts = append(parts, fmt.Sprintf("IndexScan(%s via %s[%s])", s.Table.Name, s.Access.Index.Name(), s.Access.IndexCol))
-	} else {
-		parts = append(parts, fmt.Sprintf("Scan(%s)", s.Table.Name))
+	var head string
+	switch {
+	case s.Sharded != nil:
+		head = fmt.Sprintf("Scan(%s, shards=%d)", s.Sharded.Name, s.Sharded.NumShards())
+	case s.Access.Kind == IndexAccess:
+		head = fmt.Sprintf("IndexScan(%s via %s[%s])", s.Table.Name, s.Access.Index.Name(), s.Access.IndexCol)
+	default:
+		head = fmt.Sprintf("Scan(%s)", s.Table.Name)
 	}
+	parts := []string{head}
 	for _, p := range s.Preds {
 		parts = append(parts, p.String())
 	}
@@ -65,80 +93,537 @@ func (s *Scan) Label() string {
 // Kids implements Node.
 func (s *Scan) Kids() []Node { return nil }
 
+// Binding is a Scan resolved against its source once, before any worker
+// starts, so morsel bodies cannot fail: the effective projection and one
+// ShardBinding per shard.
+type Binding struct {
+	Shards []*ShardBinding
+	tmpl   []Col // projected user columns: names and types, no data
+}
+
+// ShardBinding is one shard of a bound scan: its projected columns, its
+// type-checked predicate columns, and the zone-pruning verdict.
+type ShardBinding struct {
+	Table *colstore.Table
+	// Pruned reports that the predicates cannot touch any row of this
+	// shard (see PruneShards); consumers skip it without enumerating a
+	// morsel.  Never set on a flat source.
+	Pruned bool
+	// Cols are the projected stored columns in projection order, followed
+	// by Seq when it is bound.
+	Cols []colstore.Column
+	// Seq is the hidden global row sequence, bound only when the source
+	// has more than one shard (it orders rows and groups across shards).
+	Seq *colstore.IntColumn
+
+	preds    []expr.Pred
+	predCols []colstore.Column
+	asCode   []bool // per Cols entry: emit dictionary codes
+	tmpl     []Col  // per Cols entry: name, type, dictionary when coded
+}
+
+// multi reports whether the source has more than one shard — the only
+// case that selects the sequence column, tracks first appearances, and
+// pays a sequence merge.
+func (b *Binding) multi() bool { return len(b.Shards) > 1 }
+
+// index returns the projection index of a column, -1 when the scan does
+// not emit it.
+func (b *Binding) index(name string) int {
+	for i := range b.tmpl {
+		if b.tmpl[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Bind resolves the scan against its source: projection, predicate
+// columns, predicate type checks, code flags, shard pruning.
+func (s *Scan) Bind() (*Binding, error) { return s.bind(true) }
+
+// bind is Bind with the sequence column optional: the build side of a
+// co-partitioned join never orders anything and leaves it out.
+func (s *Scan) bind(withSeq bool) (*Binding, error) {
+	var name string
+	var schema colstore.Schema
+	var shards []*colstore.Table
+	var keep []bool
+	switch {
+	case s.Sharded != nil:
+		name, schema, shards = s.Sharded.Name, s.Sharded.Schema(), s.Sharded.Shards()
+		keep = PruneShards(s.Sharded, s.Preds)
+	case s.Table != nil:
+		name, schema, shards, keep = s.Table.Name, s.Table.Schema(), []*colstore.Table{s.Table}, []bool{true}
+	default:
+		return nil, fmt.Errorf("exec: scan has no source table")
+	}
+	names := s.Select
+	if len(names) == 0 {
+		for _, d := range schema {
+			names = append(names, d.Name)
+		}
+	}
+	b := &Binding{tmpl: make([]Col, len(names)), Shards: make([]*ShardBinding, len(shards))}
+	for i, n := range names {
+		ci := schema.ColIndex(n)
+		if ci < 0 {
+			return nil, fmt.Errorf("exec: table %s has no column %q", name, n)
+		}
+		b.tmpl[i] = Col{Name: n, Type: schema[ci].Type}
+	}
+	for i, sh := range shards {
+		sb := &ShardBinding{Table: sh, Pruned: !keep[i], preds: s.Preds}
+		for _, n := range names {
+			c, err := sh.Column(n)
+			if err != nil {
+				return nil, err
+			}
+			sb.Cols = append(sb.Cols, c)
+		}
+		for _, p := range s.Preds {
+			c, err := sh.Column(p.Col)
+			if err != nil {
+				return nil, err
+			}
+			if err := checkPredType(c, p); err != nil {
+				return nil, err
+			}
+			sb.predCols = append(sb.predCols, c)
+		}
+		sb.tmpl = append([]Col(nil), b.tmpl...)
+		if len(shards) > 1 && withSeq {
+			seq, err := sh.IntCol(colstore.ShardSeqCol)
+			if err != nil {
+				return nil, err
+			}
+			sb.Seq = seq
+			sb.Cols = append(sb.Cols, seq)
+			sb.tmpl = append(sb.tmpl, Col{Name: colstore.ShardSeqCol, Type: colstore.Int64})
+		}
+		if len(shards) == 1 {
+			sb.asCode = codeFlags(names, sb.Cols, s.Codes)
+			for ci, coded := range sb.asCode {
+				if coded {
+					sb.tmpl[ci].Dict = sb.Cols[ci].(*colstore.StringColumn).Dict()
+				}
+			}
+		} else {
+			sb.asCode = make([]bool, len(sb.Cols))
+		}
+		b.Shards[i] = sb
+	}
+	return b, nil
+}
+
+// codeFlags marks which projected columns were requested in the
+// dictionary code domain and are actually servable there (a sealed,
+// order-preserving string column).
+func codeFlags(names []string, outCols []colstore.Column, codes []string) []bool {
+	flags := make([]bool, len(names))
+	for i, name := range names {
+		if sc, ok := outCols[i].(*colstore.StringColumn); ok && sc.Ordered() && slices.Contains(codes, name) {
+			flags[i] = true
+		}
+	}
+	return flags
+}
+
+// checkPredType verifies that a predicate literal matches its column.
+func checkPredType(c colstore.Column, p expr.Pred) error {
+	switch c.(type) {
+	case *colstore.IntColumn:
+		if p.Val.Kind != colstore.Int64 {
+			return fmt.Errorf("exec: predicate %s: column is BIGINT", p)
+		}
+	case *colstore.FloatColumn:
+		if p.Val.Kind != colstore.Float64 {
+			return fmt.Errorf("exec: predicate %s: column is DOUBLE", p)
+		}
+	case *colstore.StringColumn:
+		if p.Val.Kind != colstore.String {
+			return fmt.Errorf("exec: predicate %s: column is VARCHAR", p)
+		}
+	default:
+		return fmt.Errorf("exec: unsupported column type for %q", p.Col)
+	}
+	return nil
+}
+
+// PruneShards reports, per shard, whether the predicates can touch any
+// of its rows.  The decision reads live per-shard column min/max (zone
+// stats over all physical rows — conservative for every snapshot), so
+// pruning is always safe even when planner statistics are stale.  Only
+// BIGINT predicates prune; anything unresolvable keeps the shard.
+func PruneShards(st *colstore.ShardedTable, preds []expr.Pred) []bool {
+	shards := st.Shards()
+	keep := make([]bool, len(shards))
+	for i, sh := range shards {
+		if sh.Rows() == 0 {
+			continue // empty shard: nothing to scan
+		}
+		keep[i] = true
+		for _, p := range preds {
+			if p.Val.Kind != colstore.Int64 {
+				continue
+			}
+			c, err := sh.IntCol(p.Col)
+			if err != nil {
+				continue
+			}
+			min, max, ok := c.MinMax()
+			if ok && predDisjoint(p.Op, p.Val.I, min, max) {
+				keep[i] = false
+				break
+			}
+		}
+	}
+	return keep
+}
+
+// predDisjoint reports whether `col op v` can match nothing when every
+// value of col lies in [min, max].
+func predDisjoint(op vec.CmpOp, v, min, max int64) bool {
+	switch op {
+	case vec.EQ:
+		return v < min || v > max
+	case vec.NE:
+		return min == max && min == v
+	case vec.LT:
+		return min >= v
+	case vec.LE:
+		return min > v
+	case vec.GT:
+		return max <= v
+	case vec.GE:
+		return max < v
+	}
+	return false
+}
+
+// Filter is the one scan kernel: it evaluates the bound predicates over
+// rows [lo, hi) of the shard through the zone-map-pruned operate-on-
+// compressed column kernels (colstore's ScanRows dispatching per segment
+// codec: RLE runs, delta boundary search, dictionary code rewrite,
+// bit-packed SWAR), masks rows invisible at snap, and returns the
+// selection over the window (bit i = row lo+i) with the physical work it
+// cost.  Materialization, the fused aggregate and probe kernels, the
+// co-partitioned join, and the engine's UPDATE/DELETE victim search all
+// consume its selection vector.  Tombstone masking charges per visible
+// tombstone in the window — like the predicate kernels a function of
+// (snapshot, window) alone, so any morsel sweep is DOP-invariant.
+func (sb *ShardBinding) Filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
+	nrows := hi - lo
+	sel := vec.NewBitvec(nrows)
+	sel.SetAll()
+	var w energy.Counters
+	for i, p := range sb.preds {
+		pb := vec.NewBitvec(nrows)
+		switch c := sb.predCols[i].(type) {
+		case *colstore.IntColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
+		case *colstore.FloatColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
+		case *colstore.StringColumn:
+			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
+		}
+		sel.And(pb)
+	}
+	w.Add(sb.Table.FilterVisible(snap, lo, hi, sel))
+	return sel, w
+}
+
+// selectRows is Filter for the read path, whose scan stage books its
+// logical input even when no predicate streamed a column: a
+// predicate-free window still considered its rows.  (Callers book the
+// selected count as the stage's output.)
+func (sb *ShardBinding) selectRows(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
+	sel, w := sb.Filter(snap, lo, hi)
+	if len(sb.preds) == 0 {
+		w.TuplesIn += uint64(hi - lo)
+	}
+	return sel, w
+}
+
+// eachShard runs fn over every surviving shard in shard order and
+// charges the pruned shards' logical rows: they were considered, but not
+// a single byte of them streamed.
+func (b *Binding) eachShard(ctx *Ctx, fn func(i int, sb *ShardBinding) error) error {
+	var prunedRows uint64
+	npruned := 0
+	for i, sb := range b.Shards {
+		if sb.Pruned {
+			prunedRows += uint64(sb.Table.RowsAsOf(ctx.SnapTS))
+			npruned++
+			continue
+		}
+		if err := fn(i, sb); err != nil {
+			return err
+		}
+	}
+	if npruned > 0 {
+		ctx.Charge(fmt.Sprintf("shard-prune(%d/%d)", npruned, len(b.Shards)), 0,
+			energy.Counters{TuplesIn: prunedRows})
+	}
+	return nil
+}
+
 // Run implements Node.
 func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
-	// The snapshot fixes the scan prefix: rows committed after admission
-	// sit beyond n and are never touched.
-	n := s.Table.RowsAsOf(ctx.SnapTS)
-	var rows []int32
-	var err error
-	if s.Access.Kind == IndexAccess && s.Table.WriteEpoch() == s.Access.IndexEpoch {
-		rows, err = s.indexRows(ctx, n)
-	} else {
-		rows, err = s.scanRows(ctx, n)
-	}
+	b, err := s.Bind()
 	if err != nil {
 		return nil, err
 	}
-	return s.materialize(ctx, rows, n)
-}
-
-// scanRows evaluates all predicates with column scans over the snapshot
-// prefix [0, n), masks tombstones, and returns the selected row ids.
-func (s *Scan) scanRows(ctx *Ctx, n int) ([]int32, error) {
-	sel := vec.NewBitvec(n)
-	sel.SetAll()
-	for _, p := range s.Preds {
-		pb := vec.NewBitvec(n)
-		ctr, err := s.scanPred(p, n, pb)
-		if err != nil {
-			return nil, err
+	if s.Access.Kind == IndexAccess && s.Table != nil && s.Table.WriteEpoch() == s.Access.IndexEpoch {
+		return s.runIndex(ctx, b.Shards[0])
+	}
+	var parts []*Relation
+	name := s.Label()
+	err = b.eachShard(ctx, func(i int, sb *ShardBinding) error {
+		label := name
+		if b.multi() {
+			label = fmt.Sprintf("%s [shard %d]", name, i)
 		}
-		ctx.Charge("scan:"+p.String(), pb.Count(), ctr)
-		sel.And(pb)
+		rel, err := sb.scan(ctx, label)
+		parts = append(parts, rel)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Preds) == 0 {
-		ctx.Charge("scan:all", n, energy.Counters{TuplesIn: uint64(n)})
+	if !b.multi() && len(parts) == 1 {
+		return parts[0], nil
 	}
-	if w := s.Table.FilterVisible(ctx.SnapTS, 0, n, sel); w != (energy.Counters{}) {
-		ctx.Charge("visibility:"+s.Table.Name, sel.Count(), w)
+	out := mergeBySeq(parts, b.tmpl)
+	if len(parts) > 1 {
+		// A single surviving shard needs no interleave (its rows are
+		// already in global order), as concatParts stitches morsels for free.
+		moved := out.Bytes()
+		ctx.Charge(fmt.Sprintf("shard-merge(%d shards)", len(parts)), out.N, energy.Counters{
+			TuplesIn:         uint64(out.N),
+			TuplesOut:        uint64(out.N),
+			Instructions:     uint64(out.N) * uint64(len(parts)),
+			BytesReadDRAM:    moved,
+			BytesWrittenDRAM: moved,
+		})
 	}
-	return sel.Indices(), nil
+	return out, nil
 }
 
-// scanPred dispatches one predicate to the typed column window kernel
-// over the snapshot prefix [0, n).  These are the same kernels the
-// morsel scan runs (and for n == Len they charge exactly what the
-// whole-column scans did), so serial and parallel stay counter-identical.
-func (s *Scan) scanPred(p expr.Pred, n int, out *vec.Bitvec) (energy.Counters, error) {
-	col, err := s.Table.Column(p.Col)
-	if err != nil {
-		return energy.Counters{}, err
+// scan filters and materializes the shard morsel-wise at the context's
+// snapshot.  The snapshot fixes the scan prefix — and with it the morsel
+// grid — at admission, so concurrent writes never perturb results,
+// counters, or the work distribution.
+func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
+	snap := ctx.SnapTS
+	parts, total := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*Relation, energy.Counters) {
+		sel, w := sb.selectRows(snap, lo, hi)
+		rows := sel.Indices()
+		w.TuplesOut += uint64(len(rows))
+		out := &Relation{N: len(rows), Cols: make([]Col, len(sb.Cols))}
+		for ci, col := range sb.Cols {
+			var gw energy.Counters
+			out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci].Name, sb.asCode[ci], rows, lo, hi)
+			w.Add(gw)
+		}
+		return out, w
+	})
+	if ctx.Canceled() {
+		return nil, ErrCanceled
 	}
-	if err := checkPredType(col, p); err != nil {
-		return energy.Counters{}, err
-	}
+	out := concatParts(sb.tmpl, parts)
+	ctx.Trace(label, out.N, total)
+	return out, nil
+}
+
+// gatherCol materializes the selected rows of one stored column out of
+// the window [lo, hi) (global row = lo + r) and prices the physical
+// work.  A fully selected window decodes sealed segments in bulk
+// (DecodeRange streams each compressed segment slice once — the reason
+// join-key extraction is priced per morsel, not per row); sparse
+// selections pay roughly one cache-line touch per value.  asCode emits a
+// string column as dictionary codes.  The counters are a pure function
+// of (column, rows, window).
+func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, hi int) (Col, energy.Counters) {
+	oc := Col{Name: name, Type: col.Type()}
+	n := len(rows)
+	dense := n == hi-lo
+	sparse := energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 	switch c := col.(type) {
 	case *colstore.IntColumn:
-		return c.ScanRows(p.Op, p.Val.I, 0, n, out), nil
+		oc.I = make([]int64, n)
+		if dense {
+			return oc, c.DecodeRange(lo, hi, oc.I)
+		}
+		for i, r := range rows {
+			oc.I[i] = c.Get(lo + int(r))
+		}
+		return oc, sparse
 	case *colstore.FloatColumn:
-		return c.ScanRows(p.Op, p.Val.F, 0, n, out), nil
-	default:
-		return col.(*colstore.StringColumn).ScanRows(p.Op, p.Val.S, 0, n, out), nil
+		oc.F = make([]float64, n)
+		for i, r := range rows {
+			oc.F[i] = c.Get(lo + int(r))
+		}
+		if dense {
+			return oc, energy.Counters{BytesReadDRAM: uint64(n) * 8, Instructions: uint64(n)}
+		}
+		return oc, sparse
+	case *colstore.StringColumn:
+		if asCode {
+			oc.Dict = c.Dict()
+			oc.I = make([]int64, n)
+			codes := c.CodeColumn()
+			if dense {
+				return oc, codes.DecodeRange(lo, hi, oc.I)
+			}
+			for i, r := range rows {
+				oc.I[i] = codes.Get(lo + int(r))
+			}
+			// Codes gather cheaper than strings: no dictionary deref.
+			return oc, energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
+		}
+		oc.S = make([]string, n)
+		for i, r := range rows {
+			oc.S[i] = c.Get(lo + int(r))
+		}
+		return oc, sparse
 	}
+	return oc, energy.Counters{}
 }
 
-// indexRows serves the IndexCol predicate from the index and verifies the
+// concatParts stitches per-morsel relations back together in morsel
+// order — ascending row order.  tmpl supplies names, types, and
+// dictionaries, so a zero-morsel scan still returns the right schema.
+func concatParts(tmpl []Col, parts []*Relation) *Relation {
+	total := 0
+	for _, p := range parts {
+		total += p.N
+	}
+	out := &Relation{N: total, Cols: make([]Col, len(tmpl))}
+	for ci, oc := range tmpl {
+		switch {
+		case oc.Type == colstore.Int64 || oc.Dict != nil:
+			oc.I = make([]int64, 0, total)
+			for _, p := range parts {
+				oc.I = append(oc.I, p.Cols[ci].I...)
+			}
+		case oc.Type == colstore.Float64:
+			oc.F = make([]float64, 0, total)
+			for _, p := range parts {
+				oc.F = append(oc.F, p.Cols[ci].F...)
+			}
+		default:
+			oc.S = make([]string, 0, total)
+			for _, p := range parts {
+				oc.S = append(oc.S, p.Cols[ci].S...)
+			}
+		}
+		out.Cols[ci] = oc
+	}
+	return out
+}
+
+// seqMerger interleaves per-shard relations by their sequence column:
+// flat cursor and source arrays only, one linear min-scan per output row
+// (shard counts are small), no hashing and no maps.
+//
+//lint:hotpath
+type seqMerger struct {
+	seqs [][]int64 // per part: its sequence column
+	idx  []int     // per part: cursor
+	part []int32   // per output row: source part
+	row  []int32   // per output row: row within the source part
+}
+
+// mergeBySeq merges the parts (each carrying a ShardSeqCol column, each
+// ascending in it) into one relation in global sequence order, dropping
+// the sequence column.  tmpl supplies the output schema for the
+// zero-part case.  Sequences are globally unique, so the order — and
+// therefore the output bytes — is total and deterministic.
+func mergeBySeq(parts []*Relation, tmpl []Col) *Relation {
+	total := 0
+	for _, p := range parts {
+		total += p.N
+	}
+	m := &seqMerger{
+		seqs: make([][]int64, len(parts)),
+		idx:  make([]int, len(parts)),
+		part: make([]int32, total),
+		row:  make([]int32, total),
+	}
+	seqIdx := -1
+	for pi, p := range parts {
+		for ci := range p.Cols {
+			if p.Cols[ci].Name == colstore.ShardSeqCol {
+				seqIdx = ci
+				m.seqs[pi] = p.Cols[ci].I
+				break
+			}
+		}
+	}
+	for o := 0; o < total; o++ {
+		best := -1
+		var bs int64
+		for pi := range parts {
+			if m.idx[pi] >= parts[pi].N {
+				continue
+			}
+			if s := m.seqs[pi][m.idx[pi]]; best < 0 || s < bs {
+				best, bs = pi, s
+			}
+		}
+		m.part[o] = int32(best)
+		m.row[o] = int32(m.idx[best])
+		m.idx[best]++
+	}
+
+	out := &Relation{N: total, Cols: make([]Col, len(tmpl))}
+	for oi := range tmpl {
+		oc := Col{Name: tmpl[oi].Name, Type: tmpl[oi].Type}
+		// Source column index: same position, skipping the sequence column.
+		srcOf := func(p *Relation) *Col {
+			ci := oi
+			if seqIdx >= 0 && ci >= seqIdx {
+				ci++
+			}
+			return &p.Cols[ci]
+		}
+		switch tmpl[oi].Type {
+		case colstore.Int64:
+			oc.I = make([]int64, total)
+			for o := 0; o < total; o++ {
+				oc.I[o] = srcOf(parts[m.part[o]]).I[m.row[o]]
+			}
+		case colstore.Float64:
+			oc.F = make([]float64, total)
+			for o := 0; o < total; o++ {
+				oc.F[o] = srcOf(parts[m.part[o]]).F[m.row[o]]
+			}
+		default:
+			oc.S = make([]string, total)
+			for o := 0; o < total; o++ {
+				oc.S[o] = srcOf(parts[m.part[o]]).S[m.row[o]]
+			}
+		}
+		out.Cols[oi] = oc
+	}
+	return out
+}
+
+// runIndex serves the IndexCol predicate from the index, verifies the
 // remaining predicates row by row (random access, priced as cache
-// misses).
-func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
+// misses), and gathers the survivors out of the snapshot prefix.
+func (s *Scan) runIndex(ctx *Ctx, sb *ShardBinding) (*Relation, error) {
+	// The snapshot fixes the scan prefix: rows committed after admission
+	// sit beyond n and are never touched.
+	n := s.Table.RowsAsOf(ctx.SnapTS)
 	var keyPred *expr.Pred
-	var rest []expr.Pred
+	var rest []int
 	for i := range s.Preds {
 		if s.Preds[i].Col == s.Access.IndexCol && keyPred == nil {
 			keyPred = &s.Preds[i]
 		} else {
-			rest = append(rest, s.Preds[i])
+			rest = append(rest, i)
 		}
 	}
 	if keyPred == nil {
@@ -158,20 +643,21 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 		if !s.Access.Index.SupportsRange() {
 			return nil, fmt.Errorf("exec: %s index cannot serve range predicate %s", s.Access.Index.Name(), keyPred)
 		}
-		lo, hi := rangeBounds(keyPred.Op, keyPred.Val.I)
-		s.Access.Index.Range(lo, hi, func(k int64, rows []int32) bool {
-			cand = append(cand, rows...)
-			ctr.Instructions += 8
-			ctr.CacheMisses++
-			return true
-		})
+		if lo, hi, ok := rangeBounds(keyPred.Op, keyPred.Val.I); ok {
+			s.Access.Index.Range(lo, hi, func(k int64, rows []int32) bool {
+				cand = append(cand, rows...)
+				ctr.Instructions += 8
+				ctr.CacheMisses++
+				return true
+			})
+		}
 		ctr.Add(lc)
 	default:
 		return nil, fmt.Errorf("exec: index access cannot serve %s", keyPred)
 	}
 	// Index postings arrive key-ordered; downstream operators expect row
 	// order for stable results.
-	sortInt32(cand)
+	slices.Sort(cand)
 	// Verify remaining predicates with point reads, discarding postings
 	// outside the snapshot (beyond the prefix, or tombstoned at it).
 	rows := make([]int32, 0, len(cand))
@@ -179,11 +665,8 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 		if int(r) >= n || !s.Table.RowVisible(ctx.SnapTS, int(r)) {
 			continue
 		}
-		ok, w, err := s.rowMatches(int(r), rest)
+		ok, w := sb.rowMatches(int(r), rest)
 		ctr.Add(w)
-		if err != nil {
-			return nil, err
-		}
 		if ok {
 			rows = append(rows, r)
 		}
@@ -191,85 +674,62 @@ func (s *Scan) indexRows(ctx *Ctx, n int) ([]int32, error) {
 	ctr.TuplesIn = uint64(len(cand))
 	ctr.TuplesOut = uint64(len(rows))
 	ctx.Charge(fmt.Sprintf("index:%s", keyPred), len(rows), ctr)
-	return rows, nil
-}
 
-// rangeBounds converts an inequality into inclusive index bounds.
-func rangeBounds(op vec.CmpOp, c int64) (lo, hi int64) {
-	const minI, maxI = -1 << 62, 1 << 62
-	switch op {
-	case vec.LT:
-		return minI, c - 1
-	case vec.LE:
-		return minI, c
-	case vec.GT:
-		return c + 1, maxI
-	case vec.GE:
-		return c, maxI
-	}
-	return 0, -1
-}
-
-// rowMatches verifies predicates against a single row via point reads.
-func (s *Scan) rowMatches(row int, preds []expr.Pred) (bool, energy.Counters, error) {
-	var w energy.Counters
-	for _, p := range preds {
-		col, err := s.Table.Column(p.Col)
-		if err != nil {
-			return false, w, err
-		}
-		w.CacheMisses++
-		w.Instructions += 6
-		switch c := col.(type) {
-		case *colstore.IntColumn:
-			if !cmpInt(p.Op, c.Get(row), p.Val.I) {
-				return false, w, nil
-			}
-		case *colstore.FloatColumn:
-			if !cmpFloat(p.Op, c.Get(row), p.Val.F) {
-				return false, w, nil
-			}
-		case *colstore.StringColumn:
-			if !cmpStr(p.Op, c.Get(row), p.Val.S) {
-				return false, w, nil
-			}
-		}
-	}
-	return true, w, nil
-}
-
-// materialize gathers the selected rows of the projected columns out of
-// the snapshot prefix [0, n).
-func (s *Scan) materialize(ctx *Ctx, rows []int32, n int) (*Relation, error) {
-	names := s.Select
-	if len(names) == 0 {
-		for _, d := range s.Table.Schema() {
-			names = append(names, d.Name)
-		}
-	}
-	outCols := make([]colstore.Column, len(names))
-	for i, name := range names {
-		col, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		outCols[i] = col
-	}
-	asCode := codeFlags(names, outCols, s.Codes)
-	out := &Relation{N: len(rows), Cols: make([]Col, 0, len(names))}
+	out := &Relation{N: len(rows), Cols: make([]Col, len(sb.Cols))}
 	w := energy.Counters{TuplesOut: uint64(len(rows))}
-	for i, name := range names {
-		oc, gw := gatherCol(outCols[i], name, asCode[i], rows, 0, n)
-		out.Cols = append(out.Cols, oc)
+	for ci, col := range sb.Cols {
+		var gw energy.Counters
+		out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci].Name, sb.asCode[ci], rows, 0, n)
 		w.Add(gw)
 	}
 	ctx.Charge("materialize", len(rows), w)
 	return out, nil
 }
 
-func cmpInt(op vec.CmpOp, a, b int64) bool { return vec.CmpInt64(op, a, b) }
+// rangeBounds converts an inequality into inclusive index bounds over
+// the whole int64 domain; ok is false when no key can satisfy it
+// (`< MinInt64`, `> MaxInt64`).
+func rangeBounds(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
+	switch op {
+	case vec.LT:
+		return math.MinInt64, c - 1, c != math.MinInt64
+	case vec.LE:
+		return math.MinInt64, c, true
+	case vec.GT:
+		return c + 1, math.MaxInt64, c != math.MaxInt64
+	case vec.GE:
+		return c, math.MaxInt64, true
+	}
+	return 0, 0, false
+}
 
-func cmpFloat(op vec.CmpOp, a, b float64) bool {
+// rowMatches verifies the bound predicates picked by idx against a
+// single row via point reads.
+func (sb *ShardBinding) rowMatches(row int, idx []int) (bool, energy.Counters) {
+	var w energy.Counters
+	for _, i := range idx {
+		p := sb.preds[i]
+		w.CacheMisses++
+		w.Instructions += 6
+		switch c := sb.predCols[i].(type) {
+		case *colstore.IntColumn:
+			if !vec.CmpInt64(p.Op, c.Get(row), p.Val.I) {
+				return false, w
+			}
+		case *colstore.FloatColumn:
+			if !cmpOrdered(p.Op, c.Get(row), p.Val.F) {
+				return false, w
+			}
+		case *colstore.StringColumn:
+			if !cmpOrdered(p.Op, c.Get(row), p.Val.S) {
+				return false, w
+			}
+		}
+	}
+	return true, w
+}
+
+func cmpOrdered[T float64 | string](op vec.CmpOp, a, b T) bool {
 	switch op {
 	case vec.LT:
 		return a < b
@@ -285,66 +745,4 @@ func cmpFloat(op vec.CmpOp, a, b float64) bool {
 		return a != b
 	}
 	return false
-}
-
-func cmpStr(op vec.CmpOp, a, b string) bool {
-	switch op {
-	case vec.LT:
-		return a < b
-	case vec.LE:
-		return a <= b
-	case vec.GT:
-		return a > b
-	case vec.GE:
-		return a >= b
-	case vec.EQ:
-		return a == b
-	case vec.NE:
-		return a != b
-	}
-	return false
-}
-
-// sortInt32 sorts ascending (tiny insertion/quick hybrid via stdlib-free
-// approach would be overkill; use a simple quicksort).
-func sortInt32(a []int32) {
-	if len(a) < 2 {
-		return
-	}
-	quickInt32(a, 0, len(a)-1)
-}
-
-func quickInt32(a []int32, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && a[j] < a[j-1]; j-- {
-					a[j], a[j-1] = a[j-1], a[j]
-				}
-			}
-			return
-		}
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickInt32(a, lo, j)
-			lo = i
-		} else {
-			quickInt32(a, i, hi)
-			hi = j
-		}
-	}
 }

@@ -198,8 +198,8 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 			ps := ps
 			t.Run(live.name+"/"+pname, func(t *testing.T) {
 				checkShardMatrix(t, live.snap,
-					func() Node { return &ParallelScan{Table: flat, Select: sel, Preds: ps} },
-					func(k int) Node { return &ShardedScan{Sharded: twins[k], Select: sel, Preds: ps} },
+					func() Node { return &Scan{Table: flat, Select: sel, Preds: ps} },
+					func(k int) Node { return &Scan{Sharded: twins[k], Select: sel, Preds: ps} },
 				)
 			})
 		}
@@ -265,13 +265,13 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 				checkShardMatrix(t, live.snap,
 					func() Node {
 						return &HashAgg{
-							Child:   &ParallelScan{Table: flat, Select: c.sel, Preds: c.preds},
+							Child:   &Scan{Table: flat, Select: c.sel, Preds: c.preds},
 							GroupBy: c.groupBy, Aggs: c.aggs,
 						}
 					},
 					func(k int) Node {
 						return &HashAgg{
-							Child:   &ShardedScan{Sharded: twins[k], Select: c.sel, Preds: c.preds},
+							Child:   &Scan{Sharded: twins[k], Select: c.sel, Preds: c.preds},
 							GroupBy: c.groupBy, Aggs: c.aggs,
 						}
 					},
@@ -281,25 +281,59 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestShardedAggEligibility pins the fallback edges of the per-shard
-// fused path.
-func TestShardedAggEligibility(t *testing.T) {
-	_, twins := shardTwins(t, 4096, 0)
-	ss := func() *ShardedScan {
-		return &ShardedScan{Sharded: twins[4], Select: []string{"grp", "region", "amount", "val"}}
+// TestOneShardIsFlat is the k=1 identity: a flat table is the one-shard
+// case of the shard list, so a ShardTable(…, 1) twin must return the flat
+// relation AND charge the flat Meter snapshot — no sequence column, no
+// first-appearance tracking, no merge — for the scan, the fused
+// aggregate (string groups included: one shard has one dictionary), the
+// materialized aggregate, and the fused probe, on sealed and live tables.
+// (Shard pruning stays a sharded-only zone check, so the predicates here
+// all intersect the table's key range.)
+func TestOneShardIsFlat(t *testing.T) {
+	sel := []string{"custkey", "grp", "region", "amount", "val"}
+	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 14)}}
+	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}}
+	dim := intDimSource()
+	plans := map[string]func(s *Scan) Node{
+		"scan":       func(s *Scan) Node { return s },
+		"scan-all":   func(s *Scan) Node { s.Preds, s.Select = nil, nil; return s },
+		"fused-agg":  func(s *Scan) Node { return &HashAgg{Child: s, GroupBy: []string{"grp"}, Aggs: sumVal} },
+		"string-agg": func(s *Scan) Node { return &HashAgg{Child: s, GroupBy: []string{"region"}, Aggs: sumVal} },
+		"global-agg": func(s *Scan) Node { return &HashAgg{Child: s, Aggs: sumVal} },
+		"float-agg": func(s *Scan) Node {
+			return &HashAgg{Child: s, GroupBy: []string{"grp"}, Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}
+		},
+		"fused-probe": func(s *Scan) Node {
+			return &ParallelJoin{Left: s, Right: dim, LeftKey: "grp", RightKey: "k"}
+		},
 	}
-	sum := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}}
-	if !ShardedAggEligible(ss(), []string{"grp"}, sum) {
-		t.Fatal("int group over int agg should fuse per shard")
-	}
-	if ShardedAggEligible(ss(), []string{"region"}, sum) {
-		t.Fatal("string group must fall back (per-shard dictionaries)")
-	}
-	if ShardedAggEligible(ss(), []string{"grp"}, []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}) {
-		t.Fatal("float agg input must fall back")
-	}
-	if ShardedAggEligible(ss(), []string{"grp", "val"}, sum) {
-		t.Fatal("multi-column group must fall back")
+	for _, live := range []struct {
+		name  string
+		extra int
+		snap  int64
+	}{
+		{"sealed", 0, colstore.SnapLatest},
+		{"live", 300, colstore.SnapLatest},
+		{"live@150", 300, 150},
+	} {
+		flat, twins := shardTwins(t, 150_000, live.extra)
+		for name, mk := range plans {
+			t.Run(live.name+"/"+name, func(t *testing.T) {
+				want := runNodeArm(t, mk(&Scan{Table: flat, Select: sel, Preds: preds}), live.snap, 1)
+				if want.rel.N == 0 {
+					t.Fatal("degenerate plan: no output rows")
+				}
+				for _, dop := range []int{1, 3} {
+					got := runNodeArm(t, mk(&Scan{Sharded: twins[1], Select: sel, Preds: preds}), live.snap, dop)
+					if !reflect.DeepEqual(got.rel, want.rel) {
+						t.Fatalf("dop=%d: k=1 relation diverged from flat", dop)
+					}
+					if got.w != want.w {
+						t.Fatalf("dop=%d: k=1 Meter diverged from flat\n got %+v\nwant %+v", dop, got.w, want.w)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -345,8 +379,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				lsel := []string{"custkey", "grp", "val"}
 				rsel := []string{"custkey", "tier"}
 
-				left := &ShardedScan{Sharded: stO, Select: lsel, Preds: lp}
-				right := &ShardedScan{Sharded: stC, Select: rsel, Preds: rp}
+				left := &Scan{Sharded: stO, Select: lsel, Preds: lp}
+				right := &Scan{Sharded: stC, Select: rsel, Preds: rp}
 				if !CoPartitionEligible(left, right, "custkey", "custkey") {
 					t.Fatal("aligned sharded scans should be co-partition eligible")
 				}
@@ -355,8 +389,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				}
 
 				want := runNodeArm(t, &HashJoin{
-					Left:    &ParallelScan{Table: flatO, Select: lsel, Preds: lp},
-					Right:   &ParallelScan{Table: flatC, Select: rsel, Preds: rp},
+					Left:    &Scan{Table: flatO, Select: lsel, Preds: lp},
+					Right:   &Scan{Table: flatC, Select: rsel, Preds: rp},
 					LeftKey: "custkey", RightKey: "custkey",
 				}, live.snap, 1)
 				if want.rel.N == 0 {
@@ -389,10 +423,10 @@ func TestShardPruningCounters(t *testing.T) {
 	flat, twins := shardTwins(t, n, 0)
 	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
 	sel := []string{"custkey", "val"}
-	flatArm := runNodeArm(t, &ParallelScan{Table: flat, Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+	flatArm := runNodeArm(t, &Scan{Table: flat, Select: sel, Preds: preds}, colstore.SnapLatest, 1)
 	var prevBytes uint64
 	for i, k := range shardCounts {
-		a := runNodeArm(t, &ShardedScan{Sharded: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+		a := runNodeArm(t, &Scan{Sharded: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)
 		if a.w.TuplesIn < uint64(n) {
 			t.Fatalf("k=%d: logical rows considered %d < %d (pruning must charge TuplesIn)", k, a.w.TuplesIn, n)
 		}

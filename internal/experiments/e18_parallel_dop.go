@@ -49,7 +49,7 @@ func E18Sweep(n int, dops []int) ([]E18Row, error) {
 	}
 	ncust := int64(n/100 + 10)
 	plan := &exec.HashAgg{
-		Child: &exec.ParallelScan{
+		Child: &exec.Scan{
 			Table:  tab,
 			Select: []string{"region", "amount"},
 			Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(ncust * 4 / 5)}},

@@ -126,15 +126,22 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 	return &e24Fixture{fact: fact, dim: dim, qs: qs}, nil
 }
 
-// aggNode builds a filter→aggregate plan; unfused pins the legacy path.
-func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel float64, unfused bool) exec.Node {
-	return &exec.HashAgg{
-		Child: &exec.ParallelScan{Table: f.fact, Select: selCols,
-			Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}},
-		GroupBy: groupBy,
-		Aggs:    aggs,
-		Unfused: unfused,
+// scan builds the fact-table scan both arms share.  The consumers fuse
+// exactly a *exec.Scan child, so the unfused control arm reaches the
+// materializing pipeline structurally: its scan sits behind an opaque
+// wrapper node and the consumer sees only a relation source.
+func (f *e24Fixture) scan(selCols, codes []string, sel float64, unfused bool) exec.Node {
+	s := &exec.Scan{Table: f.fact, Select: selCols, Codes: codes,
+		Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}}
+	if unfused {
+		return struct{ exec.Node }{s}
 	}
+	return s
+}
+
+// aggNode builds a filter→aggregate plan; unfused hides the scan.
+func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel float64, unfused bool) exec.Node {
+	return &exec.HashAgg{Child: f.scan(selCols, nil, sel, unfused), GroupBy: groupBy, Aggs: aggs}
 }
 
 // probeNode builds a filter→probe plan over the dictionary-coded region
@@ -142,14 +149,10 @@ func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel
 // the fused key streaming, not the PR 4 code rewrite.
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
 	return &exec.ParallelJoin{
-		Left: &exec.ParallelScan{Table: f.fact,
-			Select: []string{"region", "lowcard", "packed"},
-			Codes:  []string{"region"},
-			Preds:  []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}},
+		Left:     f.scan([]string{"region", "lowcard", "packed"}, []string{"region"}, sel, unfused),
 		Right:    &exec.Scan{Table: f.dim, Codes: []string{"region"}},
 		LeftKey:  "region",
 		RightKey: "region",
-		Unfused:  unfused,
 	}
 }
 
@@ -243,8 +246,7 @@ func E24BenchArms(n int) ([]E24BenchArm, error) {
 // E24PlannerDecisions plans a fusable aggregate query and a fusable join
 // query through the optimizer and returns their PlanInfos, so callers
 // can assert the planner recognized (and priced) the fusions the
-// executor will actually run.  n must clear the planner's ParallelScan
-// threshold or neither plan contains a fusable scan.
+// executor will actually run.
 func E24PlannerDecisions(n int) (agg, join *opt.PlanInfo, err error) {
 	f, err := newE24Fixture(n)
 	if err != nil {

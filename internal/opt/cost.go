@@ -43,6 +43,15 @@ type Cost struct {
 	Work   energy.Counters
 }
 
+// plus returns the sum of two costs (sequential work: times, energies,
+// and counters all add).
+func (c Cost) plus(o Cost) Cost {
+	c.Time += o.Time
+	c.Energy += o.Energy
+	c.Work.Add(o.Work)
+	return c
+}
+
 // EDP returns the energy-delay product of the cost.
 func (c Cost) EDP() float64 { return energy.EDP(c.Energy, c.Time) }
 

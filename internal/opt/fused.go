@@ -7,7 +7,7 @@ import (
 
 // Fusion pricing.  When a Scan+HashAgg or Scan+ParallelJoin pair will
 // take the fused operate-on-compressed path (internal/exec/fused.go),
-// the intermediate relation the classic pipeline materializes is never
+// the intermediate relation the materializing pipeline builds is never
 // built — so the plan estimate must not charge for it, or the scheduler's
 // energy-priced DOP and the serving front end's admission budgets would
 // price fused plans as if they still moved those bytes.  Eligibility is
@@ -33,10 +33,15 @@ func EstimateFusionSavings(ts *TableStats, preds []expr.Pred, ncols int) energy.
 	}
 }
 
-// creditFusion subtracts the fused-away work from the plan estimate.
-// Price is linear in the counters, so pricing the savings and
-// subtracting equals re-pricing the reduced work.
-func (info *PlanInfo) creditFusion(cm *CostModel, sv energy.Counters) {
+// creditFusion subtracts the work a fused consumer of table's scan skips
+// from the plan estimate.  Price is linear in the counters, so pricing
+// the savings and subtracting equals re-pricing the reduced work.
+func (info *PlanInfo) creditFusion(c *Catalog, cm *CostModel, table string, preds []expr.Pred, ncols int) {
+	ts, err := c.Stats(table)
+	if err != nil {
+		return
+	}
+	sv := EstimateFusionSavings(ts, preds, ncols)
 	sc := cm.Price(sv, 0)
 	if info.Est.Time > sc.Time {
 		info.Est.Time -= sc.Time

@@ -368,8 +368,11 @@ func TestObjectiveStrings(t *testing.T) {
 	}
 }
 
-func TestPlannerEmitsParallelScan(t *testing.T) {
-	cat, tab := testCatalog(t, ParallelScanRows+1000)
+// TestPlannerParallelFromGrid: PlanInfo.Parallel follows the morsel grid
+// — more than one morsel is parallel work, a single-morsel table is one
+// task — and never an operator type: both plans are the one Scan.
+func TestPlannerParallelFromGrid(t *testing.T) {
+	cat, tab := testCatalog(t, 4*exec.MorselRows+1000)
 	cm := NewCostModel(energy.DefaultModel())
 	q := &Query{
 		From:    "orders",
@@ -382,12 +385,12 @@ func TestPlannerEmitsParallelScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !info.Parallel {
-		t.Error("plan over a 257k-row table must be flagged parallel")
+		t.Error("plan over a five-morsel table must be flagged parallel")
 	}
-	if !strings.Contains(info.Explain, "ParallelScan") {
-		t.Errorf("explain should show the parallel scan:\n%s", info.Explain)
+	if !strings.Contains(info.Explain, "Scan(orders)") {
+		t.Errorf("explain should show the scan:\n%s", info.Explain)
 	}
-	// The parallel plan must compute the same rows as the serial
+	// The planned tree must compute the same rows as the hand-built
 	// operators over the same logical query.
 	got, err := node.Run(exec.NewCtx())
 	if err != nil {
@@ -418,13 +421,13 @@ func TestPlannerEmitsParallelScan(t *testing.T) {
 			t.Errorf("group %q sum: got %g want %g", wr.S[i], gs.F[i], ws.F[i])
 		}
 	}
-	// Below the threshold the planner must keep the serial scan.
+	// A table under one morsel is one task: same operator, not parallel.
 	smallCat, _ := testCatalog(t, 10_000)
 	_, smallInfo, err := smallCat.Plan(q, cm, MinTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smallInfo.Parallel || strings.Contains(smallInfo.Explain, "ParallelScan") {
-		t.Errorf("small table must plan a serial scan:\n%s", smallInfo.Explain)
+	if smallInfo.Parallel || !strings.Contains(smallInfo.Explain, "Scan(orders)") {
+		t.Errorf("single-morsel table must plan the same scan, not parallel:\n%s", smallInfo.Explain)
 	}
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/colstore"
@@ -51,11 +52,6 @@ type Query struct {
 	LimitN  int // 0 = no limit
 }
 
-// ParallelScanRows is the table cardinality at which the planner swaps a
-// serial full scan for the morsel-driven exec.ParallelScan.  Below it the
-// worker-pool launch and merge overheads outweigh the morsel win.
-const ParallelScanRows = 1 << 18
-
 // ParallelJoinRows is the combined estimated input cardinality at which
 // the planner swaps the serial HashJoin for the radix-partitioned
 // exec.ParallelJoin (which keeps its own runtime tiny-input fallback for
@@ -100,10 +96,13 @@ type JoinPlanInfo struct {
 
 // PlanInfo reports what the planner decided.
 type PlanInfo struct {
-	Explain  string
-	Access   map[string]AccessChoice // per-table access decision
-	Est      Cost                    // total estimated cost
-	Parallel bool                    // plan contains a morsel-parallel operator
+	Explain string
+	Access  map[string]AccessChoice // per-table access decision
+	Est     Cost                    // total estimated cost
+	// Parallel reports that the plan has more than one unit of parallel
+	// work: a scan grid of more than one morsel, or a partitioned or
+	// co-partitioned join.
+	Parallel bool
 	// Storage reports, per scanned table, the compression ratio of its
 	// sealed segments and the estimated bytes this plan streams —
 	// the storage-format axis of the energy model.
@@ -209,26 +208,55 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		}
 	}
 
-	scan := func(table string, codes []string) (exec.Node, error) {
+	// scan plans the access to one table — flat (one shard) or value-range
+	// sharded — as the one exec.Scan: zone-prune the shard list (the same
+	// live check the executor makes), price only the survivors (the
+	// estimate sheds every pruned byte), and sum the per-shard estimates.
+	scan := func(table string, codes []string) (*exec.Scan, error) {
 		preds := predsOf[table]
 		var sel []string
 		for col := range needed[table] {
 			sel = append(sel, col)
 		}
-		sortStrings(sel)
-		// A sharded table plans per shard: zone-prune first, price only
-		// the survivors.
+		slices.Sort(sel)
+		s := &exec.Scan{Select: sel, Preds: preds, Codes: codes}
+		var units []*colstore.Table // surviving shards, priced under their own stats
 		if st, serr := c.Sharded(table); serr == nil {
-			return c.scanSharded(st, preds, sel, cm, info)
+			s.Sharded = st
+			keep := exec.PruneShards(st, preds)
+			for i, sh := range st.Shards() {
+				if keep[i] {
+					units = append(units, sh)
+				}
+			}
+			info.ShardsScanned += len(units)
+			info.ShardsPruned += len(keep) - len(units)
+		} else {
+			tab, err := c.Table(table)
+			if err != nil {
+				return nil, err
+			}
+			s.Table = tab
+			units = []*colstore.Table{tab}
 		}
-		choice, err := ChooseAccess(c, cm, table, preds, len(sel), obj)
-		if err != nil {
-			return nil, err
+		choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}}
+		morsels := 0
+		for _, u := range units {
+			uc, err := ChooseAccess(c, cm, u.Name, preds, len(sel), obj)
+			if err != nil {
+				return nil, err
+			}
+			if s.Table != nil {
+				// The index path serves flat tables only.
+				choice.Spec, s.Access = uc.Spec, uc.Spec
+			}
+			choice.Est = choice.Est.plus(uc.Est)
+			choice.FullScanCost = choice.FullScanCost.plus(uc.FullScanCost)
+			choice.IndexCost = choice.IndexCost.plus(uc.IndexCost)
+			morsels += (u.Rows() + exec.MorselRows - 1) / exec.MorselRows
 		}
 		info.Access[table] = choice
-		info.Est.Time += choice.Est.Time
-		info.Est.Energy += choice.Est.Energy
-		info.Est.Work.Add(choice.Est.Work)
+		info.Est = info.Est.plus(choice.Est)
 		if ts, err := c.Stats(table); err == nil {
 			info.Storage[table] = TableStorageInfo{
 				Ratio:        ts.Storage.Ratio(),
@@ -237,18 +265,12 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 				EstScanBytes: choice.Est.Work.BytesReadDRAM,
 			}
 		}
-		tab, err := c.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		// Morsel-driven parallel scan once the cardinality clears the
-		// threshold and the access path is a full scan (index access
-		// stays serial: its random point reads don't morselize).
-		if choice.Spec.Kind == exec.FullScan && tab.Rows() >= ParallelScanRows {
+		// The morsel grid is a function of the row counts alone; index
+		// access stays one task (random point reads don't morselize).
+		if choice.Spec.Kind == exec.FullScan && morsels > 1 {
 			info.Parallel = true
-			return &exec.ParallelScan{Table: tab, Select: sel, Preds: preds, Codes: codes}, nil
 		}
-		return &exec.Scan{Table: tab, Select: sel, Preds: preds, Access: choice.Spec, Codes: codes}, nil
+		return s, nil
 	}
 
 	// Estimated post-predicate cardinality per table, for join ordering
@@ -344,13 +366,13 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		// integer keys or dictionary codes; raw string keys would take
 		// its serial fallback anyway, so they plan (and are priced) as
 		// the serial join.
-		// A fusable probe-side scan never materializes its filtered
-		// intermediate: the fused feed streams the whole base table, so
-		// the partitioned-vs-serial choice sizes on the scan's full
-		// cardinality, mirroring the executor's pre-filter fallback
-		// check.  The probe side is a bare scan on the first join, or on
-		// any join whose sides swapped.
-		probeSize := d.probeRows
+		// A fused probe feed never materializes its filtered intermediate
+		// — it streams the whole base table — so a bare-scan probe side
+		// (the first join's, or any join's after a side swap) whose table
+		// alone clears the threshold sizes the partitioned-vs-serial choice
+		// on its full cardinality, mirroring the executor's pre-filter
+		// fallback check.
+		sizeOK := d.probeRows+d.buildRows >= ParallelJoinRows
 		probeOwner := ""
 		if d.swap {
 			probeOwner = pj.table
@@ -358,11 +380,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			probeOwner = first
 		}
 		if probeOwner != "" {
-			if ts, err := c.Stats(probeOwner); err == nil && float64(ts.Rows) >= ParallelScanRows && float64(ts.Rows) > probeSize {
-				probeSize = float64(ts.Rows)
+			if ts, err := c.Stats(probeOwner); err == nil && ts.Rows >= ParallelJoinRows {
+				sizeOK = true
 			}
 		}
-		sizeOK := probeSize+d.buildRows >= ParallelJoinRows
 		lo := c.keyOwner(pj.leftCol, tables)
 		if sizeOK &&
 			c.orderedStringCol(lo, pj.leftCol) &&
@@ -377,55 +398,53 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		accRows = d.outRows
 	}
 
-	root, err := scan(first, codesOf[first])
+	rootScan, err := scan(first, codesOf[first])
 	if err != nil {
 		return nil, nil, err
 	}
+	// root is the accumulated plan; rootScan is non-nil while root still
+	// is the bare scan of one table — the only shape a consumer fuses.
+	var root exec.Node = rootScan
 	rootName := first
 	for _, d := range decisions {
 		right, err := scan(d.pj.table, codesOf[d.pj.table])
 		if err != nil {
 			return nil, nil, err
 		}
-		probe, build := root, right
+		var probe, build exec.Node = root, right
+		probeScan, buildScan := rootScan, right
 		probeName, buildName := rootName, d.pj.table
 		lk, rk := d.pj.leftCol, d.pj.rightCol
 		if d.swap {
-			probe, build = right, root
-			probeName, buildName = d.pj.table, rootName
+			probe, build = build, probe
+			probeScan, buildScan = buildScan, probeScan
+			probeName, buildName = buildName, probeName
 			lk, rk = rk, lk
 		}
 		// Co-partitioned join: both sides sharded on the join keys with
 		// aligned cuts.  The radix scatter is skipped entirely — every
 		// key is owned by the same shard index on both sides — so this
 		// beats the partitioned operator whenever it is legal.
-		coPart := false
-		if ls, lok := probe.(*exec.ShardedScan); lok {
-			if rs, rok := build.(*exec.ShardedScan); rok && exec.CoPartitionEligible(ls, rs, lk, rk) {
-				coPart = true
-				d.partitioned = false
-				info.Parallel = true
-				root = &exec.ShardedJoin{Left: ls, Right: rs, LeftKey: lk, RightKey: rk}
-			}
+		coPart := exec.CoPartitionEligible(probeScan, buildScan, lk, rk)
+		switch {
+		case coPart:
+			d.partitioned = false
+			info.Parallel = true
+			root = &exec.ShardedJoin{Left: probeScan, Right: buildScan, LeftKey: lk, RightKey: rk}
+		case d.partitioned:
+			info.Parallel = true
+			root = &exec.ParallelJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
+		default:
+			root = &exec.HashJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
 		}
-		if !coPart {
-			if d.partitioned {
-				info.Parallel = true
-				root = &exec.ParallelJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
-			} else {
-				root = &exec.HashJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
-			}
-		}
+		rootScan = nil
 		rootName = "⋈"
 		keyBytes := float64(8)
 		if !d.codeDomain && c.keyIsString(lk, rk, tables, d.pj.table) {
 			keyBytes = RawStringKeyBytes
 		}
 		w := EstimateHashJoin(d.probeRows, d.buildRows, d.outRows, keyBytes, d.ncols, d.partitioned)
-		jc := cm.Price(w, 0)
-		info.Est.Time += jc.Time
-		info.Est.Energy += jc.Energy
-		info.Est.Work.Add(w)
+		info.Est = info.Est.plus(cm.Price(w, 0))
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
 			LeftKey: lk, RightKey: rk,
@@ -438,12 +457,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			ji.PartitionBytes = uint64(d.buildRows * (8 + 12))
 			// Fused probe feed: the probe-side scan never materializes its
 			// relation, so its estimate sheds the materialization terms.
-			if ps, ok := probe.(*exec.ParallelScan); ok && exec.FusedProbeEligible(ps, lk) {
+			if probeScan != nil && exec.FusedProbeEligible(probeScan, lk) {
 				ji.FusedProbe = true
 				info.FusedProbes = append(info.FusedProbes, probeName)
-				if ts, err := c.Stats(probeName); err == nil {
-					info.creditFusion(cm, EstimateFusionSavings(ts, predsOf[probeName], len(needed[probeName])))
-				}
+				info.creditFusion(c, cm, probeName, predsOf[probeName], len(needed[probeName]))
 			}
 		}
 		info.Joins = append(info.Joins, ji)
@@ -470,20 +487,11 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			}
 		}
 		// Fused filter→aggregate: the scan's filtered relation is never
-		// materialized, so the estimate sheds its materialization terms.
-		if ps, ok := root.(*exec.ParallelScan); ok && exec.FusedAggEligible(ps, q.GroupBy, aggs) {
+		// materialized — on any shard — so the estimate sheds its
+		// materialization terms.
+		if rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs) {
 			info.FusedAgg = true
-			if ts, err := c.Stats(q.From); err == nil {
-				info.creditFusion(cm, EstimateFusionSavings(ts, predsOf[q.From], len(needed[q.From])))
-			}
-		}
-		// Sharded mirror: every surviving shard folds through the fused
-		// kernels, so the fused-away materialization is credited likewise.
-		if ss, ok := root.(*exec.ShardedScan); ok && exec.ShardedAggEligible(ss, q.GroupBy, aggs) {
-			info.FusedAgg = true
-			if ts, err := c.Stats(q.From); err == nil {
-				info.creditFusion(cm, EstimateFusionSavings(ts, predsOf[q.From], len(needed[q.From])))
-			}
+			info.creditFusion(c, cm, q.From, predsOf[q.From], len(needed[q.From]))
 		}
 		root = &exec.HashAgg{Child: root, GroupBy: q.GroupBy, Aggs: aggs}
 	}
@@ -699,12 +707,4 @@ func (c *Catalog) ownerOf(col string, tables []string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("opt: column %q not found in %v", col, tables)
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

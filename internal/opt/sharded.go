@@ -6,7 +6,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
-	"repro/internal/expr"
 )
 
 // Sharded-table catalog support and planning (ROADMAP item 3).  A
@@ -162,54 +161,6 @@ func (c *Catalog) combinedStats(st *colstore.ShardedTable) *TableStats {
 		ts.Storage.StoredBytes += cstg.StoredBytes
 	}
 	return ts
-}
-
-// scanSharded plans the access to one sharded table: prune shards
-// against the predicates (the same live zone check the executor makes),
-// price a full scan per surviving shard only — the estimate sheds every
-// pruned byte — and emit the ShardedScan.
-func (c *Catalog) scanSharded(st *colstore.ShardedTable, preds []expr.Pred, sel []string, cm *CostModel, info *PlanInfo) (exec.Node, error) {
-	keep := exec.PruneShards(st, preds)
-	choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}}
-	var estBytes uint64
-	scanned, pruned := 0, 0
-	for i, sh := range st.Shards() {
-		if !keep[i] {
-			pruned++
-			continue
-		}
-		scanned++
-		ss, err := c.Stats(sh.Name)
-		if err != nil {
-			return nil, err
-		}
-		w := EstimateFullScan(ss, preds, len(sel))
-		sc := cm.Price(w, 0)
-		choice.Est.Time += sc.Time
-		choice.Est.Energy += sc.Energy
-		choice.Est.Work.Add(w)
-		estBytes += w.BytesReadDRAM
-	}
-	choice.FullScanCost = choice.Est
-	info.Access[st.Name] = choice
-	info.Est.Time += choice.Est.Time
-	info.Est.Energy += choice.Est.Energy
-	info.Est.Work.Add(choice.Est.Work)
-	info.ShardsScanned += scanned
-	info.ShardsPruned += pruned
-	if ts, err := c.Stats(st.Name); err == nil {
-		info.Storage[st.Name] = TableStorageInfo{
-			Ratio:        ts.Storage.Ratio(),
-			StoredBytes:  ts.Storage.StoredBytes,
-			RawBytes:     ts.Storage.RawBytes,
-			EstScanBytes: estBytes,
-		}
-	}
-	// The shard-at-a-time morsel grid is parallel regardless of per-shard
-	// size; the grid is a function of input size only, so DOP never
-	// changes bytes.
-	info.Parallel = true
-	return &exec.ShardedScan{Sharded: st, Select: sel, Preds: preds}, nil
 }
 
 // EstimateRebalance prices the shard-narrowing pass, mirroring
