@@ -283,7 +283,7 @@ func BenchmarkParallelScanAgg(b *testing.B) {
 			var work energy.Counters
 			for i := 0; i < b.N; i++ {
 				ctx := exec.NewCtx()
-				ctx.Parallelism = dop
+				ctx.Lease = exec.NewLease(dop)
 				if _, err := plan.Run(ctx); err != nil {
 					b.Fatal(err)
 				}
@@ -351,7 +351,7 @@ func BenchmarkE20PartitionedJoin(b *testing.B) {
 			var work energy.Counters
 			for i := 0; i < b.N; i++ {
 				ctx := exec.NewCtx()
-				ctx.Parallelism = 2
+				ctx.Lease = exec.NewLease(2)
 				rel, err := node.Run(ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -479,7 +479,7 @@ func BenchmarkE24FusedPipeline(b *testing.B) {
 				var work energy.Counters
 				for i := 0; i < b.N; i++ {
 					ctx := exec.NewCtx()
-					ctx.Parallelism = 2
+					ctx.Lease = exec.NewLease(2)
 					rel, err := path.node.Run(ctx)
 					if err != nil {
 						b.Fatal(err)

@@ -7,9 +7,9 @@
 //	eimdb-bench -list        # list experiments with their claims
 //
 // It is also the open-loop workload driver for the multi-query
-// scheduler: -replay queues a Zipf point-query storm at a configurable
-// offered QPS and drains it through core.Engine's scheduler, printing
-// the fleet schedule and energy books.
+// scheduler: -replay replays a Zipf point-query storm at a configurable
+// offered QPS through a core.Loop (Loop.Replay), printing the fleet
+// schedule and energy books.
 //
 //	eimdb-bench -replay -qps 100000 -n 200 -budget 4 -batch -arbitrate
 //	eimdb-bench -replay -batch=false -arbitrate=false   # naive baseline
@@ -84,7 +84,7 @@ func main() {
 	run(e)
 }
 
-// runReplay queues the storm and drains it through the scheduler.  The
+// runReplay replays the storm through a scheduling loop.  The
 // arrival script is the shared workload.Script form — the same bytes
 // E21 submits and the serving front end (eimdb-serve, E22) replays, so
 // the batch driver and the online server exercise one workload format.
@@ -93,7 +93,8 @@ func runReplay(rows, nq int, qps, zipfS float64, ncust int, seed uint64, cfg cor
 	if err != nil {
 		return err
 	}
-	if err := experiments.SubmitStorm(eng, nq, qps, zipfS, ncust, seed); err != nil {
+	storm, err := experiments.Storm(nq, qps, zipfS, ncust, seed)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("replay: %d queries over %d rows, zipf %.2f over %d keys, offered %.0f q/s\n",
@@ -101,15 +102,12 @@ func runReplay(rows, nq int, qps, zipfS float64, ncust int, seed uint64, cfg cor
 	fmt.Printf("sched:  budget=%d queue-depth=%d batch=%v arbitrate=%v\n",
 		cfg.Budget, cfg.QueueDepth, cfg.BatchScans, cfg.Arbitrate)
 
-	rep, err := eng.Drain(cfg)
-	if err != nil {
-		return err
-	}
+	rep := eng.NewLoop(cfg).Replay(storm)
 	f := rep.Fleet
 	fmt.Printf("\ncompleted %d, rejected %d, shared groups %d (+%d riders)\n",
 		f.Completed, f.Rejected, f.SharedGroups, f.SharedTasks)
 	fmt.Printf("latency: avg %v, p95 %v, makespan %v\n",
-		f.AvgLatency.Round(10*time.Microsecond), f.P95Latency.Round(10*time.Microsecond),
+		rep.AvgLatency.Round(10*time.Microsecond), rep.P95Latency.Round(10*time.Microsecond),
 		f.Makespan.Round(10*time.Microsecond))
 	fmt.Printf("energy:  fleet %v (%v/query), dynamic %v + static %v, batching saved %v\n",
 		rep.FleetEnergy(), rep.EnergyPerQuery(), rep.FleetDynamic, f.Static, rep.SavedDynamic)

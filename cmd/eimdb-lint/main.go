@@ -4,7 +4,8 @@
 // no wall clocks or global math/rand in the deterministic packages, no
 // map-iteration order leaking into results, counters mutated only
 // through the metered APIs, executor goroutines only inside the
-// lease-honoring pool helpers, flat-array hot structs, and an
+// lease-honoring pool helpers, flat-array hot structs, engine packages
+// that never import the experiment-only seed packages, and an
 // experiments registry that agrees with EXPERIMENTS.md and the
 // committed bench baselines.
 //

@@ -4,15 +4,15 @@
 //
 //	eimdb-serve -addr :8080 -rows 262144 -budget 4 -batch -arbitrate
 //
-//	curl -s localhost:8080/healthz
-//	curl -s -X POST localhost:8080/query \
+//	curl -s localhost:8080/v1/healthz
+//	curl -s -X POST localhost:8080/v1/query \
 //	     -d '{"sql":"SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = 7"}'
-//	curl -s localhost:8080/stats | jq .plan_cache
+//	curl -s localhost:8080/v1/stats | jq .plan_cache
 //
 // Per-client energy budgets come from repeated -client flags:
 //
 //	eimdb-serve -client alice=2.5 -client bob=0.1
-//	curl -s -X POST -H 'X-API-Key: bob' localhost:8080/query -d '{"sql":"..."}'
+//	curl -s -X POST -H 'X-API-Key: bob' localhost:8080/v1/query -d '{"sql":"..."}'
 //
 // Once a client's admitted plan estimates exceed its allowance, further
 // queries are rejected 402-style until the server restarts.

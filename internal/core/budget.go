@@ -19,59 +19,39 @@ type BudgetDecision struct {
 // under every objective, estimates each plan's energy, and executes the
 // fastest plan whose estimate fits the per-query budget (falling back to
 // the most frugal plan when none fits).  The decision is returned next to
-// the result so callers can audit the trade.
+// the result so callers can audit the trade.  The engine's own objective
+// is never touched, so concurrent queries plan under what they asked for.
 func (e *Engine) QueryUnderBudget(text string, budget energy.Joules) (*Result, *BudgetDecision, error) {
 	q, err := sql.Parse(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.RunUnderBudget(q, budget)
+	return e.run(q, budget)
 }
 
-// budgetObjectives is the candidate order RunUnderBudget and Drain both
-// plan under; PickUnderEnergyBudget indexes into it.
+// budgetObjectives is the candidate order a budgeted offer plans under;
+// PickUnderEnergyBudget indexes into it.
 var budgetObjectives = []opt.Objective{opt.MinTime, opt.MinEDP, opt.MinEnergy}
 
 // resolveObjective plans q under every candidate objective and picks
 // the one whose estimate fits the energy budget — the single decision
-// procedure behind RunUnderBudget and per-submission budgets in Drain.
-// It returns the pick as an index into budgetObjectives, and the
-// winning candidate's physical plan, so callers on the serving path
-// need not plan a fourth time.
-func (e *Engine) resolveObjective(q *opt.Query, budget energy.Joules) (int, []opt.Cost, exec.Node, *opt.PlanInfo, error) {
-	var cands []opt.Cost
+// procedure behind every budgeted offer.  It returns the winning
+// candidate's physical plan next to the decision, so no caller plans a
+// fourth time.
+func (e *Engine) resolveObjective(q *opt.Query, budget energy.Joules) (*BudgetDecision, exec.Node, *opt.PlanInfo, error) {
+	dec := &BudgetDecision{Budget: budget}
 	nodes := make([]exec.Node, 0, len(budgetObjectives))
 	infos := make([]*opt.PlanInfo, 0, len(budgetObjectives))
 	for _, obj := range budgetObjectives {
 		node, info, err := e.cat.Plan(q, e.cm, obj)
 		if err != nil {
-			return 0, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		cands = append(cands, info.Est)
+		dec.Candidates = append(dec.Candidates, info.Est)
 		nodes = append(nodes, node)
 		infos = append(infos, info)
 	}
-	pick := opt.PickUnderEnergyBudget(cands, budget)
-	return pick, cands, nodes[pick], infos[pick], nil
-}
-
-// RunUnderBudget is QueryUnderBudget for an already-built logical query.
-func (e *Engine) RunUnderBudget(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecision, error) {
-	dec := &BudgetDecision{Budget: budget}
-	pick, cands, _, _, err := e.resolveObjective(q, budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec.Candidates = cands
-	dec.Picked = pick
-	dec.Chosen = budgetObjectives[pick]
-
-	prev := e.Objective()
-	e.SetObjective(dec.Chosen)
-	res, err := e.Run(q)
-	e.SetObjective(prev)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, dec, nil
+	dec.Picked = opt.PickUnderEnergyBudget(dec.Candidates, budget)
+	dec.Chosen = budgetObjectives[dec.Picked]
+	return dec, nodes[dec.Picked], infos[dec.Picked], nil
 }

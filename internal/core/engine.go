@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/opt"
-	"repro/internal/sched"
 	"repro/internal/sql"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -39,9 +39,6 @@ type Engine struct {
 	// walLevel/walWindow configure the manager at Open.
 	walLevel  wal.Level
 	walWindow time.Duration
-	// pending holds queries queued by Submit/SubmitQuery until the next
-	// Drain schedules the whole backlog; IDs restart at zero per drain.
-	pending []Submission
 }
 
 // Option configures Open.
@@ -101,7 +98,11 @@ func (e *Engine) Log() *wal.Log { return e.log }
 func (e *Engine) SnapshotTS() int64 { return e.txm.SnapshotTS() }
 
 // Objective returns the current optimizer objective.
-func (e *Engine) Objective() opt.Objective { return e.obj }
+func (e *Engine) Objective() opt.Objective {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.obj
+}
 
 // SetObjective switches the optimizer objective at runtime ("elasticity
 // in the small": the same engine serves min-time or min-energy plans).
@@ -194,7 +195,7 @@ type Result struct {
 // Joules returns the modeled total energy of the query.
 func (r *Result) Joules() energy.Joules { return r.Energy.Total() }
 
-// Query parses and executes SQL.
+// Query parses and executes SQL under the engine's objective.
 func (e *Engine) Query(text string) (*Result, error) {
 	q, err := sql.Parse(text)
 	if err != nil {
@@ -203,13 +204,60 @@ func (e *Engine) Query(text string) (*Result, error) {
 	return e.Run(q)
 }
 
+// Run plans and executes a logical query (the shared form produced by
+// the SQL parser and the builder) under the engine's objective.
+func (e *Engine) Run(q *opt.Query) (*Result, error) {
+	res, _, err := e.run(q, 0)
+	return res, err
+}
+
+// run is the engine's one execution entry: the query is a ticket on a
+// private one-shot Loop — every core the process has, arbitrated, no
+// batching, unbounded queue — so a lone query is admitted, granted
+// cores, executed and billed by exactly the code that serves traffic.
+// A positive energy budget picks the objective per query (see
+// QueryUnderBudget); the engine's own objective is only ever read.
+func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecision, error) {
+	l := e.NewLoop(SchedulerConfig{Budget: runtime.GOMAXPROCS(0), Arbitrate: true})
+	t := l.Offer(0, q, e.Objective(), budget)
+	l.React()
+	start := time.Now() //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
+	l.RunToIdle()
+	elapsed := time.Since(start) //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
+	if t.Err != nil {
+		// The loop prefixes failures with the ticket ID; a lone query's
+		// caller gets the planner's or operator's own error.
+		return nil, nil, errors.Unwrap(t.Err)
+	}
+	return &Result{
+		Rel:      t.Rel,
+		Elapsed:  elapsed,
+		SimTime:  t.SimTime,
+		Work:     t.Work,
+		Energy:   t.Energy,
+		DOP:      t.DOP,
+		PlanInfo: t.PlanInfo,
+	}, t.Decision, nil
+}
+
+// bill prices executed work — the one place the engine turns counters
+// into joules, for queries, maintenance and DML alike: dynamic energy,
+// active-core static power over the modeled CPU time, and idle-core
+// static power over the simulated non-CPU time (links, disk).
+func (e *Engine) bill(work energy.Counters, simTime time.Duration) energy.Breakdown {
+	b := e.model.DynamicEnergy(work, e.cm.PState)
+	b.Static = energy.StaticEnergy(e.cm.PState.Active, e.model.CPUTime(work, e.cm.PState)) +
+		energy.StaticEnergy(e.model.Core.Idle.Power, simTime)
+	return b
+}
+
 // Explain returns the physical plan for SQL without executing it.
 func (e *Engine) Explain(text string) (string, error) {
 	q, err := sql.Parse(text)
 	if err != nil {
 		return "", err
 	}
-	_, info, err := e.cat.Plan(q, e.cm, e.obj)
+	_, info, err := e.cat.Plan(q, e.cm, e.Objective())
 	if err != nil {
 		return "", err
 	}
@@ -223,64 +271,6 @@ func (e *Engine) Explain(text string) (string, error) {
 // concurrently with itself.
 func (e *Engine) Plan(q *opt.Query, obj opt.Objective) (exec.Node, *opt.PlanInfo, error) {
 	return e.cat.Plan(q, e.cm, obj)
-}
-
-// chooseDOP picks the query's degree of parallelism from the scheduler's
-// P-state cost model: the estimated work is priced at every worker count
-// up to GOMAXPROCS and the point that best serves the engine's objective
-// wins (min-time races all cores to idle; min-energy stops adding cores
-// when their active power outweighs the background power they amortize).
-func (e *Engine) chooseDOP(est energy.Counters) int {
-	maxDOP := runtime.GOMAXPROCS(0)
-	if maxDOP <= 1 {
-		return 1
-	}
-	points := sched.SweepDOP(e.model, est, e.cm.PState, maxDOP, e.residentGB())
-	var better func(a, b sched.DOPPoint) bool
-	switch e.obj {
-	case opt.MinEnergy:
-		better = func(a, b sched.DOPPoint) bool { return a.Energy < b.Energy }
-	case opt.MinEDP:
-		better = func(a, b sched.DOPPoint) bool { return a.EDP() < b.EDP() }
-	default:
-		better = func(a, b sched.DOPPoint) bool { return a.Time < b.Time }
-	}
-	return sched.ChooseDOP(points, better).DOP
-}
-
-// Run plans and executes a logical query (the shared form produced by
-// the SQL parser and the builder).
-func (e *Engine) Run(q *opt.Query) (*Result, error) {
-	node, info, err := e.cat.Plan(q, e.cm, e.obj)
-	if err != nil {
-		return nil, err
-	}
-	ctx := exec.NewCtx()
-	ctx.Parallelism = 1
-	if info.Parallel {
-		ctx.Parallelism = e.chooseDOP(info.Est.Work)
-	}
-	start := time.Now() //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
-	rel, err := node.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start) //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
-	work := ctx.Meter.Snapshot()
-	e.meter.Add(work)
-	b := e.model.DynamicEnergy(work, e.cm.PState)
-	cpu := e.model.CPUTime(work, e.cm.PState)
-	b.Static = energy.StaticEnergy(e.cm.PState.Active, cpu) +
-		energy.StaticEnergy(e.model.Core.Idle.Power, ctx.SimTime)
-	return &Result{
-		Rel:      rel,
-		Elapsed:  elapsed,
-		SimTime:  ctx.SimTime,
-		Work:     work,
-		Energy:   b,
-		DOP:      ctx.Parallelism,
-		PlanInfo: info,
-	}, nil
 }
 
 // LifetimeWork returns the total work the engine has performed.

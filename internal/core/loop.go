@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/energy"
@@ -11,12 +11,14 @@ import (
 	"repro/internal/sched"
 )
 
-// Loop is the engine's incremental serving surface: the same
-// plan→schedule→execute machinery Drain applies to a prebuilt backlog,
-// exposed one event at a time so an online front end (internal/server)
-// can interleave arrivals, virtual-time advancement, lease resizes, and
-// completions.  Drain is now a batch wrapper over Loop, so the one-shot
-// and online paths cannot drift apart.
+// Loop is the engine's one execution entry: the only place a read query
+// (or a background maintenance task) is admitted, granted cores,
+// executed and billed.  It exposes the plan→schedule→execute machinery
+// one event at a time, so an online front end (internal/server) can
+// interleave arrivals, virtual-time advancement, lease resizes, and
+// completions; Engine.Run is an offer on a private one-shot Loop and
+// Replay drives a prebuilt backlog through the same protocol, so the
+// lone-query, batch and online paths cannot drift apart.
 //
 // Execution happens at virtual completion time: when the scheduler
 // retires a group, the group's physical plan runs exactly once under a
@@ -26,15 +28,19 @@ import (
 // (it reports exec.ErrCanceled); if every member canceled, the physical
 // execution is elided entirely.
 //
+// The loop holds a ticket only while it is in flight: once React,
+// AdvanceTo or RunToIdle has returned it, the caller's pointer is the
+// only reference, so a long-lived server's memory does not grow with
+// its history.
+//
 // Loop is not goroutine-safe — the server serializes access under its
-// own mutex, and Drain drives it from one goroutine.
+// own mutex, and Replay drives it from one goroutine.
 type Loop struct {
-	e       *Engine
-	mq      *sched.Loop
-	tickets map[int]*Ticket
-	order   []int // ticket IDs in offer order
-	nextID  int
-	fm      energy.FleetMeter
+	e      *Engine
+	mq     *sched.Loop
+	live   map[int]*Ticket // admitted, not yet settled
+	nextID int
+	fm     energy.FleetMeter
 }
 
 // Ticket is one in-flight query in the online loop.  Its embedded
@@ -51,16 +57,18 @@ type Ticket struct {
 	// exactly the writes committed at or before its arrival, however long
 	// it queues and whatever commits meanwhile.
 	SnapTS int64
-	// IsMerge marks a background delta-merge ticket (see OfferMerge);
-	// MergeTable names its target.
-	IsMerge    bool
-	MergeTable string
-	// IsRebalance marks a background shard-rebalance ticket (see
-	// OfferRebalance); RebalanceTable names its target.
-	IsRebalance    bool
-	RebalanceTable string
+	// Decision reports how a per-query energy budget resolved the
+	// objective (nil for offers without one).
+	Decision *BudgetDecision
+	// Table names the target of a background maintenance ticket
+	// (OfferMerge, OfferRebalance); empty for queries.
+	Table string
 
-	node     exec.Node
+	node  exec.Node
+	sched *sched.TaskSchedule
+	// after is a maintenance ticket's post-run hook, called with Table:
+	// the catalog refresh that re-derives what the planner prices against.
+	after    func(table string) error
 	canceled bool
 	done     bool
 }
@@ -94,7 +102,7 @@ func (e *Engine) NewLoop(cfg SchedulerConfig) *Loop {
 			PState:     e.cm.PState,
 			MemGB:      e.residentGB(),
 		}),
-		tickets: make(map[int]*Ticket),
+		live: make(map[int]*Ticket),
 	}
 }
 
@@ -115,47 +123,29 @@ func (l *Loop) Backlog() time.Duration { return l.mq.Backlog() }
 // completion, or false when the machine is idle.
 func (l *Loop) NextFinish() (time.Duration, bool) { return l.mq.NextFinish() }
 
-// Ticket returns a previously offered ticket (nil for unknown IDs).
-func (l *Loop) Ticket(id int) *Ticket { return l.tickets[id] }
+// Ticket returns an in-flight ticket (nil for unknown IDs and for
+// tickets that have settled — those belong to whoever was handed them).
+func (l *Loop) Ticket(id int) *Ticket { return l.live[id] }
 
 // Offer plans a query and submits it to the virtual machine at arrival
 // time `at`, returning the ticket.  A positive energy budget overrides
-// the objective per query the way RunUnderBudget does.  Plan failures
-// settle the ticket synchronously (Rejected + Err), as do queue-depth
-// rejections; call React after the last offer of an instant.
+// the objective per query (Figure 2 as an API): the fastest plan whose
+// energy estimate fits wins, the most frugal when none fits, and the
+// ticket carries the decision.  Plan failures settle the ticket
+// synchronously (Rejected + Err), as do queue-depth rejections; call
+// React after the last offer of an instant.
 func (l *Loop) Offer(at time.Duration, q *opt.Query, obj opt.Objective, budget energy.Joules) *Ticket {
-	id := l.nextID
-	return l.offer(id, at, q, obj, budget)
-}
-
-// offer is Offer with an explicit ticket ID (Drain replays submissions
-// whose IDs were assigned at Submit time).  IDs must be unique.
-func (l *Loop) offer(id int, at time.Duration, q *opt.Query, obj opt.Objective, budget energy.Joules) *Ticket {
-	if id >= l.nextID {
-		l.nextID = id + 1
+	if budget <= 0 {
+		node, info, err := l.e.cat.Plan(q, l.e.cm, obj)
+		return l.offerRead(at, node, info, obj, err)
 	}
-	e := l.e
-	var node exec.Node
-	var info *opt.PlanInfo
-	var err error
-	if budget > 0 {
-		var pick int
-		pick, _, node, info, err = e.resolveObjective(q, budget)
-		obj = budgetObjectives[pick]
-	} else {
-		node, info, err = e.cat.Plan(q, e.cm, obj)
-	}
+	dec, node, info, err := l.e.resolveObjective(q, budget)
 	if err != nil {
-		// A submission that cannot plan fails alone; the loop keeps
-		// serving.
-		t := &Ticket{Lease: exec.NewLease(1), done: true}
-		t.ID = id
-		t.Rejected = true
-		t.Err = fmt.Errorf("core: submission %d: %w", id, err)
-		l.register(t)
-		return t
+		return l.offerRead(at, nil, nil, obj, err)
 	}
-	return l.offerPlanned(id, at, node, info, obj)
+	t := l.offerRead(at, node, info, dec.Chosen, nil)
+	t.Decision = dec
+	return t
 }
 
 // OfferPlanned submits an already-planned query — the entry point for a
@@ -164,32 +154,16 @@ func (l *Loop) offer(id int, at time.Duration, q *opt.Query, obj opt.Objective, 
 // back many tickets, but the loop executes at most one group at a time,
 // never a node concurrently with itself.
 func (l *Loop) OfferPlanned(at time.Duration, node exec.Node, info *opt.PlanInfo, obj opt.Objective) *Ticket {
-	return l.offerPlanned(l.nextID, at, node, info, obj)
+	return l.offerRead(at, node, info, obj, nil)
 }
 
-func (l *Loop) offerPlanned(id int, at time.Duration, node exec.Node, info *opt.PlanInfo, obj opt.Objective) *Ticket {
-	if id >= l.nextID {
-		l.nextID = id + 1
-	}
-	t := &Ticket{Lease: exec.NewLease(1), node: node, SnapTS: l.e.txm.SnapshotTS()}
-	t.ID = id
-	t.Objective = obj
-	t.PlanInfo = info
-	l.register(t)
-	// The snapshot is part of the share key: a lookalike admitted after
-	// an intervening commit reads different data and must not ride.
-	s := l.mq.Offer(sched.Task{
-		Seq:      id,
-		Arrival:  at,
-		Work:     info.Est.Work,
-		ShareKey: fmt.Sprintf("%d|%d|%s", obj, t.SnapTS, info.ShareSig),
-		Goal:     goalOf(obj),
-	})
-	if s.Rejected {
-		t.Rejected = true
-		t.done = true
-	}
-	return t
+// offerRead admits a read at the current commit snapshot.  The snapshot
+// is part of the share key: a lookalike admitted after an intervening
+// commit reads different data and must not ride.
+func (l *Loop) offerRead(at time.Duration, node exec.Node, info *opt.PlanInfo, obj opt.Objective, planErr error) *Ticket {
+	t := &Ticket{node: node, SnapTS: l.e.txm.SnapshotTS()}
+	t.Objective, t.PlanInfo = obj, info
+	return l.admit(at, t, strconv.FormatInt(t.SnapTS, 10), planErr)
 }
 
 // OfferMerge plans the delta merge of a table and submits it as a
@@ -198,62 +172,79 @@ func (l *Loop) offerPlanned(id int, at time.Duration, node exec.Node, info *opt.
 // the dispatcher defers it while any foreground query waits and races it
 // to idle on an empty queue.  The merge horizon (oldest live snapshot)
 // is resolved at execution time, so readers admitted before the merge
-// runs keep their consistent view.
+// runs keep their consistent view.  Compaction changes the physical
+// layout, so the ticket's hook re-derives the table's statistics.
 func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
-	e := l.e
-	id := l.nextID
-	l.nextID = id + 1
-	node, info, err := opt.PlanMerge(e.cat, e.cm, table, l.oldestLiveSnap)
-	if err != nil {
-		t := &Ticket{Lease: exec.NewLease(1), done: true, IsMerge: true, MergeTable: table}
-		t.ID = id
-		t.Rejected = true
-		t.Err = fmt.Errorf("core: merge submission %d: %w", id, err)
-		l.register(t)
+	return l.offerMaintenance(at, table, "merge", opt.PlanMerge, l.e.cat.RefreshStats)
+}
+
+// OfferRebalance plans the shard-narrowing rebalance of a sharded table
+// and submits it as a background task under min-energy — "rebalance as
+// a query", the same treatment OfferMerge gives the delta merge.  The
+// rebalance re-cuts the shards, so the ticket's hook refreshes zone
+// bounds and every per-shard statistic.
+func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
+	return l.offerMaintenance(at, table, "rebalance", opt.PlanRebalance, l.e.cat.RefreshSharded)
+}
+
+func (l *Loop) offerMaintenance(at time.Duration, table, kind string,
+	plan func(*opt.Catalog, *opt.CostModel, string, func() int64) (exec.Node, *opt.PlanInfo, error),
+	refresh func(string) error) *Ticket {
+	node, info, err := plan(l.e.cat, l.e.cm, table, l.oldestLiveSnap)
+	t := &Ticket{Table: table, node: node, after: refresh}
+	t.Objective, t.PlanInfo = opt.MinEnergy, info
+	return l.admit(at, t, kind, err)
+}
+
+// admit is the loop's one admission block: it numbers the ticket,
+// settles a plan failure on the spot (a submission that cannot plan
+// fails alone; the loop keeps serving), and otherwise offers the
+// ticket's task to the virtual machine, mirroring a queue-depth
+// rejection.  share is the middle of the share key — the snapshot for a
+// read, the kind for maintenance.
+func (l *Loop) admit(at time.Duration, t *Ticket, share string, planErr error) *Ticket {
+	t.ID = l.nextID
+	l.nextID++
+	t.Lease = exec.NewLease(1)
+	if planErr != nil {
+		t.Rejected, t.done = true, true
+		t.Err = fmt.Errorf("core: submission %d: %w", t.ID, planErr)
 		return t
 	}
-	t := &Ticket{Lease: exec.NewLease(1), node: node, IsMerge: true, MergeTable: table}
-	t.ID = id
-	t.Objective = opt.MinEnergy
-	t.PlanInfo = info
-	l.register(t)
-	s := l.mq.Offer(sched.Task{
-		Seq:        id,
-		Arrival:    at,
-		Work:       info.Est.Work,
-		ShareKey:   fmt.Sprintf("%d|merge|%s", opt.MinEnergy, info.ShareSig),
-		Goal:       sched.GoalEnergy,
-		MaxDOP:     1, // Merge is serial; extra cores would idle.
-		Background: true,
-	})
-	if s.Rejected {
-		t.Rejected = true
-		t.done = true
+	task := sched.Task{
+		Seq:      t.ID,
+		Arrival:  at,
+		Work:     t.PlanInfo.Est.Work,
+		ShareKey: fmt.Sprintf("%d|%s|%s", t.Objective, share, t.PlanInfo.ShareSig),
+		Goal:     goalOf(t.Objective),
+	}
+	if t.Table != "" {
+		// Maintenance is serial (extra cores would idle) and yields to
+		// foreground queries.
+		task.MaxDOP, task.Background = 1, true
+	}
+	t.sched = l.mq.Offer(task)
+	if t.sched.Rejected {
+		t.Rejected, t.done = true, true
+	} else {
+		l.live[t.ID] = t
 	}
 	return t
 }
 
-// oldestLiveSnap returns the oldest snapshot any unfinished read ticket
+// oldestLiveSnap returns the oldest snapshot any in-flight read ticket
 // holds — the merge horizon: tombstones at or below it are invisible to
 // every in-flight reader, so their rows may be compacted away.  Zero
 // (compact everything) when no reader is in flight.
 func (l *Loop) oldestLiveSnap() int64 {
 	var oldest int64
-	for _, id := range l.order {
-		t := l.tickets[id]
-		if t.done || t.IsMerge || t.IsRebalance || t.SnapTS <= 0 {
-			continue
-		}
-		if oldest == 0 || t.SnapTS < oldest {
+	//lint:allow determinism: a minimum over the in-flight set does not depend on visit order
+	for _, t := range l.live {
+		if t.SnapTS > 0 && (oldest == 0 || t.SnapTS < oldest) {
 			oldest = t.SnapTS
 		}
 	}
 	return oldest
-}
-
-func (l *Loop) register(t *Ticket) {
-	l.tickets[t.ID] = t
-	l.order = append(l.order, t.ID)
 }
 
 // React runs the post-arrival half of an event — dispatch plus budget
@@ -276,20 +267,22 @@ func (l *Loop) RunToIdle() []*Ticket {
 	return l.finalize(l.mq.RunToIdle())
 }
 
-// finalize turns scheduler completions into executed results: the first
-// non-canceled member runs the physical plan once at the group's widest
-// grant, and every other live member adopts the relation with the full
-// work attributed to it (the fleet meter's two books record the gap).
+// finalize turns scheduler completions into executed results and hands
+// the tickets over (the loop forgets them): the first non-canceled
+// member runs the physical plan once at the group's widest grant, and
+// every other live member adopts the relation with the full work
+// attributed to it (the fleet meter's two books record the gap).
 func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 	var out []*Ticket
 	e := l.e
 	for _, c := range cs {
+		group := len(out)
 		var runner *Ticket
 		for _, seq := range c.Members {
-			t := l.tickets[seq]
-			ts := l.mq.Sched(seq)
-			t.Start, t.Finish, t.Latency = ts.Start, ts.Finish, ts.Latency
-			t.DOP, t.GroupSize = ts.MaxDOP, ts.GroupSize
+			t := l.live[seq]
+			delete(l.live, seq)
+			t.Start, t.Finish, t.Latency = t.sched.Start, t.sched.Finish, t.sched.Latency
+			t.DOP, t.GroupSize = t.sched.MaxDOP, t.sched.GroupSize
 			t.Shared = seq != c.Leader
 			t.done = true
 			if runner == nil && !t.canceled {
@@ -303,15 +296,8 @@ func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 			ctx.Lease = runner.Lease
 			ctx.SnapTS = runner.SnapTS
 			rel, err := runner.node.Run(ctx)
-			if err == nil && runner.IsMerge {
-				// Compaction changed the physical layout; re-derive the
-				// stats the planner prices against.
-				err = e.cat.RefreshStats(runner.MergeTable)
-			}
-			if err == nil && runner.IsRebalance {
-				// The rebalance re-cut the shards; refresh zone bounds and
-				// every per-shard statistic.
-				err = e.cat.RefreshSharded(runner.RebalanceTable)
+			if err == nil && runner.after != nil {
+				err = runner.after(runner.Table)
 			}
 			if err != nil {
 				// An execution failure is isolated like a plan failure:
@@ -320,15 +306,13 @@ func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 			} else {
 				runner.Rel = rel
 				runner.Work = ctx.Meter.Snapshot()
-				bill := e.model.DynamicEnergy(runner.Work, e.cm.PState)
-				bill.Static = energy.StaticEnergy(e.cm.PState.Active, e.model.CPUTime(runner.Work, e.cm.PState))
-				runner.Energy = bill
+				runner.SimTime = ctx.SimTime
+				runner.Energy = e.bill(runner.Work, runner.SimTime)
 				l.fm.AddQuery(runner.Work)
 				e.meter.Add(runner.Work) // lifetime work counts physical, not billed
 			}
 		}
-		for _, seq := range c.Members {
-			t := l.tickets[seq]
+		for _, t := range out[group:] {
 			if t == runner {
 				continue
 			}
@@ -340,31 +324,24 @@ func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
 				t.Err = runner.Err
 				continue
 			}
-			t.Rel, t.Work, t.Energy = runner.Rel, runner.Work, runner.Energy
+			t.Rel, t.Work, t.SimTime, t.Energy = runner.Rel, runner.Work, runner.SimTime, runner.Energy
 			l.fm.AddSharedQuery(t.Work)
 		}
 	}
 	return out
 }
 
-// Report snapshots the loop into the same ScheduleReport Drain returns:
-// results by ticket ID, the fleet schedule, and the meter's two books.
-// It may be called repeatedly (a serving /stats endpoint) — the
-// lifetime meter is charged per execution, never here.
+// Report snapshots the fleet's books: the virtual-time schedule's
+// totals and the meter's two books.  It is O(1) in the loop's history
+// and may be called repeatedly (a serving /stats endpoint) — the
+// lifetime meter is charged per execution, never here.  Per-submission
+// results belong to whoever holds the tickets (see Replay).
 func (l *Loop) Report() *ScheduleReport {
-	fleet := l.mq.Result()
-	sort.Slice(fleet.Tasks, func(i, j int) bool { return fleet.Tasks[i].Seq < fleet.Tasks[j].Seq })
-	ids := append([]int(nil), l.order...)
-	sort.Ints(ids)
 	report := &ScheduleReport{
-		Results: make([]SubmissionResult, 0, len(ids)),
-		Fleet:   fleet,
+		Fleet:      l.mq.Result(),
+		Attributed: l.fm.Attributed(),
+		Physical:   l.fm.Physical(),
 	}
-	for _, id := range ids {
-		report.Results = append(report.Results, l.tickets[id].SubmissionResult)
-	}
-	report.Attributed = l.fm.Attributed()
-	report.Physical = l.fm.Physical()
 	report.FleetDynamic = l.e.model.DynamicEnergy(report.Physical, l.e.cm.PState).Total()
 	report.SavedDynamic = l.fm.SavedDynamic(l.e.model, l.e.cm.PState)
 	return report

@@ -8,15 +8,14 @@ import (
 	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/sched"
-	"repro/internal/sql"
 )
 
-// Multi-query serving: Engine.Submit enqueues queries with open-loop
-// arrival offsets, Engine.Drain runs the whole backlog through the
-// energy-aware multi-query scheduler (sched.MultiQ) — admission control,
+// Multi-query serving: a Loop runs queries through the energy-aware
+// multi-query scheduler (sched.Loop) — admission control,
 // shared-core-budget arbitration by the P-state DOP pricer, and
-// shared-scan batching of lookalike queries — then actually executes
-// each scheduled group once and hands every member its relation.
+// shared-scan batching of lookalike queries — executing each scheduled
+// group once and handing every member its relation.  Loop.Replay is the
+// open-loop backlog driver over it.
 //
 // Determinism contract (what E21 and the -race tests assert on the
 // 1-CPU CI box): for a fixed submission list, each query's relation and
@@ -26,20 +25,19 @@ import (
 // batching is only the fleet's schedule and physical energy — the
 // quantities the scheduler exists to improve.
 
-// Submission is one queued query.
+// Submission is one query of an open-loop backlog (see Loop.Replay).
 type Submission struct {
-	ID      int
 	Arrival time.Duration // open-loop arrival offset (virtual time)
 	Q       *opt.Query
 	// Objective the query is planned and scheduled under.
 	Objective opt.Objective
-	// EnergyBudget, when positive, overrides Objective per query the way
-	// RunUnderBudget does: the fastest plan whose energy estimate fits
-	// the budget wins (most frugal plan when none fits).
+	// EnergyBudget, when positive, overrides Objective per query (see
+	// Loop.Offer): the fastest plan whose energy estimate fits the
+	// budget wins (most frugal plan when none fits).
 	EnergyBudget energy.Joules
 }
 
-// SchedulerConfig parameterizes Drain.
+// SchedulerConfig parameterizes NewLoop.
 type SchedulerConfig struct {
 	Budget     int  // global core budget shared by all admitted queries
 	QueueDepth int  // max waiting query groups; 0 = unbounded
@@ -62,7 +60,8 @@ type SubmissionResult struct {
 	Err       error
 	Rel       *exec.Relation
 	Work      energy.Counters  // attributed (standalone) work counters
-	Energy    energy.Breakdown // modeled per-query energy of that work
+	SimTime   time.Duration    // simulated non-CPU time (links, disk) of the execution
+	Energy    energy.Breakdown // modeled per-query energy of that work and SimTime
 	Objective opt.Objective    // objective the plan ran under
 	Start     time.Duration    // virtual dispatch time
 	Finish    time.Duration
@@ -73,10 +72,15 @@ type SubmissionResult struct {
 	PlanInfo  *opt.PlanInfo
 }
 
-// ScheduleReport summarizes one Drain.
+// ScheduleReport is a loop's fleet books (Loop.Report); Replay adds the
+// per-submission view of the backlog it drove.
 type ScheduleReport struct {
-	Results []SubmissionResult // in submission order
-	Fleet   *sched.MQResult    // the virtual-time schedule
+	// Results, AvgLatency and P95Latency (over admitted submissions) are
+	// filled by Replay only: a loop does not keep settled tickets.
+	Results    []SubmissionResult // in submission order
+	AvgLatency time.Duration
+	P95Latency time.Duration
+	Fleet      *sched.MQResult // the virtual-time schedule's totals
 	// Attributed/Physical are the fleet meter's two books over the
 	// MEASURED counters: per-query bills vs work the machine performed
 	// (shared groups charged once).
@@ -97,35 +101,6 @@ func (r *ScheduleReport) EnergyPerQuery() energy.Joules {
 		return 0
 	}
 	return r.FleetEnergy() / energy.Joules(r.Fleet.Completed)
-}
-
-// Submit parses SQL and enqueues it at the given arrival offset under
-// the engine's current objective, returning the submission ID.
-func (e *Engine) Submit(arrival time.Duration, text string) (int, error) {
-	q, err := sql.Parse(text)
-	if err != nil {
-		return 0, err
-	}
-	return e.SubmitQuery(arrival, q, e.Objective(), 0), nil
-}
-
-// SubmitQuery enqueues an already-built logical query with its own
-// objective and optional per-query energy budget.
-func (e *Engine) SubmitQuery(arrival time.Duration, q *opt.Query, obj opt.Objective, budget energy.Joules) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := len(e.pending)
-	e.pending = append(e.pending, Submission{
-		ID: id, Arrival: arrival, Q: q, Objective: obj, EnergyBudget: budget,
-	})
-	return id
-}
-
-// Pending returns the number of queued submissions.
-func (e *Engine) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
 }
 
 // goalOf maps optimizer objectives onto scheduler goals.
@@ -156,39 +131,49 @@ func (e *Engine) residentGB() float64 {
 	return float64(bytes) / 1e9
 }
 
-// Drain schedules and executes every queued submission, clearing the
-// queue.  It is the batch wrapper over the incremental Loop: the
-// backlog is replayed through the online machine in arrival order
-// (ties by submission ID), each group executing exactly once with a
-// core lease at its granted width when it retires, and every member
-// gets the same relation with the full work attributed to it.
-func (e *Engine) Drain(cfg SchedulerConfig) (*ScheduleReport, error) {
-	e.mu.Lock()
-	subs := e.pending
-	e.pending = nil
-	e.mu.Unlock()
-
-	l := e.NewLoop(cfg)
-	order := make([]*Submission, len(subs))
-	for i := range subs {
-		order[i] = &subs[i]
+// Replay drives an open-loop backlog through the loop and drains it —
+// the arrival-replay driver behind E21 and eimdb-bench -replay.
+// Submissions are offered in arrival order (ties in slice order) with
+// the protocol every driver of the loop follows: advance to each
+// distinct arrival instant (finishes due at or before it retire first),
+// offer every submission of that instant, react once.  The report's
+// Results are in slice order, assembled from the tickets the offers
+// returned.
+func (l *Loop) Replay(subs []Submission) *ScheduleReport {
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
+	sort.SliceStable(order, func(i, j int) bool { return subs[order[i]].Arrival < subs[order[j]].Arrival })
+	tickets := make([]*Ticket, len(subs))
 	for ai := 0; ai < len(order); {
-		at := order[ai].Arrival
+		at := subs[order[ai]].Arrival
 		l.AdvanceTo(at)
-		for ai < len(order) && order[ai].Arrival == at {
-			s := order[ai]
-			l.offer(s.ID, at, s.Q, s.Objective, s.EnergyBudget)
-			ai++
+		for ; ai < len(order) && subs[order[ai]].Arrival == at; ai++ {
+			s := subs[order[ai]]
+			tickets[order[ai]] = l.Offer(at, s.Q, s.Objective, s.EnergyBudget)
 		}
 		l.React()
 	}
 	l.RunToIdle()
-	return l.Report(), nil
+
+	rep := l.Report()
+	rep.Results = make([]SubmissionResult, len(subs))
+	var lats []time.Duration
+	for i, t := range tickets {
+		rep.Results[i] = t.SubmissionResult
+		if !t.Rejected {
+			lats = append(lats, t.Latency)
+		}
+	}
+	if len(lats) > 0 {
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		var sum time.Duration
+		for _, lat := range lats {
+			sum += lat
+		}
+		rep.AvgLatency = sum / time.Duration(len(lats))
+		rep.P95Latency = lats[len(lats)*95/100]
+	}
+	return rep
 }

@@ -1,18 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/colstore"
-	"repro/internal/exec"
-	"repro/internal/opt"
-	"repro/internal/sched"
-)
+import "repro/internal/colstore"
 
 // Sharded-table support on the engine facade: cutting a loaded table
-// into value-range shards, rebalancing them as a background query, and
-// the per-statement shard bookkeeping of the write path (write.go).
+// into value-range shards and the per-statement shard bookkeeping of the
+// write path (write.go).  Rebalancing is a background query on the loop
+// (Loop.OfferRebalance).
 
 // ShardTable cuts a registered flat table into k equi-depth value-range
 // shards on shardCol and re-registers it as a sharded table (the flat
@@ -54,48 +47,6 @@ func (e *Engine) ShardTableAligned(name, shardCol, likeName string) (*colstore.S
 	}
 	e.cat.AddSharded(st)
 	return st, nil
-}
-
-// OfferRebalance plans the shard-narrowing rebalance of a sharded table
-// and submits it as a BACKGROUND task under min-energy — "rebalance as
-// a query", the same treatment OfferMerge gives the delta merge: it
-// passes through the same admission, pricing, and dispatch as user
-// queries, but the dispatcher defers it while any foreground query
-// waits and races it to idle on an empty queue.  The horizon (oldest
-// live snapshot) is resolved at execution time, so readers admitted
-// before the rebalance runs keep their consistent view.
-func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
-	e := l.e
-	id := l.nextID
-	l.nextID = id + 1
-	node, info, err := opt.PlanRebalance(e.cat, e.cm, table, l.oldestLiveSnap)
-	if err != nil {
-		t := &Ticket{Lease: exec.NewLease(1), done: true, IsRebalance: true, RebalanceTable: table}
-		t.ID = id
-		t.Rejected = true
-		t.Err = fmt.Errorf("core: rebalance submission %d: %w", id, err)
-		l.register(t)
-		return t
-	}
-	t := &Ticket{Lease: exec.NewLease(1), node: node, IsRebalance: true, RebalanceTable: table}
-	t.ID = id
-	t.Objective = opt.MinEnergy
-	t.PlanInfo = info
-	l.register(t)
-	s := l.mq.Offer(sched.Task{
-		Seq:        id,
-		Arrival:    at,
-		Work:       info.Est.Work,
-		ShareKey:   fmt.Sprintf("%d|rebalance|%s", opt.MinEnergy, info.ShareSig),
-		Goal:       sched.GoalEnergy,
-		MaxDOP:     1, // Rebalance is serial; extra cores would idle.
-		Background: true,
-	})
-	if s.Rejected {
-		t.Rejected = true
-		t.done = true
-	}
-	return t
 }
 
 // shardTouch records, per shard index, the key values one statement

@@ -146,9 +146,7 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	res.Flushed = info.Flushed
 	res.Latency = info.Latency
 	res.Work = work
-	b := e.model.DynamicEnergy(work, e.cm.PState)
-	b.Static = energy.StaticEnergy(e.cm.PState.Active, e.model.CPUTime(work, e.cm.PState))
-	res.Energy = b
+	res.Energy = e.bill(work, 0)
 	// Keep planner estimates (and with them admission pricing) tracking
 	// the table the statement just changed.  Sharded tables refresh only
 	// what the statement touched: zone bounds widen in O(1) per routed

@@ -63,7 +63,7 @@ func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 	for _, dop := range []int{1, 2, 4, 8} {
 		ctx := NewCtx()
 		ctx.SnapTS = snap
-		ctx.Parallelism = dop
+		ctx.Lease = NewLease(dop)
 		rel, err := (&Scan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
 		must(t, err)
 		if !reflect.DeepEqual(rel, base.rel) {

@@ -183,7 +183,7 @@ func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, do
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
-	ctx.Parallelism = dop
+	ctx.Lease = NewLease(dop)
 	var child Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds}
 	if unfused {
 		child = opaque(child)
@@ -440,7 +440,7 @@ func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, 
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
-	ctx.Parallelism = dop
+	ctx.Lease = NewLease(dop)
 	var left Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
 	if unfused {
 		left = opaque(left)

@@ -13,15 +13,15 @@ import (
 var ErrCanceled = errors.New("exec: query canceled")
 
 // Lease is a revocable grant of cores to one running query — the handle
-// through which the multi-query scheduler (internal/sched.MultiQ, driven
-// by core.Engine.Drain) arbitrates its shared core budget while queries
-// run.  The scheduler resizes the grant as queries enter and leave the
-// machine; the query's worker pool observes the new width the next time
-// it claims work.  Because the morsel grid is a function of the input
-// alone (never of the worker count), resizing mid-query changes only how
-// many workers claim morsels — results and charged counters stay
-// byte-identical at every grant, which is what makes the lease safe to
-// revoke at any moment.
+// through which the multi-query scheduler (internal/sched.Loop, driven
+// by core.Loop) arbitrates its shared core budget while queries run, and
+// the only way an exec.Ctx is told its width.  The scheduler resizes the
+// grant as queries enter and leave the machine; the query's worker pool
+// observes the new width the next time it claims work.  Because the
+// morsel grid is a function of the input alone (never of the worker
+// count), resizing mid-query changes only how many workers claim morsels
+// — results and charged counters stay byte-identical at every grant,
+// which is what makes the lease safe to revoke at any moment.
 //
 // A Lease is safe for concurrent use: the scheduler goroutine resizes or
 // cancels it while worker goroutines read it.

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/colstore"
@@ -59,17 +60,16 @@ func TestLeaseGrantClamps(t *testing.T) {
 	}
 }
 
-// TestCtxLeaseOverridesParallelism pins the DOP precedence: lease grant
-// over Parallelism over GOMAXPROCS.
-func TestCtxLeaseOverridesParallelism(t *testing.T) {
+// TestCtxDOPIsLeaseOrGOMAXPROCS pins the one width rule: the lease's
+// grant when a lease is attached, GOMAXPROCS otherwise.
+func TestCtxDOPIsLeaseOrGOMAXPROCS(t *testing.T) {
 	ctx := NewCtx()
-	ctx.Parallelism = 3
-	if got := ctx.DOP(); got != 3 {
-		t.Fatalf("Parallelism ignored: DOP=%d", got)
+	if got := ctx.DOP(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("unleased ctx: DOP=%d, want GOMAXPROCS", got)
 	}
 	ctx.Lease = NewLease(7)
 	if got := ctx.DOP(); got != 7 {
-		t.Fatalf("lease must override Parallelism: DOP=%d", got)
+		t.Fatalf("lease grant ignored: DOP=%d", got)
 	}
 	ctx.Lease.Resize(2)
 	if got := ctx.DOP(); got != 2 {
@@ -129,7 +129,7 @@ func TestScanCancelMidMorsel(t *testing.T) {
 
 // TestLeaseResizeMidQueryKeepsResults shrinks and regrows the grant
 // between operators of one query and asserts the relation and counters
-// match an unleased run — the contract that makes revocation safe.
+// match a one-core run — the contract that makes revocation safe.
 func TestLeaseResizeMidQueryKeepsResults(t *testing.T) {
 	tab := leaseTable(t, 2*MorselRows)
 	plan := func() *HashAgg {
@@ -142,7 +142,7 @@ func TestLeaseResizeMidQueryKeepsResults(t *testing.T) {
 	}
 
 	base := NewCtx()
-	base.Parallelism = 1
+	base.Lease = NewLease(1)
 	want, err := plan().Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestLeaseResizeMidQueryKeepsResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("leased run's relation differs from unleased run")
+		t.Fatal("leased run's relation differs from the one-core run")
 	}
 	if gw, ww := ctx.Meter.Snapshot(), base.Meter.Snapshot(); gw != ww {
 		t.Fatalf("leased run's counters differ: %+v vs %+v", gw, ww)

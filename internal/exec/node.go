@@ -18,15 +18,11 @@ import (
 type Ctx struct {
 	Meter   *energy.Meter // work accumulated by every operator
 	SimTime time.Duration // simulated non-CPU time (link, disk)
-	// Parallelism caps the worker count of parallel operators for this
-	// query (the degree of parallelism, DOP).  Zero or negative means
-	// GOMAXPROCS; the energy-aware chooser in internal/sched picks a
-	// value per query from the P-state cost model.
-	Parallelism int
-	// Lease, when set, overrides Parallelism with a revocable grant the
-	// multi-query scheduler resizes while the query runs.  Canceling the
-	// lease makes parallel operators stop at the next morsel boundary
-	// and return ErrCanceled.
+	// Lease is the query's core grant — the one way a Ctx is told its
+	// width (the degree of parallelism, DOP).  The scheduling loop resizes
+	// it while the query runs; canceling it makes parallel operators stop
+	// at the next morsel boundary and return ErrCanceled.  Nil means
+	// GOMAXPROCS, never canceled.
 	Lease *Lease
 	// SnapTS is the MVCC snapshot the query reads at: scans cover the row
 	// prefix committed at or before it and mask tombstones younger than
@@ -42,14 +38,10 @@ type Ctx struct {
 func NewCtx() *Ctx { return &Ctx{Meter: &energy.Meter{}} }
 
 // DOP returns the effective degree of parallelism for this query: the
-// lease's current grant when a lease is attached, else Parallelism when
-// set, otherwise GOMAXPROCS.
+// lease's current grant when a lease is attached, otherwise GOMAXPROCS.
 func (c *Ctx) DOP() int {
 	if c.Lease != nil {
 		return c.Lease.Grant()
-	}
-	if c.Parallelism > 0 {
-		return c.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -29,7 +29,7 @@ func opaque(n Node) Node { return struct{ Node }{n} }
 func runPlan(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 	t.Helper()
 	ctx := NewCtx()
-	ctx.Parallelism = dop
+	ctx.Lease = NewLease(dop)
 	rel, err := n.Run(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func intRel(name string, keys []int64) *Relation {
 func runJoin(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 	t.Helper()
 	ctx := NewCtx()
-	ctx.Parallelism = dop
+	ctx.Lease = NewLease(dop)
 	rel, err := n.Run(ctx)
 	must(t, err)
 	return rel, ctx

@@ -141,7 +141,7 @@ func runNodeArm(t testing.TB, node Node, snap int64, dop int) shardArm {
 	t.Helper()
 	ctx := NewCtx()
 	ctx.SnapTS = snap
-	ctx.Parallelism = dop
+	ctx.Lease = NewLease(dop)
 	rel, err := node.Run(ctx)
 	must(t, err)
 	return shardArm{rel, ctx.Meter.Snapshot()}

@@ -73,7 +73,7 @@ func E18Sweep(n int, dops []int) ([]E18Row, error) {
 	var baseWork energy.Counters
 	for i, dop := range dops {
 		ctx := exec.NewCtx()
-		ctx.Parallelism = dop
+		ctx.Lease = exec.NewLease(dop)
 		start := time.Now() //lint:allow determinism: wall-clock display column; the determinism contract covers relations and counters, never wall time
 		rel, err := plan.Run(ctx)
 		if err != nil {

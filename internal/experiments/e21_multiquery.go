@@ -38,27 +38,24 @@ type E21Row struct {
 	PhysBytes    uint64        // DRAM bytes the fleet physically streamed
 }
 
-// SubmitStorm queues nq point aggregations over Zipf-hot customers as
-// an open-loop Poisson process at the given offered QPS, all under
-// min-energy objectives (the goal the arbitrated arm prices cores
-// with).  The storm itself is workload.PointStorm — the one arrival
-// script E21, E22, the serving harness, and the eimdb-bench -replay
-// driver all share — so every driver reproduces the experiment's
-// workload shape.
-func SubmitStorm(e *core.Engine, nq int, qps, zipfS float64, nCust int, seed uint64) error {
-	for _, a := range workload.PointStorm(seed, nq, qps, zipfS, nCust).Arrivals {
+// Storm builds the backlog of nq point aggregations over Zipf-hot
+// customers arriving as an open-loop Poisson process at the given
+// offered QPS, all under min-energy objectives (the goal the arbitrated
+// arm prices cores with), ready for core.Loop.Replay.  The storm itself
+// is workload.PointStorm — the one arrival script E21, E22, the serving
+// harness, and the eimdb-bench -replay driver all share — so every
+// driver reproduces the experiment's workload shape.
+func Storm(nq int, qps, zipfS float64, nCust int, seed uint64) ([]core.Submission, error) {
+	arrivals := workload.PointStorm(seed, nq, qps, zipfS, nCust).Arrivals
+	subs := make([]core.Submission, len(arrivals))
+	for i, a := range arrivals {
 		q, err := sql.Parse(a.SQL)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		e.SubmitQuery(a.At, q, opt.MinEnergy, 0)
+		subs[i] = core.Submission{Arrival: a.At, Q: q, Objective: opt.MinEnergy}
 	}
-	return nil
-}
-
-// e21Storm is E21's fixed-parameter storm.
-func e21Storm(e *core.Engine, nq int, qps float64, nCust int) error {
-	return SubmitStorm(e, nq, qps, 1.3, nCust, 17)
+	return subs, nil
 }
 
 // E21Sweep replays the same open-loop storm through the naive arm (every
@@ -100,8 +97,8 @@ func E21Sweep(nRows, nQueries int, qps float64, budgets []int, arms ...string) (
 			Completed:    rep.Fleet.Completed,
 			SharedGroups: rep.Fleet.SharedGroups,
 			SharedTasks:  rep.Fleet.SharedTasks,
-			AvgLatency:   rep.Fleet.AvgLatency,
-			P95Latency:   rep.Fleet.P95Latency,
+			AvgLatency:   rep.AvgLatency,
+			P95Latency:   rep.P95Latency,
 			Makespan:     rep.Fleet.Makespan,
 			FleetJ:       rep.FleetEnergy(),
 			JPerQuery:    rep.EnergyPerQuery(),
@@ -110,24 +107,22 @@ func E21Sweep(nRows, nQueries int, qps float64, budgets []int, arms ...string) (
 		})
 		return nil
 	}
+	storm, err := Storm(nQueries, qps, 1.3, nCust, 17)
+	if err != nil {
+		return nil, err
+	}
 	for _, budget := range budgets {
 		for _, arm := range arms {
 			e, err := ordersEngine(nRows)
 			if err != nil {
 				return nil, err
 			}
-			if err := e21Storm(e, nQueries, qps, nCust); err != nil {
-				return nil, err
-			}
 			managed := arm == "managed"
-			rep, err := e.Drain(core.SchedulerConfig{
+			rep := e.NewLoop(core.SchedulerConfig{
 				Budget:     budget,
 				BatchScans: managed,
 				Arbitrate:  managed,
-			})
-			if err != nil {
-				return nil, err
-			}
+			}).Replay(storm)
 			if err := record(arm, budget, rep); err != nil {
 				return nil, err
 			}

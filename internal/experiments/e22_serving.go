@@ -98,7 +98,7 @@ func E22Sweep(nRows, nQueries int, qps float64, budgets []int) ([]E22Row, error)
 				}
 			}
 			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
 			var st e22Stats
 			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 				return nil, fmt.Errorf("experiments: E22 /stats: %w", err)

@@ -51,7 +51,7 @@ func e23Probe(e *core.Engine, dop int) (*exec.Relation, energy.Counters, error) 
 		return nil, energy.Counters{}, err
 	}
 	ctx := exec.NewCtx()
-	ctx.Parallelism = dop
+	ctx.Lease = exec.NewLease(dop)
 	ctx.SnapTS = e.SnapshotTS()
 	rel, err := node.Run(ctx)
 	if err != nil {

@@ -307,7 +307,7 @@ func E24Sweep(n int, dops []int) ([]E24Row, error) {
 			var baseWork energy.Counters
 			for i, dop := range dops {
 				ctx := exec.NewCtx()
-				ctx.Parallelism = dop
+				ctx.Lease = exec.NewLease(dop)
 				start := time.Now() //lint:allow determinism: wall-clock display column; the determinism contract covers relations and counters, never wall time
 				rel, err := node.Run(ctx)
 				if err != nil {

@@ -60,7 +60,7 @@ func e25Probe(e *core.Engine, qs string, dop int) (*exec.Relation, energy.Counte
 		return nil, energy.Counters{}, nil, err
 	}
 	ctx := exec.NewCtx()
-	ctx.Parallelism = dop
+	ctx.Lease = exec.NewLease(dop)
 	ctx.SnapTS = e.SnapshotTS()
 	rel, err := node.Run(ctx)
 	if err != nil {

@@ -162,6 +162,21 @@ func TestGoroutinesOnlyInPoolFuncs(t *testing.T) {
 	assertDiags(t, AnalyzerGoroutines().Run(u), want)
 }
 
+func TestLayeringFiresOnSeedImport(t *testing.T) {
+	l, p := loadFixture(t, "layering_bad")
+	seeds := []string{"container/list"}
+	u := fixtureUnit(l, Config{EnginePkgs: []string{p.ImportPath}, SeedPkgs: seeds}, p)
+	file := filepath.Join(p.Dir, "layer.go")
+	want := []string{
+		fmt.Sprintf("layer.go:%d layering", lineMatching(t, file, `"container/list"`)),
+	}
+	assertDiags(t, AnalyzerLayering().Run(u), want)
+
+	// The same import is nobody's business outside the engine packages.
+	u = fixtureUnit(l, Config{EnginePkgs: []string{"fixture/somewhere_else"}, SeedPkgs: seeds}, p)
+	assertDiags(t, AnalyzerLayering().Run(u), nil)
+}
+
 func TestHotPathFiresOnMaps(t *testing.T) {
 	l, p := loadFixture(t, "hotpath_bad")
 	u := fixtureUnit(l, Config{ExecPkgs: []string{p.ImportPath}}, p)

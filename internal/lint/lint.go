@@ -21,6 +21,9 @@
 //     leases and morsel-boundary cancellation (PR 5).
 //   - hotpath: the per-morsel join hot structs stay flat arrays, never Go
 //     maps (PR 4).
+//   - layering: the engine packages never import the experiment-only
+//     seed packages, so the engine's import graph shows only what serves
+//     queries (PR 13).
 //   - registrysync: the experiments registry, EXPERIMENTS.md, the root
 //     benchmarks, and the committed BENCH_*.json baselines must agree
 //     (PR 1/PR 3).
@@ -80,6 +83,11 @@ type Config struct {
 	// EnergyPkg is the package defining Counters/Meter/FleetMeter; it
 	// alone may write counter fields through stored structures.
 	EnergyPkg string
+	// EnginePkgs are the packages that serve queries; they (tests
+	// included) must not import any of SeedPkgs, the seed-era model
+	// packages only an experiment or example wires up.
+	EnginePkgs []string
+	SeedPkgs   []string
 	// RegistryPkg is the experiments package whose register() calls are
 	// the source of truth for E-ids; empty disables registrysync.
 	RegistryPkg string
@@ -113,7 +121,18 @@ func DefaultConfig() Config {
 			"repro/internal/exec":     {"partChunk", "pairChunk", "joinTable", "fusedAggTable", "seqMerger"},
 			"repro/internal/colstore": {"ShardBound"},
 		},
-		EnergyPkg:   "repro/internal/energy",
+		EnergyPkg: "repro/internal/energy",
+		EnginePkgs: []string{
+			"repro/internal/core", "repro/internal/exec", "repro/internal/opt",
+			"repro/internal/colstore", "repro/internal/sched", "repro/internal/server",
+			"repro/internal/txn", "repro/internal/wal", "repro/internal/sql",
+			"repro/internal/vec", "repro/internal/compress", "repro/internal/energy",
+		},
+		SeedPkgs: []string{
+			"repro/internal/hier", "repro/internal/xpu", "repro/internal/cluster",
+			"repro/internal/robust", "repro/internal/conversation", "repro/internal/numa",
+			"repro/internal/schema", "repro/internal/dist",
+		},
 		RegistryPkg: "repro/internal/experiments",
 		RootPkg:     "repro",
 	}
@@ -181,6 +200,7 @@ func All() []Analyzer {
 		AnalyzerMeterDiscipline(),
 		AnalyzerGoroutines(),
 		AnalyzerHotPath(),
+		AnalyzerLayering(),
 		AnalyzerRegistrySync(),
 		AnalyzerSuppress(),
 	}

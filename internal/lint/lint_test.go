@@ -1,7 +1,7 @@
 package lint
 
 // TestRepoSatisfiesInvariants is the suite's own tier-1 gate: it loads
-// every package in this repository and runs all six analyzers, so `go
+// every package in this repository and runs every analyzer, so `go
 // test ./...` fails the moment a determinism or energy-accounting
 // invariant regresses — the same run `cmd/eimdb-lint ./...` performs in
 // the CI lint job.
@@ -40,6 +40,8 @@ func TestDefaultConfigPackagesExist(t *testing.T) {
 	var paths []string
 	paths = append(paths, u.Config.DetPkgs...)
 	paths = append(paths, u.Config.ExecPkgs...)
+	paths = append(paths, u.Config.EnginePkgs...)
+	paths = append(paths, u.Config.SeedPkgs...)
 	paths = append(paths, u.Config.EnergyPkg, u.Config.RegistryPkg, u.Config.RootPkg)
 	for _, path := range paths {
 		if u.Pkg(path) == nil {

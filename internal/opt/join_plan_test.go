@@ -304,7 +304,7 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := exec.NewCtx()
-		ctx.Parallelism = 2
+		ctx.Lease = exec.NewLease(2)
 		rel, err := node.Run(ctx)
 		if err != nil {
 			t.Fatal(err)

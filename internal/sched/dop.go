@@ -26,7 +26,7 @@ import (
 const SerialFraction = 0.05
 
 // amdahl returns the wall-clock factor per serial-equivalent second at
-// degree d.  PriceDOP prices candidate grants with it and MultiQ
+// degree d.  PriceDOP prices candidate grants with it and Loop
 // integrates running-query progress with it — one formula, so the
 // marginal-core gains the arbiter acts on always match the progress its
 // virtual clock simulates.
@@ -85,21 +85,4 @@ func SweepDOP(m *energy.Model, w energy.Counters, p energy.PState, maxDOP int, m
 		points = append(points, PriceDOP(m, w, p, d, maxDOP, memGB))
 	}
 	return points
-}
-
-// ChooseDOP picks the worker count for a query from the swept candidates
-// under a figure of merit: better(a, b) reports whether a beats b (the
-// optimizer objectives map onto min-time, min-energy, and min-EDP
-// comparators).  Ties keep the lower DOP — fewer cores to wake.
-func ChooseDOP(points []DOPPoint, better func(a, b DOPPoint) bool) DOPPoint {
-	if len(points) == 0 {
-		return DOPPoint{DOP: 1}
-	}
-	best := points[0]
-	for _, cand := range points[1:] {
-		if better(cand, best) {
-			best = cand
-		}
-	}
-	return best
 }

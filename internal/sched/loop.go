@@ -2,20 +2,21 @@ package sched
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/energy"
 )
 
-// Loop is the incremental form of MultiQ: the same deterministic
-// discrete-event machine, exposed one event at a time so an online
-// caller (the serving front end) can interleave arrivals, virtual-time
-// advancement, and completions instead of handing over a prebuilt
-// submission list.  MultiQ itself is now a batch wrapper over Loop, so
-// the two entry points cannot drift apart.
+// Loop is the multi-query scheduler: a deterministic discrete-event
+// machine over the energy model's virtual time, exposed one event at a
+// time so a caller (core.Loop, under the serving front end or a replay
+// driver) interleaves arrivals, virtual-time advancement, and
+// completions.  Queries pass admission control into a FCFS run queue,
+// lookalikes waiting there batch into shared-scan groups, and the
+// P-state DOP pricer re-divides the core budget across the running set
+// every time a query enters or leaves the machine.
 //
-// The protocol mirrors the batch loop's event order exactly:
+// The protocol, per arrival instant:
 //
 //	l := NewLoop(cfg)
 //	l.AdvanceTo(t)   // retire every group finishing at or before t
@@ -25,24 +26,27 @@ import (
 //
 // AdvanceTo processes finish events in virtual-time order, re-pricing
 // the survivors after each departure, which is why finishes at exactly
-// time t retire before an arrival at t is offered — the same
-// "finish ties beat arrivals" rule the batch loop encodes by advancing
-// to min(finish, arrival) with the arrival winning only when strictly
-// earlier.
+// time t retire before an arrival at t is offered ("finish ties beat
+// arrivals").
 //
 // Determinism contract: every decision is a function of the offered
 // tasks and the config alone — virtual time, sequence-number
-// tie-breaks, and slice-ordered (never map-ordered) state.  Loop is not
-// goroutine-safe; the server serializes access under its own mutex.
+// tie-breaks, and slice-ordered (never map-ordered) state.  Execution of
+// the scheduled queries (core.Loop) is DOP-invariant, so relations and
+// per-query counters are also invariant across core budgets; on the
+// 1-CPU CI machine that invariance — never wall-clock speedup — is what
+// the tests assert.  Loop is not goroutine-safe; the server serializes
+// access under its own mutex.
+//
+// The loop holds state only for tasks still in the machine: a task's
+// TaskSchedule belongs to whoever Offer returned it to, so a long-lived
+// server's memory and Result cost do not grow with history.
 type Loop struct {
 	cfg MQConfig
 
 	queue   []*group
 	running []*group
 	now     float64 // virtual seconds
-
-	order  []int // seqs in offer order (the report order)
-	scheds map[int]*TaskSchedule
 
 	static       energy.Joules
 	fleetDyn     energy.Joules
@@ -51,7 +55,6 @@ type Loop struct {
 	rejected     int
 	sharedGroups int
 	sharedTasks  int
-	lats         []time.Duration
 }
 
 // Completion reports one group retiring from the machine: one physical
@@ -63,11 +66,9 @@ type Completion struct {
 }
 
 // NewLoop returns an empty machine.  A non-positive core budget admits
-// nothing: every offered task is rejected and virtual time never moves,
-// matching MultiQ's zero-budget contract (no static energy accrues).
-func NewLoop(cfg MQConfig) *Loop {
-	return &Loop{cfg: cfg, scheds: make(map[int]*TaskSchedule)}
-}
+// nothing: every offered task is rejected and virtual time never moves
+// (no static energy accrues).
+func NewLoop(cfg MQConfig) *Loop { return &Loop{cfg: cfg} }
 
 // Now returns the loop's current virtual time.
 func (l *Loop) Now() time.Duration { return time.Duration(l.now * float64(time.Second)) }
@@ -81,22 +82,18 @@ func (l *Loop) Running() int { return len(l.running) }
 
 // Offer submits one task at the loop's current virtual time: shared-scan
 // batching against the waiting queue first, then queue-depth admission
-// control.  Rejection is synchronous — the returned schedule (live until
-// the next event mutates it; Result copies) has Rejected set before
-// Offer returns, so a server can answer 429 immediately.  Seqs must be
-// unique across the loop's lifetime.  Call React after the last offer of
-// an instant to let the dispatcher and the budget arbiter respond.
+// control.  Rejection is synchronous — the returned schedule has
+// Rejected set before Offer returns, so a server can answer 429
+// immediately; its other fields settle when the task's group retires.
+// Seqs must be unique among the tasks in the machine.  Call React after
+// the last offer of an instant to let the dispatcher and the budget
+// arbiter respond.
 func (l *Loop) Offer(t Task) *TaskSchedule {
 	s := &TaskSchedule{Seq: t.Seq, Leader: t.Seq, GroupSize: 1}
-	l.order = append(l.order, t.Seq)
-	l.scheds[t.Seq] = s
-	if l.cfg.Budget <= 0 {
+	if l.cfg.Budget <= 0 || !l.admit(&member{Task: t, sched: s}) {
 		s.Rejected = true
 		l.rejected++
-		return s
 	}
-	tt := t
-	l.admit(&tt)
 	return s
 }
 
@@ -181,39 +178,19 @@ func (l *Loop) Backlog() time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Sched returns the live schedule of a previously offered task (nil for
-// unknown seqs).  Fields settle when the task completes or is rejected.
-func (l *Loop) Sched(seq int) *TaskSchedule { return l.scheds[seq] }
-
-// Result snapshots the schedule so far: tasks in offer order, latency
-// stats over completed tasks, and the energy books.  Makespan is the
+// Result snapshots the fleet books so far in O(1).  Makespan is the
 // loop's current virtual time.
 func (l *Loop) Result() *MQResult {
-	res := &MQResult{
-		Tasks:             make([]TaskSchedule, 0, len(l.order)),
+	return &MQResult{
 		Completed:         l.completed,
 		Rejected:          l.rejected,
-		Makespan:          time.Duration(l.now * float64(time.Second)),
+		Makespan:          l.Now(),
 		FleetDynamic:      l.fleetDyn,
 		AttributedDynamic: l.attrDyn,
 		Static:            l.static,
 		SharedGroups:      l.sharedGroups,
 		SharedTasks:       l.sharedTasks,
 	}
-	for _, seq := range l.order {
-		res.Tasks = append(res.Tasks, *l.scheds[seq])
-	}
-	if len(l.lats) > 0 {
-		lats := append([]time.Duration(nil), l.lats...)
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var sum time.Duration
-		for _, lat := range lats {
-			sum += lat
-		}
-		res.AvgLatency = sum / time.Duration(len(lats))
-		res.P95Latency = lats[len(lats)*95/100]
-	}
-	return res
 }
 
 // nextFinish returns the earliest finish time over the running set
@@ -261,28 +238,26 @@ func (l *Loop) advance(t float64) {
 }
 
 // admit handles one arrival: batching first, then queue-depth admission
-// control.  Admission happens at arrival, before the dispatcher reacts,
-// so a burst larger than the queue rejects its tail even if cores are
-// free.
-func (l *Loop) admit(t *Task) {
+// control (false = rejected).  Admission happens at arrival, before the
+// dispatcher reacts, so a burst larger than the queue rejects its tail
+// even if cores are free.
+func (l *Loop) admit(t *member) bool {
 	if l.cfg.BatchScans && t.ShareKey != "" {
 		for _, g := range l.queue {
 			if g.leader.ShareKey == t.ShareKey {
 				g.members = append(g.members, t)
-				return
+				return true
 			}
 		}
 	}
 	if l.cfg.QueueDepth > 0 && len(l.queue) >= l.cfg.QueueDepth {
-		s := l.scheds[t.Seq]
-		s.Rejected = true
-		l.rejected++
-		return
+		return false
 	}
 	m, p := l.cfg.Model, l.cfg.PState
 	cpu := m.CPUTime(t.Work, p).Seconds()
-	l.queue = append(l.queue, &group{leader: t, members: []*Task{t},
+	l.queue = append(l.queue, &group{leader: t, members: []*member{t},
 		arrival: t.Arrival, cpu1: cpu, remain: cpu})
+	return true
 }
 
 // dispatch pops FCFS groups while run slots remain (one slot total in
@@ -351,14 +326,14 @@ func (l *Loop) reallocate() {
 	// (unit-free), so a min-time query's seconds and a min-energy
 	// query's joules are commensurable in the auction; positive
 	// relative gain iff the marginal core helps at all.
-	better := func(t *Task, a, b DOPPoint) float64 {
+	better := func(goal Goal, a, b DOPPoint) float64 {
 		frac := func(next, cur float64) float64 {
 			if cur <= 0 {
 				return 0
 			}
 			return (cur - next) / cur
 		}
-		switch t.Goal {
+		switch goal {
 		case GoalEnergy:
 			return frac(float64(a.Energy), float64(b.Energy))
 		case GoalEDP:
@@ -375,7 +350,7 @@ func (l *Loop) reallocate() {
 				continue
 			}
 			// points[d-1] prices DOP d; gain of moving d -> d+1.
-			gain := better(g.leader, cands[i].points[g.dop], cands[i].points[g.dop-1])
+			gain := better(g.leader.Goal, cands[i].points[g.dop], cands[i].points[g.dop-1])
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}
@@ -416,14 +391,13 @@ func (l *Loop) complete() []Completion {
 		}
 		c := Completion{Leader: g.leader.Seq, Finish: finish}
 		for _, t := range g.members {
-			s := l.scheds[t.Seq]
+			s := t.sched
 			s.Leader = g.leader.Seq
 			s.GroupSize = len(g.members)
 			s.Start = g.start
 			s.Finish = finish
 			s.Latency = finish - t.Arrival
 			s.MaxDOP = g.maxDOP
-			l.lats = append(l.lats, s.Latency)
 			l.completed++
 			c.Members = append(c.Members, t.Seq)
 		}

@@ -1,34 +1,17 @@
 package sched
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/energy"
 )
 
-// Multi-query scheduling: the first cross-query control layer.  Where
-// Simulate (E1/E5) prices whole machines under fixed policies and
-// PriceDOP prices one query's worker count, MultiQ arbitrates a shared
-// global core budget across *concurrent* queries — the regime where
-// energy-proportional scheduling actually pays off.  It is a
-// deterministic discrete-event simulation over the energy model's
-// virtual time: queries arrive from an open-loop process, pass admission
-// control into a FCFS run queue, and the P-state DOP pricer re-divides
-// the core budget across the running set every time a query enters or
-// leaves the machine.  Lookalike queries waiting in the queue batch into
-// shared-scan groups (grouped by plan signature) so a storm of identical
-// point queries streams each segment once and pays its dynamic energy
-// once.
-//
-// Determinism contract: every decision is a function of the submitted
-// tasks and the config alone — virtual time, sequence-number tie-breaks,
-// and slice-ordered (never map-ordered) state.  Two runs of the same
-// task list produce identical schedules; the actual execution of the
-// scheduled queries (core.Engine.Drain) is DOP-invariant, so relations
-// and per-query counters are also invariant across core-budget settings.
-// On the 1-CPU CI machine that invariance — never wall-clock speedup —
-// is what the tests assert.
+// The multi-query scheduler's vocabulary: the tasks Loop is offered, its
+// configuration, and what it reports.  Where Simulate (E1/E5) prices
+// whole machines under fixed policies and PriceDOP prices one query's
+// worker count, Loop arbitrates a shared global core budget across
+// *concurrent* queries — the regime where energy-proportional scheduling
+// actually pays off.
 
 // Goal is a per-query scheduling objective, mirroring the optimizer
 // objectives without importing them: it decides whether a marginal core
@@ -82,7 +65,7 @@ type Task struct {
 	Background bool
 }
 
-// MQConfig parameterizes a MultiQ run.
+// MQConfig parameterizes a Loop.
 type MQConfig struct {
 	// Budget is the global core budget the running set shares.  Zero or
 	// negative admits nothing: every task is rejected.
@@ -117,14 +100,11 @@ type TaskSchedule struct {
 	MaxDOP    int           // widest core grant the task's group held
 }
 
-// MQResult summarizes a multi-query schedule.
+// MQResult is the fleet's books over everything a Loop has scheduled.
 type MQResult struct {
-	Tasks      []TaskSchedule // by submission order
-	Completed  int
-	Rejected   int
-	Makespan   time.Duration
-	AvgLatency time.Duration
-	P95Latency time.Duration
+	Completed int
+	Rejected  int
+	Makespan  time.Duration
 	// FleetDynamic is the dynamic energy physically spent: shared-scan
 	// groups charge their work once.  AttributedDynamic is the sum of
 	// every task's standalone dynamic energy — the fleet's bill had no
@@ -151,11 +131,17 @@ func (r *MQResult) EnergyPerQuery() energy.Joules {
 	return r.FleetEnergy() / energy.Joules(r.Completed)
 }
 
+// member is one admitted task with the schedule record its offerer holds.
+type member struct {
+	Task
+	sched *TaskSchedule
+}
+
 // group is the scheduler's unit of dispatch: one or more lookalike tasks
 // sharing a single physical execution.
 type group struct {
-	leader  *Task
-	members []*Task // leader first, then riders in seq order
+	leader  *member
+	members []*member // leader first, then riders in admission order
 	arrival time.Duration
 
 	cpu1   float64 // full serial CPU seconds of the work at the P-state
@@ -191,42 +177,4 @@ func (g *group) remainWork() energy.Counters {
 		f = 0
 	}
 	return g.leader.Work.Scale(f)
-}
-
-// MultiQ runs the submitted tasks through the configured machine and
-// returns the deterministic schedule.  Tasks may arrive in any order;
-// they are processed by (Arrival, Seq).  MultiQ is the batch wrapper
-// over Loop: it advances to each distinct arrival instant (letting any
-// finish due at or before it retire first), offers every task of that
-// instant, reacts once, and drains the machine when arrivals run out —
-// exactly the event order the original one-shot loop produced.
-func MultiQ(cfg MQConfig, tasks []Task) *MQResult {
-	order := make([]*Task, len(tasks))
-	for i := range tasks {
-		order[i] = &tasks[i]
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].Seq < order[j].Seq
-	})
-	l := NewLoop(cfg)
-	for ai := 0; ai < len(order); {
-		at := order[ai].Arrival
-		l.AdvanceTo(at)
-		for ai < len(order) && order[ai].Arrival == at {
-			l.Offer(*order[ai])
-			ai++
-		}
-		l.React()
-	}
-	l.RunToIdle()
-	res := l.Result()
-	// The report lists tasks by submission order, not arrival order.
-	res.Tasks = make([]TaskSchedule, len(tasks))
-	for i := range tasks {
-		res.Tasks[i] = *l.Sched(tasks[i].Seq)
-	}
-	return res
 }

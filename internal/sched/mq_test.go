@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -42,11 +43,52 @@ func poissonTasks(seed uint64, n int, rate float64, goal Goal, shareEvery int) [
 	return tasks
 }
 
+// mqRun is one task list's schedule: the fleet books plus every task's
+// record, by submission order.
+type mqRun struct {
+	*MQResult
+	Tasks []TaskSchedule
+}
+
+// runTasks replays a task list through a Loop the way every driver
+// does: by (Arrival, Seq), advance to each distinct arrival instant
+// (finishes due at or before it retire first), offer every task of that
+// instant, react once, and drain the machine when arrivals run out.
+func runTasks(cfg MQConfig, tasks []Task) mqRun {
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := tasks[order[i]], tasks[order[j]]
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
+		}
+		return a.Seq < b.Seq
+	})
+	l := NewLoop(cfg)
+	scheds := make([]*TaskSchedule, len(tasks))
+	for ai := 0; ai < len(order); {
+		at := tasks[order[ai]].Arrival
+		l.AdvanceTo(at)
+		for ; ai < len(order) && tasks[order[ai]].Arrival == at; ai++ {
+			scheds[order[ai]] = l.Offer(tasks[order[ai]])
+		}
+		l.React()
+	}
+	l.RunToIdle()
+	run := mqRun{MQResult: l.Result(), Tasks: make([]TaskSchedule, len(tasks))}
+	for i, s := range scheds {
+		run.Tasks[i] = *s
+	}
+	return run
+}
+
 // TestMQZeroBudgetRejectsAll pins the zero-core admission edge: nothing
 // can run, so everything is rejected and the result stays well-formed.
 func TestMQZeroBudgetRejectsAll(t *testing.T) {
 	tasks := poissonTasks(1, 8, 500, GoalTime, 0)
-	res := MultiQ(mqConfig(0), tasks)
+	res := runTasks(mqConfig(0), tasks)
 	if res.Rejected != len(tasks) || res.Completed != 0 {
 		t.Fatalf("zero budget: want all rejected, got completed=%d rejected=%d", res.Completed, res.Rejected)
 	}
@@ -64,7 +106,7 @@ func TestMQZeroBudgetRejectsAll(t *testing.T) {
 // the whole budget (every marginal core shortens it).
 func TestMQSingleQueryTakesAllCores(t *testing.T) {
 	tasks := []Task{{Seq: 0, Work: mqWork(), Goal: GoalTime}}
-	res := MultiQ(mqConfig(8), tasks)
+	res := runTasks(mqConfig(8), tasks)
 	if res.Completed != 1 {
 		t.Fatalf("completed=%d", res.Completed)
 	}
@@ -78,7 +120,7 @@ func TestMQSingleQueryTakesAllCores(t *testing.T) {
 // even though the machine is otherwise empty.
 func TestMQEnergyGoalInteriorDOP(t *testing.T) {
 	tasks := []Task{{Seq: 0, Work: mqWork(), Goal: GoalEnergy}}
-	res := MultiQ(mqConfig(8), tasks)
+	res := runTasks(mqConfig(8), tasks)
 	got := res.Tasks[0].MaxDOP
 	if got <= 1 || got >= 8 {
 		t.Fatalf("min-energy optimum must be interior (1 < dop < 8), got %d", got)
@@ -86,7 +128,7 @@ func TestMQEnergyGoalInteriorDOP(t *testing.T) {
 	// And it must agree with the standalone pricer.
 	cfg := mqConfig(8)
 	pts := SweepDOP(cfg.Model, mqWork(), cfg.PState, 8, cfg.MemGB)
-	want := ChooseDOP(pts, func(a, b DOPPoint) bool { return a.Energy < b.Energy }).DOP
+	want := bestDOP(pts, func(a, b DOPPoint) bool { return a.Energy < b.Energy }).DOP
 	if got != want {
 		t.Fatalf("arbitration found dop %d, pricer says %d", got, want)
 	}
@@ -102,7 +144,7 @@ func TestMQBurstBeyondQueueDepth(t *testing.T) {
 	}
 	cfg := mqConfig(2)
 	cfg.QueueDepth = 4
-	res := MultiQ(cfg, tasks)
+	res := runTasks(cfg, tasks)
 	if res.Rejected != 6 || res.Completed != 4 {
 		t.Fatalf("depth-4 burst of 10: want 4 completed / 6 rejected, got %d / %d", res.Completed, res.Rejected)
 	}
@@ -124,7 +166,7 @@ func TestMQRepricingOnEntry(t *testing.T) {
 		{Seq: 0, Work: long, Goal: GoalTime},
 		{Seq: 1, Arrival: 100 * time.Microsecond, Work: mqWork(), Goal: GoalTime},
 	}
-	res := MultiQ(mqConfig(4), tasks)
+	res := runTasks(mqConfig(4), tasks)
 	if res.Completed != 2 {
 		t.Fatalf("completed=%d", res.Completed)
 	}
@@ -146,9 +188,9 @@ func TestMQSharedScanBatching(t *testing.T) {
 	tasks := poissonTasks(7, 60, 20_000, GoalEnergy, 3)
 	cfg := mqConfig(4)
 	cfg.BatchScans = true
-	batched := MultiQ(cfg, tasks)
+	batched := runTasks(cfg, tasks)
 	cfg.BatchScans = false
-	solo := MultiQ(cfg, tasks)
+	solo := runTasks(cfg, tasks)
 
 	if batched.SharedGroups == 0 || batched.SharedTasks == 0 {
 		t.Fatalf("storm formed no shared groups: %+v", batched)
@@ -175,7 +217,7 @@ func TestMQNaiveBaselineSerializes(t *testing.T) {
 	tasks := poissonTasks(3, 10, 50_000, GoalTime, 0)
 	cfg := mqConfig(4)
 	cfg.Arbitrate = false
-	res := MultiQ(cfg, tasks)
+	res := runTasks(cfg, tasks)
 	if res.Completed != len(tasks) {
 		t.Fatalf("completed=%d", res.Completed)
 	}
@@ -197,8 +239,8 @@ func TestMQDeterministic(t *testing.T) {
 		cfg.Arbitrate = arb
 		cfg.BatchScans = true
 		cfg.QueueDepth = 8
-		a := MultiQ(cfg, poissonTasks(11, 80, 5000, GoalEDP, 4))
-		b := MultiQ(cfg, poissonTasks(11, 80, 5000, GoalEDP, 4))
+		a := runTasks(cfg, poissonTasks(11, 80, 5000, GoalEDP, 4))
+		b := runTasks(cfg, poissonTasks(11, 80, 5000, GoalEDP, 4))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("schedule not deterministic (arbitrate=%v)", arb)
 		}
@@ -211,7 +253,7 @@ func TestMQLatencyAccounting(t *testing.T) {
 		{Seq: 0, Work: mqWork(), Goal: GoalTime},
 		{Seq: 1, Work: mqWork(), Goal: GoalTime},
 	}
-	res := MultiQ(mqConfig(1), tasks)
+	res := runTasks(mqConfig(1), tasks)
 	a, b := res.Tasks[0], res.Tasks[1]
 	if b.Start < a.Finish {
 		t.Fatal("budget 1 must serialize")

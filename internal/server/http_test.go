@@ -42,7 +42,7 @@ func startDriver(sc *SimClock) (stop func()) {
 
 func getStats(t *testing.T, base string) statsResponse {
 	t.Helper()
-	resp, err := http.Get(base + "/stats")
+	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestHTTPSmokePlanCacheHit(t *testing.T) {
 	stop := startDriver(sc)
 	defer stop()
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHTTPSmokePlanCacheHit(t *testing.T) {
 	const q = `{"sql":"SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = 9"}`
 	post := func() (*http.Response, queryResponse) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(q))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestHTTPQueueOverflow429(t *testing.T) {
 
 	post := func(key int) (*http.Response, string) {
 		body := fmt.Sprintf(`{"sql":"SELECT COUNT(*) FROM orders WHERE custkey = %d"}`, key)
-		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
 			return nil, ""
@@ -173,7 +173,7 @@ func TestHTTPClientBudget402(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	req, _ := http.NewRequest("POST", ts.URL+"/query",
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/query",
 		strings.NewReader(`{"sql":"SELECT COUNT(*) FROM orders WHERE custkey = 1"}`))
 	req.Header.Set("X-API-Key", "bob")
 	resp, err := http.DefaultClient.Do(req)

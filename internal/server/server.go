@@ -1,21 +1,17 @@
 // Package server is eimdb's online SQL serving front end: an HTTP/JSON
-// door onto core.Engine's incremental scheduling loop (core.Loop), the
-// piece that turns the one-shot batch Drain into continuously served
-// open-loop traffic — arrivals, admission control, shared-scan batching
-// of queued lookalikes, revocable-lease resizes, and completions all
-// interleave per request.
+// door onto core.Engine's scheduling loop (core.Loop), serving
+// continuous open-loop traffic — arrivals, admission control,
+// shared-scan batching of queued lookalikes, revocable-lease resizes,
+// and completions all interleave per request.
 //
-// Endpoints (versioned under /v1; the original unversioned paths remain
-// as deprecated aliases that answer identically plus Deprecation/Link
-// headers pointing at their successors):
+// Endpoints (all under /v1):
 //
 //	POST /v1/query   {"sql": "...", "objective": "min-energy", "client": "key"}
 //	POST /v1/write   {"sql": "INSERT|UPDATE|DELETE ...", "client": "key"}
 //	GET  /v1/stats   plan-cache counters, energy books, per-client budgets
 //	GET  /v1/healthz liveness
 //
-// Every error response, on every route and both path versions, carries
-// one envelope: {"error":{"code":"...","message":"...","retry_after_s":N}}
+// Every error response, on every route, carries one envelope: {"error":{"code":"...","message":"...","retry_after_s":N}}
 // (retry_after_s only on 429s, mirroring the Retry-After header).
 //
 // Writes execute synchronously at their arrival instant — INSERT appends
@@ -42,7 +38,7 @@
 // the measured bill at completion: admission outcomes then depend only
 // on the arrival script, never on completion timing, which keeps
 // 402-style rejections deterministic across core budgets.  The measured
-// spend is still tracked per client in /stats.
+// spend is still tracked per client in /v1/stats.
 package server
 
 import (
@@ -137,36 +133,17 @@ func New(eng *core.Engine, cfg Config, clock Clock) *Server {
 		merging:  make(map[string]bool),
 	}
 	s.mux = http.NewServeMux()
-	for _, r := range []struct {
-		path string
-		h    http.HandlerFunc
-	}{
-		{"/query", s.handleQuery},
-		{"/write", s.handleWrite},
-		{"/stats", s.handleStats},
-		{"/healthz", s.handleHealthz},
-	} {
-		s.mux.HandleFunc("/v1"+r.path, r.h)
-		s.mux.HandleFunc(r.path, deprecatedAlias(r.path, r.h))
-	}
+	s.mux.HandleFunc("/v1/query", s.handleQuery)
+	s.mux.HandleFunc("/v1/write", s.handleWrite)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	return s
-}
-
-// deprecatedAlias keeps the original unversioned paths answering
-// identically while steering clients to /v1 via RFC 8594 Deprecation
-// and successor-version Link headers.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path))
-		h(w, r)
-	}
 }
 
 // ServeHTTP dispatches to the server's routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// queryRequest is the POST /query body.
+// queryRequest is the POST /v1/query body.
 type queryRequest struct {
 	SQL       string `json:"sql"`
 	Objective string `json:"objective,omitempty"`
@@ -197,8 +174,8 @@ type reqError struct {
 	retryAfter int // seconds; > 0 adds a Retry-After header
 }
 
-// errEnvelope is the one error shape every route returns, on both path
-// versions: {"error":{"code","message","retry_after_s?"}}.  Machine
+// errEnvelope is the one error shape every route returns:
+// {"error":{"code","message","retry_after_s?"}}.  Machine
 // retry logic keys on code; message is for humans.
 type errEnvelope struct {
 	Error errDetail `json:"error"`
@@ -349,12 +326,13 @@ func (s *Server) invalidatePlansLocked() {
 
 // deliverLocked settles completed tickets: credits client spend, wakes
 // any waiting handler, and retires the inflight entry.  Completed merge
-// tickets retire their table's in-progress mark and invalidate the plan
-// cache (the re-sealed layout re-prices every access path).
+// tickets (the only maintenance this server offers) retire their table's
+// in-progress mark and invalidate the plan cache (the re-sealed layout
+// re-prices every access path).
 func (s *Server) deliverLocked(done []*core.Ticket) {
 	for _, t := range done {
-		if t.IsMerge {
-			delete(s.merging, t.MergeTable)
+		if t.Table != "" {
+			delete(s.merging, t.Table)
 			if t.Err == nil {
 				s.merges++
 				s.invalidatePlansLocked()
@@ -496,7 +474,7 @@ func cacheLabel(hit bool) string {
 	return "miss"
 }
 
-// statsResponse is the GET /stats body.
+// statsResponse is the GET /v1/stats body.
 type statsResponse struct {
 	VirtualNowNS int64                  `json:"virtual_now_ns"`
 	Queued       int                    `json:"queued"`

@@ -221,8 +221,8 @@ func TestServeQueueFull429(t *testing.T) {
 	}
 }
 
-// TestServeErrorPaths covers the synchronous request failures Drain
-// never exercised: malformed JSON, missing/unknown fields, unknown
+// TestServeErrorPaths covers the synchronous request failures a replayed
+// backlog never exercises: malformed JSON, missing/unknown fields, unknown
 // tables, bad methods, unknown API keys.
 func TestServeErrorPaths(t *testing.T) {
 	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true},
@@ -235,14 +235,14 @@ func TestServeErrorPaths(t *testing.T) {
 		apiKey string
 		want   int
 	}{
-		{"malformed json", "POST", "/query", `{"sql": "SELECT`, "", http.StatusBadRequest},
-		{"missing sql", "POST", "/query", `{}`, "", http.StatusBadRequest},
-		{"unknown table", "POST", "/query", `{"sql":"SELECT COUNT(*) FROM nosuch"}`, "", http.StatusBadRequest},
-		{"parse error", "POST", "/query", `{"sql":"SELEC COUNT(*) FROM orders"}`, "", http.StatusBadRequest},
-		{"unknown objective", "POST", "/query", `{"sql":"SELECT COUNT(*) FROM orders","objective":"min-carbon"}`, "", http.StatusBadRequest},
-		{"get on query", "GET", "/query", ``, "", http.StatusMethodNotAllowed},
-		{"post on stats", "POST", "/stats", ``, "", http.StatusMethodNotAllowed},
-		{"unknown api key", "POST", "/query", `{"sql":"SELECT COUNT(*) FROM orders"}`, "mallory", http.StatusUnauthorized},
+		{"malformed json", "POST", "/v1/query", `{"sql": "SELECT`, "", http.StatusBadRequest},
+		{"missing sql", "POST", "/v1/query", `{}`, "", http.StatusBadRequest},
+		{"unknown table", "POST", "/v1/query", `{"sql":"SELECT COUNT(*) FROM nosuch"}`, "", http.StatusBadRequest},
+		{"parse error", "POST", "/v1/query", `{"sql":"SELEC COUNT(*) FROM orders"}`, "", http.StatusBadRequest},
+		{"unknown objective", "POST", "/v1/query", `{"sql":"SELECT COUNT(*) FROM orders","objective":"min-carbon"}`, "", http.StatusBadRequest},
+		{"get on query", "GET", "/v1/query", ``, "", http.StatusMethodNotAllowed},
+		{"post on stats", "POST", "/v1/stats", ``, "", http.StatusMethodNotAllowed},
+		{"unknown api key", "POST", "/v1/query", `{"sql":"SELECT COUNT(*) FROM orders"}`, "mallory", http.StatusUnauthorized},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
@@ -268,7 +268,7 @@ func TestServeCancelMidQueryRevokesLease(t *testing.T) {
 	s, sc := testServer(t, core.SchedulerConfig{Budget: 1, Arbitrate: true},
 		map[string]energy.Joules{"alice": 1e9})
 	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest("POST", "/query",
+	req := httptest.NewRequest("POST", "/v1/query",
 		strings.NewReader(`{"sql":"SELECT COUNT(*) FROM orders WHERE custkey = 5","client":"alice"}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	handlerDone := make(chan struct{})

@@ -40,7 +40,7 @@ func TestServeSoakConcurrent(t *testing.T) {
 				body := fmt.Sprintf(`{"sql":"SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = %d"}`,
 					(g*perClient+m)%5)
 				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(body)))
+				s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", strings.NewReader(body)))
 				replies <- reply{rec.Code, rec.Body.String()}
 			}
 		}(g)
@@ -86,7 +86,7 @@ func TestServeSoakConcurrent(t *testing.T) {
 
 	// The /stats identity must hold over the same books.
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
 	var st statsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

@@ -16,9 +16,8 @@ import (
 )
 
 // TestErrorEnvelopeAllRoutes is the API-redesign acceptance for the
-// error contract: every failing status, on every route, on BOTH path
-// versions, answers with the one envelope shape
-// {"error":{"code","message","retry_after_s?"}}.
+// error contract: every failing status, on every route, answers with
+// the one envelope shape {"error":{"code","message","retry_after_s?"}}.
 func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true},
 		map[string]energy.Joules{"bob": 1e-12})
@@ -28,7 +27,7 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	cases := []struct {
 		name     string
 		method   string
-		path     string // version-less; the test tries both spellings
+		path     string // under /v1
 		body     string
 		apiKey   string
 		want     int
@@ -55,33 +54,31 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"get on write", "GET", "/write", ``, "", 405, "method_not_allowed"},
 	}
 	for _, c := range cases {
-		for _, prefix := range []string{"", "/v1"} {
-			req, _ := http.NewRequest(c.method, ts.URL+prefix+c.path, strings.NewReader(c.body))
-			if c.apiKey != "" {
-				req.Header.Set("X-API-Key", c.apiKey)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != c.want {
-				t.Fatalf("%s %s%s: status %d, want %d (body %s)", c.name, prefix, c.path, resp.StatusCode, c.want, raw)
-			}
-			var env errEnvelope
-			if err := json.Unmarshal(raw, &env); err != nil {
-				t.Fatalf("%s %s%s: body %q is not the error envelope: %v", c.name, prefix, c.path, raw, err)
-			}
-			if env.Error.Code != c.wantCode {
-				t.Fatalf("%s %s%s: code %q, want %q", c.name, prefix, c.path, env.Error.Code, c.wantCode)
-			}
-			if env.Error.Message == "" {
-				t.Fatalf("%s %s%s: empty error message", c.name, prefix, c.path)
-			}
-			if env.Error.RetryAfterS != 0 {
-				t.Fatalf("%s %s%s: unexpected retry_after_s %d", c.name, prefix, c.path, env.Error.RetryAfterS)
-			}
+		req, _ := http.NewRequest(c.method, ts.URL+"/v1"+c.path, strings.NewReader(c.body))
+		if c.apiKey != "" {
+			req.Header.Set("X-API-Key", c.apiKey)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s /v1%s: status %d, want %d (body %s)", c.name, c.path, resp.StatusCode, c.want, raw)
+		}
+		var env errEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s /v1%s: body %q is not the error envelope: %v", c.name, c.path, raw, err)
+		}
+		if env.Error.Code != c.wantCode {
+			t.Fatalf("%s /v1%s: code %q, want %q", c.name, c.path, env.Error.Code, c.wantCode)
+		}
+		if env.Error.Message == "" {
+			t.Fatalf("%s /v1%s: empty error message", c.name, c.path)
+		}
+		if env.Error.RetryAfterS != 0 {
+			t.Fatalf("%s /v1%s: unexpected retry_after_s %d", c.name, c.path, env.Error.RetryAfterS)
 		}
 	}
 }
@@ -108,39 +105,20 @@ func TestQueueFull429Envelope(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasHeaders: unversioned paths answer identically but
-// carry Deprecation plus a successor-version Link; /v1 paths carry
-// neither.
-func TestDeprecatedAliasHeaders(t *testing.T) {
+// TestUnversionedPathsAreGone: the RFC 8594 deprecation window has
+// closed — the bare paths 404 and only /v1 answers.
+func TestUnversionedPathsAreGone(t *testing.T) {
 	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true}, nil)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	for _, path := range []string{"/healthz", "/stats"} {
-		old, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/healthz", "/stats", "/query", "/write"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, rec.Code)
 		}
-		oldBody, _ := io.ReadAll(old.Body)
-		old.Body.Close()
-		if old.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s: missing Deprecation header", path)
-		}
-		if link := old.Header.Get("Link"); link != fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path) {
-			t.Fatalf("%s: Link header %q", path, link)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if v1.Header.Get("Deprecation") != "" || v1.Header.Get("Link") != "" {
-			t.Fatalf("/v1%s: versioned path carries deprecation headers", path)
-		}
-		if string(oldBody) != string(v1Body) || old.StatusCode != v1.StatusCode {
-			t.Fatalf("%s: alias and /v1 answers diverge: %d %q vs %d %q",
-				path, old.StatusCode, oldBody, v1.StatusCode, v1Body)
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1"+path, nil))
+		if rec.Code == http.StatusNotFound {
+			t.Fatalf("GET /v1%s: 404 — the versioned route vanished too", path)
 		}
 	}
 }
