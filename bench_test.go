@@ -455,7 +455,8 @@ func BenchmarkE23WritableDelta(b *testing.B) {
 
 // BenchmarkE24FusedPipeline runs the headline fused-vs-unfused arms
 // (RLE-grouped aggregate, dictionary-grouped aggregate, code-domain
-// probe, all at 50% selectivity) over a 1M-row fact table at a 2-way
+// probe, that probe under a GROUP BY — the probe→aggregate sink — all
+// at 50% selectivity) over a 1M-row fact table at a 2-way
 // morsel pool.  J/op and bytes-touched/op report the energy model's view
 // of one whole plan; the fused arm must sit strictly below its unfused
 // control on both (TestE24Shape asserts it; this makes the gap

@@ -64,8 +64,15 @@ func (s *intSegment) decodeRange(la, lb int, out []int64) energy.Counters {
 	}
 	// EncBitpack and EncDict share the packed-code layout; dict adds one
 	// dictionary indirection per row.
-	for i := la; i < lb; i++ {
-		out[i-la] = s.getSealed(i)
+	s.packed.Unpack(la, lb, out)
+	if s.enc == EncDict {
+		for i, code := range out {
+			out[i] = s.dictVals[code]
+		}
+	} else {
+		for i := range out {
+			out[i] += s.base
+		}
 	}
 	// The packed words overlapping the window are streamed once; the
 	// proration is integer math on (segment, window) alone.

@@ -142,9 +142,11 @@ func (a *HashAgg) aggRange(t *aggTable, groupCols, aggCols []*Col, lo, hi int) {
 			keyBuf = binary.AppendUvarint(keyBuf, uint64(len(partBuf)))
 			keyBuf = append(keyBuf, partBuf...)
 		}
-		key := string(keyBuf)
-		st, ok := t.groups[key]
+		// Indexing with the conversion itself lets the compiler skip the
+		// copy; the key string is built once per group, not once per row.
+		st, ok := t.groups[string(keyBuf)]
 		if !ok {
+			key := string(keyBuf)
 			st = a.newAggState(int32(row))
 			t.groups[key] = st
 			t.order = append(t.order, key)
@@ -335,6 +337,12 @@ func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	if fp := a.fusedAggPlan(); fp != nil {
 		return a.runFusedAgg(ctx, fp)
 	}
+	// Fused probe→aggregate path: when the child is a join whose probe side
+	// fuses, its matches fold straight into partial aggregates and the
+	// joined relation is never built.
+	if pa := a.fusedProbeAggPlan(ctx.SnapTS); pa != nil {
+		return a.runFusedProbeAgg(ctx, pa)
+	}
 	in, err := a.Child.Run(ctx)
 	if err != nil {
 		return nil, err
@@ -374,14 +382,22 @@ func (a *HashAgg) runParallel(ctx *Ctx, in *Relation, groupCols, aggCols []*Col)
 		mergeInto(final, p)
 	}
 	ctx.Trace(a.Label()+" [parallel]", len(final.order), scanWork)
-	// The merge runs on the coordinator; its price is a function of the
-	// morsel grid's partial-group count, mirroring the partial-aggregate
-	// merge accounting of internal/dist.
-	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", len(partials)), len(final.order), energy.Counters{
+	chargeAggMerge(ctx, len(partials), partialGroups, len(final.order), energy.Counters{})
+	return a.buildOutput(final, groupCols, aggCols), nil
+}
+
+// chargeAggMerge books the coordinator's merge of nparts per-morsel
+// partial tables into groups result groups.  Its price is a function of
+// the morsel grid's partial-group count (plus whatever extra work the
+// caller's merge did), mirroring the partial-aggregate merge accounting
+// of internal/dist — the one formula under the generic and both fused
+// aggregations.
+func chargeAggMerge(ctx *Ctx, nparts int, partialGroups uint64, groups int, extra energy.Counters) {
+	extra.Add(energy.Counters{
 		TuplesIn:     partialGroups,
-		TuplesOut:    uint64(len(final.order)),
+		TuplesOut:    uint64(groups),
 		Instructions: partialGroups * 12,
 		CacheMisses:  partialGroups / 4,
 	})
-	return a.buildOutput(final, groupCols, aggCols), nil
+	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", nparts), groups, extra)
 }

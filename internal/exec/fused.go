@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
@@ -37,7 +39,10 @@ import (
 // its Filter selection vectors directly; every other child — including a
 // scan hidden behind any wrapping Node, which is how E24's control arm
 // and the byte-identity tests reach the materializing pipeline — is run
-// to a relation first.
+// to a relation first.  The two compose: a HashAgg whose child is a
+// ParallelJoin with a fused probe takes the probe's matches straight
+// into partial aggregates (probe→aggregate), so a join under a GROUP BY
+// writes no pair list and no joined relation at all.
 //
 // Determinism contract.  The fused output relation is byte-identical to
 // the materializing pipeline's: predicates run through the same Filter
@@ -62,15 +67,22 @@ import (
 type fusedAggPlan struct {
 	scan   *Binding
 	shards []fusedAggShard
-	// Group-key output; groupDict decodes a string group's dictionary
-	// codes once per output group (single-shard sources only).
-	groupName string
-	groupType colstore.Type
-	groupDict []string
+	fusedAggOut
 	// trackFirst makes every morsel table record the row of each group's
 	// first selected appearance (fusedAggTable.first): across more than
 	// one shard the merged groups are ordered by its global sequence.
 	trackFirst bool
+}
+
+// fusedAggOut is the output shape of a fused aggregation: the group-key
+// column and, per aggregate, whether it reads Int64 values (COUNT does
+// not).  groupDict decodes a string group's int64 ids — dictionary codes
+// or interned build-side strings — once per output group.
+type fusedAggOut struct {
+	groupName string
+	groupType colstore.Type
+	groupDict []string
+	intIn     []bool
 }
 
 // fusedAggShard is one shard's column bindings of a fused aggregation.
@@ -115,6 +127,7 @@ func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 		fp.trackFirst = b.multi()
 	}
 	aggIdx := make([]int, len(a.Aggs))
+	fp.intIn = make([]bool, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		aggIdx[i] = -1
 		if spec.Func == expr.AggCount {
@@ -126,6 +139,7 @@ func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 		if aggIdx[i] = b.index(spec.Col); aggIdx[i] < 0 {
 			return nil
 		}
+		fp.intIn[i] = true
 	}
 	for _, sb := range b.Shards {
 		fs := fusedAggShard{sb: sb, aggInts: make([]*colstore.IntColumn, len(a.Aggs))}
@@ -331,6 +345,19 @@ func (t *fusedAggTable) mergeFrom(src *fusedAggTable) {
 	}
 }
 
+// mergePartials folds per-morsel partial tables into one, in morsel order,
+// and counts the partial groups merged (the merge's price).
+func mergePartials(nAggs int, trackFirst bool, partials []*fusedAggTable) (*fusedAggTable, uint64) {
+	t := newFusedAggTable(nAggs)
+	t.firstOn = trackFirst
+	var groups uint64
+	for _, p := range partials {
+		groups += uint64(len(p.keys))
+		t.mergeFrom(p)
+	}
+	return t, groups
+}
+
 // sortByFirst reorders the table's groups by ascending first-appearance
 // sequence (unique per group), the merged global group order.
 func (t *fusedAggTable) sortByFirst() {
@@ -394,12 +421,8 @@ func (a *HashAgg) runFusedAgg(ctx *Ctx, fp *fusedAggPlan) (*Relation, error) {
 		if ctx.Canceled() {
 			return ErrCanceled
 		}
-		shardT := newFusedAggTable(len(a.Aggs))
-		shardT.firstOn = fp.trackFirst
-		for _, p := range partials {
-			partialGroups += uint64(len(p.keys))
-			shardT.mergeFrom(p)
-		}
+		shardT, groups := mergePartials(len(a.Aggs), fp.trackFirst, partials)
+		partialGroups += groups
 		nparts += len(partials)
 		if fp.trackFirst {
 			// First-appearance rows become global sequences: point reads of
@@ -433,17 +456,8 @@ func (a *HashAgg) runFusedAgg(ctx *Ctx, fp *fusedAggPlan) (*Relation, error) {
 	if fp.trackFirst {
 		final.sortByFirst()
 	}
-	// The merge runs on the coordinator; its price is a function of the
-	// morsel grid's partial-group count, like the generic parallel path's.
-	w := energy.Counters{
-		TuplesIn:     partialGroups,
-		TuplesOut:    uint64(len(final.keys)),
-		Instructions: partialGroups * 12,
-		CacheMisses:  partialGroups / 4,
-	}
-	w.Add(mergeW)
-	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", nparts), len(final.keys), w)
-	return a.buildFusedOutput(fp, final), nil
+	chargeAggMerge(ctx, nparts, partialGroups, len(final.keys), mergeW)
+	return a.buildFusedOutput(&fp.fusedAggOut, final), nil
 }
 
 // fusedAggMorsel filters rows [lo, hi) of one shard with the scan's own
@@ -626,15 +640,15 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 
 // buildFusedOutput materializes the fused result, decoding string group
 // keys through the dictionary exactly once per output group.
-func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation {
+func (a *HashAgg) buildFusedOutput(shape *fusedAggOut, t *fusedAggTable) *Relation {
 	n := len(t.keys)
 	out := &Relation{N: n}
 	if len(a.GroupBy) == 1 {
-		oc := Col{Name: fp.groupName, Type: fp.groupType}
-		if fp.groupDict != nil {
+		oc := Col{Name: shape.groupName, Type: shape.groupType}
+		if shape.groupType == colstore.String {
 			oc.S = make([]string, n)
 			for i, k := range t.keys {
-				oc.S[i] = fp.groupDict[k]
+				oc.S[i] = shape.groupDict[k]
 			}
 		} else {
 			oc.I = make([]int64, n)
@@ -643,9 +657,8 @@ func (a *HashAgg) buildFusedOutput(fp *fusedAggPlan, t *fusedAggTable) *Relation
 		out.Cols = append(out.Cols, oc)
 	}
 	for ai, s := range a.Aggs {
-		intIn := fp.shards[0].aggInts[ai] != nil
 		intOut := s.Func == expr.AggCount ||
-			(intIn && (s.Func == expr.AggSum || s.Func == expr.AggMin || s.Func == expr.AggMax))
+			(shape.intIn[ai] && (s.Func == expr.AggSum || s.Func == expr.AggMin || s.Func == expr.AggMax))
 		oc := Col{Name: aggOutName(s)}
 		if intOut {
 			oc.Type = colstore.Int64
@@ -729,6 +742,18 @@ func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
 	return fp
 }
 
+// buildKeys returns the build-side key column in the probe key's domain:
+// integer keys pass through; dictionary codes translate through the probe
+// column's global dictionary once — without touching a single probe row.
+func (fp *fusedProbePlan) buildKeys(ctx *Ctx, label string, rk *Col) (rkeys []int64, translated bool) {
+	if fp.keyStr == nil || sameDict(fp.keyStr.Dict(), rk.Dict) {
+		return rk.I, false
+	}
+	rkeys, translated, tw := translateBuildCodes(fp.keyStr.Dict(), rk)
+	ctx.Charge(label+" [translate]", 0, tw)
+	return rkeys, translated
+}
+
 // runFusedProbe executes partition → build → fused probe → gather.  The
 // bool result reports whether the fused pipeline ran: false means a
 // runtime bypass (tiny inputs, raw build-side strings) and the caller
@@ -748,56 +773,20 @@ func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relati
 	}
 	snap := ctx.SnapTS
 	n := fp.sb.Table.RowsAsOf(snap)
-	if n+right.N < ParallelJoinFallbackRows {
-		return nil, false, nil
+	if n+right.N < ParallelJoinFallbackRows || (fp.keyStr != nil && rk.Dict == nil) {
+		return nil, false, nil // tiny inputs, raw build strings: the serial join
 	}
 	label := j.Label()
-
-	// Build-side keys in the probe key's domain: integer keys pass
-	// through; dictionary codes translate through the probe column's
-	// global dictionary once — without touching a single probe row.
-	var rkeys []int64
-	translated := false
-	if fp.keyStr == nil {
-		rkeys = rk.I
-	} else {
-		if rk.Dict == nil {
-			return nil, false, nil // raw build strings: serial string join
-		}
-		probeDict := fp.keyStr.Dict()
-		if sameDict(probeDict, rk.Dict) {
-			rkeys = rk.I
-		} else {
-			var tw energy.Counters
-			rkeys, translated, tw = translateBuildCodes(probeDict, rk)
-			ctx.Charge(label+" [translate]", 0, tw)
-		}
+	rkeys, translated := fp.buildKeys(ctx, label, rk)
+	tables, shift, err := buildTables(ctx, label, rkeys, translated)
+	if err != nil {
+		return nil, true, err
 	}
-
-	kbits := radixBits(right.N)
-	nparts := 1 << kbits
-	shift := 64 - uint(kbits)
-
-	chunks, pw := runMorsels(ctx, right.N, func(m, lo, hi int) (partChunk, energy.Counters) {
-		return scatterMorsel(rkeys, translated, lo, hi, nparts, shift)
-	})
-	if ctx.Canceled() {
-		return nil, true, ErrCanceled
-	}
-	ctx.Trace(label+" [partition]", right.N, pw)
-
-	tables, bw := runPool(ctx, nparts, func(p int) (*joinTable, energy.Counters) {
-		return buildPartition(chunks, p)
-	})
-	if ctx.Canceled() {
-		return nil, true, ErrCanceled
-	}
-	ctx.Trace(label+" [build]", right.N, bw)
 
 	// Fused probe: filter + key stream + table probe in one pass per
 	// morsel over the base table; pairs carry global probe-row ids.
 	pairs, qw := runMorsels(ctx, n, func(m, lo, hi int) (pairChunk, energy.Counters) {
-		return fp.probeMorsel(snap, lo, hi, tables, shift)
+		return fp.probeMorsel(snap, lo, hi, tables, shift, nil)
 	})
 	if ctx.Canceled() {
 		return nil, true, ErrCanceled
@@ -822,11 +811,58 @@ func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relati
 	return out, true, nil
 }
 
-// probeMorsel filters rows [lo, hi) with the scan's predicate sequence,
-// streams the selected probe keys straight from the key segments, and
-// probes the partition tables — emitting matches in probe-row order
-// without ever materializing the probe side.
-func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTable, shift uint) (pairChunk, energy.Counters) {
+// probeScratch is one worker's probe windows, recycled across the morsels
+// it claims (and across queries) so a probe allocates per match list, not
+// per morsel.  Every window is indexed by window-local row.
+//
+//lint:hotpath
+type probeScratch struct {
+	keys []int64 // the probe keys
+	rows []int32 // selection vector of a partially selected window
+	// The aggregate sink's share: its distinct group/value windows, their
+	// per-aggregate view, and the dense-key slot memo.
+	wins   [][]int64
+	aggWin [][]int64
+	slots  []int32
+}
+
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// window returns *buf resized to n rows (n never exceeds MorselRows).
+func window(buf *[]int64, n int) []int64 {
+	if *buf == nil {
+		*buf = make([]int64, MorselRows)
+	}
+	return (*buf)[:n]
+}
+
+// streamWindow reads column c over the window [lo, hi) into out.  dense
+// bulk-decodes the whole window once (DecodeRange streams each compressed
+// segment slice a single time); otherwise only the selected rows are
+// point-read, at gatherCol's sparse price (dictionary codes skip the
+// deref and cost less).  A pure function of (column, window, selection).
+func streamWindow(c *colstore.IntColumn, codes bool, rows []int32, lo, hi int, dense bool, out []int64) energy.Counters {
+	if dense {
+		return c.DecodeRange(lo, hi, out)
+	}
+	for _, r := range rows {
+		out[r] = c.Get(lo + int(r))
+	}
+	n := uint64(len(rows))
+	if codes {
+		return energy.Counters{CacheMisses: n / 8, Instructions: n}
+	}
+	return energy.Counters{CacheMisses: n / 4, Instructions: n * 2}
+}
+
+// probeMorsel is the one fused probe kernel: it filters rows [lo, hi)
+// with the scan's predicate sequence, streams the selected probe keys
+// straight from the key segments, and probes the partition tables in
+// probe-row order without ever materializing the probe side.  Matches go
+// to one of two sinks: with fold nil they are emitted as row pairs (the
+// join feeds an arbitrary consumer); otherwise each match folds straight
+// into fold's partial aggregate and no pair is ever written.
+func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTable, shift uint, fold *probeFold) (pairChunk, energy.Counters) {
 	nrows := hi - lo
 	sel, w := fp.sb.selectRows(snap, lo, hi)
 	selCnt := sel.Count()
@@ -836,51 +872,71 @@ func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTabl
 	if selCnt == 0 {
 		return pc, w
 	}
-	// Key stream: a fully selected window bulk-decodes like gatherCol's
-	// dense branch; anything narrower pays point reads at gatherCol's
-	// sparse price (dictionary codes skip the deref and cost less).
-	// This is exactly what the classic scan charges to extract the same
-	// key column, so the cross-path energy gap measures eliminated
-	// materialization, not pricing skew — and it stays a pure function
-	// of (snapshot, predicates, grid).
-	keys := make([]int64, nrows)
-	switch {
-	case selCnt == nrows:
-		w.Add(fp.keyInts.DecodeRange(lo, hi, keys))
-	case fp.keyStr != nil:
-		sel.ForEach(func(i int) { keys[i] = fp.keyInts.Get(lo + i) })
-		w.Add(energy.Counters{CacheMisses: uint64(selCnt) / 8, Instructions: uint64(selCnt)})
-	default:
-		sel.ForEach(func(i int) { keys[i] = fp.keyInts.Get(lo + i) })
-		w.Add(energy.Counters{CacheMisses: uint64(selCnt) / 4, Instructions: uint64(selCnt) * 2})
+	sc := probeScratchPool.Get().(*probeScratch)
+	defer probeScratchPool.Put(sc)
+	var rows []int32 // nil: the whole window is selected
+	if selCnt < nrows {
+		sc.rows = sel.AppendIndices(sc.rows[:0])
+		rows = sc.rows
 	}
-	steps := 0
-	sel.ForEach(func(i int) {
+	// Key stream.  The pair sink decodes in bulk only a fully selected
+	// window and point-reads anything narrower — exactly what the classic
+	// scan charges to extract the same key column, so the cross-path energy
+	// gap measures eliminated materialization, not pricing skew.  The
+	// aggregate sink has no materialized twin to mirror and follows the
+	// fused fold's density rule.  Either way a pure function of
+	// (snapshot, predicates, grid).
+	dense := selCnt == nrows
+	if fold != nil {
+		dense = selCnt*8 >= nrows
+	}
+	keys := window(&sc.keys, nrows)
+	w.Add(streamWindow(fp.keyInts, fp.keyStr != nil, rows, lo, hi, dense, keys))
+	if fold != nil {
+		w.Add(fold.bind(sc, rows, lo, hi, dense))
+	}
+
+	steps, matches := 0, 0
+	for x := 0; x < selCnt; x++ {
+		i := x
+		if rows != nil {
+			i = int(rows[x])
+		}
 		k := keys[i]
-		t := tables[mix64(uint64(k))>>shift]
+		h := mix64(uint64(k))
+		t := tables[h>>shift]
 		if t == nil {
 			steps++
-			return
+			continue
 		}
-		e, st := t.lookup(k)
+		e, st := t.lookup(k, h)
 		steps += st
 		for ; e != -1; e = t.next[e] {
+			matches++
+			if fold != nil {
+				fold.add(i, t.rows[e])
+				continue
+			}
 			pc.l = append(pc.l, int32(lo+i))
 			pc.r = append(pc.r, t.rows[e])
 			pc.k = append(pc.k, k)
 		}
-	})
-	matches := uint64(len(pc.l))
+	}
 	// Probe-stage counters over the selected rows only.  No 8-byte key
 	// re-stream: the decode above already paid the physical bytes — the
-	// saving the fused feed exists for.
+	// saving the fused feed exists for.  Only the pair sink writes pairs.
+	m := uint64(matches)
 	w.Add(energy.Counters{
-		TuplesIn:         uint64(selCnt),
-		TuplesOut:        matches,
-		BytesWrittenDRAM: matches * 8,
-		CacheMisses:      uint64(selCnt)/2 + matches/4,
-		Instructions:     uint64(selCnt)*8 + matches*4 + uint64(steps),
+		TuplesIn:     uint64(selCnt),
+		TuplesOut:    m,
+		CacheMisses:  uint64(selCnt)/2 + m/4,
+		Instructions: uint64(selCnt)*8 + m*4 + uint64(steps),
 	})
+	if fold != nil {
+		w.Add(fold.work(m))
+	} else {
+		w.BytesWrittenDRAM += m * 8
+	}
 	return pc, w
 }
 
@@ -977,8 +1033,349 @@ func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.C
 }
 
 // ---------------------------------------------------------------------------
+// Fused probe→aggregate
+// ---------------------------------------------------------------------------
+
+// fusedProbeAggPlan is a resolved, eligible ParallelJoin+HashAgg fusion:
+// the join's fused probe plus, for the group key and every aggregate,
+// which side's column it reads.
+type fusedProbeAggPlan struct {
+	join  *ParallelJoin
+	probe *fusedProbePlan
+	fusedAggOut
+	group probeAggInput
+	aggs  []probeAggInput
+	// wins are the distinct probe-side columns the fold reads, each
+	// streamed into one window per morsel.
+	wins []*colstore.IntColumn
+}
+
+// probeAggInput locates one fold input: a probe-side window (index into
+// fusedProbeAggPlan.wins) or a build-relation column, -1 where absent.
+// Neither set means no value is read (global group, COUNT).
+type probeAggInput struct{ win, build int }
+
+// fusedProbeAggPlan reports how (and whether) this HashAgg can take its
+// child join's matches straight into partial aggregates.  One more row of
+// the one eligibility table:
+//
+//	child        a *ParallelJoin (under the planner's Materialize or not)
+//	             whose probe side fuses (fusedProbePlan) over at least
+//	             ParallelJoinFallbackRows rows at snap, and whose build
+//	             side is a *Scan emitting a key of the probe key's domain
+//	GROUP BY     none, or one column of either side: BIGINT, or a string
+//	             (a probe-side dictionary code, a build-side string
+//	             resolved to one int64 id per build row)
+//	aggregates   COUNT(*), COUNT(col) of a join output column, or
+//	             SUM/MIN/MAX/AVG of an Int64 column of either side
+//
+// Columns resolve by name against the join's output schema, exactly as
+// the generic HashAgg would find them in the joined relation.  Anything
+// else returns nil and the join emits pairs for the generic HashAgg.
+func (a *HashAgg) fusedProbeAggPlan(snap int64) *fusedProbeAggPlan {
+	child := a.Child
+	if m, ok := child.(*Materialize); ok {
+		child = m.Child
+	}
+	j, ok := child.(*ParallelJoin)
+	if !ok || len(a.GroupBy) > 1 {
+		return nil
+	}
+	fp := j.fusedProbePlan()
+	rs, ok := j.Right.(*Scan)
+	if fp == nil || !ok || fp.sb.Table.RowsAsOf(snap) < ParallelJoinFallbackRows {
+		return nil
+	}
+	rb, err := rs.Bind()
+	if err != nil {
+		return nil
+	}
+	rki := rb.index(j.RightKey)
+	switch {
+	case rki < 0:
+		return nil
+	case fp.keyStr == nil && rb.tmpl[rki].Type != colstore.Int64:
+		return nil
+	case fp.keyStr != nil && !rb.Shards[0].asCode[rki]:
+		return nil // raw build strings: the serial string join
+	}
+
+	// The join's output schema: probe columns, then the build columns
+	// minus the right key, renamed exactly as the pair path would.
+	nl := len(fp.sb.tmpl)
+	var buildOf []int // join output column nl+i ← build relation column buildOf[i]
+	for i := range rb.tmpl {
+		if rb.tmpl[i].Name != j.RightKey {
+			buildOf = append(buildOf, i)
+		}
+	}
+	schema := mergeJoinColumns(&Relation{Cols: fp.sb.tmpl}, &Relation{Cols: rb.tmpl}, j.RightKey)
+	pa := &fusedProbeAggPlan{join: j, probe: fp, group: probeAggInput{-1, -1}}
+	find := func(name string) int {
+		return slices.IndexFunc(schema.Cols, func(c Col) bool { return c.Name == name })
+	}
+	// resolve binds join output column o as a fold input; strings qualify
+	// as group keys only.
+	resolve := func(o int, group bool) (probeAggInput, bool) {
+		in := probeAggInput{-1, -1}
+		if o < 0 {
+			return in, false
+		}
+		if o >= nl {
+			in.build = buildOf[o-nl]
+			t := rb.tmpl[in.build].Type
+			return in, t == colstore.Int64 || (group && t == colstore.String)
+		}
+		var ints *colstore.IntColumn
+		switch c := fp.sb.Cols[o].(type) {
+		case *colstore.IntColumn:
+			ints = c
+		case *colstore.StringColumn:
+			if !group {
+				return in, false
+			}
+			ints, pa.groupDict = c.CodeColumn(), c.Dict()
+		default:
+			return in, false // float inputs keep the generic path
+		}
+		if in.win = slices.Index(pa.wins, ints); in.win < 0 {
+			in.win = len(pa.wins)
+			pa.wins = append(pa.wins, ints)
+		}
+		return in, true
+	}
+	if len(a.GroupBy) == 1 {
+		o := find(a.GroupBy[0])
+		if pa.group, ok = resolve(o, true); !ok {
+			return nil
+		}
+		pa.groupName, pa.groupType = schema.Cols[o].Name, schema.Cols[o].Type
+	}
+	pa.aggs = make([]probeAggInput, len(a.Aggs))
+	pa.intIn = make([]bool, len(a.Aggs))
+	for i, spec := range a.Aggs {
+		pa.aggs[i] = probeAggInput{-1, -1}
+		if spec.Func == expr.AggCount {
+			if spec.Col != "" && find(spec.Col) < 0 {
+				return nil // COUNT(col) on a column the join doesn't emit
+			}
+			continue
+		}
+		if pa.aggs[i], ok = resolve(find(spec.Col), false); !ok {
+			return nil
+		}
+		pa.intIn[i] = true
+	}
+	return pa
+}
+
+// probeFold is the aggregate sink of one probe morsel: every match
+// (window-local probe row i, build row r) folds into the partial table t.
+// The build-side columns are shared by all morsels; the windows and the
+// slot memo are this morsel's, bound from worker scratch.
+type probeFold struct {
+	pa         *fusedProbeAggPlan
+	t          *fusedAggTable
+	buildGroup []int64   // per build row: its group key (build-side groups)
+	buildVals  [][]int64 // per aggregate: its build-side input column
+	groupWin   []int64   // probe-side group keys of the window
+	aggWin     [][]int64 // per aggregate: its probe-side input window
+	// idSlot memoizes each of nids dense group keys' index in t plus one
+	// (0 = not yet seen this morsel), so string groups (keys are dictionary
+	// ids) and the global group (key 0) cost an array load per match, not a
+	// hash.  BIGINT groups have arbitrary keys: nids 0, no memo.
+	nids   int
+	idSlot []int32
+}
+
+// bind streams the fold's probe-side windows for rows [lo, hi), following
+// the key stream's density verdict, and resets the slot memo.
+func (f *probeFold) bind(sc *probeScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
+	var w energy.Counters
+	pa := f.pa
+	for len(sc.wins) < len(pa.wins) {
+		sc.wins = append(sc.wins, nil)
+	}
+	for k, c := range pa.wins {
+		w.Add(streamWindow(c, false, rows, lo, hi, dense, window(&sc.wins[k], hi-lo)))
+	}
+	if pa.group.win >= 0 {
+		f.groupWin = sc.wins[pa.group.win]
+	}
+	sc.aggWin = sc.aggWin[:0]
+	for _, in := range pa.aggs {
+		var win []int64
+		if in.win >= 0 {
+			win = sc.wins[in.win]
+		}
+		sc.aggWin = append(sc.aggWin, win)
+	}
+	f.aggWin = sc.aggWin
+	if f.nids > 0 {
+		if cap(sc.slots) < f.nids {
+			sc.slots = make([]int32, f.nids)
+		}
+		f.idSlot = sc.slots[:f.nids]
+		clear(f.idSlot)
+	}
+	return w
+}
+
+// add folds one match.  Matches arrive in probe-row order with build rows
+// ascending within duplicates — the pair path's output order — so the
+// table's first-seen group order is the materialized join's.
+func (f *probeFold) add(i int, r int32) {
+	t := f.t
+	var key int64
+	switch {
+	case f.groupWin != nil:
+		key = f.groupWin[i]
+	case f.buildGroup != nil:
+		key = f.buildGroup[r]
+	}
+	var g int32
+	if f.idSlot == nil {
+		g = t.slot(key)
+	} else if g = f.idSlot[key] - 1; g < 0 {
+		g = t.slot(key)
+		f.idSlot[key] = g + 1
+	}
+	t.counts[g]++
+	for ai, win := range f.aggWin {
+		if win != nil {
+			t.addN(g, ai, win[i], 1)
+		} else if bv := f.buildVals[ai]; bv != nil {
+			t.addN(g, ai, bv[r], 1)
+		}
+	}
+}
+
+// work prices folding matches matches: the aggregate stage's logical
+// rows and fusedAggMorsel's fold budget, plus one cache-resident touch
+// per build-side input — the build relation is the small side.  No pair
+// was written and nothing is re-read from an intermediate.
+func (f *probeFold) work(matches uint64) energy.Counters {
+	touches := uint64(1)
+	if f.buildGroup != nil {
+		touches++
+	}
+	for _, bv := range f.buildVals {
+		if bv != nil {
+			touches++
+		}
+	}
+	return energy.Counters{
+		TuplesIn:     matches,
+		TuplesOut:    uint64(len(f.t.keys)),
+		Instructions: matches * uint64(4+2*len(f.pa.aggs)),
+		CacheMisses:  matches * touches / 8,
+	}
+}
+
+// buildGroupKeys returns one int64 group key per build row, plus the
+// dictionary that decodes it for string groups: integers pass through,
+// coded strings are their codes, plain strings intern in build-row order.
+func buildGroupKeys(c *Col) (keys []int64, dict []string, w energy.Counters) {
+	if c.Type == colstore.Int64 || c.Dict != nil {
+		return c.I, c.Dict, w
+	}
+	ids := make(map[string]int64)
+	keys = make([]int64, len(c.S))
+	for i, s := range c.S {
+		id, ok := ids[s]
+		if !ok {
+			id = int64(len(dict))
+			ids[s] = id
+			dict = append(dict, s)
+		}
+		keys[i] = id
+		w.BytesReadDRAM += uint64(len(s)) + 16
+	}
+	n := uint64(len(c.S))
+	w.Add(energy.Counters{BytesWrittenDRAM: n * 8, CacheMisses: n / 4, Instructions: n * 8})
+	return keys, dict, w
+}
+
+// runFusedProbeAgg executes build → fused probe → fold: the join's build
+// side runs and is hashed as ever, then each probe morsel folds its
+// matches into a partial table and the partials merge in morsel order
+// exactly as runFusedAgg merges them — no pair list, no gathered join
+// relation, no string-keyed aggTable.
+func (a *HashAgg) runFusedProbeAgg(ctx *Ctx, pa *fusedProbeAggPlan) (*Relation, error) {
+	j, fp := pa.join, pa.probe
+	right, err := j.Right.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rk, err := right.Col(j.RightKey)
+	if err != nil {
+		return nil, err
+	}
+	rkeys, translated := fp.buildKeys(ctx, j.Label(), rk)
+	tables, shift, err := buildTables(ctx, j.Label(), rkeys, translated)
+	if err != nil {
+		return nil, err
+	}
+	out := pa.fusedAggOut
+	var buildGroup []int64
+	if pa.group.build >= 0 {
+		var gw energy.Counters
+		buildGroup, out.groupDict, gw = buildGroupKeys(&right.Cols[pa.group.build])
+		if !gw.IsZero() {
+			ctx.Charge(a.Label()+" [group ids]", len(out.groupDict), gw)
+		}
+	}
+	buildVals := make([][]int64, len(pa.aggs))
+	for ai, in := range pa.aggs {
+		if in.build >= 0 {
+			buildVals[ai] = right.Cols[in.build].I
+		}
+	}
+
+	nids := len(out.groupDict) // a string group's keys are dictionary ids
+	if len(a.GroupBy) == 0 {
+		nids = 1 // the global group's one key, 0
+	}
+
+	snap := ctx.SnapTS
+	partials, qw := runMorsels(ctx, fp.sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*fusedAggTable, energy.Counters) {
+		f := &probeFold{pa: pa, t: newFusedAggTable(len(a.Aggs)),
+			buildGroup: buildGroup, buildVals: buildVals, nids: nids}
+		_, w := fp.probeMorsel(snap, lo, hi, tables, shift, f)
+		return f.t, w
+	})
+	if ctx.Canceled() {
+		return nil, ErrCanceled
+	}
+	final, partialGroups := mergePartials(len(a.Aggs), false, partials)
+	ctx.Trace(a.Label()+" [fused probe→agg]", len(final.keys), qw)
+	chargeAggMerge(ctx, len(partials), partialGroups, len(final.keys), energy.Counters{})
+	return a.buildFusedOutput(&out, final), nil
+}
+
+// ---------------------------------------------------------------------------
 // Planner mirrors
 // ---------------------------------------------------------------------------
+
+// fusion implements fuser: which of the two aggregate fusions, if any.
+func (a *HashAgg) fusion() string {
+	switch {
+	case a.fusedAggPlan() != nil:
+		return "fused"
+	case a.fusedProbeAggPlan(colstore.SnapLatest) != nil:
+		return "fused probe→agg"
+	}
+	return ""
+}
+
+// fusion implements fuser: whether the probe feed fuses (tiny inputs
+// still bypass at run time).
+func (j *ParallelJoin) fusion() string {
+	if j.fusedProbePlan() != nil {
+		return "fused"
+	}
+	return ""
+}
 
 // FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs}
 // would take the fused filter→aggregate path — the planner's pricing
@@ -995,4 +1392,13 @@ func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 func FusedProbeEligible(scan *Scan, leftKey string) bool {
 	j := &ParallelJoin{Left: scan, LeftKey: leftKey}
 	return j.fusedProbePlan() != nil
+}
+
+// FusedProbeAggEligible reports whether HashAgg{Child: child, GroupBy,
+// Aggs} would fold its child join's matches straight into partial
+// aggregates at the latest snapshot — the planner's pricing mirror of
+// fusedProbeAggPlan.
+func FusedProbeAggEligible(child Node, groupBy []string, aggs []expr.AggSpec) bool {
+	a := &HashAgg{Child: child, GroupBy: groupBy, Aggs: aggs}
+	return a.fusedProbeAggPlan(colstore.SnapLatest) != nil
 }

@@ -93,12 +93,26 @@ type Node interface {
 	Kids() []Node
 }
 
-// Explain renders the plan tree as an indented outline.
+// fuser is implemented by the operators that can consume their child
+// without materializing it.  fusion names the fused pipeline the operator
+// takes over the current table state ("" = the materializing one) — the
+// same eligibility answer Run acts on, so EXPLAIN and the runtime trace
+// label the path that actually answers.
+type fuser interface{ fusion() string }
+
+// Explain renders the plan tree as an indented outline, marking fused
+// operators with their pipeline ("HashAgg(...) [fused probe→agg]").
 func Explain(n Node) string {
 	var b strings.Builder
 	var walk func(n Node, depth int)
 	walk = func(n Node, depth int) {
-		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), n.Label())
+		label := n.Label()
+		if f, ok := n.(fuser); ok {
+			if pipeline := f.fusion(); pipeline != "" {
+				label += " [" + pipeline + "]"
+			}
+		}
+		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), label)
 		for _, k := range n.Kids() {
 			walk(k, depth+1)
 		}

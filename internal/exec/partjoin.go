@@ -18,7 +18,8 @@ import (
 //	            morsel-wise on the worker pool — each morsel scatters
 //	            its (key, row) pairs into a partition-ordered chunk —
 //	            and the coordinator stitches the chunks per partition
-//	            in morsel order.
+//	            in morsel order.  A build side that already fits one
+//	            partition's cache target (k = 0) skips the pass.
 //	build:      every partition gets its own compact open-addressing
 //	            table (flat int32/int64 arrays, no map), built in
 //	            parallel across partitions; duplicate keys chain in
@@ -124,13 +125,12 @@ func (j *ParallelJoin) Run(ctx *Ctx) (*Relation, error) {
 	return j.runPartitioned(ctx, left, right, lk, rk)
 }
 
-// radixBits picks the partition fan-out for a build side of n rows.
-// A pure function of n, so plans charge identically at every DOP.
+// radixBits picks the partition fan-out for a build side of n rows: zero
+// bits — one table, no scatter pass — while the whole build side fits the
+// per-partition cache target.  A pure function of n, so plans charge
+// identically at every DOP.
 func radixBits(n int) int {
 	k := bits.Len(uint(n / partTargetRows))
-	if k < 1 {
-		k = 1
-	}
 	if k > maxRadixBits {
 		k = maxRadixBits
 	}
@@ -231,10 +231,11 @@ func (t *joinTable) insert(key int64, row int32) int {
 }
 
 // lookup returns the first entry of key's chain (-1 if absent) plus the
-// probe steps taken.
-func (t *joinTable) lookup(key int64) (int32, int) {
+// probe steps taken.  h is mix64(key): the caller already hashed the key
+// to pick this partition, and the slot index reuses its low bits.
+func (t *joinTable) lookup(key int64, h uint64) (int32, int) {
 	steps := 0
-	i := mix64(uint64(key)) & t.mask
+	i := h & t.mask
 	for {
 		steps++
 		if t.slotHead[i] == -1 {
@@ -256,28 +257,10 @@ func (j *ParallelJoin) runPartitioned(ctx *Ctx, left, right *Relation, lk, rk *C
 		ctx.Charge(label+" [translate]", 0, tw)
 	}
 
-	kbits := radixBits(right.N)
-	nparts := 1 << kbits
-	shift := 64 - uint(kbits)
-
-	// Partition pass: scatter the build side morsel-wise.
-	chunks, pw := runMorsels(ctx, right.N, func(m, lo, hi int) (partChunk, energy.Counters) {
-		return scatterMorsel(rkeys, translated, lo, hi, nparts, shift)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
+	tables, shift, err := buildTables(ctx, label, rkeys, translated)
+	if err != nil {
+		return nil, err
 	}
-	ctx.Trace(label+" [partition]", right.N, pw)
-
-	// Build pass: one open-addressing table per partition, partitions in
-	// parallel, each consuming its chunk slices in morsel order.
-	tables, bw := runPool(ctx, nparts, func(p int) (*joinTable, energy.Counters) {
-		return buildPartition(chunks, p)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-	ctx.Trace(label+" [build]", right.N, bw)
 
 	// Probe pass: morsel-wise over the probe side in row order.
 	pairs, qw := runMorsels(ctx, left.N, func(m, lo, hi int) (pairChunk, energy.Counters) {
@@ -304,6 +287,67 @@ func (j *ParallelJoin) runPartitioned(ctx *Ctx, left, right *Relation, lk, rk *C
 	out, gw := joinGather(left, right, j.RightKey, lRows, rRows)
 	ctx.Charge(label+" [gather]", out.N, gw)
 	return out, nil
+}
+
+// buildTables turns the build-side keys into the probe tables, one per
+// radix partition (a key's partition is mix64(key) >> shift): the
+// partition pass scatters the keys morsel-wise, the build pass fills the
+// partitions' tables in parallel, each consuming its chunk slices in
+// morsel order.  A build side inside the per-partition cache target
+// (radixBits 0) skips the scatter: its one table fills straight from the
+// key stream.
+func buildTables(ctx *Ctx, label string, rkeys []int64, translated bool) (tables []*joinTable, shift uint, err error) {
+	kbits := radixBits(len(rkeys))
+	shift = 64 - uint(kbits)
+	if kbits == 0 {
+		t, bw := buildSingle(rkeys, translated)
+		ctx.Charge(label+" [build]", len(rkeys), bw)
+		return []*joinTable{t}, shift, nil
+	}
+	nparts := 1 << kbits
+	chunks, pw := runMorsels(ctx, len(rkeys), func(m, lo, hi int) (partChunk, energy.Counters) {
+		return scatterMorsel(rkeys, translated, lo, hi, nparts, shift)
+	})
+	if ctx.Canceled() {
+		return nil, 0, ErrCanceled
+	}
+	ctx.Trace(label+" [partition]", len(rkeys), pw)
+
+	tables, bw := runPool(ctx, nparts, func(p int) (*joinTable, energy.Counters) {
+		return buildPartition(chunks, p)
+	})
+	if ctx.Canceled() {
+		return nil, 0, ErrCanceled
+	}
+	ctx.Trace(label+" [build]", len(rkeys), bw)
+	return tables, shift, nil
+}
+
+// buildSingle builds the one table of an unpartitioned build side from
+// the key stream itself — buildPartition without the scattered pairs to
+// stream back in.  Untranslatable dictionary codes match nothing and are
+// dropped; a side with nothing left has no table.
+func buildSingle(keys []int64, translated bool) (*joinTable, energy.Counters) {
+	n := uint64(len(keys))
+	w := energy.Counters{TuplesIn: n, BytesReadDRAM: n * 8}
+	t := newJoinTable(len(keys))
+	steps := 0
+	for i, k := range keys {
+		if translated && k == noCode {
+			continue
+		}
+		steps += t.insert(k, int32(i))
+	}
+	kept := uint64(len(t.rows))
+	if kept == 0 {
+		return nil, w
+	}
+	w.Add(energy.Counters{
+		BytesWrittenDRAM: kept * 16,
+		CacheMisses:      kept / 2,
+		Instructions:     kept*10 + uint64(steps)*2,
+	})
+	return t, w
 }
 
 // scatterMorsel partitions build rows [lo, hi) into a partition-ordered
@@ -383,7 +427,7 @@ func probeMorsel(keys []int64, lo, hi int, tables []*joinTable, shift uint) (pai
 			steps++
 			continue
 		}
-		e, st := t.lookup(keys[i])
+		e, st := t.lookup(keys[i], h)
 		steps += st
 		for ; e != -1; e = t.next[e] {
 			pc.l = append(pc.l, int32(i))

@@ -546,10 +546,35 @@ func TestE24Shape(t *testing.T) {
 			t.Errorf("%s %s DOP %d charged no movement/energy", r.Arm, r.Path, r.DOP)
 		}
 	}
-	// The optimizer must recognize (and price) both fusions it plans.
-	aggInfo, joinInfo, err := E24PlannerDecisions(300_000)
+	// The probe→aggregate arms exist and fold strictly below their
+	// materializing control on both gated metrics.
+	for _, sel := range []string{"0.25", "0.50", "0.90"} {
+		arm := "probe-agg/region/sel=" + sel
+		var fused, unfused *E24Row
+		for i := range rows {
+			if r := &rows[i]; r.Arm == arm && r.DOP == 1 {
+				if r.Path == "fused" {
+					fused = r
+				} else {
+					unfused = r
+				}
+			}
+		}
+		if fused == nil || unfused == nil {
+			t.Fatalf("%s: arm missing from the sweep", arm)
+		}
+		if fused.Bytes >= unfused.Bytes || fused.J >= unfused.J {
+			t.Errorf("%s: fused must touch fewer bytes and joules: %d B %v vs %d B %v",
+				arm, fused.Bytes, fused.J, unfused.Bytes, unfused.J)
+		}
+	}
+	// The optimizer must recognize (and price) every fusion it plans.
+	aggInfo, joinInfo, joinAggInfo, err := E24PlannerDecisions(300_000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ji := joinAggInfo.Joins; !joinAggInfo.FusedAgg || len(ji) != 1 || !ji[0].FusedAgg || !ji[0].FusedProbe {
+		t.Errorf("planner did not mark the join under GROUP BY as fused probe→aggregate: %+v", ji)
 	}
 	if !aggInfo.FusedAgg {
 		t.Errorf("planner did not mark the aggregate plan fused: %+v", aggInfo)

@@ -146,17 +146,26 @@ func EstimateHashJoin(probeRows, buildRows, outRows, keyBytes float64, ncols int
 		w.BytesReadDRAM += uint64(probeRows * keyBytes)
 		w.CacheMisses += uint64(probeRows)
 	}
-	w.BytesWrittenDRAM += uint64(outRows * 8)
 	w.Instructions += uint64(probeRows*8 + outRows*4)
-	// Gather: every output value read and written once.
-	moved := uint64(outRows * float64(ncols) * 8)
-	w.BytesReadDRAM += moved
-	w.BytesWrittenDRAM += moved
-	w.CacheMisses += uint64(outRows * float64(ncols) / 4)
-	w.Instructions += uint64(outRows * float64(ncols) * 2)
+	w.Add(estimateJoinOutput(outRows, ncols))
 	w.TuplesIn = uint64(probeRows + buildRows)
 	w.TuplesOut = uint64(outRows)
 	return w
+}
+
+// estimateJoinOutput prices materializing outRows join matches ncols
+// wide: the (left, right) row-id pairs the probe writes, then the gather
+// reading and writing every output value once.  A join whose matches
+// fold straight into an aggregate (exec's fused probe→aggregate) does
+// neither, and the planner credits exactly these terms back.
+func estimateJoinOutput(outRows float64, ncols int) energy.Counters {
+	moved := uint64(outRows * float64(ncols) * 8)
+	return energy.Counters{
+		BytesReadDRAM:    moved,
+		BytesWrittenDRAM: uint64(outRows*8) + moved,
+		CacheMisses:      uint64(outRows * float64(ncols) / 4),
+		Instructions:     uint64(outRows * float64(ncols) * 2),
+	}
 }
 
 // PickUnderPowerCap returns the index of the best alternative under a

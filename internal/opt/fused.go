@@ -5,24 +5,26 @@ import (
 	"repro/internal/expr"
 )
 
-// Fusion pricing.  When a Scan+HashAgg or Scan+ParallelJoin pair will
-// take the fused operate-on-compressed path (internal/exec/fused.go),
-// the intermediate relation the materializing pipeline builds is never
-// built — so the plan estimate must not charge for it, or the scheduler's
-// energy-priced DOP and the serving front end's admission budgets would
-// price fused plans as if they still moved those bytes.  Eligibility is
-// answered by the executor itself (exec.FusedAggEligible /
-// exec.FusedProbeEligible run the same resolution as the runtime hook),
-// so the planner can never disagree with what will actually execute.
+// Fusion pricing.  When a Scan+HashAgg, Scan+ParallelJoin or
+// ParallelJoin+HashAgg pair will take a fused pipeline
+// (internal/exec/fused.go), the intermediate relation the materializing
+// pipeline builds is never built — so the plan estimate must not charge
+// for it, or the scheduler's energy-priced DOP and the serving front
+// end's admission budgets would price fused plans as if they still moved
+// those bytes.  Eligibility is answered by the executor itself
+// (exec.FusedAggEligible / FusedProbeEligible / FusedProbeAggEligible run
+// the same resolution as the runtime hook), so the planner can never
+// disagree with what will actually execute.
 
-// EstimateFusionSavings prices the work a fused pipeline skips relative
-// to the planned scan → consumer pair: the scan's materialization of its
-// matched rows into an intermediate relation — exactly the terms
-// EstimateFullScan adds for it (matched × ncols cache-line touches and
-// move instructions).  The consumer's own re-read of the intermediate is
-// priced at runtime, not in the scan estimate, so only the scan-side
-// terms are credited here.
-func EstimateFusionSavings(ts *TableStats, preds []expr.Pred, ncols int) energy.Counters {
+// scanMaterialization prices what a fused consumer of table's scan
+// skips: the scan's materialization of its matched rows into an
+// intermediate relation — exactly the terms EstimateFullScan adds for it
+// (matched × ncols cache-line touches and move instructions).
+func (c *Catalog) scanMaterialization(table string, preds []expr.Pred, ncols int) energy.Counters {
+	ts, err := c.Stats(table)
+	if err != nil {
+		return energy.Counters{}
+	}
 	matched := float64(ts.Rows)
 	for _, p := range preds {
 		matched *= ts.Selectivity(p)
@@ -33,35 +35,27 @@ func EstimateFusionSavings(ts *TableStats, preds []expr.Pred, ncols int) energy.
 	}
 }
 
-// creditFusion subtracts the work a fused consumer of table's scan skips
-// from the plan estimate.  Price is linear in the counters, so pricing
-// the savings and subtracting equals re-pricing the reduced work.
-func (info *PlanInfo) creditFusion(c *Catalog, cm *CostModel, table string, preds []expr.Pred, ncols int) {
-	ts, err := c.Stats(table)
-	if err != nil {
-		return
+// estimateProbeFold prices folding outRows join matches straight into
+// partial aggregates — the executor's probeFold.work: the fold budget
+// plus a cache-resident touch of the group key and of a build-side input.
+func estimateProbeFold(outRows float64, naggs int) energy.Counters {
+	return energy.Counters{
+		Instructions: uint64(outRows * float64(4+2*naggs)),
+		CacheMisses:  uint64(outRows / 4),
 	}
-	sv := EstimateFusionSavings(ts, preds, ncols)
+}
+
+// credit subtracts work a fused pipeline skips from the plan estimate.
+// Price is linear in the counters, so pricing the savings and
+// subtracting equals re-pricing the reduced work.
+func (info *PlanInfo) credit(cm *CostModel, sv energy.Counters) {
+	sub := func(v *uint64, d uint64) { *v -= min(*v, d) }
 	sc := cm.Price(sv, 0)
-	if info.Est.Time > sc.Time {
-		info.Est.Time -= sc.Time
-	} else {
-		info.Est.Time = 0
-	}
-	if info.Est.Energy > sc.Energy {
-		info.Est.Energy -= sc.Energy
-	} else {
-		info.Est.Energy = 0
-	}
+	info.Est.Time -= min(info.Est.Time, sc.Time)
+	info.Est.Energy -= min(info.Est.Energy, sc.Energy)
 	w := &info.Est.Work
-	if w.CacheMisses >= sv.CacheMisses {
-		w.CacheMisses -= sv.CacheMisses
-	} else {
-		w.CacheMisses = 0
-	}
-	if w.Instructions >= sv.Instructions {
-		w.Instructions -= sv.Instructions
-	} else {
-		w.Instructions = 0
-	}
+	sub(&w.Instructions, sv.Instructions)
+	sub(&w.CacheMisses, sv.CacheMisses)
+	sub(&w.BytesReadDRAM, sv.BytesReadDRAM)
+	sub(&w.BytesWrittenDRAM, sv.BytesWrittenDRAM)
 }

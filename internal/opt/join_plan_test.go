@@ -235,6 +235,91 @@ func TestPlannerEmitsParallelJoin(t *testing.T) {
 	}
 }
 
+// TestPlannerFusedProbeAgg: a join under a GROUP BY plans as the fused
+// probe→aggregate pipeline — the planner reports what the executor will
+// run, EXPLAIN labels both fused operators, and the estimate sheds the
+// pair list and gathered output the sink never writes.
+func TestPlannerFusedProbeAgg(t *testing.T) {
+	cat := NewCatalog()
+	const nFact, nDim = 300_000, 2000
+	intTable(t, cat, "bigfact", map[string][]int64{
+		"fk": workload.UniformInts(5, nFact, nDim),
+		"v":  workload.UniformInts(6, nFact, 1000),
+	}, []string{"fk", "v"})
+	dk, grp := make([]int64, nDim), make([]int64, nDim)
+	for i := range dk {
+		dk[i], grp[i] = int64(i), int64(i%7)
+	}
+	intTable(t, cat, "dim", map[string][]int64{"dk": dk, "grp": grp}, []string{"dk", "grp"})
+	cm := NewCostModel(energy.DefaultModel())
+	joins := []JoinSpec{{Table: "dim", LeftCol: "fk", RightCol: "dk"}}
+
+	node, info, err := cat.Plan(&Query{
+		From: "bigfact", Joins: joins, GroupBy: []string{"grp"},
+		Select: []SelectItem{{Col: "grp"}, {Agg: expr.AggCount, As: "n"}, {Agg: expr.AggSum, Col: "v", As: "s"}},
+	}, cm, MinEnergy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.FusedAgg || !info.Joins[0].FusedAgg || !reflect.DeepEqual(info.FusedProbes, []string{"bigfact"}) {
+		t.Fatalf("join under GROUP BY must plan fused probe→aggregate: FusedAgg=%v Joins=%+v FusedProbes=%v",
+			info.FusedAgg, info.Joins, info.FusedProbes)
+	}
+	for _, want := range []string{"HashAgg(grp, COUNT(*), SUM(v)) [fused probe→agg]", "ParallelJoin(fk = dk) [fused]"} {
+		if !strings.Contains(info.Explain, want) {
+			t.Errorf("explain must label %q:\n%s", want, info.Explain)
+		}
+	}
+
+	// The same join feeding a projection keeps the pair path and its price.
+	_, pairInfo, err := cat.Plan(&Query{
+		From: "bigfact", Joins: joins, Select: []SelectItem{{Col: "grp"}, {Col: "v"}},
+	}, cm, MinEnergy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairInfo.FusedAgg || pairInfo.Joins[0].FusedAgg {
+		t.Fatalf("a join feeding a projection must not report the aggregate sink: %+v", pairInfo.Joins[0])
+	}
+	if info.Est.Energy >= pairInfo.Est.Energy || info.Est.Work.BytesWrittenDRAM+8*nFact > pairInfo.Est.Work.BytesWrittenDRAM {
+		t.Errorf("fused estimate must shed the pair write and gather: fused %+v vs pair %+v", info.Est, pairInfo.Est)
+	}
+
+	rel, err := node.Run(exec.NewCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.N != 7 {
+		t.Fatalf("got %d groups, want 7", rel.N)
+	}
+}
+
+// TestPlannerSameNamedJoinKeys: when both sides spell the key alike, the
+// build scan must still emit its own key column — by-name resolution
+// used to hand the right key to the left table and the join failed at
+// run time with "relation has no column".
+func TestPlannerSameNamedJoinKeys(t *testing.T) {
+	cat := NewCatalog()
+	intTable(t, cat, "l", map[string][]int64{"k": {1, 2, 2, 3}, "a": {10, 20, 30, 40}}, []string{"k", "a"})
+	intTable(t, cat, "r", map[string][]int64{"k": {2, 3, 4}, "b": {200, 300, 400}}, []string{"k", "b"})
+	node, _, err := cat.Plan(&Query{
+		From:   "l",
+		Joins:  []JoinSpec{{Table: "r", LeftCol: "k", RightCol: "k"}},
+		Select: []SelectItem{{Col: "k"}, {Col: "a"}, {Col: "b"}},
+	}, NewCostModel(energy.DefaultModel()), MinTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := node.Run(exec.NewCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := rel.Col("b")
+	if rel.N != 3 || !reflect.DeepEqual(b.I, []int64{200, 200, 300}) {
+		t.Fatalf("same-named key join returned %d rows, b=%v", rel.N, b.I)
+	}
+}
+
 // TestPlannerCodeDomainJoin: a string-key join over two sealed tables
 // plans in the dictionary code domain, caps the tree with Materialize,
 // and returns exactly the rows the raw-table plan returns.

@@ -86,7 +86,11 @@ type JoinPlanInfo struct {
 	// FusedProbe reports that the probe feed fuses into the probe-side
 	// scan: selected keys stream straight from the compressed segments
 	// and the intermediate probe relation is never materialized.
-	FusedProbe     bool
+	FusedProbe bool
+	// FusedAgg reports that the aggregation above this join takes its
+	// matches straight into partial aggregates (the probe's aggregate
+	// sink): no pair list, no gathered join relation.
+	FusedAgg       bool
 	EstProbeRows   float64
 	EstBuildRows   float64
 	EstOutRows     float64
@@ -110,12 +114,13 @@ type PlanInfo struct {
 	// Joins lists every join in execution order with its side, operator,
 	// and byte-estimate decisions.
 	Joins []JoinPlanInfo
-	// FusedAgg reports that the aggregation runs the fused
-	// filter→aggregate kernel over its child scan (exec/fused.go), never
-	// materializing the filtered intermediate; FusedProbes lists the
-	// probe-side tables whose join probe feed fuses likewise.  Both are
-	// answered by the executor's own eligibility checks, and the fused-away
-	// materialization is credited out of Est.
+	// FusedAgg reports that the aggregation never materializes its input
+	// (exec/fused.go): it folds its child scan's selection vectors
+	// (filter→aggregate) or its child join's matches (probe→aggregate,
+	// also flagged on that join's JoinPlanInfo) straight into partial
+	// aggregates; FusedProbes lists the probe-side tables whose join probe
+	// feed fuses likewise.  All are answered by the executor's own
+	// eligibility checks, and the fused-away work is credited out of Est.
 	FusedAgg    bool
 	FusedProbes []string
 	// ShardsScanned/ShardsPruned count value-range shards across every
@@ -167,8 +172,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 
 	// Needed columns per table: join keys plus referenced outputs.
 	needed := make(map[string]map[string]bool)
-	addNeed := func(col string) error {
-		owner, err := c.ownerOf(col, tables)
+	// needIn resolves col among the given tables and marks it needed on
+	// its owner.
+	needIn := func(col string, among []string) error {
+		owner, err := c.ownerOf(col, among)
 		if err != nil {
 			return err
 		}
@@ -178,6 +185,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		needed[owner][col] = true
 		return nil
 	}
+	addNeed := func(col string) error { return needIn(col, tables) }
 	for _, s := range q.Select {
 		if s.Col != "" {
 			if err := addNeed(s.Col); err != nil {
@@ -203,7 +211,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		if err := addNeed(j.LeftCol); err != nil {
 			return nil, nil, err
 		}
-		if err := addNeed(j.RightCol); err != nil {
+		// The right key is the joined table's own column whatever it is
+		// named: resolved by name, a key both sides spell alike would land
+		// on the left table and the build scan would never emit its key.
+		if err := needIn(j.RightCol, []string{j.Table}); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -460,7 +471,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			if probeScan != nil && exec.FusedProbeEligible(probeScan, lk) {
 				ji.FusedProbe = true
 				info.FusedProbes = append(info.FusedProbes, probeName)
-				info.creditFusion(c, cm, probeName, predsOf[probeName], len(needed[probeName]))
+				info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
 			}
 		}
 		info.Joins = append(info.Joins, ji)
@@ -489,9 +500,18 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		// Fused filter→aggregate: the scan's filtered relation is never
 		// materialized — on any shard — so the estimate sheds its
 		// materialization terms.
-		if rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs) {
+		switch {
+		case rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs):
 			info.FusedAgg = true
-			info.creditFusion(c, cm, q.From, predsOf[q.From], len(needed[q.From]))
+			info.credit(cm, c.scanMaterialization(q.From, predsOf[q.From], len(needed[q.From])))
+		case exec.FusedProbeAggEligible(root, q.GroupBy, aggs):
+			// Fused probe→aggregate: the last join's matches fold straight
+			// into partial aggregates, so its pair list and gathered output
+			// are never written; the fold takes their place in the estimate.
+			last, d := &info.Joins[len(info.Joins)-1], decisions[len(decisions)-1]
+			info.FusedAgg, last.FusedAgg = true, true
+			info.credit(cm, estimateJoinOutput(d.outRows, d.ncols))
+			info.Est = info.Est.plus(cm.Price(estimateProbeFold(d.outRows, len(aggs)), 0))
 		}
 		root = &exec.HashAgg{Child: root, GroupBy: q.GroupBy, Aggs: aggs}
 	}

@@ -43,6 +43,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -405,6 +406,29 @@ func writeReqError(w http.ResponseWriter, e *reqError) {
 	writeJSON(w, e.status, errBody(e.code, e.msg, e.retryAfter))
 }
 
+// maxBodyBytes caps a request body: a statement is a line of SQL, and an
+// uncapped decoder would buffer whatever a client cares to send.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into req, reading at most
+// maxBodyBytes of it.  On failure it has written the error response —
+// 413 body_too_large past the cap, 400 bad_request for anything else —
+// and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errBody("body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), 0))
+	} else {
+		writeJSON(w, http.StatusBadRequest, errBody("bad_request", "bad request body: "+err.Error(), 0))
+	}
+	return false
+}
+
 // handleQuery is the serving hot path: decode, advance the loop to the
 // arrival instant, admit, react, then park until the virtual machine
 // completes the query (or the request context cancels the lease).
@@ -415,8 +439,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody("bad_request", "bad request body: "+err.Error(), 0))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {

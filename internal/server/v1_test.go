@@ -24,6 +24,8 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
+	// One byte past the cap once the JSON framing is counted.
+	oversized := `{"sql":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	cases := []struct {
 		name     string
 		method   string
@@ -52,6 +54,8 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"write unknown key", "POST", "/write", `{"sql":"DELETE FROM orders"}`, "mallory", 401, "unknown_api_key"},
 		{"write budget exhausted", "POST", "/write", `{"sql":"INSERT INTO orders VALUES (1, 2, 3.0)"}`, "bob", 402, "energy_budget_exhausted"},
 		{"get on write", "GET", "/write", ``, "", 405, "method_not_allowed"},
+		{"oversized query body", "POST", "/query", oversized, "", 413, "body_too_large"},
+		{"oversized write body", "POST", "/write", oversized, "", 413, "body_too_large"},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+"/v1"+c.path, strings.NewReader(c.body))

@@ -141,8 +141,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req writeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody("bad_request", "bad request body: "+err.Error(), 0))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {

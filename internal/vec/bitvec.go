@@ -160,15 +160,21 @@ func (b *Bitvec) Clone() *Bitvec {
 // Indices returns the positions of all set bits in ascending order — the
 // bridge from bit vectors to selection lists.
 func (b *Bitvec) Indices() []int32 {
-	out := make([]int32, 0, b.Count())
+	return b.AppendIndices(make([]int32, 0, b.Count()))
+}
+
+// AppendIndices appends the positions of all set bits to dst in
+// ascending order, so a caller sweeping many windows can reuse one
+// selection buffer.
+func (b *Bitvec) AppendIndices(dst []int32) []int32 {
 	for wi, w := range b.words {
 		base := int32(wi << 6)
 		for w != 0 {
-			out = append(out, base+int32(bits.TrailingZeros64(w)))
+			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // ForEach calls fn for every set bit in ascending order.

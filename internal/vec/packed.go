@@ -59,6 +59,26 @@ func (p *Packed) Get(i int) uint64 {
 	return p.words[w] >> uint(slot*(p.width+1)) & p.maxValue
 }
 
+// Unpack decodes codes [lo, hi) into out (length hi-lo) — the bulk
+// counterpart of Get: each word is loaded once and shifted through, with
+// no per-code division.
+func (p *Packed) Unpack(lo, hi int, out []int64) {
+	if lo >= hi {
+		return
+	}
+	field := uint(p.width + 1)
+	w, slot := lo/p.perWord, lo%p.perWord
+	word := p.words[w] >> (uint(slot) * field)
+	for i := range out[:hi-lo] {
+		out[i] = int64(word & p.maxValue)
+		if slot++; slot < p.perWord {
+			word >>= field
+		} else if slot, w = 0, w+1; w < len(p.words) {
+			word = p.words[w]
+		}
+	}
+}
+
 // broadcast replicates constant c into every field's low width bits.
 func (p *Packed) broadcast(c uint64) uint64 {
 	var out uint64

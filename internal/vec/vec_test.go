@@ -111,6 +111,17 @@ func TestPackedGetRoundTrip(t *testing.T) {
 				t.Fatalf("width %d: Get(%d) = %d want %d", width, i, got, v)
 			}
 		}
+		// Unpack is Get in bulk, from any offset to any end — word-aligned
+		// or not, including the short last word.
+		for _, w := range [][2]int{{0, n}, {1, n}, {0, n - 1}, {5, 6}, {63, 200}, {n, n}} {
+			out := make([]int64, w[1]-w[0])
+			p.Unpack(w[0], w[1], out)
+			for i, got := range out {
+				if uint64(got) != vals[w[0]+i] {
+					t.Fatalf("width %d: Unpack(%d,%d)[%d] = %d want %d", width, w[0], w[1], i, got, vals[w[0]+i])
+				}
+			}
+		}
 	}
 }
 
