@@ -402,7 +402,7 @@ func BenchmarkE21MultiQuery(b *testing.B) {
 
 // BenchmarkE22Serving replays the E22 arrival script (48 queries,
 // 100k QPS offered) through the full serving front end — plan cache,
-// admission, shared-scan batching, virtual completion — at a 2-core
+// admission, shared-scan batching, execution from virtual dispatch — at a 2-core
 // budget.  J/op is the batching arm's modeled fleet energy and
 // bytes-touched/op its physically streamed DRAM bytes; both are
 // deterministic (simulated clock over a seeded script), so the CI

@@ -16,15 +16,25 @@
 //
 // Once a client's admitted plan estimates exceed its allowance, further
 // queries are rejected 402-style until the server restarts.
+//
+// Lifecycle: on SIGINT or SIGTERM the server stops accepting connections
+// and exits once every request in flight — parked on its virtual
+// schedule or still executing — has been answered, or after 30 seconds
+// at the latest.  A connection that has not sent its request headers
+// within ten seconds is dropped.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -48,6 +58,9 @@ func (c realClock) Schedule(at time.Duration, wake func()) {
 	}
 	time.AfterFunc(d, wake)
 }
+
+// drainTimeout bounds how long a shutdown waits for in-flight requests.
+const drainTimeout = 30 * time.Second
 
 // clientFlags collects repeated -client key=joules pairs.
 type clientFlags map[string]energy.Joules
@@ -110,8 +123,28 @@ func main() {
 		MergeDeltaRows: *mergeAt,
 	}, realClock{epoch: time.Now()})
 
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
 	fmt.Printf("eimdb-serve: %d-row orders table, budget %d, listening on %s\n", *rows, *budget, *addr)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+
+	select {
+	case err := <-served: // never ErrServerClosed here: nothing has shut the server down
+		fmt.Fprintln(os.Stderr, "eimdb-serve:", err)
+		os.Exit(1)
+	case <-stop.Done():
+	}
+	cancel() // a second signal kills the process the default way
+	fmt.Println("eimdb-serve: shutting down, draining in-flight requests")
+	ctx, done := context.WithTimeout(context.Background(), drainTimeout)
+	defer done()
+	if err := hs.Shutdown(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "eimdb-serve: drain:", err)
+		os.Exit(1)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "eimdb-serve:", err)
 		os.Exit(1)
 	}

@@ -26,12 +26,23 @@ import (
 
 // Engine is an energy-aware in-memory column-store database.
 type Engine struct {
-	mu    sync.Mutex
-	cat   *opt.Catalog
-	model *energy.Model
-	cm    *opt.CostModel
-	obj   opt.Objective
-	meter energy.Meter // lifetime work accumulator
+	mu sync.Mutex
+	// latch is the data latch.  MVCC already fixes WHAT a read sees; the
+	// latch only keeps a delta append or a re-seal from moving memory
+	// under a running scan: query executions hold it shared (taken by
+	// Loop at dispatch), ExecDML and maintenance executions hold it
+	// exclusively.  It is never taken while holding mu, and nothing else
+	// is taken while holding it.
+	latch sync.RWMutex
+	// bigRun is held by a memory-heavy query execution for the length of
+	// its run: those take turns (see execution.run).  Taken after latch,
+	// and nothing is taken under it.
+	bigRun sync.Mutex
+	cat    *opt.Catalog
+	model  *energy.Model
+	cm     *opt.CostModel
+	obj    opt.Objective
+	meter  energy.Meter // lifetime work accumulator
 	// log and txm are the write path: DML commits through the transaction
 	// manager's MVCC clock and the REDO log's group-commit window.
 	log *wal.Log
@@ -220,9 +231,9 @@ func (e *Engine) Run(q *opt.Query) (*Result, error) {
 func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecision, error) {
 	l := e.NewLoop(SchedulerConfig{Budget: runtime.GOMAXPROCS(0), Arbitrate: true})
 	t := l.Offer(0, q, e.Objective(), budget)
-	l.React()
-	start := time.Now() //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
-	l.RunToIdle()
+	start := time.Now()          //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
+	l.React()                    // dispatch: the execution starts here
+	l.RunToIdle()                // and is joined here
 	elapsed := time.Since(start) //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
 	if t.Err != nil {
 		// The loop prefixes failures with the ticket ID; a lone query's
@@ -267,8 +278,8 @@ func (e *Engine) Explain(text string) (string, error) {
 // Plan lowers a logical query onto its physical operator tree at the
 // engine's cost model under the given objective, without executing it —
 // the serving front end's plan-cache fill path.  The returned node is
-// safe to re-run (operators keep no cross-run state), but never
-// concurrently with itself.
+// safe to re-run, and to run concurrently with itself (operators keep no
+// state outside a run's Ctx).
 func (e *Engine) Plan(q *opt.Query, obj opt.Objective) (exec.Node, *opt.PlanInfo, error) {
 	return e.cat.Plan(q, e.cm, obj)
 }

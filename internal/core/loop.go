@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -20,13 +21,35 @@ import (
 // Replay drives a prebuilt backlog through the same protocol, so the
 // lone-query, batch and online paths cannot drift apart.
 //
-// Execution happens at virtual completion time: when the scheduler
-// retires a group, the group's physical plan runs exactly once under a
-// revocable core lease sized to the group's widest grant, and every
-// live member adopts the relation with the full work attributed to it.
-// A member whose lease was canceled before the group retired is skipped
-// (it reports exec.ErrCanceled); if every member canceled, the physical
-// execution is elided entirely.
+// Execution starts at virtual DISPATCH: when the scheduler gives a group
+// cores, the group's physical plan starts on a goroutine of its own —
+// once, under a revocable core lease that follows the group's live grant
+// through every re-arbitration — so the real work overlaps the modeled
+// wait, and groups the virtual machine runs side by side run side by
+// side on real cores.  The group settles — bill, fleet meter, rider
+// adoption — at max(virtual finish, real finish): every live member
+// adopts the relation with the full work attributed to it.  A member
+// whose lease was canceled is skipped (it reports exec.ErrCanceled; a
+// canceled runner hands the run to the next live member), and a group
+// whose every member canceled before dispatch never executes.
+//
+// React and AdvanceTo never wait for a running execution: a group whose
+// virtual schedule is over but whose real run is not is held back and
+// returned, settled, by a later call (OnExecuted tells the owner when).
+// RunToIdle is the joining call — it waits for every run still going,
+// which is all a driver with nobody else to serve needs.  Background
+// maintenance is the exception to all of it: a merge or rebalance still
+// executes at virtual retirement, inside the event call that retired it.
+//
+// Executions hold the engine's data latch (Engine.latch) shared, taken
+// at dispatch on the loop's goroutine and released when the run returns;
+// ExecDML and maintenance hold it exclusively.  Every write thereby waits
+// for exactly the reads dispatched before it and no read dispatched after
+// it starts until it is done: what a read's kernels touch is a function
+// of the virtual schedule, never of goroutine timing.  Lock order for an
+// owner that serializes the loop under a mutex of its own (the server's
+// s.mu): owner mutex → latch, never the reverse — an execution goroutine
+// holds the latch and takes nothing else.
 //
 // The loop holds a ticket only while it is in flight: once React,
 // AdvanceTo or RunToIdle has returned it, the caller's pointer is the
@@ -34,23 +57,42 @@ import (
 // its history.
 //
 // Loop is not goroutine-safe — the server serializes access under its
-// own mutex, and Replay drives it from one goroutine.
+// own mutex, and Replay drives it from one goroutine.  Execution
+// goroutines touch no loop state.
 type Loop struct {
 	e      *Engine
 	mq     *sched.Loop
 	live   map[int]*Ticket // admitted, not yet settled
 	nextID int
 	fm     energy.FleetMeter
+	// retired holds, in retirement order, the groups whose virtual
+	// schedule is over and whose real run has not been seen to finish yet.
+	retired  []*execution
+	executed func() // OnExecuted hook
+}
+
+// execution is one dispatched group's physical run: one node.Run whose
+// relation every live member adopts.
+type execution struct {
+	members []*Ticket // leader first, then riders in admission order
+	retired bool      // the group's virtual schedule is over
+	// done closes when the run has finished; the result fields are
+	// written before that and read only after it.
+	done    chan struct{}
+	rel     *exec.Relation
+	work    energy.Counters
+	simTime time.Duration
+	err     error
 }
 
 // Ticket is one in-flight query in the online loop.  Its embedded
 // SubmissionResult settles when Done reports true: synchronously on
-// admission rejection or plan failure, otherwise when the query's group
-// retires from the virtual machine.
+// admission rejection or plan failure, otherwise once the query's group
+// has retired from the virtual machine and its execution has finished.
 type Ticket struct {
 	SubmissionResult
-	// Lease is the query's revocable core grant.  The loop resizes it to
-	// the group's granted width when execution starts; Cancel revokes it
+	// Lease is the query's revocable core grant.  The loop keeps it at the
+	// group's granted width while the group runs; Cancel revokes it
 	// (running operators stop at the next morsel boundary).
 	Lease *exec.Lease
 	// SnapTS is the MVCC snapshot the query was admitted at: it reads
@@ -68,23 +110,101 @@ type Ticket struct {
 	sched *sched.TaskSchedule
 	// after is a maintenance ticket's post-run hook, called with Table:
 	// the catalog refresh that re-derives what the planner prices against.
-	after    func(table string) error
-	canceled bool
-	done     bool
+	after   func(table string) error
+	x       *execution // the group's run, from dispatch on
+	done    bool
+	settled chan struct{}
 }
 
-// Done reports whether the ticket's result fields have settled.
+// Done reports whether the ticket's result fields have settled.  Like
+// every loop state it is read under the loop's serialization; a
+// goroutine outside it waits on Settled instead.
 func (t *Ticket) Done() bool { return t.done }
 
-// Cancel abandons the ticket: its lease is revoked, and when its group
-// retires the loop skips this member during result adoption (the query
-// reports exec.ErrCanceled).  Canceling a settled ticket is a no-op.
+// Settled is closed once the ticket's result fields have settled: the
+// ticket's own completion, for a goroutine parked outside the loop's
+// serialization (a request handler).  The fields may be read after it
+// without further locking.
+func (t *Ticket) Settled() <-chan struct{} { return t.settled }
+
+// Cancel abandons the ticket: its lease is revoked — if the query is
+// executing, its operators stop at the next morsel boundary — and the
+// loop skips this member during result adoption (the query reports
+// exec.ErrCanceled).  Canceling a settled ticket is a no-op.
 func (t *Ticket) Cancel() {
-	if t.done {
-		return
+	if !t.done {
+		t.Lease.Cancel()
 	}
-	t.canceled = true
-	t.Lease.Cancel()
+}
+
+// settle marks the ticket's result final and releases whoever waits.
+func (t *Ticket) settle() {
+	t.done = true
+	close(t.settled)
+}
+
+// fail records the ticket's failure, prefixed with its ID.
+func (t *Ticket) fail(err error) {
+	t.Err = fmt.Errorf("core: submission %d: %w", t.ID, err)
+}
+
+// execute is the one place a plan runs: the ticket's node, at the
+// ticket's snapshot, under the ticket's lease, then the maintenance
+// hook if there is one.  It is called with no mutex held (the data latch
+// aside) and touches no loop state.  A panic in an operator is this
+// query's failure, not the process's: it is recovered into the returned
+// error, so the latch is released, the ticket settles as Err and the
+// loop keeps serving.
+func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, simTime time.Duration, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rel, err = nil, fmt.Errorf("panic during execution: %v", r)
+		}
+	}()
+	ctx := exec.NewCtx()
+	ctx.Lease = t.Lease
+	ctx.SnapTS = t.SnapTS
+	rel, err = t.node.Run(ctx)
+	if err == nil && t.after != nil {
+		err = t.after(t.Table)
+	}
+	return rel, ctx.Meter.Snapshot(), ctx.SimTime, err
+}
+
+// memoryHeavy reports whether the run's working memory grows with its
+// input: at least an aggregate's worth of rows (exec.ParallelAggRows, the
+// size from which HashAgg itself treats its input as big) flows out of
+// the scans into a pipeline other than the fused probe→aggregate.  That
+// one folds a million probe rows through a few megabytes; every other
+// pipeline over such an input — materializing or fused filter→aggregate —
+// allocates tens of megabytes of gathered columns, selections and
+// per-morsel partials (17–83 MB per run at 1M rows, measured).
+func (t *Ticket) memoryHeavy() bool {
+	info := t.PlanInfo
+	return len(info.FusedProbes) == 0 && info.Est.Work.TuplesOut >= exec.ParallelAggRows
+}
+
+// run executes the group's plan once, as its first live member.  A
+// runner whose lease is revoked mid-run returns ErrCanceled; the run
+// then passes to the next live member, so one client hanging up never
+// fails the lookalikes riding along.  Memory-heavy runs take turns
+// (Engine.bigRun): cores are what the virtual machine arbitrates, and two
+// such runs side by side double the process's transient heap — DRAM, the
+// in-memory database's static-energy term — which no book is charged for.
+func (x *execution) run(e *Engine) {
+	if t := x.members[0]; t.Table == "" && t.memoryHeavy() {
+		e.bigRun.Lock()
+		defer e.bigRun.Unlock()
+	}
+	for _, t := range x.members {
+		if t.Lease.Canceled() {
+			continue
+		}
+		x.rel, x.work, x.simTime, x.err = t.execute()
+		if !errors.Is(x.err, exec.ErrCanceled) {
+			return
+		}
+	}
 }
 
 // NewLoop opens an online scheduling loop over the engine.  The
@@ -105,6 +225,13 @@ func (e *Engine) NewLoop(cfg SchedulerConfig) *Loop {
 		live: make(map[int]*Ticket),
 	}
 }
+
+// OnExecuted registers fn to be called each time a group's execution
+// finishes — on the execution's goroutine, with no lock held.  The owner
+// of a long-lived loop calls Settle from there (under its own
+// serialization), so a group held back for its real run settles without
+// waiting for the next arrival.  Set it before the first offer.
+func (l *Loop) OnExecuted(fn func()) { l.executed = fn }
 
 // Now returns the loop's current virtual time.
 func (l *Loop) Now() time.Duration { return l.mq.Now() }
@@ -150,9 +277,9 @@ func (l *Loop) Offer(at time.Duration, q *opt.Query, obj opt.Objective, budget e
 
 // OfferPlanned submits an already-planned query — the entry point for a
 // server-side plan cache, where a cache hit skips parse and plan
-// entirely.  Plan nodes are stateless across runs, so the same node may
-// back many tickets, but the loop executes at most one group at a time,
-// never a node concurrently with itself.
+// entirely.  Plan nodes keep no state across or during runs, so the same
+// node may back many tickets and run concurrently with itself when the
+// virtual machine runs two of them side by side.
 func (l *Loop) OfferPlanned(at time.Duration, node exec.Node, info *opt.PlanInfo, obj opt.Objective) *Ticket {
 	return l.offerRead(at, node, info, obj, nil)
 }
@@ -206,9 +333,11 @@ func (l *Loop) admit(at time.Duration, t *Ticket, share string, planErr error) *
 	t.ID = l.nextID
 	l.nextID++
 	t.Lease = exec.NewLease(1)
+	t.settled = make(chan struct{})
 	if planErr != nil {
-		t.Rejected, t.done = true, true
-		t.Err = fmt.Errorf("core: submission %d: %w", t.ID, planErr)
+		t.Rejected = true
+		t.fail(planErr)
+		t.settle()
 		return t
 	}
 	task := sched.Task{
@@ -225,21 +354,29 @@ func (l *Loop) admit(at time.Duration, t *Ticket, share string, planErr error) *
 	}
 	t.sched = l.mq.Offer(task)
 	if t.sched.Rejected {
-		t.Rejected, t.done = true, true
+		t.Rejected = true
+		t.settle()
 	} else {
 		l.live[t.ID] = t
 	}
 	return t
 }
 
-// oldestLiveSnap returns the oldest snapshot any in-flight read ticket
-// holds — the merge horizon: tombstones at or below it are invisible to
-// every in-flight reader, so their rows may be compacted away.  Zero
-// (compact everything) when no reader is in flight.
+// oldestLiveSnap returns the oldest snapshot any read ticket still in
+// the virtual machine holds — the merge horizon: tombstones at or below
+// it are invisible to every such reader, so their rows may be compacted
+// away.  Zero (compact everything) when there is none.  A read whose
+// group has retired is not counted: it took the data latch at dispatch
+// and the maintenance run asking holds it exclusively, so that read has
+// finished — and leaving it out keeps the horizon a function of the
+// virtual schedule alone.
 func (l *Loop) oldestLiveSnap() int64 {
 	var oldest int64
 	//lint:allow determinism: a minimum over the in-flight set does not depend on visit order
 	for _, t := range l.live {
+		if t.x != nil && t.x.retired {
+			continue
+		}
 		if t.SnapTS > 0 && (oldest == 0 || t.SnapTS < oldest) {
 			oldest = t.SnapTS
 		}
@@ -248,86 +385,154 @@ func (l *Loop) oldestLiveSnap() int64 {
 }
 
 // React runs the post-arrival half of an event — dispatch plus budget
-// re-arbitration — and executes any groups that retired.  It returns
-// the tickets that settled.
+// re-arbitration — starting the execution of every group that took cores.
+// It returns the tickets that settled.
 func (l *Loop) React() []*Ticket {
-	return l.finalize(l.mq.React())
+	return l.step(l.mq.React(), false)
 }
 
-// AdvanceTo moves virtual time forward to t, executing every group that
-// finishes at or before t (each departure re-prices the survivors).
-// Returns the tickets that settled, in completion order.
+// AdvanceTo moves virtual time forward to t, retiring every group that
+// finishes at or before t (each departure re-prices the survivors and
+// may dispatch a successor).  Returns the tickets that settled, groups
+// in retirement order.
 func (l *Loop) AdvanceTo(t time.Duration) []*Ticket {
-	return l.finalize(l.mq.AdvanceTo(t))
+	return l.step(l.mq.AdvanceTo(t), false)
 }
 
-// RunToIdle drains the virtual machine, executing every remaining
-// group.  Returns the tickets that settled.
+// RunToIdle drains the virtual machine and waits for every execution
+// still running.  Returns the tickets that settled — every ticket that
+// was in flight.
 func (l *Loop) RunToIdle() []*Ticket {
-	return l.finalize(l.mq.RunToIdle())
+	return l.step(l.mq.RunToIdle(), true)
 }
 
-// finalize turns scheduler completions into executed results and hands
-// the tickets over (the loop forgets them): the first non-canceled
-// member runs the physical plan once at the group's widest grant, and
-// every other live member adopts the relation with the full work
-// attributed to it (the fleet meter's two books record the gap).
-func (l *Loop) finalize(cs []sched.Completion) []*Ticket {
-	var out []*Ticket
-	e := l.e
-	for _, c := range cs {
-		group := len(out)
-		var runner *Ticket
-		for _, seq := range c.Members {
-			t := l.live[seq]
-			delete(l.live, seq)
-			t.Start, t.Finish, t.Latency = t.sched.Start, t.sched.Finish, t.sched.Latency
-			t.DOP, t.GroupSize = t.sched.MaxDOP, t.sched.GroupSize
-			t.Shared = seq != c.Leader
-			t.done = true
-			if runner == nil && !t.canceled {
-				runner = t
-			}
-			out = append(out, t)
-		}
-		if runner != nil {
-			runner.Lease.Resize(runner.DOP)
-			ctx := exec.NewCtx()
-			ctx.Lease = runner.Lease
-			ctx.SnapTS = runner.SnapTS
-			rel, err := runner.node.Run(ctx)
-			if err == nil && runner.after != nil {
-				err = runner.after(runner.Table)
-			}
-			if err != nil {
-				// An execution failure is isolated like a plan failure:
-				// this group reports the error, the loop keeps serving.
-				runner.Err = fmt.Errorf("core: submission %d: %w", runner.ID, err)
-			} else {
-				runner.Rel = rel
-				runner.Work = ctx.Meter.Snapshot()
-				runner.SimTime = ctx.SimTime
-				runner.Energy = e.bill(runner.Work, runner.SimTime)
-				l.fm.AddQuery(runner.Work)
-				e.meter.Add(runner.Work) // lifetime work counts physical, not billed
-			}
-		}
-		for _, t := range out[group:] {
-			if t == runner {
-				continue
-			}
-			if t.canceled {
-				t.Err = fmt.Errorf("core: submission %d: %w", t.ID, exec.ErrCanceled)
-				continue
-			}
-			if runner.Err != nil {
-				t.Err = runner.Err
-				continue
-			}
-			t.Rel, t.Work, t.SimTime, t.Energy = runner.Rel, runner.Work, runner.SimTime, runner.Energy
-			l.fm.AddSharedQuery(t.Work)
+// Settle hands over the retired groups whose execution has finished
+// since the last event call, without touching the virtual machine — the
+// call OnExecuted's hook makes.
+func (l *Loop) Settle() []*Ticket { return l.settle(false) }
+
+// step applies the scheduler's events since the last call, in
+// virtual-time order — a dispatch starts the group's execution, a
+// completion retires it — points every running lease at its group's
+// live grant, and settles the retired groups whose run has finished
+// (join: waits for the others too).
+func (l *Loop) step(cs []sched.Completion, join bool) []*Ticket {
+	ds := l.mq.Dispatched()
+	for len(ds) > 0 || len(cs) > 0 {
+		if len(cs) == 0 || (len(ds) > 0 && ds[0].Order < cs[0].Order) {
+			l.start(ds[0])
+			ds = ds[1:]
+		} else {
+			l.retire(cs[0])
+			cs = cs[1:]
 		}
 	}
+	for _, t := range l.live {
+		if t.x != nil {
+			t.Lease.Resize(t.sched.Grant)
+		}
+	}
+	return l.settle(join)
+}
+
+// start begins a dispatched group's execution: the data latch is taken
+// here, shared, so the run is ordered against writes by the virtual
+// schedule, and released by the run's own goroutine.  Maintenance only
+// records the group — it executes at retirement.
+func (l *Loop) start(d sched.Dispatch) {
+	x := &execution{done: make(chan struct{})}
+	for _, seq := range d.Members {
+		t := l.live[seq]
+		t.x = x
+		t.Lease.Resize(t.sched.Grant) // before the run starts: it opens at the dispatch grant
+		x.members = append(x.members, t)
+	}
+	if x.members[0].Table != "" {
+		return
+	}
+	executed := l.executed
+	l.e.latch.RLock()
+	go func() {
+		x.run(l.e)
+		l.e.latch.RUnlock()
+		close(x.done)
+		if executed != nil {
+			executed()
+		}
+	}()
+}
+
+// retire ends a group's virtual schedule: every member takes its final
+// schedule facts, and the group queues for settlement.  A maintenance
+// group executes here, under the exclusive data latch.
+func (l *Loop) retire(c sched.Completion) {
+	x := l.live[c.Leader].x
+	for _, t := range x.members {
+		t.Start, t.Finish, t.Latency = t.sched.Start, t.sched.Finish, t.sched.Latency
+		t.DOP, t.GroupSize = t.sched.MaxDOP, t.sched.GroupSize
+		t.Shared = t.ID != c.Leader
+	}
+	x.retired = true
+	if x.members[0].Table != "" {
+		l.e.latch.Lock()
+		x.run(l.e)
+		l.e.latch.Unlock()
+		close(x.done)
+	}
+	l.retired = append(l.retired, x)
+}
+
+// settle closes the books of every retired group whose run has finished
+// and hands its tickets over (the loop forgets them): the first live
+// member is billed the physical work, every other live member adopts
+// the relation with the full work attributed to it (the fleet meter's
+// two books record the gap), and canceled members report ErrCanceled.
+// With join it first waits for each run; without, a group still running
+// stays queued.
+func (l *Loop) settle(join bool) []*Ticket {
+	var out []*Ticket
+	e := l.e
+	var kept []*execution
+	for _, x := range l.retired {
+		if join {
+			<-x.done
+		} else {
+			select {
+			case <-x.done:
+			default:
+				kept = append(kept, x)
+				continue
+			}
+		}
+		var payer *Ticket
+		for _, t := range x.members {
+			delete(l.live, t.ID)
+			switch {
+			case t.Lease.Canceled():
+				t.fail(exec.ErrCanceled)
+			case payer == nil:
+				payer = t
+				if x.err != nil {
+					// An execution failure is isolated like a plan failure:
+					// this group reports the error, the loop keeps serving.
+					t.fail(x.err)
+					break
+				}
+				t.Rel, t.Work, t.SimTime = x.rel, x.work, x.simTime
+				t.Energy = e.bill(t.Work, t.SimTime)
+				l.fm.AddQuery(t.Work)
+				e.meter.Add(t.Work) // lifetime work counts physical, not billed
+			case payer.Err != nil:
+				t.Err = payer.Err
+			default:
+				t.Rel, t.Work, t.SimTime, t.Energy = payer.Rel, payer.Work, payer.SimTime, payer.Energy
+				l.fm.AddSharedQuery(t.Work)
+			}
+			t.settle()
+			out = append(out, t)
+		}
+	}
+	l.retired = kept
 	return out
 }
 

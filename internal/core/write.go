@@ -109,8 +109,12 @@ func (t *dmlTarget) route(vals []any) (int, []any) {
 // time `at` (which paces the group-commit window).  One transaction
 // spans every touched shard, so a statement commits at one timestamp and
 // visibility stays invariant under the shard count.  Conflicts surface
-// as txn.ErrConflict.
+// as txn.ErrConflict.  The statement holds the data latch exclusively: it
+// starts once every query execution dispatched before it has finished,
+// and none starts until it returns.
 func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
+	e.latch.Lock()
+	defer e.latch.Unlock()
 	tgt, err := e.dmlTarget(d.Table)
 	if err != nil {
 		return nil, err

@@ -38,6 +38,12 @@ import (
 // the tests assert.  Loop is not goroutine-safe; the server serializes
 // access under its own mutex.
 //
+// Besides the completions its event calls return, the loop reports the
+// other half of a group's life: Dispatched lists the groups that took
+// cores (core.Loop starts their physical execution then, so real work
+// overlaps the modeled wait), and TaskSchedule.Grant is the group's live
+// core grant, rewritten by every re-arbitration.
+//
 // The loop holds state only for tasks still in the machine: a task's
 // TaskSchedule belongs to whoever Offer returned it to, so a long-lived
 // server's memory and Result cost do not grow with history.
@@ -47,6 +53,9 @@ type Loop struct {
 	queue   []*group
 	running []*group
 	now     float64 // virtual seconds
+
+	started []Dispatch // dispatched since the last Dispatched call
+	events  int        // dispatches + completions so far: the Order stamp
 
 	static       energy.Joules
 	fleetDyn     energy.Joules
@@ -60,9 +69,21 @@ type Loop struct {
 // Completion reports one group retiring from the machine: one physical
 // execution shared by the leader and its riders.
 type Completion struct {
+	Order   int   // position in the loop's event sequence (see Dispatch)
 	Leader  int   // Seq of the group leader
 	Members []int // seqs, leader first then riders in admission order
 	Finish  time.Duration
+}
+
+// Dispatch reports one group taking cores.  Its membership is final:
+// lookalikes batch only into groups still waiting in the queue.  Order
+// stamps dispatches and completions from one counter, so a caller that
+// merges the two streams by it replays the machine's events in
+// virtual-time order even when one call spanned many of them.
+type Dispatch struct {
+	Order   int
+	Leader  int
+	Members []int // seqs, leader first then riders in admission order
 }
 
 // NewLoop returns an empty machine.  A non-positive core budget admits
@@ -149,6 +170,14 @@ func (l *Loop) RunToIdle() []Completion {
 		l.reallocate()
 	}
 	return done
+}
+
+// Dispatched returns the groups dispatched since the previous call, in
+// dispatch order, and forgets them.
+func (l *Loop) Dispatched() []Dispatch {
+	ds := l.started
+	l.started = nil
+	return ds
 }
 
 // NextFinish returns the virtual time of the earliest scheduled
@@ -285,6 +314,8 @@ func (l *Loop) dispatch() {
 		l.queue = append(l.queue[:pick], l.queue[pick+1:]...)
 		g.start = time.Duration(l.now * float64(time.Second))
 		l.running = append(l.running, g)
+		l.started = append(l.started, Dispatch{Order: l.events, Leader: g.leader.Seq, Members: g.seqs()})
+		l.events++
 	}
 }
 
@@ -301,10 +332,7 @@ func (l *Loop) reallocate() {
 	}
 	if !l.cfg.Arbitrate {
 		for _, g := range l.running {
-			g.dop = g.cap(l.cfg.Budget)
-			if g.dop > g.maxDOP {
-				g.maxDOP = g.dop
-			}
+			g.grant(g.cap(l.cfg.Budget))
 		}
 		return
 	}
@@ -362,9 +390,7 @@ func (l *Loop) reallocate() {
 		spare--
 	}
 	for _, g := range l.running {
-		if g.dop > g.maxDOP {
-			g.maxDOP = g.dop
-		}
+		g.grant(g.dop)
 	}
 }
 
@@ -389,7 +415,8 @@ func (l *Loop) complete() []Completion {
 			l.sharedGroups++
 			l.sharedTasks += len(g.members) - 1
 		}
-		c := Completion{Leader: g.leader.Seq, Finish: finish}
+		c := Completion{Order: l.events, Leader: g.leader.Seq, Finish: finish, Members: g.seqs()}
+		l.events++
 		for _, t := range g.members {
 			s := t.sched
 			s.Leader = g.leader.Seq
@@ -399,7 +426,6 @@ func (l *Loop) complete() []Completion {
 			s.Latency = finish - t.Arrival
 			s.MaxDOP = g.maxDOP
 			l.completed++
-			c.Members = append(c.Members, t.Seq)
 		}
 		done = append(done, c)
 	}

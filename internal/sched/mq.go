@@ -98,6 +98,11 @@ type TaskSchedule struct {
 	Finish    time.Duration
 	Latency   time.Duration // Finish - Arrival
 	MaxDOP    int           // widest core grant the task's group held
+	// Grant is the group's core grant right now: zero until dispatch,
+	// rewritten by every re-arbitration while the group runs (the width
+	// core.Loop resizes the running query's lease to), and the last grant
+	// held once the group has retired.
+	Grant int
 }
 
 // MQResult is the fleet's books over everything a Loop has scheduled.
@@ -149,6 +154,27 @@ type group struct {
 	dop    int
 	maxDOP int // widest grant held, for the report
 	start  time.Duration
+}
+
+// seqs lists the members' seqs, leader first.
+func (g *group) seqs() []int {
+	out := make([]int, len(g.members))
+	for i, t := range g.members {
+		out[i] = t.Seq
+	}
+	return out
+}
+
+// grant sets the group's core grant and publishes it on every member's
+// schedule record.
+func (g *group) grant(dop int) {
+	g.dop = dop
+	if dop > g.maxDOP {
+		g.maxDOP = dop
+	}
+	for _, t := range g.members {
+		t.sched.Grant = dop
+	}
 }
 
 // cap returns the group's core-grant ceiling under the budget.

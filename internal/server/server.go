@@ -24,6 +24,16 @@
 // DML and completed merges invalidate the plan cache (statistics and
 // access paths may have shifted).
 //
+// Execution and locking: a query starts executing when the virtual
+// machine dispatches it (core.Loop), on a goroutine of its own and on
+// real cores, while its handler is parked and its modeled schedule
+// elapses; it is answered at max(virtual finish, real finish).  The
+// server's one mutex guards the books only — admission, the plan cache,
+// the schedule, the energy accounts — and nothing runs a plan, or waits
+// for one, while holding it on the HTTP path (a background merge, which
+// still executes inside the event that retires it, is the exception).
+// ARCHITECTURE.md's serving section has the lock-discipline table.
+//
 // Time discipline: the server never reads a wall clock — all timing
 // flows through the Clock interface, so tests drive a SimClock and the
 // whole front end becomes a deterministic discrete-event simulation
@@ -45,10 +55,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
@@ -77,8 +90,8 @@ type Config struct {
 }
 
 // planEntry is one cached prepared statement: a plan node (re-runnable,
-// never concurrently) plus the planner's report, keyed by objective and
-// by both the raw text and the ShareSig canonical signature.
+// also concurrently with itself) plus the planner's report, keyed by
+// objective and by both the raw text and the ShareSig canonical signature.
 type planEntry struct {
 	node exec.Node
 	info *opt.PlanInfo
@@ -92,13 +105,15 @@ type clientBook struct {
 	rejected402 uint64
 }
 
-// pending is one admitted request awaiting its virtual completion.
-type pending struct {
-	client string
-	ch     chan *core.Ticket // nil: nobody waits (replay, canceled)
-}
+// noWake is armed's value when no clock wake is outstanding.
+const noWake time.Duration = -1
 
 // Server is the HTTP front end.  It implements http.Handler.
+//
+// Lock order: mu, then the engine's data latch (ExecDML and merge
+// execution take it under mu), never the reverse — an executing query
+// holds the latch and takes nothing.  Handlers wait for a ticket
+// (Ticket.Settled) only with mu released.
 type Server struct {
 	clock Clock
 	mux   *http.ServeMux
@@ -113,7 +128,8 @@ type Server struct {
 	sigHits  uint64
 	misses   uint64
 	clients  map[string]*clientBook
-	inflight map[int]*pending
+	inflight map[int]string  // admitted, unsettled ticket → its API key (keyed requests only)
+	armed    time.Duration   // earliest clock wake scheduled and not yet fired (noWake: none)
 	merging  map[string]bool // tables with an offered, unfinished merge
 	writes   uint64          // DML statements applied
 	merges   uint64          // background merges completed
@@ -130,9 +146,11 @@ func New(eng *core.Engine, cfg Config, clock Clock) *Server {
 		texts:    make(map[string]*planEntry),
 		sigs:     make(map[string]*planEntry),
 		clients:  make(map[string]*clientBook),
-		inflight: make(map[int]*pending),
+		inflight: make(map[int]string),
+		armed:    noWake,
 		merging:  make(map[string]bool),
 	}
+	s.loop.OnExecuted(s.onExecuted)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/write", s.handleWrite)
@@ -153,6 +171,8 @@ type queryRequest struct {
 
 // queryResponse is the 200 body: schedule-invariant facts only, so the
 // bytes are identical at every core budget and batching setting.
+// renderTicket writes these bytes without building the value; the type
+// stays as the format's definition (and what clients and tests decode).
 type queryResponse struct {
 	ID        int             `json:"id"`
 	Objective string          `json:"objective"`
@@ -312,6 +332,7 @@ func (s *Server) admitLocked(at time.Duration, client, text, objName string) (*c
 	}
 	if book != nil {
 		book.committed += entry.info.Est.Energy
+		s.inflight[t.ID] = client
 	}
 	return t, hit, nil
 }
@@ -325,8 +346,9 @@ func (s *Server) invalidatePlansLocked() {
 	s.sigs = make(map[string]*planEntry)
 }
 
-// deliverLocked settles completed tickets: credits client spend, wakes
-// any waiting handler, and retires the inflight entry.  Completed merge
+// deliverLocked books settled tickets on the server's side: a keyed
+// request's measured bill is credited to its client (the handler itself
+// is released by the ticket's own Settled channel).  Completed merge
 // tickets (the only maintenance this server offers) retire their table's
 // in-progress mark and invalidate the plan cache (the re-sealed layout
 // re-prices every access path).
@@ -340,56 +362,140 @@ func (s *Server) deliverLocked(done []*core.Ticket) {
 			}
 			continue
 		}
-		p := s.inflight[t.ID]
-		if p == nil {
-			continue
-		}
-		delete(s.inflight, t.ID)
-		if p.client != "" && t.Err == nil {
-			s.clients[p.client].spent += t.Energy.Total()
-		}
-		if p.ch != nil {
-			p.ch <- t
+		if client, ok := s.inflight[t.ID]; ok {
+			delete(s.inflight, t.ID)
+			if t.Err == nil {
+				s.clients[client].spent += t.Energy.Total()
+			}
 		}
 	}
 }
 
-// pumpLocked arms the clock for the next scheduled completion.  Stale
-// or duplicate wakes are harmless: onWake re-derives everything from
-// the loop.
+// pumpLocked arms the clock for the next scheduled completion — unless a
+// wake at or before it is already outstanding: that wake pumps again, so
+// one timer per finish event is enough however many requests re-derive
+// the same finish meanwhile.  Stale wakes (the finish moved later) are
+// harmless: wake re-derives everything from the loop.
 func (s *Server) pumpLocked() {
-	if f, ok := s.loop.NextFinish(); ok {
-		s.clock.Schedule(f, s.onWake)
+	f, ok := s.loop.NextFinish()
+	if !ok || (s.armed != noWake && s.armed <= f) {
+		return
 	}
+	s.armed = f
+	s.clock.Schedule(f, func() { s.wake(f) })
 }
 
-// onWake advances the loop to the clock and settles whatever finished.
-func (s *Server) onWake() {
+// wake is the clock's callback for the wake armed at `at`: it advances
+// the loop to the clock and books whatever settled.
+func (s *Server) wake(at time.Duration) {
 	now := s.clock.Now()
 	s.mu.Lock()
+	if s.armed == at {
+		s.armed = noWake
+	}
 	s.deliverLocked(s.loop.AdvanceTo(now))
 	s.pumpLocked()
 	s.mu.Unlock()
 }
 
-// renderTicket turns a settled ticket into its HTTP status and body.
+// onExecuted is the loop's execution-finished hook, called on the
+// execution's goroutine with nothing held: a group whose virtual
+// schedule was already over settles now, not at the next event.
+func (s *Server) onExecuted() {
+	s.mu.Lock()
+	s.deliverLocked(s.loop.Settle())
+	s.mu.Unlock()
+}
+
+// renderTicket turns a settled ticket into its HTTP status and body: the
+// bytes json.Marshal gives a queryResponse, appended straight from the
+// relation's typed columns — no row is boxed into []any on the way (a
+// ~10K-group answer spent most of the server's own time there).
 func renderTicket(t *core.Ticket) (int, []byte) {
 	if t.Err != nil {
 		return http.StatusInternalServerError, errBody("internal", t.Err.Error(), 0)
 	}
-	resp := queryResponse{
-		ID:        t.ID,
-		Objective: t.Objective.String(),
-		Columns:   t.Rel.ColNames(),
-		Rows:      make([][]any, 0, t.Rel.N),
-		Work:      t.Work,
-		Energy:    responseEnergy{Joules: float64(t.Energy.Total()), Breakdown: t.Energy},
+	rel := t.Rel
+	b := make([]byte, 0, 512+16*rel.N*len(rel.Cols))
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, int64(t.ID), 10)
+	b = append(b, `,"objective":`...)
+	b = appendJSONString(b, t.Objective.String())
+	b = append(b, `,"columns":[`...)
+	for ci := range rel.Cols {
+		if ci > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, rel.Cols[ci].Name)
 	}
-	for r := 0; r < t.Rel.N; r++ {
-		resp.Rows = append(resp.Rows, t.Rel.Row(r))
+	b = append(b, `],"rows":[`...)
+	for r := 0; r < rel.N; r++ {
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for ci := range rel.Cols {
+			if ci > 0 {
+				b = append(b, ',')
+			}
+			switch c := &rel.Cols[ci]; c.Type {
+			case colstore.Int64:
+				b = strconv.AppendInt(b, c.I[r], 10)
+			case colstore.Float64:
+				if f := c.F[r]; math.IsNaN(f) || math.IsInf(f, 0) {
+					return http.StatusInternalServerError, errBody("internal",
+						fmt.Sprintf("column %q row %d: %v has no JSON form", c.Name, r, f), 0)
+				}
+				b = appendJSONFloat(b, c.F[r])
+			default:
+				b = appendJSONString(b, c.Str(r))
+			}
+		}
+		b = append(b, ']')
 	}
-	b, _ := json.Marshal(resp)
-	return http.StatusOK, append(b, '\n')
+	work, _ := json.Marshal(t.Work) // integer counters: cannot fail
+	energy, err := json.Marshal(responseEnergy{Joules: float64(t.Energy.Total()), Breakdown: t.Energy})
+	if err != nil {
+		return http.StatusInternalServerError, errBody("internal", err.Error(), 0)
+	}
+	b = append(b, `],"work":`...)
+	b = append(b, work...)
+	b = append(b, `,"energy":`...)
+	b = append(b, energy...)
+	return http.StatusOK, append(b, '}', '\n')
+}
+
+// appendJSONFloat appends a finite float in encoding/json's format: the
+// shortest digits that round-trip, exponent form below 1e-6 and from
+// 1e21 up, with the exponent's leading zero dropped (e-07 → e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends a string as encoding/json quotes it.  Printable
+// ASCII with nothing to escape — every value this engine's workloads
+// produce — is copied between quotes; anything else (quotes, backslashes,
+// control bytes, the HTML-sensitive <>&, non-ASCII, invalid UTF-8) goes
+// through json.Marshal itself, so the escaping rules live in one place.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // writeJSON writes a response body with its status.
@@ -430,8 +536,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
 }
 
 // handleQuery is the serving hot path: decode, advance the loop to the
-// arrival instant, admit, react, then park until the virtual machine
-// completes the query (or the request context cancels the lease).
+// arrival instant, admit, react (a free core dispatches the query and
+// its execution starts), then park — off the mutex — until the ticket
+// settles (or the request context cancels the lease).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -455,29 +562,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.deliverLocked(s.loop.AdvanceTo(now))
 	t, hit, rerr := s.admitLocked(now, client, req.SQL, req.Objective)
-	if rerr != nil {
-		s.deliverLocked(s.loop.React())
-		s.pumpLocked()
-		s.mu.Unlock()
-		writeReqError(w, rerr)
-		return
-	}
-	ch := make(chan *core.Ticket, 1)
-	s.inflight[t.ID] = &pending{client: client, ch: ch}
 	s.deliverLocked(s.loop.React())
 	s.pumpLocked()
 	s.mu.Unlock()
+	if rerr != nil {
+		writeReqError(w, rerr)
+		return
+	}
 
 	select {
-	case t = <-ch:
+	case <-t.Settled():
 	case <-r.Context().Done():
 		// The client went away: revoke the lease (running operators
 		// stop at the next morsel boundary) and abandon the response.
 		s.mu.Lock()
-		if p := s.inflight[t.ID]; p != nil {
-			p.ch = nil
-			t.Cancel()
-		}
+		t.Cancel()
 		s.mu.Unlock()
 		return
 	}

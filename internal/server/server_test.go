@@ -262,8 +262,9 @@ func TestServeErrorPaths(t *testing.T) {
 
 // TestServeCancelMidQueryRevokesLease: dropping the request context of
 // an in-flight query propagates to its exec lease — the query settles
-// as exec.ErrCanceled, nothing executes for it, and no spend is
-// recorded for the client.
+// as exec.ErrCanceled with no relation, and no spend is recorded for the
+// client.  The query was dispatched at admission, so the drop may find it
+// before, inside or after Run (TestServeCancelInsideRun pins "inside").
 func TestServeCancelMidQueryRevokesLease(t *testing.T) {
 	s, sc := testServer(t, core.SchedulerConfig{Budget: 1, Arbitrate: true},
 		map[string]energy.Joules{"alice": 1e9})
@@ -287,11 +288,14 @@ func TestServeCancelMidQueryRevokesLease(t *testing.T) {
 	}
 	cancel()
 	<-handlerDone
+	s.mu.Lock()
 	tk := s.loop.Ticket(0)
+	s.mu.Unlock()
 	if tk == nil || !tk.Lease.Canceled() {
 		t.Fatal("request-context cancellation did not revoke the exec lease")
 	}
 	sc.Advance(time.Hour) // retire the abandoned group
+	<-tk.Settled()        // at max(virtual finish, real finish)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !tk.Done() || !errors.Is(tk.Err, exec.ErrCanceled) {
