@@ -263,13 +263,13 @@ func BenchmarkParallelScanAgg(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := eng.Catalog().Table("orders")
+	tab, err := eng.Catalog().Lookup("orders")
 	if err != nil {
 		b.Fatal(err)
 	}
 	plan := &exec.HashAgg{
 		Child: &exec.Scan{
-			Table:  tab,
+			Source: tab,
 			Select: []string{"region", "amount"},
 			Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(int64(rows/100+10) * 4 / 5)}},
 		},

@@ -11,7 +11,7 @@ func trajectory(jop float64, names ...string) *File {
 		f.Benchmarks = append(f.Benchmarks, Bench{
 			Name:       n,
 			Iterations: 1,
-			Metrics:    map[string]float64{"J/op": jop, "bytes-touched/op": 1e6, "ns/op": 12345},
+			Metrics:    map[string]float64{"J/op": jop, "bytes-touched/op": 1e6},
 		})
 	}
 	return f
@@ -98,13 +98,13 @@ func TestDiffZeroBaseline(t *testing.T) {
 	}
 }
 
-// TestParseRoundTrip: the parser still reads real bench output with
-// custom metrics.
+// TestParseRoundTrip: the parser reads real bench output, keeping the
+// custom metrics and dropping the single-shot wall-clock ones.
 func TestParseRoundTrip(t *testing.T) {
 	const out = `goos: linux
 goarch: amd64
 cpu: Intel(R) Xeon(R)
-BenchmarkE21MultiQuery/managed-2   1   398038744 ns/op   0.05236 J/op   14989856 bytes-touched/op
+BenchmarkE21MultiQuery/managed-2   1   398038744 ns/op   21.07 MB/s   0.05236 J/op   14989856 bytes-touched/op
 PASS
 `
 	f, err := parse(strings.NewReader(out))
@@ -117,6 +117,9 @@ PASS
 	b := f.Benchmarks[0]
 	if b.Metrics["J/op"] != 0.05236 || b.Metrics["bytes-touched/op"] != 14989856 {
 		t.Fatalf("metrics lost: %+v", b.Metrics)
+	}
+	if len(b.Metrics) != 2 {
+		t.Fatalf("wall-clock metrics recorded: %+v", b.Metrics)
 	}
 }
 
@@ -133,13 +136,13 @@ func TestAnnotateSyntheticRegression(t *testing.T) {
 		t.Fatal("synthetic regression passed the gate")
 	}
 	var sb strings.Builder
-	annotate(&sb, findings, "BENCH_PR10.json")
+	annotate(&sb, findings, "BENCH_BASELINE.json")
 	out := sb.String()
 	if !strings.Contains(out,
-		"::error file=BENCH_PR10.json,title=bench gate%3A BenchmarkA-2 J/op::") {
+		"::error file=BENCH_BASELINE.json,title=bench gate%3A BenchmarkA-2 J/op::") {
 		t.Fatalf("regression did not render as ::error with file and title:\n%s", out)
 	}
-	if !strings.Contains(out, "::warning file=BENCH_PR10.json,title=bench gate%3A BenchmarkB-2 J/op::") ||
+	if !strings.Contains(out, "::warning file=BENCH_BASELINE.json,title=bench gate%3A BenchmarkB-2 J/op::") ||
 		!strings.Contains(out, "baseline is stale") {
 		t.Fatalf("stale-baseline improvement did not render as ::warning:\n%s", out)
 	}
@@ -159,9 +162,9 @@ func TestAnnotateStructuralFinding(t *testing.T) {
 		t.Fatal("dropped benchmark passed")
 	}
 	var sb strings.Builder
-	annotate(&sb, findings, "BENCH_PR10.json")
+	annotate(&sb, findings, "BENCH_BASELINE.json")
 	if !strings.Contains(sb.String(),
-		"::error file=BENCH_PR10.json,title=bench gate%3A BenchmarkGone-2::benchmark missing from this run") {
+		"::error file=BENCH_BASELINE.json,title=bench gate%3A BenchmarkGone-2::benchmark missing from this run") {
 		t.Fatalf("structural finding not annotated:\n%s", sb.String())
 	}
 }

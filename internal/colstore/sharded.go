@@ -9,44 +9,37 @@ import (
 	"repro/internal/energy"
 )
 
-// Value-range sharding: a table becomes a list of shards, each its own
-// main/delta Table, keyed by min/max bounds on a designated BIGINT shard
-// column (the min-list/max-list layout sketched in memcp's storage
-// roadmap).  Whole shards are pruned against predicates before a single
-// morsel is enumerated — the cheapest byte is the one never streamed —
-// and equi-joins on the shard column co-partition shard-to-shard when
-// both sides carry aligned bounds.
+// A table is its list of shards.  ShardedTable is the one table shape the
+// catalog registers and every scan, planner and write path binds: each
+// shard is its own main/delta Table.  A table created flat is the
+// one-shard case wrapped in place (OneShard): no shard column, no hidden
+// column, the shard keeps the table's name.  ShardTable cuts a loaded
+// table into k value-range shards keyed by routing cuts on a designated
+// BIGINT shard column (the min-list/max-list layout sketched in memcp's
+// storage roadmap).  Across more than one shard, whole shards are pruned
+// against predicates before a single morsel is enumerated — the cheapest
+// byte is the one never streamed — and equi-joins on the shard column
+// co-partition shard-to-shard when both sides carry aligned cuts.
 //
 // # Row-order identity
 //
-// Every shard carries a hidden stored BIGINT column, ShardSeqCol, holding
-// the row's global sequence number: its position in the original flat
-// load order, extended by one fresh sequence per DML-written row.  Within
-// a shard the sequence is strictly ascending in physical row order
-// (routing preserves load order, the delta appends in commit order, and
-// Merge/Rebalance preserve relative order), so a k-way merge of per-shard
-// scans by sequence reproduces the flat table's row order exactly — at
-// every shard count.  That is the whole determinism story: relations are
-// byte-identical to the unsharded layout no matter how the rows are cut.
+// Every shard of a cut table carries a hidden stored BIGINT column,
+// ShardSeqCol, holding the row's global sequence number: its position in
+// the original flat load order, extended by one fresh sequence per
+// DML-written row.  Within a shard the sequence is strictly ascending in
+// physical row order (routing preserves load order, the delta appends in
+// commit order, and Merge/Rebalance preserve relative order), so a k-way
+// merge of per-shard scans by sequence reproduces the flat table's row
+// order exactly — at every shard count.  That is the whole determinism
+// story: relations are byte-identical to the unsharded layout no matter
+// how the rows are cut.
 const ShardSeqCol = "__shard_seq"
 
-// ShardBound is the observed [Min, Max] of the shard column over one
-// shard's physical rows.  Min > Max marks an empty shard (always pruned).
-// The pruning loop touches every bound on every planned query, so the
-// descriptor stays two flat words — no maps, no pointers.
-//
-//lint:hotpath
-type ShardBound struct {
-	Min, Max int64
-}
-
-// Empty reports whether the bound covers no rows.
-func (b ShardBound) Empty() bool { return b.Min > b.Max }
-
-// ShardedTable is a value-range-sharded table: k main/delta shards named
-// "<name>#<i>", routing cuts (shard i owns keys <= cuts[i], last cut
-// +inf), observed per-shard bounds for pruning, and the global row
-// sequence counter.
+// ShardedTable is a table as its shard list: k main/delta shards, the
+// routing cuts (shard i owns keys <= cuts[i], last cut +inf), and the
+// global row sequence counter.  A cut table names its shards
+// "<name>#<i>"; a table wrapped in place has ShardCol == "" and its one
+// shard under its own name.
 type ShardedTable struct {
 	Name     string
 	ShardCol string
@@ -55,7 +48,6 @@ type ShardedTable struct {
 	schema  Schema // user-visible schema (ShardSeqCol excluded)
 	shards  []*Table
 	cuts    []int64
-	bounds  []ShardBound
 	nextSeq int64
 }
 
@@ -74,6 +66,14 @@ type RebalanceStats struct {
 	BytesBefore uint64
 	BytesAfter  uint64
 	Work        energy.Counters
+}
+
+// OneShard wraps a flat table in place as the one-shard table: nothing is
+// copied, no column is added, and the shard is t itself under its own
+// name — callers holding t keep appending to, sealing and merging the
+// very table every scan and write of the wrapper reaches.
+func OneShard(t *Table) *ShardedTable {
+	return &ShardedTable{Name: t.Name, schema: t.Schema(), shards: []*Table{t}, cuts: []int64{math.MaxInt64}}
 }
 
 // ShardTable cuts a flat, bulk-loaded table into k equi-depth value-range
@@ -157,7 +157,6 @@ func shardTable(t *Table, shardCol string, k int, cuts []int64) (*ShardedTable, 
 			return nil, err
 		}
 	}
-	s.recomputeBoundsLocked()
 	return s, nil
 }
 
@@ -194,17 +193,6 @@ func (s *ShardedTable) shardForLocked(key int64) int {
 	return sort.Search(len(s.cuts)-1, func(i int) bool { return key <= s.cuts[i] })
 }
 
-// AllocSeq hands out the next global row sequence number.  The write
-// path assigns one fresh sequence per inserted or updated row, in
-// statement order, so the sequence stays identical at every shard count.
-func (s *ShardedTable) AllocSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.nextSeq
-	s.nextSeq++
-	return v
-}
-
 // NumShards returns the shard count.
 func (s *ShardedTable) NumShards() int {
 	s.mu.Lock()
@@ -224,15 +212,6 @@ func (s *ShardedTable) Shard(i int) *Table {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.shards[i]
-}
-
-// Bounds returns the observed per-shard min/max of the shard column, the
-// zone map the planner prunes against.  Refresh with RecomputeBounds
-// after writes.
-func (s *ShardedTable) Bounds() []ShardBound {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ShardBound(nil), s.bounds...)
 }
 
 // Cuts returns the routing cuts (shard i owns keys <= Cuts()[i]).
@@ -258,6 +237,15 @@ func (s *ShardedTable) Rows() int {
 	return n
 }
 
+// DeltaRows returns the total unmerged delta rows across shards.
+func (s *ShardedTable) DeltaRows() int {
+	var n int
+	for _, sh := range s.Shards() {
+		n += sh.DeltaRows()
+	}
+	return n
+}
+
 // Bytes returns the total footprint across shards.
 func (s *ShardedTable) Bytes() uint64 {
 	var b uint64
@@ -277,78 +265,65 @@ func (s *ShardedTable) Seal() error {
 	return nil
 }
 
-// Append routes one row (user-schema order) to its owning shard by key
-// value, stamping the next global sequence — the bulk, non-transactional
-// write path (the transactional one lives in internal/core and routes
-// the same way before handing rows to txn).
-func (s *ShardedTable) Append(vals ...any) error {
+// Route completes one schema-ordered user row for writing: it picks the
+// shard owning the row's key value and stamps the next global sequence,
+// so the sequence stays identical at every shard count.  It is the
+// transactional twin of Append — the caller buffers the returned row
+// against Shard(i) in its own transaction.  A table wrapped in place has
+// no key to route on and stores no sequence: the row goes to its one
+// shard as is.
+func (s *ShardedTable) Route(vals []any) (int, []any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.routeLocked(vals)
+}
+
+func (s *ShardedTable) routeLocked(vals []any) (int, []any, error) {
+	if s.ShardCol == "" {
+		return 0, vals, nil
+	}
 	ki := s.schema.ColIndex(s.ShardCol)
 	key, ok := vals[ki].(int64)
 	if !ok {
-		return fmt.Errorf("colstore: %s: shard key must be int64, got %T", s.Name, vals[ki])
+		return 0, nil, fmt.Errorf("colstore: %s: shard key must be int64, got %T", s.Name, vals[ki])
 	}
-	sh := s.shards[s.shardForLocked(key)]
-	row := append(append([]any(nil), vals...), s.nextSeq)
-	sh.mu.Lock()
-	err := sh.appendRowLocked(row)
-	sh.mu.Unlock()
+	row := append(vals[:len(vals):len(vals)], s.nextSeq)
+	s.nextSeq++
+	return s.shardForLocked(key), row, nil
+}
+
+// Append routes one row (user-schema order) to its owning shard and
+// appends it there — the bulk, non-transactional write path.
+func (s *ShardedTable) Append(vals ...any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, row, err := s.routeLocked(vals)
 	if err != nil {
 		return err
 	}
-	s.nextSeq++
-	return nil
+	sh := s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.appendRowLocked(row)
 }
 
-// WidenBounds grows shard i's zone bound to cover key — the O(1)
-// write-path counterpart of RecomputeBounds.  A routed insert can only
-// widen its owning zone, and deletes never invalidate containment (a
-// stale-wide bound prunes less, never wrongly), so per-statement bound
-// maintenance needs no rescan; the full rescan remains for replay
-// recovery and the rebalance swap, the only places bounds may narrow.
-func (s *ShardedTable) WidenBounds(i int, key int64) {
+// RecoverSeq advances the sequence counter past the highest stored
+// sequence — how WAL replay, which writes shards by name behind the
+// container's back, recovers the counter after a restart.
+func (s *ShardedTable) RecoverSeq() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := &s.bounds[i]
-	if key < b.Min {
-		b.Min = key
+	if s.ShardCol == "" {
+		return
 	}
-	if key > b.Max {
-		b.Max = key
-	}
-}
-
-// RecomputeBounds rescans each shard's key column for its observed
-// min/max (over all physical rows — conservative for every snapshot) and
-// advances nextSeq past the highest stored sequence, which is how replay
-// recovers the counter after a restart.
-func (s *ShardedTable) RecomputeBounds() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recomputeBoundsLocked()
-}
-
-func (s *ShardedTable) recomputeBoundsLocked() {
-	s.bounds = make([]ShardBound, len(s.shards))
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		sh.mu.RLock()
-		kc := sh.cols[sh.schema.ColIndex(s.ShardCol)].(*IntColumn)
+		// Ascending in physical order: the last row holds the shard's highest.
 		qc := sh.cols[sh.schema.ColIndex(ShardSeqCol)].(*IntColumn)
-		b := ShardBound{Min: math.MaxInt64, Max: math.MinInt64}
-		for r := 0; r < kc.Len(); r++ {
-			if v := kc.Get(r); v < b.Min {
-				b.Min = v
-			}
-			if v := kc.Get(r); v > b.Max {
-				b.Max = v
-			}
-			if q := qc.Get(r); q >= s.nextSeq {
-				s.nextSeq = q + 1
-			}
+		if n := qc.Len(); n > 0 {
+			s.nextSeq = max(s.nextSeq, qc.Get(n-1)+1)
 		}
 		sh.mu.RUnlock()
-		s.bounds[i] = b
 	}
 }
 
@@ -383,6 +358,9 @@ func (s *ShardedTable) Rebalance(horizon int64) (RebalanceStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := RebalanceStats{Table: s.Name, Shards: len(s.shards)}
+	if s.ShardCol == "" {
+		return st, fmt.Errorf("colstore: %s has no shard column to rebalance on", s.Name)
+	}
 	for _, sh := range s.shards {
 		st.BytesBefore += sh.Bytes()
 		st.RowsTotal += sh.Rows()
@@ -407,7 +385,6 @@ func (s *ShardedTable) Rebalance(horizon int64) (RebalanceStats, error) {
 		for _, sh := range s.shards {
 			st.BytesAfter += sh.Bytes()
 		}
-		s.recomputeBoundsLocked()
 		return st, nil
 	}
 
@@ -482,7 +459,6 @@ func (s *ShardedTable) Rebalance(horizon int64) (RebalanceStats, error) {
 		st.BytesAfter += sh.Bytes()
 	}
 	s.shards = fresh
-	s.recomputeBoundsLocked()
 
 	// Price the re-route: every surviving byte is streamed out of the old
 	// layout and written into the new one, one routing decision per row.

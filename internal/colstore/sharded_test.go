@@ -115,12 +115,15 @@ func TestShardTableDegenerate(t *testing.T) {
 		t.Fatalf("Rows = %d, want 3", st.Rows())
 	}
 	seqOrder(t, st)
-	for i, b := range st.Bounds() {
-		if b.Empty() {
+	for i, sh := range st.Shards() {
+		kc, err := sh.IntCol("k")
+		mustOK(t, err)
+		min, _, ok := kc.MinMax()
+		if !ok {
 			continue
 		}
-		if got := st.ShardFor(b.Min); got != i {
-			t.Fatalf("bound min %d of shard %d routes to %d", b.Min, i, got)
+		if got := st.ShardFor(min); got != i {
+			t.Fatalf("zone min %d of shard %d routes to %d", min, i, got)
 		}
 	}
 	// All-duplicate keys collapse into one shard (values never straddle).
@@ -146,7 +149,37 @@ func TestShardTableDegenerate(t *testing.T) {
 	}
 }
 
-func TestShardedAppendAndRecomputeBounds(t *testing.T) {
+// TestOneShardWrapsInPlace: a flat table registered as one shard is the
+// same table — no copy, no hidden column, its own name — and the
+// operations that need a shard column say so instead of guessing.
+func TestOneShardWrapsInPlace(t *testing.T) {
+	flat := flatFixture(t, []int64{10, 20, 30})
+	st := OneShard(flat)
+	if st.Name != flat.Name || st.ShardCol != "" || st.NumShards() != 1 || st.Shard(0) != flat {
+		t.Fatalf("wrapper does not hold the table in place: %+v", st)
+	}
+	if got, want := st.Schema(), flat.Schema(); len(got) != len(want) || got.ColIndex(ShardSeqCol) >= 0 {
+		t.Fatalf("wrapper schema %v, want the table's %v", got, want)
+	}
+	vals := []any{int64(40), int64(7)}
+	if i, row, err := st.Route(vals); err != nil || i != 0 || len(row) != len(vals) {
+		t.Fatalf("Route = shard %d row %v err %v, want the row as is on shard 0", i, row, err)
+	}
+	mustOK(t, st.Append(vals...))
+	if flat.Rows() != 4 || st.Rows() != 4 || st.Bytes() != flat.Bytes() {
+		t.Fatalf("append through the wrapper did not land in the table: %d/%d rows", flat.Rows(), st.Rows())
+	}
+	mustOK(t, st.Seal())
+	st.RecoverSeq() // nothing stored, nothing to recover
+	if _, err := st.Rebalance(SnapLatest); err == nil {
+		t.Fatal("rebalancing a table without a shard column must error")
+	}
+	if !st.AlignedWith(OneShard(flatFixture(t, []int64{1}))) {
+		t.Fatal("two one-shard tables share the trivial cut")
+	}
+}
+
+func TestShardedAppendAndRecoverSeq(t *testing.T) {
 	flat := flatFixture(t, []int64{10, 20, 30, 40})
 	st, err := ShardTable(flat, "k", 2)
 	mustOK(t, err)
@@ -166,13 +199,10 @@ func TestShardedAppendAndRecomputeBounds(t *testing.T) {
 
 	// nextSeq recovery: a fresh container over the same shards (replay)
 	// must resume past the highest stored sequence.
-	st.RecomputeBounds()
-	if got := st.AllocSeq(); got != 6 {
-		t.Fatalf("AllocSeq after RecomputeBounds = %d, want 6", got)
-	}
-	b := st.Bounds()
-	if b[0].Min != 10 || b[0].Max != 20 || b[1].Min != 30 || b[1].Max != 40 {
-		t.Fatalf("bounds = %+v", b)
+	st.nextSeq = 0
+	st.RecoverSeq()
+	if _, row, err := st.Route([]any{int64(16), int64(102)}); err != nil || row[2] != int64(6) {
+		t.Fatalf("Route after RecoverSeq = %v (err %v), want sequence 6", row, err)
 	}
 }
 
@@ -210,9 +240,9 @@ func TestRebalanceCleanNarrowsBounds(t *testing.T) {
 	lsn := uint64(1)
 	for i := 0; i < 8; i++ {
 		ts := int64(i + 1)
-		seq := st.AllocSeq()
-		sh := st.Shard(st.ShardFor(int64(11 + i)))
-		_, err := sh.ApplyInsert(ts, lsn, int64(11+i), int64(200+i), seq)
+		si, row, err := st.Route([]any{int64(11 + i), int64(200 + i)})
+		mustOK(t, err)
+		_, err = st.Shard(si).ApplyInsert(ts, lsn, row...)
 		mustOK(t, err)
 		lsn++
 	}
@@ -266,9 +296,9 @@ func TestRebalanceDefersUnderLiveSnapshot(t *testing.T) {
 	st, err := ShardTable(flat, "k", 2)
 	mustOK(t, err)
 	mustOK(t, st.Seal())
-	seq := st.AllocSeq()
-	sh := st.Shard(st.ShardFor(15))
-	_, err = sh.ApplyInsert(100, 1, int64(15), int64(1), seq)
+	si, row, err := st.Route([]any{int64(15), int64(1)})
+	mustOK(t, err)
+	_, err = st.Shard(si).ApplyInsert(100, 1, row...)
 	mustOK(t, err)
 	cutsBefore := st.Cuts()
 

@@ -129,40 +129,30 @@ func (e *Engine) Model() *energy.Model { return e.model }
 // Catalog exposes the optimizer catalog (for experiment harnesses).
 func (e *Engine) Catalog() *opt.Catalog { return e.cat }
 
-// CreateTable creates and registers an empty table.
+// CreateTable creates an empty table and registers it as one shard
+// wrapped in place: the returned table is the live shard callers load.
 func (e *Engine) CreateTable(name string, schema colstore.Schema) (*colstore.Table, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, existing := range e.cat.Tables() {
-		if existing == name {
-			return nil, fmt.Errorf("core: table %q already exists", name)
-		}
-	}
-	if _, err := e.cat.Sharded(name); err == nil {
-		return nil, fmt.Errorf("core: table %q already exists (sharded)", name)
+	if _, err := e.cat.Lookup(name); err == nil {
+		return nil, fmt.Errorf("core: table %q already exists", name)
 	}
 	t := colstore.NewTable(name, schema)
-	e.cat.AddTable(t)
+	e.cat.Add(colstore.OneShard(t))
 	return t, nil
 }
 
 // Seal freezes the named table into its scan-optimized layout and
 // refreshes optimizer statistics.  Call it after bulk loads.
 func (e *Engine) Seal(name string) error {
-	if st, err := e.cat.Sharded(name); err == nil {
-		if err := st.Seal(); err != nil {
-			return err
-		}
-		return e.cat.RefreshSharded(name)
-	}
-	t, err := e.cat.Table(name)
+	st, err := e.cat.Lookup(name)
 	if err != nil {
 		return err
 	}
-	if err := t.Seal(); err != nil {
+	if err := st.Seal(); err != nil {
 		return err
 	}
-	return e.cat.RefreshStats(name)
+	return e.cat.Refresh(name)
 }
 
 // CreateIndex builds a secondary index of the given kind ("hash",

@@ -299,26 +299,25 @@ func (l *Loop) offerRead(at time.Duration, node exec.Node, info *opt.PlanInfo, o
 // the dispatcher defers it while any foreground query waits and races it
 // to idle on an empty queue.  The merge horizon (oldest live snapshot)
 // is resolved at execution time, so readers admitted before the merge
-// runs keep their consistent view.  Compaction changes the physical
-// layout, so the ticket's hook re-derives the table's statistics.
+// runs keep their consistent view.
 func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
-	return l.offerMaintenance(at, table, "merge", opt.PlanMerge, l.e.cat.RefreshStats)
+	return l.offerMaintenance(at, table, "merge", opt.PlanMerge)
 }
 
-// OfferRebalance plans the shard-narrowing rebalance of a sharded table
-// and submits it as a background task under min-energy — "rebalance as
-// a query", the same treatment OfferMerge gives the delta merge.  The
-// rebalance re-cuts the shards, so the ticket's hook refreshes zone
-// bounds and every per-shard statistic.
+// OfferRebalance plans the shard-narrowing rebalance of a table and
+// submits it as a background task under min-energy — "rebalance as a
+// query", the same treatment OfferMerge gives the delta merge.
 func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
-	return l.offerMaintenance(at, table, "rebalance", opt.PlanRebalance, l.e.cat.RefreshSharded)
+	return l.offerMaintenance(at, table, "rebalance", opt.PlanRebalance)
 }
 
+// offerMaintenance admits a planned maintenance pass.  Either kind
+// changes the physical layout, so the ticket's one post-run hook
+// re-derives every statistic of the table.
 func (l *Loop) offerMaintenance(at time.Duration, table, kind string,
-	plan func(*opt.Catalog, *opt.CostModel, string, func() int64) (exec.Node, *opt.PlanInfo, error),
-	refresh func(string) error) *Ticket {
+	plan func(*opt.Catalog, *opt.CostModel, string, func() int64) (exec.Node, *opt.PlanInfo, error)) *Ticket {
 	node, info, err := plan(l.e.cat, l.e.cm, table, l.oldestLiveSnap)
-	t := &Ticket{Table: table, node: node, after: refresh}
+	t := &Ticket{Table: table, node: node, after: l.e.cat.Refresh}
 	t.Objective, t.PlanInfo = opt.MinEnergy, info
 	return l.admit(at, t, kind, err)
 }

@@ -124,8 +124,8 @@ func goalOf(o opt.Objective) sched.Goal {
 func (e *Engine) residentGB() float64 {
 	var bytes uint64
 	for _, name := range e.cat.Tables() {
-		if t, err := e.cat.Table(name); err == nil {
-			bytes += t.Bytes()
+		if st, err := e.cat.Lookup(name); err == nil {
+			bytes += st.Bytes()
 		}
 	}
 	return float64(bytes) / 1e9
@@ -166,14 +166,6 @@ func (l *Loop) Replay(subs []Submission) *ScheduleReport {
 			lats = append(lats, t.Latency)
 		}
 	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var sum time.Duration
-		for _, lat := range lats {
-			sum += lat
-		}
-		rep.AvgLatency = sum / time.Duration(len(lats))
-		rep.P95Latency = lats[len(lats)*95/100]
-	}
+	rep.AvgLatency, rep.P95Latency = energy.LatencySummary(lats)
 	return rep
 }

@@ -140,6 +140,9 @@ func TestOneShardEngineIsFlat(t *testing.T) {
 		"SELECT region, COUNT(*) AS n, SUM(day) AS d FROM orders GROUP BY region",
 		"SELECT region, SUM(amount) AS rev FROM orders WHERE custkey >= 300 GROUP BY region",
 		"SELECT COUNT(*), SUM(amount) FROM orders",
+		// Disjoint from the key zone: a lone shard is still scanned (its
+		// segment zone maps do the skipping), never whole-shard pruned.
+		"SELECT COUNT(*) FROM orders WHERE custkey > 100000000",
 	} {
 		fr, err := flat.Query(q)
 		if err != nil {
@@ -155,8 +158,11 @@ func TestOneShardEngineIsFlat(t *testing.T) {
 		if or.Work != fr.Work {
 			t.Fatalf("%s: k=1 work diverged from flat\n got %+v\nwant %+v", q, or.Work, fr.Work)
 		}
-		if or.PlanInfo.FusedAgg != fr.PlanInfo.FusedAgg || or.PlanInfo.Parallel != fr.PlanInfo.Parallel {
+		if or.PlanInfo.FusedAgg != fr.PlanInfo.FusedAgg || or.PlanInfo.Explain != fr.PlanInfo.Explain {
 			t.Fatalf("%s: k=1 plan decisions diverged from flat", q)
+		}
+		if n := or.PlanInfo.ShardsScanned + or.PlanInfo.ShardsPruned + fr.PlanInfo.ShardsScanned + fr.PlanInfo.ShardsPruned; n != 0 {
+			t.Fatalf("%s: a one-shard plan counted %d whole-shard decisions", q, n)
 		}
 	}
 }
@@ -346,7 +352,7 @@ func TestOfferRebalanceDefersThenRaces(t *testing.T) {
 		t.Fatalf("rebalance objective %v, want min-energy", rt.Objective)
 	}
 
-	st, err := e.Catalog().Sharded("orders")
+	st, err := e.Catalog().Lookup("orders")
 	if err != nil {
 		t.Fatal(err)
 	}

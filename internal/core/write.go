@@ -50,36 +50,31 @@ func (e *Engine) EstimateDML(d *opt.DML) (opt.Cost, error) {
 	return e.cm.Price(opt.EstimateDML(ts, d), 0), nil
 }
 
-// dmlTarget is the table a statement writes, as a shard list: a flat
-// table is the one-shard case (no routing, no sequence column).
+// dmlTarget is the table a statement writes, as its shard list.
 type dmlTarget struct {
-	name   string
-	st     *colstore.ShardedTable // nil for a flat table
+	st     *colstore.ShardedTable
 	shards []*colstore.Table
 	schema colstore.Schema // user-visible schema
 	// width is the column count a written row is priced at: the hidden
 	// sequence column is charged only when it orders rows across more
-	// than one shard, so a k=1 sharded table books what a flat table does.
+	// than one shard, so a one-shard table books the same row either way.
 	width int
-	touch *shardTouch
+	// hit marks, per shard, that the statement buffered a write there, so
+	// the post-commit catalog refresh re-stats ONLY those shards.
+	hit []bool
 }
 
 func (e *Engine) dmlTarget(name string) (*dmlTarget, error) {
-	t := &dmlTarget{name: name}
-	if st, err := e.cat.Sharded(name); err == nil {
-		t.st, t.shards, t.schema = st, st.Shards(), st.Schema()
-	} else {
-		flat, err := e.cat.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		t.shards, t.schema = []*colstore.Table{flat}, flat.Schema()
+	st, err := e.cat.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
+	t := &dmlTarget{st: st, shards: st.Shards(), schema: st.Schema()}
 	t.width = len(t.schema)
 	if len(t.shards) > 1 {
 		t.width++
 	}
-	t.touch = newShardTouch(len(t.shards))
+	t.hit = make([]bool, len(t.shards))
 	return t, nil
 }
 
@@ -88,21 +83,18 @@ func (t *dmlTarget) slot(col string) (int, error) {
 	if si := t.schema.ColIndex(col); si >= 0 {
 		return si, nil
 	}
-	return 0, fmt.Errorf("core: table %s has no column %q", t.name, col)
+	return 0, fmt.Errorf("core: table %s has no column %q", t.st.Name, col)
 }
 
-// route completes a schema-ordered user row for writing: on a sharded
-// table it stamps the next global sequence and picks the shard owning
-// the row's key (the transactional counterpart of ShardedTable.Append);
-// a flat row is written as is.
-func (t *dmlTarget) route(vals []any) (int, []any) {
-	if t.st == nil {
-		return 0, vals
+// touched returns the hit shard indices in ascending order.
+func (t *dmlTarget) touched() []int {
+	var out []int
+	for i, h := range t.hit {
+		if h {
+			out = append(out, i)
+		}
 	}
-	key := vals[t.schema.ColIndex(t.st.ShardCol)].(int64)
-	si := t.st.ShardFor(key)
-	t.touch.add(si, key)
-	return si, append(vals, t.st.AllocSeq())
+	return out
 }
 
 // ExecDML executes one write statement, committing at virtual arrival
@@ -152,21 +144,8 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	res.Work = work
 	res.Energy = e.bill(work, 0)
 	// Keep planner estimates (and with them admission pricing) tracking
-	// the table the statement just changed.  Sharded tables refresh only
-	// what the statement touched: zone bounds widen in O(1) per routed
-	// key, and only the hit shards re-stat — a full RecomputeBounds here
-	// would rescan the whole table on every statement.
-	if tgt.st != nil {
-		for i, keys := range tgt.touch.keys {
-			for _, k := range keys {
-				tgt.st.WidenBounds(i, k)
-			}
-		}
-		err = e.cat.RefreshShardedShards(d.Table, tgt.touch.touched())
-	} else {
-		err = e.cat.RefreshStats(d.Table)
-	}
-	if err != nil {
+	// the table the statement just changed: only the hit shards re-stat.
+	if err := e.cat.RefreshShards(d.Table, tgt.touched()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -199,7 +178,7 @@ func bufferInserts(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Cou
 		if len(row) != len(cols) {
 			return fmt.Errorf("core: INSERT INTO %s: tuple has %d values, want %d", d.Table, len(row), len(cols))
 		}
-		vals := make([]any, len(schema), len(schema)+1)
+		vals := make([]any, len(schema))
 		for i, v := range row {
 			av, err := coerceValue(v, schema[pos[i]].Type, schema[pos[i]].Name)
 			if err != nil {
@@ -207,7 +186,11 @@ func bufferInserts(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Cou
 			}
 			vals[pos[i]] = av
 		}
-		si, vals := tgt.route(vals)
+		si, vals, err := tgt.st.Route(vals)
+		if err != nil {
+			return err
+		}
+		tgt.hit[si] = true
 		tx.Insert(tgt.shards[si], vals...)
 		work.BytesWrittenDRAM += uint64(tgt.width) * 10
 		work.Instructions += uint64(tgt.width) * 4
@@ -244,11 +227,7 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 			return 0, err
 		}
 	}
-	scan := &exec.Scan{Sharded: tgt.st, Preds: preds}
-	if tgt.st == nil {
-		scan.Table = tgt.shards[0]
-	}
-	b, err := scan.Bind()
+	b, err := (&exec.Scan{Source: tgt.st, Preds: preds}).Bind()
 	if err != nil {
 		return 0, err
 	}
@@ -289,7 +268,7 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 	for _, v := range victims {
 		sb := b.Shards[v.shard]
 		id := sb.Table.RowID(v.row)
-		tgt.touch.mark(v.shard)
+		tgt.hit[v.shard] = true
 		if d.Kind == opt.DMLDelete {
 			tx.Delete(sb.Table, id)
 			work.Instructions += 16
@@ -298,7 +277,7 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 		}
 		// UPDATE: read the current version, apply the assignments, append
 		// the new version (point reads priced like the index verify path).
-		vals := make([]any, len(schema), len(schema)+1)
+		vals := make([]any, len(schema))
 		for si := range schema {
 			switch c := sb.Cols[si].(type) {
 			case *colstore.IntColumn:
@@ -314,7 +293,11 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 		for _, s := range sets {
 			vals[s.slot] = s.val
 		}
-		di, vals := tgt.route(vals)
+		di, vals, err := tgt.st.Route(vals)
+		if err != nil {
+			return 0, err
+		}
+		tgt.hit[di] = true
 		if di == v.shard {
 			tx.Update(sb.Table, id, vals...)
 		} else {
@@ -379,30 +362,24 @@ func coercePredTo(p expr.Pred, typ colstore.Type) (expr.Pred, error) {
 	return p, nil
 }
 
-// Recover replays the engine's REDO log into its tables and refreshes
-// their statistics — the post-crash path (see WithLog).  Returns the
-// number of records applied; replay is idempotent, so recovering twice
-// (or over partially applied state) changes nothing.
+// Recover replays the engine's REDO log into its tables — records
+// address shards by name — then recovers each table's sequence counter
+// from the replayed rows and refreshes its statistics: the post-crash
+// path (see WithLog).  Returns the number of records applied; replay is
+// idempotent, so recovering twice (or over partially applied state)
+// changes nothing.
 func (e *Engine) Recover() (int, error) {
 	applied, err := e.txm.Replay(func(name string) *colstore.Table {
-		t, terr := e.cat.Table(name)
-		if terr != nil {
-			return nil
-		}
+		t, _ := e.cat.Table(name)
 		return t
 	})
 	if err != nil {
 		return applied, err
 	}
 	for _, name := range e.cat.Tables() {
-		if rerr := e.cat.RefreshStats(name); rerr != nil {
-			return applied, rerr
-		}
-	}
-	// Sharded tables additionally recover their zone bounds and global
-	// sequence counter from the replayed rows.
-	for _, name := range e.cat.ShardedTables() {
-		if rerr := e.cat.RefreshSharded(name); rerr != nil {
+		st, _ := e.cat.Lookup(name)
+		st.RecoverSeq()
+		if rerr := e.cat.Refresh(name); rerr != nil {
 			return applied, rerr
 		}
 	}

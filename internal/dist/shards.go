@@ -77,7 +77,8 @@ func (sc *ShardedCluster) RunAgg(q AggQuery) (*exec.Relation, ShardReport, error
 		}
 	}
 	ctx := exec.NewCtx()
-	keep := exec.PruneShards(sc.Sharded, q.Preds)
+	shards := sc.Sharded.Shards()
+	keep := exec.PruneShards(shards, q.Preds)
 	rep := ShardReport{}
 	sel := []string{q.GroupBy}
 	if q.SumCol != q.GroupBy {
@@ -85,14 +86,14 @@ func (sc *ShardedCluster) RunAgg(q AggQuery) (*exec.Relation, ShardReport, error
 	}
 	var wire uint64
 	var parts []*exec.Relation
-	for i, sh := range sc.Sharded.Shards() {
+	for i, sh := range shards {
 		if !keep[i] {
 			rep.ShardsPruned++
 			continue
 		}
 		rep.ShardsScanned++
 		plan := &exec.HashAgg{
-			Child:   &exec.Scan{Table: sh, Select: sel, Preds: q.Preds},
+			Child:   &exec.Scan{Source: colstore.OneShard(sh), Select: sel, Preds: q.Preds},
 			GroupBy: []string{q.GroupBy},
 			Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: q.SumCol, As: q.SumAlias}},
 		}

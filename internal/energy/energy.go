@@ -24,6 +24,7 @@ package energy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -243,3 +244,18 @@ func StaticEnergy(p Watts, d time.Duration) Joules {
 // EDP returns the energy-delay product, a standard efficiency figure of
 // merit: lower is better.
 func EDP(e Joules, d time.Duration) float64 { return float64(e) * d.Seconds() }
+
+// LatencySummary sorts lats in place and returns their mean and 95th
+// percentile (the element at len·95/100) — the latency line of every
+// schedule, replay and group-commit report.  Empty input reports zeros.
+func LatencySummary(lats []time.Duration) (avg, p95 time.Duration) {
+	if len(lats) == 0 {
+		return 0, 0
+	}
+	slices.Sort(lats)
+	var sum time.Duration
+	for _, l := range lats {
+		sum += l
+	}
+	return sum / time.Duration(len(lats)), lats[len(lats)*95/100]
+}

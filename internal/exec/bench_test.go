@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/expr"
 	"repro/internal/vec"
 )
@@ -12,7 +13,7 @@ func BenchmarkOperators(b *testing.B) {
 	tab := ordersTable(b, 200_000)
 	b.Run("scan-filter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := &Scan{Table: tab, Select: []string{"id"},
+			s := &Scan{Source: colstore.OneShard(tab), Select: []string{"id"},
 				Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(10)}}}
 			if _, err := s.Run(NewCtx()); err != nil {
 				b.Fatal(err)
@@ -23,7 +24,7 @@ func BenchmarkOperators(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := &HashAgg{GroupBy: []string{"region"},
 				Aggs:  []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}},
-				Child: &Scan{Table: tab, Select: []string{"region", "amount"}}}
+				Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}}
 			if _, err := a.Run(NewCtx()); err != nil {
 				b.Fatal(err)
 			}
@@ -32,7 +33,7 @@ func BenchmarkOperators(b *testing.B) {
 	b.Run("sort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := &Sort{Keys: []expr.SortKey{{Col: "amount", Desc: true}},
-				Child: &Scan{Table: tab, Select: []string{"amount"}}}
+				Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"amount"}}}
 			if _, err := s.Run(NewCtx()); err != nil {
 				b.Fatal(err)
 			}

@@ -68,7 +68,7 @@ func TestCompressedStorageDOPInvariant(t *testing.T) {
 	plan := func(tab *colstore.Table) *HashAgg {
 		return &HashAgg{
 			Child: &Scan{
-				Table:  tab,
+				Source: colstore.OneShard(tab),
 				Select: []string{"region", "amount", "day"},
 				Preds: []expr.Pred{
 					{Col: "custkey", Op: vec.LT, Val: expr.IntVal(52)},

@@ -56,7 +56,7 @@ func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 	base := func() scanArm {
 		ctx := NewCtx()
 		ctx.SnapTS = snap
-		rel, err := (&Scan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
+		rel, err := (&Scan{Source: colstore.OneShard(tab), Select: sel, Preds: preds}).Run(ctx)
 		must(t, err)
 		return scanArm{rel, ctx.Meter.Snapshot()}
 	}()
@@ -64,7 +64,7 @@ func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 		ctx := NewCtx()
 		ctx.SnapTS = snap
 		ctx.Lease = NewLease(dop)
-		rel, err := (&Scan{Table: tab, Select: sel, Preds: preds}).Run(ctx)
+		rel, err := (&Scan{Source: colstore.OneShard(tab), Select: sel, Preds: preds}).Run(ctx)
 		must(t, err)
 		if !reflect.DeepEqual(rel, base.rel) {
 			t.Fatalf("snap=%d dop=%d: parallel relation diverged from serial", snap, dop)

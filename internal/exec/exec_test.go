@@ -49,7 +49,7 @@ func must(t testing.TB, err error) {
 func TestScanFullWithIntPredicate(t *testing.T) {
 	tab := ordersTable(t, 5000)
 	ctx := NewCtx()
-	scan := &Scan{Table: tab, Select: []string{"id", "custkey"},
+	scan := &Scan{Source: colstore.OneShard(tab), Select: []string{"id", "custkey"},
 		Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(10)}}}
 	rel, err := scan.Run(ctx)
 	must(t, err)
@@ -79,7 +79,7 @@ func TestScanFullWithIntPredicate(t *testing.T) {
 func TestScanStringAndFloatPredicates(t *testing.T) {
 	tab := ordersTable(t, 3000)
 	ctx := NewCtx()
-	scan := &Scan{Table: tab, Preds: []expr.Pred{
+	scan := &Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{
 		{Col: "region", Op: vec.EQ, Val: expr.StrVal("ASIA")},
 		{Col: "amount", Op: vec.GT, Val: expr.FloatVal(5000)},
 	}}
@@ -112,9 +112,9 @@ func TestScanIndexAccessMatchesFullScan(t *testing.T) {
 			{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)},
 			{Col: "amount", Op: vec.GT, Val: expr.FloatVal(1000)},
 		}
-		full, err := (&Scan{Table: tab, Select: []string{"id"}, Preds: preds}).Run(NewCtx())
+		full, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds}).Run(NewCtx())
 		must(t, err)
-		viaIdx, err := (&Scan{Table: tab, Select: []string{"id"}, Preds: preds,
+		viaIdx, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds,
 			Access: AccessSpec{Kind: IndexAccess, Index: idx, IndexCol: "custkey"}}).Run(NewCtx())
 		must(t, err)
 		if full.N != viaIdx.N {
@@ -136,9 +136,9 @@ func TestScanIndexRangePredicate(t *testing.T) {
 	bt := index.NewBTree()
 	index.BuildFrom(bt, ck.Values())
 	preds := []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(95)}}
-	full, err := (&Scan{Table: tab, Select: []string{"id"}, Preds: preds}).Run(NewCtx())
+	full, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds}).Run(NewCtx())
 	must(t, err)
-	viaIdx, err := (&Scan{Table: tab, Select: []string{"id"}, Preds: preds,
+	viaIdx, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds,
 		Access: AccessSpec{Kind: IndexAccess, Index: bt, IndexCol: "custkey"}}).Run(NewCtx())
 	must(t, err)
 	if full.N != viaIdx.N || full.N == 0 {
@@ -157,9 +157,9 @@ func TestScanIndexRangePredicate(t *testing.T) {
 	for _, op := range []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE} {
 		for _, c := range append([]int64{-1 << 62, 1 << 62}, keys...) {
 			preds := []expr.Pred{{Col: "k", Op: op, Val: expr.IntVal(c)}}
-			full, err := (&Scan{Table: ext, Preds: preds}).Run(NewCtx())
+			full, err := (&Scan{Source: colstore.OneShard(ext), Preds: preds}).Run(NewCtx())
 			must(t, err)
-			viaIdx, err := (&Scan{Table: ext, Preds: preds,
+			viaIdx, err := (&Scan{Source: colstore.OneShard(ext), Preds: preds,
 				Access: AccessSpec{Kind: IndexAccess, Index: ebt, IndexCol: "k"}}).Run(NewCtx())
 			must(t, err)
 			if !reflect.DeepEqual(full, viaIdx) {
@@ -174,7 +174,7 @@ func TestHashRangePredicateErrors(t *testing.T) {
 	ck, _ := tab.IntCol("custkey")
 	h := index.NewHash()
 	index.BuildFrom(h, ck.Values())
-	_, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(5)}},
+	_, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(5)}},
 		Access: AccessSpec{Kind: IndexAccess, Index: h, IndexCol: "custkey"}}).Run(NewCtx())
 	if err == nil {
 		t.Fatal("hash index cannot serve a range predicate")
@@ -185,7 +185,7 @@ func TestFilterProjectLimit(t *testing.T) {
 	tab := ordersTable(t, 2000)
 	plan := &Limit{N: 5, Child: &Project{Names: []string{"id", "amount"},
 		Child: &Filter{Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.FloatVal(100)}},
-			Child: &Scan{Table: tab}}}}
+			Child: &Scan{Source: colstore.OneShard(tab)}}}}
 	rel, err := plan.Run(NewCtx())
 	must(t, err)
 	if rel.N > 5 || len(rel.Cols) != 2 {
@@ -202,7 +202,7 @@ func TestFilterProjectLimit(t *testing.T) {
 func TestSortOrders(t *testing.T) {
 	tab := ordersTable(t, 1000)
 	plan := &Sort{Keys: []expr.SortKey{{Col: "region"}, {Col: "amount", Desc: true}},
-		Child: &Scan{Table: tab, Select: []string{"region", "amount"}}}
+		Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}}
 	rel, err := plan.Run(NewCtx())
 	must(t, err)
 	rc, _ := rel.Col("region")
@@ -222,7 +222,7 @@ func TestHashAggGlobalAndGrouped(t *testing.T) {
 	// Global aggregate.
 	g, err := (&HashAgg{
 		Aggs:  []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "amount", As: "total"}},
-		Child: &Scan{Table: tab},
+		Child: &Scan{Source: colstore.OneShard(tab)},
 	}).Run(NewCtx())
 	must(t, err)
 	if g.N != 1 {
@@ -251,7 +251,7 @@ func TestHashAggGlobalAndGrouped(t *testing.T) {
 			{Func: expr.AggMax, Col: "amount", As: "hi"},
 			{Func: expr.AggAvg, Col: "amount", As: "mean"},
 		},
-		Child: &Scan{Table: tab},
+		Child: &Scan{Source: colstore.OneShard(tab)},
 	}).Run(NewCtx())
 	must(t, err)
 	if byRegion.N == 0 || byRegion.N > len(workload.RegionNames) {
@@ -279,7 +279,7 @@ func TestAggIntSumStaysInt(t *testing.T) {
 	tab := ordersTable(t, 100)
 	rel, err := (&HashAgg{
 		Aggs:  []expr.AggSpec{{Func: expr.AggSum, Col: "custkey", As: "s"}, {Func: expr.AggMax, Col: "day", As: "d"}},
-		Child: &Scan{Table: tab},
+		Child: &Scan{Source: colstore.OneShard(tab)},
 	}).Run(NewCtx())
 	must(t, err)
 	s, _ := rel.Col("s")
@@ -305,8 +305,8 @@ func TestHashJoin(t *testing.T) {
 	}
 	must(t, cust.Seal())
 	join := &HashJoin{
-		Left:     &Scan{Table: orders, Select: []string{"id", "custkey", "amount"}},
-		Right:    &Scan{Table: cust},
+		Left:     &Scan{Source: colstore.OneShard(orders), Select: []string{"id", "custkey", "amount"}},
+		Right:    &Scan{Source: colstore.OneShard(cust)},
 		LeftKey:  "custkey",
 		RightKey: "custkey",
 	}
@@ -347,8 +347,8 @@ func TestJoinThenAggregatePipeline(t *testing.T) {
 		Child: &HashAgg{GroupBy: []string{"segment"},
 			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}, {Func: expr.AggCount, As: "n"}},
 			Child: &HashJoin{
-				Left:    &Scan{Table: orders, Select: []string{"custkey", "amount"}},
-				Right:   &Scan{Table: cust},
+				Left:    &Scan{Source: colstore.OneShard(orders), Select: []string{"custkey", "amount"}},
+				Right:   &Scan{Source: colstore.OneShard(cust)},
 				LeftKey: "custkey", RightKey: "custkey",
 			}}}
 	rel, err := plan.Run(NewCtx())
@@ -368,7 +368,7 @@ func TestExchangeCompressionTradeoff(t *testing.T) {
 	must(t, err)
 	run := func(codec compress.Codec) (uint64, uint64) {
 		ctx := NewCtx()
-		ex := &Exchange{Child: &Scan{Table: tab, Select: []string{"custkey", "day"}}, Link: slow, Codec: codec}
+		ex := &Exchange{Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"custkey", "day"}}, Link: slow, Codec: codec}
 		_, err := ex.Run(ctx)
 		must(t, err)
 		w := ctx.Meter.Snapshot()
@@ -386,7 +386,7 @@ func TestExchangeCompressionTradeoff(t *testing.T) {
 
 func TestExplainTree(t *testing.T) {
 	tab := ordersTable(t, 10)
-	plan := &Limit{N: 1, Child: &Scan{Table: tab}}
+	plan := &Limit{N: 1, Child: &Scan{Source: colstore.OneShard(tab)}}
 	out := Explain(plan)
 	if !strings.Contains(out, "Limit(1)") || !strings.Contains(out, "Scan(orders)") {
 		t.Fatalf("explain output missing nodes:\n%s", out)
@@ -420,11 +420,11 @@ func TestRelationValidation(t *testing.T) {
 
 func TestScanErrorsOnTypeMismatch(t *testing.T) {
 	tab := ordersTable(t, 10)
-	_, err := (&Scan{Table: tab, Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
+	_, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
 	if err == nil {
 		t.Fatal("int predicate on DOUBLE column must error")
 	}
-	_, err = (&Scan{Table: tab, Preds: []expr.Pred{{Col: "ghost", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
+	_, err = (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "ghost", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
 	if err == nil {
 		t.Fatal("unknown column must error")
 	}

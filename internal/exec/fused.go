@@ -711,7 +711,7 @@ type fusedProbePlan struct {
 }
 
 // fusedProbePlan reports how (and whether) this join can fuse its probe
-// feed into the left child: a full-scan *Scan over a single unpruned
+// feed into the left child: a full-scan *Scan over a single
 // shard (probe keys run in one dictionary's code domain) that emits the
 // join key as a BIGINT or as dictionary codes.  nil runs the child to a
 // relation first, which reports any binding errors itself.
@@ -721,7 +721,7 @@ func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
 		return nil
 	}
 	b, err := s.Bind()
-	if err != nil || b.multi() || b.Shards[0].Pruned {
+	if err != nil || b.multi() {
 		return nil
 	}
 	fp := &fusedProbePlan{sb: b.Shards[0], keyIdx: b.index(j.LeftKey)}
@@ -962,7 +962,8 @@ func (fp *fusedProbePlan) gatherOut(right *Relation, rightKey string, keys []int
 			// re-read the fused feed exists to eliminate).  Movement into
 			// the output block is priced once, below.
 			oc := fp.sb.tmpl[ci] // name, type, and a string key's dictionary
-			oc.I = append([]int64(nil), keys...)
+			// Non-nil at zero matches, like every gathered column.
+			oc.I = append(make([]int64, 0, len(keys)), keys...)
 			lOut.Cols[ci] = oc
 			continue
 		}

@@ -184,7 +184,7 @@ func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, do
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Lease = NewLease(dop)
-	var child Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds}
+	var child Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds}
 	if unfused {
 		child = opaque(child)
 	}
@@ -214,7 +214,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedAggCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds}
+				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds}
 				if !FusedAggEligible(scan, c.groupBy, c.aggs) {
 					t.Fatalf("case unexpectedly ineligible for fusion")
 				}
@@ -259,9 +259,9 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 func TestFusedAggEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
 	_, twins := shardTwins(t, 4096, 0)
-	flat := func(sel ...string) *Scan { return &Scan{Table: tab, Select: sel} }
+	flat := func(sel ...string) *Scan { return &Scan{Source: colstore.OneShard(tab), Select: sel} }
 	sharded := func() *Scan {
-		return &Scan{Sharded: twins[4], Select: []string{"grp", "region", "amount", "val"}}
+		return &Scan{Source: twins[4], Select: []string{"grp", "region", "amount", "val"}}
 	}
 	count := []expr.AggSpec{{Func: expr.AggCount}}
 	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}}
@@ -283,11 +283,11 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
 		{"flat/opaque-child", opaque(flat("rle")), []string{"rle"}, count, false, "ok"},
-		{"flat/index-access", &Scan{Table: tab, Select: []string{"rle"}, Access: AccessSpec{Kind: IndexAccess}},
+		{"flat/index-access", &Scan{Source: colstore.OneShard(tab), Select: []string{"rle"}, Access: AccessSpec{Kind: IndexAccess}},
 			[]string{"rle"}, count, false, ""},
 		{"flat/count-col-not-selected", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}, false, "err"},
-		{"flat/code-domain-group", &Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+		{"flat/code-domain-group", &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}},
 			[]string{"region"}, count, false, ""},
 		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, ""},
 		{"sharded/global", sharded(), nil, sumVal, true, ""},
@@ -418,7 +418,7 @@ func fusedJoinCases() []fusedJoinCase {
 			codes:   []string{"region"},
 			leftKey: "region",
 			right: func(t *testing.T) Node {
-				return &Scan{Table: fusedDimTable(t), Codes: []string{"region"}}
+				return &Scan{Source: colstore.OneShard(fusedDimTable(t)), Codes: []string{"region"}}
 			},
 			rightKey: "region",
 			preds:    densePred,
@@ -441,7 +441,7 @@ func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, 
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Lease = NewLease(dop)
-	var left Node = &Scan{Table: tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
+	var left Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds, Codes: c.codes}
 	if unfused {
 		left = opaque(left)
 	}
@@ -470,7 +470,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &Scan{Table: tc.tab, Select: c.sel, Preds: c.preds, Codes: c.codes}
+				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds, Codes: c.codes}
 				if !FusedProbeEligible(scan, c.leftKey) {
 					t.Fatalf("case unexpectedly ineligible for probe fusion")
 				}
@@ -506,14 +506,14 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
 	mkScan := func(sel []string, codes []string) *Scan {
-		return &Scan{Table: tab, Select: sel, Codes: codes}
+		return &Scan{Source: colstore.OneShard(tab), Select: sel, Codes: codes}
 	}
 	nilPlans := []struct {
 		name string
 		j    *ParallelJoin
 	}{
 		{"opaque-child", &ParallelJoin{Left: opaque(mkScan([]string{"lowcard"}, nil)), LeftKey: "lowcard"}},
-		{"index-access", &ParallelJoin{Left: &Scan{Table: tab, Select: []string{"lowcard"},
+		{"index-access", &ParallelJoin{Left: &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"},
 			Access: AccessSpec{Kind: IndexAccess}}, LeftKey: "lowcard"}},
 		{"float-key", &ParallelJoin{Left: mkScan([]string{"amount"}, nil), LeftKey: "amount"}},
 		{"raw-string-key", &ParallelJoin{Left: mkScan([]string{"region"}, nil), LeftKey: "region"}},
@@ -538,7 +538,7 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	}
 	runTiny := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    hide(&Scan{Table: tiny, Select: []string{"lowcard", "sorted"}}, unfused),
+			Left:    hide(&Scan{Source: colstore.OneShard(tiny), Select: []string{"lowcard", "sorted"}}, unfused),
 			Right:   intDimSource(),
 			LeftKey: "lowcard", RightKey: "k",
 		}).Run(NewCtx())
@@ -557,7 +557,7 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	}}}
 	runRaw := func(unfused bool) *Relation {
 		rel, err := (&ParallelJoin{
-			Left:    hide(&Scan{Table: tab, Select: []string{"region", "rle"}, Codes: []string{"region"}}, unfused),
+			Left:    hide(&Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}}, unfused),
 			Right:   rawDim,
 			LeftKey: "region", RightKey: "region",
 		}).Run(NewCtx())
@@ -572,8 +572,8 @@ func TestFusedProbeEligibilityAndBypass(t *testing.T) {
 	// type reports the same error as the materializing path.
 	mismatch := func(unfused bool) error {
 		_, err := (&ParallelJoin{
-			Left:    hide(&Scan{Table: tab, Select: []string{"lowcard"}}, unfused),
-			Right:   &Scan{Table: fusedDimTable(t)},
+			Left:    hide(&Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"}}, unfused),
+			Right:   &Scan{Source: colstore.OneShard(fusedDimTable(t))},
 			LeftKey: "lowcard", RightKey: "region",
 		}).Run(NewCtx())
 		return err

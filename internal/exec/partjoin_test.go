@@ -195,13 +195,13 @@ func TestParallelJoinDictKeys(t *testing.T) {
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
 	coded := &Materialize{Child: &ParallelJoin{
-		Left:    &Scan{Table: sealedFact, Codes: []string{"custname"}},
-		Right:   &Scan{Table: sealedDim, Codes: []string{"name"}},
+		Left:    &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}},
+		Right:   &Scan{Source: colstore.OneShard(sealedDim), Codes: []string{"name"}},
 		LeftKey: "custname", RightKey: "name",
 	}}
 	raw := &HashJoin{
-		Left:    &Scan{Table: rawFact},
-		Right:   &Scan{Table: rawDim},
+		Left:    &Scan{Source: colstore.OneShard(rawFact)},
+		Right:   &Scan{Source: colstore.OneShard(rawDim)},
 		LeftKey: "custname", RightKey: "name",
 	}
 	codedRel, codedCtx := runJoin(t, coded, 4)
@@ -233,13 +233,13 @@ func TestMixedDictPlainKeysFallBack(t *testing.T) {
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
 	mixed := &Materialize{Child: &ParallelJoin{
-		Left:    &Scan{Table: sealedFact, Codes: []string{"custname"}},
-		Right:   &Scan{Table: rawDim},
+		Left:    &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}},
+		Right:   &Scan{Source: colstore.OneShard(rawDim)},
 		LeftKey: "custname", RightKey: "name",
 	}}
 	baseline := &HashJoin{
-		Left:    &Scan{Table: rawFact},
-		Right:   &Scan{Table: rawDim},
+		Left:    &Scan{Source: colstore.OneShard(rawFact)},
+		Right:   &Scan{Source: colstore.OneShard(rawDim)},
 		LeftKey: "custname", RightKey: "name",
 	}
 	mixedRel, _ := runJoin(t, mixed, 4)

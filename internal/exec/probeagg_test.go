@@ -65,14 +65,14 @@ var probeAggSpecs = []expr.AggSpec{
 // unfused hides the probe scan, which sends the whole plan down the
 // materializing pipeline — the oracle arm.
 func probeAggPlan(fact, dim *colstore.Table, probePreds, dimPreds []expr.Pred, groupBy []string, aggs []expr.AggSpec, unfused bool) *HashAgg {
-	var left Node = &Scan{Table: fact, Select: []string{"lowcard", "rle", "region", "sorted", "packed", "amount"}, Preds: probePreds}
+	var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "rle", "region", "sorted", "packed", "amount"}, Preds: probePreds}
 	if unfused {
 		left = opaque(left)
 	}
 	return &HashAgg{
 		Child: &ParallelJoin{
 			Left:    left,
-			Right:   &Scan{Table: dim, Select: []string{"k", "name", "bucket", "weight", "score"}, Preds: dimPreds},
+			Right:   &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "weight", "score"}, Preds: dimPreds},
 			LeftKey: "lowcard", RightKey: "k",
 		},
 		GroupBy: groupBy,
@@ -184,14 +184,14 @@ func TestFusedProbeAggCodeDomain(t *testing.T) {
 	dim := fusedDimTable(t)
 	for _, groupBy := range [][]string{{"region"}, {"weight"}, nil} {
 		plan := func(unfused bool) *HashAgg {
-			var left Node = &Scan{Table: fact, Select: []string{"region", "rle", "packed"}, Codes: []string{"region"}}
+			var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle", "packed"}, Codes: []string{"region"}}
 			if unfused {
 				left = opaque(left)
 			}
 			return &HashAgg{
 				Child: &Materialize{Child: &ParallelJoin{
 					Left:    left,
-					Right:   &Scan{Table: dim, Codes: []string{"region"}},
+					Right:   &Scan{Source: colstore.OneShard(dim), Codes: []string{"region"}},
 					LeftKey: "region", RightKey: "region",
 				}},
 				GroupBy: groupBy,
@@ -216,15 +216,19 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	fact := fusedMatrixTable(t, n, 0)
 	dim := probeAggDim(t)
 	count := []expr.AggSpec{{Func: expr.AggCount}}
-	factScan := func() *Scan { return &Scan{Table: fact, Select: []string{"lowcard", "rle", "amount"}} }
-	dimScan := func() *Scan { return &Scan{Table: dim, Select: []string{"k", "name", "bucket", "score"}} }
+	factScan := func() *Scan {
+		return &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "rle", "amount"}}
+	}
+	dimScan := func() *Scan {
+		return &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "score"}}
+	}
 	join := func(left, right Node) *ParallelJoin {
 		return &ParallelJoin{Left: left, Right: right, LeftKey: "lowcard", RightKey: "k"}
 	}
 
 	_, twins := shardTwins(t, n, 0)
 	sharded := func(preds []expr.Pred) *Scan {
-		return &Scan{Sharded: twins[4], Select: []string{"custkey", "grp", "val"}, Preds: preds}
+		return &Scan{Source: twins[4], Select: []string{"custkey", "grp", "val"}, Preds: preds}
 	}
 	shardedJoin := func(preds []expr.Pred) *ParallelJoin {
 		return &ParallelJoin{Left: sharded(preds), Right: dimScan(), LeftKey: "grp", RightKey: "k"}
@@ -249,10 +253,10 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 			GroupBy: []string{"name"}, Aggs: count}},
 		{"build-not-a-scan", &HashAgg{Child: join(factScan(), intDimSource()), GroupBy: []string{"rle"}, Aggs: count}},
 		{"raw-build-strings", &HashAgg{Child: &ParallelJoin{
-			Left:    &Scan{Table: fact, Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}, Codes: []string{"region"}},
 			Right:   rawDim,
 			LeftKey: "region", RightKey: "region"}, GroupBy: []string{"rle"}, Aggs: count}},
-		{"tiny-probe", &HashAgg{Child: join(&Scan{Table: fusedMatrixTable(t, 4096, 0), Select: []string{"lowcard", "rle"}}, dimScan()),
+		{"tiny-probe", &HashAgg{Child: join(&Scan{Source: colstore.OneShard(fusedMatrixTable(t, 4096, 0)), Select: []string{"lowcard", "rle"}}, dimScan()),
 			GroupBy: []string{"rle"}, Aggs: count}},
 	}
 	for _, c := range cases {
@@ -365,7 +369,7 @@ func TestRadixBitsSmallBuildIsOneTable(t *testing.T) {
 	fact := fusedMatrixTable(t, 2*MorselRows, 0)
 	ctx := NewCtx()
 	ctx.Lease = NewLease(2)
-	j := &ParallelJoin{Left: &Scan{Table: fact, Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
+	j := &ParallelJoin{Left: &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
 		LeftKey: "lowcard", RightKey: "k"}
 	got, err := j.Run(ctx)
 	must(t, err)

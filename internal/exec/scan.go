@@ -40,9 +40,9 @@ type AccessSpec struct {
 }
 
 // Scan reads a base table with conjunctive predicates pushed down.  Its
-// source is a list of shards — a flat table is the one-shard case, a
-// value-range-sharded table contributes one shard per key range — and
-// there is one scan whatever the shape: whole shards are pruned against
+// source is the table's shard list — a flat table is the one-shard case,
+// a value-range-sharded table contributes one shard per key range — and
+// there is one scan whatever the count: whole shards are pruned against
 // the predicates before a morsel is enumerated (pruned shards charge
 // their logical rows and zero physical bytes, the zone-map convention
 // one level up), every surviving shard is cut into the fixed morsel grid
@@ -56,13 +56,11 @@ type AccessSpec struct {
 // rows, their order, and the charged counters are a pure function of
 // (snapshot, predicates) at every DOP and shard count.
 type Scan struct {
-	// Table is a flat source; Sharded, set instead of it, a value-range-
-	// sharded one.
-	Table   *colstore.Table
-	Sharded *colstore.ShardedTable
-	Select  []string // output columns; empty = all user columns
-	Preds   []expr.Pred
-	// Access picks the index path on a flat source (default: full scan).
+	Source *colstore.ShardedTable
+	Select []string // output columns; empty = all user columns
+	Preds  []expr.Pred
+	// Access picks the index path, which serves a one-shard source only
+	// (default: full scan).
 	Access AccessSpec
 	// Codes lists string columns to emit in the dictionary code domain
 	// (Col.Dict set, I = codes) instead of materializing strings — the
@@ -75,13 +73,13 @@ type Scan struct {
 // Label implements Node.
 func (s *Scan) Label() string {
 	var head string
-	switch {
-	case s.Sharded != nil:
-		head = fmt.Sprintf("Scan(%s, shards=%d)", s.Sharded.Name, s.Sharded.NumShards())
+	switch k := s.Source.NumShards(); {
+	case k > 1:
+		head = fmt.Sprintf("Scan(%s, shards=%d)", s.Source.Name, k)
 	case s.Access.Kind == IndexAccess:
-		head = fmt.Sprintf("IndexScan(%s via %s[%s])", s.Table.Name, s.Access.Index.Name(), s.Access.IndexCol)
+		head = fmt.Sprintf("IndexScan(%s via %s[%s])", s.Source.Name, s.Access.Index.Name(), s.Access.IndexCol)
 	default:
-		head = fmt.Sprintf("Scan(%s)", s.Table.Name)
+		head = fmt.Sprintf("Scan(%s)", s.Source.Name)
 	}
 	parts := []string{head}
 	for _, p := range s.Preds {
@@ -107,7 +105,7 @@ type ShardBinding struct {
 	Table *colstore.Table
 	// Pruned reports that the predicates cannot touch any row of this
 	// shard (see PruneShards); consumers skip it without enumerating a
-	// morsel.  Never set on a flat source.
+	// morsel.  Never set on a lone shard.
 	Pruned bool
 	// Cols are the projected stored columns in projection order, followed
 	// by Seq when it is bound.
@@ -145,19 +143,11 @@ func (s *Scan) Bind() (*Binding, error) { return s.bind(true) }
 // bind is Bind with the sequence column optional: the build side of a
 // co-partitioned join never orders anything and leaves it out.
 func (s *Scan) bind(withSeq bool) (*Binding, error) {
-	var name string
-	var schema colstore.Schema
-	var shards []*colstore.Table
-	var keep []bool
-	switch {
-	case s.Sharded != nil:
-		name, schema, shards = s.Sharded.Name, s.Sharded.Schema(), s.Sharded.Shards()
-		keep = PruneShards(s.Sharded, s.Preds)
-	case s.Table != nil:
-		name, schema, shards, keep = s.Table.Name, s.Table.Schema(), []*colstore.Table{s.Table}, []bool{true}
-	default:
+	if s.Source == nil {
 		return nil, fmt.Errorf("exec: scan has no source table")
 	}
+	name, schema, shards := s.Source.Name, s.Source.Schema(), s.Source.Shards()
+	keep := PruneShards(shards, s.Preds)
 	names := s.Select
 	if len(names) == 0 {
 		for _, d := range schema {
@@ -250,14 +240,20 @@ func checkPredType(c colstore.Column, p expr.Pred) error {
 	return nil
 }
 
-// PruneShards reports, per shard, whether the predicates can touch any
-// of its rows.  The decision reads live per-shard column min/max (zone
-// stats over all physical rows — conservative for every snapshot), so
-// pruning is always safe even when planner statistics are stale.  Only
-// BIGINT predicates prune; anything unresolvable keeps the shard.
-func PruneShards(st *colstore.ShardedTable, preds []expr.Pred) []bool {
-	shards := st.Shards()
+// PruneShards reports, per shard of one table, whether the predicates
+// can touch any of its rows.  The decision reads live per-shard column
+// min/max (zone stats over all physical rows — conservative for every
+// snapshot), so pruning is always safe even when planner statistics are
+// stale.  Only BIGINT predicates prune; anything unresolvable keeps the
+// shard.  A lone shard is never pruned: with nothing beside it to skip
+// to, its own segment zone maps already make the same decision and
+// charge for it, empty or disjoint alike.
+func PruneShards(shards []*colstore.Table, preds []expr.Pred) []bool {
 	keep := make([]bool, len(shards))
+	if len(shards) == 1 {
+		keep[0] = true
+		return keep
+	}
 	for i, sh := range shards {
 		if sh.Rows() == 0 {
 			continue // empty shard: nothing to scan
@@ -374,7 +370,7 @@ func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Access.Kind == IndexAccess && s.Table != nil && s.Table.WriteEpoch() == s.Access.IndexEpoch {
+	if s.Access.Kind == IndexAccess && !b.multi() && b.Shards[0].Table.WriteEpoch() == s.Access.IndexEpoch {
 		return s.runIndex(ctx, b.Shards[0])
 	}
 	var parts []*Relation
@@ -616,7 +612,7 @@ func mergeBySeq(parts []*Relation, tmpl []Col) *Relation {
 func (s *Scan) runIndex(ctx *Ctx, sb *ShardBinding) (*Relation, error) {
 	// The snapshot fixes the scan prefix: rows committed after admission
 	// sit beyond n and are never touched.
-	n := s.Table.RowsAsOf(ctx.SnapTS)
+	n := sb.Table.RowsAsOf(ctx.SnapTS)
 	var keyPred *expr.Pred
 	var rest []int
 	for i := range s.Preds {
@@ -662,7 +658,7 @@ func (s *Scan) runIndex(ctx *Ctx, sb *ShardBinding) (*Relation, error) {
 	// outside the snapshot (beyond the prefix, or tombstoned at it).
 	rows := make([]int32, 0, len(cand))
 	for _, r := range cand {
-		if int(r) >= n || !s.Table.RowVisible(ctx.SnapTS, int(r)) {
+		if int(r) >= n || !sb.Table.RowVisible(ctx.SnapTS, int(r)) {
 			continue
 		}
 		ok, w := sb.rowMatches(int(r), rest)

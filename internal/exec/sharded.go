@@ -7,10 +7,10 @@ import (
 	"repro/internal/energy"
 )
 
-// Operators that exist only over value-range-sharded tables: the
-// co-partitioned join and the rebalance pass.  Scanning and aggregating
-// a sharded table is the ordinary Scan (scan.go) and the ordinary fused
-// fold (fused.go) over a shard list longer than one.
+// Operators that need a shard column: the co-partitioned join and the
+// rebalance pass.  Scanning and aggregating a table of many shards is
+// the ordinary Scan (scan.go) and the ordinary fused fold (fused.go)
+// over a shard list longer than one.
 
 // ShardedJoin is the co-partitioned equi-join over two aligned sharded
 // tables keyed on their shard columns: every key value is owned by the
@@ -27,7 +27,7 @@ type ShardedJoin struct {
 
 // Label implements Node.
 func (j *ShardedJoin) Label() string {
-	return fmt.Sprintf("ShardedJoin(%s=%s, pairs=%d)", j.LeftKey, j.RightKey, j.Left.Sharded.NumShards())
+	return fmt.Sprintf("ShardedJoin(%s=%s, pairs=%d)", j.LeftKey, j.RightKey, j.Left.Source.NumShards())
 }
 
 // Kids implements Node.
@@ -37,9 +37,9 @@ func (j *ShardedJoin) Kids() []Node { return []Node{j.Left, j.Right} }
 // the given keys can run shard-pair by shard-pair — the planner's mirror
 // of ShardedJoin.Run's own validation.
 func CoPartitionEligible(l, r *Scan, leftKey, rightKey string) bool {
-	return l != nil && r != nil && l.Sharded != nil && r.Sharded != nil &&
-		leftKey == l.Sharded.ShardCol && rightKey == r.Sharded.ShardCol &&
-		l.Sharded.AlignedWith(r.Sharded)
+	return l != nil && r != nil &&
+		leftKey == l.Source.ShardCol && rightKey == r.Source.ShardCol &&
+		l.Source.AlignedWith(r.Source)
 }
 
 // Run implements Node.
@@ -116,13 +116,13 @@ func (j *ShardedJoin) Run(ctx *Ctx) (*Relation, error) {
 // defer the re-cut (RebalanceStats.Deferred) rather than moving under a
 // consistent view.
 type Rebalance struct {
-	Sharded *colstore.ShardedTable
+	Table   *colstore.ShardedTable
 	Horizon func() int64
 }
 
 // Label implements Node.
 func (r *Rebalance) Label() string {
-	return fmt.Sprintf("Rebalance(%s, shards=%d)", r.Sharded.Name, r.Sharded.NumShards())
+	return fmt.Sprintf("Rebalance(%s, shards=%d)", r.Table.Name, r.Table.NumShards())
 }
 
 // Kids implements Node.
@@ -135,11 +135,11 @@ func (r *Rebalance) Run(ctx *Ctx) (*Relation, error) {
 	if r.Horizon != nil {
 		horizon = r.Horizon()
 	}
-	st, err := r.Sharded.Rebalance(horizon)
+	st, err := r.Table.Rebalance(horizon)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Charge("rebalance:"+r.Sharded.Name, st.RowsTotal, st.Work)
+	ctx.Charge("rebalance:"+r.Table.Name, st.RowsTotal, st.Work)
 	deferred := int64(0)
 	if st.Deferred {
 		deferred = 1

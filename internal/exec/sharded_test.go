@@ -85,9 +85,10 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 		flatIDs = append(flatIDs, id)
 		for _, k := range shardCounts {
 			st := twins[k]
-			seq := st.AllocSeq()
-			sh := st.Shard(st.ShardFor(vals[0].(int64)))
-			sid, err := sh.ApplyInsert(ts, lsn, append(append([]any(nil), vals...), seq)...)
+			si, row, err := st.Route(vals)
+			must(t, err)
+			sh := st.Shard(si)
+			sid, err := sh.ApplyInsert(ts, lsn, row...)
 			must(t, err)
 			stIDs[k] = append(stIDs[k], loc{sh, sid})
 		}
@@ -125,9 +126,6 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 			}
 			lsn++
 		}
-	}
-	for _, k := range shardCounts {
-		twins[k].RecomputeBounds()
 	}
 	return flat, twins
 }
@@ -198,8 +196,8 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 			ps := ps
 			t.Run(live.name+"/"+pname, func(t *testing.T) {
 				checkShardMatrix(t, live.snap,
-					func() Node { return &Scan{Table: flat, Select: sel, Preds: ps} },
-					func(k int) Node { return &Scan{Sharded: twins[k], Select: sel, Preds: ps} },
+					func() Node { return &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: ps} },
+					func(k int) Node { return &Scan{Source: twins[k], Select: sel, Preds: ps} },
 				)
 			})
 		}
@@ -265,13 +263,13 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 				checkShardMatrix(t, live.snap,
 					func() Node {
 						return &HashAgg{
-							Child:   &Scan{Table: flat, Select: c.sel, Preds: c.preds},
+							Child:   &Scan{Source: colstore.OneShard(flat), Select: c.sel, Preds: c.preds},
 							GroupBy: c.groupBy, Aggs: c.aggs,
 						}
 					},
 					func(k int) Node {
 						return &HashAgg{
-							Child:   &Scan{Sharded: twins[k], Select: c.sel, Preds: c.preds},
+							Child:   &Scan{Source: twins[k], Select: c.sel, Preds: c.preds},
 							GroupBy: c.groupBy, Aggs: c.aggs,
 						}
 					},
@@ -281,17 +279,24 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestOneShardIsFlat is the k=1 identity: a flat table is the one-shard
-// case of the shard list, so a ShardTable(…, 1) twin must return the flat
-// relation AND charge the flat Meter snapshot — no sequence column, no
-// first-appearance tracking, no merge — for the scan, the fused
-// aggregate (string groups included: one shard has one dictionary), the
-// materialized aggregate, and the fused probe, on sealed and live tables.
-// (Shard pruning stays a sharded-only zone check, so the predicates here
-// all intersect the table's key range.)
+// TestOneShardIsFlat is the contract of the one table shape.  A table
+// created flat is registered as one shard wrapped in place (OneShard);
+// ShardTable(…, 1) is the other one-shard table, carrying a sequence
+// column nothing reads.  Both must return the same relation AND charge
+// the same Meter snapshot — no sequence column bound, no first-appearance
+// tracking, no merge, and never a whole-shard prune: a lone shard whose
+// zone is disjoint from the predicate, or that holds no rows at all,
+// charges what its segment zone maps charge, not a shard-prune line — for
+// the scan, the fused aggregate (string groups included: one shard has
+// one dictionary), the materialized aggregate, and the fused probe, on
+// sealed, live and empty tables.  The k ∈ {4,16} cuts agree on the
+// relation (their counters differ: pruning changes the bytes).
 func TestOneShardIsFlat(t *testing.T) {
 	sel := []string{"custkey", "grp", "region", "amount", "val"}
-	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 14)}}
+	predSets := map[string][]expr.Pred{
+		"range":    {{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 14)}},
+		"disjoint": {{Col: "custkey", Op: vec.GT, Val: expr.IntVal(1 << 20)}}, // keys lie below 1<<16
+	}
 	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}}
 	dim := intDimSource()
 	plans := map[string]func(s *Scan) Node{
@@ -308,31 +313,41 @@ func TestOneShardIsFlat(t *testing.T) {
 		},
 	}
 	for _, live := range []struct {
-		name  string
-		extra int
-		snap  int64
+		name     string
+		n, extra int
+		snap     int64
 	}{
-		{"sealed", 0, colstore.SnapLatest},
-		{"live", 300, colstore.SnapLatest},
-		{"live@150", 300, 150},
+		{"sealed", 150_000, 0, colstore.SnapLatest},
+		{"live", 150_000, 300, colstore.SnapLatest},
+		{"live@150", 150_000, 300, 150},
+		{"empty", 0, 0, colstore.SnapLatest},
 	} {
-		flat, twins := shardTwins(t, 150_000, live.extra)
-		for name, mk := range plans {
-			t.Run(live.name+"/"+name, func(t *testing.T) {
-				want := runNodeArm(t, mk(&Scan{Table: flat, Select: sel, Preds: preds}), live.snap, 1)
-				if want.rel.N == 0 {
-					t.Fatal("degenerate plan: no output rows")
-				}
-				for _, dop := range []int{1, 3} {
-					got := runNodeArm(t, mk(&Scan{Sharded: twins[1], Select: sel, Preds: preds}), live.snap, dop)
-					if !reflect.DeepEqual(got.rel, want.rel) {
-						t.Fatalf("dop=%d: k=1 relation diverged from flat", dop)
+		flat, twins := shardTwins(t, live.n, live.extra)
+		wrapped := colstore.OneShard(flat)
+		for pname, preds := range predSets {
+			for name, mk := range plans {
+				t.Run(live.name+"/"+pname+"/"+name, func(t *testing.T) {
+					want := runNodeArm(t, mk(&Scan{Source: wrapped, Select: sel, Preds: preds}), live.snap, 1)
+					if live.n > 0 && pname == "range" && want.rel.N == 0 {
+						t.Fatal("degenerate plan: no output rows")
 					}
-					if got.w != want.w {
-						t.Fatalf("dop=%d: k=1 Meter diverged from flat\n got %+v\nwant %+v", dop, got.w, want.w)
+					for _, dop := range []int{1, 3} {
+						got := runNodeArm(t, mk(&Scan{Source: twins[1], Select: sel, Preds: preds}), live.snap, dop)
+						if !reflect.DeepEqual(got.rel, want.rel) {
+							t.Fatalf("dop=%d: k=1 relation diverged from flat", dop)
+						}
+						if got.w != want.w {
+							t.Fatalf("dop=%d: k=1 Meter diverged from flat\n got %+v\nwant %+v", dop, got.w, want.w)
+						}
 					}
-				}
-			})
+					for _, k := range []int{4, 16} {
+						got := runNodeArm(t, mk(&Scan{Source: twins[k], Select: sel, Preds: preds}), live.snap, 1)
+						if !reflect.DeepEqual(got.rel, want.rel) {
+							t.Fatalf("k=%d relation diverged from flat", k)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -379,8 +394,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				lsel := []string{"custkey", "grp", "val"}
 				rsel := []string{"custkey", "tier"}
 
-				left := &Scan{Sharded: stO, Select: lsel, Preds: lp}
-				right := &Scan{Sharded: stC, Select: rsel, Preds: rp}
+				left := &Scan{Source: stO, Select: lsel, Preds: lp}
+				right := &Scan{Source: stC, Select: rsel, Preds: rp}
 				if !CoPartitionEligible(left, right, "custkey", "custkey") {
 					t.Fatal("aligned sharded scans should be co-partition eligible")
 				}
@@ -389,8 +404,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				}
 
 				want := runNodeArm(t, &HashJoin{
-					Left:    &Scan{Table: flatO, Select: lsel, Preds: lp},
-					Right:   &Scan{Table: flatC, Select: rsel, Preds: rp},
+					Left:    &Scan{Source: colstore.OneShard(flatO), Select: lsel, Preds: lp},
+					Right:   &Scan{Source: colstore.OneShard(flatC), Select: rsel, Preds: rp},
 					LeftKey: "custkey", RightKey: "custkey",
 				}, live.snap, 1)
 				if want.rel.N == 0 {
@@ -423,10 +438,10 @@ func TestShardPruningCounters(t *testing.T) {
 	flat, twins := shardTwins(t, n, 0)
 	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
 	sel := []string{"custkey", "val"}
-	flatArm := runNodeArm(t, &Scan{Table: flat, Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+	flatArm := runNodeArm(t, &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: preds}, colstore.SnapLatest, 1)
 	var prevBytes uint64
 	for i, k := range shardCounts {
-		a := runNodeArm(t, &Scan{Sharded: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+		a := runNodeArm(t, &Scan{Source: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)
 		if a.w.TuplesIn < uint64(n) {
 			t.Fatalf("k=%d: logical rows considered %d < %d (pruning must charge TuplesIn)", k, a.w.TuplesIn, n)
 		}

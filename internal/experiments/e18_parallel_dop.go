@@ -43,14 +43,14 @@ func E18Sweep(n int, dops []int) ([]E18Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab, err := eng.Catalog().Table("orders")
+	tab, err := eng.Catalog().Lookup("orders")
 	if err != nil {
 		return nil, err
 	}
 	ncust := int64(n/100 + 10)
 	plan := &exec.HashAgg{
 		Child: &exec.Scan{
-			Table:  tab,
+			Source: tab,
 			Select: []string{"region", "amount"},
 			Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(ncust * 4 / 5)}},
 		},

@@ -87,8 +87,8 @@ func e20Catalog(nFact, nDim int, seal bool) (*opt.Catalog, error) {
 		}
 	}
 	cat := opt.NewCatalog()
-	cat.AddTable(fact)
-	cat.AddTable(dim)
+	cat.Add(colstore.OneShard(fact))
+	cat.Add(colstore.OneShard(dim))
 	return cat, nil
 }
 

@@ -131,7 +131,7 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 // materializing pipeline structurally: its scan sits behind an opaque
 // wrapper node and the consumer sees only a relation source.
 func (f *e24Fixture) scan(selCols, codes []string, sel float64, unfused bool) exec.Node {
-	s := &exec.Scan{Table: f.fact, Select: selCols, Codes: codes,
+	s := &exec.Scan{Source: colstore.OneShard(f.fact), Select: selCols, Codes: codes,
 		Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}}
 	if unfused {
 		return struct{ exec.Node }{s}
@@ -150,7 +150,7 @@ func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
 	return &exec.ParallelJoin{
 		Left:     f.scan([]string{"region", "lowcard", "packed"}, []string{"region"}, sel, unfused),
-		Right:    &exec.Scan{Table: f.dim, Codes: []string{"region"}},
+		Right:    &exec.Scan{Source: colstore.OneShard(f.dim), Codes: []string{"region"}},
 		LeftKey:  "region",
 		RightKey: "region",
 	}
@@ -274,8 +274,8 @@ func E24PlannerDecisions(n int) (agg, join, joinAgg *opt.PlanInfo, err error) {
 		return nil, nil, nil, err
 	}
 	cat := opt.NewCatalog()
-	cat.AddTable(f.fact)
-	cat.AddTable(f.dim)
+	cat.Add(colstore.OneShard(f.fact))
+	cat.Add(colstore.OneShard(f.dim))
 	cm := opt.NewCostModel(energy.DefaultModel())
 	pred := []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(0.50))}}
 	_, agg, err = cat.Plan(&opt.Query{

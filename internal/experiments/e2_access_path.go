@@ -94,11 +94,11 @@ func E2Sweep(rows int) ([]E2Row, error) {
 			cut = 1
 		}
 		preds := []expr.Pred{{Col: "id", Op: vec.LE, Val: expr.IntVal(cut)}}
-		scanT, scanJ, err := measure(&exec.Scan{Table: tab, Select: []string{"id"}, Preds: preds})
+		scanT, scanJ, err := measure(&exec.Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds})
 		if err != nil {
 			return nil, err
 		}
-		idxT, idxJ, err := measure(&exec.Scan{Table: tab, Select: []string{"id"}, Preds: preds,
+		idxT, idxJ, err := measure(&exec.Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds,
 			Access: exec.AccessSpec{Kind: exec.IndexAccess, Index: bt, IndexCol: "id"}})
 		if err != nil {
 			return nil, err

@@ -214,7 +214,7 @@ func TestHotPathRequiresMarkedStruct(t *testing.T) {
 
 // loadRegistryFixture loads testdata/<name>/src as the registry package
 // and roots the unit at testdata/<name>, where the fixture's
-// EXPERIMENTS.md and BENCH_PR*.json live.
+// EXPERIMENTS.md and BENCH_BASELINE.json live.
 func loadRegistryFixture(t *testing.T, name string) *Unit {
 	t.Helper()
 	l := testLoader(t)
@@ -245,8 +245,8 @@ func TestRegistrySyncFiresOnDrift(t *testing.T) {
 		fmt.Sprintf("EXPERIMENTS.md:%d registrysync", e3Row),
 		// The stale baseline gates a vanished benchmark and an
 		// unreported custom metric key.
-		"BENCH_PR9.json:1 registrysync",
-		"BENCH_PR9.json:1 registrysync",
+		"BENCH_BASELINE.json:1 registrysync",
+		"BENCH_BASELINE.json:1 registrysync",
 	}
 	got := AnalyzerRegistrySync().Run(u)
 	assertDiags(t, got, want)

@@ -25,7 +25,7 @@
 //     seed packages, so the engine's import graph shows only what serves
 //     queries (PR 13).
 //   - registrysync: the experiments registry, EXPERIMENTS.md, the root
-//     benchmarks, and the committed BENCH_*.json baselines must agree
+//     benchmarks, and the committed BENCH_BASELINE.json must agree
 //     (PR 1/PR 3).
 //   - suppress: every //lint:allow escape hatch must name a real check
 //     and carry a non-empty reason.
@@ -118,8 +118,7 @@ func DefaultConfig() Config {
 		ExecPkgs:  []string{"repro/internal/exec"},
 		PoolFuncs: []string{"runPool", "runMorsels"},
 		HotStructs: map[string][]string{
-			"repro/internal/exec":     {"partChunk", "pairChunk", "joinTable", "fusedAggTable", "seqMerger"},
-			"repro/internal/colstore": {"ShardBound"},
+			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "fusedAggTable", "seqMerger"},
 		},
 		EnergyPkg: "repro/internal/energy",
 		EnginePkgs: []string{
@@ -142,7 +141,7 @@ func DefaultConfig() Config {
 // they came from, and the rule scoping.
 type Unit struct {
 	ModPath string
-	Root    string // module root directory (for EXPERIMENTS.md, BENCH_*.json)
+	Root    string // module root directory (for EXPERIMENTS.md, BENCH_BASELINE.json)
 	Fset    *token.FileSet
 	Pkgs    []*Package
 	Config  Config

@@ -19,8 +19,8 @@ const RegistryCheck = "registrysync"
 // AnalyzerRegistrySync keeps the four places an experiment lives in
 // agreement: the registry (register(Experiment{ID: ...}) calls in
 // Config.RegistryPkg), the EXPERIMENTS.md claim table, the Benchmark*
-// functions the table references, and the committed BENCH_*.json
-// baseline the CI energy gate diffs against.
+// functions the table references, and the committed BENCH_BASELINE.json
+// the CI energy gate diffs against.
 //
 // Checks:
 //
@@ -29,7 +29,7 @@ const RegistryCheck = "registrysync"
 //     direction fails);
 //   - every `Benchmark<Name>` mentioned in EXPERIMENTS.md exists as a
 //     benchmark function;
-//   - every benchmark in the newest BENCH_PR<n>.json baseline still
+//   - every benchmark in the committed BENCH_BASELINE.json still
 //     exists in code, and every custom metric key it gates (J/op,
 //     bytes-touched/op, ... — anything beyond the standard ns/op,
 //     B/op, allocs/op, MB/s) is actually reported by a
@@ -37,16 +37,19 @@ const RegistryCheck = "registrysync"
 func AnalyzerRegistrySync() Analyzer {
 	return Analyzer{
 		Name: RegistryCheck,
-		Doc:  "experiments registry, EXPERIMENTS.md, Benchmark funcs, and BENCH_*.json baselines must agree",
+		Doc:  "experiments registry, EXPERIMENTS.md, Benchmark funcs, and BENCH_BASELINE.json must agree",
 		Run:  runRegistrySync,
 	}
 }
 
 var (
-	mdRowRe     = regexp.MustCompile(`^\|\s*(E\d+)\s*\|`)
-	benchRefRe  = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+`)
-	benchFileRe = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
+	mdRowRe    = regexp.MustCompile(`^\|\s*(E\d+)\s*\|`)
+	benchRefRe = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+`)
 )
+
+// baselineFile is the one committed modeled baseline the CI energy gate
+// diffs against.
+const baselineFile = "BENCH_BASELINE.json"
 
 // stdMetrics are go-bench metrics every benchmark emits; anything else
 // in a baseline is a custom metric some ReportMetric call must produce.
@@ -172,29 +175,14 @@ func runRegistrySync(u *Unit) []Diag {
 		}
 	}
 
-	// 4. The newest committed baseline must gate benchmarks and metric
-	// keys that still exist.
-	if base, pos := newestBaseline(u.Root); base != "" {
+	// 4. The committed baseline must gate benchmarks and metric keys
+	// that still exist.
+	base := filepath.Join(u.Root, baselineFile)
+	if _, err := os.Stat(base); err == nil {
+		pos := token.Position{Filename: base, Line: 1, Column: 1}
 		out = append(out, checkBaseline(base, pos, benchFuncs, metricKeys)...)
 	}
 	return out
-}
-
-// newestBaseline returns the highest-numbered BENCH_PR<n>.json in root.
-func newestBaseline(root string) (string, token.Position) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return "", token.Position{}
-	}
-	best, bestN := "", -1
-	for _, e := range entries {
-		if m := benchFileRe.FindStringSubmatch(e.Name()); m != nil {
-			if n, _ := strconv.Atoi(m[1]); n > bestN {
-				best, bestN = filepath.Join(root, e.Name()), n
-			}
-		}
-	}
-	return best, token.Position{Filename: best, Line: 1, Column: 1}
 }
 
 // checkBaseline verifies one bench-trajectory JSON against the declared

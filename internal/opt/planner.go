@@ -103,10 +103,6 @@ type PlanInfo struct {
 	Explain string
 	Access  map[string]AccessChoice // per-table access decision
 	Est     Cost                    // total estimated cost
-	// Parallel reports that the plan has more than one unit of parallel
-	// work: a scan grid of more than one morsel, or a partitioned or
-	// co-partitioned join.
-	Parallel bool
 	// Storage reports, per scanned table, the compression ratio of its
 	// sealed segments and the estimated bytes this plan streams —
 	// the storage-format axis of the energy model.
@@ -123,10 +119,10 @@ type PlanInfo struct {
 	// eligibility checks, and the fused-away work is credited out of Est.
 	FusedAgg    bool
 	FusedProbes []string
-	// ShardsScanned/ShardsPruned count value-range shards across every
-	// sharded scan in the plan: pruned shards were disqualified by their
-	// zone bounds before a single morsel was enumerated, and their bytes
-	// are shed from Est.
+	// ShardsScanned/ShardsPruned count shards across every scan in the
+	// plan over more than one shard: pruned shards were disqualified by
+	// their zone bounds before a single morsel was enumerated, and their
+	// bytes are shed from Est.
 	ShardsScanned int
 	ShardsPruned  int
 	// JoinOrder is the table order the join-ordering pass chose (empty
@@ -219,9 +215,9 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		}
 	}
 
-	// scan plans the access to one table — flat (one shard) or value-range
-	// sharded — as the one exec.Scan: zone-prune the shard list (the same
-	// live check the executor makes), price only the survivors (the
+	// scan plans the access to one table as the one exec.Scan over its
+	// shard list: zone-prune the list (the same live check the executor
+	// makes), price only the survivors under their own statistics (the
 	// estimate sheds every pruned byte), and sum the per-shard estimates.
 	scan := func(table string, codes []string) (*exec.Scan, error) {
 		preds := predsOf[table]
@@ -230,41 +226,32 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			sel = append(sel, col)
 		}
 		slices.Sort(sel)
-		s := &exec.Scan{Select: sel, Preds: preds, Codes: codes}
-		var units []*colstore.Table // surviving shards, priced under their own stats
-		if st, serr := c.Sharded(table); serr == nil {
-			s.Sharded = st
-			keep := exec.PruneShards(st, preds)
-			for i, sh := range st.Shards() {
-				if keep[i] {
-					units = append(units, sh)
-				}
-			}
-			info.ShardsScanned += len(units)
-			info.ShardsPruned += len(keep) - len(units)
-		} else {
-			tab, err := c.Table(table)
-			if err != nil {
-				return nil, err
-			}
-			s.Table = tab
-			units = []*colstore.Table{tab}
+		st, err := c.Lookup(table)
+		if err != nil {
+			return nil, err
 		}
+		s := &exec.Scan{Source: st, Select: sel, Preds: preds, Codes: codes}
+		shards := st.Shards()
+		keep := exec.PruneShards(shards, preds)
 		choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}}
-		morsels := 0
-		for _, u := range units {
+		for i, u := range shards {
+			if !keep[i] {
+				info.ShardsPruned++
+				continue
+			}
 			uc, err := ChooseAccess(c, cm, u.Name, preds, len(sel), obj)
 			if err != nil {
 				return nil, err
 			}
-			if s.Table != nil {
-				// The index path serves flat tables only.
+			if len(shards) > 1 {
+				info.ShardsScanned++
+			} else {
+				// The index path serves a lone shard only.
 				choice.Spec, s.Access = uc.Spec, uc.Spec
 			}
 			choice.Est = choice.Est.plus(uc.Est)
 			choice.FullScanCost = choice.FullScanCost.plus(uc.FullScanCost)
 			choice.IndexCost = choice.IndexCost.plus(uc.IndexCost)
-			morsels += (u.Rows() + exec.MorselRows - 1) / exec.MorselRows
 		}
 		info.Access[table] = choice
 		info.Est = info.Est.plus(choice.Est)
@@ -275,11 +262,6 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 				RawBytes:     ts.Storage.RawBytes,
 				EstScanBytes: choice.Est.Work.BytesReadDRAM,
 			}
-		}
-		// The morsel grid is a function of the row counts alone; index
-		// access stays one task (random point reads don't morselize).
-		if choice.Spec.Kind == exec.FullScan && morsels > 1 {
-			info.Parallel = true
 		}
 		return s, nil
 	}
@@ -440,10 +422,8 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		switch {
 		case coPart:
 			d.partitioned = false
-			info.Parallel = true
 			root = &exec.ShardedJoin{Left: probeScan, Right: buildScan, LeftKey: lk, RightKey: rk}
 		case d.partitioned:
-			info.Parallel = true
 			root = &exec.ParallelJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
 		default:
 			root = &exec.HashJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
@@ -620,14 +600,11 @@ func (c *Catalog) keyIsString(lk, rk string, tables []string, rtable string) boo
 // with an order-preserving dictionary — the precondition for joining in
 // the dictionary code domain.
 func (c *Catalog) orderedStringCol(table, col string) bool {
-	if table == "" {
-		return false
+	st, err := c.Lookup(table)
+	if err != nil || st.NumShards() > 1 {
+		return false // per-shard dictionaries assign incomparable codes
 	}
-	t, err := c.Table(table)
-	if err != nil {
-		return false
-	}
-	sc, err := t.StrCol(col)
+	sc, err := st.Shard(0).StrCol(col)
 	if err != nil {
 		return false
 	}

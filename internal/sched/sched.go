@@ -17,7 +17,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/energy"
@@ -203,21 +202,15 @@ func Simulate(cfg Config, jobs []Job) Result {
 	static += energy.StaticEnergy(energy.Watts(float64(m.DRAMStaticPerGB)*cfg.MemGB), makespan)
 
 	total := dyn.Total() + static
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, l := range lat {
-		sum += l
-	}
 	res := Result{
 		Completed:    len(jobs),
 		Makespan:     makespan,
-		AvgLatency:   sum / time.Duration(len(jobs)),
-		P95Latency:   lat[len(lat)*95/100],
 		TotalEnergy:  total,
 		EnergyPerJob: total / energy.Joules(len(jobs)),
 		ActiveCores:  cores,
 		PState:       pstate,
 	}
+	res.AvgLatency, res.P95Latency = energy.LatencySummary(lat)
 	if makespan > 0 {
 		res.AvgPower = energy.Watts(float64(total) / makespan.Seconds())
 	}

@@ -258,6 +258,91 @@ func TestAutoMergeBackground(t *testing.T) {
 	}
 }
 
+// TestAutoMergeAnyRegisteredTable: merge-as-a-query resolves the table
+// through the one registry, so a table cut into value-range shards
+// auto-merges behind the server exactly like a one-shard table — the
+// threshold sums delta rows over the shard list, every shard's delta is
+// re-sealed — and reads answer byte-identically with and without the
+// merges.
+func TestAutoMergeAnyRegisteredTable(t *testing.T) {
+	script := &workload.Script{}
+	for i := 0; i < 12; i++ {
+		script.Arrivals = append(script.Arrivals, workload.Arrival{
+			At:  time.Duration(i) * time.Millisecond,
+			SQL: fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d.5)", 920000+i, i*7, i),
+		})
+	}
+	for i, q := range []string{
+		"SELECT COUNT(*), SUM(amount) FROM orders WHERE id >= 920000",
+		"SELECT id, custkey, amount FROM orders WHERE id >= 920000",
+	} {
+		script.Arrivals = append(script.Arrivals, workload.Arrival{At: time.Duration(20+i) * time.Millisecond, SQL: q})
+	}
+	run := func(mergeDeltaRows int) ([]Played, *Server, *core.Engine) {
+		eng := testEngine(t, 1<<12)
+		if _, err := eng.ShardTable("orders", "custkey", 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Seal("orders"); err != nil {
+			t.Fatal(err)
+		}
+		s := New(eng, Config{
+			Sched:          core.SchedulerConfig{Budget: 2, Arbitrate: true},
+			MergeDeltaRows: mergeDeltaRows,
+		}, NewSimClock())
+		out := s.Replay(script)
+		for i, p := range out {
+			if p.Status != http.StatusOK {
+				t.Fatalf("MergeDeltaRows=%d arrival %d: status %d body %s", mergeDeltaRows, i, p.Status, p.Body)
+			}
+		}
+		return out, s, eng
+	}
+	unmerged, s0, _ := run(0)
+	merged, s, eng := run(4)
+	if s0.merges != 0 || s.merges < 1 {
+		t.Fatalf("merges: %d without a threshold, %d with one", s0.merges, s.merges)
+	}
+	if len(s.merging) != 0 {
+		t.Fatalf("merge bookkeeping leaked: %v", s.merging)
+	}
+	// The relation is byte-identical; ids and work legitimately move (a
+	// merged layout streams different bytes).
+	rows := func(p Played) string {
+		var qr queryResponse
+		if err := json.Unmarshal([]byte(p.Body), &qr); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal([]any{qr.Columns, qr.Rows})
+		return string(b)
+	}
+	for i := 12; i < len(merged); i++ {
+		if got, want := rows(merged[i]), rows(unmerged[i]); got != want {
+			t.Fatalf("read %d differs across the merges:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	st, err := eng.Catalog().Lookup("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DeltaRows() >= 12 {
+		t.Fatalf("delta was never re-sealed: %d delta rows", st.DeltaRows())
+	}
+
+	// An explicit merge ticket on the same table settles clean and leaves
+	// every shard's delta empty.
+	loop := eng.NewLoop(core.SchedulerConfig{Budget: 1, Arbitrate: true})
+	tk := loop.OfferMerge(0, "orders")
+	loop.React()
+	loop.RunToIdle()
+	if tk.Rejected || tk.Err != nil {
+		t.Fatalf("OfferMerge on a sharded table: rejected=%v err=%v", tk.Rejected, tk.Err)
+	}
+	if st.DeltaRows() != 0 {
+		t.Fatalf("explicit merge left %d delta rows", st.DeltaRows())
+	}
+}
+
 // TestMixedScriptReplayIsRepeatable: a script interleaving writes,
 // reads, and auto-merges replays byte-identically on a fresh server —
 // the write path keeps the deterministic-replay contract.

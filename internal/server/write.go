@@ -105,8 +105,8 @@ func (s *Server) maybeMergeLocked(at time.Duration, table string) {
 	if s.cfg.MergeDeltaRows <= 0 || s.merging[table] {
 		return
 	}
-	t, err := s.eng.Catalog().Table(table)
-	if err != nil || t.DeltaRows() < s.cfg.MergeDeltaRows {
+	st, err := s.eng.Catalog().Lookup(table)
+	if err != nil || st.DeltaRows() < s.cfg.MergeDeltaRows {
 		return
 	}
 	if tk := s.loop.OfferMerge(at, table); !tk.Rejected {

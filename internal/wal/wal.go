@@ -284,12 +284,6 @@ func SimulateGroupCommit(cfg Config, arrivals []time.Duration, txnBytes uint64, 
 		}
 		i = j
 	}
-	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	rep.AvgLatency = sum / time.Duration(len(lats))
-	rep.P95Latency = lats[len(lats)*95/100]
+	rep.AvgLatency, rep.P95Latency = energy.LatencySummary(lats)
 	return rep
 }
