@@ -331,8 +331,9 @@ func BenchmarkE19CompressedScan(b *testing.B) {
 
 // BenchmarkE20PartitionedJoin joins a 1M-row sales table to a 100K-row
 // customer dimension on a string key, planned two ways: over raw tables
-// (serial string-hashing join) and over sealed tables (radix-partitioned
-// morsel-parallel join on dictionary codes).  J/op and bytes-touched/op
+// (the join interns the materialized key strings) and over sealed tables
+// (it joins the dictionary codes they already are) — the same
+// radix-partitioned morsel-parallel join either way.  J/op and bytes-touched/op
 // report the energy model's view of one whole plan; the dict arm must
 // stream strictly fewer bytes (TestE20Shape asserts it; this makes the
 // gap measurable over time).  Wall times on the 1-CPU CI runner measure

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/vec"
@@ -218,4 +219,238 @@ func cmpI(op vec.CmpOp, a, b int64) bool {
 		return a != b
 	}
 	return false
+}
+
+// TestDifferentialRandomJoins is the joins' independent oracle: random
+// two-table statements run through the whole engine and through a
+// nested-loop reference over the generated Go slices — no hash table, no
+// morsels, no dictionary, no code shared with exec.  Layouts cover both
+// sides of a planner side swap (customers smaller and larger than
+// orders), customers sealed (the string-keyed join runs on dictionary
+// codes) and unsealed (it is interned from raw strings), and a customers
+// table with missing and duplicated keys; statements cover predicates on
+// either side, GROUP BY a build string / a probe string / nothing, COUNT
+// + SUM of an int of either side, both key types, and a plain row
+// selection (the pair sink).  Group ORDER follows the probe side the
+// planner picked, so grouped results — and the selection's rows —
+// compare order-insensitively.
+func TestDifferentialRandomJoins(t *testing.T) {
+	seen := map[string]int{} // plan shapes the trials reached
+	for _, nOrders := range []int{200, 2500, 12_000} {
+		for _, nCust := range []int{30, 3000} {
+			for _, sealed := range []bool{true, false} {
+				t.Run(fmt.Sprintf("orders=%d/customers=%d/sealed=%v", nOrders, nCust, sealed), func(t *testing.T) {
+					differentialRandomJoins(t, nOrders, nCust, sealed, seen)
+				})
+			}
+		}
+	}
+	for _, shape := range []string{"probe=orders", "probe=customers", "code-domain", "raw-string", "bigint", "fold", "pairs"} {
+		if seen[shape] == 0 {
+			t.Errorf("no trial planned the %q shape: the matrix compares less than it claims (%v)", shape, seen)
+		}
+	}
+}
+
+func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen map[string]int) {
+	rng := workload.NewRNG(uint64(7*nOrders + nCust))
+	segments := []string{"AUTO", "RETAIL", "WHOLESALE", "PUBLIC"}
+	keyName := func(k int64) string { return fmt.Sprintf("c%05d", k) }
+
+	// customers: ckeys drawn with replacement from a key space 25% wider
+	// than the table, so some keys repeat and some never appear.
+	type customer struct {
+		ckey, tier    int64
+		name, segment string
+	}
+	custs := make([]customer, nCust)
+	for i := range custs {
+		k := int64(rng.Intn(nCust + nCust/4 + 1))
+		custs[i] = customer{ckey: k, tier: int64(rng.Intn(5)), name: keyName(k), segment: segments[rng.Intn(len(segments))]}
+	}
+	// orders reference the same key space: some orders dangle.
+	type order struct {
+		id, custkey, qty int64
+		cname, region    string
+	}
+	ords := make([]order, nOrders)
+	for i := range ords {
+		k := int64(rng.Intn(nCust + nCust/4 + 1))
+		ords[i] = order{id: int64(i), custkey: k, qty: int64(rng.Intn(50)), cname: keyName(k),
+			region: workload.RegionNames[rng.Intn(len(workload.RegionNames))]}
+	}
+
+	e := Open()
+	ot, err := e.CreateTable("orders", colstore.Schema{
+		{Name: "id", Type: colstore.Int64}, {Name: "custkey", Type: colstore.Int64}, {Name: "qty", Type: colstore.Int64},
+		{Name: "cname", Type: colstore.String}, {Name: "region", Type: colstore.String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ow := ot.Writer()
+	for _, o := range ords {
+		ow.Row(o.id, o.custkey, o.qty, o.cname, o.region)
+	}
+	ct, err := e.CreateTable("customers", colstore.Schema{
+		{Name: "ckey", Type: colstore.Int64}, {Name: "tier", Type: colstore.Int64},
+		{Name: "name", Type: colstore.String}, {Name: "segment", Type: colstore.String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := ct.Writer()
+	for _, c := range custs {
+		cw.Row(c.ckey, c.tier, c.name, c.segment)
+	}
+	for _, err := range []error{ow.Close(), cw.Close(), e.Seal("orders")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sealed {
+		err = e.Seal("customers")
+	} else {
+		err = e.Catalog().Refresh("customers")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ops := []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
+	// note records which plan shape answered a trial.
+	note := func(info *opt.PlanInfo) {
+		ji := info.Joins[0]
+		seen["probe="+ji.Probe]++
+		switch {
+		case ji.CodeDomain:
+			seen["code-domain"]++
+		case ji.LeftKey == "custkey" || ji.LeftKey == "ckey":
+			seen["bigint"]++
+		default:
+			seen["raw-string"]++
+		}
+		if ji.FusedAgg {
+			seen["fold"]++
+		} else {
+			seen["pairs"]++
+		}
+	}
+	for trial := 0; trial < 24; trial++ {
+		// 0..2 predicates, on either side.
+		var preds []expr.Pred
+		for k := rng.Intn(3); k > 0; k-- {
+			switch rng.Intn(3) {
+			case 0:
+				preds = append(preds, expr.Pred{Col: "qty", Op: ops[rng.Intn(len(ops))], Val: expr.IntVal(int64(rng.Intn(50)))})
+			case 1:
+				preds = append(preds, expr.Pred{Col: "tier", Op: ops[rng.Intn(len(ops))], Val: expr.IntVal(int64(rng.Intn(5)))})
+			default:
+				preds = append(preds, expr.Pred{Col: "segment", Op: vec.EQ, Val: expr.StrVal(segments[rng.Intn(len(segments))])})
+			}
+		}
+		keep := func(o *order, c *customer) bool {
+			for _, p := range preds {
+				switch p.Col {
+				case "qty":
+					if !cmpI(p.Op, o.qty, p.Val.I) {
+						return false
+					}
+				case "tier":
+					if !cmpI(p.Op, c.tier, p.Val.I) {
+						return false
+					}
+				case "segment":
+					if c.segment != p.Val.S {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		// The join key alternates between the BIGINT and the string pair.
+		join := opt.JoinSpec{Table: "customers", LeftCol: "custkey", RightCol: "ckey"}
+		if trial%2 == 1 {
+			join = opt.JoinSpec{Table: "customers", LeftCol: "cname", RightCol: "name"}
+		}
+		// matches visits every joined pair, nested-loop.
+		matches := func(visit func(o *order, c *customer)) {
+			for i := range ords {
+				for j := range custs {
+					o, c := &ords[i], &custs[j]
+					if o.custkey == c.ckey && keep(o, c) {
+						visit(o, c)
+					}
+				}
+			}
+		}
+
+		type agg struct{ n, s int64 }
+		grouped := func(groupBy, sumCol string, group func(*order, *customer) string, val func(*order, *customer) int64) {
+			q := &opt.Query{From: "orders", Joins: []opt.JoinSpec{join}, Preds: preds,
+				Select: []opt.SelectItem{{Agg: expr.AggCount, As: "n"}, {Agg: expr.AggSum, Col: sumCol, As: "s"}}}
+			if groupBy != "" {
+				q.GroupBy = []string{groupBy}
+				q.Select = append([]opt.SelectItem{{Col: groupBy}}, q.Select...)
+			}
+			res, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("trial %d group by %q: %v (preds %v)", trial, groupBy, err, preds)
+			}
+			note(res.PlanInfo)
+			want := map[string]agg{}
+			matches(func(o *order, c *customer) {
+				a := want[group(o, c)]
+				want[group(o, c)] = agg{a.n + 1, a.s + val(o, c)}
+			})
+			// (A global aggregate over no rows is no row — the engine's
+			// convention on every path, so the empty map is right.)
+			if res.Rel.N != len(want) {
+				t.Fatalf("trial %d group by %q: %d groups, want %d (preds %v)", trial, groupBy, res.Rel.N, len(want), preds)
+			}
+			nc, _ := res.Rel.Col("n")
+			sc, _ := res.Rel.Col("s")
+			for i := 0; i < res.Rel.N; i++ {
+				g := ""
+				if groupBy != "" {
+					gc, _ := res.Rel.Col(groupBy)
+					g = gc.S[i]
+				}
+				if w, ok := want[g]; !ok || nc.I[i] != w.n || sc.I[i] != w.s {
+					t.Fatalf("trial %d group %q=%q: got (%d, %d) want %+v present=%v (join %v, preds %v)",
+						trial, groupBy, g, nc.I[i], sc.I[i], w, ok, join, preds)
+				}
+			}
+		}
+		switch trial % 4 {
+		case 0: // GROUP BY a build string, SUM of a probe int
+			grouped("segment", "qty", func(_ *order, c *customer) string { return c.segment },
+				func(o *order, _ *customer) int64 { return o.qty })
+		case 1: // GROUP BY a probe string, SUM of a build int
+			grouped("region", "tier", func(o *order, _ *customer) string { return o.region },
+				func(_ *order, c *customer) int64 { return c.tier })
+		case 2: // no GROUP BY
+			grouped("", "tier", func(*order, *customer) string { return "" },
+				func(_ *order, c *customer) int64 { return c.tier })
+		default: // row selection through the pair sink, as a multiset
+			q := &opt.Query{From: "orders", Joins: []opt.JoinSpec{join}, Preds: preds,
+				Select: []opt.SelectItem{{Col: "id"}, {Col: "tier"}, {Col: "segment"}}}
+			res, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("trial %d select: %v (preds %v)", trial, err, preds)
+			}
+			note(res.PlanInfo)
+			var want, got []string
+			matches(func(o *order, c *customer) { want = append(want, fmt.Sprint(o.id, c.tier, c.segment)) })
+			ic, _ := res.Rel.Col("id")
+			tc, _ := res.Rel.Col("tier")
+			sc, _ := res.Rel.Col("segment")
+			for i := 0; i < res.Rel.N; i++ {
+				got = append(got, fmt.Sprint(ic.I[i], tc.I[i], sc.S[i]))
+			}
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d select: %d rows, want %d, or rows differ (join %v, preds %v)", trial, len(got), len(want), join, preds)
+			}
+		}
+	}
 }

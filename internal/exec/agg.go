@@ -340,7 +340,7 @@ func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	// Fused probe→aggregate path: when the child is a join whose probe side
 	// fuses, its matches fold straight into partial aggregates and the
 	// joined relation is never built.
-	if pa := a.fusedProbeAggPlan(ctx.SnapTS); pa != nil {
+	if pa := a.fusedProbeAggPlan(); pa != nil {
 		return a.runFusedProbeAgg(ctx, pa)
 	}
 	in, err := a.Child.Run(ctx)

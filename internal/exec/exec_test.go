@@ -289,7 +289,7 @@ func TestAggIntSumStaysInt(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
+func TestJoin(t *testing.T) {
 	orders := ordersTable(t, 2000)
 	// Customer dimension: custkey -> segment string.
 	cust := colstore.NewTable("customer", colstore.Schema{
@@ -304,7 +304,7 @@ func TestHashJoin(t *testing.T) {
 		must(t, cust.Writer().Row(int64(k), seg).Close())
 	}
 	must(t, cust.Seal())
-	join := &HashJoin{
+	join := &Join{
 		Left:     &Scan{Source: colstore.OneShard(orders), Select: []string{"id", "custkey", "amount"}},
 		Right:    &Scan{Source: colstore.OneShard(cust)},
 		LeftKey:  "custkey",
@@ -346,7 +346,7 @@ func TestJoinThenAggregatePipeline(t *testing.T) {
 	plan := &Sort{Keys: []expr.SortKey{{Col: "segment"}},
 		Child: &HashAgg{GroupBy: []string{"segment"},
 			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}, {Func: expr.AggCount, As: "n"}},
-			Child: &HashJoin{
+			Child: &Join{
 				Left:    &Scan{Source: colstore.OneShard(orders), Select: []string{"custkey", "amount"}},
 				Right:   &Scan{Source: colstore.OneShard(cust)},
 				LeftKey: "custkey", RightKey: "custkey",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
@@ -34,13 +33,13 @@ import (
 //	             so a fused scan stays a pure function of (snapshot,
 //	             predicates) across the main/delta boundary.
 //
-// Fusion is structural: HashAgg.Run and ParallelJoin.Run fuse exactly
+// Fusion is structural: HashAgg.Run and Join.Run fuse exactly
 // when their child is a full-scan *Scan of an eligible shape and consume
 // its Filter selection vectors directly; every other child — including a
 // scan hidden behind any wrapping Node, which is how E24's control arm
 // and the byte-identity tests reach the materializing pipeline — is run
 // to a relation first.  The two compose: a HashAgg whose child is a
-// ParallelJoin with a fused probe takes the probe's matches straight
+// Join with a fused probe takes the probe's matches straight
 // into partial aggregates (probe→aggregate), so a join under a GROUP BY
 // writes no pair list and no joined relation at all.
 //
@@ -697,11 +696,11 @@ func (a *HashAgg) buildFusedOutput(shape *fusedAggOut, t *fusedAggTable) *Relati
 // Fused filter→probe
 // ---------------------------------------------------------------------------
 
-// fusedProbePlan is a resolved, eligible probe-side Scan of a
-// ParallelJoin: the probe keys stream straight from the compressed key
-// segments, and the intermediate probe Relation is never built — matched
-// rows gather from the base table after the probe.
-type fusedProbePlan struct {
+// shardProbe is the join's fused probe source (join.go): a resolved,
+// eligible probe-side Scan.  The probe keys stream straight from the
+// compressed key segments, and the intermediate probe Relation is never
+// built — matched rows gather from the base table after the probe.
+type shardProbe struct {
 	sb     *ShardBinding // the scan's one shard
 	keyIdx int
 	// keyInts yields the probe keys: the key column itself, or a string
@@ -710,12 +709,13 @@ type fusedProbePlan struct {
 	keyStr  *colstore.StringColumn
 }
 
-// fusedProbePlan reports how (and whether) this join can fuse its probe
+// shardProbe reports how (and whether) this join can fuse its probe
 // feed into the left child: a full-scan *Scan over a single
 // shard (probe keys run in one dictionary's code domain) that emits the
-// join key as a BIGINT or as dictionary codes.  nil runs the child to a
+// join key as a BIGINT or as dictionary codes.  Everything it reads is
+// static, so EXPLAIN and Run cannot disagree.  nil runs the child to a
 // relation first, which reports any binding errors itself.
-func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
+func (j *Join) shardProbe() *shardProbe {
 	s, ok := j.Left.(*Scan)
 	if !ok || s.Access.Kind != FullScan {
 		return nil
@@ -724,109 +724,32 @@ func (j *ParallelJoin) fusedProbePlan() *fusedProbePlan {
 	if err != nil || b.multi() {
 		return nil
 	}
-	fp := &fusedProbePlan{sb: b.Shards[0], keyIdx: b.index(j.LeftKey)}
-	if fp.keyIdx < 0 {
+	sp := &shardProbe{sb: b.Shards[0], keyIdx: b.index(j.LeftKey)}
+	if sp.keyIdx < 0 {
 		return nil
 	}
-	switch kc := fp.sb.Cols[fp.keyIdx].(type) {
+	switch kc := sp.sb.Cols[sp.keyIdx].(type) {
 	case *colstore.IntColumn:
-		fp.keyInts = kc
+		sp.keyInts = kc
 	case *colstore.StringColumn:
-		if !fp.sb.asCode[fp.keyIdx] {
-			return nil // raw string keys: the serial string join handles them
+		if !sp.sb.asCode[sp.keyIdx] {
+			return nil // raw string keys: the scan materializes, the join interns
 		}
-		fp.keyStr, fp.keyInts = kc, kc.CodeColumn()
+		sp.keyStr, sp.keyInts = kc, kc.CodeColumn()
 	default:
 		return nil
 	}
-	return fp
+	return sp
 }
 
-// buildKeys returns the build-side key column in the probe key's domain:
-// integer keys pass through; dictionary codes translate through the probe
-// column's global dictionary once — without touching a single probe row.
-func (fp *fusedProbePlan) buildKeys(ctx *Ctx, label string, rk *Col) (rkeys []int64, translated bool) {
-	if fp.keyStr == nil || sameDict(fp.keyStr.Dict(), rk.Dict) {
-		return rk.I, false
+func (sp *shardProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
+	if sp.keyStr != nil {
+		return colstore.String, sp.keyStr.Dict(), energy.Counters{}
 	}
-	rkeys, translated, tw := translateBuildCodes(fp.keyStr.Dict(), rk)
-	ctx.Charge(label+" [translate]", 0, tw)
-	return rkeys, translated
+	return colstore.Int64, nil, energy.Counters{}
 }
-
-// runFusedProbe executes partition → build → fused probe → gather.  The
-// bool result reports whether the fused pipeline ran: false means a
-// runtime bypass (tiny inputs, raw build-side strings) and the caller
-// must materialize the probe side and take the classic paths, which own
-// those cases.
-func (j *ParallelJoin) runFusedProbe(ctx *Ctx, fp *fusedProbePlan, right *Relation) (*Relation, bool, error) {
-	rk, err := right.Col(j.RightKey)
-	if err != nil {
-		return nil, true, err
-	}
-	lkType := colstore.Int64
-	if fp.keyStr != nil {
-		lkType = colstore.String
-	}
-	if lkType != rk.Type {
-		return nil, true, fmt.Errorf("exec: join key type mismatch %v vs %v", lkType, rk.Type)
-	}
-	snap := ctx.SnapTS
-	n := fp.sb.Table.RowsAsOf(snap)
-	if n+right.N < ParallelJoinFallbackRows || (fp.keyStr != nil && rk.Dict == nil) {
-		return nil, false, nil // tiny inputs, raw build strings: the serial join
-	}
-	label := j.Label()
-	rkeys, translated := fp.buildKeys(ctx, label, rk)
-	tables, shift, err := buildTables(ctx, label, rkeys, translated)
-	if err != nil {
-		return nil, true, err
-	}
-
-	// Fused probe: filter + key stream + table probe in one pass per
-	// morsel over the base table; pairs carry global probe-row ids.
-	pairs, qw := runMorsels(ctx, n, func(m, lo, hi int) (pairChunk, energy.Counters) {
-		return fp.probeMorsel(snap, lo, hi, tables, shift, nil)
-	})
-	if ctx.Canceled() {
-		return nil, true, ErrCanceled
-	}
-	matches := 0
-	for _, pc := range pairs {
-		matches += len(pc.l)
-	}
-	ctx.Trace(label+" [fused probe]", matches, qw)
-
-	lRows := make([]int32, 0, matches)
-	rRows := make([]int32, 0, matches)
-	mKeys := make([]int64, 0, matches)
-	for _, pc := range pairs {
-		lRows = append(lRows, pc.l...)
-		rRows = append(rRows, pc.r...)
-		mKeys = append(mKeys, pc.k...)
-	}
-
-	out, gw := fp.gatherOut(right, j.RightKey, mKeys, lRows, rRows)
-	ctx.Charge(label+" [gather]", out.N, gw)
-	return out, true, nil
-}
-
-// probeScratch is one worker's probe windows, recycled across the morsels
-// it claims (and across queries) so a probe allocates per match list, not
-// per morsel.  Every window is indexed by window-local row.
-//
-//lint:hotpath
-type probeScratch struct {
-	keys []int64 // the probe keys
-	rows []int32 // selection vector of a partially selected window
-	// The aggregate sink's share: its distinct group/value windows, their
-	// per-aggregate view, and the dense-key slot memo.
-	wins   [][]int64
-	aggWin [][]int64
-	slots  []int32
-}
-
-var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+func (sp *shardProbe) rows(snap int64) int { return sp.sb.Table.RowsAsOf(snap) }
+func (sp *shardProbe) fused() bool         { return true }
 
 // window returns *buf resized to n rows (n never exceeds MorselRows).
 func window(buf *[]int64, n int) []int64 {
@@ -855,130 +778,62 @@ func streamWindow(c *colstore.IntColumn, codes bool, rows []int32, lo, hi int, d
 	return energy.Counters{CacheMisses: n / 4, Instructions: n * 2}
 }
 
-// probeMorsel is the one fused probe kernel: it filters rows [lo, hi)
-// with the scan's predicate sequence, streams the selected probe keys
-// straight from the key segments, and probes the partition tables in
-// probe-row order without ever materializing the probe side.  Matches go
-// to one of two sinks: with fold nil they are emitted as row pairs (the
-// join feeds an arbitrary consumer); otherwise each match folds straight
-// into fold's partial aggregate and no pair is ever written.
-func (fp *fusedProbePlan) probeMorsel(snap int64, lo, hi int, tables []*joinTable, shift uint, fold *probeFold) (pairChunk, energy.Counters) {
+// window filters rows [lo, hi) with the scan's predicate sequence and
+// streams the selected probe keys straight from the key segments — the
+// probe side is never materialized.
+func (sp *shardProbe) window(snap int64, lo, hi int, sc *probeScratch, folding bool) ([]int64, []int32, int, bool, energy.Counters) {
 	nrows := hi - lo
-	sel, w := fp.sb.selectRows(snap, lo, hi)
+	sel, w := sp.sb.selectRows(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
-
-	var pc pairChunk
 	if selCnt == 0 {
-		return pc, w
+		return nil, nil, 0, false, w
 	}
-	sc := probeScratchPool.Get().(*probeScratch)
-	defer probeScratchPool.Put(sc)
 	var rows []int32 // nil: the whole window is selected
 	if selCnt < nrows {
 		sc.rows = sel.AppendIndices(sc.rows[:0])
 		rows = sc.rows
 	}
 	// Key stream.  The pair sink decodes in bulk only a fully selected
-	// window and point-reads anything narrower — exactly what the classic
-	// scan charges to extract the same key column, so the cross-path energy
-	// gap measures eliminated materialization, not pricing skew.  The
-	// aggregate sink has no materialized twin to mirror and follows the
-	// fused fold's density rule.  Either way a pure function of
-	// (snapshot, predicates, grid).
+	// window and point-reads anything narrower — exactly what the
+	// materializing scan charges to extract the same key column, so the
+	// cross-path energy gap measures eliminated materialization, not pricing
+	// skew.  The aggregate sink has no materialized twin to mirror and
+	// follows the fused fold's density rule.  Either way a pure function of
+	// (snapshot, predicates, grid), and no 8-byte key re-stream follows: the
+	// decode pays the physical bytes — the saving the fused feed exists for.
 	dense := selCnt == nrows
-	if fold != nil {
+	if folding {
 		dense = selCnt*8 >= nrows
 	}
 	keys := window(&sc.keys, nrows)
-	w.Add(streamWindow(fp.keyInts, fp.keyStr != nil, rows, lo, hi, dense, keys))
-	if fold != nil {
-		w.Add(fold.bind(sc, rows, lo, hi, dense))
-	}
-
-	steps, matches := 0, 0
-	for x := 0; x < selCnt; x++ {
-		i := x
-		if rows != nil {
-			i = int(rows[x])
-		}
-		k := keys[i]
-		h := mix64(uint64(k))
-		t := tables[h>>shift]
-		if t == nil {
-			steps++
-			continue
-		}
-		e, st := t.lookup(k, h)
-		steps += st
-		for ; e != -1; e = t.next[e] {
-			matches++
-			if fold != nil {
-				fold.add(i, t.rows[e])
-				continue
-			}
-			pc.l = append(pc.l, int32(lo+i))
-			pc.r = append(pc.r, t.rows[e])
-			pc.k = append(pc.k, k)
-		}
-	}
-	// Probe-stage counters over the selected rows only.  No 8-byte key
-	// re-stream: the decode above already paid the physical bytes — the
-	// saving the fused feed exists for.  Only the pair sink writes pairs.
-	m := uint64(matches)
-	w.Add(energy.Counters{
-		TuplesIn:     uint64(selCnt),
-		TuplesOut:    m,
-		CacheMisses:  uint64(selCnt)/2 + m/4,
-		Instructions: uint64(selCnt)*8 + m*4 + uint64(steps),
-	})
-	if fold != nil {
-		w.Add(fold.work(m))
-	} else {
-		w.BytesWrittenDRAM += m * 8
-	}
-	return pc, w
+	w.Add(streamWindow(sp.keyInts, sp.keyStr != nil, rows, lo, hi, dense, keys))
+	return keys, rows, selCnt, dense, w
 }
 
-// gatherOut materializes the join output: the key column verbatim from
-// the probe-stage key stream, the other left columns straight from the
-// base table at the matched global rows, right columns from the build
-// relation with the (value-redundant) right key pruned.
-func (fp *fusedProbePlan) gatherOut(right *Relation, rightKey string, keys []int64, lRows, rRows []int32) (*Relation, energy.Counters) {
-	pruned := &Relation{N: right.N}
-	for _, c := range right.Cols {
-		if c.Name != rightKey {
-			pruned.Cols = append(pruned.Cols, c)
-		}
-	}
-	rOut := pruned.gather(rRows)
-	lOut := &Relation{N: len(lRows), Cols: make([]Col, len(fp.sb.Cols))}
+// gather materializes the probe side of the join output: the key column
+// verbatim from the probe-stage key stream, the other columns straight
+// from the base table at the matched global rows.
+func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Counters) {
+	out := &Relation{N: len(rows), Cols: make([]Col, len(sp.sb.Cols))}
 	var w energy.Counters
-	for ci, col := range fp.sb.Cols {
-		if ci == fp.keyIdx {
+	for ci, col := range sp.sb.Cols {
+		if ci == sp.keyIdx {
 			// The probe stage decoded the key for every match and emitted
 			// it with the row pair, so the output key column is those
 			// values verbatim — no second touch of the key segments (the
 			// re-read the fused feed exists to eliminate).  Movement into
-			// the output block is priced once, below.
-			oc := fp.sb.tmpl[ci] // name, type, and a string key's dictionary
+			// the output block is priced once, by the join's gather.
+			oc := sp.sb.tmpl[ci] // name, type, and a string key's dictionary
 			// Non-nil at zero matches, like every gathered column.
 			oc.I = append(make([]int64, 0, len(keys)), keys...)
-			lOut.Cols[ci] = oc
+			out.Cols[ci] = oc
 			continue
 		}
-		oc, gw := fusedGatherCol(col, fp.sb.tmpl[ci].Name, fp.sb.asCode[ci], lRows)
-		lOut.Cols[ci] = oc
+		oc, gw := fusedGatherCol(col, sp.sb.tmpl[ci].Name, sp.sb.asCode[ci], rows)
+		out.Cols[ci] = oc
 		w.Add(gw)
 	}
-	out := mergeJoinColumns(lOut, rOut, rightKey)
-	ncols := len(out.Cols)
-	w.Add(energy.Counters{
-		BytesReadDRAM:    rOut.Bytes(), // left-side reads priced per column above
-		BytesWrittenDRAM: lOut.Bytes() + rOut.Bytes(),
-		CacheMisses:      uint64(out.N*ncols) / 4,
-		Instructions:     uint64(out.N*ncols) * 2,
-	})
 	return out, w
 }
 
@@ -1037,12 +892,12 @@ func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.C
 // Fused probe→aggregate
 // ---------------------------------------------------------------------------
 
-// fusedProbeAggPlan is a resolved, eligible ParallelJoin+HashAgg fusion:
-// the join's fused probe plus, for the group key and every aggregate,
+// fusedProbeAggPlan is a resolved, eligible Join+HashAgg fusion: the
+// join's shard probe source plus, for the group key and every aggregate,
 // which side's column it reads.
 type fusedProbeAggPlan struct {
-	join  *ParallelJoin
-	probe *fusedProbePlan
+	join  *Join
+	probe *shardProbe
 	fusedAggOut
 	group probeAggInput
 	aggs  []probeAggInput
@@ -1060,10 +915,9 @@ type probeAggInput struct{ win, build int }
 // child join's matches straight into partial aggregates.  One more row of
 // the one eligibility table:
 //
-//	child        a *ParallelJoin (under the planner's Materialize or not)
-//	             whose probe side fuses (fusedProbePlan) over at least
-//	             ParallelJoinFallbackRows rows at snap, and whose build
-//	             side is a *Scan emitting a key of the probe key's domain
+//	child        a *Join (under the planner's Materialize or not) whose
+//	             probe side fuses (shardProbe) and whose build side is a
+//	             *Scan emitting a key of the probe key's type
 //	GROUP BY     none, or one column of either side: BIGINT, or a string
 //	             (a probe-side dictionary code, a build-side string
 //	             resolved to one int64 id per build row)
@@ -1071,20 +925,22 @@ type probeAggInput struct{ win, build int }
 //	             SUM/MIN/MAX/AVG of an Int64 column of either side
 //
 // Columns resolve by name against the join's output schema, exactly as
-// the generic HashAgg would find them in the joined relation.  Anything
-// else returns nil and the join emits pairs for the generic HashAgg.
-func (a *HashAgg) fusedProbeAggPlan(snap int64) *fusedProbeAggPlan {
+// the generic HashAgg would find them in the joined relation.  Every input
+// is static — no row count, no snapshot — so EXPLAIN and Run cannot
+// disagree.  Anything else returns nil and the join emits pairs for the
+// generic HashAgg.
+func (a *HashAgg) fusedProbeAggPlan() *fusedProbeAggPlan {
 	child := a.Child
 	if m, ok := child.(*Materialize); ok {
 		child = m.Child
 	}
-	j, ok := child.(*ParallelJoin)
+	j, ok := child.(*Join)
 	if !ok || len(a.GroupBy) > 1 {
 		return nil
 	}
-	fp := j.fusedProbePlan()
+	fp := j.shardProbe()
 	rs, ok := j.Right.(*Scan)
-	if fp == nil || !ok || fp.sb.Table.RowsAsOf(snap) < ParallelJoinFallbackRows {
+	if fp == nil || !ok {
 		return nil
 	}
 	rb, err := rs.Bind()
@@ -1092,13 +948,8 @@ func (a *HashAgg) fusedProbeAggPlan(snap int64) *fusedProbeAggPlan {
 		return nil
 	}
 	rki := rb.index(j.RightKey)
-	switch {
-	case rki < 0:
-		return nil
-	case fp.keyStr == nil && rb.tmpl[rki].Type != colstore.Int64:
-		return nil
-	case fp.keyStr != nil && !rb.Shards[0].asCode[rki]:
-		return nil // raw build strings: the serial string join
+	if keyType, _, _ := fp.keyDomain(); rki < 0 || rb.tmpl[rki].Type != keyType {
+		return nil // the pair path reports the missing or mismatched key
 	}
 
 	// The join's output schema: probe columns, then the build columns
@@ -1280,43 +1131,20 @@ func buildGroupKeys(c *Col) (keys []int64, dict []string, w energy.Counters) {
 	if c.Type == colstore.Int64 || c.Dict != nil {
 		return c.I, c.Dict, w
 	}
-	ids := make(map[string]int64)
-	keys = make([]int64, len(c.S))
-	for i, s := range c.S {
-		id, ok := ids[s]
-		if !ok {
-			id = int64(len(dict))
-			ids[s] = id
-			dict = append(dict, s)
-		}
-		keys[i] = id
-		w.BytesReadDRAM += uint64(len(s)) + 16
-	}
-	n := uint64(len(c.S))
-	w.Add(energy.Counters{BytesWrittenDRAM: n * 8, CacheMisses: n / 4, Instructions: n * 8})
-	return keys, dict, w
+	return internStrings(c.S)
 }
 
-// runFusedProbeAgg executes build → fused probe → fold: the join's build
-// side runs and is hashed as ever, then each probe morsel folds its
-// matches into a partial table and the partials merge in morsel order
+// runFusedProbeAgg is the join with the fold sink: the join's build side
+// runs and is hashed as ever (Join.build), then each probe morsel folds
+// its matches into a partial table and the partials merge in morsel order
 // exactly as runFusedAgg merges them — no pair list, no gathered join
 // relation, no string-keyed aggTable.
 func (a *HashAgg) runFusedProbeAgg(ctx *Ctx, pa *fusedProbeAggPlan) (*Relation, error) {
-	j, fp := pa.join, pa.probe
-	right, err := j.Right.Run(ctx)
+	jr, err := pa.join.build(ctx, pa.probe)
 	if err != nil {
 		return nil, err
 	}
-	rk, err := right.Col(j.RightKey)
-	if err != nil {
-		return nil, err
-	}
-	rkeys, translated := fp.buildKeys(ctx, j.Label(), rk)
-	tables, shift, err := buildTables(ctx, j.Label(), rkeys, translated)
-	if err != nil {
-		return nil, err
-	}
+	right := jr.right
 	out := pa.fusedAggOut
 	var buildGroup []int64
 	if pa.group.build >= 0 {
@@ -1338,15 +1166,13 @@ func (a *HashAgg) runFusedProbeAgg(ctx *Ctx, pa *fusedProbeAggPlan) (*Relation, 
 		nids = 1 // the global group's one key, 0
 	}
 
-	snap := ctx.SnapTS
-	partials, qw := runMorsels(ctx, fp.sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*fusedAggTable, energy.Counters) {
-		f := &probeFold{pa: pa, t: newFusedAggTable(len(a.Aggs)),
-			buildGroup: buildGroup, buildVals: buildVals, nids: nids}
-		_, w := fp.probeMorsel(snap, lo, hi, tables, shift, f)
-		return f.t, w
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
+	outs, qw, err := jr.probe(ctx, &probeFold{pa: pa, buildGroup: buildGroup, buildVals: buildVals, nids: nids})
+	if err != nil {
+		return nil, err
+	}
+	partials := make([]*fusedAggTable, len(outs))
+	for m := range outs {
+		partials[m] = outs[m].agg
 	}
 	final, partialGroups := mergePartials(len(a.Aggs), false, partials)
 	ctx.Trace(a.Label()+" [fused probe→agg]", len(final.keys), qw)
@@ -1363,16 +1189,15 @@ func (a *HashAgg) fusion() string {
 	switch {
 	case a.fusedAggPlan() != nil:
 		return "fused"
-	case a.fusedProbeAggPlan(colstore.SnapLatest) != nil:
+	case a.fusedProbeAggPlan() != nil:
 		return "fused probe→agg"
 	}
 	return ""
 }
 
-// fusion implements fuser: whether the probe feed fuses (tiny inputs
-// still bypass at run time).
-func (j *ParallelJoin) fusion() string {
-	if j.fusedProbePlan() != nil {
+// fusion implements fuser: whether the probe feed fuses.
+func (j *Join) fusion() string {
+	if j.shardProbe() != nil {
 		return "fused"
 	}
 	return ""
@@ -1386,20 +1211,17 @@ func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 	return a.fusedAggPlan() != nil
 }
 
-// FusedProbeEligible reports whether a ParallelJoin probing scan on
-// leftKey would fuse its probe feed — the planner's pricing mirror of
-// fusedProbePlan (build-side shape is a runtime decision and not part
-// of the static answer).
+// FusedProbeEligible reports whether a Join probing scan on leftKey
+// fuses its probe feed — the planner's pricing mirror of shardProbe.
 func FusedProbeEligible(scan *Scan, leftKey string) bool {
-	j := &ParallelJoin{Left: scan, LeftKey: leftKey}
-	return j.fusedProbePlan() != nil
+	j := &Join{Left: scan, LeftKey: leftKey}
+	return j.shardProbe() != nil
 }
 
 // FusedProbeAggEligible reports whether HashAgg{Child: child, GroupBy,
-// Aggs} would fold its child join's matches straight into partial
-// aggregates at the latest snapshot — the planner's pricing mirror of
-// fusedProbeAggPlan.
+// Aggs} folds its child join's matches straight into partial aggregates
+// — the planner's pricing mirror of fusedProbeAggPlan.
 func FusedProbeAggEligible(child Node, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: child, GroupBy: groupBy, Aggs: aggs}
-	return a.fusedProbeAggPlan(colstore.SnapLatest) != nil
+	return a.fusedProbeAggPlan() != nil
 }

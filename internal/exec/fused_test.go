@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/colstore"
@@ -429,12 +430,12 @@ func fusedJoinCases() []fusedJoinCase {
 			leftKey:  "lowcard",
 			right:    func(*testing.T) Node { return intDimSource() },
 			rightKey: "k",
-			preds:    sparsePred, // legacy goes serial post-filter; fused still runs
+			preds:    sparsePred, // a few hundred probe rows survive: one short relation morsel
 		},
 	}
 }
 
-// runJoinArm executes one ParallelJoin with a Scan probe side; unfused
+// runJoinArm executes one Join with a Scan probe side; unfused
 // hides the scan so the materialize-then-probe pipeline runs.
 func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, dop int, unfused bool) fusedArm {
 	t.Helper()
@@ -445,18 +446,18 @@ func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, 
 	if unfused {
 		left = opaque(left)
 	}
-	j := &ParallelJoin{Left: left, Right: c.right(t), LeftKey: c.leftKey, RightKey: c.rightKey}
+	j := &Join{Left: left, Right: c.right(t), LeftKey: c.leftKey, RightKey: c.rightKey}
 	rel, err := j.Run(ctx)
 	must(t, err)
 	return fusedArm{rel, ctx.Meter.Snapshot()}
 }
 
 // TestFusedProbeByteIdentityMatrix: fused filter→probe returns relations
-// byte-identical to the legacy materialize-then-join paths — including
-// the build-code translation through the probe column's global dictionary
-// and the serial fallback the legacy path takes on sparse filters — with
-// DOP-invariant counters per path and strictly fewer DRAM bytes on the
-// dense arms.
+// byte-identical to the materialize-then-join source — including the
+// build-code translation through the probe column's global dictionary
+// and a sparse filter that leaves the relation source a few hundred rows
+// — with DOP-invariant counters per source and strictly fewer DRAM bytes
+// on the dense arms.
 func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	const n = 200_000
 	tables := []struct {
@@ -500,79 +501,83 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestFusedProbeEligibilityAndBypass pins the plan-time nil edges and the
-// runtime bypasses: tiny inputs and raw build-side strings must fall back
-// to the classic paths and still answer identically with the scan hidden.
-func TestFusedProbeEligibilityAndBypass(t *testing.T) {
+// TestFusedProbeEligibility pins the plan-time nil edges, and that there
+// is no run-time change of mind behind an eligible plan: tiny inputs and
+// raw build-side strings run the fused probe like everything else and
+// answer exactly as with the scan hidden.
+func TestFusedProbeEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
 	mkScan := func(sel []string, codes []string) *Scan {
 		return &Scan{Source: colstore.OneShard(tab), Select: sel, Codes: codes}
 	}
 	nilPlans := []struct {
 		name string
-		j    *ParallelJoin
+		j    *Join
 	}{
-		{"opaque-child", &ParallelJoin{Left: opaque(mkScan([]string{"lowcard"}, nil)), LeftKey: "lowcard"}},
-		{"index-access", &ParallelJoin{Left: &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"},
+		{"opaque-child", &Join{Left: opaque(mkScan([]string{"lowcard"}, nil)), LeftKey: "lowcard"}},
+		{"index-access", &Join{Left: &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"},
 			Access: AccessSpec{Kind: IndexAccess}}, LeftKey: "lowcard"}},
-		{"float-key", &ParallelJoin{Left: mkScan([]string{"amount"}, nil), LeftKey: "amount"}},
-		{"raw-string-key", &ParallelJoin{Left: mkScan([]string{"region"}, nil), LeftKey: "region"}},
-		{"key-not-selected", &ParallelJoin{Left: mkScan([]string{"rle"}, nil), LeftKey: "lowcard"}},
-		{"non-scan-child", &ParallelJoin{Left: intDimSource(), LeftKey: "k"}},
+		{"float-key", &Join{Left: mkScan([]string{"amount"}, nil), LeftKey: "amount"}},
+		{"raw-string-key", &Join{Left: mkScan([]string{"region"}, nil), LeftKey: "region"}},
+		{"key-not-selected", &Join{Left: mkScan([]string{"rle"}, nil), LeftKey: "lowcard"}},
+		{"non-scan-child", &Join{Left: intDimSource(), LeftKey: "k"}},
 	}
 	for _, c := range nilPlans {
-		if c.j.fusedProbePlan() != nil {
+		if c.j.shardProbe() != nil {
 			t.Fatalf("%s: shape must not be probe-fusion-eligible", c.name)
 		}
 	}
 
-	// Runtime bypass 1: inputs below ParallelJoinFallbackRows — the fused
-	// plan exists but defers to the classic serial join.
-	tiny := fusedMatrixTable(t, 4096, 0)
-	// hide wraps the probe scan for the materializing arm.
-	hide := func(s *Scan, unfused bool) Node {
+	// run executes the join with the probe scan bare or hidden and reports
+	// whether the fused probe phase ran.
+	run := func(s *Scan, right Node, lk, rk string, unfused bool) (*Relation, bool) {
+		var left Node = s
 		if unfused {
-			return opaque(s)
+			left = opaque(s)
 		}
-		return s
-	}
-	runTiny := func(unfused bool) *Relation {
-		rel, err := (&ParallelJoin{
-			Left:    hide(&Scan{Source: colstore.OneShard(tiny), Select: []string{"lowcard", "sorted"}}, unfused),
-			Right:   intDimSource(),
-			LeftKey: "lowcard", RightKey: "k",
-		}).Run(NewCtx())
+		ctx := NewCtx()
+		rel, err := (&Join{Left: left, Right: right, LeftKey: lk, RightKey: rk}).Run(ctx)
 		must(t, err)
-		return rel
+		fused := false
+		for _, op := range ctx.OpReports {
+			fused = fused || strings.HasSuffix(op.Label, "[fused probe]")
+		}
+		return rel, fused
 	}
-	if !reflect.DeepEqual(runTiny(false), runTiny(true)) {
-		t.Fatal("tiny-input bypass changed the join result")
+	same := func(name string, mk func() *Scan, right Node, lk, rk string) {
+		t.Helper()
+		got, fused := run(mk(), right, lk, rk, false)
+		want, hidden := run(mk(), right, lk, rk, true)
+		if !fused || hidden || want.N == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: fused=%v hidden-fused=%v rows=%d", name, fused, hidden, want.N)
+		}
 	}
 
-	// Runtime bypass 2: dict-coded probe keys against a raw-string build
-	// side (Dict == nil) — the serial string join owns the mixed pair.
+	// Inputs far below every retired row threshold.
+	tiny := fusedMatrixTable(t, 4096, 0)
+	same("tiny", func() *Scan {
+		return &Scan{Source: colstore.OneShard(tiny), Select: []string{"lowcard", "sorted"}}
+	}, intDimSource(), "lowcard", "k")
+
+	// Dict-coded probe keys against a raw-string build side (Dict == nil):
+	// the build strings are interned and translated, the probe still fuses.
 	rawDim := &relSource{rel: &Relation{N: len(workload.RegionNames), Cols: []Col{
 		{Name: "region", Type: colstore.String, S: append([]string(nil), workload.RegionNames[:]...)},
 		{Name: "weight", Type: colstore.Int64, I: make([]int64, len(workload.RegionNames))},
 	}}}
-	runRaw := func(unfused bool) *Relation {
-		rel, err := (&ParallelJoin{
-			Left:    hide(&Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}}, unfused),
-			Right:   rawDim,
-			LeftKey: "region", RightKey: "region",
-		}).Run(NewCtx())
-		must(t, err)
-		return rel
-	}
-	if !reflect.DeepEqual(runRaw(false), runRaw(true)) {
-		t.Fatal("raw-build-string bypass changed the join result")
-	}
+	same("raw-build-strings", func() *Scan {
+		return &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}}
+	}, rawDim, "region", "region")
 
 	// Error parity: a fused-eligible probe against a mismatched build key
 	// type reports the same error as the materializing path.
 	mismatch := func(unfused bool) error {
-		_, err := (&ParallelJoin{
-			Left:    hide(&Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"}}, unfused),
+		var left Node = &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"}}
+		if unfused {
+			left = opaque(left)
+		}
+		_, err := (&Join{
+			Left:    left,
 			Right:   &Scan{Source: colstore.OneShard(fusedDimTable(t))},
 			LeftKey: "lowcard", RightKey: "region",
 		}).Run(NewCtx())

@@ -1,171 +1,259 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
 )
 
-// HashJoin is an inner equi-join: it builds a hash table on the right
-// (build) input and probes it with the left (probe) input.  The optimizer
-// puts the smaller relation on the build side.  It is the serial join —
-// one Go-map hash table, probe in left-row order — and doubles as the
-// tiny-input fallback of the radix-partitioned ParallelJoin (partjoin.go),
-// which produces byte-identical relations.
-type HashJoin struct {
+// The one equi-join.
+//
+// Every join in the system is the same pipeline, whatever its size, key
+// type, or consumer:
+//
+//	key domain  both key columns become int64 over one equality domain:
+//	            BIGINT is itself, a dictionary-coded string column is its
+//	            codes, a raw string column is interned once into codes of
+//	            its own first-appearance dictionary ([intern]); two
+//	            different dictionaries translate the build codes through
+//	            the probe dictionary ([translate]).
+//	build       buildTables (partjoin.go): one open-addressing table per
+//	            radix partition — one table and no scatter pass while the
+//	            build side fits the per-partition cache target.
+//	probe       the ONE kernel, probeMorsel, over the morsel grid of a
+//	            probe source: a bound scan shard (the fused feed — selected
+//	            keys stream straight from the compressed segments and the
+//	            probe relation is never built) or a materialized relation's
+//	            key column.
+//	sink        matches become (probe row, build row) pairs, concatenated in
+//	            morsel order and gathered into the output relation — or
+//	            fold straight into a partial aggregate (fused.go's
+//	            probeFold), in which case nothing is materialized at all.
+//
+// A tiny input is nothing special: RadixBits(n) == 0 gives one table, one
+// morsel runs on one worker.  There is no serial twin, no row threshold
+// and no run-time change of mind, so EXPLAIN, the planner's estimate and
+// the executed phases describe the same thing by construction.
+//
+// Determinism contract: the morsel grid, the partition count, the
+// per-partition table layout, and every charged counter are functions of
+// the inputs alone — never of the worker count or of scheduling order —
+// so relations AND energy counters are byte-identical at every DOP
+// (TestJoinDOPInvariant).
+
+// Join is the inner equi-join.  Left is the probe side, Right the build
+// side (the optimizer sizes the build side from catalog statistics).
+type Join struct {
 	Left, Right       Node
 	LeftKey, RightKey string
 }
 
 // Label implements Node.
-func (j *HashJoin) Label() string {
-	return fmt.Sprintf("HashJoin(%s = %s)", j.LeftKey, j.RightKey)
+func (j *Join) Label() string {
+	return fmt.Sprintf("Join(%s = %s)", j.LeftKey, j.RightKey)
 }
 
 // Kids implements Node.
-func (j *HashJoin) Kids() []Node { return []Node{j.Left, j.Right} }
+func (j *Join) Kids() []Node { return []Node{j.Left, j.Right} }
+
+// ErrResultTooLarge is returned by a join asked to materialize more than
+// maxJoinPairs matches: a low-cardinality key turns an equi-join into a
+// near cross product whose pair lists would otherwise grow until the
+// process is killed, which no panic isolation can catch.
+var ErrResultTooLarge = errors.New("exec: join result too large")
+
+// maxJoinPairs caps the pairs one join may materialize — 16× the largest
+// pair list any benchmark or experiment statement produces.  The fold
+// sink materializes nothing and is exempt.  (A variable only so the cap
+// test can lower it.)
+var maxJoinPairs = 1 << 24
 
 // Run implements Node.
-func (j *HashJoin) Run(ctx *Ctx) (*Relation, error) {
+func (j *Join) Run(ctx *Ctx) (*Relation, error) {
+	src, err := j.probeSource(ctx)
+	if err != nil {
+		return nil, err
+	}
+	jr, err := j.build(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return jr.pairs(ctx)
+}
+
+// probeSource resolves the probe side: a fusable Scan feeds the kernel
+// straight from its shard (fused.go's shardProbe) and is never run;
+// anything else is run to a relation first.
+func (j *Join) probeSource(ctx *Ctx) (probeSource, error) {
+	if sp := j.shardProbe(); sp != nil {
+		return sp, nil
+	}
 	left, err := j.Left.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return relationProbe(left, j.LeftKey)
+}
+
+// build runs the build side and hashes it for src's probe keys.
+func (j *Join) build(ctx *Ctx, src probeSource) (*joinRun, error) {
 	right, err := j.Right.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return serialHashJoin(ctx, j.Label(), left, right, j.LeftKey, j.RightKey)
+	return startJoin(ctx, j.Label(), src, right, j.RightKey)
 }
 
-// buildWork / probeWork price key touches at their actual width: 8
-// bytes for integers and dictionary codes, the materialized string
-// bytes plus header on the raw-string path — the byte asymmetry the
-// compressed-key join exists to exploit.  stringKeyWidth averages the
-// width over the keys a string-path join actually hashes.
-func stringKeyWidth(keys []string) float64 {
-	if len(keys) == 0 {
-		return 16
-	}
-	var b uint64
-	for _, s := range keys {
-		b += uint64(len(s)) + 16
-	}
-	return float64(b) / float64(len(keys))
+// probeSource is where a join's probe keys come from.  The kernel crosses
+// it once per morsel, never per row.
+type probeSource interface {
+	// keyDomain reports the probe key's type and, for a string key, the
+	// dictionary its int64 keys are codes of — plus what interning a raw
+	// string key into that form cost, charged by the join with the build
+	// side's share.
+	keyDomain() (typ colstore.Type, dict []string, interned energy.Counters)
+	// rows is the probe side's row count at snap — the morsel grid.
+	rows(snap int64) int
+	// fused reports that the keys stream from the base table rather than a
+	// materialized relation: the probe pass is traced as [fused probe], and
+	// the kernel carries each match's key so gather need not re-read it.
+	fused() bool
+	// window yields the selected probe keys of rows [lo, hi): keys is
+	// indexed by window-local row, sel lists the selected window-local
+	// rows (nil = every row), n counts them; dense reports whether the
+	// window was bulk-decoded (folding picks the fold sink's density rule),
+	// the verdict the fold's own probe-side windows then follow.
+	window(snap int64, lo, hi int, sc *probeScratch, folding bool) (keys []int64, sel []int32, n int, dense bool, w energy.Counters)
+	// gather materializes the probe side of the output at the matched
+	// rows; keys are the matches' probe keys, carried for a fused source.
+	gather(keys []int64, rows []int32) (*Relation, energy.Counters)
 }
 
-// joinKeys resolves and type-checks the two key columns.
-func joinKeys(left, right *Relation, leftKey, rightKey string) (lk, rk *Col, err error) {
-	lk, err = left.Col(leftKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	rk, err = right.Col(rightKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lk.Type != rk.Type {
-		return nil, nil, fmt.Errorf("exec: join key type mismatch %v vs %v", lk.Type, rk.Type)
-	}
-	return lk, rk, nil
+// relProbe probes with a materialized relation's key column: every row
+// is selected, and the kernel re-streams the 8-byte keys.
+type relProbe struct {
+	rel      *Relation
+	typ      colstore.Type
+	keys     []int64  // the key column as int64: values, codes, or interned ids
+	dict     []string // the code domain of a string key
+	interned energy.Counters
 }
 
-// serialHashJoin is the shared serial join core: build a map on the
-// right input, probe with the left in row order, gather.  Build, probe,
-// and gather are charged as separate phases so energy reports attribute
-// the hash-table bytes, the probe misses, and the output movement
-// instead of undercounting joins as one lump.
-func serialHashJoin(ctx *Ctx, label string, left, right *Relation, leftKey, rightKey string) (*Relation, error) {
-	lk, rk, err := joinKeys(left, right, leftKey, rightKey)
+// relationProbe wraps a materialized probe side, interning a raw string
+// key into codes.
+func relationProbe(rel *Relation, key string) (probeSource, error) {
+	lk, err := rel.Col(key)
 	if err != nil {
 		return nil, err
 	}
-
-	var lRows, rRows []int32
-	switch {
-	case lk.Type == colstore.Int64 || (lk.Dict != nil && rk.Dict != nil):
-		lkeys, rkeys, translated, w := codeDomainKeys(lk, rk)
-		bw := buildWork(right.N, 8)
-		bw.Add(w)
-		ctx.Charge(label+" [build]", right.N, bw)
-		ht := make(map[int64][]int32, len(rkeys))
-		for i, k := range rkeys {
-			if translated && k == noCode {
-				continue // untranslatable build value: matches nothing
-			}
-			ht[k] = append(ht[k], int32(i))
-		}
-		for i, k := range lkeys {
-			for _, r := range ht[k] {
-				lRows = append(lRows, int32(i))
-				rRows = append(rRows, r)
-			}
-		}
-		ctx.Charge(label+" [probe]", len(lRows), probeWork(left.N, len(lRows), 8))
-	case lk.Type == colstore.String:
-		// Raw-string path (a mixed dict/plain pair lands here too): both
-		// sides widen to strings, so both sides' key touches are priced
-		// at the materialized string width, whatever form they arrived in.
-		ls, rs := stringKeys(lk, rk)
-		ctx.Charge(label+" [build]", right.N, buildWork(right.N, stringKeyWidth(rs)))
-		ht := make(map[string][]int32, right.N)
-		for i := 0; i < right.N; i++ {
-			ht[rs[i]] = append(ht[rs[i]], int32(i))
-		}
-		for i := 0; i < left.N; i++ {
-			for _, r := range ht[ls[i]] {
-				lRows = append(lRows, int32(i))
-				rRows = append(rRows, r)
-			}
-		}
-		ctx.Charge(label+" [probe]", len(lRows), probeWork(left.N, len(lRows), stringKeyWidth(ls)))
-	default:
-		return nil, fmt.Errorf("exec: cannot join on %v keys", lk.Type)
+	rp := &relProbe{rel: rel, typ: lk.Type, keys: lk.I, dict: lk.Dict}
+	if lk.Type == colstore.String && lk.Dict == nil {
+		rp.keys, rp.dict, rp.interned = internStrings(lk.S)
 	}
-
-	out, gw := joinGather(left, right, rightKey, lRows, rRows)
-	ctx.Charge(label+" [gather]", out.N, gw)
-	return out, nil
+	return rp, nil
 }
 
-// stringKeys widens both key columns to plain strings (the raw-path
-// join; a mixed dict/plain pair lands here too).
-func stringKeys(lk, rk *Col) (ls, rs []string) {
-	lc, rc := lk.Materialized(), rk.Materialized()
-	return lc.S, rc.S
+func (rp *relProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
+	return rp.typ, rp.dict, rp.interned
+}
+func (rp *relProbe) rows(int64) int { return rp.rel.N }
+func (rp *relProbe) fused() bool    { return false }
+
+func (rp *relProbe) window(_ int64, lo, hi int, _ *probeScratch, _ bool) ([]int64, []int32, int, bool, energy.Counters) {
+	return rp.keys[lo:hi], nil, hi - lo, true, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
+}
+
+// gather reads every output value out of the probe relation.
+func (rp *relProbe) gather(_ []int64, rows []int32) (*Relation, energy.Counters) {
+	out := rp.rel.gather(rows)
+	return out, energy.Counters{BytesReadDRAM: out.Bytes()}
+}
+
+// joinRun is one join in flight: its probe source, its build relation
+// and the tables hashed over it.
+type joinRun struct {
+	label    string
+	src      probeSource
+	right    *Relation
+	rightKey string
+	tables   []*joinTable
+	shift    uint
+}
+
+// startJoin establishes the key domain and builds the probe tables — the
+// first half of every join.
+func startJoin(ctx *Ctx, label string, src probeSource, right *Relation, rightKey string) (*joinRun, error) {
+	rk, err := right.Col(rightKey)
+	if err != nil {
+		return nil, err
+	}
+	typ, dict, iw := src.keyDomain()
+	if typ != rk.Type {
+		return nil, fmt.Errorf("exec: join key type mismatch %v vs %v", typ, rk.Type)
+	}
+	rkeys, translated := rk.I, false
+	switch typ {
+	case colstore.Int64:
+	case colstore.String:
+		bk := *rk
+		if bk.Dict == nil {
+			var w energy.Counters
+			bk.I, bk.Dict, w = internStrings(rk.S)
+			iw.Add(w)
+		}
+		if !iw.IsZero() {
+			ctx.Charge(label+" [intern]", 0, iw)
+		}
+		if rkeys = bk.I; !sameDict(dict, bk.Dict) {
+			var tw energy.Counters
+			rkeys, tw = translateBuildCodes(dict, &bk)
+			translated = true
+			ctx.Charge(label+" [translate]", 0, tw)
+		}
+	default:
+		return nil, fmt.Errorf("exec: cannot join on %v keys", typ)
+	}
+	tables, shift, err := buildTables(ctx, label, rkeys, translated)
+	if err != nil {
+		return nil, err
+	}
+	return &joinRun{label: label, src: src, right: right, rightKey: rightKey, tables: tables, shift: shift}, nil
 }
 
 // noCode marks a build-side key with no equivalent in the probe-side
 // code domain: no probe row can ever equal it.
 const noCode = int64(-1) << 62
 
-// codeDomainKeys returns both key columns as int64 slices sharing one
-// equality domain, plus the work of establishing it.  Integer keys pass
-// through; dictionary-coded string keys stay as codes, with the
-// build-side codes translated through the probe-side dictionary once
-// per distinct build value (the PR 3 value→code rewrite, applied to
-// joins) — equal strings then compare as equal 8-byte codes and the
-// join never touches string bytes row-wise.  translated reports whether
-// build keys went through a dictionary translation, i.e. whether the
-// noCode sentinel is meaningful in rkeys.
-func codeDomainKeys(lk, rk *Col) (lkeys, rkeys []int64, translated bool, w energy.Counters) {
-	if lk.Type == colstore.Int64 {
-		return lk.I, rk.I, false, energy.Counters{}
+// internStrings turns a raw string column into dictionary-coded form:
+// one int64 code per row into a dictionary in first-appearance order.
+// It is priced at the strings' materialized width — the bytes a raw
+// string key costs that a sealed one does not.
+func internStrings(ss []string) (codes []int64, dict []string, w energy.Counters) {
+	ids := make(map[string]int64)
+	codes = make([]int64, len(ss))
+	for i, s := range ss {
+		id, ok := ids[s]
+		if !ok {
+			id = int64(len(dict))
+			ids[s] = id
+			dict = append(dict, s)
+		}
+		codes[i] = id
+		w.BytesReadDRAM += uint64(len(s)) + 16
 	}
-	if sameDict(lk.Dict, rk.Dict) {
-		return lk.I, rk.I, false, energy.Counters{}
-	}
-	rkeys, translated, w = translateBuildCodes(lk.Dict, rk)
-	return lk.I, rkeys, translated, w
+	n := uint64(len(ss))
+	w.Add(energy.Counters{BytesWrittenDRAM: n * 8, CacheMisses: n / 4, Instructions: n * 8})
+	return codes, dict, w
 }
 
 // translateBuildCodes rewrites the build key column's codes into the
 // probe side's code domain (probeDict), marking untranslatable values
-// with noCode.  Shared by codeDomainKeys and the fused probe, which
-// translates through the scan column's global dictionary without ever
-// materializing a probe-side relation.
-func translateBuildCodes(probeDict []string, rk *Col) (rkeys []int64, translated bool, w energy.Counters) {
+// with noCode — once per distinct build value, so equal strings compare
+// as equal 8-byte codes and the join never touches string bytes row-wise.
+func translateBuildCodes(probeDict []string, rk *Col) (rkeys []int64, w energy.Counters) {
 	probe := make(map[string]int64, len(probeDict))
 	var dictBytes uint64
 	for code, s := range probeDict {
@@ -190,7 +278,7 @@ func translateBuildCodes(probeDict []string, rk *Col) (rkeys []int64, translated
 		CacheMisses:   uint64(len(probeDict)+len(rk.Dict)) / 2,
 		Instructions:  uint64(len(probeDict)+len(rk.Dict))*8 + uint64(len(rk.I)),
 	}
-	return rkeys, true, w
+	return rkeys, w
 }
 
 // sameDict reports whether two dictionaries are the same backing slice.
@@ -198,62 +286,210 @@ func sameDict(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// buildWork prices inserting n build tuples of keyBytes-wide keys into a
-// hash table: the key stream in, the table bytes written (slot + row id
-// + chain link), and one latency-bound miss per insert.
-func buildWork(n int, keyBytes float64) energy.Counters {
-	return energy.Counters{
-		TuplesIn:         uint64(n),
-		BytesReadDRAM:    uint64(float64(n) * keyBytes),
-		BytesWrittenDRAM: uint64(n) * 16,
-		CacheMisses:      uint64(n),
-		Instructions:     uint64(n) * 12,
-	}
+// probeScratch is one worker's probe windows, recycled across the morsels
+// it claims (and across queries) so a probe allocates per match list, not
+// per morsel.  Every window is indexed by window-local row.
+//
+//lint:hotpath
+type probeScratch struct {
+	keys []int64 // the probe keys
+	rows []int32 // selection vector of a partially selected window
+	// The aggregate sink's share: its distinct group/value windows, their
+	// per-aggregate view, and the dense-key slot memo.
+	wins   [][]int64
+	aggWin [][]int64
+	slots  []int32
 }
 
-// probeWork prices probing n tuples yielding matches output pairs: the
-// key stream in and one miss per probe — charged whether or not the
-// probe finds a match, so selective joins stop looking free.
-func probeWork(n, matches int, keyBytes float64) energy.Counters {
-	return energy.Counters{
-		TuplesIn:         uint64(n),
-		TuplesOut:        uint64(matches),
-		BytesReadDRAM:    uint64(float64(n) * keyBytes),
-		BytesWrittenDRAM: uint64(matches) * 8, // the (left, right) row-id pairs
-		CacheMisses:      uint64(n),
-		Instructions:     uint64(n)*8 + uint64(matches)*4,
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// probeMorsel is the one probe kernel: it takes rows [lo, hi)'s selected
+// keys from the probe source and probes the partition tables in probe-row
+// order.  Matches go to one of two sinks: with fold nil they are emitted
+// as row pairs (the join feeds an arbitrary consumer); otherwise each
+// match folds straight into fold's partial aggregate and no pair is ever
+// written.
+func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChunk, energy.Counters) {
+	sc := probeScratchPool.Get().(*probeScratch)
+	defer probeScratchPool.Put(sc)
+	keys, sel, n, dense, w := jr.src.window(snap, lo, hi, sc, fold != nil)
+	if fold != nil && n > 0 {
+		w.Add(fold.bind(sc, sel, lo, hi, dense))
 	}
+
+	var pc pairChunk
+	tables, shift, carry := jr.tables, jr.shift, jr.src.fused()
+	steps, matches := 0, 0
+	for x := 0; x < n; x++ {
+		if fold == nil && matches > maxJoinPairs {
+			break // this morsel alone is over the cap: the driver reports it
+		}
+		i := x
+		if sel != nil {
+			i = int(sel[x])
+		}
+		k := keys[i]
+		h := mix64(uint64(k))
+		t := tables[h>>shift]
+		if t == nil {
+			steps++
+			continue
+		}
+		e, st := t.lookup(k, h)
+		steps += st
+		for ; e != -1; e = t.next[e] {
+			matches++
+			if fold != nil {
+				fold.add(i, t.rows[e])
+				continue
+			}
+			pc.l = append(pc.l, int32(lo+i))
+			pc.r = append(pc.r, t.rows[e])
+			if carry {
+				pc.k = append(pc.k, k)
+			}
+		}
+	}
+	// Probe-stage counters over the selected rows.  The source already
+	// paid for the key stream; only the pair sink writes pairs.
+	m := uint64(matches)
+	w.Add(energy.Counters{
+		TuplesIn:     uint64(n),
+		TuplesOut:    m,
+		CacheMisses:  uint64(n)/2 + m/4,
+		Instructions: uint64(n)*8 + m*4 + uint64(steps),
+	})
+	if fold != nil {
+		w.Add(fold.work(m))
+	} else {
+		w.BytesWrittenDRAM += m * 8
+	}
+	return pc, w
 }
 
-// joinGather materializes the join output from the matched row pairs
-// and prices the movement: every output value is read from its input
-// relation and written to the result, with strings costing their bytes.
-// The right join key never reaches the output (it is value-identical to
-// the left key), so it is pruned before the gather rather than copied
-// and dropped.  Dictionary-coded columns pass through as codes
-// (materialized later by the Materialize operator the planner places
-// above the join tree).  Output rows are not charged as TuplesOut here
-// — the probe phase already reported them; gather moves bytes, it does
-// not produce tuples.
-func joinGather(left, right *Relation, rightKey string, lRows, rRows []int32) (*Relation, energy.Counters) {
-	pruned := &Relation{N: right.N}
-	for _, c := range right.Cols {
-		if c.Name != rightKey {
+// probeOut is one probe morsel's output: its matches as pairs, or the
+// partial aggregate they folded into.
+type probeOut struct {
+	pairChunk
+	agg *fusedAggTable
+}
+
+// pairBudget admits the pair sink's morsel outputs in morsel order until
+// their running total passes maxJoinPairs.  Ordered admission makes the
+// stop — which morsels were charged before the join gave up — a function
+// of the data alone, so even a refused join meters identically at every
+// DOP.  Every claimed morsel is finished by its worker and claims ascend,
+// so the morsel a worker waits for is always in flight.
+type pairBudget struct {
+	mu    sync.Mutex
+	turn  sync.Cond // on mu: next advanced
+	next  int       // the morsel admitted next
+	total int
+}
+
+// admit books morsel m's pairs, reporting false once the total had
+// already passed the cap: that morsel is dropped unbilled.
+func (b *pairBudget) admit(m, pairs int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.next != m {
+		b.turn.Wait()
+	}
+	b.next++
+	b.turn.Broadcast()
+	if b.total > maxJoinPairs {
+		return false
+	}
+	b.total += pairs
+	return true
+}
+
+// probe runs the probe pass — one probeMorsel per morsel of the source —
+// into the pair sink (fold nil) or, per morsel, a copy of fold over a
+// fresh partial table, and returns the morsel outputs in morsel order
+// with the pass's counters.
+func (jr *joinRun) probe(ctx *Ctx, fold *probeFold) ([]probeOut, energy.Counters, error) {
+	snap := ctx.SnapTS
+	var budget *pairBudget
+	if fold == nil {
+		budget = &pairBudget{}
+		budget.turn.L = &budget.mu
+	}
+	outs, qw := runMorsels(ctx, jr.src.rows(snap), func(m, lo, hi int) (probeOut, energy.Counters) {
+		if fold != nil {
+			f := *fold
+			f.t = newFusedAggTable(len(f.pa.aggs))
+			_, w := jr.probeMorsel(snap, lo, hi, &f)
+			return probeOut{agg: f.t}, w
+		}
+		pc, w := jr.probeMorsel(snap, lo, hi, nil)
+		if !budget.admit(m, len(pc.l)) {
+			return probeOut{}, energy.Counters{}
+		}
+		return probeOut{pairChunk: pc}, w
+	})
+	switch {
+	case ctx.Canceled():
+		return nil, qw, ErrCanceled
+	case budget != nil && budget.total > maxJoinPairs:
+		return nil, qw, ErrResultTooLarge
+	}
+	return outs, qw, nil
+}
+
+// pairs is the pair sink — the second half of a join that feeds an
+// arbitrary consumer: probe, concatenate the pair chunks in morsel order
+// (probe-row-major, build rows ascending within duplicates), gather.
+func (jr *joinRun) pairs(ctx *Ctx) (*Relation, error) {
+	outs, qw, err := jr.probe(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	matches := 0
+	for _, o := range outs {
+		matches += len(o.l)
+	}
+	lRows := make([]int32, 0, matches)
+	rRows := make([]int32, 0, matches)
+	var mKeys []int64
+	phase := " [probe]"
+	if jr.src.fused() {
+		phase, mKeys = " [fused probe]", make([]int64, 0, matches)
+	}
+	ctx.Trace(jr.label+phase, matches, qw)
+	for _, o := range outs {
+		lRows = append(lRows, o.l...)
+		rRows = append(rRows, o.r...)
+		mKeys = append(mKeys, o.k...)
+	}
+
+	// Gather.  Every output value is read from its input and written to
+	// the result, strings costing their bytes; the probe source prices its
+	// own reads.  The right join key never reaches the output (it is
+	// value-identical to the left key), so it is pruned before the gather
+	// rather than copied and dropped.  Dictionary-coded columns pass
+	// through as codes (materialized later by the Materialize operator the
+	// planner places above the join tree).  Output rows are not charged as
+	// TuplesOut here — the probe phase already reported them; gather moves
+	// bytes, it does not produce tuples.
+	pruned := &Relation{N: jr.right.N}
+	for _, c := range jr.right.Cols {
+		if c.Name != jr.rightKey {
 			pruned.Cols = append(pruned.Cols, c)
 		}
 	}
-	lOut := left.gather(lRows)
+	lOut, w := jr.src.gather(mKeys, lRows)
 	rOut := pruned.gather(rRows)
-	out := mergeJoinColumns(lOut, rOut, rightKey)
-	moved := lOut.Bytes() + rOut.Bytes()
+	out := mergeJoinColumns(lOut, rOut, jr.rightKey)
 	ncols := len(out.Cols)
-	w := energy.Counters{
-		BytesReadDRAM:    moved,
-		BytesWrittenDRAM: moved,
+	w.Add(energy.Counters{
+		BytesReadDRAM:    rOut.Bytes(),
+		BytesWrittenDRAM: lOut.Bytes() + rOut.Bytes(),
 		CacheMisses:      uint64(out.N*ncols) / 4,
 		Instructions:     uint64(out.N*ncols) * 2,
-	}
-	return out, w
+	})
+	ctx.Charge(jr.label+" [gather]", out.N, w)
+	return out, nil
 }
 
 // mergeJoinColumns concatenates the gathered sides into one relation:

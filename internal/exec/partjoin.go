@@ -1,18 +1,13 @@
 package exec
 
 import (
-	"fmt"
 	"math/bits"
 
-	"repro/internal/colstore"
 	"repro/internal/energy"
 )
 
-// Radix-partitioned morsel-parallel hash join.
-//
-// The serial HashJoin moves every byte of both inputs through one
-// goroutine and one cache-hostile Go map.  ParallelJoin rebuilds the
-// pipeline around the morsel grid of morsel.go:
+// The build half of the join (join.go): radix partitioning and the flat
+// probe tables.
 //
 //	partition:  the build side is cut into 2^k radix partitions
 //	            morsel-wise on the worker pool — each morsel scatters
@@ -24,36 +19,9 @@ import (
 //	            table (flat int32/int64 arrays, no map), built in
 //	            parallel across partitions; duplicate keys chain in
 //	            ascending build-row order.
-//	probe:      the probe side is walked morsel-wise in row order; a
-//	            probe row's radix bits select its partition, whose
-//	            table is small enough to stay cache-resident — the
-//	            point of partitioning.  Each morsel emits its matched
-//	            (left, right) row pairs locally.
-//	merge:      pair chunks concatenate in morsel order, so the output
-//	            is in probe-row order with build rows ascending within
-//	            duplicates — byte-identical to the serial HashJoin.
-//	gather:     output columns materialize from the matched pairs,
-//	            priced as their own phase.
 //
-// Keys are processed in the compressed domain where possible: integer
-// keys join as-is, dictionary-coded string keys join on their 8-byte
-// codes after translating the build side's codes through the probe
-// side's dictionary once (join.go's codeDomainKeys).  Raw string keys
-// fall back to the serial join, as do tiny inputs where the pool and
-// partitioning overheads cannot pay for themselves.
-//
-// Determinism contract: the morsel grid, the partition count, the
-// per-partition table layout, and every charged counter are functions
-// of the input relations alone — never of the worker count or of
-// scheduling order — so relations AND energy counters are byte-identical
-// at every DOP (TestJoinDOPInvariant), which keeps E-report deltas
-// attributable to plan shape rather than accounting noise.
-
-// ParallelJoinFallbackRows is the combined input size below which
-// ParallelJoin delegates to the serial HashJoin core: the worker pool,
-// the partition pass, and the per-partition tables only pay for
-// themselves once the inputs outgrow the cache anyway.
-const ParallelJoinFallbackRows = 1 << 16
+// A probe row's radix bits then select its partition, whose table is
+// small enough to stay cache-resident — the point of partitioning.
 
 // partTargetRows is the build-rows-per-partition target: a partition's
 // open-addressing table (two int32 and one int64 array at load factor
@@ -64,72 +32,12 @@ const partTargetRows = 4096
 // scatter pass thrashes more write streams than caches have ways.
 const maxRadixBits = 10
 
-// ParallelJoin is the radix-partitioned, morsel-parallel inner
-// equi-join.  Left is the probe side, Right the build side (the
-// optimizer sizes the build side from catalog statistics).
-type ParallelJoin struct {
-	Left, Right       Node
-	LeftKey, RightKey string
-}
-
-// Label implements Node.
-func (j *ParallelJoin) Label() string {
-	return fmt.Sprintf("ParallelJoin(%s = %s)", j.LeftKey, j.RightKey)
-}
-
-// Kids implements Node.
-func (j *ParallelJoin) Kids() []Node { return []Node{j.Left, j.Right} }
-
-// Run implements Node.
-func (j *ParallelJoin) Run(ctx *Ctx) (*Relation, error) {
-	// Fused filter→probe path (fused.go): when the probe side is a
-	// fusable Scan, selected probe keys stream straight from the
-	// compressed segments morsel by morsel and the intermediate probe
-	// Relation is never built.
-	fp := j.fusedProbePlan()
-	var left *Relation
-	var err error
-	if fp == nil {
-		left, err = j.Left.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	right, err := j.Right.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if fp != nil {
-		out, fused, err := j.runFusedProbe(ctx, fp, right)
-		if fused {
-			return out, err
-		}
-		// Runtime bypass (tiny inputs, raw build-side strings): those
-		// cases belong to the serial core, which needs the probe side
-		// materialized after all.
-		left, err = j.Left.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	lk, rk, err := joinKeys(left, right, j.LeftKey, j.RightKey)
-	if err != nil {
-		return nil, err
-	}
-	// Tiny inputs and raw string keys take the serial core; everything
-	// with an int64 equality domain takes the partitioned pipeline.
-	intDomain := lk.Type == colstore.Int64 || (lk.Dict != nil && rk.Dict != nil)
-	if left.N+right.N < ParallelJoinFallbackRows || !intDomain {
-		return serialHashJoin(ctx, j.Label(), left, right, j.LeftKey, j.RightKey)
-	}
-	return j.runPartitioned(ctx, left, right, lk, rk)
-}
-
-// radixBits picks the partition fan-out for a build side of n rows: zero
+// RadixBits picks the partition fan-out for a build side of n rows: zero
 // bits — one table, no scatter pass — while the whole build side fits the
 // per-partition cache target.  A pure function of n, so plans charge
-// identically at every DOP.
-func radixBits(n int) int {
+// identically at every DOP — and the one answer the planner's estimate
+// asks for, rather than mirroring the threshold.
+func RadixBits(n int) int {
 	k := bits.Len(uint(n / partTargetRows))
 	if k > maxRadixBits {
 		k = maxRadixBits
@@ -158,10 +66,10 @@ type partChunk struct {
 	rows []int32
 }
 
-// pairChunk is one probe morsel's matches, in probe-row order.  The
-// fused probe additionally carries each match's probe key in k (codes
+// pairChunk is one probe morsel's matches, in probe-row order.  A shard
+// probe source additionally carries each match's probe key in k (codes
 // for string keys), so the output key column never touches the key
-// segments a second time; the classic probe leaves k nil.
+// segments a second time; a relation source leaves k nil.
 //
 //lint:hotpath
 type pairChunk struct {
@@ -248,56 +156,15 @@ func (t *joinTable) lookup(key int64, h uint64) (int32, int) {
 	}
 }
 
-// runPartitioned executes the partition → build → probe → gather
-// pipeline over an int64 key domain.
-func (j *ParallelJoin) runPartitioned(ctx *Ctx, left, right *Relation, lk, rk *Col) (*Relation, error) {
-	label := j.Label()
-	lkeys, rkeys, translated, tw := codeDomainKeys(lk, rk)
-	if !tw.IsZero() {
-		ctx.Charge(label+" [translate]", 0, tw)
-	}
-
-	tables, shift, err := buildTables(ctx, label, rkeys, translated)
-	if err != nil {
-		return nil, err
-	}
-
-	// Probe pass: morsel-wise over the probe side in row order.
-	pairs, qw := runMorsels(ctx, left.N, func(m, lo, hi int) (pairChunk, energy.Counters) {
-		return probeMorsel(lkeys, lo, hi, tables, shift)
-	})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-	matches := 0
-	for _, pc := range pairs {
-		matches += len(pc.l)
-	}
-	ctx.Trace(label+" [probe]", matches, qw)
-
-	// Merge in morsel order: probe-row-major, identical to the serial
-	// join's output order.
-	lRows := make([]int32, 0, matches)
-	rRows := make([]int32, 0, matches)
-	for _, pc := range pairs {
-		lRows = append(lRows, pc.l...)
-		rRows = append(rRows, pc.r...)
-	}
-
-	out, gw := joinGather(left, right, j.RightKey, lRows, rRows)
-	ctx.Charge(label+" [gather]", out.N, gw)
-	return out, nil
-}
-
 // buildTables turns the build-side keys into the probe tables, one per
 // radix partition (a key's partition is mix64(key) >> shift): the
 // partition pass scatters the keys morsel-wise, the build pass fills the
 // partitions' tables in parallel, each consuming its chunk slices in
 // morsel order.  A build side inside the per-partition cache target
-// (radixBits 0) skips the scatter: its one table fills straight from the
+// (RadixBits 0) skips the scatter: its one table fills straight from the
 // key stream.
 func buildTables(ctx *Ctx, label string, rkeys []int64, translated bool) (tables []*joinTable, shift uint, err error) {
-	kbits := radixBits(len(rkeys))
+	kbits := RadixBits(len(rkeys))
 	shift = 64 - uint(kbits)
 	if kbits == 0 {
 		t, bw := buildSingle(rkeys, translated)
@@ -412,37 +279,6 @@ func buildPartition(chunks []partChunk, p int) (*joinTable, energy.Counters) {
 		BytesWrittenDRAM: n * 16, // slot + head/tail + entry writes
 		CacheMisses:      n / 2,  // table is cache-resident: cheaper than a map insert
 		Instructions:     n*10 + uint64(steps)*2,
-	}
-}
-
-// probeMorsel probes rows [lo, hi) of the probe side against the
-// partition tables, emitting matches in probe-row order.
-func probeMorsel(keys []int64, lo, hi int, tables []*joinTable, shift uint) (pairChunk, energy.Counters) {
-	var pc pairChunk
-	steps := 0
-	for i := lo; i < hi; i++ {
-		h := mix64(uint64(keys[i]))
-		t := tables[h>>shift]
-		if t == nil {
-			steps++
-			continue
-		}
-		e, st := t.lookup(keys[i], h)
-		steps += st
-		for ; e != -1; e = t.next[e] {
-			pc.l = append(pc.l, int32(i))
-			pc.r = append(pc.r, t.rows[e])
-		}
-	}
-	n := uint64(hi - lo)
-	matches := uint64(len(pc.l))
-	return pc, energy.Counters{
-		TuplesIn:         n,
-		TuplesOut:        matches,
-		BytesReadDRAM:    n * 8,       // the key stream
-		BytesWrittenDRAM: matches * 8, // the (left, right) row-id pairs
-		CacheMisses:      n/2 + matches/4,
-		Instructions:     n*8 + matches*4 + uint64(steps),
 	}
 }
 

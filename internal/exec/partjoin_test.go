@@ -43,21 +43,20 @@ func runJoin(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 	return rel, ctx
 }
 
-// TestParallelJoinMatchesSerial drives the partitioned pipeline well
-// above the fallback threshold and asserts the relation is byte-identical
-// to the serial HashJoin over the same inputs.
-func TestParallelJoinMatchesSerial(t *testing.T) {
+// TestJoinMatchesSerial drives the partitioned pipeline and asserts the
+// relation is byte-identical to the map oracle over the same inputs.
+func TestJoinMatchesSerial(t *testing.T) {
 	lkeys := workload.UniformInts(11, 90_000, 12_000)
 	rkeys := workload.UniformInts(12, 9_000, 12_000)
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
 
-	serial, _ := runJoin(t, &HashJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
-	par, _ := runJoin(t, &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 4)
+	serial, _ := runJoin(t, &mapJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
+	par, _ := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if serial.N == 0 {
 		t.Fatal("degenerate test: no matches")
 	}
 	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("partitioned join diverges from serial HashJoin")
+		t.Fatal("partitioned join diverges from the map oracle")
 	}
 }
 
@@ -70,7 +69,7 @@ func TestJoinDOPInvariant(t *testing.T) {
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
 
 	join := func(dop int) (*Relation, *Ctx) {
-		return runJoin(t, &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, dop)
+		return runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, dop)
 	}
 	base, baseCtx := join(1)
 	for _, dop := range []int{2, 8} {
@@ -85,12 +84,12 @@ func TestJoinDOPInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelJoinEmptySides covers an empty build side (every probe
-// misses) and an empty probe side, both above the fallback threshold.
-func TestParallelJoinEmptySides(t *testing.T) {
+// TestJoinEmptySides covers an empty build side (every probe
+// misses) and an empty probe side.
+func TestJoinEmptySides(t *testing.T) {
 	big := intRel("lk", workload.UniformInts(15, 70_000, 1000))
 	empty := intRel("rk", nil)
-	rel, _ := runJoin(t, &ParallelJoin{Left: relNode{big}, Right: relNode{empty}, LeftKey: "lk", RightKey: "rk"}, 4)
+	rel, _ := runJoin(t, &Join{Left: relNode{big}, Right: relNode{empty}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if rel.N != 0 {
 		t.Fatalf("join against empty build side produced %d rows", rel.N)
 	}
@@ -99,16 +98,16 @@ func TestParallelJoinEmptySides(t *testing.T) {
 	}
 	bigR := intRel("rk", workload.UniformInts(16, 70_000, 1000))
 	emptyL := intRel("lk", nil)
-	rel, _ = runJoin(t, &ParallelJoin{Left: relNode{emptyL}, Right: relNode{bigR}, LeftKey: "lk", RightKey: "rk"}, 4)
+	rel, _ = runJoin(t, &Join{Left: relNode{emptyL}, Right: relNode{bigR}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if rel.N != 0 {
 		t.Fatalf("join with empty probe side produced %d rows", rel.N)
 	}
 }
 
-// TestParallelJoinAllDuplicateKeys is the cross-product blowup: every
+// TestJoinAllDuplicateKeys is the cross-product blowup: every
 // key identical, so the output is |probe| × |build| and every build row
 // lands in one radix partition (maximal skew).
-func TestParallelJoinAllDuplicateKeys(t *testing.T) {
+func TestJoinAllDuplicateKeys(t *testing.T) {
 	lkeys := make([]int64, 66_000)
 	rkeys := make([]int64, 9)
 	for i := range lkeys {
@@ -118,7 +117,7 @@ func TestParallelJoinAllDuplicateKeys(t *testing.T) {
 		rkeys[i] = 7
 	}
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
-	rel, _ := runJoin(t, &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 4)
+	rel, _ := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if rel.N != len(lkeys)*len(rkeys) {
 		t.Fatalf("cross-product join produced %d rows, want %d", rel.N, len(lkeys)*len(rkeys))
 	}
@@ -129,25 +128,25 @@ func TestParallelJoinAllDuplicateKeys(t *testing.T) {
 			t.Fatalf("duplicate chain out of order at %d: %d", i, rp.I[i])
 		}
 	}
-	serial, _ := runJoin(t, &HashJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
+	serial, _ := runJoin(t, &mapJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
 	if !reflect.DeepEqual(serial, rel) {
-		t.Fatal("blowup join diverges from serial HashJoin")
+		t.Fatal("blowup join diverges from the map oracle")
 	}
 }
 
-// TestParallelJoinSkewedPartitions joins on a handful of distinct keys,
+// TestJoinSkewedPartitions joins on a handful of distinct keys,
 // leaving nearly every radix partition empty and a few heavily loaded.
 // The build side stays small so the near-cross-product output does not.
-func TestParallelJoinSkewedPartitions(t *testing.T) {
+func TestJoinSkewedPartitions(t *testing.T) {
 	lkeys := workload.UniformInts(17, 80_000, 5)
 	rkeys := workload.UniformInts(18, 30, 3)
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
-	serial, _ := runJoin(t, &HashJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
-	par, parCtx := runJoin(t, &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 8)
+	serial, _ := runJoin(t, &mapJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
+	par, parCtx := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 8)
 	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("skewed join diverges from serial HashJoin")
+		t.Fatal("skewed join diverges from the map oracle")
 	}
-	par2, par2Ctx := runJoin(t, &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
+	par2, par2Ctx := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
 	if !reflect.DeepEqual(par, par2) || parCtx.Meter.Snapshot() != par2Ctx.Meter.Snapshot() {
 		t.Fatal("skewed join not DOP-invariant")
 	}
@@ -185,21 +184,21 @@ func dictTables(t *testing.T, nFact, nDim int, seal bool) (fact, dim *colstore.T
 	return fact, dim
 }
 
-// TestParallelJoinDictKeys joins dictionary-coded string keys whose
+// TestJoinDictKeys joins dictionary-coded string keys whose
 // dictionaries differ between the tables, asserting the compressed-key
 // pipeline returns the raw string join's exact relation while streaming
 // strictly fewer DRAM bytes.
-func TestParallelJoinDictKeys(t *testing.T) {
+func TestJoinDictKeys(t *testing.T) {
 	const nFact, nDim = 70_000, 600
 	sealedFact, sealedDim := dictTables(t, nFact, nDim, true)
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
-	coded := &Materialize{Child: &ParallelJoin{
+	coded := &Materialize{Child: &Join{
 		Left:    &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}},
 		Right:   &Scan{Source: colstore.OneShard(sealedDim), Codes: []string{"name"}},
 		LeftKey: "custname", RightKey: "name",
 	}}
-	raw := &HashJoin{
+	raw := &mapJoin{
 		Left:    &Scan{Source: colstore.OneShard(rawFact)},
 		Right:   &Scan{Source: colstore.OneShard(rawDim)},
 		LeftKey: "custname", RightKey: "name",
@@ -224,28 +223,51 @@ func TestParallelJoinDictKeys(t *testing.T) {
 	}
 }
 
-// TestMixedDictPlainKeysFallBack joins a dict-coded key column against a
-// plain string key (only one side sealed): the join must still return
-// the exact string-join relation via the serial fallback.
-func TestMixedDictPlainKeysFallBack(t *testing.T) {
+// TestMixedDictPlainKeys joins a dict-coded key column against a plain
+// string key (only one side sealed).  There is one join: the raw build
+// strings are interned into codes, those translate through the probe
+// dictionary, and the fused probe streams codes as for any other key —
+// returning the exact string-join relation, with the scan hidden or not.
+func TestMixedDictPlainKeys(t *testing.T) {
 	const nFact, nDim = 70_000, 600
 	sealedFact, _ := dictTables(t, nFact, nDim, true)
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
-	mixed := &Materialize{Child: &ParallelJoin{
-		Left:    &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}},
-		Right:   &Scan{Source: colstore.OneShard(rawDim)},
-		LeftKey: "custname", RightKey: "name",
-	}}
-	baseline := &HashJoin{
+	mixed := func(hide bool) Node {
+		var left Node = &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}}
+		if hide {
+			left = opaque(left)
+		}
+		return &Materialize{Child: &Join{
+			Left:    left,
+			Right:   &Scan{Source: colstore.OneShard(rawDim)},
+			LeftKey: "custname", RightKey: "name",
+		}}
+	}
+	baseline := &mapJoin{
 		Left:    &Scan{Source: colstore.OneShard(rawFact)},
 		Right:   &Scan{Source: colstore.OneShard(rawDim)},
 		LeftKey: "custname", RightKey: "name",
 	}
-	mixedRel, _ := runJoin(t, mixed, 4)
 	baseRel, _ := runJoin(t, baseline, 1)
-	if !reflect.DeepEqual(baseRel, mixedRel) {
-		t.Fatal("mixed dict/plain key join diverges from string join")
+	for _, hide := range []bool{false, true} {
+		mixedRel, ctx := runJoin(t, mixed(hide), 4)
+		if !reflect.DeepEqual(baseRel, mixedRel) {
+			t.Fatalf("hide=%v: mixed dict/plain key join diverges from string join", hide)
+		}
+		var phases []string
+		for _, op := range ctx.OpReports {
+			phases = append(phases, op.Label)
+		}
+		got := strings.Join(phases, "\n")
+		for _, ph := range []string{"[intern]", "[translate]", "[build]", "[gather]"} {
+			if !strings.Contains(got, ph) {
+				t.Fatalf("hide=%v: phase %s missing:\n%s", hide, ph, got)
+			}
+		}
+		if fused := strings.Contains(got, "[fused probe]"); fused == hide {
+			t.Fatalf("hide=%v: fused probe ran = %v:\n%s", hide, fused, got)
+		}
 	}
 }
 
@@ -262,7 +284,7 @@ func TestJoinRenameCollisionProof(t *testing.T) {
 		{Name: "k2", Type: colstore.Int64, I: []int64{1, 2}},
 		{Name: "name", Type: colstore.String, S: []string{"r1", "r2"}},
 	}}
-	rel, _ := runJoin(t, &HashJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "k", RightKey: "k2"}, 1)
+	rel, _ := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "k", RightKey: "k2"}, 1)
 	want := []string{"k", "name", "r_name", "r_r_name"}
 	got := rel.ColNames()
 	if !reflect.DeepEqual(got, want) {
@@ -276,18 +298,15 @@ func TestJoinRenameCollisionProof(t *testing.T) {
 	}
 }
 
-// TestJoinPhaseCharges asserts build, probe, and gather are charged as
-// separate operator reports with real byte movement — the E-report
-// undercounting fix.
+// TestJoinPhaseCharges asserts partition, build, probe, and gather are
+// charged as separate operator reports with real byte movement — the
+// E-report undercounting fix — and that a build side inside the cache
+// target skips exactly the partition pass.
 func TestJoinPhaseCharges(t *testing.T) {
 	lkeys := workload.UniformInts(19, 80_000, 9_000)
-	rkeys := workload.UniformInts(20, 9_000, 9_000)
-	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
-	for name, node := range map[string]Node{
-		"serial":      &HashJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"},
-		"partitioned": &ParallelJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"},
-	} {
-		_, ctx := runJoin(t, node, 2)
+	for name, nBuild := range map[string]int{"one-table": partTargetRows - 1, "partitioned": 9_000} {
+		left, right := intRel("lk", lkeys), intRel("rk", workload.UniformInts(20, nBuild, 9_000))
+		_, ctx := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 2)
 		phases := map[string]bool{}
 		for _, op := range ctx.OpReports {
 			for _, ph := range []string{"[partition]", "[build]", "[probe]", "[gather]"} {
@@ -304,8 +323,8 @@ func TestJoinPhaseCharges(t *testing.T) {
 				t.Errorf("%s: phase %s missing from OpReports", name, ph)
 			}
 		}
-		if name == "partitioned" && !phases["[partition]"] {
-			t.Error("partitioned: partition pass missing from OpReports")
+		if phases["[partition]"] != (name == "partitioned") {
+			t.Errorf("%s: partition pass ran = %v", name, phases["[partition]"])
 		}
 	}
 }

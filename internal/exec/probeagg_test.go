@@ -70,7 +70,7 @@ func probeAggPlan(fact, dim *colstore.Table, probePreds, dimPreds []expr.Pred, g
 		left = opaque(left)
 	}
 	return &HashAgg{
-		Child: &ParallelJoin{
+		Child: &Join{
 			Left:    left,
 			Right:   &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "weight", "score"}, Preds: dimPreds},
 			LeftKey: "lowcard", RightKey: "k",
@@ -189,7 +189,7 @@ func TestFusedProbeAggCodeDomain(t *testing.T) {
 				left = opaque(left)
 			}
 			return &HashAgg{
-				Child: &Materialize{Child: &ParallelJoin{
+				Child: &Materialize{Child: &Join{
 					Left:    left,
 					Right:   &Scan{Source: colstore.OneShard(dim), Codes: []string{"region"}},
 					LeftKey: "region", RightKey: "region",
@@ -222,16 +222,16 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	dimScan := func() *Scan {
 		return &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "score"}}
 	}
-	join := func(left, right Node) *ParallelJoin {
-		return &ParallelJoin{Left: left, Right: right, LeftKey: "lowcard", RightKey: "k"}
+	join := func(left, right Node) *Join {
+		return &Join{Left: left, Right: right, LeftKey: "lowcard", RightKey: "k"}
 	}
 
 	_, twins := shardTwins(t, n, 0)
 	sharded := func(preds []expr.Pred) *Scan {
 		return &Scan{Source: twins[4], Select: []string{"custkey", "grp", "val"}, Preds: preds}
 	}
-	shardedJoin := func(preds []expr.Pred) *ParallelJoin {
-		return &ParallelJoin{Left: sharded(preds), Right: dimScan(), LeftKey: "grp", RightKey: "k"}
+	shardedJoin := func(preds []expr.Pred) *Join {
+		return &Join{Left: sharded(preds), Right: dimScan(), LeftKey: "grp", RightKey: "k"}
 	}
 	rawDim := &relSource{rel: &Relation{N: 2, Cols: []Col{
 		{Name: "region", Type: colstore.String, S: []string{"ASIA", "EUROPE"}},
@@ -252,16 +252,14 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 		{"pruned-sharded-probe", &HashAgg{Child: shardedJoin([]expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}),
 			GroupBy: []string{"name"}, Aggs: count}},
 		{"build-not-a-scan", &HashAgg{Child: join(factScan(), intDimSource()), GroupBy: []string{"rle"}, Aggs: count}},
-		{"raw-build-strings", &HashAgg{Child: &ParallelJoin{
+		{"raw-build-strings", &HashAgg{Child: &Join{
 			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}, Codes: []string{"region"}},
 			Right:   rawDim,
 			LeftKey: "region", RightKey: "region"}, GroupBy: []string{"rle"}, Aggs: count}},
-		{"tiny-probe", &HashAgg{Child: join(&Scan{Source: colstore.OneShard(fusedMatrixTable(t, 4096, 0)), Select: []string{"lowcard", "rle"}}, dimScan()),
-			GroupBy: []string{"rle"}, Aggs: count}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.agg.fusedProbeAggPlan(colstore.SnapLatest) != nil {
+			if c.agg.fusedProbeAggPlan() != nil {
 				t.Fatal("shape must not be probe→aggregate eligible")
 			}
 			got, ranFused := runProbeAgg(t, c.agg, colstore.SnapLatest, 2)
@@ -269,14 +267,32 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 				t.Fatal("ineligible shape took the fused sink")
 			}
 			// The same plan with the probe side hidden is the oracle.
-			j := c.agg.Child.(*ParallelJoin)
+			j := c.agg.Child.(*Join)
 			oracle := &HashAgg{GroupBy: c.agg.GroupBy, Aggs: c.agg.Aggs,
-				Child: &ParallelJoin{Left: opaque(j.Left), Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}}
+				Child: &Join{Left: opaque(j.Left), Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}}
 			want, _ := runProbeAgg(t, oracle, colstore.SnapLatest, 1)
 			if want.rel.N == 0 || !reflect.DeepEqual(got.rel, want.rel) {
 				t.Fatalf("fallback answer diverged:\ngot  %+v\nwant %+v", got.rel, want.rel)
 			}
 		})
+	}
+
+	// Size is no edge: a probe far below every retired row threshold folds
+	// like any other, and answers as the materializing pipeline does.
+	tiny := func(hide bool) *HashAgg {
+		var left Node = &Scan{Source: colstore.OneShard(fusedMatrixTable(t, 4096, 0)), Select: []string{"lowcard", "rle"}}
+		if hide {
+			left = opaque(left)
+		}
+		return &HashAgg{Child: join(left, dimScan()), GroupBy: []string{"rle"}, Aggs: count}
+	}
+	if tiny(false).fusedProbeAggPlan() == nil {
+		t.Fatal("a tiny probe must be probe→aggregate eligible")
+	}
+	got, ranFused := runProbeAgg(t, tiny(false), colstore.SnapLatest, 2)
+	want, _ := runProbeAgg(t, tiny(true), colstore.SnapLatest, 1)
+	if !ranFused || want.rel.N == 0 || !reflect.DeepEqual(got.rel, want.rel) {
+		t.Fatalf("tiny probe: fused=%v\ngot  %+v\nwant %+v", ranFused, got.rel, want.rel)
 	}
 
 	// Error parity: an aggregate the generic HashAgg rejects is not eligible,
@@ -362,14 +378,14 @@ func TestFusedProbeAggAllocsDoNotScaleWithProbeRows(t *testing.T) {
 // join answers exactly as the partitioned one does.
 func TestRadixBitsSmallBuildIsOneTable(t *testing.T) {
 	for n, want := range map[int]int{0: 0, partTargetRows - 1: 0, partTargetRows: 1, 3 * partTargetRows: 2} {
-		if got := radixBits(n); got != want {
-			t.Fatalf("radixBits(%d) = %d, want %d", n, got, want)
+		if got := RadixBits(n); got != want {
+			t.Fatalf("RadixBits(%d) = %d, want %d", n, got, want)
 		}
 	}
 	fact := fusedMatrixTable(t, 2*MorselRows, 0)
 	ctx := NewCtx()
 	ctx.Lease = NewLease(2)
-	j := &ParallelJoin{Left: &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
+	j := &Join{Left: &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
 		LeftKey: "lowcard", RightKey: "k"}
 	got, err := j.Run(ctx)
 	must(t, err)
@@ -380,9 +396,9 @@ func TestRadixBitsSmallBuildIsOneTable(t *testing.T) {
 	if s := fmt.Sprint(phases); strings.Contains(s, "[partition]") || !strings.Contains(s, "[build]") {
 		t.Fatalf("a 64-row build side must build one table without a scatter pass: %v", phases)
 	}
-	want, err := (&HashJoin{Left: j.Left, Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}).Run(NewCtx())
+	want, err := (&mapJoin{Left: j.Left, Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}).Run(NewCtx())
 	must(t, err)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("single-table join diverged from the serial join")
+		t.Fatal("single-table join diverged from the map oracle")
 	}
 }

@@ -9,15 +9,14 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Filter, Project, HashJoin, Sort, Limit, Exchange,
-// Materialize) runs entirely on that goroutine.  The
-// morsel-driven operators — Scan, HashAgg above ParallelAggRows
-// input rows, and ParallelJoin above ParallelJoinFallbackRows combined
-// input rows — fan work out to Ctx.DOP() internal workers but present
-// the same single-goroutine interface: they return only after all
-// workers have joined, and their results and charged counters are
+// operator (Filter, Project, Sort, Limit, Exchange, Materialize) runs
+// entirely on that goroutine.  The morsel-driven operators — Scan,
+// HashAgg above ParallelAggRows input rows, and Join — fan work out to
+// Ctx.DOP() internal workers (a one-morsel input runs on one) but
+// present the same single-goroutine interface: they return only after
+// all workers have joined, and their results and charged counters are
 // byte-identical at every degree of parallelism (see morsel.go and
-// partjoin.go).
+// join.go).
 //
 // The only Ctx member those workers may touch is Meter, which is
 // mutex-guarded.  Charging must stay coarse: serial operators call

@@ -15,7 +15,9 @@ import (
 // ShardedJoin is the co-partitioned equi-join over two aligned sharded
 // tables keyed on their shard columns: every key value is owned by the
 // same shard index on both sides, so the join runs shard-pair by
-// shard-pair with no radix scatter and no cross-shard probes.  A pair
+// shard-pair with no cross-shard probes.  It is a driver, not a second
+// join: it prunes pairs, runs each survivor through the one join
+// (join.go) over the pair's two scanned relations, and merges.  A pair
 // where either side is pruned never scans the other side.  Pair outputs
 // merge by the probe side's sequence, reproducing the flat join's
 // probe-row order (build chains within a key live entirely inside one
@@ -57,7 +59,7 @@ func (j *ShardedJoin) Run(ctx *Ctx) (*Relation, error) {
 	}
 	var parts []*Relation
 	var prunedRows uint64
-	npruned := 0
+	npruned, total := 0, 0
 	for i, l := range lb.Shards {
 		r := rb.Shards[i]
 		if l.Pruned || r.Pruned {
@@ -75,9 +77,20 @@ func (j *ShardedJoin) Run(ctx *Ctx) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := serialHashJoin(ctx, label, lrel, rrel, j.LeftKey, j.RightKey)
+		src, err := relationProbe(lrel, j.LeftKey)
 		if err != nil {
 			return nil, err
+		}
+		jr, err := startJoin(ctx, label, src, rrel, j.RightKey)
+		if err != nil {
+			return nil, err
+		}
+		out, err := jr.pairs(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if total += out.N; total > maxJoinPairs {
+			return nil, ErrResultTooLarge // the cap is the join's, not the pair's
 		}
 		parts = append(parts, out)
 	}

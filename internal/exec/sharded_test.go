@@ -309,7 +309,7 @@ func TestOneShardIsFlat(t *testing.T) {
 			return &HashAgg{Child: s, GroupBy: []string{"grp"}, Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}
 		},
 		"fused-probe": func(s *Scan) Node {
-			return &ParallelJoin{Left: s, Right: dim, LeftKey: "grp", RightKey: "k"}
+			return &Join{Left: s, Right: dim, LeftKey: "grp", RightKey: "k"}
 		},
 	}
 	for _, live := range []struct {
@@ -403,7 +403,7 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 					t.Fatal("non-shard-column keys must not co-partition")
 				}
 
-				want := runNodeArm(t, &HashJoin{
+				want := runNodeArm(t, &mapJoin{
 					Left:    &Scan{Source: colstore.OneShard(flatO), Select: lsel, Preds: lp},
 					Right:   &Scan{Source: colstore.OneShard(flatC), Select: rsel, Preds: rp},
 					LeftKey: "custkey", RightKey: "custkey",

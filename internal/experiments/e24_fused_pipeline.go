@@ -148,7 +148,7 @@ func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel
 // key; both paths join in the code domain, so the comparison isolates
 // the fused key streaming, not the PR 4 code rewrite.
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
-	return &exec.ParallelJoin{
+	return &exec.Join{
 		Left:     f.scan([]string{"region", "lowcard", "packed"}, []string{"region"}, sel, unfused),
 		Right:    &exec.Scan{Source: colstore.OneShard(f.dim), Codes: []string{"region"}},
 		LeftKey:  "region",

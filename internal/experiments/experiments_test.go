@@ -529,8 +529,7 @@ func TestE24Shape(t *testing.T) {
 	// E24Sweep itself enforces the hard invariants: within each path,
 	// relations and counters identical at every DOP; across paths,
 	// byte-identical relations; fused strictly fewer DRAM bytes and less
-	// energy on every arm.  300k rows clears opt.ParallelJoinRows, so the
-	// planner check below exercises the real partitioned-join decision.
+	// energy on every arm.
 	rows, err := E24Sweep(300_000, []int{1, 2, 8})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/exec"
 )
 
 // Objective selects what the optimizer minimizes.
@@ -100,52 +101,51 @@ func (cm *CostModel) Price(w energy.Counters, simTime time.Duration) Cost {
 	return Cost{Time: total, Energy: b.Total(), Work: w}
 }
 
-// RawStringKeyBytes is the nominal DRAM bytes one raw string key touch
-// moves during join hashing (bytes plus header) when the catalog has no
-// better figure; dictionary codes and integers move exactly 8.
+// RawStringKeyBytes is the nominal DRAM bytes interning one raw string
+// join key reads (bytes plus header) when the catalog has no better
+// figure; dictionary codes and integers are never interned.
 const RawStringKeyBytes = 24
 
-// EstimateHashJoin prices a hash join of probeRows × buildRows tuples
-// yielding outRows, with keyBytes-wide key touches, mirroring the phase
-// accounting inside internal/exec (join.go, partjoin.go) so estimated
-// and measured join costs share the same crossovers:
+// EstimateHashJoin prices the one join (internal/exec/join.go) of
+// probeRows × buildRows tuples yielding outRows, mirroring its phase
+// accounting so estimated and measured join costs share the same shape:
 //
-//   - partitioned: a radix partition pass streams the build keys and
-//     scatters (key, row) pairs; per-partition table builds and probes
-//     then run cache-resident, halving the latency-bound misses —
-//     that miss discount is what the partition pass buys.
-//   - serial: no partition pass, but every build insert and every probe
-//     is a potential cache miss against one large table.
+//   - intern: raw string keys (internBytes > 0 per key) are read once at
+//     their materialized width and rewritten as 8-byte codes; from there
+//     on every key is 8 bytes.
+//   - partition: only a build side that outgrows one cache-resident table
+//     (exec.RadixBits, the executor's own rule) is scattered into radix
+//     partitions and streamed back in.
+//   - build, probe: the key streams in, table writes, cache-resident
+//     misses — one price at every size.
 //
 // ncols is the output width for the gather phase.  The byte totals feed
 // PlanInfo.Joins (partition + probe bytes) and, through PlanInfo.Est,
 // the scheduler's DOP pricing.
-func EstimateHashJoin(probeRows, buildRows, outRows, keyBytes float64, ncols int, partitioned bool) energy.Counters {
+func EstimateHashJoin(probeRows, buildRows, outRows, internBytes float64, ncols int) energy.Counters {
 	var w energy.Counters
-	if partitioned {
-		// Partition pass: build keys in, scattered pairs out.  (The
-		// partitioned operator only runs int64 key domains, so keyBytes
-		// is 8 in practice; honor the parameter regardless.)
-		w.BytesReadDRAM += uint64(buildRows * keyBytes)
+	if internBytes > 0 {
+		n := probeRows + buildRows
+		w.BytesReadDRAM += uint64(n * internBytes)
+		w.BytesWrittenDRAM += uint64(n * 8)
+		w.CacheMisses += uint64(n / 4)
+		w.Instructions += uint64(n * 8)
+	}
+	if exec.RadixBits(int(buildRows)) > 0 {
+		// Partition pass: scattered (key, row) pairs out and back in.
 		w.BytesWrittenDRAM += uint64(buildRows * 12)
+		w.BytesReadDRAM += uint64(buildRows * 12)
 		w.CacheMisses += uint64(buildRows / 4)
 		w.Instructions += uint64(buildRows * 6)
-		// Build: pairs stream back in, table writes, resident misses.
-		w.BytesReadDRAM += uint64(buildRows * 12)
-		w.BytesWrittenDRAM += uint64(buildRows * 16)
-		w.CacheMisses += uint64(buildRows / 2)
-		w.Instructions += uint64(buildRows * 12)
-		// Probe: resident tables miss half as often.
-		w.BytesReadDRAM += uint64(probeRows * keyBytes)
-		w.CacheMisses += uint64(probeRows / 2)
-	} else {
-		w.BytesReadDRAM += uint64(buildRows * keyBytes)
-		w.BytesWrittenDRAM += uint64(buildRows * 16)
-		w.CacheMisses += uint64(buildRows)
-		w.Instructions += uint64(buildRows * 12)
-		w.BytesReadDRAM += uint64(probeRows * keyBytes)
-		w.CacheMisses += uint64(probeRows)
 	}
+	// Build: the key stream in, table writes, resident misses.
+	w.BytesReadDRAM += uint64(buildRows * 8)
+	w.BytesWrittenDRAM += uint64(buildRows * 16)
+	w.CacheMisses += uint64(buildRows / 2)
+	w.Instructions += uint64(buildRows * 12)
+	// Probe: the key stream in, one resident lookup per row.
+	w.BytesReadDRAM += uint64(probeRows * 8)
+	w.CacheMisses += uint64(probeRows / 2)
 	w.Instructions += uint64(probeRows*8 + outRows*4)
 	w.Add(estimateJoinOutput(outRows, ncols))
 	w.TuplesIn = uint64(probeRows + buildRows)

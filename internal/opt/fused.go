@@ -5,10 +5,9 @@ import (
 	"repro/internal/expr"
 )
 
-// Fusion pricing.  When a Scan+HashAgg, Scan+ParallelJoin or
-// ParallelJoin+HashAgg pair will take a fused pipeline
-// (internal/exec/fused.go), the intermediate relation the materializing
-// pipeline builds is never built — so the plan estimate must not charge
+// Fusion pricing.  When a Scan+HashAgg, Scan+Join or Join+HashAgg pair
+// will take a fused pipeline (internal/exec/fused.go), the intermediate
+// relation the materializing pipeline builds is never built — so the plan estimate must not charge
 // for it, or the scheduler's energy-priced DOP and the serving front
 // end's admission budgets would price fused plans as if they still moved
 // those bytes.  Eligibility is answered by the executor itself

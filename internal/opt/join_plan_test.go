@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/vec"
 	"repro/internal/workload"
 )
 
@@ -169,69 +169,124 @@ func TestPlannerSwapKeepsSelectedKey(t *testing.T) {
 	}
 }
 
-// TestPlannerEmitsParallelJoin checks the 256Ki threshold: a big join
-// plans the radix-partitioned operator with partition/probe byte
-// estimates, a small one stays serial.
-func TestPlannerEmitsParallelJoin(t *testing.T) {
-	cat := NewCatalog()
-	const nFact = 300_000
-	fk := workload.UniformInts(5, nFact, 2000)
-	intTable(t, cat, "bigfact", map[string][]int64{"fk": fk}, []string{"fk"})
-	dk := make([]int64, 2000)
-	for i := range dk {
-		dk[i] = int64(i)
-	}
-	intTable(t, cat, "dim", map[string][]int64{"dk": dk}, []string{"dk"})
+// TestPlannerOneJoinAtEverySize (the twin of TestPlannerOneScanAtEverySize):
+// there is one join, so a 10-row and a 1M-row catalog plan the same node
+// type and the same EXPLAIN shape — fused probe, dictionary code domain
+// and all — with no row threshold deciding anything; the only thing size
+// moves is whether the estimate includes a partition pass, and that comes
+// from the executor's own rule (exec.RadixBits), at its own boundary.
+func TestPlannerOneJoinAtEverySize(t *testing.T) {
 	cm := NewCostModel(energy.DefaultModel())
-	q := &Query{
-		From:   "bigfact",
-		Joins:  []JoinSpec{{Table: "dim", LeftCol: "fk", RightCol: "dk"}},
-		Select: []SelectItem{{Agg: expr.AggCount, As: "n"}},
+	// fact(fk, seg, v) ⋈ dim(dk, name, grp): nFact rows over nDim keys.
+	build := func(nFact, nDim int) *Catalog {
+		cat := NewCatalog()
+		fk, seg, v := make([]int64, nFact), make([]string, nFact), make([]int64, nFact)
+		for i := range fk {
+			fk[i], seg[i], v[i] = int64(i%nDim), fmt.Sprintf("s%04d", i%nDim), int64(i%97)
+		}
+		dk, name, grp := make([]int64, nDim), make([]string, nDim), make([]int64, nDim)
+		for i := range dk {
+			dk[i], name[i], grp[i] = int64(i), fmt.Sprintf("s%04d", i), int64(i%7)
+		}
+		fact := colstore.NewTable("fact", colstore.Schema{
+			{Name: "fk", Type: colstore.Int64}, {Name: "seg", Type: colstore.String}, {Name: "v", Type: colstore.Int64}})
+		dim := colstore.NewTable("dim", colstore.Schema{
+			{Name: "dk", Type: colstore.Int64}, {Name: "name", Type: colstore.String}, {Name: "grp", Type: colstore.Int64}})
+		for _, err := range []error{
+			fact.Writer().Int64("fk", fk...).String("seg", seg...).Int64("v", v...).Close(),
+			dim.Writer().Int64("dk", dk...).String("name", name...).Int64("grp", grp...).Close(),
+			fact.Seal(), dim.Seal(),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat.Add(colstore.OneShard(fact))
+		cat.Add(colstore.OneShard(dim))
+		return cat
 	}
-	node, info, err := cat.Plan(q, cm, MinTime)
+	queries := map[string]*Query{
+		"int-key count": {From: "fact", Joins: []JoinSpec{{Table: "dim", LeftCol: "fk", RightCol: "dk"}},
+			Select: []SelectItem{{Agg: expr.AggCount, As: "n"}}},
+		"int-key group": {From: "fact", Joins: []JoinSpec{{Table: "dim", LeftCol: "fk", RightCol: "dk"}}, GroupBy: []string{"grp"},
+			Select: []SelectItem{{Col: "grp"}, {Agg: expr.AggCount, As: "n"}, {Agg: expr.AggSum, Col: "v", As: "s"}}},
+		"dict-key pairs": {From: "fact", Joins: []JoinSpec{{Table: "dim", LeftCol: "seg", RightCol: "name"}},
+			Select: []SelectItem{{Col: "seg"}, {Col: "grp"}, {Col: "v"}}},
+	}
+	tiny, huge := build(10, 4), build(1_000_000, 5000)
+	for name, q := range queries {
+		node, small, err := tiny.Plan(q, cm, MinTime)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, big, err := huge.Plan(q, cm, MinTime)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if small.Explain != big.Explain {
+			t.Errorf("%s: 10 rows and 1M rows must plan the same tree:\n%s\nvs\n%s", name, small.Explain, big.Explain)
+		}
+		if !strings.Contains(small.Explain, "Join(") || !strings.Contains(small.Explain, ") [fused]") {
+			t.Errorf("%s: explain should show the one join with a fused probe:\n%s", name, small.Explain)
+		}
+		sj, bj := small.Joins[0], big.Joins[0]
+		if sj.CodeDomain != bj.CodeDomain || sj.FusedProbe != bj.FusedProbe || sj.FusedAgg != bj.FusedAgg || !sj.FusedProbe {
+			t.Errorf("%s: join decisions differ by size:\n%+v\n%+v", name, sj, bj)
+		}
+		if sj.CodeDomain != (name == "dict-key pairs") {
+			t.Errorf("%s: code domain is a property of the key columns, got %v", name, sj.CodeDomain)
+		}
+		if !reflect.DeepEqual(small.FusedProbes, []string{"fact"}) || !reflect.DeepEqual(big.FusedProbes, []string{"fact"}) {
+			t.Errorf("%s: FusedProbes %v / %v", name, small.FusedProbes, big.FusedProbes)
+		}
+		// Size moves exactly one thing: the partition pass and its bytes.
+		if sj.Partitioned || sj.PartitionBytes != 0 || !bj.Partitioned || bj.PartitionBytes == 0 || bj.ProbeBytes == 0 {
+			t.Errorf("%s: partition estimate must follow the build size alone:\n%+v\n%+v", name, sj, bj)
+		}
+		rel, err := node.Run(exec.NewCtx())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rel.N == 0 {
+			t.Errorf("%s: tiny plan returned nothing", name)
+		}
+	}
+
+	// The big join runs, and counts every fact row exactly once.
+	node, _, err := huge.Plan(queries["int-key count"], cm, MinTime)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ji := info.Joins[0]
-	if !ji.Partitioned {
-		t.Fatalf("big join must plan ParallelJoin: %+v", ji)
-	}
-	if !strings.Contains(info.Explain, "ParallelJoin") {
-		t.Errorf("explain should show the partitioned join:\n%s", info.Explain)
-	}
-	if ji.PartitionBytes == 0 || ji.ProbeBytes == 0 {
-		t.Errorf("partition/probe byte estimates missing: %+v", ji)
 	}
 	rel, err := node.Run(exec.NewCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := rel.Col("n")
-	if n.I[0] != nFact {
-		t.Fatalf("FK join count = %d, want %d", n.I[0], nFact)
+	if n, _ := rel.Col("n"); n.I[0] != 1_000_000 {
+		t.Fatalf("FK join count = %d, want 1000000", n.I[0])
 	}
 
-	// Small inputs keep the serial operator.
-	_, smallInfo, err := cat.Plan(&Query{
-		From:   "dim",
-		Joins:  []JoinSpec{{Table: "dim2", LeftCol: "dk", RightCol: "d2"}},
-		Select: []SelectItem{{Agg: expr.AggCount, As: "n"}},
-	}, cm, MinTime)
-	if err == nil {
-		t.Fatal("expected unknown-table error for dim2")
-	}
-	_ = smallInfo
-	_, smallInfo2, err := cat.Plan(&Query{
-		From:   "dim",
-		Joins:  []JoinSpec{{Table: "bigfact", LeftCol: "dk", RightCol: "fk"}},
-		Preds:  []expr.Pred{{Col: "fk", Op: vec.EQ, Val: expr.IntVal(7)}},
-		Select: []SelectItem{{Agg: expr.AggCount, As: "n"}},
-	}, cm, MinTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smallInfo2.Joins[0].Partitioned {
-		t.Errorf("selective join below the threshold must stay serial: %+v", smallInfo2.Joins[0])
+	// EstimateHashJoin is continuous across the executor's one internal
+	// boundary except for exactly the partition-pass terms: past it the
+	// estimate is the linear continuation plus RadixBits' scatter.
+	for _, internBytes := range []float64{0, RawStringKeyBytes} {
+		at := func(b float64) energy.Counters { return EstimateHashJoin(1e6, b, 1e6, internBytes, 4) }
+		below, edge, above := at(4094), at(4095), at(4096)
+		if exec.RadixBits(4095) != 0 || exec.RadixBits(4096) == 0 {
+			t.Fatal("test assumes the boundary at 4096 build rows")
+		}
+		step := func(hi, lo energy.Counters) [4]int64 {
+			return [4]int64{int64(hi.BytesReadDRAM - lo.BytesReadDRAM), int64(hi.BytesWrittenDRAM - lo.BytesWrittenDRAM),
+				int64(hi.CacheMisses - lo.CacheMisses), int64(hi.Instructions - lo.Instructions)}
+		}
+		lin, jump := step(edge, below), step(above, edge)
+		partition := [4]int64{4096 * 12, 4096 * 12, 4096 / 4, 4096 * 6}
+		for i := range jump {
+			// ±4: each of a counter's terms truncates to an integer on its own.
+			if d := jump[i] - lin[i] - partition[i]; d < -4 || d > 4 {
+				t.Errorf("internBytes=%v counter %d: step across the boundary %d, want linear %d + partition %d",
+					internBytes, i, jump[i], lin[i], partition[i])
+			}
+		}
 	}
 }
 
@@ -265,7 +320,7 @@ func TestPlannerFusedProbeAgg(t *testing.T) {
 		t.Fatalf("join under GROUP BY must plan fused probe→aggregate: FusedAgg=%v Joins=%+v FusedProbes=%v",
 			info.FusedAgg, info.Joins, info.FusedProbes)
 	}
-	for _, want := range []string{"HashAgg(grp, COUNT(*), SUM(v)) [fused probe→agg]", "ParallelJoin(fk = dk) [fused]"} {
+	for _, want := range []string{"HashAgg(grp, COUNT(*), SUM(v)) [fused probe→agg]", "Join(fk = dk) [fused]"} {
 		if !strings.Contains(info.Explain, want) {
 			t.Errorf("explain must label %q:\n%s", want, info.Explain)
 		}

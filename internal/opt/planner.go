@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
 )
@@ -52,12 +53,6 @@ type Query struct {
 	LimitN  int // 0 = no limit
 }
 
-// ParallelJoinRows is the combined estimated input cardinality at which
-// the planner swaps the serial HashJoin for the radix-partitioned
-// exec.ParallelJoin (which keeps its own runtime tiny-input fallback for
-// estimation misses).
-const ParallelJoinRows = 1 << 18
-
 // TableStorageInfo reports the storage-format axis of one scanned table:
 // how well its sealed segments compress and how many physical bytes the
 // planner expects the chosen access path to stream.
@@ -69,16 +64,20 @@ type TableStorageInfo struct {
 }
 
 // JoinPlanInfo reports one join decision: the sides (probe = outer,
-// build = hashed), whether the radix-partitioned operator was chosen,
-// whether the keys run in the dictionary code domain, and the estimated
-// partition-pass and probe-pass DRAM bytes from the cost model — the
-// numbers that let E-reports attribute join energy to its phases before
-// the query runs.
+// build = hashed), whether the build side is expected to need a radix
+// partition pass, whether the keys run in the dictionary code domain,
+// and the estimated partition-pass and probe-pass DRAM bytes from the
+// cost model — the numbers that let E-reports attribute join energy to
+// its phases before the query runs.
 type JoinPlanInfo struct {
 	Probe, Build      string // table name; "⋈" for an intermediate result
 	LeftKey, RightKey string
-	Partitioned       bool
-	CodeDomain        bool
+	// Partitioned reports that the estimated build side outgrows one
+	// cache-resident table (exec.RadixBits > 0) and is radix-scattered.
+	Partitioned bool
+	// CodeDomain reports that both key columns are order-preserving
+	// dictionary columns, so the join runs on their 8-byte codes.
+	CodeDomain bool
 	// CoPartitioned reports that both sides are value-range-sharded on
 	// the join keys with aligned cuts, so the join runs shard-pair by
 	// shard-pair with no radix scatter (exec.ShardedJoin).
@@ -311,7 +310,6 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 	type joinDecision struct {
 		pj                   plannedJoin
 		swap                 bool // accumulated side becomes the build side
-		partitioned          bool
 		codeDomain           bool
 		probeRows, buildRows float64
 		outRows              float64
@@ -354,39 +352,15 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		accCols += len(needed[pj.table])
 		d.ncols = accCols
 		// Dictionary-coded string keys join as 8-byte codes when both
-		// owning columns are sealed with order-preserving dictionaries.
-		// The partitioned operator needs an int64 equality domain —
-		// integer keys or dictionary codes; raw string keys would take
-		// its serial fallback anyway, so they plan (and are priced) as
-		// the serial join.
-		// A fused probe feed never materializes its filtered intermediate
-		// — it streams the whole base table — so a bare-scan probe side
-		// (the first join's, or any join's after a side swap) whose table
-		// alone clears the threshold sizes the partitioned-vs-serial choice
-		// on its full cardinality, mirroring the executor's pre-filter
-		// fallback check.
-		sizeOK := d.probeRows+d.buildRows >= ParallelJoinRows
-		probeOwner := ""
-		if d.swap {
-			probeOwner = pj.table
-		} else if len(decisions) == 0 {
-			probeOwner = first
-		}
-		if probeOwner != "" {
-			if ts, err := c.Stats(probeOwner); err == nil && ts.Rows >= ParallelJoinRows {
-				sizeOK = true
-			}
-		}
+		// owning columns are sealed with order-preserving dictionaries —
+		// whatever the tables' sizes.  Any other string key is interned
+		// by the join itself.
 		lo := c.keyOwner(pj.leftCol, tables)
-		if sizeOK &&
-			c.orderedStringCol(lo, pj.leftCol) &&
-			c.orderedStringCol(pj.table, pj.rightCol) {
+		if c.orderedStringCol(lo, pj.leftCol) && c.orderedStringCol(pj.table, pj.rightCol) {
 			d.codeDomain = true
 			codesOf[lo] = append(codesOf[lo], pj.leftCol)
 			codesOf[pj.table] = append(codesOf[pj.table], pj.rightCol)
 		}
-		d.partitioned = sizeOK &&
-			(d.codeDomain || !c.keyIsString(pj.leftCol, pj.rightCol, tables, pj.table))
 		decisions = append(decisions, d)
 		accRows = d.outRows
 	}
@@ -414,45 +388,49 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			probeName, buildName = buildName, probeName
 			lk, rk = rk, lk
 		}
-		// Co-partitioned join: both sides sharded on the join keys with
-		// aligned cuts.  The radix scatter is skipped entirely — every
-		// key is owned by the same shard index on both sides — so this
-		// beats the partitioned operator whenever it is legal.
+		// The one join — or, when both sides are sharded on the join keys
+		// with aligned cuts, its co-partitioned driver: every key is owned
+		// by the same shard index on both sides, so it runs pair by pair.
 		coPart := exec.CoPartitionEligible(probeScan, buildScan, lk, rk)
-		switch {
-		case coPart:
-			d.partitioned = false
+		if coPart {
 			root = &exec.ShardedJoin{Left: probeScan, Right: buildScan, LeftKey: lk, RightKey: rk}
-		case d.partitioned:
-			root = &exec.ParallelJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
-		default:
-			root = &exec.HashJoin{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
+		} else {
+			root = &exec.Join{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
 		}
 		rootScan = nil
 		rootName = "⋈"
-		keyBytes := float64(8)
+		internBytes := float64(0)
 		if !d.codeDomain && c.keyIsString(lk, rk, tables, d.pj.table) {
-			keyBytes = RawStringKeyBytes
+			internBytes = RawStringKeyBytes
 		}
-		w := EstimateHashJoin(d.probeRows, d.buildRows, d.outRows, keyBytes, d.ncols, d.partitioned)
+		// A co-partitioned join is one join per shard pair over that pair's
+		// share of the rows (assumed even).
+		pairs := 1.0
+		if coPart {
+			pairs = float64(buildScan.Source.NumShards())
+		}
+		var w energy.Counters
+		for range int(pairs) {
+			w.Add(EstimateHashJoin(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, internBytes, d.ncols))
+		}
 		info.Est = info.Est.plus(cm.Price(w, 0))
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
 			LeftKey: lk, RightKey: rk,
-			Partitioned: d.partitioned, CodeDomain: d.codeDomain,
+			Partitioned: exec.RadixBits(int(d.buildRows/pairs)) > 0, CodeDomain: d.codeDomain,
 			CoPartitioned: coPart,
 			EstProbeRows:  d.probeRows, EstBuildRows: d.buildRows, EstOutRows: d.outRows,
-			ProbeBytes: uint64(d.probeRows * keyBytes),
+			ProbeBytes: uint64(d.probeRows * 8),
 		}
-		if d.partitioned {
+		if ji.Partitioned {
 			ji.PartitionBytes = uint64(d.buildRows * (8 + 12))
-			// Fused probe feed: the probe-side scan never materializes its
-			// relation, so its estimate sheds the materialization terms.
-			if probeScan != nil && exec.FusedProbeEligible(probeScan, lk) {
-				ji.FusedProbe = true
-				info.FusedProbes = append(info.FusedProbes, probeName)
-				info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
-			}
+		}
+		// Fused probe feed: the probe-side scan never materializes its
+		// relation, so its estimate sheds the materialization terms.
+		if !coPart && probeScan != nil && exec.FusedProbeEligible(probeScan, lk) {
+			ji.FusedProbe = true
+			info.FusedProbes = append(info.FusedProbes, probeName)
+			info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
 		}
 		info.Joins = append(info.Joins, ji)
 	}

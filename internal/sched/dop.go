@@ -15,9 +15,9 @@ import (
 // overhead, so the energy-optimal DOP is finite and workload-dependent
 // (Harizopoulos et al.: the energy-optimal plan is the time-optimal one
 // *at a chosen parallelism*).  The model is operator-agnostic: scans,
-// parallel aggregations, and the radix-partitioned join all arrive as
-// energy.Counters (the join via opt.EstimateHashJoin's partition,
-// build, probe, and gather phase estimates), so one P-state model
+// parallel aggregations, and the join all arrive as energy.Counters (the
+// join via opt.EstimateHashJoin's intern, partition, build, probe, and
+// gather phase estimates), so one P-state model
 // prices every operator's DOP.
 
 // SerialFraction is the Amdahl fraction of a parallel query that stays on

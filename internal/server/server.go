@@ -412,7 +412,12 @@ func (s *Server) onExecuted() {
 // relation's typed columns — no row is boxed into []any on the way (a
 // ~10K-group answer spent most of the server's own time there).
 func renderTicket(t *core.Ticket) (int, []byte) {
-	if t.Err != nil {
+	switch {
+	case errors.Is(t.Err, exec.ErrResultTooLarge):
+		// The statement, not the server, is at fault: a join asked to
+		// materialize a near cross product.
+		return http.StatusUnprocessableEntity, errBody("result_too_large", t.Err.Error(), 0)
+	case t.Err != nil:
 		return http.StatusInternalServerError, errBody("internal", t.Err.Error(), 0)
 	}
 	rel := t.Rel

@@ -12,17 +12,29 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
+
+// tooLargeNode is a join asked for a near cross product.
+type tooLargeNode struct{ exec.Node }
+
+func (tooLargeNode) Run(*exec.Ctx) (*exec.Relation, error) { return nil, exec.ErrResultTooLarge }
 
 // TestErrorEnvelopeAllRoutes is the API-redesign acceptance for the
 // error contract: every failing status, on every route, answers with
 // the one envelope shape {"error":{"code","message","retry_after_s?"}}.
 func TestErrorEnvelopeAllRoutes(t *testing.T) {
-	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true},
+	s, sc := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true},
 		map[string]energy.Joules{"bob": 1e-12})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	// Only the 422 row gets as far as executing, so only it needs the clock
+	// driven: its plan is a join that hits exec's pair cap (reaching the real
+	// cap takes a 2^24-pair join; exec's TestJoinResultCap does that with the
+	// cap lowered).
+	defer startDriver(sc)()
+	plant(t, s, gatedSQL, func(n exec.Node) exec.Node { return tooLargeNode{n} })
 
 	// One byte past the cap once the JSON framing is counted.
 	oversized := `{"sql":"` + strings.Repeat("x", maxBodyBytes) + `"}`
@@ -55,6 +67,7 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"write budget exhausted", "POST", "/write", `{"sql":"INSERT INTO orders VALUES (1, 2, 3.0)"}`, "bob", 402, "energy_budget_exhausted"},
 		{"get on write", "GET", "/write", ``, "", 405, "method_not_allowed"},
 		{"oversized query body", "POST", "/query", oversized, "", 413, "body_too_large"},
+		{"join result too large", "POST", "/query", queryBody(gatedSQL), "", 422, "result_too_large"},
 		{"oversized write body", "POST", "/write", oversized, "", 413, "body_too_large"},
 	}
 	for _, c := range cases {
@@ -84,6 +97,17 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		if env.Error.RetryAfterS != 0 {
 			t.Fatalf("%s /v1%s: unexpected retry_after_s %d", c.name, c.path, env.Error.RetryAfterS)
 		}
+	}
+
+	// The refused join cost that request alone: its ticket settled (nothing
+	// is left in the machine, so its lease is back) and the server answers on.
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(queryBody(otherSQL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := stats(t, s); resp.StatusCode != http.StatusOK || st.Running+st.Queued != 0 {
+		t.Fatalf("after the refused join: query status %d, %d running, %d queued", resp.StatusCode, st.Running, st.Queued)
 	}
 }
 
