@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/expr"
 	"repro/internal/opt"
+	"repro/internal/sql"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -450,6 +453,257 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d select: %d rows, want %d, or rows differ (join %v, preds %v)", trial, len(got), len(want), join, preds)
+			}
+		}
+	}
+}
+
+// TestDifferentialRandomAggregates is the one aggregate's independent
+// oracle: random GROUP BY statements run through the whole engine and
+// through a row-at-a-time reference over Go structs — no table, no
+// morsels, no dictionary, no code shared with exec.  GROUP BY draws one
+// or two columns from {BIGINT, string, DOUBLE}; the aggregates draw from
+// COUNT(*) and SUM/MIN/MAX/AVG over a DOUBLE and over BIGINT columns;
+// layouts cover {flat, k=4 shards} × {sealed, live delta with tombstones}
+// over two morsels of rows.  Groups compare in first-appearance order,
+// integers and extrema exactly, float sums within 1e-9 relative (the
+// reference adds serially; the engine's order is the relation grid's).
+func TestDifferentialRandomAggregates(t *testing.T) {
+	seen := map[string]int{} // statement shapes the trials reached
+	for _, shards := range []int{0, 4} {
+		for _, live := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/live=%v", shards, live), func(t *testing.T) {
+				differentialRandomAggregates(t, shards, live, seen)
+			})
+		}
+	}
+	for _, shape := range []string{"key=custkey", "key=region", "key=amount", "keys=2",
+		"SUM(amount)", "MIN(amount)", "MAX(amount)", "AVG(amount)", "SUM(id)", "MIN(day)", "MAX(id)", "AVG(day)"} {
+		if seen[shape] == 0 {
+			t.Errorf("no trial drew the %q shape: the matrix compares less than it claims (%v)", shape, seen)
+		}
+	}
+}
+
+func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[string]int) {
+	const rows = 70_000
+	type order struct {
+		id, custkey int64
+		region      string
+		amount      float64
+		day         int64
+	}
+	e := Open()
+	loadOrders(t, e, rows)
+	tab, err := e.Catalog().Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := tab.IntCol("id")
+	ck, _ := tab.IntCol("custkey")
+	rg, _ := tab.StrCol("region")
+	am, _ := tab.FloatCol("amount")
+	dy, _ := tab.IntCol("day")
+	ref := make([]order, rows)
+	for r := range ref {
+		ref[r] = order{id.Get(r), ck.Get(r), rg.Get(r), am.Get(r), dy.Get(r)}
+	}
+	if shards > 0 {
+		if _, err := e.ShardTable("orders", "custkey", shards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live {
+		at := time.Millisecond
+		exec := func(stmt string) {
+			st, err := sql.ParseStmt(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.ExecDML(st.DML, at); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			at += time.Millisecond
+		}
+		for batch := 0; batch < 4; batch++ {
+			var tuples []string
+			for i := batch * 50; i < (batch+1)*50; i++ {
+				o := order{int64(900_000 + i), int64(i*7) % 520, workload.RegionNames[i%len(workload.RegionNames)],
+					float64(i)*1.25 + 0.5, int64(15_000 + i%50)}
+				ref = append(ref, o)
+				tuples = append(tuples, fmt.Sprintf("(%d, %d, '%s', %v, %d)", o.id, o.custkey, o.region, o.amount, o.day))
+			}
+			exec("INSERT INTO orders VALUES " + strings.Join(tuples, ", "))
+		}
+		drop := func(stmt string, doomed func(o order) bool) {
+			exec(stmt)
+			ref = slices.DeleteFunc(ref, doomed)
+		}
+		drop("DELETE FROM orders WHERE custkey = 3 AND amount > 500.0", func(o order) bool { return o.custkey == 3 && o.amount > 500 })
+		for _, victim := range []int64{ref[0].id, ref[40_000].id, 900_007, 900_150} {
+			drop(fmt.Sprintf("DELETE FROM orders WHERE id = %d", victim), func(o order) bool { return o.id == victim })
+		}
+	}
+
+	rng := workload.NewRNG(uint64(99 + shards))
+	groupCols := []string{"custkey", "day", "region", "amount"}
+	aggPool := []opt.SelectItem{
+		{Agg: expr.AggCount},
+		{Agg: expr.AggSum, Col: "amount"}, {Agg: expr.AggMin, Col: "amount"},
+		{Agg: expr.AggMax, Col: "amount"}, {Agg: expr.AggAvg, Col: "amount"},
+		{Agg: expr.AggSum, Col: "id"}, {Agg: expr.AggMin, Col: "day"},
+		{Agg: expr.AggMax, Col: "id"}, {Agg: expr.AggAvg, Col: "day"},
+	}
+	value := func(o order, col string) (i int64, f float64, isFloat bool) {
+		switch col {
+		case "id":
+			return o.id, 0, false
+		case "custkey":
+			return o.custkey, 0, false
+		case "day":
+			return o.day, 0, false
+		}
+		return 0, o.amount, true
+	}
+	type groupKey struct {
+		i [2]int64
+		s [2]string
+	}
+	type acc struct {
+		first  order
+		n      int64
+		isum   [3]int64
+		fsum   [3]float64
+		lo, hi [3]float64 // extrema, integers widened (exact below 2^53)
+	}
+	for trial := 0; trial < 10; trial++ {
+		var preds []expr.Pred
+		switch rng.Intn(3) {
+		case 1:
+			preds = append(preds, expr.Pred{Col: "custkey", Op: vec.LT, Val: expr.IntVal(int64(rng.Intn(520)))})
+		case 2:
+			preds = append(preds, expr.Pred{Col: "region", Op: vec.EQ,
+				Val: expr.StrVal(workload.RegionNames[rng.Intn(len(workload.RegionNames))])})
+		}
+		groupBy := []string{groupCols[rng.Intn(len(groupCols))]}
+		if second := groupCols[rng.Intn(len(groupCols))]; rng.Intn(2) == 0 && second != groupBy[0] {
+			groupBy = append(groupBy, second)
+		}
+		q := &opt.Query{From: "orders", Preds: preds, GroupBy: groupBy}
+		for _, g := range groupBy {
+			q.Select = append(q.Select, opt.SelectItem{Col: g})
+		}
+		var aggs []opt.SelectItem
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			a := aggPool[rng.Intn(len(aggPool))]
+			a.As = fmt.Sprintf("a%d", len(aggs))
+			aggs = append(aggs, a)
+		}
+		q.Select = append(q.Select, aggs...)
+		seen[fmt.Sprintf("keys=%d", len(groupBy))]++
+		for _, g := range groupBy {
+			seen["key="+g]++
+		}
+		for _, a := range aggs {
+			seen[fmt.Sprintf("%v(%s)", a.Agg, a.Col)]++
+		}
+		desc := fmt.Sprintf("trial %d: GROUP BY %v, %v WHERE %v", trial, groupBy, aggs, preds)
+		res, err := e.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+
+		groups := map[groupKey]*acc{}
+		var seq []*acc
+		for _, o := range ref {
+			if len(preds) > 0 {
+				p := preds[0]
+				if (p.Col == "custkey" && o.custkey >= p.Val.I) || (p.Col == "region" && o.region != p.Val.S) {
+					continue
+				}
+			}
+			var key groupKey
+			for p, g := range groupBy {
+				if g == "region" {
+					key.s[p] = o.region
+				} else {
+					i, f, _ := value(o, g)
+					key.i[p] = i + int64(math.Float64bits(f)) // one of the two is zero
+				}
+			}
+			a := groups[key]
+			if a == nil {
+				a = &acc{first: o}
+				groups[key] = a
+				seq = append(seq, a)
+			}
+			a.n++
+			for ai, s := range aggs {
+				if s.Agg == expr.AggCount {
+					continue
+				}
+				i, f, isFloat := value(o, s.Col)
+				if !isFloat {
+					f = float64(i)
+				}
+				a.isum[ai] += i
+				a.fsum[ai] += f
+				if a.n == 1 || f < a.lo[ai] {
+					a.lo[ai] = f
+				}
+				if a.n == 1 || f > a.hi[ai] {
+					a.hi[ai] = f
+				}
+			}
+		}
+		if res.Rel.N != len(seq) {
+			t.Fatalf("%s: %d groups, want %d", desc, res.Rel.N, len(seq))
+		}
+		near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
+		for gi, a := range seq {
+			for ci, g := range groupBy {
+				c := &res.Rel.Cols[ci]
+				i, f, isFloat := value(a.first, g)
+				var same bool
+				switch {
+				case g == "region":
+					same = c.S[gi] == a.first.region
+				case isFloat:
+					same = c.F[gi] == f
+				default:
+					same = c.I[gi] == i
+				}
+				if !same {
+					t.Fatalf("%s: group %d: key column %s differs", desc, gi, g)
+				}
+			}
+			for ai, s := range aggs {
+				c := &res.Rel.Cols[len(groupBy)+ai]
+				floatIn := s.Col == "amount"
+				ok := true
+				switch {
+				case s.Agg == expr.AggCount:
+					ok = c.I[gi] == a.n
+				case s.Agg == expr.AggSum && floatIn:
+					ok = near(c.F[gi], a.fsum[ai])
+				case s.Agg == expr.AggSum:
+					ok = c.I[gi] == a.isum[ai]
+				case s.Agg == expr.AggAvg && floatIn:
+					ok = near(c.F[gi], a.fsum[ai]/float64(a.n))
+				case s.Agg == expr.AggAvg:
+					ok = c.F[gi] == float64(a.isum[ai])/float64(a.n)
+				case s.Agg == expr.AggMin && floatIn:
+					ok = c.F[gi] == a.lo[ai]
+				case s.Agg == expr.AggMin:
+					ok = float64(c.I[gi]) == a.lo[ai]
+				case floatIn:
+					ok = c.F[gi] == a.hi[ai]
+				default:
+					ok = float64(c.I[gi]) == a.hi[ai]
+				}
+				if !ok {
+					t.Fatalf("%s: group %d aggregate %d differs: %v", desc, gi, ai, res.Rel.Row(gi))
+				}
 			}
 		}
 	}

@@ -171,17 +171,20 @@ func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, simTime ti
 	return rel, ctx.Meter.Snapshot(), ctx.SimTime, err
 }
 
+// memoryHeavyRows is the scan output from which a run counts as
+// memory-heavy: four morsels of rows (1 << 18).
+const memoryHeavyRows = 1 << 18
+
 // memoryHeavy reports whether the run's working memory grows with its
-// input: at least an aggregate's worth of rows (exec.ParallelAggRows, the
-// size from which HashAgg itself treats its input as big) flows out of
-// the scans into a pipeline other than the fused probe→aggregate.  That
-// one folds a million probe rows through a few megabytes; every other
-// pipeline over such an input — materializing or fused filter→aggregate —
-// allocates tens of megabytes of gathered columns, selections and
-// per-morsel partials (17–83 MB per run at 1M rows, measured).
+// input: at least memoryHeavyRows rows flow out of the scans into a
+// pipeline other than the fused probe→aggregate.  That one folds a
+// million probe rows through a few megabytes; every other pipeline over
+// such an input — materializing or fused filter→aggregate — allocates
+// tens of megabytes of gathered columns, selections and per-morsel
+// partials (17–83 MB per run at 1M rows, measured).
 func (t *Ticket) memoryHeavy() bool {
 	info := t.PlanInfo
-	return len(info.FusedProbes) == 0 && info.Est.Work.TuplesOut >= exec.ParallelAggRows
+	return len(info.FusedProbes) == 0 && info.Est.Work.TuplesOut >= memoryHeavyRows
 }
 
 // run executes the group's plan once, as its first live member.  A

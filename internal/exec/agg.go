@@ -1,34 +1,42 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/vec"
 )
 
 // HashAgg groups by zero or more columns and computes aggregates.  With no
-// group-by columns it produces a single global row.
+// group-by columns it produces a single global row (none over an empty
+// input).
 //
-// Inputs of at least ParallelAggRows rows are aggregated morsel-wise by a
-// worker pool of Ctx.DOP() goroutines: every morsel builds its own partial
-// hash table, and the coordinator merges the partials in morsel order.
-// Because the morsel grid and the merge order are fixed by the input size
-// alone, the output bytes and the charged counters are identical at every
-// degree of parallelism.
+// Every aggregation is the same pipeline, whatever its size or child:
+//
+//	feeder   where the rows come from (feeder picks one): the morsels of a
+//	         bound scan's shards, folded straight off the compressed
+//	         segments (fused.go's shardFeed); the matches of a fused join
+//	         probe (probeFeed); or row windows of the child's materialized
+//	         relation (relFeed, below).
+//	partial  one groupTable per morsel of the feeder's grid.
+//	merge    mergeFrom, in (shard, morsel) order; a lone partial is the
+//	         result and nothing is merged or charged for merging.
+//	output   buildOutput, decoding string keys once per output group.
+//
+// The grid and the merge order are fixed by the input alone — never by
+// the worker count — so the output bytes and the charged counters are
+// identical at every degree of parallelism.
 type HashAgg struct {
 	Child   Node
 	GroupBy []string
 	Aggs    []expr.AggSpec
 }
-
-// ParallelAggRows is the input size at which HashAgg switches from the
-// serial loop to morsel-wise partial aggregation.
-const ParallelAggRows = 1 << 18
 
 // Label implements Node.
 func (a *HashAgg) Label() string {
@@ -45,262 +53,538 @@ func (a *HashAgg) Label() string {
 // Kids implements Node.
 func (a *HashAgg) Kids() []Node { return []Node{a.Child} }
 
-// aggState accumulates one group.  Int64 aggregate inputs accumulate in
-// the exact int64 fields: integer addition is associative, so any morsel
-// decomposition — including the fused run-at-a-time closed form
-// `sum += L*v` — produces bit-identical sums.  Float64 inputs keep
-// float64 accumulators filled in row order (float addition is not
-// associative, so their grouping order is part of the contract).
-type aggState struct {
-	count  int64
-	sums   []float64
-	isums  []int64
-	mins   []float64
-	maxs   []float64
-	imins  []int64
-	imaxs  []int64
-	seen   []bool
-	sample int32 // first row of the group, for group-key output
+// aggShape is what a feeder resolved about an aggregation's columns: the
+// type of every GROUP BY column and of every aggregate's value input
+// (left BIGINT for COUNT, which reads none).
+type aggShape struct {
+	groupTypes []colstore.Type
+	valTypes   []colstore.Type
 }
 
-// aggTable is one (partial) aggregation result: states keyed by the
-// group-key bytes, plus the keys in first-seen order.
-type aggTable struct {
-	groups map[string]*aggState
-	order  []string
-}
-
-func newAggTable() *aggTable {
-	return &aggTable{groups: make(map[string]*aggState), order: make([]string, 0, 16)}
-}
-
-// bindCols resolves the group-by and aggregate input columns against the
-// child relation.
-func (a *HashAgg) bindCols(in *Relation) (groupCols, aggCols []*Col, err error) {
-	groupCols = make([]*Col, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		c, err := in.Col(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		groupCols[i] = c
+// newTable returns an empty table of this shape whose string key parts
+// decode through dicts (per key part; nil when there is none to share).
+func (s *aggShape) newTable(dicts [][]string) *groupTable {
+	const size = 256
+	t := &groupTable{
+		k:         len(s.groupTypes),
+		nAggs:     len(s.valTypes),
+		floats:    slices.Contains(s.valTypes, colstore.Float64),
+		mask:      size - 1,
+		slotKey:   make([]int64, size),
+		slotGroup: make([]int32, size),
+		dicts:     make([][]string, len(s.groupTypes)),
 	}
-	aggCols = make([]*Col, len(a.Aggs))
-	for i, s := range a.Aggs {
-		if s.Func == expr.AggCount && s.Col == "" {
-			continue // COUNT(*)
-		}
-		c, err := in.Col(s.Col)
-		if err != nil {
-			return nil, nil, err
-		}
-		if c.Type == colstore.String && s.Func != expr.AggCount {
-			return nil, nil, fmt.Errorf("exec: cannot %s a VARCHAR column", s.Func)
-		}
-		if s.Func == expr.AggCount {
-			continue // COUNT(col): existence-checked only, no values read
-		}
-		aggCols[i] = c
-	}
-	return groupCols, aggCols, nil
+	copy(t.dicts, dicts)
+	return t
 }
 
-// newAggState allocates one group's accumulators.
-func (a *HashAgg) newAggState(sample int32) *aggState {
-	return &aggState{
-		sums:   make([]float64, len(a.Aggs)),
-		isums:  make([]int64, len(a.Aggs)),
-		mins:   make([]float64, len(a.Aggs)),
-		maxs:   make([]float64, len(a.Aggs)),
-		imins:  make([]int64, len(a.Aggs)),
-		imaxs:  make([]int64, len(a.Aggs)),
-		seen:   make([]bool, len(a.Aggs)),
-		sample: sample,
-	}
+// groupTable is one (partial) aggregation result — the one struct that
+// holds aggregate accumulators.  A group key is a fixed-width tuple of k
+// int64 parts, one per GROUP BY column (none for the global group): a
+// BIGINT as is, a DOUBLE as its bits (floatKey), a string as an id into
+// dicts[part].  It is an open-addressing table with flat group-major
+// arrays — no Go map, no string keys, no per-group heap object.
+// slotGroup stores group index + 1 so a freshly made table is all-empty
+// without a fill pass.  BIGINT inputs accumulate in the exact int64
+// triple (ring arithmetic: any morsel decomposition, the run-at-a-time
+// closed form included, gives identical sums); DOUBLE inputs in the
+// float64 triple, whose accumulation order is part of the contract (see
+// feeder).
+//
+//lint:hotpath
+type groupTable struct {
+	k, nAggs  int
+	floats    bool // some aggregate reads DOUBLE values: the float triple is kept
+	mask      uint64
+	slotKey   []int64 // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
+	slotGroup []int32 // group index + 1; 0 = empty
+	keys      []int64 // group-major [group*k + part], groups in first-seen order
+	counts    []int64 // per group
+	isums     []int64 // group-major [group*nAggs + agg]
+	imins     []int64
+	imaxs     []int64
+	fsums     []float64
+	fmins     []float64
+	fmaxs     []float64
+	seen      []bool
+	// dicts[part] decodes a string part's ids: a stored column's dictionary
+	// (ids are its codes) or the strings a feeder interned for this partial
+	// alone.  nil for a BIGINT or DOUBLE part.
+	dicts [][]string
+	// First-appearance tracking (more than one shard only).  When firstOn
+	// is set, first[g] records base + the window-local row of group g's
+	// first selected appearance (-1 until noted); the cross-shard merge
+	// rewrites rows into global sequences and keeps the minimum.  Off, first
+	// stays empty.
+	firstOn bool
+	base    int64
+	first   []int64
 }
 
-// aggRange aggregates rows [lo, hi) of the input into t.  Group-key
-// bytes length-prefix every part (uvarint length, then the rendered
-// value): a bare separator byte would let multi-column keys containing
-// that byte collide — ("a\x00","b") and ("a","\x00b") are different
-// groups.  The fused code-domain path is immune by construction (its
-// keys are single int64 codes, never concatenated bytes).
-func (a *HashAgg) aggRange(t *aggTable, groupCols, aggCols []*Col, lo, hi int) {
-	var keyBuf, partBuf []byte
-	for row := lo; row < hi; row++ {
-		keyBuf = keyBuf[:0]
-		for _, c := range groupCols {
-			partBuf = partBuf[:0]
-			switch c.Type {
-			case colstore.Int64:
-				partBuf = strconv.AppendInt(partBuf, c.I[row], 10)
-			case colstore.Float64:
-				partBuf = strconv.AppendFloat(partBuf, c.F[row], 'g', -1, 64)
-			default:
-				partBuf = append(partBuf, c.S[row]...)
-			}
-			keyBuf = binary.AppendUvarint(keyBuf, uint64(len(partBuf)))
-			keyBuf = append(keyBuf, partBuf...)
-		}
-		// Indexing with the conversion itself lets the compiler skip the
-		// copy; the key string is built once per group, not once per row.
-		st, ok := t.groups[string(keyBuf)]
-		if !ok {
-			key := string(keyBuf)
-			st = a.newAggState(int32(row))
-			t.groups[key] = st
-			t.order = append(t.order, key)
-		}
-		st.count++
-		for i := range a.Aggs {
-			c := aggCols[i]
-			if c == nil {
-				continue
-			}
-			if c.Type == colstore.Int64 {
-				v := c.I[row]
-				st.isums[i] += v
-				if !st.seen[i] || v < st.imins[i] {
-					st.imins[i] = v
-				}
-				if !st.seen[i] || v > st.imaxs[i] {
-					st.imaxs[i] = v
-				}
-				st.seen[i] = true
-				continue
-			}
-			v := c.F[row]
-			st.sums[i] += v
-			if !st.seen[i] || v < st.mins[i] {
-				st.mins[i] = v
-			}
-			if !st.seen[i] || v > st.maxs[i] {
-				st.maxs[i] = v
-			}
-			st.seen[i] = true
-		}
+func (t *groupTable) groups() int { return len(t.counts) }
+
+// hashKey hashes a key tuple; a one-part key hashes as its value alone.
+func hashKey(k0 int64, rest []int64) uint64 {
+	h := mix64(uint64(k0))
+	for _, p := range rest {
+		h = mix64(h ^ uint64(p))
 	}
+	return h
 }
 
-// mergeInto folds the partial table src into dst.  Partials must be
-// merged in morsel order: then dst's first-seen order and per-group
-// sample rows match what the serial loop over the same rows produces.
-func mergeInto(dst, src *aggTable) {
-	for _, key := range src.order {
-		ss := src.groups[key]
-		ds, ok := dst.groups[key]
-		if !ok {
-			dst.groups[key] = ss
-			dst.order = append(dst.order, key)
-			continue
+// splitKey splits a key tuple into slot's arguments.
+func splitKey(key []int64) (k0 int64, rest []int64) {
+	if len(key) == 0 {
+		return 0, nil
+	}
+	return key[0], key[1:]
+}
+
+// floatKey is a DOUBLE group value's key part: its bits, so −0 and +0
+// stay apart, with every NaN folded onto one so NaNs form one group.
+func floatKey(f float64) int64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return int64(math.Float64bits(f))
+}
+
+// slot returns the group index of key (k0, rest...), inserting it (in
+// first-seen order) on first sight.
+func (t *groupTable) slot(k0 int64, rest []int64) int32 {
+	i := hashKey(k0, rest) & t.mask
+	for {
+		g := int(t.slotGroup[i])
+		if g == 0 {
+			break
 		}
-		ds.count += ss.count
-		for i := range ds.sums {
-			ds.sums[i] += ss.sums[i]
-			ds.isums[i] += ss.isums[i]
-			if ss.seen[i] {
-				if !ds.seen[i] || ss.mins[i] < ds.mins[i] {
-					ds.mins[i] = ss.mins[i]
-				}
-				if !ds.seen[i] || ss.maxs[i] > ds.maxs[i] {
-					ds.maxs[i] = ss.maxs[i]
-				}
-				if !ds.seen[i] || ss.imins[i] < ds.imins[i] {
-					ds.imins[i] = ss.imins[i]
-				}
-				if !ds.seen[i] || ss.imaxs[i] > ds.imaxs[i] {
-					ds.imaxs[i] = ss.imaxs[i]
-				}
-				ds.seen[i] = true
-			}
+		if t.slotKey[i] == k0 && (len(rest) == 0 || slices.Equal(t.keys[(g-1)*t.k+1:g*t.k], rest)) {
+			return int32(g - 1)
 		}
+		i = (i + 1) & t.mask
+	}
+	t.slotKey[i] = k0
+	if t.k > 0 {
+		t.keys = append(append(t.keys, k0), rest...)
+	}
+	t.counts = append(t.counts, 0)
+	t.isums = append(t.isums, make([]int64, t.nAggs)...)
+	t.imins = append(t.imins, make([]int64, t.nAggs)...)
+	t.imaxs = append(t.imaxs, make([]int64, t.nAggs)...)
+	t.seen = append(t.seen, make([]bool, t.nAggs)...)
+	if t.floats {
+		t.fsums = append(t.fsums, make([]float64, t.nAggs)...)
+		t.fmins = append(t.fmins, make([]float64, t.nAggs)...)
+		t.fmaxs = append(t.fmaxs, make([]float64, t.nAggs)...)
+	}
+	if t.firstOn {
+		t.first = append(t.first, -1)
+	}
+	g := len(t.counts)
+	t.slotGroup[i] = int32(g)
+	if uint64(g)*2 >= t.mask+1 {
+		t.reindex((t.mask + 1) * 2)
+	}
+	return int32(g - 1)
+}
+
+// reindex rebuilds the slot arrays, size slots wide, from the group keys.
+func (t *groupTable) reindex(size uint64) {
+	t.mask = size - 1
+	t.slotKey = make([]int64, size)
+	t.slotGroup = make([]int32, size)
+	for g := range t.counts {
+		k0, rest := splitKey(t.keys[g*t.k : (g+1)*t.k])
+		i := hashKey(k0, rest) & t.mask
+		for t.slotGroup[i] != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slotKey[i] = k0
+		t.slotGroup[i] = int32(g + 1)
 	}
 }
 
-// buildOutput materializes the aggregation result from the final table.
-func (a *HashAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation {
-	out := &Relation{N: len(t.order)}
-	// Group-key output columns.
-	for gi, g := range a.GroupBy {
-		src := groupCols[gi]
-		oc := Col{Name: g, Type: src.Type}
-		switch src.Type {
-		case colstore.Int64:
-			oc.I = make([]int64, len(t.order))
-		case colstore.Float64:
-			oc.F = make([]float64, len(t.order))
+// noteFirst records window-local row i as group g's first selected
+// appearance, once.  Fold loops visit rows in ascending order and
+// partials merge in morsel order, so the first note IS the first
+// selected occurrence.
+func (t *groupTable) noteFirst(g int32, i int) {
+	if t.firstOn && t.first[g] < 0 {
+		t.first[g] = t.base + int64(i)
+	}
+}
+
+// noteFirstRange records the first selected row of [lo, hi) as group g's
+// first appearance — the run-at-a-time closed forms never see individual
+// rows, so on insertion the exact first set bit is looked up here.
+func (t *groupTable) noteFirstRange(g int32, sel *vec.Bitvec, lo, hi int) {
+	if !t.firstOn || t.first[g] >= 0 {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if sel.Get(i) {
+			t.first[g] = t.base + int64(i)
+			return
+		}
+	}
+}
+
+// addN folds n occurrences of BIGINT value v into aggregate ai of group g
+// — the run-at-a-time closed form (sum += n*v; min/max see v once) and,
+// with n=1, the row-at-a-time case.  Sums wrap modulo 2^64 and are not
+// trapped; because +, * and the merge's + are all operations of that one
+// ring, an overflowing SUM is the same wrapped value on every path —
+// row-at-a-time, n*v, partial merge, probe fold — at every DOP and shard
+// count (TestIntSumOverflowWrapsIdentically).
+func (t *groupTable) addN(g int32, ai int, v, n int64) {
+	o := int(g)*t.nAggs + ai
+	t.isums[o] += v * n
+	if !t.seen[o] || v < t.imins[o] {
+		t.imins[o] = v
+	}
+	if !t.seen[o] || v > t.imaxs[o] {
+		t.imaxs[o] = v
+	}
+	t.seen[o] = true
+}
+
+// addF folds one DOUBLE value into aggregate ai of group g.
+func (t *groupTable) addF(g int32, ai int, v float64) {
+	o := int(g)*t.nAggs + ai
+	t.fsums[o] += v
+	if !t.seen[o] || v < t.fmins[o] {
+		t.fmins[o] = v
+	}
+	if !t.seen[o] || v > t.fmaxs[o] {
+		t.fmaxs[o] = v
+	}
+	t.seen[o] = true
+}
+
+// internID returns s's id in *dict, appending it on first sight; ids is
+// the dictionary's inverse.
+func internID(ids map[string]int64, dict *[]string, s string) int64 {
+	id, ok := ids[s]
+	if !ok {
+		id = int64(len(*dict))
+		ids[s] = id
+		*dict = append(*dict, s)
+	}
+	return id
+}
+
+// ownDict re-keys string part p of t's groups into a dictionary of t's
+// own — their strings, in group order — and returns its inverse, so
+// partials keyed by other dictionaries can be translated in.  The
+// dictionary it replaces may be a stored column's and is left untouched.
+func (t *groupTable) ownDict(p int) map[string]int64 {
+	ids := make(map[string]int64)
+	var dict []string
+	for g := range t.counts {
+		o := g*t.k + p
+		t.keys[o] = internID(ids, &dict, t.dicts[p][t.keys[o]])
+	}
+	t.dicts[p] = dict
+	t.reindex(t.mask + 1)
+	return ids
+}
+
+// mergeFrom folds the partial src into t — the one merge.  Callers merge
+// in (shard, morsel) order, so t's first-seen group order is the global
+// row order of first selected occurrence and float sums add partial by
+// partial in that order.
+//
+// A string key part whose dictionary differs from t's — raw strings
+// interned per morsel, per-shard dictionaries — is translated group by
+// group through its strings: t takes a dictionary of its own (ownDict)
+// the first time that happens and ids[p] becomes its inverse.  The cost
+// is proportional to groups, never rows, and the maps are the caller's,
+// not the table's.
+func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
+	for p, sd := range src.dicts {
+		switch {
+		case ids[p] != nil || sd == nil || sameDict(t.dicts[p], sd):
+		case t.groups() == 0:
+			t.dicts[p] = sd // nothing keyed yet: share the partial's dictionary
 		default:
-			oc.S = make([]string, len(t.order))
+			ids[p] = t.ownDict(p)
 		}
-		for i, key := range t.order {
-			row := t.groups[key].sample
-			switch src.Type {
-			case colstore.Int64:
-				oc.I[i] = src.I[row]
-			case colstore.Float64:
-				oc.F[i] = src.F[row]
-			default:
-				oc.S[i] = src.S[row]
+	}
+	key := make([]int64, t.k)
+	for gi := range src.counts {
+		copy(key, src.keys[gi*t.k:])
+		for p, m := range ids {
+			if m != nil {
+				key[p] = internID(m, &t.dicts[p], src.dicts[p][key[p]])
+			}
+		}
+		fresh := t.groups()
+		g := t.slot(splitKey(key))
+		if t.firstOn {
+			if sf := src.first[gi]; sf >= 0 && (t.first[g] < 0 || sf < t.first[g]) {
+				t.first[g] = sf
+			}
+		}
+		t.counts[g] += src.counts[gi]
+		for a := 0; a < t.nAggs; a++ {
+			so, do := gi*t.nAggs+a, int(g)*t.nAggs+a
+			t.isums[do] += src.isums[so]
+			if !src.seen[so] {
+				continue
+			}
+			if !t.seen[do] || src.imins[so] < t.imins[do] {
+				t.imins[do] = src.imins[so]
+			}
+			if !t.seen[do] || src.imaxs[so] > t.imaxs[do] {
+				t.imaxs[do] = src.imaxs[so]
+			}
+			if t.floats {
+				if int(g) == fresh {
+					t.fsums[do] = src.fsums[so] // a new group takes the partial's sum as is: 0 + −0 is +0
+				} else {
+					t.fsums[do] += src.fsums[so]
+				}
+				if !t.seen[do] || src.fmins[so] < t.fmins[do] {
+					t.fmins[do] = src.fmins[so]
+				}
+				if !t.seen[do] || src.fmaxs[so] > t.fmaxs[do] {
+					t.fmaxs[do] = src.fmaxs[so]
+				}
+			}
+			t.seen[do] = true
+		}
+	}
+}
+
+// permuted returns xs — rows of w values — reordered so row di is the old
+// row perm[di].
+func permuted[T any](xs []T, perm []int, w int) []T {
+	if len(xs) == 0 {
+		return xs
+	}
+	out := make([]T, len(xs))
+	for di, si := range perm {
+		copy(out[di*w:(di+1)*w], xs[si*w:(si+1)*w])
+	}
+	return out
+}
+
+// sortByFirst reorders the table's groups by ascending first-appearance
+// sequence (unique per group), the merged global group order.
+func (t *groupTable) sortByFirst() {
+	perm := make([]int, t.groups())
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return t.first[perm[a]] < t.first[perm[b]] })
+	t.first = permuted(t.first, perm, 1)
+	t.keys = permuted(t.keys, perm, t.k)
+	t.counts = permuted(t.counts, perm, 1)
+	t.isums = permuted(t.isums, perm, t.nAggs)
+	t.imins = permuted(t.imins, perm, t.nAggs)
+	t.imaxs = permuted(t.imaxs, perm, t.nAggs)
+	t.fsums = permuted(t.fsums, perm, t.nAggs)
+	t.fmins = permuted(t.fmins, perm, t.nAggs)
+	t.fmaxs = permuted(t.fmaxs, perm, t.nAggs)
+	t.seen = permuted(t.seen, perm, t.nAggs)
+	t.reindex(t.mask + 1)
+}
+
+// aggFeeder is where an aggregation's rows come from.  The driver crosses
+// it once per query; each feeder crosses into its table once per morsel.
+type aggFeeder interface {
+	// fold cuts the feeder's rows into the morsel grid, folds every morsel
+	// into a partial table, and hands each window set's partials (one
+	// shard's, the relation's, the probe's) to m in (shard, morsel) order.
+	fold(ctx *Ctx, m *aggMerge) error
+}
+
+// feeder picks where the rows come from — the one selection, made from
+// what the plan shows and never from a row count or an option:
+//
+//	shard windows    the child is a full-scan *Scan and no GROUP BY column
+//	                 or aggregate value input is a DOUBLE (fused.go)
+//	probe matches    the child is a join whose probe side fuses (fused.go)
+//	relation windows anything else: the child is run to a relation
+//
+// DOUBLE inputs stay on the relation feeder because float addition is not
+// associative and the standing contract is byte-identity across DOP,
+// shard count, merged-vs-live snapshot and shard-fed-vs-relation-fed.
+// The float accumulation order is: within a partial in ascending
+// relation-row order; partials added in morsel order; grid pitch
+// MorselRows over the relation's rows.  That grid is cut on the filtered
+// logical row sequence, which is the same whatever the physical layout; a
+// shard-window grid is cut on physical rows and cannot reproduce it (a
+// logical chunk that straddles two physical morsels is one serial
+// accumulation, not the sum of two).
+func (a *HashAgg) feeder(ctx *Ctx) (aggFeeder, *aggShape, error) {
+	if sf := a.shardFeed(); sf != nil {
+		return sf, &sf.aggShape, nil
+	}
+	if pf := a.probeFeed(); pf != nil {
+		return pf, &pf.aggShape, nil
+	}
+	in, err := a.Child.Run(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	rf, err := a.relFeed(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rf, &rf.aggShape, nil
+}
+
+// Run implements Node: resolve the feeder, fold, merge, build the output.
+func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
+	feed, shape, err := a.feeder(ctx)
+	if err != nil {
+		return nil, err
+	}
+	m := &aggMerge{shape: shape, ids: make([]map[string]int64, len(a.GroupBy))}
+	if err := feed.fold(ctx, m); err != nil {
+		return nil, err
+	}
+	if m.final == nil {
+		m.final = shape.newTable(nil)
+	}
+	if m.final.firstOn {
+		m.final.sortByFirst()
+	}
+	if m.nparts > 1 {
+		// The coordinator's merge is priced by the morsel grid's
+		// partial-group count (plus the sequence rewrite), mirroring the
+		// partial-aggregate merge accounting of internal/dist.
+		m.extra.Add(energy.Counters{
+			TuplesIn:     m.partialGroups,
+			TuplesOut:    uint64(m.final.groups()),
+			Instructions: m.partialGroups * 12,
+			CacheMisses:  m.partialGroups / 4,
+		})
+		ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", m.nparts), m.final.groups(), m.extra)
+	}
+	return a.buildOutput(shape, m.final), nil
+}
+
+// aggMerge is the coordinator's half of an aggregation: the result so
+// far and the books of the merge.
+type aggMerge struct {
+	shape         *aggShape
+	final         *groupTable
+	ids           []map[string]int64 // final's key translation (mergeFrom)
+	nparts        int
+	partialGroups uint64
+	extra         energy.Counters
+}
+
+// add merges one window set's per-morsel partials in morsel order — a
+// lone partial is the set's table as it stands — traces the set's fold
+// under label, and merges the set into the result.  seq is set when more
+// than one shard feeds a grouped aggregation: each group's
+// first-appearance row is rewritten into its global sequence, which
+// orders the merged groups exactly as a scan of the unsharded table
+// first meets them (a single window set already is in that order).
+func (m *aggMerge) add(ctx *Ctx, label string, partials []*groupTable, work energy.Counters, seq *colstore.IntColumn) {
+	var t *groupTable
+	if len(partials) == 1 {
+		t = partials[0]
+	} else {
+		t = m.shape.newTable(nil)
+		t.firstOn = seq != nil
+		ids := make([]map[string]int64, t.k)
+		for _, p := range partials {
+			t.mergeFrom(p, ids)
+		}
+	}
+	for _, p := range partials {
+		m.partialGroups += uint64(p.groups())
+	}
+	m.nparts += len(partials)
+	if seq != nil {
+		// Point reads of the stored sequence column, priced like any sparse
+		// gather.
+		for gi, f := range t.first {
+			if f >= 0 {
+				t.first[gi] = seq.Get(int(f))
+			}
+		}
+		g := uint64(t.groups())
+		m.extra.Add(energy.Counters{CacheMisses: g / 4, Instructions: g * 2})
+	}
+	ctx.Trace(label, t.groups(), work)
+	if m.final == nil {
+		m.final = t
+	} else {
+		m.final.mergeFrom(t, m.ids)
+	}
+}
+
+// buildOutput turns the final table into the result relation — the one
+// output builder.  String keys decode through their dictionary exactly
+// once per output group.
+func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
+	n := t.groups()
+	out := &Relation{N: n}
+	for p, name := range a.GroupBy {
+		oc := Col{Name: name, Type: shape.groupTypes[p]}
+		switch oc.Type {
+		case colstore.Int64:
+			oc.I = make([]int64, n)
+			for g := range oc.I {
+				oc.I[g] = t.keys[g*t.k+p]
+			}
+		case colstore.Float64:
+			oc.F = make([]float64, n)
+			for g := range oc.F {
+				oc.F[g] = math.Float64frombits(uint64(t.keys[g*t.k+p]))
+			}
+		default:
+			oc.S = make([]string, n)
+			for g := range oc.S {
+				oc.S[g] = t.dicts[p][t.keys[g*t.k+p]]
 			}
 		}
 		out.Cols = append(out.Cols, oc)
 	}
-	// Aggregate output columns.
 	for ai, s := range a.Aggs {
-		intIn := aggCols[ai] != nil && aggCols[ai].Type == colstore.Int64
-		intOut := s.Func == expr.AggCount ||
-			(intIn && (s.Func == expr.AggSum || s.Func == expr.AggMin || s.Func == expr.AggMax))
-		oc := Col{Name: aggOutName(s)}
-		if intOut {
+		intIn := shape.valTypes[ai] == colstore.Int64
+		oc := Col{Name: aggOutName(s), Type: colstore.Float64}
+		if s.Func == expr.AggCount || (intIn && s.Func != expr.AggAvg) {
+			// Integer aggregates come straight from the exact int64
+			// accumulators — no float round-trip.
 			oc.Type = colstore.Int64
-			oc.I = make([]int64, len(t.order))
+			oc.I = make([]int64, n)
 		} else {
-			oc.Type = colstore.Float64
-			oc.F = make([]float64, len(t.order))
+			oc.F = make([]float64, n)
 		}
-		for i, key := range t.order {
-			st := t.groups[key]
-			if intOut {
-				// Integer aggregates come straight from the exact int64
-				// accumulators — no float round-trip.
-				switch s.Func {
-				case expr.AggCount:
-					oc.I[i] = st.count
-				case expr.AggSum:
-					oc.I[i] = st.isums[ai]
-				case expr.AggMin:
-					oc.I[i] = st.imins[ai]
-				case expr.AggMax:
-					oc.I[i] = st.imaxs[ai]
-				}
-				continue
+		ints, flts := t.isums, t.fsums
+		switch s.Func {
+		case expr.AggMin:
+			ints, flts = t.imins, t.fmins
+		case expr.AggMax:
+			ints, flts = t.imaxs, t.fmaxs
+		}
+		for g := 0; g < n; g++ {
+			o := g*t.nAggs + ai
+			switch {
+			case s.Func == expr.AggCount:
+				oc.I[g] = t.counts[g]
+			case s.Func == expr.AggAvg && intIn:
+				oc.F[g] = float64(ints[o]) / float64(t.counts[g])
+			case s.Func == expr.AggAvg:
+				oc.F[g] = flts[o] / float64(t.counts[g])
+			case intIn:
+				oc.I[g] = ints[o]
+			default:
+				oc.F[g] = flts[o]
 			}
-			var v float64
-			switch s.Func {
-			case expr.AggSum:
-				v = st.sums[ai]
-			case expr.AggMin:
-				v = st.mins[ai]
-			case expr.AggMax:
-				v = st.maxs[ai]
-			case expr.AggAvg:
-				if st.count > 0 {
-					if intIn {
-						v = float64(st.isums[ai]) / float64(st.count)
-					} else {
-						v = st.sums[ai] / float64(st.count)
-					}
-				}
-			}
-			oc.F[i] = v
 		}
 		out.Cols = append(out.Cols, oc)
 	}
 	return out
 }
 
-// aggOutName derives an aggregate's output column name — shared by the
-// generic and fused output builders so fusion never changes the schema.
+// aggOutName derives an aggregate's output column name.
 func aggOutName(s expr.AggSpec) string {
 	if s.As != "" {
 		return s.As
@@ -312,10 +596,113 @@ func aggOutName(s expr.AggSpec) string {
 	return name
 }
 
-// rangeWork prices aggregating rows [lo, hi) into a partial table of
-// groups result groups.  The formula depends only on the row window and
-// its group count, so a fixed morsel grid charges identically at any
-// degree of parallelism.
+// ---------------------------------------------------------------------------
+// The relation feeder
+// ---------------------------------------------------------------------------
+
+// relFeed feeds row windows of the child's materialized relation: the
+// feeder of every child that is not a fusable scan or join, and of every
+// aggregation over DOUBLE inputs (see feeder).
+type relFeed struct {
+	a                  *HashAgg
+	in                 *Relation
+	groupCols, aggCols []*Col // aggCols[i] is nil when aggregate i reads no values (COUNT)
+	aggShape
+}
+
+// relFeed resolves the group-by and aggregate input columns against the
+// child relation.
+func (a *HashAgg) relFeed(in *Relation) (*relFeed, error) {
+	rf := &relFeed{a: a, in: in, groupCols: make([]*Col, len(a.GroupBy)), aggCols: make([]*Col, len(a.Aggs))}
+	rf.groupTypes = make([]colstore.Type, len(a.GroupBy))
+	rf.valTypes = make([]colstore.Type, len(a.Aggs))
+	for i, g := range a.GroupBy {
+		c, err := in.Col(g)
+		if err != nil {
+			return nil, err
+		}
+		rf.groupCols[i], rf.groupTypes[i] = c, c.Type
+	}
+	for i, s := range a.Aggs {
+		if s.Func == expr.AggCount && s.Col == "" {
+			continue // COUNT(*)
+		}
+		c, err := in.Col(s.Col)
+		if err != nil {
+			return nil, err
+		}
+		if c.Type == colstore.String && s.Func != expr.AggCount {
+			return nil, fmt.Errorf("exec: cannot %s a VARCHAR column", s.Func)
+		}
+		if s.Func == expr.AggCount {
+			continue // COUNT(col): existence-checked only, no values read
+		}
+		rf.aggCols[i], rf.valTypes[i] = c, c.Type
+	}
+	return rf, nil
+}
+
+// fold implements aggFeeder: one window set, the relation's morsel grid.
+func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
+	partials, work := runMorsels(ctx, rf.in.N, func(_, lo, hi int) (*groupTable, energy.Counters) {
+		return rf.morsel(lo, hi)
+	})
+	if ctx.Canceled() {
+		return ErrCanceled
+	}
+	label := rf.a.Label()
+	if len(partials) > 1 {
+		label += " [parallel]"
+	}
+	m.add(ctx, label, partials, work, nil)
+	return nil
+}
+
+// morsel folds rows [lo, hi) of the relation into a partial table.  The
+// key parts resolve to int64 windows once per morsel — a BIGINT or coded
+// column is its own slice, a DOUBLE its bits, raw strings ids of a
+// dictionary interned for this partial alone — so the row loop runs over
+// plain slices.
+func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
+	t := rf.newTable(nil)
+	parts := make([][]int64, t.k)
+	for p, c := range rf.groupCols {
+		switch {
+		case c.Type == colstore.Int64 || c.Dict != nil:
+			parts[p], t.dicts[p] = c.I[lo:hi], c.Dict
+		case c.Type == colstore.Float64:
+			parts[p] = make([]int64, hi-lo)
+			for i, f := range c.F[lo:hi] {
+				parts[p][i] = floatKey(f)
+			}
+		default:
+			parts[p], t.dicts[p], _ = internStrings(c.S[lo:hi]) // priced by rangeWork
+		}
+	}
+	key := make([]int64, t.k)
+	for i := 0; i < hi-lo; i++ {
+		for p := range key {
+			key[p] = parts[p][i]
+		}
+		g := t.slot(splitKey(key))
+		t.counts[g]++
+		for ai, c := range rf.aggCols {
+			switch {
+			case c == nil:
+			case c.Type == colstore.Int64:
+				t.addN(g, ai, c.I[lo+i], 1)
+			default:
+				t.addF(g, ai, c.F[lo+i])
+			}
+		}
+	}
+	return t, rf.a.rangeWork(lo, hi, t.groups())
+}
+
+// rangeWork prices aggregating rows [lo, hi) of a relation into a partial
+// table of groups result groups — the one relation-feed formula.  It
+// depends only on the row window and its group count, so the fixed morsel
+// grid charges identically at any degree of parallelism.
 func (a *HashAgg) rangeWork(lo, hi, groups int) energy.Counters {
 	n := uint64(hi - lo)
 	return energy.Counters{
@@ -325,79 +712,4 @@ func (a *HashAgg) rangeWork(lo, hi, groups int) energy.Counters {
 		CacheMisses:   n, // one hash probe per row
 		BytesReadDRAM: n * 8 * uint64(len(a.GroupBy)+len(a.Aggs)),
 	}
-}
-
-// Run implements Node.
-func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
-	// Fused filter→aggregate path: when the child is a fusable Scan,
-	// aggregate straight off the compressed segments in one pass per
-	// morsel, shard by shard (fused.go), instead of materializing the
-	// filtered relation first.  The fused output is byte-identical to this
-	// operator's own output over the scan's relation.
-	if fp := a.fusedAggPlan(); fp != nil {
-		return a.runFusedAgg(ctx, fp)
-	}
-	// Fused probe→aggregate path: when the child is a join whose probe side
-	// fuses, its matches fold straight into partial aggregates and the
-	// joined relation is never built.
-	if pa := a.fusedProbeAggPlan(); pa != nil {
-		return a.runFusedProbeAgg(ctx, pa)
-	}
-	in, err := a.Child.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	groupCols, aggCols, err := a.bindCols(in)
-	if err != nil {
-		return nil, err
-	}
-	if in.N >= ParallelAggRows {
-		return a.runParallel(ctx, in, groupCols, aggCols)
-	}
-	t := newAggTable()
-	a.aggRange(t, groupCols, aggCols, 0, in.N)
-	ctx.Charge(a.Label(), len(t.order), a.rangeWork(0, in.N, len(t.order)))
-	return a.buildOutput(t, groupCols, aggCols), nil
-}
-
-// runParallel aggregates the input morsel-wise on a worker pool and
-// merges the per-morsel partials in morsel order.
-func (a *HashAgg) runParallel(ctx *Ctx, in *Relation, groupCols, aggCols []*Col) (*Relation, error) {
-	partials, scanWork := runMorsels(ctx, in.N,
-		func(m, lo, hi int) (*aggTable, energy.Counters) {
-			t := newAggTable()
-			a.aggRange(t, groupCols, aggCols, lo, hi)
-			return t, a.rangeWork(lo, hi, len(t.order))
-		})
-	if ctx.Canceled() {
-		return nil, ErrCanceled
-	}
-
-	// Merge in morsel order (deterministic at any DOP, including the
-	// floating-point addition order of the partial sums).
-	final := newAggTable()
-	var partialGroups uint64
-	for _, p := range partials {
-		partialGroups += uint64(len(p.order))
-		mergeInto(final, p)
-	}
-	ctx.Trace(a.Label()+" [parallel]", len(final.order), scanWork)
-	chargeAggMerge(ctx, len(partials), partialGroups, len(final.order), energy.Counters{})
-	return a.buildOutput(final, groupCols, aggCols), nil
-}
-
-// chargeAggMerge books the coordinator's merge of nparts per-morsel
-// partial tables into groups result groups.  Its price is a function of
-// the morsel grid's partial-group count (plus whatever extra work the
-// caller's merge did), mirroring the partial-aggregate merge accounting
-// of internal/dist — the one formula under the generic and both fused
-// aggregations.
-func chargeAggMerge(ctx *Ctx, nparts int, partialGroups uint64, groups int, extra energy.Counters) {
-	extra.Add(energy.Counters{
-		TuplesIn:     partialGroups,
-		TuplesOut:    uint64(groups),
-		Instructions: partialGroups * 12,
-		CacheMisses:  partialGroups / 4,
-	})
-	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", nparts), groups, extra)
 }

@@ -62,7 +62,7 @@ func buildOrdersLike(t *testing.T, n int, seal bool) *colstore.Table {
 // bytes.  Never wall clock: the build container has one CPU, so
 // invariance, not speedup, is what can be asserted.
 func TestCompressedStorageDOPInvariant(t *testing.T) {
-	const n = 400_000 // clears the ParallelAggRows threshold post-filter
+	const n = 400_000 // several relation morsels post-filter
 	rawTab := buildOrdersLike(t, n, false)
 	compTab := buildOrdersLike(t, n, true)
 	plan := func(tab *colstore.Table) *HashAgg {

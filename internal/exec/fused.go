@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
@@ -41,92 +40,94 @@ import (
 // to a relation first.  The two compose: a HashAgg whose child is a
 // Join with a fused probe takes the probe's matches straight
 // into partial aggregates (probe→aggregate), so a join under a GROUP BY
-// writes no pair list and no joined relation at all.
+// writes no pair list and no joined relation at all.  For HashAgg the
+// fused pipelines are two of its three feeders (agg.go): the table they
+// fold into, its merge and its output builder are the relation feeder's
+// too.
 //
 // Determinism contract.  The fused output relation is byte-identical to
 // the materializing pipeline's: predicates run through the same Filter
-// kernel, group keys are single int64 values (an integer group value or
-// a dictionary code — never concatenated bytes, so the aggRange
-// NUL-collision class of bug cannot exist here), integer aggregates
-// accumulate in exact int64 arithmetic (associative, so the table grid
-// and the filtered-relation grid sum bit-identically), and partials
-// merge in morsel order, shard by shard.  Value-needing aggregates over
-// Float64 columns are NOT eligible: float addition is non-associative
-// and the fused morsel grid differs from the materialized one, so those
-// plans keep the generic HashAgg and its pinned accumulation order.
-// Charged counters are pure functions of (snapshot, plan, data) — never
-// of DOP — like every other morsel kernel in this package.
+// kernel, group keys are fixed-width tuples of int64 parts (an integer
+// group value or a dictionary code per GROUP BY column — never
+// concatenated bytes, so no separator byte can make two keys collide),
+// integer aggregates accumulate in exact int64 arithmetic (associative,
+// so the table grid and the filtered-relation grid sum bit-identically),
+// and partials merge in morsel order, shard by shard.  Value-needing
+// aggregates over Float64 columns are NOT shard-fed: float addition is
+// non-associative and the physical morsel grid differs from the filtered
+// relation's, so those plans feed from the relation and its pinned
+// accumulation order (HashAgg.feeder).  Charged counters are pure
+// functions of (snapshot, plan, data) — never of DOP — like every other
+// morsel kernel in this package.
 
 // ---------------------------------------------------------------------------
-// Fused filter→aggregate
+// Fused filter→aggregate: the shard-window feeder
 // ---------------------------------------------------------------------------
 
-// fusedAggPlan is a resolved, eligible Scan+HashAgg fusion: the bound
-// scan plus, per shard, the group-key source and the aggregate inputs.
-type fusedAggPlan struct {
+// shardFeed is the shard-window feeder of an aggregation (agg.go): a
+// bound full-scan Scan plus, per shard, the group-key sources and the
+// aggregate inputs.  Every morsel filters its rows with the scan's own
+// kernel and folds the selection straight off the compressed segments,
+// so the filtered relation is never built.
+type shardFeed struct {
+	a      *HashAgg
 	scan   *Binding
-	shards []fusedAggShard
-	fusedAggOut
+	shards []shardFeedCols
+	aggShape
 	// trackFirst makes every morsel table record the row of each group's
-	// first selected appearance (fusedAggTable.first): across more than
-	// one shard the merged groups are ordered by its global sequence.
+	// first selected appearance (groupTable.first): across more than one
+	// shard the merged groups are ordered by its global sequence.
 	trackFirst bool
 }
 
-// fusedAggOut is the output shape of a fused aggregation: the group-key
-// column and, per aggregate, whether it reads Int64 values (COUNT does
-// not).  groupDict decodes a string group's int64 ids — dictionary codes
-// or interned build-side strings — once per output group.
-type fusedAggOut struct {
-	groupName string
-	groupType colstore.Type
-	groupDict []string
-	intIn     []bool
-}
-
-// fusedAggShard is one shard's column bindings of a fused aggregation.
-type fusedAggShard struct {
+// shardFeedCols is one shard's column bindings of a shard-fed aggregation.
+type shardFeedCols struct {
 	sb *ShardBinding
-	// groupInts yields the group keys — the group column itself, or a
-	// string group column's code column; nil for global aggregation.
-	groupInts *colstore.IntColumn
-	// aggInts[i] is the Int64 input of aggregate i, nil when the
-	// aggregate needs no values (COUNT).
+	// groups yields the key parts, one per GROUP BY column: the column
+	// itself, or a string column's code column beside this shard's
+	// dictionary in dicts (nil for a BIGINT part).
+	groups []*colstore.IntColumn
+	dicts  [][]string
+	// aggInts[i] is the BIGINT input of aggregate i, nil when the aggregate
+	// needs no values (COUNT).
 	aggInts []*colstore.IntColumn
 }
 
-// fusedAggPlan reports how (and whether) this HashAgg can fold its child
-// scan's selection vectors directly.  The one eligibility table:
+// shardFeed resolves the shard-window feeder, nil when the aggregation is
+// not shard-fed:
 //
 //	child        a *Scan on the full-scan access path
-//	GROUP BY     none, or one BIGINT column, or — on a single-shard
-//	             source only (per-shard dictionaries assign incomparable
-//	             codes) — one string column not emitted as codes
+//	GROUP BY     any number of emitted BIGINT or string columns (a string
+//	             is its shard's dictionary code; per-shard dictionaries
+//	             meet in the merge's key translation)
 //	aggregates   COUNT(*), COUNT(col) of an emitted column, or
-//	             SUM/MIN/MAX/AVG of an emitted Int64 column
+//	             SUM/MIN/MAX/AVG of an emitted BIGINT column
 //
-// Anything else returns nil and the generic HashAgg aggregates the
-// scan's relation (and reports any binding errors itself).
-func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
+// A DOUBLE group key or value input is relation-fed (see feeder for why);
+// so is anything that does not bind, and the relation feeder reports the
+// error.  Everything read here is static, so EXPLAIN, the planner's
+// mirror and Run cannot disagree.
+func (a *HashAgg) shardFeed() *shardFeed {
 	s, ok := a.Child.(*Scan)
-	if !ok || s.Access.Kind != FullScan || len(a.GroupBy) > 1 {
+	if !ok || s.Access.Kind != FullScan {
 		return nil
 	}
 	b, err := s.Bind()
 	if err != nil {
 		return nil
 	}
-	group := -1
-	fp := &fusedAggPlan{scan: b}
-	if len(a.GroupBy) == 1 {
-		if group = b.index(a.GroupBy[0]); group < 0 {
+	sf := &shardFeed{a: a, scan: b, trackFirst: b.multi() && len(a.GroupBy) > 0}
+	sf.groupTypes = make([]colstore.Type, len(a.GroupBy))
+	sf.valTypes = make([]colstore.Type, len(a.Aggs))
+	groupIdx := make([]int, len(a.GroupBy))
+	for p, g := range a.GroupBy {
+		ci := b.index(g)
+		if ci < 0 || b.tmpl[ci].Type == colstore.Float64 {
 			return nil
 		}
-		fp.groupName, fp.groupType = a.GroupBy[0], b.tmpl[group].Type
-		fp.trackFirst = b.multi()
+		groupIdx[p], sf.groupTypes[p] = ci, b.tmpl[ci].Type
 	}
 	aggIdx := make([]int, len(a.Aggs))
-	fp.intIn = make([]bool, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		aggIdx[i] = -1
 		if spec.Func == expr.AggCount {
@@ -138,21 +139,20 @@ func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 		if aggIdx[i] = b.index(spec.Col); aggIdx[i] < 0 {
 			return nil
 		}
-		fp.intIn[i] = true
 	}
 	for _, sb := range b.Shards {
-		fs := fusedAggShard{sb: sb, aggInts: make([]*colstore.IntColumn, len(a.Aggs))}
-		if group >= 0 {
-			switch gc := sb.Cols[group].(type) {
+		fs := shardFeedCols{
+			sb:      sb,
+			groups:  make([]*colstore.IntColumn, len(groupIdx)),
+			dicts:   make([][]string, len(groupIdx)),
+			aggInts: make([]*colstore.IntColumn, len(a.Aggs)),
+		}
+		for p, ci := range groupIdx {
+			switch gc := sb.Cols[ci].(type) {
 			case *colstore.IntColumn:
-				fs.groupInts = gc
+				fs.groups[p] = gc
 			case *colstore.StringColumn:
-				if b.multi() || sb.asCode[group] {
-					return nil
-				}
-				fs.groupInts, fp.groupDict = gc.CodeColumn(), gc.Dict()
-			default:
-				return nil // float group keys keep the generic path
+				fs.groups[p], fs.dicts[p] = gc.CodeColumn(), gc.Dict()
 			}
 		}
 		for i, ci := range aggIdx {
@@ -161,313 +161,49 @@ func (a *HashAgg) fusedAggPlan() *fusedAggPlan {
 			}
 			ic, ok := sb.Cols[ci].(*colstore.IntColumn)
 			if !ok {
-				return nil // float (or string) aggregate inputs stay generic
+				return nil // DOUBLE (or string) value inputs are relation-fed
 			}
 			fs.aggInts[i] = ic
 		}
-		fp.shards = append(fp.shards, fs)
+		sf.shards = append(sf.shards, fs)
 	}
-	return fp
+	return sf
 }
 
-// fusedAggTable is one (partial) fused aggregation result: an
-// open-addressing table over int64 group keys with flat accumulator
-// arrays — no Go map, no string keys, group-major layout.  slotGroup
-// stores group index + 1 so a freshly made table is all-empty without a
-// fill pass.
-//
-//lint:hotpath
-type fusedAggTable struct {
-	mask      uint64
-	slotKey   []int64
-	slotGroup []int32 // group index + 1; 0 = empty
-	keys      []int64 // group keys in first-seen order
-	counts    []int64 // per group
-	isums     []int64 // group-major: [group*nAggs + agg]
-	imins     []int64
-	imaxs     []int64
-	seen      []bool
-	nAggs     int
-	// First-appearance tracking (sharded aggregation only).  When firstOn
-	// is set, first[g] records base + the window-local row of group g's
-	// first selected appearance (-1 until noted); the sharded merge
-	// rewrites rows into global sequences and keeps the minimum.
-	firstOn bool
-	base    int64
-	first   []int64
-}
-
-func newFusedAggTable(nAggs int) *fusedAggTable {
-	const size = 256
-	return &fusedAggTable{
-		mask:      size - 1,
-		slotKey:   make([]int64, size),
-		slotGroup: make([]int32, size),
-		nAggs:     nAggs,
-	}
-}
-
-// slot returns key's group index, inserting it (in first-seen order) on
-// first sight.
-func (t *fusedAggTable) slot(key int64) int32 {
-	i := mix64(uint64(key)) & t.mask
-	for {
-		g := t.slotGroup[i]
-		if g == 0 {
-			t.slotKey[i] = key
-			t.keys = append(t.keys, key)
-			t.counts = append(t.counts, 0)
-			for a := 0; a < t.nAggs; a++ {
-				t.isums = append(t.isums, 0)
-				t.imins = append(t.imins, 0)
-				t.imaxs = append(t.imaxs, 0)
-				t.seen = append(t.seen, false)
-			}
-			g = int32(len(t.keys))
-			t.slotGroup[i] = g
-			if uint64(len(t.keys))*2 >= t.mask+1 {
-				t.grow()
-			}
-			return g - 1
-		}
-		if t.slotKey[i] == key {
-			return g - 1
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// firstOf returns group gi's recorded first-appearance value, -1 when
-// none was noted (or tracking is off).
-func (t *fusedAggTable) firstOf(gi int) int64 {
-	if gi >= len(t.first) {
-		return -1
-	}
-	return t.first[gi]
-}
-
-// noteFirst records window-local row i as group g's first selected
-// appearance, once.  Fold loops visit rows in ascending order and
-// partials merge in morsel order, so the first note IS the first
-// selected occurrence.
-func (t *fusedAggTable) noteFirst(g int32, i int) {
-	if !t.firstOn {
-		return
-	}
-	for int(g) >= len(t.first) {
-		t.first = append(t.first, -1)
-	}
-	if t.first[g] < 0 {
-		t.first[g] = t.base + int64(i)
-	}
-}
-
-// noteFirstRange records the first selected row of [lo, hi) as group g's
-// first appearance — the run-at-a-time closed forms never see individual
-// rows, so on insertion the exact first set bit is looked up here.
-func (t *fusedAggTable) noteFirstRange(g int32, sel *vec.Bitvec, lo, hi int) {
-	if !t.firstOn {
-		return
-	}
-	for int(g) >= len(t.first) {
-		t.first = append(t.first, -1)
-	}
-	if t.first[g] >= 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if sel.Get(i) {
-			t.first[g] = t.base + int64(i)
-			return
-		}
-	}
-}
-
-func (t *fusedAggTable) grow() {
-	size := (t.mask + 1) * 2
-	t.mask = size - 1
-	t.slotKey = make([]int64, size)
-	t.slotGroup = make([]int32, size)
-	for gi, key := range t.keys {
-		i := mix64(uint64(key)) & t.mask
-		for t.slotGroup[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-		t.slotKey[i] = key
-		t.slotGroup[i] = int32(gi + 1)
-	}
-}
-
-// addN folds n occurrences of value v into aggregate ai of group g — the
-// run-at-a-time closed form (sum += n*v; min/max see v once) and, with
-// n=1, the row-at-a-time case.
-func (t *fusedAggTable) addN(g int32, ai int, v, n int64) {
-	o := int(g)*t.nAggs + ai
-	t.isums[o] += v * n
-	if !t.seen[o] || v < t.imins[o] {
-		t.imins[o] = v
-	}
-	if !t.seen[o] || v > t.imaxs[o] {
-		t.imaxs[o] = v
-	}
-	t.seen[o] = true
-}
-
-// mergeFrom folds the partial src into t.  Like mergeInto, callers must
-// merge partials in morsel order so first-seen group order is the global
-// row order of first selected occurrence.
-func (t *fusedAggTable) mergeFrom(src *fusedAggTable) {
-	for gi, key := range src.keys {
-		g := t.slot(key)
-		if t.firstOn {
-			for int(g) >= len(t.first) {
-				t.first = append(t.first, -1)
-			}
-			if sf := src.firstOf(gi); sf >= 0 && (t.first[g] < 0 || sf < t.first[g]) {
-				t.first[g] = sf
-			}
-		}
-		t.counts[g] += src.counts[gi]
-		for a := 0; a < t.nAggs; a++ {
-			so, do := gi*t.nAggs+a, int(g)*t.nAggs+a
-			t.isums[do] += src.isums[so]
-			if src.seen[so] {
-				if !t.seen[do] || src.imins[so] < t.imins[do] {
-					t.imins[do] = src.imins[so]
-				}
-				if !t.seen[do] || src.imaxs[so] > t.imaxs[do] {
-					t.imaxs[do] = src.imaxs[so]
-				}
-				t.seen[do] = true
-			}
-		}
-	}
-}
-
-// mergePartials folds per-morsel partial tables into one, in morsel order,
-// and counts the partial groups merged (the merge's price).
-func mergePartials(nAggs int, trackFirst bool, partials []*fusedAggTable) (*fusedAggTable, uint64) {
-	t := newFusedAggTable(nAggs)
-	t.firstOn = trackFirst
-	var groups uint64
-	for _, p := range partials {
-		groups += uint64(len(p.keys))
-		t.mergeFrom(p)
-	}
-	return t, groups
-}
-
-// sortByFirst reorders the table's groups by ascending first-appearance
-// sequence (unique per group), the merged global group order.
-func (t *fusedAggTable) sortByFirst() {
-	n := len(t.keys)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return t.firstOf(perm[a]) < t.firstOf(perm[b]) })
-	keys := make([]int64, n)
-	counts := make([]int64, n)
-	isums := make([]int64, n*t.nAggs)
-	imins := make([]int64, n*t.nAggs)
-	imaxs := make([]int64, n*t.nAggs)
-	seen := make([]bool, n*t.nAggs)
-	first := make([]int64, n)
-	for di, si := range perm {
-		keys[di] = t.keys[si]
-		counts[di] = t.counts[si]
-		first[di] = t.firstOf(si)
-		copy(isums[di*t.nAggs:(di+1)*t.nAggs], t.isums[si*t.nAggs:(si+1)*t.nAggs])
-		copy(imins[di*t.nAggs:(di+1)*t.nAggs], t.imins[si*t.nAggs:(si+1)*t.nAggs])
-		copy(imaxs[di*t.nAggs:(di+1)*t.nAggs], t.imaxs[si*t.nAggs:(si+1)*t.nAggs])
-		copy(seen[di*t.nAggs:(di+1)*t.nAggs], t.seen[si*t.nAggs:(si+1)*t.nAggs])
-	}
-	t.keys, t.counts, t.isums, t.imins, t.imaxs, t.seen, t.first = keys, counts, isums, imins, imaxs, seen, first
-	// The open-addressing slots now point at stale group indices; the
-	// table is output-only after sorting, so drop them defensively.
-	for i := range t.slotGroup {
-		t.slotGroup[i] = 0
-		t.slotKey[i] = 0
-	}
-	for gi, key := range t.keys {
-		i := mix64(uint64(key)) & t.mask
-		for t.slotGroup[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-		t.slotKey[i] = key
-		t.slotGroup[i] = int32(gi + 1)
-	}
-}
-
-// runFusedAgg executes the fused filter→aggregate pipeline as one
-// shard-at-a-time fold: one pass per morsel over every surviving shard,
-// partials merged in morsel order per shard, shard tables merged in shard
-// order.  Across more than one shard each group's first-appearance row
-// is rewritten into its global sequence and the merged groups are sorted
-// by it — exactly the first-appearance order a scan of the unsharded
-// table produces; a single shard already is in that order.
-func (a *HashAgg) runFusedAgg(ctx *Ctx, fp *fusedAggPlan) (*Relation, error) {
+// fold implements aggFeeder: one window set per surviving shard, in shard
+// order, each the shard's morsel grid.
+func (sf *shardFeed) fold(ctx *Ctx, m *aggMerge) error {
 	snap := ctx.SnapTS
-	var final *fusedAggTable
-	var partialGroups uint64
-	var mergeW energy.Counters
-	nparts := 0
-	err := fp.scan.eachShard(ctx, func(i int, sb *ShardBinding) error {
-		fs := &fp.shards[i]
-		partials, work := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*fusedAggTable, energy.Counters) {
-			return a.fusedAggMorsel(fp, fs, snap, lo, hi)
+	return sf.scan.eachShard(ctx, func(i int, sb *ShardBinding) error {
+		fs := &sf.shards[i]
+		partials, work := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(_, lo, hi int) (*groupTable, energy.Counters) {
+			return sf.morsel(fs, snap, lo, hi)
 		})
 		if ctx.Canceled() {
 			return ErrCanceled
 		}
-		shardT, groups := mergePartials(len(a.Aggs), fp.trackFirst, partials)
-		partialGroups += groups
-		nparts += len(partials)
-		if fp.trackFirst {
-			// First-appearance rows become global sequences: point reads of
-			// the stored sequence column, priced like any sparse gather.
-			for gi := range shardT.keys {
-				if f := shardT.firstOf(gi); f >= 0 {
-					shardT.first[gi] = sb.Seq.Get(int(f))
-				}
-			}
-			g := uint64(len(shardT.keys))
-			mergeW.Add(energy.Counters{CacheMisses: g / 4, Instructions: g * 2})
+		label := sf.a.Label() + " [fused]"
+		if sf.scan.multi() {
+			label = fmt.Sprintf("%s [fused shard %d]", sf.a.Label(), i)
 		}
-		label := a.Label() + " [fused]"
-		if fp.scan.multi() {
-			label = fmt.Sprintf("%s [fused shard %d]", a.Label(), i)
+		var seq *colstore.IntColumn
+		if sf.trackFirst {
+			seq = sb.Seq
 		}
-		ctx.Trace(label, len(shardT.keys), work)
-		if final == nil {
-			final = shardT
-		} else {
-			final.mergeFrom(shardT)
-		}
+		m.add(ctx, label, partials, work, seq)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if final == nil {
-		final = newFusedAggTable(len(a.Aggs))
-	}
-	if fp.trackFirst {
-		final.sortByFirst()
-	}
-	chargeAggMerge(ctx, nparts, partialGroups, len(final.keys), mergeW)
-	return a.buildFusedOutput(&fp.fusedAggOut, final), nil
 }
 
-// fusedAggMorsel filters rows [lo, hi) of one shard with the scan's own
-// kernel — charging the exact same scan counters — and folds the
-// selected rows into a partial table without materializing them.
-func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, fs *fusedAggShard, snap int64, lo, hi int) (*fusedAggTable, energy.Counters) {
+// morsel filters rows [lo, hi) of one shard with the scan's own kernel —
+// charging the exact same scan counters — and folds the selected rows
+// into a partial table without materializing them.
+func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTable, energy.Counters) {
 	sel, w := fs.sb.selectRows(snap, lo, hi)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
-	t := newFusedAggTable(len(a.Aggs))
-	if fp.trackFirst {
+	t := sf.newTable(fs.dicts)
+	if sf.trackFirst {
 		t.firstOn = true
 		t.base = int64(lo)
 	}
@@ -475,13 +211,13 @@ func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, fs *fusedAggShard, snap int64
 		w.Add(fusedFold(fs, t, sel, lo, hi, selCnt))
 		// The aggregate stage's logical rows plus its fold budget; the
 		// physical decode/run-stream work is priced inside fusedFold per
-		// span.  Strictly below the generic rangeWork, which pays one hash
-		// probe miss per row and re-reads every group/agg value at full
-		// width from the materialized intermediate.
+		// span.  Strictly below the relation feeder's rangeWork, which pays
+		// one hash probe miss per row and re-reads every group/agg value at
+		// full width from the materialized intermediate.
 		w.Add(energy.Counters{
 			TuplesIn:     uint64(selCnt),
-			TuplesOut:    uint64(len(t.keys)),
-			Instructions: uint64(selCnt) * uint64(4+2*len(a.Aggs)),
+			TuplesOut:    uint64(t.groups()),
+			Instructions: uint64(selCnt) * uint64(4+2*len(fs.aggInts)),
 			CacheMisses:  uint64(selCnt) / 8,
 		})
 	}
@@ -493,7 +229,7 @@ func (a *HashAgg) fusedAggMorsel(fp *fusedAggPlan, fs *fusedAggShard, snap int64
 // (under 1/8 of the window) take point reads instead of span streams —
 // a fixed density rule, and like the rest of the fused pricing a pure
 // function of (snapshot, predicates, grid).
-func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, selCnt int) energy.Counters {
+func fusedFold(fs *shardFeedCols, t *groupTable, sel *vec.Bitvec, lo, hi, selCnt int) energy.Counters {
 	var w energy.Counters
 	nrows := hi - lo
 	sparse := selCnt*8 < nrows
@@ -501,15 +237,10 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 		return energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 	}
 
-	// Lazily materialized per-aggregate value windows, indexed by local
-	// row.  Only aggregates that cannot use a closed form read them.
-	vals := make([][]int64, len(fs.aggInts))
-	getVals := func(ai int) []int64 {
-		if vals[ai] != nil {
-			return vals[ai]
-		}
+	// readWin materializes a column's window, indexed by local row: the
+	// selected rows point-read when sparse, the spans bulk-decoded otherwise.
+	readWin := func(c *colstore.IntColumn) []int64 {
 		buf := make([]int64, nrows)
-		c := fs.aggInts[ai]
 		if sparse {
 			sel.ForEach(func(i int) { buf[i] = c.Get(lo + i) })
 			w.Add(sparseWork(selCnt))
@@ -518,8 +249,16 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 				w.Add(vsp.Decode(buf[vsp.A-lo : vsp.B-lo]))
 			}
 		}
-		vals[ai] = buf
 		return buf
+	}
+	// Lazily materialized per-aggregate value windows.  Only aggregates
+	// that cannot use a closed form read them.
+	vals := make([][]int64, len(fs.aggInts))
+	getVals := func(ai int) []int64 {
+		if vals[ai] == nil {
+			vals[ai] = readWin(fs.aggInts[ai])
+		}
+		return vals[ai]
 	}
 	foldRow := func(g int32, i int) {
 		t.counts[g]++
@@ -533,8 +272,8 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 
 	// Global aggregation: the count is free of any column touch, and RLE
 	// aggregate inputs fold run-at-a-time.
-	if fs.groupInts == nil {
-		g := t.slot(0)
+	if len(fs.groups) == 0 {
+		g := t.slot(0, nil)
 		t.counts[g] += int64(selCnt)
 		for ai, ic := range fs.aggInts {
 			if ic == nil {
@@ -565,21 +304,47 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 		return w
 	}
 
-	// Grouped aggregation, sparse: point-read the group keys of the
-	// selected rows only.
+	// Grouped aggregation, sparse: point-read the key parts of the selected
+	// rows only.
+	rest := make([]int64, len(fs.groups)-1)
 	if sparse {
 		sel.ForEach(func(i int) {
-			g := t.slot(fs.groupInts.Get(lo + i))
+			for p, c := range fs.groups[1:] {
+				rest[p] = c.Get(lo + i)
+			}
+			g := t.slot(fs.groups[0].Get(lo+i), rest)
 			t.noteFirst(g, i)
 			foldRow(g, i)
 		})
-		w.Add(sparseWork(selCnt))
+		for range fs.groups {
+			w.Add(sparseWork(selCnt))
+		}
 		return w
 	}
 
-	// Grouped aggregation, dense: sweep the group column span-wise in its
+	// Grouped aggregation, dense, several key columns: there is no one
+	// physical layout to sweep, so every key column's window is decoded
+	// like an aggregate input and the rows fold on the k-wide key.
+	if len(fs.groups) > 1 {
+		wins := make([][]int64, len(fs.groups))
+		for p, c := range fs.groups {
+			wins[p] = readWin(c)
+		}
+		sel.ForEach(func(i int) {
+			for p, win := range wins[1:] {
+				rest[p] = win[i]
+			}
+			g := t.slot(wins[0][i], rest)
+			t.noteFirst(g, i)
+			foldRow(g, i)
+		})
+		return w
+	}
+
+	// Grouped aggregation, dense, one key column: sweep it span-wise in its
 	// physical layout.
-	for _, sp := range fs.groupInts.Spans(lo, hi) {
+	gcol := fs.groups[0]
+	for _, sp := range gcol.Spans(lo, hi) {
 		la, lb := sp.A-lo, sp.B-lo
 		switch sp.Enc {
 		case colstore.EncRLE:
@@ -588,14 +353,14 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 				if c == 0 {
 					return
 				}
-				g := t.slot(v)
+				g := t.slot(v, nil)
 				t.noteFirstRange(g, sel, ra-lo, rb-lo)
 				t.counts[g] += int64(c)
 				for ai, ic := range fs.aggInts {
 					if ic == nil {
 						continue
 					}
-					if ic == fs.groupInts {
+					if ic == gcol {
 						// SUM(x) GROUP BY x: run closed form, no expansion.
 						t.addN(g, ai, v, int64(c))
 						continue
@@ -618,7 +383,7 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 				code := codes[i-la]
 				g := code2group[code]
 				if g < 0 {
-					g = t.slot(dict[code])
+					g = t.slot(dict[code], nil)
 					code2group[code] = g
 					t.noteFirst(g, i)
 				}
@@ -628,68 +393,13 @@ func fusedFold(fs *fusedAggShard, t *fusedAggTable, sel *vec.Bitvec, lo, hi, sel
 			buf := make([]int64, lb-la)
 			w.Add(sp.Decode(buf))
 			sel.ForEachRange(la, lb, func(i int) {
-				g := t.slot(buf[i-la])
+				g := t.slot(buf[i-la], nil)
 				t.noteFirst(g, i)
 				foldRow(g, i)
 			})
 		}
 	}
 	return w
-}
-
-// buildFusedOutput materializes the fused result, decoding string group
-// keys through the dictionary exactly once per output group.
-func (a *HashAgg) buildFusedOutput(shape *fusedAggOut, t *fusedAggTable) *Relation {
-	n := len(t.keys)
-	out := &Relation{N: n}
-	if len(a.GroupBy) == 1 {
-		oc := Col{Name: shape.groupName, Type: shape.groupType}
-		if shape.groupType == colstore.String {
-			oc.S = make([]string, n)
-			for i, k := range t.keys {
-				oc.S[i] = shape.groupDict[k]
-			}
-		} else {
-			oc.I = make([]int64, n)
-			copy(oc.I, t.keys)
-		}
-		out.Cols = append(out.Cols, oc)
-	}
-	for ai, s := range a.Aggs {
-		intOut := s.Func == expr.AggCount ||
-			(shape.intIn[ai] && (s.Func == expr.AggSum || s.Func == expr.AggMin || s.Func == expr.AggMax))
-		oc := Col{Name: aggOutName(s)}
-		if intOut {
-			oc.Type = colstore.Int64
-			oc.I = make([]int64, n)
-		} else {
-			oc.Type = colstore.Float64
-			oc.F = make([]float64, n)
-		}
-		for gi := 0; gi < n; gi++ {
-			o := gi*t.nAggs + ai
-			if intOut {
-				switch s.Func {
-				case expr.AggCount:
-					oc.I[gi] = t.counts[gi]
-				case expr.AggSum:
-					oc.I[gi] = t.isums[o]
-				case expr.AggMin:
-					oc.I[gi] = t.imins[o]
-				case expr.AggMax:
-					oc.I[gi] = t.imaxs[o]
-				}
-				continue
-			}
-			// The only float-typed fused aggregate is AVG over an Int64
-			// input (value-needing fused inputs are always Int64).
-			if s.Func == expr.AggAvg && t.counts[gi] > 0 {
-				oc.F[gi] = float64(t.isums[o]) / float64(t.counts[gi])
-			}
-		}
-		out.Cols = append(out.Cols, oc)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -889,31 +599,33 @@ func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.C
 }
 
 // ---------------------------------------------------------------------------
-// Fused probe→aggregate
+// Fused probe→aggregate: the probe-match feeder
 // ---------------------------------------------------------------------------
 
-// fusedProbeAggPlan is a resolved, eligible Join+HashAgg fusion: the
-// join's shard probe source plus, for the group key and every aggregate,
-// which side's column it reads.
-type fusedProbeAggPlan struct {
+// probeFeed is the probe-match feeder of an aggregation (agg.go): the
+// child join's shard probe source plus, for the group key and every
+// aggregate, which side's column it reads.
+type probeFeed struct {
+	a     *HashAgg
 	join  *Join
 	probe *shardProbe
-	fusedAggOut
+	aggShape
 	group probeAggInput
 	aggs  []probeAggInput
 	// wins are the distinct probe-side columns the fold reads, each
 	// streamed into one window per morsel.
 	wins []*colstore.IntColumn
+	// groupDict decodes a probe-side string group's dictionary codes.
+	groupDict []string
 }
 
 // probeAggInput locates one fold input: a probe-side window (index into
-// fusedProbeAggPlan.wins) or a build-relation column, -1 where absent.
-// Neither set means no value is read (global group, COUNT).
+// probeFeed.wins) or a build-relation column, -1 where absent.  Neither
+// set means no value is read (global group, COUNT).
 type probeAggInput struct{ win, build int }
 
-// fusedProbeAggPlan reports how (and whether) this HashAgg can take its
-// child join's matches straight into partial aggregates.  One more row of
-// the one eligibility table:
+// probeFeed resolves the probe-match feeder, nil when the child join's
+// matches cannot fold straight into partial aggregates:
 //
 //	child        a *Join (under the planner's Materialize or not) whose
 //	             probe side fuses (shardProbe) and whose build side is a
@@ -922,14 +634,14 @@ type probeAggInput struct{ win, build int }
 //	             (a probe-side dictionary code, a build-side string
 //	             resolved to one int64 id per build row)
 //	aggregates   COUNT(*), COUNT(col) of a join output column, or
-//	             SUM/MIN/MAX/AVG of an Int64 column of either side
+//	             SUM/MIN/MAX/AVG of a BIGINT column of either side
 //
 // Columns resolve by name against the join's output schema, exactly as
-// the generic HashAgg would find them in the joined relation.  Every input
-// is static — no row count, no snapshot — so EXPLAIN and Run cannot
+// the relation feeder would find them in the joined relation.  Every
+// input is static — no row count, no snapshot — so EXPLAIN and Run cannot
 // disagree.  Anything else returns nil and the join emits pairs for the
-// generic HashAgg.
-func (a *HashAgg) fusedProbeAggPlan() *fusedProbeAggPlan {
+// relation feeder.
+func (a *HashAgg) probeFeed() *probeFeed {
 	child := a.Child
 	if m, ok := child.(*Materialize); ok {
 		child = m.Child
@@ -962,7 +674,7 @@ func (a *HashAgg) fusedProbeAggPlan() *fusedProbeAggPlan {
 		}
 	}
 	schema := mergeJoinColumns(&Relation{Cols: fp.sb.tmpl}, &Relation{Cols: rb.tmpl}, j.RightKey)
-	pa := &fusedProbeAggPlan{join: j, probe: fp, group: probeAggInput{-1, -1}}
+	pf := &probeFeed{a: a, join: j, probe: fp, group: probeAggInput{-1, -1}}
 	find := func(name string) int {
 		return slices.IndexFunc(schema.Cols, func(c Col) bool { return c.Name == name })
 	}
@@ -986,39 +698,38 @@ func (a *HashAgg) fusedProbeAggPlan() *fusedProbeAggPlan {
 			if !group {
 				return in, false
 			}
-			ints, pa.groupDict = c.CodeColumn(), c.Dict()
+			ints, pf.groupDict = c.CodeColumn(), c.Dict()
 		default:
-			return in, false // float inputs keep the generic path
+			return in, false // DOUBLE inputs are relation-fed
 		}
-		if in.win = slices.Index(pa.wins, ints); in.win < 0 {
-			in.win = len(pa.wins)
-			pa.wins = append(pa.wins, ints)
+		if in.win = slices.Index(pf.wins, ints); in.win < 0 {
+			in.win = len(pf.wins)
+			pf.wins = append(pf.wins, ints)
 		}
 		return in, true
 	}
 	if len(a.GroupBy) == 1 {
 		o := find(a.GroupBy[0])
-		if pa.group, ok = resolve(o, true); !ok {
+		if pf.group, ok = resolve(o, true); !ok {
 			return nil
 		}
-		pa.groupName, pa.groupType = schema.Cols[o].Name, schema.Cols[o].Type
+		pf.groupTypes = []colstore.Type{schema.Cols[o].Type}
 	}
-	pa.aggs = make([]probeAggInput, len(a.Aggs))
-	pa.intIn = make([]bool, len(a.Aggs))
+	pf.aggs = make([]probeAggInput, len(a.Aggs))
+	pf.valTypes = make([]colstore.Type, len(a.Aggs))
 	for i, spec := range a.Aggs {
-		pa.aggs[i] = probeAggInput{-1, -1}
+		pf.aggs[i] = probeAggInput{-1, -1}
 		if spec.Func == expr.AggCount {
 			if spec.Col != "" && find(spec.Col) < 0 {
 				return nil // COUNT(col) on a column the join doesn't emit
 			}
 			continue
 		}
-		if pa.aggs[i], ok = resolve(find(spec.Col), false); !ok {
+		if pf.aggs[i], ok = resolve(find(spec.Col), false); !ok {
 			return nil
 		}
-		pa.intIn[i] = true
 	}
-	return pa
+	return pf
 }
 
 // probeFold is the aggregate sink of one probe morsel: every match
@@ -1026,12 +737,13 @@ func (a *HashAgg) fusedProbeAggPlan() *fusedProbeAggPlan {
 // The build-side columns are shared by all morsels; the windows and the
 // slot memo are this morsel's, bound from worker scratch.
 type probeFold struct {
-	pa         *fusedProbeAggPlan
-	t          *fusedAggTable
-	buildGroup []int64   // per build row: its group key (build-side groups)
-	buildVals  [][]int64 // per aggregate: its build-side input column
-	groupWin   []int64   // probe-side group keys of the window
-	aggWin     [][]int64 // per aggregate: its probe-side input window
+	pf         *probeFeed
+	t          *groupTable
+	dicts      [][]string // every partial's key dictionaries: a string group's
+	buildGroup []int64    // per build row: its group key (build-side groups)
+	buildVals  [][]int64  // per aggregate: its build-side input column
+	groupWin   []int64    // probe-side group keys of the window
+	aggWin     [][]int64  // per aggregate: its probe-side input window
 	// idSlot memoizes each of nids dense group keys' index in t plus one
 	// (0 = not yet seen this morsel), so string groups (keys are dictionary
 	// ids) and the global group (key 0) cost an array load per match, not a
@@ -1044,18 +756,18 @@ type probeFold struct {
 // the key stream's density verdict, and resets the slot memo.
 func (f *probeFold) bind(sc *probeScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
 	var w energy.Counters
-	pa := f.pa
-	for len(sc.wins) < len(pa.wins) {
+	pf := f.pf
+	for len(sc.wins) < len(pf.wins) {
 		sc.wins = append(sc.wins, nil)
 	}
-	for k, c := range pa.wins {
+	for k, c := range pf.wins {
 		w.Add(streamWindow(c, false, rows, lo, hi, dense, window(&sc.wins[k], hi-lo)))
 	}
-	if pa.group.win >= 0 {
-		f.groupWin = sc.wins[pa.group.win]
+	if pf.group.win >= 0 {
+		f.groupWin = sc.wins[pf.group.win]
 	}
 	sc.aggWin = sc.aggWin[:0]
-	for _, in := range pa.aggs {
+	for _, in := range pf.aggs {
 		var win []int64
 		if in.win >= 0 {
 			win = sc.wins[in.win]
@@ -1087,9 +799,9 @@ func (f *probeFold) add(i int, r int32) {
 	}
 	var g int32
 	if f.idSlot == nil {
-		g = t.slot(key)
+		g = t.slot(key, nil)
 	} else if g = f.idSlot[key] - 1; g < 0 {
-		g = t.slot(key)
+		g = t.slot(key, nil)
 		f.idSlot[key] = g + 1
 	}
 	t.counts[g]++
@@ -1103,7 +815,7 @@ func (f *probeFold) add(i int, r int32) {
 }
 
 // work prices folding matches matches: the aggregate stage's logical
-// rows and fusedAggMorsel's fold budget, plus one cache-resident touch
+// rows and shardFeed.morsel's fold budget, plus one cache-resident touch
 // per build-side input — the build relation is the small side.  No pair
 // was written and nothing is re-read from an intermediate.
 func (f *probeFold) work(matches uint64) energy.Counters {
@@ -1118,8 +830,8 @@ func (f *probeFold) work(matches uint64) energy.Counters {
 	}
 	return energy.Counters{
 		TuplesIn:     matches,
-		TuplesOut:    uint64(len(f.t.keys)),
-		Instructions: matches * uint64(4+2*len(f.pa.aggs)),
+		TuplesOut:    uint64(f.t.groups()),
+		Instructions: matches * uint64(4+2*len(f.pf.aggs)),
 		CacheMisses:  matches * touches / 8,
 	}
 }
@@ -1134,62 +846,57 @@ func buildGroupKeys(c *Col) (keys []int64, dict []string, w energy.Counters) {
 	return internStrings(c.S)
 }
 
-// runFusedProbeAgg is the join with the fold sink: the join's build side
+// fold implements aggFeeder: the join with the fold sink.  The build side
 // runs and is hashed as ever (Join.build), then each probe morsel folds
-// its matches into a partial table and the partials merge in morsel order
-// exactly as runFusedAgg merges them — no pair list, no gathered join
-// relation, no string-keyed aggTable.
-func (a *HashAgg) runFusedProbeAgg(ctx *Ctx, pa *fusedProbeAggPlan) (*Relation, error) {
-	jr, err := pa.join.build(ctx, pa.probe)
+// its matches into a partial table — one window set, the probe source's
+// morsel grid; no pair list, no gathered join relation.
+func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
+	jr, err := pf.join.build(ctx, pf.probe)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	right := jr.right
-	out := pa.fusedAggOut
-	var buildGroup []int64
-	if pa.group.build >= 0 {
+	f := &probeFold{pf: pf, buildVals: make([][]int64, len(pf.aggs))}
+	switch {
+	case pf.group.build >= 0:
+		var dict []string
 		var gw energy.Counters
-		buildGroup, out.groupDict, gw = buildGroupKeys(&right.Cols[pa.group.build])
+		f.buildGroup, dict, gw = buildGroupKeys(&jr.right.Cols[pf.group.build])
 		if !gw.IsZero() {
-			ctx.Charge(a.Label()+" [group ids]", len(out.groupDict), gw)
+			ctx.Charge(pf.a.Label()+" [group ids]", len(dict), gw)
 		}
+		f.dicts, f.nids = [][]string{dict}, len(dict)
+	case pf.group.win >= 0:
+		f.dicts, f.nids = [][]string{pf.groupDict}, len(pf.groupDict)
+	default:
+		f.nids = 1 // the global group's one key, 0
 	}
-	buildVals := make([][]int64, len(pa.aggs))
-	for ai, in := range pa.aggs {
+	for ai, in := range pf.aggs {
 		if in.build >= 0 {
-			buildVals[ai] = right.Cols[in.build].I
+			f.buildVals[ai] = jr.right.Cols[in.build].I
 		}
 	}
-
-	nids := len(out.groupDict) // a string group's keys are dictionary ids
-	if len(a.GroupBy) == 0 {
-		nids = 1 // the global group's one key, 0
-	}
-
-	outs, qw, err := jr.probe(ctx, &probeFold{pa: pa, buildGroup: buildGroup, buildVals: buildVals, nids: nids})
+	outs, qw, err := jr.probe(ctx, f)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	partials := make([]*fusedAggTable, len(outs))
-	for m := range outs {
-		partials[m] = outs[m].agg
+	partials := make([]*groupTable, len(outs))
+	for i := range outs {
+		partials[i] = outs[i].agg
 	}
-	final, partialGroups := mergePartials(len(a.Aggs), false, partials)
-	ctx.Trace(a.Label()+" [fused probe→agg]", len(final.keys), qw)
-	chargeAggMerge(ctx, len(partials), partialGroups, len(final.keys), energy.Counters{})
-	return a.buildFusedOutput(&out, final), nil
+	m.add(ctx, pf.a.Label()+" [fused probe→agg]", partials, qw, nil)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Planner mirrors
 // ---------------------------------------------------------------------------
 
-// fusion implements fuser: which of the two aggregate fusions, if any.
+// fusion implements fuser: which of the two fused feeders, if any.
 func (a *HashAgg) fusion() string {
 	switch {
-	case a.fusedAggPlan() != nil:
+	case a.shardFeed() != nil:
 		return "fused"
-	case a.fusedProbeAggPlan() != nil:
+	case a.probeFeed() != nil:
 		return "fused probe→agg"
 	}
 	return ""
@@ -1203,12 +910,11 @@ func (j *Join) fusion() string {
 	return ""
 }
 
-// FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs}
-// would take the fused filter→aggregate path — the planner's pricing
-// mirror of fusedAggPlan.
+// FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs} is
+// shard-fed — the planner's pricing mirror of the feeder selection.
 func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
-	return a.fusedAggPlan() != nil
+	return a.shardFeed() != nil
 }
 
 // FusedProbeEligible reports whether a Join probing scan on leftKey
@@ -1220,8 +926,8 @@ func FusedProbeEligible(scan *Scan, leftKey string) bool {
 
 // FusedProbeAggEligible reports whether HashAgg{Child: child, GroupBy,
 // Aggs} folds its child join's matches straight into partial aggregates
-// — the planner's pricing mirror of fusedProbeAggPlan.
+// — the planner's pricing mirror of probeFeed.
 func FusedProbeAggEligible(child Node, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: child, GroupBy: groupBy, Aggs: aggs}
-	return a.fusedProbeAggPlan() != nil
+	return a.probeFeed() != nil
 }

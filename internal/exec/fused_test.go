@@ -225,7 +225,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 					t.Fatal("degenerate case: no output groups")
 				}
 				if !reflect.DeepEqual(fus.rel, unf.rel) {
-					t.Fatalf("fused relation diverged from legacy\n got %+v\nwant %+v", fus.rel, unf.rel)
+					t.Fatalf("fused relation diverged from the relation-fed twin\n got %+v\nwant %+v", fus.rel, unf.rel)
 				}
 				for _, dop := range []int{2, 8} {
 					if a := runAggArm(t, tc.tab, c, tc.snap, dop, true); !reflect.DeepEqual(a.rel, unf.rel) || a.w != unf.w {
@@ -237,9 +237,8 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 				}
 				// Physical bytes must drop on the dense arms where fusion
 				// skips the intermediate.  (Total TuplesIn/TuplesOut are NOT
-				// cross-path comparable: the fused merge stage reports its
-				// partial-group tuples like the legacy parallel agg does,
-				// while the legacy serial agg has no merge.)
+				// cross-path comparable: the two feeders cut different morsel
+				// grids, so their merges report different partial-group tuples.)
 				switch c.name {
 				case "rle-group", "dict-group", "string-group", "global":
 					if fus.w.BytesReadDRAM >= unf.w.BytesReadDRAM {
@@ -252,11 +251,15 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestFusedAggEligibility is the one eligibility table, over a flat
-// source and a k=4 sharded one: every shape either fuses or returns a
-// nil fused plan (the generic HashAgg owns it), and an ineligible shape
-// still answers through the materializing pipeline — ineligibility is a
-// plan decision, never a result change.
+// TestFusedAggEligibility is the one feeder selection rule, over a flat
+// source and a k=4 sharded one: an aggregation is shard-fed iff its child
+// is a full-scan *Scan, everything it names binds, and no GROUP BY column
+// or value input is a DOUBLE (float accumulation order is the relation
+// grid's — see HashAgg.feeder).  Any number of BIGINT/string group
+// columns and per-shard string dictionaries are shard-fed, and every
+// shard-fed shape answers byte for byte what its relation-fed twin (the
+// same scan hidden behind opaque) answers — the feeder is a plan
+// decision, never a result change.
 func TestFusedAggEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
 	_, twins := shardTwins(t, 4096, 0)
@@ -267,19 +270,22 @@ func TestFusedAggEligibility(t *testing.T) {
 	count := []expr.AggSpec{{Func: expr.AggCount}}
 	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}}
 	cases := []struct {
-		name    string
-		child   Node
-		groupBy []string
-		aggs    []expr.AggSpec
-		fuses   bool
-		// run: "ok" → the generic path answers; "err" → it owns the binding
-		// error; "" → eligible, or a shape the planner never builds.
+		name     string
+		child    Node
+		groupBy  []string
+		aggs     []expr.AggSpec
+		shardFed bool
+		// run: "twin" → shard-fed, equal to the opaque twin; "ok" → the
+		// relation feeder answers; "err" → it owns the binding error; "" → a
+		// shape the planner never builds.
 		run string
 	}{
-		{"flat/int-group", flat("rle", "region", "amount"), []string{"rle"}, count, true, ""},
-		{"flat/string-group", flat("rle", "region", "amount"), []string{"region"}, count, true, ""},
-		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, ""},
-		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, false, "ok"},
+		{"flat/int-group", flat("rle", "region", "amount"), []string{"rle"}, count, true, "twin"},
+		{"flat/string-group", flat("rle", "region", "amount"), []string{"region"}, count, true, "twin"},
+		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, "twin"},
+		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, true, "twin"},
+		{"flat/code-domain-group", &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}},
+			[]string{"region"}, count, true, "twin"},
 		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
@@ -288,67 +294,46 @@ func TestFusedAggEligibility(t *testing.T) {
 			[]string{"rle"}, count, false, ""},
 		{"flat/count-col-not-selected", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}, false, "err"},
-		{"flat/code-domain-group", &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}},
-			[]string{"region"}, count, false, ""},
-		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, ""},
-		{"sharded/global", sharded(), nil, sumVal, true, ""},
-		{"sharded/string-group", sharded(), []string{"region"}, sumVal, false, "ok"}, // per-shard dictionaries
+		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, "twin"},
+		{"sharded/global", sharded(), nil, sumVal, true, "twin"},
+		{"sharded/string-group", sharded(), []string{"region"}, sumVal, true, "twin"}, // per-shard dictionaries
+		{"sharded/multi-group", sharded(), []string{"grp", "region", "val"}, sumVal, true, "twin"},
 		{"sharded/float-agg-input", sharded(), []string{"grp"},
 			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
-		{"sharded/multi-group", sharded(), []string{"grp", "val"}, sumVal, false, "ok"},
+		{"sharded/float-group", sharded(), []string{"amount", "grp"}, sumVal, false, "ok"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			agg := &HashAgg{Child: c.child, GroupBy: c.groupBy, Aggs: c.aggs}
-			if got := agg.fusedAggPlan() != nil; got != c.fuses {
-				t.Fatalf("fusion eligibility = %v, want %v", got, c.fuses)
+			if got := agg.shardFeed() != nil; got != c.shardFed {
+				t.Fatalf("shard-fed = %v, want %v", got, c.shardFed)
 			}
-			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.fuses {
+			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.shardFed {
 				t.Fatal("planner mirror disagrees with the executor")
 			}
 			if c.run == "" {
 				return
 			}
-			rel, err := agg.Run(NewCtx())
+			ctx := NewCtx()
+			rel, err := agg.Run(ctx)
 			if c.run == "err" {
 				if err == nil {
-					t.Fatal("the generic path must report the binding error")
+					t.Fatal("the relation feeder must report the binding error")
 				}
 				return
 			}
 			must(t, err)
-			if rel.N == 0 {
-				t.Fatal("the generic path returned no groups")
+			if rel.N == 0 || ranShardFed(ctx) != c.shardFed {
+				t.Fatalf("%d groups, ran shard-fed = %v", rel.N, ranShardFed(ctx))
+			}
+			if c.run == "twin" {
+				twin, err := (&HashAgg{Child: opaque(c.child), GroupBy: c.groupBy, Aggs: c.aggs}).Run(NewCtx())
+				must(t, err)
+				if !reflect.DeepEqual(rel, twin) {
+					t.Fatalf("shard-fed relation diverged from its relation-fed twin\n got %+v\nwant %+v", rel, twin)
+				}
 			}
 		})
-	}
-}
-
-// TestAggGroupKeyNoNULCollision is the satellite-1 regression: the
-// legacy aggTable keys are length-prefixed per part, so multi-column
-// group values containing NUL bytes cannot collide.  ("a\x00","b") and
-// ("a","\x00b") concatenate identically under the old bare-separator
-// encoding and must land in two distinct groups.
-func TestAggGroupKeyNoNULCollision(t *testing.T) {
-	in := &Relation{N: 2, Cols: []Col{
-		{Name: "g1", Type: colstore.String, S: []string{"a\x00", "a"}},
-		{Name: "g2", Type: colstore.String, S: []string{"b", "\x00b"}},
-	}}
-	rel, err := (&HashAgg{
-		Child:   &relSource{rel: in},
-		GroupBy: []string{"g1", "g2"},
-		Aggs:    []expr.AggSpec{{Func: expr.AggCount}},
-	}).Run(NewCtx())
-	must(t, err)
-	if rel.N != 2 {
-		t.Fatalf("NUL-bearing group keys collided: got %d groups, want 2", rel.N)
-	}
-	cnt, err := rel.Col("count")
-	must(t, err)
-	for i := 0; i < rel.N; i++ {
-		if cnt.I[i] != 1 {
-			t.Fatalf("group %d count = %d, want 1", i, cnt.I[i])
-		}
 	}
 }
 
@@ -481,7 +466,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 					t.Fatal("degenerate case: join produced no rows")
 				}
 				if !reflect.DeepEqual(fus.rel, unf.rel) {
-					t.Fatalf("fused join relation diverged from legacy (N fused=%d unfused=%d)",
+					t.Fatalf("fused join relation diverged from the materializing twin (N fused=%d unfused=%d)",
 						fus.rel.N, unf.rel.N)
 				}
 				for _, dop := range []int{2, 8} {

@@ -62,8 +62,9 @@ func (j *Join) Kids() []Node { return []Node{j.Left, j.Right} }
 // ErrResultTooLarge is returned by a join asked to materialize more than
 // maxJoinPairs matches: a low-cardinality key turns an equi-join into a
 // near cross product whose pair lists would otherwise grow until the
-// process is killed, which no panic isolation can catch.
-var ErrResultTooLarge = errors.New("exec: join result too large")
+// process is killed, which no panic isolation can catch.  The serving
+// layer reports a result over its response row cap with the same error.
+var ErrResultTooLarge = errors.New("exec: result too large")
 
 // maxJoinPairs caps the pairs one join may materialize — 16× the largest
 // pair list any benchmark or experiment statement produces.  The fold
@@ -235,13 +236,7 @@ func internStrings(ss []string) (codes []int64, dict []string, w energy.Counters
 	ids := make(map[string]int64)
 	codes = make([]int64, len(ss))
 	for i, s := range ss {
-		id, ok := ids[s]
-		if !ok {
-			id = int64(len(dict))
-			ids[s] = id
-			dict = append(dict, s)
-		}
-		codes[i] = id
+		codes[i] = internID(ids, &dict, s)
 		w.BytesReadDRAM += uint64(len(s)) + 16
 	}
 	n := uint64(len(ss))
@@ -371,7 +366,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 // partial aggregate they folded into.
 type probeOut struct {
 	pairChunk
-	agg *fusedAggTable
+	agg *groupTable
 }
 
 // pairBudget admits the pair sink's morsel outputs in morsel order until
@@ -418,7 +413,7 @@ func (jr *joinRun) probe(ctx *Ctx, fold *probeFold) ([]probeOut, energy.Counters
 	outs, qw := runMorsels(ctx, jr.src.rows(snap), func(m, lo, hi int) (probeOut, energy.Counters) {
 		if fold != nil {
 			f := *fold
-			f.t = newFusedAggTable(len(f.pa.aggs))
+			f.t = f.pf.newTable(f.dicts)
 			_, w := jr.probeMorsel(snap, lo, hi, &f)
 			return probeOut{agg: f.t}, w
 		}

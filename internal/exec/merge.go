@@ -12,10 +12,9 @@ import (
 
 // Partial-aggregate merging shared by the distributed shipping strategies
 // (internal/dist pushdown) and usable by any caller that combines
-// two-column (group, SUM) partial relations.  The morsel-parallel
-// HashAgg merges richer per-morsel states internally (agg.go mergeInto);
-// this is the relation-shaped variant that crosses subsystem (and wire)
-// boundaries.
+// two-column (group, SUM) partial relations.  HashAgg merges its richer
+// per-morsel tables internally (agg.go groupTable.mergeFrom); this is the
+// relation-shaped variant that crosses subsystem (and wire) boundaries.
 
 // mergeAccum is one group's running total across partials, plus the group
 // value to emit (the map key for floats is the printed form).

@@ -1,0 +1,512 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/big"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/colstore"
+	"repro/internal/expr"
+	"repro/internal/vec"
+	"repro/internal/workload"
+)
+
+// Tests that pin the aggregate collapse (ISSUE 20): there is one
+// aggregation table, so the relation a HashAgg returns equals the map
+// oracle (agg_oracle_test.go) for every key shape, value input, size,
+// feeder and layout; DOUBLE sums are accumulated on the relation grid and
+// nowhere else; and an overflowing BIGINT sum wraps to the same value on
+// every path.
+
+// aggTwins is one flat table and a sharded twin per shard count, all
+// carrying the identical MVCC history.
+type aggTwins struct {
+	flat  *colstore.Table
+	twins map[int]*colstore.ShardedTable
+	row   func(i int) []any
+	base  int
+}
+
+// newAggTwins loads rows row(0..base-1) into a flat table, cuts a twin on
+// shardCol at every k in ks, and seals them all.
+func newAggTwins(t testing.TB, schema colstore.Schema, shardCol string, ks []int, row func(i int) []any, base int) *aggTwins {
+	t.Helper()
+	flat := colstore.NewTable("t", schema)
+	rows := make([][]any, base)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	for ci, d := range schema {
+		switch d.Type {
+		case colstore.Int64:
+			vs := make([]int64, base)
+			for i, r := range rows {
+				vs[i] = r[ci].(int64)
+			}
+			must(t, flat.Writer().Int64(d.Name, vs...).Close())
+		case colstore.Float64:
+			vs := make([]float64, base)
+			for i, r := range rows {
+				vs[i] = r[ci].(float64)
+			}
+			must(t, flat.Writer().Float64(d.Name, vs...).Close())
+		default:
+			vs := make([]string, base)
+			for i, r := range rows {
+				vs[i] = r[ci].(string)
+			}
+			must(t, flat.Writer().String(d.Name, vs...).Close())
+		}
+	}
+	must(t, flat.Seal())
+	tw := &aggTwins{flat: flat, twins: map[int]*colstore.ShardedTable{}, row: row, base: base}
+	for _, k := range ks {
+		st, err := colstore.ShardTable(flat, shardCol, k)
+		must(t, err)
+		must(t, st.Seal())
+		tw.twins[k] = st
+	}
+	return tw
+}
+
+// mutate inserts rows row(base..base+ins-1) at commit timestamps 1..ins,
+// then tombstones the logical rows listed in del (an index below base is
+// a base row, the rest delta rows) — on the flat table and on every twin.
+// Inserts route to the owning shard with a fresh global sequence,
+// mirroring the engine's sharded write path.
+func (tw *aggTwins) mutate(t testing.TB, ins int, del []int) {
+	t.Helper()
+	type loc struct {
+		sh *colstore.Table
+		id int64
+	}
+	flatIDs := make([]int64, ins)
+	twinIDs := map[int][]loc{}
+	lsn, ts := uint64(1), int64(0)
+	for j := 0; j < ins; j++ {
+		ts++
+		vals := tw.row(tw.base + j)
+		id, err := tw.flat.ApplyInsert(ts, lsn, vals...)
+		must(t, err)
+		flatIDs[j] = id
+		for k, st := range tw.twins {
+			si, routed, err := st.Route(vals)
+			must(t, err)
+			sh := st.Shard(si)
+			sid, err := sh.ApplyInsert(ts, lsn, routed...)
+			must(t, err)
+			twinIDs[k] = append(twinIDs[k], loc{sh, sid})
+		}
+		lsn++
+	}
+	// A twin's copy of base row r is the row whose sequence is r.
+	doomed := map[int]bool{}
+	for _, r := range del {
+		doomed[r] = true
+	}
+	baseLoc := map[int]map[int]loc{}
+	for k, st := range tw.twins {
+		baseLoc[k] = map[int]loc{}
+		for _, sh := range st.Shards() {
+			seq, err := sh.IntCol(colstore.ShardSeqCol)
+			must(t, err)
+			for r := 0; r < sh.Rows(); r++ {
+				if s := int(seq.Get(r)); s < tw.base && doomed[s] {
+					baseLoc[k][s] = loc{sh, sh.RowID(r)}
+				}
+			}
+		}
+	}
+	for _, r := range del {
+		ts++
+		if r < tw.base {
+			must(t, tw.flat.ApplyDelete(ts, lsn, tw.flat.RowID(r)))
+		} else {
+			must(t, tw.flat.ApplyDelete(ts, lsn, flatIDs[r-tw.base]))
+		}
+		for k := range tw.twins {
+			l, ok := baseLoc[k][r]
+			if r >= tw.base {
+				l, ok = twinIDs[k][r-tw.base], true
+			}
+			if !ok {
+				t.Fatalf("k=%d: base row %d not located", k, r)
+			}
+			must(t, l.sh.ApplyDelete(ts, lsn, l.id))
+		}
+		lsn++
+	}
+}
+
+var oneAggSchema = colstore.Schema{
+	{Name: "ck", Type: colstore.Int64}, // shard key
+	{Name: "ik", Type: colstore.Int64},
+	{Name: "sk", Type: colstore.String},
+	{Name: "na", Type: colstore.String}, // na × nb: NUL-bearing pairs that
+	{Name: "nb", Type: colstore.String}, // collide under a bare separator
+	{Name: "fk", Type: colstore.Float64},
+	{Name: "iv", Type: colstore.Int64},
+	{Name: "fv", Type: colstore.Float64},
+}
+
+// oneAggRow is logical row i of the matrix table.  fk cycles through two
+// NaNs of different payload, both zeros, an infinity and ordinary values;
+// fv spreads over forty binary orders of magnitude, so a float sum's last
+// bits depend on the order it was accumulated in.
+func oneAggRow(i int) []any {
+	fks := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Copysign(0, -1), 0,
+		1.5, -2.25, math.Inf(1), 1e-300,
+	}
+	return []any{
+		int64(i*7919) % (1 << 16),
+		int64(i*31) % 97,
+		workload.RegionNames[(i*13)%len(workload.RegionNames)],
+		[]string{"a\x00", "a"}[i%2],
+		[]string{"b", "\x00b"}[(i/2)%2],
+		fks[(i*5)%len(fks)],
+		int64(i*2654435761)%(1<<21) - 1<<20,
+		math.Ldexp(float64((i*40503)%9973)+0.1, i%41-20),
+	}
+}
+
+// Key shapes, value inputs and feeders of the matrix.
+var (
+	oneAggShapes = []struct {
+		name    string
+		groupBy []string
+	}{
+		{"global", nil},
+		{"bigint", []string{"ik"}},
+		{"dict-string", []string{"sk"}}, // a flat scan emits it as codes (Scan.Codes)
+		{"raw-string", []string{"sk"}},
+		{"double", []string{"fk"}},
+		{"bigint×string", []string{"ik", "sk"}},
+		{"string×string-NUL", []string{"na", "nb"}},
+		{"same-twice", []string{"ik", "ik"}},
+	}
+	oneAggValues = []struct {
+		name string
+		aggs []expr.AggSpec
+	}{
+		{"count-star", []expr.AggSpec{{Func: expr.AggCount}}},
+		{"count-col", []expr.AggSpec{{Func: expr.AggCount, Col: "fv"}}},
+		{"int", []expr.AggSpec{{Func: expr.AggSum, Col: "iv"}, {Func: expr.AggMin, Col: "iv"},
+			{Func: expr.AggMax, Col: "iv"}, {Func: expr.AggAvg, Col: "iv"}}},
+		{"float", []expr.AggSpec{{Func: expr.AggSum, Col: "fv"}, {Func: expr.AggMin, Col: "fv"},
+			{Func: expr.AggMax, Col: "fv"}, {Func: expr.AggAvg, Col: "fv"}}},
+	}
+	oneAggFeeders = []string{"scan", "opaque", "delta"}
+)
+
+// sameAggRelation compares two aggregation results: schema, integers and
+// strings exactly; floats bit for bit (any two NaNs are equal), or within
+// tol relative when tol > 0.
+func sameAggRelation(got, want *Relation, tol float64) error {
+	if got.N != want.N || len(got.Cols) != len(want.Cols) {
+		return fmt.Errorf("shape %d×%d, want %d×%d", got.N, len(got.Cols), want.N, len(want.Cols))
+	}
+	for ci := range want.Cols {
+		g, w := &got.Cols[ci], &want.Cols[ci]
+		if g.Name != w.Name || g.Type != w.Type || !slices.Equal(g.I, w.I) || !slices.Equal(g.S, w.S) || len(g.F) != len(w.F) {
+			return fmt.Errorf("column %d (%s) differs", ci, w.Name)
+		}
+		for i, x := range w.F {
+			y := g.F[i]
+			same := math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+			if !same && !(tol > 0 && math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y))) {
+				return fmt.Errorf("column %s row %d: got %x (%g), want %x (%g)", w.Name, i,
+					math.Float64bits(y), y, math.Float64bits(x), x)
+			}
+		}
+	}
+	return nil
+}
+
+// ranShardFed reports whether a run's trace holds a shard-fed fold.
+func ranShardFed(ctx *Ctx) bool {
+	return slices.ContainsFunc(ctx.OpReports, func(op OpReport) bool { return strings.Contains(op.Label, "[fused") })
+}
+
+// TestOneAggMatchesMapOracle: relation == the map oracle, and relation +
+// Meter identical at DOP {1, 2, 8}, over key shape × value input × input
+// rows straddling the two retired thresholds (2^16, the grid pitch, and
+// 2^18, the old serial/parallel switch) × feeder × layout.  Float results
+// equal the oracle bit for bit wherever the oracle reproduces the
+// parent's accumulation order — under 2^16 relation rows (one partial is
+// the old serial loop) and from 2^18 (the old grid) — and within 1e-12
+// relative in between, where the serial loop became 2–4 partials.  There
+// a relation-fed run also charges exactly the oracle's Meter.  Sizes 0
+// and 1 run the full cross product; each of the five large sizes runs a
+// rotating slice, so every (key shape, value input, feeder) triple meets
+// two large sizes, alternating between the flat and the k=4 layout.
+func TestOneAggMatchesMapOracle(t *testing.T) {
+	sizes := []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<18 - 1, 1 << 18}
+	type oracleRun struct {
+		rel *Relation
+		ctx *Ctx
+	}
+	for si, n := range sizes {
+		tw := newAggTwins(t, oneAggSchema, "ck", []int{4}, oneAggRow, n)
+		// One table per size serves both passes: sealed for the scan and
+		// opaque feeders, then — min(n, 300) rows inserted and as many base
+		// and delta rows tombstoned, so n rows stay visible — live.
+		for _, live := range []bool{false, true} {
+			if live {
+				ins := min(n, 300)
+				var del []int
+				for j := 0; j < ins/30; j++ {
+					del = append(del, n+j*10)
+				}
+				for i := 0; len(del) < ins; i++ {
+					del = append(del, i*37)
+				}
+				tw.mutate(t, ins, del)
+			}
+			oracles := map[string]*oracleRun{} // the bare and the hidden scan share a run
+			for shi, shape := range oneAggShapes {
+				for vi, vals := range oneAggValues {
+					for fi, feeder := range oneAggFeeders {
+						for li, sharded := range []bool{false, true} {
+							// A triple's two large sizes: any of the five, and another
+							// of the three around 2^16 (a quarter the rows of the rest).
+							triple := (shi*len(oneAggValues)+vi)*len(oneAggFeeders) + fi
+							first, second := triple%5, triple/5%3
+							if second == first {
+								second = (second + 1) % 3
+							}
+							if large := si - 2; large >= 0 && (first != large && second != large || (triple+si+li)%2 != 0) {
+								continue
+							}
+							if live != (feeder == "delta") {
+								continue
+							}
+							src := colstore.OneShard(tw.flat)
+							if sharded {
+								src = tw.twins[4]
+							}
+							var sel []string
+							for _, c := range append(slices.Clone(shape.groupBy), vals.aggs[0].Col, "ck") {
+								if c != "" && !slices.Contains(sel, c) && (c != "ck" || sel == nil) {
+									sel = append(sel, c)
+								}
+							}
+							scan := &Scan{Source: src, Select: sel}
+							if shape.name == "dict-string" && !sharded {
+								scan.Codes = []string{"sk"}
+							}
+							var child Node = scan
+							if feeder == "opaque" {
+								child = opaque(scan)
+							}
+							agg := &HashAgg{Child: child, GroupBy: shape.groupBy, Aggs: vals.aggs}
+							name := fmt.Sprintf("n=%d/%s/%s/%s/sharded=%v", n, shape.name, vals.name, feeder, sharded)
+
+							okey := fmt.Sprint(sharded, shape.name, vals.name)
+							if oracles[okey] == nil {
+								rel, ctx := runPlan(t, &mapAgg{Child: opaque(&Scan{Source: src, Select: sel}),
+									GroupBy: shape.groupBy, Aggs: vals.aggs}, 1)
+								oracles[okey] = &oracleRun{rel, ctx}
+							}
+							want, octx := oracles[okey].rel, oracles[okey].ctx
+							inBand := n >= 1<<16 && n < 1<<18
+							tol := 0.0
+							if inBand && vals.name == "float" {
+								tol = 1e-12
+							}
+							wantShardFed := feeder != "opaque" && shape.name != "double" && vals.name != "float"
+							var base *Ctx
+							for _, dop := range []int{1, 2, 8} {
+								got, ctx := runPlan(t, agg, dop)
+								if err := sameAggRelation(got, want, tol); err != nil {
+									t.Fatalf("%s dop=%d: diverged from the map oracle: %v", name, dop, err)
+								}
+								// (Every shard of an empty table is pruned: nothing is traced.)
+								if fused := ranShardFed(ctx); (agg.fusion() == "fused") != wantShardFed || (n > 0 && fused != wantShardFed) {
+									t.Fatalf("%s dop=%d: shard-fed=%v (EXPLAIN %q), want %v", name, dop, fused, agg.fusion(), wantShardFed)
+								}
+								if base == nil {
+									base = ctx
+								} else if ctx.Meter.Snapshot() != base.Meter.Snapshot() {
+									t.Fatalf("%s dop=%d: counters differ from DOP 1:\n%+v\n%+v", name, dop, ctx.Meter.Snapshot(), base.Meter.Snapshot())
+								}
+							}
+							if feeder == "opaque" && !inBand && scan.Codes == nil && base.Meter.Snapshot() != octx.Meter.Snapshot() {
+								t.Fatalf("%s: relation-fed Meter moved off the parent's:\n%+v\n%+v", name, base.Meter.Snapshot(), octx.Meter.Snapshot())
+							}
+							if groups := want.N; (n > 0) != (groups > 0) || (shape.name == "string×string-NUL" && n > 3 && groups != 4) {
+								t.Fatalf("%s: degenerate cell, %d groups", name, groups)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// gridSum adds xs the way the relation feeder does: serially within each
+// chunk of pitch values, the chunk sums then added in order (the first
+// taken as it stands).
+func gridSum(xs []float64, pitch int) float64 {
+	var total float64
+	for lo := 0; lo < len(xs); lo += pitch {
+		var part float64
+		for _, x := range xs[lo:min(lo+pitch, len(xs))] {
+			part += x
+		}
+		if lo == 0 {
+			total = part
+		} else {
+			total += part
+		}
+	}
+	return total
+}
+
+// TestFloatSumOrderIsRelationGrid pins the one sentence that defines
+// float accumulation order: within a partial in ascending relation-row
+// order, partials added in morsel order, grid pitch MorselRows over the
+// RELATION's rows.  The column is built so that the serial sum, the sum
+// on the 64 Ki grid of the filtered relation, and the sum on the grid of
+// physical table morsels are three different float64 values; the engine
+// must return the relation-grid one at every DOP, on the flat and the
+// k ∈ {4, 16} layouts, over a live delta and after merging it.
+func TestFloatSumOrderIsRelationGrid(t *testing.T) {
+	schema := colstore.Schema{
+		{Name: "ck", Type: colstore.Int64},
+		{Name: "keep", Type: colstore.Int64},
+		{Name: "x", Type: colstore.Float64},
+	}
+	row := func(i int) []any {
+		return []any{int64(i*7919) % (1 << 16), int64(i % 2), math.Ldexp(float64((i*40503)%9973)+0.1, i%53-26)}
+	}
+	const base, ins = 3*MorselRows + 1000, 400
+	var del []int
+	for i := 0; i < 50; i++ {
+		del = append(del, i*4001+1, base+i*8+1) // odd rows: kept by the filter
+	}
+	tw := newAggTwins(t, schema, "ck", []int{4, 16}, row, base)
+	tw.mutate(t, ins, del)
+
+	// The filtered logical row sequence, and the same rows cut by the flat
+	// layout's physical morsels.
+	var kept []float64
+	var physical float64
+	for lo := 0; lo < base+ins; lo += MorselRows {
+		var part float64
+		for i := lo; i < min(lo+MorselRows, base+ins); i++ {
+			if i%2 == 1 && !slices.Contains(del, i) {
+				x := row(i)[2].(float64)
+				kept = append(kept, x)
+				part += x
+			}
+		}
+		physical += part
+	}
+	serial, grid := gridSum(kept, len(kept)), gridSum(kept, MorselRows)
+	if serial == grid || serial == physical || grid == physical {
+		t.Fatalf("degenerate column: serial %x, relation grid %x, physical grid %x", serial, grid, physical)
+	}
+
+	layouts := map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4], "k=16": tw.twins[16]}
+	check := func(when string) {
+		for lname, src := range layouts {
+			for _, dop := range []int{1, 2, 8} {
+				rel, _ := runPlan(t, &HashAgg{
+					Child: &Scan{Source: src, Select: []string{"x"},
+						Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}},
+					Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "x", As: "s"}},
+				}, dop)
+				if got := rel.Cols[0].F[0]; got != grid {
+					t.Fatalf("%s %s dop=%d: SUM = %x; relation grid %x, serial %x, physical grid %x",
+						when, lname, dop, got, grid, serial, physical)
+				}
+			}
+		}
+	}
+	check("live")
+	for _, src := range layouts {
+		for _, sh := range src.Shards() {
+			_, err := sh.Merge(0)
+			must(t, err)
+		}
+	}
+	check("merged")
+}
+
+// TestIntSumOverflowWrapsIdentically: a BIGINT SUM that passes
+// math.MaxInt64 wraps modulo 2^64 to the SAME value on every path — the
+// shard feeder's RLE closed form n*v and its row-at-a-time spans, the
+// relation feeder, the partial merge, the probe fold and the map oracle —
+// at DOP {1, 2, 8}, because all of them only add and multiply in one ring.
+func TestIntSumOverflowWrapsIdentically(t *testing.T) {
+	const n = 2*MorselRows + 1000
+	tab := colstore.NewTable("wrap", colstore.Schema{
+		{Name: "g", Type: colstore.Int64},
+		{Name: "rle", Type: colstore.Int64},
+		{Name: "raw", Type: colstore.Int64},
+	})
+	g, rle, raw := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range g {
+		g[i] = int64(i % 5)
+		rle[i] = math.MaxInt64/3 - int64(i/512)           // long runs of huge values
+		raw[i] = int64(uint64(i)*0x9E3779B97F4A7C15) >> 1 // 63 random bits, non-negative
+	}
+	raw[0] = math.MinInt64 // a 64-bit range defeats bit-packing: seals raw
+	exact := map[string]*big.Int{"rle": new(big.Int), "raw": new(big.Int)}
+	for i := range g {
+		exact["rle"].Add(exact["rle"], big.NewInt(rle[i]))
+		exact["raw"].Add(exact["raw"], big.NewInt(raw[i]))
+	}
+	must(t, tab.Writer().Int64("g", g...).Close())
+	must(t, tab.Writer().Int64("rle", rle...).Close())
+	must(t, tab.Writer().Int64("raw", raw...).Close())
+	must(t, tab.Seal())
+	for _, name := range []string{"rle", "raw"} {
+		c, err := tab.IntCol(name)
+		must(t, err)
+		if c.Storage().Segments[name] == 0 {
+			t.Fatalf("column %q did not seal as %s: %v", name, name, c.Storage().Segments)
+		}
+		if exact[name].CmpAbs(big.NewInt(math.MaxInt64)) <= 0 {
+			t.Fatalf("SUM(%s) = %s does not overflow", name, exact[name])
+		}
+	}
+	aggs := []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}, {Func: expr.AggSum, Col: "raw"}}
+	scan := func() *Scan { return &Scan{Source: colstore.OneShard(tab), Select: []string{"g", "rle", "raw"}} }
+	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4).Close())
+	must(t, dim.Seal())
+	for _, groupBy := range [][]string{nil, {"g"}} {
+		want, _ := runPlan(t, &mapAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs}, 1)
+		if groupBy == nil {
+			for ci, name := range []string{"rle", "raw"} {
+				wrapped := new(big.Int).And(exact[name], new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+				if got := uint64(want.Cols[ci].I[0]); got != wrapped {
+					t.Fatalf("SUM(%s) = %d, want the exact sum modulo 2^64 = %d", name, got, wrapped)
+				}
+			}
+		}
+		plans := map[string]Node{
+			"shard-fed":    &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
+			"relation-fed": &HashAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs},
+			"probe-fold": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)},
+				LeftKey: "g", RightKey: "k"}, GroupBy: groupBy, Aggs: aggs},
+		}
+		if plans["probe-fold"].(*HashAgg).fusion() != "fused probe→agg" {
+			t.Fatal("the probe-fold arm does not fold")
+		}
+		for pname, plan := range plans {
+			for _, dop := range []int{1, 2, 8} {
+				got, _ := runPlan(t, plan, dop)
+				if err := sameAggRelation(got, want, 0); err != nil {
+					t.Fatalf("%s GROUP BY %v dop=%d: %v", pname, groupBy, dop, err)
+				}
+			}
+		}
+	}
+}

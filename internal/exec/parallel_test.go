@@ -165,9 +165,9 @@ func TestScanErrors(t *testing.T) {
 // aggregation over a parallel scan must produce byte-identical relations
 // and identical total energy counters at DOP 1 and DOP 8.
 func TestParallelAggDOPInvariant(t *testing.T) {
-	// 400k rows: the 80%-selective predicate still leaves the
-	// aggregation input above ParallelAggRows, so both the scan and the
-	// aggregation run the morsel path.
+	// 400k rows: the 80%-selective predicate leaves the relation feeder
+	// (DOUBLE inputs) several morsels, so both the scan and the
+	// aggregation fan out.
 	tab := ordersTable(t, 400_000)
 	plan := func() *HashAgg {
 		return &HashAgg{
@@ -221,9 +221,8 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 			},
 		}
 	}
-	// Serial reference: a 300k-row input would engage the parallel path
-	// through Run, so drive the serial aggregation loop directly over
-	// the serial scan's rows.
+	// Serial reference: the map oracle's row loop (agg_oracle_test.go)
+	// driven over all of the scan's rows as one window.
 	scan := &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}
 	in, err := scan.Run(NewCtx())
 	if err != nil {
@@ -232,12 +231,12 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	serialAgg := mk(&relSource{rel: in})
 	want := map[string][]float64{}
 	{
-		groupCols, aggCols, err := serialAgg.bindCols(in)
+		rf, err := serialAgg.relFeed(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tbl := newAggTable()
-		serialAgg.aggRange(tbl, groupCols, aggCols, 0, in.N)
+		(&mapAgg{GroupBy: serialAgg.GroupBy, Aggs: serialAgg.Aggs}).aggRange(tbl, rf.groupCols, rf.aggCols, 0, in.N)
 		for _, key := range tbl.order {
 			st := tbl.groups[key]
 			want[key] = []float64{st.sums[0], float64(st.count), st.mins[2], st.maxs[3]}

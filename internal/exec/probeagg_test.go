@@ -17,7 +17,7 @@ import (
 // under a GROUP BY folds its matches straight into partial aggregates;
 // that must be invisible to results — the relation is byte-identical to
 // the materializing pipeline (the same plan with its probe scan hidden
-// behind opaque, so probe, gather and the generic HashAgg all run) — and
+// behind opaque, so probe, gather and the relation-fed HashAgg all run) — and
 // the fused arm's relation and counters are DOP-invariant.  Never wall
 // clock: CI has one CPU, so invariance is what is assertable.
 
@@ -259,7 +259,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.agg.fusedProbeAggPlan() != nil {
+			if c.agg.probeFeed() != nil {
 				t.Fatal("shape must not be probe→aggregate eligible")
 			}
 			got, ranFused := runProbeAgg(t, c.agg, colstore.SnapLatest, 2)
@@ -286,7 +286,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 		}
 		return &HashAgg{Child: join(left, dimScan()), GroupBy: []string{"rle"}, Aggs: count}
 	}
-	if tiny(false).fusedProbeAggPlan() == nil {
+	if tiny(false).probeFeed() == nil {
 		t.Fatal("a tiny probe must be probe→aggregate eligible")
 	}
 	got, ranFused := runProbeAgg(t, tiny(false), colstore.SnapLatest, 2)
@@ -295,11 +295,11 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 		t.Fatalf("tiny probe: fused=%v\ngot  %+v\nwant %+v", ranFused, got.rel, want.rel)
 	}
 
-	// Error parity: an aggregate the generic HashAgg rejects is not eligible,
-	// so the generic path reports it.
+	// Error parity: an aggregate the relation feeder rejects is not eligible,
+	// so the relation feeder reports it.
 	bad := &HashAgg{Child: join(factScan(), dimScan()), Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "name"}}}
 	if _, err := bad.Run(NewCtx()); err == nil || !strings.Contains(err.Error(), "VARCHAR") {
-		t.Fatalf("SUM over a string column: want the generic VARCHAR error, got %v", err)
+		t.Fatalf("SUM over a string column: want the relation feeder's VARCHAR error, got %v", err)
 	}
 }
 
@@ -349,7 +349,7 @@ func TestFusedProbeAggCancelMidProbe(t *testing.T) {
 // TestFusedProbeAggAllocsDoNotScaleWithProbeRows: the sink allocates per
 // morsel (a partial table, a selection bitmap) and per build row — never
 // per probe row or per match, which is what the pair lists, the gathered
-// join relation and the string-keyed aggTable used to cost.
+// join relation and a string-keyed map used to cost.
 func TestFusedProbeAggAllocsDoNotScaleWithProbeRows(t *testing.T) {
 	dim := probeAggDim(t)
 	allocs := func(rows int) float64 {

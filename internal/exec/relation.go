@@ -11,8 +11,8 @@
 // concurrently on the same tree or with the same Ctx, and every serial
 // operator (Filter, Project, Sort, Limit, Exchange, Materialize) runs
 // entirely on that goroutine.  The morsel-driven operators — Scan,
-// HashAgg above ParallelAggRows input rows, and Join — fan work out to
-// Ctx.DOP() internal workers (a one-morsel input runs on one) but
+// HashAgg and Join — fan work out to Ctx.DOP() internal workers (a
+// one-morsel input runs on one) but
 // present the same single-goroutine interface: they return only after
 // all workers have joined, and their results and charged counters are
 // byte-identical at every degree of parallelism (see morsel.go and

@@ -14,7 +14,8 @@ import (
 // Sharded byte-identity matrix (ISSUE 10 acceptance).  Value-range
 // sharding must be invisible to results: at every shard count {1,4,16}
 // × DOP {1,2,8} × sealed-only vs live main+delta snapshots, sharded
-// scans, fused aggregations (and their string/float fallbacks), and
+// scans, shard-fed aggregations (per-shard string dictionaries included;
+// DOUBLE inputs feed from the merged relation), and
 // co-partitioned joins return relations byte-identical to the flat
 // layout, and each arm's counters are DOP-invariant.  Counters are NOT
 // compared across shard counts: pruning changes the bytes touched —
@@ -231,17 +232,18 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 			preds: []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(1 << 15)}},
 		},
 		{
-			// String group key: per-shard dictionaries are incomparable, so
-			// this takes the merged-relation fallback.
-			name: "string-group-fallback", sel: []string{"region", "val"},
+			// String group key: every shard folds its own dictionary's codes
+			// and the cross-shard merge translates the keys through their
+			// strings.
+			name: "string-group-translated", sel: []string{"region", "val"},
 			groupBy: []string{"region"},
 			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}},
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
 		},
 		{
-			// Float aggregate input: fused kernels are integer-only, so this
-			// also takes the merged-relation fallback.
-			name: "float-agg-fallback", sel: []string{"grp", "amount"},
+			// Float aggregate input: float sums are accumulated on the relation
+			// grid, so this feeds from the merged relation.
+			name: "float-agg-relation-fed", sel: []string{"grp", "amount"},
 			groupBy: []string{"grp"},
 			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggCount}},
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},

@@ -407,6 +407,14 @@ func (s *Server) onExecuted() {
 	s.mu.Unlock()
 }
 
+// maxResponseRows caps the rows one response renders — 100× the largest
+// result any benchmark or experiment statement returns.  Uncapped, a
+// `SELECT * FROM orders` JSON-encodes every row of the table (tens of
+// megabytes per request; a handful of them at once is an OOM kill that no
+// panic isolation can catch).  (A variable only so the envelope test can
+// lower it.)
+var maxResponseRows = 1 << 20
+
 // renderTicket turns a settled ticket into its HTTP status and body: the
 // bytes json.Marshal gives a queryResponse, appended straight from the
 // relation's typed columns — no row is boxed into []any on the way (a
@@ -415,10 +423,14 @@ func renderTicket(t *core.Ticket) (int, []byte) {
 	switch {
 	case errors.Is(t.Err, exec.ErrResultTooLarge):
 		// The statement, not the server, is at fault: a join asked to
-		// materialize a near cross product.
+		// materialize a near cross product (or, below, more rows than a
+		// response renders).
 		return http.StatusUnprocessableEntity, errBody("result_too_large", t.Err.Error(), 0)
 	case t.Err != nil:
 		return http.StatusInternalServerError, errBody("internal", t.Err.Error(), 0)
+	case t.Rel.N > maxResponseRows:
+		err := fmt.Errorf("%w: %d rows, a response renders at most %d", exec.ErrResultTooLarge, t.Rel.N, maxResponseRows)
+		return http.StatusUnprocessableEntity, errBody("result_too_large", err.Error(), 0)
 	}
 	rel := t.Rel
 	b := make([]byte, 0, 512+16*rel.N*len(rel.Cols))

@@ -35,6 +35,10 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	// cap lowered).
 	defer startDriver(sc)()
 	plant(t, s, gatedSQL, func(n exec.Node) exec.Node { return tooLargeNode{n} })
+	// A plain row selection returns every row of the table: lower the
+	// response row cap under it.
+	defer func(limit int) { maxResponseRows = limit }(maxResponseRows)
+	maxResponseRows = 100
 
 	// One byte past the cap once the JSON framing is counted.
 	oversized := `{"sql":"` + strings.Repeat("x", maxBodyBytes) + `"}`
@@ -68,6 +72,7 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"get on write", "GET", "/write", ``, "", 405, "method_not_allowed"},
 		{"oversized query body", "POST", "/query", oversized, "", 413, "body_too_large"},
 		{"join result too large", "POST", "/query", queryBody(gatedSQL), "", 422, "result_too_large"},
+		{"result over the response row cap", "POST", "/query", queryBody("SELECT id, custkey, amount FROM orders"), "", 422, "result_too_large"},
 		{"oversized write body", "POST", "/write", oversized, "", 413, "body_too_large"},
 	}
 	for _, c := range cases {
