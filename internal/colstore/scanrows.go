@@ -76,9 +76,7 @@ func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 			ctr.Add(s.scanCompressed(op, cval, la, lb, start, lo, out))
 		default:
 			st.SegmentsRaw++
-			sub := vec.NewBitvec(lb - la)
-			vec.ScanPredicated(s.raw[la:lb], op, cval, sub)
-			sub.ForEach(func(i int) { out.Set(a + i - lo) })
+			vec.ScanPredicatedAt(s.raw[la:lb], op, cval, out, a-lo)
 			ctr.BytesReadDRAM += rows * 8
 			ctr.Instructions += rows * 3
 		}
@@ -88,32 +86,10 @@ func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 }
 
 // ScanRows evaluates `value op x` over rows [lo, hi) into out (length
-// hi-lo) with the branch-free scalar kernel.
+// hi-lo) with the branch-free scalar kernel BIGINT raw segments share.  A
+// NaN row matches only NE.
 func (c *FloatColumn) ScanRows(op vec.CmpOp, x float64, lo, hi int, out *vec.Bitvec) energy.Counters {
-	if out.Len() != hi-lo {
-		panic("colstore: scan result length mismatch")
-	}
-	for i := lo; i < hi; i++ {
-		v := c.vals[i]
-		var m bool
-		switch op {
-		case vec.LT:
-			m = v < x
-		case vec.LE:
-			m = v <= x
-		case vec.GT:
-			m = v > x
-		case vec.GE:
-			m = v >= x
-		case vec.EQ:
-			m = v == x
-		case vec.NE:
-			m = v != x
-		}
-		if m {
-			out.Set(i - lo)
-		}
-	}
+	vec.ScanPredicated(c.vals[lo:hi], op, x, out)
 	return energy.Counters{
 		BytesReadDRAM: uint64(hi-lo) * 8,
 		Instructions:  uint64(hi-lo) * 3,

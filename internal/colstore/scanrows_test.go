@@ -2,9 +2,11 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 var allOps = []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
@@ -74,15 +76,33 @@ func TestIntScanRowsMatchesScan(t *testing.T) {
 	}
 }
 
+// TestFloatScanRowsMatchesScan checks every window against a per-row
+// comparison; every 101st row is a NaN, which matches only NE.
 func TestFloatScanRowsMatchesScan(t *testing.T) {
 	c := NewFloatColumn()
 	n := 70_000
 	for i := 0; i < n; i++ {
-		c.Append(float64(i%997) / 3)
+		v := float64(i%997) / 3
+		if i%101 == 0 {
+			v = math.NaN()
+		}
+		c.Append(v)
+	}
+	cmp := map[vec.CmpOp]func(a, b float64) bool{
+		vec.LT: func(a, b float64) bool { return a < b },
+		vec.LE: func(a, b float64) bool { return a <= b },
+		vec.GT: func(a, b float64) bool { return a > b },
+		vec.GE: func(a, b float64) bool { return a >= b },
+		vec.EQ: func(a, b float64) bool { return a == b },
+		vec.NE: func(a, b float64) bool { return a != b },
 	}
 	for _, op := range allOps {
 		full := vec.NewBitvec(n)
-		c.Scan(op, 150.5, full)
+		for i := 0; i < n; i++ {
+			if cmp[op](c.Get(i), 150.5) {
+				full.Set(i)
+			}
+		}
 		for _, w := range windows(n) {
 			lo, hi := w[0], w[1]
 			out := vec.NewBitvec(hi - lo)
@@ -147,6 +167,39 @@ func TestStringScanRowsSemantics(t *testing.T) {
 					checkBits(t, out, want,
 						fmt.Sprintf("string sealed=%v op=%v s=%q [%d,%d)", sealed, op, s, lo, hi))
 				}
+			}
+		}
+	}
+}
+
+// TestScanRowsAllocs pins that a segment-aligned window over dictionary
+// and bit-packed segments scans straight into the caller's selection:
+// no scratch bit vector, no per-match closure — zero allocations.
+func TestScanRowsAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		vals []int64
+		enc  SegEncoding
+	}{
+		{workload.UniformInts(1, 2*SegSize, 1000), EncDict},
+		{workload.UniformInts(2, 2*SegSize, 1<<20), EncBitpack},
+	} {
+		c := NewIntColumn()
+		c.AppendSlice(tc.vals)
+		c.Seal()
+		for _, s := range c.segs {
+			if s.enc != tc.enc {
+				t.Fatalf("sealed as %v, want %v", s.enc, tc.enc)
+			}
+		}
+		out := vec.NewBitvec(SegSize)
+		for _, op := range allOps {
+			cval := tc.vals[7]
+			allocs := testing.AllocsPerRun(10, func() {
+				out.Reset()
+				c.ScanRows(op, cval, SegSize, 2*SegSize, out)
+			})
+			if allocs != 0 {
+				t.Errorf("%v %s %d: %.0f allocations per aligned window, want 0", tc.enc, op, cval, allocs)
 			}
 		}
 	}

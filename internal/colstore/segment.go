@@ -283,20 +283,16 @@ func (s *intSegment) scanCompressed(op vec.CmpOp, cval int64, la, lb, start, lo 
 // scanBitpack rewrites the predicate into the frame-of-reference code
 // domain and runs the word-parallel SWAR kernel over the packed words.
 func (s *intSegment) scanBitpack(op vec.CmpOp, cval int64, la, lb, start, lo int, out *vec.Bitvec) energy.Counters {
-	sub := vec.NewBitvec(s.n)
-	code, ok := shiftConst(op, cval, s.base)
-	if ok {
-		s.packed.Scan(op, code, sub)
+	dst := start + la - lo
+	if code, ok := shiftConst(op, cval, s.base); ok {
+		s.packed.ScanWindow(op, code, la, lb, out, dst)
 	} else if matchesAll(op, cval, s.min, s.max) {
-		sub.SetAll()
+		out.SetRange(dst, dst+lb-la)
 	}
-	sub.ForEach(func(i int) {
-		if i >= la && i < lb {
-			out.Set(start + i - lo)
-		}
-	})
-	// The packed kernel always streams the whole segment; a partially
-	// overlapped segment is priced accordingly.
+	// Priced per segment word: morsel windows and segments share one
+	// 64 Ki-row grid (exec's MorselRows == SegSize), so a served window
+	// covers its segments whole and the formula bills what runs; a window
+	// that cuts a segment still pays for all of it.
 	words := uint64(s.packed.WordCount())
 	return energy.Counters{
 		BytesReadDRAM: words * 8,
@@ -468,13 +464,7 @@ func (s *intSegment) scanDict(op vec.CmpOp, cval int64, la, lb, start, lo int, o
 		}
 		codeOp, code = vec.NE, uint64(lower)
 	}
-	sub := vec.NewBitvec(s.n)
-	s.packed.Scan(codeOp, code, sub)
-	sub.ForEach(func(i int) {
-		if i >= la && i < lb {
-			out.Set(start + i - lo)
-		}
-	})
+	s.packed.ScanWindow(codeOp, code, la, lb, out, start+la-lo)
 	words := uint64(s.packed.WordCount())
 	probe.BytesReadDRAM += words * 8
 	probe.Instructions += words * 6

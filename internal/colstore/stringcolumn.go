@@ -135,13 +135,15 @@ func (c *StringColumn) ScanRange(low, high string, out *vec.Bitvec) (energy.Coun
 		if lo >= hi {
 			return energy.Counters{}, ScanStats{}
 		}
-		ge := vec.NewBitvec(c.Len())
-		ctr1, st1 := c.codes.Scan(vec.GE, lo, ge)
-		lt := vec.NewBitvec(c.Len())
-		ctr2, st2 := c.codes.Scan(vec.LT, hi, lt)
-		ge.And(lt)
-		ge.ForEach(func(i int) { out.Set(i) })
+		// The rows outside the band — codes below lo, codes from hi up —
+		// OR into one scratch vector; its complement is the band.
+		outside := vec.NewBitvec(c.Len())
+		ctr1, st1 := c.codes.Scan(vec.LT, lo, outside)
+		ctr2, st2 := c.codes.Scan(vec.GE, hi, outside)
+		outside.Not()
+		out.Or(outside)
 		ctr1.Add(ctr2)
+		ctr1.TuplesOut = uint64(outside.Count())
 		st1.SegmentsTotal += st2.SegmentsTotal
 		st1.SegmentsSkipped += st2.SegmentsSkipped
 		st1.SegmentsPacked += st2.SegmentsPacked

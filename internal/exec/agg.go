@@ -662,7 +662,8 @@ func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
 // key parts resolve to int64 windows once per morsel — a BIGINT or coded
 // column is its own slice, a DOUBLE its bits, raw strings ids of a
 // dictionary interned for this partial alone — so the row loop runs over
-// plain slices.
+// plain slices.  The global group (no GROUP BY) resolves its one slot
+// before the loop, which then only accumulates, in ascending row order.
 func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
 	t := rf.newTable(nil)
 	parts := make([][]int64, t.k)
@@ -680,11 +681,17 @@ func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
 		}
 	}
 	key := make([]int64, t.k)
+	var g int32
+	if t.k == 0 && hi > lo {
+		g = t.slot(0, nil)
+	}
 	for i := 0; i < hi-lo; i++ {
-		for p := range key {
-			key[p] = parts[p][i]
+		if t.k > 0 {
+			for p := range key {
+				key[p] = parts[p][i]
+			}
+			g = t.slot(splitKey(key))
 		}
-		g := t.slot(splitKey(key))
 		t.counts[g]++
 		for ai, c := range rf.aggCols {
 			switch {

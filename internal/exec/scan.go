@@ -308,13 +308,27 @@ func predDisjoint(op vec.CmpOp, v, min, max int64) bool {
 // consume its selection vector.  Tombstone masking charges per visible
 // tombstone in the window — like the predicate kernels a function of
 // (snapshot, window) alone, so any morsel sweep is DOP-invariant.
+//
+// The first predicate's kernels write the fresh selection directly; only
+// a second or later predicate scans into one scratch vector that is
+// ANDed in.  A predicate-free window selects every row.
 func (sb *ShardBinding) Filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
 	nrows := hi - lo
 	sel := vec.NewBitvec(nrows)
-	sel.SetAll()
+	if len(sb.preds) == 0 {
+		sel.SetAll()
+	}
 	var w energy.Counters
+	var scratch *vec.Bitvec
 	for i, p := range sb.preds {
-		pb := vec.NewBitvec(nrows)
+		pb := sel
+		if i > 0 {
+			if scratch == nil {
+				scratch = vec.NewBitvec(nrows)
+			}
+			scratch.Reset()
+			pb = scratch
+		}
 		switch c := sb.predCols[i].(type) {
 		case *colstore.IntColumn:
 			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
@@ -323,7 +337,9 @@ func (sb *ShardBinding) Filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Coun
 		case *colstore.StringColumn:
 			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
 		}
-		sel.And(pb)
+		if i > 0 {
+			sel.And(pb)
+		}
 	}
 	w.Add(sb.Table.FilterVisible(snap, lo, hi, sel))
 	return sel, w

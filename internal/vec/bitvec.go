@@ -8,6 +8,19 @@
 // word are evaluated with a handful of arithmetic/logical instructions and
 // no per-tuple branches.  Results are bit vectors that combine with
 // boolean algebra and convert to selection lists.
+//
+// Each layout has one kernel entry that scans a window of values into a
+// caller's bit vector at any bit offset, ORing matches in and leaving
+// every other bit alone: Packed.ScanWindow (every comparison is a band of
+// the code domain, NE its complement) and ScanPredicatedAt (raw BIGINT or
+// DOUBLE values).  The whole-vector Scan, ScanBetween and ScanPredicated
+// are its zero-offset case, so a storage layer writes each segment's
+// matches straight into a morsel's selection — no scratch vector, no
+// per-match transfer.  The packed kernel costs a few word operations per
+// 64-bit word and nothing per code: a word's delimiter bits are gathered
+// by one multiply when the field is wider than the codes per word (width
+// ≥ 8), in log2(codes per word) shift-and-mask steps below that, and
+// appended to an output register that is stored once per 64 bits.
 package vec
 
 import "math/bits"

@@ -15,6 +15,10 @@ type Packed struct {
 	hMask    uint64 // delimiter bit of every field
 	lMask    uint64 // LSB of every field
 	maxValue uint64 // 2^k - 1
+	// magic gathers the delimiter bits of a word into the top perWord
+	// bits of one product where field > perWord; 0 for the narrow widths,
+	// which compact in shift-and-mask steps (bandNarrow).
+	magic uint64
 }
 
 // NewPacked packs values (each < 2^width) into the horizontal layout.
@@ -28,6 +32,17 @@ func NewPacked(values []uint64, width int) *Packed {
 	for i := 0; i < p.perWord; i++ {
 		p.hMask |= uint64(1) << (uint(i*field) + uint(width))
 		p.lMask |= uint64(1) << uint(i*field)
+	}
+	if field > p.perWord {
+		// Slot s's delimiter sits at s*field + width; the term
+		// 2^(64-perWord-width-s*(field-1)) moves it to bit 64-perWord+s,
+		// so the product's top perWord bits are the slots in order.  Every
+		// other (bit, term) pair lands at a distinct position outside that
+		// band (field and field-1 are coprime and perWord < field): below
+		// it, or past bit 63 — so no carry reaches it.
+		for s := 0; s < p.perWord; s++ {
+			p.magic |= uint64(1) << uint(64-p.perWord-width-s*(field-1))
+		}
 	}
 	p.words = make([]uint64, (len(values)+p.perWord-1)/p.perWord)
 	for i, v := range values {
@@ -77,43 +92,6 @@ func (p *Packed) Unpack(lo, hi int, out []int64) {
 			word = p.words[w]
 		}
 	}
-}
-
-// broadcast replicates constant c into every field's low width bits.
-func (p *Packed) broadcast(c uint64) uint64 {
-	var out uint64
-	field := p.width + 1
-	for i := 0; i < p.perWord; i++ {
-		out |= c << uint(i*field)
-	}
-	return out
-}
-
-// scanWords streams the packed words through f (which returns the
-// delimiter-bit mask for one word) and compacts the delimiter bits into
-// out without per-code branches: each word's perWord result bits are
-// gathered into a small mask and OR-ed into the output in two word
-// operations.
-func (p *Packed) scanWords(out *Bitvec, f func(w uint64) uint64) {
-	field := uint(p.width + 1)
-	outWords := out.words
-	bit := 0
-	for _, w := range p.words {
-		d := f(w) >> uint(p.width) // delimiter of slot k now at bit k*field
-		var m uint64
-		for slot := uint(0); slot < uint(p.perWord); slot++ {
-			m |= d >> (slot * field) & 1 << slot
-		}
-		wi, off := bit>>6, uint(bit)&63
-		outWords[wi] |= m << off
-		if spill := off + uint(p.perWord); spill > 64 && wi+1 < len(outWords) {
-			outWords[wi+1] |= m >> (64 - off)
-		}
-		bit += p.perWord
-	}
-	// The last packed word may carry zero-filled tail slots whose
-	// delimiter bits matched; they land beyond Len and are cleared here.
-	out.maskTail()
 }
 
 // CmpOp is a comparison predicate operator.
@@ -169,105 +147,169 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// Scan evaluates `code op c` over all codes with word-parallel SWAR
-// arithmetic and sets the matching bits in out (which must have length
-// Len).  The constant is clamped to the code domain, so impossible
-// predicates (e.g. < 0) yield empty or full results as appropriate.
+// Scan evaluates `code op c` over all codes and sets the matching bits in
+// out (which must have length Len) — the whole-vector case of ScanWindow.
 func (p *Packed) Scan(op CmpOp, c uint64, out *Bitvec) {
+	p.checkLen(out)
+	p.ScanWindow(op, c, 0, p.n, out, 0)
+}
+
+// ScanBetween sets bits where lo <= code <= hi (inclusive band predicate)
+// — the whole-vector band, streaming the column once.
+func (p *Packed) ScanBetween(lo, hi uint64, out *Bitvec) {
+	p.checkLen(out)
+	p.scanBand(lo, hi, false, 0, p.n, out, 0)
+}
+
+func (p *Packed) checkLen(out *Bitvec) {
 	if out.Len() != p.n {
 		panic("vec: result bit vector length mismatch")
 	}
+}
+
+// ScanWindow evaluates `code op c` over codes [lo, hi) and sets bit
+// off+i-lo of out for every matching code i; no other bit of out changes.
+// Every operator is a band of the code domain or, for NE, its complement.
+// The constant is clamped to the domain, so an impossible predicate
+// (e.g. < 0) reads no word and one every code satisfies fills the window
+// without reading one.
+func (p *Packed) ScanWindow(op CmpOp, c uint64, lo, hi int, out *Bitvec, off int) {
 	switch op {
-	case LE:
-		if c >= p.maxValue {
-			out.SetAll()
-			return
-		}
-		p.scanLE(c, out)
 	case LT:
-		if c == 0 {
-			return
+		if c > 0 {
+			p.scanBand(0, c-1, false, lo, hi, out, off)
 		}
-		if c > p.maxValue {
-			out.SetAll()
-			return
-		}
-		p.scanLE(c-1, out)
-	case GE:
-		if c == 0 {
-			out.SetAll()
-			return
-		}
-		if c > p.maxValue {
-			return
-		}
-		p.scanGE(c, out)
+	case LE:
+		p.scanBand(0, c, false, lo, hi, out, off)
 	case GT:
-		if c >= p.maxValue {
-			return
+		if c < p.maxValue {
+			p.scanBand(c+1, p.maxValue, false, lo, hi, out, off)
 		}
-		p.scanGE(c+1, out)
+	case GE:
+		p.scanBand(c, p.maxValue, false, lo, hi, out, off)
 	case EQ:
-		if c > p.maxValue {
-			return
-		}
-		p.scanEQ(c, out)
+		p.scanBand(c, c, false, lo, hi, out, off)
 	case NE:
-		if c > p.maxValue {
-			out.SetAll()
-			return
-		}
-		p.scanEQ(c, out)
-		out.Not()
+		p.scanBand(c, c, true, lo, hi, out, off)
 	default:
 		panic("vec: unknown comparison op")
 	}
 }
 
-// scanLE sets bits where code <= c.  Per field: delimiter((c|H) - X) is 1
-// iff X <= c; the delimiter bit of X is 0, so borrows never cross fields.
-func (p *Packed) scanLE(c uint64, out *Bitvec) {
-	cb := p.broadcast(c) | p.hMask
-	h := p.hMask
-	p.scanWords(out, func(w uint64) uint64 { return (cb - w) & h })
-}
-
-// scanGE sets bits where code >= c: delimiter((X|H) - c) is 1 iff X >= c.
-func (p *Packed) scanGE(c uint64, out *Bitvec) {
-	cb := p.broadcast(c)
-	h := p.hMask
-	p.scanWords(out, func(w uint64) uint64 { return ((w | h) - cb) & h })
-}
-
-// scanEQ sets bits where code == c: z = X XOR c is zero exactly in equal
-// fields; ((z|H) - L) clears the delimiter only for zero fields.
-func (p *Packed) scanEQ(c uint64, out *Bitvec) {
-	cb := p.broadcast(c)
-	h, l := p.hMask, p.lMask
-	p.scanWords(out, func(w uint64) uint64 {
-		z := w ^ cb
-		return ^((z | h) - l) & h
-	})
-}
-
-// ScanBetween sets bits where lo <= code <= hi (inclusive band predicate),
-// fused so the column is streamed once.
-func (p *Packed) ScanBetween(lo, hi uint64, out *Bitvec) {
-	if out.Len() != p.n {
-		panic("vec: result bit vector length mismatch")
-	}
-	if hi > p.maxValue {
-		hi = p.maxValue
-	}
-	if lo > hi {
+// scanBand is the one packed kernel: it sets bit off+i-lo of out for
+// every code i in [lo, hi) with a <= code <= b (outside the band when
+// neg).  Per word, with v = word | H (every delimiter set):
+//
+//	delimiter(v - a·L) is 1 iff code >= a
+//	delimiter(v - (b+1)·L) is 1 iff code >= b+1
+//
+// (the delimiter absorbs each field's borrow, and b+1 <= 2^width), so
+// the band's delimiter mask is the first AND NOT the second — a few word
+// operations per word and nothing per code.  The mask's delimiters are
+// gathered into perWord consecutive bits and appended to an output
+// register that is OR-ed into out once per 64 bits.  The codes of a
+// partial word at either end of the window are compared one by one.
+func (p *Packed) scanBand(a, b uint64, neg bool, lo, hi int, out *Bitvec, off int) {
+	b = min(b, p.maxValue)
+	if empty, full := a > b, a == 0 && b == p.maxValue; empty || full {
+		if empty == neg {
+			out.SetRange(off, off+hi-lo)
+		}
 		return
 	}
-	lob := p.broadcast(lo)
-	hib := p.broadcast(hi) | p.hMask
-	h := p.hMask
-	p.scanWords(out, func(w uint64) uint64 {
-		ge := ((w | h) - lob) & h
-		le := (hib - w) & h
-		return ge & le
-	})
+	per := p.perWord
+	w0, w1 := (lo+per-1)/per, hi/per // the whole words inside the window
+	if w0 >= w1 {
+		p.scanCodes(a, b, neg, lo, hi, out, off)
+		return
+	}
+	p.scanCodes(a, b, neg, lo, w0*per, out, off)
+	p.scanCodes(a, b, neg, w1*per, hi, out, off+w1*per-lo)
+
+	ya, yb := a*p.lMask, (b+1)*p.lMask
+	var flip uint64
+	if neg {
+		flip = p.hMask
+	}
+	pos := off + w0*per - lo
+	if p.magic != 0 {
+		p.bandWide(p.words[w0:w1], ya, yb, flip, out.words, pos)
+	} else {
+		p.bandNarrow(p.words[w0:w1], ya, yb, flip, out.words, pos)
+	}
+}
+
+// bandWide ORs the band mask of whole words into dst from bit pos on, for
+// field > perWord: one multiply moves a word's delimiters into the top
+// perWord bits of the product, with no branch on the data.  The output
+// word is assembled in acc (sh is its next free bit) and stored once per
+// 64 bits; a word's bits that overflow acc open the next one.
+func (p *Packed) bandWide(words []uint64, ya, yb, flip uint64, dst []uint64, pos int) {
+	h, magic, per := p.hMask, p.magic, uint(p.perWord)
+	dst, sh := dst[pos>>6:], uint(pos)&63
+	var acc uint64
+	for _, w := range words {
+		v := w | h
+		m := (((v-ya)&^(v-yb) ^ flip) & h) * magic >> ((64 - per) & 63)
+		acc |= m << (sh & 63)
+		if sh += per; sh >= 64 {
+			dst[0] |= acc
+			dst, sh = dst[1:], sh-64
+			acc = m >> ((per - sh) & 63)
+		}
+	}
+	if acc != 0 {
+		dst[0] |= acc
+	}
+}
+
+// bandNarrow is bandWide for field <= perWord, where one multiply's
+// partial products would collide.  A word without a match costs a test
+// and a branch; a matching word's delimiters, shifted down to bit
+// slot*field, are compacted in ⌈log2 perWord⌉ steps: step k moves every
+// odd group of 2^k gathered bits down next to its even neighbour (a shift
+// by 2^k·(field-1)) and masks off everything else.
+func (p *Packed) bandNarrow(words []uint64, ya, yb, flip uint64, dst []uint64, pos int) {
+	h, per := p.hMask, uint(p.perWord)
+	field, width := uint(p.width+1), uint(p.width)&63
+	var shifts [5]uint
+	var masks [5]uint64
+	steps := 0
+	for g := uint(1); g < per; g, steps = 2*g, steps+1 {
+		shifts[steps] = g * (field - 1) & 63
+		for at := uint(0); at < 64; at += 2 * g * field {
+			masks[steps] |= (1<<(2*g) - 1) << at
+		}
+	}
+	dst, sh := dst[pos>>6:], uint(pos)&63
+	var acc uint64
+	for _, w := range words {
+		v := w | h
+		var m uint64
+		if d := ((v-ya)&^(v-yb) ^ flip) & h; d != 0 {
+			m = d >> width
+			for k := range steps {
+				m = (m | m>>shifts[k]) & masks[k]
+			}
+		}
+		acc |= m << (sh & 63)
+		if sh += per; sh >= 64 {
+			dst[0] |= acc
+			dst, sh = dst[1:], sh-64
+			acc = m >> ((per - sh) & 63)
+		}
+	}
+	if acc != 0 {
+		dst[0] |= acc
+	}
+}
+
+// scanCodes compares codes [lo, hi) one by one — the partial words at the
+// ends of a window.
+func (p *Packed) scanCodes(a, b uint64, neg bool, lo, hi int, out *Bitvec, off int) {
+	for i := lo; i < hi; i++ {
+		if c := p.Get(i); (a <= c && c <= b) != neg {
+			out.Set(off + i - lo)
+		}
+	}
 }
