@@ -23,14 +23,14 @@ func BenchmarkScanSealedVsRaw(b *testing.B) {
 		b.SetBytes(n * 8)
 		for i := 0; i < b.N; i++ {
 			out := vec.NewBitvec(n)
-			raw.Scan(vec.LT, 1<<15, out)
+			raw.ScanRows(vec.LT, 1<<15, 0, n, out)
 		}
 	})
 	b.Run("sealed", func(b *testing.B) {
 		b.SetBytes(n * 8)
 		for i := 0; i < b.N; i++ {
 			out := vec.NewBitvec(n)
-			sealed.Scan(vec.LT, 1<<15, out)
+			sealed.ScanRows(vec.LT, 1<<15, 0, n, out)
 		}
 	})
 }
@@ -58,13 +58,13 @@ func BenchmarkZoneMapPruning(b *testing.B) {
 	b.Run("clustered-pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := vec.NewBitvec(n)
-			cc.Scan(vec.LT, 1000, out) // matches only the first segment
+			cc.ScanRows(vec.LT, 1000, 0, n, out) // matches only the first segment
 		}
 	})
 	b.Run("shuffled-unprunable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := vec.NewBitvec(n)
-			cs.Scan(vec.LT, 1000, out)
+			cs.ScanRows(vec.LT, 1000, 0, n, out)
 		}
 	})
 }

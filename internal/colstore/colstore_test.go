@@ -69,7 +69,7 @@ func TestIntColumnScanMatchesNaive(t *testing.T) {
 	for _, op := range []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE} {
 		for _, cv := range []int64{0, 1, 5000, 9999, 10000, -5} {
 			out := vec.NewBitvec(len(vals))
-			ctr, _ := c.Scan(op, cv, out)
+			ctr := c.ScanRows(op, cv, 0, len(vals), out)
 			want := vec.NewBitvec(len(vals))
 			vec.ScanBranching(vals, op, cv, want)
 			if !reflect.DeepEqual(out.Words(), want.Words()) {
@@ -91,7 +91,7 @@ func TestIntColumnScanProperty(t *testing.T) {
 		op := vec.CmpOp(int(rawOp) % 6)
 		c = c % 2000 // exercise out-of-range constants both sides
 		out := vec.NewBitvec(len(vals))
-		col.Scan(op, c, out)
+		col.ScanRows(op, c, 0, len(vals), out)
 		want := vec.NewBitvec(len(vals))
 		vec.ScanBranching(vals, op, c, want)
 		return reflect.DeepEqual(out.Words(), want.Words())
@@ -113,7 +113,7 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 	c.Seal()
 	out := vec.NewBitvec(c.Len())
-	_, st := c.Scan(vec.LT, 500, out)
+	_, st := c.scanRows(vec.LT, 500, 0, c.Len(), out)
 	if st.SegmentsSkipped < 3 {
 		t.Errorf("expected at least 3 segments pruned, got %+v", st)
 	}
@@ -122,7 +122,7 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 	// A full-match predicate should also skip data inspection.
 	out2 := vec.NewBitvec(c.Len())
-	_, st2 := c.Scan(vec.GE, -1, out2)
+	_, st2 := c.scanRows(vec.GE, -1, 0, c.Len(), out2)
 	if out2.Count() != c.Len() {
 		t.Errorf("GE -1 must match all rows, got %d", out2.Count())
 	}
@@ -155,16 +155,12 @@ func TestFloatColumn(t *testing.T) {
 		t.Fatal("basic float ops broken")
 	}
 	out := vec.NewBitvec(4)
-	ctr := c.Scan(vec.GT, 0.6, out)
+	ctr := c.ScanRows(vec.GT, 0.6, 0, 4, out)
 	if out.Count() != 2 || !out.Get(0) || !out.Get(2) {
 		t.Fatalf("scan matched %d", out.Count())
 	}
 	if ctr.TuplesOut != 2 {
 		t.Fatal("counter mismatch")
-	}
-	sum, _ := c.SumWhere(out)
-	if sum != 4.5 {
-		t.Fatalf("SumWhere = %g want 4.5", sum)
 	}
 }
 
@@ -178,12 +174,12 @@ func TestStringColumnEqAndDict(t *testing.T) {
 		t.Fatal("Get broken")
 	}
 	out := vec.NewBitvec(5)
-	c.ScanEq("ASIA", out)
+	c.ScanRows(vec.EQ, "ASIA", 0, 5, out)
 	if out.Count() != 2 || !out.Get(1) || !out.Get(2) {
-		t.Fatal("ScanEq broken")
+		t.Fatal("equality scan broken")
 	}
 	miss := vec.NewBitvec(5)
-	c.ScanEq("MARS", miss)
+	c.ScanRows(vec.EQ, "MARS", 0, 5, miss)
 	if miss.Count() != 0 {
 		t.Fatal("unknown string must match nothing")
 	}
@@ -193,9 +189,16 @@ func TestStringColumnSealSortedRange(t *testing.T) {
 	c := NewStringColumn()
 	in := []string{"delta", "alpha", "charlie", "bravo", "alpha", "echo"}
 	c.AppendSlice(in)
+	// b <= s < d: the rows >= "b" that are also < "d".
+	scanRange := func() *vec.Bitvec {
+		ge, below := vec.NewBitvec(len(in)), vec.NewBitvec(len(in))
+		c.ScanRows(vec.GE, "b", 0, len(in), ge)
+		c.ScanRows(vec.LT, "d", 0, len(in), below)
+		ge.And(below)
+		return ge
+	}
 	// Range scan before sealing (slow path).
-	out := vec.NewBitvec(len(in))
-	c.ScanRange("b", "d", out)
+	out := scanRange()
 	wantMatch := func(s string) bool { return s >= "b" && s < "d" }
 	for i, s := range in {
 		if out.Get(i) != wantMatch(s) {
@@ -212,8 +215,7 @@ func TestStringColumnSealSortedRange(t *testing.T) {
 			t.Fatalf("remap corrupted row %d: %q != %q", i, c.Get(i), s)
 		}
 	}
-	out2 := vec.NewBitvec(len(in))
-	c.ScanRange("b", "d", out2)
+	out2 := scanRange()
 	for i, s := range in {
 		if out2.Get(i) != wantMatch(s) {
 			t.Fatalf("post-seal range wrong at %d (%s)", i, s)
@@ -221,7 +223,7 @@ func TestStringColumnSealSortedRange(t *testing.T) {
 	}
 	// Equality after remap.
 	eq := vec.NewBitvec(len(in))
-	c.ScanEq("alpha", eq)
+	c.ScanRows(vec.EQ, "alpha", 0, len(in), eq)
 	if eq.Count() != 2 || !eq.Get(1) || !eq.Get(4) {
 		t.Fatal("post-seal equality broken")
 	}

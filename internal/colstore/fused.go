@@ -31,10 +31,9 @@ type SegSpan struct {
 	la   int // segment-local row of A
 }
 
-// Spans returns the per-segment spans overlapping rows [lo, hi), in row
-// order.  Unsealed segments (the delta tail) report EncRaw.
-func (c *IntColumn) Spans(lo, hi int) []SegSpan {
-	var out []SegSpan
+// AppendSpans appends the per-segment spans overlapping rows [lo, hi) to
+// out, in row order.  Unsealed segments (the delta tail) report EncRaw.
+func (c *IntColumn) AppendSpans(out []SegSpan, lo, hi int) []SegSpan {
 	for si, s := range c.segs {
 		start := c.starts[si]
 		if start >= hi {

@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"repro/internal/compress"
-	"repro/internal/energy"
 	"repro/internal/vec"
 )
 
@@ -145,17 +144,6 @@ type ScanStats struct {
 	SegmentsSkipped int // pruned by zone map
 	SegmentsPacked  int // scanned operate-on-compressed
 	SegmentsRaw     int // scanned tuple-at-a-time
-}
-
-// Scan evaluates `value op c` over the whole column into out (length
-// Len).  Sealed segments use zone-map pruning plus the per-codec
-// operate-on-compressed kernels; unsealed segments fall back to a
-// branch-free scalar scan.  The returned counters price the work for the
-// energy model.  Scan is the whole-column case of the shared scanRows
-// kernel (see scanrows.go), so serial and morsel-parallel scans cannot
-// drift apart.
-func (c *IntColumn) Scan(op vec.CmpOp, cval int64, out *vec.Bitvec) (energy.Counters, ScanStats) {
-	return c.scanRows(op, cval, 0, c.n, out)
 }
 
 // shiftConst maps a predicate constant from the value domain into the

@@ -38,7 +38,7 @@ func wantWindow(full *vec.Bitvec, lo, hi int) []int {
 
 func checkBits(t *testing.T, got *vec.Bitvec, want []int, label string) {
 	t.Helper()
-	gi := got.Indices()
+	gi := got.AppendIndices(nil)
 	if len(gi) != len(want) {
 		t.Fatalf("%s: got %d matches, want %d", label, len(gi), len(want))
 	}
@@ -64,7 +64,7 @@ func TestIntScanRowsMatchesScan(t *testing.T) {
 	for _, op := range allOps {
 		for _, cval := range []int64{-5, 0, 500, 999, 2000} {
 			full := vec.NewBitvec(n)
-			c.Scan(op, cval, full)
+			c.ScanRows(op, cval, 0, n, full)
 			for _, w := range windows(n) {
 				lo, hi := w[0], w[1]
 				out := vec.NewBitvec(hi - lo)

@@ -1,11 +1,6 @@
 package colstore
 
-import (
-	"sort"
-
-	"repro/internal/energy"
-	"repro/internal/vec"
-)
+import "sort"
 
 // StringColumn stores strings dictionary-encoded: an append-order
 // dictionary assigns dense codes, and the codes live in an IntColumn so
@@ -113,53 +108,4 @@ func (c *StringColumn) SealSorted() {
 		c.ordered = true
 	}
 	c.codes.Seal()
-}
-
-// ScanEq sets bits where the value equals s.  Unknown strings match
-// nothing without touching data.
-func (c *StringColumn) ScanEq(s string, out *vec.Bitvec) (energy.Counters, ScanStats) {
-	code, ok := c.index[s]
-	if !ok {
-		return energy.Counters{}, ScanStats{}
-	}
-	return c.codes.Scan(vec.EQ, int64(code), out)
-}
-
-// ScanRange sets bits where low <= value < high in string order.  The
-// column must have been SealSorted, otherwise codes do not preserve order
-// and the scan falls back to a per-row string comparison.
-func (c *StringColumn) ScanRange(low, high string, out *vec.Bitvec) (energy.Counters, ScanStats) {
-	if c.ordered {
-		lo := int64(sort.SearchStrings(c.values, low))
-		hi := int64(sort.SearchStrings(c.values, high))
-		if lo >= hi {
-			return energy.Counters{}, ScanStats{}
-		}
-		// The rows outside the band — codes below lo, codes from hi up —
-		// OR into one scratch vector; its complement is the band.
-		outside := vec.NewBitvec(c.Len())
-		ctr1, st1 := c.codes.Scan(vec.LT, lo, outside)
-		ctr2, st2 := c.codes.Scan(vec.GE, hi, outside)
-		outside.Not()
-		out.Or(outside)
-		ctr1.Add(ctr2)
-		ctr1.TuplesOut = uint64(outside.Count())
-		st1.SegmentsTotal += st2.SegmentsTotal
-		st1.SegmentsSkipped += st2.SegmentsSkipped
-		st1.SegmentsPacked += st2.SegmentsPacked
-		st1.SegmentsRaw += st2.SegmentsRaw
-		return ctr1, st1
-	}
-	var ctr energy.Counters
-	for i := 0; i < c.Len(); i++ {
-		s := c.Get(i)
-		if s >= low && s < high {
-			out.Set(i)
-		}
-	}
-	ctr.TuplesIn = uint64(c.Len())
-	ctr.Instructions = uint64(c.Len()) * 12 // string compares are pricey
-	ctr.CacheMisses = uint64(c.Len()) / 4
-	ctr.TuplesOut = uint64(out.Count())
-	return ctr, ScanStats{}
 }

@@ -258,13 +258,6 @@ func (t *Table) DeltaRows() int {
 	return t.lenLocked() - t.sealedRows
 }
 
-// MainRows returns the number of rows in the compressed main.
-func (t *Table) MainRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sealedRows
-}
-
 // WriteEpoch returns the table's write-event counter.  Secondary indexes
 // record it at build time; internal/opt refuses index access paths whose
 // recorded epoch no longer matches.
@@ -279,12 +272,4 @@ func (t *Table) AppliedLSN() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.appliedLSN
-}
-
-// LastCommitTS returns the highest commit timestamp stamped into the
-// table (0 when only bulk-loaded rows exist).
-func (t *Table) LastCommitTS() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lastTS
 }

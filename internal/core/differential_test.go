@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"strings"
 	"testing"
@@ -120,12 +121,12 @@ func differentialRandomQueries(t *testing.T, rows, shards int) {
 				t.Fatalf("trial %d: %v (preds %v)", trial, err, preds)
 			}
 			wantN := map[string]int64{}
-			wantS := map[string]float64{}
+			wantS := map[string][]float64{}
 			for row := 0; row < rows; row++ {
 				if match(row) {
 					g := rg.Get(row)
 					wantN[g]++
-					wantS[g] += am.Get(row)
+					wantS[g] = append(wantS[g], am.Get(row))
 				}
 			}
 			if res.Rel.N != len(wantN) {
@@ -139,8 +140,8 @@ func differentialRandomQueries(t *testing.T, rows, shards int) {
 				if nc.I[i] != wantN[g] {
 					t.Fatalf("trial %d group %s: count %d want %d (preds %v)", trial, g, nc.I[i], wantN[g], preds)
 				}
-				if math.Abs(sc.F[i]-wantS[g]) > 1e-6*math.Max(1, math.Abs(wantS[g])) {
-					t.Fatalf("trial %d group %s: sum %g want %g (preds %v)", trial, g, sc.F[i], wantS[g], preds)
+				if want := exactSum(wantS[g]); sc.F[i] != want {
+					t.Fatalf("trial %d group %s: sum %g want %g (preds %v)", trial, g, sc.F[i], want, preds)
 				}
 			}
 		case 1:
@@ -458,6 +459,17 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 	}
 }
 
+// exactSum is the reference DOUBLE sum: the exact math/big sum of xs
+// (every amount is finite), rounded once to nearest even.
+func exactSum(xs []float64) float64 {
+	sum := new(big.Float).SetPrec(2200)
+	for _, x := range xs {
+		sum.Add(sum, new(big.Float).SetFloat64(x))
+	}
+	f, _ := sum.Float64()
+	return f + 0 // a zero sum is +0
+}
+
 // TestDifferentialRandomAggregates is the one aggregate's independent
 // oracle: random GROUP BY statements run through the whole engine and
 // through a row-at-a-time reference over Go structs — no table, no
@@ -465,9 +477,9 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 // or two columns from {BIGINT, string, DOUBLE}; the aggregates draw from
 // COUNT(*) and SUM/MIN/MAX/AVG over a DOUBLE and over BIGINT columns;
 // layouts cover {flat, k=4 shards} × {sealed, live delta with tombstones}
-// over two morsels of rows.  Groups compare in first-appearance order,
-// integers and extrema exactly, float sums within 1e-9 relative (the
-// reference adds serially; the engine's order is the relation grid's).
+// over two morsels of rows.  Groups compare in first-appearance order and
+// every value exactly: a float sum is the exact sum rounded once
+// (exactSum), which the engine's order-free sum is at every layout.
 func TestDifferentialRandomAggregates(t *testing.T) {
 	seen := map[string]int{} // statement shapes the trials reached
 	for _, shards := range []int{0, 4} {
@@ -573,8 +585,8 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 		first  order
 		n      int64
 		isum   [3]int64
-		fsum   [3]float64
-		lo, hi [3]float64 // extrema, integers widened (exact below 2^53)
+		fvals  [3][]float64 // the DOUBLE inputs, summed by exactSum
+		lo, hi [3]float64   // extrema, integers widened (exact below 2^53)
 	}
 	for trial := 0; trial < 10; trial++ {
 		var preds []expr.Pred
@@ -647,7 +659,7 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 					f = float64(i)
 				}
 				a.isum[ai] += i
-				a.fsum[ai] += f
+				a.fvals[ai] = append(a.fvals[ai], f)
 				if a.n == 1 || f < a.lo[ai] {
 					a.lo[ai] = f
 				}
@@ -659,7 +671,6 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 		if res.Rel.N != len(seq) {
 			t.Fatalf("%s: %d groups, want %d", desc, res.Rel.N, len(seq))
 		}
-		near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
 		for gi, a := range seq {
 			for ci, g := range groupBy {
 				c := &res.Rel.Cols[ci]
@@ -685,11 +696,11 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 				case s.Agg == expr.AggCount:
 					ok = c.I[gi] == a.n
 				case s.Agg == expr.AggSum && floatIn:
-					ok = near(c.F[gi], a.fsum[ai])
+					ok = c.F[gi] == exactSum(a.fvals[ai])
 				case s.Agg == expr.AggSum:
 					ok = c.I[gi] == a.isum[ai]
 				case s.Agg == expr.AggAvg && floatIn:
-					ok = near(c.F[gi], a.fsum[ai]/float64(a.n))
+					ok = c.F[gi] == exactSum(a.fvals[ai])/float64(a.n)
 				case s.Agg == expr.AggAvg:
 					ok = c.F[gi] == float64(a.isum[ai])/float64(a.n)
 				case s.Agg == expr.AggMin && floatIn:

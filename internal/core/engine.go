@@ -34,15 +34,11 @@ type Engine struct {
 	// exclusively.  It is never taken while holding mu, and nothing else
 	// is taken while holding it.
 	latch sync.RWMutex
-	// bigRun is held by a memory-heavy query execution for the length of
-	// its run: those take turns (see execution.run).  Taken after latch,
-	// and nothing is taken under it.
-	bigRun sync.Mutex
-	cat    *opt.Catalog
-	model  *energy.Model
-	cm     *opt.CostModel
-	obj    opt.Objective
-	meter  energy.Meter // lifetime work accumulator
+	cat   *opt.Catalog
+	model *energy.Model
+	cm    *opt.CostModel
+	obj   opt.Objective
+	meter energy.Meter // lifetime work accumulator
 	// log and txm are the write path: DML commits through the transaction
 	// manager's MVCC clock and the REDO log's group-commit window.
 	log *wal.Log

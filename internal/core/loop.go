@@ -171,34 +171,11 @@ func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, simTime ti
 	return rel, ctx.Meter.Snapshot(), ctx.SimTime, err
 }
 
-// memoryHeavyRows is the scan output from which a run counts as
-// memory-heavy: four morsels of rows (1 << 18).
-const memoryHeavyRows = 1 << 18
-
-// memoryHeavy reports whether the run's working memory grows with its
-// input: at least memoryHeavyRows rows flow out of the scans into a
-// pipeline other than the fused probe→aggregate.  That one folds a
-// million probe rows through a few megabytes; every other pipeline over
-// such an input — materializing or fused filter→aggregate — allocates
-// tens of megabytes of gathered columns, selections and per-morsel
-// partials (17–83 MB per run at 1M rows, measured).
-func (t *Ticket) memoryHeavy() bool {
-	info := t.PlanInfo
-	return len(info.FusedProbes) == 0 && info.Est.Work.TuplesOut >= memoryHeavyRows
-}
-
 // run executes the group's plan once, as its first live member.  A
 // runner whose lease is revoked mid-run returns ErrCanceled; the run
 // then passes to the next live member, so one client hanging up never
-// fails the lookalikes riding along.  Memory-heavy runs take turns
-// (Engine.bigRun): cores are what the virtual machine arbitrates, and two
-// such runs side by side double the process's transient heap — DRAM, the
-// in-memory database's static-energy term — which no book is charged for.
-func (x *execution) run(e *Engine) {
-	if t := x.members[0]; t.Table == "" && t.memoryHeavy() {
-		e.bigRun.Lock()
-		defer e.bigRun.Unlock()
-	}
+// fails the lookalikes riding along.
+func (x *execution) run() {
 	for _, t := range x.members {
 		if t.Lease.Canceled() {
 			continue
@@ -455,7 +432,7 @@ func (l *Loop) start(d sched.Dispatch) {
 	executed := l.executed
 	l.e.latch.RLock()
 	go func() {
-		x.run(l.e)
+		x.run()
 		l.e.latch.RUnlock()
 		close(x.done)
 		if executed != nil {
@@ -477,7 +454,7 @@ func (l *Loop) retire(c sched.Completion) {
 	x.retired = true
 	if x.members[0].Table != "" {
 		l.e.latch.Lock()
-		x.run(l.e)
+		x.run()
 		l.e.latch.Unlock()
 		close(x.done)
 	}

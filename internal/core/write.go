@@ -11,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/txn"
+	"repro/internal/vec"
 )
 
 // The engine's write path: DML statements execute synchronously at
@@ -233,13 +234,13 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 	}
 	snap := tx.Snapshot()
 	var victims []dmlVictim
+	var sel, scratch vec.Bitvec
 	for i, sb := range b.Shards {
 		if sb.Pruned {
 			continue
 		}
-		sel, w := sb.Filter(snap, 0, sb.Table.RowsAsOf(snap))
-		work.Add(w)
-		for _, r := range sel.Indices() {
+		work.Add(sb.Filter(snap, 0, sb.Table.RowsAsOf(snap), &sel, &scratch))
+		for _, r := range sel.AppendIndices(nil) {
 			v := dmlVictim{shard: i, row: int(r)}
 			if sb.Seq != nil {
 				v.seq = sb.Seq.Get(v.row)

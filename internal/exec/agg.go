@@ -6,11 +6,11 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
-	"repro/internal/vec"
 )
 
 // HashAgg groups by zero or more columns and computes aggregates.  With no
@@ -27,11 +27,14 @@ import (
 //	partial  one groupTable per morsel of the feeder's grid.
 //	merge    mergeFrom, in (shard, morsel) order; a lone partial is the
 //	         result and nothing is merged or charged for merging.
-//	output   buildOutput, decoding string keys once per output group.
+//	output   buildOutput, decoding string keys, DOUBLE sums and DOUBLE
+//	         MIN/MAX keys once per output group.
 //
 // The grid and the merge order are fixed by the input alone — never by
 // the worker count — so the output bytes and the charged counters are
-// identical at every degree of parallelism.
+// identical at every degree of parallelism; and every accumulator is
+// order-free, so the output bytes are the same on every feeder and shard
+// layout as well.
 type HashAgg struct {
 	Child   Node
 	GroupBy []string
@@ -61,22 +64,39 @@ type aggShape struct {
 	valTypes   []colstore.Type
 }
 
+// tablePool recycles group tables: a partial goes back once merged and
+// the result once output, so a query allocates tables per worker, not
+// per morsel.
+var tablePool = sync.Pool{New: func() any { return new(groupTable) }}
+
 // newTable returns an empty table of this shape whose string key parts
-// decode through dicts (per key part; nil when there is none to share).
+// decode through dicts (per key part; nil when there is none to share),
+// on a released table's storage.
 func (s *aggShape) newTable(dicts [][]string) *groupTable {
-	const size = 256
-	t := &groupTable{
+	t := tablePool.Get().(*groupTable)
+	*t = groupTable{
 		k:         len(s.groupTypes),
 		nAggs:     len(s.valTypes),
 		floats:    slices.Contains(s.valTypes, colstore.Float64),
-		mask:      size - 1,
-		slotKey:   make([]int64, size),
-		slotGroup: make([]int32, size),
-		dicts:     make([][]string, len(s.groupTypes)),
+		slotKey:   t.slotKey,
+		slotGroup: t.slotGroup,
+		keys:      t.keys[:0],
+		counts:    t.counts[:0],
+		isums:     t.isums[:0],
+		imins:     t.imins[:0],
+		imaxs:     t.imaxs[:0],
+		fsums:     t.fsums[:0],
+		dicts:     sized(t.dicts, len(s.groupTypes)),
+		first:     t.first[:0],
+		key:       t.key,
 	}
+	t.reindex(256)
 	copy(t.dicts, dicts)
 	return t
 }
+
+// release hands t back to tablePool; nothing may use it afterwards.
+func (t *groupTable) release() { tablePool.Put(t) }
 
 // groupTable is one (partial) aggregation result — the one struct that
 // holds aggregate accumulators.  A group key is a fixed-width tuple of k
@@ -85,28 +105,25 @@ func (s *aggShape) newTable(dicts [][]string) *groupTable {
 // dicts[part].  It is an open-addressing table with flat group-major
 // arrays — no Go map, no string keys, no per-group heap object.
 // slotGroup stores group index + 1 so a freshly made table is all-empty
-// without a fill pass.  BIGINT inputs accumulate in the exact int64
-// triple (ring arithmetic: any morsel decomposition, the run-at-a-time
-// closed form included, gives identical sums); DOUBLE inputs in the
-// float64 triple, whose accumulation order is part of the contract (see
-// feeder).
+// without a fill pass.  Every accumulator is order-free, so any morsel
+// decomposition, merge order, worker count or shard layout gives the same
+// bits: a BIGINT sum is ring arithmetic in int64 (the run-at-a-time closed
+// form included), a DOUBLE sum a floatSum, and MIN/MAX keep int64 keys —
+// a BIGINT as is, a DOUBLE as its minMaxKey.
 //
 //lint:hotpath
 type groupTable struct {
 	k, nAggs  int
-	floats    bool // some aggregate reads DOUBLE values: the float triple is kept
+	floats    bool // some aggregate reads DOUBLE values: fsums is kept
 	mask      uint64
 	slotKey   []int64 // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
 	slotGroup []int32 // group index + 1; 0 = empty
 	keys      []int64 // group-major [group*k + part], groups in first-seen order
 	counts    []int64 // per group
 	isums     []int64 // group-major [group*nAggs + agg]
-	imins     []int64
-	imaxs     []int64
-	fsums     []float64
-	fmins     []float64
-	fmaxs     []float64
-	seen      []bool
+	imins     []int64 // MaxInt64 until a value arrives
+	imaxs     []int64 // MinInt64 until a value arrives
+	fsums     []floatSum
 	// dicts[part] decodes a string part's ids: a stored column's dictionary
 	// (ids are its codes) or the strings a feeder interned for this partial
 	// alone.  nil for a BIGINT or DOUBLE part.
@@ -119,6 +136,7 @@ type groupTable struct {
 	firstOn bool
 	base    int64
 	first   []int64
+	key     []int64 // mergeFrom's key buffer
 }
 
 func (t *groupTable) groups() int { return len(t.counts) }
@@ -149,6 +167,15 @@ func floatKey(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
+// minMaxKey maps a DOUBLE onto an int64 whose order is the total order
+// MIN and MAX use: −Inf < … < −0 < +0 < … < +Inf < NaN (NaN sorts highest,
+// as in PostgreSQL).  It is floatKey with a negative value's magnitude
+// bits flipped — a flip that, applied to the key, gives the bits back.
+func minMaxKey(f float64) int64 {
+	k := floatKey(f)
+	return k ^ (k >> 63 & math.MaxInt64)
+}
+
 // slot returns the group index of key (k0, rest...), inserting it (in
 // first-seen order) on first sight.
 func (t *groupTable) slot(k0 int64, rest []int64) int32 {
@@ -169,13 +196,11 @@ func (t *groupTable) slot(k0 int64, rest []int64) int32 {
 	}
 	t.counts = append(t.counts, 0)
 	t.isums = append(t.isums, make([]int64, t.nAggs)...)
-	t.imins = append(t.imins, make([]int64, t.nAggs)...)
-	t.imaxs = append(t.imaxs, make([]int64, t.nAggs)...)
-	t.seen = append(t.seen, make([]bool, t.nAggs)...)
+	for range t.nAggs {
+		t.imins, t.imaxs = append(t.imins, math.MaxInt64), append(t.imaxs, math.MinInt64)
+	}
 	if t.floats {
-		t.fsums = append(t.fsums, make([]float64, t.nAggs)...)
-		t.fmins = append(t.fmins, make([]float64, t.nAggs)...)
-		t.fmaxs = append(t.fmaxs, make([]float64, t.nAggs)...)
+		t.fsums = append(t.fsums, make([]floatSum, t.nAggs)...)
 	}
 	if t.firstOn {
 		t.first = append(t.first, -1)
@@ -191,8 +216,8 @@ func (t *groupTable) slot(k0 int64, rest []int64) int32 {
 // reindex rebuilds the slot arrays, size slots wide, from the group keys.
 func (t *groupTable) reindex(size uint64) {
 	t.mask = size - 1
-	t.slotKey = make([]int64, size)
-	t.slotGroup = make([]int32, size)
+	t.slotKey = sized(t.slotKey, int(size))
+	t.slotGroup = sized(t.slotGroup, int(size))
 	for g := range t.counts {
 		k0, rest := splitKey(t.keys[g*t.k : (g+1)*t.k])
 		i := hashKey(k0, rest) & t.mask
@@ -214,21 +239,6 @@ func (t *groupTable) noteFirst(g int32, i int) {
 	}
 }
 
-// noteFirstRange records the first selected row of [lo, hi) as group g's
-// first appearance — the run-at-a-time closed forms never see individual
-// rows, so on insertion the exact first set bit is looked up here.
-func (t *groupTable) noteFirstRange(g int32, sel *vec.Bitvec, lo, hi int) {
-	if !t.firstOn || t.first[g] >= 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if sel.Get(i) {
-			t.first[g] = t.base + int64(i)
-			return
-		}
-	}
-}
-
 // addN folds n occurrences of BIGINT value v into aggregate ai of group g
 // — the run-at-a-time closed form (sum += n*v; min/max see v once) and,
 // with n=1, the row-at-a-time case.  Sums wrap modulo 2^64 and are not
@@ -237,28 +247,35 @@ func (t *groupTable) noteFirstRange(g int32, sel *vec.Bitvec, lo, hi int) {
 // row-at-a-time, n*v, partial merge, probe fold — at every DOP and shard
 // count (TestIntSumOverflowWrapsIdentically).
 func (t *groupTable) addN(g int32, ai int, v, n int64) {
-	o := int(g)*t.nAggs + ai
-	t.isums[o] += v * n
-	if !t.seen[o] || v < t.imins[o] {
-		t.imins[o] = v
-	}
-	if !t.seen[o] || v > t.imaxs[o] {
-		t.imaxs[o] = v
-	}
-	t.seen[o] = true
+	t.isums[int(g)*t.nAggs+ai] += v * n
+	t.addMinMax(g, ai, v)
 }
 
-// addF folds one DOUBLE value into aggregate ai of group g.
+// addF folds one DOUBLE value into aggregate ai of group g: its sum into
+// the floatSum, its minMaxKey into the int64 min/max.
 func (t *groupTable) addF(g int32, ai int, v float64) {
+	t.fsums[int(g)*t.nAggs+ai].add(v)
+	t.addMinMax(g, ai, minMaxKey(v))
+}
+
+// addFloats folds xs[r] for every r in rows into aggregate ai of group g
+// — addF over a selection, with the sum and the min/max keys held in
+// locals across the loop.
+func (t *groupTable) addFloats(g int32, ai int, xs []float64, rows []int32) {
 	o := int(g)*t.nAggs + ai
-	t.fsums[o] += v
-	if !t.seen[o] || v < t.fmins[o] {
-		t.fmins[o] = v
+	s, lo, hi := t.fsums[o], t.imins[o], t.imaxs[o]
+	for _, r := range rows {
+		s.add(xs[r])
+		k := minMaxKey(xs[r])
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	if !t.seen[o] || v > t.fmaxs[o] {
-		t.fmaxs[o] = v
-	}
-	t.seen[o] = true
+	t.fsums[o], t.imins[o], t.imaxs[o] = s, lo, hi
+}
+
+// addMinMax folds one min/max key into aggregate ai of group g.
+func (t *groupTable) addMinMax(g int32, ai int, k int64) {
+	o := int(g)*t.nAggs + ai
+	t.imins[o], t.imaxs[o] = min(t.imins[o], k), max(t.imaxs[o], k)
 }
 
 // internID returns s's id in *dict, appending it on first sight; ids is
@@ -291,8 +308,7 @@ func (t *groupTable) ownDict(p int) map[string]int64 {
 
 // mergeFrom folds the partial src into t — the one merge.  Callers merge
 // in (shard, morsel) order, so t's first-seen group order is the global
-// row order of first selected occurrence and float sums add partial by
-// partial in that order.
+// row order of first selected occurrence; the accumulators are order-free.
 //
 // A string key part whose dictionary differs from t's — raw strings
 // interned per morsel, per-shard dictionaries — is translated group by
@@ -310,7 +326,8 @@ func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
 			ids[p] = t.ownDict(p)
 		}
 	}
-	key := make([]int64, t.k)
+	t.key = sized(t.key, t.k)
+	key := t.key
 	for gi := range src.counts {
 		copy(key, src.keys[gi*t.k:])
 		for p, m := range ids {
@@ -318,7 +335,6 @@ func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
 				key[p] = internID(m, &t.dicts[p], src.dicts[p][key[p]])
 			}
 		}
-		fresh := t.groups()
 		g := t.slot(splitKey(key))
 		if t.firstOn {
 			if sf := src.first[gi]; sf >= 0 && (t.first[g] < 0 || sf < t.first[g]) {
@@ -329,29 +345,10 @@ func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
 		for a := 0; a < t.nAggs; a++ {
 			so, do := gi*t.nAggs+a, int(g)*t.nAggs+a
 			t.isums[do] += src.isums[so]
-			if !src.seen[so] {
-				continue
-			}
-			if !t.seen[do] || src.imins[so] < t.imins[do] {
-				t.imins[do] = src.imins[so]
-			}
-			if !t.seen[do] || src.imaxs[so] > t.imaxs[do] {
-				t.imaxs[do] = src.imaxs[so]
-			}
 			if t.floats {
-				if int(g) == fresh {
-					t.fsums[do] = src.fsums[so] // a new group takes the partial's sum as is: 0 + −0 is +0
-				} else {
-					t.fsums[do] += src.fsums[so]
-				}
-				if !t.seen[do] || src.fmins[so] < t.fmins[do] {
-					t.fmins[do] = src.fmins[so]
-				}
-				if !t.seen[do] || src.fmaxs[so] > t.fmaxs[do] {
-					t.fmaxs[do] = src.fmaxs[so]
-				}
+				t.fsums[do].merge(src.fsums[so])
 			}
-			t.seen[do] = true
+			t.imins[do], t.imaxs[do] = min(t.imins[do], src.imins[so]), max(t.imaxs[do], src.imaxs[so])
 		}
 	}
 }
@@ -384,9 +381,6 @@ func (t *groupTable) sortByFirst() {
 	t.imins = permuted(t.imins, perm, t.nAggs)
 	t.imaxs = permuted(t.imaxs, perm, t.nAggs)
 	t.fsums = permuted(t.fsums, perm, t.nAggs)
-	t.fmins = permuted(t.fmins, perm, t.nAggs)
-	t.fmaxs = permuted(t.fmaxs, perm, t.nAggs)
-	t.seen = permuted(t.seen, perm, t.nAggs)
 	t.reindex(t.mask + 1)
 }
 
@@ -403,20 +397,12 @@ type aggFeeder interface {
 // what the plan shows and never from a row count or an option:
 //
 //	shard windows    the child is a full-scan *Scan and no GROUP BY column
-//	                 or aggregate value input is a DOUBLE (fused.go)
+//	                 is a DOUBLE (fused.go)
 //	probe matches    the child is a join whose probe side fuses (fused.go)
 //	relation windows anything else: the child is run to a relation
 //
-// DOUBLE inputs stay on the relation feeder because float addition is not
-// associative and the standing contract is byte-identity across DOP,
-// shard count, merged-vs-live snapshot and shard-fed-vs-relation-fed.
-// The float accumulation order is: within a partial in ascending
-// relation-row order; partials added in morsel order; grid pitch
-// MorselRows over the relation's rows.  That grid is cut on the filtered
-// logical row sequence, which is the same whatever the physical layout; a
-// shard-window grid is cut on physical rows and cannot reproduce it (a
-// logical chunk that straddles two physical morsels is one serial
-// accumulation, not the sum of two).
+// A DOUBLE sum is a floatSum, a function of the multiset of its inputs, so
+// every feeder, grid and layout gives the same bits.
 func (a *HashAgg) feeder(ctx *Ctx) (aggFeeder, *aggShape, error) {
 	if sf := a.shardFeed(); sf != nil {
 		return sf, &sf.aggShape, nil
@@ -448,6 +434,7 @@ func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	if m.final == nil {
 		m.final = shape.newTable(nil)
 	}
+	defer m.final.release()
 	if m.final.firstOn {
 		m.final.sortByFirst()
 	}
@@ -498,6 +485,9 @@ func (m *aggMerge) add(ctx *Ctx, label string, partials []*groupTable, work ener
 	}
 	for _, p := range partials {
 		m.partialGroups += uint64(p.groups())
+		if p != t {
+			p.release()
+		}
 	}
 	m.nparts += len(partials)
 	if seq != nil {
@@ -516,6 +506,7 @@ func (m *aggMerge) add(ctx *Ctx, label string, partials []*groupTable, work ener
 		m.final = t
 	} else {
 		m.final.mergeFrom(t, m.ids)
+		t.release()
 	}
 }
 
@@ -557,12 +548,12 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 		} else {
 			oc.F = make([]float64, n)
 		}
-		ints, flts := t.isums, t.fsums
+		ints := t.isums
 		switch s.Func {
 		case expr.AggMin:
-			ints, flts = t.imins, t.fmins
+			ints = t.imins
 		case expr.AggMax:
-			ints, flts = t.imaxs, t.fmaxs
+			ints = t.imaxs
 		}
 		for g := 0; g < n; g++ {
 			o := g*t.nAggs + ai
@@ -572,11 +563,14 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 			case s.Func == expr.AggAvg && intIn:
 				oc.F[g] = float64(ints[o]) / float64(t.counts[g])
 			case s.Func == expr.AggAvg:
-				oc.F[g] = flts[o] / float64(t.counts[g])
+				oc.F[g] = t.fsums[o].value() / float64(t.counts[g])
 			case intIn:
 				oc.I[g] = ints[o]
-			default:
-				oc.F[g] = flts[o]
+			case s.Func == expr.AggSum:
+				oc.F[g] = t.fsums[o].value()
+			default: // a DOUBLE MIN/MAX key, decoded once per output group
+				k := ints[o]
+				oc.F[g] = math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
 			}
 		}
 		out.Cols = append(out.Cols, oc)
@@ -601,8 +595,7 @@ func aggOutName(s expr.AggSpec) string {
 // ---------------------------------------------------------------------------
 
 // relFeed feeds row windows of the child's materialized relation: the
-// feeder of every child that is not a fusable scan or join, and of every
-// aggregation over DOUBLE inputs (see feeder).
+// feeder of every child that is not a fusable scan or join (see feeder).
 type relFeed struct {
 	a                  *HashAgg
 	in                 *Relation
@@ -663,7 +656,7 @@ func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
 // column is its own slice, a DOUBLE its bits, raw strings ids of a
 // dictionary interned for this partial alone — so the row loop runs over
 // plain slices.  The global group (no GROUP BY) resolves its one slot
-// before the loop, which then only accumulates, in ascending row order.
+// before the loop, which then only accumulates.
 func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
 	t := rf.newTable(nil)
 	parts := make([][]int64, t.k)

@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/colstore"
@@ -12,12 +13,14 @@ import (
 
 // mapAgg is the retired string-keyed aggregation, kept as the oracle the
 // one aggregate is anchored on: the parent's map implementation moved
-// here verbatim (a key string per row, a heap object per group, its own
-// merge and output builder, the serial loop below mapAggParallelRows and
-// the morsel grid from it).  It materializes its child and charges what
-// the parent charged, so a relation-fed HashAgg under 2^16 or from 2^18
-// input rows must reproduce both its relation — float sums bit for bit —
-// and its Meter.
+// here (a key string per row, a heap object per group, its own merge and
+// output builder, the serial loop below mapAggParallelRows and the morsel
+// grid from it).  It materializes its child and charges what the parent
+// charged, so a relation-fed HashAgg under 2^16 or from 2^18 input rows
+// must reproduce both its relation and its Meter.  Its DOUBLE aggregates
+// are written from the definition, sharing no code with floatSum: a sum
+// is the inputs' exact math/big sum rounded once (exactSum), MIN/MAX
+// follow floatLess.
 type mapAgg struct {
 	Child   Node
 	GroupBy []string
@@ -37,12 +40,11 @@ func (a *mapAgg) rangeWork(lo, hi, groups int) energy.Counters {
 // aggState accumulates one group.  Int64 aggregate inputs accumulate in
 // the exact int64 fields: integer addition is associative, so any morsel
 // decomposition — including the fused run-at-a-time closed form
-// `sum += L*v` — produces bit-identical sums.  Float64 inputs keep
-// float64 accumulators filled in row order (float addition is not
-// associative, so their grouping order is part of the contract).
+// `sum += L*v` — produces bit-identical sums.  Float64 inputs keep every
+// value, summed exactly at output.
 type aggState struct {
 	count  int64
-	sums   []float64
+	fvals  [][]float64
 	isums  []int64
 	mins   []float64
 	maxs   []float64
@@ -66,7 +68,7 @@ func newAggTable() *aggTable {
 // newAggState allocates one group's accumulators.
 func (a *mapAgg) newAggState(sample int32) *aggState {
 	return &aggState{
-		sums:   make([]float64, len(a.Aggs)),
+		fvals:  make([][]float64, len(a.Aggs)),
 		isums:  make([]int64, len(a.Aggs)),
 		mins:   make([]float64, len(a.Aggs)),
 		maxs:   make([]float64, len(a.Aggs)),
@@ -128,11 +130,11 @@ func (a *mapAgg) aggRange(t *aggTable, groupCols, aggCols []*Col, lo, hi int) {
 				continue
 			}
 			v := c.F[row]
-			st.sums[i] += v
-			if !st.seen[i] || v < st.mins[i] {
+			st.fvals[i] = append(st.fvals[i], v)
+			if !st.seen[i] || floatLess(v, st.mins[i]) {
 				st.mins[i] = v
 			}
-			if !st.seen[i] || v > st.maxs[i] {
+			if !st.seen[i] || floatLess(st.maxs[i], v) {
 				st.maxs[i] = v
 			}
 			st.seen[i] = true
@@ -153,14 +155,14 @@ func mergeInto(dst, src *aggTable) {
 			continue
 		}
 		ds.count += ss.count
-		for i := range ds.sums {
-			ds.sums[i] += ss.sums[i]
+		for i := range ds.fvals {
+			ds.fvals[i] = append(ds.fvals[i], ss.fvals[i]...)
 			ds.isums[i] += ss.isums[i]
 			if ss.seen[i] {
-				if !ds.seen[i] || ss.mins[i] < ds.mins[i] {
+				if !ds.seen[i] || floatLess(ss.mins[i], ds.mins[i]) {
 					ds.mins[i] = ss.mins[i]
 				}
-				if !ds.seen[i] || ss.maxs[i] > ds.maxs[i] {
+				if !ds.seen[i] || floatLess(ds.maxs[i], ss.maxs[i]) {
 					ds.maxs[i] = ss.maxs[i]
 				}
 				if !ds.seen[i] || ss.imins[i] < ds.imins[i] {
@@ -236,7 +238,7 @@ func (a *mapAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation {
 			var v float64
 			switch s.Func {
 			case expr.AggSum:
-				v = st.sums[ai]
+				v = exactSum(st.fvals[ai])
 			case expr.AggMin:
 				v = st.mins[ai]
 			case expr.AggMax:
@@ -246,7 +248,7 @@ func (a *mapAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation {
 					if intIn {
 						v = float64(st.isums[ai]) / float64(st.count)
 					} else {
-						v = st.sums[ai] / float64(st.count)
+						v = exactSum(st.fvals[ai]) / float64(st.count)
 					}
 				}
 			}
@@ -255,6 +257,20 @@ func (a *mapAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation {
 		out.Cols = append(out.Cols, oc)
 	}
 	return out
+}
+
+// floatLess is the total order of DOUBLE MIN/MAX: −Inf < … < −0 < +0 <
+// … < +Inf < NaN.
+func floatLess(x, y float64) bool {
+	switch {
+	case x != x:
+		return false
+	case y != y:
+		return true
+	case x == 0 && y == 0:
+		return math.Signbit(x) && !math.Signbit(y)
+	}
+	return x < y
 }
 
 // Run implements Node.

@@ -50,15 +50,12 @@ import (
 // kernel, group keys are fixed-width tuples of int64 parts (an integer
 // group value or a dictionary code per GROUP BY column — never
 // concatenated bytes, so no separator byte can make two keys collide),
-// integer aggregates accumulate in exact int64 arithmetic (associative,
-// so the table grid and the filtered-relation grid sum bit-identically),
-// and partials merge in morsel order, shard by shard.  Value-needing
-// aggregates over Float64 columns are NOT shard-fed: float addition is
-// non-associative and the physical morsel grid differs from the filtered
-// relation's, so those plans feed from the relation and its pinned
-// accumulation order (HashAgg.feeder).  Charged counters are pure
-// functions of (snapshot, plan, data) — never of DOP — like every other
-// morsel kernel in this package.
+// every accumulator is order-free (exact int64 ring arithmetic for
+// BIGINT, the binned floatSum for DOUBLE, int64 keys for MIN/MAX), so the
+// table grid and the filtered-relation grid give the same bits, and
+// partials merge in morsel order, shard by shard, which fixes the group
+// order.  Charged counters are pure functions of (snapshot, plan, data) —
+// never of DOP — like every other morsel kernel in this package.
 
 // ---------------------------------------------------------------------------
 // Fused filter→aggregate: the shard-window feeder
@@ -67,8 +64,8 @@ import (
 // shardFeed is the shard-window feeder of an aggregation (agg.go): a
 // bound full-scan Scan plus, per shard, the group-key sources and the
 // aggregate inputs.  Every morsel filters its rows with the scan's own
-// kernel and folds the selection straight off the compressed segments,
-// so the filtered relation is never built.
+// kernel and folds the selection straight off the stored columns, so the
+// filtered relation is never built.
 type shardFeed struct {
 	a      *HashAgg
 	scan   *Binding
@@ -88,9 +85,9 @@ type shardFeedCols struct {
 	// dictionary in dicts (nil for a BIGINT part).
 	groups []*colstore.IntColumn
 	dicts  [][]string
-	// aggInts[i] is the BIGINT input of aggregate i, nil when the aggregate
-	// needs no values (COUNT).
-	aggInts []*colstore.IntColumn
+	// vals[i] is the BIGINT or DOUBLE input of aggregate i, nil when the
+	// aggregate needs no values (COUNT).
+	vals []colstore.Column
 }
 
 // shardFeed resolves the shard-window feeder, nil when the aggregation is
@@ -101,12 +98,12 @@ type shardFeedCols struct {
 //	             is its shard's dictionary code; per-shard dictionaries
 //	             meet in the merge's key translation)
 //	aggregates   COUNT(*), COUNT(col) of an emitted column, or
-//	             SUM/MIN/MAX/AVG of an emitted BIGINT column
+//	             SUM/MIN/MAX/AVG of an emitted BIGINT or DOUBLE column
 //
-// A DOUBLE group key or value input is relation-fed (see feeder for why);
-// so is anything that does not bind, and the relation feeder reports the
-// error.  Everything read here is static, so EXPLAIN, the planner's
-// mirror and Run cannot disagree.
+// A DOUBLE group key is relation-fed — key parts are read from integer
+// columns — and so is anything that does not bind, for the relation
+// feeder to report the error.  Everything read here is static, so
+// EXPLAIN, the planner's mirror and Run cannot disagree.
 func (a *HashAgg) shardFeed() *shardFeed {
 	s, ok := a.Child.(*Scan)
 	if !ok || s.Access.Kind != FullScan {
@@ -129,23 +126,21 @@ func (a *HashAgg) shardFeed() *shardFeed {
 	}
 	aggIdx := make([]int, len(a.Aggs))
 	for i, spec := range a.Aggs {
-		aggIdx[i] = -1
-		if spec.Func == expr.AggCount {
-			if spec.Col != "" && b.index(spec.Col) < 0 {
-				return nil // COUNT(col) on a column the scan doesn't emit
-			}
-			continue
-		}
-		if aggIdx[i] = b.index(spec.Col); aggIdx[i] < 0 {
-			return nil
+		switch aggIdx[i] = b.index(spec.Col); {
+		case spec.Func == expr.AggCount && (spec.Col == "" || aggIdx[i] >= 0):
+			aggIdx[i] = -1 // COUNT reads no values
+		case aggIdx[i] < 0 || b.tmpl[aggIdx[i]].Type == colstore.String:
+			return nil // not emitted, or a string input the relation feeder reports
+		default:
+			sf.valTypes[i] = b.tmpl[aggIdx[i]].Type
 		}
 	}
 	for _, sb := range b.Shards {
 		fs := shardFeedCols{
-			sb:      sb,
-			groups:  make([]*colstore.IntColumn, len(groupIdx)),
-			dicts:   make([][]string, len(groupIdx)),
-			aggInts: make([]*colstore.IntColumn, len(a.Aggs)),
+			sb:     sb,
+			groups: make([]*colstore.IntColumn, len(groupIdx)),
+			dicts:  make([][]string, len(groupIdx)),
+			vals:   make([]colstore.Column, len(a.Aggs)),
 		}
 		for p, ci := range groupIdx {
 			switch gc := sb.Cols[ci].(type) {
@@ -156,14 +151,9 @@ func (a *HashAgg) shardFeed() *shardFeed {
 			}
 		}
 		for i, ci := range aggIdx {
-			if ci < 0 {
-				continue
+			if ci >= 0 {
+				fs.vals[i] = sb.Cols[ci]
 			}
-			ic, ok := sb.Cols[ci].(*colstore.IntColumn)
-			if !ok {
-				return nil // DOUBLE (or string) value inputs are relation-fed
-			}
-			fs.aggInts[i] = ic
 		}
 		sf.shards = append(sf.shards, fs)
 	}
@@ -199,8 +189,11 @@ func (sf *shardFeed) fold(ctx *Ctx, m *aggMerge) error {
 // charging the exact same scan counters — and folds the selected rows
 // into a partial table without materializing them.
 func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTable, energy.Counters) {
-	sel, w := fs.sb.selectRows(snap, lo, hi)
-	selCnt := sel.Count()
+	sc := scratchPool.Get().(*morselScratch)
+	defer scratchPool.Put(sc)
+	sel, w := fs.sb.selectRows(snap, lo, hi, sc)
+	sc.rows = sel.AppendIndices(sc.rows[:0])
+	selCnt := len(sc.rows)
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	t := sf.newTable(fs.dicts)
 	if sf.trackFirst {
@@ -208,198 +201,243 @@ func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTa
 		t.base = int64(lo)
 	}
 	if selCnt > 0 {
-		w.Add(fusedFold(fs, t, sel, lo, hi, selCnt))
+		f := shardFold{fs: fs, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
+		switch {
+		case len(fs.groups) == 0:
+			f.global()
+		case len(fs.groups) > 1 || !f.dense:
+			f.tuples()
+		default:
+			f.sweep()
+		}
 		// The aggregate stage's logical rows plus its fold budget; the
-		// physical decode/run-stream work is priced inside fusedFold per
-		// span.  Strictly below the relation feeder's rangeWork, which pays
-		// one hash probe miss per row and re-reads every group/agg value at
-		// full width from the materialized intermediate.
+		// physical reads are priced inside the fold.  Strictly below the
+		// relation feeder's rangeWork, which pays one hash probe miss per
+		// row and re-reads every group/agg value at full width from the
+		// materialized intermediate.
+		w.Add(f.w)
 		w.Add(energy.Counters{
 			TuplesIn:     uint64(selCnt),
 			TuplesOut:    uint64(t.groups()),
-			Instructions: uint64(selCnt) * uint64(4+2*len(fs.aggInts)),
+			Instructions: uint64(selCnt) * uint64(4+2*len(fs.vals)),
 			CacheMisses:  uint64(selCnt) / 8,
 		})
 	}
 	return t, w
 }
 
-// fusedFold accumulates the selected rows of window [lo, hi) into t,
-// operating on the compressed segments directly.  Sparse selections
-// (under 1/8 of the window) take point reads instead of span streams —
-// a fixed density rule, and like the rest of the fused pricing a pure
-// function of (snapshot, predicates, grid).
-func fusedFold(fs *shardFeedCols, t *groupTable, sel *vec.Bitvec, lo, hi, selCnt int) energy.Counters {
-	var w energy.Counters
-	nrows := hi - lo
-	sparse := selCnt*8 < nrows
-	sparseWork := func(n int) energy.Counters {
-		return energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
-	}
+// shardFold is one morsel's fold of its selected rows (scratch rows) into
+// a partial table, reading the stored columns into the worker's scratch
+// windows: a key part's window at scratch window p, a BIGINT input's at
+// len(groups)+i.  dense streams whole windows; otherwise — under 1/8 of
+// the window selected — only the selected rows are point-read.  A fixed
+// density rule, and like the rest of the fused pricing a pure function of
+// (snapshot, predicates, grid).  The fold is one of three sweeps: the
+// global group; a k-wide key or a sparse window, read column by column;
+// or one key column's dense window, span-wise.
+type shardFold struct {
+	fs     *shardFeedCols
+	t      *groupTable
+	sc     *morselScratch
+	sel    *vec.Bitvec
+	lo, hi int
+	dense  bool
+	w      energy.Counters
+}
 
-	// readWin materializes a column's window, indexed by local row: the
-	// selected rows point-read when sparse, the spans bulk-decoded otherwise.
-	readWin := func(c *colstore.IntColumn) []int64 {
-		buf := make([]int64, nrows)
-		if sparse {
-			sel.ForEach(func(i int) { buf[i] = c.Get(lo + i) })
-			w.Add(sparseWork(selCnt))
-		} else {
-			for _, vsp := range c.Spans(lo, hi) {
-				w.Add(vsp.Decode(buf[vsp.A-lo : vsp.B-lo]))
-			}
-		}
-		return buf
-	}
-	// Lazily materialized per-aggregate value windows.  Only aggregates
-	// that cannot use a closed form read them.
-	vals := make([][]int64, len(fs.aggInts))
-	getVals := func(ai int) []int64 {
-		if vals[ai] == nil {
-			vals[ai] = readWin(fs.aggInts[ai])
-		}
-		return vals[ai]
-	}
-	foldRow := func(g int32, i int) {
-		t.counts[g]++
-		for ai, ic := range fs.aggInts {
-			if ic == nil {
-				continue
-			}
-			t.addN(g, ai, getVals(ai)[i], 1)
-		}
-	}
+// read streams column c into scratch window k (streamWindow).
+func (f *shardFold) read(k int, c *colstore.IntColumn) []int64 {
+	win := f.sc.win(k, f.hi-f.lo)
+	f.w.Add(streamWindow(c, false, f.sc.rows, f.lo, f.hi, f.dense, win))
+	return win
+}
 
-	// Global aggregation: the count is free of any column touch, and RLE
-	// aggregate inputs fold run-at-a-time.
-	if len(fs.groups) == 0 {
-		g := t.slot(0, nil)
-		t.counts[g] += int64(selCnt)
-		for ai, ic := range fs.aggInts {
-			if ic == nil {
-				continue
+// floats returns the window of DOUBLE column c — the stored values in
+// place, nothing decoded — priced as gatherCol prices the same read: the
+// whole window streamed when dense, the selected rows point-read
+// otherwise.
+func (f *shardFold) floats(c *colstore.FloatColumn) []float64 {
+	n := len(f.sc.rows)
+	if f.dense {
+		n = f.hi - f.lo
+	}
+	f.w.Add(floatRead(n, f.dense))
+	return c.Values()[f.lo:f.hi]
+}
+
+// bindValues reads every aggregate input the fold takes row by row into
+// the scratch views, except a BIGINT input that is skip.
+func (f *shardFold) bindValues(skip *colstore.IntColumn) {
+	sc, k := f.sc, len(f.fs.groups)
+	sc.aggWin, sc.aggF = sc.aggWin[:0], sc.aggF[:0]
+	for ai, c := range f.fs.vals {
+		var win []int64
+		var vals []float64
+		switch c := c.(type) {
+		case *colstore.FloatColumn:
+			vals = f.floats(c)
+		case *colstore.IntColumn:
+			if c != skip {
+				win = f.read(k+ai, c)
 			}
-			if sparse {
-				vv := getVals(ai)
-				sel.ForEach(func(i int) { t.addN(g, ai, vv[i], 1) })
-				continue
+		}
+		sc.aggWin, sc.aggF = append(sc.aggWin, win), append(sc.aggF, vals)
+	}
+}
+
+// add folds window row r into group g.
+func (f *shardFold) add(g int32, r int32) {
+	f.t.counts[g]++
+	for ai, win := range f.sc.aggWin {
+		if win != nil {
+			f.t.addN(g, ai, win[r], 1)
+		} else if vals := f.sc.aggF[ai]; vals != nil {
+			f.t.addF(g, ai, vals[r])
+		}
+	}
+}
+
+// global folds the window into the one global group.  The count touches
+// no column; a DOUBLE input folds over the selection in one bulk add; a
+// BIGINT one is point-read when sparse, else swept span-wise —
+// run-at-a-time over RLE runs, decoded once otherwise.
+func (f *shardFold) global() {
+	t, rows, lo := f.t, f.sc.rows, f.lo
+	g := t.slot(0, nil)
+	t.counts[g] += int64(len(rows))
+	for ai, c := range f.fs.vals {
+		ic, isInt := c.(*colstore.IntColumn)
+		switch {
+		case c == nil:
+		case !isInt:
+			t.addFloats(g, ai, f.floats(c.(*colstore.FloatColumn)), rows)
+		case !f.dense:
+			win := f.read(ai, ic)
+			for _, r := range rows {
+				t.addN(g, ai, win[r], 1)
 			}
-			for _, sp := range ic.Spans(lo, hi) {
+		default:
+			win := f.sc.win(ai, f.hi-lo)
+			f.sc.spans = ic.AppendSpans(f.sc.spans[:0], lo, f.hi)
+			for _, sp := range f.sc.spans {
 				if sp.Enc == colstore.EncRLE {
-					w.Add(sp.Runs(func(v int64, ra, rb int) {
-						if c := sel.CountRange(ra-lo, rb-lo); c > 0 {
+					f.w.Add(sp.Runs(func(v int64, ra, rb int) {
+						if c := f.sel.CountRange(ra-lo, rb-lo); c > 0 {
 							t.addN(g, ai, v, int64(c))
 						}
 					}))
 					continue
 				}
-				buf := make([]int64, sp.B-sp.A)
-				w.Add(sp.Decode(buf))
-				la := sp.A - lo
-				sel.ForEachRange(la, sp.B-lo, func(i int) {
-					t.addN(g, ai, buf[i-la], 1)
-				})
+				la, lb := sp.A-lo, sp.B-lo
+				f.w.Add(sp.Decode(win[la:lb]))
+				for _, r := range rowsIn(rows, la, lb) {
+					t.addN(g, ai, win[r], 1)
+				}
 			}
 		}
-		return w
 	}
+}
 
-	// Grouped aggregation, sparse: point-read the key parts of the selected
-	// rows only.
-	rest := make([]int64, len(fs.groups)-1)
-	if sparse {
-		sel.ForEach(func(i int) {
-			for p, c := range fs.groups[1:] {
-				rest[p] = c.Get(lo + i)
-			}
-			g := t.slot(fs.groups[0].Get(lo+i), rest)
-			t.noteFirst(g, i)
-			foldRow(g, i)
-		})
-		for range fs.groups {
-			w.Add(sparseWork(selCnt))
+// tuples folds the selected rows on their k-wide keys, every key part
+// read like a value input: the fold of a sparse window, and of a dense
+// one keyed by several columns, which have no one layout to sweep.
+func (f *shardFold) tuples() {
+	t, sc, k := f.t, f.sc, len(f.fs.groups)
+	for p, c := range f.fs.groups {
+		f.read(p, c)
+	}
+	f.bindValues(nil)
+	t.key = sized(t.key, k-1) // a partial's merge buffer, free while it folds
+	parts, rest := sc.wins[:k], t.key
+	for _, r := range sc.rows {
+		for p, win := range parts[1:] {
+			rest[p] = win[r]
 		}
-		return w
+		g := t.slot(parts[0][r], rest)
+		t.noteFirst(g, int(r))
+		f.add(g, r)
 	}
+}
 
-	// Grouped aggregation, dense, several key columns: there is no one
-	// physical layout to sweep, so every key column's window is decoded
-	// like an aggregate input and the rows fold on the k-wide key.
-	if len(fs.groups) > 1 {
-		wins := make([][]int64, len(fs.groups))
-		for p, c := range fs.groups {
-			wins[p] = readWin(c)
+// sweep folds a dense window on its one key column, span-wise in the
+// column's physical layout: RLE spans run-at-a-time, dictionary spans in
+// the code domain through a code→group memo (one table insert per
+// distinct code per span, an array load per row), anything else — raw
+// (incl. the delta tail), bitpack, delta — decoded once.
+func (f *shardFold) sweep() {
+	t, sc, lo := f.t, f.sc, f.lo
+	gcol := f.fs.groups[0]
+	sc.spans = gcol.AppendSpans(sc.spans[:0], lo, f.hi)
+	// SUM(x) GROUP BY x folds x's runs closed-form: x's own window is read
+	// only if a selected row lies outside a run.
+	skip := gcol
+	for _, sp := range sc.spans {
+		if sp.Enc != colstore.EncRLE && f.sel.CountRange(sp.A-lo, sp.B-lo) > 0 {
+			skip = nil
 		}
-		sel.ForEach(func(i int) {
-			for p, win := range wins[1:] {
-				rest[p] = win[i]
-			}
-			g := t.slot(wins[0][i], rest)
-			t.noteFirst(g, i)
-			foldRow(g, i)
-		})
-		return w
 	}
-
-	// Grouped aggregation, dense, one key column: sweep it span-wise in its
-	// physical layout.
-	gcol := fs.groups[0]
-	for _, sp := range gcol.Spans(lo, hi) {
+	f.bindValues(skip)
+	keys := sc.win(0, f.hi-lo)
+	for _, sp := range sc.spans {
 		la, lb := sp.A-lo, sp.B-lo
+		rows := rowsIn(sc.rows, la, lb)
 		switch sp.Enc {
 		case colstore.EncRLE:
-			w.Add(sp.Runs(func(v int64, ra, rb int) {
-				c := sel.CountRange(ra-lo, rb-lo)
-				if c == 0 {
-					return
-				}
-				g := t.slot(v, nil)
-				t.noteFirstRange(g, sel, ra-lo, rb-lo)
-				t.counts[g] += int64(c)
-				for ai, ic := range fs.aggInts {
-					if ic == nil {
-						continue
-					}
-					if ic == gcol {
-						// SUM(x) GROUP BY x: run closed form, no expansion.
-						t.addN(g, ai, v, int64(c))
-						continue
-					}
-					vv := getVals(ai)
-					sel.ForEachRange(ra-lo, rb-lo, func(i int) { t.addN(g, ai, vv[i], 1) })
-				}
+			f.w.Add(sp.Runs(func(v int64, ra, rb int) {
+				n := f.sel.CountRange(ra-lo, rb-lo)
+				f.run(v, rows[:n])
+				rows = rows[n:]
 			}))
 		case colstore.EncDict:
 			dict := sp.DictVals()
-			codes := make([]int64, lb-la)
-			w.Add(sp.Codes(codes))
-			// Flat code→group memo: one table insert per distinct code per
-			// span, one array load per row — no hash probe in the loop.
-			code2group := make([]int32, len(dict))
-			for i := range code2group {
-				code2group[i] = -1
-			}
-			sel.ForEachRange(la, lb, func(i int) {
-				code := codes[i-la]
-				g := code2group[code]
+			f.w.Add(sp.Codes(keys[la:lb]))
+			sc.slots = sized(sc.slots, len(dict))
+			memo := sc.slots
+			for _, r := range rows {
+				code := keys[r]
+				g := memo[code] - 1
 				if g < 0 {
 					g = t.slot(dict[code], nil)
-					code2group[code] = g
-					t.noteFirst(g, i)
+					memo[code] = g + 1
+					t.noteFirst(g, int(r))
 				}
-				foldRow(g, i)
-			})
-		default: // raw (incl. delta tail), bitpack, delta: bulk decode once
-			buf := make([]int64, lb-la)
-			w.Add(sp.Decode(buf))
-			sel.ForEachRange(la, lb, func(i int) {
-				g := t.slot(buf[i-la], nil)
-				t.noteFirst(g, i)
-				foldRow(g, i)
-			})
+				f.add(g, r)
+			}
+		default:
+			f.w.Add(sp.Decode(keys[la:lb]))
+			for _, r := range rows {
+				g := t.slot(keys[r], nil)
+				t.noteFirst(g, int(r))
+				f.add(g, r)
+			}
 		}
 	}
-	return w
+}
+
+// run folds the selected rows of one RLE run of key v into one slot; an
+// aggregate of the key column itself whose window was never read folds in
+// closed form.
+func (f *shardFold) run(v int64, rows []int32) {
+	if len(rows) == 0 {
+		return
+	}
+	g := f.t.slot(v, nil)
+	f.t.noteFirst(g, int(rows[0]))
+	for _, r := range rows {
+		f.add(g, r)
+	}
+	for ai, c := range f.fs.vals {
+		if c == colstore.Column(f.fs.groups[0]) && f.sc.aggWin[ai] == nil {
+			f.t.addN(g, ai, v, int64(len(rows)))
+		}
+	}
+}
+
+// rowsIn returns the part of the ascending rows that lies in [a, b).
+func rowsIn(rows []int32, a, b int) []int32 {
+	i, _ := slices.BinarySearch(rows, int32(a))
+	j, _ := slices.BinarySearch(rows[i:], int32(b))
+	return rows[i : i+j]
 }
 
 // ---------------------------------------------------------------------------
@@ -461,14 +499,6 @@ func (sp *shardProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
 func (sp *shardProbe) rows(snap int64) int { return sp.sb.Table.RowsAsOf(snap) }
 func (sp *shardProbe) fused() bool         { return true }
 
-// window returns *buf resized to n rows (n never exceeds MorselRows).
-func window(buf *[]int64, n int) []int64 {
-	if *buf == nil {
-		*buf = make([]int64, MorselRows)
-	}
-	return (*buf)[:n]
-}
-
 // streamWindow reads column c over the window [lo, hi) into out.  dense
 // bulk-decodes the whole window once (DecodeRange streams each compressed
 // segment slice a single time); otherwise only the selected rows are
@@ -491,9 +521,9 @@ func streamWindow(c *colstore.IntColumn, codes bool, rows []int32, lo, hi int, d
 // window filters rows [lo, hi) with the scan's predicate sequence and
 // streams the selected probe keys straight from the key segments — the
 // probe side is never materialized.
-func (sp *shardProbe) window(snap int64, lo, hi int, sc *probeScratch, folding bool) ([]int64, []int32, int, bool, energy.Counters) {
+func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool) ([]int64, []int32, int, bool, energy.Counters) {
 	nrows := hi - lo
-	sel, w := sp.sb.selectRows(snap, lo, hi)
+	sel, w := sp.sb.selectRows(snap, lo, hi, sc)
 	selCnt := sel.Count()
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	if selCnt == 0 {
@@ -634,7 +664,9 @@ type probeAggInput struct{ win, build int }
 //	             (a probe-side dictionary code, a build-side string
 //	             resolved to one int64 id per build row)
 //	aggregates   COUNT(*), COUNT(col) of a join output column, or
-//	             SUM/MIN/MAX/AVG of a BIGINT column of either side
+//	             SUM/MIN/MAX/AVG of a BIGINT column of either side (the
+//	             probe windows and build columns are integer; no workload
+//	             sums a DOUBLE over a join)
 //
 // Columns resolve by name against the join's output schema, exactly as
 // the relation feeder would find them in the joined relation.  Every
@@ -700,7 +732,7 @@ func (a *HashAgg) probeFeed() *probeFeed {
 			}
 			ints, pf.groupDict = c.CodeColumn(), c.Dict()
 		default:
-			return in, false // DOUBLE inputs are relation-fed
+			return in, false // a DOUBLE input: the pair path and the relation feeder fold it
 		}
 		if in.win = slices.Index(pf.wins, ints); in.win < 0 {
 			in.win = len(pf.wins)
@@ -754,14 +786,11 @@ type probeFold struct {
 
 // bind streams the fold's probe-side windows for rows [lo, hi), following
 // the key stream's density verdict, and resets the slot memo.
-func (f *probeFold) bind(sc *probeScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
+func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
 	var w energy.Counters
 	pf := f.pf
-	for len(sc.wins) < len(pf.wins) {
-		sc.wins = append(sc.wins, nil)
-	}
 	for k, c := range pf.wins {
-		w.Add(streamWindow(c, false, rows, lo, hi, dense, window(&sc.wins[k], hi-lo)))
+		w.Add(streamWindow(c, false, rows, lo, hi, dense, sc.win(k, hi-lo)))
 	}
 	if pf.group.win >= 0 {
 		f.groupWin = sc.wins[pf.group.win]
@@ -776,11 +805,8 @@ func (f *probeFold) bind(sc *probeScratch, rows []int32, lo, hi int, dense bool)
 	}
 	f.aggWin = sc.aggWin
 	if f.nids > 0 {
-		if cap(sc.slots) < f.nids {
-			sc.slots = make([]int32, f.nids)
-		}
-		f.idSlot = sc.slots[:f.nids]
-		clear(f.idSlot)
+		sc.slots = sized(sc.slots, f.nids)
+		f.idSlot = sc.slots
 	}
 	return w
 }

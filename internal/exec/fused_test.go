@@ -254,9 +254,8 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 // TestFusedAggEligibility is the one feeder selection rule, over a flat
 // source and a k=4 sharded one: an aggregation is shard-fed iff its child
 // is a full-scan *Scan, everything it names binds, and no GROUP BY column
-// or value input is a DOUBLE (float accumulation order is the relation
-// grid's — see HashAgg.feeder).  Any number of BIGINT/string group
-// columns and per-shard string dictionaries are shard-fed, and every
+// is a DOUBLE.  Any number of BIGINT/string group columns, DOUBLE value
+// inputs and per-shard string dictionaries are shard-fed, and every
 // shard-fed shape answers byte for byte what its relation-fed twin (the
 // same scan hidden behind opaque) answers — the feeder is a plan
 // decision, never a result change.
@@ -288,7 +287,9 @@ func TestFusedAggEligibility(t *testing.T) {
 			[]string{"region"}, count, true, "twin"},
 		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
-			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
+			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggMin, Col: "amount"},
+				{Func: expr.AggMax, Col: "amount"}, {Func: expr.AggAvg, Col: "amount"}}, true, "twin"},
+		{"flat/float-global", flat("amount"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, true, "twin"},
 		{"flat/opaque-child", opaque(flat("rle")), []string{"rle"}, count, false, "ok"},
 		{"flat/index-access", &Scan{Source: colstore.OneShard(tab), Select: []string{"rle"}, Access: AccessSpec{Kind: IndexAccess}},
 			[]string{"rle"}, count, false, ""},
@@ -299,7 +300,7 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"sharded/string-group", sharded(), []string{"region"}, sumVal, true, "twin"}, // per-shard dictionaries
 		{"sharded/multi-group", sharded(), []string{"grp", "region", "val"}, sumVal, true, "twin"},
 		{"sharded/float-agg-input", sharded(), []string{"grp"},
-			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, false, "ok"},
+			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, true, "twin"},
 		{"sharded/float-group", sharded(), []string{"amount", "grp"}, sumVal, false, "ok"},
 	}
 	for _, c := range cases {

@@ -127,7 +127,7 @@ type probeSource interface {
 	// rows (nil = every row), n counts them; dense reports whether the
 	// window was bulk-decoded (folding picks the fold sink's density rule),
 	// the verdict the fold's own probe-side windows then follow.
-	window(snap int64, lo, hi int, sc *probeScratch, folding bool) (keys []int64, sel []int32, n int, dense bool, w energy.Counters)
+	window(snap int64, lo, hi int, sc *morselScratch, folding bool) (keys []int64, sel []int32, n int, dense bool, w energy.Counters)
 	// gather materializes the probe side of the output at the matched
 	// rows; keys are the matches' probe keys, carried for a fused source.
 	gather(keys []int64, rows []int32) (*Relation, energy.Counters)
@@ -163,7 +163,7 @@ func (rp *relProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
 func (rp *relProbe) rows(int64) int { return rp.rel.N }
 func (rp *relProbe) fused() bool    { return false }
 
-func (rp *relProbe) window(_ int64, lo, hi int, _ *probeScratch, _ bool) ([]int64, []int32, int, bool, energy.Counters) {
+func (rp *relProbe) window(_ int64, lo, hi int, _ *morselScratch, _ bool) ([]int64, []int32, int, bool, energy.Counters) {
 	return rp.keys[lo:hi], nil, hi - lo, true, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
 }
 
@@ -281,23 +281,6 @@ func sameDict(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// probeScratch is one worker's probe windows, recycled across the morsels
-// it claims (and across queries) so a probe allocates per match list, not
-// per morsel.  Every window is indexed by window-local row.
-//
-//lint:hotpath
-type probeScratch struct {
-	keys []int64 // the probe keys
-	rows []int32 // selection vector of a partially selected window
-	// The aggregate sink's share: its distinct group/value windows, their
-	// per-aggregate view, and the dense-key slot memo.
-	wins   [][]int64
-	aggWin [][]int64
-	slots  []int32
-}
-
-var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
-
 // probeMorsel is the one probe kernel: it takes rows [lo, hi)'s selected
 // keys from the probe source and probes the partition tables in probe-row
 // order.  Matches go to one of two sinks: with fold nil they are emitted
@@ -305,8 +288,8 @@ var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
 // match folds straight into fold's partial aggregate and no pair is ever
 // written.
 func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChunk, energy.Counters) {
-	sc := probeScratchPool.Get().(*probeScratch)
-	defer probeScratchPool.Put(sc)
+	sc := scratchPool.Get().(*morselScratch)
+	defer scratchPool.Put(sc)
 	keys, sel, n, dense, w := jr.src.window(snap, lo, hi, sc, fold != nil)
 	if fold != nil && n > 0 {
 		w.Add(fold.bind(sc, sel, lo, hi, dense))

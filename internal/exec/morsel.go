@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/vec"
 )
 
 // Morsel-driven parallel execution (Leis et al., SIGMOD 2014, adapted to
@@ -94,4 +95,53 @@ func runMorsels[T any](ctx *Ctx, n int, work func(m, lo, hi int) (T, energy.Coun
 		}
 		return work(m, lo, hi)
 	})
+}
+
+// morselScratch is one worker's buffers for the morsel it is folding or
+// probing, recycled across the morsels it claims (and across queries)
+// through scratchPool, so neither the shard feeder nor the probe
+// allocates anything per morsel that grows with its rows.  Every window
+// is indexed by window-local row.
+//
+//lint:hotpath
+type morselScratch struct {
+	sel, pred vec.Bitvec // the window's selection; a later predicate's matches
+	rows      []int32    // the selected rows, ascending
+	keys      []int64    // the probe keys
+	// Column windows (win) and their per-aggregate views: BIGINT windows,
+	// or a DOUBLE input's stored values (shard feeder).
+	wins   [][]int64
+	aggWin [][]int64
+	aggF   [][]float64
+	slots  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
+	spans  []colstore.SegSpan
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}
+
+// window returns *buf resized to n rows (n never exceeds MorselRows).
+func window(buf *[]int64, n int) []int64 {
+	if *buf == nil {
+		*buf = make([]int64, MorselRows)
+	}
+	return (*buf)[:n]
+}
+
+// win returns column window k resized to n rows.
+func (sc *morselScratch) win(k, n int) []int64 {
+	for len(sc.wins) <= k {
+		sc.wins = append(sc.wins, nil)
+	}
+	return window(&sc.wins[k], n)
+}
+
+// sized returns xs as n zeroed entries, on its own storage when that is
+// large enough.
+func sized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -14,12 +16,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Tests that pin the aggregate collapse (ISSUE 20): there is one
-// aggregation table, so the relation a HashAgg returns equals the map
-// oracle (agg_oracle_test.go) for every key shape, value input, size,
-// feeder and layout; DOUBLE sums are accumulated on the relation grid and
-// nowhere else; and an overflowing BIGINT sum wraps to the same value on
-// every path.
+// Tests that pin the one aggregate: there is one aggregation table, so the
+// relation a HashAgg returns equals the map oracle (agg_oracle_test.go)
+// for every key shape, value input, size, feeder and layout; a DOUBLE sum
+// is the same bits whatever order its rows arrive in; and an overflowing
+// BIGINT sum wraps to the same value on every path.
 
 // aggTwins is one flat table and a sharded twin per shard count, all
 // carrying the identical MVCC history.
@@ -154,8 +155,10 @@ var oneAggSchema = colstore.Schema{
 
 // oneAggRow is logical row i of the matrix table.  fk cycles through two
 // NaNs of different payload, both zeros, an infinity and ordinary values;
-// fv spreads over forty binary orders of magnitude, so a float sum's last
-// bits depend on the order it was accumulated in.
+// fv spreads over forty binary orders of magnitude, so a serial float sum's
+// last bits depend on the order it was accumulated in — while every bit
+// of every value stays within floatSum's window, so the exact sum is the
+// answer.
 func oneAggRow(i int) []any {
 	fks := []float64{
 		math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Copysign(0, -1), 0,
@@ -169,7 +172,7 @@ func oneAggRow(i int) []any {
 		[]string{"b", "\x00b"}[(i/2)%2],
 		fks[(i*5)%len(fks)],
 		int64(i*2654435761)%(1<<21) - 1<<20,
-		math.Ldexp(float64((i*40503)%9973)+0.1, i%41-20),
+		math.Ldexp(float64((i*40503)%9973)+0.25, i%41-20),
 	}
 }
 
@@ -203,9 +206,8 @@ var (
 )
 
 // sameAggRelation compares two aggregation results: schema, integers and
-// strings exactly; floats bit for bit (any two NaNs are equal), or within
-// tol relative when tol > 0.
-func sameAggRelation(got, want *Relation, tol float64) error {
+// strings exactly; floats bit for bit (any two NaNs are equal).
+func sameAggRelation(got, want *Relation) error {
 	if got.N != want.N || len(got.Cols) != len(want.Cols) {
 		return fmt.Errorf("shape %d×%d, want %d×%d", got.N, len(got.Cols), want.N, len(want.Cols))
 	}
@@ -216,8 +218,7 @@ func sameAggRelation(got, want *Relation, tol float64) error {
 		}
 		for i, x := range w.F {
 			y := g.F[i]
-			same := math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
-			if !same && !(tol > 0 && math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y))) {
+			if !sameBits(x, y) {
 				return fmt.Errorf("column %s row %d: got %x (%g), want %x (%g)", w.Name, i,
 					math.Float64bits(y), y, math.Float64bits(x), x)
 			}
@@ -231,18 +232,16 @@ func ranShardFed(ctx *Ctx) bool {
 	return slices.ContainsFunc(ctx.OpReports, func(op OpReport) bool { return strings.Contains(op.Label, "[fused") })
 }
 
-// TestOneAggMatchesMapOracle: relation == the map oracle, and relation +
-// Meter identical at DOP {1, 2, 8}, over key shape × value input × input
-// rows straddling the two retired thresholds (2^16, the grid pitch, and
-// 2^18, the old serial/parallel switch) × feeder × layout.  Float results
-// equal the oracle bit for bit wherever the oracle reproduces the
-// parent's accumulation order — under 2^16 relation rows (one partial is
-// the old serial loop) and from 2^18 (the old grid) — and within 1e-12
-// relative in between, where the serial loop became 2–4 partials.  There
-// a relation-fed run also charges exactly the oracle's Meter.  Sizes 0
-// and 1 run the full cross product; each of the five large sizes runs a
-// rotating slice, so every (key shape, value input, feeder) triple meets
-// two large sizes, alternating between the flat and the k=4 layout.
+// TestOneAggMatchesMapOracle: relation == the map oracle, bit for bit, and
+// relation + Meter identical at DOP {1, 2, 8}, over key shape × value
+// input × input rows straddling the two retired thresholds (2^16, the
+// grid pitch, and 2^18, the old serial/parallel switch) × feeder ×
+// layout.  Under 2^16 and from 2^18 relation rows — where the oracle
+// reproduces the parent's merges — a relation-fed run also charges
+// exactly the oracle's Meter.  Sizes 0 and 1 run the full cross product;
+// each of the five large sizes runs a rotating slice, so every (key shape,
+// value input, feeder) triple meets two large sizes, alternating between
+// the flat and the k=4 layout.
 func TestOneAggMatchesMapOracle(t *testing.T) {
 	sizes := []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<18 - 1, 1 << 18}
 	type oracleRun struct {
@@ -313,15 +312,11 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 							}
 							want, octx := oracles[okey].rel, oracles[okey].ctx
 							inBand := n >= 1<<16 && n < 1<<18
-							tol := 0.0
-							if inBand && vals.name == "float" {
-								tol = 1e-12
-							}
-							wantShardFed := feeder != "opaque" && shape.name != "double" && vals.name != "float"
+							wantShardFed := feeder != "opaque" && shape.name != "double"
 							var base *Ctx
 							for _, dop := range []int{1, 2, 8} {
 								got, ctx := runPlan(t, agg, dop)
-								if err := sameAggRelation(got, want, tol); err != nil {
+								if err := sameAggRelation(got, want); err != nil {
 									t.Fatalf("%s dop=%d: diverged from the map oracle: %v", name, dop, err)
 								}
 								// (Every shard of an empty table is pruned: nothing is traced.)
@@ -348,9 +343,9 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// gridSum adds xs the way the relation feeder does: serially within each
-// chunk of pitch values, the chunk sums then added in order (the first
-// taken as it stands).
+// gridSum adds xs serially within each chunk of pitch values, the chunk
+// sums then added in order — the relation feeder's order before DOUBLE
+// sums became order-free.
 func gridSum(xs []float64, pitch int) float64 {
 	var total float64
 	for lo := 0; lo < len(xs); lo += pitch {
@@ -358,39 +353,56 @@ func gridSum(xs []float64, pitch int) float64 {
 		for _, x := range xs[lo:min(lo+pitch, len(xs))] {
 			part += x
 		}
-		if lo == 0 {
-			total = part
-		} else {
-			total += part
-		}
+		total += part
 	}
 	return total
 }
 
-// TestFloatSumOrderIsRelationGrid pins the one sentence that defines
-// float accumulation order: within a partial in ascending relation-row
-// order, partials added in morsel order, grid pitch MorselRows over the
-// RELATION's rows.  The column is built so that the serial sum, the sum
-// on the 64 Ki grid of the filtered relation, and the sum on the grid of
-// physical table morsels are three different float64 values; the engine
-// must return the relation-grid one at every DOP, on the flat and the
-// k ∈ {4, 16} layouts, over a live delta and after merging it.
-func TestFloatSumOrderIsRelationGrid(t *testing.T) {
+// TestFloatSumIsPermutationInvariant pins what a DOUBLE SUM is: the exact
+// sum of the multiset of its inputs, rounded once.  The column is built so
+// that a serial sum, a sum on the 64 Ki grid of the filtered relation and
+// a sum on the grid of physical table morsels are three different
+// float64 values; the engine returns the math/big sum instead, with the
+// same bits for the rows in table order and shuffled, on the flat and the
+// k ∈ {4, 16} layouts, at every DOP, over a live delta and after merging
+// it, shard-fed, relation-fed, and over a join on an int key (whose
+// DOUBLE input reaches the relation feeder through the pair path).
+func TestFloatSumIsPermutationInvariant(t *testing.T) {
 	schema := colstore.Schema{
 		{Name: "ck", Type: colstore.Int64},
 		{Name: "keep", Type: colstore.Int64},
+		{Name: "g", Type: colstore.Int64},
 		{Name: "x", Type: colstore.Float64},
 	}
 	row := func(i int) []any {
-		return []any{int64(i*7919) % (1 << 16), int64(i % 2), math.Ldexp(float64((i*40503)%9973)+0.1, i%53-26)}
+		return []any{int64(i*7919) % (1 << 16), int64(i % 2), int64(i % 7), math.Ldexp(float64((i*40503)%9973)+0.25, i%47-23)}
 	}
 	const base, ins = 3*MorselRows + 1000, 400
 	var del []int
 	for i := 0; i < 50; i++ {
 		del = append(del, i*4001+1, base+i*8+1) // odd rows: kept by the filter
 	}
-	tw := newAggTwins(t, schema, "ck", []int{4, 16}, row, base)
-	tw.mutate(t, ins, del)
+	// The shuffled twin holds the same logical rows — base rows and
+	// inserts each permuted among themselves — and deletes the same ones.
+	rng := workload.NewRNG(23)
+	perm := make([]int, base+ins)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.Shuffle(base, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	rng.Shuffle(ins, func(i, j int) { perm[base+i], perm[base+j] = perm[base+j], perm[base+i] })
+	at := make([]int, len(perm))
+	for pos, r := range perm {
+		at[r] = pos
+	}
+	shuffledDel := make([]int, len(del))
+	for i, r := range del {
+		shuffledDel[i] = at[r]
+	}
+	ordered := newAggTwins(t, schema, "ck", []int{4, 16}, row, base)
+	ordered.mutate(t, ins, del)
+	shuffled := newAggTwins(t, schema, "ck", []int{4, 16}, func(i int) []any { return row(perm[i]) }, base)
+	shuffled.mutate(t, ins, shuffledDel)
 
 	// The filtered logical row sequence, and the same rows cut by the flat
 	// layout's physical morsels.
@@ -400,42 +412,178 @@ func TestFloatSumOrderIsRelationGrid(t *testing.T) {
 		var part float64
 		for i := lo; i < min(lo+MorselRows, base+ins); i++ {
 			if i%2 == 1 && !slices.Contains(del, i) {
-				x := row(i)[2].(float64)
+				x := row(i)[3].(float64)
 				kept = append(kept, x)
 				part += x
 			}
 		}
 		physical += part
 	}
-	serial, grid := gridSum(kept, len(kept)), gridSum(kept, MorselRows)
+	serial, grid, exact := gridSum(kept, len(kept)), gridSum(kept, MorselRows), exactSum(kept)
 	if serial == grid || serial == physical || grid == physical {
 		t.Fatalf("degenerate column: serial %x, relation grid %x, physical grid %x", serial, grid, physical)
 	}
 
-	layouts := map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4], "k=16": tw.twins[16]}
+	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4, 5, 6).Close())
+	must(t, dim.Seal())
+	sum := []expr.AggSpec{{Func: expr.AggSum, Col: "x", As: "s"}}
+	arms := func(src *colstore.ShardedTable) map[string]Node {
+		scan := func() *Scan {
+			return &Scan{Source: src, Select: []string{"g", "x"}, Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}}
+		}
+		return map[string]Node{
+			"shard-fed":    &HashAgg{Child: scan(), Aggs: sum},
+			"relation-fed": &HashAgg{Child: opaque(scan()), Aggs: sum},
+			"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)},
+				LeftKey: "g", RightKey: "k"}, Aggs: sum},
+		}
+	}
+	layouts := func(tw *aggTwins) map[string]*colstore.ShardedTable {
+		return map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4], "k=16": tw.twins[16]}
+	}
 	check := func(when string) {
-		for lname, src := range layouts {
-			for _, dop := range []int{1, 2, 8} {
-				rel, _ := runPlan(t, &HashAgg{
-					Child: &Scan{Source: src, Select: []string{"x"},
-						Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}},
-					Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "x", As: "s"}},
-				}, dop)
-				if got := rel.Cols[0].F[0]; got != grid {
-					t.Fatalf("%s %s dop=%d: SUM = %x; relation grid %x, serial %x, physical grid %x",
-						when, lname, dop, got, grid, serial, physical)
+		for tname, tw := range map[string]*aggTwins{"ordered": ordered, "shuffled": shuffled} {
+			for lname, src := range layouts(tw) {
+				for aname, plan := range arms(src) {
+					for _, dop := range []int{1, 2, 8} {
+						rel, _ := runPlan(t, plan, dop)
+						if got := rel.Cols[0].F[0]; math.Float64bits(got) != math.Float64bits(exact) {
+							t.Fatalf("%s %s %s %s dop=%d: SUM = %x; exact %x (serial %x, relation grid %x, physical grid %x)",
+								when, tname, lname, aname, dop, got, exact, serial, grid, physical)
+						}
+						if fused := plan.(*HashAgg).fusion(); (fused == "fused") != (aname == "shard-fed") || fused == "fused probe→agg" {
+							t.Fatalf("%s %s %s %s: feeder %q", when, tname, lname, aname, fused)
+						}
+					}
 				}
 			}
 		}
 	}
 	check("live")
-	for _, src := range layouts {
-		for _, sh := range src.Shards() {
-			_, err := sh.Merge(0)
-			must(t, err)
+	for _, tw := range []*aggTwins{ordered, shuffled} {
+		for _, src := range layouts(tw) {
+			for _, sh := range src.Shards() {
+				_, err := sh.Merge(0)
+				must(t, err)
+			}
 		}
 	}
 	check("merged")
+}
+
+// TestFloatMinMaxIsOrderFree: DOUBLE MIN/MAX follow one total order —
+// −0 < +0, NaN above +Inf — so which of two values a feeder meets first
+// never matters: NaN first or last, −0 before or after +0, in one morsel
+// or two, global or grouped, flat or k=4, shard-fed, relation-fed and
+// through a join (the pair path feeding the relation feeder).
+func TestFloatMinMaxIsOrderFree(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	cases := []struct {
+		name                string
+		first, second       float64
+		wantMin, wantMax, s float64
+	}{
+		{"NaN first", nan, 1, 1, nan, nan},
+		{"NaN last", 1, nan, 1, nan, nan},
+		{"-0 then +0", negZero, 0, negZero, 0, 0},
+		{"+0 then -0", 0, negZero, negZero, 0, 0},
+	}
+	schema := colstore.Schema{
+		{Name: "ck", Type: colstore.Int64},
+		{Name: "keep", Type: colstore.Int64},
+		{Name: "g", Type: colstore.Int64},
+		{Name: "x", Type: colstore.Float64},
+	}
+	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	must(t, dim.Writer().Int64("k", 0).Close())
+	must(t, dim.Seal())
+	aggs := []expr.AggSpec{{Func: expr.AggMin, Col: "x"}, {Func: expr.AggMax, Col: "x"}, {Func: expr.AggSum, Col: "x"}}
+	for _, c := range cases {
+		for _, gap := range []int{1, MorselRows} { // the pair in one morsel or two
+			row := func(i int) []any {
+				x, keep := 5.0, int64(0)
+				switch i {
+				case 3:
+					x, keep = c.first, 1
+				case 3 + gap:
+					x, keep = c.second, 1
+				}
+				return []any{int64(i*7919) % (1 << 16), keep, int64(0), x}
+			}
+			tw := newAggTwins(t, schema, "ck", []int{4}, row, MorselRows+10)
+			for lname, src := range map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4]} {
+				for _, groupBy := range [][]string{nil, {"g"}} {
+					scan := func() *Scan {
+						return &Scan{Source: src, Select: []string{"g", "x"}, Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}}
+					}
+					for aname, plan := range map[string]Node{
+						"shard-fed":    &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
+						"relation-fed": &HashAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs},
+						"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)}, LeftKey: "g", RightKey: "k"},
+							GroupBy: groupBy, Aggs: aggs},
+					} {
+						rel, _ := runPlan(t, plan, 2)
+						k := len(groupBy)
+						got := []float64{rel.Cols[k].F[0], rel.Cols[k+1].F[0], rel.Cols[k+2].F[0]}
+						for i, want := range []float64{c.wantMin, c.wantMax, c.s} {
+							if !sameBits(got[i], want) {
+								t.Fatalf("%s gap=%d %s GROUP BY %v %s: MIN, MAX, SUM = %v, want %v %v %v",
+									c.name, gap, lname, groupBy, aname, got, c.wantMin, c.wantMax, c.s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set in a -race build (race_test.go).
+var raceEnabled bool
+
+// TestAggAllocsDoNotScaleWithRows: a shard-fed SUM(amount), global and
+// GROUP BY region, allocates no more per run over 1 Mi rows than over
+// 256 Ki, bar a pool refill: fewer than one allocation per extra morsel.
+// Selections, row lists and column windows live in per-worker scratch,
+// partial tables return to their pool once merged, and a DOUBLE input is
+// read in place — nothing is allocated per morsel, let alone per row.
+// The pools start empty at each size and GC is held off while measuring;
+// a pool still fills at the scheduler's pace (a second worker's scratch
+// is made the first time two morsels overlap, a Get can miss what
+// another P caches), which the slack absorbs and a per-morsel table
+// (ten allocations a morsel) does not fit in.
+func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled objects at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const extraMorsels = (1<<20 - 1<<18) / MorselRows
+	for _, groupBy := range [][]string{nil, {"region"}} {
+		var base float64
+		for _, n := range []int{1 << 18, 1 << 20} {
+			agg := &HashAgg{Child: &Scan{Source: colstore.OneShard(ordersTable(t, n)), Select: []string{"region", "amount"}},
+				GroupBy: groupBy, Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}
+			if agg.fusion() != "fused" {
+				t.Fatalf("GROUP BY %v is not shard-fed", groupBy)
+			}
+			runtime.GC()
+			runtime.GC() // the second empties the pools' victim caches too
+			allocs := testing.AllocsPerRun(20, func() {
+				ctx := NewCtx()
+				ctx.Lease = NewLease(2)
+				if _, err := agg.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("GROUP BY %v, %d rows: %.0f allocs/op", groupBy, n, allocs)
+			if n == 1<<18 {
+				base = allocs
+			} else if allocs-base >= extraMorsels {
+				t.Fatalf("GROUP BY %v: allocations grow with rows: %.0f at 256 Ki, %.0f at 1 Mi", groupBy, base, allocs)
+			}
+		}
+	}
 }
 
 // TestIntSumOverflowWrapsIdentically: a BIGINT SUM that passes
@@ -503,7 +651,7 @@ func TestIntSumOverflowWrapsIdentically(t *testing.T) {
 		for pname, plan := range plans {
 			for _, dop := range []int{1, 2, 8} {
 				got, _ := runPlan(t, plan, dop)
-				if err := sameAggRelation(got, want, 0); err != nil {
+				if err := sameAggRelation(got, want); err != nil {
 					t.Fatalf("%s GROUP BY %v dop=%d: %v", pname, groupBy, dop, err)
 				}
 			}

@@ -165,9 +165,7 @@ func TestScanErrors(t *testing.T) {
 // aggregation over a parallel scan must produce byte-identical relations
 // and identical total energy counters at DOP 1 and DOP 8.
 func TestParallelAggDOPInvariant(t *testing.T) {
-	// 400k rows: the 80%-selective predicate leaves the relation feeder
-	// (DOUBLE inputs) several morsels, so both the scan and the
-	// aggregation fan out.
+	// 400k rows: seven morsels, so the fold and its merge fan out.
 	tab := ordersTable(t, 400_000)
 	plan := func() *HashAgg {
 		return &HashAgg{
@@ -203,10 +201,9 @@ func TestParallelAggDOPInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelAggMatchesSerialGroups: group keys, counts, and extrema of
-// the morsel-parallel aggregation must equal the serial operator's (sums
-// may differ in the last ulp from the different addition association, so
-// they are compared with a relative tolerance).
+// TestParallelAggMatchesSerialGroups: group keys, counts, extrema and
+// sums of the morsel-parallel aggregation equal the serial row loop's —
+// a DOUBLE sum is order-free, so exactly.
 func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	tab := ordersTable(t, 300_000)
 	mk := func(scan Node) *HashAgg {
@@ -239,7 +236,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 		(&mapAgg{GroupBy: serialAgg.GroupBy, Aggs: serialAgg.Aggs}).aggRange(tbl, rf.groupCols, rf.aggCols, 0, in.N)
 		for _, key := range tbl.order {
 			st := tbl.groups[key]
-			want[key] = []float64{st.sums[0], float64(st.count), st.mins[2], st.maxs[3]}
+			want[key] = []float64{exactSum(st.fvals[0]), float64(st.count), st.mins[2], st.maxs[3]}
 		}
 	}
 	got, _ := runPlan(t, mk(&Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}), 4)
@@ -257,7 +254,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected group %q", regions.S[i])
 		}
-		if rel := abs(revs.F[i]-ref[0]) / (abs(ref[0]) + 1); rel > 1e-9 {
+		if revs.F[i] != ref[0] {
 			t.Errorf("group %q sum: got %g want %g", regions.S[i], revs.F[i], ref[0])
 		}
 		if float64(counts.I[i]) != ref[1] {
@@ -267,11 +264,4 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 			t.Errorf("group %q extrema: got (%g,%g) want (%g,%g)", regions.S[i], los.F[i], his.F[i], ref[2], ref[3])
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

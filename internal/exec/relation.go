@@ -52,9 +52,6 @@ type Col struct {
 	Dict []string // code → string dictionary; nil for plain columns
 }
 
-// IsDict reports whether the column is in dictionary-coded form.
-func (c *Col) IsDict() bool { return c.Dict != nil }
-
 // Str returns row i of a string column, resolving dictionary codes.
 func (c *Col) Str(i int) string {
 	if c.Dict != nil {

@@ -309,24 +309,21 @@ func predDisjoint(op vec.CmpOp, v, min, max int64) bool {
 // tombstone in the window — like the predicate kernels a function of
 // (snapshot, window) alone, so any morsel sweep is DOP-invariant.
 //
-// The first predicate's kernels write the fresh selection directly; only
-// a second or later predicate scans into one scratch vector that is
-// ANDed in.  A predicate-free window selects every row.
-func (sb *ShardBinding) Filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
+// The selection is written into the caller's sel (resized to the window):
+// the first predicate's kernels write it directly; only a second or later
+// predicate scans into scratch, which is ANDed in.  A predicate-free
+// window selects every row.
+func (sb *ShardBinding) Filter(snap int64, lo, hi int, sel, scratch *vec.Bitvec) energy.Counters {
 	nrows := hi - lo
-	sel := vec.NewBitvec(nrows)
+	sel.Resize(nrows)
 	if len(sb.preds) == 0 {
 		sel.SetAll()
 	}
 	var w energy.Counters
-	var scratch *vec.Bitvec
 	for i, p := range sb.preds {
 		pb := sel
 		if i > 0 {
-			if scratch == nil {
-				scratch = vec.NewBitvec(nrows)
-			}
-			scratch.Reset()
+			scratch.Resize(nrows)
 			pb = scratch
 		}
 		switch c := sb.predCols[i].(type) {
@@ -342,19 +339,19 @@ func (sb *ShardBinding) Filter(snap int64, lo, hi int) (*vec.Bitvec, energy.Coun
 		}
 	}
 	w.Add(sb.Table.FilterVisible(snap, lo, hi, sel))
-	return sel, w
+	return w
 }
 
-// selectRows is Filter for the read path, whose scan stage books its
-// logical input even when no predicate streamed a column: a
-// predicate-free window still considered its rows.  (Callers book the
-// selected count as the stage's output.)
-func (sb *ShardBinding) selectRows(snap int64, lo, hi int) (*vec.Bitvec, energy.Counters) {
-	sel, w := sb.Filter(snap, lo, hi)
+// selectRows is Filter for the read path, into the worker's scratch, whose
+// scan stage books its logical input even when no predicate streamed a
+// column: a predicate-free window still considered its rows.  (Callers
+// book the selected count as the stage's output.)
+func (sb *ShardBinding) selectRows(snap int64, lo, hi int, sc *morselScratch) (*vec.Bitvec, energy.Counters) {
+	w := sb.Filter(snap, lo, hi, &sc.sel, &sc.pred)
 	if len(sb.preds) == 0 {
 		w.TuplesIn += uint64(hi - lo)
 	}
-	return sel, w
+	return &sc.sel, w
 }
 
 // eachShard runs fn over every surviving shard in shard order and
@@ -429,8 +426,11 @@ func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
 func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
 	snap := ctx.SnapTS
 	parts, total := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(m, lo, hi int) (*Relation, energy.Counters) {
-		sel, w := sb.selectRows(snap, lo, hi)
-		rows := sel.Indices()
+		sc := scratchPool.Get().(*morselScratch)
+		defer scratchPool.Put(sc)
+		sel, w := sb.selectRows(snap, lo, hi, sc)
+		sc.rows = sel.AppendIndices(sc.rows[:0])
+		rows := sc.rows
 		w.TuplesOut += uint64(len(rows))
 		out := &Relation{N: len(rows), Cols: make([]Col, len(sb.Cols))}
 		for ci, col := range sb.Cols {
@@ -476,10 +476,7 @@ func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, 
 		for i, r := range rows {
 			oc.F[i] = c.Get(lo + int(r))
 		}
-		if dense {
-			return oc, energy.Counters{BytesReadDRAM: uint64(n) * 8, Instructions: uint64(n)}
-		}
-		return oc, sparse
+		return oc, floatRead(n, dense)
 	case *colstore.StringColumn:
 		if asCode {
 			oc.Dict = c.Dict()
@@ -501,6 +498,15 @@ func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, 
 		return oc, sparse
 	}
 	return oc, energy.Counters{}
+}
+
+// floatRead prices reading n values of a raw DOUBLE column: streamed, 8
+// bytes a row, when dense; a point read each otherwise.
+func floatRead(n int, dense bool) energy.Counters {
+	if dense {
+		return energy.Counters{BytesReadDRAM: uint64(n) * 8, Instructions: uint64(n)}
+	}
+	return energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 }
 
 // concatParts stitches per-morsel relations back together in morsel

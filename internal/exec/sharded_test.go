@@ -14,8 +14,8 @@ import (
 // Sharded byte-identity matrix (ISSUE 10 acceptance).  Value-range
 // sharding must be invisible to results: at every shard count {1,4,16}
 // × DOP {1,2,8} × sealed-only vs live main+delta snapshots, sharded
-// scans, shard-fed aggregations (per-shard string dictionaries included;
-// DOUBLE inputs feed from the merged relation), and
+// scans, shard-fed aggregations (per-shard string dictionaries and DOUBLE
+// inputs included), relation-fed ones over the merged relation, and
 // co-partitioned joins return relations byte-identical to the flat
 // layout, and each arm's counters are DOP-invariant.  Counters are NOT
 // compared across shard counts: pruning changes the bytes touched —
@@ -213,6 +213,7 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 		groupBy []string
 		aggs    []expr.AggSpec
 		preds   []expr.Pred
+		opaque  bool // hide the scan: the relation feeder folds the merged relation
 	}{
 		{
 			// Int group key: the per-shard fused path with first-sequence
@@ -241,12 +242,20 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
 		},
 		{
-			// Float aggregate input: float sums are accumulated on the relation
-			// grid, so this feeds from the merged relation.
+			// Float aggregate input, shard-fed: the order-free sum makes every
+			// shard layout's partials add up to the flat table's bits.
+			name: "float-agg-fused", sel: []string{"grp", "amount"},
+			groupBy: []string{"grp"},
+			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggCount}},
+			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
+		},
+		{
+			// The same, relation-fed from the merged relation.
 			name: "float-agg-relation-fed", sel: []string{"grp", "amount"},
 			groupBy: []string{"grp"},
 			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggCount}},
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
+			opaque:  true,
 		},
 	}
 	for _, live := range []struct {
@@ -262,19 +271,16 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 		for _, c := range cases {
 			c := c
 			t.Run(live.name+"/"+c.name, func(t *testing.T) {
+				agg := func(src *colstore.ShardedTable) Node {
+					var child Node = &Scan{Source: src, Select: c.sel, Preds: c.preds}
+					if c.opaque {
+						child = opaque(child)
+					}
+					return &HashAgg{Child: child, GroupBy: c.groupBy, Aggs: c.aggs}
+				}
 				checkShardMatrix(t, live.snap,
-					func() Node {
-						return &HashAgg{
-							Child:   &Scan{Source: colstore.OneShard(flat), Select: c.sel, Preds: c.preds},
-							GroupBy: c.groupBy, Aggs: c.aggs,
-						}
-					},
-					func(k int) Node {
-						return &HashAgg{
-							Child:   &Scan{Source: twins[k], Select: c.sel, Preds: c.preds},
-							GroupBy: c.groupBy, Aggs: c.aggs,
-						}
-					},
+					func() Node { return agg(colstore.OneShard(flat)) },
+					func(k int) Node { return agg(twins[k]) },
 				)
 			})
 		}

@@ -118,7 +118,7 @@ func DefaultConfig() Config {
 		ExecPkgs:  []string{"repro/internal/exec"},
 		PoolFuncs: []string{"runPool", "runMorsels"},
 		HotStructs: map[string][]string{
-			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "seqMerger"},
+			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "floatSum", "morselScratch", "seqMerger"},
 		},
 		EnergyPkg: "repro/internal/energy",
 		EnginePkgs: []string{

@@ -169,8 +169,9 @@ func BenchmarkBitvecOps(b *testing.B) {
 		}
 	})
 	b.Run("indices", func(b *testing.B) {
+		var rows []int32
 		for i := 0; i < b.N; i++ {
-			x.Indices()
+			rows = x.AppendIndices(rows[:0])
 		}
 	})
 }

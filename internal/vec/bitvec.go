@@ -37,6 +37,18 @@ func NewBitvec(n int) *Bitvec {
 	return &Bitvec{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// Resize makes b an all-zero vector of n bits, reusing its words when
+// they suffice — one scratch vector serves window after window.
+func (b *Bitvec) Resize(n int) {
+	if w := (n + 63) / 64; cap(b.words) < w {
+		b.words = make([]uint64, w)
+	} else {
+		b.words = b.words[:w]
+		clear(b.words)
+	}
+	b.n = n
+}
+
 // Len returns the number of bits.
 func (b *Bitvec) Len() int { return b.n }
 
@@ -139,22 +151,6 @@ func (b *Bitvec) And(o *Bitvec) {
 	}
 }
 
-// Or unions o into b.
-func (b *Bitvec) Or(o *Bitvec) {
-	checkLen(b, o)
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// AndNot removes o's bits from b.
-func (b *Bitvec) AndNot(o *Bitvec) {
-	checkLen(b, o)
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // Not complements b in place.
 func (b *Bitvec) Not() {
 	for i := range b.words {
@@ -170,12 +166,6 @@ func (b *Bitvec) Clone() *Bitvec {
 	return &Bitvec{n: b.n, words: w}
 }
 
-// Indices returns the positions of all set bits in ascending order — the
-// bridge from bit vectors to selection lists.
-func (b *Bitvec) Indices() []int32 {
-	return b.AppendIndices(make([]int32, 0, b.Count()))
-}
-
 // AppendIndices appends the positions of all set bits to dst in
 // ascending order, so a caller sweeping many windows can reuse one
 // selection buffer.
@@ -188,48 +178,6 @@ func (b *Bitvec) AppendIndices(dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// ForEach calls fn for every set bit in ascending order.
-func (b *Bitvec) ForEach(fn func(i int)) {
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// ForEachRange calls fn for every set bit in [lo, hi) in ascending order,
-// touching only the words the range overlaps.
-func (b *Bitvec) ForEachRange(lo, hi int, fn func(i int)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return
-	}
-	lw, hw := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	for wi := lw; wi <= hw; wi++ {
-		w := b.words[wi]
-		if wi == lw {
-			w &= loMask
-		}
-		if wi == hw {
-			w &= hiMask
-		}
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 func checkLen(a, b *Bitvec) {
