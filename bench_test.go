@@ -330,13 +330,13 @@ func BenchmarkE19CompressedScan(b *testing.B) {
 }
 
 // BenchmarkE20PartitionedJoin joins a 1M-row sales table to a 100K-row
-// customer dimension on a string key, planned two ways: over raw tables
-// (the join interns the materialized key strings) and over sealed tables
-// (it joins the dictionary codes they already are) — the same
-// radix-partitioned morsel-parallel join either way.  J/op and bytes-touched/op
-// report the energy model's view of one whole plan; the dict arm must
-// stream strictly fewer bytes (TestE20Shape asserts it; this makes the
-// gap measurable over time).  Wall times on the 1-CPU CI runner measure
+// customer dimension on a string key over unsealed ("raw": append-order
+// dictionaries, raw 8-byte code segments) and sealed ("dict": sorted
+// dictionaries, bit-packed code segments) tables — the same fused,
+// translated, radix-partitioned morsel-parallel join on codes either way.
+// J/op and bytes-touched/op report the energy model's view of one whole
+// plan; the dict arm must stream strictly fewer bytes (TestE20Shape
+// asserts it; this makes the gap measurable over time).  Wall times on the 1-CPU CI runner measure
 // the code path, not parallel speedup — DOP invariance is the tested
 // contract.
 func BenchmarkE20PartitionedJoin(b *testing.B) {

@@ -71,10 +71,16 @@ func (c *StringColumn) Ordered() bool { return c.ordered }
 
 // Dict exposes the code → string dictionary (sorted once SealSorted has
 // run).  The slice is the column's live dictionary — callers must treat
-// it as read-only.  Together with CodeColumn it is the sealed-segment
-// key-extraction surface of the join pipeline: equi-joins hash and
-// partition the dense integer codes and touch the dictionary only to
-// translate between tables and to materialize output strings.
+// it as read-only.  Together with CodeColumn it is the key-extraction
+// surface of the read path: a scanned relation carries the codes and this
+// slice, joins and aggregates hash and partition the dense integer codes,
+// and the dictionary is touched only to translate between dictionaries
+// and to render output strings.
+//
+// A slice returned here stays valid, unchanged, for as long as its holder
+// keeps it — past the latch it was read under, through any later write:
+// Append writes only past the slice's length, and SealSorted replaces the
+// slice, never rewriting it in place.
 func (c *StringColumn) Dict() []string { return c.values }
 
 // CodeColumn exposes the underlying dictionary-code column (read-only).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -136,7 +137,7 @@ func differentialRandomQueries(t *testing.T, rows, shards int) {
 			nc, _ := res.Rel.Col("n")
 			sc, _ := res.Rel.Col("s")
 			for i := 0; i < res.Rel.N; i++ {
-				g := gc.S[i]
+				g := gc.Str(i)
 				if nc.I[i] != wantN[g] {
 					t.Fatalf("trial %d group %s: count %d want %d (preds %v)", trial, g, nc.I[i], wantN[g], preds)
 				}
@@ -230,9 +231,10 @@ func cmpI(op vec.CmpOp, a, b int64) bool {
 // nested-loop reference over the generated Go slices — no hash table, no
 // morsels, no dictionary, no code shared with exec.  Layouts cover both
 // sides of a planner side swap (customers smaller and larger than
-// orders), customers sealed (the string-keyed join runs on dictionary
-// codes) and unsealed (it is interned from raw strings), and a customers
-// table with missing and duplicated keys; statements cover predicates on
+// orders), storage sealed, customers unsealed, and both tables unsealed
+// (a string key then joins append-order dictionaries' codes, translated
+// between the two), and a customers table with missing and duplicated
+// keys; statements cover predicates on
 // either side, GROUP BY a build string / a probe string / nothing, COUNT
 // + SUM of an int of either side, both key types, and a plain row
 // selection (the pair sink).  Group ORDER follows the probe side the
@@ -242,21 +244,21 @@ func TestDifferentialRandomJoins(t *testing.T) {
 	seen := map[string]int{} // plan shapes the trials reached
 	for _, nOrders := range []int{200, 2500, 12_000} {
 		for _, nCust := range []int{30, 3000} {
-			for _, sealed := range []bool{true, false} {
-				t.Run(fmt.Sprintf("orders=%d/customers=%d/sealed=%v", nOrders, nCust, sealed), func(t *testing.T) {
-					differentialRandomJoins(t, nOrders, nCust, sealed, seen)
+			for _, layout := range []string{"sealed", "customers-unsealed", "unsealed"} {
+				t.Run(fmt.Sprintf("orders=%d/customers=%d/%s", nOrders, nCust, layout), func(t *testing.T) {
+					differentialRandomJoins(t, nOrders, nCust, layout, seen)
 				})
 			}
 		}
 	}
-	for _, shape := range []string{"probe=orders", "probe=customers", "code-domain", "raw-string", "bigint", "fold", "pairs"} {
+	for _, shape := range []string{"probe=orders", "probe=customers", "string", "string/unsealed", "bigint", "fold", "pairs"} {
 		if seen[shape] == 0 {
 			t.Errorf("no trial planned the %q shape: the matrix compares less than it claims (%v)", shape, seen)
 		}
 	}
 }
 
-func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen map[string]int) {
+func differentialRandomJoins(t *testing.T, nOrders, nCust int, layout string, seen map[string]int) {
 	rng := workload.NewRNG(uint64(7*nOrders + nCust))
 	segments := []string{"AUTO", "RETAIL", "WHOLESALE", "PUBLIC"}
 	keyName := func(k int64) string { return fmt.Sprintf("c%05d", k) }
@@ -305,18 +307,18 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 	for _, c := range custs {
 		cw.Row(c.ckey, c.tier, c.name, c.segment)
 	}
-	for _, err := range []error{ow.Close(), cw.Close(), e.Seal("orders")} {
+	if err := errors.Join(ow.Close(), cw.Close()); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"orders", "customers"} {
+		if layout == "sealed" || (layout == "customers-unsealed" && table == "orders") {
+			err = e.Seal(table)
+		} else {
+			err = e.Catalog().Refresh(table)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sealed {
-		err = e.Seal("customers")
-	} else {
-		err = e.Catalog().Refresh("customers")
-	}
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	ops := []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
@@ -325,12 +327,12 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 		ji := info.Joins[0]
 		seen["probe="+ji.Probe]++
 		switch {
-		case ji.CodeDomain:
-			seen["code-domain"]++
 		case ji.LeftKey == "custkey" || ji.LeftKey == "ckey":
 			seen["bigint"]++
+		case layout == "unsealed":
+			seen["string/unsealed"]++
 		default:
-			seen["raw-string"]++
+			seen["string"]++
 		}
 		if ji.FusedAgg {
 			seen["fold"]++
@@ -416,7 +418,7 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 				g := ""
 				if groupBy != "" {
 					gc, _ := res.Rel.Col(groupBy)
-					g = gc.S[i]
+					g = gc.Str(i)
 				}
 				if w, ok := want[g]; !ok || nc.I[i] != w.n || sc.I[i] != w.s {
 					t.Fatalf("trial %d group %q=%q: got (%d, %d) want %+v present=%v (join %v, preds %v)",
@@ -448,7 +450,7 @@ func differentialRandomJoins(t *testing.T, nOrders, nCust int, sealed bool, seen
 			tc, _ := res.Rel.Col("tier")
 			sc, _ := res.Rel.Col("segment")
 			for i := 0; i < res.Rel.N; i++ {
-				got = append(got, fmt.Sprint(ic.I[i], tc.I[i], sc.S[i]))
+				got = append(got, fmt.Sprint(ic.I[i], tc.I[i], sc.Str(i)))
 			}
 			slices.Sort(want)
 			slices.Sort(got)
@@ -678,7 +680,7 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 				var same bool
 				switch {
 				case g == "region":
-					same = c.S[gi] == a.first.region
+					same = c.Str(gi) == a.first.region
 				case isFloat:
 					same = c.F[gi] == f
 				default:

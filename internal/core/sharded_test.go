@@ -84,7 +84,7 @@ func TestShardedEngineMatchesFlatDML(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sr.Rel, fr.Rel) {
+			if !sr.Rel.Equal(fr.Rel) {
 				t.Fatalf("k=%d: key-moving update diverged at %q", k, check)
 			}
 		}
@@ -152,7 +152,7 @@ func TestOneShardEngineIsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if !reflect.DeepEqual(or.Rel, fr.Rel) {
+		if !or.Rel.Equal(fr.Rel) {
 			t.Fatalf("%s: k=1 relation diverged from flat", q)
 		}
 		if or.Work != fr.Work {
@@ -304,7 +304,7 @@ func TestShardedJoinCoPartitioned(t *testing.T) {
 	if len(sr.PlanInfo.Joins) != 1 || !sr.PlanInfo.Joins[0].CoPartitioned {
 		t.Fatalf("aligned shard join not co-partitioned: %+v", sr.PlanInfo.Joins)
 	}
-	if fr.Rel.N == 0 || !reflect.DeepEqual(sr.Rel, fr.Rel) {
+	if fr.Rel.N == 0 || !sr.Rel.Equal(fr.Rel) {
 		t.Fatalf("co-partitioned join diverged from flat (flat N=%d, sharded N=%d)", fr.Rel.N, sr.Rel.N)
 	}
 }

@@ -63,22 +63,27 @@ func encode(r *exec.Relation, s Strategy) (*exec.Relation, uint64, uint64, error
 			wire += c.WireBytes()
 			out.Cols[i] = exec.Col{Name: c.Name, Type: c.Type, F: append([]float64(nil), c.F...)}
 		default:
-			vals, w, n, err := shipStringsCoded(c.S)
+			vals, w, n, err := shipStringsCoded(c)
 			if err != nil {
 				return nil, 0, 0, fmt.Errorf("dist: column %q: %w", c.Name, err)
 			}
 			wire += w
 			instr += n
-			out.Cols[i] = exec.Col{Name: c.Name, Type: c.Type, S: vals}
+			out.Cols[i] = exec.StringCol(c.Name, vals)
 		}
 	}
 	return out, wire, instr, nil
 }
 
 // shipStringsCoded ships a VARCHAR column dictionary-coded: the distinct
-// values once (length-prefixed) plus the per-row codes through the
-// advisor-chosen integer codec.
-func shipStringsCoded(vs []string) ([]string, uint64, uint64, error) {
+// values its rows reference once (length-prefixed) plus the per-row codes
+// through the advisor-chosen integer codec.  The wire dictionary is built
+// from the rows' values, whatever dictionary they sit in.
+func shipStringsCoded(c *exec.Col) ([]string, uint64, uint64, error) {
+	vs := make([]string, c.Len())
+	for i := range vs {
+		vs[i] = c.Str(i)
+	}
 	dict, codes := compress.BuildDictionary(vs)
 	var wire uint64
 	for c := int64(0); c < int64(dict.Size()); c++ {

@@ -27,8 +27,9 @@ import (
 //	partial  one groupTable per morsel of the feeder's grid.
 //	merge    mergeFrom, in (shard, morsel) order; a lone partial is the
 //	         result and nothing is merged or charged for merging.
-//	output   buildOutput, decoding string keys, DOUBLE sums and DOUBLE
-//	         MIN/MAX keys once per output group.
+//	output   buildOutput, decoding DOUBLE sums and DOUBLE MIN/MAX keys
+//	         once per output group; a string key leaves as its code beside
+//	         the table's dictionary, decoded only where it is rendered.
 //
 // The grid and the merge order are fixed by the input alone — never by
 // the worker count — so the output bytes and the charged counters are
@@ -124,9 +125,9 @@ type groupTable struct {
 	imins     []int64 // MaxInt64 until a value arrives
 	imaxs     []int64 // MinInt64 until a value arrives
 	fsums     []floatSum
-	// dicts[part] decodes a string part's ids: a stored column's dictionary
-	// (ids are its codes) or the strings a feeder interned for this partial
-	// alone.  nil for a BIGINT or DOUBLE part.
+	// dicts[part] decodes a string part's ids: the dictionary of the
+	// column its codes came from, or one of the table's own (ownDict).
+	// nil for a BIGINT or DOUBLE part.
 	dicts [][]string
 	// First-appearance tracking (more than one shard only).  When firstOn
 	// is set, first[g] records base + the window-local row of group g's
@@ -310,9 +311,9 @@ func (t *groupTable) ownDict(p int) map[string]int64 {
 // in (shard, morsel) order, so t's first-seen group order is the global
 // row order of first selected occurrence; the accumulators are order-free.
 //
-// A string key part whose dictionary differs from t's — raw strings
-// interned per morsel, per-shard dictionaries — is translated group by
-// group through its strings: t takes a dictionary of its own (ownDict)
+// A string key part whose dictionary differs from t's — per-shard
+// dictionaries of a shard-fed fold — is translated group by group
+// through its strings: t takes a dictionary of its own (ownDict)
 // the first time that happens and ids[p] becomes its inverse.  The cost
 // is proportional to groups, never rows, and the maps are the caller's,
 // not the table's.
@@ -511,8 +512,8 @@ func (m *aggMerge) add(ctx *Ctx, label string, partials []*groupTable, work ener
 }
 
 // buildOutput turns the final table into the result relation — the one
-// output builder.  String keys decode through their dictionary exactly
-// once per output group.
+// output builder.  A string key part is emitted as its codes beside the
+// part's dictionary, not decoded.
 func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 	n := t.groups()
 	out := &Relation{N: n}
@@ -529,10 +530,10 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 			for g := range oc.F {
 				oc.F[g] = math.Float64frombits(uint64(t.keys[g*t.k+p]))
 			}
-		default:
-			oc.S = make([]string, n)
-			for g := range oc.S {
-				oc.S[g] = t.dicts[p][t.keys[g*t.k+p]]
+		default: // codes into the table's dictionary for the part
+			oc.I, oc.Dict = make([]int64, n), t.dicts[p]
+			for g := range oc.I {
+				oc.I[g] = t.keys[g*t.k+p]
 			}
 		}
 		out.Cols = append(out.Cols, oc)
@@ -652,25 +653,21 @@ func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
 }
 
 // morsel folds rows [lo, hi) of the relation into a partial table.  The
-// key parts resolve to int64 windows once per morsel — a BIGINT or coded
-// column is its own slice, a DOUBLE its bits, raw strings ids of a
-// dictionary interned for this partial alone — so the row loop runs over
-// plain slices.  The global group (no GROUP BY) resolves its one slot
-// before the loop, which then only accumulates.
+// key parts resolve to int64 windows once per morsel — a BIGINT column or
+// a string column's codes is its own slice, a DOUBLE its bits — so the
+// row loop runs over plain slices.  The global group (no GROUP BY)
+// resolves its one slot before the loop, which then only accumulates.
 func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
 	t := rf.newTable(nil)
 	parts := make([][]int64, t.k)
 	for p, c := range rf.groupCols {
-		switch {
-		case c.Type == colstore.Int64 || c.Dict != nil:
+		if c.Type != colstore.Float64 {
 			parts[p], t.dicts[p] = c.I[lo:hi], c.Dict
-		case c.Type == colstore.Float64:
-			parts[p] = make([]int64, hi-lo)
-			for i, f := range c.F[lo:hi] {
-				parts[p][i] = floatKey(f)
-			}
-		default:
-			parts[p], t.dicts[p], _ = internStrings(c.S[lo:hi]) // priced by rangeWork
+			continue
+		}
+		parts[p] = make([]int64, hi-lo)
+		for i, f := range c.F[lo:hi] {
+			parts[p][i] = floatKey(f)
 		}
 	}
 	key := make([]int64, t.k)

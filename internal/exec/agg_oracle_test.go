@@ -97,7 +97,7 @@ func (a *mapAgg) aggRange(t *aggTable, groupCols, aggCols []*Col, lo, hi int) {
 			case colstore.Float64:
 				partBuf = strconv.AppendFloat(partBuf, c.F[row], 'g', -1, 64)
 			default:
-				partBuf = append(partBuf, c.S[row]...)
+				partBuf = append(partBuf, c.Str(row)...)
 			}
 			keyBuf = binary.AppendUvarint(keyBuf, uint64(len(partBuf)))
 			keyBuf = append(keyBuf, partBuf...)
@@ -183,24 +183,18 @@ func (a *mapAgg) buildOutput(t *aggTable, groupCols, aggCols []*Col) *Relation {
 	// Group-key output columns.
 	for gi, g := range a.GroupBy {
 		src := groupCols[gi]
-		oc := Col{Name: g, Type: src.Type}
-		switch src.Type {
-		case colstore.Int64:
-			oc.I = make([]int64, len(t.order))
-		case colstore.Float64:
+		oc := Col{Name: g, Type: src.Type, Dict: src.Dict}
+		if src.Type == colstore.Float64 {
 			oc.F = make([]float64, len(t.order))
-		default:
-			oc.S = make([]string, len(t.order))
+		} else {
+			oc.I = make([]int64, len(t.order))
 		}
 		for i, key := range t.order {
 			row := t.groups[key].sample
-			switch src.Type {
-			case colstore.Int64:
-				oc.I[i] = src.I[row]
-			case colstore.Float64:
+			if src.Type == colstore.Float64 {
 				oc.F[i] = src.F[row]
-			default:
-				oc.S[i] = src.S[row]
+			} else {
+				oc.I[i] = src.I[row]
 			}
 		}
 		out.Cols = append(out.Cols, oc)

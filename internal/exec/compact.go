@@ -59,7 +59,7 @@ func (c *Compact) Run(ctx *Ctx) (*Relation, error) {
 		rebuilt = 1
 	}
 	return &Relation{N: 1, Cols: []Col{
-		{Name: "table", Type: colstore.String, S: []string{c.Table.Name}},
+		StringCol("table", []string{c.Table.Name}),
 		{Name: "delta_rows_in", Type: colstore.Int64, I: []int64{int64(sum.DeltaRowsIn)}},
 		{Name: "rows_out", Type: colstore.Int64, I: []int64{int64(sum.RowsOut)}},
 		{Name: "dropped", Type: colstore.Int64, I: []int64{int64(sum.Dropped)}},

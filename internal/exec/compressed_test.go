@@ -113,7 +113,7 @@ func TestCompressedStorageDOPInvariant(t *testing.T) {
 		if r.rel.N == 0 {
 			t.Fatal("aggregation produced no groups")
 		}
-		if !reflect.DeepEqual(r.rel, c.rel) {
+		if !r.rel.Equal(c.rel) {
 			t.Errorf("DOP %d: compressed relation diverges from raw", dop)
 		}
 		wr, wc := r.ctx.Meter.Snapshot(), c.ctx.Meter.Snapshot()

@@ -114,7 +114,7 @@ func TestMergePreservesScanExactly(t *testing.T) {
 	}
 
 	post := scanBothWays(t, tab, colstore.SnapLatest)
-	if !reflect.DeepEqual(post.rel, pre.rel) {
+	if !post.rel.Equal(pre.rel) {
 		t.Fatal("merge changed the visible relation")
 	}
 	if post.w.BytesReadDRAM >= pre.w.BytesReadDRAM {
@@ -125,7 +125,7 @@ func TestMergePreservesScanExactly(t *testing.T) {
 	// Second merge over a clean table is a no-op tail seal of nothing.
 	if _, err := tab.Merge(0); err == nil {
 		res := scanBothWays(t, tab, colstore.SnapLatest)
-		if !reflect.DeepEqual(res.rel, pre.rel) {
+		if !res.rel.Equal(pre.rel) {
 			t.Fatal("idempotent re-merge changed the relation")
 		}
 	}
@@ -146,7 +146,7 @@ func TestMergeHorizonKeepsLiveReaders(t *testing.T) {
 		t.Fatalf("horizon merge dropped tombstones above the horizon: %+v", st)
 	}
 	after := scanBothWays(t, tab, 1010)
-	if !reflect.DeepEqual(after.rel, reader.rel) {
+	if !after.rel.Equal(reader.rel) {
 		t.Fatal("horizon-bounded merge changed a live reader's view")
 	}
 

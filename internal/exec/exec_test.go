@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -88,7 +89,7 @@ func TestScanStringAndFloatPredicates(t *testing.T) {
 	rc, _ := rel.Col("region")
 	ac, _ := rel.Col("amount")
 	for i := 0; i < rel.N; i++ {
-		if rc.S[i] != "ASIA" || ac.F[i] <= 5000 {
+		if rc.Str(i) != "ASIA" || ac.F[i] <= 5000 {
 			t.Fatal("conjunction violated")
 		}
 	}
@@ -208,10 +209,10 @@ func TestSortOrders(t *testing.T) {
 	rc, _ := rel.Col("region")
 	ac, _ := rel.Col("amount")
 	for i := 1; i < rel.N; i++ {
-		if rc.S[i] < rc.S[i-1] {
+		if rc.Str(i) < rc.Str(i-1) {
 			t.Fatal("primary sort key violated")
 		}
-		if rc.S[i] == rc.S[i-1] && ac.F[i] > ac.F[i-1] {
+		if rc.Str(i) == rc.Str(i-1) && ac.F[i] > ac.F[i-1] {
 			t.Fatal("secondary (desc) sort key violated")
 		}
 	}
@@ -323,8 +324,8 @@ func TestJoin(t *testing.T) {
 		if ck.I[i]%3 == 0 {
 			want = "WHOLESALE"
 		}
-		if seg.S[i] != want {
-			t.Fatalf("row %d: segment %q for custkey %d", i, seg.S[i], ck.I[i])
+		if seg.Str(i) != want {
+			t.Fatalf("row %d: segment %q for custkey %d", i, seg.Str(i), ck.I[i])
 		}
 	}
 }
@@ -415,6 +416,34 @@ func TestRelationValidation(t *testing.T) {
 	row := r.Row(1)
 	if row[0].(int64) != 2 {
 		t.Fatal("Row accessor broken")
+	}
+}
+
+// TestWireBytesPricesReferencedValues: a VARCHAR column's raw wire price
+// is its rows' length-prefixed values, whatever dictionary they index — a
+// one-row coded column over a 100K-name dictionary ships one name, not
+// the dictionary — and a scan's coded output prices as the strings it
+// holds.
+func TestWireBytesPricesReferencedValues(t *testing.T) {
+	names := make([]string, 100_000)
+	for i := range names {
+		names[i] = fmt.Sprintf("customer-%06d", i)
+	}
+	coded := Col{Name: "name", Type: colstore.String, Dict: names, I: []int64{31_337}}
+	plain := StringCol("name", []string{names[31_337]})
+	if got, want := coded.WireBytes(), plain.WireBytes(); got != want || want != uint64(len(names[31_337]))+2 {
+		t.Fatalf("coded column prices %d wire bytes, the plain string %d", got, want)
+	}
+
+	tab := ordersTable(t, 3000)
+	rel, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"region"}}).Run(NewCtx())
+	must(t, err)
+	var want uint64
+	for i := 0; i < rel.N; i++ {
+		want += uint64(len(rel.Row(i)[0].(string))) + 2
+	}
+	if got := rel.Cols[0].WireBytes(); got != want {
+		t.Fatalf("scanned column prices %d wire bytes, its rows' strings %d", got, want)
 	}
 }
 

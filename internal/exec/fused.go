@@ -10,13 +10,14 @@ import (
 	"repro/internal/vec"
 )
 
-// Fused operate-on-compressed pipelines (ROADMAP item 5).
+// Fused operate-on-compressed pipelines.
 //
-// The classic filter→aggregate and filter→probe paths materialize a fully
-// decoded Relation per morsel — every selected row's bytes move through
-// DRAM once to build the intermediate and again to consume it.  The fused
-// kernels below go compressed segment → selected rows → partial aggregate
-// / probe pairs in ONE pass per morsel, using colstore's SegSpan surface:
+// The classic filter→aggregate and filter→probe paths materialize a
+// Relation per morsel — every selected row's values (a string's 8-byte
+// code) move through DRAM once to build the intermediate and again to
+// consume it.  The fused kernels below go compressed segment → selected
+// rows → partial aggregate / probe pairs in ONE pass per morsel, using
+// colstore's SegSpan surface:
 //
 //	RLE spans    aggregate run-at-a-time in O(runs): a selected run of
 //	             length L contributes count += L and sum += L*v without
@@ -43,18 +44,19 @@ import (
 // writes no pair list and no joined relation at all.  For HashAgg the
 // fused pipelines are two of its three feeders (agg.go): the table they
 // fold into, its merge and its output builder are the relation feeder's
-// too.
+// too.  A string is its codes on every path, so a VARCHAR key fuses on
+// any storage state — sealed or live, ordered dictionary or not.
 //
-// Determinism contract.  The fused output relation is byte-identical to
-// the materializing pipeline's: predicates run through the same Filter
-// kernel, group keys are fixed-width tuples of int64 parts (an integer
-// group value or a dictionary code per GROUP BY column — never
-// concatenated bytes, so no separator byte can make two keys collide),
-// every accumulator is order-free (exact int64 ring arithmetic for
-// BIGINT, the binned floatSum for DOUBLE, int64 keys for MIN/MAX), so the
-// table grid and the filtered-relation grid give the same bits, and
-// partials merge in morsel order, shard by shard, which fixes the group
-// order.  Charged counters are pure functions of (snapshot, plan, data) —
+// Determinism contract.  The fused output relation is identical to the
+// materializing pipeline's (strings compared decoded, Relation.Equal):
+// predicates run through the same Filter kernel, group keys are
+// fixed-width tuples of int64 parts (an integer group value or a
+// dictionary code per GROUP BY column — never concatenated bytes, so no
+// separator byte can make two keys collide), every accumulator is
+// order-free (exact int64 ring arithmetic for BIGINT, the binned floatSum
+// for DOUBLE, int64 keys for MIN/MAX), so the table grid and the
+// filtered-relation grid give the same bits, and partials merge in morsel
+// order, shard by shard, which fixes the group order.  Charged counters are pure functions of (snapshot, plan, data) —
 // never of DOP — like every other morsel kernel in this package.
 
 // ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ func (a *HashAgg) shardFeed() *shardFeed {
 			case *colstore.IntColumn:
 				fs.groups[p] = gc
 			case *colstore.StringColumn:
-				fs.groups[p], fs.dicts[p] = gc.CodeColumn(), gc.Dict()
+				fs.groups[p], fs.dicts[p] = gc.CodeColumn(), sb.tmpl[ci].Dict
 			}
 		}
 		for i, ci := range aggIdx {
@@ -452,17 +454,17 @@ type shardProbe struct {
 	sb     *ShardBinding // the scan's one shard
 	keyIdx int
 	// keyInts yields the probe keys: the key column itself, or a string
-	// key's global code column (keys are then global dictionary codes).
+	// key's code column (keys are then codes of the shard's dictionary,
+	// sealed or live).
 	keyInts *colstore.IntColumn
-	keyStr  *colstore.StringColumn
 }
 
 // shardProbe reports how (and whether) this join can fuse its probe
-// feed into the left child: a full-scan *Scan over a single
-// shard (probe keys run in one dictionary's code domain) that emits the
-// join key as a BIGINT or as dictionary codes.  Everything it reads is
-// static, so EXPLAIN and Run cannot disagree.  nil runs the child to a
-// relation first, which reports any binding errors itself.
+// feed into the left child: a full-scan *Scan over a single shard (probe
+// keys run in one dictionary's code domain) that emits a BIGINT or
+// VARCHAR join key.  Everything it reads is static, so EXPLAIN and Run
+// cannot disagree.  nil runs the child to a relation first, which
+// reports any binding errors itself.
 func (j *Join) shardProbe() *shardProbe {
 	s, ok := j.Left.(*Scan)
 	if !ok || s.Access.Kind != FullScan {
@@ -480,21 +482,16 @@ func (j *Join) shardProbe() *shardProbe {
 	case *colstore.IntColumn:
 		sp.keyInts = kc
 	case *colstore.StringColumn:
-		if !sp.sb.asCode[sp.keyIdx] {
-			return nil // raw string keys: the scan materializes, the join interns
-		}
-		sp.keyStr, sp.keyInts = kc, kc.CodeColumn()
+		sp.keyInts = kc.CodeColumn()
 	default:
 		return nil
 	}
 	return sp
 }
 
-func (sp *shardProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
-	if sp.keyStr != nil {
-		return colstore.String, sp.keyStr.Dict(), energy.Counters{}
-	}
-	return colstore.Int64, nil, energy.Counters{}
+func (sp *shardProbe) keyDomain() (colstore.Type, []string) {
+	key := &sp.sb.tmpl[sp.keyIdx]
+	return key.Type, key.Dict
 }
 func (sp *shardProbe) rows(snap int64) int { return sp.sb.Table.RowsAsOf(snap) }
 func (sp *shardProbe) fused() bool         { return true }
@@ -547,7 +544,8 @@ func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding 
 		dense = selCnt*8 >= nrows
 	}
 	keys := window(&sc.keys, nrows)
-	w.Add(streamWindow(sp.keyInts, sp.keyStr != nil, rows, lo, hi, dense, keys))
+	typ, _ := sp.keyDomain()
+	w.Add(streamWindow(sp.keyInts, typ == colstore.String, rows, lo, hi, dense, keys))
 	return keys, rows, selCnt, dense, w
 }
 
@@ -570,7 +568,7 @@ func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Coun
 			out.Cols[ci] = oc
 			continue
 		}
-		oc, gw := fusedGatherCol(col, sp.sb.tmpl[ci].Name, sp.sb.asCode[ci], rows)
+		oc, gw := fusedGatherCol(col, sp.sb.tmpl[ci], rows)
 		out.Cols[ci] = oc
 		w.Add(gw)
 	}
@@ -578,11 +576,11 @@ func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Coun
 }
 
 // fusedGatherCol materializes the matched global rows of one stored
-// column, pricing the physical reads like gatherCol does for scans.
-func fusedGatherCol(col colstore.Column, name string, asCode bool, rows []int32) (Col, energy.Counters) {
-	oc := Col{Name: name, Type: col.Type()}
+// column — a VARCHAR column's codes, the template oc supplying the name,
+// type and dictionary — pricing the physical reads like gatherCol does
+// for scans.
+func fusedGatherCol(col colstore.Column, oc Col, rows []int32) (Col, energy.Counters) {
 	n := len(rows)
-	sparse := energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 	switch c := col.(type) {
 	case *colstore.IntColumn:
 		oc.I = make([]int64, n)
@@ -592,23 +590,10 @@ func fusedGatherCol(col colstore.Column, name string, asCode bool, rows []int32)
 		for i, r := range rows {
 			oc.F[i] = c.Get(int(r))
 		}
-		return oc, sparse
+		return oc, energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 	case *colstore.StringColumn:
-		codes := c.CodeColumn()
-		if asCode {
-			oc.Dict = c.Dict()
-			oc.I = make([]int64, n)
-			return oc, gatherStoredInts(codes, rows, oc.I)
-		}
-		oc.S = make([]string, n)
-		buf := make([]int64, n)
-		w := gatherStoredInts(codes, rows, buf)
-		dict := c.Dict()
-		for i, code := range buf {
-			oc.S[i] = dict[code]
-		}
-		w.Add(energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n)})
-		return oc, w
+		oc.I = make([]int64, n)
+		return oc, gatherStoredInts(c.CodeColumn(), rows, oc.I)
 	}
 	return oc, energy.Counters{}
 }
@@ -657,12 +642,12 @@ type probeAggInput struct{ win, build int }
 // probeFeed resolves the probe-match feeder, nil when the child join's
 // matches cannot fold straight into partial aggregates:
 //
-//	child        a *Join (under the planner's Materialize or not) whose
-//	             probe side fuses (shardProbe) and whose build side is a
-//	             *Scan emitting a key of the probe key's type
+//	child        a *Join whose probe side fuses (shardProbe) and whose
+//	             build side is a *Scan emitting a key of the probe key's
+//	             type
 //	GROUP BY     none, or one column of either side: BIGINT, or a string
-//	             (a probe-side dictionary code, a build-side string
-//	             resolved to one int64 id per build row)
+//	             (its codes — a probe-side window or the build relation's
+//	             column — beside its dictionary)
 //	aggregates   COUNT(*), COUNT(col) of a join output column, or
 //	             SUM/MIN/MAX/AVG of a BIGINT column of either side (the
 //	             probe windows and build columns are integer; no workload
@@ -674,11 +659,7 @@ type probeAggInput struct{ win, build int }
 // disagree.  Anything else returns nil and the join emits pairs for the
 // relation feeder.
 func (a *HashAgg) probeFeed() *probeFeed {
-	child := a.Child
-	if m, ok := child.(*Materialize); ok {
-		child = m.Child
-	}
-	j, ok := child.(*Join)
+	j, ok := a.Child.(*Join)
 	if !ok || len(a.GroupBy) > 1 {
 		return nil
 	}
@@ -692,7 +673,7 @@ func (a *HashAgg) probeFeed() *probeFeed {
 		return nil
 	}
 	rki := rb.index(j.RightKey)
-	if keyType, _, _ := fp.keyDomain(); rki < 0 || rb.tmpl[rki].Type != keyType {
+	if keyType, _ := fp.keyDomain(); rki < 0 || rb.tmpl[rki].Type != keyType {
 		return nil // the pair path reports the missing or mismatched key
 	}
 
@@ -730,7 +711,7 @@ func (a *HashAgg) probeFeed() *probeFeed {
 			if !group {
 				return in, false
 			}
-			ints, pf.groupDict = c.CodeColumn(), c.Dict()
+			ints, pf.groupDict = c.CodeColumn(), fp.sb.tmpl[o].Dict
 		default:
 			return in, false // a DOUBLE input: the pair path and the relation feeder fold it
 		}
@@ -862,16 +843,6 @@ func (f *probeFold) work(matches uint64) energy.Counters {
 	}
 }
 
-// buildGroupKeys returns one int64 group key per build row, plus the
-// dictionary that decodes it for string groups: integers pass through,
-// coded strings are their codes, plain strings intern in build-row order.
-func buildGroupKeys(c *Col) (keys []int64, dict []string, w energy.Counters) {
-	if c.Type == colstore.Int64 || c.Dict != nil {
-		return c.I, c.Dict, w
-	}
-	return internStrings(c.S)
-}
-
 // fold implements aggFeeder: the join with the fold sink.  The build side
 // runs and is hashed as ever (Join.build), then each probe morsel folds
 // its matches into a partial table — one window set, the probe source's
@@ -884,13 +855,8 @@ func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
 	f := &probeFold{pf: pf, buildVals: make([][]int64, len(pf.aggs))}
 	switch {
 	case pf.group.build >= 0:
-		var dict []string
-		var gw energy.Counters
-		f.buildGroup, dict, gw = buildGroupKeys(&jr.right.Cols[pf.group.build])
-		if !gw.IsZero() {
-			ctx.Charge(pf.a.Label()+" [group ids]", len(dict), gw)
-		}
-		f.dicts, f.nids = [][]string{dict}, len(dict)
+		c := &jr.right.Cols[pf.group.build]
+		f.buildGroup, f.dicts, f.nids = c.I, [][]string{c.Dict}, len(c.Dict)
 	case pf.group.win >= 0:
 		f.dicts, f.nids = [][]string{pf.groupDict}, len(pf.groupDict)
 	default:

@@ -224,14 +224,14 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 				if unf.rel.N == 0 {
 					t.Fatal("degenerate case: no output groups")
 				}
-				if !reflect.DeepEqual(fus.rel, unf.rel) {
+				if !fus.rel.Equal(unf.rel) {
 					t.Fatalf("fused relation diverged from the relation-fed twin\n got %+v\nwant %+v", fus.rel, unf.rel)
 				}
 				for _, dop := range []int{2, 8} {
 					if a := runAggArm(t, tc.tab, c, tc.snap, dop, true); !reflect.DeepEqual(a.rel, unf.rel) || a.w != unf.w {
 						t.Fatalf("dop=%d: unfused path not DOP-invariant", dop)
 					}
-					if a := runAggArm(t, tc.tab, c, tc.snap, dop, false); !reflect.DeepEqual(a.rel, unf.rel) || a.w != fus.w {
+					if a := runAggArm(t, tc.tab, c, tc.snap, dop, false); !reflect.DeepEqual(a.rel, fus.rel) || a.w != fus.w {
 						t.Fatalf("dop=%d: fused path not DOP-invariant", dop)
 					}
 				}
@@ -283,8 +283,6 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"flat/string-group", flat("rle", "region", "amount"), []string{"region"}, count, true, "twin"},
 		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, "twin"},
 		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, true, "twin"},
-		{"flat/code-domain-group", &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}},
-			[]string{"region"}, count, true, "twin"},
 		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggMin, Col: "amount"},
@@ -330,7 +328,7 @@ func TestFusedAggEligibility(t *testing.T) {
 			if c.run == "twin" {
 				twin, err := (&HashAgg{Child: opaque(c.child), GroupBy: c.groupBy, Aggs: c.aggs}).Run(NewCtx())
 				must(t, err)
-				if !reflect.DeepEqual(rel, twin) {
+				if !rel.Equal(twin) {
 					t.Fatalf("shard-fed relation diverged from its relation-fed twin\n got %+v\nwant %+v", rel, twin)
 				}
 			}
@@ -380,7 +378,6 @@ func intDimSource() *relSource {
 type fusedJoinCase struct {
 	name     string
 	sel      []string
-	codes    []string
 	leftKey  string
 	right    func(t *testing.T) Node
 	rightKey string
@@ -402,10 +399,9 @@ func fusedJoinCases() []fusedJoinCase {
 		{
 			name:    "string-key-translate",
 			sel:     []string{"region", "rle", "packed"},
-			codes:   []string{"region"},
 			leftKey: "region",
 			right: func(t *testing.T) Node {
-				return &Scan{Source: colstore.OneShard(fusedDimTable(t)), Codes: []string{"region"}}
+				return &Scan{Source: colstore.OneShard(fusedDimTable(t))}
 			},
 			rightKey: "region",
 			preds:    densePred,
@@ -428,7 +424,7 @@ func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, 
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Lease = NewLease(dop)
-	var left Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds, Codes: c.codes}
+	var left Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds}
 	if unfused {
 		left = opaque(left)
 	}
@@ -457,7 +453,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds, Codes: c.codes}
+				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds}
 				if !FusedProbeEligible(scan, c.leftKey) {
 					t.Fatalf("case unexpectedly ineligible for probe fusion")
 				}
@@ -466,7 +462,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 				if unf.rel.N == 0 {
 					t.Fatal("degenerate case: join produced no rows")
 				}
-				if !reflect.DeepEqual(fus.rel, unf.rel) {
+				if !fus.rel.Equal(unf.rel) {
 					t.Fatalf("fused join relation diverged from the materializing twin (N fused=%d unfused=%d)",
 						fus.rel.N, unf.rel.N)
 				}
@@ -474,7 +470,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 					if a := runJoinArm(t, tc.tab, c, tc.snap, dop, true); !reflect.DeepEqual(a.rel, unf.rel) || a.w != unf.w {
 						t.Fatalf("dop=%d: unfused join not DOP-invariant", dop)
 					}
-					if a := runJoinArm(t, tc.tab, c, tc.snap, dop, false); !reflect.DeepEqual(a.rel, unf.rel) || a.w != fus.w {
+					if a := runJoinArm(t, tc.tab, c, tc.snap, dop, false); !reflect.DeepEqual(a.rel, fus.rel) || a.w != fus.w {
 						t.Fatalf("dop=%d: fused join not DOP-invariant", dop)
 					}
 				}
@@ -488,24 +484,24 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 }
 
 // TestFusedProbeEligibility pins the plan-time nil edges, and that there
-// is no run-time change of mind behind an eligible plan: tiny inputs and
-// raw build-side strings run the fused probe like everything else and
+// is no run-time change of mind behind an eligible plan: tiny inputs, a
+// string key over unsealed storage and a build side of strings interned
+// from outside storage run the fused probe like everything else and
 // answer exactly as with the scan hidden.
 func TestFusedProbeEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	mkScan := func(sel []string, codes []string) *Scan {
-		return &Scan{Source: colstore.OneShard(tab), Select: sel, Codes: codes}
+	mkScan := func(sel ...string) *Scan {
+		return &Scan{Source: colstore.OneShard(tab), Select: sel}
 	}
 	nilPlans := []struct {
 		name string
 		j    *Join
 	}{
-		{"opaque-child", &Join{Left: opaque(mkScan([]string{"lowcard"}, nil)), LeftKey: "lowcard"}},
+		{"opaque-child", &Join{Left: opaque(mkScan("lowcard")), LeftKey: "lowcard"}},
 		{"index-access", &Join{Left: &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"},
 			Access: AccessSpec{Kind: IndexAccess}}, LeftKey: "lowcard"}},
-		{"float-key", &Join{Left: mkScan([]string{"amount"}, nil), LeftKey: "amount"}},
-		{"raw-string-key", &Join{Left: mkScan([]string{"region"}, nil), LeftKey: "region"}},
-		{"key-not-selected", &Join{Left: mkScan([]string{"rle"}, nil), LeftKey: "lowcard"}},
+		{"float-key", &Join{Left: mkScan("amount"), LeftKey: "amount"}},
+		{"key-not-selected", &Join{Left: mkScan("rle"), LeftKey: "lowcard"}},
 		{"non-scan-child", &Join{Left: intDimSource(), LeftKey: "k"}},
 	}
 	for _, c := range nilPlans {
@@ -545,14 +541,25 @@ func TestFusedProbeEligibility(t *testing.T) {
 		return &Scan{Source: colstore.OneShard(tiny), Select: []string{"lowcard", "sorted"}}
 	}, intDimSource(), "lowcard", "k")
 
-	// Dict-coded probe keys against a raw-string build side (Dict == nil):
-	// the build strings are interned and translated, the probe still fuses.
+	// A string key over storage never sealed — an append-order dictionary,
+	// raw code segments — fuses like a sealed one.
+	unsealed := colstore.NewTable("unsealed", colstore.Schema{{Name: "region", Type: colstore.String}})
+	for i := 0; i < 3000; i++ {
+		must(t, unsealed.Writer().Row(workload.RegionNames[(i*7)%len(workload.RegionNames)]).Close())
+	}
+	same("unsealed-string-key", func() *Scan {
+		return &Scan{Source: colstore.OneShard(unsealed)}
+	}, &Scan{Source: colstore.OneShard(fusedDimTable(t))}, "region", "region")
+
+	// Probe codes against a build side of strings from outside storage (a
+	// first-appearance dictionary): the build codes translate, the probe
+	// still fuses.
 	rawDim := &relSource{rel: &Relation{N: len(workload.RegionNames), Cols: []Col{
-		{Name: "region", Type: colstore.String, S: append([]string(nil), workload.RegionNames[:]...)},
+		StringCol("region", workload.RegionNames[:]),
 		{Name: "weight", Type: colstore.Int64, I: make([]int64, len(workload.RegionNames))},
 	}}}
-	same("raw-build-strings", func() *Scan {
-		return &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}, Codes: []string{"region"}}
+	same("outside-build-strings", func() *Scan {
+		return &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}}
 	}, rawDim, "region", "region")
 
 	// Error parity: a fused-eligible probe against a mismatched build key

@@ -14,12 +14,12 @@ import (
 // Every join in the system is the same pipeline, whatever its size, key
 // type, or consumer:
 //
-//	key domain  both key columns become int64 over one equality domain:
-//	            BIGINT is itself, a dictionary-coded string column is its
-//	            codes, a raw string column is interned once into codes of
-//	            its own first-appearance dictionary ([intern]); two
-//	            different dictionaries translate the build codes through
-//	            the probe dictionary ([translate]).
+//	key domain  both key columns are int64 over one equality domain:
+//	            BIGINT is itself and VARCHAR its codes — on every storage
+//	            state and shard count, since a relation's string column is
+//	            always codes plus a dictionary.  When the two sides' codes
+//	            index different dictionaries, the build codes are
+//	            translated through the probe dictionary ([translate]).
 //	build       buildTables (partjoin.go): one open-addressing table per
 //	            radix partition — one table and no scatter pass while the
 //	            build side fits the per-partition cache target.
@@ -112,10 +112,8 @@ func (j *Join) build(ctx *Ctx, src probeSource) (*joinRun, error) {
 // it once per morsel, never per row.
 type probeSource interface {
 	// keyDomain reports the probe key's type and, for a string key, the
-	// dictionary its int64 keys are codes of — plus what interning a raw
-	// string key into that form cost, charged by the join with the build
-	// side's share.
-	keyDomain() (typ colstore.Type, dict []string, interned energy.Counters)
+	// dictionary its int64 keys are codes of.
+	keyDomain() (typ colstore.Type, dict []string)
 	// rows is the probe side's row count at snap — the morsel grid.
 	rows(snap int64) int
 	// fused reports that the keys stream from the base table rather than a
@@ -136,35 +134,27 @@ type probeSource interface {
 // relProbe probes with a materialized relation's key column: every row
 // is selected, and the kernel re-streams the 8-byte keys.
 type relProbe struct {
-	rel      *Relation
-	typ      colstore.Type
-	keys     []int64  // the key column as int64: values, codes, or interned ids
-	dict     []string // the code domain of a string key
-	interned energy.Counters
+	rel *Relation
+	key *Col // values or codes
 }
 
-// relationProbe wraps a materialized probe side, interning a raw string
-// key into codes.
+// relationProbe wraps a materialized probe side.
 func relationProbe(rel *Relation, key string) (probeSource, error) {
 	lk, err := rel.Col(key)
 	if err != nil {
 		return nil, err
 	}
-	rp := &relProbe{rel: rel, typ: lk.Type, keys: lk.I, dict: lk.Dict}
-	if lk.Type == colstore.String && lk.Dict == nil {
-		rp.keys, rp.dict, rp.interned = internStrings(lk.S)
-	}
-	return rp, nil
+	return &relProbe{rel: rel, key: lk}, nil
 }
 
-func (rp *relProbe) keyDomain() (colstore.Type, []string, energy.Counters) {
-	return rp.typ, rp.dict, rp.interned
+func (rp *relProbe) keyDomain() (colstore.Type, []string) {
+	return rp.key.Type, rp.key.Dict
 }
 func (rp *relProbe) rows(int64) int { return rp.rel.N }
 func (rp *relProbe) fused() bool    { return false }
 
 func (rp *relProbe) window(_ int64, lo, hi int, _ *morselScratch, _ bool) ([]int64, []int32, int, bool, energy.Counters) {
-	return rp.keys[lo:hi], nil, hi - lo, true, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
+	return rp.key.I[lo:hi], nil, hi - lo, true, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
 }
 
 // gather reads every output value out of the probe relation.
@@ -191,7 +181,7 @@ func startJoin(ctx *Ctx, label string, src probeSource, right *Relation, rightKe
 	if err != nil {
 		return nil, err
 	}
-	typ, dict, iw := src.keyDomain()
+	typ, dict := src.keyDomain()
 	if typ != rk.Type {
 		return nil, fmt.Errorf("exec: join key type mismatch %v vs %v", typ, rk.Type)
 	}
@@ -199,18 +189,9 @@ func startJoin(ctx *Ctx, label string, src probeSource, right *Relation, rightKe
 	switch typ {
 	case colstore.Int64:
 	case colstore.String:
-		bk := *rk
-		if bk.Dict == nil {
-			var w energy.Counters
-			bk.I, bk.Dict, w = internStrings(rk.S)
-			iw.Add(w)
-		}
-		if !iw.IsZero() {
-			ctx.Charge(label+" [intern]", 0, iw)
-		}
-		if rkeys = bk.I; !sameDict(dict, bk.Dict) {
+		if !sameDict(dict, rk.Dict) {
 			var tw energy.Counters
-			rkeys, tw = translateBuildCodes(dict, &bk)
+			rkeys, tw = translateBuildCodes(dict, rk)
 			translated = true
 			ctx.Charge(label+" [translate]", 0, tw)
 		}
@@ -227,22 +208,6 @@ func startJoin(ctx *Ctx, label string, src probeSource, right *Relation, rightKe
 // noCode marks a build-side key with no equivalent in the probe-side
 // code domain: no probe row can ever equal it.
 const noCode = int64(-1) << 62
-
-// internStrings turns a raw string column into dictionary-coded form:
-// one int64 code per row into a dictionary in first-appearance order.
-// It is priced at the strings' materialized width — the bytes a raw
-// string key costs that a sealed one does not.
-func internStrings(ss []string) (codes []int64, dict []string, w energy.Counters) {
-	ids := make(map[string]int64)
-	codes = make([]int64, len(ss))
-	for i, s := range ss {
-		codes[i] = internID(ids, &dict, s)
-		w.BytesReadDRAM += uint64(len(s)) + 16
-	}
-	n := uint64(len(ss))
-	w.Add(energy.Counters{BytesWrittenDRAM: n * 8, CacheMisses: n / 4, Instructions: n * 8})
-	return codes, dict, w
-}
 
 // translateBuildCodes rewrites the build key column's codes into the
 // probe side's code domain (probeDict), marking untranslatable values
@@ -442,14 +407,13 @@ func (jr *joinRun) pairs(ctx *Ctx) (*Relation, error) {
 	}
 
 	// Gather.  Every output value is read from its input and written to
-	// the result, strings costing their bytes; the probe source prices its
-	// own reads.  The right join key never reaches the output (it is
-	// value-identical to the left key), so it is pruned before the gather
-	// rather than copied and dropped.  Dictionary-coded columns pass
-	// through as codes (materialized later by the Materialize operator the
-	// planner places above the join tree).  Output rows are not charged as
-	// TuplesOut here — the probe phase already reported them; gather moves
-	// bytes, it does not produce tuples.
+	// the result, 8 bytes each — a string column moves its codes, its
+	// dictionary riding along; the probe source prices its own reads.  The
+	// right join key never reaches the output (it is value-identical to the
+	// left key), so it is pruned before the gather rather than copied and
+	// dropped.  Output rows are not charged as TuplesOut here — the probe
+	// phase already reported them; gather moves bytes, it does not produce
+	// tuples.
 	pruned := &Relation{N: jr.right.N}
 	for _, c := range jr.right.Cols {
 		if c.Name != jr.rightKey {

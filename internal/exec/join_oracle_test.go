@@ -9,7 +9,8 @@ import (
 
 // mapJoin is the oracle join node: serialHashJoin over its two inputs.
 // It shares nothing with the production join but mergeJoinColumns (the
-// output naming rule) and the dictionary translation.
+// output naming rule): string keys join by their decoded values, never by
+// codes or a dictionary translation.
 type mapJoin struct {
 	Left, Right       Node
 	LeftKey, RightKey string
@@ -31,10 +32,8 @@ func (j *mapJoin) Run(ctx *Ctx) (*Relation, error) {
 }
 
 // buildWork / probeWork price key touches at their actual width: 8
-// bytes for integers and dictionary codes, the materialized string
-// bytes plus header on the raw-string path — the byte asymmetry the
-// compressed-key join exists to exploit.  stringKeyWidth averages the
-// width over the keys a string-path join actually hashes.
+// bytes for integers, the decoded string bytes plus header for strings.
+// stringKeyWidth averages the width over the keys a string join hashes.
 func stringKeyWidth(keys []string) float64 {
 	if len(keys) == 0 {
 		return 16
@@ -75,42 +74,15 @@ func serialHashJoin(ctx *Ctx, label string, left, right *Relation, leftKey, righ
 	}
 
 	var lRows, rRows []int32
-	switch {
-	case lk.Type == colstore.Int64 || (lk.Dict != nil && rk.Dict != nil):
-		lkeys, rkeys, translated, w := codeDomainKeys(lk, rk)
-		bw := buildWork(right.N, 8)
-		bw.Add(w)
-		ctx.Charge(label+" [build]", right.N, bw)
-		ht := make(map[int64][]int32, len(rkeys))
-		for i, k := range rkeys {
-			if translated && k == noCode {
-				continue // untranslatable build value: matches nothing
-			}
-			ht[k] = append(ht[k], int32(i))
-		}
-		for i, k := range lkeys {
-			for _, r := range ht[k] {
-				lRows = append(lRows, int32(i))
-				rRows = append(rRows, r)
-			}
-		}
+	switch lk.Type {
+	case colstore.Int64:
+		ctx.Charge(label+" [build]", right.N, buildWork(right.N, 8))
+		lRows, rRows = hashPairs(lk.I, rk.I)
 		ctx.Charge(label+" [probe]", len(lRows), probeWork(left.N, len(lRows), 8))
-	case lk.Type == colstore.String:
-		// Raw-string path (a mixed dict/plain pair lands here too): both
-		// sides widen to strings, so both sides' key touches are priced
-		// at the materialized string width, whatever form they arrived in.
-		ls, rs := stringKeys(lk, rk)
+	case colstore.String:
+		ls, rs := decoded(lk), decoded(rk)
 		ctx.Charge(label+" [build]", right.N, buildWork(right.N, stringKeyWidth(rs)))
-		ht := make(map[string][]int32, right.N)
-		for i := 0; i < right.N; i++ {
-			ht[rs[i]] = append(ht[rs[i]], int32(i))
-		}
-		for i := 0; i < left.N; i++ {
-			for _, r := range ht[ls[i]] {
-				lRows = append(lRows, int32(i))
-				rRows = append(rRows, r)
-			}
-		}
+		lRows, rRows = hashPairs(ls, rs)
 		ctx.Charge(label+" [probe]", len(lRows), probeWork(left.N, len(lRows), stringKeyWidth(ls)))
 	default:
 		return nil, fmt.Errorf("exec: cannot join on %v keys", lk.Type)
@@ -121,31 +93,30 @@ func serialHashJoin(ctx *Ctx, label string, left, right *Relation, leftKey, righ
 	return out, nil
 }
 
-// stringKeys widens both key columns to plain strings (the raw-path
-// join; a mixed dict/plain pair lands here too).
-func stringKeys(lk, rk *Col) (ls, rs []string) {
-	lc, rc := lk.Materialized(), rk.Materialized()
-	return lc.S, rc.S
+// hashPairs builds a Go map over the build keys and probes it with the
+// probe keys in row order: the (probe row, build row) pairs, build rows
+// ascending within a key.
+func hashPairs[K comparable](lkeys, rkeys []K) (lRows, rRows []int32) {
+	ht := make(map[K][]int32, len(rkeys))
+	for i, k := range rkeys {
+		ht[k] = append(ht[k], int32(i))
+	}
+	for i, k := range lkeys {
+		for _, r := range ht[k] {
+			lRows = append(lRows, int32(i))
+			rRows = append(rRows, r)
+		}
+	}
+	return lRows, rRows
 }
 
-// codeDomainKeys returns both key columns as int64 slices sharing one
-// equality domain, plus the work of establishing it.  Integer keys pass
-// through; dictionary-coded string keys stay as codes, with the
-// build-side codes translated through the probe-side dictionary once
-// per distinct build value (the PR 3 value→code rewrite, applied to
-// joins) — equal strings then compare as equal 8-byte codes and the
-// join never touches string bytes row-wise.  translated reports whether
-// build keys went through a dictionary translation, i.e. whether the
-// noCode sentinel is meaningful in rkeys.
-func codeDomainKeys(lk, rk *Col) (lkeys, rkeys []int64, translated bool, w energy.Counters) {
-	if lk.Type == colstore.Int64 {
-		return lk.I, rk.I, false, energy.Counters{}
+// decoded returns a string column's values.
+func decoded(c *Col) []string {
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = c.Str(i)
 	}
-	if sameDict(lk.Dict, rk.Dict) {
-		return lk.I, rk.I, false, energy.Counters{}
-	}
-	rkeys, w = translateBuildCodes(lk.Dict, rk)
-	return lk.I, rkeys, true, w
+	return out
 }
 
 // buildWork prices inserting n build tuples of keyBytes-wide keys into a
@@ -177,14 +148,11 @@ func probeWork(n, matches int, keyBytes float64) energy.Counters {
 
 // joinGather materializes the join output from the matched row pairs
 // and prices the movement: every output value is read from its input
-// relation and written to the result, with strings costing their bytes.
-// The right join key never reaches the output (it is value-identical to
-// the left key), so it is pruned before the gather rather than copied
-// and dropped.  Dictionary-coded columns pass through as codes
-// (materialized later by the Materialize operator the planner places
-// above the join tree).  Output rows are not charged as TuplesOut here
-// — the probe phase already reported them; gather moves bytes, it does
-// not produce tuples.
+// relation and written to the result.  The right join key never reaches
+// the output (it is value-identical to the left key), so it is pruned
+// before the gather rather than copied and dropped.  Output rows are not
+// charged as TuplesOut here — the probe phase already reported them;
+// gather moves bytes, it does not produce tuples.
 func joinGather(left, right *Relation, rightKey string, lRows, rRows []int32) (*Relation, energy.Counters) {
 	pruned := &Relation{N: right.N}
 	for _, c := range right.Cols {

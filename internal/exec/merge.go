@@ -58,7 +58,7 @@ func MergePartials(groupName string, parts []*Relation) (*Relation, energy.Count
 				key = strconv.FormatFloat(g.F[row], 'g', -1, 64)
 				out = g.F[row]
 			default:
-				key, out = g.S[row], g.S[row]
+				key, out = g.Str(row), g.Str(row)
 			}
 			a, ok := sums[key]
 			if !ok {
@@ -94,6 +94,7 @@ func MergePartials(groupName string, parts []*Relation) (*Relation, energy.Count
 
 	gc := Col{Name: groupName, Type: groupType}
 	sc := Col{Name: sumCol.Name, Type: sumCol.Type}
+	var strs []string
 	for _, key := range keys {
 		a := sums[key]
 		switch groupType {
@@ -102,13 +103,16 @@ func MergePartials(groupName string, parts []*Relation) (*Relation, energy.Count
 		case colstore.Float64:
 			gc.F = append(gc.F, a.out.(float64))
 		default:
-			gc.S = append(gc.S, a.out.(string))
+			strs = append(strs, a.out.(string))
 		}
 		if sc.Type == colstore.Int64 {
 			sc.I = append(sc.I, a.i)
 		} else {
 			sc.F = append(sc.F, a.f)
 		}
+	}
+	if groupType == colstore.String {
+		gc = StringCol(groupName, strs)
 	}
 	w := energy.Counters{
 		TuplesIn:     tuples,

@@ -19,16 +19,23 @@ import (
 // with a typed error instead of exhausting memory.
 
 // Key kinds of the matrix: how each side's key column reaches the join.
+// A string key is codes on every kind; the kinds differ in whose
+// dictionary the codes index and how it is stored.
 const (
 	kindBigint     = "bigint"
-	kindSharedDict = "shared-dict" // coded build relation over the probe column's own dictionary
-	kindTwoDicts   = "two-dicts"   // two sealed tables, untranslatable values on both sides
-	kindRawRaw     = "raw×raw"
-	kindDictRaw    = "dict-probe×raw-build"
-	kindRawDict    = "raw-probe×dict-build"
+	kindSharedDict = "shared-dict"       // coded build relation over the probe column's own dictionary
+	kindTwoDicts   = "two-dicts"         // two sealed tables, untranslatable values on both sides
+	kindLive       = "unsealed×unsealed" // append-order dictionaries over raw code segments
+	kindSealedLive = "sealed-probe×unsealed-build"
+	kindLiveSealed = "unsealed-probe×sealed-build"
 )
 
-var joinKinds = []string{kindBigint, kindSharedDict, kindTwoDicts, kindRawRaw, kindDictRaw, kindRawDict}
+var joinKinds = []string{kindBigint, kindSharedDict, kindTwoDicts, kindLive, kindSealedLive, kindLiveSealed}
+
+// kindSeals reports whether a key kind seals its probe and build tables.
+func kindSeals(kind string) (probe, build bool) {
+	return kind != kindLive && kind != kindLiveSealed, kind != kindLive && kind != kindSealedLive
+}
 
 // Duplicate patterns of the build key.
 const (
@@ -51,12 +58,13 @@ var joinSources = []string{srcScan, srcOpaque, srcDelta}
 // joinKeyName spells key k as a string; keys past the build range dangle.
 func joinKeyName(k int64) string { return fmt.Sprintf("key%07d", k) }
 
-// oneJoinTables builds the probe and build tables of one matrix cell.
-// Build keys follow dup over [0, nBuild); probe keys cycle over twice
-// that range, so half of them dangle — except against an all-duplicate
-// build key, where only every stride-th probe row matches and the output
-// stays near 200K rows however large the build side is.
-func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, delta bool) (probe, build *colstore.Table) {
+// oneJoinTables builds the probe and build tables of one matrix cell,
+// sealed or never sealed.  Build keys follow dup over [0, nBuild); probe
+// keys cycle over twice that range, so half of them dangle — except
+// against an all-duplicate build key, where only every stride-th probe
+// row matches and the output stays near 200K rows however large the
+// build side is.
+func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, delta, seal bool) (probe, build *colstore.Table) {
 	t.Helper()
 	keyType := colstore.Int64
 	if stringKeys {
@@ -100,7 +108,9 @@ func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, del
 			w.Int64(key, keys...)
 		}
 		must(t, w.Close())
-		must(t, tab.Seal())
+		if seal {
+			must(t, tab.Seal())
+		}
 		return tab
 	}
 	probe, build = mk("probe", "pk", "pv", pkeys), mk("build", "bk", "bv", bkeys)
@@ -125,35 +135,21 @@ func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, del
 }
 
 // oneJoinPlans returns the production plan and its map-oracle twin for one
-// matrix cell.  The oracle joins raw (uncoded) scans, so coded plans are
-// compared after the planner's Materialize.
-func oneJoinPlans(t testing.TB, kind, source string, probe, build *colstore.Table) (plan, oracle Node) {
+// matrix cell.
+func oneJoinPlans(t testing.TB, kind, source string, probe, build *colstore.Table) (plan *Join, oracle Node) {
 	t.Helper()
-	scan := func(tab *colstore.Table, codes ...string) *Scan {
-		return &Scan{Source: colstore.OneShard(tab), Codes: codes}
-	}
-	var left *Scan
-	var right Node
-	switch kind {
-	case kindBigint, kindRawRaw:
-		left, right = scan(probe), scan(build)
-	case kindTwoDicts:
-		left, right = scan(probe, "pk"), scan(build, "bk")
-	case kindDictRaw:
-		left, right = scan(probe, "pk"), scan(build)
-	case kindRawDict:
-		left, right = scan(probe), scan(build, "bk")
-	case kindSharedDict:
+	scan := func(tab *colstore.Table) *Scan { return &Scan{Source: colstore.OneShard(tab)} }
+	var right Node = scan(build)
+	if kind == kindSharedDict {
 		// The build relation is coded over the probe column's own
 		// dictionary; build values it lacks cannot be spelled and drop out.
-		left = scan(probe, "pk")
 		pc, err := probe.StrCol("pk")
 		must(t, err)
 		raw, err := scan(build).Run(NewCtx())
 		must(t, err)
 		coded := &Relation{Cols: []Col{{Name: "bk", Type: colstore.String, Dict: pc.Dict(), I: []int64{}}, {Name: "bv", Type: colstore.Int64, I: []int64{}}}}
 		for i := 0; i < raw.N; i++ {
-			if code, ok := pc.Code(raw.Cols[0].S[i]); ok {
+			if code, ok := pc.Code(raw.Cols[0].Str(i)); ok {
 				coded.Cols[0].I = append(coded.Cols[0].I, code)
 				coded.Cols[1].I = append(coded.Cols[1].I, raw.Cols[1].I[i])
 			}
@@ -161,23 +157,14 @@ func oneJoinPlans(t testing.TB, kind, source string, probe, build *colstore.Tabl
 		coded.N = len(coded.Cols[0].I)
 		right = relNode{coded}
 	}
-	var l Node = left
+	var l Node = scan(probe)
 	if source == srcOpaque {
-		l = opaque(left)
+		l = opaque(l)
 	}
-	plan = &Materialize{Child: &Join{Left: l, Right: right, LeftKey: "pk", RightKey: "bk"}}
-	oracleRight := right
-	if _, ok := right.(*Scan); ok {
-		oracleRight = scan(build)
-	} else {
-		oracleRight = &Materialize{Child: right}
-	}
-	oracle = &mapJoin{Left: scan(probe), Right: oracleRight, LeftKey: "pk", RightKey: "bk"}
+	plan = &Join{Left: l, Right: right, LeftKey: "pk", RightKey: "bk"}
+	oracle = &mapJoin{Left: scan(probe), Right: right, LeftKey: "pk", RightKey: "bk"}
 	return plan, oracle
 }
-
-// joinNode unwraps the Materialize a matrix plan is capped with.
-func joinNode(plan Node) *Join { return plan.(*Materialize).Child.(*Join) }
 
 // ranFused reports whether the join's OpReports hold a fused probe phase.
 func ranFused(ctx *Ctx) bool {
@@ -211,8 +198,8 @@ func TestOneJoinMatchesMapOracle(t *testing.T) {
 	}
 	type tableKey struct {
 		size
-		dup           string
-		strings, live bool
+		dup                   string
+		strings, live, sealed bool
 	}
 	cell := 0
 	for si, sz := range sizes {
@@ -224,28 +211,33 @@ func TestOneJoinMatchesMapOracle(t *testing.T) {
 					if sz.probe+sz.build > 1 && (si+cell)%9 != 0 {
 						continue
 					}
-					tk := tableKey{sz, dup, kind != kindBigint, source == srcDelta}
-					tabs, ok := tables[tk]
-					if !ok {
-						tabs[0], tabs[1] = oneJoinTables(t, sz.probe, sz.build, dup, tk.strings, tk.live)
-						tables[tk] = tabs
+					pair := func(sealed bool) [2]*colstore.Table {
+						tk := tableKey{sz, dup, kind != kindBigint, source == srcDelta, sealed}
+						tabs, ok := tables[tk]
+						if !ok {
+							tabs[0], tabs[1] = oneJoinTables(t, sz.probe, sz.build, dup, tk.strings, tk.live, sealed)
+							tables[tk] = tabs
+						}
+						return tabs
 					}
+					sealProbe, sealBuild := kindSeals(kind)
 					name := fmt.Sprintf("%d+%d/%s/%s/%s", sz.probe, sz.build, kind, dup, source)
-					plan, oracle := oneJoinPlans(t, kind, source, tabs[0], tabs[1])
+					plan, oracle := oneJoinPlans(t, kind, source, pair(sealProbe)[0], pair(sealBuild)[1])
 					want, _ := runPlan(t, oracle, 1)
-					var base *Ctx
+					var base *Relation
+					var baseCtx *Ctx
 					for _, dop := range []int{1, 2, 8} {
 						got, ctx := runPlan(t, plan, dop)
-						if !reflect.DeepEqual(got, want) {
+						if !got.Equal(want) {
 							t.Fatalf("%s dop=%d: join diverged from the map oracle (N %d vs %d)", name, dop, got.N, want.N)
 						}
-						if marked := joinNode(plan).fusion() != ""; marked != ranFused(ctx) {
+						if marked := plan.fusion() != ""; marked != ranFused(ctx) {
 							t.Fatalf("%s dop=%d: EXPLAIN marked fused=%v, ran fused=%v", name, dop, marked, ranFused(ctx))
 						}
 						if base == nil {
-							base = ctx
-						} else if ctx.Meter.Snapshot() != base.Meter.Snapshot() {
-							t.Fatalf("%s dop=%d: counters differ from DOP 1:\n%+v\n%+v", name, dop, ctx.Meter.Snapshot(), base.Meter.Snapshot())
+							base, baseCtx = got, ctx
+						} else if !reflect.DeepEqual(got, base) || ctx.Meter.Snapshot() != baseCtx.Meter.Snapshot() {
+							t.Fatalf("%s dop=%d: relation or counters differ from DOP 1:\n%+v\n%+v", name, dop, ctx.Meter.Snapshot(), baseCtx.Meter.Snapshot())
 						}
 					}
 					if sz.probe > 0 && sz.build > 0 && want.N == 0 && kind != kindSharedDict {
@@ -260,11 +252,13 @@ func TestOneJoinMatchesMapOracle(t *testing.T) {
 // TestExplainFusionIsWhatRuns: a join's OpReports contain a fused probe
 // phase iff exec.Explain marked the node — at every probe size (the
 // retired run-time bypass let EXPLAIN print [fused] for a join that then
-// materialized its probe side) and every key kind, under both sinks.
+// materialized its probe side) and every key kind, under both sinks; and
+// a bare scan fuses whatever its key kind and storage.
 func TestExplainFusionIsWhatRuns(t *testing.T) {
 	for _, rows := range []int{5, 3_000, 70_000, 300_000} {
-		for _, kind := range []string{kindBigint, kindTwoDicts, kindRawRaw} {
-			probe, build := oneJoinTables(t, rows, 50, dupNone, kind != kindBigint, false)
+		for _, kind := range []string{kindBigint, kindTwoDicts, kindLive} {
+			sealed, _ := kindSeals(kind)
+			probe, build := oneJoinTables(t, rows, 50, dupNone, kind != kindBigint, false, sealed)
 			plan, _ := oneJoinPlans(t, kind, srcScan, probe, build)
 			var agg Node = &HashAgg{Child: plan, GroupBy: []string{"bv"}, Aggs: []expr.AggSpec{{Func: expr.AggCount}}}
 			for sink, node := range map[string]Node{"pairs": plan, "fold": agg} {
@@ -274,8 +268,8 @@ func TestExplainFusionIsWhatRuns(t *testing.T) {
 				if ranFused(ctx) != marked {
 					t.Errorf("%s: EXPLAIN marks fused=%v but the run's phases say %v\n%s", name, marked, ranFused(ctx), Explain(node))
 				}
-				if wantFused := kind != kindRawRaw; marked != wantFused {
-					t.Errorf("%s: fused=%v, want %v (raw string keys materialize, everything else fuses)", name, marked, wantFused)
+				if !marked {
+					t.Errorf("%s: a bare scan's probe must fuse on every key kind", name)
 				}
 			}
 		}
@@ -290,7 +284,7 @@ func TestJoinResultCap(t *testing.T) {
 	defer func(old int) { maxJoinPairs = old }(maxJoinPairs)
 	// 3 morsels of probe rows, every sixth matching all 8 build rows.
 	const nProbe, nBuild = 2*MorselRows + 1000, 8
-	probeTab, buildTab := oneJoinTables(t, nProbe, nBuild, dupAll, false, false)
+	probeTab, buildTab := oneJoinTables(t, nProbe, nBuild, dupAll, false, false, true)
 	join := func(hide bool) *Join {
 		var left Node = &Scan{Source: colstore.OneShard(probeTab), Preds: []expr.Pred{{Col: "pk", Op: vec.EQ, Val: expr.IntVal(3)}}}
 		if hide {

@@ -51,7 +51,7 @@ func (f *Filter) Run(ctx *Ctx) (*Relation, error) {
 			case colstore.Float64:
 				ok = cmpOrdered(p.Op, c.F[i], p.Val.F)
 			default:
-				ok = cmpOrdered(p.Op, c.S[i], p.Val.S)
+				ok = cmpOrdered(p.Op, c.Str(i), p.Val.S)
 			}
 			if !ok {
 				break
@@ -146,7 +146,7 @@ func (s *Sort) Run(ctx *Ctx) (*Relation, error) {
 			case colstore.Float64:
 				cmp = cmpOrderFloat(c.F[ra], c.F[rb])
 			default:
-				cmp = strings.Compare(c.S[ra], c.S[rb])
+				cmp = strings.Compare(c.Str(int(ra)), c.Str(int(rb)))
 			}
 			if cmp != 0 {
 				if k.Desc {

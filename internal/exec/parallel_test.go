@@ -88,10 +88,11 @@ func refScan(t testing.TB, tab *colstore.Table, sel []string, preds []expr.Pred)
 				oc.F[i] = c.Get(r)
 			}
 		case *colstore.StringColumn:
-			oc.S = make([]string, len(rows))
+			vals := make([]string, len(rows))
 			for i, r := range rows {
-				oc.S[i] = c.Get(r)
+				vals[i] = c.Get(r)
 			}
+			oc = StringCol(name, vals)
 		}
 		out.Cols = append(out.Cols, oc)
 	}
@@ -99,9 +100,9 @@ func refScan(t testing.TB, tab *colstore.Table, sel []string, preds []expr.Pred)
 }
 
 // TestScanMatchesReference: the morsel scan must reproduce the
-// row-at-a-time reference's rows, order, and column bytes exactly at
-// every DOP, with DOP-invariant Meter totals, across predicate types
-// (packed int, float, dictionary string) and projections.
+// row-at-a-time reference's rows, order, and values (strings decoded)
+// exactly at every DOP, with DOP-invariant Meter totals, across predicate
+// types (packed int, float, dictionary string) and projections.
 func TestScanMatchesReference(t *testing.T) {
 	tab := ordersTable(t, 200_000)
 	cases := []struct {
@@ -131,7 +132,7 @@ func TestScanMatchesReference(t *testing.T) {
 			_, ctx1 := runPlan(t, scan, 1)
 			for _, dop := range []int{1, 3, 8} {
 				got, ctx := runPlan(t, scan, dop)
-				if !reflect.DeepEqual(got, want) {
+				if !got.Equal(want) {
 					t.Fatalf("DOP %d: scan diverged from the reference (%d vs %d rows)", dop, got.N, want.N)
 				}
 				if w, w1 := ctx.Meter.Snapshot(), ctx1.Meter.Snapshot(); w != w1 || w.IsZero() {
@@ -249,19 +250,19 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	los, _ := got.Col("lo")
 	his, _ := got.Col("hi")
 	for i := 0; i < got.N; i++ {
-		key := string(binary.AppendUvarint(nil, uint64(len(regions.S[i])))) + regions.S[i]
+		key := string(binary.AppendUvarint(nil, uint64(len(regions.Str(i))))) + regions.Str(i)
 		ref, ok := want[key]
 		if !ok {
-			t.Fatalf("unexpected group %q", regions.S[i])
+			t.Fatalf("unexpected group %q", regions.Str(i))
 		}
 		if revs.F[i] != ref[0] {
-			t.Errorf("group %q sum: got %g want %g", regions.S[i], revs.F[i], ref[0])
+			t.Errorf("group %q sum: got %g want %g", regions.Str(i), revs.F[i], ref[0])
 		}
 		if float64(counts.I[i]) != ref[1] {
-			t.Errorf("group %q count: got %d want %g", regions.S[i], counts.I[i], ref[1])
+			t.Errorf("group %q count: got %d want %g", regions.Str(i), counts.I[i], ref[1])
 		}
 		if los.F[i] != ref[2] || his.F[i] != ref[3] {
-			t.Errorf("group %q extrema: got (%g,%g) want (%g,%g)", regions.S[i], los.F[i], his.F[i], ref[2], ref[3])
+			t.Errorf("group %q extrema: got (%g,%g) want (%g,%g)", regions.Str(i), los.F[i], his.F[i], ref[2], ref[3])
 		}
 	}
 }

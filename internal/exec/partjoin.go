@@ -281,56 +281,3 @@ func buildPartition(chunks []partChunk, p int) (*joinTable, energy.Counters) {
 		Instructions:     n*10 + uint64(steps)*2,
 	}
 }
-
-// Materialize widens every dictionary-coded column of its input back to
-// plain strings.  The planner places it above a join tree whose scans
-// emitted code-domain keys, so joins run on 8-byte codes end to end and
-// the dictionary is touched exactly once per output value — the last
-// step of the compressed-key pipeline, and the only one that pays
-// string bytes.
-type Materialize struct {
-	Child Node
-}
-
-// Label implements Node.
-func (m *Materialize) Label() string { return "Materialize(dict)" }
-
-// Kids implements Node.
-func (m *Materialize) Kids() []Node { return []Node{m.Child} }
-
-// Run implements Node.
-func (m *Materialize) Run(ctx *Ctx) (*Relation, error) {
-	in, err := m.Child.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{N: in.N, Cols: make([]Col, len(in.Cols))}
-	var w energy.Counters
-	changed := false
-	for ci := range in.Cols {
-		c := &in.Cols[ci]
-		out.Cols[ci] = c.Materialized()
-		if c.Dict != nil {
-			changed = true
-			n := uint64(len(c.I))
-			var strBytes uint64
-			for _, s := range out.Cols[ci].S {
-				strBytes += uint64(len(s)) + 16
-			}
-			w.Add(energy.Counters{
-				BytesReadDRAM:    n * 8, // the code stream
-				BytesWrittenDRAM: strBytes,
-				CacheMisses:      n / 4, // dictionary indirections
-				Instructions:     n * 2,
-			})
-		}
-	}
-	if !changed {
-		return in, nil
-	}
-	// No TuplesIn/TuplesOut: materialization is pure data movement, and
-	// logical row counters must stay storage-blind — a code-domain plan
-	// and a raw plan of the same query charge identical row counters.
-	ctx.Charge(m.Label(), in.N, w)
-	return out, nil
-}

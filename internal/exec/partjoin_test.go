@@ -184,48 +184,46 @@ func dictTables(t *testing.T, nFact, nDim int, seal bool) (fact, dim *colstore.T
 	return fact, dim
 }
 
-// TestJoinDictKeys joins dictionary-coded string keys whose
-// dictionaries differ between the tables, asserting the compressed-key
-// pipeline returns the raw string join's exact relation while streaming
-// strictly fewer DRAM bytes.
+// TestJoinDictKeys joins string keys whose dictionaries differ between
+// the tables, over sealed and over unsealed storage: both return the map
+// oracle's relation (strings compared decoded) and are DOP-invariant, and
+// the sealed join — bit-packed code segments — streams strictly fewer
+// DRAM bytes than the unsealed one, whose codes sit 8 bytes wide.
 func TestJoinDictKeys(t *testing.T) {
 	const nFact, nDim = 70_000, 600
 	sealedFact, sealedDim := dictTables(t, nFact, nDim, true)
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
-
-	coded := &Materialize{Child: &Join{
-		Left:    &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}},
-		Right:   &Scan{Source: colstore.OneShard(sealedDim), Codes: []string{"name"}},
-		LeftKey: "custname", RightKey: "name",
-	}}
-	raw := &mapJoin{
-		Left:    &Scan{Source: colstore.OneShard(rawFact)},
-		Right:   &Scan{Source: colstore.OneShard(rawDim)},
-		LeftKey: "custname", RightKey: "name",
+	join := func(fact, dim *colstore.Table) *Join {
+		return &Join{
+			Left:    &Scan{Source: colstore.OneShard(fact)},
+			Right:   &Scan{Source: colstore.OneShard(dim)},
+			LeftKey: "custname", RightKey: "name",
+		}
 	}
-	codedRel, codedCtx := runJoin(t, coded, 4)
-	rawRel, rawCtx := runJoin(t, raw, 1)
-	if codedRel.N == 0 || codedRel.N == nFact {
-		t.Fatalf("degenerate join cardinality %d", codedRel.N)
+	oracle := join(rawFact, rawDim)
+	want, _ := runJoin(t, &mapJoin{Left: oracle.Left, Right: oracle.Right, LeftKey: "custname", RightKey: "name"}, 1)
+	if want.N == 0 || want.N == nFact {
+		t.Fatalf("degenerate join cardinality %d", want.N)
 	}
-	if !reflect.DeepEqual(rawRel, codedRel) {
-		t.Fatal("dictionary-coded join diverges from raw string join")
+	var bytes [2]uint64
+	for i, tabs := range [][2]*colstore.Table{{rawFact, rawDim}, {sealedFact, sealedDim}} {
+		rel, ctx := runJoin(t, join(tabs[0], tabs[1]), 4)
+		if !rel.Equal(want) {
+			t.Fatalf("sealed=%v: string-key join diverges from the map oracle", i == 1)
+		}
+		rel1, ctx1 := runJoin(t, join(tabs[0], tabs[1]), 1)
+		if !reflect.DeepEqual(rel, rel1) || ctx.Meter.Snapshot() != ctx1.Meter.Snapshot() {
+			t.Fatalf("sealed=%v: string-key join not DOP-invariant", i == 1)
+		}
+		bytes[i] = ctx.Meter.Snapshot().BytesReadDRAM
 	}
-	cb := codedCtx.Meter.Snapshot().BytesReadDRAM
-	rb := rawCtx.Meter.Snapshot().BytesReadDRAM
-	if cb >= rb {
-		t.Fatalf("compressed-key join must stream fewer DRAM bytes: coded %d vs raw %d", cb, rb)
-	}
-	// And the coded pipeline is DOP-invariant like every morsel operator.
-	codedRel2, codedCtx2 := runJoin(t, coded, 1)
-	if !reflect.DeepEqual(codedRel, codedRel2) || codedCtx.Meter.Snapshot() != codedCtx2.Meter.Snapshot() {
-		t.Fatal("dictionary-coded join not DOP-invariant")
+	if bytes[1] >= bytes[0] {
+		t.Fatalf("sealed join must stream fewer DRAM bytes: sealed %d vs unsealed %d", bytes[1], bytes[0])
 	}
 }
 
-// TestMixedDictPlainKeys joins a dict-coded key column against a plain
-// string key (only one side sealed).  There is one join: the raw build
-// strings are interned into codes, those translate through the probe
+// TestMixedDictPlainKeys joins a sealed key column against an unsealed
+// one.  There is one join: the build codes translate through the probe
 // dictionary, and the fused probe streams codes as for any other key —
 // returning the exact string-join relation, with the scan hidden or not.
 func TestMixedDictPlainKeys(t *testing.T) {
@@ -234,15 +232,15 @@ func TestMixedDictPlainKeys(t *testing.T) {
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
 	mixed := func(hide bool) Node {
-		var left Node = &Scan{Source: colstore.OneShard(sealedFact), Codes: []string{"custname"}}
+		var left Node = &Scan{Source: colstore.OneShard(sealedFact)}
 		if hide {
 			left = opaque(left)
 		}
-		return &Materialize{Child: &Join{
+		return &Join{
 			Left:    left,
 			Right:   &Scan{Source: colstore.OneShard(rawDim)},
 			LeftKey: "custname", RightKey: "name",
-		}}
+		}
 	}
 	baseline := &mapJoin{
 		Left:    &Scan{Source: colstore.OneShard(rawFact)},
@@ -252,15 +250,15 @@ func TestMixedDictPlainKeys(t *testing.T) {
 	baseRel, _ := runJoin(t, baseline, 1)
 	for _, hide := range []bool{false, true} {
 		mixedRel, ctx := runJoin(t, mixed(hide), 4)
-		if !reflect.DeepEqual(baseRel, mixedRel) {
-			t.Fatalf("hide=%v: mixed dict/plain key join diverges from string join", hide)
+		if !baseRel.Equal(mixedRel) {
+			t.Fatalf("hide=%v: sealed/unsealed key join diverges from string join", hide)
 		}
 		var phases []string
 		for _, op := range ctx.OpReports {
 			phases = append(phases, op.Label)
 		}
 		got := strings.Join(phases, "\n")
-		for _, ph := range []string{"[intern]", "[translate]", "[build]", "[gather]"} {
+		for _, ph := range []string{"[translate]", "[build]", "[gather]"} {
 			if !strings.Contains(got, ph) {
 				t.Fatalf("hide=%v: phase %s missing:\n%s", hide, ph, got)
 			}
@@ -277,12 +275,12 @@ func TestMixedDictPlainKeys(t *testing.T) {
 func TestJoinRenameCollisionProof(t *testing.T) {
 	left := &Relation{N: 2, Cols: []Col{
 		{Name: "k", Type: colstore.Int64, I: []int64{1, 2}},
-		{Name: "name", Type: colstore.String, S: []string{"l1", "l2"}},
-		{Name: "r_name", Type: colstore.String, S: []string{"x1", "x2"}},
+		StringCol("name", []string{"l1", "l2"}),
+		StringCol("r_name", []string{"x1", "x2"}),
 	}}
 	right := &Relation{N: 2, Cols: []Col{
 		{Name: "k2", Type: colstore.Int64, I: []int64{1, 2}},
-		{Name: "name", Type: colstore.String, S: []string{"r1", "r2"}},
+		StringCol("name", []string{"r1", "r2"}),
 	}}
 	rel, _ := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "k", RightKey: "k2"}, 1)
 	want := []string{"k", "name", "r_name", "r_r_name"}
@@ -293,8 +291,8 @@ func TestJoinRenameCollisionProof(t *testing.T) {
 	// The right join key (named differently from the left) is deduped,
 	// and the renamed column still carries the right side's values.
 	rr, _ := rel.Col("r_r_name")
-	if rr.S[0] != "r1" || rr.S[1] != "r2" {
-		t.Fatalf("renamed right column lost its values: %v", rr.S)
+	if rr.Str(0) != "r1" || rr.Str(1) != "r2" {
+		t.Fatalf("renamed right column lost its values: %v", rel.Row(0))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/expr"
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 // Fused probe→aggregate identity tests (ISSUE 14 acceptance).  A join
@@ -154,13 +155,13 @@ func TestFusedProbeAggByteIdentityMatrix(t *testing.T) {
 							if !ranFused {
 								t.Fatalf("dop=%d: eligible plan did not take the probe→aggregate sink", dop)
 							}
-							if !reflect.DeepEqual(got.rel, oracle.rel) {
+							if !got.rel.Equal(oracle.rel) {
 								t.Fatalf("dop=%d: fused relation diverged from the materializing pipeline\nfused  %+v\noracle %+v",
 									dop, got.rel, oracle.rel)
 							}
 							if i == 0 {
 								base = got
-							} else if got.w != base.w {
+							} else if got.w != base.w || !reflect.DeepEqual(got.rel, base.rel) {
 								t.Fatalf("dop=%d: fused counters not DOP-invariant:\n%+v\n%+v", dop, got.w, base.w)
 							}
 						}
@@ -175,34 +176,48 @@ func TestFusedProbeAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestFusedProbeAggCodeDomain covers the planner's code-domain shape: a
-// string-keyed join under Materialize, grouped by the key itself and by a
-// build-side column, with the build codes translated through the probe
-// column's dictionary.
+// TestFusedProbeAggCodeDomain covers a string-keyed join under a GROUP
+// BY, grouped by the key itself, by a build-side column and globally,
+// over a sealed and a never-sealed probe table: either way the probe
+// streams codes, the build codes translate through the probe column's
+// dictionary, and the matches fold straight into partial aggregates.
 func TestFusedProbeAggCodeDomain(t *testing.T) {
-	fact := fusedMatrixTable(t, 2*MorselRows, 0)
+	unsealed := colstore.NewTable("unsealed", colstore.Schema{
+		{Name: "region", Type: colstore.String},
+		{Name: "rle", Type: colstore.Int64},
+		{Name: "packed", Type: colstore.Int64},
+	})
+	w := unsealed.Writer()
+	for i := 0; i < 2*MorselRows; i++ {
+		w.String("region", workload.RegionNames[(i*7)%len(workload.RegionNames)]).
+			Int64("rle", int64(i/64%16)).
+			Int64("packed", int64(i*7919%(1<<20)))
+	}
+	must(t, w.Close())
 	dim := fusedDimTable(t)
-	for _, groupBy := range [][]string{{"region"}, {"weight"}, nil} {
-		plan := func(unfused bool) *HashAgg {
-			var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle", "packed"}, Codes: []string{"region"}}
-			if unfused {
-				left = opaque(left)
+	for _, fact := range []*colstore.Table{fusedMatrixTable(t, 2*MorselRows, 0), unsealed} {
+		for _, groupBy := range [][]string{{"region"}, {"weight"}, nil} {
+			plan := func(unfused bool) *HashAgg {
+				var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle", "packed"}}
+				if unfused {
+					left = opaque(left)
+				}
+				return &HashAgg{
+					Child: &Join{
+						Left:    left,
+						Right:   &Scan{Source: colstore.OneShard(dim)},
+						LeftKey: "region", RightKey: "region",
+					},
+					GroupBy: groupBy,
+					Aggs:    []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "weight"}, {Func: expr.AggMax, Col: "packed"}},
+				}
 			}
-			return &HashAgg{
-				Child: &Materialize{Child: &Join{
-					Left:    left,
-					Right:   &Scan{Source: colstore.OneShard(dim), Codes: []string{"region"}},
-					LeftKey: "region", RightKey: "region",
-				}},
-				GroupBy: groupBy,
-				Aggs:    []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "weight"}, {Func: expr.AggMax, Col: "packed"}},
-			}
-		}
-		oracle, _ := runProbeAgg(t, plan(true), colstore.SnapLatest, 1)
-		for _, dop := range []int{1, 8} {
-			got, ranFused := runProbeAgg(t, plan(false), colstore.SnapLatest, dop)
-			if !ranFused || oracle.rel.N == 0 || !reflect.DeepEqual(got.rel, oracle.rel) {
-				t.Fatalf("group %v dop=%d: fused=%v\nfused  %+v\noracle %+v", groupBy, dop, ranFused, got.rel, oracle.rel)
+			oracle, _ := runProbeAgg(t, plan(true), colstore.SnapLatest, 1)
+			for _, dop := range []int{1, 8} {
+				got, ranFused := runProbeAgg(t, plan(false), colstore.SnapLatest, dop)
+				if !ranFused || oracle.rel.N == 0 || !got.rel.Equal(oracle.rel) {
+					t.Fatalf("%s group %v dop=%d: fused=%v\nfused  %+v\noracle %+v", fact.Name, groupBy, dop, ranFused, got.rel, oracle.rel)
+				}
 			}
 		}
 	}
@@ -233,8 +248,8 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	shardedJoin := func(preds []expr.Pred) *Join {
 		return &Join{Left: sharded(preds), Right: dimScan(), LeftKey: "grp", RightKey: "k"}
 	}
-	rawDim := &relSource{rel: &Relation{N: 2, Cols: []Col{
-		{Name: "region", Type: colstore.String, S: []string{"ASIA", "EUROPE"}},
+	outsideDim := &relSource{rel: &Relation{N: 2, Cols: []Col{
+		StringCol("region", []string{"ASIA", "EUROPE"}),
 		{Name: "weight", Type: colstore.Int64, I: []int64{1, 2}},
 	}}}
 
@@ -252,9 +267,9 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 		{"pruned-sharded-probe", &HashAgg{Child: shardedJoin([]expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}),
 			GroupBy: []string{"name"}, Aggs: count}},
 		{"build-not-a-scan", &HashAgg{Child: join(factScan(), intDimSource()), GroupBy: []string{"rle"}, Aggs: count}},
-		{"raw-build-strings", &HashAgg{Child: &Join{
-			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}, Codes: []string{"region"}},
-			Right:   rawDim,
+		{"outside-build-strings", &HashAgg{Child: &Join{
+			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}},
+			Right:   outsideDim,
 			LeftKey: "region", RightKey: "region"}, GroupBy: []string{"rle"}, Aggs: count}},
 	}
 	for _, c := range cases {
@@ -271,7 +286,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 			oracle := &HashAgg{GroupBy: c.agg.GroupBy, Aggs: c.agg.Aggs,
 				Child: &Join{Left: opaque(j.Left), Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}}
 			want, _ := runProbeAgg(t, oracle, colstore.SnapLatest, 1)
-			if want.rel.N == 0 || !reflect.DeepEqual(got.rel, want.rel) {
+			if want.rel.N == 0 || !got.rel.Equal(want.rel) {
 				t.Fatalf("fallback answer diverged:\ngot  %+v\nwant %+v", got.rel, want.rel)
 			}
 		})
@@ -291,7 +306,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	}
 	got, ranFused := runProbeAgg(t, tiny(false), colstore.SnapLatest, 2)
 	want, _ := runProbeAgg(t, tiny(true), colstore.SnapLatest, 1)
-	if !ranFused || want.rel.N == 0 || !reflect.DeepEqual(got.rel, want.rel) {
+	if !ranFused || want.rel.N == 0 || !got.rel.Equal(want.rel) {
 		t.Fatalf("tiny probe: fused=%v\ngot  %+v\nwant %+v", ranFused, got.rel, want.rel)
 	}
 
@@ -398,7 +413,7 @@ func TestRadixBitsSmallBuildIsOneTable(t *testing.T) {
 	}
 	want, err := (&mapJoin{Left: j.Left, Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}).Run(NewCtx())
 	must(t, err)
-	if !reflect.DeepEqual(got, want) {
+	if !got.Equal(want) {
 		t.Fatal("single-table join diverged from the map oracle")
 	}
 }

@@ -9,7 +9,7 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Filter, Project, Sort, Limit, Exchange, Materialize) runs
+// operator (Filter, Project, Sort, Limit, Exchange) runs
 // entirely on that goroutine.  The morsel-driven operators — Scan,
 // HashAgg and Join — fan work out to Ctx.DOP() internal workers (a
 // one-morsel input runs on one) but
@@ -31,58 +31,50 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/colstore"
 )
 
-// Col is one materialized column of an intermediate result.  Exactly one
-// of I/F/S is non-nil, matching Type — except for the dictionary-coded
-// form of a string column: when Dict is non-nil, Type is String, S is
-// nil, and I holds dense codes into Dict (I[i] represents Dict[I[i]]).
-// Scans produce that form on request (Scan.Codes) so equi-joins can
-// hash, partition, and compare 8-byte codes instead of string bytes;
-// the planner caps such plans with a Materialize operator, so every
-// other operator and every query result still sees plain strings.
+// Col is one materialized column of an intermediate result.  A BIGINT
+// column holds its values in I and a DOUBLE column in F.  A VARCHAR column
+// is always codes plus a dictionary: I[i] is a code and Dict[I[i]] the
+// string — the form a stored column already has, main and delta alike, so
+// a scan copies 8-byte codes and every operator joins, groups, gathers and
+// merges them without touching string bytes.  A string is decoded (Str)
+// only where it leaves the engine: rendering, a comparison against a
+// literal, a sort.  Two columns of equal strings may carry different
+// dictionaries (one per shard, per storage state); compare them decoded.
 type Col struct {
 	Name string
 	Type colstore.Type
 	I    []int64
 	F    []float64
-	S    []string
-	Dict []string // code → string dictionary; nil for plain columns
+	Dict []string // VARCHAR only: code → string, shared and read-only
 }
 
-// Str returns row i of a string column, resolving dictionary codes.
-func (c *Col) Str(i int) string {
-	if c.Dict != nil {
-		return c.Dict[c.I[i]]
+// StringCol builds a VARCHAR column from strings that come from outside
+// storage — a summary row, a merged or shipped result, a test fixture —
+// interning them into a first-appearance dictionary.  A scan never calls
+// it: stored strings already are codes and a dictionary.
+func StringCol(name string, vals []string) Col {
+	c := Col{Name: name, Type: colstore.String, I: make([]int64, len(vals))}
+	ids := make(map[string]int64)
+	for i, s := range vals {
+		c.I[i] = internID(ids, &c.Dict, s)
 	}
-	return c.S[i]
+	return c
 }
+
+// Str returns row i of a VARCHAR column, decoded.
+func (c *Col) Str(i int) string { return c.Dict[c.I[i]] }
 
 // Len returns the column's row count.
 func (c *Col) Len() int {
-	switch {
-	case c.Type == colstore.Int64 || c.Dict != nil:
-		return len(c.I)
-	case c.Type == colstore.Float64:
+	if c.Type == colstore.Float64 {
 		return len(c.F)
-	default:
-		return len(c.S)
 	}
-}
-
-// Materialized returns the column with dictionary codes widened to
-// plain strings (a copy when coded, the column itself when plain).
-func (c *Col) Materialized() Col {
-	if c.Dict == nil {
-		return *c
-	}
-	out := Col{Name: c.Name, Type: colstore.String, S: make([]string, len(c.I))}
-	for i, code := range c.I {
-		out.S[i] = c.Dict[code]
-	}
-	return out
+	return len(c.I)
 }
 
 // Relation is a materialized intermediate result.
@@ -125,78 +117,81 @@ func (r *Relation) ColNames() []string {
 }
 
 // Bytes approximates the materialized size (for exchange and memory
-// accounting).
+// accounting): 8 bytes a value — a VARCHAR column holds codes, and its
+// dictionary belongs to the column it was read from.
 func (r *Relation) Bytes() uint64 {
 	var b uint64
 	for i := range r.Cols {
-		c := &r.Cols[i]
-		switch {
-		case c.Type == colstore.Int64 || c.Type == colstore.Float64:
-			b += uint64(c.Len()) * 8
-		case c.Dict != nil:
-			// Codes only: the dictionary belongs to the base column.
-			b += uint64(len(c.I)) * 8
-		default:
-			for _, s := range c.S {
-				b += uint64(len(s)) + 16
-			}
-		}
+		b += uint64(r.Cols[i].Len()) * 8
 	}
 	return b
 }
 
 // WireBytes prices the uncompressed column-wise serialization of the
-// column: 8 bytes per numeric value, length-prefixed strings.  Exchange
-// and the distributed shipping strategies (internal/dist) share this one
-// convention so wire accounting stays comparable across experiments.
+// column: 8 bytes per numeric value, and every row's string length-
+// prefixed — the values the rows reference, whatever dictionary they sit
+// in.  Exchange and the distributed shipping strategies (internal/dist)
+// share this one convention so wire accounting stays comparable across
+// experiments.
 func (c *Col) WireBytes() uint64 {
-	switch {
-	case c.Type == colstore.Int64 || c.Type == colstore.Float64:
+	if c.Type != colstore.String {
 		return uint64(c.Len()) * 8
-	case c.Dict != nil:
-		// Shipping a coded column means shipping codes plus dictionary.
-		b := uint64(len(c.I)) * 8
-		for _, s := range c.Dict {
-			b += uint64(len(s)) + 2
-		}
-		return b
-	default:
-		var b uint64
-		for _, s := range c.S {
-			b += uint64(len(s)) + 2
-		}
-		return b
 	}
+	var b uint64
+	for i := range c.I {
+		b += uint64(len(c.Str(i))) + 2
+	}
+	return b
 }
 
-// gather returns a new relation containing the given rows (in order).
+// gather returns a new relation containing the given rows (in order).  A
+// VARCHAR column gathers its codes; the dictionary rides along untouched.
 func (r *Relation) gather(rows []int32) *Relation {
 	out := &Relation{N: len(rows), Cols: make([]Col, len(r.Cols))}
 	for ci := range r.Cols {
 		src := &r.Cols[ci]
 		dst := Col{Name: src.Name, Type: src.Type, Dict: src.Dict}
-		switch {
-		case src.Type == colstore.Int64 || src.Dict != nil:
-			// Dictionary-coded string columns gather their 8-byte codes;
-			// the shared dictionary rides along untouched.
-			dst.I = make([]int64, len(rows))
-			for i, row := range rows {
-				dst.I[i] = src.I[row]
-			}
-		case src.Type == colstore.Float64:
+		if src.Type == colstore.Float64 {
 			dst.F = make([]float64, len(rows))
 			for i, row := range rows {
 				dst.F[i] = src.F[row]
 			}
-		default:
-			dst.S = make([]string, len(rows))
+		} else {
+			dst.I = make([]int64, len(rows))
 			for i, row := range rows {
-				dst.S[i] = src.S[row]
+				dst.I[i] = src.I[row]
 			}
 		}
 		out.Cols[ci] = dst
 	}
 	return out
+}
+
+// Equal reports whether r and o are the same result: the same column
+// names and types and, row by row, the same values — strings compared
+// decoded, floats by their bits.  It is the identity the determinism
+// contract promises across storage layouts, whose dictionaries differ
+// (sealed or live, one shard or many), where reflect.DeepEqual would
+// compare the dictionaries too.
+func (r *Relation) Equal(o *Relation) bool {
+	if r.N != o.N || len(r.Cols) != len(o.Cols) {
+		return false
+	}
+	for ci := range r.Cols {
+		a, b := &r.Cols[ci], &o.Cols[ci]
+		if a.Name != b.Name || a.Type != b.Type || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			switch {
+			case a.Type == colstore.Float64 && math.Float64bits(a.F[i]) != math.Float64bits(b.F[i]),
+				a.Type == colstore.String && a.Str(i) != b.Str(i),
+				a.Type == colstore.Int64 && a.I[i] != b.I[i]:
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Row renders row i as a value slice (diagnostics, CLI output).

@@ -62,12 +62,6 @@ type Scan struct {
 	// Access picks the index path, which serves a one-shard source only
 	// (default: full scan).
 	Access AccessSpec
-	// Codes lists string columns to emit in the dictionary code domain
-	// (Col.Dict set, I = codes) instead of materializing strings — the
-	// planner requests it for join keys on sealed tables so the join runs
-	// on 8-byte codes end to end.  Single-shard sources only: per-shard
-	// dictionaries assign incomparable codes.
-	Codes []string
 }
 
 // Label implements Node.
@@ -116,8 +110,7 @@ type ShardBinding struct {
 
 	preds    []expr.Pred
 	predCols []colstore.Column
-	asCode   []bool // per Cols entry: emit dictionary codes
-	tmpl     []Col  // per Cols entry: name, type, dictionary when coded
+	tmpl     []Col // per Cols entry: name, type, a VARCHAR column's dictionary
 }
 
 // multi reports whether the source has more than one shard — the only
@@ -137,7 +130,7 @@ func (b *Binding) index(name string) int {
 }
 
 // Bind resolves the scan against its source: projection, predicate
-// columns, predicate type checks, code flags, shard pruning.
+// columns, predicate type checks, dictionaries, shard pruning.
 func (s *Scan) Bind() (*Binding, error) { return s.bind(true) }
 
 // bind is Bind with the sequence column optional: the build side of a
@@ -182,6 +175,11 @@ func (s *Scan) bind(withSeq bool) (*Binding, error) {
 			sb.predCols = append(sb.predCols, c)
 		}
 		sb.tmpl = append([]Col(nil), b.tmpl...)
+		for ci, c := range sb.Cols {
+			if sc, ok := c.(*colstore.StringColumn); ok {
+				sb.tmpl[ci].Dict = sc.Dict() // once per Bind: every morsel shares it
+			}
+		}
 		if len(shards) > 1 && withSeq {
 			seq, err := sh.IntCol(colstore.ShardSeqCol)
 			if err != nil {
@@ -191,32 +189,9 @@ func (s *Scan) bind(withSeq bool) (*Binding, error) {
 			sb.Cols = append(sb.Cols, seq)
 			sb.tmpl = append(sb.tmpl, Col{Name: colstore.ShardSeqCol, Type: colstore.Int64})
 		}
-		if len(shards) == 1 {
-			sb.asCode = codeFlags(names, sb.Cols, s.Codes)
-			for ci, coded := range sb.asCode {
-				if coded {
-					sb.tmpl[ci].Dict = sb.Cols[ci].(*colstore.StringColumn).Dict()
-				}
-			}
-		} else {
-			sb.asCode = make([]bool, len(sb.Cols))
-		}
 		b.Shards[i] = sb
 	}
 	return b, nil
-}
-
-// codeFlags marks which projected columns were requested in the
-// dictionary code domain and are actually servable there (a sealed,
-// order-preserving string column).
-func codeFlags(names []string, outCols []colstore.Column, codes []string) []bool {
-	flags := make([]bool, len(names))
-	for i, name := range names {
-		if sc, ok := outCols[i].(*colstore.StringColumn); ok && sc.Ordered() && slices.Contains(codes, name) {
-			flags[i] = true
-		}
-	}
-	return flags
 }
 
 // checkPredType verifies that a predicate literal matches its column.
@@ -403,18 +378,11 @@ func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
 	if !b.multi() && len(parts) == 1 {
 		return parts[0], nil
 	}
-	out := mergeBySeq(parts, b.tmpl)
+	out, w := mergeBySeq(parts, b.tmpl)
 	if len(parts) > 1 {
 		// A single surviving shard needs no interleave (its rows are
 		// already in global order), as concatParts stitches morsels for free.
-		moved := out.Bytes()
-		ctx.Charge(fmt.Sprintf("shard-merge(%d shards)", len(parts)), out.N, energy.Counters{
-			TuplesIn:         uint64(out.N),
-			TuplesOut:        uint64(out.N),
-			Instructions:     uint64(out.N) * uint64(len(parts)),
-			BytesReadDRAM:    moved,
-			BytesWrittenDRAM: moved,
-		})
+		ctx.Charge(fmt.Sprintf("shard-merge(%d shards)", len(parts)), out.N, w)
 	}
 	return out, nil
 }
@@ -435,7 +403,7 @@ func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
 		out := &Relation{N: len(rows), Cols: make([]Col, len(sb.Cols))}
 		for ci, col := range sb.Cols {
 			var gw energy.Counters
-			out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci].Name, sb.asCode[ci], rows, lo, hi)
+			out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci], rows, lo, hi)
 			w.Add(gw)
 		}
 		return out, w
@@ -453,11 +421,10 @@ func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
 // work.  A fully selected window decodes sealed segments in bulk
 // (DecodeRange streams each compressed segment slice once — the reason
 // join-key extraction is priced per morsel, not per row); sparse
-// selections pay roughly one cache-line touch per value.  asCode emits a
-// string column as dictionary codes.  The counters are a pure function
-// of (column, rows, window).
-func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, hi int) (Col, energy.Counters) {
-	oc := Col{Name: name, Type: col.Type()}
+// selections pay roughly one cache-line touch per value.  A VARCHAR
+// column gathers its codes, the template oc supplying the name, type and
+// dictionary.  The counters are a pure function of (column, rows, window).
+func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, energy.Counters) {
 	n := len(rows)
 	dense := n == hi-lo
 	sparse := energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
@@ -478,24 +445,16 @@ func gatherCol(col colstore.Column, name string, asCode bool, rows []int32, lo, 
 		}
 		return oc, floatRead(n, dense)
 	case *colstore.StringColumn:
-		if asCode {
-			oc.Dict = c.Dict()
-			oc.I = make([]int64, n)
-			codes := c.CodeColumn()
-			if dense {
-				return oc, codes.DecodeRange(lo, hi, oc.I)
-			}
-			for i, r := range rows {
-				oc.I[i] = codes.Get(lo + int(r))
-			}
-			// Codes gather cheaper than strings: no dictionary deref.
-			return oc, energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
+		oc.I = make([]int64, n)
+		codes := c.CodeColumn()
+		if dense {
+			return oc, codes.DecodeRange(lo, hi, oc.I)
 		}
-		oc.S = make([]string, n)
 		for i, r := range rows {
-			oc.S[i] = c.Get(lo + int(r))
+			oc.I[i] = codes.Get(lo + int(r))
 		}
-		return oc, sparse
+		// Codes gather cheaper than values: no dictionary deref.
+		return oc, energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
 	}
 	return oc, energy.Counters{}
 }
@@ -519,21 +478,15 @@ func concatParts(tmpl []Col, parts []*Relation) *Relation {
 	}
 	out := &Relation{N: total, Cols: make([]Col, len(tmpl))}
 	for ci, oc := range tmpl {
-		switch {
-		case oc.Type == colstore.Int64 || oc.Dict != nil:
-			oc.I = make([]int64, 0, total)
-			for _, p := range parts {
-				oc.I = append(oc.I, p.Cols[ci].I...)
-			}
-		case oc.Type == colstore.Float64:
+		if oc.Type == colstore.Float64 {
 			oc.F = make([]float64, 0, total)
 			for _, p := range parts {
 				oc.F = append(oc.F, p.Cols[ci].F...)
 			}
-		default:
-			oc.S = make([]string, 0, total)
+		} else {
+			oc.I = make([]int64, 0, total)
 			for _, p := range parts {
-				oc.S = append(oc.S, p.Cols[ci].S...)
+				oc.I = append(oc.I, p.Cols[ci].I...)
 			}
 		}
 		out.Cols[ci] = oc
@@ -555,10 +508,13 @@ type seqMerger struct {
 
 // mergeBySeq merges the parts (each carrying a ShardSeqCol column, each
 // ascending in it) into one relation in global sequence order, dropping
-// the sequence column.  tmpl supplies the output schema for the
-// zero-part case.  Sequences are globally unique, so the order — and
-// therefore the output bytes — is total and deterministic.
-func mergeBySeq(parts []*Relation, tmpl []Col) *Relation {
+// the sequence column, and prices the merge.  tmpl supplies the output
+// schema for the zero-part case.  Sequences are globally unique, so the
+// order — and therefore the output bytes — is total and deterministic.
+// It is the one place per-shard VARCHAR columns (from Scan and
+// ShardedJoin) meet: their dictionaries become one (unionDict), and each
+// code is rewritten through its part's translation array as it is copied.
+func mergeBySeq(parts []*Relation, tmpl []Col) (*Relation, energy.Counters) {
 	total := 0
 	for _, p := range parts {
 		total += p.N
@@ -596,36 +552,90 @@ func mergeBySeq(parts []*Relation, tmpl []Col) *Relation {
 	}
 
 	out := &Relation{N: total, Cols: make([]Col, len(tmpl))}
+	var w energy.Counters
+	srcs := make([]*Col, len(parts))
 	for oi := range tmpl {
 		oc := Col{Name: tmpl[oi].Name, Type: tmpl[oi].Type}
 		// Source column index: same position, skipping the sequence column.
-		srcOf := func(p *Relation) *Col {
-			ci := oi
-			if seqIdx >= 0 && ci >= seqIdx {
-				ci++
-			}
-			return &p.Cols[ci]
+		ci := oi
+		if seqIdx >= 0 && ci >= seqIdx {
+			ci++
 		}
-		switch tmpl[oi].Type {
-		case colstore.Int64:
-			oc.I = make([]int64, total)
-			for o := 0; o < total; o++ {
-				oc.I[o] = srcOf(parts[m.part[o]]).I[m.row[o]]
-			}
-		case colstore.Float64:
+		for pi, p := range parts {
+			srcs[pi] = &p.Cols[ci]
+		}
+		if oc.Type == colstore.Float64 {
 			oc.F = make([]float64, total)
-			for o := 0; o < total; o++ {
-				oc.F[o] = srcOf(parts[m.part[o]]).F[m.row[o]]
+			for o := range oc.F {
+				oc.F[o] = srcs[m.part[o]].F[m.row[o]]
 			}
-		default:
-			oc.S = make([]string, total)
-			for o := 0; o < total; o++ {
-				oc.S[o] = srcOf(parts[m.part[o]]).S[m.row[o]]
+			out.Cols[oi] = oc
+			continue
+		}
+		var trans [][]int64
+		if oc.Type == colstore.String {
+			var uw energy.Counters
+			oc.Dict, trans, uw = unionDict(srcs)
+			w.Add(uw)
+		}
+		oc.I = make([]int64, total)
+		for o := range oc.I {
+			v := srcs[m.part[o]].I[m.row[o]]
+			if trans != nil {
+				v = trans[m.part[o]][v]
 			}
+			oc.I[o] = v
 		}
 		out.Cols[oi] = oc
 	}
-	return out
+	moved := out.Bytes()
+	w.Add(energy.Counters{
+		TuplesIn:         uint64(total),
+		TuplesOut:        uint64(total),
+		Instructions:     uint64(total) * uint64(len(parts)),
+		BytesReadDRAM:    moved,
+		BytesWrittenDRAM: moved,
+	})
+	return out, w
+}
+
+// unionDict is the one dictionary of the same VARCHAR column read from
+// several shards: the first column's entries in code order, then each
+// later column's entries not yet seen.  trans[p][code] is column p's code
+// in the union; trans is nil when the columns already share one
+// dictionary.  It is priced as the dictionary bytes read plus the
+// translation codes written — the rewrite itself is one array load per
+// code the merge copies anyway.
+func unionDict(cols []*Col) ([]string, [][]int64, energy.Counters) {
+	var first []string
+	if len(cols) > 0 {
+		first = cols[0].Dict
+	}
+	shared := true
+	for _, c := range cols {
+		shared = shared && sameDict(c.Dict, first)
+	}
+	if shared {
+		return first, nil, energy.Counters{}
+	}
+	ids := make(map[string]int64)
+	var dict []string
+	trans := make([][]int64, len(cols))
+	var dictBytes, entries uint64
+	for p, c := range cols {
+		trans[p] = make([]int64, len(c.Dict))
+		for code, s := range c.Dict {
+			trans[p][code] = internID(ids, &dict, s)
+			dictBytes += uint64(len(s))
+		}
+		entries += uint64(len(c.Dict))
+	}
+	return dict, trans, energy.Counters{
+		BytesReadDRAM:    dictBytes,
+		BytesWrittenDRAM: entries * 8,
+		CacheMisses:      entries / 2,
+		Instructions:     entries * 8,
+	}
 }
 
 // runIndex serves the IndexCol predicate from the index, verifies the
@@ -697,7 +707,7 @@ func (s *Scan) runIndex(ctx *Ctx, sb *ShardBinding) (*Relation, error) {
 	w := energy.Counters{TuplesOut: uint64(len(rows))}
 	for ci, col := range sb.Cols {
 		var gw energy.Counters
-		out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci].Name, sb.asCode[ci], rows, 0, n)
+		out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci], rows, 0, n)
 		w.Add(gw)
 	}
 	ctx.Charge("materialize", len(rows), w)

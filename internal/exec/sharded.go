@@ -103,16 +103,9 @@ func (j *ShardedJoin) Run(ctx *Ctx) (*Relation, error) {
 	}
 	// The output schema is the pair schema minus the sequence column.
 	tmpl := mergeJoinColumns(&Relation{Cols: lb.tmpl}, &Relation{Cols: rb.tmpl}, j.RightKey).Cols
-	out := mergeBySeq(parts, tmpl)
+	out, w := mergeBySeq(parts, tmpl)
 	if len(parts) > 1 {
-		moved := out.Bytes()
-		ctx.Charge(fmt.Sprintf("shard-join-merge(%d pairs)", len(parts)), out.N, energy.Counters{
-			TuplesIn:         uint64(out.N),
-			TuplesOut:        uint64(out.N),
-			Instructions:     uint64(out.N) * uint64(len(parts)),
-			BytesReadDRAM:    moved,
-			BytesWrittenDRAM: moved,
-		})
+		ctx.Charge(fmt.Sprintf("shard-join-merge(%d pairs)", len(parts)), out.N, w)
 	}
 	return out, nil
 }
@@ -158,7 +151,7 @@ func (r *Rebalance) Run(ctx *Ctx) (*Relation, error) {
 		deferred = 1
 	}
 	return &Relation{N: 1, Cols: []Col{
-		{Name: "table", Type: colstore.String, S: []string{st.Table}},
+		StringCol("table", []string{st.Table}),
 		{Name: "shards", Type: colstore.Int64, I: []int64{int64(st.Shards)}},
 		{Name: "deferred", Type: colstore.Int64, I: []int64{deferred}},
 		{Name: "rows_total", Type: colstore.Int64, I: []int64{int64(st.RowsTotal)}},

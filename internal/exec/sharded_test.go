@@ -11,23 +11,26 @@ import (
 	"repro/internal/workload"
 )
 
-// Sharded byte-identity matrix (ISSUE 10 acceptance).  Value-range
-// sharding must be invisible to results: at every shard count {1,4,16}
-// × DOP {1,2,8} × sealed-only vs live main+delta snapshots, sharded
-// scans, shard-fed aggregations (per-shard string dictionaries and DOUBLE
-// inputs included), relation-fed ones over the merged relation, and
-// co-partitioned joins return relations byte-identical to the flat
-// layout, and each arm's counters are DOP-invariant.  Counters are NOT
-// compared across shard counts: pruning changes the bytes touched —
-// that is the whole point (E25 gates the drop).
+// Sharded identity matrix.  Value-range sharding must be invisible to
+// results: at every shard count {1,4,16} × DOP {1,2,8} × sealed-only,
+// live main+delta and post-merge storage, sharded scans, shard-fed
+// aggregations (per-shard string dictionaries and DOUBLE inputs
+// included), relation-fed ones over the merged relation (string columns
+// meeting in its union dictionary), and co-partitioned joins return the
+// flat layout's relation — strings compared decoded (Relation.Equal),
+// since every shard carries its own dictionary — and each arm's relation
+// and counters are byte-identical across DOPs.  Counters are NOT compared
+// across shard counts: pruning changes the bytes touched — that is the
+// whole point (E25 gates the drop).
 
 var shardCounts = []int{1, 4, 16}
 
 // shardTwins builds one flat table plus sharded twins at every shard
 // count, all carrying the identical MVCC history: base rows sealed,
-// then `extra` committed inserts at ts 1..extra and tombstones over
-// base and delta rows.  DML routes to the owning shard by key with a
-// fresh global sequence, mirroring the engine's sharded write path.
+// then `extra` committed inserts at ts 1..extra — every fifth carrying a
+// region no dictionary has seen — and tombstones over base and delta
+// rows.  DML routes to the owning shard by key with a fresh global
+// sequence, mirroring the engine's sharded write path.
 func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.ShardedTable) {
 	t.Helper()
 	flat := colstore.NewTable("orders", colstore.Schema{
@@ -76,9 +79,12 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 	ts := int64(0)
 	for i := 0; i < extra; i++ {
 		ts++
+		region := workload.RegionNames[i%len(workload.RegionNames)]
+		if i%5 == 4 {
+			region = "NEW" + itoa(i%13)
+		}
 		vals := []any{
-			int64((i * 7919) % (1 << 16)), int64(i % 24),
-			workload.RegionNames[i%len(workload.RegionNames)],
+			int64((i * 7919) % (1 << 16)), int64(i % 24), region,
 			float64(i) + 0.25, int64(i % (1 << 20)),
 		}
 		id, err := flat.ApplyInsert(ts, lsn, vals...)
@@ -131,6 +137,42 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 	return flat, twins
 }
 
+// mergeTwins merges every twin's delta into its main with no reader in
+// flight: tombstoned rows go and each string dictionary is re-sorted.
+func mergeTwins(t testing.TB, flat *colstore.Table, twins map[int]*colstore.ShardedTable) {
+	t.Helper()
+	_, err := flat.Merge(0)
+	must(t, err)
+	for _, k := range shardCounts {
+		for _, sh := range twins[k].Shards() {
+			_, err := sh.Merge(0)
+			must(t, err)
+		}
+	}
+}
+
+// storageStates are the storage states every sharded matrix runs over.
+var storageStates = []struct {
+	name   string
+	extra  int
+	snap   int64
+	merged bool
+}{
+	{"sealed", 0, colstore.SnapLatest, false},
+	{"live", 300, colstore.SnapLatest, false},
+	{"live@150", 300, 150, false},
+	{"merged", 300, colstore.SnapLatest, true},
+}
+
+// stateTwins builds shardTwins in one storage state.
+func stateTwins(t testing.TB, n, extra int, merged bool) (*colstore.Table, map[int]*colstore.ShardedTable) {
+	flat, twins := shardTwins(t, n, extra)
+	if merged {
+		mergeTwins(t, flat, twins)
+	}
+	return flat, twins
+}
+
 type shardArm struct {
 	rel *Relation
 	w   energy.Counters
@@ -147,8 +189,8 @@ func runNodeArm(t testing.TB, node Node, snap int64, dop int) shardArm {
 }
 
 // checkShardMatrix runs flat vs every shard count and asserts: the flat
-// arm's relation is reproduced bit for bit by every sharded arm, and
-// within every arm the counters are DOP-invariant.
+// arm's relation is reproduced by every sharded arm (strings decoded),
+// and within every arm the relation and counters are DOP-invariant.
 func checkShardMatrix(t *testing.T, snap int64, flatNode func() Node, shardNode func(k int) Node) {
 	t.Helper()
 	want := runNodeArm(t, flatNode(), snap, 1)
@@ -160,7 +202,7 @@ func checkShardMatrix(t *testing.T, snap int64, flatNode func() Node, shardNode 
 	}
 	for _, k := range shardCounts {
 		ref := runNodeArm(t, shardNode(k), snap, 1)
-		if !reflect.DeepEqual(ref.rel, want.rel) {
+		if !ref.rel.Equal(want.rel) {
 			t.Fatalf("k=%d: sharded relation diverged from flat\n got N=%d %v\nwant N=%d %v",
 				k, ref.rel.N, ref.rel.ColNames(), want.rel.N, want.rel.ColNames())
 		}
@@ -182,17 +224,9 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 			{Col: "val", Op: vec.LT, Val: expr.IntVal(1 << 19)}},
 		"nonkey": {{Col: "grp", Op: vec.EQ, Val: expr.IntVal(7)}},
 	}
-	sel := []string{"custkey", "grp", "region", "amount", "val"}
-	for _, live := range []struct {
-		name  string
-		extra int
-		snap  int64
-	}{
-		{"sealed", 0, colstore.SnapLatest},
-		{"live", 400, colstore.SnapLatest},
-		{"live@200", 400, 200},
-	} {
-		flat, twins := shardTwins(t, n, live.extra)
+	sel := []string{"custkey", "grp", "region", "amount", "val"} // a string projection
+	for _, live := range storageStates {
+		flat, twins := stateTwins(t, n, live.extra, live.merged)
 		for pname, ps := range preds {
 			ps := ps
 			t.Run(live.name+"/"+pname, func(t *testing.T) {
@@ -242,6 +276,15 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
 		},
 		{
+			// The same key relation-fed: every shard's codes meet in the
+			// merged relation's union dictionary (mergeBySeq).
+			name: "string-group-relation-fed", sel: []string{"region", "val"},
+			groupBy: []string{"region"},
+			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}},
+			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
+			opaque:  true,
+		},
+		{
 			// Float aggregate input, shard-fed: the order-free sum makes every
 			// shard layout's partials add up to the flat table's bits.
 			name: "float-agg-fused", sel: []string{"grp", "amount"},
@@ -258,16 +301,8 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 			opaque:  true,
 		},
 	}
-	for _, live := range []struct {
-		name  string
-		extra int
-		snap  int64
-	}{
-		{"sealed", 0, colstore.SnapLatest},
-		{"live", 300, colstore.SnapLatest},
-		{"live@150", 300, 150},
-	} {
-		flat, twins := shardTwins(t, n, live.extra)
+	for _, live := range storageStates {
+		flat, twins := stateTwins(t, n, live.extra, live.merged)
 		for _, c := range cases {
 			c := c
 			t.Run(live.name+"/"+c.name, func(t *testing.T) {
@@ -350,7 +385,7 @@ func TestOneShardIsFlat(t *testing.T) {
 					}
 					for _, k := range []int{4, 16} {
 						got := runNodeArm(t, mk(&Scan{Source: twins[k], Select: sel, Preds: preds}), live.snap, 1)
-						if !reflect.DeepEqual(got.rel, want.rel) {
+						if !got.rel.Equal(want.rel) {
 							t.Fatalf("k=%d relation diverged from flat", k)
 						}
 					}
@@ -422,7 +457,7 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 				ref := runNodeArm(t, &ShardedJoin{
 					Left: left, Right: right, LeftKey: "custkey", RightKey: "custkey",
 				}, live.snap, 1)
-				if !reflect.DeepEqual(ref.rel, want.rel) {
+				if !ref.rel.Equal(want.rel) {
 					t.Fatalf("k=%d: co-partitioned join diverged from flat hash join", k)
 				}
 				for _, dop := range []int{2, 8} {

@@ -164,7 +164,7 @@ func E23Sweep(nRows, nWrites int, dops []int) (*E23Result, error) {
 		return nil, err
 	}
 	for i := range dops {
-		if !reflect.DeepEqual(post[i].rel, pre[i].rel) {
+		if !post[i].rel.Equal(pre[i].rel) {
 			return nil, fmt.Errorf("experiments: E23 merge changed the probe relation at DOP %d", dops[i])
 		}
 		if post[i].w.BytesReadDRAM >= pre[i].w.BytesReadDRAM {

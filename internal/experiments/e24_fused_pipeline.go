@@ -130,8 +130,8 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 // exactly a *exec.Scan child, so the unfused control arm reaches the
 // materializing pipeline structurally: its scan sits behind an opaque
 // wrapper node and the consumer sees only a relation source.
-func (f *e24Fixture) scan(selCols, codes []string, sel float64, unfused bool) exec.Node {
-	s := &exec.Scan{Source: colstore.OneShard(f.fact), Select: selCols, Codes: codes,
+func (f *e24Fixture) scan(selCols []string, sel float64, unfused bool) exec.Node {
+	s := &exec.Scan{Source: colstore.OneShard(f.fact), Select: selCols,
 		Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}}
 	if unfused {
 		return struct{ exec.Node }{s}
@@ -141,30 +141,29 @@ func (f *e24Fixture) scan(selCols, codes []string, sel float64, unfused bool) ex
 
 // aggNode builds a filter→aggregate plan; unfused hides the scan.
 func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel float64, unfused bool) exec.Node {
-	return &exec.HashAgg{Child: f.scan(selCols, nil, sel, unfused), GroupBy: groupBy, Aggs: aggs}
+	return &exec.HashAgg{Child: f.scan(selCols, sel, unfused), GroupBy: groupBy, Aggs: aggs}
 }
 
-// probeNode builds a filter→probe plan over the dictionary-coded region
-// key; both paths join in the code domain, so the comparison isolates
-// the fused key streaming, not the PR 4 code rewrite.
+// probeNode builds a filter→probe plan over the region string key; both
+// paths join its codes, so the comparison isolates the fused key
+// streaming.
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
 	return &exec.Join{
-		Left:     f.scan([]string{"region", "lowcard", "packed"}, []string{"region"}, sel, unfused),
-		Right:    &exec.Scan{Source: colstore.OneShard(f.dim), Codes: []string{"region"}},
+		Left:     f.scan([]string{"region", "lowcard", "packed"}, sel, unfused),
+		Right:    &exec.Scan{Source: colstore.OneShard(f.dim)},
 		LeftKey:  "region",
 		RightKey: "region",
 	}
 }
 
 // probeAggNode puts a GROUP BY over probeNode, shaped as the planner
-// shapes it (Materialize caps the code-domain join): per region, the
-// match count, a build-side sum and a probe-side max.  Fused, the probe's
-// matches fold straight into partial aggregates; unfused, the join emits
-// pairs, gathers its relation, widens the codes, and the generic HashAgg
-// re-reads it all.
+// shapes it: per region, the match count, a build-side sum and a
+// probe-side max.  Fused, the probe's matches fold straight into partial
+// aggregates; unfused, the join emits pairs, gathers its relation, and
+// the generic HashAgg re-reads it all.
 func (f *e24Fixture) probeAggNode(sel float64, unfused bool) exec.Node {
 	return &exec.HashAgg{
-		Child:   &exec.Materialize{Child: f.probeNode(sel, unfused)},
+		Child:   f.probeNode(sel, unfused),
 		GroupBy: []string{"region"},
 		Aggs: []expr.AggSpec{
 			{Func: expr.AggCount},
@@ -377,7 +376,7 @@ func E24Sweep(n int, dops []int) ([]E24Row, error) {
 				fusRel, fusWork = baseRel, baseWork
 			}
 		}
-		if !reflect.DeepEqual(fusRel, unfRel) {
+		if !fusRel.Equal(unfRel) {
 			return nil, fmt.Errorf("experiments: E24 %s: fused relation diverges from the legacy pipeline", arm.name)
 		}
 		if fusWork.BytesReadDRAM >= unfWork.BytesReadDRAM {

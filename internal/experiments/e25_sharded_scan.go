@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -130,7 +129,7 @@ func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 				if perr != nil {
 					return nil, perr
 				}
-				if !reflect.DeepEqual(rel, probe.want) {
+				if !rel.Equal(probe.want) {
 					return nil, fmt.Errorf("experiments: E25 relation diverged from flat layout at k=%d DOP %d", k, dop)
 				}
 				if i == 0 {
@@ -228,7 +227,7 @@ func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !reflect.DeepEqual(post, pre) {
+	if !post.Equal(pre) {
 		return nil, fmt.Errorf("experiments: E25 rebalance changed the probe relation")
 	}
 	return res, nil

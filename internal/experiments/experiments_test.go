@@ -392,9 +392,9 @@ func TestE19Shape(t *testing.T) {
 func TestE20Shape(t *testing.T) {
 	// 300k + 30k rows clears the planner's partitioned-join threshold, so
 	// the sweep exercises the real radix pipeline.  E20Sweep itself fails
-	// if any DOP's relation or counters diverge, if the raw and
-	// code-domain paths return different relations, or if the sealed
-	// path fails to stream strictly fewer DRAM bytes.
+	// if any DOP's relation or counters diverge, if the unsealed and
+	// sealed paths return different relations (strings decoded), or if
+	// the sealed path fails to stream strictly fewer DRAM bytes.
 	rows, err := E20Sweep(300_000, 30_000, []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)

@@ -101,18 +101,11 @@ func (cm *CostModel) Price(w energy.Counters, simTime time.Duration) Cost {
 	return Cost{Time: total, Energy: b.Total(), Work: w}
 }
 
-// RawStringKeyBytes is the nominal DRAM bytes interning one raw string
-// join key reads (bytes plus header) when the catalog has no better
-// figure; dictionary codes and integers are never interned.
-const RawStringKeyBytes = 24
-
 // EstimateHashJoin prices the one join (internal/exec/join.go) of
 // probeRows × buildRows tuples yielding outRows, mirroring its phase
-// accounting so estimated and measured join costs share the same shape:
+// accounting so estimated and measured join costs share the same shape —
+// every key is 8 bytes, a BIGINT or a string's code:
 //
-//   - intern: raw string keys (internBytes > 0 per key) are read once at
-//     their materialized width and rewritten as 8-byte codes; from there
-//     on every key is 8 bytes.
 //   - partition: only a build side that outgrows one cache-resident table
 //     (exec.RadixBits, the executor's own rule) is scattered into radix
 //     partitions and streamed back in.
@@ -122,15 +115,8 @@ const RawStringKeyBytes = 24
 // ncols is the output width for the gather phase.  The byte totals feed
 // PlanInfo.Joins (partition + probe bytes) and, through PlanInfo.Est,
 // the scheduler's DOP pricing.
-func EstimateHashJoin(probeRows, buildRows, outRows, internBytes float64, ncols int) energy.Counters {
+func EstimateHashJoin(probeRows, buildRows, outRows float64, ncols int) energy.Counters {
 	var w energy.Counters
-	if internBytes > 0 {
-		n := probeRows + buildRows
-		w.BytesReadDRAM += uint64(n * internBytes)
-		w.BytesWrittenDRAM += uint64(n * 8)
-		w.CacheMisses += uint64(n / 4)
-		w.Instructions += uint64(n * 8)
-	}
 	if exec.RadixBits(int(buildRows)) > 0 {
 		// Partition pass: scattered (key, row) pairs out and back in.
 		w.BytesWrittenDRAM += uint64(buildRows * 12)

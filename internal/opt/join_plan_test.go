@@ -171,8 +171,8 @@ func TestPlannerSwapKeepsSelectedKey(t *testing.T) {
 
 // TestPlannerOneJoinAtEverySize (the twin of TestPlannerOneScanAtEverySize):
 // there is one join, so a 10-row and a 1M-row catalog plan the same node
-// type and the same EXPLAIN shape — fused probe, dictionary code domain
-// and all — with no row threshold deciding anything; the only thing size
+// type and the same EXPLAIN shape — a fused probe on every key type —
+// with no row threshold deciding anything; the only thing size
 // moves is whether the estimate includes a partition pass, and that comes
 // from the executor's own rule (exec.RadixBits), at its own boundary.
 func TestPlannerOneJoinAtEverySize(t *testing.T) {
@@ -230,11 +230,8 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 			t.Errorf("%s: explain should show the one join with a fused probe:\n%s", name, small.Explain)
 		}
 		sj, bj := small.Joins[0], big.Joins[0]
-		if sj.CodeDomain != bj.CodeDomain || sj.FusedProbe != bj.FusedProbe || sj.FusedAgg != bj.FusedAgg || !sj.FusedProbe {
+		if sj.FusedProbe != bj.FusedProbe || sj.FusedAgg != bj.FusedAgg || !sj.FusedProbe {
 			t.Errorf("%s: join decisions differ by size:\n%+v\n%+v", name, sj, bj)
-		}
-		if sj.CodeDomain != (name == "dict-key pairs") {
-			t.Errorf("%s: code domain is a property of the key columns, got %v", name, sj.CodeDomain)
 		}
 		if !reflect.DeepEqual(small.FusedProbes, []string{"fact"}) || !reflect.DeepEqual(big.FusedProbes, []string{"fact"}) {
 			t.Errorf("%s: FusedProbes %v / %v", name, small.FusedProbes, big.FusedProbes)
@@ -268,24 +265,22 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 	// EstimateHashJoin is continuous across the executor's one internal
 	// boundary except for exactly the partition-pass terms: past it the
 	// estimate is the linear continuation plus RadixBits' scatter.
-	for _, internBytes := range []float64{0, RawStringKeyBytes} {
-		at := func(b float64) energy.Counters { return EstimateHashJoin(1e6, b, 1e6, internBytes, 4) }
-		below, edge, above := at(4094), at(4095), at(4096)
-		if exec.RadixBits(4095) != 0 || exec.RadixBits(4096) == 0 {
-			t.Fatal("test assumes the boundary at 4096 build rows")
-		}
-		step := func(hi, lo energy.Counters) [4]int64 {
-			return [4]int64{int64(hi.BytesReadDRAM - lo.BytesReadDRAM), int64(hi.BytesWrittenDRAM - lo.BytesWrittenDRAM),
-				int64(hi.CacheMisses - lo.CacheMisses), int64(hi.Instructions - lo.Instructions)}
-		}
-		lin, jump := step(edge, below), step(above, edge)
-		partition := [4]int64{4096 * 12, 4096 * 12, 4096 / 4, 4096 * 6}
-		for i := range jump {
-			// ±4: each of a counter's terms truncates to an integer on its own.
-			if d := jump[i] - lin[i] - partition[i]; d < -4 || d > 4 {
-				t.Errorf("internBytes=%v counter %d: step across the boundary %d, want linear %d + partition %d",
-					internBytes, i, jump[i], lin[i], partition[i])
-			}
+	at := func(b float64) energy.Counters { return EstimateHashJoin(1e6, b, 1e6, 4) }
+	below, edge, above := at(4094), at(4095), at(4096)
+	if exec.RadixBits(4095) != 0 || exec.RadixBits(4096) == 0 {
+		t.Fatal("test assumes the boundary at 4096 build rows")
+	}
+	step := func(hi, lo energy.Counters) [4]int64 {
+		return [4]int64{int64(hi.BytesReadDRAM - lo.BytesReadDRAM), int64(hi.BytesWrittenDRAM - lo.BytesWrittenDRAM),
+			int64(hi.CacheMisses - lo.CacheMisses), int64(hi.Instructions - lo.Instructions)}
+	}
+	lin, jump := step(edge, below), step(above, edge)
+	partition := [4]int64{4096 * 12, 4096 * 12, 4096 / 4, 4096 * 6}
+	for i := range jump {
+		// ±4: each of a counter's terms truncates to an integer on its own.
+		if d := jump[i] - lin[i] - partition[i]; d < -4 || d > 4 {
+			t.Errorf("counter %d: step across the boundary %d, want linear %d + partition %d",
+				i, jump[i], lin[i], partition[i])
 		}
 	}
 }
@@ -375,9 +370,10 @@ func TestPlannerSameNamedJoinKeys(t *testing.T) {
 	}
 }
 
-// TestPlannerCodeDomainJoin: a string-key join over two sealed tables
-// plans in the dictionary code domain, caps the tree with Materialize,
-// and returns exactly the rows the raw-table plan returns.
+// TestPlannerCodeDomainJoin: a string-key join plans the same tree over
+// sealed and over never-sealed tables — the probe fused, the keys joined
+// as codes, nothing widening them afterwards — returns the same rows
+// (strings decoded) either way, and streams fewer DRAM bytes sealed.
 func TestPlannerCodeDomainJoin(t *testing.T) {
 	const nFact, nDim = 280_000, 60
 	names := make([]string, nDim)
@@ -454,14 +450,8 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 	sealedRel, sealedInfo, sealedWork := run(build(true))
 	rawRel, rawInfo, rawWork := run(build(false))
 
-	if !sealedInfo.Joins[0].CodeDomain {
-		t.Fatalf("sealed string join must plan in the code domain: %+v", sealedInfo.Joins[0])
-	}
-	if !strings.Contains(sealedInfo.Explain, "Materialize") {
-		t.Errorf("code-domain plan must cap with Materialize:\n%s", sealedInfo.Explain)
-	}
-	if rawInfo.Joins[0].CodeDomain {
-		t.Fatalf("raw tables must not plan a code-domain join")
+	if sealedInfo.Explain != rawInfo.Explain || !sealedInfo.Joins[0].FusedProbe || !rawInfo.Joins[0].FusedProbe {
+		t.Fatalf("a string-key join must plan one fused tree on any storage:\n%s\nvs\n%s", sealedInfo.Explain, rawInfo.Explain)
 	}
 	sortRel := func(r *exec.Relation) [][3]any {
 		seg, _ := r.Col("seg")
@@ -469,7 +459,7 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 		n, _ := r.Col("n")
 		rows := make([][3]any, r.N)
 		for i := 0; i < r.N; i++ {
-			rows[i] = [3]any{seg.S[i], s.I[i], n.I[i]}
+			rows[i] = [3]any{seg.Str(i), s.I[i], n.I[i]}
 		}
 		sort.Slice(rows, func(a, b int) bool { return rows[a][0].(string) < rows[b][0].(string) })
 		return rows

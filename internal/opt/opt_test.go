@@ -417,8 +417,8 @@ func TestPlannerSingleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.S[0] != "ASIA" {
-		t.Fatalf("group = %q", rc.S[0])
+	if rc.Str(0) != "ASIA" {
+		t.Fatalf("group = %q", rc.Str(0))
 	}
 	if info.Est.Energy <= 0 || info.Explain == "" {
 		t.Error("plan info must carry estimates and explain text")
@@ -557,11 +557,11 @@ func TestPlannerOneScanAtEverySize(t *testing.T) {
 	gs, _ := got.Col("sum_amount")
 	ws, _ := want.Col("sum_amount")
 	for i := 0; i < got.N; i++ {
-		if gr.S[i] != wr.S[i] {
-			t.Errorf("group %d: got %q want %q", i, gr.S[i], wr.S[i])
+		if gr.Str(i) != wr.Str(i) {
+			t.Errorf("group %d: got %q want %q", i, gr.Str(i), wr.Str(i))
 		}
 		if d := math.Abs(gs.F[i]-ws.F[i]) / (math.Abs(ws.F[i]) + 1); d > 1e-9 {
-			t.Errorf("group %q sum: got %g want %g", wr.S[i], gs.F[i], ws.F[i])
+			t.Errorf("group %q sum: got %g want %g", wr.Str(i), gs.F[i], ws.F[i])
 		}
 	}
 	// A table under one morsel is one task: the same operator tree.

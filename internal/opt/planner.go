@@ -65,19 +65,15 @@ type TableStorageInfo struct {
 
 // JoinPlanInfo reports one join decision: the sides (probe = outer,
 // build = hashed), whether the build side is expected to need a radix
-// partition pass, whether the keys run in the dictionary code domain,
-// and the estimated partition-pass and probe-pass DRAM bytes from the
-// cost model — the numbers that let E-reports attribute join energy to
-// its phases before the query runs.
+// partition pass, and the estimated partition-pass and probe-pass DRAM
+// bytes from the cost model — the numbers that let E-reports attribute
+// join energy to its phases before the query runs.
 type JoinPlanInfo struct {
 	Probe, Build      string // table name; "⋈" for an intermediate result
 	LeftKey, RightKey string
 	// Partitioned reports that the estimated build side outgrows one
 	// cache-resident table (exec.RadixBits > 0) and is radix-scattered.
 	Partitioned bool
-	// CodeDomain reports that both key columns are order-preserving
-	// dictionary columns, so the join runs on their 8-byte codes.
-	CodeDomain bool
 	// CoPartitioned reports that both sides are value-range-sharded on
 	// the join keys with aligned cuts, so the join runs shard-pair by
 	// shard-pair with no radix scatter (exec.ShardedJoin).
@@ -218,7 +214,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 	// shard list: zone-prune the list (the same live check the executor
 	// makes), price only the survivors under their own statistics (the
 	// estimate sheds every pruned byte), and sum the per-shard estimates.
-	scan := func(table string, codes []string) (*exec.Scan, error) {
+	scan := func(table string) (*exec.Scan, error) {
 		preds := predsOf[table]
 		var sel []string
 		for col := range needed[table] {
@@ -229,7 +225,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		if err != nil {
 			return nil, err
 		}
-		s := &exec.Scan{Source: st, Select: sel, Preds: preds, Codes: codes}
+		s := &exec.Scan{Source: st, Select: sel, Preds: preds}
 		shards := st.Shards()
 		keep := exec.PruneShards(shards, preds)
 		choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}}
@@ -279,11 +275,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		return rows
 	}
 
-	// Join ordering, side sizing, and operator/key-domain selection all
-	// happen before any scan node is built, so code-domain key requests
-	// can reach the owning scans.  Reordering and side swaps change the
-	// output column order, so they only run when the query's output
-	// shape is pinned by an explicit SELECT list or a GROUP BY.
+	// Join ordering and side sizing happen before any scan node is built.
+	// Reordering and side swaps change the output column order, so they
+	// only run when the query's output shape is pinned by an explicit
+	// SELECT list or a GROUP BY.
 	shapeFixed := len(q.Select) > 0 || len(q.GroupBy) > 0
 	first, seq := c.orderJoins(q, tables, estRows, shapeFixed, info)
 
@@ -310,12 +305,10 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 	type joinDecision struct {
 		pj                   plannedJoin
 		swap                 bool // accumulated side becomes the build side
-		codeDomain           bool
 		probeRows, buildRows float64
 		outRows              float64
 		ncols                int // output width, for the gather estimate
 	}
-	codesOf := map[string][]string{}
 	decisions := make([]joinDecision, 0, len(seq))
 	accRows := estRows(first)
 	accCols := len(needed[first])
@@ -351,21 +344,11 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		d.outRows = clampCard(d.probeRows * d.buildRows * pj.sel)
 		accCols += len(needed[pj.table])
 		d.ncols = accCols
-		// Dictionary-coded string keys join as 8-byte codes when both
-		// owning columns are sealed with order-preserving dictionaries —
-		// whatever the tables' sizes.  Any other string key is interned
-		// by the join itself.
-		lo := c.keyOwner(pj.leftCol, tables)
-		if c.orderedStringCol(lo, pj.leftCol) && c.orderedStringCol(pj.table, pj.rightCol) {
-			d.codeDomain = true
-			codesOf[lo] = append(codesOf[lo], pj.leftCol)
-			codesOf[pj.table] = append(codesOf[pj.table], pj.rightCol)
-		}
 		decisions = append(decisions, d)
 		accRows = d.outRows
 	}
 
-	rootScan, err := scan(first, codesOf[first])
+	rootScan, err := scan(first)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -374,7 +357,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 	var root exec.Node = rootScan
 	rootName := first
 	for _, d := range decisions {
-		right, err := scan(d.pj.table, codesOf[d.pj.table])
+		right, err := scan(d.pj.table)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -399,10 +382,6 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		}
 		rootScan = nil
 		rootName = "⋈"
-		internBytes := float64(0)
-		if !d.codeDomain && c.keyIsString(lk, rk, tables, d.pj.table) {
-			internBytes = RawStringKeyBytes
-		}
 		// A co-partitioned join is one join per shard pair over that pair's
 		// share of the rows (assumed even).
 		pairs := 1.0
@@ -411,13 +390,13 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		}
 		var w energy.Counters
 		for range int(pairs) {
-			w.Add(EstimateHashJoin(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, internBytes, d.ncols))
+			w.Add(EstimateHashJoin(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, d.ncols))
 		}
 		info.Est = info.Est.plus(cm.Price(w, 0))
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
 			LeftKey: lk, RightKey: rk,
-			Partitioned: exec.RadixBits(int(d.buildRows/pairs)) > 0, CodeDomain: d.codeDomain,
+			Partitioned:   exec.RadixBits(int(d.buildRows/pairs)) > 0,
 			CoPartitioned: coPart,
 			EstProbeRows:  d.probeRows, EstBuildRows: d.buildRows, EstOutRows: d.outRows,
 			ProbeBytes: uint64(d.probeRows * 8),
@@ -433,12 +412,6 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 			info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
 		}
 		info.Joins = append(info.Joins, ji)
-	}
-	// Joins that ran in the dictionary code domain hand their coded
-	// columns to one final Materialize, the only operator that pays
-	// string bytes on this plan.
-	if len(codesOf) > 0 {
-		root = &exec.Materialize{Child: root}
 	}
 
 	// Aggregation.
@@ -554,39 +527,6 @@ func (c *Catalog) keyOwner(col string, tables []string) string {
 		return ""
 	}
 	return owner
-}
-
-// keyIsString reports whether a join runs on raw string keys (for the
-// cost model's key-width estimate).
-func (c *Catalog) keyIsString(lk, rk string, tables []string, rtable string) bool {
-	if lt := c.keyOwner(lk, tables); lt != "" {
-		if ts, err := c.Stats(lt); err == nil {
-			if cs, ok := ts.Cols[lk]; ok {
-				return cs.Type == colstore.String
-			}
-		}
-	}
-	if ts, err := c.Stats(rtable); err == nil {
-		if cs, ok := ts.Cols[rk]; ok {
-			return cs.Type == colstore.String
-		}
-	}
-	return false
-}
-
-// orderedStringCol reports whether table.col is a sealed string column
-// with an order-preserving dictionary — the precondition for joining in
-// the dictionary code domain.
-func (c *Catalog) orderedStringCol(table, col string) bool {
-	st, err := c.Lookup(table)
-	if err != nil || st.NumShards() > 1 {
-		return false // per-shard dictionaries assign incomparable codes
-	}
-	sc, err := st.Shard(0).StrCol(col)
-	if err != nil {
-		return false
-	}
-	return sc.Ordered()
 }
 
 // orderJoins runs the join-ordering pass over a multi-join query: the

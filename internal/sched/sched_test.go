@@ -160,15 +160,13 @@ func TestDOPModelShape(t *testing.T) {
 // TestJoinDOPPricing feeds the optimizer's join estimate — partition
 // scatter, hash-table build bytes, cache-resident probes, output gather
 // — through the same P-state model that prices scans, and asserts joins
-// get the same energy-aware DOP behavior: strictly falling time, an
-// interior energy optimum, and raw string keys (interned at their
-// materialized width) never pricing below 8-byte keys.
+// get the same energy-aware DOP behavior: strictly falling time and an
+// interior energy optimum.
 func TestJoinDOPPricing(t *testing.T) {
 	m := energy.DefaultModel()
 	p := m.Core.MaxPState()
 	// 1M probe × 100K build FK join, 4 output columns: the E20 shape.
-	part := opt.EstimateHashJoin(1e6, 1e5, 1e6, 0, 4)
-	raw := opt.EstimateHashJoin(1e6, 1e5, 1e6, opt.RawStringKeyBytes, 4)
+	part := opt.EstimateHashJoin(1e6, 1e5, 1e6, 4)
 
 	points := SweepDOP(m, part, p, 8, 0.1)
 	for i := 1; i < len(points); i++ {
@@ -180,11 +178,5 @@ func TestJoinDOPPricing(t *testing.T) {
 	best := bestDOP(points, func(a, b DOPPoint) bool { return a.Energy < b.Energy })
 	if best.DOP == 1 || best.DOP == 8 {
 		t.Errorf("join energy-optimal DOP must be interior, got %d", best.DOP)
-	}
-	rawBest := bestDOP(SweepDOP(m, raw, p, 8, 0.1),
-		func(a, b DOPPoint) bool { return a.Energy < b.Energy })
-	if best.Energy >= rawBest.Energy {
-		t.Errorf("code-domain join (%v J) must price below the raw string join (%v J): interning reads every string once",
-			best.Energy, rawBest.Energy)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/opt"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -80,12 +81,13 @@ func TestRenderTicketMatchesEncodingJSON(t *testing.T) {
 					}
 					col.F = append(col.F, f)
 				}
-			case 2:
-				col.Type = colstore.String
-				for r := 0; r < n; r++ {
-					col.S = append(col.S, strs[rng.Intn(len(strs))])
+			case 2: // strings interned from outside storage
+				vals := make([]string, n)
+				for r := range vals {
+					vals[r] = strs[rng.Intn(len(strs))]
 				}
-			default: // dictionary-coded strings
+				col = exec.StringCol(col.Name, vals)
+			default: // codes into a shared dictionary
 				col.Type, col.Dict = colstore.String, strs
 				for r := 0; r < n; r++ {
 					col.I = append(col.I, int64(rng.Intn(len(strs))))
@@ -124,6 +126,79 @@ func TestRenderTicketRejectsNonFinite(t *testing.T) {
 		var env errEnvelope
 		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusInternalServerError || env.Error.Code != "internal" {
 			t.Fatalf("%v rendered as %d %s", f, status, body)
+		}
+	}
+}
+
+// TestRenderOutlivesDictionaryWrites: a response renders its string
+// columns through the stored column's dictionary after the query has
+// released the data latch.  While the body renders, INSERTs append unseen
+// values to that very column and a merge re-seals it (SealSorted replaces
+// the dictionary) — and not a byte of the body may change: a dictionary is
+// appended to only past the slice a relation holds, and replaced, never
+// rewritten in place.  Run it under -race.
+func TestRenderOutlivesDictionaryWrites(t *testing.T) {
+	e := core.Open()
+	tab, err := e.CreateTable("events", colstore.Schema{{Name: "id", Type: colstore.Int64}, {Name: "tag", Type: colstore.String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tab.Writer()
+	for i := 0; i < 2000; i++ {
+		w.Row(int64(i), fmt.Sprintf("tag%03d", i%97))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Seal("events"); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(id int, tag string) {
+		st, err := sql.ParseStmt(fmt.Sprintf("INSERT INTO events VALUES (%d, '%s')", id, tag))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := e.ExecDML(st.DML, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	// A live delta whose values the sealed dictionary has never seen.
+	for i := 0; i < 20; i++ {
+		insert(2000+i, fmt.Sprintf("live%02d", i))
+	}
+	res, err := e.Query("SELECT id, tag FROM events WHERE id >= 1990")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := &core.Ticket{}
+	tk.Rel = res.Rel
+	_, before := renderTicket(tk)
+
+	st, err := e.Catalog().Lookup("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			insert(3000+i, fmt.Sprintf("new%03d", i))
+			if i%10 == 9 {
+				if _, err := (&exec.Compact{Table: st}).Run(exec.NewCtx()); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	for rendering := true; rendering; {
+		select {
+		case <-done:
+			rendering = false
+		default:
+		}
+		if _, body := renderTicket(tk); !bytes.Equal(body, before) {
+			t.Fatalf("the body changed under concurrent writes:\n got %s\nwant %s", body, before)
 		}
 	}
 }

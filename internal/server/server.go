@@ -415,6 +415,13 @@ func (s *Server) onExecuted() {
 // lower it.)
 var maxResponseRows = 1 << 20
 
+// maxResponseBytes caps the bytes one response body renders — the row cap
+// alone no longer bounds it, since a string column holds 8-byte codes and
+// 2^20 rows of one long string render far more JSON than the relation
+// holds.  64 MiB is over a hundred times the largest body a benchmark
+// statement renders.  (A variable only so a test can lower it.)
+var maxResponseBytes = 64 << 20
+
 // renderTicket turns a settled ticket into its HTTP status and body: the
 // bytes json.Marshal gives a queryResponse, appended straight from the
 // relation's typed columns — no row is boxed into []any on the way (a
@@ -469,6 +476,10 @@ func renderTicket(t *core.Ticket) (int, []byte) {
 			}
 		}
 		b = append(b, ']')
+		if len(b) > maxResponseBytes {
+			err := fmt.Errorf("%w: %d rows render past the %d-byte response cap", exec.ErrResultTooLarge, r+1, maxResponseBytes)
+			return http.StatusUnprocessableEntity, errBody("result_too_large", err.Error(), 0)
+		}
 	}
 	work, _ := json.Marshal(t.Work) // integer counters: cannot fail
 	energy, err := json.Marshal(responseEnergy{Joules: float64(t.Energy.Total()), Breakdown: t.Energy})

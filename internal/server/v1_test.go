@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
@@ -113,6 +114,33 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 	resp.Body.Close()
 	if st := stats(t, s); resp.StatusCode != http.StatusOK || st.Running+st.Queued != 0 {
 		t.Fatalf("after the refused join: query status %d, %d running, %d queued", resp.StatusCode, st.Running, st.Queued)
+	}
+}
+
+// TestResponseByteCap: a relation's size no longer bounds its rendered
+// body — a string column holds 8-byte codes — so the renderer caps the
+// body's bytes as well as its rows: past maxResponseBytes it answers the
+// 422 result_too_large envelope, at the cap the very body it renders
+// uncapped.
+func TestResponseByteCap(t *testing.T) {
+	long := strings.Repeat("w", 1000)
+	rel := &exec.Relation{N: 50, Cols: []exec.Col{{Name: "s", Type: colstore.String, Dict: []string{long}, I: make([]int64, 50)}}}
+	tk := &core.Ticket{}
+	tk.Rel = rel
+	status, full := renderTicket(tk)
+	if status != http.StatusOK || len(full) < 50*len(long) {
+		t.Fatalf("uncapped render: status %d, %d bytes", status, len(full))
+	}
+	defer func(limit int) { maxResponseBytes = limit }(maxResponseBytes)
+	maxResponseBytes = len(full)
+	if status, body := renderTicket(tk); status != http.StatusOK || string(body) != string(full) {
+		t.Fatalf("at the cap: status %d, body changed", status)
+	}
+	maxResponseBytes = 10 * len(long)
+	status, body := renderTicket(tk)
+	var env errEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || status != http.StatusUnprocessableEntity || env.Error.Code != "result_too_large" {
+		t.Fatalf("over the byte cap: status %d body %s", status, body)
 	}
 }
 
