@@ -283,6 +283,9 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"flat/string-group", flat("rle", "region", "amount"), []string{"region"}, count, true, "twin"},
 		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, "twin"},
 		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, true, "twin"},
+		// Every scan emits strings as codes: the twin groups the relation's
+		// codes, the shard feeder the stored column's.
+		{"flat/code-domain-group", flat("region", "rle"), []string{"region"}, count, true, "twin"},
 		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggMin, Col: "amount"},

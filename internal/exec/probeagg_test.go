@@ -267,7 +267,8 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 		{"pruned-sharded-probe", &HashAgg{Child: shardedJoin([]expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}),
 			GroupBy: []string{"name"}, Aggs: count}},
 		{"build-not-a-scan", &HashAgg{Child: join(factScan(), intDimSource()), GroupBy: []string{"rle"}, Aggs: count}},
-		{"outside-build-strings", &HashAgg{Child: &Join{
+		// Build strings from outside storage, interned by StringCol.
+		{"raw-build-strings", &HashAgg{Child: &Join{
 			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}},
 			Right:   outsideDim,
 			LeftKey: "region", RightKey: "region"}, GroupBy: []string{"rle"}, Aggs: count}},

@@ -151,17 +151,25 @@ func mergeTwins(t testing.TB, flat *colstore.Table, twins map[int]*colstore.Shar
 	}
 }
 
-// storageStates are the storage states every sharded matrix runs over.
-var storageStates = []struct {
+type storageState struct {
 	name   string
 	extra  int
 	snap   int64
 	merged bool
-}{
-	{"sealed", 0, colstore.SnapLatest, false},
-	{"live", 300, colstore.SnapLatest, false},
-	{"live@150", 300, 150, false},
-	{"merged", 300, colstore.SnapLatest, true},
+}
+
+// storageStates are the storage states every sharded matrix runs over,
+// with `extra` committed inserts past the sealed base: sealed only, live
+// main+delta at the latest snapshot and halfway through the inserts, and
+// post-merge.
+func storageStates(extra int) []storageState {
+	half := int64(extra / 2)
+	return []storageState{
+		{"sealed", 0, colstore.SnapLatest, false},
+		{"live", extra, colstore.SnapLatest, false},
+		{"live@" + itoa(int(half)), extra, half, false},
+		{"merged", extra, colstore.SnapLatest, true},
+	}
 }
 
 // stateTwins builds shardTwins in one storage state.
@@ -225,7 +233,7 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 		"nonkey": {{Col: "grp", Op: vec.EQ, Val: expr.IntVal(7)}},
 	}
 	sel := []string{"custkey", "grp", "region", "amount", "val"} // a string projection
-	for _, live := range storageStates {
+	for _, live := range storageStates(400) {
 		flat, twins := stateTwins(t, n, live.extra, live.merged)
 		for pname, ps := range preds {
 			ps := ps
@@ -301,7 +309,7 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 			opaque:  true,
 		},
 	}
-	for _, live := range storageStates {
+	for _, live := range storageStates(300) {
 		flat, twins := stateTwins(t, n, live.extra, live.merged)
 		for _, c := range cases {
 			c := c
