@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/experiments/coresim"
+	"repro/internal/experiments/locks"
 	"repro/internal/expr"
 	"repro/internal/opt"
-	"repro/internal/sched"
-	"repro/internal/txn"
 	"repro/internal/vec"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -57,10 +58,10 @@ func BenchmarkE3CompressVsSend(b *testing.B) {
 // BenchmarkE4SyncScaling runs the five synchronization schemes at the
 // host's core count (the Shore-MT-style scaling probe).
 func BenchmarkE4SyncScaling(b *testing.B) {
-	for _, s := range []txn.Scheme{txn.GlobalLock, txn.ShardedLock, txn.AtomicAdd, txn.HTMSim, txn.Partitioned} {
+	for _, s := range []locks.Scheme{locks.GlobalLock, locks.ShardedLock, locks.AtomicAdd, locks.HTMSim, locks.Partitioned} {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				txn.RunAggregation(s, 8, 400_000, 256, 1.1, 7)
+				locks.RunAggregation(s, 8, 400_000, 256, 1.1, 7)
 			}
 		})
 	}
@@ -259,7 +260,7 @@ func BenchmarkE18ParallelDOP(b *testing.B) {
 // DOP (asserted by TestParallelAggDOPInvariant under -race).
 func BenchmarkParallelScanAgg(b *testing.B) {
 	const rows = 1 << 20
-	eng, err := experiments.OrdersEngine(rows)
+	eng, err := core.OrdersEngine(rows)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -527,14 +528,14 @@ func BenchmarkE25ShardedScan(b *testing.B) {
 	b.ReportMetric(float64(res.RebalanceJ), "rebalance-J")
 }
 
-// BenchmarkScheduler measures the discrete-event scheduler core (the
-// substrate under E1/E5).
+// BenchmarkScheduler measures the discrete-event machine simulator under
+// E1/E5 (internal/experiments/coresim).
 func BenchmarkScheduler(b *testing.B) {
 	model := energy.DefaultModel()
-	jobs := sched.MakeJobs(workload.Poisson(9, 2000, 500),
+	jobs := coresim.MakeJobs(workload.Poisson(9, 2000, 500),
 		energy.Counters{Instructions: 5_000_000, BytesReadDRAM: 1 << 20})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.Simulate(sched.Config{Cores: 16, Model: model, Policy: sched.RaceToIdle, MemGB: 32}, jobs)
+		coresim.Simulate(coresim.Config{Cores: 16, Model: model, Policy: coresim.RaceToIdle, MemGB: 32}, jobs)
 	}
 }

@@ -89,7 +89,7 @@ func main() {
 // E21 submits and the serving front end (eimdb-serve, E22) replays, so
 // the batch driver and the online server exercise one workload format.
 func runReplay(rows, nq int, qps, zipfS float64, ncust int, seed uint64, cfg core.SchedulerConfig) error {
-	eng, err := experiments.OrdersEngine(rows)
+	eng, err := core.OrdersEngine(rows)
 	if err != nil {
 		return err
 	}

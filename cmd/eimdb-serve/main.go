@@ -20,8 +20,9 @@
 // Lifecycle: on SIGINT or SIGTERM the server stops accepting connections
 // and exits once every request in flight — parked on its virtual
 // schedule or still executing — has been answered, or after 30 seconds
-// at the latest.  A connection that has not sent its request headers
-// within ten seconds is dropped.
+// at the latest, and then flushes the REDO log once, so commits that rode
+// an open group-commit window are durable.  A connection that has not
+// sent its request headers within ten seconds is dropped.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/experiments"
 	"repro/internal/opt"
 	"repro/internal/server"
 )
@@ -106,7 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := experiments.OrdersEngine(*rows)
+	eng, err := core.OrdersEngine(*rows)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eimdb-serve:", err)
 		os.Exit(1)
@@ -140,12 +140,26 @@ func main() {
 	fmt.Println("eimdb-serve: shutting down, draining in-flight requests")
 	ctx, done := context.WithTimeout(context.Background(), drainTimeout)
 	defer done()
-	if err := hs.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "eimdb-serve: drain:", err)
-		os.Exit(1)
+	drain := hs.Shutdown(ctx)
+	// Commits that rode the open group-commit window are durable only at
+	// the next flush: take it even when the drain timed out.  Sync holds
+	// the transaction manager's lock, so a handler still running cannot
+	// interleave with it.
+	_, flush := eng.Txn().Sync()
+	failed := false
+	if drain != nil {
+		fmt.Fprintln(os.Stderr, "eimdb-serve: drain:", drain)
+		failed = true
 	}
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "eimdb-serve:", err)
+		failed = true
+	}
+	if flush != nil {
+		fmt.Fprintln(os.Stderr, "eimdb-serve: log flush:", flush)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

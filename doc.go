@@ -17,12 +17,17 @@
 // arrival processes), an online HTTP/JSON serving front end
 // (internal/server + cmd/eimdb-serve: plan cache keyed by the canonical
 // share signature, per-client energy admission, queue backpressure —
-// deterministic to the byte on a simulated clock), concurrency-control
-// schemes, a QoS REDO log, a
-// storage hierarchy, a network simulator, distributed query shipping
-// (internal/dist: ship-raw vs ship-compressed vs aggregate pushdown over
-// a simulated cluster), cluster elasticity, flexible schema, database
-// conversations, and robustness policies.
+// deterministic to the byte on a simulated clock), table transactions
+// over a QoS REDO log, and a network simulator.  Everything under
+// internal/ outside internal/experiments and internal/lint is exactly
+// what cmd/eimdb-serve links.  The experiment suite keeps the models only
+// an experiment uses beside it, under internal/experiments: a whole-
+// machine power simulator, compress-vs-send codec choice,
+// synchronization schemes, a storage hierarchy, distributed query
+// shipping (ship-raw vs ship-compressed vs aggregate pushdown over a
+// simulated cluster), cluster elasticity, flexible schema, database
+// conversations, xPU offload and NUMA placement, and robustness
+// policies.
 //
 // See README.md for the tour and build/test instructions, ARCHITECTURE.md
 // for the subsystem map, the morsel pipeline, and the energy-accounting

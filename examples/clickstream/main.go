@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/hier"
-	"repro/internal/schema"
+	"repro/internal/experiments/hier"
+	"repro/internal/experiments/schema"
 	"repro/internal/workload"
 )
 

@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/dist"
+	"repro/internal/experiments/dist"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/vec"

@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/hier"
+	"repro/internal/experiments/hier"
 	"repro/internal/wal"
 )
 

@@ -1,9 +1,13 @@
-package cluster
+package cluster_test
+
+// Package cluster lives in internal/experiments/cluster, beside E11, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"testing"
 	"time"
 
+	. "repro/internal/experiments/cluster"
 	"repro/internal/workload"
 )
 
@@ -33,13 +37,13 @@ func TestElasticSavesEnergyOnDiurnalLoad(t *testing.T) {
 func TestControllerBounds(t *testing.T) {
 	spec := DefaultNode()
 	c := Controller{Min: 2, Max: 5, TargetUtil: 0.7}
-	if n := c.want(spec, 0); n != 2 {
+	if n := c.Want(spec, 0); n != 2 {
 		t.Errorf("zero load must hold Min: %d", n)
 	}
-	if n := c.want(spec, 1e9); n != 5 {
+	if n := c.Want(spec, 1e9); n != 5 {
 		t.Errorf("huge load must clamp to Max: %d", n)
 	}
-	if n := c.want(spec, 1400); n != 3 {
+	if n := c.Want(spec, 1400); n != 3 {
 		t.Errorf("1400 q/s at 700 effective q/s/node wants 3 nodes, got %d", n)
 	}
 }
@@ -83,17 +87,17 @@ func TestReactiveLagDropsDuringSpike(t *testing.T) {
 
 func TestUtilizationAndPower(t *testing.T) {
 	spec := DefaultNode()
-	if spec.power(0) != spec.IdleW {
+	if spec.Power(0) != spec.IdleW {
 		t.Error("zero utilization draws idle power")
 	}
-	if spec.power(1) != spec.ActiveW {
+	if spec.Power(1) != spec.ActiveW {
 		t.Error("full utilization draws active power")
 	}
-	mid := spec.power(0.5)
+	mid := spec.Power(0.5)
 	if !(mid > spec.IdleW && mid < spec.ActiveW) {
 		t.Error("power must interpolate")
 	}
-	if spec.power(2) != spec.ActiveW || spec.power(-1) != spec.IdleW {
+	if spec.Power(2) != spec.ActiveW || spec.Power(-1) != spec.IdleW {
 		t.Error("power must clamp utilization")
 	}
 }

@@ -1,8 +1,13 @@
-package conversation
+package conversation_test
+
+// Package conversation lives in internal/experiments/conversation, beside E13, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"sync"
 	"testing"
+
+	. "repro/internal/experiments/conversation"
 )
 
 func TestOverlayIsolation(t *testing.T) {

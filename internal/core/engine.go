@@ -182,7 +182,6 @@ func (e *Engine) CreateIndex(table, col, kind string) error {
 type Result struct {
 	Rel      *exec.Relation
 	Elapsed  time.Duration    // measured wall time
-	SimTime  time.Duration    // simulated non-CPU time (links, disk)
 	Work     energy.Counters  // work counters from all operators
 	Energy   energy.Breakdown // model-accounted energy
 	DOP      int              // degree of parallelism the query ran at
@@ -229,7 +228,6 @@ func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecisi
 	return &Result{
 		Rel:      t.Rel,
 		Elapsed:  elapsed,
-		SimTime:  t.SimTime,
 		Work:     t.Work,
 		Energy:   t.Energy,
 		DOP:      t.DOP,
@@ -238,13 +236,11 @@ func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecisi
 }
 
 // bill prices executed work — the one place the engine turns counters
-// into joules, for queries, maintenance and DML alike: dynamic energy,
-// active-core static power over the modeled CPU time, and idle-core
-// static power over the simulated non-CPU time (links, disk).
-func (e *Engine) bill(work energy.Counters, simTime time.Duration) energy.Breakdown {
+// into joules, for queries, maintenance and DML alike: dynamic energy and
+// active-core static power over the modeled CPU time.
+func (e *Engine) bill(work energy.Counters) energy.Breakdown {
 	b := e.model.DynamicEnergy(work, e.cm.PState)
-	b.Static = energy.StaticEnergy(e.cm.PState.Active, e.model.CPUTime(work, e.cm.PState)) +
-		energy.StaticEnergy(e.model.Core.Idle.Power, simTime)
+	b.Static = energy.StaticEnergy(e.cm.PState.Active, e.model.CPUTime(work, e.cm.PState))
 	return b
 }
 

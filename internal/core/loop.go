@@ -78,11 +78,10 @@ type execution struct {
 	retired bool      // the group's virtual schedule is over
 	// done closes when the run has finished; the result fields are
 	// written before that and read only after it.
-	done    chan struct{}
-	rel     *exec.Relation
-	work    energy.Counters
-	simTime time.Duration
-	err     error
+	done chan struct{}
+	rel  *exec.Relation
+	work energy.Counters
+	err  error
 }
 
 // Ticket is one in-flight query in the online loop.  Its embedded
@@ -155,7 +154,7 @@ func (t *Ticket) fail(err error) {
 // query's failure, not the process's: it is recovered into the returned
 // error, so the latch is released, the ticket settles as Err and the
 // loop keeps serving.
-func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, simTime time.Duration, err error) {
+func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rel, err = nil, fmt.Errorf("panic during execution: %v", r)
@@ -168,7 +167,7 @@ func (t *Ticket) execute() (rel *exec.Relation, work energy.Counters, simTime ti
 	if err == nil && t.after != nil {
 		err = t.after(t.Table)
 	}
-	return rel, ctx.Meter.Snapshot(), ctx.SimTime, err
+	return rel, ctx.Meter.Snapshot(), err
 }
 
 // run executes the group's plan once, as its first live member.  A
@@ -180,7 +179,7 @@ func (x *execution) run() {
 		if t.Lease.Canceled() {
 			continue
 		}
-		x.rel, x.work, x.simTime, x.err = t.execute()
+		x.rel, x.work, x.err = t.execute()
 		if !errors.Is(x.err, exec.ErrCanceled) {
 			return
 		}
@@ -497,14 +496,14 @@ func (l *Loop) settle(join bool) []*Ticket {
 					t.fail(x.err)
 					break
 				}
-				t.Rel, t.Work, t.SimTime = x.rel, x.work, x.simTime
-				t.Energy = e.bill(t.Work, t.SimTime)
+				t.Rel, t.Work = x.rel, x.work
+				t.Energy = e.bill(t.Work)
 				l.fm.AddQuery(t.Work)
 				e.meter.Add(t.Work) // lifetime work counts physical, not billed
 			case payer.Err != nil:
 				t.Err = payer.Err
 			default:
-				t.Rel, t.Work, t.SimTime, t.Energy = payer.Rel, payer.Work, payer.SimTime, payer.Energy
+				t.Rel, t.Work, t.Energy = payer.Rel, payer.Work, payer.Energy
 				l.fm.AddSharedQuery(t.Work)
 			}
 			t.settle()

@@ -60,8 +60,7 @@ type SubmissionResult struct {
 	Err       error
 	Rel       *exec.Relation
 	Work      energy.Counters  // attributed (standalone) work counters
-	SimTime   time.Duration    // simulated non-CPU time (links, disk) of the execution
-	Energy    energy.Breakdown // modeled per-query energy of that work and SimTime
+	Energy    energy.Breakdown // modeled per-query energy of that work
 	Objective opt.Objective    // objective the plan ran under
 	Start     time.Duration    // virtual dispatch time
 	Finish    time.Duration

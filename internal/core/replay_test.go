@@ -8,10 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
-	"repro/internal/compress"
 	"repro/internal/energy"
 	"repro/internal/exec"
-	"repro/internal/netsim"
 	"repro/internal/opt"
 	"repro/internal/sql"
 	"repro/internal/workload"
@@ -233,13 +231,12 @@ func TestReplayPerQueryBudget(t *testing.T) {
 }
 
 // parentBill is the bill Engine.Run charged before every execution went
-// through the loop: dynamic energy, active-core static over the modeled
-// CPU time, idle-core static over the simulated non-CPU time.
-func parentBill(e *Engine, work energy.Counters, ctx *exec.Ctx) energy.Breakdown {
+// through the loop: dynamic energy and active-core static over the
+// modeled CPU time.
+func parentBill(e *Engine, work energy.Counters) energy.Breakdown {
 	m, p := e.Model(), e.Model().Core.MaxPState()
 	b := m.DynamicEnergy(work, p)
-	b.Static = energy.StaticEnergy(p.Active, m.CPUTime(work, p)) +
-		energy.StaticEnergy(m.Core.Idle.Power, ctx.SimTime)
+	b.Static = energy.StaticEnergy(p.Active, m.CPUTime(work, p))
 	return b
 }
 
@@ -321,7 +318,7 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		work := ctx.Meter.Snapshot()
-		if !reflect.DeepEqual(rel, want.Rel) || work != want.Work || parentBill(c.e, work, ctx) != want.Energy {
+		if !reflect.DeepEqual(rel, want.Rel) || work != want.Work || parentBill(c.e, work) != want.Energy {
 			t.Fatalf("%s: Run differs from the bare one-core run at SnapLatest:\n%+v\n%+v", c.name, want.Work, work)
 		}
 
@@ -336,58 +333,11 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 			if !reflect.DeepEqual(tk.Rel, want.Rel) {
 				t.Fatalf("%s budget %d: ticket relation differs from Run", c.name, budget)
 			}
-			if tk.Work != want.Work || tk.Energy != want.Energy || tk.SimTime != want.SimTime {
+			if tk.Work != want.Work || tk.Energy != want.Energy {
 				t.Fatalf("%s budget %d: ticket bill differs from Run:\n%+v %+v\n%+v %+v",
 					c.name, budget, tk.Work, tk.Energy, want.Work, want.Energy)
 			}
 		}
-	}
-}
-
-// TestLoopBillsSimTime: the one bill carries the idle x SimTime static
-// term, so a plan that ships over a simulated link costs the same served
-// (OfferPlanned) as Engine.Run charged for it — the loop used to drop
-// the term.
-func TestLoopBillsSimTime(t *testing.T) {
-	e := submitEngine(t, 1<<16)
-	q, err := sql.Parse("SELECT id, custkey FROM orders WHERE custkey < 40")
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, info, err := e.Plan(q, opt.MinTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	link, err := netsim.LinkByName("0.1Gbps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := &exec.Exchange{Child: child, Link: link, Codec: compress.None}
-
-	ctx := exec.NewCtx()
-	ctx.Lease = exec.NewLease(1)
-	if _, err := node.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := parentBill(e, ctx.Meter.Snapshot(), ctx)
-
-	l := e.NewLoop(SchedulerConfig{Budget: 2, Arbitrate: true})
-	tk := l.OfferPlanned(0, node, info, opt.MinTime)
-	l.React()
-	l.RunToIdle()
-	if tk.Err != nil {
-		t.Fatal(tk.Err)
-	}
-	if tk.SimTime <= 0 || tk.SimTime != ctx.SimTime {
-		t.Fatalf("ticket SimTime %v, the exchange simulated %v", tk.SimTime, ctx.SimTime)
-	}
-	if tk.Energy != want {
-		t.Fatalf("served bill %+v differs from the run bill %+v", tk.Energy, want)
-	}
-	noSim := want
-	noSim.Static -= energy.StaticEnergy(e.Model().Core.Idle.Power, ctx.SimTime)
-	if tk.Energy.Static <= noSim.Static {
-		t.Fatalf("static %v does not include the idle x SimTime term (%v without it)", tk.Energy.Static, noSim.Static)
 	}
 }
 

@@ -143,7 +143,7 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	res.Flushed = info.Flushed
 	res.Latency = info.Latency
 	res.Work = work
-	res.Energy = e.bill(work, 0)
+	res.Energy = e.bill(work)
 	// Keep planner estimates (and with them admission pricing) tracking
 	// the table the statement just changed: only the hit shards re-stat.
 	if err := e.cat.RefreshShards(d.Table, tgt.touched()); err != nil {

@@ -1,4 +1,7 @@
-package dist
+package dist_test
+
+// Package dist lives in internal/experiments/dist, beside E17, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"math"
@@ -7,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	. "repro/internal/experiments/dist"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/vec"
@@ -169,9 +173,11 @@ func TestIntegerSum(t *testing.T) {
 	}
 }
 
-// TestFloatGroupKeysWithNaN regresses the merge map: a raw NaN map key is
-// inserted but never found again (NaN != NaN), so grouping must key on the
-// printed form like exec.HashAgg does.
+// TestFloatGroupKeysWithNaN regresses the merge: NaN keys from different
+// nodes are one group, never one group per NaN row, and the merged keys
+// come out in the engine's one DOUBLE order (NaN highest, as MIN/MAX)
+// whichever node holds the NaN — including a NaN partial stacked between
+// two other keys.
 func TestFloatGroupKeysWithNaN(t *testing.T) {
 	link, err := netsim.LinkByName("1Gbps")
 	if err != nil {
@@ -181,32 +187,40 @@ func TestFloatGroupKeysWithNaN(t *testing.T) {
 		{Name: "g", Type: colstore.Float64},
 		{Name: "v", Type: colstore.Int64},
 	}
-	c := NewCluster(2, schema, "t", link)
-	vals := []float64{1.5, math.NaN(), 2.5, math.NaN(), 1.5, math.NaN()}
-	for i, g := range vals {
-		if err := c.Nodes[i%2].Table.Writer().Row(g, int64(1)).Close(); err != nil {
+	nan := math.NaN()
+	layouts := [][][]float64{
+		{{1.5, 2.5, 1.5}, {nan, nan, nan}},
+		{{2.5, nan, nan, nan}, {1.5, 1.5}},
+	}
+	for li, nodes := range layouts {
+		c := NewCluster(len(nodes), schema, "t", link)
+		for n, vals := range nodes {
+			for _, g := range vals {
+				if err := c.Nodes[n].Table.Writer().Row(g, int64(1)).Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Seal(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	q := AggQuery{GroupBy: "g", SumCol: "v"}
-	for _, s := range []Strategy{ShipRaw, ShipCompressed, Pushdown} {
-		rel, _, err := c.Run(q, s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if rel.N != 3 {
-			t.Fatalf("%v: %d groups, want 3 (NaN, 1.5, 2.5)", s, rel.N)
-		}
-		keys, _ := rel.Col("g")
-		if !math.IsNaN(keys.F[0]) || keys.F[1] != 1.5 || keys.F[2] != 2.5 {
-			t.Errorf("%v: group keys %v, want [NaN 1.5 2.5]", s, keys.F)
-		}
-		sums, _ := rel.Col("sum_v")
-		if !reflect.DeepEqual(sums.I, []int64{3, 2, 1}) {
-			t.Errorf("%v: sums %v, want [3 2 1]", s, sums.I)
+		q := AggQuery{GroupBy: "g", SumCol: "v"}
+		for _, s := range []Strategy{ShipRaw, ShipCompressed, Pushdown} {
+			rel, _, err := c.Run(q, s)
+			if err != nil {
+				t.Fatalf("layout %d %v: %v", li, s, err)
+			}
+			if rel.N != 3 {
+				t.Fatalf("layout %d %v: %d groups, want 3 (1.5, 2.5, NaN)", li, s, rel.N)
+			}
+			keys, _ := rel.Col("g")
+			if keys.F[0] != 1.5 || keys.F[1] != 2.5 || !math.IsNaN(keys.F[2]) {
+				t.Errorf("layout %d %v: group keys %v, want [1.5 2.5 NaN]", li, s, keys.F)
+			}
+			sums, _ := rel.Col("sum_v")
+			if !reflect.DeepEqual(sums.I, []int64{2, 1, 3}) {
+				t.Errorf("layout %d %v: sums %v, want [2 1 3]", li, s, sums.I)
+			}
 		}
 	}
 }

@@ -1,10 +1,11 @@
-package dist
+package dist_test
 
 import (
 	"reflect"
 	"testing"
 
 	"repro/internal/colstore"
+	. "repro/internal/experiments/dist"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/vec"

@@ -441,8 +441,7 @@ func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	}
 	if m.nparts > 1 {
 		// The coordinator's merge is priced by the morsel grid's
-		// partial-group count (plus the sequence rewrite), mirroring the
-		// partial-aggregate merge accounting of internal/dist.
+		// partial-group count (plus the sequence rewrite).
 		m.extra.Add(energy.Counters{
 			TuplesIn:     m.partialGroups,
 			TuplesOut:    uint64(m.final.groups()),

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -139,20 +140,23 @@ func (s *Sort) Run(ctx *Ctx) (*Relation, error) {
 		ra, rb := perm[a], perm[b]
 		for i, k := range s.Keys {
 			c := keyCols[i]
-			var cmp int
+			// A DOUBLE sorts in MIN/MAX's total order (minMaxKey:
+			// −0 < +0, NaN highest), so distinct keys never tie and
+			// the output does not depend on the input order.
+			var d int
 			switch c.Type {
 			case colstore.Int64:
-				cmp = cmpOrderInt(c.I[ra], c.I[rb])
+				d = cmp.Compare(c.I[ra], c.I[rb])
 			case colstore.Float64:
-				cmp = cmpOrderFloat(c.F[ra], c.F[rb])
+				d = cmp.Compare(minMaxKey(c.F[ra]), minMaxKey(c.F[rb]))
 			default:
-				cmp = strings.Compare(c.Str(int(ra)), c.Str(int(rb)))
+				d = strings.Compare(c.Str(int(ra)), c.Str(int(rb)))
 			}
-			if cmp != 0 {
+			if d != 0 {
 				if k.Desc {
-					return cmp > 0
+					return d > 0
 				}
-				return cmp < 0
+				return d < 0
 			}
 		}
 		return false
@@ -170,26 +174,6 @@ func (s *Sort) Run(ctx *Ctx) (*Relation, error) {
 	}
 	ctx.Charge(s.Label(), in.N, w)
 	return in.gather(perm), nil
-}
-
-func cmpOrderInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpOrderFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // Limit keeps the first N rows.

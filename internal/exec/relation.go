@@ -1,6 +1,6 @@
 // Package exec is the vectorized execution engine: operator-at-a-time
-// physical operators (scan variants, filter, project, hash join, hash
-// aggregation, sort, limit, exchange) over the column store, in the
+// physical operators (scan, filter, project, hash join, hash aggregation,
+// sort, limit) over the column store, in the
 // MonetDB-style materialized model that dominated the paper's era.  Every
 // operator records the work it performs in energy counters so whole plans
 // can be priced in joules as well as seconds.
@@ -9,8 +9,8 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Filter, Project, Sort, Limit, Exchange) runs
-// entirely on that goroutine.  The morsel-driven operators — Scan,
+// operator (Filter, Project, Sort, Limit) runs entirely on that
+// goroutine.  The morsel-driven operators — Scan,
 // HashAgg and Join — fan work out to Ctx.DOP() internal workers (a
 // one-morsel input runs on one) but
 // present the same single-goroutine interface: they return only after
@@ -116,30 +116,13 @@ func (r *Relation) ColNames() []string {
 	return out
 }
 
-// Bytes approximates the materialized size (for exchange and memory
+// Bytes approximates the materialized size (for memory and shipping
 // accounting): 8 bytes a value — a VARCHAR column holds codes, and its
 // dictionary belongs to the column it was read from.
 func (r *Relation) Bytes() uint64 {
 	var b uint64
 	for i := range r.Cols {
 		b += uint64(r.Cols[i].Len()) * 8
-	}
-	return b
-}
-
-// WireBytes prices the uncompressed column-wise serialization of the
-// column: 8 bytes per numeric value, and every row's string length-
-// prefixed — the values the rows reference, whatever dictionary they sit
-// in.  Exchange and the distributed shipping strategies (internal/dist)
-// share this one convention so wire accounting stays comparable across
-// experiments.
-func (c *Col) WireBytes() uint64 {
-	if c.Type != colstore.String {
-		return uint64(c.Len()) * 8
-	}
-	var b uint64
-	for i := range c.I {
-		b += uint64(len(c.Str(i))) + 2
 	}
 	return b
 }

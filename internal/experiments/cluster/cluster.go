@@ -26,10 +26,10 @@ func DefaultNode() NodeSpec {
 	return NodeSpec{CapacityQPS: 1000, ActiveW: 250, IdleW: 120, BootTime: 30 * time.Second}
 }
 
-// power returns the node's draw at the given utilization (linear
+// Power returns the node's draw at the given utilization (linear
 // interpolation between idle and active — the standard energy-
 // proportionality model).
-func (n NodeSpec) power(util float64) energy.Watts {
+func (n NodeSpec) Power(util float64) energy.Watts {
 	if util < 0 {
 		util = 0
 	}
@@ -51,8 +51,8 @@ func DefaultController(max int) Controller {
 	return Controller{Min: 1, Max: max, TargetUtil: 0.7}
 }
 
-// want returns the node count the controller requests for a rate.
-func (c Controller) want(spec NodeSpec, rate float64) int {
+// Want returns the node count the controller requests for a rate.
+func (c Controller) Want(spec NodeSpec, rate float64) int {
 	n := int(rate/(spec.CapacityQPS*c.TargetUtil)) + 1
 	if rate == 0 {
 		n = c.Min
@@ -96,7 +96,7 @@ func SimulateStatic(spec NodeSpec, nodes int, phases []workload.DiurnalPhase) Re
 // the paper's elasticity discussion describes.
 func SimulateElastic(spec NodeSpec, ctrl Controller, phases []workload.DiurnalPhase) Report {
 	return simulate(spec, phases, func(prevRate float64, cur int) int {
-		return ctrl.want(spec, prevRate)
+		return ctrl.Want(spec, prevRate)
 	}, ctrl.Min)
 }
 
@@ -131,7 +131,7 @@ func simulate(spec NodeSpec, phases []workload.DiurnalPhase, decide func(prevRat
 			dropped = (ph.Rate - capacity) * ph.Duration.Seconds()
 			util = 1
 		}
-		e := energy.StaticEnergy(spec.power(util), ph.Duration) * energy.Joules(nodes)
+		e := energy.StaticEnergy(spec.Power(util), ph.Duration) * energy.Joules(nodes)
 		rep.Phases = append(rep.Phases, PhaseReport{
 			Rate: ph.Rate, Nodes: nodes, Util: util,
 			Energy: e + boot, Dropped: dropped, BootEnergy: boot,

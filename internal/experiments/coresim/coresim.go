@@ -1,8 +1,9 @@
-// Package sched is the energy-aware scheduler: the "elasticity in the
-// small" of §IV.  It simulates a pool of cores with P-states (DVFS) and
-// C-states (idle/parked), runs open-loop query arrival traces through
-// FCFS dispatch, and integrates energy over the schedule.  Three policies
-// reproduce the paper's idle-power argument (experiment E5):
+// Package coresim is the whole-machine simulator of experiments E1 and
+// E5, the "elasticity in the small" of §IV.  It simulates a pool of
+// cores with P-states (DVFS) and C-states (idle/parked), runs open-loop
+// query arrival traces through FCFS dispatch, and integrates energy over
+// the schedule.  Three policies reproduce the paper's idle-power
+// argument (experiment E5):
 //
 //   - AlwaysOn: all cores at max frequency, idle cores in shallow C1 —
 //     the no-power-management baseline.
@@ -11,15 +12,17 @@
 //   - DVFS: frequency scaled to the offered load, idle cores in C1.
 //
 // A power cap (the Figure 2 regime, experiment E1) restricts how many
-// cores may be active and at which P-state; the scheduler picks the
-// fastest feasible configuration under the cap.
-package sched
+// cores may be active and at which P-state; the simulator picks the
+// fastest feasible configuration under the cap, and PickUnderPowerCap
+// makes the optimizer's plan choice under the same cap.
+package coresim
 
 import (
 	"fmt"
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/opt"
 )
 
 // Policy selects the idle/frequency management strategy.
@@ -227,4 +230,37 @@ func MakeJobs(gaps []time.Duration, work energy.Counters) []Job {
 		jobs[i] = Job{Arrival: at, Work: work}
 	}
 	return jobs
+}
+
+// PickUnderPowerCap returns the index of the best alternative under a
+// power cap: the fastest plan whose average power fits the cap, or — if
+// none fits — the lowest-power plan.  This is the decision surface of the
+// paper's Figure 2: as the cap tightens, the optimizer abandons the
+// fastest plan for frugal ones.
+func PickUnderPowerCap(alts []opt.Cost, cap energy.Watts) int {
+	best := -1
+	for i, a := range alts {
+		if power(a) <= cap {
+			if best < 0 || a.Time < alts[best].Time {
+				best = i
+			}
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	for i, a := range alts {
+		if best < 0 || power(a) < power(alts[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// power returns a plan's implied average power draw.
+func power(c opt.Cost) energy.Watts {
+	if c.Time <= 0 {
+		return 0
+	}
+	return energy.Watts(float64(c.Energy) / c.Time.Seconds())
 }

@@ -35,10 +35,9 @@ func (q AggQuery) columns() []string {
 // under Pushdown the predicate scans run against the nodes' sealed column
 // stores (word-parallel kernels, zone maps), while the data-shipping
 // strategies pay full materialization on the nodes and row-at-a-time
-// filtering on the coordinator, where only shipped arrays exist.  Each
-// node's partial sums are accumulated in node-row order and merged in node
-// order under every strategy, so even the floating-point results are
-// byte-identical.
+// filtering on the coordinator, where only shipped arrays exist.  Every
+// partial and the merge are exec.HashAgg sums, which are order-free, so
+// even the floating-point results are byte-identical.
 func (c *Cluster) Run(q AggQuery, s Strategy) (*exec.Relation, Report, error) {
 	if !c.sealed {
 		return nil, Report{}, fmt.Errorf("dist: cluster is not sealed; load rows then call Seal before Run")
@@ -128,7 +127,7 @@ func (c *Cluster) runNode(ctx *exec.Ctx, n *Node, q AggQuery, s Strategy) (*exec
 	}
 	c.ship(ctx, n.ID, rel.Bytes(), w, instr)
 	plan := &exec.HashAgg{
-		Child:   &exec.Filter{Child: &shipped{From: n.ID, Rel: recv}, Preds: q.Preds},
+		Child:   &exec.Filter{Child: &received{label: fmt.Sprintf("Shipped(n%d)", n.ID), rel: recv}, Preds: q.Preds},
 		GroupBy: []string{q.GroupBy},
 		Aggs:    aggs,
 	}

@@ -8,28 +8,45 @@ import (
 	"repro/internal/exec"
 )
 
-// shipped adapts an already-materialized relation (the payload a node sent
-// over the link) as a plan source for the coordinator-side operators.
-type shipped struct {
-	From int
-	Rel  *exec.Relation
+// received adapts a relation the coordinator holds — the payload a node
+// sent over the link, or the stacked partials — as a plan source for the
+// coordinator-side operators.
+type received struct {
+	label string
+	rel   *exec.Relation
 }
 
 // Label implements exec.Node.
-func (s *shipped) Label() string { return fmt.Sprintf("Shipped(n%d)", s.From) }
+func (r *received) Label() string { return r.label }
 
 // Kids implements exec.Node.
-func (s *shipped) Kids() []exec.Node { return nil }
+func (r *received) Kids() []exec.Node { return nil }
 
 // Run implements exec.Node.
-func (s *shipped) Run(*exec.Ctx) (*exec.Relation, error) { return s.Rel, nil }
+func (r *received) Run(*exec.Ctx) (*exec.Relation, error) { return r.rel, nil }
+
+// WireBytes prices the uncompressed column-wise serialization of one
+// column: 8 bytes per numeric value, and every row's string length-
+// prefixed — the values the rows reference, whatever dictionary they sit
+// in.  Every shipping strategy prices its raw columns by this one
+// convention, so wire accounting stays comparable across them.
+func WireBytes(c *exec.Col) uint64 {
+	if c.Type != colstore.String {
+		return uint64(c.Len()) * 8
+	}
+	var b uint64
+	for i := range c.I {
+		b += uint64(len(c.Str(i))) + 2
+	}
+	return b
+}
 
 // wireBytesRaw prices the uncompressed column-wise serialization of a
-// relation under the shared exec.Col.WireBytes convention.
+// relation.
 func wireBytesRaw(r *exec.Relation) uint64 {
 	var wire uint64
 	for i := range r.Cols {
-		wire += r.Cols[i].WireBytes()
+		wire += WireBytes(&r.Cols[i])
 	}
 	return wire
 }
@@ -60,7 +77,7 @@ func encode(r *exec.Relation, s Strategy) (*exec.Relation, uint64, uint64, error
 		case colstore.Float64:
 			// Doubles ship raw: the integer codecs have nothing to grab
 			// onto in random mantissa bits.
-			wire += c.WireBytes()
+			wire += WireBytes(c)
 			out.Cols[i] = exec.Col{Name: c.Name, Type: c.Type, F: append([]float64(nil), c.F...)}
 		default:
 			vals, w, n, err := shipStringsCoded(c)

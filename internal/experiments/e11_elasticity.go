@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/experiments/cluster"
 	"repro/internal/workload"
 )
 

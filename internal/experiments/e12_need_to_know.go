@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/schema"
+	"repro/internal/experiments/schema"
 )
 
 func init() {

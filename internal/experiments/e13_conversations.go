@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conversation"
+	"repro/internal/experiments/conversation"
 )
 
 func init() {

@@ -30,7 +30,7 @@ type E14Result struct {
 
 // E14Check runs the same query through both language fronts.
 func E14Check(rows int) (*E14Result, error) {
-	e, err := ordersEngine(rows)
+	e, err := core.OrdersEngine(rows)
 	if err != nil {
 		return nil, err
 	}

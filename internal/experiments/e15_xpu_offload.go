@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/xpu"
+	"repro/internal/experiments/xpu"
 )
 
 func init() {

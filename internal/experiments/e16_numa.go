@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/numa"
+	"repro/internal/experiments/numa"
 	"repro/internal/workload"
 )
 

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/dist"
 	"repro/internal/energy"
+	"repro/internal/experiments/dist"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/vec"

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -39,7 +40,7 @@ type E18Row struct {
 // that all DOPs produce byte-identical relations and identical total
 // work counters.
 func E18Sweep(n int, dops []int) ([]E18Row, error) {
-	eng, err := ordersEngine(n)
+	eng, err := core.OrdersEngine(n)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/experiments/coresim"
 	"repro/internal/opt"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -36,7 +36,7 @@ type E1Point struct {
 func E1Curve() []E1Point {
 	model := energy.DefaultModel()
 	work := energy.Counters{Instructions: 40_000_000, BytesReadDRAM: 32 << 20, CacheMisses: 60_000}
-	jobs := sched.MakeJobs(workload.Poisson(7, 400, 120), work)
+	jobs := coresim.MakeJobs(workload.Poisson(7, 400, 120), work)
 
 	// Plan alternatives the optimizer switches between under the cap.
 	// The fastest plan uses all cores flat out (high power); the middle
@@ -57,14 +57,14 @@ func E1Curve() []E1Point {
 
 	var points []E1Point
 	for _, cap := range []energy.Watts{25, 40, 60, 90, 130, 200, 400} {
-		r := sched.Simulate(sched.Config{
-			Cores: 16, Model: model, Policy: sched.AlwaysOn, PowerCap: cap, MemGB: 32,
+		r := coresim.Simulate(coresim.Config{
+			Cores: 16, Model: model, Policy: coresim.AlwaysOn, PowerCap: cap, MemGB: 32,
 		}, jobs)
 		costs := make([]opt.Cost, len(alts))
 		for i, a := range alts {
 			costs[i] = a.cost
 		}
-		pick := opt.PickUnderPowerCap(costs, cap)
+		pick := coresim.PickUnderPowerCap(costs, cap)
 		points = append(points, E1Point{
 			Cap:        cap,
 			Cores:      r.ActiveCores,

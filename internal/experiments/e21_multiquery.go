@@ -113,7 +113,7 @@ func E21Sweep(nRows, nQueries int, qps float64, budgets []int, arms ...string) (
 	}
 	for _, budget := range budgets {
 		for _, arm := range arms {
-			e, err := ordersEngine(nRows)
+			e, err := core.OrdersEngine(nRows)
 			if err != nil {
 				return nil, err
 			}

@@ -68,7 +68,7 @@ func E22Sweep(nRows, nQueries int, qps float64, budgets []int) ([]E22Row, error)
 	var baseline []server.Played
 	for _, budget := range budgets {
 		for _, batch := range []bool{false, true} {
-			eng, err := ordersEngine(nRows)
+			eng, err := core.OrdersEngine(nRows)
 			if err != nil {
 				return nil, err
 			}

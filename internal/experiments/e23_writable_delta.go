@@ -65,7 +65,7 @@ func e23Probe(e *core.Engine, dop int) (*exec.Relation, energy.Counters, error) 
 // tombstones), probes at every DOP, then merges through the scheduling
 // loop as a background min-energy query and probes again.
 func E23Sweep(nRows, nWrites int, dops []int) (*E23Result, error) {
-	e, err := ordersEngine(nRows)
+	e, err := core.OrdersEngine(nRows)
 	if err != nil {
 		return nil, err
 	}

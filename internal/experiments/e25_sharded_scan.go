@@ -70,7 +70,7 @@ func e25Probe(e *core.Engine, qs string, dop int) (*exec.Relation, energy.Counte
 
 // e25Engine builds the standard orders engine cut into k shards.
 func e25Engine(n, k int) (*core.Engine, error) {
-	e, err := ordersEngine(n)
+	e, err := core.OrdersEngine(n)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func e25Engine(n, k int) (*core.Engine, error) {
 // write burst and drives the rebalance through the scheduling loop as a
 // background min-energy query racing a same-instant foreground probe.
 func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
-	flat, err := ordersEngine(nRows)
+	flat, err := core.OrdersEngine(nRows)
 	if err != nil {
 		return nil, err
 	}

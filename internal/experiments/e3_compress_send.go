@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/experiments/ship"
 	"repro/internal/netsim"
 	"repro/internal/opt"
 	"repro/internal/workload"
@@ -49,10 +50,10 @@ func E3Matrix(n int) []E3Row {
 	var out []E3Row
 	for _, sh := range shapes {
 		for _, link := range netsim.DefaultLinks() {
-			chosen := opt.ChooseCodec(cm, sh.data, link, opt.MinEnergy)
-			oracle := opt.OracleCodec(cm, sh.data, link, opt.MinEnergy)
+			chosen := ship.ChooseCodec(cm, sh.data, link, opt.MinEnergy)
+			oracle := ship.OracleCodec(cm, sh.data, link, opt.MinEnergy)
 			rawBytes := uint64(len(sh.data)) * 8
-			raw := opt.EstimateShip(cm, len(sh.data), rawBytes, 1, chosen.Codec, link)
+			raw := ship.Estimate(cm, len(sh.data), rawBytes, 1, chosen.Codec, link)
 			out = append(out, E3Row{
 				Data: sh.name, Link: link.Name,
 				Chosen: chosen.Codec.Name(), Oracle: oracle.Codec.Name(),

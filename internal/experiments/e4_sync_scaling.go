@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/txn"
+	"repro/internal/experiments/locks"
 )
 
 func init() {
@@ -20,7 +20,7 @@ func init() {
 
 // E4Row is one (scheme, workers) measurement.
 type E4Row struct {
-	Scheme  txn.Scheme
+	Scheme  locks.Scheme
 	Workers int
 	Elapsed time.Duration
 	Speedup float64
@@ -41,11 +41,11 @@ func E4Sweep(ops, groups int) []E4Row {
 		workerSteps = append(workerSteps, maxW)
 	}
 	var out []E4Row
-	for _, scheme := range []txn.Scheme{txn.GlobalLock, txn.ShardedLock, txn.AtomicAdd, txn.HTMSim, txn.Partitioned} {
+	for _, scheme := range []locks.Scheme{locks.GlobalLock, locks.ShardedLock, locks.AtomicAdd, locks.HTMSim, locks.Partitioned} {
 		var base time.Duration
 		for _, wkr := range workerSteps {
 			start := time.Now() //lint:allow determinism: wall-clock display column; the determinism contract covers relations and counters, never wall time
-			r := txn.RunAggregation(scheme, wkr, ops, groups, 1.1, 99)
+			r := locks.RunAggregation(scheme, wkr, ops, groups, 1.1, 99)
 			elapsed := time.Since(start) //lint:allow determinism: wall-clock display column; the determinism contract covers relations and counters, never wall time
 			if wkr == 1 {
 				base = elapsed

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/sched"
+	"repro/internal/experiments/coresim"
 	"repro/internal/workload"
 )
 
@@ -21,7 +21,7 @@ func init() {
 
 // E5Row is one (policy, utilization) measurement.
 type E5Row struct {
-	Policy    sched.Policy
+	Policy    coresim.Policy
 	Rate      float64
 	JPerQuery energy.Joules
 	AvgLat    time.Duration
@@ -36,9 +36,9 @@ func E5Sweep() []E5Row {
 	work := energy.Counters{Instructions: 12_000_000, BytesReadDRAM: 8 << 20, CacheMisses: 20_000}
 	var out []E5Row
 	for _, rate := range []float64{50, 150, 400, 900, 1500} {
-		jobs := sched.MakeJobs(workload.Poisson(21, 600, rate), work)
-		for _, pol := range []sched.Policy{sched.AlwaysOn, sched.RaceToIdle, sched.DVFS} {
-			r := sched.Simulate(sched.Config{Cores: 16, Model: model, Policy: pol, MemGB: 32}, jobs)
+		jobs := coresim.MakeJobs(workload.Poisson(21, 600, rate), work)
+		for _, pol := range []coresim.Policy{coresim.AlwaysOn, coresim.RaceToIdle, coresim.DVFS} {
+			r := coresim.Simulate(coresim.Config{Cores: 16, Model: model, Policy: pol, MemGB: 32}, jobs)
 			out = append(out, E5Row{
 				Policy: pol, Rate: rate,
 				JPerQuery: r.EnergyPerJob, AvgLat: r.AvgLatency, P95Lat: r.P95Latency,

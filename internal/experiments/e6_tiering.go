@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/hier"
+	"repro/internal/experiments/hier"
 )
 
 func init() {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/robust"
+	"repro/internal/experiments/robust"
 )
 
 func init() {

@@ -10,10 +10,6 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
-
-	"repro/internal/colstore"
-	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // Experiment is one reproducible unit.
@@ -54,44 +50,4 @@ func ByID(id string) (Experiment, error) {
 // newTable returns a tabwriter for aligned experiment output.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
-// OrdersEngine builds an engine with the standard orders table of n rows
-// (exported for the root-level benchmarks, which drive the morsel
-// executor against the same data E18 sweeps).
-func OrdersEngine(n int) (*core.Engine, error) { return ordersEngine(n) }
-
-// ordersEngine builds an engine with the standard orders table of n rows
-// (shared by several experiments).
-func ordersEngine(n int) (*core.Engine, error) {
-	e := core.Open()
-	o := workload.GenOrders(42, n, n/100+10, 1.1)
-	tab, err := e.CreateTable("orders", colstore.Schema{
-		{Name: "id", Type: colstore.Int64},
-		{Name: "custkey", Type: colstore.Int64},
-		{Name: "region", Type: colstore.String},
-		{Name: "amount", Type: colstore.Float64},
-		{Name: "day", Type: colstore.Int64},
-	})
-	if err != nil {
-		return nil, err
-	}
-	regions := make([]string, n)
-	for i, r := range o.Region {
-		regions[i] = workload.RegionNames[r]
-	}
-	err = tab.Writer().
-		Int64("id", o.OrderID...).
-		Int64("custkey", o.CustKey...).
-		String("region", regions...).
-		Float64("amount", o.Amount...).
-		Int64("day", o.OrderDay...).
-		Close()
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Seal("orders"); err != nil {
-		return nil, err
-	}
-	return e, nil
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sched"
+	"repro/internal/experiments/coresim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -106,10 +106,10 @@ func TestE5Shape(t *testing.T) {
 	var on, rti *E5Row
 	for i := range rows {
 		r := &rows[i]
-		if r.Rate == 50 && r.Policy == sched.AlwaysOn {
+		if r.Rate == 50 && r.Policy == coresim.AlwaysOn {
 			on = r
 		}
-		if r.Rate == 50 && r.Policy == sched.RaceToIdle {
+		if r.Rate == 50 && r.Policy == coresim.RaceToIdle {
 			rti = r
 		}
 	}

@@ -1,4 +1,4 @@
-// Package txn implements the concurrency-control substrate of §III
+// Package locks is experiment E4's synchronization study, after §III
 // ("enhanced synchronization methods").  The paper's running example — a
 // parallel aggregation split over hundreds of threads, where every stream
 // carries entries for every customer group — is reproduced directly: a
@@ -16,7 +16,7 @@
 //     at the end — the no-sharing design the paper advocates.
 //
 // Experiment E4 sweeps worker counts and reports the speedup curves.
-package txn
+package locks
 
 import (
 	"fmt"
@@ -81,7 +81,7 @@ const numShards = 64
 // scheme must be exactly correct, only their scalability differs.
 func RunAggregation(scheme Scheme, workers, ops, groups int, skew float64, seed uint64) AggResult {
 	if workers < 1 || groups < 1 {
-		panic("txn: workers and groups must be positive")
+		panic("locks: workers and groups must be positive")
 	}
 	perWorker := ops / workers
 	res := AggResult{Workers: workers}

@@ -1,4 +1,10 @@
-package opt
+// Package ship is experiment E3's compress-vs-send decision (paper §IV:
+// "an optimizer has to decide about sending intermediate data in a
+// compressed or uncompressed format to other nodes or even sockets on the
+// same board ... the optimizer has to decide on a case-by-case basis"):
+// every codec priced for one link through the optimizer's cost model,
+// against an oracle that actually compresses.
+package ship
 
 import (
 	"time"
@@ -6,23 +12,19 @@ import (
 	"repro/internal/compress"
 	"repro/internal/energy"
 	"repro/internal/netsim"
+	"repro/internal/opt"
 )
 
-// The compress-vs-send decision (paper §IV: "an optimizer has to decide
-// about sending intermediate data in a compressed or uncompressed format
-// to other nodes or even sockets on the same board ... the optimizer has
-// to decide on a case-by-case basis").
-
-// ShipPlan is one priced shipping alternative.
-type ShipPlan struct {
+// Plan is one priced shipping alternative.
+type Plan struct {
 	Codec compress.Codec
 	Ratio float64 // predicted compressed/raw size
-	Cost  Cost
+	Cost  opt.Cost
 }
 
-// EstimateShip prices shipping n values (rawBytes total) through link
-// with the codec at the predicted compression ratio.
-func EstimateShip(cm *CostModel, n int, rawBytes uint64, ratio float64, codec compress.Codec, link *netsim.Link) Cost {
+// Estimate prices shipping n values (rawBytes total) through link with
+// the codec at the predicted compression ratio.
+func Estimate(cm *opt.CostModel, n int, rawBytes uint64, ratio float64, codec compress.Codec, link *netsim.Link) opt.Cost {
 	wire := uint64(float64(rawBytes) * ratio)
 	if wire == 0 && rawBytes > 0 {
 		wire = 1
@@ -44,21 +46,21 @@ func EstimateShip(cm *CostModel, n int, rawBytes uint64, ratio float64, codec co
 // ChooseCodec picks the best codec for shipping the given values over the
 // link under the objective.  Ratios are predicted from a bounded sample so
 // the decision itself stays cheap.
-func ChooseCodec(cm *CostModel, values []int64, link *netsim.Link, obj Objective) ShipPlan {
+func ChooseCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.Objective) Plan {
 	rawBytes := uint64(len(values)) * 8
 	sample := values
 	if len(sample) > 8192 {
 		sample = values[:8192]
 	}
-	best := ShipPlan{}
+	best := Plan{}
 	for _, codec := range compress.All() {
 		ratio := 1.0
 		if codec.Name() != "none" {
 			ratio = compress.Ratio(codec, sample)
 		}
-		c := EstimateShip(cm, len(values), rawBytes, ratio, codec, link)
+		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
 		if best.Codec == nil || obj.Better(c, best.Cost) {
-			best = ShipPlan{Codec: codec, Ratio: ratio, Cost: c}
+			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
 		}
 	}
 	return best
@@ -67,15 +69,15 @@ func ChooseCodec(cm *CostModel, values []int64, link *netsim.Link, obj Objective
 // OracleCodec actually compresses with every codec and returns the codec
 // with the best *measured* objective value — the ground truth experiment
 // E3 compares the estimator against.
-func OracleCodec(cm *CostModel, values []int64, link *netsim.Link, obj Objective) ShipPlan {
+func OracleCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.Objective) Plan {
 	rawBytes := uint64(len(values)) * 8
-	best := ShipPlan{}
+	best := Plan{}
 	for _, codec := range compress.All() {
 		payload := codec.Compress(values)
 		ratio := float64(len(payload)) / float64(rawBytes)
-		c := EstimateShip(cm, len(values), rawBytes, ratio, codec, link)
+		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
 		if best.Codec == nil || obj.Better(c, best.Cost) {
-			best = ShipPlan{Codec: codec, Ratio: ratio, Cost: c}
+			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
 		}
 	}
 	return best

@@ -1,9 +1,13 @@
-package hier
+package hier_test
+
+// Package hier lives in internal/experiments/hier, beside E6, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"testing"
 
 	"repro/internal/energy"
+	. "repro/internal/experiments/hier"
 )
 
 func TestSpecsOrdering(t *testing.T) {

@@ -162,18 +162,34 @@ func TestGoroutinesOnlyInPoolFuncs(t *testing.T) {
 	assertDiags(t, AnalyzerGoroutines().Run(u), want)
 }
 
+// TestLayeringFiresOnSeedImport loads testdata/layering as a module of
+// its own — a serving root, two served packages, an orphan and two
+// experiment packages — and expects exactly two findings: the served
+// package importing internal/experiments/x, and the internal/ package
+// the root does not reach.  x importing y is clean.
 func TestLayeringFiresOnSeedImport(t *testing.T) {
-	l, p := loadFixture(t, "layering_bad")
-	seeds := []string{"container/list"}
-	u := fixtureUnit(l, Config{EnginePkgs: []string{p.ImportPath}, SeedPkgs: seeds}, p)
-	file := filepath.Join(p.Dir, "layer.go")
+	l := testLoader(t)
+	mod := l.ModPath + "/internal/lint/testdata/layering"
+	var pkgs []*Package
+	for _, rel := range []string{"cmd/serve", "internal/served", "internal/leaky", "internal/orphan",
+		"internal/experiments/x", "internal/experiments/y"} {
+		p, err := l.loadBase(mod + "/" + rel)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", rel, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	u := fixtureUnit(l, Config{ServeRoot: mod + "/cmd/serve"}, pkgs...)
+	u.ModPath = mod
+	dir := filepath.Join("testdata", "layering", "internal")
 	want := []string{
-		fmt.Sprintf("layer.go:%d layering", lineMatching(t, file, `"container/list"`)),
+		fmt.Sprintf("leaky.go:%d layering", lineMatching(t, filepath.Join(dir, "leaky", "leaky.go"), `experiments/x"`)),
+		fmt.Sprintf("orphan.go:%d layering", lineMatching(t, filepath.Join(dir, "orphan", "orphan.go"), `^package orphan`)),
 	}
 	assertDiags(t, AnalyzerLayering().Run(u), want)
 
-	// The same import is nobody's business outside the engine packages.
-	u = fixtureUnit(l, Config{EnginePkgs: []string{"fixture/somewhere_else"}, SeedPkgs: seeds}, p)
+	// With no serving root the rule has nothing to measure against.
+	u.Config.ServeRoot = ""
 	assertDiags(t, AnalyzerLayering().Run(u), nil)
 }
 

@@ -21,9 +21,9 @@
 //     leases and morsel-boundary cancellation (PR 5).
 //   - hotpath: the per-morsel join hot structs stay flat arrays, never Go
 //     maps (PR 4).
-//   - layering: the engine packages never import the experiment-only
-//     seed packages, so the engine's import graph shows only what serves
-//     queries (PR 13).
+//   - layering: internal/ outside experiments/ and lint/ is exactly what
+//     cmd/eimdb-serve links — no served package imports an experiment
+//     package, and no package sits under internal/ unserved.
 //   - registrysync: the experiments registry, EXPERIMENTS.md, the root
 //     benchmarks, and the committed BENCH_BASELINE.json must agree
 //     (PR 1/PR 3).
@@ -83,11 +83,10 @@ type Config struct {
 	// EnergyPkg is the package defining Counters/Meter/FleetMeter; it
 	// alone may write counter fields through stored structures.
 	EnergyPkg string
-	// EnginePkgs are the packages that serve queries; they (tests
-	// included) must not import any of SeedPkgs, the seed-era model
-	// packages only an experiment or example wires up.
-	EnginePkgs []string
-	SeedPkgs   []string
+	// ServeRoot is the serving binary's import path: its import closure
+	// is the serving path, and internal/ outside experiments/ and lint/
+	// must be exactly that (layering).  Empty disables the rule.
+	ServeRoot string
 	// RegistryPkg is the experiments package whose register() calls are
 	// the source of truth for E-ids; empty disables registrysync.
 	RegistryPkg string
@@ -120,18 +119,8 @@ func DefaultConfig() Config {
 		HotStructs: map[string][]string{
 			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "floatSum", "morselScratch", "seqMerger"},
 		},
-		EnergyPkg: "repro/internal/energy",
-		EnginePkgs: []string{
-			"repro/internal/core", "repro/internal/exec", "repro/internal/opt",
-			"repro/internal/colstore", "repro/internal/sched", "repro/internal/server",
-			"repro/internal/txn", "repro/internal/wal", "repro/internal/sql",
-			"repro/internal/vec", "repro/internal/compress", "repro/internal/energy",
-		},
-		SeedPkgs: []string{
-			"repro/internal/hier", "repro/internal/xpu", "repro/internal/cluster",
-			"repro/internal/robust", "repro/internal/conversation", "repro/internal/numa",
-			"repro/internal/schema", "repro/internal/dist",
-		},
+		EnergyPkg:   "repro/internal/energy",
+		ServeRoot:   "repro/cmd/eimdb-serve",
 		RegistryPkg: "repro/internal/experiments",
 		RootPkg:     "repro",
 	}

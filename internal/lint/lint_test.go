@@ -40,9 +40,7 @@ func TestDefaultConfigPackagesExist(t *testing.T) {
 	var paths []string
 	paths = append(paths, u.Config.DetPkgs...)
 	paths = append(paths, u.Config.ExecPkgs...)
-	paths = append(paths, u.Config.EnginePkgs...)
-	paths = append(paths, u.Config.SeedPkgs...)
-	paths = append(paths, u.Config.EnergyPkg, u.Config.RegistryPkg, u.Config.RootPkg)
+	paths = append(paths, u.Config.EnergyPkg, u.Config.ServeRoot, u.Config.RegistryPkg, u.Config.RootPkg)
 	for _, path := range paths {
 		if u.Pkg(path) == nil {
 			t.Errorf("config names package %s but the module does not contain it", path)

@@ -1,8 +1,12 @@
-package numa
+package numa_test
+
+// Package numa lives in internal/experiments/numa, beside E16, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"testing"
 
+	. "repro/internal/experiments/numa"
 	"repro/internal/workload"
 )
 

@@ -56,14 +56,6 @@ func (c Cost) plus(o Cost) Cost {
 // EDP returns the energy-delay product of the cost.
 func (c Cost) EDP() float64 { return energy.EDP(c.Energy, c.Time) }
 
-// Power returns the implied average power draw.
-func (c Cost) Power() energy.Watts {
-	if c.Time <= 0 {
-		return 0
-	}
-	return energy.Watts(float64(c.Energy) / c.Time.Seconds())
-}
-
 // Better reports whether a beats b under the objective.
 func (o Objective) Better(a, b Cost) bool {
 	switch o {
@@ -152,31 +144,6 @@ func estimateJoinOutput(outRows float64, ncols int) energy.Counters {
 		CacheMisses:      uint64(outRows * float64(ncols) / 4),
 		Instructions:     uint64(outRows * float64(ncols) * 2),
 	}
-}
-
-// PickUnderPowerCap returns the index of the best alternative under a
-// power cap: the fastest plan whose average power fits the cap, or — if
-// none fits — the lowest-power plan.  This is the decision surface of the
-// paper's Figure 2: as the cap tightens, the optimizer abandons the
-// fastest plan for frugal ones.
-func PickUnderPowerCap(alts []Cost, cap energy.Watts) int {
-	best := -1
-	for i, a := range alts {
-		if a.Power() <= cap {
-			if best < 0 || a.Time < alts[best].Time {
-				best = i
-			}
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	for i, a := range alts {
-		if best < 0 || a.Power() < alts[best].Power() {
-			best = i
-		}
-	}
-	return best
 }
 
 // PickUnderEnergyBudget returns the fastest alternative whose energy does

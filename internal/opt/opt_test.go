@@ -12,7 +12,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/index"
-	"repro/internal/netsim"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -274,27 +273,6 @@ func TestAccessChoiceCrossover(t *testing.T) {
 	}
 }
 
-func TestPickUnderPowerCap(t *testing.T) {
-	// Three plans: fast+hungry, medium, slow+frugal.
-	alts := []Cost{
-		{Time: 10 * time.Millisecond, Energy: 2},   // 200 W
-		{Time: 50 * time.Millisecond, Energy: 2.5}, // 50 W
-		{Time: 400 * time.Millisecond, Energy: 4},  // 10 W
-	}
-	if got := PickUnderPowerCap(alts, 500); got != 0 {
-		t.Errorf("generous cap must pick the fastest, got %d", got)
-	}
-	if got := PickUnderPowerCap(alts, 100); got != 1 {
-		t.Errorf("100 W cap must pick the medium plan, got %d", got)
-	}
-	if got := PickUnderPowerCap(alts, 20); got != 2 {
-		t.Errorf("20 W cap must pick the frugal plan, got %d", got)
-	}
-	if got := PickUnderPowerCap(alts, 1); got != 2 {
-		t.Errorf("impossible cap must pick the lowest-power plan, got %d", got)
-	}
-}
-
 func TestPickUnderEnergyBudget(t *testing.T) {
 	alts := []Cost{
 		{Time: 10 * time.Millisecond, Energy: 5},
@@ -308,31 +286,6 @@ func TestPickUnderEnergyBudget(t *testing.T) {
 	}
 	if got := PickUnderEnergyBudget(alts, 0.1); got != 1 {
 		t.Errorf("impossible budget picks min energy, got %d", got)
-	}
-}
-
-func TestChooseCodecFlipsWithLinkSpeed(t *testing.T) {
-	// E3 shape: compressible data should ship compressed on slow links
-	// and (near-incompressible data) raw on fast links.
-	cm := NewCostModel(energy.DefaultModel())
-	runs := workload.RunsInts(5, 200000, 4, 100) // highly compressible
-	slow, _ := netsim.LinkByName("0.1Gbps")
-	fast, _ := netsim.LinkByName("40Gbps")
-
-	p := ChooseCodec(cm, runs, slow, MinTime)
-	if p.Codec.Name() == "none" {
-		t.Error("slow link with compressible data must compress")
-	}
-	wide := workload.UniformInts(6, 200000, 1<<62) // ~incompressible
-	p = ChooseCodec(cm, wide, fast, MinTime)
-	if p.Codec.Name() != "none" && p.Ratio < 0.95 {
-		t.Errorf("fast link with incompressible data picked %s at ratio %g", p.Codec.Name(), p.Ratio)
-	}
-	// The estimator should agree with the oracle on clear-cut cases.
-	est := ChooseCodec(cm, runs, slow, MinEnergy)
-	orc := OracleCodec(cm, runs, slow, MinEnergy)
-	if est.Codec.Name() != orc.Codec.Name() {
-		t.Errorf("estimator picked %s, oracle %s", est.Codec.Name(), orc.Codec.Name())
 	}
 }
 

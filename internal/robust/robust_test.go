@@ -1,10 +1,14 @@
-package robust
+package robust_test
+
+// Package robust lives in internal/experiments/robust, beside E8, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"testing"
 	"time"
 
 	"repro/internal/energy"
+	. "repro/internal/experiments/robust"
 )
 
 func testQuery(stages int) Query {

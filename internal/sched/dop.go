@@ -7,9 +7,8 @@ import (
 )
 
 // Energy-aware degree-of-parallelism selection ("elasticity in the
-// small", §IV, meeting morsel-driven execution): the same P-state cost
-// model that prices the scheduler's DVFS decisions prices a single
-// query's candidate worker counts.  More active cores finish the query
+// small", §IV, meeting morsel-driven execution): the energy model's
+// P-state costs price a single query's candidate worker counts.  More active cores finish the query
 // sooner — racing the platform's background power to idle — but burn
 // more active-core power and amortize less of the parallelization
 // overhead, so the energy-optimal DOP is finite and workload-dependent

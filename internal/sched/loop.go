@@ -1,3 +1,10 @@
+// Package sched is the serving scheduler, the "elasticity in the small"
+// of §IV: a virtual-time multi-query machine (Loop) that admits queries
+// into a bounded run queue, batches lookalikes into shared scans, and
+// divides a global core budget across the running queries with the
+// P-state degree-of-parallelism pricer (PriceDOP), so the energy-optimal
+// worker count is chosen per query, and re-chosen whenever a query
+// enters or leaves the machine.
 package sched
 
 import (

@@ -7,8 +7,7 @@ import (
 )
 
 // The multi-query scheduler's vocabulary: the tasks Loop is offered, its
-// configuration, and what it reports.  Where Simulate (E1/E5) prices
-// whole machines under fixed policies and PriceDOP prices one query's
+// configuration, and what it reports.  Where PriceDOP prices one query's
 // worker count, Loop arbitrates a shared global core budget across
 // *concurrent* queries — the regime where energy-proportional scheduling
 // actually pays off.

@@ -1,8 +1,13 @@
-package schema
+package schema_test
+
+// Package schema lives in internal/experiments/schema, beside E12, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"reflect"
 	"testing"
+
+	. "repro/internal/experiments/schema"
 )
 
 func TestDataFirstIngestion(t *testing.T) {

@@ -117,6 +117,10 @@ func TestServeOverlapsExecutions(t *testing.T) {
 		plant(t, s, gatedSQL, func(n exec.Node) exec.Node { gate = newGate(n); return gate })
 		first := post(s, context.Background(), "/v1/query", queryBody(gatedSQL))
 		<-gate.entered // dispatched at admission, and now inside Run
+		// The run starts while the handler still holds s.mu, before it
+		// arms its wake; /v1/stats takes s.mu, so once it answers the wake
+		// is armed and an Advance can no longer slip in ahead of it.
+		stats(t, s)
 
 		if releaseFirst {
 			close(gate.release)

@@ -1,3 +1,13 @@
+// Package txn is the engine's write path: table transactions over the
+// main/delta column store, with snapshot reads and first-committer-wins
+// write conflicts — the optimistic, latch-light concurrency design of the
+// paper's reference [18] (Hekaton-style).  A Manager owns the commit
+// clock and the REDO log; a TableTx buffers inserts and deletes against
+// colstore tables, validates first-committer-wins at commit, logs REDO
+// records, applies the rows with one commit timestamp (which is what the
+// tables' snapshot visibility reads), and rides the group-commit window
+// so flush and replication cost amortize over concurrent commits —
+// exactly the E9 group-commit economics, on the real write path.
 package txn
 
 import (
@@ -12,14 +22,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Table transactions: the MVCC design above, extended from the key-value
-// micro-store to the main/delta column store.  A Manager owns the commit
-// clock and the REDO log; a TableTx buffers inserts and deletes against
-// colstore tables, validates first-committer-wins at commit, logs REDO
-// records, applies the rows with one commit timestamp (which is what the
-// tables' snapshot visibility reads), and rides the group-commit window
-// so flush and replication cost amortize over concurrent commits —
-// exactly the E9 group-commit economics, now on the real write path.
+// ErrConflict is returned when a transaction loses a write-write race.
+var ErrConflict = fmt.Errorf("txn: write-write conflict, transaction aborted")
 
 // Manager owns the commit timestamp clock, the REDO log, and the
 // group-commit window for a set of tables.

@@ -1,9 +1,13 @@
-package xpu
+package xpu_test
+
+// Package xpu lives in internal/experiments/xpu, beside E15, the
+// experiment that owns it; its tests keep this import path.
 
 import (
 	"testing"
 
 	"repro/internal/energy"
+	. "repro/internal/experiments/xpu"
 )
 
 func TestSimpleScansStayOnCPU(t *testing.T) {
