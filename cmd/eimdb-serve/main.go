@@ -59,8 +59,27 @@ func (c realClock) Schedule(at time.Duration, wake func()) {
 	time.AfterFunc(d, wake)
 }
 
-// drainTimeout bounds how long a shutdown waits for in-flight requests.
-const drainTimeout = 30 * time.Second
+// Connection and shutdown timeouts.
+//
+//   - readHeaderTimeout bounds how long a client may take to send its
+//     request headers.
+//   - writeTimeout bounds one request from the end of its headers to the
+//     last byte of its response, so a client that stops reading cannot
+//     hold a connection and its handler forever.  It is generous: queueing
+//     and executing a statement take milliseconds, and the largest body
+//     the server renders (its 64 MiB response cap) reaches a client that
+//     reads at 1 MiB/s in about 64 s.
+//   - idleTimeout closes a keep-alive connection that has carried no
+//     request for that long.  A closed-loop client never idles that long,
+//     and one that does pays only a reconnect.
+//   - drainTimeout bounds how long a shutdown waits for in-flight
+//     requests; a response still writing when it expires is cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 30 * time.Second
+)
 
 // clientFlags collects repeated -client key=joules pairs.
 type clientFlags map[string]energy.Joules
@@ -123,7 +142,8 @@ func main() {
 		MergeDeltaRows: *mergeAt,
 	}, realClock{epoch: time.Now()})
 
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	served := make(chan error, 1)

@@ -103,3 +103,42 @@ func TestStringColumnKeySurface(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanCodesMatchGetEveryWidth checks the bulk code decode of dict
+// spans against per-row point reads: segments sealed as dictionaries of
+// 1- to 16-bit codes (every width a segment's row count allows), read
+// over random spans that start and end anywhere inside a packed word.
+func TestSpanCodesMatchGetEveryWidth(t *testing.T) {
+	rng := workload.NewRNG(27)
+	const n = SegSize
+	for width := 1; width <= 16; width++ {
+		card := 1 << width
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i%card)*3 - 7 // every code in use
+		}
+		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		s := &intSegment{raw: vals}
+		s.sealDict()
+		s.n, s.sealed, s.raw = n, true, nil
+		if s.enc != EncDict || s.packed.Width() != width {
+			t.Fatalf("width %d: sealed as enc %v width %d", width, s.enc, s.packed.Width())
+		}
+		for trial := 0; trial < 64; trial++ {
+			a := rng.Intn(n)
+			b := a + 1 + rng.Intn(min(n-a, 300))
+			if trial%8 == 0 {
+				b = a + 1 + rng.Intn(n-a)
+			}
+			sp := SegSpan{A: a, B: b, Enc: EncDict, seg: s, la: a}
+			out := make([]int64, b-a)
+			sp.Codes(out)
+			for i, code := range out {
+				if got, want := s.dictVals[code], s.getSealed(a+i); got != want {
+					t.Fatalf("width %d span [%d,%d) row %d: code %d decodes to %d, want %d",
+						width, a, b, a+i, code, got, want)
+				}
+			}
+		}
+	}
+}

@@ -119,9 +119,7 @@ func (sp SegSpan) Codes(out []int64) energy.Counters {
 	if len(out) != rows {
 		panic("colstore: code span length mismatch")
 	}
-	for i := 0; i < rows; i++ {
-		out[i] = int64(s.packed.Get(sp.la + i))
-	}
+	s.packed.Unpack(sp.la, sp.la+rows, out)
 	words := uint64(s.packed.WordCount()) * uint64(rows) / uint64(s.n)
 	return energy.Counters{
 		BytesReadDRAM: words*8 + 8,

@@ -44,10 +44,7 @@ type HashAgg struct {
 
 // Label implements Node.
 func (a *HashAgg) Label() string {
-	var parts []string
-	for _, g := range a.GroupBy {
-		parts = append(parts, g)
-	}
+	parts := slices.Clone(a.GroupBy)
 	for _, s := range a.Aggs {
 		parts = append(parts, s.String())
 	}
@@ -59,10 +56,59 @@ func (a *HashAgg) Kids() []Node { return []Node{a.Child} }
 
 // aggShape is what a feeder resolved about an aggregation's columns: the
 // type of every GROUP BY column and of every aggregate's value input
-// (left BIGINT for COUNT, which reads none).
+// (left BIGINT for COUNT, which reads none), and so every aggregate's
+// accumulator (setKinds).
 type aggShape struct {
 	groupTypes []colstore.Type
 	valTypes   []colstore.Type
+	kinds      []accKind // per aggregate
+	col        []int     // per aggregate: its column in ints or fsums (none for COUNT)
+	// A new group's accumulator rows, one entry per int64 or floatSum
+	// accumulator: ints0 holds each int64's start (0 for a sum, MaxInt64
+	// for MIN, MinInt64 for MAX), fsums0 empty floatSums.  Either is empty
+	// when no aggregate keeps an accumulator of its type.
+	ints0  []int64
+	fsums0 []floatSum
+}
+
+// accKind is the one accumulator an aggregate folds into, fixed by its
+// function and its input's type.
+type accKind uint8
+
+const (
+	accCount accKind = iota // COUNT: the group's count is the answer
+	accISum                 // BIGINT SUM/AVG: a ring sum in ints
+	accFSum                 // DOUBLE SUM/AVG: a floatSum in fsums
+	accMin                  // MIN: the least key in ints, a DOUBLE's its minMaxKey
+	accMax                  // MAX: the greatest key in ints
+)
+
+// setKinds derives every aggregate's accumulator from its function and
+// the resolved value types, gives it its column, and lays out the
+// accumulator rows a group starts with.
+func (s *aggShape) setKinds(aggs []expr.AggSpec) {
+	s.kinds, s.col = make([]accKind, len(aggs)), make([]int, len(aggs))
+	for i, spec := range aggs {
+		k := [...]accKind{expr.AggSum: accISum, expr.AggAvg: accISum, expr.AggMin: accMin, expr.AggMax: accMax}[spec.Func]
+		if k == accISum && s.valTypes[i] == colstore.Float64 {
+			k = accFSum
+		}
+		switch s.kinds[i] = k; k {
+		case accFSum:
+			s.col[i], s.fsums0 = len(s.fsums0), append(s.fsums0, floatSum{})
+		case accISum, accMin, accMax:
+			s.col[i], s.ints0 = len(s.ints0), append(s.ints0, [...]int64{accMin: math.MaxInt64, accMax: math.MinInt64}[k])
+		}
+	}
+}
+
+// acc is aggregate ai's accumulator for group g: its index in ints, or
+// in fsums for a DOUBLE sum.
+func (s *aggShape) acc(g, ai int) int {
+	if s.kinds[ai] == accFSum {
+		return g*len(s.fsums0) + s.col[ai]
+	}
+	return g*len(s.ints0) + s.col[ai]
 }
 
 // tablePool recycles group tables: a partial goes back once merged and
@@ -77,15 +123,12 @@ func (s *aggShape) newTable(dicts [][]string) *groupTable {
 	t := tablePool.Get().(*groupTable)
 	*t = groupTable{
 		k:         len(s.groupTypes),
-		nAggs:     len(s.valTypes),
-		floats:    slices.Contains(s.valTypes, colstore.Float64),
+		sh:        s,
 		slotKey:   t.slotKey,
 		slotGroup: t.slotGroup,
 		keys:      t.keys[:0],
 		counts:    t.counts[:0],
-		isums:     t.isums[:0],
-		imins:     t.imins[:0],
-		imaxs:     t.imaxs[:0],
+		ints:      t.ints[:0],
 		fsums:     t.fsums[:0],
 		dicts:     sized(t.dicts, len(s.groupTypes)),
 		first:     t.first[:0],
@@ -106,25 +149,33 @@ func (t *groupTable) release() { tablePool.Put(t) }
 // dicts[part].  It is an open-addressing table with flat group-major
 // arrays — no Go map, no string keys, no per-group heap object.
 // slotGroup stores group index + 1 so a freshly made table is all-empty
-// without a fill pass.  Every accumulator is order-free, so any morsel
-// decomposition, merge order, worker count or shard layout gives the same
-// bits: a BIGINT sum is ring arithmetic in int64 (the run-at-a-time closed
-// form included), a DOUBLE sum a floatSum, and MIN/MAX keep int64 keys —
-// a BIGINT as is, a DOUBLE as its minMaxKey.
+// without a fill pass.
+//
+// Each aggregate keeps only the state its function needs (accKind): a
+// COUNT none beyond the group count, a BIGINT SUM/AVG, a MIN or a MAX one
+// int64 column of ints, a DOUBLE SUM/AVG one floatSum column of fsums.
+// An array no aggregate needs stays empty and is never grown, merged or
+// permuted (slot, mergeFrom, sortByFirst).  Rows arrive resolved: a
+// feeder turns a morsel's rows into group ids, then fold counts them in
+// one loop and folds each aggregate in one loop of its kind.
+//
+// Every accumulator is order-free, so any morsel decomposition, merge
+// order, worker count or shard layout gives the same bits: a BIGINT sum is
+// ring arithmetic in int64 (the run-at-a-time closed form included), a
+// DOUBLE sum a floatSum, and MIN/MAX keep int64 keys — a BIGINT as is, a
+// DOUBLE as its minMaxKey.
 //
 //lint:hotpath
 type groupTable struct {
-	k, nAggs  int
-	floats    bool // some aggregate reads DOUBLE values: fsums is kept
+	k         int
+	sh        *aggShape // the accumulator kinds and columns, a new group's rows
 	mask      uint64
-	slotKey   []int64 // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
-	slotGroup []int32 // group index + 1; 0 = empty
-	keys      []int64 // group-major [group*k + part], groups in first-seen order
-	counts    []int64 // per group
-	isums     []int64 // group-major [group*nAggs + agg]
-	imins     []int64 // MaxInt64 until a value arrives
-	imaxs     []int64 // MinInt64 until a value arrives
-	fsums     []floatSum
+	slotKey   []int64    // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
+	slotGroup []int32    // group index + 1; 0 = empty
+	keys      []int64    // group-major [group*k + part], groups in first-seen order
+	counts    []int64    // per group
+	ints      []int64    // group-major, len(sh.ints0) per group (sh.acc)
+	fsums     []floatSum // group-major, len(sh.fsums0) per group
 	// dicts[part] decodes a string part's ids: the dictionary of the
 	// column its codes came from, or one of the table's own (ownDict).
 	// nil for a BIGINT or DOUBLE part.
@@ -196,13 +247,8 @@ func (t *groupTable) slot(k0 int64, rest []int64) int32 {
 		t.keys = append(append(t.keys, k0), rest...)
 	}
 	t.counts = append(t.counts, 0)
-	t.isums = append(t.isums, make([]int64, t.nAggs)...)
-	for range t.nAggs {
-		t.imins, t.imaxs = append(t.imins, math.MaxInt64), append(t.imaxs, math.MinInt64)
-	}
-	if t.floats {
-		t.fsums = append(t.fsums, make([]floatSum, t.nAggs)...)
-	}
+	t.ints = append(t.ints, t.sh.ints0...)
+	t.fsums = append(t.fsums, t.sh.fsums0...)
 	if t.firstOn {
 		t.first = append(t.first, -1)
 	}
@@ -240,43 +286,98 @@ func (t *groupTable) noteFirst(g int32, i int) {
 	}
 }
 
-// addN folds n occurrences of BIGINT value v into aggregate ai of group g
-// — the run-at-a-time closed form (sum += n*v; min/max see v once) and,
-// with n=1, the row-at-a-time case.  Sums wrap modulo 2^64 and are not
-// trapped; because +, * and the merge's + are all operations of that one
-// ring, an overflowing SUM is the same wrapped value on every path —
-// row-at-a-time, n*v, partial merge, probe fold — at every DOP and shard
-// count (TestIntSumOverflowWrapsIdentically).
-func (t *groupTable) addN(g int32, ai int, v, n int64) {
-	t.isums[int(g)*t.nAggs+ai] += v * n
-	t.addMinMax(g, ai, v)
+// foldIn is one aggregate's input to a fold: the value of the fold's j-th
+// row is ints[at[j]] (BIGINT) or floats[at[j]] (DOUBLE).  Neither is set
+// for a COUNT, or for an input its feeder folds in closed form (addN).
+type foldIn struct {
+	ints   []int64
+	floats []float64
+	at     []int32
 }
 
-// addF folds one DOUBLE value into aggregate ai of group g: its sum into
-// the floatSum, its minMaxKey into the int64 min/max.
-func (t *groupTable) addF(g int32, ai int, v float64) {
-	t.fsums[int(g)*t.nAggs+ai].add(v)
-	t.addMinMax(g, ai, minMaxKey(v))
-}
-
-// addFloats folds xs[r] for every r in rows into aggregate ai of group g
-// — addF over a selection, with the sum and the min/max keys held in
-// locals across the loop.
-func (t *groupTable) addFloats(g int32, ai int, xs []float64, rows []int32) {
-	o := int(g)*t.nAggs + ai
-	s, lo, hi := t.fsums[o], t.imins[o], t.imaxs[o]
-	for _, r := range rows {
-		s.add(xs[r])
-		k := minMaxKey(xs[r])
-		lo, hi = min(lo, k), max(hi, k)
+// resolve writes the group of each of rows into gids, inserting groups in
+// row order and noting their first appearances: row r's key part p is
+// parts[p][r].  The global group (k = 0) is group 0 of every row, which
+// gids already hold: callers size it zeroed (sized).
+func (t *groupTable) resolve(parts [][]int64, rows, gids []int32) {
+	if t.k == 0 && len(rows) > 0 {
+		t.slot(0, nil)
+		return
 	}
-	t.fsums[o], t.imins[o], t.imaxs[o] = s, lo, hi
+	t.key = sized(t.key, t.k) // mergeFrom's buffer, free while a partial folds
+	for j, r := range rows {
+		for p, part := range parts {
+			t.key[p] = part[r]
+		}
+		gids[j] = t.slot(splitKey(t.key))
+		t.noteFirst(gids[j], int(r))
+	}
 }
 
-// addMinMax folds one min/max key into aggregate ai of group g.
-func (t *groupTable) addMinMax(g int32, ai int, k int64) {
-	o := int(g)*t.nAggs + ai
-	t.imins[o], t.imaxs[o] = min(t.imins[o], k), max(t.imaxs[o], k)
+// fold folds one morsel's resolved rows into the table — the one fold.
+// gids[j] is the group of the fold's j-th row and ins[ai] aggregate ai's
+// input.  The counts come first, in one loop; then each aggregate folds in
+// one loop of its kind (foldAgg), touching only its own accumulator.
+func (t *groupTable) fold(gids []int32, ins []foldIn) {
+	for _, g := range gids {
+		t.counts[g]++
+	}
+	for ai, in := range ins {
+		t.foldAgg(ai, gids, in)
+	}
+}
+
+// foldAgg is fold's loop for aggregate ai: the values of in's first
+// len(gids) rows into the groups gids names.
+func (t *groupTable) foldAgg(ai int, gids []int32, in foldIn) {
+	if in.ints == nil && in.floats == nil {
+		return
+	}
+	at, kind, c := in.at[:len(gids)], t.sh.kinds[ai], t.sh.col[ai]
+	switch w := len(t.sh.ints0); {
+	case kind == accISum:
+		for j, g := range gids {
+			t.ints[int(g)*w+c] += in.ints[at[j]]
+		}
+	case kind == accFSum:
+		w = len(t.sh.fsums0)
+		for j, g := range gids {
+			t.fsums[int(g)*w+c].add(in.floats[at[j]])
+		}
+	case in.floats != nil: // a DOUBLE MIN/MAX, by its minMaxKey
+		for j, g := range gids {
+			t.minMax(kind, int(g)*w+c, minMaxKey(in.floats[at[j]]))
+		}
+	default:
+		for j, g := range gids {
+			t.minMax(kind, int(g)*w+c, in.ints[at[j]])
+		}
+	}
+}
+
+// minMax folds key v into ints[o], a MIN's or a MAX's accumulator.
+func (t *groupTable) minMax(kind accKind, o int, v int64) {
+	if kind == accMin {
+		t.ints[o] = min(t.ints[o], v)
+	} else {
+		t.ints[o] = max(t.ints[o], v)
+	}
+}
+
+// addN folds n occurrences of int64 value v into aggregate ai of group g
+// — the run-at-a-time closed form: a sum adds n*v, MIN and MAX see v
+// once.  Sums wrap modulo 2^64 and are not trapped; because +, * and the
+// merge's + are all operations of that one ring, an overflowing SUM is the
+// same wrapped value on every path — row-at-a-time, n*v, partial merge,
+// probe fold — at every DOP and shard count
+// (TestIntSumOverflowWrapsIdentically).
+func (t *groupTable) addN(g int32, ai int, v, n int64) {
+	switch o, kind := t.sh.acc(int(g), ai), t.sh.kinds[ai]; kind {
+	case accISum:
+		t.ints[o] += v * n
+	case accMin, accMax:
+		t.minMax(kind, o, v)
+	}
 }
 
 // internID returns s's id in *dict, appending it on first sight; ids is
@@ -337,19 +438,16 @@ func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
 			}
 		}
 		g := t.slot(splitKey(key))
-		if t.firstOn {
-			if sf := src.first[gi]; sf >= 0 && (t.first[g] < 0 || sf < t.first[g]) {
-				t.first[g] = sf
-			}
+		if t.firstOn && src.first[gi] >= 0 && (t.first[g] < 0 || src.first[gi] < t.first[g]) {
+			t.first[g] = src.first[gi]
 		}
 		t.counts[g] += src.counts[gi]
-		for a := 0; a < t.nAggs; a++ {
-			so, do := gi*t.nAggs+a, int(g)*t.nAggs+a
-			t.isums[do] += src.isums[so]
-			if t.floats {
-				t.fsums[do].merge(src.fsums[so])
+		for a, kind := range t.sh.kinds {
+			if so := t.sh.acc(gi, a); kind == accFSum {
+				t.fsums[t.sh.acc(int(g), a)].merge(src.fsums[so])
+			} else if kind != accCount {
+				t.addN(g, a, src.ints[so], 1)
 			}
-			t.imins[do], t.imaxs[do] = min(t.imins[do], src.imins[so]), max(t.imaxs[do], src.imaxs[so])
 		}
 	}
 }
@@ -378,10 +476,8 @@ func (t *groupTable) sortByFirst() {
 	t.first = permuted(t.first, perm, 1)
 	t.keys = permuted(t.keys, perm, t.k)
 	t.counts = permuted(t.counts, perm, 1)
-	t.isums = permuted(t.isums, perm, t.nAggs)
-	t.imins = permuted(t.imins, perm, t.nAggs)
-	t.imaxs = permuted(t.imaxs, perm, t.nAggs)
-	t.fsums = permuted(t.fsums, perm, t.nAggs)
+	t.ints = permuted(t.ints, perm, len(t.sh.ints0))
+	t.fsums = permuted(t.fsums, perm, len(t.sh.fsums0))
 	t.reindex(t.mask + 1)
 }
 
@@ -519,17 +615,12 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 	for p, name := range a.GroupBy {
 		oc := Col{Name: name, Type: shape.groupTypes[p]}
 		switch oc.Type {
-		case colstore.Int64:
-			oc.I = make([]int64, n)
-			for g := range oc.I {
-				oc.I[g] = t.keys[g*t.k+p]
-			}
 		case colstore.Float64:
 			oc.F = make([]float64, n)
 			for g := range oc.F {
 				oc.F[g] = math.Float64frombits(uint64(t.keys[g*t.k+p]))
 			}
-		default: // codes into the table's dictionary for the part
+		default: // a BIGINT as is; a string as codes into the part's dictionary (nil for a BIGINT)
 			oc.I, oc.Dict = make([]int64, n), t.dicts[p]
 			for g := range oc.I {
 				oc.I[g] = t.keys[g*t.k+p]
@@ -548,28 +639,21 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 		} else {
 			oc.F = make([]float64, n)
 		}
-		ints := t.isums
-		switch s.Func {
-		case expr.AggMin:
-			ints = t.imins
-		case expr.AggMax:
-			ints = t.imaxs
-		}
 		for g := 0; g < n; g++ {
-			o := g*t.nAggs + ai
+			o := shape.acc(g, ai)
 			switch {
 			case s.Func == expr.AggCount:
 				oc.I[g] = t.counts[g]
 			case s.Func == expr.AggAvg && intIn:
-				oc.F[g] = float64(ints[o]) / float64(t.counts[g])
+				oc.F[g] = float64(t.ints[o]) / float64(t.counts[g])
 			case s.Func == expr.AggAvg:
 				oc.F[g] = t.fsums[o].value() / float64(t.counts[g])
 			case intIn:
-				oc.I[g] = ints[o]
+				oc.I[g] = t.ints[o]
 			case s.Func == expr.AggSum:
 				oc.F[g] = t.fsums[o].value()
 			default: // a DOUBLE MIN/MAX key, decoded once per output group
-				k := ints[o]
+				k := t.ints[o]
 				oc.F[g] = math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
 			}
 		}
@@ -597,16 +681,19 @@ func aggOutName(s expr.AggSpec) string {
 // relFeed feeds row windows of the child's materialized relation: the
 // feeder of every child that is not a fusable scan or join (see feeder).
 type relFeed struct {
-	a                  *HashAgg
-	in                 *Relation
-	groupCols, aggCols []*Col // aggCols[i] is nil when aggregate i reads no values (COUNT)
+	a     *HashAgg
+	in    *Relation
+	parts [][]int64  // per GROUP BY column, every row's key part
+	dicts [][]string // per GROUP BY column, a string part's dictionary
+	ins   []foldIn   // per aggregate, its input column; none for COUNT
 	aggShape
 }
 
 // relFeed resolves the group-by and aggregate input columns against the
-// child relation.
+// child relation.  A key part is a BIGINT column or a string column's
+// codes as they are, a DOUBLE column's floatKeys.
 func (a *HashAgg) relFeed(in *Relation) (*relFeed, error) {
-	rf := &relFeed{a: a, in: in, groupCols: make([]*Col, len(a.GroupBy)), aggCols: make([]*Col, len(a.Aggs))}
+	rf := &relFeed{a: a, in: in, ins: make([]foldIn, len(a.Aggs))}
 	rf.groupTypes = make([]colstore.Type, len(a.GroupBy))
 	rf.valTypes = make([]colstore.Type, len(a.Aggs))
 	for i, g := range a.GroupBy {
@@ -614,7 +701,14 @@ func (a *HashAgg) relFeed(in *Relation) (*relFeed, error) {
 		if err != nil {
 			return nil, err
 		}
-		rf.groupCols[i], rf.groupTypes[i] = c, c.Type
+		part := c.I
+		if c.Type == colstore.Float64 {
+			part = make([]int64, in.N)
+			for r, f := range c.F {
+				part[r] = floatKey(f)
+			}
+		}
+		rf.parts, rf.dicts, rf.groupTypes[i] = append(rf.parts, part), append(rf.dicts, c.Dict), c.Type
 	}
 	for i, s := range a.Aggs {
 		if s.Func == expr.AggCount && s.Col == "" {
@@ -630,8 +724,9 @@ func (a *HashAgg) relFeed(in *Relation) (*relFeed, error) {
 		if s.Func == expr.AggCount {
 			continue // COUNT(col): existence-checked only, no values read
 		}
-		rf.aggCols[i], rf.valTypes[i] = c, c.Type
+		rf.ins[i], rf.valTypes[i] = foldIn{ints: c.I, floats: c.F}, c.Type
 	}
+	rf.setKinds(a.Aggs)
 	return rf, nil
 }
 
@@ -651,47 +746,22 @@ func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
 	return nil
 }
 
-// morsel folds rows [lo, hi) of the relation into a partial table.  The
-// key parts resolve to int64 windows once per morsel — a BIGINT column or
-// a string column's codes is its own slice, a DOUBLE its bits — so the
-// row loop runs over plain slices.  The global group (no GROUP BY)
-// resolves its one slot before the loop, which then only accumulates.
+// morsel folds rows [lo, hi) of the relation into a partial table: every
+// row resolves to its group id, then the one fold.
 func (rf *relFeed) morsel(lo, hi int) (*groupTable, energy.Counters) {
-	t := rf.newTable(nil)
-	parts := make([][]int64, t.k)
-	for p, c := range rf.groupCols {
-		if c.Type != colstore.Float64 {
-			parts[p], t.dicts[p] = c.I[lo:hi], c.Dict
-			continue
-		}
-		parts[p] = make([]int64, hi-lo)
-		for i, f := range c.F[lo:hi] {
-			parts[p][i] = floatKey(f)
-		}
+	sc := scratchPool.Get().(*morselScratch)
+	defer scratchPool.Put(sc)
+	t := rf.newTable(rf.dicts)
+	sc.rows, sc.gids = sc.rows[:0], sized(sc.gids, hi-lo)
+	for r := lo; r < hi; r++ {
+		sc.rows = append(sc.rows, int32(r))
 	}
-	key := make([]int64, t.k)
-	var g int32
-	if t.k == 0 && hi > lo {
-		g = t.slot(0, nil)
+	t.resolve(rf.parts, sc.rows, sc.gids)
+	sc.ins = append(sc.ins[:0], rf.ins...)
+	for ai := range sc.ins {
+		sc.ins[ai].at = sc.rows
 	}
-	for i := 0; i < hi-lo; i++ {
-		if t.k > 0 {
-			for p := range key {
-				key[p] = parts[p][i]
-			}
-			g = t.slot(splitKey(key))
-		}
-		t.counts[g]++
-		for ai, c := range rf.aggCols {
-			switch {
-			case c == nil:
-			case c.Type == colstore.Int64:
-				t.addN(g, ai, c.I[lo+i], 1)
-			default:
-				t.addF(g, ai, c.F[lo+i])
-			}
-		}
-	}
+	t.fold(sc.gids, sc.ins)
 	return t, rf.a.rangeWork(lo, hi, t.groups())
 }
 

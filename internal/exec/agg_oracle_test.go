@@ -267,17 +267,37 @@ func floatLess(x, y float64) bool {
 	return x < y
 }
 
+// oracleCols resolves a's group and value columns against in, once the
+// relation feeder has accepted the same aggregation: aggCols[i] is nil
+// when aggregate i reads no values (COUNT).
+func oracleCols(a *HashAgg, in *Relation) (groupCols, aggCols []*Col, err error) {
+	if _, err := a.relFeed(in); err != nil {
+		return nil, nil, err
+	}
+	for _, g := range a.GroupBy {
+		c, _ := in.Col(g)
+		groupCols = append(groupCols, c)
+	}
+	for _, s := range a.Aggs {
+		var c *Col
+		if s.Func != expr.AggCount {
+			c, _ = in.Col(s.Col)
+		}
+		aggCols = append(aggCols, c)
+	}
+	return groupCols, aggCols, nil
+}
+
 // Run implements Node.
 func (a *mapAgg) Run(ctx *Ctx) (*Relation, error) {
 	in, err := a.Child.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rf, err := (&HashAgg{GroupBy: a.GroupBy, Aggs: a.Aggs}).relFeed(in)
+	groupCols, aggCols, err := oracleCols(&HashAgg{GroupBy: a.GroupBy, Aggs: a.Aggs}, in)
 	if err != nil {
 		return nil, err
 	}
-	groupCols, aggCols := rf.groupCols, rf.aggCols
 	if in.N >= mapAggParallelRows {
 		return a.runParallel(ctx, in, groupCols, aggCols)
 	}

@@ -29,9 +29,12 @@ import (
 //	             — the PR 4 join-code trick extended to aggregation.
 //	other spans  (raw, bitpack, delta — including the unsealed delta
 //	             tail, which surfaces as an EncRaw span) bulk-decode the
-//	             span once and fold row-at-a-time inside the same morsel,
-//	             so a fused scan stays a pure function of (snapshot,
-//	             predicates) across the main/delta boundary.
+//	             span once inside the same morsel, so a fused scan stays a
+//	             pure function of (snapshot, predicates) across the
+//	             main/delta boundary.
+//
+// Every selected row resolves to its group id first; the morsel's ids
+// then fold column at a time (groupTable.fold).
 //
 // Fusion is structural: HashAgg.Run and Join.Run fuse exactly
 // when their child is a full-scan *Scan of an eligible shape and consume
@@ -137,6 +140,7 @@ func (a *HashAgg) shardFeed() *shardFeed {
 			sf.valTypes[i] = b.tmpl[aggIdx[i]].Type
 		}
 	}
+	sf.setKinds(a.Aggs)
 	for _, sb := range b.Shards {
 		fs := shardFeedCols{
 			sb:     sb,
@@ -198,17 +202,15 @@ func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTa
 	selCnt := len(sc.rows)
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	t := sf.newTable(fs.dicts)
-	if sf.trackFirst {
-		t.firstOn = true
-		t.base = int64(lo)
-	}
+	t.firstOn, t.base = sf.trackFirst, int64(lo)
 	if selCnt > 0 {
 		f := shardFold{fs: fs, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
+		sc.gids = sized(sc.gids, selCnt)
 		switch {
-		case len(fs.groups) == 0:
-			f.global()
 		case len(fs.groups) > 1 || !f.dense:
 			f.tuples()
+		case len(fs.groups) == 0:
+			f.global()
 		default:
 			f.sweep()
 		}
@@ -234,9 +236,11 @@ func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTa
 // len(groups)+i.  dense streams whole windows; otherwise — under 1/8 of
 // the window selected — only the selected rows are point-read.  A fixed
 // density rule, and like the rest of the fused pricing a pure function of
-// (snapshot, predicates, grid).  The fold is one of three sweeps: the
-// global group; a k-wide key or a sparse window, read column by column;
-// or one key column's dense window, span-wise.
+// (snapshot, predicates, grid).  The fold is one of three sweeps: a
+// k-wide key or a sparse window (the global group's included), read
+// column by column; the global group's dense window; or one key column's
+// dense window, span-wise.  The first and the last resolve every
+// selected row to its group id and then fold once.
 type shardFold struct {
 	fs     *shardFeedCols
 	t      *groupTable
@@ -267,105 +271,77 @@ func (f *shardFold) floats(c *colstore.FloatColumn) []float64 {
 	return c.Values()[f.lo:f.hi]
 }
 
-// bindValues reads every aggregate input the fold takes row by row into
-// the scratch views, except a BIGINT input that is skip.
+// bindValues reads every aggregate input into the fold's inputs over the
+// selected rows, except a BIGINT input that is skip.
 func (f *shardFold) bindValues(skip *colstore.IntColumn) {
 	sc, k := f.sc, len(f.fs.groups)
-	sc.aggWin, sc.aggF = sc.aggWin[:0], sc.aggF[:0]
+	sc.ins = sized(sc.ins, len(f.fs.vals))
 	for ai, c := range f.fs.vals {
-		var win []int64
-		var vals []float64
+		in := &sc.ins[ai]
 		switch c := c.(type) {
 		case *colstore.FloatColumn:
-			vals = f.floats(c)
+			in.floats = f.floats(c)
 		case *colstore.IntColumn:
 			if c != skip {
-				win = f.read(k+ai, c)
+				in.ints = f.read(k+ai, c)
 			}
 		}
-		sc.aggWin, sc.aggF = append(sc.aggWin, win), append(sc.aggF, vals)
+		in.at = sc.rows
 	}
 }
 
-// add folds window row r into group g.
-func (f *shardFold) add(g int32, r int32) {
-	f.t.counts[g]++
-	for ai, win := range f.sc.aggWin {
-		if win != nil {
-			f.t.addN(g, ai, win[r], 1)
-		} else if vals := f.sc.aggF[ai]; vals != nil {
-			f.t.addF(g, ai, vals[r])
-		}
-	}
-}
-
-// global folds the window into the one global group.  The count touches
-// no column; a DOUBLE input folds over the selection in one bulk add; a
-// BIGINT one is point-read when sparse, else swept span-wise —
-// run-at-a-time over RLE runs, decoded once otherwise.
+// global folds a dense window into the one global group.  The count
+// touches no column; every input folds over the selection with all group
+// ids 0 — a BIGINT one span-wise: run-at-a-time over RLE runs, decoded
+// once otherwise.
 func (f *shardFold) global() {
-	t, rows, lo := f.t, f.sc.rows, f.lo
-	g := t.slot(0, nil)
-	t.counts[g] += int64(len(rows))
+	t, sc, rows, lo := f.t, f.sc, f.sc.rows, f.lo
+	t.slot(0, nil)
+	t.counts[0] += int64(len(rows))
 	for ai, c := range f.fs.vals {
-		ic, isInt := c.(*colstore.IntColumn)
-		switch {
-		case c == nil:
-		case !isInt:
-			t.addFloats(g, ai, f.floats(c.(*colstore.FloatColumn)), rows)
-		case !f.dense:
-			win := f.read(ai, ic)
-			for _, r := range rows {
-				t.addN(g, ai, win[r], 1)
-			}
-		default:
-			win := f.sc.win(ai, f.hi-lo)
-			f.sc.spans = ic.AppendSpans(f.sc.spans[:0], lo, f.hi)
-			for _, sp := range f.sc.spans {
+		switch c := c.(type) {
+		case *colstore.FloatColumn:
+			t.foldAgg(ai, sc.gids, foldIn{floats: f.floats(c), at: rows})
+		case *colstore.IntColumn:
+			win := sc.win(ai, f.hi-lo)
+			sc.spans = c.AppendSpans(sc.spans[:0], lo, f.hi)
+			for _, sp := range sc.spans {
 				if sp.Enc == colstore.EncRLE {
 					f.w.Add(sp.Runs(func(v int64, ra, rb int) {
 						if c := f.sel.CountRange(ra-lo, rb-lo); c > 0 {
-							t.addN(g, ai, v, int64(c))
+							t.addN(0, ai, v, int64(c))
 						}
 					}))
 					continue
 				}
 				la, lb := sp.A-lo, sp.B-lo
 				f.w.Add(sp.Decode(win[la:lb]))
-				for _, r := range rowsIn(rows, la, lb) {
-					t.addN(g, ai, win[r], 1)
-				}
+				at := rowsIn(rows, la, lb)
+				t.foldAgg(ai, sc.gids[:len(at)], foldIn{ints: win, at: at})
 			}
 		}
 	}
 }
 
-// tuples folds the selected rows on their k-wide keys, every key part
-// read like a value input: the fold of a sparse window, and of a dense
-// one keyed by several columns, which have no one layout to sweep.
+// tuples resolves the selected rows' groups on their k-wide keys, every
+// key part read like a value input: the fold of a sparse window, and of a
+// dense one keyed by several columns, which have no one layout to sweep.
+// With no key (k = 0) every row is the global group's.
 func (f *shardFold) tuples() {
 	t, sc, k := f.t, f.sc, len(f.fs.groups)
 	for p, c := range f.fs.groups {
 		f.read(p, c)
 	}
 	f.bindValues(nil)
-	t.key = sized(t.key, k-1) // a partial's merge buffer, free while it folds
-	parts, rest := sc.wins[:k], t.key
-	for _, r := range sc.rows {
-		for p, win := range parts[1:] {
-			rest[p] = win[r]
-		}
-		g := t.slot(parts[0][r], rest)
-		t.noteFirst(g, int(r))
-		f.add(g, r)
-	}
+	t.resolve(sc.wins[:k], sc.rows, sc.gids)
+	t.fold(sc.gids, sc.ins)
 }
 
-// sweep folds a dense window on its one key column, span-wise in the
-// column's physical layout: RLE spans run-at-a-time, dictionary spans in
-// the code domain through a code→group memo (one table insert per
-// distinct code per span, an array load per row), anything else — raw
-// (incl. the delta tail), bitpack, delta — decoded once.
+// sweep resolves a dense window's groups on its one key column, span-wise
+// in the column's physical layout: RLE spans run-at-a-time, dictionary
+// spans in the code domain through a code→group memo (one table insert
+// per distinct code per span, an array load per row), anything else —
+// raw (incl. the delta tail), bitpack, delta — decoded once.
 func (f *shardFold) sweep() {
 	t, sc, lo := f.t, f.sc, f.lo
 	gcol := f.fs.groups[0]
@@ -379,23 +355,25 @@ func (f *shardFold) sweep() {
 		}
 	}
 	f.bindValues(skip)
-	keys := sc.win(0, f.hi-lo)
+	keys, gids := sc.win(0, f.hi-lo), sc.gids
 	for _, sp := range sc.spans {
 		la, lb := sp.A-lo, sp.B-lo
 		rows := rowsIn(sc.rows, la, lb)
+		out := gids[:len(rows)]
+		gids = gids[len(rows):]
 		switch sp.Enc {
 		case colstore.EncRLE:
 			f.w.Add(sp.Runs(func(v int64, ra, rb int) {
 				n := f.sel.CountRange(ra-lo, rb-lo)
-				f.run(v, rows[:n])
-				rows = rows[n:]
+				f.run(v, rows[:n], out[:n])
+				rows, out = rows[n:], out[n:]
 			}))
 		case colstore.EncDict:
 			dict := sp.DictVals()
 			f.w.Add(sp.Codes(keys[la:lb]))
 			sc.slots = sized(sc.slots, len(dict))
 			memo := sc.slots
-			for _, r := range rows {
+			for j, r := range rows {
 				code := keys[r]
 				g := memo[code] - 1
 				if g < 0 {
@@ -403,33 +381,30 @@ func (f *shardFold) sweep() {
 					memo[code] = g + 1
 					t.noteFirst(g, int(r))
 				}
-				f.add(g, r)
+				out[j] = g
 			}
 		default:
 			f.w.Add(sp.Decode(keys[la:lb]))
-			for _, r := range rows {
-				g := t.slot(keys[r], nil)
-				t.noteFirst(g, int(r))
-				f.add(g, r)
-			}
+			t.resolve([][]int64{keys}, rows, out)
 		}
 	}
+	t.fold(sc.gids, sc.ins)
 }
 
-// run folds the selected rows of one RLE run of key v into one slot; an
-// aggregate of the key column itself whose window was never read folds in
-// closed form.
-func (f *shardFold) run(v int64, rows []int32) {
+// run resolves the selected rows of one RLE run of key v to one group,
+// writing it into gids; an aggregate of the key column itself whose
+// window was never read folds in closed form.
+func (f *shardFold) run(v int64, rows, gids []int32) {
 	if len(rows) == 0 {
 		return
 	}
 	g := f.t.slot(v, nil)
 	f.t.noteFirst(g, int(rows[0]))
-	for _, r := range rows {
-		f.add(g, r)
+	for j := range gids {
+		gids[j] = g
 	}
 	for ai, c := range f.fs.vals {
-		if c == colstore.Column(f.fs.groups[0]) && f.sc.aggWin[ai] == nil {
+		if c == colstore.Column(f.fs.groups[0]) && f.sc.ins[ai].ints == nil {
 			f.t.addN(g, ai, v, int64(len(rows)))
 		}
 	}
@@ -729,7 +704,7 @@ func (a *HashAgg) probeFeed() *probeFeed {
 		pf.groupTypes = []colstore.Type{schema.Cols[o].Type}
 	}
 	pf.aggs = make([]probeAggInput, len(a.Aggs))
-	pf.valTypes = make([]colstore.Type, len(a.Aggs))
+	pf.valTypes = make([]colstore.Type, len(a.Aggs)) // every input BIGINT
 	for i, spec := range a.Aggs {
 		pf.aggs[i] = probeAggInput{-1, -1}
 		if spec.Func == expr.AggCount {
@@ -742,21 +717,23 @@ func (a *HashAgg) probeFeed() *probeFeed {
 			return nil
 		}
 	}
+	pf.setKinds(a.Aggs)
 	return pf
 }
 
 // probeFold is the aggregate sink of one probe morsel: every match
-// (window-local probe row i, build row r) folds into the partial table t.
-// The build-side columns are shared by all morsels; the windows and the
-// slot memo are this morsel's, bound from worker scratch.
+// (window-local probe row i, build row r) resolves to its group in the
+// partial table t, and the morsel's matches then fold once.  The
+// build-side columns are shared by all morsels; the windows, the match
+// vectors and the slot memo are this morsel's, bound from worker scratch.
 type probeFold struct {
 	pf         *probeFeed
 	t          *groupTable
+	sc         *morselScratch
 	dicts      [][]string // every partial's key dictionaries: a string group's
 	buildGroup []int64    // per build row: its group key (build-side groups)
 	buildVals  [][]int64  // per aggregate: its build-side input column
 	groupWin   []int64    // probe-side group keys of the window
-	aggWin     [][]int64  // per aggregate: its probe-side input window
 	// idSlot memoizes each of nids dense group keys' index in t plus one
 	// (0 = not yet seen this morsel), so string groups (keys are dictionary
 	// ids) and the global group (key 0) cost an array load per match, not a
@@ -766,7 +743,8 @@ type probeFold struct {
 }
 
 // bind streams the fold's probe-side windows for rows [lo, hi), following
-// the key stream's density verdict, and resets the slot memo.
+// the key stream's density verdict, and resets the match vectors and the
+// slot memo.
 func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
 	var w energy.Counters
 	pf := f.pf
@@ -776,15 +754,8 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	if pf.group.win >= 0 {
 		f.groupWin = sc.wins[pf.group.win]
 	}
-	sc.aggWin = sc.aggWin[:0]
-	for _, in := range pf.aggs {
-		var win []int64
-		if in.win >= 0 {
-			win = sc.wins[in.win]
-		}
-		sc.aggWin = append(sc.aggWin, win)
-	}
-	f.aggWin = sc.aggWin
+	f.sc = sc
+	sc.gids, sc.probeAt, sc.buildAt = room(sc.gids, MorselRows), room(sc.probeAt, MorselRows), room(sc.buildAt, MorselRows)
 	if f.nids > 0 {
 		sc.slots = sized(sc.slots, f.nids)
 		f.idSlot = sc.slots
@@ -792,11 +763,12 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	return w
 }
 
-// add folds one match.  Matches arrive in probe-row order with build rows
-// ascending within duplicates — the pair path's output order — so the
-// table's first-seen group order is the materialized join's.
-func (f *probeFold) add(i int, r int32) {
-	t := f.t
+// match resolves one match to its group.  Matches arrive in probe-row
+// order with build rows ascending within duplicates — the pair path's
+// output order — so the table's first-seen group order is the
+// materialized join's.
+func (f *probeFold) match(i int, r int32) {
+	t, sc := f.t, f.sc
 	var key int64
 	switch {
 	case f.groupWin != nil:
@@ -811,21 +783,43 @@ func (f *probeFold) add(i int, r int32) {
 		g = t.slot(key, nil)
 		f.idSlot[key] = g + 1
 	}
-	t.counts[g]++
-	for ai, win := range f.aggWin {
-		if win != nil {
-			t.addN(g, ai, win[i], 1)
-		} else if bv := f.buildVals[ai]; bv != nil {
-			t.addN(g, ai, bv[r], 1)
-		}
+	if len(sc.gids) == MorselRows {
+		f.foldMatches(sc)
 	}
+	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, g), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
 }
 
-// work prices folding matches matches: the aggregate stage's logical
-// rows and shardFeed.morsel's fold budget, plus one cache-resident touch
-// per build-side input — the build relation is the small side.  No pair
-// was written and nothing is re-read from an intermediate.
-func (f *probeFold) work(matches uint64) energy.Counters {
+// foldMatches folds the buffered matches and empties the buffers: a
+// probe-side input is read at each match's probe row, a build-side one at
+// its build row.  match calls it every MorselRows matches, so a
+// duplicate-heavy join's buffers never outgrow a morsel (bind sizes
+// them).  The chunks fold in match order, so chunking changes no bit of
+// the result.
+func (f *probeFold) foldMatches(sc *morselScratch) {
+	sc.ins = sized(sc.ins, len(f.pf.aggs))
+	for ai, in := range f.pf.aggs {
+		switch {
+		case in.win >= 0:
+			sc.ins[ai] = foldIn{ints: sc.wins[in.win], at: sc.probeAt}
+		case f.buildVals[ai] != nil:
+			sc.ins[ai] = foldIn{ints: f.buildVals[ai], at: sc.buildAt}
+		}
+	}
+	f.t.fold(sc.gids, sc.ins)
+	sc.gids, sc.probeAt, sc.buildAt = sc.gids[:0], sc.probeAt[:0], sc.buildAt[:0]
+}
+
+// flush folds the morsel's last matches, if it selected any rows (bind).
+// It prices the fold as the aggregate stage's logical rows and
+// shardFeed.morsel's fold budget, plus one cache-resident touch per
+// build-side input — the build relation is the small side.  No pair is
+// written: the match buffers are bounded worker scratch, unpriced like
+// the shard feeder's gid vector, so the counters are the row-at-a-time
+// fold's.
+func (f *probeFold) flush(matches uint64) energy.Counters {
+	if f.sc != nil {
+		f.foldMatches(f.sc)
+	}
 	touches := uint64(1)
 	if f.buildGroup != nil {
 		touches++

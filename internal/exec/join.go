@@ -31,7 +31,8 @@ import (
 //	sink        matches become (probe row, build row) pairs, concatenated in
 //	            morsel order and gathered into the output relation — or
 //	            fold straight into a partial aggregate (fused.go's
-//	            probeFold), in which case nothing is materialized at all.
+//	            probeFold), in chunks of at most MorselRows matches, so no
+//	            pair list is materialized at all.
 //
 // A tiny input is nothing special: RadixBits(n) == 0 gives one table, one
 // morsel runs on one worker.  There is no serial twin, no row threshold
@@ -68,8 +69,9 @@ var ErrResultTooLarge = errors.New("exec: result too large")
 
 // maxJoinPairs caps the pairs one join may materialize — 16× the largest
 // pair list any benchmark or experiment statement produces.  The fold
-// sink materializes nothing and is exempt.  (A variable only so the cap
-// test can lower it.)
+// sink is exempt: it folds each MorselRows matches as they come, so its
+// memory does not grow with them.  (A variable only so the cap test can
+// lower it.)
 var maxJoinPairs = 1 << 24
 
 // Run implements Node.
@@ -283,7 +285,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 		for ; e != -1; e = t.next[e] {
 			matches++
 			if fold != nil {
-				fold.add(i, t.rows[e])
+				fold.match(i, t.rows[e])
 				continue
 			}
 			pc.l = append(pc.l, int32(lo+i))
@@ -303,7 +305,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 		Instructions: uint64(n)*8 + m*4 + uint64(steps),
 	})
 	if fold != nil {
-		w.Add(fold.work(m))
+		w.Add(fold.flush(m))
 	} else {
 		w.BytesWrittenDRAM += m * 8
 	}

@@ -106,24 +106,24 @@ func runMorsels[T any](ctx *Ctx, n int, work func(m, lo, hi int) (T, energy.Coun
 //lint:hotpath
 type morselScratch struct {
 	sel, pred vec.Bitvec // the window's selection; a later predicate's matches
-	rows      []int32    // the selected rows, ascending
+	rows      []int32    // the selected rows, ascending (a relation morsel's: all)
 	keys      []int64    // the probe keys
-	// Column windows (win) and their per-aggregate views: BIGINT windows,
-	// or a DOUBLE input's stored values (shard feeder).
-	wins   [][]int64
-	aggWin [][]int64
-	aggF   [][]float64
-	slots  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
-	spans  []colstore.SegSpan
+	wins      [][]int64  // column windows (win)
+	// A fold's resolved rows: gids[j] is the group of the j-th folded row,
+	// ins[ai] aggregate ai's input (groupTable.fold).  A probe fold's j-th
+	// row is match j, probe row probeAt[j] and build row buildAt[j]; it
+	// holds at most MorselRows matches (probeFold.match).
+	gids, probeAt, buildAt []int32
+	ins                    []foldIn
+	slots                  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
+	spans                  []colstore.SegSpan
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}
 
 // window returns *buf resized to n rows (n never exceeds MorselRows).
 func window(buf *[]int64, n int) []int64 {
-	if *buf == nil {
-		*buf = make([]int64, MorselRows)
-	}
+	*buf = room(*buf, MorselRows)[:MorselRows]
 	return (*buf)[:n]
 }
 
@@ -144,4 +144,12 @@ func sized[T any](xs []T, n int) []T {
 	xs = xs[:n]
 	clear(xs)
 	return xs
+}
+
+// room returns xs emptied, with capacity for at least n elements.
+func room[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, 0, n)
+	}
+	return xs[:0]
 }

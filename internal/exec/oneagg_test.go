@@ -200,9 +200,27 @@ var (
 			{Func: expr.AggMax, Col: "iv"}, {Func: expr.AggAvg, Col: "iv"}}},
 		{"float", []expr.AggSpec{{Func: expr.AggSum, Col: "fv"}, {Func: expr.AggMin, Col: "fv"},
 			{Func: expr.AggMax, Col: "fv"}, {Func: expr.AggAvg, Col: "fv"}}},
+		// Every accumulator kind in one table: MIN/MAX beside BIGINT and
+		// DOUBLE SUM/AVG beside COUNT.
+		{"mixed", []expr.AggSpec{{Func: expr.AggMin, Col: "fv"}, {Func: expr.AggSum, Col: "iv"},
+			{Func: expr.AggCount}, {Func: expr.AggMax, Col: "iv"}, {Func: expr.AggAvg, Col: "fv"},
+			{Func: expr.AggAvg, Col: "iv"}, {Func: expr.AggSum, Col: "fv"}}},
 	}
-	oneAggFeeders = []string{"scan", "opaque", "delta"}
+	oneAggFeeders = []string{"scan", "opaque", "delta", "probe"}
 )
+
+// oneAggDim is the build side of the matrix's probe feeder: one row per
+// ik value, so the join emits every scanned row once, unchanged.
+func oneAggDim(t *testing.T) *colstore.Table {
+	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
+	keys := make([]int64, 97)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	must(t, dim.Writer().Int64("k", keys...).Close())
+	must(t, dim.Seal())
+	return dim
+}
 
 // sameAggRelation compares two aggregation results: schema and integers
 // exactly, strings decoded (the two may carry different dictionaries),
@@ -238,9 +256,13 @@ func ranShardFed(ctx *Ctx) bool {
 // relation + Meter identical at DOP {1, 2, 8}, over key shape × value
 // input × input rows straddling the two retired thresholds (2^16, the
 // grid pitch, and 2^18, the old serial/parallel switch) × feeder ×
-// layout.  Under 2^16 and from 2^18 relation rows — where the oracle
-// reproduces the parent's merges — a relation-fed run also charges
-// exactly the oracle's Meter.  Sizes 0 and 1 run the full cross product;
+// layout.  The probe feeder joins the scan to a dimension that matches
+// every row once: on the flat layout a BIGINT-only aggregation with at
+// most one GROUP BY column folds the probe's matches, anything else runs
+// the pair path into the relation feeder.  Under 2^16 and from 2^18
+// relation rows — where the oracle reproduces the parent's merges — a
+// relation-fed run also charges exactly the oracle's Meter.  Sizes 0 and
+// 1 run the full cross product;
 // each of the five large sizes runs a rotating slice, so every (key shape,
 // value input, feeder) triple meets two large sizes, alternating between
 // the flat and the k=4 layout.
@@ -250,6 +272,7 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 		rel *Relation
 		ctx *Ctx
 	}
+	dim := oneAggDim(t)
 	for si, n := range sizes {
 		tw := newAggTwins(t, oneAggSchema, "ck", []int{4}, oneAggRow, n)
 		// One table per size serves both passes: sealed for the scan and
@@ -289,29 +312,46 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 							if sharded {
 								src = tw.twins[4]
 							}
+							cols := slices.Clone(shape.groupBy)
+							for _, spec := range vals.aggs {
+								cols = append(cols, spec.Col)
+							}
+							if feeder == "probe" {
+								cols = append(cols, "ik") // the join key
+							}
 							var sel []string
-							for _, c := range append(slices.Clone(shape.groupBy), vals.aggs[0].Col, "ck") {
+							for _, c := range append(cols, "ck") {
 								if c != "" && !slices.Contains(sel, c) && (c != "ck" || sel == nil) {
 									sel = append(sel, c)
 								}
 							}
-							scan := &Scan{Source: src, Select: sel}
-							var child Node = scan
+							input := func() Node {
+								var in Node = &Scan{Source: src, Select: sel}
+								if feeder == "probe" {
+									in = &Join{Left: in, Right: &Scan{Source: colstore.OneShard(dim)}, LeftKey: "ik", RightKey: "k"}
+								}
+								return in
+							}
+							child := input()
 							if feeder == "opaque" {
-								child = opaque(scan)
+								child = opaque(child)
 							}
 							agg := &HashAgg{Child: child, GroupBy: shape.groupBy, Aggs: vals.aggs}
 							name := fmt.Sprintf("n=%d/%s/%s/%s/sharded=%v", n, shape.name, vals.name, feeder, sharded)
 
-							okey := fmt.Sprint(sharded, shape.name, vals.name)
+							okey := fmt.Sprint(sharded, shape.name, vals.name, feeder == "probe")
 							if oracles[okey] == nil {
-								rel, ctx := runPlan(t, &mapAgg{Child: opaque(&Scan{Source: src, Select: sel}),
-									GroupBy: shape.groupBy, Aggs: vals.aggs}, 1)
+								rel, ctx := runPlan(t, &mapAgg{Child: opaque(input()), GroupBy: shape.groupBy, Aggs: vals.aggs}, 1)
 								oracles[okey] = &oracleRun{rel, ctx}
 							}
 							want, octx := oracles[okey].rel, oracles[okey].ctx
 							inBand := n >= 1<<16 && n < 1<<18
-							wantShardFed := feeder != "opaque" && shape.name != "double"
+							wantShardFed := feeder != "opaque" && feeder != "probe" && shape.name != "double"
+							wantProbeFed := feeder == "probe" && !sharded && len(shape.groupBy) <= 1 && shape.name != "double" &&
+								!slices.ContainsFunc(vals.aggs, func(s expr.AggSpec) bool { return s.Func != expr.AggCount && s.Col == "fv" })
+							if got := agg.fusion(); (got == "fused probe→agg") != wantProbeFed {
+								t.Fatalf("%s: EXPLAIN %q, want probe-fed=%v", name, got, wantProbeFed)
+							}
 							var base *Ctx
 							for _, dop := range []int{1, 2, 8} {
 								got, ctx := runPlan(t, agg, dop)
@@ -319,7 +359,7 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 									t.Fatalf("%s dop=%d: diverged from the map oracle: %v", name, dop, err)
 								}
 								// (Every shard of an empty table is pruned: nothing is traced.)
-								if fused := ranShardFed(ctx); (agg.fusion() == "fused") != wantShardFed || (n > 0 && fused != wantShardFed) {
+								if fused := ranShardFed(ctx); feeder != "probe" && ((agg.fusion() == "fused") != wantShardFed || (n > 0 && fused != wantShardFed)) {
 									t.Fatalf("%s dop=%d: shard-fed=%v (EXPLAIN %q), want %v", name, dop, fused, agg.fusion(), wantShardFed)
 								}
 								if base == nil {
@@ -541,30 +581,47 @@ func TestFloatMinMaxIsOrderFree(t *testing.T) {
 // raceEnabled is set in a -race build (race_test.go).
 var raceEnabled bool
 
-// TestAggAllocsDoNotScaleWithRows: a shard-fed SUM(amount), global and
-// GROUP BY region, allocates no more per run over 1 Mi rows than over
-// 256 Ki, bar a pool refill: fewer than one allocation per extra morsel.
-// Selections, row lists and column windows live in per-worker scratch,
-// partial tables return to their pool once merged, and a DOUBLE input is
-// read in place — nothing is allocated per morsel, let alone per row.
-// The pools start empty at each size and GC is held off while measuring;
-// a pool still fills at the scheduler's pace (a second worker's scratch
-// is made the first time two morsels overlap, a Get can miss what
-// another P caches), which the slack absorbs and a per-morsel table
-// (ten allocations a morsel) does not fit in.
+// TestAggAllocsDoNotScaleWithRows: a shard-fed aggregation allocates no
+// more per run over 1 Mi rows than over 256 Ki, bar a pool refill: fewer
+// than one allocation per extra morsel.  The cases cover the global group,
+// a swept string key, a swept BIGINT key beside every accumulator kind,
+// and a sparse selection folded on a two-column key — every way a morsel
+// resolves its group id vector.  Selections, row lists, group ids and
+// column windows live in per-worker scratch, partial tables return to
+// their pool once merged, and a DOUBLE input is read in place — nothing
+// is allocated per morsel, let alone per row.  The pools start empty at
+// each size and GC is held off while measuring; a pool still fills at the
+// scheduler's pace (a second worker's scratch is made the first time two
+// morsels overlap, a Get can miss what another P caches), which the slack
+// absorbs and a per-morsel table (ten allocations a morsel) does not fit
+// in.
 func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled objects at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const extraMorsels = (1<<20 - 1<<18) / MorselRows
-	for _, groupBy := range [][]string{nil, {"region"}} {
-		var base float64
-		for _, n := range []int{1 << 18, 1 << 20} {
-			agg := &HashAgg{Child: &Scan{Source: colstore.OneShard(ordersTable(t, n)), Select: []string{"region", "amount"}},
-				GroupBy: groupBy, Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}
+	sum := func(fn expr.AggFunc, col string) expr.AggSpec { return expr.AggSpec{Func: fn, Col: col} }
+	cases := []struct {
+		groupBy []string
+		aggs    []expr.AggSpec
+		preds   []expr.Pred
+	}{
+		{nil, []expr.AggSpec{sum(expr.AggSum, "amount")}, nil},
+		{[]string{"region"}, []expr.AggSpec{sum(expr.AggSum, "amount")}, nil},
+		{[]string{"custkey"}, []expr.AggSpec{{Func: expr.AggCount}, sum(expr.AggSum, "day"), sum(expr.AggMin, "amount"),
+			sum(expr.AggMax, "day"), sum(expr.AggAvg, "amount")}, nil},
+		{[]string{"region", "custkey"}, []expr.AggSpec{{Func: expr.AggCount}, sum(expr.AggSum, "day")},
+			[]expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}}},
+	}
+	base := make([]float64, len(cases))
+	for _, n := range []int{1 << 18, 1 << 20} {
+		tab := ordersTable(t, n)
+		for ci, c := range cases {
+			agg := &HashAgg{Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"id", "custkey", "region", "amount", "day"},
+				Preds: c.preds}, GroupBy: c.groupBy, Aggs: c.aggs}
 			if agg.fusion() != "fused" {
-				t.Fatalf("GROUP BY %v is not shard-fed", groupBy)
+				t.Fatalf("case %d is not shard-fed", ci)
 			}
 			runtime.GC()
 			runtime.GC() // the second empties the pools' victim caches too
@@ -575,11 +632,11 @@ func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			t.Logf("GROUP BY %v, %d rows: %.0f allocs/op", groupBy, n, allocs)
+			t.Logf("case %d (GROUP BY %v), %d rows: %.0f allocs/op", ci, c.groupBy, n, allocs)
 			if n == 1<<18 {
-				base = allocs
-			} else if allocs-base >= extraMorsels {
-				t.Fatalf("GROUP BY %v: allocations grow with rows: %.0f at 256 Ki, %.0f at 1 Mi", groupBy, base, allocs)
+				base[ci] = allocs
+			} else if allocs-base[ci] >= extraMorsels {
+				t.Fatalf("case %d (GROUP BY %v): allocations grow with rows: %.0f at 256 Ki, %.0f at 1 Mi", ci, c.groupBy, base[ci], allocs)
 			}
 		}
 	}

@@ -229,12 +229,12 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	serialAgg := mk(&relSource{rel: in})
 	want := map[string][]float64{}
 	{
-		rf, err := serialAgg.relFeed(in)
+		groupCols, aggCols, err := oracleCols(serialAgg, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tbl := newAggTable()
-		(&mapAgg{GroupBy: serialAgg.GroupBy, Aggs: serialAgg.Aggs}).aggRange(tbl, rf.groupCols, rf.aggCols, 0, in.N)
+		(&mapAgg{GroupBy: serialAgg.GroupBy, Aggs: serialAgg.Aggs}).aggRange(tbl, groupCols, aggCols, 0, in.N)
 		for _, key := range tbl.order {
 			st := tbl.groups[key]
 			want[key] = []float64{exactSum(st.fvals[0]), float64(st.count), st.mins[2], st.maxs[3]}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/colstore"
@@ -365,27 +366,106 @@ func TestFusedProbeAggCancelMidProbe(t *testing.T) {
 // TestFusedProbeAggAllocsDoNotScaleWithProbeRows: the sink allocates per
 // morsel (a partial table, a selection bitmap) and per build row — never
 // per probe row or per match, which is what the pair lists, the gathered
-// join relation and a string-keyed map used to cost.
+// join relation and a string-keyed map used to cost.  A morsel's group
+// ids and match rows grow in worker scratch to the largest morsel's
+// matches and are reused after that.  Grouped on the build side and
+// globally.
 func TestFusedProbeAggAllocsDoNotScaleWithProbeRows(t *testing.T) {
 	dim := probeAggDim(t)
-	allocs := func(rows int) float64 {
-		a := probeAggPlan(fusedMatrixTable(t, rows, 0), dim, nil, nil, []string{"name"}, probeAggSpecs, false)
-		return testing.AllocsPerRun(5, func() {
-			ctx := NewCtx()
-			ctx.Lease = NewLease(1)
-			if _, err := a.Run(ctx); err != nil {
-				t.Fatal(err)
+	small, large := fusedMatrixTable(t, 2*MorselRows, 0), fusedMatrixTable(t, 8*MorselRows, 0)
+	for _, groupBy := range [][]string{{"name"}, nil} {
+		allocs := func(fact *colstore.Table) float64 {
+			a := probeAggPlan(fact, dim, nil, nil, groupBy, probeAggSpecs, false)
+			if a.fusion() != "fused probe→agg" {
+				t.Fatalf("GROUP BY %v does not fold the probe's matches", groupBy)
 			}
-		})
+			return testing.AllocsPerRun(5, func() {
+				ctx := NewCtx()
+				ctx.Lease = NewLease(1)
+				if _, err := a.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		s, l := allocs(small), allocs(large)
+		t.Logf("GROUP BY %v: allocs/op %.0f at 2 morsels, %.0f at 8 morsels", groupBy, s, l)
+		// Six more morsels, ~786K more matches: a per-morsel budget, nothing more.
+		if perMorsel := (l - s) / 6; perMorsel > 64 {
+			t.Fatalf("GROUP BY %v: allocations scale with probe rows: %.0f → %.0f (%.0f per extra morsel)", groupBy, s, l, perMorsel)
+		}
+		if l > 2000 {
+			t.Fatalf("GROUP BY %v: fused probe→aggregate allocates %.0f objects per op", groupBy, l)
+		}
 	}
-	small, large := allocs(2*MorselRows), allocs(8*MorselRows)
-	t.Logf("allocs/op: %.0f at 2 morsels, %.0f at 8 morsels", small, large)
-	// Six more morsels, ~786K more matches: a per-morsel budget, nothing more.
-	if perMorsel := (large - small) / 6; perMorsel > 64 {
-		t.Fatalf("allocations scale with probe rows: %.0f → %.0f (%.0f per extra morsel)", small, large, perMorsel)
+}
+
+// TestFusedProbeAggScratchBoundedUnderDuplicateKeys: every probe row
+// matches every build row, so a morsel yields nBuild × MorselRows
+// matches — 4 and 32 times the fold's match buffer.  The fold sink is
+// exempt from maxJoinPairs, so its memory must not grow with the matches:
+// no worker scratch outgrows MorselRows matches, the bytes a run
+// allocates do not grow with the build side's duplicates, and the sums
+// are exact.
+func TestFusedProbeAggScratchBoundedUnderDuplicateKeys(t *testing.T) {
+	const nProbe = 2 * MorselRows
+	probe := colstore.NewTable("probe", colstore.Schema{{Name: "pk", Type: colstore.Int64}, {Name: "pv", Type: colstore.Int64}})
+	pk, pv, pvSum := make([]int64, nProbe), make([]int64, nProbe), int64(0)
+	for i := range pk {
+		pk[i], pv[i] = 1, int64(i%1000)
+		pvSum += pv[i]
 	}
-	if large > 2000 {
-		t.Fatalf("fused probe→aggregate allocates %.0f objects per op", large)
+	must(t, probe.Writer().Int64("pk", pk...).Int64("pv", pv...).Close())
+	must(t, probe.Seal())
+
+	var made []*morselScratch
+	var mu sync.Mutex
+	defer func() { scratchPool = sync.Pool{New: func() any { return new(morselScratch) }} }()
+	run := func(nBuild, dop int) uint64 {
+		build := colstore.NewTable("build", colstore.Schema{{Name: "bk", Type: colstore.Int64}, {Name: "bv", Type: colstore.Int64}})
+		bk, bv := make([]int64, nBuild), make([]int64, nBuild)
+		for i := range bk {
+			bk[i], bv[i] = 1, int64(i%4)
+		}
+		must(t, build.Writer().Int64("bk", bk...).Int64("bv", bv...).Close())
+		must(t, build.Seal())
+		a := &HashAgg{Child: &Join{Left: &Scan{Source: colstore.OneShard(probe)}, Right: &Scan{Source: colstore.OneShard(build)},
+			LeftKey: "pk", RightKey: "bk"}, GroupBy: []string{"bv"}, Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}}
+		if a.fusion() != "fused probe→agg" {
+			t.Fatal("the duplicate-key join does not fold its matches")
+		}
+		made = nil
+		scratchPool = sync.Pool{New: func() any {
+			sc := new(morselScratch)
+			mu.Lock()
+			defer mu.Unlock()
+			made = append(made, sc)
+			return sc
+		}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rel, _ := runPlan(t, a, dop)
+		runtime.ReadMemStats(&after)
+		for _, sc := range made {
+			if c := max(cap(sc.gids), cap(sc.probeAt), cap(sc.buildAt)); c > MorselRows {
+				t.Fatalf("nBuild=%d dop=%d: a worker's match buffers hold %d matches, over MorselRows", nBuild, dop, c)
+			}
+		}
+		per := int64(nBuild / 4)
+		for g := 0; g < 4; g++ {
+			if rel.N != 4 || rel.Cols[0].I[g] != int64(g) || rel.Cols[1].I[g] != nProbe*per || rel.Cols[2].I[g] != pvSum*per {
+				t.Fatalf("nBuild=%d dop=%d: group %d wrong: %+v", nBuild, dop, g, rel.Cols)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, dop := range []int{1, 4} {
+		small, large := run(4, dop), run(32, dop)
+		t.Logf("dop=%d: %d B allocated at 4× MorselRows matches per morsel, %d B at 32×", dop, small, large)
+		// 28 × 2 × MorselRows more matches: 44 MiB at 12 B each if buffered
+		// whole.  The slack covers a few scratches remade after a GC.
+		if large > small+8<<20 {
+			t.Fatalf("dop=%d: allocated bytes grow with the matches: %d → %d", dop, small, large)
+		}
 	}
 }
 
