@@ -127,6 +127,12 @@ func (sp SegSpan) Codes(out []int64) energy.Counters {
 	}
 }
 
+// Code returns global row r's segment-local dictionary code, the point
+// read of Codes, priced by the caller.  Only valid on EncDict spans.
+func (sp SegSpan) Code(r int) int64 {
+	return int64(sp.seg.packed.Get(sp.la + r - sp.A))
+}
+
 // Decode widens the span's rows into out (length B-A), streaming the
 // overlapped compressed representation once — the same kernel and the
 // same pricing as DecodeRange, exposed span-wise so fused kernels can

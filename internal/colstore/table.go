@@ -160,6 +160,41 @@ func (t *Table) StrCol(name string) (*StringColumn, error) {
 	return sc, nil
 }
 
+// SpanKeys returns the hash lookups a span-wise probe on the named
+// column makes over every row: each sealed dictionary segment's distinct
+// codes, each RLE segment's runs, and one per row of any other segment
+// (the unsealed tail included) — a string column counts its codes; zero
+// when there is no such column.
+func (t *Table) SpanKeys(name string) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	i := t.schema.ColIndex(name)
+	if i < 0 {
+		return 0
+	}
+	var c *IntColumn
+	switch col := t.cols[i].(type) {
+	case *IntColumn:
+		c = col
+	case *StringColumn:
+		c = col.codes
+	default:
+		return t.lenLocked()
+	}
+	n := 0
+	for _, s := range c.segs {
+		switch {
+		case s.sealed && s.enc == EncDict:
+			n += len(s.dictVals)
+		case s.sealed && s.enc == EncRLE:
+			n += len(s.runs)
+		default:
+			n += s.length()
+		}
+	}
+	return n
+}
+
 // appendRowLocked appends one row given values in schema order.  Values
 // must be int64, float64, or string matching the column types.
 func (t *Table) appendRowLocked(vals []any) error {

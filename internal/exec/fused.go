@@ -254,7 +254,7 @@ type shardFold struct {
 // read streams column c into scratch window k (streamWindow).
 func (f *shardFold) read(k int, c *colstore.IntColumn) []int64 {
 	win := f.sc.win(k, f.hi-f.lo)
-	f.w.Add(streamWindow(c, false, f.sc.rows, f.lo, f.hi, f.dense, win))
+	f.w.Add(streamWindow(c, f.sc.rows, f.lo, f.hi, f.dense, win))
 	return win
 }
 
@@ -474,37 +474,46 @@ func (sp *shardProbe) fused() bool         { return true }
 // streamWindow reads column c over the window [lo, hi) into out.  dense
 // bulk-decodes the whole window once (DecodeRange streams each compressed
 // segment slice a single time); otherwise only the selected rows are
-// point-read, at gatherCol's sparse price (dictionary codes skip the
-// deref and cost less).  A pure function of (column, window, selection).
-func streamWindow(c *colstore.IntColumn, codes bool, rows []int32, lo, hi int, dense bool, out []int64) energy.Counters {
+// point-read, at gatherCol's sparse price.  A pure function of (column,
+// window, selection).
+func streamWindow(c *colstore.IntColumn, rows []int32, lo, hi int, dense bool, out []int64) energy.Counters {
 	if dense {
 		return c.DecodeRange(lo, hi, out)
 	}
 	for _, r := range rows {
 		out[r] = c.Get(lo + int(r))
 	}
-	n := uint64(len(rows))
+	return pointReads(len(rows), false)
+}
+
+// pointReads prices n point reads of a column's values, or of dictionary
+// codes, which skip the deref and cost less: gatherCol's sparse price.
+func pointReads(n int, codes bool) energy.Counters {
 	if codes {
-		return energy.Counters{CacheMisses: n / 8, Instructions: n}
+		return energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
 	}
-	return energy.Counters{CacheMisses: n / 4, Instructions: n * 2}
+	return energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 }
 
 // window filters rows [lo, hi) with the scan's predicate sequence and
-// streams the selected probe keys straight from the key segments — the
-// probe side is never materialized.
-func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool) ([]int64, []int32, int, bool, energy.Counters) {
+// resolves the selected probe keys straight from the key segments, span
+// by span like shardFold.sweep — the probe side is never materialized.  A
+// dictionary span yields its codes (streamed when dense, point-read
+// otherwise) and looks each distinct one up once, on first sight, through
+// a code memo (the dictionary is touched once per code); an RLE span
+// looks up once per run of equal selected keys; every other span
+// (bitpack, delta, raw, the unsealed tail) each row.
+func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
 	nrows := hi - lo
 	sel, w := sp.sb.selectRows(snap, lo, hi, sc)
-	selCnt := sel.Count()
-	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
-	if selCnt == 0 {
-		return nil, nil, 0, false, w
+	pw := probeWindow{n: sel.Count()}
+	w.TuplesOut += uint64(pw.n) // the scan stage's logical output
+	if pw.n == 0 {
+		return pw, w
 	}
-	var rows []int32 // nil: the whole window is selected
-	if selCnt < nrows {
+	if pw.n < nrows {
 		sc.rows = sel.AppendIndices(sc.rows[:0])
-		rows = sc.rows
+		pw.sel = sc.rows
 	}
 	// Key stream.  The pair sink decodes in bulk only a fully selected
 	// window and point-reads anything narrower — exactly what the
@@ -514,14 +523,64 @@ func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding 
 	// follows the fused fold's density rule.  Either way a pure function of
 	// (snapshot, predicates, grid), and no 8-byte key re-stream follows: the
 	// decode pays the physical bytes — the saving the fused feed exists for.
-	dense := selCnt == nrows
+	pw.dense = pw.n == nrows
 	if folding {
-		dense = selCnt*8 >= nrows
+		pw.dense = pw.n*8 >= nrows
 	}
 	keys := window(&sc.keys, nrows)
+	points, codes := 0, 0 // a sparse window's point reads of values, of codes
+	sc.spans = sp.keyInts.AppendSpans(sc.spans[:0], lo, hi)
+	for _, s := range sc.spans {
+		a, b := s.A-lo, s.B-lo
+		at := iota32[a:b]
+		if pw.sel != nil {
+			at = rowsIn(pw.sel, a, b)
+		}
+		// The span's hits, in sc.hits' reserved room (probeMorsel).
+		hits := sc.hits[len(sc.hits) : len(sc.hits)+len(at)]
+		sc.hits = sc.hits[:len(sc.hits)+len(at)]
+		if s.Enc == colstore.EncDict {
+			if pw.dense {
+				w.Add(s.Codes(keys[a:b]))
+			} else {
+				for _, r := range at {
+					keys[r] = s.Code(lo + int(r))
+				}
+				codes += len(at)
+			}
+			dict := s.DictVals()
+			sc.memo = sized(sc.memo, len(dict))
+			memo := sc.memo
+			for j, r := range at {
+				m := memo[keys[r]]
+				if m == 0 {
+					m = jr.lookup(sc, dict[keys[r]], c) + 2
+					memo[keys[r]] = m
+				}
+				hits[j] = m - 2
+			}
+			continue
+		}
+		if pw.dense {
+			w.Add(s.Decode(keys[a:b]))
+		} else {
+			for _, r := range at {
+				keys[r] = sp.keyInts.Get(lo + int(r))
+			}
+			points += len(at)
+		}
+		h := int32(-1)
+		for j, r := range at {
+			if j == 0 || s.Enc != colstore.EncRLE || keys[r] != keys[at[j-1]] {
+				h = jr.lookup(sc, keys[r], c)
+			}
+			hits[j] = h
+		}
+	}
 	typ, _ := sp.keyDomain()
-	w.Add(streamWindow(sp.keyInts, typ == colstore.String, rows, lo, hi, dense, keys))
-	return keys, rows, selCnt, dense, w
+	w.Add(pointReads(points, typ == colstore.String))
+	w.Add(pointReads(codes, true))
+	return pw, w
 }
 
 // gather materializes the probe side of the join output: the key column
@@ -543,49 +602,14 @@ func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Coun
 			out.Cols[ci] = oc
 			continue
 		}
-		oc, gw := fusedGatherCol(col, sp.sb.tmpl[ci], rows)
+		// A match list is no contiguous window: every other column
+		// point-reads its matched global rows, at gatherCol's sparse price
+		// (the empty window [0, 0) makes any match sparse).
+		oc, gw := gatherCol(col, sp.sb.tmpl[ci], rows, 0, 0)
 		out.Cols[ci] = oc
 		w.Add(gw)
 	}
 	return out, w
-}
-
-// fusedGatherCol materializes the matched global rows of one stored
-// column — a VARCHAR column's codes, the template oc supplying the name,
-// type and dictionary — pricing the physical reads like gatherCol does
-// for scans.
-func fusedGatherCol(col colstore.Column, oc Col, rows []int32) (Col, energy.Counters) {
-	n := len(rows)
-	switch c := col.(type) {
-	case *colstore.IntColumn:
-		oc.I = make([]int64, n)
-		return oc, gatherStoredInts(c, rows, oc.I)
-	case *colstore.FloatColumn:
-		oc.F = make([]float64, n)
-		for i, r := range rows {
-			oc.F[i] = c.Get(int(r))
-		}
-		return oc, energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
-	case *colstore.StringColumn:
-		oc.I = make([]int64, n)
-		return oc, gatherStoredInts(c.CodeColumn(), rows, oc.I)
-	}
-	return oc, energy.Counters{}
-}
-
-// gatherStoredInts reads the given global rows (ascending, duplicates
-// allowed) from a stored int column, priced as point reads — gatherCol's
-// sparse convention, because a join's match list is never a contiguous
-// window.  Charging what the classic scan charges for the same lookups
-// keeps the cross-path energy gap a measure of eliminated
-// materialization, not pricing skew.  Price is a pure function of
-// (column, rows).
-func gatherStoredInts(c *colstore.IntColumn, rows []int32, out []int64) energy.Counters {
-	for i, r := range rows {
-		out[i] = c.Get(int(r))
-	}
-	n := uint64(len(rows))
-	return energy.Counters{CacheMisses: n / 4, Instructions: n * 2}
 }
 
 // ---------------------------------------------------------------------------
@@ -607,6 +631,7 @@ type probeFeed struct {
 	wins []*colstore.IntColumn
 	// groupDict decodes a probe-side string group's dictionary codes.
 	groupDict []string
+	price     ProbeFold // the fold's price shape (ProbeFoldWork)
 }
 
 // probeAggInput locates one fold input: a probe-side window (index into
@@ -716,7 +741,11 @@ func (a *HashAgg) probeFeed() *probeFeed {
 		if pf.aggs[i], ok = resolve(find(spec.Col), false); !ok {
 			return nil
 		}
+		if pf.aggs[i].build >= 0 {
+			pf.price.BuildVals++
+		}
 	}
+	pf.price.Aggs, pf.price.BuildGroup = len(a.Aggs), pf.group.build >= 0
 	pf.setKinds(a.Aggs)
 	return pf
 }
@@ -749,7 +778,7 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	var w energy.Counters
 	pf := f.pf
 	for k, c := range pf.wins {
-		w.Add(streamWindow(c, false, rows, lo, hi, dense, sc.win(k, hi-lo)))
+		w.Add(streamWindow(c, rows, lo, hi, dense, sc.win(k, hi-lo)))
 	}
 	if pf.group.win >= 0 {
 		f.groupWin = sc.wins[pf.group.win]
@@ -763,12 +792,30 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	return w
 }
 
-// match resolves one match to its group.  Matches arrive in probe-row
-// order with build rows ascending within duplicates — the pair path's
-// output order — so the table's first-seen group order is the
-// materialized join's.
-func (f *probeFold) match(i int, r int32) {
-	t, sc := f.t, f.sc
+// hit buffers the match of probe row i with build row r of h for the
+// fold.  Matches arrive in probe-row order with build rows ascending
+// within duplicates — the pair path's output order — so the table's
+// first-seen group order is the materialized join's.  A collapsed key
+// (one build row) whose group does not depend on the probe row resolves
+// its group once, at its first match; every later row sharing the key
+// skips the resolution.
+func (f *probeFold) hit(h *probeHit, i int, r int32) {
+	g, collapse := h.g-1, h.one && f.groupWin == nil
+	if !collapse || g < 0 {
+		g = f.group(i, r)
+		if collapse {
+			h.g = g + 1
+		}
+	}
+	sc := f.sc
+	if len(sc.gids) == MorselRows {
+		f.foldMatches(sc)
+	}
+	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, g), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
+}
+
+// group resolves the group of the match (probe row i, build row r).
+func (f *probeFold) group(i int, r int32) int32 {
 	var key int64
 	switch {
 	case f.groupWin != nil:
@@ -776,22 +823,20 @@ func (f *probeFold) match(i int, r int32) {
 	case f.buildGroup != nil:
 		key = f.buildGroup[r]
 	}
-	var g int32
 	if f.idSlot == nil {
-		g = t.slot(key, nil)
-	} else if g = f.idSlot[key] - 1; g < 0 {
-		g = t.slot(key, nil)
+		return f.t.slot(key, nil)
+	}
+	g := f.idSlot[key] - 1
+	if g < 0 {
+		g = f.t.slot(key, nil)
 		f.idSlot[key] = g + 1
 	}
-	if len(sc.gids) == MorselRows {
-		f.foldMatches(sc)
-	}
-	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, g), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
+	return g
 }
 
 // foldMatches folds the buffered matches and empties the buffers: a
 // probe-side input is read at each match's probe row, a build-side one at
-// its build row.  match calls it every MorselRows matches, so a
+// its build row.  hit calls it every MorselRows matches, so a
 // duplicate-heavy join's buffers never outgrow a morsel (bind sizes
 // them).  The chunks fold in match order, so chunking changes no bit of
 // the result.
@@ -809,31 +854,38 @@ func (f *probeFold) foldMatches(sc *morselScratch) {
 	sc.gids, sc.probeAt, sc.buildAt = sc.gids[:0], sc.probeAt[:0], sc.buildAt[:0]
 }
 
-// flush folds the morsel's last matches, if it selected any rows (bind).
-// It prices the fold as the aggregate stage's logical rows and
-// shardFeed.morsel's fold budget, plus one cache-resident touch per
-// build-side input — the build relation is the small side.  No pair is
-// written: the match buffers are bounded worker scratch, unpriced like
-// the shard feeder's gid vector, so the counters are the row-at-a-time
-// fold's.
-func (f *probeFold) flush(matches uint64) energy.Counters {
-	if f.sc != nil {
-		f.foldMatches(f.sc)
-	}
-	touches := uint64(1)
-	if f.buildGroup != nil {
-		touches++
-	}
-	for _, bv := range f.buildVals {
-		if bv != nil {
-			touches++
-		}
+// flush folds the morsel's last matches.  The fold is priced once per
+// pass, at the pass's counts (ProbeFoldWork); the match buffers are
+// bounded worker scratch, unpriced like the shard feeder's gid vector.
+func (f *probeFold) flush() {
+	f.foldMatches(f.sc)
+}
+
+// ProbeFold is the shape of a fused probe→aggregate fold: what it reads
+// per match, the arguments of its price besides the counts.
+type ProbeFold struct {
+	Aggs       int  // aggregates folded per match
+	BuildVals  int  // aggregate inputs read from the build side
+	BuildGroup bool // the group key is a build column
+}
+
+// ProbeFoldWork prices folding a probe pass's matches into partial
+// aggregates: the aggregate stage's logical rows and shardFeed.morsel's
+// fold budget per match, plus a cache-resident touch of each match's
+// group slot and build-side inputs — and of a build-side group key once
+// per build entry read (ProbeCounts.Touches), so a collapsed key reads
+// its group once.  The kernel bills its fold phase with it and the
+// planner prices its estimate with it — one formula.
+func ProbeFoldWork(f ProbeFold, matches, touches int) energy.Counters {
+	m := uint64(matches)
+	reads := m * uint64(1+f.BuildVals)
+	if f.BuildGroup {
+		reads += uint64(touches)
 	}
 	return energy.Counters{
-		TuplesIn:     matches,
-		TuplesOut:    uint64(f.t.groups()),
-		Instructions: matches * uint64(4+2*len(f.pf.aggs)),
-		CacheMisses:  matches * touches / 8,
+		TuplesIn:     m,
+		Instructions: m * uint64(4+2*f.Aggs),
+		CacheMisses:  reads / 8,
 	}
 }
 
@@ -861,10 +913,11 @@ func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
 			f.buildVals[ai] = jr.right.Cols[in.build].I
 		}
 	}
-	outs, qw, err := jr.probe(ctx, f)
+	outs, c, qw, err := jr.probe(ctx, f)
 	if err != nil {
 		return err
 	}
+	ctx.Charge(pf.a.Label()+" [probe fold]", c.Matches, ProbeFoldWork(pf.price, c.Matches, c.Touches))
 	partials := make([]*groupTable, len(outs))
 	for i := range outs {
 		partials[i] = outs[i].agg
@@ -910,10 +963,14 @@ func FusedProbeEligible(scan *Scan, leftKey string) bool {
 	return j.shardProbe() != nil
 }
 
-// FusedProbeAggEligible reports whether HashAgg{Child: child, GroupBy,
-// Aggs} folds its child join's matches straight into partial aggregates
-// — the planner's pricing mirror of probeFeed.
-func FusedProbeAggEligible(child Node, groupBy []string, aggs []expr.AggSpec) bool {
+// FusedProbeAgg reports whether HashAgg{Child: child, GroupBy, Aggs}
+// folds its child join's matches straight into partial aggregates, and
+// the shape its fold is priced at — the planner's pricing mirror of
+// probeFeed.
+func FusedProbeAgg(child Node, groupBy []string, aggs []expr.AggSpec) (ProbeFold, bool) {
 	a := &HashAgg{Child: child, GroupBy: groupBy, Aggs: aggs}
-	return a.probeFeed() != nil
+	if pf := a.probeFeed(); pf != nil {
+		return pf.price, true
+	}
+	return ProbeFold{}, false
 }

@@ -25,9 +25,11 @@ import (
 //	            build side fits the per-partition cache target.
 //	probe       the ONE kernel, probeMorsel, over the morsel grid of a
 //	            probe source: a bound scan shard (the fused feed — selected
-//	            keys stream straight from the compressed segments and the
-//	            probe relation is never built) or a materialized relation's
-//	            key column.
+//	            keys resolve span by span straight from the compressed
+//	            segments, a dictionary code or an RLE run looked up once,
+//	            and the probe relation is never built) or a materialized
+//	            relation's key column.  The lookups are priced once per
+//	            pass, at the pass's counts (ProbeWork).
 //	sink        matches become (probe row, build row) pairs, concatenated in
 //	            morsel order and gathered into the output relation — or
 //	            fold straight into a partial aggregate (fused.go's
@@ -122,12 +124,12 @@ type probeSource interface {
 	// materialized relation: the probe pass is traced as [fused probe], and
 	// the kernel carries each match's key so gather need not re-read it.
 	fused() bool
-	// window yields the selected probe keys of rows [lo, hi): keys is
-	// indexed by window-local row, sel lists the selected window-local
-	// rows (nil = every row), n counts them; dense reports whether the
-	// window was bulk-decoded (folding picks the fold sink's density rule),
-	// the verdict the fold's own probe-side windows then follow.
-	window(snap int64, lo, hi int, sc *morselScratch, folding bool) (keys []int64, sel []int32, n int, dense bool, w energy.Counters)
+	// window filters rows [lo, hi) and resolves the selected rows' keys
+	// (joinRun.lookup, counted in c) into sc.hits, one per selected row,
+	// in the room probeMorsel reserved;
+	// folding picks the fold sink's density rule, the verdict the fold's
+	// own probe-side windows then follow.
+	window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters)
 	// gather materializes the probe side of the output at the matched
 	// rows; keys are the matches' probe keys, carried for a fused source.
 	gather(keys []int64, rows []int32) (*Relation, energy.Counters)
@@ -155,14 +157,68 @@ func (rp *relProbe) keyDomain() (colstore.Type, []string) {
 func (rp *relProbe) rows(int64) int { return rp.rel.N }
 func (rp *relProbe) fused() bool    { return false }
 
-func (rp *relProbe) window(_ int64, lo, hi int, _ *morselScratch, _ bool) ([]int64, []int32, int, bool, energy.Counters) {
-	return rp.key.I[lo:hi], nil, hi - lo, true, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
+func (rp *relProbe) window(_ int64, lo, hi int, sc *morselScratch, _ bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
+	sc.hits = sc.hits[:hi-lo]
+	for i, k := range rp.key.I[lo:hi] {
+		sc.hits[i] = jr.lookup(sc, k, c)
+	}
+	return probeWindow{n: hi - lo, dense: true}, energy.Counters{BytesReadDRAM: uint64(hi-lo) * 8} // the key stream
 }
 
 // gather reads every output value out of the probe relation.
 func (rp *relProbe) gather(_ []int64, rows []int32) (*Relation, energy.Counters) {
 	out := rp.rel.gather(rows)
 	return out, energy.Counters{BytesReadDRAM: out.Bytes()}
+}
+
+// probeWindow is one morsel's selection: the selected window-local rows,
+// ascending (nil = every row), their count, and whether the window was
+// bulk-decoded.
+type probeWindow struct {
+	sel   []int32
+	n     int
+	dense bool
+}
+
+// ProbeCounts is what one probe pass did: the arguments its price,
+// ProbeWork, is evaluated at — by the kernel with the actual counts, by
+// the planner with estimated ones.  Keys resolve span by span: a
+// dictionary span looks up each distinct selected code once, an RLE span
+// each run of equal selected keys once, every other span (the unsealed
+// tail, and a materialized relation's key column) each row.
+type ProbeCounts struct {
+	Rows    int // selected probe rows
+	Keys    int // hash lookups
+	Steps   int // the lookups' linear-probe steps
+	Matches int // (probe row, build row) matches
+	// Touches counts build-table entries read: one per match, but a key
+	// with exactly one build row reads it once, at its lookup, however
+	// many probe rows share the key (a collapsed key).
+	Touches int
+}
+
+// Add accumulates o into c.
+func (c *ProbeCounts) Add(o ProbeCounts) {
+	c.Rows += o.Rows
+	c.Keys += o.Keys
+	c.Steps += o.Steps
+	c.Matches += o.Matches
+	c.Touches += o.Touches
+}
+
+// ProbeWork prices a probe pass: a lookup is a cache-resident hash probe
+// (half a miss, 8 instructions plus one per linear-probe step); a row
+// whose key its span already resolved reads the span's resident memo
+// instead (2 instructions); a build entry read is a quarter miss, and
+// every match 4 instructions.  The kernel bills its lookup phase with it
+// and the planner prices its estimate with it — one formula.
+func ProbeWork(c ProbeCounts) energy.Counters {
+	return energy.Counters{
+		TuplesIn:     uint64(c.Rows),
+		TuplesOut:    uint64(c.Matches),
+		CacheMisses:  uint64(c.Keys)/2 + uint64(c.Touches)/4,
+		Instructions: uint64(c.Keys)*8 + uint64(c.Rows-c.Keys)*2 + uint64(c.Steps) + uint64(c.Matches)*4,
+	}
 }
 
 // joinRun is one join in flight: its probe source, its build relation
@@ -249,67 +305,115 @@ func sameDict(a, b []string) bool {
 }
 
 // probeMorsel is the one probe kernel: it takes rows [lo, hi)'s selected
-// keys from the probe source and probes the partition tables in probe-row
-// order.  Matches go to one of two sinks: with fold nil they are emitted
-// as row pairs (the join feeds an arbitrary consumer); otherwise each
-// match folds straight into fold's partial aggregate and no pair is ever
-// written.
-func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChunk, energy.Counters) {
+// keys from the probe source, resolved span by span (window), and emits
+// their matches in probe-row order.  Matches go to one of two sinks: with
+// fold nil they are emitted as row pairs (the join feeds an arbitrary
+// consumer); otherwise each match folds straight into fold's partial
+// aggregate and no pair is ever written.  The lookup phase is priced by
+// the caller, once per pass, from the returned counts.
+func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChunk, ProbeCounts, energy.Counters) {
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
-	keys, sel, n, dense, w := jr.src.window(snap, lo, hi, sc, fold != nil)
-	if fold != nil && n > 0 {
-		w.Add(fold.bind(sc, sel, lo, hi, dense))
+	sc.hits, sc.res = room(sc.hits, hi-lo), sc.res[:0]
+	var c ProbeCounts
+	pw, w := jr.src.window(snap, lo, hi, sc, fold != nil, jr, &c)
+	if c.Rows = pw.n; pw.n == 0 {
+		return pairChunk{}, c, w
+	}
+	if fold != nil {
+		w.Add(fold.bind(sc, pw.sel, lo, hi, pw.dense))
 	}
 
 	var pc pairChunk
-	tables, shift, carry := jr.tables, jr.shift, jr.src.fused()
-	steps, matches := 0, 0
-	for x := 0; x < n; x++ {
+	carry, res := jr.src.fused(), sc.res
+	matches, touches := 0, 0
+	for x, h := range sc.hits {
+		if h < 0 {
+			continue
+		}
 		if fold == nil && matches > maxJoinPairs {
 			break // this morsel alone is over the cap: the driver reports it
 		}
 		i := x
-		if sel != nil {
-			i = int(sel[x])
+		if pw.sel != nil {
+			i = int(pw.sel[x])
 		}
-		k := keys[i]
-		h := mix64(uint64(k))
-		t := tables[h>>shift]
-		if t == nil {
-			steps++
-			continue
+		// A collapsed key emits its one row without touching the table;
+		// any other key walks its chain.
+		hit := &res[h]
+		r, e := hit.r, int32(-1)
+		if !hit.one {
+			e = hit.e
 		}
-		e, st := t.lookup(k, h)
-		steps += st
-		for ; e != -1; e = t.next[e] {
+		for more := true; more; more = e != -1 {
+			if e != -1 {
+				r, e = hit.t.rows[e], hit.t.next[e]
+				touches++
+			}
 			matches++
 			if fold != nil {
-				fold.match(i, t.rows[e])
-				continue
-			}
-			pc.l = append(pc.l, int32(lo+i))
-			pc.r = append(pc.r, t.rows[e])
-			if carry {
-				pc.k = append(pc.k, k)
+				fold.hit(hit, i, r)
+			} else {
+				pc.l, pc.r = append(pc.l, int32(lo+i)), append(pc.r, r)
+				if carry {
+					pc.k = append(pc.k, hit.k)
+				}
 			}
 		}
 	}
-	// Probe-stage counters over the selected rows.  The source already
-	// paid for the key stream; only the pair sink writes pairs.
-	m := uint64(matches)
-	w.Add(energy.Counters{
-		TuplesIn:     uint64(n),
-		TuplesOut:    m,
-		CacheMisses:  uint64(n)/2 + m/4,
-		Instructions: uint64(n)*8 + m*4 + uint64(steps),
-	})
+	c.Matches, c.Touches = matches, c.Touches+touches
 	if fold != nil {
-		w.Add(fold.flush(m))
+		fold.flush()
+		w.TuplesOut += uint64(fold.t.groups())
 	} else {
-		w.BytesWrittenDRAM += m * 8
+		w.BytesWrittenDRAM += uint64(matches) * 8 // the pair list
 	}
-	return pc, w
+	return pc, c, w
+}
+
+// probeHit is one resolved probe key of a morsel: its table and chain
+// head.  A key with one build row (one, collapsed) read that row r at its
+// lookup, and memoizes its fold group in g (plus one; 0 unresolved) when
+// the group does not depend on the probe row.
+type probeHit struct {
+	t       *joinTable
+	k       int64
+	e, r, g int32 // chain head; a collapsed key's build row; its group + 1
+	one     bool
+}
+
+// iota32 is the window-local row list of a fully selected window.
+var iota32 = func() []int32 {
+	s := make([]int32, MorselRows)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// lookup resolves key k in its partition's table, counting the lookup,
+// its steps and — for a one-row key — the build entry it reads, and
+// returns its hit index in sc.res, or -1 when k matches nothing.
+func (jr *joinRun) lookup(sc *morselScratch, k int64, c *ProbeCounts) int32 {
+	c.Keys++
+	h := mix64(uint64(k))
+	t := jr.tables[h>>jr.shift]
+	if t == nil {
+		c.Steps++
+		return -1
+	}
+	e, st := t.lookup(k, h)
+	c.Steps += st
+	if e == -1 {
+		return -1
+	}
+	hit := probeHit{t: t, k: k, e: e, one: t.next[e] == -1}
+	if hit.one {
+		hit.r = t.rows[e]
+		c.Touches++
+	}
+	sc.res = append(sc.res, hit)
+	return int32(len(sc.res) - 1)
 }
 
 // probeOut is one probe morsel's output: its matches as pairs, or the
@@ -317,6 +421,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 type probeOut struct {
 	pairChunk
 	agg *groupTable
+	ProbeCounts
 }
 
 // pairBudget admits the pair sink's morsel outputs in morsel order until
@@ -351,9 +456,10 @@ func (b *pairBudget) admit(m, pairs int) bool {
 
 // probe runs the probe pass — one probeMorsel per morsel of the source —
 // into the pair sink (fold nil) or, per morsel, a copy of fold over a
-// fresh partial table, and returns the morsel outputs in morsel order
-// with the pass's counters.
-func (jr *joinRun) probe(ctx *Ctx, fold *probeFold) ([]probeOut, energy.Counters, error) {
+// fresh partial table, and returns the morsel outputs in morsel order,
+// the pass's counts and its counters.  The lookup phase is charged here,
+// once, at the pass's counts (ProbeWork).
+func (jr *joinRun) probe(ctx *Ctx, fold *probeFold) ([]probeOut, ProbeCounts, energy.Counters, error) {
 	snap := ctx.SnapTS
 	var budget *pairBudget
 	if fold == nil {
@@ -364,36 +470,39 @@ func (jr *joinRun) probe(ctx *Ctx, fold *probeFold) ([]probeOut, energy.Counters
 		if fold != nil {
 			f := *fold
 			f.t = f.pf.newTable(f.dicts)
-			_, w := jr.probeMorsel(snap, lo, hi, &f)
-			return probeOut{agg: f.t}, w
+			_, c, w := jr.probeMorsel(snap, lo, hi, &f)
+			return probeOut{agg: f.t, ProbeCounts: c}, w
 		}
-		pc, w := jr.probeMorsel(snap, lo, hi, nil)
+		pc, c, w := jr.probeMorsel(snap, lo, hi, nil)
 		if !budget.admit(m, len(pc.l)) {
 			return probeOut{}, energy.Counters{}
 		}
-		return probeOut{pairChunk: pc}, w
+		return probeOut{pairChunk: pc, ProbeCounts: c}, w
 	})
+	var c ProbeCounts
 	switch {
 	case ctx.Canceled():
-		return nil, qw, ErrCanceled
+		return nil, c, qw, ErrCanceled
 	case budget != nil && budget.total > maxJoinPairs:
-		return nil, qw, ErrResultTooLarge
+		return nil, c, qw, ErrResultTooLarge
 	}
-	return outs, qw, nil
+	for _, o := range outs {
+		c.Add(o.ProbeCounts)
+	}
+	ctx.Charge(jr.label+" [lookup]", c.Matches, ProbeWork(c))
+	ctx.OpReports[len(ctx.OpReports)-1].Probe = &c
+	return outs, c, qw, nil
 }
 
 // pairs is the pair sink — the second half of a join that feeds an
 // arbitrary consumer: probe, concatenate the pair chunks in morsel order
 // (probe-row-major, build rows ascending within duplicates), gather.
 func (jr *joinRun) pairs(ctx *Ctx) (*Relation, error) {
-	outs, qw, err := jr.probe(ctx, nil)
+	outs, c, qw, err := jr.probe(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	matches := 0
-	for _, o := range outs {
-		matches += len(o.l)
-	}
+	matches := c.Matches
 	lRows := make([]int32, 0, matches)
 	rRows := make([]int32, 0, matches)
 	var mKeys []int64

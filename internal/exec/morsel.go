@@ -117,6 +117,12 @@ type morselScratch struct {
 	ins                    []foldIn
 	slots                  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
 	spans                  []colstore.SegSpan
+	// A probe window's dictionary span memo (code → hit + 2, 0 unseen),
+	// each selected row's hit index (-1: no match) and the hits
+	// (joinRun.lookup).
+	memo []int32
+	hits []int32
+	res  []probeHit
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}

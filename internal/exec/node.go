@@ -55,6 +55,9 @@ type OpReport struct {
 	Label string
 	Rows  int
 	Work  energy.Counters
+	// Probe holds a join's lookup phase's counts, the arguments its Work
+	// was priced at (ProbeWork); nil on every other report.
+	Probe *ProbeCounts
 }
 
 // Charge books counters for one operator (or one unit of out-of-operator

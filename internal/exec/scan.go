@@ -427,7 +427,6 @@ func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
 func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, energy.Counters) {
 	n := len(rows)
 	dense := n == hi-lo
-	sparse := energy.Counters{CacheMisses: uint64(n) / 4, Instructions: uint64(n) * 2}
 	switch c := col.(type) {
 	case *colstore.IntColumn:
 		oc.I = make([]int64, n)
@@ -437,7 +436,7 @@ func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, ener
 		for i, r := range rows {
 			oc.I[i] = c.Get(lo + int(r))
 		}
-		return oc, sparse
+		return oc, pointReads(n, false)
 	case *colstore.FloatColumn:
 		oc.F = make([]float64, n)
 		for i, r := range rows {
@@ -453,8 +452,7 @@ func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, ener
 		for i, r := range rows {
 			oc.I[i] = codes.Get(lo + int(r))
 		}
-		// Codes gather cheaper than values: no dictionary deref.
-		return oc, energy.Counters{CacheMisses: uint64(n) / 8, Instructions: uint64(n)}
+		return oc, pointReads(n, true)
 	}
 	return oc, energy.Counters{}
 }

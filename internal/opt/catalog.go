@@ -195,8 +195,9 @@ func statsOf(t *colstore.Table) *TableStats {
 	return ts
 }
 
-// estimateDistinct samples up to 4096 rows and scales the observed
-// distinct ratio, capped by the domain span.
+// estimateDistinct samples every (n/4096)-th row: a sample whose rows are
+// all distinct reads as a unique column (n), any other counts its
+// distinct values, capped by the domain span.
 func estimateDistinct(ic *colstore.IntColumn) int {
 	n := ic.Len()
 	if n == 0 {
@@ -211,11 +212,13 @@ func estimateDistinct(ic *colstore.IntColumn) int {
 	if step == 0 {
 		step = 1
 	}
+	taken := 0
 	for i := 0; i < n; i += step {
 		seen[ic.Get(i)] = struct{}{}
+		taken++
 	}
 	d := len(seen)
-	if d == sample { // likely unique
+	if d == taken { // likely unique
 		d = n
 	}
 	if min, max, ok := ic.MinMax(); ok {

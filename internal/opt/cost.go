@@ -94,20 +94,30 @@ func (cm *CostModel) Price(w energy.Counters, simTime time.Duration) Cost {
 }
 
 // EstimateHashJoin prices the one join (internal/exec/join.go) of
-// probeRows × buildRows tuples yielding outRows, mirroring its phase
-// accounting so estimated and measured join costs share the same shape —
-// every key is 8 bytes, a BIGINT or a string's code:
+// probeRows × buildRows tuples yielding outRows when its probe reads a
+// materialized relation: every row's 8-byte key streams in and is looked
+// up (estimateJoin).  ncols is the output width for the gather phase.
+func EstimateHashJoin(probeRows, buildRows, outRows float64, ncols int) energy.Counters {
+	n, m := int(probeRows), int(outRows)
+	pc := exec.ProbeCounts{Rows: n, Keys: n, Steps: n, Matches: m, Touches: m}
+	return estimateJoin(pc, buildRows, uint64(probeRows*8), ncols)
+}
+
+// estimateJoin prices the one join phase by phase, mirroring its phase
+// accounting so estimated and measured join costs share the same shape:
 //
 //   - partition: only a build side that outgrows one cache-resident table
 //     (exec.RadixBits, the executor's own rule) is scattered into radix
 //     partitions and streamed back in.
-//   - build, probe: the key streams in, table writes, cache-resident
-//     misses — one price at every size.
+//   - build: the 8-byte key stream in, table writes, cache-resident misses
+//     — one price at every size.
+//   - probe: the key stream (keyBytes), then the lookup phase at counts
+//     pc — exec.ProbeWork, the formula the executor bills it with, so the
+//     estimate at the actual counts is the meter.
 //
-// ncols is the output width for the gather phase.  The byte totals feed
-// PlanInfo.Joins (partition + probe bytes) and, through PlanInfo.Est,
-// the scheduler's DOP pricing.
-func EstimateHashJoin(probeRows, buildRows, outRows float64, ncols int) energy.Counters {
+// The byte totals feed PlanInfo.Joins (partition + probe bytes) and,
+// through PlanInfo.Est, the scheduler's DOP pricing.
+func estimateJoin(pc exec.ProbeCounts, buildRows float64, keyBytes uint64, ncols int) energy.Counters {
 	var w energy.Counters
 	if exec.RadixBits(int(buildRows)) > 0 {
 		// Partition pass: scattered (key, row) pairs out and back in.
@@ -117,17 +127,14 @@ func EstimateHashJoin(probeRows, buildRows, outRows float64, ncols int) energy.C
 		w.Instructions += uint64(buildRows * 6)
 	}
 	// Build: the key stream in, table writes, resident misses.
-	w.BytesReadDRAM += uint64(buildRows * 8)
+	w.BytesReadDRAM += uint64(buildRows*8) + keyBytes
 	w.BytesWrittenDRAM += uint64(buildRows * 16)
 	w.CacheMisses += uint64(buildRows / 2)
 	w.Instructions += uint64(buildRows * 12)
-	// Probe: the key stream in, one resident lookup per row.
-	w.BytesReadDRAM += uint64(probeRows * 8)
-	w.CacheMisses += uint64(probeRows / 2)
-	w.Instructions += uint64(probeRows*8 + outRows*4)
-	w.Add(estimateJoinOutput(outRows, ncols))
-	w.TuplesIn = uint64(probeRows + buildRows)
-	w.TuplesOut = uint64(outRows)
+	w.Add(exec.ProbeWork(pc))
+	w.Add(estimateJoinOutput(float64(pc.Matches), ncols))
+	w.TuplesIn = uint64(pc.Rows) + uint64(buildRows)
+	w.TuplesOut = uint64(pc.Matches)
 	return w
 }
 

@@ -11,7 +11,7 @@ import (
 // for it, or the scheduler's energy-priced DOP and the serving front
 // end's admission budgets would price fused plans as if they still moved
 // those bytes.  Eligibility is answered by the executor itself
-// (exec.FusedAggEligible / FusedProbeEligible / FusedProbeAggEligible run
+// (exec.FusedAggEligible / FusedProbeEligible / FusedProbeAgg run
 // the same resolution as the runtime hook), so the planner can never
 // disagree with what will actually execute.
 
@@ -31,16 +31,6 @@ func (c *Catalog) scanMaterialization(table string, preds []expr.Pred, ncols int
 	return energy.Counters{
 		CacheMisses:  uint64(matched * float64(ncols) / 4),
 		Instructions: uint64(matched * float64(ncols) * 2),
-	}
-}
-
-// estimateProbeFold prices folding outRows join matches straight into
-// partial aggregates — the executor's probeFold.work: the fold budget
-// plus a cache-resident touch of the group key and of a build-side input.
-func estimateProbeFold(outRows float64, naggs int) energy.Counters {
-	return energy.Counters{
-		Instructions: uint64(outRows * float64(4+2*naggs)),
-		CacheMisses:  uint64(outRows / 4),
 	}
 }
 

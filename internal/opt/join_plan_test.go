@@ -447,8 +447,27 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 		}
 		return rel, info, ctx.Meter.Snapshot()
 	}
-	sealedRel, sealedInfo, sealedWork := run(build(true))
-	rawRel, rawInfo, rawWork := run(build(false))
+	sealedCat, rawCat := build(true), build(false)
+	sealedRel, sealedInfo, sealedWork := run(sealedCat)
+	rawRel, rawInfo, rawWork := run(rawCat)
+	// The probe pass streams the key column's compressed bytes: the key's
+	// scan bytes per value for every probe row, fewer sealed than raw.
+	for _, arm := range []struct {
+		cat  *Catalog
+		info *PlanInfo
+	}{{sealedCat, sealedInfo}, {rawCat, rawInfo}} {
+		st, err := arm.cat.Stats("fact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ji := arm.info.Joins[0]
+		if want := uint64(ji.EstProbeRows * st.Cols["seg"].ScanBytesPerValue); ji.ProbeBytes != want || want == 0 {
+			t.Errorf("ProbeBytes %d, want the key's compressed bytes %d", ji.ProbeBytes, want)
+		}
+	}
+	if sealedInfo.Joins[0].ProbeBytes >= rawInfo.Joins[0].ProbeBytes || sealedInfo.Joins[0].ProbeBytes >= nFact*8 {
+		t.Errorf("sealed ProbeBytes %d must undercut raw %d and 8 bytes a row", sealedInfo.Joins[0].ProbeBytes, rawInfo.Joins[0].ProbeBytes)
+	}
 
 	if sealedInfo.Explain != rawInfo.Explain || !sealedInfo.Joins[0].FusedProbe || !rawInfo.Joins[0].FusedProbe {
 		t.Fatalf("a string-key join must plan one fused tree on any storage:\n%s\nvs\n%s", sealedInfo.Explain, rawInfo.Explain)

@@ -86,8 +86,10 @@ func customersTable(t testing.TB) *colstore.Table {
 // registries: a table registered as one shard wrapped in place gets the
 // very statistics the flat registry computed before the collapse (the
 // golden values below were printed by the parent commit's AddTable over
-// these fixtures; ScanBytesPerValue must match bit for bit — an estimate
-// off by an ulp can flip an access-path or DOP near-tie), the refreshes
+// these fixtures, except id's Distinct: a sample whose every row is
+// distinct now reads as a unique column however many rows the stride
+// took; ScanBytesPerValue must match bit for bit — an estimate off by an
+// ulp can flip an access-path or DOP near-tie), the refreshes
 // are idempotent, and the one shard stays reachable by its own name.
 func TestCatalogOneRegistry(t *testing.T) {
 	cat, orders := testCatalog(t, 10000)
@@ -96,7 +98,7 @@ func TestCatalogOneRegistry(t *testing.T) {
 	golden := map[string]TableStats{
 		"orders": {Name: "orders", Rows: 10000,
 			Cols: map[string]ColStats{
-				"id":      {Type: colstore.Int64, Min: 1, Max: 10000, HasMinMax: true, Distinct: 5000, ScanBytesPerValue: 1.0869},
+				"id":      {Type: colstore.Int64, Min: 1, Max: 10000, HasMinMax: true, Distinct: 10000, ScanBytesPerValue: 1.0869},
 				"custkey": {Type: colstore.Int64, Min: 0, Max: 998, HasMinMax: true, Distinct: 648, ScanBytesPerValue: 2.2592},
 				"region":  {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5154},
 				"amount":  {Type: colstore.Float64, ScanBytesPerValue: 8},

@@ -90,7 +90,15 @@ type JoinPlanInfo struct {
 	EstBuildRows   float64
 	EstOutRows     float64
 	PartitionBytes uint64 // estimated bytes moved by the radix scatter
-	ProbeBytes     uint64 // estimated bytes streamed by the probe pass
+	// ProbeBytes is the estimated key bytes the probe pass streams: the
+	// key column's compressed bytes for a fused probe (its
+	// ScanBytesPerValue per row), 8 a row from a materialized relation.
+	ProbeBytes uint64
+	// EstProbe is the probe pass's estimated counts, the lookup phase's
+	// price arguments (exec.ProbeWork); Fold the shape its matches fold
+	// at when FusedAgg (exec.ProbeFoldWork).
+	EstProbe exec.ProbeCounts
+	Fold     exec.ProbeFold
 }
 
 // PlanInfo reports what the planner decided.
@@ -388,26 +396,29 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		if coPart {
 			pairs = float64(buildScan.Source.NumShards())
 		}
-		var w energy.Counters
-		for range int(pairs) {
-			w.Add(EstimateHashJoin(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, d.ncols))
-		}
-		info.Est = info.Est.plus(cm.Price(w, 0))
+		// Fused probe feed: the probe-side scan never materializes its
+		// relation, and its keys stream compressed and resolve span-wise.
+		fused := !coPart && probeScan != nil && exec.FusedProbeEligible(probeScan, lk)
+		pc, keyBytes := c.probeCounts(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, fused, probeName, lk, buildName, rk)
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
 			LeftKey: lk, RightKey: rk,
 			Partitioned:   exec.RadixBits(int(d.buildRows/pairs)) > 0,
 			CoPartitioned: coPart,
+			FusedProbe:    fused,
 			EstProbeRows:  d.probeRows, EstBuildRows: d.buildRows, EstOutRows: d.outRows,
-			ProbeBytes: uint64(d.probeRows * 8),
 		}
+		var w energy.Counters
+		for range int(pairs) {
+			w.Add(estimateJoin(pc, d.buildRows/pairs, keyBytes, d.ncols))
+			ji.EstProbe.Add(pc)
+			ji.ProbeBytes += keyBytes
+		}
+		info.Est = info.Est.plus(cm.Price(w, 0))
 		if ji.Partitioned {
 			ji.PartitionBytes = uint64(d.buildRows * (8 + 12))
 		}
-		// Fused probe feed: the probe-side scan never materializes its
-		// relation, so its estimate sheds the materialization terms.
-		if !coPart && probeScan != nil && exec.FusedProbeEligible(probeScan, lk) {
-			ji.FusedProbe = true
+		if fused {
 			info.FusedProbes = append(info.FusedProbes, probeName)
 			info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
 		}
@@ -435,14 +446,18 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		case rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs):
 			info.FusedAgg = true
 			info.credit(cm, c.scanMaterialization(q.From, predsOf[q.From], len(needed[q.From])))
-		case exec.FusedProbeAggEligible(root, q.GroupBy, aggs):
+		default:
 			// Fused probe→aggregate: the last join's matches fold straight
 			// into partial aggregates, so its pair list and gathered output
 			// are never written; the fold takes their place in the estimate.
+			fold, ok := exec.FusedProbeAgg(root, q.GroupBy, aggs)
+			if !ok {
+				break
+			}
 			last, d := &info.Joins[len(info.Joins)-1], decisions[len(decisions)-1]
-			info.FusedAgg, last.FusedAgg = true, true
+			info.FusedAgg, last.FusedAgg, last.Fold = true, true, fold
 			info.credit(cm, estimateJoinOutput(d.outRows, d.ncols))
-			info.Est = info.Est.plus(cm.Price(estimateProbeFold(d.outRows, len(aggs)), 0))
+			info.Est = info.Est.plus(cm.Price(exec.ProbeFoldWork(fold, last.EstProbe.Matches, last.EstProbe.Touches), 0))
 		}
 		root = &exec.HashAgg{Child: root, GroupBy: q.GroupBy, Aggs: aggs}
 	}
@@ -463,6 +478,33 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 	}
 	info.Explain = exec.Explain(root)
 	return root, info, nil
+}
+
+// probeCounts estimates one probe pass's counts (exec.ProbeCounts) and
+// the key bytes it streams.  A fused probe streams its key column's
+// compressed bytes and resolves at most its span-wise keys
+// (colstore.Table.SpanKeys); a materialized relation streams 8 bytes a
+// row and looks every row up.  A build key with one row per value reads
+// each matching key's build entry once, and a key finds its build row as
+// often as the build side's predicates keep one (buildRows of the
+// table's).  Steps are estimated at one per lookup.
+func (c *Catalog) probeCounts(rows, buildRows, out float64, fused bool, probe, lk, build, rk string) (exec.ProbeCounts, uint64) {
+	n, m := int(rows), int(out)
+	pc := exec.ProbeCounts{Rows: n, Keys: n, Matches: m, Touches: m}
+	keyBytes := uint64(rows * 8)
+	if fused {
+		if ps, err := c.Stats(probe); err == nil {
+			keyBytes = uint64(rows * ps.Cols[lk].ScanBytesPerValue)
+		}
+		if st, err := c.Lookup(probe); err == nil {
+			pc.Keys = min(n, st.Shard(0).SpanKeys(lk))
+		}
+	}
+	if bs, err := c.Stats(build); err == nil && bs.Rows > 0 && bs.Cols[rk].Distinct >= bs.Rows {
+		pc.Touches = min(m, int(float64(pc.Keys)*min(1, buildRows/float64(bs.Rows))))
+	}
+	pc.Steps = pc.Keys
+	return pc, keyBytes
 }
 
 // coercePred adapts numeric literal types to the column type, so SQL like
