@@ -35,15 +35,16 @@ func BenchmarkE1EnergyConstraint(b *testing.B) {
 	}
 }
 
-// BenchmarkE2AccessPath regenerates the scan-vs-index selectivity sweep.
+// BenchmarkE2AccessPath regenerates the sorted-vs-shuffled layout sweep
+// and checks its shape.
 func BenchmarkE2AccessPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.E2Sweep(200_000)
+		rows, err := experiments.E2Sweep(1 << 20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows[0].Winner != "index" {
-			b.Fatal("crossover shape lost")
+		if err := experiments.CheckE2Shape(rows); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -117,8 +117,5 @@ func loadDemo(e *core.Engine) error {
 	if err := e.Seal("orders"); err != nil {
 		return err
 	}
-	if err := e.Seal("customer"); err != nil {
-		return err
-	}
-	return e.CreateIndex("orders", "id", "btree")
+	return e.Seal("customer")
 }

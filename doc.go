@@ -8,8 +8,9 @@
 // operate-on-compressed scan kernels (predicates evaluated directly on
 // RLE runs, delta checkpoints, dictionary codes, and bit-packed words),
 // radix-partitioned morsel-parallel hash joins that run string keys in
-// the dictionary code domain, secondary indexes, a dual time/energy
-// optimizer with a DP-to-greedy join-ordering pass, an
+// the dictionary code domain (a sorted sealed segment is its own index:
+// delta boundary search plus zone maps, the one access path), a dual
+// time/energy optimizer with a DP-to-greedy join-ordering pass, an
 // energy-aware scheduler with a multi-query layer (admission-controlled
 // run queue, a shared core budget arbitrated across concurrent queries
 // by the P-state DOP pricer through revocable core leases, and

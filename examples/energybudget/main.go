@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/experiments/coresim"
 	"repro/internal/opt"
 )
 
@@ -37,7 +38,7 @@ func main() {
 	}
 	names := []string{"all-cores", "4-cores", "1-slow-core"}
 	for _, budget := range []energy.Joules{3, 1.5, 1.0} {
-		pick := opt.PickUnderEnergyBudget(alts, budget)
+		pick := coresim.PickUnderEnergyBudget(alts, budget)
 		fmt.Printf("  budget %v   -> %s (%v, %v)\n",
 			budget, names[pick], alts[pick].Time, alts[pick].Energy)
 	}

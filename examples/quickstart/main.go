@@ -64,15 +64,4 @@ func main() {
 	}
 	fmt.Println("builder result (same plan, same rows):")
 	fmt.Print(core.Format(res2.Rel))
-
-	// 4. Indexes change plans when they pay off.
-	if err := e.CreateIndex("products", "sku", "btree"); err != nil {
-		log.Fatal(err)
-	}
-	plan, err := e.Explain("SELECT price FROM products WHERE sku = 4242")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nplan for a needle lookup after CREATE INDEX:")
-	fmt.Print(plan)
 }

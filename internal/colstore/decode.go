@@ -49,6 +49,59 @@ func (c *IntColumn) DecodeRange(lo, hi int, out []int64) energy.Counters {
 	return ctr
 }
 
+// GatherRows writes row lo+rows[i] into out[i] (len(out) == len(rows)):
+// the sparse counterpart of DecodeRange, for a partial selection of a
+// window.  It keeps a cursor instead of paying Get's search per row: the
+// segment of the previous row is reused while rows stay inside it, and in
+// a delta segment decoding continues forward from the previous row,
+// restarting at the frame checkpoint only on a new frame or a backward
+// row — an ascending selection decodes each frame's varints at most once,
+// where Get decodes up to deltaFrame-1 of them per row.  Callers price the
+// gather by its row count, so it returns no counters.
+func (c *IntColumn) GatherRows(lo int, rows []int32, out []int64) {
+	if len(out) != len(rows) {
+		panic("colstore: gather length mismatch")
+	}
+	var s *intSegment
+	start, end := 0, 0
+	var cur deltaCursor
+	for i, r := range rows {
+		row := lo + int(r)
+		if row < start || row >= end {
+			si := c.segAt(row)
+			s, start, end = c.segs[si], c.starts[si], c.starts[si]+c.segs[si].length()
+			cur = deltaCursor{f: -1}
+		}
+		if s.sealed && s.enc == EncDelta {
+			out[i] = cur.get(s, row-start)
+		} else {
+			out[i] = s.get(row - start)
+		}
+	}
+}
+
+// deltaCursor is GatherRows' position inside one delta segment: value v
+// at segment-local row k of frame f, p the payload from row k+1 on.
+type deltaCursor struct {
+	f, k int
+	v    int64
+	p    []byte
+}
+
+// get returns segment-local row j of the delta segment s, decoding
+// forward from the cursor when j lies ahead of it in the same frame.
+func (cur *deltaCursor) get(s *intSegment, j int) int64 {
+	if f := j / deltaFrame; f != cur.f || j < cur.k {
+		*cur = deltaCursor{f: f, k: f * deltaFrame, v: s.checks[f].val, p: s.payload[s.checks[f].off:]}
+	}
+	for ; cur.k < j; cur.k++ {
+		d, n := binary.Varint(cur.p)
+		cur.p = cur.p[n:]
+		cur.v += d
+	}
+	return cur.v
+}
+
 // decodeRange widens segment-local rows [la, lb) into out (len lb-la).
 func (s *intSegment) decodeRange(la, lb int, out []int64) energy.Counters {
 	rows := uint64(lb - la)

@@ -142,3 +142,55 @@ func TestSpanCodesMatchGetEveryWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherRowsMatchesGet checks the gather cursor against per-row Get
+// for every codec, on three layouts (one sealed segment, raw appends, and
+// sealed segments followed by an unsealed tail) and three row orders: an
+// ascending selection, a random order that jumps backwards across frames
+// and segments, and ascending rows each repeated.
+func TestGatherRowsMatchesGet(t *testing.T) {
+	for name, vals := range decodeShapes() {
+		layouts := map[string]*IntColumn{
+			"sealed":        NewIntColumn(),
+			"unsealed":      NewIntColumn(),
+			"multi-segment": NewIntColumn(),
+		}
+		layouts["sealed"].AppendSlice(vals[:SegSize/2+300])
+		layouts["sealed"].Seal()
+		layouts["unsealed"].AppendSlice(vals)
+		layouts["multi-segment"].AppendSlice(vals[:len(vals)-777])
+		layouts["multi-segment"].Seal()
+		layouts["multi-segment"].AppendSlice(vals[len(vals)-777:])
+		for layout, c := range layouts {
+			if layout != "unsealed" && c.Storage().Segments[name] == 0 {
+				t.Fatalf("%s/%s: no %s segment to gather from: %v", name, layout, name, c.Storage().Segments)
+			}
+			n := c.Len()
+			rng := workload.NewRNG(uint64(len(name) + n))
+			for _, w := range [][2]int{{0, n}, {SegSize/2 - 129, n - 3}} {
+				lo, hi := w[0], w[1]
+				var asc, dup []int32
+				for r := 0; r < hi-lo; r++ {
+					if r%7 == 0 || r == hi-lo-1 || rng.Intn(3) == 0 {
+						asc = append(asc, int32(r))
+						dup = append(dup, int32(r), int32(r))
+					}
+				}
+				random := make([]int32, 4000)
+				for i := range random {
+					random[i] = int32(rng.Intn(hi - lo))
+				}
+				for order, rows := range map[string][]int32{"ascending": asc, "random": random, "duplicate": dup} {
+					out := make([]int64, len(rows))
+					c.GatherRows(lo, rows, out)
+					for i, r := range rows {
+						if want := c.Get(lo + int(r)); out[i] != want {
+							t.Fatalf("%s/%s/%s [%d,%d): row %d = %d, Get says %d",
+								name, layout, order, lo, hi, lo+int(r), out[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

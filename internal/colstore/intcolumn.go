@@ -111,6 +111,12 @@ func (c *IntColumn) Seal() {
 // fresh segment), so the segment is located by binary search over start
 // offsets.
 func (c *IntColumn) Get(i int) int64 {
+	si := c.segAt(i)
+	return c.segs[si].get(i - c.starts[si])
+}
+
+// segAt returns the index of the segment holding row i.
+func (c *IntColumn) segAt(i int) int {
 	lo, hi := 0, len(c.starts)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -120,11 +126,10 @@ func (c *IntColumn) Get(i int) int64 {
 			hi = mid - 1
 		}
 	}
-	return c.segs[lo].get(i - c.starts[lo])
+	return lo
 }
 
-// Values materializes the whole column (bulk decode; also the
-// index-build path).
+// Values materializes the whole column (bulk decode).
 func (c *IntColumn) Values() []int64 {
 	out := make([]int64, 0, c.n)
 	for _, s := range c.segs {

@@ -231,7 +231,7 @@ func (s *intSegment) getSealed(i int) int64 {
 }
 
 // appendValues decodes the whole sealed segment into out (bulk path for
-// Values and index builds; point access uses getSealed).
+// Values; point access uses getSealed).
 func (s *intSegment) appendValues(out []int64) []int64 {
 	switch s.enc {
 	case EncRLE:

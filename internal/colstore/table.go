@@ -51,8 +51,7 @@ type Table struct {
 	// lastTS is the highest commit timestamp stamped into this table.
 	lastTS int64
 	// writeEpoch counts structural write events (appends, deletes,
-	// merges).  Secondary indexes record the epoch they were built at;
-	// a mismatch means the index no longer covers the table.
+	// merges).
 	writeEpoch int64
 }
 
@@ -293,9 +292,10 @@ func (t *Table) DeltaRows() int {
 	return t.lenLocked() - t.sealedRows
 }
 
-// WriteEpoch returns the table's write-event counter.  Secondary indexes
-// record it at build time; internal/opt refuses index access paths whose
-// recorded epoch no longer matches.
+// WriteEpoch returns the table's write-event counter.  A maintenance
+// plan's share signature carries it (opt.PlanMerge, opt.PlanRebalance),
+// so a maintenance ticket never shares with one planned against older
+// table state.
 func (t *Table) WriteEpoch() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -80,7 +80,7 @@ func UnpackUint64(packed []uint64, n, width int) []uint64 {
 }
 
 // PackedGet extracts value i from a packed buffer without unpacking the
-// rest — the point-access path used by index lookups on packed columns.
+// rest — point access on a packed buffer.
 func PackedGet(packed []uint64, i, width int) uint64 {
 	var mask uint64
 	if width == 64 {

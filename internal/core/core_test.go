@@ -107,36 +107,6 @@ func TestHybridLanguageEquivalence(t *testing.T) {
 	}
 }
 
-func TestIndexChangesPlan(t *testing.T) {
-	e := Open()
-	loadOrders(t, e, 100000)
-	before, err := e.Explain("SELECT id FROM orders WHERE id = 77")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(before, "IndexScan") {
-		t.Fatal("no index yet, plan must scan")
-	}
-	if err := e.CreateIndex("orders", "id", "btree"); err != nil {
-		t.Fatal(err)
-	}
-	after, err := e.Explain("SELECT id FROM orders WHERE id = 77")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(after, "IndexScan") {
-		t.Fatalf("needle query must use the index:\n%s", after)
-	}
-	// Results must be identical either way.
-	res, err := e.Query("SELECT id FROM orders WHERE id = 77")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.N != 1 {
-		t.Fatalf("rows = %d", res.Rel.N)
-	}
-}
-
 func TestObjectiveSwitching(t *testing.T) {
 	e := Open(WithObjective(opt.MinEnergy))
 	if e.Objective() != opt.MinEnergy {
@@ -159,12 +129,6 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if _, err := e.Query("SELECT ghost FROM orders"); err == nil {
 		t.Error("unknown column must error")
-	}
-	if err := e.CreateIndex("orders", "amount", "btree"); err == nil {
-		t.Error("index on DOUBLE must error")
-	}
-	if err := e.CreateIndex("orders", "id", "skiplist"); err == nil {
-		t.Error("unknown index kind must error")
 	}
 	if err := e.Seal("ghost"); err == nil {
 		t.Error("sealing unknown table must error")

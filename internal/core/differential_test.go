@@ -38,8 +38,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 }
 
 // differentialRandomQueries runs the random trials over one layout;
-// shards == 0 keeps the table flat (and indexes id), otherwise it is cut
-// into that many value-range shards on custkey.
+// shards == 0 keeps the table flat, otherwise it is cut into that many
+// value-range shards on custkey.
 func differentialRandomQueries(t *testing.T, rows, shards int) {
 	e := Open()
 	loadOrders(t, e, rows)
@@ -52,9 +52,6 @@ func differentialRandomQueries(t *testing.T, rows, shards int) {
 		if _, err := e.ShardTable("orders", "custkey", shards); err != nil {
 			t.Fatal(err)
 		}
-	} else if err := e.CreateIndex("orders", "id", "btree"); err != nil {
-		// Also exercise the index path for id predicates.
-		t.Fatal(err)
 	}
 	id, _ := tab.IntCol("id")
 	ck, _ := tab.IntCol("custkey")

@@ -1,5 +1,5 @@
 // Package core is the engine facade: the public API a downstream
-// application uses.  It wires the column store, indexes, optimizer, SQL
+// application uses.  It wires the column store, optimizer, SQL
 // front end, and energy model into one object with both halves of the
 // paper's "hybrid query language": declarative SQL via Engine.Query and
 // the procedural builder via Engine.From(...).  Every query returns an
@@ -17,7 +17,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
-	"repro/internal/index"
 	"repro/internal/opt"
 	"repro/internal/sql"
 	"repro/internal/txn"
@@ -51,7 +50,8 @@ type Engine struct {
 // Option configures Open.
 type Option func(*Engine)
 
-// WithObjective sets the optimizer objective (default MinTime).
+// WithObjective sets the objective queries are scheduled under (default
+// MinTime).
 func WithObjective(o opt.Objective) Option { return func(e *Engine) { e.obj = o } }
 
 // WithModel replaces the energy model.
@@ -104,15 +104,16 @@ func (e *Engine) Log() *wal.Log { return e.log }
 // read exactly the writes at or below it.
 func (e *Engine) SnapshotTS() int64 { return e.txm.SnapshotTS() }
 
-// Objective returns the current optimizer objective.
+// Objective returns the current objective.
 func (e *Engine) Objective() opt.Objective {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.obj
 }
 
-// SetObjective switches the optimizer objective at runtime ("elasticity
-// in the small": the same engine serves min-time or min-energy plans).
+// SetObjective switches the objective at runtime ("elasticity in the
+// small": the same engine grants its queries cores for min-time or
+// min-energy).
 func (e *Engine) SetObjective(o opt.Objective) {
 	e.mu.Lock()
 	e.obj = o
@@ -151,33 +152,6 @@ func (e *Engine) Seal(name string) error {
 	return e.cat.Refresh(name)
 }
 
-// CreateIndex builds a secondary index of the given kind ("hash",
-// "btree", or "prefixtree") over a BIGINT column.
-func (e *Engine) CreateIndex(table, col, kind string) error {
-	t, err := e.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	ic, err := t.IntCol(col)
-	if err != nil {
-		return err
-	}
-	var idx index.Index
-	switch kind {
-	case "hash":
-		idx = index.NewHash()
-	case "btree":
-		idx = index.NewBTree()
-	case "prefixtree":
-		idx = index.NewPrefixTree()
-	default:
-		return fmt.Errorf("core: unknown index kind %q (want hash, btree, or prefixtree)", kind)
-	}
-	index.BuildFrom(idx, ic.Values())
-	e.cat.AddIndex(table, col, idx)
-	return nil
-}
-
 // Result carries a query's rows plus its measured and modeled costs.
 type Result struct {
 	Rel      *exec.Relation
@@ -191,7 +165,7 @@ type Result struct {
 // Joules returns the modeled total energy of the query.
 func (r *Result) Joules() energy.Joules { return r.Energy.Total() }
 
-// Query parses and executes SQL under the engine's objective.
+// Query parses and executes SQL, scheduled under the engine's objective.
 func (e *Engine) Query(text string) (*Result, error) {
 	q, err := sql.Parse(text)
 	if err != nil {
@@ -201,21 +175,15 @@ func (e *Engine) Query(text string) (*Result, error) {
 }
 
 // Run plans and executes a logical query (the shared form produced by
-// the SQL parser and the builder) under the engine's objective.
-func (e *Engine) Run(q *opt.Query) (*Result, error) {
-	res, _, err := e.run(q, 0)
-	return res, err
-}
-
-// run is the engine's one execution entry: the query is a ticket on a
+// the SQL parser and the builder), scheduled under the engine's objective.
+//
+// It is the engine's one execution entry: the query is a ticket on a
 // private one-shot Loop — every core the process has, arbitrated, no
 // batching, unbounded queue — so a lone query is admitted, granted
 // cores, executed and billed by exactly the code that serves traffic.
-// A positive energy budget picks the objective per query (see
-// QueryUnderBudget); the engine's own objective is only ever read.
-func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecision, error) {
+func (e *Engine) Run(q *opt.Query) (*Result, error) {
 	l := e.NewLoop(SchedulerConfig{Budget: runtime.GOMAXPROCS(0), Arbitrate: true})
-	t := l.Offer(0, q, e.Objective(), budget)
+	t := l.Offer(0, q, e.Objective())
 	start := time.Now()          //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
 	l.React()                    // dispatch: the execution starts here
 	l.RunToIdle()                // and is joined here
@@ -223,7 +191,7 @@ func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecisi
 	if t.Err != nil {
 		// The loop prefixes failures with the ticket ID; a lone query's
 		// caller gets the planner's or operator's own error.
-		return nil, nil, errors.Unwrap(t.Err)
+		return nil, errors.Unwrap(t.Err)
 	}
 	return &Result{
 		Rel:      t.Rel,
@@ -232,7 +200,7 @@ func (e *Engine) run(q *opt.Query, budget energy.Joules) (*Result, *BudgetDecisi
 		Energy:   t.Energy,
 		DOP:      t.DOP,
 		PlanInfo: t.PlanInfo,
-	}, t.Decision, nil
+	}, nil
 }
 
 // bill prices executed work — the one place the engine turns counters
@@ -250,7 +218,7 @@ func (e *Engine) Explain(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, info, err := e.cat.Plan(q, e.cm, e.Objective())
+	_, info, err := e.cat.Plan(q, e.cm)
 	if err != nil {
 		return "", err
 	}
@@ -258,12 +226,14 @@ func (e *Engine) Explain(text string) (string, error) {
 }
 
 // Plan lowers a logical query onto its physical operator tree at the
-// engine's cost model under the given objective, without executing it —
-// the serving front end's plan-cache fill path.  The returned node is
-// safe to re-run, and to run concurrently with itself (operators keep no
-// state outside a run's Ctx).
-func (e *Engine) Plan(q *opt.Query, obj opt.Objective) (exec.Node, *opt.PlanInfo, error) {
-	return e.cat.Plan(q, e.cm, obj)
+// engine's cost model, without executing it — the serving front end's
+// plan-cache fill path.  The returned node is safe to re-run, and to run
+// concurrently with itself (operators keep no state outside a run's Ctx).
+// The objective no longer changes the plan (there is one access path); it
+// is accepted for callers that still pass one, and only ever sets a
+// query's scheduler goal, at the offer.
+func (e *Engine) Plan(q *opt.Query, _ opt.Objective) (exec.Node, *opt.PlanInfo, error) {
+	return e.cat.Plan(q, e.cm)
 }
 
 // LifetimeWork returns the total work the engine has performed.

@@ -98,9 +98,6 @@ type Ticket struct {
 	// exactly the writes committed at or before its arrival, however long
 	// it queues and whatever commits meanwhile.
 	SnapTS int64
-	// Decision reports how a per-query energy budget resolved the
-	// objective (nil for offers without one).
-	Decision *BudgetDecision
 	// Table names the target of a background maintenance ticket
 	// (OfferMerge, OfferRebalance); empty for queries.
 	Table string
@@ -234,24 +231,12 @@ func (l *Loop) NextFinish() (time.Duration, bool) { return l.mq.NextFinish() }
 func (l *Loop) Ticket(id int) *Ticket { return l.live[id] }
 
 // Offer plans a query and submits it to the virtual machine at arrival
-// time `at`, returning the ticket.  A positive energy budget overrides
-// the objective per query (Figure 2 as an API): the fastest plan whose
-// energy estimate fits wins, the most frugal when none fits, and the
-// ticket carries the decision.  Plan failures settle the ticket
-// synchronously (Rejected + Err), as do queue-depth rejections; call
-// React after the last offer of an instant.
-func (l *Loop) Offer(at time.Duration, q *opt.Query, obj opt.Objective, budget energy.Joules) *Ticket {
-	if budget <= 0 {
-		node, info, err := l.e.cat.Plan(q, l.e.cm, obj)
-		return l.offerRead(at, node, info, obj, err)
-	}
-	dec, node, info, err := l.e.resolveObjective(q, budget)
-	if err != nil {
-		return l.offerRead(at, nil, nil, obj, err)
-	}
-	t := l.offerRead(at, node, info, dec.Chosen, nil)
-	t.Decision = dec
-	return t
+// time `at` under the objective's scheduler goal, returning the ticket.
+// Plan failures settle the ticket synchronously (Rejected + Err), as do
+// queue-depth rejections; call React after the last offer of an instant.
+func (l *Loop) Offer(at time.Duration, q *opt.Query, obj opt.Objective) *Ticket {
+	node, info, err := l.e.cat.Plan(q, l.e.cm)
+	return l.offerRead(at, node, info, obj, err)
 }
 
 // OfferPlanned submits an already-planned query — the entry point for a

@@ -29,12 +29,8 @@ import (
 type Submission struct {
 	Arrival time.Duration // open-loop arrival offset (virtual time)
 	Q       *opt.Query
-	// Objective the query is planned and scheduled under.
+	// Objective the query is scheduled under (its scheduler goal).
 	Objective opt.Objective
-	// EnergyBudget, when positive, overrides Objective per query (see
-	// Loop.Offer): the fastest plan whose energy estimate fits the
-	// budget wins (most frugal plan when none fits).
-	EnergyBudget energy.Joules
 }
 
 // SchedulerConfig parameterizes NewLoop.
@@ -61,7 +57,7 @@ type SubmissionResult struct {
 	Rel       *exec.Relation
 	Work      energy.Counters  // attributed (standalone) work counters
 	Energy    energy.Breakdown // modeled per-query energy of that work
-	Objective opt.Objective    // objective the plan ran under
+	Objective opt.Objective    // objective the query was scheduled under
 	Start     time.Duration    // virtual dispatch time
 	Finish    time.Duration
 	Latency   time.Duration // includes queueing delay
@@ -150,7 +146,7 @@ func (l *Loop) Replay(subs []Submission) *ScheduleReport {
 		l.AdvanceTo(at)
 		for ; ai < len(order) && subs[order[ai]].Arrival == at; ai++ {
 			s := subs[order[ai]]
-			tickets[order[ai]] = l.Offer(at, s.Q, s.Objective, s.EnergyBudget)
+			tickets[order[ai]] = l.Offer(at, s.Q, s.Objective)
 		}
 		l.React()
 	}

@@ -327,7 +327,7 @@ func TestOfferRebalanceDefersThenRaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fg := loop.Offer(0, q, opt.MinEnergy, 0)
+	fg := loop.Offer(0, q, opt.MinEnergy)
 	if fg.Rejected {
 		t.Fatal("foreground probe rejected")
 	}

@@ -493,7 +493,7 @@ type aggFeeder interface {
 // feeder picks where the rows come from — the one selection, made from
 // what the plan shows and never from a row count or an option:
 //
-//	shard windows    the child is a full-scan *Scan and no GROUP BY column
+//	shard windows    the child is a *Scan and no GROUP BY column
 //	                 is a DOUBLE (fused.go)
 //	probe matches    the child is a join whose probe side fuses (fused.go)
 //	relation windows anything else: the child is run to a relation

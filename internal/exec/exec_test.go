@@ -3,14 +3,12 @@ package exec
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/colstore"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -94,90 +92,6 @@ func TestScanStringAndFloatPredicates(t *testing.T) {
 	}
 	if rel.N == 0 {
 		t.Fatal("expected some matches")
-	}
-}
-
-func TestScanIndexAccessMatchesFullScan(t *testing.T) {
-	tab := ordersTable(t, 8000)
-	ck, err := tab.IntCol("custkey")
-	must(t, err)
-	for _, mk := range []func() index.Index{
-		func() index.Index { return index.NewHash() },
-		func() index.Index { return index.NewBTree() },
-		func() index.Index { return index.NewPrefixTree() },
-	} {
-		idx := mk()
-		index.BuildFrom(idx, ck.Values())
-		preds := []expr.Pred{
-			{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)},
-			{Col: "amount", Op: vec.GT, Val: expr.FloatVal(1000)},
-		}
-		full, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds}).Run(NewCtx())
-		must(t, err)
-		viaIdx, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds,
-			Access: AccessSpec{Kind: IndexAccess, Index: idx, IndexCol: "custkey"}}).Run(NewCtx())
-		must(t, err)
-		if full.N != viaIdx.N {
-			t.Fatalf("%s: index access found %d rows, full scan %d", idx.Name(), viaIdx.N, full.N)
-		}
-		fc, _ := full.Col("id")
-		ic, _ := viaIdx.Col("id")
-		for i := range fc.I {
-			if fc.I[i] != ic.I[i] {
-				t.Fatalf("%s: row %d differs", idx.Name(), i)
-			}
-		}
-	}
-}
-
-func TestScanIndexRangePredicate(t *testing.T) {
-	tab := ordersTable(t, 4000)
-	ck, _ := tab.IntCol("custkey")
-	bt := index.NewBTree()
-	index.BuildFrom(bt, ck.Values())
-	preds := []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(95)}}
-	full, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds}).Run(NewCtx())
-	must(t, err)
-	viaIdx, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"id"}, Preds: preds,
-		Access: AccessSpec{Kind: IndexAccess, Index: bt, IndexCol: "custkey"}}).Run(NewCtx())
-	must(t, err)
-	if full.N != viaIdx.N || full.N == 0 {
-		t.Fatalf("range via index: %d vs %d rows", viaIdx.N, full.N)
-	}
-
-	// Extreme keys: the index bounds must span the whole int64 domain
-	// (keys beyond ±2^62 used to be dropped) and `< MinInt64` /
-	// `> MaxInt64` must select nothing instead of wrapping around.
-	keys := []int64{math.MinInt64, math.MinInt64 + 1, -1<<62 - 5, -7, 0, 9, 1<<62 + 5, math.MaxInt64 - 1, math.MaxInt64}
-	ext := colstore.NewTable("ext", colstore.Schema{{Name: "k", Type: colstore.Int64}})
-	must(t, ext.Writer().Int64("k", keys...).Close())
-	must(t, ext.Seal())
-	ebt := index.NewBTree()
-	index.BuildFrom(ebt, keys)
-	for _, op := range []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE} {
-		for _, c := range append([]int64{-1 << 62, 1 << 62}, keys...) {
-			preds := []expr.Pred{{Col: "k", Op: op, Val: expr.IntVal(c)}}
-			full, err := (&Scan{Source: colstore.OneShard(ext), Preds: preds}).Run(NewCtx())
-			must(t, err)
-			viaIdx, err := (&Scan{Source: colstore.OneShard(ext), Preds: preds,
-				Access: AccessSpec{Kind: IndexAccess, Index: ebt, IndexCol: "k"}}).Run(NewCtx())
-			must(t, err)
-			if !reflect.DeepEqual(full, viaIdx) {
-				t.Errorf("k %s %d: index returned %v, full scan %v", op, c, viaIdx.Cols[0].I, full.Cols[0].I)
-			}
-		}
-	}
-}
-
-func TestHashRangePredicateErrors(t *testing.T) {
-	tab := ordersTable(t, 100)
-	ck, _ := tab.IntCol("custkey")
-	h := index.NewHash()
-	index.BuildFrom(h, ck.Values())
-	_, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(5)}},
-		Access: AccessSpec{Kind: IndexAccess, Index: h, IndexCol: "custkey"}}).Run(NewCtx())
-	if err == nil {
-		t.Fatal("hash index cannot serve a range predicate")
 	}
 }
 

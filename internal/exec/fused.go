@@ -37,7 +37,7 @@ import (
 // then fold column at a time (groupTable.fold).
 //
 // Fusion is structural: HashAgg.Run and Join.Run fuse exactly
-// when their child is a full-scan *Scan of an eligible shape and consume
+// when their child is a *Scan of an eligible shape and consume
 // its Filter selection vectors directly; every other child — including a
 // scan hidden behind any wrapping Node, which is how E24's control arm
 // and the byte-identity tests reach the materializing pipeline — is run
@@ -67,7 +67,7 @@ import (
 // ---------------------------------------------------------------------------
 
 // shardFeed is the shard-window feeder of an aggregation (agg.go): a
-// bound full-scan Scan plus, per shard, the group-key sources and the
+// bound Scan plus, per shard, the group-key sources and the
 // aggregate inputs.  Every morsel filters its rows with the scan's own
 // kernel and folds the selection straight off the stored columns, so the
 // filtered relation is never built.
@@ -98,7 +98,7 @@ type shardFeedCols struct {
 // shardFeed resolves the shard-window feeder, nil when the aggregation is
 // not shard-fed:
 //
-//	child        a *Scan on the full-scan access path
+//	child        a *Scan
 //	GROUP BY     any number of emitted BIGINT or string columns (a string
 //	             is its shard's dictionary code; per-shard dictionaries
 //	             meet in the merge's key translation)
@@ -111,7 +111,7 @@ type shardFeedCols struct {
 // EXPLAIN, the planner's mirror and Run cannot disagree.
 func (a *HashAgg) shardFeed() *shardFeed {
 	s, ok := a.Child.(*Scan)
-	if !ok || s.Access.Kind != FullScan {
+	if !ok {
 		return nil
 	}
 	b, err := s.Bind()
@@ -435,14 +435,14 @@ type shardProbe struct {
 }
 
 // shardProbe reports how (and whether) this join can fuse its probe
-// feed into the left child: a full-scan *Scan over a single shard (probe
+// feed into the left child: a *Scan over a single shard (probe
 // keys run in one dictionary's code domain) that emits a BIGINT or
 // VARCHAR join key.  Everything it reads is static, so EXPLAIN and Run
 // cannot disagree.  nil runs the child to a relation first, which
 // reports any binding errors itself.
 func (j *Join) shardProbe() *shardProbe {
 	s, ok := j.Left.(*Scan)
-	if !ok || s.Access.Kind != FullScan {
+	if !ok {
 		return nil
 	}
 	b, err := s.Bind()

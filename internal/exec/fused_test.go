@@ -253,7 +253,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 
 // TestFusedAggEligibility is the one feeder selection rule, over a flat
 // source and a k=4 sharded one: an aggregation is shard-fed iff its child
-// is a full-scan *Scan, everything it names binds, and no GROUP BY column
+// is a *Scan, everything it names binds, and no GROUP BY column
 // is a DOUBLE.  Any number of BIGINT/string group columns, DOUBLE value
 // inputs and per-shard string dictionaries are shard-fed, and every
 // shard-fed shape answers byte for byte what its relation-fed twin (the
@@ -275,8 +275,7 @@ func TestFusedAggEligibility(t *testing.T) {
 		aggs     []expr.AggSpec
 		shardFed bool
 		// run: "twin" → shard-fed, equal to the opaque twin; "ok" → the
-		// relation feeder answers; "err" → it owns the binding error; "" → a
-		// shape the planner never builds.
+		// relation feeder answers; "err" → it owns the binding error.
 		run string
 	}{
 		{"flat/int-group", flat("rle", "region", "amount"), []string{"rle"}, count, true, "twin"},
@@ -292,8 +291,6 @@ func TestFusedAggEligibility(t *testing.T) {
 				{Func: expr.AggMax, Col: "amount"}, {Func: expr.AggAvg, Col: "amount"}}, true, "twin"},
 		{"flat/float-global", flat("amount"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, true, "twin"},
 		{"flat/opaque-child", opaque(flat("rle")), []string{"rle"}, count, false, "ok"},
-		{"flat/index-access", &Scan{Source: colstore.OneShard(tab), Select: []string{"rle"}, Access: AccessSpec{Kind: IndexAccess}},
-			[]string{"rle"}, count, false, ""},
 		{"flat/count-col-not-selected", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}, false, "err"},
 		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, "twin"},
@@ -312,9 +309,6 @@ func TestFusedAggEligibility(t *testing.T) {
 			}
 			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.shardFed {
 				t.Fatal("planner mirror disagrees with the executor")
-			}
-			if c.run == "" {
-				return
 			}
 			ctx := NewCtx()
 			rel, err := agg.Run(ctx)
@@ -501,8 +495,6 @@ func TestFusedProbeEligibility(t *testing.T) {
 		j    *Join
 	}{
 		{"opaque-child", &Join{Left: opaque(mkScan("lowcard")), LeftKey: "lowcard"}},
-		{"index-access", &Join{Left: &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"},
-			Access: AccessSpec{Kind: IndexAccess}}, LeftKey: "lowcard"}},
 		{"float-key", &Join{Left: mkScan("amount"), LeftKey: "amount"}},
 		{"key-not-selected", &Join{Left: mkScan("rle"), LeftKey: "lowcard"}},
 		{"non-scan-child", &Join{Left: intDimSource(), LeftKey: "k"}},

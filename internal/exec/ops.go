@@ -204,3 +204,22 @@ func (l *Limit) Run(ctx *Ctx) (*Relation, error) {
 	ctx.Charge(l.Label(), l.N, energy.Counters{TuplesIn: uint64(in.N), TuplesOut: uint64(l.N)})
 	return in.gather(rows), nil
 }
+
+// cmpOrdered evaluates `a op b` for a DOUBLE or VARCHAR value.
+func cmpOrdered[T float64 | string](op vec.CmpOp, a, b T) bool {
+	switch op {
+	case vec.LT:
+		return a < b
+	case vec.LE:
+		return a <= b
+	case vec.GT:
+		return a > b
+	case vec.GE:
+		return a >= b
+	case vec.EQ:
+		return a == b
+	case vec.NE:
+		return a != b
+	}
+	return false
+}

@@ -2,42 +2,13 @@ package exec
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/vec"
 )
-
-// AccessKind selects how a scan reaches its rows.
-type AccessKind int
-
-// The access paths the optimizer chooses between (experiment E2).
-const (
-	// FullScan streams every segment (packed word-parallel where sealed).
-	FullScan AccessKind = iota
-	// IndexAccess fetches candidate rows from a secondary index, then
-	// verifies remaining predicates with point reads.
-	IndexAccess
-)
-
-// AccessSpec configures the access path of a Scan node.
-type AccessSpec struct {
-	Kind AccessKind
-	// Index and IndexCol are set for IndexAccess: the index serves the
-	// predicate on IndexCol; all other predicates are verified per row.
-	Index    index.Index
-	IndexCol string
-	// IndexEpoch is the table write epoch the index was built at.  If the
-	// table has been written or merged since (epoch mismatch at run time),
-	// the index is stale — it never sees the delta and compaction renumbers
-	// rows — and the scan falls back to the full-scan path.
-	IndexEpoch int64
-}
 
 // Scan reads a base table with conjunctive predicates pushed down.  Its
 // source is the table's shard list — a flat table is the one-shard case,
@@ -59,21 +30,13 @@ type Scan struct {
 	Source *colstore.ShardedTable
 	Select []string // output columns; empty = all user columns
 	Preds  []expr.Pred
-	// Access picks the index path, which serves a one-shard source only
-	// (default: full scan).
-	Access AccessSpec
 }
 
 // Label implements Node.
 func (s *Scan) Label() string {
-	var head string
-	switch k := s.Source.NumShards(); {
-	case k > 1:
+	head := fmt.Sprintf("Scan(%s)", s.Source.Name)
+	if k := s.Source.NumShards(); k > 1 {
 		head = fmt.Sprintf("Scan(%s, shards=%d)", s.Source.Name, k)
-	case s.Access.Kind == IndexAccess:
-		head = fmt.Sprintf("IndexScan(%s via %s[%s])", s.Source.Name, s.Access.Index.Name(), s.Access.IndexCol)
-	default:
-		head = fmt.Sprintf("Scan(%s)", s.Source.Name)
 	}
 	parts := []string{head}
 	for _, p := range s.Preds {
@@ -358,9 +321,6 @@ func (s *Scan) Run(ctx *Ctx) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Access.Kind == IndexAccess && !b.multi() && b.Shards[0].Table.WriteEpoch() == s.Access.IndexEpoch {
-		return s.runIndex(ctx, b.Shards[0])
-	}
 	var parts []*Relation
 	name := s.Label()
 	err = b.eachShard(ctx, func(i int, sb *ShardBinding) error {
@@ -421,7 +381,8 @@ func (sb *ShardBinding) scan(ctx *Ctx, label string) (*Relation, error) {
 // work.  A fully selected window decodes sealed segments in bulk
 // (DecodeRange streams each compressed segment slice once — the reason
 // join-key extraction is priced per morsel, not per row); sparse
-// selections pay roughly one cache-line touch per value.  A VARCHAR
+// selections gather through a cursor (GatherRows) and pay roughly one
+// cache-line touch per value.  A VARCHAR
 // column gathers its codes, the template oc supplying the name, type and
 // dictionary.  The counters are a pure function of (column, rows, window).
 func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, energy.Counters) {
@@ -433,9 +394,7 @@ func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, ener
 		if dense {
 			return oc, c.DecodeRange(lo, hi, oc.I)
 		}
-		for i, r := range rows {
-			oc.I[i] = c.Get(lo + int(r))
-		}
+		c.GatherRows(lo, rows, oc.I)
 		return oc, pointReads(n, false)
 	case *colstore.FloatColumn:
 		oc.F = make([]float64, n)
@@ -449,9 +408,7 @@ func gatherCol(col colstore.Column, oc Col, rows []int32, lo, hi int) (Col, ener
 		if dense {
 			return oc, codes.DecodeRange(lo, hi, oc.I)
 		}
-		for i, r := range rows {
-			oc.I[i] = codes.Get(lo + int(r))
-		}
+		codes.GatherRows(lo, rows, oc.I)
 		return oc, pointReads(n, true)
 	}
 	return oc, energy.Counters{}
@@ -634,141 +591,4 @@ func unionDict(cols []*Col) ([]string, [][]int64, energy.Counters) {
 		CacheMisses:      entries / 2,
 		Instructions:     entries * 8,
 	}
-}
-
-// runIndex serves the IndexCol predicate from the index, verifies the
-// remaining predicates row by row (random access, priced as cache
-// misses), and gathers the survivors out of the snapshot prefix.
-func (s *Scan) runIndex(ctx *Ctx, sb *ShardBinding) (*Relation, error) {
-	// The snapshot fixes the scan prefix: rows committed after admission
-	// sit beyond n and are never touched.
-	n := sb.Table.RowsAsOf(ctx.SnapTS)
-	var keyPred *expr.Pred
-	var rest []int
-	for i := range s.Preds {
-		if s.Preds[i].Col == s.Access.IndexCol && keyPred == nil {
-			keyPred = &s.Preds[i]
-		} else {
-			rest = append(rest, i)
-		}
-	}
-	if keyPred == nil {
-		return nil, fmt.Errorf("exec: index access on %q without a predicate on it", s.Access.IndexCol)
-	}
-	if keyPred.Val.Kind != colstore.Int64 {
-		return nil, fmt.Errorf("exec: index access requires BIGINT predicate, got %s", keyPred)
-	}
-	var cand []int32
-	var ctr energy.Counters
-	lc := s.Access.Index.LookupCost()
-	switch keyPred.Op {
-	case vec.EQ:
-		cand = append(cand, s.Access.Index.Lookup(keyPred.Val.I)...)
-		ctr.Add(lc)
-	case vec.LT, vec.LE, vec.GT, vec.GE:
-		if !s.Access.Index.SupportsRange() {
-			return nil, fmt.Errorf("exec: %s index cannot serve range predicate %s", s.Access.Index.Name(), keyPred)
-		}
-		if lo, hi, ok := rangeBounds(keyPred.Op, keyPred.Val.I); ok {
-			s.Access.Index.Range(lo, hi, func(k int64, rows []int32) bool {
-				cand = append(cand, rows...)
-				ctr.Instructions += 8
-				ctr.CacheMisses++
-				return true
-			})
-		}
-		ctr.Add(lc)
-	default:
-		return nil, fmt.Errorf("exec: index access cannot serve %s", keyPred)
-	}
-	// Index postings arrive key-ordered; downstream operators expect row
-	// order for stable results.
-	slices.Sort(cand)
-	// Verify remaining predicates with point reads, discarding postings
-	// outside the snapshot (beyond the prefix, or tombstoned at it).
-	rows := make([]int32, 0, len(cand))
-	for _, r := range cand {
-		if int(r) >= n || !sb.Table.RowVisible(ctx.SnapTS, int(r)) {
-			continue
-		}
-		ok, w := sb.rowMatches(int(r), rest)
-		ctr.Add(w)
-		if ok {
-			rows = append(rows, r)
-		}
-	}
-	ctr.TuplesIn = uint64(len(cand))
-	ctr.TuplesOut = uint64(len(rows))
-	ctx.Charge(fmt.Sprintf("index:%s", keyPred), len(rows), ctr)
-
-	out := &Relation{N: len(rows), Cols: make([]Col, len(sb.Cols))}
-	w := energy.Counters{TuplesOut: uint64(len(rows))}
-	for ci, col := range sb.Cols {
-		var gw energy.Counters
-		out.Cols[ci], gw = gatherCol(col, sb.tmpl[ci], rows, 0, n)
-		w.Add(gw)
-	}
-	ctx.Charge("materialize", len(rows), w)
-	return out, nil
-}
-
-// rangeBounds converts an inequality into inclusive index bounds over
-// the whole int64 domain; ok is false when no key can satisfy it
-// (`< MinInt64`, `> MaxInt64`).
-func rangeBounds(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
-	switch op {
-	case vec.LT:
-		return math.MinInt64, c - 1, c != math.MinInt64
-	case vec.LE:
-		return math.MinInt64, c, true
-	case vec.GT:
-		return c + 1, math.MaxInt64, c != math.MaxInt64
-	case vec.GE:
-		return c, math.MaxInt64, true
-	}
-	return 0, 0, false
-}
-
-// rowMatches verifies the bound predicates picked by idx against a
-// single row via point reads.
-func (sb *ShardBinding) rowMatches(row int, idx []int) (bool, energy.Counters) {
-	var w energy.Counters
-	for _, i := range idx {
-		p := sb.preds[i]
-		w.CacheMisses++
-		w.Instructions += 6
-		switch c := sb.predCols[i].(type) {
-		case *colstore.IntColumn:
-			if !vec.CmpInt64(p.Op, c.Get(row), p.Val.I) {
-				return false, w
-			}
-		case *colstore.FloatColumn:
-			if !cmpOrdered(p.Op, c.Get(row), p.Val.F) {
-				return false, w
-			}
-		case *colstore.StringColumn:
-			if !cmpOrdered(p.Op, c.Get(row), p.Val.S) {
-				return false, w
-			}
-		}
-	}
-	return true, w
-}
-
-func cmpOrdered[T float64 | string](op vec.CmpOp, a, b T) bool {
-	switch op {
-	case vec.LT:
-		return a < b
-	case vec.LE:
-		return a <= b
-	case vec.GT:
-		return a > b
-	case vec.GE:
-		return a >= b
-	case vec.EQ:
-		return a == b
-	case vec.NE:
-		return a != b
-	}
-	return false
 }

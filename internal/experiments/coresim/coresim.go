@@ -14,7 +14,8 @@
 // A power cap (the Figure 2 regime, experiment E1) restricts how many
 // cores may be active and at which P-state; the simulator picks the
 // fastest feasible configuration under the cap, and PickUnderPowerCap
-// makes the optimizer's plan choice under the same cap.
+// makes the optimizer's plan choice under the same cap
+// (PickUnderEnergyBudget under a per-query energy budget instead).
 package coresim
 
 import (
@@ -251,6 +252,29 @@ func PickUnderPowerCap(alts []opt.Cost, cap energy.Watts) int {
 	}
 	for i, a := range alts {
 		if best < 0 || power(a) < power(alts[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// PickUnderEnergyBudget returns the fastest alternative whose energy does
+// not exceed the per-query budget, or the lowest-energy plan if none
+// fits.
+func PickUnderEnergyBudget(alts []opt.Cost, budget energy.Joules) int {
+	best := -1
+	for i, a := range alts {
+		if a.Energy <= budget {
+			if best < 0 || a.Time < alts[best].Time {
+				best = i
+			}
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	for i, a := range alts {
+		if best < 0 || a.Energy < alts[best].Energy {
 			best = i
 		}
 	}

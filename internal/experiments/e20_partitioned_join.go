@@ -111,7 +111,7 @@ func E20Plan(nFact, nDim int, sealed bool) (exec.Node, *opt.PlanInfo, error) {
 		return nil, nil, err
 	}
 	cm := opt.NewCostModel(energy.DefaultModel())
-	node, info, err := cat.Plan(e20Query(), cm, opt.MinTime)
+	node, info, err := cat.Plan(e20Query(), cm)
 	if err != nil {
 		return nil, nil, err
 	}

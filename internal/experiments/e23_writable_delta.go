@@ -143,7 +143,7 @@ func E23Sweep(nRows, nWrites int, dops []int) (*E23Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fg := loop.Offer(0, q, opt.MinEnergy, 0)
+	fg := loop.Offer(0, q, opt.MinEnergy)
 	if fg.Rejected {
 		return nil, fmt.Errorf("experiments: E23 foreground probe rejected")
 	}

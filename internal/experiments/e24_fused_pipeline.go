@@ -285,7 +285,7 @@ func E24PlannerDecisions(n int) (agg, join, joinAgg *opt.PlanInfo, err error) {
 			{Col: "sorted", Agg: expr.AggSum},
 		},
 		GroupBy: []string{"lowcard"},
-	}, cm, opt.MinTime)
+	}, cm)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -295,7 +295,7 @@ func E24PlannerDecisions(n int) (agg, join, joinAgg *opt.PlanInfo, err error) {
 		Joins:  joins,
 		Preds:  pred,
 		Select: []opt.SelectItem{{Col: "region"}, {Col: "weight"}, {Col: "packed"}},
-	}, cm, opt.MinTime)
+	}, cm)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -310,7 +310,7 @@ func E24PlannerDecisions(n int) (agg, join, joinAgg *opt.PlanInfo, err error) {
 			{Col: "packed", Agg: expr.AggMax},
 		},
 		GroupBy: []string{"region"},
-	}, cm, opt.MinTime)
+	}, cm)
 	if err != nil {
 		return nil, nil, nil, err
 	}

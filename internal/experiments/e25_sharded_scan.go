@@ -205,7 +205,7 @@ func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fg := loop.Offer(0, q, opt.MinEnergy, 0)
+	fg := loop.Offer(0, q, opt.MinEnergy)
 	if fg.Rejected {
 		return nil, fmt.Errorf("experiments: E25 foreground probe rejected")
 	}

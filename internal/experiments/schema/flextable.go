@@ -11,8 +11,6 @@ package schema
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/index"
 )
 
 // Kind is the inferred type of a flexible column.
@@ -85,10 +83,16 @@ func (m MaintMode) String() string {
 // flexIndex is a Need-to-Know managed index over an int column.
 type flexIndex struct {
 	mode     MaintMode
-	idx      index.Index
-	builtTo  int // rows already reflected in the index
-	maintOps int // total per-row maintenance operations performed
+	idx      map[int64][]int32 // key -> rows, in insertion order
+	builtTo  int               // rows already reflected in the index
+	maintOps int               // total per-row maintenance operations performed
 	rebuilds int
+}
+
+// add reflects one row in the index: one maintenance operation.
+func (fi *flexIndex) add(key int64, row int) {
+	fi.idx[key] = append(fi.idx[key], int32(row))
+	fi.maintOps++
 }
 
 // FlexTable is a schemaless-ingestion table.
@@ -154,8 +158,7 @@ func (t *FlexTable) Ingest(rec map[string]any) error {
 		if fi.mode == Eager {
 			row := t.rows - 1
 			if col.valid[row] {
-				fi.idx.Insert(col.ints[row], int32(row))
-				fi.maintOps++
+				fi.add(col.ints[row], row)
 			}
 			fi.builtTo = t.rows
 		}
@@ -218,12 +221,11 @@ func (t *FlexTable) CreateIndex(col string, mode MaintMode) error {
 	if ok && c.kind != KindInt {
 		return fmt.Errorf("schema: index requires an int column, %q is %v", col, c.kind)
 	}
-	fi := &flexIndex{mode: mode, idx: index.NewHash()}
+	fi := &flexIndex{mode: mode, idx: map[int64][]int32{}}
 	if mode == Eager && ok {
 		for row := 0; row < t.rows; row++ {
 			if c.valid[row] {
-				fi.idx.Insert(c.ints[row], int32(row))
-				fi.maintOps++
+				fi.add(c.ints[row], row)
 			}
 		}
 		fi.builtTo = t.rows
@@ -246,15 +248,13 @@ func (t *FlexTable) Lookup(col string, v int64) ([]int32, error) {
 	if fi.builtTo < t.rows {
 		for row := fi.builtTo; row < t.rows; row++ {
 			if c.valid[row] {
-				fi.idx.Insert(c.ints[row], int32(row))
-				fi.maintOps++
+				fi.add(c.ints[row], row)
 			}
 		}
 		fi.builtTo = t.rows
 		fi.rebuilds++
 	}
-	rows := fi.idx.Lookup(v)
-	out := append([]int32(nil), rows...)
+	out := append([]int32(nil), fi.idx[v]...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }

@@ -3,14 +3,11 @@ package opt
 import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
-	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/vec"
 )
 
-// The estimation formulas below mirror the counter accounting inside
-// internal/exec so that estimated costs and measured costs share the same
-// crossovers (experiment E2 checks this agreement).
+// The estimation formula below mirrors the counter accounting inside
+// internal/exec's scan.
 
 // EstimateFullScan prices a full scan with the given predicates over a
 // table, including materializing ncols output columns.  Streamed bytes
@@ -62,81 +59,4 @@ func EstimateFullScan(ts *TableStats, preds []expr.Pred, ncols int) energy.Count
 	w.Instructions += uint64(matched * float64(ncols) * 2)
 	w.TuplesOut = uint64(matched)
 	return w
-}
-
-// EstimateIndexScan prices serving the predicate on idxCol from an index
-// and verifying the remaining predicates with point reads.
-func EstimateIndexScan(ts *TableStats, preds []expr.Pred, idxCol string, ncols int) energy.Counters {
-	var w energy.Counters
-	rows := float64(ts.Rows)
-	var keySel float64 = 1
-	rest := 0
-	matched := rows
-	for _, p := range preds {
-		s := ts.Selectivity(p)
-		matched *= s
-		if p.Col == idxCol {
-			keySel = s
-		} else {
-			rest++
-		}
-	}
-	cand := rows * keySel
-	// Tree descent plus per-candidate postings walk and verification.
-	w.Instructions += 40 + uint64(cand*float64(8+6*rest))
-	w.CacheMisses += 3 + uint64(cand*float64(1+rest))
-	w.TuplesIn = uint64(cand)
-	// Materialization of survivors.
-	w.CacheMisses += uint64(matched * float64(ncols) / 4)
-	w.Instructions += uint64(matched * float64(ncols) * 2)
-	w.TuplesOut = uint64(matched)
-	return w
-}
-
-// AccessChoice is the result of access-path selection.
-type AccessChoice struct {
-	Spec exec.AccessSpec
-	Est  Cost
-	// FullScanCost and IndexCost expose both priced alternatives for the
-	// experiment tables (zero Index cost when no index applies).
-	FullScanCost Cost
-	IndexCost    Cost
-}
-
-// ChooseAccess picks the cheaper access path for a single-table scan
-// under the objective.  An index is considered when one exists on a
-// predicate column and the predicate shape is servable (equality always;
-// ranges only by ordered indexes).
-func ChooseAccess(cat *Catalog, cm *CostModel, table string, preds []expr.Pred, ncols int, obj Objective) (AccessChoice, error) {
-	ts, err := cat.Stats(table)
-	if err != nil {
-		return AccessChoice{}, err
-	}
-	full := cm.Price(EstimateFullScan(ts, preds, ncols), 0)
-	choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}, Est: full, FullScanCost: full}
-	for _, p := range preds {
-		idx, ok := cat.Index(table, p.Col)
-		if !ok {
-			continue
-		}
-		if p.Val.Kind != colstore.Int64 {
-			continue
-		}
-		if p.Op != vec.EQ && !idx.SupportsRange() {
-			continue
-		}
-		if p.Op == vec.NE {
-			continue
-		}
-		ic := cm.Price(EstimateIndexScan(ts, preds, p.Col, ncols), 0)
-		choice.IndexCost = ic
-		if obj.Better(ic, choice.Est) {
-			choice.Est = ic
-			// The build epoch travels with the spec so the executor can
-			// fall back to a full scan if a write lands between planning
-			// (or plan-cache insertion) and execution.
-			choice.Spec = exec.AccessSpec{Kind: exec.IndexAccess, Index: idx, IndexCol: p.Col, IndexEpoch: cat.IndexEpoch(table, p.Col)}
-		}
-	}
-	return choice, nil
 }

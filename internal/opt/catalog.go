@@ -1,13 +1,13 @@
 // Package opt is the energy-aware query optimizer.  Following the paper's
-// §IV, it treats energy as a first-class optimization objective next to
-// response time: every plan alternative is priced in both seconds and
-// joules, and plan selection can minimize time, energy, energy-delay
-// product, or the fastest plan under a power cap (the Figure 2 regime).
+// §IV, it treats energy as a first-class cost next to response time:
+// every plan is priced in both seconds and joules, and the query's
+// objective — minimum time, energy or energy-delay product — sets the
+// goal its schedule is granted cores under.  A plan does not depend on
+// the objective: every table has one access path, the scan.
 //
-// The package contains the catalog (table statistics and index registry),
-// selectivity estimation, the dual cost model, access-path selection
-// (experiment E2), join ordering with a DP-to-greedy cutover that scales
-// past 10,000 tables (E10), the compress-vs-send decision (E3), and the
+// The package contains the catalog (table statistics), selectivity
+// estimation, the dual cost model, scan pricing, join ordering with a
+// DP-to-greedy cutover that scales past 10,000 tables (E10), and the
 // planner that lowers logical queries to executable operator trees.
 package opt
 
@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -84,32 +83,22 @@ func (ts *TableStats) Selectivity(p expr.Pred) float64 {
 	return 0.33
 }
 
-// indexEntry pins an index to the table write epoch it was built at;
-// any later write or merge invalidates it (the index is a snapshot of
-// Values() and never sees the delta).
-type indexEntry struct {
-	idx   index.Index
-	epoch int64
-}
-
-// Catalog registers tables, their statistics, and secondary indexes.
+// Catalog registers tables and their statistics.
 // There is one registry: a table is its shard list, whatever the count.
 // Statistics are kept per shard under the shard's own name — what zone
-// pruning, access-path choice and merge pricing read — and per table
+// pruning, scan pricing and merge pricing read — and per table
 // under the table's name, which keeps column ownership, predicate
 // coercion and join-ordering cardinalities working on the bare name.
 type Catalog struct {
-	tables  map[string]*colstore.ShardedTable
-	stats   map[string]*TableStats
-	indexes map[string]map[string]indexEntry
+	tables map[string]*colstore.ShardedTable
+	stats  map[string]*TableStats
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		tables:  make(map[string]*colstore.ShardedTable),
-		stats:   make(map[string]*TableStats),
-		indexes: make(map[string]map[string]indexEntry),
+		tables: make(map[string]*colstore.ShardedTable),
+		stats:  make(map[string]*TableStats),
 	}
 }
 
@@ -157,7 +146,7 @@ func (c *Catalog) RefreshShards(name string, touched []int) error {
 // table-level entry.  A table wrapped in place shares its one shard's
 // name, so the shard's entry already IS the table's: no refold — the
 // weighted (x·rows)/rows is not x in the last ulp, and an estimate that
-// moves by an ulp can flip an access-path or DOP near-tie.
+// moves by an ulp can flip a join-side or DOP near-tie.
 func (c *Catalog) restat(st *colstore.ShardedTable, shards []*colstore.Table) {
 	for _, sh := range shards {
 		c.stats[sh.Name] = statsOf(sh)
@@ -229,19 +218,6 @@ func estimateDistinct(ic *colstore.IntColumn) int {
 	return d
 }
 
-// AddIndex registers a secondary index on table.col, pinned to the
-// table's current write epoch.
-func (c *Catalog) AddIndex(table, col string, idx index.Index) {
-	if c.indexes[table] == nil {
-		c.indexes[table] = make(map[string]indexEntry)
-	}
-	var epoch int64
-	if t, err := c.Table(table); err == nil {
-		epoch = t.WriteEpoch()
-	}
-	c.indexes[table][col] = indexEntry{idx: idx, epoch: epoch}
-}
-
 // Lookup returns the registered table.
 func (c *Catalog) Lookup(name string) (*colstore.ShardedTable, error) {
 	st, ok := c.tables[name]
@@ -254,7 +230,7 @@ func (c *Catalog) Lookup(name string) (*colstore.ShardedTable, error) {
 // Table returns the physical main/delta table stored under name — a
 // shard, by its own name: "<table>#<i>" in a cut table, the table's name
 // itself when the table is one shard wrapped in place.  This is how WAL
-// replay, access-path choice and index builds reach storage.
+// replay, the engine's writes and experiment harnesses reach storage.
 func (c *Catalog) Table(name string) (*colstore.Table, error) {
 	st, ok := c.tables[name]
 	if i := strings.LastIndexByte(name, '#'); !ok && i >= 0 {
@@ -277,28 +253,6 @@ func (c *Catalog) Stats(name string) (*TableStats, error) {
 		return nil, fmt.Errorf("opt: no statistics for table %q", name)
 	}
 	return s, nil
-}
-
-// Index returns the index on table.col, if one exists AND still covers
-// the table: an index built before the latest write or merge is stale
-// (it never sees the delta and compaction renumbers rows), so it is
-// withheld from planning until rebuilt.
-func (c *Catalog) Index(table, col string) (index.Index, bool) {
-	e, ok := c.indexes[table][col]
-	if !ok {
-		return nil, false
-	}
-	if t, err := c.Table(table); err == nil && t.WriteEpoch() != e.epoch {
-		return nil, false
-	}
-	return e.idx, true
-}
-
-// IndexEpoch returns the write epoch the index on table.col was built
-// at (the planner stamps it into the access spec so the executor can
-// re-verify at run time).
-func (c *Catalog) IndexEpoch(table, col string) int64 {
-	return c.indexes[table][col].epoch
 }
 
 // Tables lists registered table names.

@@ -8,7 +8,8 @@ import (
 	"repro/internal/exec"
 )
 
-// Objective selects what the optimizer minimizes.
+// Objective selects what a query's schedule minimizes (core.Loop maps it
+// to the scheduler's goal); plans do not depend on it.
 type Objective int
 
 // The supported optimization objectives (paper §IV: the system must
@@ -151,27 +152,4 @@ func estimateJoinOutput(outRows float64, ncols int) energy.Counters {
 		CacheMisses:      uint64(outRows * float64(ncols) / 4),
 		Instructions:     uint64(outRows * float64(ncols) * 2),
 	}
-}
-
-// PickUnderEnergyBudget returns the fastest alternative whose energy does
-// not exceed the per-query budget, or the lowest-energy plan if none
-// fits.
-func PickUnderEnergyBudget(alts []Cost, budget energy.Joules) int {
-	best := -1
-	for i, a := range alts {
-		if a.Energy <= budget {
-			if best < 0 || a.Time < alts[best].Time {
-				best = i
-			}
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	for i, a := range alts {
-		if best < 0 || a.Energy < alts[best].Energy {
-			best = i
-		}
-	}
-	return best
 }

@@ -210,7 +210,6 @@ func planMaintenance(cm *CostModel, st *colstore.ShardedTable, verb string, node
 	}
 	return node, &PlanInfo{
 		Explain:  exec.Explain(node),
-		Access:   map[string]AccessChoice{},
 		Storage:  map[string]TableStorageInfo{},
 		Est:      cm.Price(est, 0),
 		ShareSig: fmt.Sprintf("%s %s #%d", verb, st.Name, epoch),

@@ -73,7 +73,7 @@ func TestPlannerJoinOrderDP(t *testing.T) {
 		Select:  []SelectItem{{Col: "id"}, {Col: "score1"}, {Col: "score2"}},
 		OrderBy: []expr.SortKey{{Col: "id"}},
 	}
-	node, info, err := cat.Plan(q, cm, MinTime)
+	node, info, err := cat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPlannerBuildSideSizing(t *testing.T) {
 		Joins:  []JoinSpec{{Table: "big", LeftCol: "k", RightCol: "bk"}},
 		Select: []SelectItem{{Agg: expr.AggCount, As: "n"}},
 	}
-	node, info, err := cat.Plan(q, cm, MinTime)
+	node, info, err := cat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPlannerSwapKeepsSelectedKey(t *testing.T) {
 			Joins:  []JoinSpec{{Table: "big", LeftCol: "k", RightCol: "bk"}},
 			Select: []SelectItem{{Col: sel}, {Col: "v"}},
 		}
-		node, _, err := cat.Plan(q, cm, MinTime)
+		node, _, err := cat.Plan(q, cm)
 		if err != nil {
 			t.Fatalf("select %s: %v", sel, err)
 		}
@@ -215,11 +215,11 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 	}
 	tiny, huge := build(10, 4), build(1_000_000, 5000)
 	for name, q := range queries {
-		node, small, err := tiny.Plan(q, cm, MinTime)
+		node, small, err := tiny.Plan(q, cm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_, big, err := huge.Plan(q, cm, MinTime)
+		_, big, err := huge.Plan(q, cm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -250,7 +250,7 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 	}
 
 	// The big join runs, and counts every fact row exactly once.
-	node, _, err := huge.Plan(queries["int-key count"], cm, MinTime)
+	node, _, err := huge.Plan(queries["int-key count"], cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestPlannerFusedProbeAgg(t *testing.T) {
 	node, info, err := cat.Plan(&Query{
 		From: "bigfact", Joins: joins, GroupBy: []string{"grp"},
 		Select: []SelectItem{{Col: "grp"}, {Agg: expr.AggCount, As: "n"}, {Agg: expr.AggSum, Col: "v", As: "s"}},
-	}, cm, MinEnergy)
+	}, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestPlannerFusedProbeAgg(t *testing.T) {
 	// The same join feeding a projection keeps the pair path and its price.
 	_, pairInfo, err := cat.Plan(&Query{
 		From: "bigfact", Joins: joins, Select: []SelectItem{{Col: "grp"}, {Col: "v"}},
-	}, cm, MinEnergy)
+	}, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestPlannerSameNamedJoinKeys(t *testing.T) {
 		From:   "l",
 		Joins:  []JoinSpec{{Table: "r", LeftCol: "k", RightCol: "k"}},
 		Select: []SelectItem{{Col: "k"}, {Col: "a"}, {Col: "b"}},
-	}, NewCostModel(energy.DefaultModel()), MinTime)
+	}, NewCostModel(energy.DefaultModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 		GroupBy: []string{"seg"},
 	}
 	run := func(cat *Catalog) (*exec.Relation, *PlanInfo, energy.Counters) {
-		node, info, err := cat.Plan(q, cm, MinTime)
+		node, info, err := cat.Plan(q, cm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -239,58 +238,6 @@ func TestSelectivityEstimates(t *testing.T) {
 	}
 }
 
-func TestAccessChoiceCrossover(t *testing.T) {
-	// The E2 shape: the index must win at needle selectivity and lose to
-	// the scan at high selectivity.
-	cat, tab := testCatalog(t, 200000)
-	ic, _ := tab.IntCol("id")
-	bt := index.NewBTree()
-	index.BuildFrom(bt, ic.Values())
-	cat.AddIndex("orders", "id", bt)
-	cm := NewCostModel(energy.DefaultModel())
-
-	needle := []expr.Pred{{Col: "id", Op: vec.EQ, Val: expr.IntVal(42)}}
-	choice, err := ChooseAccess(cat, cm, "orders", needle, 2, MinTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.Spec.Kind != exec.IndexAccess {
-		t.Errorf("needle lookup should use the index (index %v vs scan %v)",
-			choice.IndexCost.Time, choice.FullScanCost.Time)
-	}
-
-	broad := []expr.Pred{{Col: "id", Op: vec.GT, Val: expr.IntVal(1000)}}
-	choice, err = ChooseAccess(cat, cm, "orders", broad, 2, MinTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.Spec.Kind != exec.FullScan {
-		t.Errorf("99%% selectivity should scan (index %v vs scan %v)",
-			choice.IndexCost.Time, choice.FullScanCost.Time)
-	}
-	// The same crossover must hold under the energy objective.
-	choice, _ = ChooseAccess(cat, cm, "orders", needle, 2, MinEnergy)
-	if choice.Spec.Kind != exec.IndexAccess {
-		t.Error("needle lookup should use the index under min-energy too")
-	}
-}
-
-func TestPickUnderEnergyBudget(t *testing.T) {
-	alts := []Cost{
-		{Time: 10 * time.Millisecond, Energy: 5},
-		{Time: 100 * time.Millisecond, Energy: 1},
-	}
-	if got := PickUnderEnergyBudget(alts, 10); got != 0 {
-		t.Errorf("big budget picks fastest, got %d", got)
-	}
-	if got := PickUnderEnergyBudget(alts, 2); got != 1 {
-		t.Errorf("tight budget picks frugal, got %d", got)
-	}
-	if got := PickUnderEnergyBudget(alts, 0.1); got != 1 {
-		t.Errorf("impossible budget picks min energy, got %d", got)
-	}
-}
-
 func TestJoinOrderDPBeatsOrTiesGreedy(t *testing.T) {
 	// Star schema: fact table joined to 6 dimensions of varying size.
 	tables := []JoinTable{{Name: "fact", Rows: 1e6}}
@@ -357,7 +304,7 @@ func TestPlannerSingleTable(t *testing.T) {
 		Select:  []SelectItem{{Col: "region"}, {Agg: expr.AggSum, Col: "amount", As: "rev"}, {Agg: expr.AggCount, As: "n"}},
 		GroupBy: []string{"region"},
 	}
-	node, info, err := cat.Plan(q, cm, MinTime)
+	node, info, err := cat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +354,7 @@ func TestPlannerJoinQuery(t *testing.T) {
 		GroupBy: []string{"segment"},
 		OrderBy: []expr.SortKey{{Col: "rev", Desc: true}},
 	}
-	node, _, err := cat.Plan(q, cm, MinEnergy)
+	node, _, err := cat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,19 +374,18 @@ func TestPlannerJoinQuery(t *testing.T) {
 func TestPlannerErrors(t *testing.T) {
 	cat, _ := testCatalog(t, 100)
 	cm := NewCostModel(energy.DefaultModel())
-	if _, _, err := cat.Plan(&Query{}, cm, MinTime); err == nil {
+	if _, _, err := cat.Plan(&Query{}, cm); err == nil {
 		t.Error("missing FROM must error")
 	}
 	q := &Query{From: "orders", Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}
-	if _, _, err := cat.Plan(q, cm, MinTime); err == nil {
+	if _, _, err := cat.Plan(q, cm); err == nil {
 		t.Error("unknown predicate column must error")
 	}
 }
 
 func TestEstimateMatchesMeasuredShape(t *testing.T) {
 	// The estimator does not need to match measured counters exactly, but
-	// the full-scan estimate must grow linearly with rows and the index
-	// estimate with selectivity — the property E2's crossover relies on.
+	// the full-scan estimate must grow linearly with rows.
 	cat, _ := testCatalog(t, 100000)
 	ts, _ := cat.Stats("orders")
 	small := EstimateFullScan(ts, []expr.Pred{{Col: "id", Op: vec.LT, Val: expr.IntVal(10)}}, 1)
@@ -448,11 +394,6 @@ func TestEstimateMatchesMeasuredShape(t *testing.T) {
 	ratio := float64(big.BytesReadDRAM) / float64(small.BytesReadDRAM)
 	if math.Abs(ratio-10) > 1 {
 		t.Errorf("scan bytes should scale ~10x with rows, got %gx", ratio)
-	}
-	narrow := EstimateIndexScan(ts, []expr.Pred{{Col: "id", Op: vec.EQ, Val: expr.IntVal(5)}}, "id", 1)
-	wide := EstimateIndexScan(ts, []expr.Pred{{Col: "id", Op: vec.LE, Val: expr.IntVal(50000)}}, "id", 1)
-	if narrow.CacheMisses >= wide.CacheMisses {
-		t.Error("index cost must grow with selectivity")
 	}
 	// A predicate-free aggregation still streams a column to count rows:
 	// the estimate must never degenerate to zero work, or the serving
@@ -481,7 +422,7 @@ func TestPlannerOneScanAtEverySize(t *testing.T) {
 		Select:  []SelectItem{{Col: "region"}, {Agg: expr.AggSum, Col: "amount"}},
 		GroupBy: []string{"region"},
 	}
-	node, info, err := cat.Plan(q, cm, MinTime)
+	node, info, err := cat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +462,7 @@ func TestPlannerOneScanAtEverySize(t *testing.T) {
 	}
 	// A table under one morsel is one task: the same operator tree.
 	smallCat, _ := testCatalog(t, 10_000)
-	_, smallInfo, err := smallCat.Plan(q, cm, MinTime)
+	_, smallInfo, err := smallCat.Plan(q, cm)
 	if err != nil {
 		t.Fatal(err)
 	}

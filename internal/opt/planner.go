@@ -55,12 +55,12 @@ type Query struct {
 
 // TableStorageInfo reports the storage-format axis of one scanned table:
 // how well its sealed segments compress and how many physical bytes the
-// planner expects the chosen access path to stream.
+// planner expects the scan to stream.
 type TableStorageInfo struct {
 	Ratio        float64 // stored/raw bytes of the base table (<1 compresses)
 	StoredBytes  uint64  // compressed footprint of the base table
 	RawBytes     uint64  // uncompressed footprint
-	EstScanBytes uint64  // estimated DRAM bytes the chosen access path streams
+	EstScanBytes uint64  // estimated DRAM bytes the scan streams
 }
 
 // JoinPlanInfo reports one join decision: the sides (probe = outer,
@@ -104,8 +104,7 @@ type JoinPlanInfo struct {
 // PlanInfo reports what the planner decided.
 type PlanInfo struct {
 	Explain string
-	Access  map[string]AccessChoice // per-table access decision
-	Est     Cost                    // total estimated cost
+	Est     Cost // total estimated cost
 	// Storage reports, per scanned table, the compression ratio of its
 	// sealed segments and the estimated bytes this plan streams —
 	// the storage-format axis of the energy model.
@@ -135,21 +134,21 @@ type PlanInfo struct {
 	JoinOrder      []string
 	JoinOrderExact bool
 	// ShareSig is the plan's shared-scan signature: queries with equal
-	// signatures (and equal objectives) produce identical plans over
-	// identical catalog state, so the multi-query scheduler may execute
-	// one and hand every lookalike the same relation.  It is the
-	// canonical SQL rendering — the round-trip form both language
-	// fronts normalize to.
+	// signatures produce identical plans over identical catalog state,
+	// so the multi-query scheduler may execute one and hand every
+	// lookalike the same relation.  It is the canonical SQL rendering —
+	// the round-trip form both language fronts normalize to.
 	ShareSig string
 }
 
-// Plan lowers the logical query onto the physical operator tree, choosing
-// access paths per table under the objective.
-func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *PlanInfo, error) {
+// Plan lowers the logical query onto the physical operator tree.  Every
+// table is reached by the one exec.Scan over its shard list, priced by
+// EstimateFullScan per surviving shard.
+func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 	if q.From == "" {
 		return nil, nil, fmt.Errorf("opt: query has no FROM table")
 	}
-	info := &PlanInfo{Access: map[string]AccessChoice{}, Storage: map[string]TableStorageInfo{}, ShareSig: q.String()}
+	info := &PlanInfo{Storage: map[string]TableStorageInfo{}, ShareSig: q.String()}
 
 	// Partition predicates by owning table.
 	tables := []string{q.From}
@@ -236,34 +235,28 @@ func (c *Catalog) Plan(q *Query, cm *CostModel, obj Objective) (exec.Node, *Plan
 		s := &exec.Scan{Source: st, Select: sel, Preds: preds}
 		shards := st.Shards()
 		keep := exec.PruneShards(shards, preds)
-		choice := AccessChoice{Spec: exec.AccessSpec{Kind: exec.FullScan}}
+		var est Cost
 		for i, u := range shards {
 			if !keep[i] {
 				info.ShardsPruned++
 				continue
 			}
-			uc, err := ChooseAccess(c, cm, u.Name, preds, len(sel), obj)
+			ts, err := c.Stats(u.Name)
 			if err != nil {
 				return nil, err
 			}
+			est = est.plus(cm.Price(EstimateFullScan(ts, preds, len(sel)), 0))
 			if len(shards) > 1 {
 				info.ShardsScanned++
-			} else {
-				// The index path serves a lone shard only.
-				choice.Spec, s.Access = uc.Spec, uc.Spec
 			}
-			choice.Est = choice.Est.plus(uc.Est)
-			choice.FullScanCost = choice.FullScanCost.plus(uc.FullScanCost)
-			choice.IndexCost = choice.IndexCost.plus(uc.IndexCost)
 		}
-		info.Access[table] = choice
-		info.Est = info.Est.plus(choice.Est)
+		info.Est = info.Est.plus(est)
 		if ts, err := c.Stats(table); err == nil {
 			info.Storage[table] = TableStorageInfo{
 				Ratio:        ts.Storage.Ratio(),
 				StoredBytes:  ts.Storage.StoredBytes,
 				RawBytes:     ts.Storage.RawBytes,
-				EstScanBytes: choice.Est.Work.BytesReadDRAM,
+				EstScanBytes: est.Work.BytesReadDRAM,
 			}
 		}
 		return s, nil

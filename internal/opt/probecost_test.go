@@ -112,7 +112,7 @@ func probeEstimateShapes(t *testing.T, cm *CostModel, nOrders, nCust int, sealed
 		if q.GroupBy != nil {
 			q.Select = append([]SelectItem{{Col: q.GroupBy[0]}}, q.Select...)
 		}
-		node, info, err := cat.Plan(q, cm, MinEnergy)
+		node, info, err := cat.Plan(q, cm)
 		if err != nil {
 			t.Fatal(err)
 		}

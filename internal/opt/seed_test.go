@@ -1,8 +1,8 @@
 package opt_test
 
 // The optimizer decisions only an experiment asks for live beside their
-// experiments: the plan choice under a power cap with E1's simulator
-// (internal/experiments/coresim), the compress-vs-send codec choice with
+// experiments: the plan choice under a power cap or an energy budget with
+// E1's simulator (internal/experiments/coresim), the compress-vs-send codec choice with
 // E3 (internal/experiments/ship).  Their tests keep this import path.
 
 import (
@@ -35,6 +35,22 @@ func TestPickUnderPowerCap(t *testing.T) {
 	}
 	if got := coresim.PickUnderPowerCap(alts, 1); got != 2 {
 		t.Errorf("impossible cap must pick the lowest-power plan, got %d", got)
+	}
+}
+
+func TestPickUnderEnergyBudget(t *testing.T) {
+	alts := []opt.Cost{
+		{Time: 10 * time.Millisecond, Energy: 5},
+		{Time: 100 * time.Millisecond, Energy: 1},
+	}
+	if got := coresim.PickUnderEnergyBudget(alts, 10); got != 0 {
+		t.Errorf("big budget picks fastest, got %d", got)
+	}
+	if got := coresim.PickUnderEnergyBudget(alts, 2); got != 1 {
+		t.Errorf("tight budget picks frugal, got %d", got)
+	}
+	if got := coresim.PickUnderEnergyBudget(alts, 0.1); got != 1 {
+		t.Errorf("impossible budget picks min energy, got %d", got)
 	}
 }
 

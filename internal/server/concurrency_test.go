@@ -52,13 +52,13 @@ type panicNode struct{ exec.Node }
 
 func (panicNode) Run(*exec.Ctx) (*exec.Relation, error) { panic("operator bug") }
 
-// plant plans text under the server's default objective, caches it, and
-// replaces the cached node with wrap(node).
+// plant plans and caches text, and replaces the cached node with
+// wrap(node).
 func plant(t *testing.T, s *Server, text string, wrap func(exec.Node) exec.Node) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, _, err := s.lookupLocked(text, s.cfg.Objective)
+	e, _, err := s.lookupLocked(text)
 	if err != nil {
 		t.Fatal(err)
 	}

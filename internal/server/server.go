@@ -21,8 +21,8 @@
 // delta passes Config.MergeDeltaRows, the server offers a background
 // merge-as-a-query (core.Loop.OfferMerge): an energy-priced compaction
 // ticket that waits behind foreground traffic and re-seals the delta.
-// DML and completed merges invalidate the plan cache (statistics and
-// access paths may have shifted).
+// DML and completed merges invalidate the plan cache (statistics may
+// have shifted).
 //
 // Execution and locking: a query starts executing when the virtual
 // machine dispatches it (core.Loop), on a goroutine of its own and on
@@ -74,8 +74,8 @@ type Config struct {
 	// Sched is the multi-query scheduler configuration the loop runs
 	// under (core budget, queue depth, batching, arbitration).
 	Sched core.SchedulerConfig
-	// Objective is the default optimizer objective for requests that do
-	// not name one.
+	// Objective is the default objective for requests that do not name
+	// one: it sets the query's scheduler goal (plans do not depend on it).
 	Objective opt.Objective
 	// Clients is the API-key → attributed-energy allowance table.
 	// Requests carrying a key (X-API-Key header or "client" field) are
@@ -90,8 +90,8 @@ type Config struct {
 }
 
 // planEntry is one cached prepared statement: a plan node (re-runnable,
-// also concurrently with itself) plus the planner's report, keyed by
-// objective and by both the raw text and the ShareSig canonical signature.
+// also concurrently with itself) plus the planner's report, keyed by both
+// the raw text and the ShareSig canonical signature.
 type planEntry struct {
 	node exec.Node
 	info *opt.PlanInfo
@@ -122,8 +122,8 @@ type Server struct {
 	eng      *core.Engine
 	loop     *core.Loop
 	cfg      Config
-	texts    map[string]*planEntry // objective|raw text → entry
-	sigs     map[string]*planEntry // objective|ShareSig → entry
+	texts    map[string]*planEntry // raw text → entry
+	sigs     map[string]*planEntry // ShareSig → entry
 	textHits uint64
 	sigHits  uint64
 	misses   uint64
@@ -230,14 +230,14 @@ func (s *Server) parseObjective(name string) (opt.Objective, bool) {
 	return 0, false
 }
 
-// lookupLocked resolves text+objective through the two-level plan
-// cache: exact text (skips parse and plan) first, then the ShareSig
-// canonical signature (skips plan — differently spelled but
-// canonically equal queries share one prepared plan), then a full
-// parse+plan miss that fills both levels.
-func (s *Server) lookupLocked(text string, obj opt.Objective) (*planEntry, bool, error) {
-	tkey := obj.String() + "|" + text
-	if e := s.texts[tkey]; e != nil {
+// lookupLocked resolves text through the two-level plan cache: exact
+// text (skips parse and plan) first, then the ShareSig canonical
+// signature (skips plan — differently spelled but canonically equal
+// queries share one prepared plan), then a full parse+plan miss that
+// fills both levels.  A plan does not depend on the objective, so
+// requests under every objective share one entry.
+func (s *Server) lookupLocked(text string) (*planEntry, bool, error) {
+	if e := s.texts[text]; e != nil {
 		s.textHits++
 		return e, true, nil
 	}
@@ -245,20 +245,20 @@ func (s *Server) lookupLocked(text string, obj opt.Objective) (*planEntry, bool,
 	if err != nil {
 		return nil, false, err
 	}
-	skey := obj.String() + "|" + q.String()
-	if e := s.sigs[skey]; e != nil {
+	sig := q.String()
+	if e := s.sigs[sig]; e != nil {
 		s.sigHits++
-		s.texts[tkey] = e
+		s.texts[text] = e
 		return e, true, nil
 	}
-	node, info, err := s.eng.Plan(q, obj)
+	node, info, err := s.eng.Plan(q, s.cfg.Objective)
 	if err != nil {
 		return nil, false, err
 	}
 	s.misses++
 	e := &planEntry{node: node, info: info}
-	s.texts[tkey] = e
-	s.sigs[skey] = e
+	s.texts[text] = e
+	s.sigs[sig] = e
 	return e, false, nil
 }
 
@@ -316,7 +316,7 @@ func (s *Server) admitLocked(at time.Duration, client, text, objName string) (*c
 		return nil, false, &reqError{status: http.StatusBadRequest, code: "bad_request",
 			msg: fmt.Sprintf("unknown objective %q (want min-time, min-energy, or min-edp)", objName)}
 	}
-	entry, hit, err := s.lookupLocked(text, obj)
+	entry, hit, err := s.lookupLocked(text)
 	if err != nil {
 		return nil, false, &reqError{status: http.StatusBadRequest, code: "bad_request", msg: err.Error()}
 	}
@@ -338,8 +338,8 @@ func (s *Server) admitLocked(at time.Duration, client, text, objName string) (*c
 }
 
 // invalidatePlansLocked drops every cached plan: after a write or a
-// merge the catalog statistics (and possibly the winning access paths)
-// have shifted, so cached nodes would run with stale estimates.  Hit
+// merge the catalog statistics have shifted, so cached nodes would run
+// with stale estimates.  Hit
 // counters survive — they describe lookups, not entries.
 func (s *Server) invalidatePlansLocked() {
 	s.texts = make(map[string]*planEntry)
@@ -351,7 +351,7 @@ func (s *Server) invalidatePlansLocked() {
 // is released by the ticket's own Settled channel).  Completed merge
 // tickets (the only maintenance this server offers) retire their table's
 // in-progress mark and invalidate the plan cache (the re-sealed layout
-// re-prices every access path).
+// re-prices every scan).
 func (s *Server) deliverLocked(done []*core.Ticket) {
 	for _, t := range done {
 		if t.Table != "" {

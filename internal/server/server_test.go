@@ -148,6 +148,32 @@ func TestReplayPlanCacheSharesLookalikes(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSharedAcrossObjectives: a plan does not depend on the
+// objective, so the same text under two objectives is one miss and one
+// text hit on the same entry, and each ticket still carries the
+// objective it asked for (its scheduler goal).
+func TestPlanCacheSharedAcrossObjectives(t *testing.T) {
+	s, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true}, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	const sqlText = "SELECT COUNT(*) FROM orders WHERE custkey = 7"
+	for i, obj := range []opt.Objective{opt.MinTime, opt.MinEDP} {
+		tk, hit, rerr := s.admitLocked(0, "", sqlText, obj.String())
+		if rerr != nil {
+			t.Fatalf("admit under %v: %+v", obj, rerr)
+		}
+		if hit != (i > 0) || tk.Objective != obj {
+			t.Fatalf("admit under %v: hit=%v, ticket objective %v", obj, hit, tk.Objective)
+		}
+	}
+	if s.misses != 1 || s.textHits != 1 || s.sigHits != 0 || len(s.texts) != 1 {
+		t.Fatalf("cache counters misses=%d textHits=%d sigHits=%d over %d entries, want 1/1/0 over 1",
+			s.misses, s.textHits, s.sigHits, len(s.texts))
+	}
+	s.loop.React()
+	s.loop.RunToIdle()
+}
+
 // TestReplayClientBudget402 pins the per-client energy account: the
 // plan estimate is charged at admission, so once the committed sum
 // would exceed the allowance the request is rejected 402-style —
@@ -156,7 +182,7 @@ func TestReplayPlanCacheSharesLookalikes(t *testing.T) {
 func TestReplayClientBudget402(t *testing.T) {
 	const sqlText = "SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = 3"
 	probe, _ := testServer(t, core.SchedulerConfig{Budget: 2, Arbitrate: true}, nil)
-	entry, _, err := probe.lookupLocked(sqlText, opt.MinEnergy)
+	entry, _, err := probe.lookupLocked(sqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
