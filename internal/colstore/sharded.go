@@ -18,8 +18,7 @@ import (
 // BIGINT shard column (the min-list/max-list layout sketched in memcp's
 // storage roadmap).  Across more than one shard, whole shards are pruned
 // against predicates before a single morsel is enumerated — the cheapest
-// byte is the one never streamed — and equi-joins on the shard column
-// co-partition shard-to-shard when both sides carry aligned cuts.
+// byte is the one never streamed.
 //
 // # Row-order identity
 //
@@ -85,21 +84,6 @@ func ShardTable(t *Table, shardCol string, k int) (*ShardedTable, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("colstore: shard count %d < 1", k)
 	}
-	return shardTable(t, shardCol, k, nil)
-}
-
-// ShardTableAligned cuts a flat table on the same routing cuts as an
-// existing sharded table, so every key value is owned by the same shard
-// index on both sides and equi-joins on the two shard columns
-// co-partition (AlignedWith holds by construction).
-func ShardTableAligned(t *Table, shardCol string, like *ShardedTable) (*ShardedTable, error) {
-	cuts := like.Cuts()
-	return shardTable(t, shardCol, len(cuts), cuts)
-}
-
-// shardTable builds the shard container; explicit cuts override the
-// equi-depth computation (the last cut is always +inf).
-func shardTable(t *Table, shardCol string, k int, cuts []int64) (*ShardedTable, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if len(t.addRows) > 0 || len(t.delRows) > 0 || t.rowIDs != nil {
@@ -122,14 +106,11 @@ func shardTable(t *Table, shardCol string, k int, cuts []int64) (*ShardedTable, 
 	for i := 0; i < n; i++ {
 		keys[i] = keyCol.Get(i)
 	}
-	if cuts == nil {
-		cuts = equiDepthCuts(keys, k)
-	}
 	s := &ShardedTable{
 		Name:     t.Name,
 		ShardCol: shardCol,
 		schema:   append(Schema(nil), t.schema...),
-		cuts:     cuts,
+		cuts:     equiDepthCuts(keys, k),
 		nextSeq:  int64(n),
 	}
 	shardSchema := append(append(Schema(nil), t.schema...), ColumnDef{Name: ShardSeqCol, Type: Int64})
@@ -325,26 +306,6 @@ func (s *ShardedTable) RecoverSeq() {
 		}
 		sh.mu.RUnlock()
 	}
-}
-
-// AlignedWith reports whether the two sharded tables share shard count
-// and routing cuts, so an equi-join on both shard columns can proceed
-// shard-pair by shard-pair: every key value is owned by the same shard
-// index on both sides, and no cross-shard probe exists.
-func (s *ShardedTable) AlignedWith(o *ShardedTable) bool {
-	if s == nil || o == nil {
-		return false
-	}
-	sc, oc := s.Cuts(), o.Cuts()
-	if len(sc) != len(oc) {
-		return false
-	}
-	for i := range sc {
-		if sc[i] != oc[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Rebalance merges every shard at the given horizon, then — if nothing

@@ -174,9 +174,6 @@ func TestOneShardWrapsInPlace(t *testing.T) {
 	if _, err := st.Rebalance(SnapLatest); err == nil {
 		t.Fatal("rebalancing a table without a shard column must error")
 	}
-	if !st.AlignedWith(OneShard(flatFixture(t, []int64{1}))) {
-		t.Fatal("two one-shard tables share the trivial cut")
-	}
 }
 
 func TestShardedAppendAndRecoverSeq(t *testing.T) {
@@ -203,31 +200,6 @@ func TestShardedAppendAndRecoverSeq(t *testing.T) {
 	st.RecoverSeq()
 	if _, row, err := st.Route([]any{int64(16), int64(102)}); err != nil || row[2] != int64(6) {
 		t.Fatalf("Route after RecoverSeq = %v (err %v), want sequence 6", row, err)
-	}
-}
-
-func TestShardTableAlignedAndAlignedWith(t *testing.T) {
-	flatA := flatFixture(t, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	a, err := ShardTable(flatA, "k", 4)
-	mustOK(t, err)
-	flatB := flatFixture(t, []int64{2, 4, 9})
-	b, err := ShardTableAligned(flatB, "k", a)
-	mustOK(t, err)
-	if !a.AlignedWith(b) || !b.AlignedWith(a) {
-		t.Fatal("aligned twin must satisfy AlignedWith both ways")
-	}
-	for _, k := range []int64{1, 2, 4, 5, 9, 100} {
-		if a.ShardFor(k) != b.ShardFor(k) {
-			t.Fatalf("key %d owned by different shard indexes", k)
-		}
-	}
-	c, err := ShardTable(flatB, "k", 4)
-	mustOK(t, err)
-	if a.AlignedWith(c) {
-		t.Fatal("independently cut tables must not report aligned")
-	}
-	if a.AlignedWith(nil) {
-		t.Fatal("nil is never aligned")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // Engine-level sharding contract: a value-range-sharded engine is
 // observationally identical to a flat one under the same DML history —
 // same relations, same recovery semantics — while the planner reports
-// the pruning, fusion, and co-partition decisions sharding unlocks, and
+// the pruning and fusion decisions sharding unlocks, and
 // the rebalance pass rides the scheduler like any background query.
 
 // shardedOrders builds an engine with the standard orders load cut into
@@ -253,7 +253,12 @@ func TestShardedPlannerInfo(t *testing.T) {
 	}
 }
 
-func TestShardedJoinCoPartitioned(t *testing.T) {
+// TestShardedJoinMatchesFlat: the one join answers a join of two tables
+// cut independently on their join keys — their cuts differ, so a key's
+// shard index on one side says nothing about the other — with the flat
+// engine's relations, for a projection and for a GROUP BY over the join.
+// It holds again after DML and a rebalance re-cut the orders shards.
+func TestShardedJoinMatchesFlat(t *testing.T) {
 	const n, k = 4000, 4
 	loadCust := func(e *Engine) {
 		tab, err := e.CreateTable("cust", colstore.Schema{
@@ -263,10 +268,10 @@ func TestShardedJoinCoPartitioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := make([]int64, 600)
-		tiers := make([]int64, 600)
+		keys := make([]int64, 610)
+		tiers := make([]int64, 610)
 		for i := range keys {
-			keys[i] = int64(i)
+			keys[i] = int64(i - 10) // covers writeScript's custkey -5
 			tiers[i] = int64(i % 5)
 		}
 		if err := tab.Writer().Int64("ckey", keys...).Close(); err != nil {
@@ -276,37 +281,64 @@ func TestShardedJoinCoPartitioned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flat := Open()
+	flat := Open(WithDurability(wal.Local, 0))
 	loadOrders(t, flat, n)
 	loadCust(flat)
 	if err := flat.Seal("cust"); err != nil {
 		t.Fatal(err)
 	}
 
-	e := shardedOrders(t, n, k)
+	e := shardedOrders(t, n, k, WithDurability(wal.Local, 0))
 	loadCust(e)
-	if _, err := e.ShardTableAligned("cust", "ckey", "orders"); err != nil {
+	if _, err := e.ShardTable("cust", "ckey", k); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Seal("cust"); err != nil {
 		t.Fatal(err)
 	}
 
-	q := "SELECT id, custkey, tier FROM orders JOIN cust ON orders.custkey = cust.ckey WHERE amount > 100.0"
-	fr, err := flat.Query(q)
+	check := func(when string) {
+		t.Helper()
+		for _, q := range []string{
+			"SELECT id, custkey, tier FROM orders JOIN cust ON orders.custkey = cust.ckey WHERE amount > 100.0",
+			"SELECT tier, COUNT(*) AS n, SUM(day) AS d FROM orders JOIN cust ON custkey = ckey GROUP BY tier",
+		} {
+			fr, err := flat.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sr.PlanInfo.Joins) != 1 {
+				t.Fatalf("%s: %d joins planned, want 1", when, len(sr.PlanInfo.Joins))
+			}
+			if fr.Rel.N == 0 || !sr.Rel.Equal(fr.Rel) {
+				t.Fatalf("%s: sharded join diverged from flat at %q (flat N=%d, sharded N=%d)", when, q, fr.Rel.N, sr.Rel.N)
+			}
+		}
+	}
+	check("sealed")
+
+	writeScript(t, flat)
+	writeScript(t, e)
+	orders, err := e.Catalog().Lookup("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	cutsBefore := orders.Cuts()
+	loop := e.NewLoop(SchedulerConfig{Budget: 1})
+	rt := loop.OfferRebalance(0, "orders")
+	loop.React()
+	loop.RunToIdle()
+	if rt.Err != nil || !rt.Done() {
+		t.Fatalf("rebalance did not complete: done=%v err=%v", rt.Done(), rt.Err)
 	}
-	if len(sr.PlanInfo.Joins) != 1 || !sr.PlanInfo.Joins[0].CoPartitioned {
-		t.Fatalf("aligned shard join not co-partitioned: %+v", sr.PlanInfo.Joins)
+	if reflect.DeepEqual(orders.Cuts(), cutsBefore) {
+		t.Fatal("rebalance left the orders cuts unchanged: the re-cut arm is vacuous")
 	}
-	if fr.Rel.N == 0 || !sr.Rel.Equal(fr.Rel) {
-		t.Fatalf("co-partitioned join diverged from flat (flat N=%d, sharded N=%d)", fr.Rel.N, sr.Rel.N)
-	}
+	check("rebalanced")
 }
 
 // TestOfferRebalanceDefersThenRaces mirrors E23's merge discipline for

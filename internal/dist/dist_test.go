@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/exec"
 	. "repro/internal/experiments/dist"
 	"repro/internal/expr"
 	"repro/internal/netsim"
@@ -316,5 +317,41 @@ func TestGroupBySumSameColumn(t *testing.T) {
 		} else if !reflect.DeepEqual(base, *rel) {
 			t.Errorf("%v diverges: %+v vs %+v", s, *rel, base)
 		}
+	}
+}
+
+// TestFilterMatchesPushedScan: the coordinator's row-at-a-time Filter
+// keeps exactly the rows the same predicates select when pushed into the
+// node's scan — over BIGINT, DOUBLE and VARCHAR columns — and charges
+// one report for the rows it kept.
+func TestFilterMatchesPushedScan(t *testing.T) {
+	link, err := netsim.LinkByName("0.1Gbps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := colstore.OneShard(loadCluster(t, 1, 4000, link).Nodes[0].Table)
+	preds := []expr.Pred{
+		{Col: "custkey", Op: vec.LT, Val: expr.IntVal(800)},
+		{Col: "amount", Op: vec.GE, Val: expr.FloatVal(100)},
+		{Col: "region", Op: vec.NE, Val: expr.StrVal("ASIA")},
+	}
+	ctx := exec.NewCtx()
+	got, err := (&Filter{Child: &exec.Scan{Source: tab}, Preds: preds}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&exec.Scan{Source: tab, Preds: preds}).Run(exec.NewCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.N == 0 || want.N == tab.Rows() || !got.Equal(want) {
+		t.Fatalf("filter kept %d rows, pushed scan %d of %d", got.N, want.N, tab.Rows())
+	}
+	found := false
+	for _, r := range ctx.OpReports {
+		found = found || strings.HasPrefix(r.Label, "Filter(") && r.Rows == want.N
+	}
+	if !found {
+		t.Fatalf("no Filter report of %d rows in %+v", want.N, ctx.OpReports)
 	}
 }

@@ -69,3 +69,50 @@ func (c *Compact) Run(ctx *Ctx) (*Relation, error) {
 		{Name: "rebuilt", Type: colstore.Int64, I: []int64{rebuilt}},
 	}}, nil
 }
+
+// Rebalance is the shard-narrowing pass lowered to a plan operator,
+// exactly as Compact lowers the delta merge: the scheduler prices it
+// with the same P-state model as user queries, races it to idle when
+// the queue is empty, and defers it under load.  Horizon supplies the
+// oldest live snapshot at execution time; rows pinned by a live reader
+// defer the re-cut (RebalanceStats.Deferred) rather than moving under a
+// consistent view.
+type Rebalance struct {
+	Table   *colstore.ShardedTable
+	Horizon func() int64
+}
+
+// Label implements Node.
+func (r *Rebalance) Label() string {
+	return fmt.Sprintf("Rebalance(%s, shards=%d)", r.Table.Name, r.Table.NumShards())
+}
+
+// Kids implements Node.
+func (r *Rebalance) Kids() []Node { return nil }
+
+// Run implements Node.  The result is a one-row summary relation, so a
+// rebalance ticket flows through the serving stack like any query.
+func (r *Rebalance) Run(ctx *Ctx) (*Relation, error) {
+	var horizon int64
+	if r.Horizon != nil {
+		horizon = r.Horizon()
+	}
+	st, err := r.Table.Rebalance(horizon)
+	if err != nil {
+		return nil, err
+	}
+	ctx.Charge("rebalance:"+r.Table.Name, st.RowsTotal, st.Work)
+	deferred := int64(0)
+	if st.Deferred {
+		deferred = 1
+	}
+	return &Relation{N: 1, Cols: []Col{
+		StringCol("table", []string{st.Table}),
+		{Name: "shards", Type: colstore.Int64, I: []int64{int64(st.Shards)}},
+		{Name: "deferred", Type: colstore.Int64, I: []int64{deferred}},
+		{Name: "rows_total", Type: colstore.Int64, I: []int64{int64(st.RowsTotal)}},
+		{Name: "rows_moved", Type: colstore.Int64, I: []int64{int64(st.RowsMoved)}},
+		{Name: "bytes_before", Type: colstore.Int64, I: []int64{int64(st.BytesBefore)}},
+		{Name: "bytes_after", Type: colstore.Int64, I: []int64{int64(st.BytesAfter)}},
+	}}, nil
+}

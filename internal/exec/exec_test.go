@@ -98,8 +98,7 @@ func TestScanStringAndFloatPredicates(t *testing.T) {
 func TestFilterProjectLimit(t *testing.T) {
 	tab := ordersTable(t, 2000)
 	plan := &Limit{N: 5, Child: &Project{Names: []string{"id", "amount"},
-		Child: &Filter{Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.FloatVal(100)}},
-			Child: &Scan{Source: colstore.OneShard(tab)}}}}
+		Child: &Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.FloatVal(100)}}}}}
 	rel, err := plan.Run(NewCtx())
 	must(t, err)
 	if rel.N > 5 || len(rel.Cols) != 2 {

@@ -167,7 +167,7 @@ func (rp *relProbe) window(_ int64, lo, hi int, sc *morselScratch, _ bool, jr *j
 
 // gather reads every output value out of the probe relation.
 func (rp *relProbe) gather(_ []int64, rows []int32) (*Relation, energy.Counters) {
-	out := rp.rel.gather(rows)
+	out := rp.rel.Gather(rows)
 	return out, energy.Counters{BytesReadDRAM: out.Bytes()}
 }
 
@@ -532,7 +532,7 @@ func (jr *joinRun) pairs(ctx *Ctx) (*Relation, error) {
 		}
 	}
 	lOut, w := jr.src.gather(mKeys, lRows)
-	rOut := pruned.gather(rRows)
+	rOut := pruned.Gather(rRows)
 	out := mergeJoinColumns(lOut, rOut, jr.rightKey)
 	ncols := len(out.Cols)
 	w.Add(energy.Counters{

@@ -160,8 +160,8 @@ func joinGather(left, right *Relation, rightKey string, lRows, rRows []int32) (*
 			pruned.Cols = append(pruned.Cols, c)
 		}
 	}
-	lOut := left.gather(lRows)
-	rOut := pruned.gather(rRows)
+	lOut := left.Gather(lRows)
+	rOut := pruned.Gather(rRows)
 	out := mergeJoinColumns(lOut, rOut, rightKey)
 	moved := lOut.Bytes() + rOut.Bytes()
 	ncols := len(out.Cols)

@@ -9,11 +9,10 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Filter, Project, Sort, Limit) runs entirely on that
-// goroutine.  The morsel-driven operators — Scan,
-// HashAgg and Join — fan work out to Ctx.DOP() internal workers (a
-// one-morsel input runs on one) but
-// present the same single-goroutine interface: they return only after
+// operator (Project, Sort, Limit, Compact, Rebalance) runs entirely on
+// that goroutine.  The morsel-driven operators — Scan, HashAgg and Join —
+// fan work out to Ctx.DOP() internal workers (a one-morsel input runs on
+// one) but present the same single-goroutine interface: they return only after
 // all workers have joined, and their results and charged counters are
 // byte-identical at every degree of parallelism (see morsel.go and
 // join.go).
@@ -127,9 +126,9 @@ func (r *Relation) Bytes() uint64 {
 	return b
 }
 
-// gather returns a new relation containing the given rows (in order).  A
+// Gather returns a new relation containing the given rows (in order).  A
 // VARCHAR column gathers its codes; the dictionary rides along untouched.
-func (r *Relation) gather(rows []int32) *Relation {
+func (r *Relation) Gather(rows []int32) *Relation {
 	out := &Relation{N: len(rows), Cols: make([]Col, len(r.Cols))}
 	for ci := range r.Cols {
 		src := &r.Cols[ci]

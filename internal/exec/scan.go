@@ -94,11 +94,7 @@ func (b *Binding) index(name string) int {
 
 // Bind resolves the scan against its source: projection, predicate
 // columns, predicate type checks, dictionaries, shard pruning.
-func (s *Scan) Bind() (*Binding, error) { return s.bind(true) }
-
-// bind is Bind with the sequence column optional: the build side of a
-// co-partitioned join never orders anything and leaves it out.
-func (s *Scan) bind(withSeq bool) (*Binding, error) {
+func (s *Scan) Bind() (*Binding, error) {
 	if s.Source == nil {
 		return nil, fmt.Errorf("exec: scan has no source table")
 	}
@@ -143,7 +139,7 @@ func (s *Scan) bind(withSeq bool) (*Binding, error) {
 				sb.tmpl[ci].Dict = sc.Dict() // once per Bind: every morsel shares it
 			}
 		}
-		if len(shards) > 1 && withSeq {
+		if len(shards) > 1 {
 			seq, err := sh.IntCol(colstore.ShardSeqCol)
 			if err != nil {
 				return nil, err
@@ -241,11 +237,11 @@ func predDisjoint(op vec.CmpOp, v, min, max int64) bool {
 // codec: RLE runs, delta boundary search, dictionary code rewrite,
 // bit-packed SWAR), masks rows invisible at snap, and returns the
 // selection over the window (bit i = row lo+i) with the physical work it
-// cost.  Materialization, the fused aggregate and probe kernels, the
-// co-partitioned join, and the engine's UPDATE/DELETE victim search all
-// consume its selection vector.  Tombstone masking charges per visible
-// tombstone in the window — like the predicate kernels a function of
-// (snapshot, window) alone, so any morsel sweep is DOP-invariant.
+// cost.  Materialization, the fused aggregate and probe kernels, and the
+// engine's UPDATE/DELETE victim search all consume its selection vector.
+// Tombstone masking charges per visible tombstone in the window — like
+// the predicate kernels a function of (snapshot, window) alone, so any
+// morsel sweep is DOP-invariant.
 //
 // The selection is written into the caller's sel (resized to the window):
 // the first predicate's kernels write it directly; only a second or later
@@ -466,9 +462,9 @@ type seqMerger struct {
 // the sequence column, and prices the merge.  tmpl supplies the output
 // schema for the zero-part case.  Sequences are globally unique, so the
 // order — and therefore the output bytes — is total and deterministic.
-// It is the one place per-shard VARCHAR columns (from Scan and
-// ShardedJoin) meet: their dictionaries become one (unionDict), and each
-// code is rewritten through its part's translation array as it is copied.
+// It is the one place per-shard VARCHAR columns meet: their dictionaries
+// become one (unionDict), and each code is rewritten through its part's
+// translation array as it is copied.
 func mergeBySeq(parts []*Relation, tmpl []Col) (*Relation, energy.Counters) {
 	total := 0
 	for _, p := range parts {

@@ -16,8 +16,8 @@ import (
 // live main+delta and post-merge storage, sharded scans, shard-fed
 // aggregations (per-shard string dictionaries and DOUBLE inputs
 // included), relation-fed ones over the merged relation (string columns
-// meeting in its union dictionary), and co-partitioned joins return the
-// flat layout's relation — strings compared decoded (Relation.Equal),
+// meeting in its union dictionary), and joins of independently cut
+// tables return the flat layout's relation — strings compared decoded (Relation.Equal),
 // since every shard carries its own dictionary — and each arm's relation
 // and counters are byte-identical across DOPs.  Counters are NOT compared
 // across shard counts: pruning changes the bytes touched — that is the
@@ -403,6 +403,13 @@ func TestOneShardIsFlat(t *testing.T) {
 	}
 }
 
+// TestShardedJoinByteIdentityMatrix: the one join over sharded inputs.
+// Both sides are cut independently on their join keys, so their cuts
+// differ and a key's shard index on one side says nothing about the
+// other; each side's scan merges its shards by sequence, so the join sees
+// the flat row order.  Both sides sharded, the probe side flat, and the
+// build side flat all return the map oracle's relation, and each arm's
+// relation and counters are DOP-invariant.
 func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 	const n = 120_000
 	const nCust = 1 << 12
@@ -430,51 +437,55 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 		must(t, flatC.Writer().Int64("tier", tier...).Close())
 		must(t, flatC.Seal())
 
+		lp := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}
+		rp := []expr.Pred{{Col: "tier", Op: vec.NE, Val: expr.IntVal(4)}}
+		lsel := []string{"custkey", "grp", "val"}
+		rsel := []string{"custkey", "tier"}
+		want := runNodeArm(t, &mapJoin{
+			Left:    &Scan{Source: colstore.OneShard(flatO), Select: lsel, Preds: lp},
+			Right:   &Scan{Source: colstore.OneShard(flatC), Select: rsel, Preds: rp},
+			LeftKey: "custkey", RightKey: "custkey",
+		}, live.snap, 1)
+		if want.rel.N == 0 {
+			t.Fatal("degenerate join: no output rows")
+		}
+
 		for _, k := range shardCounts {
 			k := k
 			t.Run(live.name+"/k="+itoa(k), func(t *testing.T) {
-				stO := twinsO[k]
-				stC, err := colstore.ShardTableAligned(flatC, "custkey", stO)
+				stC, err := colstore.ShardTable(flatC, "custkey", k)
 				must(t, err)
 				must(t, stC.Seal())
-				if !stO.AlignedWith(stC) {
-					t.Fatal("aligned twin is not AlignedWith the original")
+				if k > 1 && reflect.DeepEqual(stC.Cuts(), twinsO[k].Cuts()) {
+					t.Fatal("independent cuts coincide: the matrix would not mix shard indexes")
 				}
-				lp := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}
-				rp := []expr.Pred{{Col: "tier", Op: vec.NE, Val: expr.IntVal(4)}}
-				lsel := []string{"custkey", "grp", "val"}
-				rsel := []string{"custkey", "tier"}
-
-				left := &Scan{Source: stO, Select: lsel, Preds: lp}
-				right := &Scan{Source: stC, Select: rsel, Preds: rp}
-				if !CoPartitionEligible(left, right, "custkey", "custkey") {
-					t.Fatal("aligned sharded scans should be co-partition eligible")
-				}
-				if CoPartitionEligible(left, right, "grp", "custkey") {
-					t.Fatal("non-shard-column keys must not co-partition")
-				}
-
-				want := runNodeArm(t, &mapJoin{
-					Left:    &Scan{Source: colstore.OneShard(flatO), Select: lsel, Preds: lp},
-					Right:   &Scan{Source: colstore.OneShard(flatC), Select: rsel, Preds: rp},
-					LeftKey: "custkey", RightKey: "custkey",
-				}, live.snap, 1)
-				if want.rel.N == 0 {
-					t.Fatal("degenerate join: no output rows")
-				}
-				ref := runNodeArm(t, &ShardedJoin{
-					Left: left, Right: right, LeftKey: "custkey", RightKey: "custkey",
-				}, live.snap, 1)
-				if !ref.rel.Equal(want.rel) {
-					t.Fatalf("k=%d: co-partitioned join diverged from flat hash join", k)
-				}
-				for _, dop := range []int{2, 8} {
-					a := runNodeArm(t, &ShardedJoin{
-						Left: left, Right: right, LeftKey: "custkey", RightKey: "custkey",
-					}, live.snap, dop)
-					if !reflect.DeepEqual(a.rel, ref.rel) || a.w != ref.w {
-						t.Fatalf("k=%d dop=%d: sharded join not DOP-invariant", k, dop)
-					}
+				for _, arm := range []struct {
+					name        string
+					left, right *colstore.ShardedTable
+				}{
+					{"both-sharded", twinsO[k], stC},
+					{"probe-flat", colstore.OneShard(flatO), stC},
+					{"build-flat", twinsO[k], colstore.OneShard(flatC)},
+				} {
+					t.Run(arm.name, func(t *testing.T) {
+						join := func() Node {
+							return &Join{
+								Left:    &Scan{Source: arm.left, Select: lsel, Preds: lp},
+								Right:   &Scan{Source: arm.right, Select: rsel, Preds: rp},
+								LeftKey: "custkey", RightKey: "custkey",
+							}
+						}
+						ref := runNodeArm(t, join(), live.snap, 1)
+						if !ref.rel.Equal(want.rel) {
+							t.Fatalf("k=%d: join diverged from the map oracle", k)
+						}
+						for _, dop := range []int{2, 8} {
+							a := runNodeArm(t, join(), live.snap, dop)
+							if !reflect.DeepEqual(a.rel, ref.rel) || a.w != ref.w {
+								t.Fatalf("k=%d dop=%d: join not DOP-invariant", k, dop)
+							}
+						}
+					})
 				}
 			})
 		}

@@ -127,7 +127,7 @@ func (c *Cluster) runNode(ctx *exec.Ctx, n *Node, q AggQuery, s Strategy) (*exec
 	}
 	c.ship(ctx, n.ID, rel.Bytes(), w, instr)
 	plan := &exec.HashAgg{
-		Child:   &exec.Filter{Child: &received{label: fmt.Sprintf("Shipped(n%d)", n.ID), rel: recv}, Preds: q.Preds},
+		Child:   &Filter{Child: &received{label: fmt.Sprintf("Shipped(n%d)", n.ID), rel: recv}, Preds: q.Preds},
 		GroupBy: []string{q.GroupBy},
 		Aggs:    aggs,
 	}

@@ -43,6 +43,19 @@ func Estimate(cm *opt.CostModel, n int, rawBytes uint64, ratio float64, codec co
 	return c
 }
 
+// better reports whether a beats b under the objective: shorter, cheaper
+// in joules, or lower in energy-delay product.
+func better(obj opt.Objective, a, b opt.Cost) bool {
+	switch obj {
+	case opt.MinEnergy:
+		return a.Energy < b.Energy
+	case opt.MinEDP:
+		return energy.EDP(a.Energy, a.Time) < energy.EDP(b.Energy, b.Time)
+	default:
+		return a.Time < b.Time
+	}
+}
+
 // ChooseCodec picks the best codec for shipping the given values over the
 // link under the objective.  Ratios are predicted from a bounded sample so
 // the decision itself stays cheap.
@@ -59,7 +72,7 @@ func ChooseCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.O
 			ratio = compress.Ratio(codec, sample)
 		}
 		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
-		if best.Codec == nil || obj.Better(c, best.Cost) {
+		if best.Codec == nil || better(obj, c, best.Cost) {
 			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
 		}
 	}
@@ -76,7 +89,7 @@ func OracleCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.O
 		payload := codec.Compress(values)
 		ratio := float64(len(payload)) / float64(rawBytes)
 		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
-		if best.Codec == nil || obj.Better(c, best.Cost) {
+		if best.Codec == nil || better(obj, c, best.Cost) {
 			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
 		}
 	}

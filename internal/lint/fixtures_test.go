@@ -251,12 +251,16 @@ func TestRegistrySyncFiresOnDrift(t *testing.T) {
 	u := loadRegistryFixture(t, "registry_bad")
 	regGo := filepath.Join(u.Root, "src", "reg.go")
 	md := filepath.Join(u.Root, "EXPERIMENTS.md")
+	e1Row := lineMatching(t, md, `^\|\s*E1\s*\|`)
 	e3Row := lineMatching(t, md, `^\|\s*E3\s*\|`)
 	want := []string{
 		// E2 registered but undocumented: anchored at the ID literal.
 		fmt.Sprintf("reg.go:%d registrysync", lineMatching(t, regGo, `ID: "E2"`)),
-		// E3 documented but unregistered, and its row names a ghost
-		// benchmark: two diagnostics on the same table row.
+		// E1's row names a test prefix no test carries.
+		fmt.Sprintf("EXPERIMENTS.md:%d registrysync", e1Row),
+		// E3 documented but unregistered, and its row names a ghost test
+		// and a ghost benchmark: three diagnostics on the same table row.
+		fmt.Sprintf("EXPERIMENTS.md:%d registrysync", e3Row),
 		fmt.Sprintf("EXPERIMENTS.md:%d registrysync", e3Row),
 		fmt.Sprintf("EXPERIMENTS.md:%d registrysync", e3Row),
 		// The stale baseline gates a vanished benchmark and an
@@ -266,7 +270,7 @@ func TestRegistrySyncFiresOnDrift(t *testing.T) {
 	}
 	got := AnalyzerRegistrySync().Run(u)
 	assertDiags(t, got, want)
-	for _, frag := range []string{"E2", "E3", "BenchmarkNope", "BenchmarkGone", `"zap/op"`} {
+	for _, frag := range []string{"E2", "E3", "TestZed*", "TestGhost", "BenchmarkNope", "BenchmarkGone", `"zap/op"`} {
 		found := false
 		for _, d := range got {
 			if strings.Contains(d.Msg, frag) {

@@ -27,8 +27,9 @@ const RegistryCheck = "registrysync"
 //   - every registered E-id has an EXPERIMENTS.md row, and every row
 //     names a registered experiment (bidirectional — drift in either
 //     direction fails);
-//   - every `Benchmark<Name>` mentioned in EXPERIMENTS.md exists as a
-//     benchmark function;
+//   - every `Benchmark<Name>` and `Test<Name>` mentioned in
+//     EXPERIMENTS.md exists as a function somewhere in the module; a
+//     trailing `*` (`TestMQ*`) names a prefix at least one must carry;
 //   - every benchmark in the committed BENCH_BASELINE.json still
 //     exists in code, and every custom metric key it gates (J/op,
 //     bytes-touched/op, ... — anything beyond the standard ns/op,
@@ -37,14 +38,14 @@ const RegistryCheck = "registrysync"
 func AnalyzerRegistrySync() Analyzer {
 	return Analyzer{
 		Name: RegistryCheck,
-		Doc:  "experiments registry, EXPERIMENTS.md, Benchmark funcs, and BENCH_BASELINE.json must agree",
+		Doc:  "experiments registry, EXPERIMENTS.md, Benchmark/Test funcs, and BENCH_BASELINE.json must agree",
 		Run:  runRegistrySync,
 	}
 }
 
 var (
-	mdRowRe    = regexp.MustCompile(`^\|\s*(E\d+)\s*\|`)
-	benchRefRe = regexp.MustCompile(`Benchmark[A-Za-z0-9_]+`)
+	mdRowRe   = regexp.MustCompile(`^\|\s*(E\d+)\s*\|`)
+	funcRefRe = regexp.MustCompile(`\b(?:Benchmark|Test)[A-Z0-9_][A-Za-z0-9_]*\*?`)
 )
 
 // baselineFile is the one committed modeled baseline the CI energy gate
@@ -99,22 +100,23 @@ func runRegistrySync(u *Unit) []Diag {
 		}
 	}
 
-	// 2. EXPERIMENTS.md rows and the benchmark names they reference.
+	// 2. EXPERIMENTS.md rows and the benchmark and test names it
+	// references.
 	mdPath := filepath.Join(u.Root, "EXPERIMENTS.md")
 	mdRows := make(map[string]token.Position)
-	type benchRef struct {
+	type funcRef struct {
 		name string
 		pos  token.Position
 	}
-	var benchRefs []benchRef
+	var funcRefs []funcRef
 	if data, err := os.ReadFile(mdPath); err == nil {
 		for i, line := range strings.Split(string(data), "\n") {
 			pos := token.Position{Filename: mdPath, Line: i + 1, Column: 1}
 			if m := mdRowRe.FindStringSubmatch(line); m != nil {
 				mdRows[m[1]] = pos
-				for _, b := range benchRefRe.FindAllString(line, -1) {
-					benchRefs = append(benchRefs, benchRef{b, pos})
-				}
+			}
+			for _, f := range funcRefRe.FindAllString(line, -1) {
+				funcRefs = append(funcRefs, funcRef{f, pos})
 			}
 		}
 	} else {
@@ -139,15 +141,19 @@ func runRegistrySync(u *Unit) []Diag {
 		}
 	}
 
-	// 3. Benchmark functions and ReportMetric keys declared anywhere in
-	// the module (benchmarks live in the root package's test files).
+	// 3. Benchmark and test functions and ReportMetric keys declared
+	// anywhere in the module (benchmarks live in the root package's test
+	// files).
 	benchFuncs := make(map[string]bool)
+	var testFuncs []string
 	metricKeys := make(map[string]bool)
 	for _, p := range u.Pkgs {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Benchmark") {
 					benchFuncs[fd.Name.Name] = true
+				} else if ok && strings.HasPrefix(fd.Name.Name, "Test") {
+					testFuncs = append(testFuncs, fd.Name.Name)
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -168,10 +174,14 @@ func runRegistrySync(u *Unit) []Diag {
 			})
 		}
 	}
-	for _, ref := range benchRefs {
-		if !benchFuncs[ref.name] {
+	for _, ref := range funcRefs {
+		kind, ok := "test", hasTest(testFuncs, ref.name)
+		if strings.HasPrefix(ref.name, "Benchmark") {
+			kind, ok = "benchmark", benchFuncs[ref.name]
+		}
+		if !ok {
 			out = append(out, Diag{Pos: ref.pos, Check: RegistryCheck,
-				Msg: fmt.Sprintf("EXPERIMENTS.md references %s but no such benchmark function exists", ref.name)})
+				Msg: fmt.Sprintf("EXPERIMENTS.md references %s but no such %s function exists", ref.name, kind)})
 		}
 	}
 
@@ -183,6 +193,18 @@ func runRegistrySync(u *Unit) []Diag {
 		out = append(out, checkBaseline(base, pos, benchFuncs, metricKeys)...)
 	}
 	return out
+}
+
+// hasTest reports whether a test function matches ref: by name, or by
+// prefix when ref ends in '*'.
+func hasTest(tests []string, ref string) bool {
+	prefix, wild := strings.CutSuffix(ref, "*")
+	for _, t := range tests {
+		if t == ref || wild && strings.HasPrefix(t, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkBaseline verifies one bench-trajectory JSON against the declared

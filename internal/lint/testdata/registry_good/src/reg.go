@@ -15,6 +15,12 @@ func init() {
 	register(Experiment{ID: "E1", Title: "documented"})
 }
 
+// T stands in for *testing.T.
+type T struct{}
+
+// TestOne is the one test the fixture's EXPERIMENTS.md may name.
+func TestOne(t *T) {}
+
 // B stands in for *testing.B.
 type B struct{}
 

@@ -54,21 +54,6 @@ func (c Cost) plus(o Cost) Cost {
 	return c
 }
 
-// EDP returns the energy-delay product of the cost.
-func (c Cost) EDP() float64 { return energy.EDP(c.Energy, c.Time) }
-
-// Better reports whether a beats b under the objective.
-func (o Objective) Better(a, b Cost) bool {
-	switch o {
-	case MinEnergy:
-		return a.Energy < b.Energy
-	case MinEDP:
-		return a.EDP() < b.EDP()
-	default:
-		return a.Time < b.Time
-	}
-}
-
 // CostModel converts work counters into Cost using the energy model at a
 // fixed P-state (the scheduler owns DVFS; the optimizer prices plans at
 // the state the scheduler announces).

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/colstore"
-	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
 )
@@ -74,10 +73,6 @@ type JoinPlanInfo struct {
 	// Partitioned reports that the estimated build side outgrows one
 	// cache-resident table (exec.RadixBits > 0) and is radix-scattered.
 	Partitioned bool
-	// CoPartitioned reports that both sides are value-range-sharded on
-	// the join keys with aligned cuts, so the join runs shard-pair by
-	// shard-pair with no radix scatter (exec.ShardedJoin).
-	CoPartitioned bool
 	// FusedProbe reports that the probe feed fuses into the probe-side
 	// scan: selected keys stream straight from the compressed segments
 	// and the intermediate probe relation is never materialized.
@@ -363,50 +358,32 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 			return nil, nil, err
 		}
 		var probe, build exec.Node = root, right
-		probeScan, buildScan := rootScan, right
+		probeScan := rootScan
 		probeName, buildName := rootName, d.pj.table
 		lk, rk := d.pj.leftCol, d.pj.rightCol
 		if d.swap {
 			probe, build = build, probe
-			probeScan, buildScan = buildScan, probeScan
+			probeScan = right
 			probeName, buildName = buildName, probeName
 			lk, rk = rk, lk
 		}
-		// The one join — or, when both sides are sharded on the join keys
-		// with aligned cuts, its co-partitioned driver: every key is owned
-		// by the same shard index on both sides, so it runs pair by pair.
-		coPart := exec.CoPartitionEligible(probeScan, buildScan, lk, rk)
-		if coPart {
-			root = &exec.ShardedJoin{Left: probeScan, Right: buildScan, LeftKey: lk, RightKey: rk}
-		} else {
-			root = &exec.Join{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
-		}
+		root = &exec.Join{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
 		rootScan = nil
 		rootName = "⋈"
-		// A co-partitioned join is one join per shard pair over that pair's
-		// share of the rows (assumed even).
-		pairs := 1.0
-		if coPart {
-			pairs = float64(buildScan.Source.NumShards())
-		}
 		// Fused probe feed: the probe-side scan never materializes its
 		// relation, and its keys stream compressed and resolve span-wise.
-		fused := !coPart && probeScan != nil && exec.FusedProbeEligible(probeScan, lk)
-		pc, keyBytes := c.probeCounts(d.probeRows/pairs, d.buildRows/pairs, d.outRows/pairs, fused, probeName, lk, buildName, rk)
+		fused := probeScan != nil && exec.FusedProbeEligible(probeScan, lk)
+		pc, keyBytes := c.probeCounts(d.probeRows, d.buildRows, d.outRows, fused, probeName, lk, buildName, rk)
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
 			LeftKey: lk, RightKey: rk,
-			Partitioned:   exec.RadixBits(int(d.buildRows/pairs)) > 0,
-			CoPartitioned: coPart,
-			FusedProbe:    fused,
-			EstProbeRows:  d.probeRows, EstBuildRows: d.buildRows, EstOutRows: d.outRows,
+			Partitioned:  exec.RadixBits(int(d.buildRows)) > 0,
+			FusedProbe:   fused,
+			EstProbeRows: d.probeRows, EstBuildRows: d.buildRows, EstOutRows: d.outRows,
+			EstProbe:   pc,
+			ProbeBytes: keyBytes,
 		}
-		var w energy.Counters
-		for range int(pairs) {
-			w.Add(estimateJoin(pc, d.buildRows/pairs, keyBytes, d.ncols))
-			ji.EstProbe.Add(pc)
-			ji.ProbeBytes += keyBytes
-		}
+		w := estimateJoin(pc, d.buildRows, keyBytes, d.ncols)
 		info.Est = info.Est.plus(cm.Price(w, 0))
 		if ji.Partitioned {
 			ji.PartitionBytes = uint64(d.buildRows * (8 + 12))

@@ -8,16 +8,16 @@ import (
 
 // Energy-aware degree-of-parallelism selection ("elasticity in the
 // small", §IV, meeting morsel-driven execution): the energy model's
-// P-state costs price a single query's candidate worker counts.  More active cores finish the query
-// sooner — racing the platform's background power to idle — but burn
-// more active-core power and amortize less of the parallelization
-// overhead, so the energy-optimal DOP is finite and workload-dependent
-// (Harizopoulos et al.: the energy-optimal plan is the time-optimal one
-// *at a chosen parallelism*).  The model is operator-agnostic: scans,
-// parallel aggregations, and the join all arrive as energy.Counters (the
-// join via opt.EstimateHashJoin's intern, partition, build, probe, and
-// gather phase estimates), so one P-state model
-// prices every operator's DOP.
+// P-state costs price a single query's candidate worker counts.  More
+// active cores finish the query sooner — racing the platform's background
+// power to idle — but burn more active-core power and amortize less of
+// the parallelization overhead, so the energy-optimal DOP is finite and
+// workload-dependent (Harizopoulos et al.: the energy-optimal plan is the
+// time-optimal one *at a chosen parallelism*).  The model is
+// operator-agnostic: scans, parallel aggregations, and the join all
+// arrive as energy.Counters (the join via opt.EstimateHashJoin's
+// partition, build, probe and output phase estimates), so one P-state
+// model prices every operator's DOP.
 
 // SerialFraction is the Amdahl fraction of a parallel query that stays on
 // the coordinator: planning, the partial-aggregate merge, and result
