@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/experiments/coresim"
 	"repro/internal/experiments/locks"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/vec"
@@ -91,7 +92,7 @@ func BenchmarkE6Tiering(b *testing.B) {
 func BenchmarkE7ScanKernels(b *testing.B) {
 	const n = 1 << 20
 	model := energy.DefaultModel()
-	vals := workload.UniformInts(1, n, 1<<16)
+	vals := synth.UniformInts(1, n, 1<<16)
 	codes := make([]uint64, n)
 	for i, v := range vals {
 		codes[i] = uint64(v)
@@ -140,7 +141,7 @@ func BenchmarkE8Robustness(b *testing.B) {
 // BenchmarkE9ReliabilityQoS measures group commit per QoS level.
 func BenchmarkE9ReliabilityQoS(b *testing.B) {
 	cfg := wal.DefaultConfig()
-	gaps := workload.Poisson(3, 5000, 100_000)
+	gaps := synth.Poisson(3, 5000, 100_000)
 	arrivals := make([]time.Duration, len(gaps))
 	var at time.Duration
 	for i, g := range gaps {
@@ -150,7 +151,7 @@ func BenchmarkE9ReliabilityQoS(b *testing.B) {
 	for _, level := range []wal.Level{wal.Volatile, wal.Local, wal.Repl2, wal.Repl3} {
 		b.Run(level.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wal.SimulateGroupCommit(cfg, arrivals, 96, 64*time.Microsecond, level)
+				experiments.SimulateGroupCommit(cfg, arrivals, 96, 64*time.Microsecond, level)
 			}
 		})
 	}
@@ -533,7 +534,7 @@ func BenchmarkE25ShardedScan(b *testing.B) {
 // E1/E5 (internal/experiments/coresim).
 func BenchmarkScheduler(b *testing.B) {
 	model := energy.DefaultModel()
-	jobs := coresim.MakeJobs(workload.Poisson(9, 2000, 500),
+	jobs := coresim.MakeJobs(synth.Poisson(9, 2000, 500),
 		energy.Counters{Instructions: 5_000_000, BytesReadDRAM: 1 << 20})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

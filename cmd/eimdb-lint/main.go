@@ -5,9 +5,10 @@
 // map-iteration order leaking into results, counters mutated only
 // through the metered APIs, executor goroutines only inside the
 // lease-honoring pool helpers, flat-array hot structs, engine packages
-// that never import the experiment-only seed packages, and an
-// experiments registry that agrees with EXPERIMENTS.md and the
-// committed bench baselines.
+// that never import the experiment-only seed packages, an experiments
+// registry that agrees with EXPERIMENTS.md and the committed bench
+// baselines, and served packages whose every exported symbol has a
+// served, command, benchmark or example user.
 //
 // Usage:
 //

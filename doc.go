@@ -4,9 +4,10 @@
 // substrate the paper's argument rests on — word-parallel scans, a
 // morsel-driven parallel executor with an energy-aware degree of
 // parallelism chosen per query from the scheduler's P-state cost model,
-// compression codecs with advisor-chosen per-segment storage and
-// operate-on-compressed scan kernels (predicates evaluated directly on
-// RLE runs, delta checkpoints, dictionary codes, and bit-packed words),
+// advisor-chosen per-segment encodings (run-length, delta, dictionary,
+// bit-packing) with operate-on-compressed scan kernels (predicates
+// evaluated directly on RLE runs, delta checkpoints, dictionary codes,
+// and bit-packed words),
 // radix-partitioned morsel-parallel hash joins that run string keys in
 // the dictionary code domain (a sorted sealed segment is its own index:
 // delta boundary search plus zone maps, the one access path), a dual
@@ -23,7 +24,8 @@
 // internal/ outside internal/experiments and internal/lint is exactly
 // what cmd/eimdb-serve links.  The experiment suite keeps the models only
 // an experiment uses beside it, under internal/experiments: a whole-
-// machine power simulator, compress-vs-send codec choice,
+// machine power simulator, byte-stream codecs and the compress-vs-send
+// choice,
 // synchronization schemes, a storage hierarchy, distributed query
 // shipping (ship-raw vs ship-compressed vs aggregate pushdown over a
 // simulated cluster), cluster elasticity, flexible schema, database

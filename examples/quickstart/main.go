@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/vec"
 )
 
@@ -52,10 +53,10 @@ func main() {
 	// 3. The same query through the procedural builder — the other half
 	// of the paper's "hybrid query language".
 	res2, err := e.From("products").
-		WhereFloat("price", vec.GT, 150).
+		Where("price", vec.GT, expr.FloatVal(150)).
 		Select("category").
 		Count("n").
-		AvgOf("price", "avg_price").
+		Agg(expr.AggAvg, "price", "avg_price").
 		GroupBy("category").
 		OrderBy("n", true).
 		Run()

@@ -3,6 +3,7 @@ package colstore
 import (
 	"testing"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 // word-parallel kernel.
 func BenchmarkScanSealedVsRaw(b *testing.B) {
 	const n = 4 * SegSize
-	vals := workload.UniformInts(1, n, 1<<16)
+	vals := synth.UniformInts(1, n, 1<<16)
 	raw := NewIntColumn()
 	raw.AppendSlice(vals)
 	sealed := NewIntColumn()
@@ -74,7 +75,7 @@ func BenchmarkZoneMapPruning(b *testing.B) {
 func BenchmarkPointGet(b *testing.B) {
 	const n = 4 * SegSize
 	c := NewIntColumn()
-	c.AppendSlice(workload.UniformInts(3, n, 1<<30))
+	c.AppendSlice(synth.UniformInts(3, n, 1<<30))
 	c.Seal()
 	rng := workload.NewRNG(9)
 	idx := make([]int, 4096)

@@ -5,13 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 func TestIntColumnAppendGetSealed(t *testing.T) {
 	c := NewIntColumn()
-	vals := workload.UniformInts(1, 3*SegSize/2, 1<<30)
+	vals := synth.UniformInts(1, 3*SegSize/2, 1<<30)
 	c.AppendSlice(vals)
 	if c.Len() != len(vals) {
 		t.Fatalf("len = %d want %d", c.Len(), len(vals))
@@ -52,7 +52,7 @@ func TestIntColumnAppendAfterSeal(t *testing.T) {
 func TestIntColumnSealedCompression(t *testing.T) {
 	// A narrow-domain column must shrink when sealed.
 	c := NewIntColumn()
-	c.AppendSlice(workload.UniformInts(2, SegSize, 256))
+	c.AppendSlice(synth.UniformInts(2, SegSize, 256))
 	before := c.Bytes()
 	c.Seal()
 	after := c.Bytes()
@@ -62,7 +62,7 @@ func TestIntColumnSealedCompression(t *testing.T) {
 }
 
 func TestIntColumnScanMatchesNaive(t *testing.T) {
-	vals := workload.UniformInts(3, 2*SegSize+100, 10000)
+	vals := synth.UniformInts(3, 2*SegSize+100, 10000)
 	c := NewIntColumn()
 	c.AppendSlice(vals)
 	c.Seal()
@@ -84,7 +84,7 @@ func TestIntColumnScanMatchesNaive(t *testing.T) {
 
 func TestIntColumnScanProperty(t *testing.T) {
 	f := func(seed uint64, rawOp uint8, c int64) bool {
-		vals := workload.UniformInts(seed, 500, 1000)
+		vals := synth.UniformInts(seed, 500, 1000)
 		col := NewIntColumn()
 		col.AppendSlice(vals)
 		col.Seal()
@@ -156,7 +156,7 @@ func TestFloatColumn(t *testing.T) {
 	}
 	out := vec.NewBitvec(4)
 	ctr := c.ScanRows(vec.GT, 0.6, 0, 4, out)
-	if out.Count() != 2 || !out.Get(0) || !out.Get(2) {
+	if out.Count() != 2 || !bit(out, 0) || !bit(out, 2) {
 		t.Fatalf("scan matched %d", out.Count())
 	}
 	if ctr.TuplesOut != 2 {
@@ -175,7 +175,7 @@ func TestStringColumnEqAndDict(t *testing.T) {
 	}
 	out := vec.NewBitvec(5)
 	c.ScanRows(vec.EQ, "ASIA", 0, 5, out)
-	if out.Count() != 2 || !out.Get(1) || !out.Get(2) {
+	if out.Count() != 2 || !bit(out, 1) || !bit(out, 2) {
 		t.Fatal("equality scan broken")
 	}
 	miss := vec.NewBitvec(5)
@@ -201,7 +201,7 @@ func TestStringColumnSealSortedRange(t *testing.T) {
 	out := scanRange()
 	wantMatch := func(s string) bool { return s >= "b" && s < "d" }
 	for i, s := range in {
-		if out.Get(i) != wantMatch(s) {
+		if bit(out, i) != wantMatch(s) {
 			t.Fatalf("pre-seal range wrong at %d (%s)", i, s)
 		}
 	}
@@ -217,14 +217,14 @@ func TestStringColumnSealSortedRange(t *testing.T) {
 	}
 	out2 := scanRange()
 	for i, s := range in {
-		if out2.Get(i) != wantMatch(s) {
+		if bit(out2, i) != wantMatch(s) {
 			t.Fatalf("post-seal range wrong at %d (%s)", i, s)
 		}
 	}
 	// Equality after remap.
 	eq := vec.NewBitvec(len(in))
 	c.ScanRows(vec.EQ, "alpha", 0, len(in), eq)
-	if eq.Count() != 2 || !eq.Get(1) || !eq.Get(4) {
+	if eq.Count() != 2 || !bit(eq, 1) || !bit(eq, 4) {
 		t.Fatal("post-seal equality broken")
 	}
 }
@@ -302,3 +302,7 @@ func TestTypeString(t *testing.T) {
 		t.Fatal("type names wrong")
 	}
 }
+
+// bit reports bit i of a selection vector; the served kernels read
+// selections word at a time and keep no per-bit accessor.
+func bit(b *vec.Bitvec, i int) bool { return b.Words()[i>>6]>>(uint(i)&63)&1 == 1 }

@@ -72,7 +72,7 @@ func (c *IntColumn) GatherRows(lo int, rows []int32, out []int64) {
 			s, start, end = c.segs[si], c.starts[si], c.starts[si]+c.segs[si].length()
 			cur = deltaCursor{f: -1}
 		}
-		if s.sealed && s.enc == EncDelta {
+		if s.sealed && s.enc == compress.Delta {
 			out[i] = cur.get(s, row-start)
 		} else {
 			out[i] = s.get(row - start)
@@ -105,20 +105,20 @@ func (cur *deltaCursor) get(s *intSegment, j int) int64 {
 // decodeRange widens segment-local rows [la, lb) into out (len lb-la).
 func (s *intSegment) decodeRange(la, lb int, out []int64) energy.Counters {
 	rows := uint64(lb - la)
-	if !s.sealed || s.enc == EncRaw {
+	if !s.sealed || s.enc == compress.Raw {
 		copy(out, s.raw[la:lb])
 		return energy.Counters{BytesReadDRAM: rows * 8, Instructions: rows}
 	}
 	switch s.enc {
-	case EncRLE:
+	case compress.RLE:
 		return s.decodeRLE(la, lb, out)
-	case EncDelta:
+	case compress.Delta:
 		return s.decodeDelta(la, lb, out)
 	}
-	// EncBitpack and EncDict share the packed-code layout; dict adds one
+	// compress.Bitpack and compress.Dict share the packed-code layout; dict adds one
 	// dictionary indirection per row.
 	s.packed.Unpack(la, lb, out)
-	if s.enc == EncDict {
+	if s.enc == compress.Dict {
 		for i, code := range out {
 			out[i] = s.dictVals[code]
 		}
@@ -131,7 +131,7 @@ func (s *intSegment) decodeRange(la, lb int, out []int64) energy.Counters {
 	// proration is integer math on (segment, window) alone.
 	words := uint64(s.packed.WordCount()) * rows / uint64(s.n)
 	ctr := energy.Counters{BytesReadDRAM: words*8 + 8, Instructions: rows * 2}
-	if s.enc == EncDict {
+	if s.enc == compress.Dict {
 		// The dictionary streams once per window and stays cache-resident
 		// for the per-row indirections (same model as scanBytes).
 		ctr.BytesReadDRAM += uint64(len(s.dictVals)) * 8

@@ -3,6 +3,8 @@ package colstore
 import (
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -10,13 +12,13 @@ import (
 // raw fallback (>63-bit range) and an unsealed column.
 func decodeShapes() map[string][]int64 {
 	const n = 3*SegSize + 1234 // multiple segments plus a ragged tail
-	wide := workload.UniformInts(7, n, 1<<20)
+	wide := synth.UniformInts(7, n, 1<<20)
 	wide[0], wide[1] = -1<<62, 1<<62 // blows the bitpack width: stays raw
 	return map[string][]int64{
-		"rle":     workload.RunsInts(3, n, 16, 64),
-		"dict":    workload.UniformInts(4, n, 32),
-		"delta":   workload.SortedInts(5, n, 8),
-		"bitpack": workload.UniformInts(6, n, 1<<20),
+		"rle":     synth.RunsInts(3, n, 16, 64),
+		"dict":    synth.UniformInts(4, n, 32),
+		"delta":   synth.SortedInts(5, n, 8),
+		"bitpack": synth.UniformInts(6, n, 1<<20),
 		"raw":     wide,
 	}
 }
@@ -53,7 +55,7 @@ func TestDecodeRangeMatchesGetAllCodecs(t *testing.T) {
 }
 
 func TestDecodeRangeUnsealed(t *testing.T) {
-	vals := workload.UniformInts(9, SegSize+99, 1<<16)
+	vals := synth.UniformInts(9, SegSize+99, 1<<16)
 	c := NewIntColumn()
 	c.AppendSlice(vals)
 	out := make([]int64, len(vals))
@@ -121,7 +123,7 @@ func TestSpanCodesMatchGetEveryWidth(t *testing.T) {
 		s := &intSegment{raw: vals}
 		s.sealDict()
 		s.n, s.sealed, s.raw = n, true, nil
-		if s.enc != EncDict || s.packed.Width() != width {
+		if s.enc != compress.Dict || s.packed.Width() != width {
 			t.Fatalf("width %d: sealed as enc %v width %d", width, s.enc, s.packed.Width())
 		}
 		for trial := 0; trial < 64; trial++ {
@@ -130,7 +132,7 @@ func TestSpanCodesMatchGetEveryWidth(t *testing.T) {
 			if trial%8 == 0 {
 				b = a + 1 + rng.Intn(n-a)
 			}
-			sp := SegSpan{A: a, B: b, Enc: EncDict, seg: s, la: a}
+			sp := SegSpan{A: a, B: b, Enc: compress.Dict, seg: s, la: a}
 			out := make([]int64, b-a)
 			sp.Codes(out)
 			for i, code := range out {

@@ -21,13 +21,9 @@ import (
 // pure function of (snapshot, window grid): schedule- and DOP-invariant
 // even while later writes keep appending behind the scan.
 
-// SnapLatest is the snapshot timestamp meaning "read everything
-// committed so far" — the default for contexts without a transaction.
-const SnapLatest int64 = 0
-
 // RowsAsOf returns the number of physical rows whose insertion is
 // visible at snapshot snap: the scan prefix for a query admitted at that
-// snapshot.  snap <= 0 (SnapLatest) means all rows.
+// snapshot.  snap <= 0 means all rows.
 func (t *Table) RowsAsOf(snap int64) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -80,21 +76,6 @@ func (t *Table) FilterVisible(snap int64, lo, hi int, sel *vec.Bitvec) energy.Co
 		w.CacheMisses++
 	}
 	return w
-}
-
-// RowVisible reports whether physical row i is visible at snapshot snap.
-func (t *Table) RowVisible(snap int64, row int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if row >= t.rowsAsOfLocked(snap) {
-		return false
-	}
-	if i, ok := t.tombstoneLocked(row); ok {
-		if snap <= 0 || t.delTS[i] <= snap {
-			return false
-		}
-	}
-	return true
 }
 
 // tombstoneLocked finds row's entry in the sorted tombstone list.

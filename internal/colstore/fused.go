@@ -18,21 +18,21 @@ import (
 // morsel sweeps price identically at every degree of parallelism,
 // exactly like the scan kernels in segment.go.
 //
-// Delta tails stay uniform: an unsealed segment surfaces as an EncRaw
+// Delta tails stay uniform: an unsealed segment surfaces as an compress.Raw
 // span whose Decode is a plain copy, so a fused scan remains a pure
 // function of (snapshot, predicates) across the main/delta boundary.
 
 // SegSpan is the overlap of one segment with a row window: global rows
 // [A, B) of the column, all inside a single segment.
 type SegSpan struct {
-	A, B int         // global row range [A, B)
-	Enc  SegEncoding // physical layout of the owning segment
+	A, B int               // global row range [A, B)
+	Enc  compress.Encoding // physical layout of the owning segment
 	seg  *intSegment
 	la   int // segment-local row of A
 }
 
 // AppendSpans appends the per-segment spans overlapping rows [lo, hi) to
-// out, in row order.  Unsealed segments (the delta tail) report EncRaw.
+// out, in row order.  Unsealed segments (the delta tail) report compress.Raw.
 func (c *IntColumn) AppendSpans(out []SegSpan, lo, hi int) []SegSpan {
 	for si, s := range c.segs {
 		start := c.starts[si]
@@ -49,7 +49,7 @@ func (c *IntColumn) AppendSpans(out []SegSpan, lo, hi int) []SegSpan {
 		if a >= b {
 			continue
 		}
-		enc := EncRaw
+		enc := compress.Raw
 		if s.sealed {
 			enc = s.enc
 		}
@@ -62,10 +62,10 @@ func (c *IntColumn) AppendSpans(out []SegSpan, lo, hi int) []SegSpan {
 // row order (a, b are global rows).  The returned counters price the run
 // stream — the runs touched at their wire width plus the codec's decode
 // work, with NO per-row term: that is the O(runs) saving the fused
-// kernels exist for.  Runs is only meaningful on EncRLE spans; other
+// kernels exist for.  Runs is only meaningful on compress.RLE spans; other
 // encodings report zero runs and zero work.
 func (sp SegSpan) Runs(fn func(v int64, a, b int)) energy.Counters {
-	if sp.Enc != EncRLE {
+	if sp.Enc != compress.RLE {
 		return energy.Counters{}
 	}
 	s := sp.seg
@@ -97,21 +97,21 @@ func (sp SegSpan) Runs(fn func(v int64, a, b int)) energy.Counters {
 }
 
 // DictVals exposes the span's sorted per-segment dictionary (code =
-// index) on EncDict spans, nil otherwise.  Read-only.
+// index) on compress.Dict spans, nil otherwise.  Read-only.
 func (sp SegSpan) DictVals() []int64 {
-	if sp.Enc != EncDict {
+	if sp.Enc != compress.Dict {
 		return nil
 	}
 	return sp.seg.dictVals
 }
 
 // Codes decodes the span's rows as segment-local dictionary codes into
-// out (length B-A).  Only valid on EncDict spans.  The packed code words
+// out (length B-A).  Only valid on compress.Dict spans.  The packed code words
 // overlapping the span stream once; unlike Decode, the dictionary itself
 // is NOT streamed and no per-row indirection is priced — grouping in the
 // code domain touches the dictionary only once per distinct code.
 func (sp SegSpan) Codes(out []int64) energy.Counters {
-	if sp.Enc != EncDict {
+	if sp.Enc != compress.Dict {
 		panic("colstore: Codes on a non-dict span")
 	}
 	s := sp.seg
@@ -128,7 +128,7 @@ func (sp SegSpan) Codes(out []int64) energy.Counters {
 }
 
 // Code returns global row r's segment-local dictionary code, the point
-// read of Codes, priced by the caller.  Only valid on EncDict spans.
+// read of Codes, priced by the caller.  Only valid on compress.Dict spans.
 func (sp SegSpan) Code(r int) int64 {
 	return int64(sp.seg.packed.Get(sp.la + r - sp.A))
 }

@@ -13,23 +13,23 @@ import (
 // way.  Scans operate directly on the compressed layout (see the kernels
 // in segment.go).
 type intSegment struct {
-	raw []int64     // nil once sealed (kept only for EncRaw fallback)
-	enc SegEncoding // layout of the sealed representation
+	raw []int64           // nil once sealed (kept only for compress.Raw fallback)
+	enc compress.Encoding // layout of the sealed representation
 
-	// EncBitpack: frame-of-reference codes; EncDict reuses packed for
+	// compress.Bitpack: frame-of-reference codes; compress.Dict reuses packed for
 	// its dictionary codes.
 	packed *vec.Packed
 	base   int64 // frame of reference for bitpack codes
 
-	// EncRLE.
+	// compress.RLE.
 	runs      []compress.Run
 	runStarts []int32 // row offset of each run, for point access
 
-	// EncDelta.
+	// compress.Delta.
 	payload []byte
 	checks  []deltaCheck
 
-	// EncDict.
+	// compress.Dict.
 	dictVals []int64 // sorted distinct values; code = index
 
 	n      int // rows once sealed

@@ -3,6 +3,7 @@ package colstore
 import (
 	"sort"
 
+	"repro/internal/compress"
 	"repro/internal/energy"
 	"repro/internal/vec"
 )
@@ -68,7 +69,7 @@ func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 			out.SetRange(a-lo, b-lo)
 			st.SegmentsSkipped++
 			ctr.Instructions += rows / 8
-		case s.sealed && s.enc != EncRaw:
+		case s.sealed && s.enc != compress.Raw:
 			// Mismatchable segment: evaluate directly on the compressed
 			// layout (segment.go), charging the compressed bytes
 			// streamed plus the codec's decode work.

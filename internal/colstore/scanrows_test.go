@@ -5,8 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 var allOps = []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
@@ -29,7 +30,7 @@ func windows(n int) [][2]int {
 func wantWindow(full *vec.Bitvec, lo, hi int) []int {
 	var want []int
 	for i := lo; i < hi; i++ {
-		if full.Get(i) {
+		if bit(full, i) {
 			want = append(want, i-lo)
 		}
 	}
@@ -178,10 +179,10 @@ func TestStringScanRowsSemantics(t *testing.T) {
 func TestScanRowsAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		vals []int64
-		enc  SegEncoding
+		enc  compress.Encoding
 	}{
-		{workload.UniformInts(1, 2*SegSize, 1000), EncDict},
-		{workload.UniformInts(2, 2*SegSize, 1<<20), EncBitpack},
+		{synth.UniformInts(1, 2*SegSize, 1000), compress.Dict},
+		{synth.UniformInts(2, 2*SegSize, 1<<20), compress.Bitpack},
 	} {
 		c := NewIntColumn()
 		c.AppendSlice(tc.vals)

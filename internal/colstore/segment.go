@@ -32,40 +32,12 @@ import (
 // kernel charges BytesReadDRAM for the compressed bytes it streams (the
 // segment's stored footprint, or for delta the checkpoint spine plus the
 // frames actually decoded) and Instructions for the decode/compare work,
-// priced with the owning codec's CostFactor where the kernel decodes
+// priced with the encoding's CostFactor where the kernel decodes
 // (delta frames, RLE runs).  Charges are a pure function of (segment,
 // predicate, window) — never of the worker count — so morsel-parallel
 // scans price identically at every DOP.
 
-// SegEncoding identifies the physical layout of one sealed segment.
-type SegEncoding int
-
-// The segment layouts the seal advisor chooses between.
-const (
-	EncRaw     SegEncoding = iota // plain []int64 (unsealed, or >63-bit range)
-	EncBitpack                    // frame-of-reference packed codes (vec.Packed)
-	EncRLE                        // (value, length) runs
-	EncDelta                      // sorted values as varint deltas + checkpoints
-	EncDict                       // sorted distinct values + packed codes
-)
-
-// String names the encoding as the owning codec is registered in
-// internal/compress.
-func (e SegEncoding) String() string {
-	switch e {
-	case EncBitpack:
-		return "bitpack"
-	case EncRLE:
-		return "rle"
-	case EncDelta:
-		return "delta"
-	case EncDict:
-		return "dict"
-	}
-	return "raw"
-}
-
-// deltaFrame is the checkpoint pitch of EncDelta segments: point access
+// deltaFrame is the checkpoint pitch of compress.Delta segments: point access
 // decodes at most deltaFrame-1 varints, and the boundary-search kernel
 // decodes at most one frame per probed boundary.
 const deltaFrame = 128
@@ -90,21 +62,17 @@ func (s *intSegment) seal() {
 	st := compress.Analyze(s.raw)
 	s.min, s.max = st.Min, st.Max
 	s.n = len(s.raw)
-	switch compress.Choose(st).Name() {
-	case "rle":
+	switch compress.Choose(st) {
+	case compress.RLE:
 		s.sealRLE()
-	case "delta":
-		if st.Sorted {
-			s.sealDelta()
-		} else {
-			s.sealBitpack()
-		}
-	case "dict":
+	case compress.Delta:
+		s.sealDelta()
+	case compress.Dict:
 		s.sealDict()
 	default:
 		s.sealBitpack()
 	}
-	if s.enc != EncRaw {
+	if s.enc != compress.Raw {
 		s.raw = nil
 	}
 	s.sealed = true
@@ -117,7 +85,7 @@ func (s *intSegment) sealBitpack() {
 	d := uint64(s.max) - uint64(s.min) // exact: two's-complement wrap
 	width := compress.BitsFor(d)
 	if width > 63 {
-		s.enc = EncRaw
+		s.enc = compress.Raw
 		return
 	}
 	codes := make([]uint64, len(s.raw))
@@ -126,7 +94,7 @@ func (s *intSegment) sealBitpack() {
 	}
 	s.base = s.min
 	s.packed = vec.NewPacked(codes, width)
-	s.enc = EncBitpack
+	s.enc = compress.Bitpack
 }
 
 func (s *intSegment) sealRLE() {
@@ -137,7 +105,7 @@ func (s *intSegment) sealRLE() {
 		s.runStarts[i] = off
 		off += int32(r.Length)
 	}
-	s.enc = EncRLE
+	s.enc = compress.RLE
 }
 
 func (s *intSegment) sealDelta() {
@@ -152,7 +120,7 @@ func (s *intSegment) sealDelta() {
 	}
 	s.payload = payload
 	s.checks = checks
-	s.enc = EncDelta
+	s.enc = compress.Delta
 }
 
 func (s *intSegment) sealDict() {
@@ -174,7 +142,7 @@ func (s *intSegment) sealDict() {
 	}
 	s.dictVals = append([]int64(nil), distinct...)
 	s.packed = vec.NewPacked(codes, compress.BitsFor(uint64(len(distinct)-1)))
-	s.enc = EncDict
+	s.enc = compress.Dict
 }
 
 // scanBytes returns the physical bytes a scan of this segment streams:
@@ -182,13 +150,13 @@ func (s *intSegment) sealDict() {
 // raw.
 func (s *intSegment) scanBytes() uint64 {
 	switch s.enc {
-	case EncBitpack:
+	case compress.Bitpack:
 		return uint64(s.packed.WordCount()) * 8
-	case EncRLE:
+	case compress.RLE:
 		return uint64(len(s.runs)) * rleBytesPerRun
-	case EncDelta:
+	case compress.Delta:
 		return uint64(len(s.payload)) + uint64(len(s.checks))*12
-	case EncDict:
+	case compress.Dict:
 		return uint64(s.packed.WordCount())*8 + uint64(len(s.dictVals))*8
 	}
 	return uint64(s.length()) * 8
@@ -199,7 +167,7 @@ func (s *intSegment) scanBytes() uint64 {
 func (s *intSegment) footprintBytes() uint64 {
 	b := s.scanBytes()
 	switch s.enc {
-	case EncRLE:
+	case compress.RLE:
 		b += uint64(len(s.runStarts)) * 4
 	}
 	return b
@@ -208,13 +176,13 @@ func (s *intSegment) footprintBytes() uint64 {
 // get returns row i of a sealed segment (segment-local index).
 func (s *intSegment) getSealed(i int) int64 {
 	switch s.enc {
-	case EncBitpack:
+	case compress.Bitpack:
 		return s.base + int64(s.packed.Get(i))
-	case EncRLE:
+	case compress.RLE:
 		// Last run starting at or before i.
 		ri := sort.Search(len(s.runStarts), func(j int) bool { return int(s.runStarts[j]) > i }) - 1
 		return s.runs[ri].Value
-	case EncDelta:
+	case compress.Delta:
 		f := i / deltaFrame
 		v := s.checks[f].val
 		p := s.payload[s.checks[f].off:]
@@ -224,7 +192,7 @@ func (s *intSegment) getSealed(i int) int64 {
 			v += d
 		}
 		return v
-	case EncDict:
+	case compress.Dict:
 		return s.dictVals[s.packed.Get(i)]
 	}
 	return s.raw[i]
@@ -234,14 +202,14 @@ func (s *intSegment) getSealed(i int) int64 {
 // Values; point access uses getSealed).
 func (s *intSegment) appendValues(out []int64) []int64 {
 	switch s.enc {
-	case EncRLE:
+	case compress.RLE:
 		for _, r := range s.runs {
 			for k := uint32(0); k < r.Length; k++ {
 				out = append(out, r.Value)
 			}
 		}
 		return out
-	case EncDelta:
+	case compress.Delta:
 		p := s.payload
 		v := int64(0)
 		for i := 0; i < s.n; i++ {
@@ -255,7 +223,7 @@ func (s *intSegment) appendValues(out []int64) []int64 {
 			out = append(out, v)
 		}
 		return out
-	case EncBitpack, EncDict:
+	case compress.Bitpack, compress.Dict:
 		for i := 0; i < s.n; i++ {
 			out = append(out, s.getSealed(i))
 		}
@@ -270,11 +238,11 @@ func (s *intSegment) appendValues(out []int64) []int64 {
 // the caller adds the logical row counters.
 func (s *intSegment) scanCompressed(op vec.CmpOp, cval int64, la, lb, start, lo int, out *vec.Bitvec) energy.Counters {
 	switch s.enc {
-	case EncRLE:
+	case compress.RLE:
 		return s.scanRLE(op, cval, la, lb, start, lo, out)
-	case EncDelta:
+	case compress.Delta:
 		return s.scanDelta(op, cval, la, lb, start, lo, out)
-	case EncDict:
+	case compress.Dict:
 		return s.scanDict(op, cval, la, lb, start, lo, out)
 	}
 	return s.scanBitpack(op, cval, la, lb, start, lo, out)

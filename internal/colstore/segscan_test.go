@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 // Per-codec kernel tests: a sealed column must return byte-identical
@@ -22,10 +22,10 @@ import (
 func segData(t *testing.T) map[string][]int64 {
 	t.Helper()
 	n := 2*SegSize + 4321
-	sorted := workload.SortedInts(5, n, 6)
-	runs := workload.RunsInts(6, n, 12, 80)
-	lowcard := workload.UniformInts(7, n, 48)
-	wide := workload.UniformInts(8, n, 1<<28)
+	sorted := synth.SortedInts(5, n, 6)
+	runs := synth.RunsInts(6, n, 12, 80)
+	lowcard := synth.UniformInts(7, n, 48)
+	wide := synth.UniformInts(8, n, 1<<28)
 	fullRange := make([]int64, SegSize+100)
 	for i := range fullRange {
 		// Alternating extremes: the >63-bit range cannot bit-pack and

@@ -1,6 +1,10 @@
 package colstore
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/compress"
+)
 
 // Storage reporting: how many bytes each column would occupy raw versus
 // what its sealed segments actually store, and which codec each segment
@@ -15,16 +19,7 @@ type ColumnStorage struct {
 	// StoredBytes is what a full scan streams: the compressed segment
 	// footprints (plus the dictionary for string columns).
 	StoredBytes uint64
-	Segments    map[string]int // codec name -> sealed segment count
-}
-
-// Ratio returns StoredBytes/RawBytes (1 for an empty column); below 1
-// means the column compresses.
-func (s ColumnStorage) Ratio() float64 {
-	if s.RawBytes == 0 {
-		return 1
-	}
-	return float64(s.StoredBytes) / float64(s.RawBytes)
+	Segments    map[string]int // encoding name -> sealed segment count
 }
 
 // Storage reports the column's physical layout.
@@ -36,7 +31,7 @@ func (c *IntColumn) Storage() ColumnStorage {
 			cs.Segments[s.enc.String()]++
 		} else {
 			cs.StoredBytes += uint64(len(s.raw)) * 8
-			cs.Segments[EncRaw.String()]++
+			cs.Segments[compress.Raw.String()]++
 		}
 	}
 	return cs

@@ -60,12 +60,6 @@ func (c *StringColumn) Get(i int) string { return c.values[c.codes.Get(i)] }
 // DictSize returns the number of distinct values.
 func (c *StringColumn) DictSize() int { return len(c.values) }
 
-// Code returns the dictionary code for s, if present.
-func (c *StringColumn) Code(s string) (int64, bool) {
-	code, ok := c.index[s]
-	return int64(code), ok
-}
-
 // Ordered reports whether codes are currently in sorted dictionary order.
 func (c *StringColumn) Ordered() bool { return c.ordered }
 

@@ -3,6 +3,8 @@ package colstore
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/compress"
 )
 
 // Table is a named collection of equally long columns, organized as the
@@ -133,19 +135,6 @@ func (t *Table) IntCol(name string) (*IntColumn, error) {
 	return ic, nil
 }
 
-// FloatCol returns the named column as a FloatColumn.
-func (t *Table) FloatCol(name string) (*FloatColumn, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	fc, ok := c.(*FloatColumn)
-	if !ok {
-		return nil, fmt.Errorf("colstore: column %s.%s is %v, not DOUBLE", t.Name, name, c.Type())
-	}
-	return fc, nil
-}
-
 // StrCol returns the named column as a StringColumn.
 func (t *Table) StrCol(name string) (*StringColumn, error) {
 	c, err := t.Column(name)
@@ -183,9 +172,9 @@ func (t *Table) SpanKeys(name string) int {
 	n := 0
 	for _, s := range c.segs {
 		switch {
-		case s.sealed && s.enc == EncDict:
+		case s.sealed && s.enc == compress.Dict:
 			n += len(s.dictVals)
-		case s.sealed && s.enc == EncRLE:
+		case s.sealed && s.enc == compress.RLE:
 			n += len(s.runs)
 		default:
 			n += s.length()
@@ -278,6 +267,8 @@ func (t *Table) sealLocked() error {
 }
 
 // Sealed reports whether Seal has run at least once.
+//
+//lint:allow reach: core.TestOfferRebalanceDefersThenRaces asserts every rebuilt shard is sealed
 func (t *Table) Sealed() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -54,7 +54,7 @@ func Analyze(values []int64) Stats {
 	return s
 }
 
-// Choose returns the codec the advisor predicts to compress best:
+// Choose returns the encoding the advisor predicts to compress best:
 // long runs -> RLE; sorted -> delta; low cardinality -> dict; otherwise
 // bit-packing (which always beats raw for bounded ranges).
 //
@@ -63,10 +63,10 @@ func Analyze(values []int64) Stats {
 // true cardinality may be far larger, and a dictionary over it would
 // inflate rather than compress.  Saturated inputs fall through to
 // bit-packing.
-func Choose(s Stats) Codec {
+func Choose(s Stats) Encoding {
 	switch {
 	case s.N == 0:
-		return None
+		return Raw
 	case s.AvgRun >= 4:
 		return RLE
 	case s.Sorted:
@@ -76,14 +76,4 @@ func Choose(s Stats) Codec {
 	default:
 		return Bitpack
 	}
-}
-
-// Ratio compresses values with c and returns compressedBytes/rawBytes
-// (lower is better; 1.0 means no gain).
-func Ratio(c Codec, values []int64) float64 {
-	if len(values) == 0 {
-		return 1
-	}
-	raw := 8 * len(values)
-	return float64(len(c.Compress(values))) / float64(raw)
 }

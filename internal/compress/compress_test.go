@@ -3,128 +3,9 @@ package compress
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
-
-func roundTrip(t *testing.T, c Codec, values []int64) {
-	t.Helper()
-	payload := c.Compress(values)
-	got, err := c.Decompress(payload)
-	if err != nil {
-		t.Fatalf("%s: decompress: %v", c.Name(), err)
-	}
-	if len(got) == 0 && len(values) == 0 {
-		return
-	}
-	if !reflect.DeepEqual(got, values) {
-		t.Fatalf("%s: round trip mismatch: got %d values want %d", c.Name(), len(got), len(values))
-	}
-}
-
-func TestAllCodecsRoundTripFixed(t *testing.T) {
-	inputs := [][]int64{
-		nil,
-		{},
-		{0},
-		{-1},
-		{1, 2, 3, 4, 5},
-		{5, 5, 5, 5, 5, 1, 1, 2},
-		{-1 << 62, 1 << 62, 0, -1, 1},
-		workload.UniformInts(1, 1000, 1<<40),
-		workload.SortedInts(2, 1000, 100),
-		workload.RunsInts(3, 1000, 4, 20),
-	}
-	for _, c := range All() {
-		for _, in := range inputs {
-			roundTrip(t, c, in)
-		}
-	}
-}
-
-func TestAllCodecsRoundTripProperty(t *testing.T) {
-	for _, c := range All() {
-		c := c
-		f := func(values []int64) bool {
-			payload := c.Compress(values)
-			got, err := c.Decompress(payload)
-			if err != nil {
-				return false
-			}
-			if len(values) == 0 {
-				return len(got) == 0
-			}
-			return reflect.DeepEqual(got, values)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("%s: %v", c.Name(), err)
-		}
-	}
-}
-
-func TestDecompressRejectsCorrupt(t *testing.T) {
-	vals := workload.UniformInts(7, 100, 1000)
-	for _, c := range All() {
-		if c.Name() == "none" {
-			continue
-		}
-		payload := c.Compress(vals)
-		// Truncations must error, not panic or return garbage silently.
-		for _, cut := range []int{0, 1, len(payload) / 2} {
-			if cut >= len(payload) {
-				continue
-			}
-			if _, err := c.Decompress(payload[:cut]); err == nil {
-				// Some truncations can still parse as a shorter valid
-				// stream for varint codecs; only structural codecs must
-				// fail hard.
-				if c.Name() == "bitpack" || c.Name() == "dict" {
-					t.Errorf("%s: truncation to %d bytes not rejected", c.Name(), cut)
-				}
-			}
-		}
-	}
-	if _, err := None.Decompress(make([]byte, 7)); err == nil {
-		t.Error("none codec must reject non-multiple-of-8 payloads")
-	}
-}
-
-func TestPackUnpackWidths(t *testing.T) {
-	for width := 1; width <= 64; width++ {
-		n := 131
-		vals := make([]uint64, n)
-		rng := workload.NewRNG(uint64(width))
-		var mask uint64
-		if width == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1) << width) - 1
-		}
-		for i := range vals {
-			vals[i] = rng.Uint64() & mask
-		}
-		packed := PackUint64(vals, width)
-		got := UnpackUint64(packed, n, width)
-		if !reflect.DeepEqual(got, vals) {
-			t.Fatalf("width %d: unpack mismatch", width)
-		}
-		for i := 0; i < n; i += 17 {
-			if g := PackedGet(packed, i, width); g != vals[i] {
-				t.Fatalf("width %d: PackedGet(%d) = %d want %d", width, i, g, vals[i])
-			}
-		}
-	}
-}
-
-func TestPackRejectsOversizedValues(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for value exceeding width")
-		}
-	}()
-	PackUint64([]uint64{8}, 3)
-}
 
 func TestBitsFor(t *testing.T) {
 	cases := map[uint64]int{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 255: 8, 256: 9, 1 << 63: 64}
@@ -142,86 +23,40 @@ func TestRunsEncodeDecode(t *testing.T) {
 	if !reflect.DeepEqual(runs, want) {
 		t.Fatalf("EncodeRuns = %v, want %v", runs, want)
 	}
-	if !reflect.DeepEqual(DecodeRuns(runs), vals) {
-		t.Fatal("DecodeRuns mismatch")
+	var decoded []int64
+	for _, r := range runs {
+		for i := uint32(0); i < r.Length; i++ {
+			decoded = append(decoded, r.Value)
+		}
+	}
+	if !reflect.DeepEqual(decoded, vals) {
+		t.Fatal("expanded runs mismatch")
 	}
 	if EncodeRuns(nil) != nil {
 		t.Fatal("empty input should give nil runs")
 	}
 }
 
-func TestDictionaryOrderPreserving(t *testing.T) {
-	input := []string{"EUROPE", "ASIA", "ASIA", "AFRICA", "EUROPE"}
-	d, codes := BuildDictionary(input)
-	if d.Size() != 3 {
-		t.Fatalf("size = %d, want 3", d.Size())
-	}
-	// Codes must be assigned in sorted string order.
-	for i, s := range input {
-		c, ok := d.Code(s)
-		if !ok || codes[i] != c {
-			t.Fatalf("code mismatch at %d", i)
-		}
-		if d.Value(c) != s {
-			t.Fatalf("Value(Code(%q)) = %q", s, d.Value(c))
-		}
-	}
-	ca, _ := d.Code("AFRICA")
-	cs, _ := d.Code("ASIA")
-	ce, _ := d.Code("EUROPE")
-	if !(ca < cs && cs < ce) {
-		t.Fatal("dictionary codes must preserve order")
-	}
-	lo, hi := d.CodeRange("ASIA", "EUROPE")
-	if lo != cs || hi != ce {
-		t.Fatalf("CodeRange = [%d,%d), want [%d,%d)", lo, hi, cs, ce)
-	}
-}
-
-func TestCompressionRatiosFavorTheRightCodec(t *testing.T) {
-	// RLE must dominate on run-heavy data, delta on sorted data, dict on
-	// low-cardinality data.  This is the substrate of the E3 decision.
-	runs := workload.RunsInts(11, 20000, 4, 100)
-	if Ratio(RLE, runs) >= Ratio(Bitpack, runs) {
-		t.Errorf("RLE should beat bitpack on run data: %g vs %g", Ratio(RLE, runs), Ratio(Bitpack, runs))
-	}
-	sorted := workload.SortedInts(12, 20000, 10)
-	if Ratio(Delta, sorted) >= Ratio(None, sorted)*0.5 {
-		t.Errorf("delta should compress sorted data at least 2x: %g", Ratio(Delta, sorted))
-	}
-	uniform := workload.UniformInts(13, 20000, 1<<62)
-	if r := Ratio(Bitpack, uniform); r > 1.1 {
-		t.Errorf("bitpack should never exceed raw by >10%%: %g", r)
-	}
-}
-
 func TestAnalyzeAndChoose(t *testing.T) {
-	runs := workload.RunsInts(21, 10000, 4, 100)
-	if c := Choose(Analyze(runs)); c.Name() != "rle" {
-		t.Errorf("run data should choose rle, got %s", c.Name())
+	runs := synth.RunsInts(21, 10000, 4, 100)
+	if c := Choose(Analyze(runs)); c != RLE {
+		t.Errorf("run data should choose rle, got %s", c)
 	}
-	sorted := workload.SortedInts(22, 10000, 10)
-	if c := Choose(Analyze(sorted)); c.Name() != "delta" {
-		t.Errorf("sorted data should choose delta, got %s", c.Name())
+	sorted := synth.SortedInts(22, 10000, 10)
+	if c := Choose(Analyze(sorted)); c != Delta {
+		t.Errorf("sorted data should choose delta, got %s", c)
 	}
-	lowCard := workload.UniformInts(23, 10000, 50)
-	ch := Choose(Analyze(lowCard)).Name()
-	if ch != "dict" && ch != "rle" {
+	lowCard := synth.UniformInts(23, 10000, 50)
+	ch := Choose(Analyze(lowCard))
+	if ch != Dict && ch != RLE {
 		t.Errorf("low-cardinality data should choose dict (or rle), got %s", ch)
 	}
-	uniform := workload.UniformInts(24, 10000, 1<<50)
-	if c := Choose(Analyze(uniform)); c.Name() != "bitpack" {
-		t.Errorf("uniform wide data should choose bitpack, got %s", c.Name())
+	uniform := synth.UniformInts(24, 10000, 1<<50)
+	if c := Choose(Analyze(uniform)); c != Bitpack {
+		t.Errorf("uniform wide data should choose bitpack, got %s", c)
 	}
-	if c := Choose(Analyze(nil)); c.Name() != "none" {
-		t.Errorf("empty data should choose none, got %s", c.Name())
-	}
-	// Advisor's pick should actually compress at least as well as raw.
-	for _, data := range [][]int64{runs, sorted, lowCard, uniform} {
-		c := Choose(Analyze(data))
-		if r := Ratio(c, data); r > 1.1 {
-			t.Errorf("advisor pick %s has ratio %g > 1.1", c.Name(), r)
-		}
+	if c := Choose(Analyze(nil)); c != Raw {
+		t.Errorf("empty data should choose raw, got %s", c)
 	}
 }
 
@@ -236,14 +71,38 @@ func TestAnalyzeStats(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, c := range All() {
-		got, err := ByName(c.Name())
-		if err != nil || got.Name() != c.Name() {
-			t.Errorf("ByName(%q) failed: %v", c.Name(), err)
-		}
+// TestAnalyzeDistinctSaturation: the distinct counter saturates at
+// DistinctCap; the result must say so instead of posing as exact, and
+// the advisor must not choose dict off a saturated (lower-bound) count.
+func TestAnalyzeDistinctSaturation(t *testing.T) {
+	small := Analyze(synth.UniformInts(3, 1000, 100))
+	if small.DistinctCapped {
+		t.Error("100-distinct input must not saturate")
 	}
-	if _, err := ByName("snappy"); err == nil {
-		t.Error("unknown codec must error")
+	if small.Distinct < 90 || small.Distinct > 100 {
+		t.Errorf("small distinct count off: %d", small.Distinct)
+	}
+
+	// An all-distinct input larger than 8*DistinctCap: the saturated
+	// count (DistinctCap) would satisfy the dict arm's Distinct <= N/8,
+	// but the true cardinality (= N) makes a dictionary useless.  The
+	// capped flag must steer the advisor away.
+	n := 8*DistinctCap + 1000
+	big := make([]int64, n)
+	for i := range big {
+		// Bijective mix: all values distinct, order scrambled (a plain
+		// i*const stays sorted and would divert the advisor to delta).
+		h := uint64(i) * 0x9E3779B97F4A7C15
+		big[i] = int64(h ^ h>>29)
+	}
+	st := Analyze(big)
+	if !st.DistinctCapped {
+		t.Fatalf("%d distinct values must saturate the cap (%d): %+v", n, DistinctCap, st)
+	}
+	if st.Distinct != DistinctCap {
+		t.Errorf("saturated count must equal the cap: %d vs %d", st.Distinct, DistinctCap)
+	}
+	if got := Choose(st); got == Dict {
+		t.Errorf("advisor chose dict off a saturated distinct count")
 	}
 }

@@ -1,7 +1,5 @@
 package compress
 
-import "encoding/binary"
-
 // Run is one (value, length) pair of a run-length encoding.
 type Run struct {
 	Value  int64
@@ -25,61 +23,3 @@ func EncodeRuns(values []int64) []Run {
 	}
 	return append(runs, cur)
 }
-
-// DecodeRuns expands runs back into values.
-func DecodeRuns(runs []Run) []int64 {
-	n := 0
-	for _, r := range runs {
-		n += int(r.Length)
-	}
-	out := make([]int64, 0, n)
-	for _, r := range runs {
-		for i := uint32(0); i < r.Length; i++ {
-			out = append(out, r.Value)
-		}
-	}
-	return out
-}
-
-// rleCodec serializes runs as varint pairs.
-type rleCodec struct{}
-
-func (rleCodec) Name() string { return "rle" }
-
-func (rleCodec) Compress(values []int64) []byte {
-	runs := EncodeRuns(values)
-	buf := make([]byte, 0, 8+len(runs)*4)
-	buf = binary.AppendUvarint(buf, uint64(len(runs)))
-	for _, r := range runs {
-		buf = binary.AppendVarint(buf, r.Value)
-		buf = binary.AppendUvarint(buf, uint64(r.Length))
-	}
-	return buf
-}
-
-func (rleCodec) Decompress(payload []byte) ([]int64, error) {
-	n, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return nil, ErrCorrupt
-	}
-	payload = payload[k:]
-	runs := make([]Run, 0, n)
-	total := 0
-	for i := uint64(0); i < n; i++ {
-		v, k := binary.Varint(payload)
-		if k <= 0 {
-			return nil, ErrCorrupt
-		}
-		payload = payload[k:]
-		l, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return nil, ErrCorrupt
-		}
-		payload = payload[k:]
-		runs = append(runs, Run{Value: v, Length: uint32(l)})
-		total += int(l)
-	}
-	return DecodeRuns(runs), nil
-}
-
-func (rleCodec) CostFactor() float64 { return 2 }

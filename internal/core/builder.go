@@ -20,27 +20,9 @@ func (e *Engine) From(table string) *Builder {
 	return &Builder{e: e, q: opt.Query{From: table}}
 }
 
-// Join adds an equi-join: current.leftCol = table.rightCol.
-func (b *Builder) Join(table, leftCol, rightCol string) *Builder {
-	b.q.Joins = append(b.q.Joins, opt.JoinSpec{Table: table, LeftCol: leftCol, RightCol: rightCol})
-	return b
-}
-
-// WhereInt adds an integer comparison predicate.
-func (b *Builder) WhereInt(col string, op vec.CmpOp, v int64) *Builder {
-	b.q.Preds = append(b.q.Preds, expr.Pred{Col: col, Op: op, Val: expr.IntVal(v)})
-	return b
-}
-
-// WhereFloat adds a floating-point comparison predicate.
-func (b *Builder) WhereFloat(col string, op vec.CmpOp, v float64) *Builder {
-	b.q.Preds = append(b.q.Preds, expr.Pred{Col: col, Op: op, Val: expr.FloatVal(v)})
-	return b
-}
-
-// WhereStr adds a string comparison predicate.
-func (b *Builder) WhereStr(col string, op vec.CmpOp, v string) *Builder {
-	b.q.Preds = append(b.q.Preds, expr.Pred{Col: col, Op: op, Val: expr.StrVal(v)})
+// Where adds a comparison predicate (expr.IntVal, FloatVal or StrVal).
+func (b *Builder) Where(col string, op vec.CmpOp, v expr.Value) *Builder {
+	b.q.Preds = append(b.q.Preds, expr.Pred{Col: col, Op: op, Val: v})
 	return b
 }
 
@@ -64,18 +46,6 @@ func (b *Builder) Count(as string) *Builder {
 	return b
 }
 
-// SumOf adds SUM(col) named as.
-func (b *Builder) SumOf(col, as string) *Builder { return b.Agg(expr.AggSum, col, as) }
-
-// AvgOf adds AVG(col) named as.
-func (b *Builder) AvgOf(col, as string) *Builder { return b.Agg(expr.AggAvg, col, as) }
-
-// MinOf adds MIN(col) named as.
-func (b *Builder) MinOf(col, as string) *Builder { return b.Agg(expr.AggMin, col, as) }
-
-// MaxOf adds MAX(col) named as.
-func (b *Builder) MaxOf(col, as string) *Builder { return b.Agg(expr.AggMax, col, as) }
-
 // GroupBy sets the grouping columns.
 func (b *Builder) GroupBy(cols ...string) *Builder {
 	b.q.GroupBy = append(b.q.GroupBy, cols...)
@@ -85,12 +55,6 @@ func (b *Builder) GroupBy(cols ...string) *Builder {
 // OrderBy adds a sort key.
 func (b *Builder) OrderBy(col string, desc bool) *Builder {
 	b.q.OrderBy = append(b.q.OrderBy, expr.SortKey{Col: col, Desc: desc})
-	return b
-}
-
-// Limit caps the result.
-func (b *Builder) Limit(n int) *Builder {
-	b.q.LimitN = n
 	return b
 }
 

@@ -4,9 +4,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
+	"repro/internal/expr"
 	"repro/internal/opt"
+	"repro/internal/sql"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -65,11 +69,8 @@ func TestEndToEndSQL(t *testing.T) {
 	if res.Joules() <= 0 {
 		t.Error("query must report energy")
 	}
-	if res.Work.IsZero() {
+	if res.Work == (energy.Counters{}) {
 		t.Error("query must report work counters")
-	}
-	if e.LifetimeWork().IsZero() {
-		t.Error("engine must accumulate lifetime work")
 	}
 }
 
@@ -78,18 +79,17 @@ func TestHybridLanguageEquivalence(t *testing.T) {
 	// query, the same plan, and the same rows.
 	e := Open()
 	loadOrders(t, e, 3000)
-	sqlQ := `SELECT region, SUM(amount) AS rev FROM orders WHERE custkey < 50 GROUP BY region ORDER BY rev DESC LIMIT 3`
+	sqlQ := `SELECT region, SUM(amount) AS rev FROM orders WHERE custkey < 50 GROUP BY region ORDER BY rev DESC`
 	resSQL, err := e.Query(sqlQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resB, err := e.From("orders").
-		WhereInt("custkey", vec.LT, 50).
+		Where("custkey", vec.LT, expr.IntVal(50)).
 		Select("region").
-		SumOf("amount", "rev").
+		Agg(expr.AggSum, "amount", "rev").
 		GroupBy("region").
 		OrderBy("rev", true).
-		Limit(3).
 		Run()
 	if err != nil {
 		t.Fatal(err)
@@ -107,14 +107,36 @@ func TestHybridLanguageEquivalence(t *testing.T) {
 	}
 }
 
+// TestObjectiveSwitching: the scheduling objective is chosen per
+// submission, not per engine.  One loop serves the same statement under
+// each objective; every result reports the objective it was scheduled
+// under, and the rows do not depend on it.
 func TestObjectiveSwitching(t *testing.T) {
-	e := Open(WithObjective(opt.MinEnergy))
-	if e.Objective() != opt.MinEnergy {
-		t.Fatal("option not applied")
+	e := Open()
+	loadOrders(t, e, 2000)
+	q, err := sql.Parse("SELECT region, SUM(amount) AS rev FROM orders GROUP BY region")
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.SetObjective(opt.MinTime)
-	if e.Objective() != opt.MinTime {
-		t.Fatal("SetObjective not applied")
+	objs := []opt.Objective{opt.MinEnergy, opt.MinTime, opt.MinEDP}
+	subs := make([]Submission, len(objs))
+	for i, o := range objs {
+		subs[i] = Submission{Arrival: time.Duration(i) * time.Second, Q: q, Objective: o}
+	}
+	rep := e.NewLoop(SchedulerConfig{Budget: 4, Arbitrate: true}).Replay(subs)
+	if len(rep.Results) != len(objs) {
+		t.Fatalf("got %d results, want %d", len(rep.Results), len(objs))
+	}
+	for i, r := range rep.Results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if r.Objective != objs[i] {
+			t.Errorf("submission %d scheduled under %v, want %v", i, r.Objective, objs[i])
+		}
+		if !reflect.DeepEqual(r.Rel, rep.Results[0].Rel) {
+			t.Errorf("submission %d: rows differ under %v", i, objs[i])
+		}
 	}
 }
 

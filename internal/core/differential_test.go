@@ -56,7 +56,8 @@ func differentialRandomQueries(t *testing.T, rows, shards int) {
 	id, _ := tab.IntCol("id")
 	ck, _ := tab.IntCol("custkey")
 	rg, _ := tab.StrCol("region")
-	am, _ := tab.FloatCol("amount")
+	amc, _ := tab.Column("amount")
+	am := amc.(*colstore.FloatColumn)
 
 	rng := workload.NewRNG(2026)
 	ops := []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
@@ -517,7 +518,8 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 	id, _ := tab.IntCol("id")
 	ck, _ := tab.IntCol("custkey")
 	rg, _ := tab.StrCol("region")
-	am, _ := tab.FloatCol("amount")
+	amc, _ := tab.Column("amount")
+	am := amc.(*colstore.FloatColumn)
 	dy, _ := tab.IntCol("day")
 	ref := make([]order, rows)
 	for r := range ref {

@@ -36,8 +36,6 @@ type Engine struct {
 	cat   *opt.Catalog
 	model *energy.Model
 	cm    *opt.CostModel
-	obj   opt.Objective
-	meter energy.Meter // lifetime work accumulator
 	// log and txm are the write path: DML commits through the transaction
 	// manager's MVCC clock and the REDO log's group-commit window.
 	log *wal.Log
@@ -50,37 +48,18 @@ type Engine struct {
 // Option configures Open.
 type Option func(*Engine)
 
-// WithObjective sets the objective queries are scheduled under (default
-// MinTime).
-func WithObjective(o opt.Objective) Option { return func(e *Engine) { e.obj = o } }
-
-// WithModel replaces the energy model.
-func WithModel(m *energy.Model) Option {
-	return func(e *Engine) {
-		e.model = m
-		e.cm = opt.NewCostModel(m)
-	}
-}
-
-// WithDurability sets the REDO log's QoS level and group-commit window
-// (defaults: local flush, 200µs window).
-func WithDurability(level wal.Level, window time.Duration) Option {
-	return func(e *Engine) {
-		e.walLevel = level
-		e.walWindow = window
-	}
-}
-
 // WithLog attaches an existing REDO log instead of a fresh one — the
 // crash-recovery path: open a new engine over the survivor's log,
 // recreate the schema, and Recover.
+//
+//lint:allow reach: README crash-recovery API, ROADMAP item 9; core recovery tests
 func WithLog(log *wal.Log) Option { return func(e *Engine) { e.log = log } }
 
 // Open creates an engine.
 func Open(opts ...Option) *Engine {
 	m := energy.DefaultModel()
 	e := &Engine{
-		cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m), obj: opt.MinTime,
+		cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m),
 		walLevel: wal.Local, walWindow: 200 * time.Microsecond,
 	}
 	for _, o := range opts {
@@ -98,27 +77,9 @@ func Open(opts ...Option) *Engine {
 func (e *Engine) Txn() *txn.Manager { return e.txm }
 
 // Log exposes the engine's REDO log (crash simulation in tests).
+//
+//lint:allow reach: README crash-recovery API, ROADMAP item 9; core recovery tests
 func (e *Engine) Log() *wal.Log { return e.log }
-
-// SnapshotTS returns the current commit snapshot: queries admitted now
-// read exactly the writes at or below it.
-func (e *Engine) SnapshotTS() int64 { return e.txm.SnapshotTS() }
-
-// Objective returns the current objective.
-func (e *Engine) Objective() opt.Objective {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.obj
-}
-
-// SetObjective switches the objective at runtime ("elasticity in the
-// small": the same engine grants its queries cores for min-time or
-// min-energy).
-func (e *Engine) SetObjective(o opt.Objective) {
-	e.mu.Lock()
-	e.obj = o
-	e.mu.Unlock()
-}
 
 // Model exposes the engine's energy model (for experiment harnesses).
 func (e *Engine) Model() *energy.Model { return e.model }
@@ -165,7 +126,7 @@ type Result struct {
 // Joules returns the modeled total energy of the query.
 func (r *Result) Joules() energy.Joules { return r.Energy.Total() }
 
-// Query parses and executes SQL, scheduled under the engine's objective.
+// Query parses and executes SQL, scheduled under opt.MinTime.
 func (e *Engine) Query(text string) (*Result, error) {
 	q, err := sql.Parse(text)
 	if err != nil {
@@ -175,7 +136,7 @@ func (e *Engine) Query(text string) (*Result, error) {
 }
 
 // Run plans and executes a logical query (the shared form produced by
-// the SQL parser and the builder), scheduled under the engine's objective.
+// the SQL parser and the builder), scheduled under opt.MinTime.
 //
 // It is the engine's one execution entry: the query is a ticket on a
 // private one-shot Loop — every core the process has, arbitrated, no
@@ -183,7 +144,7 @@ func (e *Engine) Query(text string) (*Result, error) {
 // cores, executed and billed by exactly the code that serves traffic.
 func (e *Engine) Run(q *opt.Query) (*Result, error) {
 	l := e.NewLoop(SchedulerConfig{Budget: runtime.GOMAXPROCS(0), Arbitrate: true})
-	t := l.Offer(0, q, e.Objective())
+	t := l.Offer(0, q, opt.MinTime)
 	start := time.Now()          //lint:allow determinism: Result.Elapsed is a reporting-only wall measure; energy uses modeled CPUTime
 	l.React()                    // dispatch: the execution starts here
 	l.RunToIdle()                // and is joined here
@@ -235,9 +196,6 @@ func (e *Engine) Explain(text string) (string, error) {
 func (e *Engine) Plan(q *opt.Query, _ opt.Objective) (exec.Node, *opt.PlanInfo, error) {
 	return e.cat.Plan(q, e.cm)
 }
-
-// LifetimeWork returns the total work the engine has performed.
-func (e *Engine) LifetimeWork() energy.Counters { return e.meter.Snapshot() }
 
 // Format renders a relation as an aligned text table (CLI/examples).
 func Format(rel *exec.Relation) string {

@@ -112,11 +112,6 @@ type Ticket struct {
 	settled chan struct{}
 }
 
-// Done reports whether the ticket's result fields have settled.  Like
-// every loop state it is read under the loop's serialization; a
-// goroutine outside it waits on Settled instead.
-func (t *Ticket) Done() bool { return t.done }
-
 // Settled is closed once the ticket's result fields have settled: the
 // ticket's own completion, for a goroutine parked outside the loop's
 // serialization (a request handler).  The fields may be read after it
@@ -228,6 +223,8 @@ func (l *Loop) NextFinish() (time.Duration, bool) { return l.mq.NextFinish() }
 
 // Ticket returns an in-flight ticket (nil for unknown IDs and for
 // tickets that have settled — those belong to whoever was handed them).
+//
+//lint:allow reach: internal/server cancellation tests fetch the ticket a request handler owns
 func (l *Loop) Ticket(id int) *Ticket { return l.live[id] }
 
 // Offer plans a query and submits it to the virtual machine at arrival
@@ -271,6 +268,8 @@ func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
 // OfferRebalance plans the shard-narrowing rebalance of a table and
 // submits it as a background task under min-energy — "rebalance as a
 // query", the same treatment OfferMerge gives the delta merge.
+//
+//lint:allow reach: README Engine API, ROADMAP item 13; E25 and core rebalance tests
 func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
 	return l.offerMaintenance(at, table, "rebalance", opt.PlanRebalance)
 }
@@ -484,7 +483,6 @@ func (l *Loop) settle(join bool) []*Ticket {
 				t.Rel, t.Work = x.rel, x.work
 				t.Energy = e.bill(t.Work)
 				l.fm.AddQuery(t.Work)
-				e.meter.Add(t.Work) // lifetime work counts physical, not billed
 			case payer.Err != nil:
 				t.Err = payer.Err
 			default:
@@ -501,8 +499,8 @@ func (l *Loop) settle(join bool) []*Ticket {
 
 // Report snapshots the fleet's books: the virtual-time schedule's
 // totals and the meter's two books.  It is O(1) in the loop's history
-// and may be called repeatedly (a serving /stats endpoint) — the
-// lifetime meter is charged per execution, never here.  Per-submission
+// and may be called repeatedly (a serving /stats endpoint): the fleet
+// meter is charged per execution, never here.  Per-submission
 // results belong to whoever holds the tickets (see Replay).
 func (l *Loop) Report() *ScheduleReport {
 	report := &ScheduleReport{

@@ -10,6 +10,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/synth"
 	"repro/internal/opt"
 	"repro/internal/sql"
 	"repro/internal/workload"
@@ -63,7 +64,7 @@ func backlog(t testing.TB, at []workload.Arrival) []Submission {
 // above the per-query service rate build the queue that lets lookalikes
 // batch.
 func storm(t testing.TB, n int, rate float64) []Submission {
-	return backlog(t, workload.PointStorm(9, n, rate, 1.3, 50).Arrivals)
+	return backlog(t, synth.PointStorm(9, n, rate, 1.3, 50).Arrivals)
 }
 
 // at0 is a same-instant backlog of the given statements.
@@ -249,7 +250,7 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 		execStmt(t, e, "INSERT INTO orders VALUES (900001, 7, 'ASIA', 150.5, 15001)", 0)
 		execStmt(t, e, "DELETE FROM orders WHERE custkey = 11", 0)
 		execStmt(t, e, "UPDATE orders SET amount = 175.25 WHERE custkey = 13", 0)
-		if e.SnapshotTS() == 0 {
+		if e.Txn().SnapshotTS() == 0 {
 			t.Fatal("commit clock never moved")
 		}
 	}
@@ -277,7 +278,7 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 			t.Fatalf("%s: empty relation proves nothing", c.name)
 		}
 
-		node, _, err := c.e.Plan(q, c.e.Objective())
+		node, _, err := c.e.Plan(q, opt.MinTime)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +295,7 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 
 		for _, budget := range []int{1, 2, 8} {
 			l := c.e.NewLoop(SchedulerConfig{Budget: budget, Arbitrate: true})
-			tk := l.Offer(0, q, c.e.Objective())
+			tk := l.Offer(0, q, opt.MinTime)
 			l.React()
 			l.RunToIdle()
 			if tk.Err != nil {
@@ -333,7 +334,7 @@ func TestLoopForgetsSettledTickets(t *testing.T) {
 		held = append(held, tk)
 		settled = append(settled, l.React()...)
 	}
-	if len(l.live) == 0 || l.oldestLiveSnap() != e.SnapshotTS() {
+	if len(l.live) == 0 || l.oldestLiveSnap() != e.Txn().SnapshotTS() {
 		t.Fatalf("a 1-core storm must leave readers in flight holding the snapshot: %d live, horizon %d",
 			len(l.live), l.oldestLiveSnap())
 	}
@@ -363,17 +364,16 @@ func TestLoopForgetsSettledTickets(t *testing.T) {
 	if len(settled) != completed {
 		t.Fatalf("loop handed back %d tickets, %d completed", len(settled), completed)
 	}
-	if rep := l.Report(); rep.Fleet.Completed != completed || rep.Fleet.Rejected != n-completed || rep.Attributed.IsZero() {
+	if rep := l.Report(); rep.Fleet.Completed != completed || rep.Fleet.Rejected != n-completed || rep.Attributed == (energy.Counters{}) {
 		t.Fatalf("fleet books lost with the tickets: %+v", rep.Fleet)
 	}
 }
 
-// TestConcurrentQueryLeavesObjectiveAlone: queries read the engine's
-// objective while SetObjective writes it.  Under -race: concurrent Query
-// + SetObjective leave Objective() where it was and every result equal
-// to its solo run.
+// TestConcurrentQueryLeavesObjectiveAlone: concurrent Query calls on one
+// engine share no scheduling state.  Under -race: two goroutines querying
+// at once each get every result equal to its solo run.
 func TestConcurrentQueryLeavesObjectiveAlone(t *testing.T) {
-	e := Open(WithObjective(opt.MinEnergy))
+	e := Open()
 	loadOrders(t, e, 20_000)
 	const probe = "SELECT id FROM orders WHERE id < 200"
 	want, err := e.Query(probe)
@@ -387,32 +387,25 @@ func TestConcurrentQueryLeavesObjectiveAlone(t *testing.T) {
 
 	const rounds = 20
 	var wg sync.WaitGroup
-	errs := make(chan error, rounds) // one slot per query issued below
+	errs := make(chan error, 2*rounds) // one slot per query issued below
 	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			res, err := e.Query(probe)
-			switch {
-			case err != nil:
-				errs <- err
-			case !same(res, want):
-				errs <- errors.New("Query answered differently from its solo run")
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				res, err := e.Query(probe)
+				switch {
+				case err != nil:
+					errs <- err
+				case !same(res, want):
+					errs <- errors.New("Query answered differently from its solo run")
+				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			e.SetObjective(opt.MinEnergy) // the ambient objective, re-asserted: a write racing every reader
-		}
-	}()
+		}()
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if e.Objective() != opt.MinEnergy {
-		t.Fatalf("objective moved to %v", e.Objective())
 	}
 }

@@ -19,8 +19,8 @@ import (
 // delta, UPDATE/DELETE locate victims with the same filter kernel reads
 // use (exec's ShardBinding.Filter), and all of it commits through the
 // transaction manager (first-committer-wins validation, REDO logging,
-// group-commit durability).  The priced work lands in the engine's
-// lifetime meter so writes show up on the same energy books as queries.
+// group-commit durability).  The work is priced by the engine's one
+// bill, as a query's is.
 
 // DMLResult reports one executed write statement.
 type DMLResult struct {
@@ -132,7 +132,6 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 		return nil, err
 	}
 	work.Add(info.Work)
-	e.meter.Add(work)
 	res.Applied = info.Applied
 	if d.Kind == opt.DMLUpdate {
 		// The log counts an update as tombstone + new version; the
@@ -369,6 +368,8 @@ func coercePredTo(p expr.Pred, typ colstore.Type) (expr.Pred, error) {
 // path (see WithLog).  Returns the number of records applied; replay is
 // idempotent, so recovering twice (or over partially applied state)
 // changes nothing.
+//
+//lint:allow reach: README crash-recovery API, ROADMAP item 9; core recovery tests
 func (e *Engine) Recover() (int, error) {
 	applied, err := e.txm.Replay(func(name string) *colstore.Table {
 		t, _ := e.cat.Table(name)

@@ -63,6 +63,3 @@ func (c Counters) Scale(k float64) Counters {
 		BytesWrittenHDD:  s(c.BytesWrittenHDD),
 	}
 }
-
-// IsZero reports whether no work has been recorded.
-func (c Counters) IsZero() bool { return c == Counters{} }

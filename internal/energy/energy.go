@@ -89,9 +89,6 @@ type CoreSpec struct {
 // MaxPState returns the highest-frequency operating point.
 func (c CoreSpec) MaxPState() PState { return c.PStates[len(c.PStates)-1] }
 
-// MinPState returns the lowest-frequency operating point.
-func (c CoreSpec) MinPState() PState { return c.PStates[0] }
-
 // Model holds the per-unit energy costs and component specifications used
 // to account work into joules and simulated time.  All per-unit costs are
 // expressed in joules so arithmetic stays in one unit.
@@ -171,14 +168,6 @@ type Breakdown struct {
 func (b Breakdown) Total() Joules { return b.CPU + b.DRAM + b.Link + b.Disk + b.Static }
 
 // Add accumulates another breakdown into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.CPU += o.CPU
-	b.DRAM += o.DRAM
-	b.Link += o.Link
-	b.Disk += o.Disk
-	b.Static += o.Static
-}
-
 // String renders the breakdown as a single line.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total=%v cpu=%v dram=%v link=%v disk=%v static=%v",
@@ -224,16 +213,6 @@ func (m *Model) CPUTime(c Counters, p PState) time.Duration {
 	instrSec := float64(c.Instructions) / (m.Core.IPC * float64(p.Freq))
 	missSec := float64(c.CacheMisses) * m.DRAMMissLatency.Seconds() * (1 - m.MissOverlap)
 	return time.Duration((instrSec + missSec) * float64(time.Second))
-}
-
-// ActiveEnergy returns the energy of running the counted work on one core
-// at P-state p: dynamic energy plus the core's active power integrated over
-// the computed busy time.  The returned duration is that busy time.
-func (m *Model) ActiveEnergy(c Counters, p PState) (time.Duration, Breakdown) {
-	d := m.CPUTime(c, p)
-	b := m.DynamicEnergy(c, p)
-	b.Static += Joules(float64(p.Active) * d.Seconds())
-	return d, b
 }
 
 // StaticEnergy integrates a constant power draw over a duration.

@@ -18,8 +18,6 @@ type FleetMeter struct {
 	mu         sync.Mutex
 	attributed Counters
 	physical   Counters
-	queries    int
-	shared     int // queries whose physical work was charged by another
 }
 
 // AddQuery books one query: c is attributed to the query, and also
@@ -28,7 +26,6 @@ func (f *FleetMeter) AddQuery(c Counters) {
 	f.mu.Lock()
 	f.attributed.Add(c)
 	f.physical.Add(c)
-	f.queries++
 	f.mu.Unlock()
 }
 
@@ -37,8 +34,6 @@ func (f *FleetMeter) AddQuery(c Counters) {
 func (f *FleetMeter) AddSharedQuery(c Counters) {
 	f.mu.Lock()
 	f.attributed.Add(c)
-	f.queries++
-	f.shared++
 	f.mu.Unlock()
 }
 
@@ -54,14 +49,6 @@ func (f *FleetMeter) Physical() Counters {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.physical
-}
-
-// Queries returns how many queries were booked; Shared of those rode a
-// shared execution.
-func (f *FleetMeter) Queries() (total, shared int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.queries, f.shared
 }
 
 // SavedDynamic prices the gap between the books: the dynamic energy the

@@ -22,10 +22,6 @@ func TestFleetMeterBooks(t *testing.T) {
 	if phy != w {
 		t.Fatalf("physical = %+v, want 1x work", phy)
 	}
-	total, shared := f.Queries()
-	if total != 3 || shared != 2 {
-		t.Fatalf("queries = %d/%d, want 3/2", total, shared)
-	}
 	m := DefaultModel()
 	p := m.Core.MaxPState()
 	want := m.DynamicEnergy(w.Scale(2), p).Total()

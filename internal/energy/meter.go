@@ -1,19 +1,14 @@
 package energy
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Meter is a thread-safe accumulator of work counters, used as the single
 // collection point for a query, a worker, or the whole engine.  The zero
 // value is ready to use.
 //
-// Thread-safety guarantees: Add, Snapshot, and Reset may be called from
-// any number of goroutines concurrently; every Add is atomic with respect
-// to Snapshot (a snapshot never observes half of an Add), and Reset
-// returns exactly the counters accumulated before it, handing each Add to
-// either the old or the new accumulation, never both or neither.
+// Thread-safety guarantees: Add and Snapshot may be called from any
+// number of goroutines concurrently; every Add is atomic with respect to
+// Snapshot (a snapshot never observes half of an Add).
 //
 // Meters are the one concurrency-safe meeting point of the execution
 // engine: the workers of a morsel-parallel operator accumulate plain
@@ -37,44 +32,4 @@ func (m *Meter) Snapshot() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.c
-}
-
-// Reset clears the meter and returns what it held.
-func (m *Meter) Reset() Counters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.c
-	m.c = Counters{}
-	return c
-}
-
-// Report summarizes one measured activity: the work it performed, the time
-// it took (simulated or measured), and the energy breakdown the model
-// assigns to it.
-type Report struct {
-	Work    Counters
-	Elapsed time.Duration
-	Energy  Breakdown
-}
-
-// Joules returns the total energy of the report.
-func (r Report) Joules() Joules { return r.Energy.Total() }
-
-// AvgPower returns the mean power over the report's elapsed time.
-func (r Report) AvgPower() Watts {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return Watts(float64(r.Energy.Total()) / r.Elapsed.Seconds())
-}
-
-// Account builds a Report for counted work running on n cores at P-state p
-// for the given wall-clock duration.  Dynamic energy comes from the
-// counters; static energy integrates the active-core power plus DRAM
-// background power for memGB gigabytes over the duration.
-func (m *Model) Account(c Counters, elapsed time.Duration, n int, p PState, memGB float64) Report {
-	b := m.DynamicEnergy(c, p)
-	b.Static += Joules(float64(p.Active)*float64(n)*elapsed.Seconds()) +
-		Joules(float64(m.DRAMStaticPerGB)*memGB*elapsed.Seconds())
-	return Report{Work: c, Elapsed: elapsed, Energy: b}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -23,8 +24,8 @@ func buildOrdersLike(t *testing.T, n int, seal bool) *colstore.Table {
 	})
 	// custkey: low cardinality (dict segments); day: long runs (RLE
 	// segments); region: dictionary strings; amount: raw floats.
-	custkey := workload.UniformInts(31, n, 64)
-	day := workload.RunsInts(32, n, 30, 500)
+	custkey := synth.UniformInts(31, n, 64)
+	day := synth.RunsInts(32, n, 30, 500)
 	regions := make([]string, n)
 	for i := range regions {
 		regions[i] = workload.RegionNames[int(custkey[i])%len(workload.RegionNames)]

@@ -82,7 +82,7 @@ func scanBothWays(t *testing.T, tab *colstore.Table, snap int64) scanArm {
 // snapshot and at historical ones that split the delta.
 func TestScanMainDeltaDOPInvariant(t *testing.T) {
 	tab := deltaOrdersTable(t, 4096, 300)
-	for _, snap := range []int64{colstore.SnapLatest, 150, 1500} {
+	for _, snap := range []int64{snapLatest, 150, 1500} {
 		arm := scanBothWays(t, tab, snap)
 		if arm.rel.N == 0 {
 			t.Fatalf("snap=%d: empty result", snap)
@@ -90,7 +90,7 @@ func TestScanMainDeltaDOPInvariant(t *testing.T) {
 	}
 	// Snapshot prefixes differ: snap=150 must not see inserts 151+.
 	n150 := tab.RowsAsOf(150)
-	nAll := tab.RowsAsOf(colstore.SnapLatest)
+	nAll := tab.RowsAsOf(snapLatest)
 	if n150 >= nAll || n150 != 4096+150 {
 		t.Fatalf("RowsAsOf(150)=%d, RowsAsOf(latest)=%d", n150, nAll)
 	}
@@ -102,7 +102,7 @@ func TestScanMainDeltaDOPInvariant(t *testing.T) {
 // touches (raw delta tail and tombstone checks are gone).
 func TestMergePreservesScanExactly(t *testing.T) {
 	tab := deltaOrdersTable(t, 4096, 300)
-	pre := scanBothWays(t, tab, colstore.SnapLatest)
+	pre := scanBothWays(t, tab, snapLatest)
 
 	st, err := tab.Merge(0)
 	must(t, err)
@@ -113,7 +113,7 @@ func TestMergePreservesScanExactly(t *testing.T) {
 		t.Fatalf("merge left delta rows=%d tombstones=%v", tab.DeltaRows(), tab.HasTombstones())
 	}
 
-	post := scanBothWays(t, tab, colstore.SnapLatest)
+	post := scanBothWays(t, tab, snapLatest)
 	if !post.rel.Equal(pre.rel) {
 		t.Fatal("merge changed the visible relation")
 	}
@@ -124,7 +124,7 @@ func TestMergePreservesScanExactly(t *testing.T) {
 
 	// Second merge over a clean table is a no-op tail seal of nothing.
 	if _, err := tab.Merge(0); err == nil {
-		res := scanBothWays(t, tab, colstore.SnapLatest)
+		res := scanBothWays(t, tab, snapLatest)
 		if !res.rel.Equal(pre.rel) {
 			t.Fatal("idempotent re-merge changed the relation")
 		}

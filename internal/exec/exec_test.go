@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -69,7 +70,7 @@ func TestScanFullWithIntPredicate(t *testing.T) {
 			t.Fatal("predicate violated in output")
 		}
 	}
-	if ctx.Meter.Snapshot().IsZero() {
+	if ctx.Meter.Snapshot() == (energy.Counters{}) {
 		t.Error("scan must record work")
 	}
 }
@@ -176,7 +177,8 @@ func TestHashAggGlobalAndGrouped(t *testing.T) {
 	if cnt.I[0] != 3000 {
 		t.Fatalf("count = %d", cnt.I[0])
 	}
-	am, _ := tab.FloatCol("amount")
+	amc, _ := tab.Column("amount")
+	am := amc.(*colstore.FloatColumn)
 	var want float64
 	for _, v := range am.Values() {
 		want += v

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/colstore"
+	"repro/internal/compress"
 	"repro/internal/energy"
 	"repro/internal/expr"
 	"repro/internal/vec"
@@ -28,7 +29,7 @@ import (
 //	             per-segment dictionary is touched once per distinct code
 //	             — the PR 4 join-code trick extended to aggregation.
 //	other spans  (raw, bitpack, delta — including the unsealed delta
-//	             tail, which surfaces as an EncRaw span) bulk-decode the
+//	             tail, which surfaces as a compress.Raw span) bulk-decode the
 //	             span once inside the same morsel, so a fused scan stays a
 //	             pure function of (snapshot, predicates) across the
 //	             main/delta boundary.
@@ -306,7 +307,7 @@ func (f *shardFold) global() {
 			win := sc.win(ai, f.hi-lo)
 			sc.spans = c.AppendSpans(sc.spans[:0], lo, f.hi)
 			for _, sp := range sc.spans {
-				if sp.Enc == colstore.EncRLE {
+				if sp.Enc == compress.RLE {
 					f.w.Add(sp.Runs(func(v int64, ra, rb int) {
 						if c := f.sel.CountRange(ra-lo, rb-lo); c > 0 {
 							t.addN(0, ai, v, int64(c))
@@ -350,7 +351,7 @@ func (f *shardFold) sweep() {
 	// only if a selected row lies outside a run.
 	skip := gcol
 	for _, sp := range sc.spans {
-		if sp.Enc != colstore.EncRLE && f.sel.CountRange(sp.A-lo, sp.B-lo) > 0 {
+		if sp.Enc != compress.RLE && f.sel.CountRange(sp.A-lo, sp.B-lo) > 0 {
 			skip = nil
 		}
 	}
@@ -362,13 +363,13 @@ func (f *shardFold) sweep() {
 		out := gids[:len(rows)]
 		gids = gids[len(rows):]
 		switch sp.Enc {
-		case colstore.EncRLE:
+		case compress.RLE:
 			f.w.Add(sp.Runs(func(v int64, ra, rb int) {
 				n := f.sel.CountRange(ra-lo, rb-lo)
 				f.run(v, rows[:n], out[:n])
 				rows, out = rows[n:], out[n:]
 			}))
-		case colstore.EncDict:
+		case compress.Dict:
 			dict := sp.DictVals()
 			f.w.Add(sp.Codes(keys[la:lb]))
 			sc.slots = sized(sc.slots, len(dict))
@@ -539,7 +540,7 @@ func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding 
 		// The span's hits, in sc.hits' reserved room (probeMorsel).
 		hits := sc.hits[len(sc.hits) : len(sc.hits)+len(at)]
 		sc.hits = sc.hits[:len(sc.hits)+len(at)]
-		if s.Enc == colstore.EncDict {
+		if s.Enc == compress.Dict {
 			if pw.dense {
 				w.Add(s.Codes(keys[a:b]))
 			} else {
@@ -571,7 +572,7 @@ func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding 
 		}
 		h := int32(-1)
 		for j, r := range at {
-			if j == 0 || s.Enc != colstore.EncRLE || keys[r] != keys[at[j-1]] {
+			if j == 0 || s.Enc != compress.RLE || keys[r] != keys[at[j-1]] {
 				h = jr.lookup(sc, keys[r], c)
 			}
 			hits[j] = h

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -39,9 +40,9 @@ func fusedMatrixTable(t testing.TB, n, extra int) *colstore.Table {
 		{Name: "region", Type: colstore.String},
 		{Name: "amount", Type: colstore.Float64},
 	})
-	wide := workload.UniformInts(24, n, 1<<20)
+	wide := synth.UniformInts(24, n, 1<<20)
 	wide[0], wide[1] = -1<<62, 1<<62 // blows the bitpack width: seals raw
-	rcodes := workload.UniformInts(23, n, int64(len(workload.RegionNames)))
+	rcodes := synth.UniformInts(23, n, int64(len(workload.RegionNames)))
 	regions := make([]string, n)
 	for i, c := range rcodes {
 		regions[i] = workload.RegionNames[c]
@@ -50,10 +51,10 @@ func fusedMatrixTable(t testing.TB, n, extra int) *colstore.Table {
 	for i := range amounts {
 		amounts[i] = float64(i%997) + 0.25
 	}
-	must(t, tab.Writer().Int64("rle", workload.RunsInts(19, n, 16, 64)...).Close())
-	must(t, tab.Writer().Int64("lowcard", workload.UniformInts(20, n, 32)...).Close())
-	must(t, tab.Writer().Int64("sorted", workload.SortedInts(21, n, 8)...).Close())
-	must(t, tab.Writer().Int64("packed", workload.UniformInts(22, n, 1<<20)...).Close())
+	must(t, tab.Writer().Int64("rle", synth.RunsInts(19, n, 16, 64)...).Close())
+	must(t, tab.Writer().Int64("lowcard", synth.UniformInts(20, n, 32)...).Close())
+	must(t, tab.Writer().Int64("sorted", synth.SortedInts(21, n, 8)...).Close())
+	must(t, tab.Writer().Int64("packed", synth.UniformInts(22, n, 1<<20)...).Close())
 	must(t, tab.Writer().Int64("wide", wide...).Close())
 	must(t, tab.Writer().String("region", regions...).Close())
 	must(t, tab.Writer().Float64("amount", amounts...).Close())
@@ -208,8 +209,8 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 		tab  *colstore.Table
 		snap int64
 	}{
-		{"sealed", fusedMatrixTable(t, n, 0), colstore.SnapLatest},
-		{"main+delta", fusedMatrixTable(t, n, 300), colstore.SnapLatest},
+		{"sealed", fusedMatrixTable(t, n, 0), snapLatest},
+		{"main+delta", fusedMatrixTable(t, n, 300), snapLatest},
 		{"main+delta@150", fusedMatrixTable(t, n, 300), 150},
 	}
 	for _, tc := range tables {
@@ -444,8 +445,8 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 		tab  *colstore.Table
 		snap int64
 	}{
-		{"sealed", fusedMatrixTable(t, n, 0), colstore.SnapLatest},
-		{"main+delta", fusedMatrixTable(t, n, 300), colstore.SnapLatest},
+		{"sealed", fusedMatrixTable(t, n, 0), snapLatest},
+		{"main+delta", fusedMatrixTable(t, n, 300), snapLatest},
 	}
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {

@@ -122,7 +122,7 @@ func TestScanCancelMidMorsel(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got rel=%v err=%v", rel, err)
 	}
-	if w := ctx.Meter.Snapshot(); !w.IsZero() {
+	if w := ctx.Meter.Snapshot(); w != (energy.Counters{}) {
 		t.Fatalf("canceled-before-start scan still charged work: %+v", w)
 	}
 }

@@ -26,7 +26,7 @@ type Ctx struct {
 	Lease *Lease
 	// SnapTS is the MVCC snapshot the query reads at: scans cover the row
 	// prefix committed at or before it and mask tombstones younger than
-	// it.  Zero (colstore.SnapLatest) reads everything committed so far.
+	// it.  Zero reads everything committed so far.
 	// Fixed at admission, it makes results and counters a pure function
 	// of the snapshot — invariant under DOP and under writes that land
 	// while the query runs.
@@ -61,7 +61,8 @@ type OpReport struct {
 }
 
 // Charge books counters for one operator (or one unit of out-of-operator
-// work, such as shipping or partial-aggregate merging in internal/dist)
+// work, such as shipping or partial-aggregate merging in
+// internal/experiments/dist)
 // into the context: the counters are added to Meter and appended to the
 // OpReports trace.
 //

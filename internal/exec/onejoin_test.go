@@ -148,8 +148,12 @@ func oneJoinPlans(t testing.TB, kind, source string, probe, build *colstore.Tabl
 		raw, err := scan(build).Run(NewCtx())
 		must(t, err)
 		coded := &Relation{Cols: []Col{{Name: "bk", Type: colstore.String, Dict: pc.Dict(), I: []int64{}}, {Name: "bv", Type: colstore.Int64, I: []int64{}}}}
+		codeOf := make(map[string]int64, len(pc.Dict()))
+		for c, v := range pc.Dict() {
+			codeOf[v] = int64(c)
+		}
 		for i := 0; i < raw.N; i++ {
-			if code, ok := pc.Code(raw.Cols[0].Str(i)); ok {
+			if code, ok := codeOf[raw.Cols[0].Str(i)]; ok {
 				coded.Cols[0].I = append(coded.Cols[0].I, code)
 				coded.Cols[1].I = append(coded.Cols[1].I, raw.Cols[1].I[i])
 			}

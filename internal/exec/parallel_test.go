@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/expr"
 	"repro/internal/vec"
 )
@@ -135,7 +136,7 @@ func TestScanMatchesReference(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("DOP %d: scan diverged from the reference (%d vs %d rows)", dop, got.N, want.N)
 				}
-				if w, w1 := ctx.Meter.Snapshot(), ctx1.Meter.Snapshot(); w != w1 || w.IsZero() {
+				if w, w1 := ctx.Meter.Snapshot(), ctx1.Meter.Snapshot(); w != w1 || w == (energy.Counters{}) {
 					t.Fatalf("DOP %d: Meter totals not DOP-invariant:\n%+v\n%+v", dop, w, w1)
 				}
 			}
@@ -197,7 +198,7 @@ func TestParallelAggDOPInvariant(t *testing.T) {
 	if w1 != w8 {
 		t.Fatalf("total counters differ between DOP 1 and DOP 8:\nDOP1: %+v\nDOP8: %+v", w1, w8)
 	}
-	if w1.IsZero() {
+	if w1 == (energy.Counters{}) {
 		t.Fatal("no work charged")
 	}
 }

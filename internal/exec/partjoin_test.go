@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -46,8 +47,8 @@ func runJoin(t *testing.T, n Node, dop int) (*Relation, *Ctx) {
 // TestJoinMatchesSerial drives the partitioned pipeline and asserts the
 // relation is byte-identical to the map oracle over the same inputs.
 func TestJoinMatchesSerial(t *testing.T) {
-	lkeys := workload.UniformInts(11, 90_000, 12_000)
-	rkeys := workload.UniformInts(12, 9_000, 12_000)
+	lkeys := synth.UniformInts(11, 90_000, 12_000)
+	rkeys := synth.UniformInts(12, 9_000, 12_000)
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
 
 	serial, _ := runJoin(t, &mapJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
@@ -64,8 +65,8 @@ func TestJoinMatchesSerial(t *testing.T) {
 // byte-identical across degrees of parallelism.  (The CI container is
 // 1-CPU: invariance is the contract here, never wall-clock speedup.)
 func TestJoinDOPInvariant(t *testing.T) {
-	lkeys := workload.UniformInts(13, 80_000, 7_000)
-	rkeys := workload.UniformInts(14, 20_000, 7_000)
+	lkeys := synth.UniformInts(13, 80_000, 7_000)
+	rkeys := synth.UniformInts(14, 20_000, 7_000)
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
 
 	join := func(dop int) (*Relation, *Ctx) {
@@ -87,7 +88,7 @@ func TestJoinDOPInvariant(t *testing.T) {
 // TestJoinEmptySides covers an empty build side (every probe
 // misses) and an empty probe side.
 func TestJoinEmptySides(t *testing.T) {
-	big := intRel("lk", workload.UniformInts(15, 70_000, 1000))
+	big := intRel("lk", synth.UniformInts(15, 70_000, 1000))
 	empty := intRel("rk", nil)
 	rel, _ := runJoin(t, &Join{Left: relNode{big}, Right: relNode{empty}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if rel.N != 0 {
@@ -96,7 +97,7 @@ func TestJoinEmptySides(t *testing.T) {
 	if len(rel.Cols) != 3 {
 		t.Fatalf("empty join must keep the output schema, got %d cols", len(rel.Cols))
 	}
-	bigR := intRel("rk", workload.UniformInts(16, 70_000, 1000))
+	bigR := intRel("rk", synth.UniformInts(16, 70_000, 1000))
 	emptyL := intRel("lk", nil)
 	rel, _ = runJoin(t, &Join{Left: relNode{emptyL}, Right: relNode{bigR}, LeftKey: "lk", RightKey: "rk"}, 4)
 	if rel.N != 0 {
@@ -138,8 +139,8 @@ func TestJoinAllDuplicateKeys(t *testing.T) {
 // leaving nearly every radix partition empty and a few heavily loaded.
 // The build side stays small so the near-cross-product output does not.
 func TestJoinSkewedPartitions(t *testing.T) {
-	lkeys := workload.UniformInts(17, 80_000, 5)
-	rkeys := workload.UniformInts(18, 30, 3)
+	lkeys := synth.UniformInts(17, 80_000, 5)
+	rkeys := synth.UniformInts(18, 30, 3)
 	left, right := intRel("lk", lkeys), intRel("rk", rkeys)
 	serial, _ := runJoin(t, &mapJoin{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 1)
 	par, parCtx := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 8)
@@ -301,9 +302,9 @@ func TestJoinRenameCollisionProof(t *testing.T) {
 // E-report undercounting fix — and that a build side inside the cache
 // target skips exactly the partition pass.
 func TestJoinPhaseCharges(t *testing.T) {
-	lkeys := workload.UniformInts(19, 80_000, 9_000)
+	lkeys := synth.UniformInts(19, 80_000, 9_000)
 	for name, nBuild := range map[string]int{"one-table": partTargetRows - 1, "partitioned": 9_000} {
-		left, right := intRel("lk", lkeys), intRel("rk", workload.UniformInts(20, nBuild, 9_000))
+		left, right := intRel("lk", lkeys), intRel("rk", synth.UniformInts(20, nBuild, 9_000))
 		_, ctx := runJoin(t, &Join{Left: relNode{left}, Right: relNode{right}, LeftKey: "lk", RightKey: "rk"}, 2)
 		phases := map[string]bool{}
 		for _, op := range ctx.OpReports {

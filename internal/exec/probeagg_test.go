@@ -143,7 +143,7 @@ func TestFusedProbeAggByteIdentityMatrix(t *testing.T) {
 						plan := func(unfused bool) *HashAgg {
 							return probeAggPlan(tc.tab, dim, pf.preds, df.preds, g.groupBy, probeAggSpecs, unfused)
 						}
-						oracle, ranFused := runProbeAgg(t, plan(true), colstore.SnapLatest, 1)
+						oracle, ranFused := runProbeAgg(t, plan(true), snapLatest, 1)
 						if ranFused {
 							t.Fatal("oracle arm took the fused sink: it compares nothing")
 						}
@@ -152,7 +152,7 @@ func TestFusedProbeAggByteIdentityMatrix(t *testing.T) {
 						}
 						var base fusedArm
 						for i, dop := range []int{1, 2, 8} {
-							got, ranFused := runProbeAgg(t, plan(false), colstore.SnapLatest, dop)
+							got, ranFused := runProbeAgg(t, plan(false), snapLatest, dop)
 							if !ranFused {
 								t.Fatalf("dop=%d: eligible plan did not take the probe→aggregate sink", dop)
 							}
@@ -213,9 +213,9 @@ func TestFusedProbeAggCodeDomain(t *testing.T) {
 					Aggs:    []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "weight"}, {Func: expr.AggMax, Col: "packed"}},
 				}
 			}
-			oracle, _ := runProbeAgg(t, plan(true), colstore.SnapLatest, 1)
+			oracle, _ := runProbeAgg(t, plan(true), snapLatest, 1)
 			for _, dop := range []int{1, 8} {
-				got, ranFused := runProbeAgg(t, plan(false), colstore.SnapLatest, dop)
+				got, ranFused := runProbeAgg(t, plan(false), snapLatest, dop)
 				if !ranFused || oracle.rel.N == 0 || !got.rel.Equal(oracle.rel) {
 					t.Fatalf("%s group %v dop=%d: fused=%v\nfused  %+v\noracle %+v", fact.Name, groupBy, dop, ranFused, got.rel, oracle.rel)
 				}
@@ -279,7 +279,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 			if c.agg.probeFeed() != nil {
 				t.Fatal("shape must not be probe→aggregate eligible")
 			}
-			got, ranFused := runProbeAgg(t, c.agg, colstore.SnapLatest, 2)
+			got, ranFused := runProbeAgg(t, c.agg, snapLatest, 2)
 			if ranFused {
 				t.Fatal("ineligible shape took the fused sink")
 			}
@@ -287,7 +287,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 			j := c.agg.Child.(*Join)
 			oracle := &HashAgg{GroupBy: c.agg.GroupBy, Aggs: c.agg.Aggs,
 				Child: &Join{Left: opaque(j.Left), Right: j.Right, LeftKey: j.LeftKey, RightKey: j.RightKey}}
-			want, _ := runProbeAgg(t, oracle, colstore.SnapLatest, 1)
+			want, _ := runProbeAgg(t, oracle, snapLatest, 1)
 			if want.rel.N == 0 || !got.rel.Equal(want.rel) {
 				t.Fatalf("fallback answer diverged:\ngot  %+v\nwant %+v", got.rel, want.rel)
 			}
@@ -306,8 +306,8 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	if tiny(false).probeFeed() == nil {
 		t.Fatal("a tiny probe must be probe→aggregate eligible")
 	}
-	got, ranFused := runProbeAgg(t, tiny(false), colstore.SnapLatest, 2)
-	want, _ := runProbeAgg(t, tiny(true), colstore.SnapLatest, 1)
+	got, ranFused := runProbeAgg(t, tiny(false), snapLatest, 2)
+	want, _ := runProbeAgg(t, tiny(true), snapLatest, 1)
 	if !ranFused || want.rel.N == 0 || !got.rel.Equal(want.rel) {
 		t.Fatalf("tiny probe: fused=%v\ngot  %+v\nwant %+v", ranFused, got.rel, want.rel)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/compress"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -140,12 +141,12 @@ func expectedProbeKeys(col *colstore.IntColumn, selected func(int) bool) (rows, 
 				}
 				rows++
 				switch sp.Enc {
-				case colstore.EncDict:
+				case compress.Dict:
 					if !seen[v] {
 						seen[v] = true
 						keys++
 					}
-				case colstore.EncRLE:
+				case compress.RLE:
 					if run != lastRun {
 						lastRun = run
 						keys++

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -40,9 +41,9 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 		{Name: "amount", Type: colstore.Float64},
 		{Name: "val", Type: colstore.Int64},
 	})
-	custkey := workload.UniformInts(31, n, 1<<16)
-	grp := workload.UniformInts(32, n, 24)
-	rcodes := workload.UniformInts(33, n, int64(len(workload.RegionNames)))
+	custkey := synth.UniformInts(31, n, 1<<16)
+	grp := synth.UniformInts(32, n, 24)
+	rcodes := synth.UniformInts(33, n, int64(len(workload.RegionNames)))
 	regions := make([]string, n)
 	for i, c := range rcodes {
 		regions[i] = workload.RegionNames[c]
@@ -51,7 +52,7 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 	for i := range amounts {
 		amounts[i] = float64(i%883) + 0.5
 	}
-	val := workload.UniformInts(34, n, 1<<20)
+	val := synth.UniformInts(34, n, 1<<20)
 	must(t, flat.Writer().Int64("custkey", custkey...).Close())
 	must(t, flat.Writer().Int64("grp", grp...).Close())
 	must(t, flat.Writer().String("region", regions...).Close())
@@ -165,10 +166,10 @@ type storageState struct {
 func storageStates(extra int) []storageState {
 	half := int64(extra / 2)
 	return []storageState{
-		{"sealed", 0, colstore.SnapLatest, false},
-		{"live", extra, colstore.SnapLatest, false},
+		{"sealed", 0, snapLatest, false},
+		{"live", extra, snapLatest, false},
 		{"live@" + itoa(int(half)), extra, half, false},
-		{"merged", extra, colstore.SnapLatest, true},
+		{"merged", extra, snapLatest, true},
 	}
 }
 
@@ -368,10 +369,10 @@ func TestOneShardIsFlat(t *testing.T) {
 		n, extra int
 		snap     int64
 	}{
-		{"sealed", 150_000, 0, colstore.SnapLatest},
-		{"live", 150_000, 300, colstore.SnapLatest},
+		{"sealed", 150_000, 0, snapLatest},
+		{"live", 150_000, 300, snapLatest},
 		{"live@150", 150_000, 300, 150},
-		{"empty", 0, 0, colstore.SnapLatest},
+		{"empty", 0, 0, snapLatest},
 	} {
 		flat, twins := shardTwins(t, live.n, live.extra)
 		wrapped := colstore.OneShard(flat)
@@ -418,8 +419,8 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 		extra int
 		snap  int64
 	}{
-		{"sealed", 0, colstore.SnapLatest},
-		{"live", 200, colstore.SnapLatest},
+		{"sealed", 0, snapLatest},
+		{"live", 200, snapLatest},
 	} {
 		flatO, twinsO := shardTwins(t, n, live.extra)
 
@@ -500,10 +501,10 @@ func TestShardPruningCounters(t *testing.T) {
 	flat, twins := shardTwins(t, n, 0)
 	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
 	sel := []string{"custkey", "val"}
-	flatArm := runNodeArm(t, &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+	flatArm := runNodeArm(t, &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: preds}, snapLatest, 1)
 	var prevBytes uint64
 	for i, k := range shardCounts {
-		a := runNodeArm(t, &Scan{Source: twins[k], Select: sel, Preds: preds}, colstore.SnapLatest, 1)
+		a := runNodeArm(t, &Scan{Source: twins[k], Select: sel, Preds: preds}, snapLatest, 1)
 		if a.w.TuplesIn < uint64(n) {
 			t.Fatalf("k=%d: logical rows considered %d < %d (pruning must charge TuplesIn)", k, a.w.TuplesIn, n)
 		}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 // NodeSpec describes one database node.
@@ -86,7 +86,7 @@ type Report struct {
 }
 
 // SimulateStatic provisions a fixed node count for the whole trace.
-func SimulateStatic(spec NodeSpec, nodes int, phases []workload.DiurnalPhase) Report {
+func SimulateStatic(spec NodeSpec, nodes int, phases []synth.DiurnalPhase) Report {
 	return simulate(spec, phases, func(float64, int) int { return nodes }, 0)
 }
 
@@ -94,13 +94,13 @@ func SimulateStatic(spec NodeSpec, nodes int, phases []workload.DiurnalPhase) Re
 // use the previous phase's rate (the controller reacts, it does not
 // predict), so load spikes can outrun capacity — exactly the SLO tension
 // the paper's elasticity discussion describes.
-func SimulateElastic(spec NodeSpec, ctrl Controller, phases []workload.DiurnalPhase) Report {
+func SimulateElastic(spec NodeSpec, ctrl Controller, phases []synth.DiurnalPhase) Report {
 	return simulate(spec, phases, func(prevRate float64, cur int) int {
 		return ctrl.Want(spec, prevRate)
 	}, ctrl.Min)
 }
 
-func simulate(spec NodeSpec, phases []workload.DiurnalPhase, decide func(prevRate float64, cur int) int, start int) Report {
+func simulate(spec NodeSpec, phases []synth.DiurnalPhase, decide func(prevRate float64, cur int) int, start int) Report {
 	var rep Report
 	nodes := start
 	if nodes <= 0 && len(phases) > 0 {

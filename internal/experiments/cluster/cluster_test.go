@@ -8,14 +8,14 @@ import (
 	"time"
 
 	. "repro/internal/experiments/cluster"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 func TestElasticSavesEnergyOnDiurnalLoad(t *testing.T) {
 	// E11's central claim: scaling nodes to the diurnal trough saves
 	// energy versus static peak provisioning, at a bounded SLO cost.
 	spec := DefaultNode()
-	phases := workload.Diurnal(6000, time.Hour)
+	phases := synth.Diurnal(6000, time.Hour)
 	peakNodes := 9 // enough for the 6000 q/s peak at 70% util
 	static := SimulateStatic(spec, peakNodes, phases)
 	elastic := SimulateElastic(spec, DefaultController(peakNodes), phases)
@@ -50,7 +50,7 @@ func TestControllerBounds(t *testing.T) {
 
 func TestScaleUpPaysBootEnergy(t *testing.T) {
 	spec := DefaultNode()
-	phases := []workload.DiurnalPhase{
+	phases := []synth.DiurnalPhase{
 		{Rate: 100, Duration: time.Hour},
 		{Rate: 5000, Duration: time.Hour},
 		{Rate: 5000, Duration: time.Hour},
@@ -70,7 +70,7 @@ func TestScaleUpPaysBootEnergy(t *testing.T) {
 func TestReactiveLagDropsDuringSpike(t *testing.T) {
 	spec := DefaultNode()
 	// Sudden spike: controller sized for 100 q/s meets 5000 q/s.
-	phases := []workload.DiurnalPhase{
+	phases := []synth.DiurnalPhase{
 		{Rate: 100, Duration: time.Hour},
 		{Rate: 5000, Duration: time.Hour},
 	}

@@ -1,13 +1,11 @@
-package compress
+package codec
 
 import "encoding/binary"
 
 // deltaCodec stores zigzag-varint deltas between consecutive values —
 // near-optimal for sorted or slowly changing sequences such as the
 // timestamp columns of the paper's sensor and clickstream data.
-type deltaCodec struct{}
-
-func (deltaCodec) Name() string { return "delta" }
+type deltaCodec struct{ enc }
 
 func (deltaCodec) Compress(values []int64) []byte {
 	buf := make([]byte, 0, len(values)*2+8)
@@ -39,5 +37,3 @@ func (deltaCodec) Decompress(payload []byte) ([]int64, error) {
 	}
 	return out, nil
 }
-
-func (deltaCodec) CostFactor() float64 { return 6 }

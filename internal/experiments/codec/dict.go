@@ -1,8 +1,10 @@
-package compress
+package codec
 
 import (
 	"encoding/binary"
 	"sort"
+
+	"repro/internal/compress"
 )
 
 // Dictionary maps strings to dense integer codes.  Codes are assigned in
@@ -50,21 +52,10 @@ func (d *Dictionary) Code(s string) (int64, bool) {
 // Value returns the string for code c.
 func (d *Dictionary) Value(c int64) string { return d.values[c] }
 
-// CodeRange returns the half-open code interval [lo, hi) of values v with
-// low <= v < high in the original string domain; used to push string range
-// predicates down to integer code comparisons.
-func (d *Dictionary) CodeRange(low, high string) (lo, hi int64) {
-	lo = int64(sort.SearchStrings(d.values, low))
-	hi = int64(sort.SearchStrings(d.values, high))
-	return lo, hi
-}
-
 // dictCodec serializes values via an embedded dictionary of distinct
 // int64s plus bit-packed codes — the winning codec for low-cardinality
 // columns such as region or status.
-type dictCodec struct{}
-
-func (dictCodec) Name() string { return "dict" }
+type dictCodec struct{ enc }
 
 func (dictCodec) Compress(values []int64) []byte {
 	set := make(map[int64]struct{})
@@ -80,7 +71,7 @@ func (dictCodec) Compress(values []int64) []byte {
 	for i, v := range distinct {
 		codeOf[v] = uint64(i)
 	}
-	width := BitsFor(uint64(len(distinct)))
+	width := compress.BitsFor(uint64(len(distinct)))
 	codes := make([]uint64, len(values))
 	for i, v := range values {
 		codes[i] = codeOf[v]
@@ -150,5 +141,3 @@ func (dictCodec) Decompress(payload []byte) ([]int64, error) {
 	}
 	return out, nil
 }
-
-func (dictCodec) CostFactor() float64 { return 8 }

@@ -1,11 +1,11 @@
-package compress
+package codec
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 // adversarialInputs are the inputs most likely to break a codec: empty,
@@ -25,7 +25,7 @@ func adversarialInputs() map[string][]int64 {
 		"minmax": {math.MinInt64, math.MaxInt64, 0, -1, 1,
 			math.MinInt64, math.MaxInt64},
 		"minmax-run":   {math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64},
-		"sorted-small": workload.SortedInts(9, 3000, 3),
+		"sorted-small": synth.SortedInts(9, 3000, 3),
 		"sorted-jumps": {math.MinInt64, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64},
 		"neg-sorted":   {-1000, -100, -10, -1, 0, 1, 10},
 	}
@@ -54,41 +54,5 @@ func TestCodecsRoundTripAdversarial(t *testing.T) {
 					c.Name(), name, len(in), len(got))
 			}
 		}
-	}
-}
-
-// TestAnalyzeDistinctSaturation: the distinct counter saturates at
-// DistinctCap; the result must say so instead of posing as exact, and
-// the advisor must not choose dict off a saturated (lower-bound) count.
-func TestAnalyzeDistinctSaturation(t *testing.T) {
-	small := Analyze(workload.UniformInts(3, 1000, 100))
-	if small.DistinctCapped {
-		t.Error("100-distinct input must not saturate")
-	}
-	if small.Distinct < 90 || small.Distinct > 100 {
-		t.Errorf("small distinct count off: %d", small.Distinct)
-	}
-
-	// An all-distinct input larger than 8*DistinctCap: the saturated
-	// count (DistinctCap) would satisfy the dict arm's Distinct <= N/8,
-	// but the true cardinality (= N) makes a dictionary useless.  The
-	// capped flag must steer the advisor away.
-	n := 8*DistinctCap + 1000
-	big := make([]int64, n)
-	for i := range big {
-		// Bijective mix: all values distinct, order scrambled (a plain
-		// i*const stays sorted and would divert the advisor to delta).
-		h := uint64(i) * 0x9E3779B97F4A7C15
-		big[i] = int64(h ^ h>>29)
-	}
-	st := Analyze(big)
-	if !st.DistinctCapped {
-		t.Fatalf("%d distinct values must saturate the cap (%d): %+v", n, DistinctCap, st)
-	}
-	if st.Distinct != DistinctCap {
-		t.Errorf("saturated count must equal the cap: %d vs %d", st.Distinct, DistinctCap)
-	}
-	if got := Choose(st); got.Name() == "dict" {
-		t.Errorf("advisor chose dict off a saturated distinct count")
 	}
 }

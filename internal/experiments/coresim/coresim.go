@@ -103,7 +103,7 @@ func chooseConfig(cfg Config, jobs []Job) (int, energy.PState) {
 		cores int
 		p     energy.PState
 		score float64
-	}{cores: 1, p: m.Core.MinPState(), score: 0}
+	}{cores: 1, p: m.Core.PStates[0], score: 0}
 	for _, p := range ps {
 		for c := 1; c <= cfg.Cores; c++ {
 			if cfg.PowerCap > 0 && worstPower(c, p) > float64(cfg.PowerCap) {
@@ -173,7 +173,9 @@ func Simulate(cfg Config, jobs []Job) Result {
 		free[c] = done
 		busy[c] += service
 		lat[i] = done - j.Arrival
-		dyn.Add(m.DynamicEnergy(j.Work, pstate))
+		b := m.DynamicEnergy(j.Work, pstate)
+		dyn.CPU, dyn.DRAM, dyn.Link = dyn.CPU+b.CPU, dyn.DRAM+b.DRAM, dyn.Link+b.Link
+		dyn.Disk, dyn.Static = dyn.Disk+b.Disk, dyn.Static+b.Static
 	}
 
 	var makespan time.Duration

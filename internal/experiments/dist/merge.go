@@ -71,5 +71,5 @@ func stack(parts []*exec.Relation) (*exec.Relation, error) {
 	if key.Type == colstore.String {
 		key = exec.StringCol(key.Name, strs)
 	}
-	return exec.NewRelation(key, sum)
+	return &exec.Relation{N: key.Len(), Cols: []exec.Col{key, sum}}, nil
 }

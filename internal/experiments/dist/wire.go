@@ -6,6 +6,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/compress"
 	"repro/internal/exec"
+	"repro/internal/experiments/codec"
 )
 
 // received adapts a relation the coordinator holds — the payload a node
@@ -65,14 +66,14 @@ func encode(r *exec.Relation, s Strategy) (*exec.Relation, uint64, uint64, error
 		c := &r.Cols[i]
 		switch c.Type {
 		case colstore.Int64:
-			codec := compress.Choose(compress.Analyze(c.I))
-			payload := codec.Compress(c.I)
-			vals, err := codec.Decompress(payload)
+			cd := codec.For(compress.Choose(compress.Analyze(c.I)))
+			payload := cd.Compress(c.I)
+			vals, err := cd.Decompress(payload)
 			if err != nil {
-				return nil, 0, 0, fmt.Errorf("dist: codec %s on %q: %w", codec.Name(), c.Name, err)
+				return nil, 0, 0, fmt.Errorf("dist: codec %s on %q: %w", cd.Name(), c.Name, err)
 			}
 			wire += uint64(len(payload))
-			instr += uint64(float64(len(c.I)) * codec.CostFactor() * 2)
+			instr += uint64(float64(len(c.I)) * cd.CostFactor() * 2)
 			out.Cols[i] = exec.Col{Name: c.Name, Type: c.Type, I: vals}
 		case colstore.Float64:
 			// Doubles ship raw: the integer codecs have nothing to grab
@@ -101,20 +102,20 @@ func shipStringsCoded(c *exec.Col) ([]string, uint64, uint64, error) {
 	for i := range vs {
 		vs[i] = c.Str(i)
 	}
-	dict, codes := compress.BuildDictionary(vs)
+	dict, codes := codec.BuildDictionary(vs)
 	var wire uint64
 	for c := int64(0); c < int64(dict.Size()); c++ {
 		wire += uint64(len(dict.Value(c))) + 2
 	}
-	codec := compress.Choose(compress.Analyze(codes))
-	payload := codec.Compress(codes)
-	back, err := codec.Decompress(payload)
+	cd := codec.For(compress.Choose(compress.Analyze(codes)))
+	payload := cd.Compress(codes)
+	back, err := cd.Decompress(payload)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("codec %s: %w", codec.Name(), err)
+		return nil, 0, 0, fmt.Errorf("codec %s: %w", cd.Name(), err)
 	}
 	wire += uint64(len(payload))
 	// Codec work on the codes plus one dictionary probe per value.
-	instr := uint64(float64(len(codes))*codec.CostFactor()*2) + uint64(len(vs))*2
+	instr := uint64(float64(len(codes))*cd.CostFactor()*2) + uint64(len(vs))*2
 	out := make([]string, len(back))
 	for i, code := range back {
 		if code < 0 || code >= int64(dict.Size()) {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/experiments/cluster"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 func init() {
@@ -27,7 +27,7 @@ type E11Result struct {
 // E11Run simulates one synthetic day at the given peak rate.
 func E11Run(peak float64) E11Result {
 	spec := cluster.DefaultNode()
-	phases := workload.Diurnal(peak, time.Hour)
+	phases := synth.Diurnal(peak, time.Hour)
 	peakNodes := int(peak/(spec.CapacityQPS*0.7)) + 1
 	return E11Result{
 		Static:  cluster.SimulateStatic(spec, peakNodes, phases),

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/sql"
 	"repro/internal/vec"
 )
@@ -53,10 +54,10 @@ func E14Check(rows int) (*E14Result, error) {
 	var builder *core.Builder
 	for i := 0; i < parseReps; i++ {
 		builder = e.From("orders").
-			WhereInt("custkey", vec.LT, 100).
-			WhereFloat("amount", vec.GT, 50).
+			Where("custkey", vec.LT, expr.IntVal(100)).
+			Where("amount", vec.GT, expr.FloatVal(50)).
 			Select("region").
-			SumOf("amount", "rev").
+			Agg(expr.AggSum, "amount", "rev").
 			Count("n").
 			GroupBy("region").
 			OrderBy("rev", true)

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -54,10 +54,10 @@ func e19Shapes(n int) []struct {
 		Want string
 		Vals []int64
 	}{
-		{"runs(card16,avg64)", "rle", workload.RunsInts(19, n, 16, 64)},
-		{"lowcard(32)", "dict", workload.UniformInts(20, n, 32)},
-		{"sorted(step8)", "delta", workload.SortedInts(21, n, 8)},
-		{"uniform(20bit)", "bitpack", workload.UniformInts(22, n, 1<<20)},
+		{"runs(card16,avg64)", "rle", synth.RunsInts(19, n, 16, 64)},
+		{"lowcard(32)", "dict", synth.UniformInts(20, n, 32)},
+		{"sorted(step8)", "delta", synth.SortedInts(21, n, 8)},
+		{"uniform(20bit)", "bitpack", synth.UniformInts(22, n, 1<<20)},
 	}
 }
 

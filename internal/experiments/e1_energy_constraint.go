@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/experiments/coresim"
+	"repro/internal/experiments/synth"
 	"repro/internal/opt"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -36,7 +36,7 @@ type E1Point struct {
 func E1Curve() []E1Point {
 	model := energy.DefaultModel()
 	work := energy.Counters{Instructions: 40_000_000, BytesReadDRAM: 32 << 20, CacheMisses: 60_000}
-	jobs := coresim.MakeJobs(workload.Poisson(7, 400, 120), work)
+	jobs := coresim.MakeJobs(synth.Poisson(7, 400, 120), work)
 
 	// Plan alternatives the optimizer switches between under the cap.
 	// The fastest plan uses all cores flat out (high power); the middle
@@ -45,7 +45,7 @@ func E1Curve() []E1Point {
 	// different degrees of parallelism and P-states.
 	fast := planAlt(model, work, 16, model.Core.MaxPState())
 	mid := planAlt(model, work, 4, model.Core.PStates[1])
-	frugal := planAlt(model, work, 1, model.Core.MinPState())
+	frugal := planAlt(model, work, 1, model.Core.PStates[0])
 	alts := []struct {
 		name string
 		cost opt.Cost

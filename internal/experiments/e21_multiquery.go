@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/opt"
 	"repro/internal/sql"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -42,11 +42,11 @@ type E21Row struct {
 // customers arriving as an open-loop Poisson process at the given
 // offered QPS, all under min-energy objectives (the goal the arbitrated
 // arm prices cores with), ready for core.Loop.Replay.  The storm itself
-// is workload.PointStorm — the one arrival script E21, E22, the serving
+// is synth.PointStorm — the one arrival script E21, E22, the serving
 // harness, and the eimdb-bench -replay driver all share — so every
 // driver reproduces the experiment's workload shape.
 func Storm(nq int, qps, zipfS float64, nCust int, seed uint64) ([]core.Submission, error) {
-	arrivals := workload.PointStorm(seed, nq, qps, zipfS, nCust).Arrivals
+	arrivals := synth.PointStorm(seed, nq, qps, zipfS, nCust).Arrivals
 	subs := make([]core.Submission, len(arrivals))
 	for i, a := range arrivals {
 		q, err := sql.Parse(a.SQL)

@@ -9,9 +9,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/opt"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -63,7 +63,7 @@ type e22Stats struct {
 // schedule-invariant).  Stats are read back through GET /stats like any
 // HTTP client would.
 func E22Sweep(nRows, nQueries int, qps float64, budgets []int) ([]E22Row, error) {
-	script := workload.PointStorm(17, nQueries, qps, 1.3, 40)
+	script := synth.PointStorm(17, nQueries, qps, 1.3, 40)
 	var rows []E22Row
 	var baseline []server.Played
 	for _, budget := range budgets {

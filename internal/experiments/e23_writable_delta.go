@@ -52,7 +52,7 @@ func e23Probe(e *core.Engine, dop int) (*exec.Relation, energy.Counters, error) 
 	}
 	ctx := exec.NewCtx()
 	ctx.Lease = exec.NewLease(dop)
-	ctx.SnapTS = e.SnapshotTS()
+	ctx.SnapTS = e.Txn().SnapshotTS()
 	rel, err := node.Run(ctx)
 	if err != nil {
 		return nil, energy.Counters{}, err

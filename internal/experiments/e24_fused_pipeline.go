@@ -10,6 +10,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/vec"
@@ -63,8 +64,8 @@ func (f *e24Fixture) cut(sel float64) int64 {
 // chose the codec each column name claims (the E19 shapes, extended with
 // a 1024-cardinality group column for the cardinality axis).
 func newE24Fixture(n int) (*e24Fixture, error) {
-	packed := workload.UniformInts(22, n, 1<<20)
-	rcodes := workload.UniformInts(23, n, int64(len(workload.RegionNames)))
+	packed := synth.UniformInts(22, n, 1<<20)
+	rcodes := synth.UniformInts(23, n, int64(len(workload.RegionNames)))
 	regions := make([]string, n)
 	for i, c := range rcodes {
 		regions[i] = workload.RegionNames[c]
@@ -78,10 +79,10 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 		{Name: "region", Type: colstore.String},
 	})
 	err := fact.Writer().
-		Int64("rle", workload.RunsInts(19, n, 16, 64)...).
-		Int64("lowcard", workload.UniformInts(20, n, 32)...).
-		Int64("hicard", workload.UniformInts(25, n, 1024)...).
-		Int64("sorted", workload.SortedInts(21, n, 8)...).
+		Int64("rle", synth.RunsInts(19, n, 16, 64)...).
+		Int64("lowcard", synth.UniformInts(20, n, 32)...).
+		Int64("hicard", synth.UniformInts(25, n, 1024)...).
+		Int64("sorted", synth.SortedInts(21, n, 8)...).
 		Int64("packed", packed...).
 		String("region", regions...).
 		Close()

@@ -60,7 +60,7 @@ func e25Probe(e *core.Engine, qs string, dop int) (*exec.Relation, energy.Counte
 	}
 	ctx := exec.NewCtx()
 	ctx.Lease = exec.NewLease(dop)
-	ctx.SnapTS = e.SnapshotTS()
+	ctx.SnapTS = e.Txn().SnapshotTS()
 	rel, err := node.Run(ctx)
 	if err != nil {
 		return nil, energy.Counters{}, nil, err

@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/experiments/ship"
+	"repro/internal/experiments/synth"
 	"repro/internal/netsim"
 	"repro/internal/opt"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -43,9 +43,9 @@ func E3Matrix(n int) []E3Row {
 		name string
 		data []int64
 	}{
-		{"runs(avg100)", workload.RunsInts(11, n, 8, 100)},
-		{"sorted", workload.SortedInts(12, n, 20)},
-		{"uniform62bit", workload.UniformInts(13, n, 1<<62)},
+		{"runs(avg100)", synth.RunsInts(11, n, 8, 100)},
+		{"sorted", synth.SortedInts(12, n, 20)},
+		{"uniform62bit", synth.UniformInts(13, n, 1<<62)},
 	}
 	var out []E3Row
 	for _, sh := range shapes {

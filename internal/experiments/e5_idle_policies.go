@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/experiments/coresim"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 func init() {
@@ -36,7 +36,7 @@ func E5Sweep() []E5Row {
 	work := energy.Counters{Instructions: 12_000_000, BytesReadDRAM: 8 << 20, CacheMisses: 20_000}
 	var out []E5Row
 	for _, rate := range []float64{50, 150, 400, 900, 1500} {
-		jobs := coresim.MakeJobs(workload.Poisson(21, 600, rate), work)
+		jobs := coresim.MakeJobs(synth.Poisson(21, 600, rate), work)
 		for _, pol := range []coresim.Policy{coresim.AlwaysOn, coresim.RaceToIdle, coresim.DVFS} {
 			r := coresim.Simulate(coresim.Config{Cores: 16, Model: model, Policy: pol, MemGB: 32}, jobs)
 			out = append(out, E5Row{

@@ -5,8 +5,8 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -34,7 +34,7 @@ func E7Kernels(n, reps int) []E7Row {
 	var out []E7Row
 	for _, width := range []int{8, 12, 16, 24} {
 		max := int64(1)<<uint(width) - 1
-		vals := workload.UniformInts(uint64(width), n, max+1)
+		vals := synth.UniformInts(uint64(width), n, max+1)
 		codes := make([]uint64, n)
 		for i, v := range vals {
 			codes[i] = uint64(v)

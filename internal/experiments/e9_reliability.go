@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -34,7 +34,7 @@ type E9Row struct {
 func E9Sweep() []E9Row {
 	model := energy.DefaultModel()
 	cfg := wal.DefaultConfig()
-	gaps := workload.Poisson(31, 20_000, 100_000)
+	gaps := synth.Poisson(31, 20_000, 100_000)
 	arrivals := make([]time.Duration, len(gaps))
 	var at time.Duration
 	for i, g := range gaps {
@@ -44,7 +44,7 @@ func E9Sweep() []E9Row {
 	var out []E9Row
 	for _, level := range []wal.Level{wal.Volatile, wal.Local, wal.Repl2, wal.Repl3} {
 		for _, win := range []time.Duration{0, 64 * time.Microsecond, 256 * time.Microsecond} {
-			rep := wal.SimulateGroupCommit(cfg, arrivals, 96, win, level)
+			rep := SimulateGroupCommit(cfg, arrivals, 96, win, level)
 			j := model.DynamicEnergy(rep.TotalWork, model.Core.MaxPState()).Total() /
 				energy.Joules(rep.Txns)
 			out = append(out, E9Row{
@@ -72,4 +72,67 @@ func runE9(w io.Writer) error {
 	fmt.Fprintln(w, "\nshape: latency and J/txn rise with the QoS level (volatile -> repl-3);")
 	fmt.Fprintln(w, "group-commit windows cut per-txn flush energy at a bounded latency cost.")
 	return nil
+}
+
+// GroupCommitReport summarizes a simulated group-commit run.
+type GroupCommitReport struct {
+	Txns          int
+	Batches       int
+	AvgLatency    time.Duration
+	P95Latency    time.Duration
+	TotalWork     energy.Counters
+	EnergyPerTxn  energy.Joules // filled by the caller's model if desired
+	BytesPerBatch uint64
+}
+
+// SimulateGroupCommit runs txn arrivals (offsets) of txnBytes each through
+// a group-commit window at the given level: transactions arriving within
+// one window share a single flush/replication.  Window 0 degenerates to
+// per-transaction commits.
+func SimulateGroupCommit(cfg wal.Config, arrivals []time.Duration, txnBytes uint64, window time.Duration, level wal.Level) GroupCommitReport {
+	rep := GroupCommitReport{Txns: len(arrivals)}
+	if len(arrivals) == 0 {
+		return rep
+	}
+	flushCost := func(batch int) (time.Duration, energy.Counters) {
+		bytes := txnBytes * uint64(batch)
+		var w energy.Counters
+		w.BytesWrittenDRAM += bytes
+		var lat time.Duration
+		if level != wal.Volatile {
+			lat += cfg.FlushLatency
+			w.BytesWrittenSSD += bytes
+			if k := level.Replicas(); k > 0 && cfg.Link != nil {
+				d, c := cfg.Link.Ship(bytes)
+				lat += d + cfg.Link.Latency
+				c.BytesSentLink *= uint64(k)
+				c.BytesRecvLink *= uint64(k)
+				c.Messages = c.Messages*uint64(k) + uint64(k)
+				w.Add(c)
+				w.BytesWrittenSSD += bytes * uint64(k)
+			}
+		}
+		return lat, w
+	}
+	var lats []time.Duration
+	i := 0
+	for i < len(arrivals) {
+		// Batch: everything arriving within [arrivals[i], arrivals[i]+window].
+		end := arrivals[i] + window
+		j := i
+		for j < len(arrivals) && arrivals[j] <= end {
+			j++
+		}
+		lat, w := flushCost(j - i)
+		rep.TotalWork.Add(w)
+		rep.Batches++
+		rep.BytesPerBatch = txnBytes * uint64(j-i)
+		for k := i; k < j; k++ {
+			// Each txn waits for the window to close, then the flush.
+			lats = append(lats, end-arrivals[k]+lat)
+		}
+		i = j
+	}
+	rep.AvgLatency, rep.P95Latency = energy.LatencySummary(lats)
+	return rep
 }

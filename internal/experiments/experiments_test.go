@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/experiments/coresim"
 )
 
@@ -322,7 +323,7 @@ func TestE18Shape(t *testing.T) {
 		if r.Groups == 0 {
 			t.Errorf("DOP %d produced no groups", r.DOP)
 		}
-		if r.Work.IsZero() {
+		if r.Work == (energy.Counters{}) {
 			t.Errorf("DOP %d charged no work", r.DOP)
 		}
 	}

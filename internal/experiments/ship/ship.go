@@ -9,28 +9,28 @@ package ship
 import (
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/energy"
+	"repro/internal/experiments/codec"
 	"repro/internal/netsim"
 	"repro/internal/opt"
 )
 
 // Plan is one priced shipping alternative.
 type Plan struct {
-	Codec compress.Codec
+	Codec codec.Codec
 	Ratio float64 // predicted compressed/raw size
 	Cost  opt.Cost
 }
 
 // Estimate prices shipping n values (rawBytes total) through link with
 // the codec at the predicted compression ratio.
-func Estimate(cm *opt.CostModel, n int, rawBytes uint64, ratio float64, codec compress.Codec, link *netsim.Link) opt.Cost {
+func Estimate(cm *opt.CostModel, n int, rawBytes uint64, ratio float64, cd codec.Codec, link *netsim.Link) opt.Cost {
 	wire := uint64(float64(rawBytes) * ratio)
 	if wire == 0 && rawBytes > 0 {
 		wire = 1
 	}
 	var w energy.Counters
-	w.Instructions = uint64(float64(n) * codec.CostFactor() * 2) // compress + decompress
+	w.Instructions = uint64(float64(n) * cd.CostFactor() * 2) // compress + decompress
 	w.BytesReadDRAM = rawBytes
 	w.BytesWrittenDRAM = rawBytes
 	w.BytesSentLink = wire
@@ -66,14 +66,14 @@ func ChooseCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.O
 		sample = values[:8192]
 	}
 	best := Plan{}
-	for _, codec := range compress.All() {
+	for _, cd := range codec.All() {
 		ratio := 1.0
-		if codec.Name() != "none" {
-			ratio = compress.Ratio(codec, sample)
+		if cd != codec.None {
+			ratio = codec.Ratio(cd, sample)
 		}
-		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
+		c := Estimate(cm, len(values), rawBytes, ratio, cd, link)
 		if best.Codec == nil || better(obj, c, best.Cost) {
-			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
+			best = Plan{Codec: cd, Ratio: ratio, Cost: c}
 		}
 	}
 	return best
@@ -85,12 +85,12 @@ func ChooseCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.O
 func OracleCodec(cm *opt.CostModel, values []int64, link *netsim.Link, obj opt.Objective) Plan {
 	rawBytes := uint64(len(values)) * 8
 	best := Plan{}
-	for _, codec := range compress.All() {
-		payload := codec.Compress(values)
+	for _, cd := range codec.All() {
+		payload := cd.Compress(values)
 		ratio := float64(len(payload)) / float64(rawBytes)
-		c := Estimate(cm, len(values), rawBytes, ratio, codec, link)
+		c := Estimate(cm, len(values), rawBytes, ratio, cd, link)
 		if best.Codec == nil || better(obj, c, best.Cost) {
-			best = Plan{Codec: codec, Ratio: ratio, Cost: c}
+			best = Plan{Codec: cd, Ratio: ratio, Cost: c}
 		}
 	}
 	return best

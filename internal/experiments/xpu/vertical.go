@@ -1,4 +1,6 @@
-package vec
+package xpu
+
+import "repro/internal/vec"
 
 // Vertical is the bit-sliced (BitWeaving/V-style) column layout: bit j of
 // every code lives in bit-plane j, packed 64 codes per word.  Predicates
@@ -17,7 +19,7 @@ type Vertical struct {
 // NewVertical slices values (each < 2^width) into bit planes.
 func NewVertical(values []uint64, width int) *Vertical {
 	if width < 1 || width > 63 {
-		panic("vec: vertical width out of range [1,63]")
+		panic("xpu: vertical width out of range [1,63]")
 	}
 	v := &Vertical{width: width, n: len(values)}
 	words := (len(values) + 63) / 64
@@ -28,7 +30,7 @@ func NewVertical(values []uint64, width int) *Vertical {
 	max := uint64(1)<<uint(width) - 1
 	for i, val := range values {
 		if val > max {
-			panic("vec: value exceeds vertical code width")
+			panic("xpu: value exceeds vertical code width")
 		}
 		w, bit := i>>6, uint(i)&63
 		for j := 0; j < width; j++ {
@@ -60,19 +62,19 @@ func (v *Vertical) Get(i int) uint64 {
 // Scan evaluates `code op c` into out (length Len).  The per-word loop
 // computes lt/gt/eq masks plane by plane and stops as soon as every row
 // in the word is decided.
-func (v *Vertical) Scan(op CmpOp, c uint64, out *Bitvec) {
+func (v *Vertical) Scan(op vec.CmpOp, c uint64, out *vec.Bitvec) {
 	if out.Len() != v.n {
-		panic("vec: result bit vector length mismatch")
+		panic("xpu: result bit vector length mismatch")
 	}
 	max := uint64(1)<<uint(v.width) - 1
 	// Clamp out-of-domain constants exactly like Packed.Scan.
 	switch op {
-	case LE:
+	case vec.LE:
 		if c >= max {
 			out.SetAll()
 			return
 		}
-	case LT:
+	case vec.LT:
 		if c == 0 {
 			return
 		}
@@ -80,7 +82,7 @@ func (v *Vertical) Scan(op CmpOp, c uint64, out *Bitvec) {
 			out.SetAll()
 			return
 		}
-	case GE:
+	case vec.GE:
 		if c == 0 {
 			out.SetAll()
 			return
@@ -88,15 +90,15 @@ func (v *Vertical) Scan(op CmpOp, c uint64, out *Bitvec) {
 		if c > max {
 			return
 		}
-	case GT:
+	case vec.GT:
 		if c >= max {
 			return
 		}
-	case EQ:
+	case vec.EQ:
 		if c > max {
 			return
 		}
-	case NE:
+	case vec.NE:
 		if c > max {
 			out.SetAll()
 			return
@@ -122,22 +124,24 @@ func (v *Vertical) Scan(op CmpOp, c uint64, out *Bitvec) {
 		}
 		var m uint64
 		switch op {
-		case LT:
+		case vec.LT:
 			m = lt
-		case LE:
+		case vec.LE:
 			m = lt | eq
-		case GT:
+		case vec.GT:
 			m = gt
-		case GE:
+		case vec.GE:
 			m = gt | eq
-		case EQ:
+		case vec.EQ:
 			m = eq
-		case NE:
+		case vec.NE:
 			m = ^eq
 		}
 		outWords[w] |= m
 	}
-	out.maskTail()
+	if r := uint(v.n) & 63; r != 0 && len(outWords) > 0 {
+		outWords[len(outWords)-1] &= (uint64(1) << r) - 1
+	}
 }
 
 // PlanesTouched estimates how many bit planes a scan for constant c

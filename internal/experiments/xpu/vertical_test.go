@@ -1,10 +1,11 @@
-package vec
+package xpu
 
 import (
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/vec"
 	"repro/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func TestVerticalGetRoundTrip(t *testing.T) {
 }
 
 func TestVerticalScanMatchesScalar(t *testing.T) {
-	ops := []CmpOp{LT, LE, GT, GE, EQ, NE}
+	ops := []vec.CmpOp{vec.LT, vec.LE, vec.GT, vec.GE, vec.EQ, vec.NE}
 	for _, width := range []int{4, 8, 12, 16} {
 		n := 1000
 		rng := workload.NewRNG(uint64(width) * 13)
@@ -44,10 +45,10 @@ func TestVerticalScanMatchesScalar(t *testing.T) {
 		v := NewVertical(vals, width)
 		for _, op := range ops {
 			for _, c := range []uint64{0, 1, max / 2, max - 1, max, max + 1} {
-				got := NewBitvec(n)
+				got := vec.NewBitvec(n)
 				v.Scan(op, c, got)
-				want := NewBitvec(n)
-				ScanBranching(ints, op, int64(c), want)
+				want := vec.NewBitvec(n)
+				vec.ScanBranching(ints, op, int64(c), want)
 				if !reflect.DeepEqual(got.Words(), want.Words()) {
 					t.Fatalf("width %d op %v c=%d: vertical scan disagrees (got %d want %d)",
 						width, op, c, got.Count(), want.Count())
@@ -63,16 +64,16 @@ func TestVerticalMatchesHorizontalProperty(t *testing.T) {
 		width := int(rawWidth)%16 + 1
 		max := uint64(1)<<uint(width) - 1
 		c := rawC % (max + 2)
-		op := CmpOp(int(rawOp) % 6)
+		op := vec.CmpOp(int(rawOp) % 6)
 		rng := workload.NewRNG(seed)
 		n := 64 + int(seed%300)
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = rng.Uint64() % (max + 1)
 		}
-		h := NewPacked(vals, width)
+		h := vec.NewPacked(vals, width)
 		v := NewVertical(vals, width)
-		a, b := NewBitvec(n), NewBitvec(n)
+		a, b := vec.NewBitvec(n), vec.NewBitvec(n)
 		h.Scan(op, c, a)
 		v.Scan(op, c, b)
 		return reflect.DeepEqual(a.Words(), b.Words())
@@ -125,9 +126,53 @@ func TestVerticalRejectsBadInput(t *testing.T) {
 
 func TestVerticalEmpty(t *testing.T) {
 	v := NewVertical(nil, 8)
-	out := NewBitvec(0)
-	v.Scan(EQ, 3, out) // must not panic
+	out := vec.NewBitvec(0)
+	v.Scan(vec.EQ, 3, out) // must not panic
 	if v.PlanesTouched(3) != 0 {
 		t.Error("empty vertical touches no planes")
 	}
+}
+
+// BenchmarkLayouts compares the two SIMD-substitute layouts: horizontal
+// (all bits of a code together) vs vertical (bit-sliced with early exit).
+// The vertical layout shines when codes diverge from the constant early
+// (here: constant below most data), the horizontal when full codes are
+// needed.
+func BenchmarkLayouts(b *testing.B) {
+	const n, width = 1 << 20, 16
+	rng := workload.NewRNG(2)
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = 1<<15 | rng.Uint64()&0x7FFF // MSB set: early divergence below
+	}
+	h := vec.NewPacked(vals, width)
+	v := NewVertical(vals, width)
+	b.Run("horizontal-earlydiverge", func(b *testing.B) {
+		b.SetBytes(n * 8)
+		for i := 0; i < b.N; i++ {
+			out := vec.NewBitvec(n)
+			h.Scan(vec.LT, 0x1000, out)
+		}
+	})
+	b.Run("vertical-earlydiverge", func(b *testing.B) {
+		b.SetBytes(n * 8)
+		for i := 0; i < b.N; i++ {
+			out := vec.NewBitvec(n)
+			v.Scan(vec.LT, 0x1000, out)
+		}
+	})
+	b.Run("horizontal-deep", func(b *testing.B) {
+		b.SetBytes(n * 8)
+		for i := 0; i < b.N; i++ {
+			out := vec.NewBitvec(n)
+			h.Scan(vec.LT, 1<<15|0x4000, out)
+		}
+	})
+	b.Run("vertical-deep", func(b *testing.B) {
+		b.SetBytes(n * 8)
+		for i := 0; i < b.N; i++ {
+			out := vec.NewBitvec(n)
+			v.Scan(vec.LT, 1<<15|0x4000, out)
+		}
+	})
 }

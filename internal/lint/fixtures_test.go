@@ -162,35 +162,77 @@ func TestGoroutinesOnlyInPoolFuncs(t *testing.T) {
 	assertDiags(t, AnalyzerGoroutines().Run(u), want)
 }
 
-// TestLayeringFiresOnSeedImport loads testdata/layering as a module of
-// its own — a serving root, two served packages, an orphan and two
-// experiment packages — and expects exactly two findings: the served
-// package importing internal/experiments/x, and the internal/ package
-// the root does not reach.  x importing y is clean.
-func TestLayeringFiresOnSeedImport(t *testing.T) {
+// loadTree loads the given directories of testdata/<tree>, tests
+// included, as a module of its own: a Unit whose ModPath is the tree's
+// import path and whose serving root is its cmd/serve.
+func loadTree(t *testing.T, tree string, rels ...string) *Unit {
+	t.Helper()
 	l := testLoader(t)
-	mod := l.ModPath + "/internal/lint/testdata/layering"
+	mod := l.ModPath + "/internal/lint/testdata/" + tree
 	var pkgs []*Package
-	for _, rel := range []string{"cmd/serve", "internal/served", "internal/leaky", "internal/orphan",
-		"internal/experiments/x", "internal/experiments/y"} {
-		p, err := l.loadBase(mod + "/" + rel)
+	for _, rel := range rels {
+		ps, err := l.loadDir(filepath.Join(l.Root, "internal", "lint", "testdata", tree, filepath.FromSlash(rel)))
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", rel, err)
 		}
-		pkgs = append(pkgs, p)
+		pkgs = append(pkgs, ps...)
 	}
 	u := fixtureUnit(l, Config{ServeRoot: mod + "/cmd/serve"}, pkgs...)
 	u.ModPath = mod
+	return u
+}
+
+// TestLayeringFiresOnSeedImport loads testdata/layering as a module of
+// its own — a serving root, two served packages, an orphan, a directory
+// of tests alone and two experiment packages — and expects exactly three
+// findings: the served package importing internal/experiments/x, the
+// internal/ package the root does not reach, and the test-only
+// directory.  x importing y is clean.
+func TestLayeringFiresOnSeedImport(t *testing.T) {
+	u := loadTree(t, "layering", "cmd/serve", "internal/served", "internal/leaky", "internal/orphan",
+		"internal/testonly", "internal/experiments/x", "internal/experiments/y")
 	dir := filepath.Join("testdata", "layering", "internal")
 	want := []string{
 		fmt.Sprintf("leaky.go:%d layering", lineMatching(t, filepath.Join(dir, "leaky", "leaky.go"), `experiments/x"`)),
 		fmt.Sprintf("orphan.go:%d layering", lineMatching(t, filepath.Join(dir, "orphan", "orphan.go"), `^package orphan`)),
+		fmt.Sprintf("testonly_test.go:%d layering", lineMatching(t, filepath.Join(dir, "testonly", "testonly_test.go"), `^package testonly_test`)),
 	}
 	assertDiags(t, AnalyzerLayering().Run(u), want)
 
 	// With no serving root the rule has nothing to measure against.
 	u.Config.ServeRoot = ""
 	assertDiags(t, AnalyzerLayering().Run(u), nil)
+}
+
+// TestReachFiresOnUnusedServedSymbols loads testdata/reach — a serving
+// root, a served package with a test file, an experiment, another
+// command, a benchmark harness and an example — and expects a finding
+// exactly where the only use is a test, an experiment or the symbol's
+// own body, or where no use exists at all; an allow line with a reason
+// suppresses, one without suppresses nothing.
+func TestReachFiresOnUnusedServedSymbols(t *testing.T) {
+	u := loadTree(t, "reach", "cmd/serve", "cmd/tool", "bench", "examples/demo",
+		"internal/served", "internal/experiments/x")
+	file := filepath.Join("testdata", "reach", "internal", "served", "served.go")
+	at := func(check, pattern string) string {
+		return fmt.Sprintf("served.go:%d %s", lineMatching(t, file, pattern), check)
+	}
+	want := []string{
+		at(ReachCheck, `^func OnlyTests\(`),
+		at(ReachCheck, `^func OnlyExperiment\(`),
+		at(ReachCheck, `^func Recursive\(`),
+		at(ReachCheck, `^func EmptyReason\(`),
+		at(SuppressCheck, `^//lint:allow reach:$`),
+		at(ReachCheck, `^\tPerimeter\(\) int`),
+		at(ReachCheck, `^func \(s \*Square\) Perimeter\(`),
+		at(ReachCheck, `^func \(Orphan\) Name\(`),
+		at(ReachCheck, `^type Orphan struct`),
+	}
+	assertDiags(t, Run(u, []Analyzer{AnalyzerReach(), AnalyzerSuppress()}), want)
+
+	// With no serving root the rule has nothing to measure against.
+	u.Config.ServeRoot = ""
+	assertDiags(t, AnalyzerReach().Run(u), nil)
 }
 
 func TestHotPathFiresOnMaps(t *testing.T) {

@@ -17,9 +17,11 @@ const LayeringCheck = "layering"
 //   - no package on the serving path imports a package under
 //     internal/experiments/: code only an experiment needs lives beside
 //     the experiment that owns it;
-//   - every non-test package under internal/ is on the serving path,
-//     except internal/experiments/... and internal/lint: code that
-//     nothing serves moves under its experiment, or is deleted.
+//   - every directory under internal/ holds a package on the serving
+//     path, except internal/experiments/... and internal/lint: code that
+//     nothing serves moves under its experiment, or is deleted, and so
+//     do the tests of code that moved (a directory of test files alone
+//     tests something that lives elsewhere).
 //
 // Experiment packages may import each other, and test files are not on
 // the serving path: a serving package's test may import an experiment.
@@ -31,25 +33,22 @@ func AnalyzerLayering() Analyzer {
 	}
 }
 
-func runLayering(u *Unit) []Diag {
-	root := u.Config.ServeRoot
-	if root == "" {
-		return nil
-	}
-	internal := u.ModPath + "/internal/"
-	inExperiments := func(path string) bool {
-		return path == internal+"experiments" || strings.HasPrefix(path, internal+"experiments/")
-	}
+// basePkgs indexes the unit's importable (non-test) packages by path.
+func basePkgs(u *Unit) map[string]*Package {
 	base := make(map[string]*Package)
 	for _, p := range u.Pkgs {
 		if !p.TestVariant && !strings.HasSuffix(p.ImportPath, "_test") {
 			base[p.ImportPath] = p
 		}
 	}
+	return base
+}
 
-	var out []Diag
+// servedClosure returns the serving path: the module packages
+// Config.ServeRoot reaches through non-test imports, the root included.
+func servedClosure(u *Unit, base map[string]*Package) map[string]bool {
 	served := make(map[string]bool)
-	queue := []string{root}
+	queue := []string{u.Config.ServeRoot}
 	for len(queue) > 0 {
 		p := base[queue[0]]
 		queue = queue[1:]
@@ -57,36 +56,64 @@ func runLayering(u *Unit) []Diag {
 			continue // outside the module (the standard library), or seen
 		}
 		served[p.ImportPath] = true
-		for _, f := range p.Files {
+		for _, imp := range p.Types.Imports() {
+			queue = append(queue, imp.Path())
+		}
+	}
+	return served
+}
+
+// inExperiments reports whether path is internal/experiments or below.
+func inExperiments(u *Unit, path string) bool {
+	exp := u.ModPath + "/internal/experiments"
+	return path == exp || strings.HasPrefix(path, exp+"/")
+}
+
+func runLayering(u *Unit) []Diag {
+	root := u.Config.ServeRoot
+	if root == "" {
+		return nil
+	}
+	base := basePkgs(u)
+	served := servedClosure(u, base)
+
+	var out []Diag
+	for path := range served {
+		if inExperiments(u, path) {
+			continue
+		}
+		for _, f := range base[path].Files {
 			for _, imp := range f.Imports {
 				dep, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
+				if err != nil || !inExperiments(u, dep) {
 					continue
 				}
-				if inExperiments(dep) && !inExperiments(p.ImportPath) {
-					out = append(out, Diag{
-						Pos:   u.Fset.Position(imp.Pos()),
-						Check: LayeringCheck,
-						Msg: fmt.Sprintf("%s is on %s's serving path and imports experiment package %s: "+
-							"code an experiment alone needs lives beside that experiment", p.ImportPath, root, dep),
-					})
-				}
-				queue = append(queue, dep)
+				out = append(out, Diag{
+					Pos:   u.Fset.Position(imp.Pos()),
+					Check: LayeringCheck,
+					Msg: fmt.Sprintf("%s is on %s's serving path and imports experiment package %s: "+
+						"code an experiment alone needs lives beside that experiment", path, root, dep),
+				})
 			}
 		}
 	}
 
+	// One finding per unserved directory, at the first package loaded
+	// from it, whether it holds code or tests alone.
+	internal := u.ModPath + "/internal/"
+	seen := make(map[string]bool)
 	for _, p := range u.Pkgs {
-		path := p.ImportPath
-		if base[path] != p || !strings.HasPrefix(path, internal) || served[path] ||
-			inExperiments(path) || path == internal+"lint" {
+		path := strings.TrimSuffix(p.ImportPath, "_test")
+		if !strings.HasPrefix(path, internal) || served[path] || inExperiments(u, path) ||
+			path == internal+"lint" || seen[path] {
 			continue
 		}
+		seen[path] = true
 		out = append(out, Diag{
 			Pos:   u.Fset.Position(p.Files[0].Package),
 			Check: LayeringCheck,
-			Msg: fmt.Sprintf("%s is under internal/ but %s does not link it: "+
-				"move it under internal/experiments/<owner>/ or delete it", path, root),
+			Msg: fmt.Sprintf("%s is under internal/ but %s does not link it (tests alone test code that lives "+
+				"elsewhere): move it under internal/experiments/<owner>/ or delete it", path, root),
 		})
 	}
 	return out

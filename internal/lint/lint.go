@@ -23,10 +23,15 @@
 //     maps (PR 4).
 //   - layering: internal/ outside experiments/ and lint/ is exactly what
 //     cmd/eimdb-serve links — no served package imports an experiment
-//     package, and no package sits under internal/ unserved.
+//     package, and no directory (not even one of tests alone) sits under
+//     internal/ unserved.
 //   - registrysync: the experiments registry, EXPERIMENTS.md, the root
 //     benchmarks, and the committed BENCH_BASELINE.json must agree
 //     (PR 1/PR 3).
+//   - reach: every exported symbol a served internal/ package declares
+//     is used by served code, cmd/, bench/ or examples/ — not only by an
+//     experiment or a test — unless a //lint:allow reach: line names
+//     who uses it.
 //   - suppress: every //lint:allow escape hatch must name a real check
 //     and carry a non-empty reason.
 //
@@ -85,7 +90,8 @@ type Config struct {
 	EnergyPkg string
 	// ServeRoot is the serving binary's import path: its import closure
 	// is the serving path, and internal/ outside experiments/ and lint/
-	// must be exactly that (layering).  Empty disables the rule.
+	// must be exactly that (layering), with every exported symbol used
+	// (reach).  Empty disables both rules.
 	ServeRoot string
 	// RegistryPkg is the experiments package whose register() calls are
 	// the source of truth for E-ids; empty disables registrysync.
@@ -190,6 +196,7 @@ func All() []Analyzer {
 		AnalyzerHotPath(),
 		AnalyzerLayering(),
 		AnalyzerRegistrySync(),
+		AnalyzerReach(),
 		AnalyzerSuppress(),
 	}
 }

@@ -69,9 +69,3 @@ func (l *Link) Ship(n uint64) (time.Duration, energy.Counters) {
 		Messages:      msgs,
 	}
 }
-
-// TransferTime returns just the simulated duration for n bytes.
-func (l *Link) TransferTime(n uint64) time.Duration {
-	t, _ := l.Ship(n)
-	return t
-}

@@ -79,16 +79,6 @@ func (cm *CostModel) Price(w energy.Counters, simTime time.Duration) Cost {
 	return Cost{Time: total, Energy: b.Total(), Work: w}
 }
 
-// EstimateHashJoin prices the one join (internal/exec/join.go) of
-// probeRows × buildRows tuples yielding outRows when its probe reads a
-// materialized relation: every row's 8-byte key streams in and is looked
-// up (estimateJoin).  ncols is the output width for the gather phase.
-func EstimateHashJoin(probeRows, buildRows, outRows float64, ncols int) energy.Counters {
-	n, m := int(probeRows), int(outRows)
-	pc := exec.ProbeCounts{Rows: n, Keys: n, Steps: n, Matches: m, Touches: m}
-	return estimateJoin(pc, buildRows, uint64(probeRows*8), ncols)
-}
-
 // estimateJoin prices the one join phase by phase, mirroring its phase
 // accounting so estimated and measured join costs share the same shape:
 //

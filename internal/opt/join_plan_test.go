@@ -10,6 +10,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/workload"
 )
@@ -41,8 +42,8 @@ func intTable(t *testing.T, cat *Catalog, name string, cols map[string][]int64, 
 func TestPlannerJoinOrderDP(t *testing.T) {
 	cat := NewCatalog()
 	const nFact, nA, nB = 2000, 100, 50
-	fa := workload.UniformInts(1, nFact, nA)
-	fb := workload.UniformInts(2, nFact, nB)
+	fa := synth.UniformInts(1, nFact, nA)
+	fb := synth.UniformInts(2, nFact, nB)
 	ids := make([]int64, nFact)
 	for i := range ids {
 		ids[i] = int64(i)
@@ -108,8 +109,8 @@ func TestPlannerJoinOrderDP(t *testing.T) {
 // table.
 func TestPlannerBuildSideSizing(t *testing.T) {
 	cat := NewCatalog()
-	small := workload.UniformInts(3, 500, 200)
-	big := workload.UniformInts(4, 50_000, 200)
+	small := synth.UniformInts(3, 500, 200)
+	big := synth.UniformInts(4, 50_000, 200)
 	intTable(t, cat, "small", map[string][]int64{"k": small}, []string{"k"})
 	intTable(t, cat, "big", map[string][]int64{"bk": big, "v": big}, []string{"bk", "v"})
 	cm := NewCostModel(energy.DefaultModel())
@@ -137,8 +138,8 @@ func TestPlannerBuildSideSizing(t *testing.T) {
 // whichever key the query references survives.
 func TestPlannerSwapKeepsSelectedKey(t *testing.T) {
 	cat := NewCatalog()
-	small := workload.UniformInts(8, 500, 200)
-	big := workload.UniformInts(9, 50_000, 200)
+	small := synth.UniformInts(8, 500, 200)
+	big := synth.UniformInts(9, 50_000, 200)
 	intTable(t, cat, "small", map[string][]int64{"k": small}, []string{"k"})
 	intTable(t, cat, "big", map[string][]int64{"bk": big, "v": big}, []string{"bk", "v"})
 	cm := NewCostModel(energy.DefaultModel())
@@ -293,8 +294,8 @@ func TestPlannerFusedProbeAgg(t *testing.T) {
 	cat := NewCatalog()
 	const nFact, nDim = 300_000, 2000
 	intTable(t, cat, "bigfact", map[string][]int64{
-		"fk": workload.UniformInts(5, nFact, nDim),
-		"v":  workload.UniformInts(6, nFact, 1000),
+		"fk": synth.UniformInts(5, nFact, nDim),
+		"v":  synth.UniformInts(6, nFact, 1000),
 	}, []string{"fk", "v"})
 	dk, grp := make([]int64, nDim), make([]int64, nDim)
 	for i := range dk {

@@ -218,18 +218,3 @@ func (g *JoinGraph) Order() (order []int, cost float64, exact bool) {
 	o, c := g.OrderGreedy()
 	return o, c, false
 }
-
-// PlanCost evaluates the cost (sum of intermediate cardinalities) of an
-// explicit left-deep order — used to compare greedy vs DP quality.
-func (g *JoinGraph) PlanCost(order []int) float64 {
-	if len(order) == 0 {
-		return 0
-	}
-	card := g.Tables[order[0]].Rows
-	cost := 0.0
-	for i := 1; i < len(order); i++ {
-		card = g.joinCard(card, order[:i], order[i])
-		cost = clampCard(cost + card)
-	}
-	return cost
-}

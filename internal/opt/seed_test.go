@@ -12,9 +12,9 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments/coresim"
 	"repro/internal/experiments/ship"
+	"repro/internal/experiments/synth"
 	"repro/internal/netsim"
 	"repro/internal/opt"
-	"repro/internal/workload"
 )
 
 func TestPickUnderPowerCap(t *testing.T) {
@@ -58,7 +58,7 @@ func TestChooseCodecFlipsWithLinkSpeed(t *testing.T) {
 	// E3 shape: compressible data should ship compressed on slow links
 	// and (near-incompressible data) raw on fast links.
 	cm := opt.NewCostModel(energy.DefaultModel())
-	runs := workload.RunsInts(5, 200000, 4, 100) // highly compressible
+	runs := synth.RunsInts(5, 200000, 4, 100) // highly compressible
 	slow, _ := netsim.LinkByName("0.1Gbps")
 	fast, _ := netsim.LinkByName("40Gbps")
 
@@ -66,7 +66,7 @@ func TestChooseCodecFlipsWithLinkSpeed(t *testing.T) {
 	if p.Codec.Name() == "none" {
 		t.Error("slow link with compressible data must compress")
 	}
-	wide := workload.UniformInts(6, 200000, 1<<62) // ~incompressible
+	wide := synth.UniformInts(6, 200000, 1<<62) // ~incompressible
 	p = ship.ChooseCodec(cm, wide, fast, opt.MinTime)
 	if p.Codec.Name() != "none" && p.Ratio < 0.95 {
 		t.Errorf("fast link with incompressible data picked %s at ratio %g", p.Codec.Name(), p.Ratio)

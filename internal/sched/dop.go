@@ -15,8 +15,8 @@ import (
 // workload-dependent (Harizopoulos et al.: the energy-optimal plan is the
 // time-optimal one *at a chosen parallelism*).  The model is
 // operator-agnostic: scans, parallel aggregations, and the join all
-// arrive as energy.Counters (the join via opt.EstimateHashJoin's
-// partition, build, probe and output phase estimates), so one P-state
+// arrive as energy.Counters (the join via the planner's partition,
+// build, probe and output phase estimates in PlanInfo.Est), so one P-state
 // model prices every operator's DOP.
 
 // SerialFraction is the Amdahl fraction of a parallel query that stays on

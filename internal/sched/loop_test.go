@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -12,7 +13,7 @@ import (
 // strictly increasing arrivals (Poisson gaps are continuous, so ties
 // never happen at Duration resolution in practice).
 func loopStorm(n int, qps float64) []Task {
-	gaps := workload.Poisson(11, n, qps)
+	gaps := synth.Poisson(11, n, qps)
 	rng := workload.NewRNG(7)
 	at := time.Duration(0)
 	tasks := make([]Task, n)

@@ -124,17 +124,6 @@ type MQResult struct {
 	SharedTasks  int
 }
 
-// FleetEnergy returns the physical fleet energy of the schedule.
-func (r *MQResult) FleetEnergy() energy.Joules { return r.FleetDynamic + r.Static }
-
-// EnergyPerQuery returns fleet energy divided by completed queries.
-func (r *MQResult) EnergyPerQuery() energy.Joules {
-	if r.Completed == 0 {
-		return 0
-	}
-	return r.FleetEnergy() / energy.Joules(r.Completed)
-}
-
 // member is one admitted task with the schedule record its offerer holds.
 type member struct {
 	Task

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 // mqWork is a mid-size query profile: ~2ms of serial CPU at 3GHz.
@@ -29,7 +29,7 @@ func mqConfig(budget int) MQConfig {
 // poissonTasks builds an open-loop task list from the workload package's
 // arrival process.
 func poissonTasks(seed uint64, n int, rate float64, goal Goal, shareEvery int) []Task {
-	gaps := workload.Poisson(seed, n, rate)
+	gaps := synth.Poisson(seed, n, rate)
 	tasks := make([]Task, n)
 	var at time.Duration
 	for i, g := range gaps {
@@ -205,9 +205,9 @@ func TestMQSharedScanBatching(t *testing.T) {
 	if batched.Completed != len(tasks) || solo.Completed != len(tasks) {
 		t.Fatalf("lost tasks: %d / %d", batched.Completed, solo.Completed)
 	}
-	if batched.EnergyPerQuery() >= solo.EnergyPerQuery() {
-		t.Fatalf("batched fleet J/query must be lower: %v vs %v",
-			batched.EnergyPerQuery(), solo.EnergyPerQuery())
+	perQuery := func(r *MQResult) energy.Joules { return r.FleetEnergy() / energy.Joules(r.Completed) }
+	if perQuery(batched.MQResult) >= perQuery(solo.MQResult) {
+		t.Fatalf("batched fleet J/query must be lower: %v vs %v", perQuery(batched.MQResult), perQuery(solo.MQResult))
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/opt"
 )
@@ -61,8 +62,9 @@ func TestDOPModelShape(t *testing.T) {
 func TestJoinDOPPricing(t *testing.T) {
 	m := energy.DefaultModel()
 	p := m.Core.MaxPState()
-	// 1M probe × 100K build FK join, 4 output columns: the E20 shape.
-	part := opt.EstimateHashJoin(1e6, 1e5, 1e6, 4)
+	// A 200K probe × 20K build FK join with 4 output columns (E20's shape
+	// at a fifth of its size), priced by the planner that serves it.
+	part := joinEstimate(t, m, 200_000, 20_000)
 
 	points := SweepDOP(m, part, p, 8, 0.1)
 	for i := 1; i < len(points); i++ {
@@ -75,4 +77,43 @@ func TestJoinDOPPricing(t *testing.T) {
 	if best.DOP == 1 || best.DOP == 8 {
 		t.Errorf("join energy-optimal DOP must be interior, got %d", best.DOP)
 	}
+}
+
+// joinEstimate plans `SELECT fk, v, k, w FROM fact JOIN dim ON fk = k`
+// over a fact table of nFact rows whose fk references each of nDim dim
+// keys, and returns the plan's estimated work.
+func joinEstimate(t *testing.T, m *energy.Model, nFact, nDim int) energy.Counters {
+	t.Helper()
+	cat := opt.NewCatalog()
+	add := func(name string, cols [2]string, n int, val func(col, i int) int64) {
+		tab := colstore.NewTable(name, colstore.Schema{
+			{Name: cols[0], Type: colstore.Int64}, {Name: cols[1], Type: colstore.Int64}})
+		for c, col := range cols {
+			vs := make([]int64, n)
+			for i := range vs {
+				vs[i] = val(c, i)
+			}
+			if err := tab.Writer().Int64(col, vs...).Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		cat.Add(colstore.OneShard(tab))
+		if err := cat.Refresh(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("fact", [2]string{"fk", "v"}, nFact, func(c, i int) int64 { return int64(i % (nDim << c)) })
+	add("dim", [2]string{"k", "w"}, nDim, func(c, i int) int64 { return int64(i) })
+	q := &opt.Query{From: "fact", Joins: []opt.JoinSpec{{Table: "dim", LeftCol: "fk", RightCol: "k"}}}
+	for _, col := range []string{"fk", "v", "k", "w"} {
+		q.Select = append(q.Select, opt.SelectItem{Col: col})
+	}
+	_, info, err := cat.Plan(q, opt.NewCostModel(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Est.Work
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/energy"
 	. "repro/internal/experiments/coresim"
-	"repro/internal/workload"
+	"repro/internal/experiments/synth"
 )
 
 func lightWork() energy.Counters {
@@ -17,7 +17,7 @@ func lightWork() energy.Counters {
 }
 
 func jobsAtRate(rate float64, n int) []Job {
-	return MakeJobs(workload.Poisson(11, n, rate), lightWork())
+	return MakeJobs(synth.Poisson(11, n, rate), lightWork())
 }
 
 func TestSimulateEmpty(t *testing.T) {

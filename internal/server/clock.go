@@ -40,6 +40,8 @@ type SimClock struct {
 }
 
 // NewSimClock returns a virtual clock at offset zero.
+//
+//lint:allow reach: simulated-clock harness of E22 and the server determinism tests
 func NewSimClock() *SimClock { return &SimClock{} }
 
 // Now returns the current virtual offset.
@@ -69,6 +71,8 @@ func (c *SimClock) Schedule(at time.Duration, wake func()) {
 // around each callback: wakes take the server's lock, and the server's
 // handlers take the clock's — holding both here would invert that
 // order and deadlock.  Advance never moves time backward.
+//
+//lint:allow reach: simulated-clock harness of E22 and the server determinism tests
 func (c *SimClock) Advance(to time.Duration) {
 	for {
 		c.mu.Lock()

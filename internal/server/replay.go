@@ -31,6 +31,8 @@ type Played struct {
 // real net/http.  Replay drives the loop directly (the Clock is not
 // consulted), so it must not be interleaved with live HTTP traffic on
 // the same server.
+//
+//lint:allow reach: simulated-clock harness of E22 and the server determinism tests
 func (s *Server) Replay(script *workload.Script) []Played {
 	out := make([]Played, len(script.Arrivals))
 	tickets := make([]*core.Ticket, len(script.Arrivals))

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/synth"
 	"repro/internal/opt"
 	"repro/internal/workload"
 )
@@ -60,7 +61,7 @@ func testServer(t testing.TB, sched core.SchedulerConfig, clients map[string]ene
 // schedule and physical energy may move.  Run under -race on the 1-CPU
 // CI box this asserts invariance, never wall-clock behavior.
 func TestServeDeterminismAcrossBudgets(t *testing.T) {
-	script := workload.PointStorm(17, 32, 200_000, 1.3, 40)
+	script := synth.PointStorm(17, 32, 200_000, 1.3, 40)
 	type arm struct {
 		played     []Played
 		attributed energy.Counters
@@ -111,7 +112,7 @@ func TestServeDeterminismAcrossBudgets(t *testing.T) {
 // servers are byte-identical — the whole front end is a deterministic
 // function of (engine seed, script, config).
 func TestReplayIsRepeatable(t *testing.T) {
-	script := workload.PointStorm(23, 16, 300_000, 1.3, 30)
+	script := synth.PointStorm(23, 16, 300_000, 1.3, 30)
 	cfg := core.SchedulerConfig{Budget: 2, BatchScans: true, Arbitrate: true}
 	s1, _ := testServer(t, cfg, nil)
 	s2, _ := testServer(t, cfg, nil)
@@ -188,11 +189,11 @@ func TestReplayClientBudget402(t *testing.T) {
 	}
 	est := entry.info.Est.Energy
 
-	script := (&workload.Script{Arrivals: []workload.Arrival{
+	script := synth.AssignClients(&workload.Script{Arrivals: []workload.Arrival{
 		{At: 0, SQL: sqlText},
 		{At: time.Millisecond, SQL: sqlText},
 		{At: 2 * time.Millisecond, SQL: sqlText},
-	}}).AssignClients("alice")
+	}}, "alice")
 	for _, budget := range []int{1, 8} {
 		s, _ := testServer(t, core.SchedulerConfig{Budget: budget, Arbitrate: true},
 			map[string]energy.Joules{"alice": 2 * est}) // room for two, not three
@@ -233,7 +234,7 @@ func TestServeQueueFull429(t *testing.T) {
 			t.Fatalf("admit %d: %+v", i, rerr)
 		}
 		s.loop.React()
-		if tk.Done() {
+		if settled(tk) {
 			t.Fatalf("query %d settled at admission", i)
 		}
 	}
@@ -324,7 +325,7 @@ func TestServeCancelMidQueryRevokesLease(t *testing.T) {
 	<-tk.Settled()        // at max(virtual finish, real finish)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !tk.Done() || !errors.Is(tk.Err, exec.ErrCanceled) {
+	if !settled(tk) || !errors.Is(tk.Err, exec.ErrCanceled) {
 		t.Fatalf("canceled ticket settled as %v, want exec.ErrCanceled", tk.Err)
 	}
 	if tk.Rel != nil {
@@ -335,5 +336,15 @@ func TestServeCancelMidQueryRevokesLease(t *testing.T) {
 	}
 	if rep := s.loop.Report(); rep.Fleet.Completed != 1 {
 		t.Fatalf("abandoned group never retired: %+v", rep.Fleet)
+	}
+}
+
+// settled reports, without blocking, whether tk's result has settled.
+func settled(tk *core.Ticket) bool {
+	select {
+	case <-tk.Settled():
+		return true
+	default:
+		return false
 	}
 }

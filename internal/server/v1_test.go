@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -405,7 +406,7 @@ func TestAutoMergeAnyRegisteredTable(t *testing.T) {
 // the write path keeps the deterministic-replay contract.
 func TestMixedScriptReplayIsRepeatable(t *testing.T) {
 	script := &workload.Script{}
-	reads := workload.PointStorm(23, 12, 300_000, 1.3, 30)
+	reads := synth.PointStorm(23, 12, 300_000, 1.3, 30)
 	for i, a := range reads.Arrivals {
 		script.Arrivals = append(script.Arrivals, a)
 		if i%3 == 0 {

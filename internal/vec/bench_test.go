@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func eqColumn(width int, sel float64, n int) (*Packed, uint64) {
 // valley versus the flat predicated kernel.
 func BenchmarkScanSelectivity(b *testing.B) {
 	const n = 1 << 20
-	vals := workload.UniformInts(3, n, 1000)
+	vals := synth.UniformInts(3, n, 1000)
 	for _, sel := range []int64{10, 500, 990} {
 		b.Run(fmt.Sprintf("branching-sel%d", sel), func(b *testing.B) {
 			b.SetBytes(n * 8)
@@ -99,50 +100,6 @@ func BenchmarkScanSelectivity(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkLayouts compares the two SIMD-substitute layouts: horizontal
-// (all bits of a code together) vs vertical (bit-sliced with early exit).
-// The vertical layout shines when codes diverge from the constant early
-// (here: constant below most data), the horizontal when full codes are
-// needed.
-func BenchmarkLayouts(b *testing.B) {
-	const n, width = 1 << 20, 16
-	rng := workload.NewRNG(2)
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = 1<<15 | rng.Uint64()&0x7FFF // MSB set: early divergence below
-	}
-	h := NewPacked(vals, width)
-	v := NewVertical(vals, width)
-	b.Run("horizontal-earlydiverge", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			out := NewBitvec(n)
-			h.Scan(LT, 0x1000, out)
-		}
-	})
-	b.Run("vertical-earlydiverge", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			out := NewBitvec(n)
-			v.Scan(LT, 0x1000, out)
-		}
-	})
-	b.Run("horizontal-deep", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			out := NewBitvec(n)
-			h.Scan(LT, 1<<15|0x4000, out)
-		}
-	})
-	b.Run("vertical-deep", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			out := NewBitvec(n)
-			v.Scan(LT, 1<<15|0x4000, out)
-		}
-	})
 }
 
 // BenchmarkBitvecOps measures the boolean-algebra combinators used to

@@ -13,7 +13,7 @@
 // caller's bit vector at any bit offset, ORing matches in and leaving
 // every other bit alone: Packed.ScanWindow (every comparison is a band of
 // the code domain, NE its complement) and ScanPredicatedAt (raw BIGINT or
-// DOUBLE values).  The whole-vector Scan, ScanBetween and ScanPredicated
+// DOUBLE values).  The whole-vector Scan and ScanPredicated
 // are its zero-offset case, so a storage layer writes each segment's
 // matches straight into a morsel's selection — no scratch vector, no
 // per-match transfer.  The packed kernel costs a few word operations per
@@ -54,6 +54,8 @@ func (b *Bitvec) Len() int { return b.n }
 
 // Words exposes the underlying words (the last word's tail bits beyond
 // Len are always zero).
+//
+//lint:allow reach: experiments/xpu.Vertical writes its scan result word at a time (E15, BenchmarkLayouts)
 func (b *Bitvec) Words() []uint64 { return b.words }
 
 // Set sets bit i.
@@ -61,9 +63,6 @@ func (b *Bitvec) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Clear clears bit i.
 func (b *Bitvec) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
-// Get reports bit i.
-func (b *Bitvec) Get(i int) bool { return b.words[i>>6]>>(uint(i)&63)&1 == 1 }
 
 // SetAll sets every bit in [0, Len).
 func (b *Bitvec) SetAll() {
@@ -149,21 +148,6 @@ func (b *Bitvec) And(o *Bitvec) {
 	for i := range b.words {
 		b.words[i] &= o.words[i]
 	}
-}
-
-// Not complements b in place.
-func (b *Bitvec) Not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.maskTail()
-}
-
-// Clone returns a copy of b.
-func (b *Bitvec) Clone() *Bitvec {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitvec{n: b.n, words: w}
 }
 
 // AppendIndices appends the positions of all set bits to dst in

@@ -55,14 +55,10 @@ func NewPacked(values []uint64, width int) *Packed {
 	return p
 }
 
-// Len returns the number of codes.
-func (p *Packed) Len() int { return p.n }
-
 // Width returns the code width in bits.
+//
+//lint:allow reach: colstore.TestSpanCodesMatchGetEveryWidth checks the width each dictionary segment seals at
 func (p *Packed) Width() int { return p.width }
-
-// CodesPerWord returns how many codes share one machine word.
-func (p *Packed) CodesPerWord() int { return p.perWord }
 
 // WordCount returns the number of underlying 64-bit words (the memory
 // footprint the scan streams through).
@@ -152,13 +148,6 @@ func (op CmpOp) String() string {
 func (p *Packed) Scan(op CmpOp, c uint64, out *Bitvec) {
 	p.checkLen(out)
 	p.ScanWindow(op, c, 0, p.n, out, 0)
-}
-
-// ScanBetween sets bits where lo <= code <= hi (inclusive band predicate)
-// — the whole-vector band, streaming the column once.
-func (p *Packed) ScanBetween(lo, hi uint64, out *Bitvec) {
-	p.checkLen(out)
-	p.scanBand(lo, hi, false, 0, p.n, out, 0)
 }
 
 func (p *Packed) checkLen(out *Bitvec) {

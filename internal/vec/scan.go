@@ -10,6 +10,8 @@ package vec
 
 // ScanBranching evaluates `v op c` with a data-dependent branch per tuple
 // and sets matching bits in out.
+//
+//lint:allow reach: reference oracle of the vec and xpu scan tests and E7's gated branching arm
 func ScanBranching(values []int64, op CmpOp, c int64, out *Bitvec) {
 	if out.Len() != len(values) {
 		panic("vec: result bit vector length mismatch")

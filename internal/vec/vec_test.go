@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/experiments/synth"
 	"repro/internal/workload"
 )
 
@@ -203,7 +204,7 @@ func TestScanBetween(t *testing.T) {
 }
 
 func TestPredicatedMatchesBranching(t *testing.T) {
-	vals := workload.UniformInts(42, 2000, 1<<20)
+	vals := synth.UniformInts(42, 2000, 1<<20)
 	for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
 		a := NewBitvec(len(vals))
 		b := NewBitvec(len(vals))

@@ -1,32 +1,6 @@
 package wal
 
-import (
-	"fmt"
-	"testing"
-	"time"
-
-	"repro/internal/workload"
-)
-
-// BenchmarkGroupCommitWindows is the group-commit ablation from
-// DESIGN.md: windows 0/64/256 µs at the local QoS level.
-func BenchmarkGroupCommitWindows(b *testing.B) {
-	cfg := DefaultConfig()
-	gaps := workload.Poisson(1, 10_000, 100_000)
-	arrivals := make([]time.Duration, len(gaps))
-	var at time.Duration
-	for i, g := range gaps {
-		at += g
-		arrivals[i] = at
-	}
-	for _, win := range []time.Duration{0, 64 * time.Microsecond, 256 * time.Microsecond} {
-		b.Run(fmt.Sprintf("win%v", win), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				SimulateGroupCommit(cfg, arrivals, 96, win, Local)
-			}
-		})
-	}
-}
+import "testing"
 
 // BenchmarkCommitLevels measures the functional log commit per QoS level.
 func BenchmarkCommitLevels(b *testing.B) {

@@ -48,8 +48,8 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", int(l))
 }
 
-// replicas returns how many remote copies the level requires.
-func (l Level) replicas() int {
+// Replicas returns how many remote copies the level requires.
+func (l Level) Replicas() int {
 	switch l {
 	case Repl2:
 		return 1
@@ -169,7 +169,7 @@ func (l *Log) Commit(level Level) (CommitReport, error) {
 		}
 		lat += l.cfg.FlushLatency
 		w.BytesWrittenSSD += bytes
-		if k := level.replicas(); k > 0 {
+		if k := level.Replicas(); k > 0 {
 			if l.cfg.Link == nil {
 				return rep, fmt.Errorf("wal: level %v requires a replication link", level)
 			}
@@ -194,15 +194,10 @@ func (l *Log) Commit(level Level) (CommitReport, error) {
 	return rep, nil
 }
 
-// DurableLSN returns the highest LSN covered by a non-volatile commit.
-func (l *Log) DurableLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
-
 // Crash simulates a node failure: all records beyond the durable LSN are
 // lost.
+//
+//lint:allow reach: README crash-recovery API, ROADMAP item 9; wal and core recovery tests
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -223,67 +218,4 @@ func (l *Log) Recover(apply func(Record)) {
 	for _, r := range recs {
 		apply(r)
 	}
-}
-
-// GroupCommitReport summarizes a simulated group-commit run.
-type GroupCommitReport struct {
-	Txns          int
-	Batches       int
-	AvgLatency    time.Duration
-	P95Latency    time.Duration
-	TotalWork     energy.Counters
-	EnergyPerTxn  energy.Joules // filled by the caller's model if desired
-	BytesPerBatch uint64
-}
-
-// SimulateGroupCommit runs txn arrivals (offsets) of txnBytes each through
-// a group-commit window at the given level: transactions arriving within
-// one window share a single flush/replication.  Window 0 degenerates to
-// per-transaction commits.
-func SimulateGroupCommit(cfg Config, arrivals []time.Duration, txnBytes uint64, window time.Duration, level Level) GroupCommitReport {
-	rep := GroupCommitReport{Txns: len(arrivals)}
-	if len(arrivals) == 0 {
-		return rep
-	}
-	flushCost := func(batch int) (time.Duration, energy.Counters) {
-		bytes := txnBytes * uint64(batch)
-		var w energy.Counters
-		w.BytesWrittenDRAM += bytes
-		var lat time.Duration
-		if level != Volatile {
-			lat += cfg.FlushLatency
-			w.BytesWrittenSSD += bytes
-			if k := level.replicas(); k > 0 && cfg.Link != nil {
-				d, c := cfg.Link.Ship(bytes)
-				lat += d + cfg.Link.Latency
-				c.BytesSentLink *= uint64(k)
-				c.BytesRecvLink *= uint64(k)
-				c.Messages = c.Messages*uint64(k) + uint64(k)
-				w.Add(c)
-				w.BytesWrittenSSD += bytes * uint64(k)
-			}
-		}
-		return lat, w
-	}
-	var lats []time.Duration
-	i := 0
-	for i < len(arrivals) {
-		// Batch: everything arriving within [arrivals[i], arrivals[i]+window].
-		end := arrivals[i] + window
-		j := i
-		for j < len(arrivals) && arrivals[j] <= end {
-			j++
-		}
-		lat, w := flushCost(j - i)
-		rep.TotalWork.Add(w)
-		rep.Batches++
-		rep.BytesPerBatch = txnBytes * uint64(j-i)
-		for k := i; k < j; k++ {
-			// Each txn waits for the window to close, then the flush.
-			lats = append(lats, end-arrivals[k]+lat)
-		}
-		i = j
-	}
-	rep.AvgLatency, rep.P95Latency = energy.LatencySummary(lats)
-	return rep
 }

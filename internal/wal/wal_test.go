@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/workload"
 )
 
 func TestLevelOrderingLatencyAndEnergy(t *testing.T) {
@@ -43,7 +42,7 @@ func TestCommitIdempotentWhenNothingPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Latency != 0 || !rep.Work.IsZero() {
+	if rep.Latency != 0 || rep.Work != (energy.Counters{}) {
 		t.Error("empty commit must be free")
 	}
 }
@@ -100,14 +99,27 @@ func TestVolatileNeverDurable(t *testing.T) {
 	if _, err := l.Commit(Volatile); err != nil {
 		t.Fatal(err)
 	}
-	if l.DurableLSN() != 0 {
-		t.Error("volatile commit must not advance the durable LSN")
-	}
 	l.Crash()
 	count := 0
 	l.Recover(func(Record) { count++ })
 	if count != 0 {
 		t.Error("volatile records must not survive a crash")
+	}
+	// A volatile commit after a durable one must not advance the durable
+	// LSN: only the durable record survives the next crash.
+	l.Append(Record{TxID: 2, Key: "b", Value: 2})
+	if _, err := l.Commit(Local); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(Record{TxID: 3, Key: "c", Value: 3})
+	if _, err := l.Commit(Volatile); err != nil {
+		t.Fatal(err)
+	}
+	l.Crash()
+	var survived []uint64
+	l.Recover(func(r Record) { survived = append(survived, r.TxID) })
+	if len(survived) != 1 || survived[0] != 2 {
+		t.Errorf("after a durable then a volatile commit, crash kept txns %v, want [2]", survived)
 	}
 }
 
@@ -120,43 +132,62 @@ func TestReplWithoutLinkErrors(t *testing.T) {
 }
 
 func TestGroupCommitAmortizes(t *testing.T) {
-	// Larger windows must reduce batches (and thus flush work) at the
-	// price of added latency — the ablation of DESIGN.md.
-	cfg := DefaultConfig()
-	gaps := workload.Poisson(5, 2000, 50000) // 50k txn/s
-	arrivals := make([]time.Duration, len(gaps))
-	var at time.Duration
-	for i, g := range gaps {
-		at += g
-		arrivals[i] = at
+	// One Commit covers everything appended since the last: a batch of n
+	// records pays one flush, while n single-record commits pay n.  The
+	// same bytes reach stable storage either way.
+	const n = 8
+	batched := NewLog(DefaultConfig())
+	single := NewLog(DefaultConfig())
+	var singleLat time.Duration
+	var singleWork energy.Counters
+	for i := 0; i < n; i++ {
+		rec := Record{TxID: uint64(i + 1), Key: "k", Value: int64(i)}
+		batched.Append(rec)
+		single.Append(rec)
+		rep, err := single.Commit(Local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singleLat += rep.Latency
+		singleWork.Add(rep.Work)
 	}
-	none := SimulateGroupCommit(cfg, arrivals, 64, 0, Local)
-	win := SimulateGroupCommit(cfg, arrivals, 64, 256*time.Microsecond, Local)
-	if win.Batches >= none.Batches {
-		t.Errorf("window must reduce batches: %d vs %d", win.Batches, none.Batches)
+	rep, err := batched.Commit(Local)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if win.AvgLatency <= none.AvgLatency {
-		t.Errorf("window must add latency: %v vs %v", win.AvgLatency, none.AvgLatency)
+	if rep.Latency != DefaultConfig().FlushLatency {
+		t.Errorf("batch commit latency %v, want one flush %v", rep.Latency, DefaultConfig().FlushLatency)
 	}
-	if none.Txns != 2000 || win.Txns != 2000 {
-		t.Fatal("all transactions must be accounted")
+	if rep.Latency*n != singleLat {
+		t.Errorf("batch commit must amortize flushes: %v vs %d single commits totalling %v", rep.Latency, n, singleLat)
 	}
-	// Same bytes reach stable storage either way.
-	if none.TotalWork.BytesWrittenSSD != win.TotalWork.BytesWrittenSSD {
-		t.Errorf("flush bytes differ: %d vs %d",
-			none.TotalWork.BytesWrittenSSD, win.TotalWork.BytesWrittenSSD)
+	if rep.Work.BytesWrittenSSD != singleWork.BytesWrittenSSD {
+		t.Errorf("flush bytes differ: %d vs %d", rep.Work.BytesWrittenSSD, singleWork.BytesWrittenSSD)
+	}
+	if rep.LSN != n {
+		t.Fatalf("batch commit covers LSN %d, want %d", rep.LSN, n)
 	}
 }
 
 func TestGroupCommitReplCostsMore(t *testing.T) {
-	cfg := DefaultConfig()
-	arrivals := []time.Duration{0, time.Microsecond, 2 * time.Microsecond}
-	local := SimulateGroupCommit(cfg, arrivals, 128, 100*time.Microsecond, Local)
-	repl := SimulateGroupCommit(cfg, arrivals, 128, 100*time.Microsecond, Repl3)
-	if repl.AvgLatency <= local.AvgLatency {
+	commit := func(level Level) CommitReport {
+		l := NewLog(DefaultConfig())
+		l.Append(
+			Record{TxID: 1, Key: "a", Value: 1},
+			Record{TxID: 2, Key: "b", Value: 2},
+			Record{TxID: 3, Key: "c", Value: 3},
+		)
+		rep, err := l.Commit(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	local, repl := commit(Local), commit(Repl3)
+	if repl.Latency <= local.Latency {
 		t.Error("replication must add latency")
 	}
-	if repl.TotalWork.BytesSentLink == 0 || local.TotalWork.BytesSentLink != 0 {
+	if repl.Work.BytesSentLink == 0 || local.Work.BytesSentLink != 0 {
 		t.Error("link traffic accounting wrong")
 	}
 }

@@ -111,45 +111,3 @@ func GenClicks(seed uint64, n, nUser, nURL int) *Click {
 	}
 	return c
 }
-
-// UniformInts returns n uniform values in [0, max), the neutral input for
-// kernel microbenchmarks.
-func UniformInts(seed uint64, n int, max int64) []int64 {
-	rng := NewRNG(seed)
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = int64(rng.Uint64() % uint64(max))
-	}
-	return v
-}
-
-// SortedInts returns n mildly jittered ascending values (timestamps), the
-// best case for delta/frame-of-reference compression.
-func SortedInts(seed uint64, n int, step int64) []int64 {
-	rng := NewRNG(seed)
-	v := make([]int64, n)
-	cur := int64(0)
-	for i := range v {
-		cur += int64(rng.Intn(int(step))) + 1
-		v[i] = cur
-	}
-	return v
-}
-
-// RunsInts returns n values forming runs of average length runLen over
-// card distinct values, the best case for RLE.
-func RunsInts(seed uint64, n int, card int, runLen int) []int64 {
-	rng := NewRNG(seed)
-	v := make([]int64, n)
-	cur := int64(rng.Intn(card))
-	left := 1 + rng.Intn(2*runLen)
-	for i := range v {
-		if left == 0 {
-			cur = int64(rng.Intn(card))
-			left = 1 + rng.Intn(2*runLen)
-		}
-		v[i] = cur
-		left--
-	}
-	return v
-}

@@ -1,15 +1,15 @@
 // Package workload generates the deterministic synthetic datasets and
 // arrival processes used by the experiment suite: orders-style business
 // data ("high-density" in the paper's terms), sensor and clickstream
-// streams ("low-density"), skewed key distributions, and diurnal load
-// traces.  Everything is seeded, so tests and benchmarks are repeatable.
+// streams ("low-density"), skewed key distributions, and Poisson
+// arrivals.  Everything is seeded, so tests and benchmarks are repeatable.
 package workload
 
 import "math"
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift64*).  It is not safe for concurrent use; give each goroutine
-// its own instance via Split.
+// its own instance.
 type RNG struct {
 	state uint64
 }
@@ -21,12 +21,6 @@ func NewRNG(seed uint64) *RNG {
 		seed = 0x9E3779B97F4A7C15
 	}
 	return &RNG{state: seed}
-}
-
-// Split derives an independent generator from r, usable in another
-// goroutine.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03)
 }
 
 // Uint64 returns the next 64 random bits.
@@ -46,9 +40,6 @@ func (r *RNG) Intn(n int) int {
 	}
 	return int(r.Uint64() % uint64(n))
 }
-
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -75,17 +66,6 @@ func (r *RNG) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Arrival is one scripted query arrival: the open-loop offset at which
 // the SQL text reaches the engine, plus an optional client identity
@@ -21,39 +18,4 @@ type Arrival struct {
 // the same byte-for-byte arrival sequence.
 type Script struct {
 	Arrivals []Arrival
-}
-
-// PointStorm scripts nq point aggregations over Zipf-hot customer keys
-// of an orders table, arriving as an open-loop Poisson process at the
-// offered QPS.  The RNG discipline matches the original E21 storm
-// generator call for call — one xorshift64* stream for the Zipf keys
-// (seed) and one for the inter-arrival gaps (seed+6) — so scripts
-// regenerate identically everywhere.
-func PointStorm(seed uint64, nq int, qps, zipfS float64, nCust int) *Script {
-	rng := NewRNG(seed)
-	z := NewZipf(rng, zipfS, nCust)
-	gaps := Poisson(seed+6, nq, qps)
-	s := &Script{Arrivals: make([]Arrival, 0, nq)}
-	var at time.Duration
-	for i := 0; i < nq; i++ {
-		at += gaps[i]
-		s.Arrivals = append(s.Arrivals, Arrival{
-			At:  at,
-			SQL: fmt.Sprintf("SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = %d", z.Next()),
-		})
-	}
-	return s
-}
-
-// AssignClients distributes the arrivals round-robin over the given
-// client identities (per-client budget experiments); an empty list is a
-// no-op.  Returns the script for chaining.
-func (s *Script) AssignClients(clients ...string) *Script {
-	if len(clients) == 0 {
-		return s
-	}
-	for i := range s.Arrivals {
-		s.Arrivals[i].Client = clients[i%len(clients)]
-	}
-	return s
 }

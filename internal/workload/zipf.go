@@ -86,16 +86,3 @@ func (z *Zipf) Next() int {
 		}
 	}
 }
-
-// HotFraction empirically estimates the fraction of draws landing in the
-// hottest hot items out of n, using m samples; used by tests and by the
-// tiering experiment to size the hot set.
-func (z *Zipf) HotFraction(hot, m int) float64 {
-	c := 0
-	for i := 0; i < m; i++ {
-		if z.Next() < hot {
-			c++
-		}
-	}
-	return float64(c) / float64(m)
-}
