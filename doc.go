@@ -19,13 +19,14 @@
 // arrival processes), an online HTTP/JSON serving front end
 // (internal/server + cmd/eimdb-serve: plan cache keyed by the canonical
 // share signature, per-client energy admission, queue backpressure —
-// deterministic to the byte on a simulated clock), table transactions
-// over a QoS REDO log, and a network simulator.  Everything under
+// deterministic to the byte on a simulated clock), tables of one
+// compressed main plus one writable delta under table transactions over
+// a QoS REDO log, and a network simulator.  Everything under
 // internal/ outside internal/experiments and internal/lint is exactly
 // what cmd/eimdb-serve links.  The experiment suite keeps the models only
 // an experiment uses beside it, under internal/experiments: a whole-
 // machine power simulator, byte-stream codecs and the compress-vs-send
-// choice,
+// choice, value-range sharding with shard pruning (E25),
 // synchronization schemes, a storage hierarchy, distributed query
 // shipping (ship-raw vs ship-compressed vs aggregate pushdown over a
 // simulated cluster), cluster elasticity, flexible schema, database

@@ -266,15 +266,6 @@ func (t *Table) sealLocked() error {
 	return nil
 }
 
-// Sealed reports whether Seal has run at least once.
-//
-//lint:allow reach: core.TestOfferRebalanceDefersThenRaces asserts every rebuilt shard is sealed
-func (t *Table) Sealed() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sealed
-}
-
 // DeltaRows returns the number of rows in the write-optimized delta:
 // appended after the last Seal/Merge, stored raw, waiting for compaction.
 func (t *Table) DeltaRows() int {
@@ -284,9 +275,8 @@ func (t *Table) DeltaRows() int {
 }
 
 // WriteEpoch returns the table's write-event counter.  A maintenance
-// plan's share signature carries it (opt.PlanMerge, opt.PlanRebalance),
-// so a maintenance ticket never shares with one planned against older
-// table state.
+// plan's share signature carries it (opt.PlanMerge), so a maintenance
+// ticket never shares with one planned against older table state.
 func (t *Table) WriteEpoch() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

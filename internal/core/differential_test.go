@@ -24,34 +24,25 @@ import (
 // reference evaluator; results must agree exactly.  This catches
 // integration bugs no unit test targets (predicate pushdown, zone-map
 // pruning, packed-scan edge cases, aggregation, coercion).  It runs over
-// {flat, k=4 shards} x {30 000, 150 000 rows} — a single-morsel, a
-// multi-morsel, and two multi-shard shapes of the one scan — so every
-// shape is checked against something other than the engine.
+// {30 000, 150 000 rows} — a single-morsel and a multi-morsel shape of
+// the one scan — so every shape is checked against something other than
+// the engine.  (The subtest names keep their "shards=0" part: it is the
+// flat table's ID.)
 func TestDifferentialRandomQueries(t *testing.T) {
 	for _, rows := range []int{30_000, 150_000} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("rows=%d/shards=%d", rows, shards), func(t *testing.T) {
-				differentialRandomQueries(t, rows, shards)
-			})
-		}
+		t.Run(fmt.Sprintf("rows=%d/shards=0", rows), func(t *testing.T) {
+			differentialRandomQueries(t, rows)
+		})
 	}
 }
 
-// differentialRandomQueries runs the random trials over one layout;
-// shards == 0 keeps the table flat, otherwise it is cut into that many
-// value-range shards on custkey.
-func differentialRandomQueries(t *testing.T, rows, shards int) {
+// differentialRandomQueries runs the random trials over one table size.
+func differentialRandomQueries(t *testing.T, rows int) {
 	e := Open()
 	loadOrders(t, e, rows)
-	// The flat table stays the reference's row source after sharding.
 	tab, err := e.Catalog().Table("orders")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 0 {
-		if _, err := e.ShardTable("orders", "custkey", shards); err != nil {
-			t.Fatal(err)
-		}
 	}
 	id, _ := tab.IntCol("id")
 	ck, _ := tab.IntCol("custkey")
@@ -480,18 +471,17 @@ func exactSum(xs []float64) float64 {
 // morsels, no dictionary, no code shared with exec.  GROUP BY draws one
 // or two columns from {BIGINT, string, DOUBLE}; the aggregates draw from
 // COUNT(*) and SUM/MIN/MAX/AVG over a DOUBLE and over BIGINT columns;
-// layouts cover {flat, k=4 shards} × {sealed, live delta with tombstones}
-// over two morsels of rows.  Groups compare in first-appearance order and
+// layouts cover {sealed, live delta with tombstones} over two morsels of
+// rows (the subtest names keep their "shards=0" part: it is the flat
+// table's ID).  Groups compare in first-appearance order and
 // every value exactly: a float sum is the exact sum rounded once
 // (exactSum), which the engine's order-free sum is at every layout.
 func TestDifferentialRandomAggregates(t *testing.T) {
 	seen := map[string]int{} // statement shapes the trials reached
-	for _, shards := range []int{0, 4} {
-		for _, live := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/live=%v", shards, live), func(t *testing.T) {
-				differentialRandomAggregates(t, shards, live, seen)
-			})
-		}
+	for _, live := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shards=0/live=%v", live), func(t *testing.T) {
+			differentialRandomAggregates(t, live, seen)
+		})
 	}
 	for _, shape := range []string{"key=custkey", "key=region", "key=amount", "keys=2",
 		"SUM(amount)", "MIN(amount)", "MAX(amount)", "AVG(amount)", "SUM(id)", "MIN(day)", "MAX(id)", "AVG(day)"} {
@@ -501,7 +491,7 @@ func TestDifferentialRandomAggregates(t *testing.T) {
 	}
 }
 
-func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[string]int) {
+func differentialRandomAggregates(t *testing.T, live bool, seen map[string]int) {
 	const rows = 70_000
 	type order struct {
 		id, custkey int64
@@ -524,11 +514,6 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 	ref := make([]order, rows)
 	for r := range ref {
 		ref[r] = order{id.Get(r), ck.Get(r), rg.Get(r), am.Get(r), dy.Get(r)}
-	}
-	if shards > 0 {
-		if _, err := e.ShardTable("orders", "custkey", shards); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if live {
 		at := time.Millisecond
@@ -562,7 +547,7 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 		}
 	}
 
-	rng := workload.NewRNG(uint64(99 + shards))
+	rng := workload.NewRNG(99)
 	groupCols := []string{"custkey", "day", "region", "amount"}
 	aggPool := []opt.SelectItem{
 		{Agg: expr.AggCount},
@@ -593,7 +578,7 @@ func differentialRandomAggregates(t *testing.T, shards int, live bool, seen map[
 		fvals  [3][]float64 // the DOUBLE inputs, summed by exactSum
 		lo, hi [3]float64   // extrema, integers widened (exact below 2^53)
 	}
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		var preds []expr.Pred
 		switch rng.Intn(3) {
 		case 1:

@@ -87,27 +87,27 @@ func (e *Engine) Model() *energy.Model { return e.model }
 // Catalog exposes the optimizer catalog (for experiment harnesses).
 func (e *Engine) Catalog() *opt.Catalog { return e.cat }
 
-// CreateTable creates an empty table and registers it as one shard
-// wrapped in place: the returned table is the live shard callers load.
+// CreateTable creates and registers an empty table: the returned table
+// is the live table callers load.
 func (e *Engine) CreateTable(name string, schema colstore.Schema) (*colstore.Table, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, err := e.cat.Lookup(name); err == nil {
+	if _, err := e.cat.Table(name); err == nil {
 		return nil, fmt.Errorf("core: table %q already exists", name)
 	}
 	t := colstore.NewTable(name, schema)
-	e.cat.Add(colstore.OneShard(t))
+	e.cat.Add(t)
 	return t, nil
 }
 
 // Seal freezes the named table into its scan-optimized layout and
 // refreshes optimizer statistics.  Call it after bulk loads.
 func (e *Engine) Seal(name string) error {
-	st, err := e.cat.Lookup(name)
+	t, err := e.cat.Table(name)
 	if err != nil {
 		return err
 	}
-	if err := st.Seal(); err != nil {
+	if err := t.Seal(); err != nil {
 		return err
 	}
 	return e.cat.Refresh(name)

@@ -38,7 +38,7 @@ import (
 // returned, settled, by a later call (OnExecuted tells the owner when).
 // RunToIdle is the joining call — it waits for every run still going,
 // which is all a driver with nobody else to serve needs.  Background
-// maintenance is the exception to all of it: a merge or rebalance still
+// maintenance is the exception to all of it: a merge still
 // executes at virtual retirement, inside the event call that retired it.
 //
 // Executions hold the engine's data latch (Engine.latch) shared, taken
@@ -98,8 +98,8 @@ type Ticket struct {
 	// exactly the writes committed at or before its arrival, however long
 	// it queues and whatever commits meanwhile.
 	SnapTS int64
-	// Table names the target of a background maintenance ticket
-	// (OfferMerge, OfferRebalance); empty for queries.
+	// Table names the target of a background merge ticket (OfferMerge);
+	// empty for queries.
 	Table string
 
 	node  exec.Node
@@ -261,28 +261,14 @@ func (l *Loop) offerRead(at time.Duration, node exec.Node, info *opt.PlanInfo, o
 // to idle on an empty queue.  The merge horizon (oldest live snapshot)
 // is resolved at execution time, so readers admitted before the merge
 // runs keep their consistent view.
-func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
-	return l.offerMaintenance(at, table, "merge", opt.PlanMerge)
-}
-
-// OfferRebalance plans the shard-narrowing rebalance of a table and
-// submits it as a background task under min-energy — "rebalance as a
-// query", the same treatment OfferMerge gives the delta merge.
 //
-//lint:allow reach: README Engine API, ROADMAP item 13; E25 and core rebalance tests
-func (l *Loop) OfferRebalance(at time.Duration, table string) *Ticket {
-	return l.offerMaintenance(at, table, "rebalance", opt.PlanRebalance)
-}
-
-// offerMaintenance admits a planned maintenance pass.  Either kind
-// changes the physical layout, so the ticket's one post-run hook
+// A merge changes the physical layout, so the ticket's one post-run hook
 // re-derives every statistic of the table.
-func (l *Loop) offerMaintenance(at time.Duration, table, kind string,
-	plan func(*opt.Catalog, *opt.CostModel, string, func() int64) (exec.Node, *opt.PlanInfo, error)) *Ticket {
-	node, info, err := plan(l.e.cat, l.e.cm, table, l.oldestLiveSnap)
+func (l *Loop) OfferMerge(at time.Duration, table string) *Ticket {
+	node, info, err := opt.PlanMerge(l.e.cat, l.e.cm, table, l.oldestLiveSnap)
 	t := &Ticket{Table: table, node: node, after: l.e.cat.Refresh}
 	t.Objective, t.PlanInfo = opt.MinEnergy, info
-	return l.admit(at, t, kind, err)
+	return l.admit(at, t, "merge", err)
 }
 
 // admit is the loop's one admission block: it numbers the ticket,

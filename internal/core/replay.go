@@ -119,8 +119,8 @@ func goalOf(o opt.Objective) sched.Goal {
 func (e *Engine) residentGB() float64 {
 	var bytes uint64
 	for _, name := range e.cat.Tables() {
-		if st, err := e.cat.Lookup(name); err == nil {
-			bytes += st.Bytes()
+		if t, err := e.cat.Table(name); err == nil {
+			bytes += t.Bytes()
 		}
 	}
 	return float64(bytes) / 1e9

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/colstore"
@@ -15,9 +14,9 @@ import (
 )
 
 // The engine's write path: DML statements execute synchronously at
-// their virtual arrival time — INSERT appends to the owning shard's
-// delta, UPDATE/DELETE locate victims with the same filter kernel reads
-// use (exec's ShardBinding.Filter), and all of it commits through the
+// their virtual arrival time — INSERT appends to the table's delta,
+// UPDATE/DELETE locate victims with the same filter kernel reads use
+// (exec's Binding.Filter), and all of it commits through the
 // transaction manager (first-committer-wins validation, REDO logging,
 // group-commit durability).  The work is priced by the engine's one
 // bill, as a query's is.
@@ -51,32 +50,21 @@ func (e *Engine) EstimateDML(d *opt.DML) (opt.Cost, error) {
 	return e.cm.Price(opt.EstimateDML(ts, d), 0), nil
 }
 
-// dmlTarget is the table a statement writes, as its shard list.
+// dmlTarget is the table a statement writes.
 type dmlTarget struct {
-	st     *colstore.ShardedTable
-	shards []*colstore.Table
-	schema colstore.Schema // user-visible schema
-	// width is the column count a written row is priced at: the hidden
-	// sequence column is charged only when it orders rows across more
-	// than one shard, so a one-shard table books the same row either way.
-	width int
-	// hit marks, per shard, that the statement buffered a write there, so
-	// the post-commit catalog refresh re-stats ONLY those shards.
-	hit []bool
+	t      *colstore.Table
+	schema colstore.Schema
+	// hit marks that the statement buffered a write, so the post-commit
+	// catalog refresh runs only when the table changed.
+	hit bool
 }
 
 func (e *Engine) dmlTarget(name string) (*dmlTarget, error) {
-	st, err := e.cat.Lookup(name)
+	t, err := e.cat.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	t := &dmlTarget{st: st, shards: st.Shards(), schema: st.Schema()}
-	t.width = len(t.schema)
-	if len(t.shards) > 1 {
-		t.width++
-	}
-	t.hit = make([]bool, len(t.shards))
-	return t, nil
+	return &dmlTarget{t: t, schema: t.Schema()}, nil
 }
 
 // slot returns the schema slot of a column.
@@ -84,25 +72,12 @@ func (t *dmlTarget) slot(col string) (int, error) {
 	if si := t.schema.ColIndex(col); si >= 0 {
 		return si, nil
 	}
-	return 0, fmt.Errorf("core: table %s has no column %q", t.st.Name, col)
-}
-
-// touched returns the hit shard indices in ascending order.
-func (t *dmlTarget) touched() []int {
-	var out []int
-	for i, h := range t.hit {
-		if h {
-			out = append(out, i)
-		}
-	}
-	return out
+	return 0, fmt.Errorf("core: table %s has no column %q", t.t.Name, col)
 }
 
 // ExecDML executes one write statement, committing at virtual arrival
-// time `at` (which paces the group-commit window).  One transaction
-// spans every touched shard, so a statement commits at one timestamp and
-// visibility stays invariant under the shard count.  Conflicts surface
-// as txn.ErrConflict.  The statement holds the data latch exclusively: it
+// time `at` (which paces the group-commit window).  A statement commits
+// at one timestamp.  Conflicts surface as txn.ErrConflict.  The statement holds the data latch exclusively: it
 // starts once every query execution dispatched before it has finished,
 // and none starts until it returns.
 func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
@@ -144,16 +119,18 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	res.Work = work
 	res.Energy = e.bill(work)
 	// Keep planner estimates (and with them admission pricing) tracking
-	// the table the statement just changed: only the hit shards re-stat.
-	if err := e.cat.RefreshShards(d.Table, tgt.touched()); err != nil {
-		return nil, err
+	// the table the statement just changed.
+	if tgt.hit {
+		if err := e.cat.Refresh(d.Table); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
 
-// bufferInserts validates INSERT tuples against the user schema and
-// buffers them in schema order, each routed to its owning shard.  Every
-// schema column must be covered — delta rows are whole rows.
+// bufferInserts validates INSERT tuples against the schema and buffers
+// them in schema order.  Every schema column must be covered — delta rows
+// are whole rows.
 func bufferInserts(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Counters) error {
 	schema := tgt.schema
 	cols := d.Cols
@@ -186,35 +163,19 @@ func bufferInserts(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Cou
 			}
 			vals[pos[i]] = av
 		}
-		si, vals, err := tgt.st.Route(vals)
-		if err != nil {
-			return err
-		}
-		tgt.hit[si] = true
-		tx.Insert(tgt.shards[si], vals...)
-		work.BytesWrittenDRAM += uint64(tgt.width) * 10
-		work.Instructions += uint64(tgt.width) * 4
+		tgt.hit = true
+		tx.Insert(tgt.t, vals...)
+		work.BytesWrittenDRAM += uint64(len(schema)) * 10
+		work.Instructions += uint64(len(schema)) * 4
 		work.TuplesOut++
 	}
 	return nil
 }
 
-// dmlVictim is one UPDATE/DELETE target: a bound shard, the row in it,
-// and — across more than one shard — its global sequence, so mutations
-// apply in the flat statement order.
-type dmlVictim struct {
-	shard int
-	row   int
-	seq   int64
-}
-
 // bufferMutations locates UPDATE/DELETE victims with the scan's own
-// filter kernel at the transaction's snapshot, shard by shard — pruned
-// shards never stream a byte — then buffers the mutations in global row
-// order: DELETE tombstones the victim in place; UPDATE tombstones it and
-// routes the new version to the shard owning its (possibly changed) key,
-// so new versions land in statement order at every shard count and
-// co-partition alignment survives key-changing updates.
+// filter kernel at the transaction's snapshot, then buffers the mutations
+// in row order: DELETE tombstones the victim in place; UPDATE tombstones
+// it and appends the new version.
 func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.Counters) (int, error) {
 	schema := tgt.schema
 	preds := make([]expr.Pred, len(d.Preds))
@@ -227,29 +188,14 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 			return 0, err
 		}
 	}
-	b, err := (&exec.Scan{Source: tgt.st, Preds: preds}).Bind()
+	b, err := (&exec.Scan{Source: tgt.t, Preds: preds}).Bind()
 	if err != nil {
 		return 0, err
 	}
 	snap := tx.Snapshot()
-	var victims []dmlVictim
 	var sel, scratch vec.Bitvec
-	for i, sb := range b.Shards {
-		if sb.Pruned {
-			continue
-		}
-		work.Add(sb.Filter(snap, 0, sb.Table.RowsAsOf(snap), &sel, &scratch))
-		for _, r := range sel.AppendIndices(nil) {
-			v := dmlVictim{shard: i, row: int(r)}
-			if sb.Seq != nil {
-				v.seq = sb.Seq.Get(v.row)
-			}
-			victims = append(victims, v)
-		}
-	}
-	if len(b.Shards) > 1 {
-		sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	}
+	work.Add(b.Filter(snap, 0, tgt.t.RowsAsOf(snap), &sel, &scratch))
+	victims := sel.AppendIndices(nil)
 
 	var sets []setTarget
 	if d.Kind == opt.DMLUpdate {
@@ -265,12 +211,12 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 			sets = append(sets, setTarget{slot: si, val: av})
 		}
 	}
-	for _, v := range victims {
-		sb := b.Shards[v.shard]
-		id := sb.Table.RowID(v.row)
-		tgt.hit[v.shard] = true
+	tgt.hit = len(victims) > 0
+	for _, r := range victims {
+		row := int(r)
+		id := tgt.t.RowID(row)
 		if d.Kind == opt.DMLDelete {
-			tx.Delete(sb.Table, id)
+			tx.Delete(tgt.t, id)
 			work.Instructions += 16
 			work.BytesWrittenDRAM += 40
 			continue
@@ -279,13 +225,13 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 		// the new version (point reads priced like the index verify path).
 		vals := make([]any, len(schema))
 		for si := range schema {
-			switch c := sb.Cols[si].(type) {
+			switch c := b.Cols[si].(type) {
 			case *colstore.IntColumn:
-				vals[si] = c.Get(v.row)
+				vals[si] = c.Get(row)
 			case *colstore.FloatColumn:
-				vals[si] = c.Get(v.row)
+				vals[si] = c.Get(row)
 			case *colstore.StringColumn:
-				vals[si] = c.Get(v.row)
+				vals[si] = c.Get(row)
 			}
 			work.CacheMisses++
 			work.Instructions += 6
@@ -293,21 +239,9 @@ func bufferMutations(tx *txn.TableTx, tgt *dmlTarget, d *opt.DML, work *energy.C
 		for _, s := range sets {
 			vals[s.slot] = s.val
 		}
-		di, vals, err := tgt.st.Route(vals)
-		if err != nil {
-			return 0, err
-		}
-		tgt.hit[di] = true
-		if di == v.shard {
-			tx.Update(sb.Table, id, vals...)
-		} else {
-			// The key moved across a cut: tombstone here, new version in
-			// the owning shard, one commit timestamp for both.
-			tx.Delete(sb.Table, id)
-			tx.Insert(tgt.shards[di], vals...)
-		}
-		work.Instructions += 16 + uint64(tgt.width)*4
-		work.BytesWrittenDRAM += 40 + uint64(tgt.width)*10
+		tx.Update(tgt.t, id, vals...)
+		work.Instructions += 16 + uint64(len(schema))*4
+		work.BytesWrittenDRAM += 40 + uint64(len(schema))*10
 	}
 	return len(victims), nil
 }
@@ -363,9 +297,8 @@ func coercePredTo(p expr.Pred, typ colstore.Type) (expr.Pred, error) {
 }
 
 // Recover replays the engine's REDO log into its tables — records
-// address shards by name — then recovers each table's sequence counter
-// from the replayed rows and refreshes its statistics: the post-crash
-// path (see WithLog).  Returns the number of records applied; replay is
+// address tables by name — then refreshes their statistics: the
+// post-crash path (see WithLog).  Returns the number of records applied; replay is
 // idempotent, so recovering twice (or over partially applied state)
 // changes nothing.
 //
@@ -379,8 +312,6 @@ func (e *Engine) Recover() (int, error) {
 		return applied, err
 	}
 	for _, name := range e.cat.Tables() {
-		st, _ := e.cat.Lookup(name)
-		st.RecoverSeq()
 		if rerr := e.cat.Refresh(name); rerr != nil {
 			return applied, rerr
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,12 +19,12 @@ import (
 // Every aggregation is the same pipeline, whatever its size or child:
 //
 //	feeder   where the rows come from (feeder picks one): the morsels of a
-//	         bound scan's shards, folded straight off the compressed
-//	         segments (fused.go's shardFeed); the matches of a fused join
+//	         bound scan, folded straight off the compressed
+//	         segments (fused.go's scanFeed); the matches of a fused join
 //	         probe (probeFeed); or row windows of the child's materialized
 //	         relation (relFeed, below).
 //	partial  one groupTable per morsel of the feeder's grid.
-//	merge    mergeFrom, in (shard, morsel) order; a lone partial is the
+//	merge    mergeFrom, in morsel order; a lone partial is the
 //	         result and nothing is merged or charged for merging.
 //	output   buildOutput, decoding DOUBLE sums and DOUBLE MIN/MAX keys
 //	         once per output group; a string key leaves as its code beside
@@ -34,8 +33,7 @@ import (
 // The grid and the merge order are fixed by the input alone — never by
 // the worker count — so the output bytes and the charged counters are
 // identical at every degree of parallelism; and every accumulator is
-// order-free, so the output bytes are the same on every feeder and shard
-// layout as well.
+// order-free, so the output bytes are the same on every feeder as well.
 type HashAgg struct {
 	Child   Node
 	GroupBy []string
@@ -131,7 +129,6 @@ func (s *aggShape) newTable(dicts [][]string) *groupTable {
 		ints:      t.ints[:0],
 		fsums:     t.fsums[:0],
 		dicts:     sized(t.dicts, len(s.groupTypes)),
-		first:     t.first[:0],
 		key:       t.key,
 	}
 	t.reindex(256)
@@ -154,13 +151,13 @@ func (t *groupTable) release() { tablePool.Put(t) }
 // Each aggregate keeps only the state its function needs (accKind): a
 // COUNT none beyond the group count, a BIGINT SUM/AVG, a MIN or a MAX one
 // int64 column of ints, a DOUBLE SUM/AVG one floatSum column of fsums.
-// An array no aggregate needs stays empty and is never grown, merged or
-// permuted (slot, mergeFrom, sortByFirst).  Rows arrive resolved: a
-// feeder turns a morsel's rows into group ids, then fold counts them in
-// one loop and folds each aggregate in one loop of its kind.
+// An array no aggregate needs stays empty and is never grown or merged
+// (slot, mergeFrom).  Rows arrive resolved: a feeder turns a morsel's
+// rows into group ids, then fold counts them in one loop and folds each
+// aggregate in one loop of its kind.
 //
 // Every accumulator is order-free, so any morsel decomposition, merge
-// order, worker count or shard layout gives the same bits: a BIGINT sum is
+// order or worker count gives the same bits: a BIGINT sum is
 // ring arithmetic in int64 (the run-at-a-time closed form included), a
 // DOUBLE sum a floatSum, and MIN/MAX keep int64 keys — a BIGINT as is, a
 // DOUBLE as its minMaxKey.
@@ -177,18 +174,9 @@ type groupTable struct {
 	ints      []int64    // group-major, len(sh.ints0) per group (sh.acc)
 	fsums     []floatSum // group-major, len(sh.fsums0) per group
 	// dicts[part] decodes a string part's ids: the dictionary of the
-	// column its codes came from, or one of the table's own (ownDict).
-	// nil for a BIGINT or DOUBLE part.
+	// column its codes came from; nil for a BIGINT or DOUBLE part.
 	dicts [][]string
-	// First-appearance tracking (more than one shard only).  When firstOn
-	// is set, first[g] records base + the window-local row of group g's
-	// first selected appearance (-1 until noted); the cross-shard merge
-	// rewrites rows into global sequences and keeps the minimum.  Off, first
-	// stays empty.
-	firstOn bool
-	base    int64
-	first   []int64
-	key     []int64 // mergeFrom's key buffer
+	key   []int64 // mergeFrom's key buffer
 }
 
 func (t *groupTable) groups() int { return len(t.counts) }
@@ -249,9 +237,6 @@ func (t *groupTable) slot(k0 int64, rest []int64) int32 {
 	t.counts = append(t.counts, 0)
 	t.ints = append(t.ints, t.sh.ints0...)
 	t.fsums = append(t.fsums, t.sh.fsums0...)
-	if t.firstOn {
-		t.first = append(t.first, -1)
-	}
 	g := len(t.counts)
 	t.slotGroup[i] = int32(g)
 	if uint64(g)*2 >= t.mask+1 {
@@ -276,16 +261,6 @@ func (t *groupTable) reindex(size uint64) {
 	}
 }
 
-// noteFirst records window-local row i as group g's first selected
-// appearance, once.  Fold loops visit rows in ascending order and
-// partials merge in morsel order, so the first note IS the first
-// selected occurrence.
-func (t *groupTable) noteFirst(g int32, i int) {
-	if t.firstOn && t.first[g] < 0 {
-		t.first[g] = t.base + int64(i)
-	}
-}
-
 // foldIn is one aggregate's input to a fold: the value of the fold's j-th
 // row is ints[at[j]] (BIGINT) or floats[at[j]] (DOUBLE).  Neither is set
 // for a COUNT, or for an input its feeder folds in closed form (addN).
@@ -296,9 +271,9 @@ type foldIn struct {
 }
 
 // resolve writes the group of each of rows into gids, inserting groups in
-// row order and noting their first appearances: row r's key part p is
-// parts[p][r].  The global group (k = 0) is group 0 of every row, which
-// gids already hold: callers size it zeroed (sized).
+// row order: row r's key part p is parts[p][r].  The global group (k = 0)
+// is group 0 of every row, which gids already hold: callers size it
+// zeroed (sized).
 func (t *groupTable) resolve(parts [][]int64, rows, gids []int32) {
 	if t.k == 0 && len(rows) > 0 {
 		t.slot(0, nil)
@@ -310,7 +285,6 @@ func (t *groupTable) resolve(parts [][]int64, rows, gids []int32) {
 			t.key[p] = part[r]
 		}
 		gids[j] = t.slot(splitKey(t.key))
-		t.noteFirst(gids[j], int(r))
 	}
 }
 
@@ -369,8 +343,7 @@ func (t *groupTable) minMax(kind accKind, o int, v int64) {
 // once.  Sums wrap modulo 2^64 and are not trapped; because +, * and the
 // merge's + are all operations of that one ring, an overflowing SUM is the
 // same wrapped value on every path — row-at-a-time, n*v, partial merge,
-// probe fold — at every DOP and shard count
-// (TestIntSumOverflowWrapsIdentically).
+// probe fold — at every DOP (TestIntSumOverflowWrapsIdentically).
 func (t *groupTable) addN(g int32, ai int, v, n int64) {
 	switch o, kind := t.sh.acc(int(g), ai), t.sh.kinds[ai]; kind {
 	case accISum:
@@ -392,55 +365,21 @@ func internID(ids map[string]int64, dict *[]string, s string) int64 {
 	return id
 }
 
-// ownDict re-keys string part p of t's groups into a dictionary of t's
-// own — their strings, in group order — and returns its inverse, so
-// partials keyed by other dictionaries can be translated in.  The
-// dictionary it replaces may be a stored column's and is left untouched.
-func (t *groupTable) ownDict(p int) map[string]int64 {
-	ids := make(map[string]int64)
-	var dict []string
-	for g := range t.counts {
-		o := g*t.k + p
-		t.keys[o] = internID(ids, &dict, t.dicts[p][t.keys[o]])
-	}
-	t.dicts[p] = dict
-	t.reindex(t.mask + 1)
-	return ids
-}
-
 // mergeFrom folds the partial src into t — the one merge.  Callers merge
-// in (shard, morsel) order, so t's first-seen group order is the global
-// row order of first selected occurrence; the accumulators are order-free.
-//
-// A string key part whose dictionary differs from t's — per-shard
-// dictionaries of a shard-fed fold — is translated group by group
-// through its strings: t takes a dictionary of its own (ownDict)
-// the first time that happens and ids[p] becomes its inverse.  The cost
-// is proportional to groups, never rows, and the maps are the caller's,
-// not the table's.
-func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
-	for p, sd := range src.dicts {
-		switch {
-		case ids[p] != nil || sd == nil || sameDict(t.dicts[p], sd):
-		case t.groups() == 0:
-			t.dicts[p] = sd // nothing keyed yet: share the partial's dictionary
-		default:
-			ids[p] = t.ownDict(p)
-		}
+// in morsel order, so t's first-seen group order is the row order of
+// first selected occurrence; the accumulators are order-free.  Every
+// partial of one aggregation keys its string parts by the same
+// dictionary (its feeder's), which t takes from the first partial it
+// merges.
+func (t *groupTable) mergeFrom(src *groupTable) {
+	if t.groups() == 0 {
+		copy(t.dicts, src.dicts)
 	}
 	t.key = sized(t.key, t.k)
 	key := t.key
 	for gi := range src.counts {
 		copy(key, src.keys[gi*t.k:])
-		for p, m := range ids {
-			if m != nil {
-				key[p] = internID(m, &t.dicts[p], src.dicts[p][key[p]])
-			}
-		}
 		g := t.slot(splitKey(key))
-		if t.firstOn && src.first[gi] >= 0 && (t.first[g] < 0 || src.first[gi] < t.first[g]) {
-			t.first[g] = src.first[gi]
-		}
 		t.counts[g] += src.counts[gi]
 		for a, kind := range t.sh.kinds {
 			if so := t.sh.acc(gi, a); kind == accFSum {
@@ -452,48 +391,19 @@ func (t *groupTable) mergeFrom(src *groupTable, ids []map[string]int64) {
 	}
 }
 
-// permuted returns xs — rows of w values — reordered so row di is the old
-// row perm[di].
-func permuted[T any](xs []T, perm []int, w int) []T {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := make([]T, len(xs))
-	for di, si := range perm {
-		copy(out[di*w:(di+1)*w], xs[si*w:(si+1)*w])
-	}
-	return out
-}
-
-// sortByFirst reorders the table's groups by ascending first-appearance
-// sequence (unique per group), the merged global group order.
-func (t *groupTable) sortByFirst() {
-	perm := make([]int, t.groups())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return t.first[perm[a]] < t.first[perm[b]] })
-	t.first = permuted(t.first, perm, 1)
-	t.keys = permuted(t.keys, perm, t.k)
-	t.counts = permuted(t.counts, perm, 1)
-	t.ints = permuted(t.ints, perm, len(t.sh.ints0))
-	t.fsums = permuted(t.fsums, perm, len(t.sh.fsums0))
-	t.reindex(t.mask + 1)
-}
-
 // aggFeeder is where an aggregation's rows come from.  The driver crosses
 // it once per query; each feeder crosses into its table once per morsel.
 type aggFeeder interface {
 	// fold cuts the feeder's rows into the morsel grid, folds every morsel
-	// into a partial table, and hands each window set's partials (one
-	// shard's, the relation's, the probe's) to m in (shard, morsel) order.
-	fold(ctx *Ctx, m *aggMerge) error
+	// into a partial table, and returns the partials in morsel order with
+	// the fold's work and the label it is traced under.
+	fold(ctx *Ctx) (partials []*groupTable, work energy.Counters, label string, err error)
 }
 
 // feeder picks where the rows come from — the one selection, made from
 // what the plan shows and never from a row count or an option:
 //
-//	shard windows    the child is a *Scan and no GROUP BY column
+//	scan windows     the child is a *Scan and no GROUP BY column
 //	                 is a DOUBLE (fused.go)
 //	probe matches    the child is a join whose probe side fuses (fused.go)
 //	relation windows anything else: the child is run to a relation
@@ -501,7 +411,7 @@ type aggFeeder interface {
 // A DOUBLE sum is a floatSum, a function of the multiset of its inputs, so
 // every feeder, grid and layout gives the same bits.
 func (a *HashAgg) feeder(ctx *Ctx) (aggFeeder, *aggShape, error) {
-	if sf := a.shardFeed(); sf != nil {
+	if sf := a.scanFeed(); sf != nil {
 		return sf, &sf.aggShape, nil
 	}
 	if pf := a.probeFeed(); pf != nil {
@@ -518,92 +428,47 @@ func (a *HashAgg) feeder(ctx *Ctx) (aggFeeder, *aggShape, error) {
 	return rf, &rf.aggShape, nil
 }
 
-// Run implements Node: resolve the feeder, fold, merge, build the output.
+// Run implements Node: resolve the feeder, fold, merge the partials in
+// morsel order (a lone partial is the result as it stands), build the
+// output.
 func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	feed, shape, err := a.feeder(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m := &aggMerge{shape: shape, ids: make([]map[string]int64, len(a.GroupBy))}
-	if err := feed.fold(ctx, m); err != nil {
+	partials, work, label, err := feed.fold(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if m.final == nil {
-		m.final = shape.newTable(nil)
-	}
-	defer m.final.release()
-	if m.final.firstOn {
-		m.final.sortByFirst()
-	}
-	if m.nparts > 1 {
-		// The coordinator's merge is priced by the morsel grid's
-		// partial-group count (plus the sequence rewrite).
-		m.extra.Add(energy.Counters{
-			TuplesIn:     m.partialGroups,
-			TuplesOut:    uint64(m.final.groups()),
-			Instructions: m.partialGroups * 12,
-			CacheMisses:  m.partialGroups / 4,
-		})
-		ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", m.nparts), m.final.groups(), m.extra)
-	}
-	return a.buildOutput(shape, m.final), nil
-}
-
-// aggMerge is the coordinator's half of an aggregation: the result so
-// far and the books of the merge.
-type aggMerge struct {
-	shape         *aggShape
-	final         *groupTable
-	ids           []map[string]int64 // final's key translation (mergeFrom)
-	nparts        int
-	partialGroups uint64
-	extra         energy.Counters
-}
-
-// add merges one window set's per-morsel partials in morsel order — a
-// lone partial is the set's table as it stands — traces the set's fold
-// under label, and merges the set into the result.  seq is set when more
-// than one shard feeds a grouped aggregation: each group's
-// first-appearance row is rewritten into its global sequence, which
-// orders the merged groups exactly as a scan of the unsharded table
-// first meets them (a single window set already is in that order).
-func (m *aggMerge) add(ctx *Ctx, label string, partials []*groupTable, work energy.Counters, seq *colstore.IntColumn) {
 	var t *groupTable
 	if len(partials) == 1 {
 		t = partials[0]
 	} else {
-		t = m.shape.newTable(nil)
-		t.firstOn = seq != nil
-		ids := make([]map[string]int64, t.k)
+		t = shape.newTable(nil)
 		for _, p := range partials {
-			t.mergeFrom(p, ids)
+			t.mergeFrom(p)
 		}
 	}
+	defer t.release()
+	var partialGroups uint64
 	for _, p := range partials {
-		m.partialGroups += uint64(p.groups())
+		partialGroups += uint64(p.groups())
 		if p != t {
 			p.release()
 		}
 	}
-	m.nparts += len(partials)
-	if seq != nil {
-		// Point reads of the stored sequence column, priced like any sparse
-		// gather.
-		for gi, f := range t.first {
-			if f >= 0 {
-				t.first[gi] = seq.Get(int(f))
-			}
-		}
-		g := uint64(t.groups())
-		m.extra.Add(energy.Counters{CacheMisses: g / 4, Instructions: g * 2})
-	}
 	ctx.Trace(label, t.groups(), work)
-	if m.final == nil {
-		m.final = t
-	} else {
-		m.final.mergeFrom(t, m.ids)
-		t.release()
+	if len(partials) > 1 {
+		// The coordinator's merge is priced by the morsel grid's
+		// partial-group count.
+		ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", len(partials)), t.groups(), energy.Counters{
+			TuplesIn:     partialGroups,
+			TuplesOut:    uint64(t.groups()),
+			Instructions: partialGroups * 12,
+			CacheMisses:  partialGroups / 4,
+		})
 	}
+	return a.buildOutput(shape, t), nil
 }
 
 // buildOutput turns the final table into the result relation — the one
@@ -730,20 +595,19 @@ func (a *HashAgg) relFeed(in *Relation) (*relFeed, error) {
 	return rf, nil
 }
 
-// fold implements aggFeeder: one window set, the relation's morsel grid.
-func (rf *relFeed) fold(ctx *Ctx, m *aggMerge) error {
+// fold implements aggFeeder: the relation's morsel grid.
+func (rf *relFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, error) {
 	partials, work := runMorsels(ctx, rf.in.N, func(_, lo, hi int) (*groupTable, energy.Counters) {
 		return rf.morsel(lo, hi)
 	})
 	if ctx.Canceled() {
-		return ErrCanceled
+		return nil, work, "", ErrCanceled
 	}
 	label := rf.a.Label()
 	if len(partials) > 1 {
 		label += " [parallel]"
 	}
-	m.add(ctx, label, partials, work, nil)
-	return nil
+	return partials, work, label, nil
 }
 
 // morsel folds rows [lo, hi) of the relation into a partial table: every

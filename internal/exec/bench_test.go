@@ -15,7 +15,7 @@ func BenchmarkOperators(b *testing.B) {
 	tab := ordersTable(b, 200_000)
 	b.Run("scan-filter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := &Scan{Source: colstore.OneShard(tab), Select: []string{"id"},
+			s := &Scan{Source: tab, Select: []string{"id"},
 				Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(10)}}}
 			if _, err := s.Run(NewCtx()); err != nil {
 				b.Fatal(err)
@@ -26,7 +26,7 @@ func BenchmarkOperators(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := &HashAgg{GroupBy: []string{"region"},
 				Aggs:  []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}},
-				Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}}
+				Child: &Scan{Source: tab, Select: []string{"region", "amount"}}}
 			if _, err := a.Run(NewCtx()); err != nil {
 				b.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func BenchmarkOperators(b *testing.B) {
 	b.Run("sort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := &Sort{Keys: []expr.SortKey{{Col: "amount", Desc: true}},
-				Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"amount"}}}
+				Child: &Scan{Source: tab, Select: []string{"amount"}}}
 			if _, err := s.Run(NewCtx()); err != nil {
 				b.Fatal(err)
 			}
@@ -71,10 +71,10 @@ func BenchmarkFusedAgg(b *testing.B) {
 			for _, v := range []string{"day", "amount"} {
 				a := &HashAgg{GroupBy: []string{g},
 					Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: v}},
-					Child: &Scan{Source: colstore.OneShard(tab), Select: []string{g, v},
+					Child: &Scan{Source: tab, Select: []string{g, v},
 						Preds: []expr.Pred{{Col: "day", Op: vec.LE, Val: expr.IntVal(day)}}}}
 				if a.fusion() != "fused" {
-					b.Fatalf("GROUP BY %s SUM(%s) is not shard-fed", g, v)
+					b.Fatalf("GROUP BY %s SUM(%s) is not scan-fed", g, v)
 				}
 				b.Run(fmt.Sprintf("%s/sum=%s/sel=%.0f%%", g, v, sel*100), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
@@ -128,8 +128,8 @@ func BenchmarkFusedProbeAgg(b *testing.B) {
 		a := &HashAgg{GroupBy: []string{"segment"},
 			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "day"}},
 			Child: &Join{LeftKey: "custkey", RightKey: "ckey",
-				Left:  &Scan{Source: colstore.OneShard(orders), Select: []string{"custkey", "day"}},
-				Right: &Scan{Source: colstore.OneShard(customers), Select: []string{"ckey", "segment"}, Preds: preds}}}
+				Left:  &Scan{Source: orders, Select: []string{"custkey", "day"}},
+				Right: &Scan{Source: customers, Select: []string{"ckey", "segment"}, Preds: preds}}}
 		if a.fusion() != "fused probe→agg" {
 			b.Fatalf("%s: the join does not fold its matches", name)
 		}

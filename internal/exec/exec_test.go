@@ -48,7 +48,7 @@ func must(t testing.TB, err error) {
 func TestScanFullWithIntPredicate(t *testing.T) {
 	tab := ordersTable(t, 5000)
 	ctx := NewCtx()
-	scan := &Scan{Source: colstore.OneShard(tab), Select: []string{"id", "custkey"},
+	scan := &Scan{Source: tab, Select: []string{"id", "custkey"},
 		Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(10)}}}
 	rel, err := scan.Run(ctx)
 	must(t, err)
@@ -78,7 +78,7 @@ func TestScanFullWithIntPredicate(t *testing.T) {
 func TestScanStringAndFloatPredicates(t *testing.T) {
 	tab := ordersTable(t, 3000)
 	ctx := NewCtx()
-	scan := &Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{
+	scan := &Scan{Source: tab, Preds: []expr.Pred{
 		{Col: "region", Op: vec.EQ, Val: expr.StrVal("ASIA")},
 		{Col: "amount", Op: vec.GT, Val: expr.FloatVal(5000)},
 	}}
@@ -99,7 +99,7 @@ func TestScanStringAndFloatPredicates(t *testing.T) {
 func TestFilterProjectLimit(t *testing.T) {
 	tab := ordersTable(t, 2000)
 	plan := &Limit{N: 5, Child: &Project{Names: []string{"id", "amount"},
-		Child: &Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.FloatVal(100)}}}}}
+		Child: &Scan{Source: tab, Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.FloatVal(100)}}}}}
 	rel, err := plan.Run(NewCtx())
 	must(t, err)
 	if rel.N > 5 || len(rel.Cols) != 2 {
@@ -116,7 +116,7 @@ func TestFilterProjectLimit(t *testing.T) {
 func TestSortOrders(t *testing.T) {
 	tab := ordersTable(t, 1000)
 	plan := &Sort{Keys: []expr.SortKey{{Col: "region"}, {Col: "amount", Desc: true}},
-		Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}}
+		Child: &Scan{Source: tab, Select: []string{"region", "amount"}}}
 	rel, err := plan.Run(NewCtx())
 	must(t, err)
 	rc, _ := rel.Col("region")
@@ -167,7 +167,7 @@ func TestHashAggGlobalAndGrouped(t *testing.T) {
 	// Global aggregate.
 	g, err := (&HashAgg{
 		Aggs:  []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "amount", As: "total"}},
-		Child: &Scan{Source: colstore.OneShard(tab)},
+		Child: &Scan{Source: tab},
 	}).Run(NewCtx())
 	must(t, err)
 	if g.N != 1 {
@@ -197,7 +197,7 @@ func TestHashAggGlobalAndGrouped(t *testing.T) {
 			{Func: expr.AggMax, Col: "amount", As: "hi"},
 			{Func: expr.AggAvg, Col: "amount", As: "mean"},
 		},
-		Child: &Scan{Source: colstore.OneShard(tab)},
+		Child: &Scan{Source: tab},
 	}).Run(NewCtx())
 	must(t, err)
 	if byRegion.N == 0 || byRegion.N > len(workload.RegionNames) {
@@ -225,7 +225,7 @@ func TestAggIntSumStaysInt(t *testing.T) {
 	tab := ordersTable(t, 100)
 	rel, err := (&HashAgg{
 		Aggs:  []expr.AggSpec{{Func: expr.AggSum, Col: "custkey", As: "s"}, {Func: expr.AggMax, Col: "day", As: "d"}},
-		Child: &Scan{Source: colstore.OneShard(tab)},
+		Child: &Scan{Source: tab},
 	}).Run(NewCtx())
 	must(t, err)
 	s, _ := rel.Col("s")
@@ -251,8 +251,8 @@ func TestJoin(t *testing.T) {
 	}
 	must(t, cust.Seal())
 	join := &Join{
-		Left:     &Scan{Source: colstore.OneShard(orders), Select: []string{"id", "custkey", "amount"}},
-		Right:    &Scan{Source: colstore.OneShard(cust)},
+		Left:     &Scan{Source: orders, Select: []string{"id", "custkey", "amount"}},
+		Right:    &Scan{Source: cust},
 		LeftKey:  "custkey",
 		RightKey: "custkey",
 	}
@@ -293,8 +293,8 @@ func TestJoinThenAggregatePipeline(t *testing.T) {
 		Child: &HashAgg{GroupBy: []string{"segment"},
 			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}, {Func: expr.AggCount, As: "n"}},
 			Child: &Join{
-				Left:    &Scan{Source: colstore.OneShard(orders), Select: []string{"custkey", "amount"}},
-				Right:   &Scan{Source: colstore.OneShard(cust)},
+				Left:    &Scan{Source: orders, Select: []string{"custkey", "amount"}},
+				Right:   &Scan{Source: cust},
 				LeftKey: "custkey", RightKey: "custkey",
 			}}}
 	rel, err := plan.Run(NewCtx())
@@ -310,7 +310,7 @@ func TestJoinThenAggregatePipeline(t *testing.T) {
 
 func TestExplainTree(t *testing.T) {
 	tab := ordersTable(t, 10)
-	plan := &Limit{N: 1, Child: &Scan{Source: colstore.OneShard(tab)}}
+	plan := &Limit{N: 1, Child: &Scan{Source: tab}}
 	out := Explain(plan)
 	if !strings.Contains(out, "Limit(1)") || !strings.Contains(out, "Scan(orders)") {
 		t.Fatalf("explain output missing nodes:\n%s", out)
@@ -344,11 +344,11 @@ func TestRelationValidation(t *testing.T) {
 
 func TestScanErrorsOnTypeMismatch(t *testing.T) {
 	tab := ordersTable(t, 10)
-	_, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
+	_, err := (&Scan{Source: tab, Preds: []expr.Pred{{Col: "amount", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
 	if err == nil {
 		t.Fatal("int predicate on DOUBLE column must error")
 	}
-	_, err = (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "ghost", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
+	_, err = (&Scan{Source: tab, Preds: []expr.Pred{{Col: "ghost", Op: vec.LT, Val: expr.IntVal(3)}}}).Run(NewCtx())
 	if err == nil {
 		t.Fatal("unknown column must error")
 	}

@@ -7,7 +7,7 @@ import (
 
 // floatSum is the one DOUBLE accumulator behind SUM and AVG: a binned sum
 // whose state is a pure function of the multiset of its inputs, so every
-// morsel grid, worker count, shard layout and merge order gives the same
+// morsel grid, worker count, feeder and merge order gives the same
 // bits.
 //
 // A finite input is ±m·2^(e−1074) with an integer significand m of at

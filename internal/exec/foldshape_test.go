@@ -16,8 +16,7 @@ import (
 // accumulator, or another aggregate's, shows up as a column that changes
 // when its siblings do.
 
-// siblingSchema: ck is the shard key (the row, so a k=4 cut leaves three
-// shards fully selected and one mixed), g the group key (53 groups), p the
+// siblingSchema: ck is the row number, g the group key (53 groups), p the
 // filter column — 0 on the whole first morsel, 0 on every 16th row after
 // it — so one window is swept dense and the rest fold sparse; iv is a
 // BIGINT in runs of 100 (RLE segments), fv a DOUBLE.
@@ -43,18 +42,17 @@ func siblingRow(i int) []any {
 	}
 }
 
-// TestAggColumnIndependentOfSiblings: over feeder {shard, probe,
-// relation} × GROUP BY {none, g} × layout {flat, k=4} × {sealed, live
-// delta} × DOP {1, 8}, every aggregate of {COUNT, SUM, AVG, MIN, MAX} ×
-// {BIGINT, DOUBLE} returns the same column, bit for bit, computed beside
-// every other aggregate its feeder folds as computed alone (at DOP 1,
-// so the check crosses DOP as well).  The probe
+// TestAggColumnIndependentOfSiblings: over feeder {scan, probe,
+// relation} × GROUP BY {none, g} × {sealed, live delta} × DOP {1, 8},
+// every aggregate of {COUNT, SUM, AVG, MIN, MAX} × {BIGINT, DOUBLE}
+// returns the same column, bit for bit, computed beside every other
+// aggregate its feeder folds as computed alone (at DOP 1, so the check
+// crosses DOP as well).  The probe
 // feeder folds BIGINT inputs only, so its DOUBLE aggregates are checked
-// beside the full set through the pair path; the probe fuses on the flat
-// layout only.
+// beside the full set through the pair path.
 func TestAggColumnIndependentOfSiblings(t *testing.T) {
 	const base = MorselRows + 5000
-	tw := newAggTwins(t, siblingSchema, "ck", []int{4}, siblingRow, base)
+	tw := newMatrixTable(t, siblingSchema, siblingRow, base)
 	if iv, err := tw.flat.IntCol("iv"); err != nil || iv.Storage().Segments["rle"] == 0 {
 		t.Fatalf("iv did not seal as runs (%v): the closed form goes untested", err)
 	}
@@ -76,20 +74,21 @@ func TestAggColumnIndependentOfSiblings(t *testing.T) {
 			}
 		}
 	}
-	plan := func(feeder string, src *colstore.ShardedTable, groupBy []string, aggs []expr.AggSpec) *HashAgg {
+	plan := func(feeder string, src *colstore.Table, groupBy []string, aggs []expr.AggSpec) *HashAgg {
 		scan := &Scan{Source: src, Select: []string{"g", "iv", "fv"}, Preds: []expr.Pred{{Col: "p", Op: vec.EQ, Val: expr.IntVal(0)}}}
 		var child Node = scan
 		switch feeder {
 		case "probe":
-			child = &Join{Left: scan, Right: &Scan{Source: colstore.OneShard(dim)}, LeftKey: "g", RightKey: "k"}
+			child = &Join{Left: scan, Right: &Scan{Source: dim}, LeftKey: "g", RightKey: "k"}
 		case "relation":
 			child = opaque(scan)
 		}
 		return &HashAgg{Child: child, GroupBy: groupBy, Aggs: aggs}
 	}
 	check := func(state string) {
-		for _, feeder := range []string{"shard", "probe", "relation"} {
-			for lname, src := range map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4]} {
+		for _, feeder := range []string{"scan", "probe", "relation"} {
+			{
+				src := tw.flat
 				for _, groupBy := range [][]string{nil, {"g"}} {
 					sets := [][]expr.AggSpec{all}
 					if feeder == "probe" {
@@ -97,12 +96,12 @@ func TestAggColumnIndependentOfSiblings(t *testing.T) {
 					}
 					for si, set := range sets {
 						together := plan(feeder, src, groupBy, set)
-						want := map[string]string{"shard": "fused", "probe": "fused probe→agg"}[feeder]
-						if feeder == "probe" && (si == 0 || lname == "k=4") {
-							want = "" // a DOUBLE input or a sharded probe side runs the pair path
+						want := map[string]string{"scan": "fused", "probe": "fused probe→agg"}[feeder]
+						if feeder == "probe" && si == 0 {
+							want = "" // a DOUBLE input runs the pair path
 						}
 						if got := together.fusion(); got != want {
-							t.Fatalf("%s %s %s: feeder %q, want %q", feeder, lname, state, got, want)
+							t.Fatalf("%s %s: feeder %q, want %q", feeder, state, got, want)
 						}
 						k := len(groupBy)
 						alone := make([]*Relation, len(set))
@@ -112,10 +111,10 @@ func TestAggColumnIndependentOfSiblings(t *testing.T) {
 						for _, dop := range []int{1, 8} {
 							beside, _ := runPlan(t, together, dop)
 							if beside.N == 0 {
-								t.Fatalf("%s %s %s GROUP BY %v: no groups", feeder, lname, state, groupBy)
+								t.Fatalf("%s %s GROUP BY %v: no groups", feeder, state, groupBy)
 							}
 							for ai, spec := range set {
-								name := fmt.Sprintf("%s/%s/GROUP BY %v/%s/dop=%d/%s beside %d", feeder, lname, groupBy, state, dop, spec, len(set))
+								name := fmt.Sprintf("%s/GROUP BY %v/%s/dop=%d/%s beside %d", feeder, groupBy, state, dop, spec, len(set))
 								if err := sameAggRelation(alone[ai], &Relation{N: beside.N, Cols: append(beside.Cols[:k:k], beside.Cols[k+ai])}); err != nil {
 									t.Fatalf("%s: differs from the aggregate alone at DOP 1: %v", name, err)
 								}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/colstore"
@@ -60,49 +59,39 @@ import (
 // order-free (exact int64 ring arithmetic for BIGINT, the binned floatSum
 // for DOUBLE, int64 keys for MIN/MAX), so the table grid and the
 // filtered-relation grid give the same bits, and partials merge in morsel
-// order, shard by shard, which fixes the group order.  Charged counters are pure functions of (snapshot, plan, data) —
-// never of DOP — like every other morsel kernel in this package.
+// order, which fixes the group order.  Charged counters are pure
+// functions of (snapshot, plan, data) — never of DOP — like every other
+// morsel kernel in this package.
 
 // ---------------------------------------------------------------------------
-// Fused filter→aggregate: the shard-window feeder
+// Fused filter→aggregate: the scan-window feeder
 // ---------------------------------------------------------------------------
 
-// shardFeed is the shard-window feeder of an aggregation (agg.go): a
-// bound Scan plus, per shard, the group-key sources and the
-// aggregate inputs.  Every morsel filters its rows with the scan's own
-// kernel and folds the selection straight off the stored columns, so the
-// filtered relation is never built.
-type shardFeed struct {
-	a      *HashAgg
-	scan   *Binding
-	shards []shardFeedCols
-	aggShape
-	// trackFirst makes every morsel table record the row of each group's
-	// first selected appearance (groupTable.first): across more than one
-	// shard the merged groups are ordered by its global sequence.
-	trackFirst bool
-}
-
-// shardFeedCols is one shard's column bindings of a shard-fed aggregation.
-type shardFeedCols struct {
-	sb *ShardBinding
+// scanFeed is the scan-window feeder of an aggregation (agg.go): a
+// bound Scan plus the group-key sources and the aggregate inputs.  Every
+// morsel filters its rows with the scan's own kernel and folds the
+// selection straight off the stored columns, so the filtered relation is
+// never built.
+type scanFeed struct {
+	a    *HashAgg
+	scan *Binding
 	// groups yields the key parts, one per GROUP BY column: the column
-	// itself, or a string column's code column beside this shard's
+	// itself, or a string column's code column beside the table's
 	// dictionary in dicts (nil for a BIGINT part).
 	groups []*colstore.IntColumn
 	dicts  [][]string
 	// vals[i] is the BIGINT or DOUBLE input of aggregate i, nil when the
 	// aggregate needs no values (COUNT).
 	vals []colstore.Column
+	aggShape
 }
 
-// shardFeed resolves the shard-window feeder, nil when the aggregation is
-// not shard-fed:
+// scanFeed resolves the scan-window feeder, nil when the aggregation is
+// not scan-fed:
 //
 //	child        a *Scan
 //	GROUP BY     any number of emitted BIGINT or string columns (a string
-//	             is its shard's dictionary code; per-shard dictionaries
-//	             meet in the merge's key translation)
+//	             is its column's dictionary code)
 //	aggregates   COUNT(*), COUNT(col) of an emitted column, or
 //	             SUM/MIN/MAX/AVG of an emitted BIGINT or DOUBLE column
 //
@@ -110,7 +99,7 @@ type shardFeedCols struct {
 // columns — and so is anything that does not bind, for the relation
 // feeder to report the error.  Everything read here is static, so
 // EXPLAIN, the planner's mirror and Run cannot disagree.
-func (a *HashAgg) shardFeed() *shardFeed {
+func (a *HashAgg) scanFeed() *scanFeed {
 	s, ok := a.Child.(*Scan)
 	if !ok {
 		return nil
@@ -119,98 +108,71 @@ func (a *HashAgg) shardFeed() *shardFeed {
 	if err != nil {
 		return nil
 	}
-	sf := &shardFeed{a: a, scan: b, trackFirst: b.multi() && len(a.GroupBy) > 0}
+	sf := &scanFeed{
+		a: a, scan: b,
+		groups: make([]*colstore.IntColumn, len(a.GroupBy)),
+		dicts:  make([][]string, len(a.GroupBy)),
+		vals:   make([]colstore.Column, len(a.Aggs)),
+	}
 	sf.groupTypes = make([]colstore.Type, len(a.GroupBy))
 	sf.valTypes = make([]colstore.Type, len(a.Aggs))
-	groupIdx := make([]int, len(a.GroupBy))
 	for p, g := range a.GroupBy {
 		ci := b.index(g)
 		if ci < 0 || b.tmpl[ci].Type == colstore.Float64 {
 			return nil
 		}
-		groupIdx[p], sf.groupTypes[p] = ci, b.tmpl[ci].Type
+		sf.groupTypes[p] = b.tmpl[ci].Type
+		switch gc := b.Cols[ci].(type) {
+		case *colstore.IntColumn:
+			sf.groups[p] = gc
+		case *colstore.StringColumn:
+			sf.groups[p], sf.dicts[p] = gc.CodeColumn(), b.tmpl[ci].Dict
+		}
 	}
-	aggIdx := make([]int, len(a.Aggs))
 	for i, spec := range a.Aggs {
-		switch aggIdx[i] = b.index(spec.Col); {
-		case spec.Func == expr.AggCount && (spec.Col == "" || aggIdx[i] >= 0):
-			aggIdx[i] = -1 // COUNT reads no values
-		case aggIdx[i] < 0 || b.tmpl[aggIdx[i]].Type == colstore.String:
+		switch ci := b.index(spec.Col); {
+		case spec.Func == expr.AggCount && (spec.Col == "" || ci >= 0):
+			// COUNT reads no values
+		case ci < 0 || b.tmpl[ci].Type == colstore.String:
 			return nil // not emitted, or a string input the relation feeder reports
 		default:
-			sf.valTypes[i] = b.tmpl[aggIdx[i]].Type
+			sf.valTypes[i], sf.vals[i] = b.tmpl[ci].Type, b.Cols[ci]
 		}
 	}
 	sf.setKinds(a.Aggs)
-	for _, sb := range b.Shards {
-		fs := shardFeedCols{
-			sb:     sb,
-			groups: make([]*colstore.IntColumn, len(groupIdx)),
-			dicts:  make([][]string, len(groupIdx)),
-			vals:   make([]colstore.Column, len(a.Aggs)),
-		}
-		for p, ci := range groupIdx {
-			switch gc := sb.Cols[ci].(type) {
-			case *colstore.IntColumn:
-				fs.groups[p] = gc
-			case *colstore.StringColumn:
-				fs.groups[p], fs.dicts[p] = gc.CodeColumn(), sb.tmpl[ci].Dict
-			}
-		}
-		for i, ci := range aggIdx {
-			if ci >= 0 {
-				fs.vals[i] = sb.Cols[ci]
-			}
-		}
-		sf.shards = append(sf.shards, fs)
-	}
 	return sf
 }
 
-// fold implements aggFeeder: one window set per surviving shard, in shard
-// order, each the shard's morsel grid.
-func (sf *shardFeed) fold(ctx *Ctx, m *aggMerge) error {
+// fold implements aggFeeder: the table's morsel grid.
+func (sf *scanFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, error) {
 	snap := ctx.SnapTS
-	return sf.scan.eachShard(ctx, func(i int, sb *ShardBinding) error {
-		fs := &sf.shards[i]
-		partials, work := runMorsels(ctx, sb.Table.RowsAsOf(snap), func(_, lo, hi int) (*groupTable, energy.Counters) {
-			return sf.morsel(fs, snap, lo, hi)
-		})
-		if ctx.Canceled() {
-			return ErrCanceled
-		}
-		label := sf.a.Label() + " [fused]"
-		if sf.scan.multi() {
-			label = fmt.Sprintf("%s [fused shard %d]", sf.a.Label(), i)
-		}
-		var seq *colstore.IntColumn
-		if sf.trackFirst {
-			seq = sb.Seq
-		}
-		m.add(ctx, label, partials, work, seq)
-		return nil
+	partials, work := runMorsels(ctx, sf.scan.Table.RowsAsOf(snap), func(_, lo, hi int) (*groupTable, energy.Counters) {
+		return sf.morsel(snap, lo, hi)
 	})
+	if ctx.Canceled() {
+		return nil, work, "", ErrCanceled
+	}
+	return partials, work, sf.a.Label() + " [fused]", nil
 }
 
-// morsel filters rows [lo, hi) of one shard with the scan's own kernel —
-// charging the exact same scan counters — and folds the selected rows
-// into a partial table without materializing them.
-func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTable, energy.Counters) {
+// morsel filters rows [lo, hi) with the scan's own kernel — charging the
+// exact same scan counters — and folds the selected rows into a partial
+// table without materializing them.
+func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters) {
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
-	sel, w := fs.sb.selectRows(snap, lo, hi, sc)
+	sel, w := sf.scan.selectRows(snap, lo, hi, sc)
 	sc.rows = sel.AppendIndices(sc.rows[:0])
 	selCnt := len(sc.rows)
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
-	t := sf.newTable(fs.dicts)
-	t.firstOn, t.base = sf.trackFirst, int64(lo)
+	t := sf.newTable(sf.dicts)
 	if selCnt > 0 {
-		f := shardFold{fs: fs, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
+		f := scanFold{fs: sf, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
 		sc.gids = sized(sc.gids, selCnt)
 		switch {
-		case len(fs.groups) > 1 || !f.dense:
+		case len(sf.groups) > 1 || !f.dense:
 			f.tuples()
-		case len(fs.groups) == 0:
+		case len(sf.groups) == 0:
 			f.global()
 		default:
 			f.sweep()
@@ -224,14 +186,14 @@ func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTa
 		w.Add(energy.Counters{
 			TuplesIn:     uint64(selCnt),
 			TuplesOut:    uint64(t.groups()),
-			Instructions: uint64(selCnt) * uint64(4+2*len(fs.vals)),
+			Instructions: uint64(selCnt) * uint64(4+2*len(sf.vals)),
 			CacheMisses:  uint64(selCnt) / 8,
 		})
 	}
 	return t, w
 }
 
-// shardFold is one morsel's fold of its selected rows (scratch rows) into
+// scanFold is one morsel's fold of its selected rows (scratch rows) into
 // a partial table, reading the stored columns into the worker's scratch
 // windows: a key part's window at scratch window p, a BIGINT input's at
 // len(groups)+i.  dense streams whole windows; otherwise — under 1/8 of
@@ -242,8 +204,8 @@ func (sf *shardFeed) morsel(fs *shardFeedCols, snap int64, lo, hi int) (*groupTa
 // column by column; the global group's dense window; or one key column's
 // dense window, span-wise.  The first and the last resolve every
 // selected row to its group id and then fold once.
-type shardFold struct {
-	fs     *shardFeedCols
+type scanFold struct {
+	fs     *scanFeed
 	t      *groupTable
 	sc     *morselScratch
 	sel    *vec.Bitvec
@@ -253,7 +215,7 @@ type shardFold struct {
 }
 
 // read streams column c into scratch window k (streamWindow).
-func (f *shardFold) read(k int, c *colstore.IntColumn) []int64 {
+func (f *scanFold) read(k int, c *colstore.IntColumn) []int64 {
 	win := f.sc.win(k, f.hi-f.lo)
 	f.w.Add(streamWindow(c, f.sc.rows, f.lo, f.hi, f.dense, win))
 	return win
@@ -263,7 +225,7 @@ func (f *shardFold) read(k int, c *colstore.IntColumn) []int64 {
 // place, nothing decoded — priced as gatherCol prices the same read: the
 // whole window streamed when dense, the selected rows point-read
 // otherwise.
-func (f *shardFold) floats(c *colstore.FloatColumn) []float64 {
+func (f *scanFold) floats(c *colstore.FloatColumn) []float64 {
 	n := len(f.sc.rows)
 	if f.dense {
 		n = f.hi - f.lo
@@ -274,7 +236,7 @@ func (f *shardFold) floats(c *colstore.FloatColumn) []float64 {
 
 // bindValues reads every aggregate input into the fold's inputs over the
 // selected rows, except a BIGINT input that is skip.
-func (f *shardFold) bindValues(skip *colstore.IntColumn) {
+func (f *scanFold) bindValues(skip *colstore.IntColumn) {
 	sc, k := f.sc, len(f.fs.groups)
 	sc.ins = sized(sc.ins, len(f.fs.vals))
 	for ai, c := range f.fs.vals {
@@ -295,7 +257,7 @@ func (f *shardFold) bindValues(skip *colstore.IntColumn) {
 // touches no column; every input folds over the selection with all group
 // ids 0 — a BIGINT one span-wise: run-at-a-time over RLE runs, decoded
 // once otherwise.
-func (f *shardFold) global() {
+func (f *scanFold) global() {
 	t, sc, rows, lo := f.t, f.sc, f.sc.rows, f.lo
 	t.slot(0, nil)
 	t.counts[0] += int64(len(rows))
@@ -328,7 +290,7 @@ func (f *shardFold) global() {
 // key part read like a value input: the fold of a sparse window, and of a
 // dense one keyed by several columns, which have no one layout to sweep.
 // With no key (k = 0) every row is the global group's.
-func (f *shardFold) tuples() {
+func (f *scanFold) tuples() {
 	t, sc, k := f.t, f.sc, len(f.fs.groups)
 	for p, c := range f.fs.groups {
 		f.read(p, c)
@@ -343,7 +305,7 @@ func (f *shardFold) tuples() {
 // spans in the code domain through a code→group memo (one table insert
 // per distinct code per span, an array load per row), anything else —
 // raw (incl. the delta tail), bitpack, delta — decoded once.
-func (f *shardFold) sweep() {
+func (f *scanFold) sweep() {
 	t, sc, lo := f.t, f.sc, f.lo
 	gcol := f.fs.groups[0]
 	sc.spans = gcol.AppendSpans(sc.spans[:0], lo, f.hi)
@@ -380,7 +342,6 @@ func (f *shardFold) sweep() {
 				if g < 0 {
 					g = t.slot(dict[code], nil)
 					memo[code] = g + 1
-					t.noteFirst(g, int(r))
 				}
 				out[j] = g
 			}
@@ -395,12 +356,11 @@ func (f *shardFold) sweep() {
 // run resolves the selected rows of one RLE run of key v to one group,
 // writing it into gids; an aggregate of the key column itself whose
 // window was never read folds in closed form.
-func (f *shardFold) run(v int64, rows, gids []int32) {
+func (f *scanFold) run(v int64, rows, gids []int32) {
 	if len(rows) == 0 {
 		return
 	}
 	g := f.t.slot(v, nil)
-	f.t.noteFirst(g, int(rows[0]))
 	for j := range gids {
 		gids[j] = g
 	}
@@ -422,39 +382,38 @@ func rowsIn(rows []int32, a, b int) []int32 {
 // Fused filter→probe
 // ---------------------------------------------------------------------------
 
-// shardProbe is the join's fused probe source (join.go): a resolved,
+// scanProbe is the join's fused probe source (join.go): a resolved,
 // eligible probe-side Scan.  The probe keys stream straight from the
 // compressed key segments, and the intermediate probe Relation is never
 // built — matched rows gather from the base table after the probe.
-type shardProbe struct {
-	sb     *ShardBinding // the scan's one shard
+type scanProbe struct {
+	b      *Binding
 	keyIdx int
 	// keyInts yields the probe keys: the key column itself, or a string
-	// key's code column (keys are then codes of the shard's dictionary,
+	// key's code column (keys are then codes of the column's dictionary,
 	// sealed or live).
 	keyInts *colstore.IntColumn
 }
 
-// shardProbe reports how (and whether) this join can fuse its probe
-// feed into the left child: a *Scan over a single shard (probe
-// keys run in one dictionary's code domain) that emits a BIGINT or
-// VARCHAR join key.  Everything it reads is static, so EXPLAIN and Run
+// scanProbe reports how (and whether) this join can fuse its probe
+// feed into the left child: a *Scan (probe keys run in one dictionary's
+// code domain) that emits a BIGINT or VARCHAR join key.  Everything it reads is static, so EXPLAIN and Run
 // cannot disagree.  nil runs the child to a relation first, which
 // reports any binding errors itself.
-func (j *Join) shardProbe() *shardProbe {
+func (j *Join) scanProbe() *scanProbe {
 	s, ok := j.Left.(*Scan)
 	if !ok {
 		return nil
 	}
 	b, err := s.Bind()
-	if err != nil || b.multi() {
+	if err != nil {
 		return nil
 	}
-	sp := &shardProbe{sb: b.Shards[0], keyIdx: b.index(j.LeftKey)}
+	sp := &scanProbe{b: b, keyIdx: b.index(j.LeftKey)}
 	if sp.keyIdx < 0 {
 		return nil
 	}
-	switch kc := sp.sb.Cols[sp.keyIdx].(type) {
+	switch kc := sp.b.Cols[sp.keyIdx].(type) {
 	case *colstore.IntColumn:
 		sp.keyInts = kc
 	case *colstore.StringColumn:
@@ -465,12 +424,12 @@ func (j *Join) shardProbe() *shardProbe {
 	return sp
 }
 
-func (sp *shardProbe) keyDomain() (colstore.Type, []string) {
-	key := &sp.sb.tmpl[sp.keyIdx]
+func (sp *scanProbe) keyDomain() (colstore.Type, []string) {
+	key := &sp.b.tmpl[sp.keyIdx]
 	return key.Type, key.Dict
 }
-func (sp *shardProbe) rows(snap int64) int { return sp.sb.Table.RowsAsOf(snap) }
-func (sp *shardProbe) fused() bool         { return true }
+func (sp *scanProbe) rows(snap int64) int { return sp.b.Table.RowsAsOf(snap) }
+func (sp *scanProbe) fused() bool         { return true }
 
 // streamWindow reads column c over the window [lo, hi) into out.  dense
 // bulk-decodes the whole window once (DecodeRange streams each compressed
@@ -498,15 +457,15 @@ func pointReads(n int, codes bool) energy.Counters {
 
 // window filters rows [lo, hi) with the scan's predicate sequence and
 // resolves the selected probe keys straight from the key segments, span
-// by span like shardFold.sweep — the probe side is never materialized.  A
+// by span like scanFold.sweep — the probe side is never materialized.  A
 // dictionary span yields its codes (streamed when dense, point-read
 // otherwise) and looks each distinct one up once, on first sight, through
 // a code memo (the dictionary is touched once per code); an RLE span
 // looks up once per run of equal selected keys; every other span
 // (bitpack, delta, raw, the unsealed tail) each row.
-func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
+func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
 	nrows := hi - lo
-	sel, w := sp.sb.selectRows(snap, lo, hi, sc)
+	sel, w := sp.b.selectRows(snap, lo, hi, sc)
 	pw := probeWindow{n: sel.Count()}
 	w.TuplesOut += uint64(pw.n) // the scan stage's logical output
 	if pw.n == 0 {
@@ -587,17 +546,17 @@ func (sp *shardProbe) window(snap int64, lo, hi int, sc *morselScratch, folding 
 // gather materializes the probe side of the join output: the key column
 // verbatim from the probe-stage key stream, the other columns straight
 // from the base table at the matched global rows.
-func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Counters) {
-	out := &Relation{N: len(rows), Cols: make([]Col, len(sp.sb.Cols))}
+func (sp *scanProbe) gather(keys []int64, rows []int32) (*Relation, energy.Counters) {
+	out := &Relation{N: len(rows), Cols: make([]Col, len(sp.b.Cols))}
 	var w energy.Counters
-	for ci, col := range sp.sb.Cols {
+	for ci, col := range sp.b.Cols {
 		if ci == sp.keyIdx {
 			// The probe stage decoded the key for every match and emitted
 			// it with the row pair, so the output key column is those
 			// values verbatim — no second touch of the key segments (the
 			// re-read the fused feed exists to eliminate).  Movement into
 			// the output block is priced once, by the join's gather.
-			oc := sp.sb.tmpl[ci] // name, type, and a string key's dictionary
+			oc := sp.b.tmpl[ci] // name, type, and a string key's dictionary
 			// Non-nil at zero matches, like every gathered column.
 			oc.I = append(make([]int64, 0, len(keys)), keys...)
 			out.Cols[ci] = oc
@@ -606,7 +565,7 @@ func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Coun
 		// A match list is no contiguous window: every other column
 		// point-reads its matched global rows, at gatherCol's sparse price
 		// (the empty window [0, 0) makes any match sparse).
-		oc, gw := gatherCol(col, sp.sb.tmpl[ci], rows, 0, 0)
+		oc, gw := gatherCol(col, sp.b.tmpl[ci], rows, 0, 0)
 		out.Cols[ci] = oc
 		w.Add(gw)
 	}
@@ -618,12 +577,12 @@ func (sp *shardProbe) gather(keys []int64, rows []int32) (*Relation, energy.Coun
 // ---------------------------------------------------------------------------
 
 // probeFeed is the probe-match feeder of an aggregation (agg.go): the
-// child join's shard probe source plus, for the group key and every
+// child join's scan probe source plus, for the group key and every
 // aggregate, which side's column it reads.
 type probeFeed struct {
 	a     *HashAgg
 	join  *Join
-	probe *shardProbe
+	probe *scanProbe
 	aggShape
 	group probeAggInput
 	aggs  []probeAggInput
@@ -643,7 +602,7 @@ type probeAggInput struct{ win, build int }
 // probeFeed resolves the probe-match feeder, nil when the child join's
 // matches cannot fold straight into partial aggregates:
 //
-//	child        a *Join whose probe side fuses (shardProbe) and whose
+//	child        a *Join whose probe side fuses (scanProbe) and whose
 //	             build side is a *Scan emitting a key of the probe key's
 //	             type
 //	GROUP BY     none, or one column of either side: BIGINT, or a string
@@ -664,7 +623,7 @@ func (a *HashAgg) probeFeed() *probeFeed {
 	if !ok || len(a.GroupBy) > 1 {
 		return nil
 	}
-	fp := j.shardProbe()
+	fp := j.scanProbe()
 	rs, ok := j.Right.(*Scan)
 	if fp == nil || !ok {
 		return nil
@@ -680,14 +639,14 @@ func (a *HashAgg) probeFeed() *probeFeed {
 
 	// The join's output schema: probe columns, then the build columns
 	// minus the right key, renamed exactly as the pair path would.
-	nl := len(fp.sb.tmpl)
+	nl := len(fp.b.tmpl)
 	var buildOf []int // join output column nl+i ← build relation column buildOf[i]
 	for i := range rb.tmpl {
 		if rb.tmpl[i].Name != j.RightKey {
 			buildOf = append(buildOf, i)
 		}
 	}
-	schema := mergeJoinColumns(&Relation{Cols: fp.sb.tmpl}, &Relation{Cols: rb.tmpl}, j.RightKey)
+	schema := mergeJoinColumns(&Relation{Cols: fp.b.tmpl}, &Relation{Cols: rb.tmpl}, j.RightKey)
 	pf := &probeFeed{a: a, join: j, probe: fp, group: probeAggInput{-1, -1}}
 	find := func(name string) int {
 		return slices.IndexFunc(schema.Cols, func(c Col) bool { return c.Name == name })
@@ -705,14 +664,14 @@ func (a *HashAgg) probeFeed() *probeFeed {
 			return in, t == colstore.Int64 || (group && t == colstore.String)
 		}
 		var ints *colstore.IntColumn
-		switch c := fp.sb.Cols[o].(type) {
+		switch c := fp.b.Cols[o].(type) {
 		case *colstore.IntColumn:
 			ints = c
 		case *colstore.StringColumn:
 			if !group {
 				return in, false
 			}
-			ints, pf.groupDict = c.CodeColumn(), fp.sb.tmpl[o].Dict
+			ints, pf.groupDict = c.CodeColumn(), fp.b.tmpl[o].Dict
 		default:
 			return in, false // a DOUBLE input: the pair path and the relation feeder fold it
 		}
@@ -857,7 +816,7 @@ func (f *probeFold) foldMatches(sc *morselScratch) {
 
 // flush folds the morsel's last matches.  The fold is priced once per
 // pass, at the pass's counts (ProbeFoldWork); the match buffers are
-// bounded worker scratch, unpriced like the shard feeder's gid vector.
+// bounded worker scratch, unpriced like the scan feeder's gid vector.
 func (f *probeFold) flush() {
 	f.foldMatches(f.sc)
 }
@@ -871,7 +830,7 @@ type ProbeFold struct {
 }
 
 // ProbeFoldWork prices folding a probe pass's matches into partial
-// aggregates: the aggregate stage's logical rows and shardFeed.morsel's
+// aggregates: the aggregate stage's logical rows and scanFeed.morsel's
 // fold budget per match, plus a cache-resident touch of each match's
 // group slot and build-side inputs — and of a build-side group key once
 // per build entry read (ProbeCounts.Touches), so a collapsed key reads
@@ -894,10 +853,10 @@ func ProbeFoldWork(f ProbeFold, matches, touches int) energy.Counters {
 // runs and is hashed as ever (Join.build), then each probe morsel folds
 // its matches into a partial table — one window set, the probe source's
 // morsel grid; no pair list, no gathered join relation.
-func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
+func (pf *probeFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, error) {
 	jr, err := pf.join.build(ctx, pf.probe)
 	if err != nil {
-		return err
+		return nil, energy.Counters{}, "", err
 	}
 	f := &probeFold{pf: pf, buildVals: make([][]int64, len(pf.aggs))}
 	switch {
@@ -916,15 +875,14 @@ func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
 	}
 	outs, c, qw, err := jr.probe(ctx, f)
 	if err != nil {
-		return err
+		return nil, qw, "", err
 	}
 	ctx.Charge(pf.a.Label()+" [probe fold]", c.Matches, ProbeFoldWork(pf.price, c.Matches, c.Touches))
 	partials := make([]*groupTable, len(outs))
 	for i := range outs {
 		partials[i] = outs[i].agg
 	}
-	m.add(ctx, pf.a.Label()+" [fused probe→agg]", partials, qw, nil)
-	return nil
+	return partials, qw, pf.a.Label() + " [fused probe→agg]", nil
 }
 
 // ---------------------------------------------------------------------------
@@ -934,7 +892,7 @@ func (pf *probeFeed) fold(ctx *Ctx, m *aggMerge) error {
 // fusion implements fuser: which of the two fused feeders, if any.
 func (a *HashAgg) fusion() string {
 	switch {
-	case a.shardFeed() != nil:
+	case a.scanFeed() != nil:
 		return "fused"
 	case a.probeFeed() != nil:
 		return "fused probe→agg"
@@ -944,24 +902,24 @@ func (a *HashAgg) fusion() string {
 
 // fusion implements fuser: whether the probe feed fuses.
 func (j *Join) fusion() string {
-	if j.shardProbe() != nil {
+	if j.scanProbe() != nil {
 		return "fused"
 	}
 	return ""
 }
 
 // FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs} is
-// shard-fed — the planner's pricing mirror of the feeder selection.
+// scan-fed — the planner's pricing mirror of the feeder selection.
 func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
 	a := &HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
-	return a.shardFeed() != nil
+	return a.scanFeed() != nil
 }
 
 // FusedProbeEligible reports whether a Join probing scan on leftKey
-// fuses its probe feed — the planner's pricing mirror of shardProbe.
+// fuses its probe feed — the planner's pricing mirror of scanProbe.
 func FusedProbeEligible(scan *Scan, leftKey string) bool {
 	j := &Join{Left: scan, LeftKey: leftKey}
-	return j.shardProbe() != nil
+	return j.scanProbe() != nil
 }
 
 // FusedProbeAgg reports whether HashAgg{Child: child, GroupBy, Aggs}

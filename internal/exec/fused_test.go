@@ -186,7 +186,7 @@ func runAggArm(t *testing.T, tab *colstore.Table, c fusedAggCase, snap int64, do
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Lease = NewLease(dop)
-	var child Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds}
+	var child Node = &Scan{Source: tab, Select: c.sel, Preds: c.preds}
 	if unfused {
 		child = opaque(child)
 	}
@@ -216,7 +216,7 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedAggCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds}
+				scan := &Scan{Source: tc.tab, Select: c.sel, Preds: c.preds}
 				if !FusedAggEligible(scan, c.groupBy, c.aggs) {
 					t.Fatalf("case unexpectedly ineligible for fusion")
 				}
@@ -252,30 +252,24 @@ func TestFusedAggByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestFusedAggEligibility is the one feeder selection rule, over a flat
-// source and a k=4 sharded one: an aggregation is shard-fed iff its child
-// is a *Scan, everything it names binds, and no GROUP BY column
-// is a DOUBLE.  Any number of BIGINT/string group columns, DOUBLE value
-// inputs and per-shard string dictionaries are shard-fed, and every
-// shard-fed shape answers byte for byte what its relation-fed twin (the
+// TestFusedAggEligibility is the one feeder selection rule: an
+// aggregation is scan-fed iff its child is a *Scan, everything it names
+// binds, and no GROUP BY column is a DOUBLE.  Any number of BIGINT/string
+// group columns and DOUBLE value inputs are scan-fed, and every
+// scan-fed shape answers byte for byte what its relation-fed twin (the
 // same scan hidden behind opaque) answers — the feeder is a plan
 // decision, never a result change.
 func TestFusedAggEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
-	_, twins := shardTwins(t, 4096, 0)
-	flat := func(sel ...string) *Scan { return &Scan{Source: colstore.OneShard(tab), Select: sel} }
-	sharded := func() *Scan {
-		return &Scan{Source: twins[4], Select: []string{"grp", "region", "amount", "val"}}
-	}
+	flat := func(sel ...string) *Scan { return &Scan{Source: tab, Select: sel} }
 	count := []expr.AggSpec{{Func: expr.AggCount}}
-	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}}
 	cases := []struct {
-		name     string
-		child    Node
-		groupBy  []string
-		aggs     []expr.AggSpec
-		shardFed bool
-		// run: "twin" → shard-fed, equal to the opaque twin; "ok" → the
+		name    string
+		child   Node
+		groupBy []string
+		aggs    []expr.AggSpec
+		scanFed bool
+		// run: "twin" → scan-fed, equal to the opaque twin; "ok" → the
 		// relation feeder answers; "err" → it owns the binding error.
 		run string
 	}{
@@ -284,7 +278,7 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"flat/global", flat("rle"), nil, []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}}, true, "twin"},
 		{"flat/multi-group", flat("rle", "region", "amount"), []string{"rle", "region"}, count, true, "twin"},
 		// Every scan emits strings as codes: the twin groups the relation's
-		// codes, the shard feeder the stored column's.
+		// codes, the scan feeder the stored column's.
 		{"flat/code-domain-group", flat("region", "rle"), []string{"region"}, count, true, "twin"},
 		{"flat/float-group", flat("rle", "region", "amount"), []string{"amount"}, count, false, "ok"},
 		{"flat/float-agg-input", flat("rle", "region", "amount"), []string{"rle"},
@@ -294,21 +288,14 @@ func TestFusedAggEligibility(t *testing.T) {
 		{"flat/opaque-child", opaque(flat("rle")), []string{"rle"}, count, false, "ok"},
 		{"flat/count-col-not-selected", flat("rle", "region", "amount"), []string{"rle"},
 			[]expr.AggSpec{{Func: expr.AggCount, Col: "sorted"}}, false, "err"},
-		{"sharded/int-group", sharded(), []string{"grp"}, sumVal, true, "twin"},
-		{"sharded/global", sharded(), nil, sumVal, true, "twin"},
-		{"sharded/string-group", sharded(), []string{"region"}, sumVal, true, "twin"}, // per-shard dictionaries
-		{"sharded/multi-group", sharded(), []string{"grp", "region", "val"}, sumVal, true, "twin"},
-		{"sharded/float-agg-input", sharded(), []string{"grp"},
-			[]expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}, true, "twin"},
-		{"sharded/float-group", sharded(), []string{"amount", "grp"}, sumVal, false, "ok"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			agg := &HashAgg{Child: c.child, GroupBy: c.groupBy, Aggs: c.aggs}
-			if got := agg.shardFeed() != nil; got != c.shardFed {
-				t.Fatalf("shard-fed = %v, want %v", got, c.shardFed)
+			if got := agg.scanFeed() != nil; got != c.scanFed {
+				t.Fatalf("scan-fed = %v, want %v", got, c.scanFed)
 			}
-			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.shardFed {
+			if s, ok := c.child.(*Scan); ok && FusedAggEligible(s, c.groupBy, c.aggs) != c.scanFed {
 				t.Fatal("planner mirror disagrees with the executor")
 			}
 			ctx := NewCtx()
@@ -320,14 +307,14 @@ func TestFusedAggEligibility(t *testing.T) {
 				return
 			}
 			must(t, err)
-			if rel.N == 0 || ranShardFed(ctx) != c.shardFed {
-				t.Fatalf("%d groups, ran shard-fed = %v", rel.N, ranShardFed(ctx))
+			if rel.N == 0 || ranScanFed(ctx) != c.scanFed {
+				t.Fatalf("%d groups, ran scan-fed = %v", rel.N, ranScanFed(ctx))
 			}
 			if c.run == "twin" {
 				twin, err := (&HashAgg{Child: opaque(c.child), GroupBy: c.groupBy, Aggs: c.aggs}).Run(NewCtx())
 				must(t, err)
 				if !rel.Equal(twin) {
-					t.Fatalf("shard-fed relation diverged from its relation-fed twin\n got %+v\nwant %+v", rel, twin)
+					t.Fatalf("scan-fed relation diverged from its relation-fed twin\n got %+v\nwant %+v", rel, twin)
 				}
 			}
 		})
@@ -399,7 +386,7 @@ func fusedJoinCases() []fusedJoinCase {
 			sel:     []string{"region", "rle", "packed"},
 			leftKey: "region",
 			right: func(t *testing.T) Node {
-				return &Scan{Source: colstore.OneShard(fusedDimTable(t))}
+				return &Scan{Source: fusedDimTable(t)}
 			},
 			rightKey: "region",
 			preds:    densePred,
@@ -422,7 +409,7 @@ func runJoinArm(t *testing.T, tab *colstore.Table, c fusedJoinCase, snap int64, 
 	ctx := NewCtx()
 	ctx.SnapTS = snap
 	ctx.Lease = NewLease(dop)
-	var left Node = &Scan{Source: colstore.OneShard(tab), Select: c.sel, Preds: c.preds}
+	var left Node = &Scan{Source: tab, Select: c.sel, Preds: c.preds}
 	if unfused {
 		left = opaque(left)
 	}
@@ -451,7 +438,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 	for _, tc := range tables {
 		for _, c := range fusedJoinCases() {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				scan := &Scan{Source: colstore.OneShard(tc.tab), Select: c.sel, Preds: c.preds}
+				scan := &Scan{Source: tc.tab, Select: c.sel, Preds: c.preds}
 				if !FusedProbeEligible(scan, c.leftKey) {
 					t.Fatalf("case unexpectedly ineligible for probe fusion")
 				}
@@ -489,7 +476,7 @@ func TestFusedProbeByteIdentityMatrix(t *testing.T) {
 func TestFusedProbeEligibility(t *testing.T) {
 	tab := fusedMatrixTable(t, 2*colstore.SegSize, 0)
 	mkScan := func(sel ...string) *Scan {
-		return &Scan{Source: colstore.OneShard(tab), Select: sel}
+		return &Scan{Source: tab, Select: sel}
 	}
 	nilPlans := []struct {
 		name string
@@ -501,7 +488,7 @@ func TestFusedProbeEligibility(t *testing.T) {
 		{"non-scan-child", &Join{Left: intDimSource(), LeftKey: "k"}},
 	}
 	for _, c := range nilPlans {
-		if c.j.shardProbe() != nil {
+		if c.j.scanProbe() != nil {
 			t.Fatalf("%s: shape must not be probe-fusion-eligible", c.name)
 		}
 	}
@@ -534,7 +521,7 @@ func TestFusedProbeEligibility(t *testing.T) {
 	// Inputs far below every retired row threshold.
 	tiny := fusedMatrixTable(t, 4096, 0)
 	same("tiny", func() *Scan {
-		return &Scan{Source: colstore.OneShard(tiny), Select: []string{"lowcard", "sorted"}}
+		return &Scan{Source: tiny, Select: []string{"lowcard", "sorted"}}
 	}, intDimSource(), "lowcard", "k")
 
 	// A string key over storage never sealed — an append-order dictionary,
@@ -544,8 +531,8 @@ func TestFusedProbeEligibility(t *testing.T) {
 		must(t, unsealed.Writer().Row(workload.RegionNames[(i*7)%len(workload.RegionNames)]).Close())
 	}
 	same("unsealed-string-key", func() *Scan {
-		return &Scan{Source: colstore.OneShard(unsealed)}
-	}, &Scan{Source: colstore.OneShard(fusedDimTable(t))}, "region", "region")
+		return &Scan{Source: unsealed}
+	}, &Scan{Source: fusedDimTable(t)}, "region", "region")
 
 	// Probe codes against a build side of strings from outside storage (a
 	// first-appearance dictionary): the build codes translate, the probe
@@ -555,19 +542,19 @@ func TestFusedProbeEligibility(t *testing.T) {
 		{Name: "weight", Type: colstore.Int64, I: make([]int64, len(workload.RegionNames))},
 	}}}
 	same("outside-build-strings", func() *Scan {
-		return &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "rle"}}
+		return &Scan{Source: tab, Select: []string{"region", "rle"}}
 	}, rawDim, "region", "region")
 
 	// Error parity: a fused-eligible probe against a mismatched build key
 	// type reports the same error as the materializing path.
 	mismatch := func(unfused bool) error {
-		var left Node = &Scan{Source: colstore.OneShard(tab), Select: []string{"lowcard"}}
+		var left Node = &Scan{Source: tab, Select: []string{"lowcard"}}
 		if unfused {
 			left = opaque(left)
 		}
 		_, err := (&Join{
 			Left:    left,
-			Right:   &Scan{Source: colstore.OneShard(fusedDimTable(t))},
+			Right:   &Scan{Source: fusedDimTable(t)},
 			LeftKey: "lowcard", RightKey: "region",
 		}).Run(NewCtx())
 		return err

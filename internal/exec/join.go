@@ -16,7 +16,7 @@ import (
 //
 //	key domain  both key columns are int64 over one equality domain:
 //	            BIGINT is itself and VARCHAR its codes — on every storage
-//	            state and shard count, since a relation's string column is
+//	            state, since a relation's string column is
 //	            always codes plus a dictionary.  When the two sides' codes
 //	            index different dictionaries, the build codes are
 //	            translated through the probe dictionary ([translate]).
@@ -24,7 +24,7 @@ import (
 //	            radix partition — one table and no scatter pass while the
 //	            build side fits the per-partition cache target.
 //	probe       the ONE kernel, probeMorsel, over the morsel grid of a
-//	            probe source: a bound scan shard (the fused feed — selected
+//	            probe source: a bound scan (the fused feed — selected
 //	            keys resolve span by span straight from the compressed
 //	            segments, a dictionary code or an RLE run looked up once,
 //	            and the probe relation is never built) or a materialized
@@ -90,10 +90,10 @@ func (j *Join) Run(ctx *Ctx) (*Relation, error) {
 }
 
 // probeSource resolves the probe side: a fusable Scan feeds the kernel
-// straight from its shard (fused.go's shardProbe) and is never run;
+// straight from its table (fused.go's scanProbe) and is never run;
 // anything else is run to a relation first.
 func (j *Join) probeSource(ctx *Ctx) (probeSource, error) {
-	if sp := j.shardProbe(); sp != nil {
+	if sp := j.scanProbe(); sp != nil {
 		return sp, nil
 	}
 	left, err := j.Left.Run(ctx)

@@ -114,7 +114,7 @@ func TestScanCancelMidMorsel(t *testing.T) {
 	tab := leaseTable(t, 3*MorselRows/2) // two morsels
 	ctx := NewCtx()
 	ctx.Lease = NewLease(1)
-	scan := &Scan{Source: colstore.OneShard(tab), Select: []string{"k"},
+	scan := &Scan{Source: tab, Select: []string{"k"},
 		Preds: []expr.Pred{{Col: "k", Op: vec.LT, Val: expr.IntVal(50)}}}
 	// Cancel before any morsel is claimed: the scan must do no work.
 	ctx.Lease.Cancel()
@@ -134,7 +134,7 @@ func TestLeaseResizeMidQueryKeepsResults(t *testing.T) {
 	tab := leaseTable(t, 2*MorselRows)
 	plan := func() *HashAgg {
 		return &HashAgg{
-			Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"k", "v"},
+			Child: &Scan{Source: tab, Select: []string{"k", "v"},
 				Preds: []expr.Pred{{Col: "k", Op: vec.LT, Val: expr.IntVal(60)}}},
 			GroupBy: []string{"k"},
 			Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "v", As: "s"}},

@@ -99,7 +99,7 @@ func runMorsels[T any](ctx *Ctx, n int, work func(m, lo, hi int) (T, energy.Coun
 
 // morselScratch is one worker's buffers for the morsel it is folding or
 // probing, recycled across the morsels it claims (and across queries)
-// through scratchPool, so neither the shard feeder nor the probe
+// through scratchPool, so neither the scan feeder nor the probe
 // allocates anything per morsel that grows with its rows.  Every window
 // is indexed by window-local row.
 //

@@ -22,18 +22,16 @@ import (
 // is the same bits whatever order its rows arrive in; and an overflowing
 // BIGINT sum wraps to the same value on every path.
 
-// aggTwins is one flat table and a sharded twin per shard count, all
-// carrying the identical MVCC history.
-type aggTwins struct {
-	flat  *colstore.Table
-	twins map[int]*colstore.ShardedTable
-	row   func(i int) []any
-	base  int
+// matrixTable is one table of the matrix plus what loaded it: its logical
+// rows and the base row count.
+type matrixTable struct {
+	flat *colstore.Table
+	row  func(i int) []any
+	base int
 }
 
-// newAggTwins loads rows row(0..base-1) into a flat table, cuts a twin on
-// shardCol at every k in ks, and seals them all.
-func newAggTwins(t testing.TB, schema colstore.Schema, shardCol string, ks []int, row func(i int) []any, base int) *aggTwins {
+// newMatrixTable loads rows row(0..base-1) into a table and seals it.
+func newMatrixTable(t testing.TB, schema colstore.Schema, row func(i int) []any, base int) *matrixTable {
 	t.Helper()
 	flat := colstore.NewTable("t", schema)
 	rows := make([][]any, base)
@@ -63,87 +61,36 @@ func newAggTwins(t testing.TB, schema colstore.Schema, shardCol string, ks []int
 		}
 	}
 	must(t, flat.Seal())
-	tw := &aggTwins{flat: flat, twins: map[int]*colstore.ShardedTable{}, row: row, base: base}
-	for _, k := range ks {
-		st, err := colstore.ShardTable(flat, shardCol, k)
-		must(t, err)
-		must(t, st.Seal())
-		tw.twins[k] = st
-	}
-	return tw
+	return &matrixTable{flat: flat, row: row, base: base}
 }
 
 // mutate inserts rows row(base..base+ins-1) at commit timestamps 1..ins,
 // then tombstones the logical rows listed in del (an index below base is
-// a base row, the rest delta rows) — on the flat table and on every twin.
-// Inserts route to the owning shard with a fresh global sequence,
-// mirroring the engine's sharded write path.
-func (tw *aggTwins) mutate(t testing.TB, ins int, del []int) {
+// a base row, the rest delta rows).
+func (tw *matrixTable) mutate(t testing.TB, ins int, del []int) {
 	t.Helper()
-	type loc struct {
-		sh *colstore.Table
-		id int64
-	}
-	flatIDs := make([]int64, ins)
-	twinIDs := map[int][]loc{}
+	ids := make([]int64, ins)
 	lsn, ts := uint64(1), int64(0)
 	for j := 0; j < ins; j++ {
 		ts++
-		vals := tw.row(tw.base + j)
-		id, err := tw.flat.ApplyInsert(ts, lsn, vals...)
+		id, err := tw.flat.ApplyInsert(ts, lsn, tw.row(tw.base+j)...)
 		must(t, err)
-		flatIDs[j] = id
-		for k, st := range tw.twins {
-			si, routed, err := st.Route(vals)
-			must(t, err)
-			sh := st.Shard(si)
-			sid, err := sh.ApplyInsert(ts, lsn, routed...)
-			must(t, err)
-			twinIDs[k] = append(twinIDs[k], loc{sh, sid})
-		}
+		ids[j] = id
 		lsn++
-	}
-	// A twin's copy of base row r is the row whose sequence is r.
-	doomed := map[int]bool{}
-	for _, r := range del {
-		doomed[r] = true
-	}
-	baseLoc := map[int]map[int]loc{}
-	for k, st := range tw.twins {
-		baseLoc[k] = map[int]loc{}
-		for _, sh := range st.Shards() {
-			seq, err := sh.IntCol(colstore.ShardSeqCol)
-			must(t, err)
-			for r := 0; r < sh.Rows(); r++ {
-				if s := int(seq.Get(r)); s < tw.base && doomed[s] {
-					baseLoc[k][s] = loc{sh, sh.RowID(r)}
-				}
-			}
-		}
 	}
 	for _, r := range del {
 		ts++
 		if r < tw.base {
 			must(t, tw.flat.ApplyDelete(ts, lsn, tw.flat.RowID(r)))
 		} else {
-			must(t, tw.flat.ApplyDelete(ts, lsn, flatIDs[r-tw.base]))
-		}
-		for k := range tw.twins {
-			l, ok := baseLoc[k][r]
-			if r >= tw.base {
-				l, ok = twinIDs[k][r-tw.base], true
-			}
-			if !ok {
-				t.Fatalf("k=%d: base row %d not located", k, r)
-			}
-			must(t, l.sh.ApplyDelete(ts, lsn, l.id))
+			must(t, tw.flat.ApplyDelete(ts, lsn, ids[r-tw.base]))
 		}
 		lsn++
 	}
 }
 
 var oneAggSchema = colstore.Schema{
-	{Name: "ck", Type: colstore.Int64}, // shard key
+	{Name: "ck", Type: colstore.Int64},
 	{Name: "ik", Type: colstore.Int64},
 	{Name: "sk", Type: colstore.String},
 	{Name: "na", Type: colstore.String}, // na × nb: NUL-bearing pairs that
@@ -247,8 +194,8 @@ func sameAggRelation(got, want *Relation) error {
 	return nil
 }
 
-// ranShardFed reports whether a run's trace holds a shard-fed fold.
-func ranShardFed(ctx *Ctx) bool {
+// ranScanFed reports whether a run's trace holds a scan-fed fold.
+func ranScanFed(ctx *Ctx) bool {
 	return slices.ContainsFunc(ctx.OpReports, func(op OpReport) bool { return strings.Contains(op.Label, "[fused") })
 }
 
@@ -262,10 +209,9 @@ func ranShardFed(ctx *Ctx) bool {
 // the pair path into the relation feeder.  Under 2^16 and from 2^18
 // relation rows — where the oracle reproduces the parent's merges — a
 // relation-fed run also charges exactly the oracle's Meter.  Sizes 0 and
-// 1 run the full cross product;
-// each of the five large sizes runs a rotating slice, so every (key shape,
-// value input, feeder) triple meets two large sizes, alternating between
-// the flat and the k=4 layout.
+// 1 run the full cross product; each of the five large sizes runs a
+// rotating slice, so every (key shape, value input, feeder) triple meets
+// up to two large sizes, on alternate ones.
 func TestOneAggMatchesMapOracle(t *testing.T) {
 	sizes := []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<18 - 1, 1 << 18}
 	type oracleRun struct {
@@ -274,7 +220,7 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 	}
 	dim := oneAggDim(t)
 	for si, n := range sizes {
-		tw := newAggTwins(t, oneAggSchema, "ck", []int{4}, oneAggRow, n)
+		tw := newMatrixTable(t, oneAggSchema, oneAggRow, n)
 		// One table per size serves both passes: sealed for the scan and
 		// opaque feeders, then — min(n, 300) rows inserted and as many base
 		// and delta rows tombstoned, so n rows stay visible — live.
@@ -294,7 +240,7 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 			for shi, shape := range oneAggShapes {
 				for vi, vals := range oneAggValues {
 					for fi, feeder := range oneAggFeeders {
-						for li, sharded := range []bool{false, true} {
+						{
 							// A triple's two large sizes: any of the five, and another
 							// of the three around 2^16 (a quarter the rows of the rest).
 							triple := (shi*len(oneAggValues)+vi)*len(oneAggFeeders) + fi
@@ -302,16 +248,13 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 							if second == first {
 								second = (second + 1) % 3
 							}
-							if large := si - 2; large >= 0 && (first != large && second != large || (triple+si+li)%2 != 0) {
+							if large := si - 2; large >= 0 && (first != large && second != large || (triple+si)%2 != 0) {
 								continue
 							}
 							if live != (feeder == "delta") {
 								continue
 							}
-							src := colstore.OneShard(tw.flat)
-							if sharded {
-								src = tw.twins[4]
-							}
+							src := tw.flat
 							cols := slices.Clone(shape.groupBy)
 							for _, spec := range vals.aggs {
 								cols = append(cols, spec.Col)
@@ -328,7 +271,7 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 							input := func() Node {
 								var in Node = &Scan{Source: src, Select: sel}
 								if feeder == "probe" {
-									in = &Join{Left: in, Right: &Scan{Source: colstore.OneShard(dim)}, LeftKey: "ik", RightKey: "k"}
+									in = &Join{Left: in, Right: &Scan{Source: dim}, LeftKey: "ik", RightKey: "k"}
 								}
 								return in
 							}
@@ -337,17 +280,17 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 								child = opaque(child)
 							}
 							agg := &HashAgg{Child: child, GroupBy: shape.groupBy, Aggs: vals.aggs}
-							name := fmt.Sprintf("n=%d/%s/%s/%s/sharded=%v", n, shape.name, vals.name, feeder, sharded)
+							name := fmt.Sprintf("n=%d/%s/%s/%s", n, shape.name, vals.name, feeder)
 
-							okey := fmt.Sprint(sharded, shape.name, vals.name, feeder == "probe")
+							okey := fmt.Sprint(shape.name, vals.name, feeder == "probe")
 							if oracles[okey] == nil {
 								rel, ctx := runPlan(t, &mapAgg{Child: opaque(input()), GroupBy: shape.groupBy, Aggs: vals.aggs}, 1)
 								oracles[okey] = &oracleRun{rel, ctx}
 							}
 							want, octx := oracles[okey].rel, oracles[okey].ctx
 							inBand := n >= 1<<16 && n < 1<<18
-							wantShardFed := feeder != "opaque" && feeder != "probe" && shape.name != "double"
-							wantProbeFed := feeder == "probe" && !sharded && len(shape.groupBy) <= 1 && shape.name != "double" &&
+							wantScanFed := feeder != "opaque" && feeder != "probe" && shape.name != "double"
+							wantProbeFed := feeder == "probe" && len(shape.groupBy) <= 1 && shape.name != "double" &&
 								!slices.ContainsFunc(vals.aggs, func(s expr.AggSpec) bool { return s.Func != expr.AggCount && s.Col == "fv" })
 							if got := agg.fusion(); (got == "fused probe→agg") != wantProbeFed {
 								t.Fatalf("%s: EXPLAIN %q, want probe-fed=%v", name, got, wantProbeFed)
@@ -358,9 +301,8 @@ func TestOneAggMatchesMapOracle(t *testing.T) {
 								if err := sameAggRelation(got, want); err != nil {
 									t.Fatalf("%s dop=%d: diverged from the map oracle: %v", name, dop, err)
 								}
-								// (Every shard of an empty table is pruned: nothing is traced.)
-								if fused := ranShardFed(ctx); feeder != "probe" && ((agg.fusion() == "fused") != wantShardFed || (n > 0 && fused != wantShardFed)) {
-									t.Fatalf("%s dop=%d: shard-fed=%v (EXPLAIN %q), want %v", name, dop, fused, agg.fusion(), wantShardFed)
+								if fused := ranScanFed(ctx); feeder != "probe" && ((agg.fusion() == "fused") != wantScanFed || (n > 0 && fused != wantScanFed)) {
+									t.Fatalf("%s dop=%d: scan-fed=%v (EXPLAIN %q), want %v", name, dop, fused, agg.fusion(), wantScanFed)
 								}
 								if base == nil {
 									base = ctx
@@ -402,9 +344,8 @@ func gridSum(xs []float64, pitch int) float64 {
 // that a serial sum, a sum on the 64 Ki grid of the filtered relation and
 // a sum on the grid of physical table morsels are three different
 // float64 values; the engine returns the math/big sum instead, with the
-// same bits for the rows in table order and shuffled, on the flat and the
-// k ∈ {4, 16} layouts, at every DOP, over a live delta and after merging
-// it, shard-fed, relation-fed, and over a join on an int key (whose
+// same bits for the rows in table order and shuffled, at every DOP, over a live delta and after merging
+// it, scan-fed, relation-fed, and over a join on an int key (whose
 // DOUBLE input reaches the relation feeder through the pair path).
 func TestFloatSumIsPermutationInvariant(t *testing.T) {
 	schema := colstore.Schema{
@@ -438,9 +379,9 @@ func TestFloatSumIsPermutationInvariant(t *testing.T) {
 	for i, r := range del {
 		shuffledDel[i] = at[r]
 	}
-	ordered := newAggTwins(t, schema, "ck", []int{4, 16}, row, base)
+	ordered := newMatrixTable(t, schema, row, base)
 	ordered.mutate(t, ins, del)
-	shuffled := newAggTwins(t, schema, "ck", []int{4, 16}, func(i int) []any { return row(perm[i]) }, base)
+	shuffled := newMatrixTable(t, schema, func(i int) []any { return row(perm[i]) }, base)
 	shuffled.mutate(t, ins, shuffledDel)
 
 	// The filtered logical row sequence, and the same rows cut by the flat
@@ -467,46 +408,37 @@ func TestFloatSumIsPermutationInvariant(t *testing.T) {
 	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4, 5, 6).Close())
 	must(t, dim.Seal())
 	sum := []expr.AggSpec{{Func: expr.AggSum, Col: "x", As: "s"}}
-	arms := func(src *colstore.ShardedTable) map[string]Node {
+	arms := func(src *colstore.Table) map[string]Node {
 		scan := func() *Scan {
 			return &Scan{Source: src, Select: []string{"g", "x"}, Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}}
 		}
 		return map[string]Node{
-			"shard-fed":    &HashAgg{Child: scan(), Aggs: sum},
+			"scan-fed":     &HashAgg{Child: scan(), Aggs: sum},
 			"relation-fed": &HashAgg{Child: opaque(scan()), Aggs: sum},
-			"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)},
+			"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: dim},
 				LeftKey: "g", RightKey: "k"}, Aggs: sum},
 		}
 	}
-	layouts := func(tw *aggTwins) map[string]*colstore.ShardedTable {
-		return map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4], "k=16": tw.twins[16]}
-	}
 	check := func(when string) {
-		for tname, tw := range map[string]*aggTwins{"ordered": ordered, "shuffled": shuffled} {
-			for lname, src := range layouts(tw) {
-				for aname, plan := range arms(src) {
-					for _, dop := range []int{1, 2, 8} {
-						rel, _ := runPlan(t, plan, dop)
-						if got := rel.Cols[0].F[0]; math.Float64bits(got) != math.Float64bits(exact) {
-							t.Fatalf("%s %s %s %s dop=%d: SUM = %x; exact %x (serial %x, relation grid %x, physical grid %x)",
-								when, tname, lname, aname, dop, got, exact, serial, grid, physical)
-						}
-						if fused := plan.(*HashAgg).fusion(); (fused == "fused") != (aname == "shard-fed") || fused == "fused probe→agg" {
-							t.Fatalf("%s %s %s %s: feeder %q", when, tname, lname, aname, fused)
-						}
+		for tname, tw := range map[string]*matrixTable{"ordered": ordered, "shuffled": shuffled} {
+			for aname, plan := range arms(tw.flat) {
+				for _, dop := range []int{1, 2, 8} {
+					rel, _ := runPlan(t, plan, dop)
+					if got := rel.Cols[0].F[0]; math.Float64bits(got) != math.Float64bits(exact) {
+						t.Fatalf("%s %s %s dop=%d: SUM = %x; exact %x (serial %x, relation grid %x, physical grid %x)",
+							when, tname, aname, dop, got, exact, serial, grid, physical)
+					}
+					if fused := plan.(*HashAgg).fusion(); (fused == "fused") != (aname == "scan-fed") || fused == "fused probe→agg" {
+						t.Fatalf("%s %s %s: feeder %q", when, tname, aname, fused)
 					}
 				}
 			}
 		}
 	}
 	check("live")
-	for _, tw := range []*aggTwins{ordered, shuffled} {
-		for _, src := range layouts(tw) {
-			for _, sh := range src.Shards() {
-				_, err := sh.Merge(0)
-				must(t, err)
-			}
-		}
+	for _, tw := range []*matrixTable{ordered, shuffled} {
+		_, err := tw.flat.Merge(0)
+		must(t, err)
 	}
 	check("merged")
 }
@@ -514,7 +446,7 @@ func TestFloatSumIsPermutationInvariant(t *testing.T) {
 // TestFloatMinMaxIsOrderFree: DOUBLE MIN/MAX follow one total order —
 // −0 < +0, NaN above +Inf — so which of two values a feeder meets first
 // never matters: NaN first or last, −0 before or after +0, in one morsel
-// or two, global or grouped, flat or k=4, shard-fed, relation-fed and
+// or two, global or grouped, scan-fed, relation-fed and
 // through a join (the pair path feeding the relation feeder).
 func TestFloatMinMaxIsOrderFree(t *testing.T) {
 	negZero, nan := math.Copysign(0, -1), math.NaN()
@@ -550,16 +482,16 @@ func TestFloatMinMaxIsOrderFree(t *testing.T) {
 				}
 				return []any{int64(i*7919) % (1 << 16), keep, int64(0), x}
 			}
-			tw := newAggTwins(t, schema, "ck", []int{4}, row, MorselRows+10)
-			for lname, src := range map[string]*colstore.ShardedTable{"flat": colstore.OneShard(tw.flat), "k=4": tw.twins[4]} {
+			src := newMatrixTable(t, schema, row, MorselRows+10).flat
+			{
 				for _, groupBy := range [][]string{nil, {"g"}} {
 					scan := func() *Scan {
 						return &Scan{Source: src, Select: []string{"g", "x"}, Preds: []expr.Pred{{Col: "keep", Op: vec.EQ, Val: expr.IntVal(1)}}}
 					}
 					for aname, plan := range map[string]Node{
-						"shard-fed":    &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
+						"scan-fed":     &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
 						"relation-fed": &HashAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs},
-						"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)}, LeftKey: "g", RightKey: "k"},
+						"join": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: dim}, LeftKey: "g", RightKey: "k"},
 							GroupBy: groupBy, Aggs: aggs},
 					} {
 						rel, _ := runPlan(t, plan, 2)
@@ -567,8 +499,8 @@ func TestFloatMinMaxIsOrderFree(t *testing.T) {
 						got := []float64{rel.Cols[k].F[0], rel.Cols[k+1].F[0], rel.Cols[k+2].F[0]}
 						for i, want := range []float64{c.wantMin, c.wantMax, c.s} {
 							if !sameBits(got[i], want) {
-								t.Fatalf("%s gap=%d %s GROUP BY %v %s: MIN, MAX, SUM = %v, want %v %v %v",
-									c.name, gap, lname, groupBy, aname, got, c.wantMin, c.wantMax, c.s)
+								t.Fatalf("%s gap=%d GROUP BY %v %s: MIN, MAX, SUM = %v, want %v %v %v",
+									c.name, gap, groupBy, aname, got, c.wantMin, c.wantMax, c.s)
 							}
 						}
 					}
@@ -581,7 +513,7 @@ func TestFloatMinMaxIsOrderFree(t *testing.T) {
 // raceEnabled is set in a -race build (race_test.go).
 var raceEnabled bool
 
-// TestAggAllocsDoNotScaleWithRows: a shard-fed aggregation allocates no
+// TestAggAllocsDoNotScaleWithRows: a scan-fed aggregation allocates no
 // more per run over 1 Mi rows than over 256 Ki, bar a pool refill: fewer
 // than one allocation per extra morsel.  The cases cover the global group,
 // a swept string key, a swept BIGINT key beside every accumulator kind,
@@ -618,10 +550,10 @@ func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
 	for _, n := range []int{1 << 18, 1 << 20} {
 		tab := ordersTable(t, n)
 		for ci, c := range cases {
-			agg := &HashAgg{Child: &Scan{Source: colstore.OneShard(tab), Select: []string{"id", "custkey", "region", "amount", "day"},
+			agg := &HashAgg{Child: &Scan{Source: tab, Select: []string{"id", "custkey", "region", "amount", "day"},
 				Preds: c.preds}, GroupBy: c.groupBy, Aggs: c.aggs}
 			if agg.fusion() != "fused" {
-				t.Fatalf("case %d is not shard-fed", ci)
+				t.Fatalf("case %d is not scan-fed", ci)
 			}
 			runtime.GC()
 			runtime.GC() // the second empties the pools' victim caches too
@@ -644,7 +576,7 @@ func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
 
 // TestIntSumOverflowWrapsIdentically: a BIGINT SUM that passes
 // math.MaxInt64 wraps modulo 2^64 to the SAME value on every path — the
-// shard feeder's RLE closed form n*v and its row-at-a-time spans, the
+// scan feeder's RLE closed form n*v and its row-at-a-time spans, the
 // relation feeder, the partial merge, the probe fold and the map oracle —
 // at DOP {1, 2, 8}, because all of them only add and multiply in one ring.
 func TestIntSumOverflowWrapsIdentically(t *testing.T) {
@@ -681,7 +613,7 @@ func TestIntSumOverflowWrapsIdentically(t *testing.T) {
 		}
 	}
 	aggs := []expr.AggSpec{{Func: expr.AggSum, Col: "rle"}, {Func: expr.AggSum, Col: "raw"}}
-	scan := func() *Scan { return &Scan{Source: colstore.OneShard(tab), Select: []string{"g", "rle", "raw"}} }
+	scan := func() *Scan { return &Scan{Source: tab, Select: []string{"g", "rle", "raw"}} }
 	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
 	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4).Close())
 	must(t, dim.Seal())
@@ -696,9 +628,9 @@ func TestIntSumOverflowWrapsIdentically(t *testing.T) {
 			}
 		}
 		plans := map[string]Node{
-			"shard-fed":    &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
+			"scan-fed":     &HashAgg{Child: scan(), GroupBy: groupBy, Aggs: aggs},
 			"relation-fed": &HashAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs},
-			"probe-fold": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: colstore.OneShard(dim)},
+			"probe-fold": &HashAgg{Child: &Join{Left: scan(), Right: &Scan{Source: dim},
 				LeftKey: "g", RightKey: "k"}, GroupBy: groupBy, Aggs: aggs},
 		}
 		if plans["probe-fold"].(*HashAgg).fusion() != "fused probe→agg" {

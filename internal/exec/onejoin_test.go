@@ -138,7 +138,7 @@ func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, del
 // matrix cell.
 func oneJoinPlans(t testing.TB, kind, source string, probe, build *colstore.Table) (plan *Join, oracle Node) {
 	t.Helper()
-	scan := func(tab *colstore.Table) *Scan { return &Scan{Source: colstore.OneShard(tab)} }
+	scan := func(tab *colstore.Table) *Scan { return &Scan{Source: tab} }
 	var right Node = scan(build)
 	if kind == kindSharedDict {
 		// The build relation is coded over the probe column's own
@@ -290,11 +290,11 @@ func TestJoinResultCap(t *testing.T) {
 	const nProbe, nBuild = 2*MorselRows + 1000, 8
 	probeTab, buildTab := oneJoinTables(t, nProbe, nBuild, dupAll, false, false, true)
 	join := func(hide bool) *Join {
-		var left Node = &Scan{Source: colstore.OneShard(probeTab), Preds: []expr.Pred{{Col: "pk", Op: vec.EQ, Val: expr.IntVal(3)}}}
+		var left Node = &Scan{Source: probeTab, Preds: []expr.Pred{{Col: "pk", Op: vec.EQ, Val: expr.IntVal(3)}}}
 		if hide {
 			left = opaque(left)
 		}
-		return &Join{Left: left, Right: &Scan{Source: colstore.OneShard(buildTab)}, LeftKey: "pk", RightKey: "bk"}
+		return &Join{Left: left, Right: &Scan{Source: buildTab}, LeftKey: "pk", RightKey: "bk"}
 	}
 	want, _ := runPlan(t, &mapJoin{Left: join(true).Left, Right: join(true).Right, LeftKey: "pk", RightKey: "bk"}, 1)
 	pairs := want.N

@@ -129,7 +129,7 @@ func TestScanMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refScan(t, tab, tc.sel, tc.preds)
-			scan := &Scan{Source: colstore.OneShard(tab), Select: tc.sel, Preds: tc.preds}
+			scan := &Scan{Source: tab, Select: tc.sel, Preds: tc.preds}
 			_, ctx1 := runPlan(t, scan, 1)
 			for _, dop := range []int{1, 3, 8} {
 				got, ctx := runPlan(t, scan, dop)
@@ -148,13 +148,13 @@ func TestScanMatchesReference(t *testing.T) {
 // before any worker starts.
 func TestScanErrors(t *testing.T) {
 	tab := ordersTable(t, 1000)
-	if _, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Source: tab, Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.StrVal("x")}}}).Run(NewCtx()); err == nil {
 		t.Error("string literal against BIGINT column must error")
 	}
-	if _, err := (&Scan{Source: colstore.OneShard(tab), Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Source: tab, Preds: []expr.Pred{{Col: "nope", Op: vec.EQ, Val: expr.IntVal(1)}}}).Run(NewCtx()); err == nil {
 		t.Error("unknown predicate column must error")
 	}
-	if _, err := (&Scan{Source: colstore.OneShard(tab), Select: []string{"nope"}}).Run(NewCtx()); err == nil {
+	if _, err := (&Scan{Source: tab, Select: []string{"nope"}}).Run(NewCtx()); err == nil {
 		t.Error("unknown projection column must error")
 	}
 	if _, err := (&Scan{}).Run(NewCtx()); err == nil {
@@ -172,7 +172,7 @@ func TestParallelAggDOPInvariant(t *testing.T) {
 	plan := func() *HashAgg {
 		return &HashAgg{
 			Child: &Scan{
-				Source: colstore.OneShard(tab),
+				Source: tab,
 				Select: []string{"custkey", "region", "amount"},
 				Preds:  []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(80)}},
 			},
@@ -222,7 +222,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 	}
 	// Serial reference: the map oracle's row loop (agg_oracle_test.go)
 	// driven over all of the scan's rows as one window.
-	scan := &Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}
+	scan := &Scan{Source: tab, Select: []string{"region", "amount"}}
 	in, err := scan.Run(NewCtx())
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestParallelAggMatchesSerialGroups(t *testing.T) {
 			want[key] = []float64{exactSum(st.fvals[0]), float64(st.count), st.mins[2], st.maxs[3]}
 		}
 	}
-	got, _ := runPlan(t, mk(&Scan{Source: colstore.OneShard(tab), Select: []string{"region", "amount"}}), 4)
+	got, _ := runPlan(t, mk(&Scan{Source: tab, Select: []string{"region", "amount"}}), 4)
 	if got.N != len(want) {
 		t.Fatalf("group count: got %d want %d", got.N, len(want))
 	}

@@ -66,7 +66,7 @@ type partChunk struct {
 	rows []int32
 }
 
-// pairChunk is one probe morsel's matches, in probe-row order.  A shard
+// pairChunk is one probe morsel's matches, in probe-row order.  A scan
 // probe source additionally carries each match's probe key in k (codes
 // for string keys), so the output key column never touches the key
 // segments a second time; a relation source leaves k nil.

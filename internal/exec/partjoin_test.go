@@ -196,8 +196,8 @@ func TestJoinDictKeys(t *testing.T) {
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 	join := func(fact, dim *colstore.Table) *Join {
 		return &Join{
-			Left:    &Scan{Source: colstore.OneShard(fact)},
-			Right:   &Scan{Source: colstore.OneShard(dim)},
+			Left:    &Scan{Source: fact},
+			Right:   &Scan{Source: dim},
 			LeftKey: "custname", RightKey: "name",
 		}
 	}
@@ -233,19 +233,19 @@ func TestMixedDictPlainKeys(t *testing.T) {
 	rawFact, rawDim := dictTables(t, nFact, nDim, false)
 
 	mixed := func(hide bool) Node {
-		var left Node = &Scan{Source: colstore.OneShard(sealedFact)}
+		var left Node = &Scan{Source: sealedFact}
 		if hide {
 			left = opaque(left)
 		}
 		return &Join{
 			Left:    left,
-			Right:   &Scan{Source: colstore.OneShard(rawDim)},
+			Right:   &Scan{Source: rawDim},
 			LeftKey: "custname", RightKey: "name",
 		}
 	}
 	baseline := &mapJoin{
-		Left:    &Scan{Source: colstore.OneShard(rawFact)},
-		Right:   &Scan{Source: colstore.OneShard(rawDim)},
+		Left:    &Scan{Source: rawFact},
+		Right:   &Scan{Source: rawDim},
 		LeftKey: "custname", RightKey: "name",
 	}
 	baseRel, _ := runJoin(t, baseline, 1)

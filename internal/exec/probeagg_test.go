@@ -67,14 +67,14 @@ var probeAggSpecs = []expr.AggSpec{
 // unfused hides the probe scan, which sends the whole plan down the
 // materializing pipeline — the oracle arm.
 func probeAggPlan(fact, dim *colstore.Table, probePreds, dimPreds []expr.Pred, groupBy []string, aggs []expr.AggSpec, unfused bool) *HashAgg {
-	var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "rle", "region", "sorted", "packed", "amount"}, Preds: probePreds}
+	var left Node = &Scan{Source: fact, Select: []string{"lowcard", "rle", "region", "sorted", "packed", "amount"}, Preds: probePreds}
 	if unfused {
 		left = opaque(left)
 	}
 	return &HashAgg{
 		Child: &Join{
 			Left:    left,
-			Right:   &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "weight", "score"}, Preds: dimPreds},
+			Right:   &Scan{Source: dim, Select: []string{"k", "name", "bucket", "weight", "score"}, Preds: dimPreds},
 			LeftKey: "lowcard", RightKey: "k",
 		},
 		GroupBy: groupBy,
@@ -199,14 +199,14 @@ func TestFusedProbeAggCodeDomain(t *testing.T) {
 	for _, fact := range []*colstore.Table{fusedMatrixTable(t, 2*MorselRows, 0), unsealed} {
 		for _, groupBy := range [][]string{{"region"}, {"weight"}, nil} {
 			plan := func(unfused bool) *HashAgg {
-				var left Node = &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle", "packed"}}
+				var left Node = &Scan{Source: fact, Select: []string{"region", "rle", "packed"}}
 				if unfused {
 					left = opaque(left)
 				}
 				return &HashAgg{
 					Child: &Join{
 						Left:    left,
-						Right:   &Scan{Source: colstore.OneShard(dim)},
+						Right:   &Scan{Source: dim},
 						LeftKey: "region", RightKey: "region",
 					},
 					GroupBy: groupBy,
@@ -233,22 +233,15 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	dim := probeAggDim(t)
 	count := []expr.AggSpec{{Func: expr.AggCount}}
 	factScan := func() *Scan {
-		return &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "rle", "amount"}}
+		return &Scan{Source: fact, Select: []string{"lowcard", "rle", "amount"}}
 	}
 	dimScan := func() *Scan {
-		return &Scan{Source: colstore.OneShard(dim), Select: []string{"k", "name", "bucket", "score"}}
+		return &Scan{Source: dim, Select: []string{"k", "name", "bucket", "score"}}
 	}
 	join := func(left, right Node) *Join {
 		return &Join{Left: left, Right: right, LeftKey: "lowcard", RightKey: "k"}
 	}
 
-	_, twins := shardTwins(t, n, 0)
-	sharded := func(preds []expr.Pred) *Scan {
-		return &Scan{Source: twins[4], Select: []string{"custkey", "grp", "val"}, Preds: preds}
-	}
-	shardedJoin := func(preds []expr.Pred) *Join {
-		return &Join{Left: sharded(preds), Right: dimScan(), LeftKey: "grp", RightKey: "k"}
-	}
 	outsideDim := &relSource{rel: &Relation{N: 2, Cols: []Col{
 		StringCol("region", []string{"ASIA", "EUROPE"}),
 		{Name: "weight", Type: colstore.Int64, I: []int64{1, 2}},
@@ -264,13 +257,10 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 			Aggs: []expr.AggSpec{{Func: expr.AggMax, Col: "score"}}}},
 		{"float-group", &HashAgg{Child: join(factScan(), dimScan()), GroupBy: []string{"score"}, Aggs: count}},
 		{"two-group-columns", &HashAgg{Child: join(factScan(), dimScan()), GroupBy: []string{"rle", "name"}, Aggs: count}},
-		{"sharded-probe", &HashAgg{Child: shardedJoin(nil), GroupBy: []string{"name"}, Aggs: count}},
-		{"pruned-sharded-probe", &HashAgg{Child: shardedJoin([]expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}),
-			GroupBy: []string{"name"}, Aggs: count}},
 		{"build-not-a-scan", &HashAgg{Child: join(factScan(), intDimSource()), GroupBy: []string{"rle"}, Aggs: count}},
 		// Build strings from outside storage, interned by StringCol.
 		{"raw-build-strings", &HashAgg{Child: &Join{
-			Left:    &Scan{Source: colstore.OneShard(fact), Select: []string{"region", "rle"}},
+			Left:    &Scan{Source: fact, Select: []string{"region", "rle"}},
 			Right:   outsideDim,
 			LeftKey: "region", RightKey: "region"}, GroupBy: []string{"rle"}, Aggs: count}},
 	}
@@ -297,7 +287,7 @@ func TestFusedProbeAggEligibility(t *testing.T) {
 	// Size is no edge: a probe far below every retired row threshold folds
 	// like any other, and answers as the materializing pipeline does.
 	tiny := func(hide bool) *HashAgg {
-		var left Node = &Scan{Source: colstore.OneShard(fusedMatrixTable(t, 4096, 0)), Select: []string{"lowcard", "rle"}}
+		var left Node = &Scan{Source: fusedMatrixTable(t, 4096, 0), Select: []string{"lowcard", "rle"}}
 		if hide {
 			left = opaque(left)
 		}
@@ -428,7 +418,7 @@ func TestFusedProbeAggScratchBoundedUnderDuplicateKeys(t *testing.T) {
 		}
 		must(t, build.Writer().Int64("bk", bk...).Int64("bv", bv...).Close())
 		must(t, build.Seal())
-		a := &HashAgg{Child: &Join{Left: &Scan{Source: colstore.OneShard(probe)}, Right: &Scan{Source: colstore.OneShard(build)},
+		a := &HashAgg{Child: &Join{Left: &Scan{Source: probe}, Right: &Scan{Source: build},
 			LeftKey: "pk", RightKey: "bk"}, GroupBy: []string{"bv"}, Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}}
 		if a.fusion() != "fused probe→agg" {
 			t.Fatal("the duplicate-key join does not fold its matches")
@@ -481,7 +471,7 @@ func TestRadixBitsSmallBuildIsOneTable(t *testing.T) {
 	fact := fusedMatrixTable(t, 2*MorselRows, 0)
 	ctx := NewCtx()
 	ctx.Lease = NewLease(2)
-	j := &Join{Left: &Scan{Source: colstore.OneShard(fact), Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
+	j := &Join{Left: &Scan{Source: fact, Select: []string{"lowcard", "sorted"}}, Right: intDimSource(),
 		LeftKey: "lowcard", RightKey: "k"}
 	got, err := j.Run(ctx)
 	must(t, err)

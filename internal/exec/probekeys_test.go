@@ -215,9 +215,9 @@ func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 					groupBy := sink.groupBy
 					name := fmt.Sprintf("%s/%s/sel=%d%%/%s", layout, build, pct, sink.name)
 					scan := func() Node {
-						return &Scan{Source: colstore.OneShard(probe), Select: []string{lk, "pg", "pv"}, Preds: preds}
+						return &Scan{Source: probe, Select: []string{lk, "pg", "pv"}, Preds: preds}
 					}
-					buildScan := &Scan{Source: colstore.OneShard(bt), Select: []string{rk, "bg", "bv"}}
+					buildScan := &Scan{Source: bt, Select: []string{rk, "bg", "bv"}}
 					// plan wraps a join of left in the sink; mapPlan is the oracle.
 					plan := func(left Node) Node {
 						j := &Join{Left: left, Right: buildScan, LeftKey: lk, RightKey: rk}
@@ -310,11 +310,11 @@ func FuzzFusedProbe(f *testing.F) {
 		aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}
 		for _, groupBy := range [][]string{nil, {"bg"}, {}} {
 			plan := func(hide bool) Node {
-				var left Node = &Scan{Source: colstore.OneShard(probe), Select: []string{"pk", "pv"}, Preds: preds}
+				var left Node = &Scan{Source: probe, Select: []string{"pk", "pv"}, Preds: preds}
 				if hide {
 					left = opaque(left)
 				}
-				j := &Join{Left: left, Right: &Scan{Source: colstore.OneShard(build)}, LeftKey: "pk", RightKey: "bk"}
+				j := &Join{Left: left, Right: &Scan{Source: build}, LeftKey: "pk", RightKey: "bk"}
 				if groupBy == nil {
 					return j
 				}

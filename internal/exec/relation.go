@@ -9,7 +9,7 @@
 //
 // A plan is driven by exactly one goroutine: Node.Run is never called
 // concurrently on the same tree or with the same Ctx, and every serial
-// operator (Project, Sort, Limit, Compact, Rebalance) runs entirely on
+// operator (Project, Sort, Limit, Compact) runs entirely on
 // that goroutine.  The morsel-driven operators — Scan, HashAgg and Join —
 // fan work out to Ctx.DOP() internal workers (a one-morsel input runs on
 // one) but present the same single-goroutine interface: they return only after
@@ -43,7 +43,7 @@ import (
 // merges them without touching string bytes.  A string is decoded (Str)
 // only where it leaves the engine: rendering, a comparison against a
 // literal, a sort.  Two columns of equal strings may carry different
-// dictionaries (one per shard, per storage state); compare them decoded.
+// dictionaries (one per storage state); compare them decoded.
 type Col struct {
 	Name string
 	Type colstore.Type
@@ -139,7 +139,7 @@ func (r *Relation) Gather(rows []int32) *Relation {
 // names and types and, row by row, the same values — strings compared
 // decoded, floats by their bits.  It is the identity the determinism
 // contract promises across storage layouts, whose dictionaries differ
-// (sealed or live, one shard or many), where reflect.DeepEqual would
+// (sealed, live or merged), where reflect.DeepEqual would
 // compare the dictionaries too.
 //
 //lint:allow reach: reference oracle: E20/E23/E24/E25 and the byte-identity tests compare relations decoded

@@ -1,28 +1,44 @@
-package exec
+package exec_test
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/colstore"
 	"repro/internal/energy"
+	"repro/internal/exec"
+	//lint:allow layering: these matrices check E25's sharded read against the served Scan, HashAgg and Join it must reproduce, and keep their exec test IDs
+	"repro/internal/experiments/shard"
 	"repro/internal/experiments/synth"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
 
-// Sharded identity matrix.  Value-range sharding must be invisible to
+// Sharded identity matrix: E25's cut tables (internal/experiments/shard)
+// read through shard.Scan, against the served Scan, HashAgg and Join over
+// the flat table — the operators every shard read is built from.  These
+// tests keep the IDs they had when the shard list was served code, so
+// they stay beside those operators in an external test package.
+// Value-range sharding must be invisible to
 // results: at every shard count {1,4,16} × DOP {1,2,8} × sealed-only,
-// live main+delta and post-merge storage, sharded scans, shard-fed
-// aggregations (per-shard string dictionaries and DOUBLE inputs
-// included), relation-fed ones over the merged relation (string columns
-// meeting in its union dictionary), and joins of independently cut
-// tables return the flat layout's relation — strings compared decoded (Relation.Equal),
-// since every shard carries its own dictionary — and each arm's relation
-// and counters are byte-identical across DOPs.  Counters are NOT compared
-// across shard counts: pruning changes the bytes touched — that is the
-// whole point (E25 gates the drop).
+// live main+delta and post-merge storage, the sequence-merged read of a
+// cut table returns the served flat Scan's relation — strings compared
+// decoded (Relation.Equal), since every shard carries its own dictionary
+// — and each arm's relation and counters are byte-identical across DOPs.
+// Counters are NOT compared across shard counts: pruning changes the
+// bytes touched — that is the whole point (E25 gates the drop).
+
+// snapLatest is the snapshot that reads everything committed so far.
+const snapLatest int64 = 0
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 var shardCounts = []int{1, 4, 16}
 
@@ -32,7 +48,7 @@ var shardCounts = []int{1, 4, 16}
 // region no dictionary has seen — and tombstones over base and delta
 // rows.  DML routes to the owning shard by key with a fresh global
 // sequence, mirroring the engine's sharded write path.
-func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.ShardedTable) {
+func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*shard.Table) {
 	t.Helper()
 	flat := colstore.NewTable("orders", colstore.Schema{
 		{Name: "custkey", Type: colstore.Int64},
@@ -60,9 +76,9 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 	must(t, flat.Writer().Int64("val", val...).Close())
 	must(t, flat.Seal())
 
-	twins := make(map[int]*colstore.ShardedTable, len(shardCounts))
+	twins := make(map[int]*shard.Table, len(shardCounts))
 	for _, k := range shardCounts {
-		st, err := colstore.ShardTable(flat, "custkey", k)
+		st, err := shard.Cut(flat, "custkey", k)
 		must(t, err)
 		must(t, st.Seal())
 		twins[k] = st
@@ -82,7 +98,7 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 		ts++
 		region := workload.RegionNames[i%len(workload.RegionNames)]
 		if i%5 == 4 {
-			region = "NEW" + itoa(i%13)
+			region = "NEW" + strconv.Itoa(i%13)
 		}
 		vals := []any{
 			int64((i * 7919) % (1 << 16)), int64(i % 24), region,
@@ -108,7 +124,7 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 		for _, k := range shardCounts {
 			locate[k] = make(map[int64]loc, n)
 			for _, sh := range twins[k].Shards() {
-				seqc, err := sh.IntCol(colstore.ShardSeqCol)
+				seqc, err := sh.IntCol(shard.SeqCol)
 				must(t, err)
 				for r := 0; r < sh.Rows(); r++ {
 					locate[k][seqc.Get(r)] = loc{sh, sh.RowID(r)}
@@ -140,7 +156,7 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*colstore.
 
 // mergeTwins merges every twin's delta into its main with no reader in
 // flight: tombstoned rows go and each string dictionary is re-sorted.
-func mergeTwins(t testing.TB, flat *colstore.Table, twins map[int]*colstore.ShardedTable) {
+func mergeTwins(t testing.TB, flat *colstore.Table, twins map[int]*shard.Table) {
 	t.Helper()
 	_, err := flat.Merge(0)
 	must(t, err)
@@ -168,13 +184,13 @@ func storageStates(extra int) []storageState {
 	return []storageState{
 		{"sealed", 0, snapLatest, false},
 		{"live", extra, snapLatest, false},
-		{"live@" + itoa(int(half)), extra, half, false},
+		{"live@" + strconv.Itoa(int(half)), extra, half, false},
 		{"merged", extra, snapLatest, true},
 	}
 }
 
 // stateTwins builds shardTwins in one storage state.
-func stateTwins(t testing.TB, n, extra int, merged bool) (*colstore.Table, map[int]*colstore.ShardedTable) {
+func stateTwins(t testing.TB, n, extra int, merged bool) (*colstore.Table, map[int]*shard.Table) {
 	flat, twins := shardTwins(t, n, extra)
 	if merged {
 		mergeTwins(t, flat, twins)
@@ -183,15 +199,15 @@ func stateTwins(t testing.TB, n, extra int, merged bool) (*colstore.Table, map[i
 }
 
 type shardArm struct {
-	rel *Relation
+	rel *exec.Relation
 	w   energy.Counters
 }
 
-func runNodeArm(t testing.TB, node Node, snap int64, dop int) shardArm {
+func runNodeArm(t testing.TB, node exec.Node, snap int64, dop int) shardArm {
 	t.Helper()
-	ctx := NewCtx()
+	ctx := exec.NewCtx()
 	ctx.SnapTS = snap
-	ctx.Lease = NewLease(dop)
+	ctx.Lease = exec.NewLease(dop)
 	rel, err := node.Run(ctx)
 	must(t, err)
 	return shardArm{rel, ctx.Meter.Snapshot()}
@@ -200,7 +216,7 @@ func runNodeArm(t testing.TB, node Node, snap int64, dop int) shardArm {
 // checkShardMatrix runs flat vs every shard count and asserts: the flat
 // arm's relation is reproduced by every sharded arm (strings decoded),
 // and within every arm the relation and counters are DOP-invariant.
-func checkShardMatrix(t *testing.T, snap int64, flatNode func() Node, shardNode func(k int) Node) {
+func checkShardMatrix(t *testing.T, snap int64, flatNode func() exec.Node, shardNode func(k int) exec.Node) {
 	t.Helper()
 	want := runNodeArm(t, flatNode(), snap, 1)
 	for _, dop := range []int{2, 8} {
@@ -240,14 +256,45 @@ func TestShardedScanByteIdentityMatrix(t *testing.T) {
 			ps := ps
 			t.Run(live.name+"/"+pname, func(t *testing.T) {
 				checkShardMatrix(t, live.snap,
-					func() Node { return &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: ps} },
-					func(k int) Node { return &Scan{Source: twins[k], Select: sel, Preds: ps} },
+					func() exec.Node { return &exec.Scan{Source: flat, Select: sel, Preds: ps} },
+					func(k int) exec.Node { return &shard.Scan{Source: twins[k], Select: sel, Preds: ps} },
 				)
 			})
 		}
 	}
 }
 
+// TestShardPruningCounters asserts the energy contract of pruning: a
+// skewed key predicate touches strictly fewer DRAM bytes as the shard
+// count grows, while TuplesIn (logical rows considered) stays constant.
+func TestShardPruningCounters(t *testing.T) {
+	const n = 200_000
+	flat, twins := shardTwins(t, n, 0)
+	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
+	sel := []string{"custkey", "val"}
+	flatArm := runNodeArm(t, &exec.Scan{Source: flat, Select: sel, Preds: preds}, snapLatest, 1)
+	var prevBytes uint64
+	for i, k := range shardCounts {
+		a := runNodeArm(t, &shard.Scan{Source: twins[k], Select: sel, Preds: preds}, snapLatest, 1)
+		if a.w.TuplesIn < uint64(n) {
+			t.Fatalf("k=%d: logical rows considered %d < %d (pruning must charge TuplesIn)", k, a.w.TuplesIn, n)
+		}
+		if i > 0 && a.w.BytesReadDRAM >= prevBytes {
+			t.Fatalf("k=%d: pruning did not shed bytes: %d >= %d", k, a.w.BytesReadDRAM, prevBytes)
+		}
+		prevBytes = a.w.BytesReadDRAM
+	}
+	if flatArm.rel.N == 0 {
+		t.Fatal("degenerate predicate: no rows selected")
+	}
+}
+
+// TestShardedAggByteIdentityMatrix: an aggregation over the
+// sequence-merged read of a cut table folds the merged relation (the
+// relation feeder: shard.Scan is not an exec.Scan), so its groups come
+// out in the flat scan's first-seen order and a string key's per-shard
+// codes meet in the merged relation's union dictionary.  Every shard
+// count returns the flat table's aggregate, DOP-invariant per arm.
 func TestShardedAggByteIdentityMatrix(t *testing.T) {
 	const n = 200_000
 	cases := []struct {
@@ -256,161 +303,47 @@ func TestShardedAggByteIdentityMatrix(t *testing.T) {
 		groupBy []string
 		aggs    []expr.AggSpec
 		preds   []expr.Pred
-		opaque  bool // hide the scan: the relation feeder folds the merged relation
 	}{
 		{
-			// Int group key: the per-shard fused path with first-sequence
-			// group ordering.
-			name: "int-group-fused", sel: []string{"grp", "val", "custkey"},
-			groupBy: []string{"grp"},
-			aggs: []expr.AggSpec{
-				{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount},
-				{Func: expr.AggMin, Col: "custkey"}, {Func: expr.AggMax, Col: "val"},
-			},
-			preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 14)}},
-		},
-		{
-			// Global aggregate, key-pruned.
-			name: "global-fused", sel: []string{"val", "custkey"},
-			aggs:  []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}},
-			preds: []expr.Pred{{Col: "custkey", Op: vec.GE, Val: expr.IntVal(1 << 15)}},
-		},
-		{
-			// String group key: every shard folds its own dictionary's codes
-			// and the cross-shard merge translates the keys through their
-			// strings.
-			name: "string-group-translated", sel: []string{"region", "val"},
-			groupBy: []string{"region"},
-			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}},
-			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
-		},
-		{
-			// The same key relation-fed: every shard's codes meet in the
-			// merged relation's union dictionary (mergeBySeq).
+			// String group key: every shard's codes meet in the merged
+			// relation's union dictionary (mergeBySeq).
 			name: "string-group-relation-fed", sel: []string{"region", "val"},
 			groupBy: []string{"region"},
 			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}},
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
-			opaque:  true,
 		},
 		{
-			// Float aggregate input, shard-fed: the order-free sum makes every
-			// shard layout's partials add up to the flat table's bits.
-			name: "float-agg-fused", sel: []string{"grp", "amount"},
-			groupBy: []string{"grp"},
-			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggCount}},
-			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
-		},
-		{
-			// The same, relation-fed from the merged relation.
+			// Float aggregate input: the order-free sum makes every layout's
+			// rows add up to the flat table's bits.
 			name: "float-agg-relation-fed", sel: []string{"grp", "amount"},
 			groupBy: []string{"grp"},
 			aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}, {Func: expr.AggCount}},
 			preds:   []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}},
-			opaque:  true,
 		},
 	}
 	for _, live := range storageStates(300) {
 		flat, twins := stateTwins(t, n, live.extra, live.merged)
 		for _, c := range cases {
-			c := c
 			t.Run(live.name+"/"+c.name, func(t *testing.T) {
-				agg := func(src *colstore.ShardedTable) Node {
-					var child Node = &Scan{Source: src, Select: c.sel, Preds: c.preds}
-					if c.opaque {
-						child = opaque(child)
-					}
-					return &HashAgg{Child: child, GroupBy: c.groupBy, Aggs: c.aggs}
+				agg := func(child exec.Node) exec.Node {
+					return &exec.HashAgg{Child: child, GroupBy: c.groupBy, Aggs: c.aggs}
 				}
 				checkShardMatrix(t, live.snap,
-					func() Node { return agg(colstore.OneShard(flat)) },
-					func(k int) Node { return agg(twins[k]) },
+					func() exec.Node { return agg(&exec.Scan{Source: flat, Select: c.sel, Preds: c.preds}) },
+					func(k int) exec.Node { return agg(&shard.Scan{Source: twins[k], Select: c.sel, Preds: c.preds}) },
 				)
 			})
 		}
 	}
 }
 
-// TestOneShardIsFlat is the contract of the one table shape.  A table
-// created flat is registered as one shard wrapped in place (OneShard);
-// ShardTable(…, 1) is the other one-shard table, carrying a sequence
-// column nothing reads.  Both must return the same relation AND charge
-// the same Meter snapshot — no sequence column bound, no first-appearance
-// tracking, no merge, and never a whole-shard prune: a lone shard whose
-// zone is disjoint from the predicate, or that holds no rows at all,
-// charges what its segment zone maps charge, not a shard-prune line — for
-// the scan, the fused aggregate (string groups included: one shard has
-// one dictionary), the materialized aggregate, and the fused probe, on
-// sealed, live and empty tables.  The k ∈ {4,16} cuts agree on the
-// relation (their counters differ: pruning changes the bytes).
-func TestOneShardIsFlat(t *testing.T) {
-	sel := []string{"custkey", "grp", "region", "amount", "val"}
-	predSets := map[string][]expr.Pred{
-		"range":    {{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 14)}},
-		"disjoint": {{Col: "custkey", Op: vec.GT, Val: expr.IntVal(1 << 20)}}, // keys lie below 1<<16
-	}
-	sumVal := []expr.AggSpec{{Func: expr.AggSum, Col: "val"}, {Func: expr.AggCount}}
-	dim := intDimSource()
-	plans := map[string]func(s *Scan) Node{
-		"scan":       func(s *Scan) Node { return s },
-		"scan-all":   func(s *Scan) Node { s.Preds, s.Select = nil, nil; return s },
-		"fused-agg":  func(s *Scan) Node { return &HashAgg{Child: s, GroupBy: []string{"grp"}, Aggs: sumVal} },
-		"string-agg": func(s *Scan) Node { return &HashAgg{Child: s, GroupBy: []string{"region"}, Aggs: sumVal} },
-		"global-agg": func(s *Scan) Node { return &HashAgg{Child: s, Aggs: sumVal} },
-		"float-agg": func(s *Scan) Node {
-			return &HashAgg{Child: s, GroupBy: []string{"grp"}, Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount"}}}
-		},
-		"fused-probe": func(s *Scan) Node {
-			return &Join{Left: s, Right: dim, LeftKey: "grp", RightKey: "k"}
-		},
-	}
-	for _, live := range []struct {
-		name     string
-		n, extra int
-		snap     int64
-	}{
-		{"sealed", 150_000, 0, snapLatest},
-		{"live", 150_000, 300, snapLatest},
-		{"live@150", 150_000, 300, 150},
-		{"empty", 0, 0, snapLatest},
-	} {
-		flat, twins := shardTwins(t, live.n, live.extra)
-		wrapped := colstore.OneShard(flat)
-		for pname, preds := range predSets {
-			for name, mk := range plans {
-				t.Run(live.name+"/"+pname+"/"+name, func(t *testing.T) {
-					want := runNodeArm(t, mk(&Scan{Source: wrapped, Select: sel, Preds: preds}), live.snap, 1)
-					if live.n > 0 && pname == "range" && want.rel.N == 0 {
-						t.Fatal("degenerate plan: no output rows")
-					}
-					for _, dop := range []int{1, 3} {
-						got := runNodeArm(t, mk(&Scan{Source: twins[1], Select: sel, Preds: preds}), live.snap, dop)
-						if !reflect.DeepEqual(got.rel, want.rel) {
-							t.Fatalf("dop=%d: k=1 relation diverged from flat", dop)
-						}
-						if got.w != want.w {
-							t.Fatalf("dop=%d: k=1 Meter diverged from flat\n got %+v\nwant %+v", dop, got.w, want.w)
-						}
-					}
-					for _, k := range []int{4, 16} {
-						got := runNodeArm(t, mk(&Scan{Source: twins[k], Select: sel, Preds: preds}), live.snap, 1)
-						if !got.rel.Equal(want.rel) {
-							t.Fatalf("k=%d relation diverged from flat", k)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardedJoinByteIdentityMatrix: the one join over sharded inputs.
+// TestShardedJoinByteIdentityMatrix: the one exec.Join over cut tables.
 // Both sides are cut independently on their join keys, so their cuts
 // differ and a key's shard index on one side says nothing about the
-// other; each side's scan merges its shards by sequence, so the join sees
-// the flat row order.  Both sides sharded, the probe side flat, and the
-// build side flat all return the map oracle's relation, and each arm's
-// relation and counters are DOP-invariant.
+// other; each side's read merges its shards by sequence, so the join sees
+// the flat row order.  Both sides cut, the probe side flat, and the build
+// side flat all return the flat tables' join, and each arm's relation and
+// counters are DOP-invariant.
 func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 	const n = 120_000
 	const nCust = 1 << 12
@@ -442,43 +375,38 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 		rp := []expr.Pred{{Col: "tier", Op: vec.NE, Val: expr.IntVal(4)}}
 		lsel := []string{"custkey", "grp", "val"}
 		rsel := []string{"custkey", "tier"}
-		want := runNodeArm(t, &mapJoin{
-			Left:    &Scan{Source: colstore.OneShard(flatO), Select: lsel, Preds: lp},
-			Right:   &Scan{Source: colstore.OneShard(flatC), Select: rsel, Preds: rp},
-			LeftKey: "custkey", RightKey: "custkey",
-		}, live.snap, 1)
+		flatL := func() exec.Node { return &exec.Scan{Source: flatO, Select: lsel, Preds: lp} }
+		flatR := func() exec.Node { return &exec.Scan{Source: flatC, Select: rsel, Preds: rp} }
+		want := runNodeArm(t, &exec.Join{Left: flatL(), Right: flatR(), LeftKey: "custkey", RightKey: "custkey"}, live.snap, 1)
 		if want.rel.N == 0 {
 			t.Fatal("degenerate join: no output rows")
 		}
 
 		for _, k := range shardCounts {
-			k := k
-			t.Run(live.name+"/k="+itoa(k), func(t *testing.T) {
-				stC, err := colstore.ShardTable(flatC, "custkey", k)
+			t.Run(live.name+"/k="+strconv.Itoa(k), func(t *testing.T) {
+				stC, err := shard.Cut(flatC, "custkey", k)
 				must(t, err)
 				must(t, stC.Seal())
 				if k > 1 && reflect.DeepEqual(stC.Cuts(), twinsO[k].Cuts()) {
 					t.Fatal("independent cuts coincide: the matrix would not mix shard indexes")
 				}
+				cutL := func() exec.Node { return &shard.Scan{Source: twinsO[k], Select: lsel, Preds: lp} }
+				cutR := func() exec.Node { return &shard.Scan{Source: stC, Select: rsel, Preds: rp} }
 				for _, arm := range []struct {
 					name        string
-					left, right *colstore.ShardedTable
+					left, right func() exec.Node
 				}{
-					{"both-sharded", twinsO[k], stC},
-					{"probe-flat", colstore.OneShard(flatO), stC},
-					{"build-flat", twinsO[k], colstore.OneShard(flatC)},
+					{"both-sharded", cutL, cutR},
+					{"probe-flat", flatL, cutR},
+					{"build-flat", cutL, flatR},
 				} {
 					t.Run(arm.name, func(t *testing.T) {
-						join := func() Node {
-							return &Join{
-								Left:    &Scan{Source: arm.left, Select: lsel, Preds: lp},
-								Right:   &Scan{Source: arm.right, Select: rsel, Preds: rp},
-								LeftKey: "custkey", RightKey: "custkey",
-							}
+						join := func() exec.Node {
+							return &exec.Join{Left: arm.left(), Right: arm.right(), LeftKey: "custkey", RightKey: "custkey"}
 						}
 						ref := runNodeArm(t, join(), live.snap, 1)
 						if !ref.rel.Equal(want.rel) {
-							t.Fatalf("k=%d: join diverged from the map oracle", k)
+							t.Fatalf("k=%d: join diverged from the flat tables' join", k)
 						}
 						for _, dop := range []int{2, 8} {
 							a := runNodeArm(t, join(), live.snap, dop)
@@ -491,41 +419,4 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestShardPruningCounters asserts the energy contract of pruning: a
-// skewed key predicate touches strictly fewer DRAM bytes as the shard
-// count grows, while TuplesIn (logical rows considered) stays constant.
-func TestShardPruningCounters(t *testing.T) {
-	const n = 200_000
-	flat, twins := shardTwins(t, n, 0)
-	preds := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 10)}}
-	sel := []string{"custkey", "val"}
-	flatArm := runNodeArm(t, &Scan{Source: colstore.OneShard(flat), Select: sel, Preds: preds}, snapLatest, 1)
-	var prevBytes uint64
-	for i, k := range shardCounts {
-		a := runNodeArm(t, &Scan{Source: twins[k], Select: sel, Preds: preds}, snapLatest, 1)
-		if a.w.TuplesIn < uint64(n) {
-			t.Fatalf("k=%d: logical rows considered %d < %d (pruning must charge TuplesIn)", k, a.w.TuplesIn, n)
-		}
-		if i > 0 && a.w.BytesReadDRAM >= prevBytes {
-			t.Fatalf("k=%d: pruning did not shed bytes: %d >= %d", k, a.w.BytesReadDRAM, prevBytes)
-		}
-		prevBytes = a.w.BytesReadDRAM
-	}
-	if flatArm.rel.N == 0 {
-		t.Fatal("degenerate predicate: no rows selected")
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	return string(b)
 }

@@ -1,14 +1,10 @@
-package sched_test
-
-// The E1/E5 machine simulator lives in internal/experiments/coresim,
-// beside the experiments that own it; its tests keep this import path.
+package coresim
 
 import (
 	"testing"
 	"time"
 
 	"repro/internal/energy"
-	. "repro/internal/experiments/coresim"
 	"repro/internal/experiments/synth"
 )
 

@@ -329,7 +329,7 @@ func TestFilterMatchesPushedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := colstore.OneShard(loadCluster(t, 1, 4000, link).Nodes[0].Table)
+	tab := loadCluster(t, 1, 4000, link).Nodes[0].Table
 	preds := []expr.Pred{
 		{Col: "custkey", Op: vec.LT, Val: expr.IntVal(800)},
 		{Col: "amount", Op: vec.GE, Val: expr.FloatVal(100)},

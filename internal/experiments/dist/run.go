@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 
-	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -97,7 +96,7 @@ func (c *Cluster) runNode(ctx *exec.Ctx, n *Node, q AggQuery, s Strategy) (*exec
 		}
 		plan := &exec.HashAgg{
 			Child: &exec.Scan{
-				Source: colstore.OneShard(n.Table),
+				Source: n.Table,
 				Select: sel,
 				Preds:  q.Preds,
 			},
@@ -116,7 +115,7 @@ func (c *Cluster) runNode(ctx *exec.Ctx, n *Node, q AggQuery, s Strategy) (*exec
 	// Data shipping: materialize the query's columns unfiltered, encode
 	// them for the wire, and evaluate on the coordinator against the
 	// received arrays.
-	scan := &exec.Scan{Source: colstore.OneShard(n.Table), Select: q.columns()}
+	scan := &exec.Scan{Source: n.Table, Select: q.columns()}
 	rel, err := scan.Run(ctx)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: node %d: %w", n.ID, err)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/shard"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 )
@@ -22,7 +23,7 @@ import (
 
 // ShardedCluster places the shards of one sharded table across nodes.
 type ShardedCluster struct {
-	Sharded *colstore.ShardedTable
+	Sharded *shard.Table
 	// NodeOf maps shard index -> node ID (round-robin; deterministic).
 	NodeOf []int
 
@@ -33,7 +34,7 @@ type ShardedCluster struct {
 
 // PlaceShards assigns the table's shards to nodes round-robin over one
 // shared ingress link to the coordinator.
-func PlaceShards(st *colstore.ShardedTable, nodes int, link *netsim.Link) (*ShardedCluster, error) {
+func PlaceShards(st *shard.Table, nodes int, link *netsim.Link) (*ShardedCluster, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("dist: cannot place shards on %d nodes", nodes)
 	}
@@ -78,7 +79,7 @@ func (sc *ShardedCluster) RunAgg(q AggQuery) (*exec.Relation, ShardReport, error
 	}
 	ctx := exec.NewCtx()
 	shards := sc.Sharded.Shards()
-	keep := exec.PruneShards(shards, q.Preds)
+	keep := shard.Prune(shards, q.Preds)
 	rep := ShardReport{}
 	sel := []string{q.GroupBy}
 	if q.SumCol != q.GroupBy {
@@ -93,7 +94,7 @@ func (sc *ShardedCluster) RunAgg(q AggQuery) (*exec.Relation, ShardReport, error
 		}
 		rep.ShardsScanned++
 		plan := &exec.HashAgg{
-			Child:   &exec.Scan{Source: colstore.OneShard(sh), Select: sel, Preds: q.Preds},
+			Child:   &exec.Scan{Source: sh, Select: sel, Preds: q.Preds},
 			GroupBy: []string{q.GroupBy},
 			Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: q.SumCol, As: q.SumAlias}},
 		}

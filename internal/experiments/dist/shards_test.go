@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/colstore"
 	. "repro/internal/experiments/dist"
+	"repro/internal/experiments/shard"
 	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/vec"
@@ -65,7 +66,7 @@ func loadShardedKV(t *testing.T, k, nodes, rows int, link *netsim.Link) *Sharded
 	if err := tab.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := colstore.ShardTable(tab, "custkey", k)
+	st, err := shard.Cut(tab, "custkey", k)
 	if err != nil {
 		t.Fatal(err)
 	}

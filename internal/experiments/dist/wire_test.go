@@ -1,7 +1,4 @@
-package exec_test
-
-// The wire price of a column lives with the shipping strategies that use
-// it (internal/experiments/dist); this test keeps its import path.
+package dist_test
 
 import (
 	"fmt"
@@ -41,7 +38,7 @@ func TestWireBytesPricesReferencedValues(t *testing.T) {
 	if err := tab.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	rel, err := (&exec.Scan{Source: colstore.OneShard(tab), Select: []string{"region"}}).Run(exec.NewCtx())
+	rel, err := (&exec.Scan{Source: tab, Select: []string{"region"}}).Run(exec.NewCtx())
 	if err != nil {
 		t.Fatal(err)
 	}

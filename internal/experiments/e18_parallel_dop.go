@@ -44,7 +44,7 @@ func E18Sweep(n int, dops []int) ([]E18Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab, err := eng.Catalog().Lookup("orders")
+	tab, err := eng.Catalog().Table("orders")
 	if err != nil {
 		return nil, err
 	}

@@ -87,8 +87,8 @@ func e20Catalog(nFact, nDim int, seal bool) (*opt.Catalog, error) {
 		}
 	}
 	cat := opt.NewCatalog()
-	cat.Add(colstore.OneShard(fact))
-	cat.Add(colstore.OneShard(dim))
+	cat.Add(fact)
+	cat.Add(dim)
 	return cat, nil
 }
 

@@ -132,7 +132,7 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 // materializing pipeline structurally: its scan sits behind an opaque
 // wrapper node and the consumer sees only a relation source.
 func (f *e24Fixture) scan(selCols []string, sel float64, unfused bool) exec.Node {
-	s := &exec.Scan{Source: colstore.OneShard(f.fact), Select: selCols,
+	s := &exec.Scan{Source: f.fact, Select: selCols,
 		Preds: []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(sel))}}}
 	if unfused {
 		return struct{ exec.Node }{s}
@@ -151,7 +151,7 @@ func (f *e24Fixture) aggNode(groupBy, selCols []string, aggs []expr.AggSpec, sel
 func (f *e24Fixture) probeNode(sel float64, unfused bool) exec.Node {
 	return &exec.Join{
 		Left:     f.scan([]string{"region", "lowcard", "packed"}, sel, unfused),
-		Right:    &exec.Scan{Source: colstore.OneShard(f.dim)},
+		Right:    &exec.Scan{Source: f.dim},
 		LeftKey:  "region",
 		RightKey: "region",
 	}
@@ -274,8 +274,8 @@ func E24PlannerDecisions(n int) (agg, join, joinAgg *opt.PlanInfo, err error) {
 		return nil, nil, nil, err
 	}
 	cat := opt.NewCatalog()
-	cat.Add(colstore.OneShard(f.fact))
-	cat.Add(colstore.OneShard(f.dim))
+	cat.Add(f.fact)
+	cat.Add(f.dim)
 	cm := opt.NewCostModel(energy.DefaultModel())
 	pred := []expr.Pred{{Col: "packed", Op: vec.LT, Val: expr.IntVal(f.cut(0.50))}}
 	_, agg, err = cat.Plan(&opt.Query{

@@ -3,20 +3,23 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/experiments/shard"
+	"repro/internal/expr"
 	"repro/internal/opt"
 	"repro/internal/sql"
+	"repro/internal/vec"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "E25",
-		Title: "value-range sharding: zone pruning, co-partitioning, and energy-priced rebalance (extension)",
-		Claim: "cutting a table into value-range shards keeps the determinism contract — relations byte-identical to the unsharded layout at every shard count and DOP, counters DOP-invariant at fixed shard count — while a skewed predicate's bytes-touched/op drops superlinearly with the shard count (pruned shards never stream AND the surviving shards pack a narrower key domain), and the shard rebalance runs as a scheduler-admitted min-energy background query that defers to foreground traffic (\"energy efficiency as a key optimization goal\", §I, extended to physical layout)",
+		Title: "value-range sharding: zone pruning over a cut table (extension)",
+		Claim: "cutting a table into value-range shards keeps the determinism contract — relations byte-identical to the unsharded layout at every shard count and DOP, counters DOP-invariant at fixed shard count — while a skewed predicate's bytes-touched/op drops superlinearly with the shard count (pruned shards never stream AND the surviving shards pack a narrower key domain); the served engine keeps one table shape, so the cut layout lives beside this experiment until a workload earns it (\"energy efficiency as a key optimization goal\", §I, extended to physical layout)",
 		Run:   runE25,
 	})
 }
@@ -25,18 +28,14 @@ func init() {
 type E25Row struct {
 	Shards       int
 	Rows         int    // probe result cardinality (identical at every k)
-	ShardsPruned int    // shards the planner discarded on bounds alone
+	ShardsPruned int    // shards discarded on bounds alone
 	BytesTouched uint64 // DRAM bytes the probe streamed after pruning
 	J            energy.Joules
 }
 
 // E25Result is the full experiment outcome.
 type E25Result struct {
-	Rows              []E25Row
-	RebalanceDeferred bool // rebalance finished after the same-instant foreground query
-	RebalanceMoved    int64
-	RebalanceJ        energy.Joules
-	RebalanceWork     energy.Counters
+	Rows []E25Row
 }
 
 // e25IdentityQ is the relation-rich probe for the byte-identity checks;
@@ -48,84 +47,126 @@ const (
 	e25SkewQ     = "SELECT COUNT(*) AS n, SUM(day) AS d FROM orders WHERE custkey = 1000"
 )
 
-// e25Probe plans and runs one probe query at one DOP.
-func e25Probe(e *core.Engine, qs string, dop int) (*exec.Relation, energy.Counters, *opt.PlanInfo, error) {
+// e25Probe plans and runs one probe query over the flat engine at one
+// DOP: the reference every cut layout must reproduce.
+func e25Probe(e *core.Engine, qs string, dop int) (*exec.Relation, error) {
 	q, err := sql.Parse(qs)
 	if err != nil {
-		return nil, energy.Counters{}, nil, err
+		return nil, err
 	}
-	node, info, err := e.Plan(q, opt.MinEnergy)
+	node, _, err := e.Plan(q, opt.MinEnergy)
 	if err != nil {
-		return nil, energy.Counters{}, nil, err
+		return nil, err
 	}
+	ctx := e25Ctx(dop)
+	ctx.SnapTS = e.Txn().SnapshotTS()
+	return node.Run(ctx)
+}
+
+func e25Ctx(dop int) *exec.Ctx {
 	ctx := exec.NewCtx()
 	ctx.Lease = exec.NewLease(dop)
-	ctx.SnapTS = e.Txn().SnapshotTS()
-	rel, err := node.Run(ctx)
-	if err != nil {
-		return nil, energy.Counters{}, nil, err
-	}
-	return rel, ctx.Meter.Snapshot(), info, nil
+	return ctx
 }
 
-// e25Engine builds the standard orders engine cut into k shards.
-func e25Engine(n, k int) (*core.Engine, error) {
-	e, err := core.OrdersEngine(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := e.ShardTable("orders", "custkey", k); err != nil {
-		return nil, err
-	}
-	if err := e.Seal("orders"); err != nil {
-		return nil, err
-	}
-	return e, nil
+// The two probes over a cut table, written as the planner writes them
+// over the flat one.
+var (
+	e25Aggs      = []expr.AggSpec{{Func: expr.AggCount, As: "n"}, {Func: expr.AggSum, Col: "day", As: "d"}}
+	e25IdentityP = []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(40)}}
+	e25SkewP     = []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(1000)}}
+)
+
+// e25Identity runs the grouped probe over the sequence-merged read of the
+// cut table: the aggregation sees the flat row order, so its groups come
+// out in the flat layout's order.
+func e25Identity(st *shard.Table, dop int) (*exec.Relation, energy.Counters, error) {
+	ctx := e25Ctx(dop)
+	rel, err := (&exec.HashAgg{
+		Child:   &shard.Scan{Source: st, Select: []string{"custkey", "day"}, Preds: e25IdentityP},
+		GroupBy: []string{"custkey"},
+		Aggs:    e25Aggs,
+	}).Run(ctx)
+	return rel, ctx.Meter.Snapshot(), err
 }
 
-// E25Sweep probes the skewed aggregation over the flat layout and over
-// every shard count, enforcing the determinism contract inline:
-// relations byte-identical to the unsharded layout at every shard count
-// × DOP, counters DOP-invariant at fixed shard count (counters are NOT
-// compared across shard counts — pruning changes the bytes, which is
-// the measured effect).  It then reruns the shard-count ladder under a
-// write burst and drives the rebalance through the scheduling loop as a
-// background min-energy query racing a same-instant foreground probe.
+// e25Skew runs the global skewed probe shard by shard: pruned shards
+// charge their logical rows and stream nothing, every surviving shard
+// folds its selection straight off its compressed segments (the fused
+// aggregate over a flat exec.Scan), and the partial counts and sums add
+// up — a lone survivor's row is the answer as it stands.
+func e25Skew(st *shard.Table, dop int) (*exec.Relation, energy.Counters, error) {
+	ctx := e25Ctx(dop)
+	var n, d int64
+	rows := 0
+	err := shard.Each(ctx, st.Shards(), e25SkewP, func(_ int, sh *colstore.Table) error {
+		part, err := (&exec.HashAgg{
+			Child: &exec.Scan{Source: sh, Select: []string{"custkey", "day"}, Preds: e25SkewP},
+			Aggs:  e25Aggs,
+		}).Run(ctx)
+		if err != nil {
+			return err
+		}
+		if part.N == 1 {
+			n, d, rows = n+part.Cols[0].I[0], d+part.Cols[1].I[0], 1
+		}
+		return nil
+	})
+	rel := &exec.Relation{N: rows, Cols: []exec.Col{
+		{Name: "n", Type: colstore.Int64, I: []int64{n}[:rows]},
+		{Name: "d", Type: colstore.Int64, I: []int64{d}[:rows]},
+	}}
+	return rel, ctx.Meter.Snapshot(), err
+}
+
+// E25Sweep probes the flat layout through the planner and every shard
+// count through the cut layout, enforcing the determinism contract
+// inline: relations byte-identical to the unsharded layout at every
+// shard count × DOP, counters DOP-invariant at fixed shard count
+// (counters are NOT compared across shard counts — pruning changes the
+// bytes, which is the measured effect).
 func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 	flat, err := core.OrdersEngine(nRows)
 	if err != nil {
 		return nil, err
 	}
 	model := flat.Model()
-	flatIdent, _, _, err := e25Probe(flat, e25IdentityQ, 1)
+	flatIdent, err := e25Probe(flat, e25IdentityQ, 1)
 	if err != nil {
 		return nil, err
 	}
-	flatSkew, _, _, err := e25Probe(flat, e25SkewQ, 1)
+	flatSkew, err := e25Probe(flat, e25SkewQ, 1)
 	if err != nil {
 		return nil, err
 	}
 	if flatIdent.N == 0 || flatSkew.N == 0 {
 		return nil, fmt.Errorf("experiments: E25 probe selected nothing")
 	}
+	orders, err := flat.Catalog().Table("orders")
+	if err != nil {
+		return nil, err
+	}
 
 	res := &E25Result{}
 	for _, k := range shardCounts {
-		e, err := e25Engine(nRows, k)
+		st, err := shard.Cut(orders, "custkey", k)
 		if err != nil {
+			return nil, err
+		}
+		if err := st.Seal(); err != nil {
 			return nil, err
 		}
 		// Determinism contract, both probe shapes: relation identical to
 		// the flat layout at every DOP, counters DOP-invariant.
 		var skewW energy.Counters
-		var skewInfo *opt.PlanInfo
 		for _, probe := range []struct {
-			q    string
+			run  func(*shard.Table, int) (*exec.Relation, energy.Counters, error)
 			want *exec.Relation
-		}{{e25IdentityQ, flatIdent}, {e25SkewQ, flatSkew}} {
+			skew bool
+		}{{e25Identity, flatIdent, false}, {e25Skew, flatSkew, true}} {
 			var refW energy.Counters
 			for i, dop := range dops {
-				rel, w, info, perr := e25Probe(e, probe.q, dop)
+				rel, w, perr := probe.run(st, dop)
 				if perr != nil {
 					return nil, perr
 				}
@@ -134,23 +175,24 @@ func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 				}
 				if i == 0 {
 					refW = w
-					if probe.q == e25SkewQ {
-						skewW, skewInfo = w, info
+					if probe.skew {
+						skewW = w
 					}
 				} else if w != refW {
 					return nil, fmt.Errorf("experiments: E25 attributed counters diverged at k=%d DOP %d", k, dop)
 				}
 			}
 		}
-		// A lone shard is never whole-shard pruned, so a k=1 plan counts none.
-		if k > 1 && skewInfo.ShardsScanned+skewInfo.ShardsPruned != k {
-			return nil, fmt.Errorf("experiments: E25 plan covered %d+%d of %d shards",
-				skewInfo.ShardsScanned, skewInfo.ShardsPruned, k)
+		pruned := 0
+		for _, keep := range shard.Prune(st.Shards(), e25SkewP) {
+			if !keep {
+				pruned++
+			}
 		}
 		res.Rows = append(res.Rows, E25Row{
 			Shards:       k,
 			Rows:         flatSkew.N,
-			ShardsPruned: skewInfo.ShardsPruned,
+			ShardsPruned: pruned,
 			BytesTouched: skewW.BytesReadDRAM,
 			J:            model.DynamicEnergy(skewW, model.Core.MaxPState()).Total(),
 		})
@@ -172,64 +214,6 @@ func E25Sweep(nRows int, shardCounts, dops []int) (*E25Result, error) {
 			first.Shards, first.BytesTouched, last.Shards, last.BytesTouched)
 	}
 
-	// Rebalance as a query: a write burst skews the cuts, then the
-	// rebalance — offered FIRST — must still finish after the foreground
-	// probe admitted at the same instant, and leave results untouched.
-	kMax := shardCounts[len(shardCounts)-1]
-	e, err := e25Engine(nRows, kMax)
-	if err != nil {
-		return nil, err
-	}
-	at := time.Millisecond
-	for i := 0; i < 512; i++ {
-		st, perr := sql.ParseStmt(fmt.Sprintf(
-			"INSERT INTO orders VALUES (%d, %d, 'ASIA', %d.5, 15001)", 3_000_000+i, i%40, i%100))
-		if perr != nil {
-			return nil, perr
-		}
-		if _, derr := e.ExecDML(st.DML, at); derr != nil {
-			return nil, derr
-		}
-		at += 100 * time.Microsecond
-	}
-	pre, _, _, err := e25Probe(e, e25IdentityQ, 2)
-	if err != nil {
-		return nil, err
-	}
-	loop := e.NewLoop(core.SchedulerConfig{Budget: 1, Arbitrate: true})
-	rt := loop.OfferRebalance(0, "orders")
-	if rt.Rejected {
-		return nil, fmt.Errorf("experiments: E25 rebalance rejected: %v", rt.Err)
-	}
-	q, err := sql.Parse("SELECT COUNT(*) FROM orders WHERE custkey = 3")
-	if err != nil {
-		return nil, err
-	}
-	fg := loop.Offer(0, q, opt.MinEnergy)
-	if fg.Rejected {
-		return nil, fmt.Errorf("experiments: E25 foreground probe rejected")
-	}
-	loop.React()
-	loop.RunToIdle()
-	if rt.Err != nil || fg.Err != nil {
-		return nil, fmt.Errorf("experiments: E25 loop errors: rebalance=%v fg=%v", rt.Err, fg.Err)
-	}
-	res.RebalanceDeferred = rt.Finish >= fg.Finish
-	res.RebalanceJ = rt.Energy.Total()
-	res.RebalanceWork = rt.Work
-	if rt.Rel == nil || rt.Rel.N != 1 {
-		return nil, fmt.Errorf("experiments: E25 rebalance returned no receipt")
-	}
-	if mc, cerr := rt.Rel.Col("rows_moved"); cerr == nil && len(mc.I) == 1 {
-		res.RebalanceMoved = mc.I[0]
-	}
-	post, _, _, err := e25Probe(e, e25IdentityQ, 2)
-	if err != nil {
-		return nil, err
-	}
-	if !post.Equal(pre) {
-		return nil, fmt.Errorf("experiments: E25 rebalance changed the probe relation")
-	}
 	return res, nil
 }
 
@@ -249,10 +233,7 @@ func runE25(w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nrebalance billed %.3f J as a background min-energy submission\n", float64(res.RebalanceJ))
-	fmt.Fprintf(w, "(deferred behind foreground traffic: %v; rows re-routed: %d).\n",
-		res.RebalanceDeferred, res.RebalanceMoved)
-	fmt.Fprintln(w, "shape: relations are byte-identical to the unsharded layout at every")
+	fmt.Fprintln(w, "\nshape: relations are byte-identical to the unsharded layout at every")
 	fmt.Fprintln(w, "shard count and DOP; only the bytes a skewed probe touches drop.")
 	return nil
 }

@@ -587,9 +587,8 @@ func TestE25Shape(t *testing.T) {
 	// byte-identical to the flat layout at every shard count × DOP,
 	// counters DOP-invariant per shard count, bytes-touched strictly
 	// decreasing down the ladder and superlinear end to end); the shape
-	// assertions here are the layout payoff: the planner pruned shards,
-	// and the rebalance deferred behind same-instant foreground work yet
-	// was billed as a real min-energy query.
+	// assertions here are the layout payoff: the skewed probe pruned
+	// shards and still paid for what it streamed.
 	res, err := experimentsE25()
 	if err != nil {
 		t.Fatal(err)
@@ -607,15 +606,6 @@ func TestE25Shape(t *testing.T) {
 		if r.BytesTouched == 0 || r.J <= 0 {
 			t.Errorf("k=%d: probe charged no movement/energy", r.Shards)
 		}
-	}
-	if !res.RebalanceDeferred {
-		t.Error("background rebalance must finish after the same-instant foreground query")
-	}
-	if res.RebalanceJ <= 0 || res.RebalanceWork.BytesReadDRAM == 0 {
-		t.Errorf("rebalance not billed as a query: J=%v work=%+v", res.RebalanceJ, res.RebalanceWork)
-	}
-	if res.RebalanceMoved == 0 {
-		t.Error("skewed write burst rebalanced zero rows")
 	}
 }
 

@@ -1,10 +1,8 @@
-package txn_test
+package locks
 
 import (
 	"testing"
 	"time"
-
-	. "repro/internal/experiments/locks"
 )
 
 func TestAllSchemesExactlyCorrect(t *testing.T) {

@@ -1,8 +1,10 @@
-package colstore
+package shard
 
 import (
 	"math"
 	"testing"
+
+	"repro/internal/colstore"
 )
 
 func mustOK(t testing.TB, err error) {
@@ -12,11 +14,11 @@ func mustOK(t testing.TB, err error) {
 	}
 }
 
-func flatFixture(t testing.TB, keys []int64) *Table {
+func flatFixture(t testing.TB, keys []int64) *colstore.Table {
 	t.Helper()
-	tab := NewTable("t", Schema{
-		{Name: "k", Type: Int64},
-		{Name: "v", Type: Int64},
+	tab := colstore.NewTable("t", colstore.Schema{
+		{Name: "k", Type: colstore.Int64},
+		{Name: "v", Type: colstore.Int64},
 	})
 	vals := make([]int64, len(keys))
 	for i := range vals {
@@ -30,7 +32,7 @@ func flatFixture(t testing.TB, keys []int64) *Table {
 
 // seqOrder reads every shard's (seq, k, v) triples and asserts sequences
 // are strictly ascending within each shard; returns rows keyed by seq.
-func seqOrder(t testing.TB, st *ShardedTable) map[int64][2]int64 {
+func seqOrder(t testing.TB, st *Table) map[int64][2]int64 {
 	t.Helper()
 	rows := make(map[int64][2]int64)
 	for si, sh := range st.Shards() {
@@ -38,7 +40,7 @@ func seqOrder(t testing.TB, st *ShardedTable) map[int64][2]int64 {
 		mustOK(t, err)
 		vc, err := sh.IntCol("v")
 		mustOK(t, err)
-		qc, err := sh.IntCol(ShardSeqCol)
+		qc, err := sh.IntCol(SeqCol)
 		mustOK(t, err)
 		prev := int64(-1)
 		for r := 0; r < sh.Rows(); r++ {
@@ -59,7 +61,7 @@ func seqOrder(t testing.TB, st *ShardedTable) map[int64][2]int64 {
 func TestShardTableRoutingAndSeq(t *testing.T) {
 	keys := []int64{50, 10, 90, 10, 70, 30, 10, 90, 20, 60}
 	flat := flatFixture(t, keys)
-	st, err := ShardTable(flat, "k", 4)
+	st, err := Cut(flat, "k", 4)
 	mustOK(t, err)
 	if st.NumShards() != 4 {
 		t.Fatalf("NumShards = %d, want 4", st.NumShards())
@@ -109,7 +111,7 @@ func TestShardTableRoutingAndSeq(t *testing.T) {
 func TestShardTableDegenerate(t *testing.T) {
 	// More shards than rows: trailing shards stay empty but routing holds.
 	flat := flatFixture(t, []int64{5, 5, 9})
-	st, err := ShardTable(flat, "k", 8)
+	st, err := Cut(flat, "k", 8)
 	mustOK(t, err)
 	if st.Rows() != 3 {
 		t.Fatalf("Rows = %d, want 3", st.Rows())
@@ -128,57 +130,30 @@ func TestShardTableDegenerate(t *testing.T) {
 	}
 	// All-duplicate keys collapse into one shard (values never straddle).
 	flat2 := flatFixture(t, []int64{7, 7, 7, 7})
-	st2, err := ShardTable(flat2, "k", 3)
+	st2, err := Cut(flat2, "k", 3)
 	mustOK(t, err)
 	home := st2.ShardFor(7)
 	if st2.Shard(home).Rows() != 4 {
 		t.Fatalf("duplicate keys split across shards")
 	}
 
-	if _, err := ShardTable(flat, "k", 0); err == nil {
+	if _, err := Cut(flat, "k", 0); err == nil {
 		t.Fatal("k=0 must error")
 	}
-	if _, err := ShardTable(flat, "v2", 2); err == nil {
+	if _, err := Cut(flat, "v2", 2); err == nil {
 		t.Fatal("missing shard column must error")
 	}
-	ftab := NewTable("f", Schema{{Name: "x", Type: Float64}})
+	ftab := colstore.NewTable("f", colstore.Schema{{Name: "x", Type: colstore.Float64}})
 	mustOK(t, ftab.Writer().Float64("x", 1.5).Close())
 	mustOK(t, ftab.Seal())
-	if _, err := ShardTable(ftab, "x", 2); err == nil {
+	if _, err := Cut(ftab, "x", 2); err == nil {
 		t.Fatal("non-BIGINT shard column must error")
-	}
-}
-
-// TestOneShardWrapsInPlace: a flat table registered as one shard is the
-// same table — no copy, no hidden column, its own name — and the
-// operations that need a shard column say so instead of guessing.
-func TestOneShardWrapsInPlace(t *testing.T) {
-	flat := flatFixture(t, []int64{10, 20, 30})
-	st := OneShard(flat)
-	if st.Name != flat.Name || st.ShardCol != "" || st.NumShards() != 1 || st.Shard(0) != flat {
-		t.Fatalf("wrapper does not hold the table in place: %+v", st)
-	}
-	if got, want := st.Schema(), flat.Schema(); len(got) != len(want) || got.ColIndex(ShardSeqCol) >= 0 {
-		t.Fatalf("wrapper schema %v, want the table's %v", got, want)
-	}
-	vals := []any{int64(40), int64(7)}
-	if i, row, err := st.Route(vals); err != nil || i != 0 || len(row) != len(vals) {
-		t.Fatalf("Route = shard %d row %v err %v, want the row as is on shard 0", i, row, err)
-	}
-	mustOK(t, st.Append(vals...))
-	if flat.Rows() != 4 || st.Rows() != 4 || st.Bytes() != flat.Bytes() {
-		t.Fatalf("append through the wrapper did not land in the table: %d/%d rows", flat.Rows(), st.Rows())
-	}
-	mustOK(t, st.Seal())
-	st.RecoverSeq() // nothing stored, nothing to recover
-	if _, err := st.Rebalance(SnapLatest); err == nil {
-		t.Fatal("rebalancing a table without a shard column must error")
 	}
 }
 
 func TestShardedAppendAndRecoverSeq(t *testing.T) {
 	flat := flatFixture(t, []int64{10, 20, 30, 40})
-	st, err := ShardTable(flat, "k", 2)
+	st, err := Cut(flat, "k", 2)
 	mustOK(t, err)
 	mustOK(t, st.Seal())
 	mustOK(t, st.Append(int64(15), int64(100)))
@@ -205,7 +180,7 @@ func TestShardedAppendAndRecoverSeq(t *testing.T) {
 
 func TestRebalanceCleanNarrowsBounds(t *testing.T) {
 	flat := flatFixture(t, []int64{10, 20, 30, 40, 50, 60, 70, 80})
-	st, err := ShardTable(flat, "k", 2)
+	st, err := Cut(flat, "k", 2)
 	mustOK(t, err)
 	mustOK(t, st.Seal())
 	// Skew all new rows into shard 0's range so the equi-depth cut drifts.
@@ -221,7 +196,7 @@ func TestRebalanceCleanNarrowsBounds(t *testing.T) {
 	before := seqOrder(t, st)
 	cutsBefore := st.Cuts()
 
-	stats, err := st.Rebalance(SnapLatest)
+	stats, err := st.Rebalance(0)
 	mustOK(t, err)
 	if stats.Deferred {
 		t.Fatal("no live snapshot pins anything: rebalance must not defer")
@@ -257,7 +232,8 @@ func TestRebalanceCleanNarrowsBounds(t *testing.T) {
 		t.Fatalf("equi-depth rebalance left %d/%d rows", r0, r1)
 	}
 	for _, sh := range st.Shards() {
-		if !sh.Sealed() || sh.DeltaRows() > 0 {
+		// Rows() > 0 with no delta rows: sealed, and nothing left to merge.
+		if sh.Rows() == 0 || sh.DeltaRows() > 0 {
 			t.Fatal("rebalanced shards must be sealed with empty deltas")
 		}
 	}
@@ -265,7 +241,7 @@ func TestRebalanceCleanNarrowsBounds(t *testing.T) {
 
 func TestRebalanceDefersUnderLiveSnapshot(t *testing.T) {
 	flat := flatFixture(t, []int64{10, 20, 30, 40})
-	st, err := ShardTable(flat, "k", 2)
+	st, err := Cut(flat, "k", 2)
 	mustOK(t, err)
 	mustOK(t, st.Seal())
 	si, row, err := st.Route([]any{int64(15), int64(1)})

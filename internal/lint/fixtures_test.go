@@ -183,17 +183,20 @@ func loadTree(t *testing.T, tree string, rels ...string) *Unit {
 }
 
 // TestLayeringFiresOnSeedImport loads testdata/layering as a module of
-// its own — a serving root, two served packages, an orphan, a directory
-// of tests alone and two experiment packages — and expects exactly three
-// findings: the served package importing internal/experiments/x, the
+// its own — a serving root, two served packages with a test each, an
+// orphan, a directory of tests alone and three experiment packages — and
+// expects exactly four findings: the served package importing
+// internal/experiments/x, its test importing internal/experiments/y, the
 // internal/ package the root does not reach, and the test-only
-// directory.  x importing y is clean.
+// directory.  x importing y is clean, and so is the other served
+// package's test drawing from the generator leaf synth.
 func TestLayeringFiresOnSeedImport(t *testing.T) {
 	u := loadTree(t, "layering", "cmd/serve", "internal/served", "internal/leaky", "internal/orphan",
-		"internal/testonly", "internal/experiments/x", "internal/experiments/y")
+		"internal/testonly", "internal/experiments/x", "internal/experiments/y", "internal/experiments/synth")
 	dir := filepath.Join("testdata", "layering", "internal")
 	want := []string{
 		fmt.Sprintf("leaky.go:%d layering", lineMatching(t, filepath.Join(dir, "leaky", "leaky.go"), `experiments/x"`)),
+		fmt.Sprintf("leaky_test.go:%d layering", lineMatching(t, filepath.Join(dir, "leaky", "leaky_test.go"), `experiments/y"`)),
 		fmt.Sprintf("orphan.go:%d layering", lineMatching(t, filepath.Join(dir, "orphan", "orphan.go"), `^package orphan`)),
 		fmt.Sprintf("testonly_test.go:%d layering", lineMatching(t, filepath.Join(dir, "testonly", "testonly_test.go"), `^package testonly_test`)),
 	}

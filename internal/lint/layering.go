@@ -21,10 +21,13 @@ const LayeringCheck = "layering"
 //     path, except internal/experiments/... and internal/lint: code that
 //     nothing serves moves under its experiment, or is deleted, and so
 //     do the tests of code that moved (a directory of test files alone
-//     tests something that lives elsewhere).
+//     tests something that lives elsewhere);
+//   - a test file of a package on the serving path imports no experiment
+//     package but the generator leaf internal/experiments/synth: a test
+//     that needs an experiment's code tests that code, and lives beside
+//     it.
 //
-// Experiment packages may import each other, and test files are not on
-// the serving path: a serving package's test may import an experiment.
+// Experiment packages may import each other.
 func AnalyzerLayering() Analyzer {
 	return Analyzer{
 		Name: LayeringCheck,
@@ -93,6 +96,30 @@ func runLayering(u *Unit) []Diag {
 					Check: LayeringCheck,
 					Msg: fmt.Sprintf("%s is on %s's serving path and imports experiment package %s: "+
 						"code an experiment alone needs lives beside that experiment", path, root, dep),
+				})
+			}
+		}
+	}
+
+	// Test files of served packages: the in-package tests of a test
+	// variant and the external _test package report on their own files.
+	synth := u.ModPath + "/internal/experiments/synth"
+	for _, p := range u.Pkgs {
+		path := strings.TrimSuffix(p.ImportPath, "_test")
+		if !p.TestVariant && path == p.ImportPath || !served[path] || inExperiments(u, path) {
+			continue
+		}
+		for _, f := range p.Lint {
+			for _, imp := range f.Imports {
+				dep, err := strconv.Unquote(imp.Path.Value)
+				if err != nil || !inExperiments(u, dep) || dep == synth {
+					continue
+				}
+				out = append(out, Diag{
+					Pos:   u.Fset.Position(imp.Pos()),
+					Check: LayeringCheck,
+					Msg: fmt.Sprintf("a test of served package %s imports experiment package %s: "+
+						"a test of an experiment's code lives beside that experiment", path, dep),
 				})
 			}
 		}

@@ -123,7 +123,7 @@ func DefaultConfig() Config {
 		ExecPkgs:  []string{"repro/internal/exec"},
 		PoolFuncs: []string{"runPool", "runMorsels"},
 		HotStructs: map[string][]string{
-			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "floatSum", "morselScratch", "seqMerger"},
+			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "floatSum", "morselScratch"},
 		},
 		EnergyPkg:   "repro/internal/energy",
 		ServeRoot:   "repro/cmd/eimdb-serve",

@@ -31,7 +31,7 @@ func intTable(t *testing.T, cat *Catalog, name string, cols map[string][]int64, 
 	if err := tab.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	cat.Add(colstore.OneShard(tab))
+	cat.Add(tab)
 	return tab
 }
 
@@ -202,8 +202,8 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cat.Add(colstore.OneShard(fact))
-		cat.Add(colstore.OneShard(dim))
+		cat.Add(fact)
+		cat.Add(dim)
 		return cat
 	}
 	queries := map[string]*Query{
@@ -423,8 +423,8 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cat.Add(colstore.OneShard(fact))
-		cat.Add(colstore.OneShard(dim))
+		cat.Add(fact)
+		cat.Add(dim)
 		return cat
 	}
 

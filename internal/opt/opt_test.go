@@ -44,7 +44,7 @@ func testCatalog(t testing.TB, rows int) (*Catalog, *colstore.Table) {
 		t.Fatal(err)
 	}
 	cat := NewCatalog()
-	cat.Add(colstore.OneShard(tab))
+	cat.Add(tab)
 	return cat, tab
 }
 
@@ -81,18 +81,17 @@ func customersTable(t testing.TB) *colstore.Table {
 	return tab
 }
 
-// TestCatalogOneRegistry pins the collapse of the flat and sharded
-// registries: a table registered as one shard wrapped in place gets the
-// very statistics the flat registry computed before the collapse (the
-// golden values below were printed by the parent commit's AddTable over
-// these fixtures, except id's Distinct: a sample whose every row is
-// distinct now reads as a unique column however many rows the stride
-// took; ScanBytesPerValue must match bit for bit — an estimate off by an
-// ulp can flip an access-path or DOP near-tie), the refreshes
-// are idempotent, and the one shard stays reachable by its own name.
+// TestCatalogOneRegistry pins the one registry: a registered table gets
+// the very statistics the flat registry has always computed (the golden
+// values below were printed by an earlier AddTable over these fixtures,
+// except id's Distinct: a sample whose every row is distinct reads as a
+// unique column however many rows the stride took; ScanBytesPerValue
+// must match bit for bit — an estimate off by an ulp can flip a DOP
+// near-tie), refreshes are idempotent, and the registered table is the
+// live one.
 func TestCatalogOneRegistry(t *testing.T) {
 	cat, orders := testCatalog(t, 10000)
-	cat.Add(colstore.OneShard(customersTable(t)))
+	cat.Add(customersTable(t))
 	seg := func(codec string) map[string]int { return map[string]int{codec: 1} }
 	golden := map[string]TableStats{
 		"orders": {Name: "orders", Rows: 10000,
@@ -138,60 +137,22 @@ func TestCatalogOneRegistry(t *testing.T) {
 			if err := cat.Refresh(name); err != nil {
 				t.Fatal(err)
 			}
-			if err := cat.RefreshShards(name, []int{0}); err != nil {
-				t.Fatal(err)
-			}
-			if err := cat.RefreshShards(name, nil); err != nil {
-				t.Fatal(err)
-			}
 		}
 		check("refreshed")
-	}
-	if err := cat.RefreshShards("orders", []int{1}); err == nil {
-		t.Fatal("RefreshShards past the shard list must error")
 	}
 	if err := cat.Refresh("nope"); err == nil {
 		t.Fatal("Refresh of an unknown table must error")
 	}
 
-	// One registry: the wrapped table is the one shard, under its own name.
-	st, err := cat.Lookup("orders")
-	if err != nil {
-		t.Fatal(err)
+	// One registry: the registered table is the live one, under its name.
+	if tab, err := cat.Table("orders"); err != nil || tab != orders {
+		t.Fatalf("registration does not hold the live table (err %v)", err)
 	}
-	if tab, err := cat.Table("orders"); err != nil || tab != orders || st.NumShards() != 1 || st.Shard(0) != orders {
-		t.Fatalf("one-shard registration does not hold the live table in place (err %v)", err)
+	if _, err := cat.Table("nope"); err == nil {
+		t.Fatal("Table of an unknown name must error")
 	}
 	if names := cat.Tables(); len(names) != 2 {
 		t.Fatalf("Tables() = %v, want the two registered names", names)
-	}
-
-	// Re-registering a cut of the table supersedes it under the same name:
-	// shards resolve by their own names, the bare name no longer names a
-	// physical table, and the table-level fold hides the sequence column.
-	cut, err := colstore.ShardTable(orders, "custkey", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cut.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	cat.Add(cut)
-	if _, err := cat.Table("orders"); err == nil {
-		t.Fatal("a cut table's bare name must not resolve to a physical table")
-	}
-	if sh, err := cat.Table("orders#2"); err != nil || sh != cut.Shard(2) {
-		t.Fatalf("shard not reachable by its own name (err %v)", err)
-	}
-	ts, err := cat.Stats("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hidden := ts.Cols[colstore.ShardSeqCol]; hidden || ts.Rows != 10000 || len(ts.Cols) != 4 {
-		t.Fatalf("table-level fold wrong: rows %d cols %v", ts.Rows, ts.Cols)
-	}
-	if len(cat.Tables()) != 2 {
-		t.Fatalf("re-registration grew the registry: %v", cat.Tables())
 	}
 }
 
@@ -345,7 +306,7 @@ func TestPlannerJoinQuery(t *testing.T) {
 	if err := cust.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	cat.Add(colstore.OneShard(cust))
+	cat.Add(cust)
 	cm := NewCostModel(energy.DefaultModel())
 	q := &Query{
 		From:    "orders",
@@ -436,7 +397,7 @@ func TestPlannerOneScanAtEverySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := &exec.HashAgg{
-		Child: &exec.Scan{Source: colstore.OneShard(tab), Select: []string{"amount", "custkey", "region"},
+		Child: &exec.Scan{Source: tab, Select: []string{"amount", "custkey", "region"},
 			Preds: []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(500)}}},
 		GroupBy: []string{"region"},
 		Aggs:    []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "sum_amount"}},

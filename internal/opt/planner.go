@@ -116,12 +116,6 @@ type PlanInfo struct {
 	// eligibility checks, and the fused-away work is credited out of Est.
 	FusedAgg    bool
 	FusedProbes []string
-	// ShardsScanned/ShardsPruned count shards across every scan in the
-	// plan over more than one shard: pruned shards were disqualified by
-	// their zone bounds before a single morsel was enumerated, and their
-	// bytes are shed from Est.
-	ShardsScanned int
-	ShardsPruned  int
 	// JoinOrder is the table order the join-ordering pass chose (empty
 	// when the query has fewer than two joins or the pass was skipped);
 	// JoinOrderExact reports whether the exact DP solved it, as opposed
@@ -137,8 +131,7 @@ type PlanInfo struct {
 }
 
 // Plan lowers the logical query onto the physical operator tree.  Every
-// table is reached by the one exec.Scan over its shard list, priced by
-// EstimateFullScan per surviving shard.
+// table is reached by the one exec.Scan, priced by EstimateFullScan.
 func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 	if q.From == "" {
 		return nil, nil, fmt.Errorf("opt: query has no FROM table")
@@ -212,10 +205,8 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 		}
 	}
 
-	// scan plans the access to one table as the one exec.Scan over its
-	// shard list: zone-prune the list (the same live check the executor
-	// makes), price only the survivors under their own statistics (the
-	// estimate sheds every pruned byte), and sum the per-shard estimates.
+	// scan plans the access to one table as the one exec.Scan, priced
+	// under the table's statistics.
 	scan := func(table string) (*exec.Scan, error) {
 		preds := predsOf[table]
 		var sel []string
@@ -223,38 +214,23 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 			sel = append(sel, col)
 		}
 		slices.Sort(sel)
-		st, err := c.Lookup(table)
+		t, err := c.Table(table)
 		if err != nil {
 			return nil, err
 		}
-		s := &exec.Scan{Source: st, Select: sel, Preds: preds}
-		shards := st.Shards()
-		keep := exec.PruneShards(shards, preds)
-		var est Cost
-		for i, u := range shards {
-			if !keep[i] {
-				info.ShardsPruned++
-				continue
-			}
-			ts, err := c.Stats(u.Name)
-			if err != nil {
-				return nil, err
-			}
-			est = est.plus(cm.Price(EstimateFullScan(ts, preds, len(sel)), 0))
-			if len(shards) > 1 {
-				info.ShardsScanned++
-			}
+		ts, err := c.Stats(table)
+		if err != nil {
+			return nil, err
 		}
+		est := cm.Price(EstimateFullScan(ts, preds, len(sel)), 0)
 		info.Est = info.Est.plus(est)
-		if ts, err := c.Stats(table); err == nil {
-			info.Storage[table] = TableStorageInfo{
-				Ratio:        ts.Storage.Ratio(),
-				StoredBytes:  ts.Storage.StoredBytes,
-				RawBytes:     ts.Storage.RawBytes,
-				EstScanBytes: est.Work.BytesReadDRAM,
-			}
+		info.Storage[table] = TableStorageInfo{
+			Ratio:        ts.Storage.Ratio(),
+			StoredBytes:  ts.Storage.StoredBytes,
+			RawBytes:     ts.Storage.RawBytes,
+			EstScanBytes: est.Work.BytesReadDRAM,
 		}
-		return s, nil
+		return &exec.Scan{Source: t, Select: sel, Preds: preds}, nil
 	}
 
 	// Estimated post-predicate cardinality per table, for join ordering
@@ -410,8 +386,7 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 			}
 		}
 		// Fused filter→aggregate: the scan's filtered relation is never
-		// materialized — on any shard — so the estimate sheds its
-		// materialization terms.
+		// materialized, so the estimate sheds its materialization terms.
 		switch {
 		case rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs):
 			info.FusedAgg = true
@@ -466,8 +441,8 @@ func (c *Catalog) probeCounts(rows, buildRows, out float64, fused bool, probe, l
 		if ps, err := c.Stats(probe); err == nil {
 			keyBytes = uint64(rows * ps.Cols[lk].ScanBytesPerValue)
 		}
-		if st, err := c.Lookup(probe); err == nil {
-			pc.Keys = min(n, st.Shard(0).SpanKeys(lk))
+		if t, err := c.Table(probe); err == nil {
+			pc.Keys = min(n, t.SpanKeys(lk))
 		}
 	}
 	if bs, err := c.Stats(build); err == nil && bs.Rows > 0 && bs.Cols[rk].Distinct >= bs.Rows {

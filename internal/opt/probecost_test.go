@@ -84,8 +84,8 @@ func probeEstimateShapes(t *testing.T, cm *CostModel, nOrders, nCust int, sealed
 		byKey[k] = append(byKey[k], c)
 	}
 	cat := NewCatalog()
-	cat.Add(colstore.OneShard(orders))
-	cat.Add(colstore.OneShard(customers))
+	cat.Add(orders)
+	cat.Add(customers)
 
 	for trial := 0; trial < 16; trial++ {
 		join := JoinSpec{Table: "customers", LeftCol: "custkey", RightCol: "ckey"}

@@ -100,7 +100,7 @@ func joinEstimate(t *testing.T, m *energy.Model, nFact, nDim int) energy.Counter
 		if err := tab.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		cat.Add(colstore.OneShard(tab))
+		cat.Add(tab)
 		if err := cat.Refresh(name); err != nil {
 			t.Fatal(err)
 		}

@@ -175,7 +175,7 @@ func TestRenderOutlivesDictionaryWrites(t *testing.T) {
 	tk.Rel = res.Rel
 	_, before := renderTicket(tk)
 
-	st, err := e.Catalog().Lookup("events")
+	st, err := e.Catalog().Table("events")
 	if err != nil {
 		t.Fatal(err)
 	}

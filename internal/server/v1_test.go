@@ -317,11 +317,9 @@ func TestAutoMergeBackground(t *testing.T) {
 }
 
 // TestAutoMergeAnyRegisteredTable: merge-as-a-query resolves the table
-// through the one registry, so a table cut into value-range shards
-// auto-merges behind the server exactly like a one-shard table — the
-// threshold sums delta rows over the shard list, every shard's delta is
-// re-sealed — and reads answer byte-identically with and without the
-// merges.
+// through the one registry, so a registered table auto-merges behind the
+// server once its delta crosses the threshold, its delta is re-sealed,
+// and reads answer byte-identically with and without the merges.
 func TestAutoMergeAnyRegisteredTable(t *testing.T) {
 	script := &workload.Script{}
 	for i := 0; i < 12; i++ {
@@ -338,12 +336,6 @@ func TestAutoMergeAnyRegisteredTable(t *testing.T) {
 	}
 	run := func(mergeDeltaRows int) ([]Played, *Server, *core.Engine) {
 		eng := testEngine(t, 1<<12)
-		if _, err := eng.ShardTable("orders", "custkey", 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Seal("orders"); err != nil {
-			t.Fatal(err)
-		}
 		s := New(eng, Config{
 			Sched:          core.SchedulerConfig{Budget: 2, Arbitrate: true},
 			MergeDeltaRows: mergeDeltaRows,
@@ -379,7 +371,7 @@ func TestAutoMergeAnyRegisteredTable(t *testing.T) {
 			t.Fatalf("read %d differs across the merges:\n%s\nvs\n%s", i, got, want)
 		}
 	}
-	st, err := eng.Catalog().Lookup("orders")
+	st, err := eng.Catalog().Table("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,13 +380,13 @@ func TestAutoMergeAnyRegisteredTable(t *testing.T) {
 	}
 
 	// An explicit merge ticket on the same table settles clean and leaves
-	// every shard's delta empty.
+	// its delta empty.
 	loop := eng.NewLoop(core.SchedulerConfig{Budget: 1, Arbitrate: true})
 	tk := loop.OfferMerge(0, "orders")
 	loop.React()
 	loop.RunToIdle()
 	if tk.Rejected || tk.Err != nil {
-		t.Fatalf("OfferMerge on a sharded table: rejected=%v err=%v", tk.Rejected, tk.Err)
+		t.Fatalf("OfferMerge: rejected=%v err=%v", tk.Rejected, tk.Err)
 	}
 	if st.DeltaRows() != 0 {
 		t.Fatalf("explicit merge left %d delta rows", st.DeltaRows())
