@@ -121,7 +121,8 @@ func TestSpanCodesMatchGetEveryWidth(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 		s := &intSegment{raw: vals}
-		s.sealDict()
+		p := compress.Analyze(vals)
+		s.sealDict(&p)
 		s.n, s.sealed, s.raw = n, true, nil
 		if s.enc != compress.Dict || s.packed.Width() != width {
 			t.Fatalf("width %d: sealed as enc %v width %d", width, s.enc, s.packed.Width())

@@ -99,6 +99,63 @@ func (c *IntColumn) AppendSlice(vs []int64) {
 	}
 }
 
+// values returns the segment's values: its raw slice, or, once sealed
+// into a compressed layout, its decoding into *buf (grown as needed).
+func (s *intSegment) values(buf *[]int64) []int64 {
+	if !s.sealed || s.enc == compress.Raw {
+		return s.raw
+	}
+	if cap(*buf) < s.n {
+		*buf = make([]int64, s.n)
+	}
+	vals := (*buf)[:s.n]
+	s.decodeRange(0, s.n, vals)
+	return vals
+}
+
+// sealedFrom builds the sealed column of src's rows whose drop bit is
+// clear (every row when drop is nil), each value replaced by remap[value]
+// when remap is non-nil.  src is decoded a segment at a time and the
+// kept values are cut into exact-capacity SegSize segments — the
+// boundaries Append gives — each sealed as it fills, so no more than one
+// segment of raw values is alive besides src.
+func sealedFrom(src *IntColumn, drop []bool, kept int, remap []int64) *IntColumn {
+	c := &IntColumn{}
+	var buf, raw []int64
+	for si, s := range src.segs {
+		start := src.starts[si]
+		for j, v := range s.values(&buf) {
+			if drop != nil && drop[start+j] {
+				continue
+			}
+			if remap != nil {
+				v = remap[v]
+			}
+			if raw == nil {
+				raw = make([]int64, 0, min(SegSize, kept-c.n))
+			}
+			raw = append(raw, v)
+			if len(raw) == SegSize {
+				c.appendSealed(raw)
+				raw = nil
+			}
+		}
+	}
+	if raw != nil {
+		c.appendSealed(raw)
+	}
+	return c
+}
+
+// appendSealed adds raw as one more segment, sealed.
+func (c *IntColumn) appendSealed(raw []int64) {
+	s := &intSegment{raw: raw}
+	s.seal()
+	c.segs = append(c.segs, s)
+	c.starts = append(c.starts, c.n)
+	c.n += len(raw)
+}
+
 // Seal freezes every segment into its advisor-chosen compressed layout.
 // Sealed columns remain appendable: new values open a fresh raw segment.
 func (c *IntColumn) Seal() {
@@ -127,19 +184,6 @@ func (c *IntColumn) segAt(i int) int {
 		}
 	}
 	return lo
-}
-
-// Values materializes the whole column (bulk decode).
-func (c *IntColumn) Values() []int64 {
-	out := make([]int64, 0, c.n)
-	for _, s := range c.segs {
-		if s.sealed {
-			out = s.appendValues(out)
-		} else {
-			out = append(out, s.raw...)
-		}
-	}
-	return out
 }
 
 // ScanStats describes what a scan touched, for EXPLAIN output and the

@@ -42,7 +42,7 @@ type MergeStats struct {
 //
 // Two paths: with no droppable tombstone the delta's raw tail segments
 // are sealed in place (cost proportional to the delta); otherwise the
-// table is rebuilt row by row (cost proportional to the table).
+// table is rebuilt column by column (cost proportional to the table).
 func (t *Table) Merge(horizon int64) (MergeStats, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -140,7 +140,9 @@ func (t *Table) retireMetadataLocked(cut func(int64) bool) {
 
 // mergeRebuildLocked rewrites the table without the dropped rows,
 // renumbering positions while preserving stable row ids and the
-// surviving visibility metadata.
+// surviving visibility metadata.  Each column is filtered a segment at a
+// time straight into sealed segments (strings in the code domain), so
+// the sealLocked that ends it only validates.
 func (t *Table) mergeRebuildLocked(drop []bool, cut func(int64) bool, st *MergeStats) error {
 	st.Rebuilt = true
 	n := t.lenLocked()
@@ -157,34 +159,21 @@ func (t *Table) mergeRebuildLocked(drop []bool, cut func(int64) bool, st *MergeS
 	for ci, c := range t.cols {
 		switch cc := c.(type) {
 		case *IntColumn:
-			vals := cc.Values()
-			nc := NewIntColumn()
-			for i, v := range vals {
-				if !drop[i] {
-					nc.Append(v)
-				}
-			}
-			newCols[ci] = nc
+			newCols[ci] = sealedFrom(cc, drop, kept, nil)
 			w.BytesReadDRAM += uint64(n) * 8
 			w.BytesWrittenDRAM += uint64(kept) * 8
 		case *FloatColumn:
-			nc := NewFloatColumn()
-			for i := 0; i < n; i++ {
+			vals := make([]float64, 0, kept)
+			for i, v := range cc.vals {
 				if !drop[i] {
-					nc.Append(cc.Get(i))
+					vals = append(vals, v)
 				}
 			}
-			newCols[ci] = nc
+			newCols[ci] = &FloatColumn{vals: vals}
 			w.BytesReadDRAM += uint64(n) * 8
 			w.BytesWrittenDRAM += uint64(kept) * 8
 		case *StringColumn:
-			nc := NewStringColumn()
-			for i := 0; i < n; i++ {
-				if !drop[i] {
-					nc.Append(cc.Get(i))
-				}
-			}
-			newCols[ci] = nc
+			newCols[ci] = cc.without(drop, kept)
 			w.BytesReadDRAM += uint64(n) * 10
 			w.BytesWrittenDRAM += uint64(kept) * 10
 		}

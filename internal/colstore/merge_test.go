@@ -1,0 +1,401 @@
+package colstore
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/energy"
+	"repro/internal/workload"
+)
+
+// The retired row-by-row rebuild merge and string seal, kept as oracles
+// of the bulk ones: every column decoded whole and re-appended a row at a
+// time (strings through the append-order dictionary), then re-sorted and
+// remapped.
+
+// rowwiseSealSorted is the retired StringColumn.SealSorted.
+func rowwiseSealSorted(c *StringColumn) {
+	if !c.ordered {
+		sorted := make([]string, len(c.values))
+		copy(sorted, c.values)
+		sort.Strings(sorted)
+		remap := make([]int64, len(c.values))
+		newIndex := make(map[string]int, len(sorted))
+		for i, s := range sorted {
+			newIndex[s] = i
+		}
+		for old, s := range c.values {
+			remap[old] = int64(newIndex[s])
+		}
+		old := c.codes.Values()
+		c.codes = NewIntColumn()
+		for _, oc := range old {
+			c.codes.Append(remap[oc])
+		}
+		c.values = sorted
+		c.index = newIndex
+		c.ordered = true
+	}
+	c.codes.Seal()
+}
+
+// rowwiseMerge is Table.Merge with the retired rebuild; it fails unless
+// the merge drops rows (the tail path is shared).
+func rowwiseMerge(t *Table, horizon int64) (MergeStats, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cut := func(ts int64) bool { return horizon <= 0 || ts <= horizon }
+	n := t.lenLocked()
+	st := MergeStats{Table: t.Name, RowsIn: n, DeltaRowsIn: n - t.sealedRows, BytesBefore: t.bytesLocked(), Rebuilt: true}
+	drop := make([]bool, n)
+	for i, ts := range t.delTS {
+		if cut(ts) {
+			drop[int(t.delRows[i])] = true
+			st.Dropped++
+		} else {
+			st.TombstonesKept++
+		}
+	}
+	if st.Dropped == 0 {
+		return st, fmt.Errorf("oracle: no row to drop")
+	}
+	kept := 0
+	newPos := make([]int32, n)
+	for i := 0; i < n; i++ {
+		if !drop[i] {
+			newPos[i] = int32(kept)
+			kept++
+		}
+	}
+	newCols := make([]Column, len(t.cols))
+	var w energy.Counters
+	for ci, c := range t.cols {
+		switch cc := c.(type) {
+		case *IntColumn:
+			nc := NewIntColumn()
+			for i, v := range cc.Values() {
+				if !drop[i] {
+					nc.Append(v)
+				}
+			}
+			nc.Seal()
+			newCols[ci] = nc
+			w.BytesReadDRAM += uint64(n) * 8
+			w.BytesWrittenDRAM += uint64(kept) * 8
+		case *FloatColumn:
+			nc := NewFloatColumn()
+			for i := 0; i < n; i++ {
+				if !drop[i] {
+					nc.Append(cc.Get(i))
+				}
+			}
+			newCols[ci] = nc
+			w.BytesReadDRAM += uint64(n) * 8
+			w.BytesWrittenDRAM += uint64(kept) * 8
+		case *StringColumn:
+			nc := NewStringColumn()
+			for i := 0; i < n; i++ {
+				if !drop[i] {
+					nc.Append(cc.Get(i))
+				}
+			}
+			rowwiseSealSorted(nc)
+			newCols[ci] = nc
+			w.BytesReadDRAM += uint64(n) * 10
+			w.BytesWrittenDRAM += uint64(kept) * 10
+		}
+	}
+	newIDs := make([]int64, 0, kept)
+	for i := 0; i < n; i++ {
+		if drop[i] {
+			continue
+		}
+		if t.rowIDs == nil {
+			newIDs = append(newIDs, int64(i))
+		} else {
+			newIDs = append(newIDs, t.rowIDs[i])
+		}
+	}
+	var addRows, delRows []int32
+	var addTS, delTS []int64
+	for i, ts := range t.addTS {
+		if !cut(ts) {
+			addRows = append(addRows, newPos[int(t.addRows[i])])
+			addTS = append(addTS, ts)
+		}
+	}
+	for i, ts := range t.delTS {
+		if !cut(ts) {
+			delRows = append(delRows, newPos[int(t.delRows[i])])
+			delTS = append(delTS, ts)
+		}
+	}
+	t.cols = newCols
+	t.rowIDs = newIDs
+	t.addRows, t.addTS = addRows, addTS
+	t.delRows, t.delTS = delRows, delTS
+	t.sealedRows = kept
+	w.Instructions += uint64(n) * uint64(len(t.cols)) * 6
+	w.TuplesIn += uint64(n)
+	w.TuplesOut += uint64(kept)
+	st.Work = w
+	t.writeEpoch++
+	st.RowsOut = t.lenLocked()
+	st.BytesAfter = t.bytesLocked()
+	return st, nil
+}
+
+// sameIntColumn reports the first difference between two integer
+// columns: segment boundaries, each segment's encoding, zone map and
+// dictionary, the values, then anything else in the layout.
+func sameIntColumn(got, want *IntColumn) error {
+	if !reflect.DeepEqual(got.starts, want.starts) || got.n != want.n {
+		return fmt.Errorf("segments start at %v (%d rows), want %v (%d rows)", got.starts, got.n, want.starts, want.n)
+	}
+	for i, g := range got.segs {
+		w := want.segs[i]
+		if g.sealed != w.sealed || g.enc != w.enc || g.min != w.min || g.max != w.max || g.n != w.n {
+			return fmt.Errorf("segment %d: sealed %v %v [%d,%d] n=%d, want sealed %v %v [%d,%d] n=%d",
+				i, g.sealed, g.enc, g.min, g.max, g.n, w.sealed, w.enc, w.min, w.max, w.n)
+		}
+		if !reflect.DeepEqual(g.dictVals, w.dictVals) {
+			return fmt.Errorf("segment %d: dictionary differs", i)
+		}
+	}
+	if !reflect.DeepEqual(got.Values(), want.Values()) {
+		return fmt.Errorf("values differ")
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("layouts differ")
+	}
+	return nil
+}
+
+// sameTable fails the test at the first difference between two tables:
+// storage, columns, dictionaries, stable row ids, visibility metadata.
+func sameTable(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	if g, w := got.Storage(), want.Storage(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: storage %+v, want %+v", label, g, w)
+	}
+	for ci, c := range got.cols {
+		var err error
+		switch g := c.(type) {
+		case *IntColumn:
+			err = sameIntColumn(g, want.cols[ci].(*IntColumn))
+		case *FloatColumn:
+			if !slices.Equal(g.Values(), want.cols[ci].(*FloatColumn).Values()) {
+				err = fmt.Errorf("values differ")
+			}
+		case *StringColumn:
+			w := want.cols[ci].(*StringColumn)
+			switch {
+			case !reflect.DeepEqual(g.Dict(), w.Dict()):
+				err = fmt.Errorf("dictionary %q, want %q", g.Dict(), w.Dict())
+			case g.ordered != w.ordered || !reflect.DeepEqual(g.index, w.index):
+				err = fmt.Errorf("ordered %v, want %v (or the index differs)", g.ordered, w.ordered)
+			default:
+				err = sameIntColumn(g.codes, w.codes)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: column %s: %v", label, got.schema[ci].Name, err)
+		}
+	}
+	type meta struct {
+		Sealed                     bool
+		SealedRows                 int
+		AddRows, DelRows           []int32
+		AddTS, DelTS, RowIDs       []int64
+		NextRowID, LastTS, WriteEp int64
+		AppliedLSN                 uint64
+	}
+	m := func(t *Table) meta {
+		return meta{t.sealed, t.sealedRows, t.addRows, t.delRows, t.addTS, t.delTS, t.rowIDs, t.nextRowID, t.lastTS, t.writeEpoch, t.appliedLSN}
+	}
+	if g, w := m(got), m(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: metadata %+v, want %+v", label, g, w)
+	}
+}
+
+// mergeCase builds a table and the writes a merge then compacts.
+type mergeCase struct {
+	rows    int
+	inserts int               // committed delta rows, each a new region value when newStrings
+	deletes func(n int) []int // physical rows to delete, in commit order
+	// horizon is the merge's horizon as a fraction of the last commit
+	// timestamp (0 = compact everything).
+	horizon    float64
+	newStrings bool
+}
+
+// build loads rows of five columns covering every seal path — a sorted
+// key (delta), a bounded Zipf key (bitset-counted), a low-cardinality
+// wide-range key (sort-counted dict), a day with long runs (RLE) and a
+// region string — seals it, and applies the case's inserts then deletes
+// at increasing commit timestamps.
+func (mc mergeCase) build(t *testing.T) *Table {
+	t.Helper()
+	tab := NewTable("m", Schema{
+		{Name: "id", Type: Int64}, {Name: "custkey", Type: Int64}, {Name: "wide", Type: Int64},
+		{Name: "region", Type: String}, {Name: "amount", Type: Float64}, {Name: "day", Type: Int64},
+	})
+	o := workload.GenOrders(7, mc.rows, 500, 1.1)
+	wide := make([]int64, mc.rows)
+	regions := make([]string, mc.rows)
+	for i := range wide {
+		wide[i] = (o.CustKey[i]%7 - 3) * 1e15
+		regions[i] = workload.RegionNames[o.Region[i]]
+	}
+	err := tab.Writer().Int64("id", o.OrderID...).Int64("custkey", o.CustKey...).Int64("wide", wide...).
+		String("region", regions...).Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close()
+	if err == nil {
+		err = tab.Seal()
+	}
+	ts := int64(0)
+	for i := 0; i < mc.inserts && err == nil; i++ {
+		region := workload.RegionNames[i%5]
+		if mc.newStrings {
+			region = fmt.Sprintf("NEW %02d", i%23)
+		}
+		ts++
+		_, err = tab.ApplyInsert(ts, 0, int64(mc.rows+1+2*i), int64(i%9), int64(i%3)*-1e15, region, 2.5, int64(20000+i/50))
+	}
+	for _, row := range mc.deletes(mc.rows + mc.inserts) {
+		if err != nil {
+			break
+		}
+		ts++
+		err = tab.ApplyDelete(ts, 0, tab.RowID(row))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestRebuildMergeMatchesRowwise: the bulk rebuild merge leaves a table
+// identical to the retired row-by-row rebuild — storage, every segment's
+// encoding and zone map, dictionaries, values, stable row ids, and the
+// add/delete visibility metadata — and reports the same MergeStats.
+func TestRebuildMergeMatchesRowwise(t *testing.T) {
+	every := func(step, from int) func(n int) []int {
+		return func(n int) []int {
+			var rows []int
+			for r := from; r < n; r += step {
+				rows = append(rows, r)
+			}
+			return rows
+		}
+	}
+	cases := map[string]mergeCase{
+		// Tombstones in segments 0 and 2 only: segments 1 and 3 are
+		// re-cut across the dropped rows without a drop of their own.
+		"drop-in-some-segments": {rows: 4*SegSize + 300, inserts: 40, deletes: func(int) []int {
+			return []int{3, 17, 900, 2*SegSize + 1, 2*SegSize + 5}
+		}},
+		// All of segment 1 goes.
+		"whole-segment": {rows: 3*SegSize + 10, inserts: 5, deletes: func(int) []int {
+			rows := make([]int, SegSize)
+			for i := range rows {
+				rows[i] = SegSize + i
+			}
+			return rows
+		}},
+		// "AFRICA" rows all go: the value leaves the dictionary.
+		"dict-value-vanishes": {rows: SegSize + 500, deletes: func(n int) []int { return nil }},
+		// Unseen strings in the delta leave the dictionary unordered.
+		"unordered-strings": {rows: 2*SegSize + 77, inserts: 300, newStrings: true, deletes: every(997, 5)},
+		// Every other delta row is deleted.
+		"drop-delta-rows": {rows: SegSize + 1000, inserts: 200, deletes: func(n int) []int { return every(2, n-200)(n) }},
+		// A live snapshot at half the commits keeps the later tombstones
+		// (renumbered) and the later inserts' visibility.
+		"horizon-keeps-tombstones": {rows: 2*SegSize + 5, inserts: 100, deletes: every(1009, 11), horizon: 0.5},
+		"nothing-survives":         {rows: 1000, deletes: every(1, 0)},
+	}
+	for name, mc := range cases {
+		t.Run(name, func(t *testing.T) {
+			if name == "dict-value-vanishes" {
+				probe := mc.build(t)
+				region, _ := probe.StrCol("region")
+				mc.deletes = func(int) []int {
+					var rows []int
+					for r := 0; r < region.Len(); r++ {
+						if region.Get(r) == "AFRICA" {
+							rows = append(rows, r)
+						}
+					}
+					return rows
+				}
+			}
+			got, want := mc.build(t), mc.build(t)
+			horizon := int64(mc.horizon * float64(got.lastTS))
+			gs, err := got.Merge(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, err := rowwiseMerge(want, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gs.Rebuilt || !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("merge stats %+v, want %+v", gs, ws)
+			}
+			if mc.horizon > 0 && gs.TombstonesKept == 0 {
+				t.Fatal("the horizon kept no tombstone")
+			}
+			sameTable(t, name, got, want)
+			if name == "dict-value-vanishes" {
+				region, _ := got.StrCol("region")
+				if region.DictSize() != 4 {
+					t.Fatalf("dictionary %q still holds the vanished value", region.Dict())
+				}
+			}
+		})
+	}
+}
+
+// TestSealSortedMatchesRowwise: the bulk SealSorted re-cuts and seals
+// the codes exactly as the retired row-by-row remap did, at load and on a
+// tail merge that brings new strings after a sealed prefix.
+func TestSealSortedMatchesRowwise(t *testing.T) {
+	load := func() *StringColumn {
+		c := NewStringColumn()
+		for i := 0; i < 2*SegSize+123; i++ {
+			c.Append(fmt.Sprintf("v%03d", (i*31)%211))
+		}
+		return c
+	}
+	got, want := load(), load()
+	got.SealSorted()
+	rowwiseSealSorted(want)
+	check := func(label string) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Dict(), want.Dict()) || !reflect.DeepEqual(got.index, want.index) || !got.ordered {
+			t.Fatalf("%s: dictionary %v, want %v", label, got.Dict(), want.Dict())
+		}
+		if err := sameIntColumn(got.codes, want.codes); err != nil {
+			t.Fatalf("%s: codes: %v", label, err)
+		}
+	}
+	check("load")
+	held := got.Dict()
+	for i := 0; i < SegSize+50; i++ {
+		s := fmt.Sprintf("v%03d", i%211)
+		if i%1000 == 0 {
+			s = fmt.Sprintf("new%d", i)
+		}
+		got.Append(s)
+		want.Append(s)
+	}
+	heldCopy := append([]string(nil), held...)
+	got.SealSorted()
+	rowwiseSealSorted(want)
+	check("tail")
+	if !reflect.DeepEqual(held, heldCopy) {
+		t.Fatal("SealSorted rewrote a dictionary a reader holds")
+	}
+}

@@ -59,16 +59,16 @@ func (s *intSegment) seal() {
 	if s.sealed || len(s.raw) == 0 {
 		return
 	}
-	st := compress.Analyze(s.raw)
-	s.min, s.max = st.Min, st.Max
+	p := compress.Analyze(s.raw)
+	s.min, s.max = p.Min, p.Max
 	s.n = len(s.raw)
-	switch compress.Choose(st) {
+	switch compress.Choose(p.Stats) {
 	case compress.RLE:
 		s.sealRLE()
 	case compress.Delta:
 		s.sealDelta()
 	case compress.Dict:
-		s.sealDict()
+		s.sealDict(&p)
 	default:
 		s.sealBitpack()
 	}
@@ -123,25 +123,12 @@ func (s *intSegment) sealDelta() {
 	s.enc = compress.Delta
 }
 
-func (s *intSegment) sealDict() {
-	vals := append([]int64(nil), s.raw...)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	distinct := vals[:1]
-	for _, v := range vals[1:] {
-		if v != distinct[len(distinct)-1] {
-			distinct = append(distinct, v)
-		}
-	}
-	codeOf := make(map[int64]uint64, len(distinct))
-	for i, v := range distinct {
-		codeOf[v] = uint64(i)
-	}
-	codes := make([]uint64, len(s.raw))
-	for i, v := range s.raw {
-		codes[i] = codeOf[v]
-	}
-	s.dictVals = append([]int64(nil), distinct...)
-	s.packed = vec.NewPacked(codes, compress.BitsFor(uint64(len(distinct)-1)))
+// sealDict packs each value's code in the sorted dictionary of the
+// segment's distinct values, which its profile p yields.
+func (s *intSegment) sealDict(p *compress.Profile) {
+	dict, codes := p.Dict(s.raw)
+	s.dictVals = dict
+	s.packed = vec.NewPacked(codes, compress.BitsFor(uint64(len(dict)-1)))
 	s.enc = compress.Dict
 }
 
@@ -196,40 +183,6 @@ func (s *intSegment) getSealed(i int) int64 {
 		return s.dictVals[s.packed.Get(i)]
 	}
 	return s.raw[i]
-}
-
-// appendValues decodes the whole sealed segment into out (bulk path for
-// Values; point access uses getSealed).
-func (s *intSegment) appendValues(out []int64) []int64 {
-	switch s.enc {
-	case compress.RLE:
-		for _, r := range s.runs {
-			for k := uint32(0); k < r.Length; k++ {
-				out = append(out, r.Value)
-			}
-		}
-		return out
-	case compress.Delta:
-		p := s.payload
-		v := int64(0)
-		for i := 0; i < s.n; i++ {
-			if i%deltaFrame == 0 {
-				v = s.checks[i/deltaFrame].val
-			} else {
-				d, n := binary.Varint(p)
-				p = p[n:]
-				v += d
-			}
-			out = append(out, v)
-		}
-		return out
-	case compress.Bitpack, compress.Dict:
-		for i := 0; i < s.n; i++ {
-			out = append(out, s.getSealed(i))
-		}
-		return out
-	}
-	return append(out, s.raw...)
 }
 
 // scanCompressed evaluates `value op cval` over the segment-local window

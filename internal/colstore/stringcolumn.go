@@ -1,6 +1,9 @@
 package colstore
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // StringColumn stores strings dictionary-encoded: an append-order
 // dictionary assigns dense codes, and the codes live in an IntColumn so
@@ -87,25 +90,43 @@ func (c *StringColumn) CodeColumn() *IntColumn { return c.codes }
 // code column, enabling range predicates and packed scans.
 func (c *StringColumn) SealSorted() {
 	if !c.ordered {
-		sorted := make([]string, len(c.values))
-		copy(sorted, c.values)
-		sort.Strings(sorted)
-		remap := make([]int64, len(c.values))
-		newIndex := make(map[string]int, len(sorted))
-		for i, s := range sorted {
-			newIndex[s] = i
-		}
-		for old, s := range c.values {
-			remap[old] = int64(newIndex[s])
-		}
-		old := c.codes.Values()
-		c.codes = NewIntColumn()
-		for _, oc := range old {
-			c.codes.Append(remap[oc])
-		}
-		c.values = sorted
-		c.index = newIndex
-		c.ordered = true
+		*c = *c.without(nil, c.Len())
 	}
 	c.codes.Seal()
+}
+
+// without returns the sealed column of c's rows whose drop bit is clear
+// (every row when drop is nil; kept of them): its dictionary holds, in
+// sorted order, the values a kept row uses — a new slice, so a Dict() a
+// reader holds is never rewritten — and the codes are remapped onto it
+// in the code domain and cut as Append cuts them.
+func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
+	used := make([]bool, len(c.values))
+	var buf []int64
+	for si, s := range c.codes.segs {
+		start := c.codes.starts[si]
+		for j, code := range s.values(&buf) {
+			if drop == nil || !drop[start+j] {
+				used[code] = true
+			}
+		}
+	}
+	order := make([]int, len(c.values)) // old codes in string order
+	for i := range order {
+		order[i] = i
+	}
+	if !c.ordered {
+		slices.SortFunc(order, func(a, b int) int { return strings.Compare(c.values[a], c.values[b]) })
+	}
+	remap := make([]int64, len(c.values))
+	values := []string{}
+	index := make(map[string]int)
+	for _, old := range order {
+		if used[old] {
+			remap[old] = int64(len(values))
+			index[c.values[old]] = len(values)
+			values = append(values, c.values[old])
+		}
+	}
+	return &StringColumn{codes: sealedFrom(c.codes, drop, kept, remap), values: values, index: index, ordered: true}
 }

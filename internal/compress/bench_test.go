@@ -11,6 +11,6 @@ func BenchmarkAdvisor(b *testing.B) {
 	data := synth.RunsInts(5, 1<<16, 8, 50)
 	b.SetBytes(1 << 19)
 	for i := 0; i < b.N; i++ {
-		Choose(Analyze(data))
+		Choose(Analyze(data).Stats)
 	}
 }

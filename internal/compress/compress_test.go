@@ -39,23 +39,23 @@ func TestRunsEncodeDecode(t *testing.T) {
 
 func TestAnalyzeAndChoose(t *testing.T) {
 	runs := synth.RunsInts(21, 10000, 4, 100)
-	if c := Choose(Analyze(runs)); c != RLE {
+	if c := Choose(Analyze(runs).Stats); c != RLE {
 		t.Errorf("run data should choose rle, got %s", c)
 	}
 	sorted := synth.SortedInts(22, 10000, 10)
-	if c := Choose(Analyze(sorted)); c != Delta {
+	if c := Choose(Analyze(sorted).Stats); c != Delta {
 		t.Errorf("sorted data should choose delta, got %s", c)
 	}
 	lowCard := synth.UniformInts(23, 10000, 50)
-	ch := Choose(Analyze(lowCard))
+	ch := Choose(Analyze(lowCard).Stats)
 	if ch != Dict && ch != RLE {
 		t.Errorf("low-cardinality data should choose dict (or rle), got %s", ch)
 	}
 	uniform := synth.UniformInts(24, 10000, 1<<50)
-	if c := Choose(Analyze(uniform)); c != Bitpack {
+	if c := Choose(Analyze(uniform).Stats); c != Bitpack {
 		t.Errorf("uniform wide data should choose bitpack, got %s", c)
 	}
-	if c := Choose(Analyze(nil)); c != Raw {
+	if c := Choose(Analyze(nil).Stats); c != Raw {
 		t.Errorf("empty data should choose raw, got %s", c)
 	}
 }
@@ -97,12 +97,12 @@ func TestAnalyzeDistinctSaturation(t *testing.T) {
 	}
 	st := Analyze(big)
 	if !st.DistinctCapped {
-		t.Fatalf("%d distinct values must saturate the cap (%d): %+v", n, DistinctCap, st)
+		t.Fatalf("%d distinct values must saturate the cap (%d): %+v", n, DistinctCap, st.Stats)
 	}
 	if st.Distinct != DistinctCap {
 		t.Errorf("saturated count must equal the cap: %d vs %d", st.Distinct, DistinctCap)
 	}
-	if got := Choose(st); got == Dict {
+	if got := Choose(st.Stats); got == Dict {
 		t.Errorf("advisor chose dict off a saturated distinct count")
 	}
 }

@@ -40,9 +40,6 @@ type Engine struct {
 	// manager's MVCC clock and the REDO log's group-commit window.
 	log *wal.Log
 	txm *txn.Manager
-	// walLevel/walWindow configure the manager at Open.
-	walLevel  wal.Level
-	walWindow time.Duration
 }
 
 // Option configures Open.
@@ -58,17 +55,14 @@ func WithLog(log *wal.Log) Option { return func(e *Engine) { e.log = log } }
 // Open creates an engine.
 func Open(opts ...Option) *Engine {
 	m := energy.DefaultModel()
-	e := &Engine{
-		cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m),
-		walLevel: wal.Local, walWindow: 200 * time.Microsecond,
-	}
+	e := &Engine{cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m)}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.log == nil {
 		e.log = wal.NewLog(wal.DefaultConfig())
 	}
-	e.txm = txn.NewManager(e.log, e.walLevel, e.walWindow)
+	e.txm = txn.NewManager(e.log, wal.Local, 200*time.Microsecond)
 	return e
 }
 

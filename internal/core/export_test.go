@@ -1,21 +1,20 @@
 package core
 
 import (
-	"time"
-
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
-// Test-only surface: the served engine runs at the default durability,
-// and the loop's own goroutine reads a ticket's done flag directly.
+// Test-only surface: the served engine commits under a 200µs
+// group-commit window, and the loop's own goroutine reads a ticket's done
+// flag directly.
 
-// WithDurability sets the REDO log's QoS level and group-commit window
-// (defaults: local flush, 200µs window).
-func WithDurability(level wal.Level, window time.Duration) Option {
-	return func(e *Engine) {
-		e.walLevel = level
-		e.walWindow = window
-	}
+// openUnbatched opens an engine whose commits each flush the REDO log
+// locally (no group-commit window), so a crashed log holds every commit.
+func openUnbatched(opts ...Option) *Engine {
+	e := Open(opts...)
+	e.txm = txn.NewManager(e.log, wal.Local, 0)
+	return e
 }
 
 // Done reports whether the ticket's result fields have settled.  Like

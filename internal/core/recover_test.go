@@ -71,13 +71,13 @@ func snapshotQueries(t *testing.T, e *Engine) []any {
 // the "checkpoint"; only DML lives in the log) over the survivor log.
 func freshReplica(t *testing.T, log *wal.Log) *Engine {
 	t.Helper()
-	e := Open(WithLog(log), WithDurability(wal.Local, 0))
+	e := openUnbatched(WithLog(log))
 	loadOrders(t, e, 4000)
 	return e
 }
 
 func TestWALReplayReproducesRelations(t *testing.T) {
-	e1 := Open(WithDurability(wal.Local, 0))
+	e1 := openUnbatched()
 	loadOrders(t, e1, 4000)
 	writeScript(t, e1)
 	want := snapshotQueries(t, e1)
@@ -115,7 +115,7 @@ func TestWALReplayReproducesRelations(t *testing.T) {
 // layout must not double-apply records (AppliedLSN survives the merge)
 // and the relations stay byte-identical.
 func TestWALReplayInterleavedWithMerge(t *testing.T) {
-	e1 := Open(WithDurability(wal.Local, 0))
+	e1 := openUnbatched()
 	loadOrders(t, e1, 4000)
 	writeScript(t, e1)
 	want := snapshotQueries(t, e1)

@@ -55,7 +55,7 @@ type dmlTarget struct {
 	t      *colstore.Table
 	schema colstore.Schema
 	// hit marks that the statement buffered a write, so the post-commit
-	// catalog refresh runs only when the table changed.
+	// catalog update runs only when the table changed.
 	hit bool
 }
 
@@ -119,9 +119,11 @@ func (e *Engine) ExecDML(d *opt.DML, at time.Duration) (*DMLResult, error) {
 	res.Work = work
 	res.Energy = e.bill(work)
 	// Keep planner estimates (and with them admission pricing) tracking
-	// the table the statement just changed.
-	if tgt.hit {
-		if err := e.cat.Refresh(d.Table); err != nil {
+	// the table the statement just changed.  No statistic reads a
+	// tombstone, so a DELETE leaves them as they are; an INSERT or an
+	// UPDATE only appends rows, which the catalog folds in.
+	if tgt.hit && d.Kind != opt.DMLDelete {
+		if err := e.cat.Extend(d.Table); err != nil {
 			return nil, err
 		}
 	}

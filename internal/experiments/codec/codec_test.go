@@ -180,7 +180,7 @@ func TestCompressionRatiosFavorTheRightCodec(t *testing.T) {
 	// The advisor's pick should actually compress at least as well as raw.
 	lowCard := synth.UniformInts(23, 10000, 50)
 	for _, data := range [][]int64{synth.RunsInts(21, 10000, 4, 100), synth.SortedInts(22, 10000, 10), lowCard, synth.UniformInts(24, 10000, 1<<50)} {
-		c := For(compress.Choose(compress.Analyze(data)))
+		c := For(compress.Choose(compress.Analyze(data).Stats))
 		if r := Ratio(c, data); r > 1.1 {
 			t.Errorf("advisor pick %s has ratio %g > 1.1", c.Name(), r)
 		}

@@ -66,7 +66,7 @@ func encode(r *exec.Relation, s Strategy) (*exec.Relation, uint64, uint64, error
 		c := &r.Cols[i]
 		switch c.Type {
 		case colstore.Int64:
-			cd := codec.For(compress.Choose(compress.Analyze(c.I)))
+			cd := codec.For(compress.Choose(compress.Analyze(c.I).Stats))
 			payload := cd.Compress(c.I)
 			vals, err := cd.Decompress(payload)
 			if err != nil {
@@ -107,7 +107,7 @@ func shipStringsCoded(c *exec.Col) ([]string, uint64, uint64, error) {
 	for c := int64(0); c < int64(dict.Size()); c++ {
 		wire += uint64(len(dict.Value(c))) + 2
 	}
-	cd := codec.For(compress.Choose(compress.Analyze(codes)))
+	cd := codec.For(compress.Choose(compress.Analyze(codes).Stats))
 	payload := cd.Compress(codes)
 	back, err := cd.Decompress(payload)
 	if err != nil {

@@ -83,17 +83,20 @@ func (ts *TableStats) Selectivity(p expr.Pred) float64 {
 }
 
 // Catalog registers tables and their statistics: one main/delta table
-// and one TableStats per name.
+// and one TableStats per name, plus the per-column samples those were
+// computed from.
 type Catalog struct {
-	tables map[string]*colstore.Table
-	stats  map[string]*TableStats
+	tables  map[string]*colstore.Table
+	stats   map[string]*TableStats
+	samples map[string]map[string]*colSample // table -> BIGINT column
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		tables: make(map[string]*colstore.Table),
-		stats:  make(map[string]*TableStats),
+		tables:  make(map[string]*colstore.Table),
+		stats:   make(map[string]*TableStats),
+		samples: make(map[string]map[string]*colSample),
 	}
 }
 
@@ -101,23 +104,48 @@ func NewCatalog() *Catalog {
 // name) and computes its statistics.
 func (c *Catalog) Add(t *colstore.Table) {
 	c.tables[t.Name] = t
-	c.stats[t.Name] = statsOf(t)
+	c.restat(t, nil)
 }
 
 // Refresh recomputes the statistics of the named table — after loads,
-// recovery, merges, or a write statement.
+// recovery or merges, whatever they rewrote.
 func (c *Catalog) Refresh(name string) error {
 	t, err := c.Table(name)
 	if err != nil {
 		return err
 	}
-	c.stats[name] = statsOf(t)
+	c.restat(t, nil)
 	return nil
 }
 
-// statsOf computes the statistics of one physical main/delta table.
-func statsOf(t *colstore.Table) *TableStats {
+// Extend re-states the named table after statements that only appended
+// rows to it (an INSERT, an UPDATE's new versions) since its statistics
+// were last computed: the samples are extended over the new rows, and
+// the result equals Refresh's.  While n/4096 stays put a sample's stride
+// does, so the rows it took stay the rows a fresh sample takes; when it
+// moves (or the table shrank), Extend is Refresh.
+func (c *Catalog) Extend(name string) error {
+	t, err := c.Table(name)
+	if err != nil {
+		return err
+	}
+	prev, n := c.samples[name], t.Rows()
+	for _, s := range prev {
+		if s.step != sampleStep(n) || n < s.rows {
+			prev = nil
+			break
+		}
+	}
+	c.restat(t, prev)
+	return nil
+}
+
+// restat computes the statistics of one physical main/delta table from
+// its column samples — prev's, extended over the rows appended since,
+// where given.
+func (c *Catalog) restat(t *colstore.Table, prev map[string]*colSample) {
 	ts := &TableStats{Name: t.Name, Rows: t.Rows(), Cols: map[string]ColStats{}, Storage: t.Storage()}
+	samples := map[string]*colSample{}
 	colStorage := make(map[string]colstore.ColumnStorage, len(ts.Storage.Cols))
 	for _, s := range ts.Storage.Cols {
 		colStorage[s.Name] = s
@@ -130,9 +158,16 @@ func statsOf(t *colstore.Table) *TableStats {
 		switch d.Type {
 		case colstore.Int64:
 			ic, _ := t.IntCol(d.Name)
-			if min, max, ok := ic.MinMax(); ok {
-				cs.Min, cs.Max, cs.HasMinMax = min, max, true
-				cs.Distinct = estimateDistinct(ic)
+			s := prev[d.Name]
+			if s == nil {
+				s = newColSample(ic)
+			} else {
+				s.extend(ic)
+			}
+			samples[d.Name] = s
+			if s.rows > 0 {
+				cs.Min, cs.Max, cs.HasMinMax = s.min, s.max, true
+				cs.Distinct = s.distinct()
 			}
 		case colstore.String:
 			sc, _ := t.StrCol(d.Name)
@@ -140,39 +175,70 @@ func statsOf(t *colstore.Table) *TableStats {
 		}
 		ts.Cols[d.Name] = cs
 	}
-	return ts
+	c.stats[t.Name], c.samples[t.Name] = ts, samples
 }
 
-// estimateDistinct samples every (n/4096)-th row: a sample whose rows are
-// all distinct reads as a unique column (n), any other counts its
-// distinct values, capped by the domain span.
-func estimateDistinct(ic *colstore.IntColumn) int {
+// colSample is what one BIGINT column's statistics are computed from:
+// the zone map of its first rows rows, and the distinct-value sample of
+// every step-th row below next.
+type colSample struct {
+	rows     int
+	min, max int64
+	step     int
+	next     int
+	taken    int
+	seen     map[int64]struct{}
+}
+
+// sampleStep is the sample stride over n rows: every row up to 4 096,
+// then n/4096 (a sample of 4 096 to 8 191 rows).
+func sampleStep(n int) int { return max(1, n/4096) }
+
+// newColSample samples the column's current rows, its zone map from the
+// segments' own.
+func newColSample(ic *colstore.IntColumn) *colSample {
 	n := ic.Len()
-	if n == 0 {
-		return 0
-	}
-	sample := 4096
-	if sample > n {
-		sample = n
-	}
-	seen := make(map[int64]struct{}, sample)
-	step := n / sample
-	if step == 0 {
-		step = 1
-	}
-	taken := 0
-	for i := 0; i < n; i += step {
-		seen[ic.Get(i)] = struct{}{}
-		taken++
-	}
-	d := len(seen)
-	if d == taken { // likely unique
-		d = n
-	}
-	if min, max, ok := ic.MinMax(); ok {
-		if span := max - min + 1; int64(d) > span && span > 0 {
-			d = int(span)
+	s := &colSample{rows: n, step: sampleStep(n), seen: make(map[int64]struct{}, min(n, 4096))}
+	s.min, s.max, _ = ic.MinMax()
+	s.sampleTo(ic, n)
+	return s
+}
+
+// extend folds the rows appended since the sample was taken into its
+// zone map and sample.
+func (s *colSample) extend(ic *colstore.IntColumn) {
+	n := ic.Len()
+	if n > s.rows {
+		vals := make([]int64, n-s.rows)
+		ic.DecodeRange(s.rows, n, vals)
+		if s.rows == 0 {
+			s.min, s.max = vals[0], vals[0]
 		}
+		for _, v := range vals {
+			s.min, s.max = min(s.min, v), max(s.max, v)
+		}
+		s.rows = n
+	}
+	s.sampleTo(ic, n)
+}
+
+func (s *colSample) sampleTo(ic *colstore.IntColumn, n int) {
+	for ; s.next < n; s.next += s.step {
+		s.seen[ic.Get(s.next)] = struct{}{}
+		s.taken++
+	}
+}
+
+// distinct estimates the column's distinct count from the sample: a
+// sample whose rows are all distinct reads as a unique column (rows),
+// any other counts its distinct values, capped by the domain span.
+func (s *colSample) distinct() int {
+	d := len(s.seen)
+	if d == s.taken { // likely unique
+		d = s.rows
+	}
+	if span := s.max - s.min + 1; int64(d) > span && span > 0 {
+		d = int(span)
 	}
 	return d
 }
