@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/experiments"
@@ -311,10 +310,9 @@ func BenchmarkE19CompressedScan(b *testing.B) {
 	model := energy.DefaultModel()
 	for _, shape := range experiments.E19BenchShapes(n) {
 		for _, arm := range []string{"raw", "compressed"} {
-			col := colstore.NewIntColumn()
-			col.AppendSlice(shape.Vals)
-			if arm == "compressed" {
-				col.Seal()
+			col, err := experiments.E19Column(shape.Vals, arm == "compressed")
+			if err != nil {
+				b.Fatal(err)
 			}
 			cut := shape.Cut
 			b.Run(shape.Name+"/"+arm, func(b *testing.B) {

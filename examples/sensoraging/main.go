@@ -12,6 +12,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/experiments/hier"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -26,41 +27,46 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Hot path: ingest with REDO logging.  Business-critical commit
-	// records replicate (repl-2); the bulk sensor payload is fine with
-	// local durability.
-	logger := wal.NewLog(wal.DefaultConfig())
+	// Hot path: ingest through the engine's transactions, one commit per
+	// batch: its REDO records (one row insert per reading) flush at the
+	// engine's local durability QoS before the rows reach the delta.
 	const nDev, nBatches, perBatch = 64, 50, 1000
 	ts := int64(1_700_000_000)
 	var commitLat time.Duration
 	for b := 0; b < nBatches; b++ {
-		w := tab.Writer()
+		tx := e.Txn().Begin()
 		for i := 0; i < perBatch; i++ {
 			d := int64(i % nDev)
 			ts++
 			temp := 20 + float64(d%10) + float64(i%7)*0.1
-			w.Row(d, ts, temp)
-			logger.Append(wal.Record{TxID: uint64(b), Key: "reading", Value: ts})
+			tx.Insert(tab, d, ts, temp)
 		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		rep, err := logger.Commit(wal.Local)
+		// Batches arrive 1 ms apart, past the group-commit window, so
+		// each commit pays its own flush.
+		info, err := tx.Commit(time.Duration(b) * time.Millisecond)
 		if err != nil {
 			log.Fatal(err)
 		}
-		commitLat += rep.Latency
+		commitLat += info.Latency
 	}
 	fmt.Printf("ingested %d readings in %d batches; mean commit latency %v (local QoS)\n",
 		tab.Rows(), nBatches, (commitLat / nBatches).Round(time.Microsecond))
 
-	// A daily close-of-books marker gets the replicated QoS.
-	logger.Append(wal.Record{TxID: 999, Key: "day-close", Value: ts})
-	rep, err := logger.Commit(wal.Repl2)
+	// A daily close-of-books marker is business-critical: it commits as
+	// a row of its own table through a transaction manager that
+	// replicates (repl-2).
+	closes, err := e.CreateTable("day_close", colstore.Schema{{Name: "ts", Type: colstore.Int64}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("day-close record committed at repl-2: %v\n", rep.Latency.Round(time.Microsecond))
+	books := txn.NewManager(wal.NewLog(wal.DefaultConfig()), wal.Repl2, 0)
+	tx := books.Begin()
+	tx.Insert(closes, ts)
+	info, err := tx.Commit(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("day-close record committed at repl-2: %v\n", info.Latency.Round(time.Microsecond))
 
 	// Query while hot.
 	if err := e.Seal("readings"); err != nil {

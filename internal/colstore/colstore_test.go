@@ -260,7 +260,7 @@ func TestTableBasics(t *testing.T) {
 	if _, err := tab.Column("nope"); err == nil {
 		t.Error("unknown column must error")
 	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Bytes() == 0 {
@@ -268,25 +268,43 @@ func TestTableBasics(t *testing.T) {
 	}
 }
 
+// TestTableBulkLoadAndSealValidation: a batch commits only as complete
+// rows.  Close rejects a batch that leaves a column out, or whose column
+// batches differ in length, and leaves the table as it was; a complete
+// batch then loads, and a merge moves it into the main.
 func TestTableBulkLoadAndSealValidation(t *testing.T) {
 	tab := NewTable("t", Schema{
 		{Name: "a", Type: Int64},
 		{Name: "b", Type: Float64},
 	})
-	if err := tab.Writer().Int64("a", []int64{1, 2, 3}...).Close(); err != nil {
+	if err := tab.Writer().Row(int64(7), 0.5).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().Float64("b", []float64{1, 2}...).Close(); err != nil {
-		t.Fatal(err)
+	before := func() (int, int64, int64, int) {
+		return tab.Rows(), tab.lastTS, tab.WriteEpoch(), len(tab.addTS)
 	}
-	if err := tab.Seal(); err == nil {
-		t.Error("ragged table must fail Seal")
+	r0, ts0, ep0, add0 := before()
+	if err := tab.Writer().Int64("a", []int64{1, 2, 3}...).Close(); err == nil {
+		t.Error("a batch without column b must fail Close")
 	}
-	if err := tab.Writer().Float64("b", []float64{3}...).Close(); err != nil {
-		t.Fatal(err)
+	if err := tab.Writer().Int64("a", 1, 2, 3).Float64("b", 1, 2).Close(); err == nil {
+		t.Error("a ragged batch must fail Close")
 	}
-	if err := tab.Seal(); err != nil {
-		t.Fatalf("balanced table must seal: %v", err)
+	if err := tab.Writer().Int64("a", 1).Row(int64(2), 2.0).Close(); err == nil {
+		t.Error("a partial batch beside a row must fail Close")
+	}
+	if r, ts, ep, add := before(); r != r0 || ts != ts0 || ep != ep0 || add != add0 {
+		t.Fatalf("rejected batches changed the table: rows %d ts %d epoch %d entries %d, want %d %d %d %d",
+			r, ts, ep, add, r0, ts0, ep0, add0)
+	}
+	if err := tab.Writer().Int64("a", 1, 2, 3).Float64("b", 1, 2, 3).Close(); err != nil {
+		t.Fatalf("a complete batch must load: %v", err)
+	}
+	if tab.Rows() != 4 || tab.DeltaRows() != 4 {
+		t.Fatalf("rows %d, delta %d, want 4 and 4", tab.Rows(), tab.DeltaRows())
+	}
+	if _, err := tab.Merge(0); err != nil || tab.DeltaRows() != 0 {
+		t.Fatalf("merge: %v, delta %d", err, tab.DeltaRows())
 	}
 }
 
@@ -306,3 +324,34 @@ func TestTypeString(t *testing.T) {
 // bit reports bit i of a selection vector; the served kernels read
 // selections word at a time and keep no per-bit accessor.
 func bit(b *vec.Bitvec, i int) bool { return b.Words()[i>>6]>>(uint(i)&63)&1 == 1 }
+
+// TestStableIDsContinueAfterALoad: a load's rows take stable ids 0..n-1,
+// so after a rebuild merge materializes the id map, the next insert
+// takes id n — never an id a loaded row still holds.
+func TestStableIDsContinueAfterALoad(t *testing.T) {
+	tab := NewTable("t", Schema{{Name: "a", Type: Int64}})
+	if err := tab.Writer().Int64("a", 10, 11, 12, 13).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.ApplyDelete(2, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := tab.Merge(0); err != nil || !st.Rebuilt {
+		t.Fatalf("merge %+v: %v", st, err)
+	}
+	id, err := tab.ApplyInsert(3, 0, int64(14))
+	if err != nil || id != 4 {
+		t.Fatalf("insert took id %d (%v), want 4", id, err)
+	}
+	for row, want := range []int64{0, 2, 3, 4} {
+		if got := tab.RowID(row); got != want {
+			t.Fatalf("row %d has id %d, want %d", row, got, want)
+		}
+		if got, ok := tab.LookupRow(want); !ok || got != row {
+			t.Fatalf("id %d resolves to row %d (%v), want %d", want, got, ok, row)
+		}
+	}
+}

@@ -138,37 +138,95 @@ func (t *Table) DeletedAt(id int64) (int64, bool) {
 }
 
 // ApplyInsert appends one committed row to the delta, stamping commit
-// timestamp ts and WAL position lsn (both may be zero for non-durable
-// bulk appends).  Returns the new row's stable id.  Callers serialize
-// commits; ts must be >= every previously applied timestamp.
+// timestamp ts and WAL position lsn.  Returns the new row's stable id.
+// Callers serialize commits; ts must be >= every previously applied
+// timestamp, and the rows one commit inserts share one visibility entry.
 func (t *Table) ApplyInsert(ts int64, lsn uint64, vals ...any) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.applyInsertLocked(ts, lsn, vals)
-}
-
-func (t *Table) applyInsertLocked(ts int64, lsn uint64, vals []any) (int64, error) {
-	if ts > 0 && ts < t.lastTS {
+	if ts < t.lastTS {
 		return 0, fmt.Errorf("colstore: table %s: commit ts %d below applied ts %d", t.Name, ts, t.lastTS)
 	}
-	if err := t.appendRowLocked(vals); err != nil {
+	if err := t.checkRowLocked(vals); err != nil {
 		return 0, err
 	}
-	row := t.lenLocked() - 1
-	id := int64(row)
+	if t.row == nil {
+		t.row = make([]any, len(t.cols))
+		appendRow(t.row, vals)
+	} else {
+		setRow(t.row, vals)
+	}
+	row := t.appendLocked(ts, lsn, t.row)
 	if t.rowIDs != nil {
-		id = t.nextRowID
-		t.rowIDs = append(t.rowIDs, id)
+		return t.rowIDs[row], nil
 	}
-	t.nextRowID = id + 1
-	if ts > 0 {
-		t.addRows = append(t.addRows, int32(row))
+	return int64(row), nil
+}
+
+// appendRow appends one checked row's values to the column-wise batch b.
+func appendRow(b []any, vals []any) {
+	for i, v := range vals {
+		switch v := v.(type) {
+		case int64:
+			s, _ := b[i].([]int64)
+			b[i] = append(s, v)
+		case float64:
+			s, _ := b[i].([]float64)
+			b[i] = append(s, v)
+		case string:
+			s, _ := b[i].([]string)
+			b[i] = append(s, v)
+		}
+	}
+}
+
+// setRow overwrites the one-row batch b, made by appendRow, with a
+// checked row's values.
+func setRow(b []any, vals []any) {
+	for i, v := range vals {
+		switch v := v.(type) {
+		case int64:
+			b[i].([]int64)[0] = v
+		case float64:
+			b[i].([]float64)[0] = v
+		case string:
+			b[i].([]string)[0] = v
+		}
+	}
+}
+
+// appendLocked is the one way rows enter the table: it appends the
+// column-wise batches (each one typed slice per column, all of one
+// length; a nil batch is empty) to the delta as one commit at timestamp
+// ts, and returns the commit's first row.  The commit costs one
+// visibility entry, and stable ids continue from the last one issued.
+func (t *Table) appendLocked(ts int64, lsn uint64, batches ...[]any) int {
+	first := t.lenLocked()
+	for _, b := range batches {
+		if b == nil {
+			continue
+		}
+		for i, c := range t.cols {
+			c.appendBatch(b[i])
+		}
+	}
+	n := t.lenLocked()
+	if t.rowIDs == nil {
+		t.nextRowID = int64(n)
+	} else {
+		for len(t.rowIDs) < n {
+			t.rowIDs = append(t.rowIDs, t.nextRowID)
+			t.nextRowID++
+		}
+	}
+	if k := len(t.addTS); k == 0 || t.addTS[k-1] != ts {
+		t.addRows = append(t.addRows, int32(first))
 		t.addTS = append(t.addTS, ts)
-		t.lastTS = ts
 	}
+	t.lastTS = ts
 	t.noteLSNLocked(lsn)
 	t.writeEpoch++
-	return id, nil
+	return first
 }
 
 // ApplyDelete tombstones the row with the given stable id at commit

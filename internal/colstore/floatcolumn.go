@@ -1,5 +1,7 @@
 package colstore
 
+import "repro/internal/energy"
+
 // FloatColumn is a flat column of float64 measures.  Measures are summed
 // and averaged, rarely filtered, so the column stays unpacked; scans are
 // branch-free scalar loops.
@@ -19,11 +21,27 @@ func (c *FloatColumn) Type() Type { return Float64 }
 // Bytes returns the memory footprint.
 func (c *FloatColumn) Bytes() uint64 { return uint64(len(c.vals)) * 8 }
 
-// Append adds one value.
-func (c *FloatColumn) Append(v float64) { c.vals = append(c.vals, v) }
+// appendBatch appends vals.
+func (c *FloatColumn) appendBatch(vals any) {
+	vs, _ := vals.([]float64)
+	c.vals = append(c.vals, vs...)
+}
 
-// AppendSlice bulk-appends values.
-func (c *FloatColumn) AppendSlice(vs []float64) { c.vals = append(c.vals, vs...) }
+// merge keeps the flat storage (nothing to re-seal, nothing streamed),
+// or with rows to drop filters the kept ones into an exact slice.
+func (c *FloatColumn) merge(drop []bool, kept, _ int) (Column, energy.Counters) {
+	if drop == nil {
+		return c, energy.Counters{}
+	}
+	vals := make([]float64, 0, kept)
+	for i, v := range c.vals {
+		if !drop[i] {
+			vals = append(vals, v)
+		}
+	}
+	n := uint64(len(c.vals))
+	return &FloatColumn{vals: vals}, energy.Counters{BytesReadDRAM: n * 8, BytesWrittenDRAM: uint64(kept) * 8}
+}
 
 // Get returns row i.
 func (c *FloatColumn) Get(i int) float64 { return c.vals[i] }

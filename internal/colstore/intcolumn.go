@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"repro/internal/compress"
+	"repro/internal/energy"
 	"repro/internal/vec"
 )
 
@@ -81,22 +82,48 @@ func (c *IntColumn) Bytes() uint64 {
 	return b
 }
 
-// Append adds one value.
-func (c *IntColumn) Append(v int64) {
-	if len(c.segs) == 0 || c.segs[len(c.segs)-1].sealed || len(c.segs[len(c.segs)-1].raw) >= SegSize {
-		c.segs = append(c.segs, &intSegment{raw: make([]int64, 0, 1024)})
-		c.starts = append(c.starts, c.n)
-	}
-	s := c.segs[len(c.segs)-1]
-	s.raw = append(s.raw, v)
-	c.n++
+// appendBatch appends a []int64 batch (appendInts).
+func (c *IntColumn) appendBatch(vals any) {
+	vs, _ := vals.([]int64)
+	c.appendInts(vs, len(vs))
 }
 
-// AppendSlice bulk-appends values.
-func (c *IntColumn) AppendSlice(vs []int64) {
-	for _, v := range vs {
-		c.Append(v)
+// appendInts copies vs, the head of a batch of rest values, into the raw
+// tail: it fills the last raw segment up to SegSize rows, then opens
+// segments with the capacity the rest of the batch needs, at least
+// rawFloor and at most SegSize rows — the boundaries a row at a time
+// would give.  The floor keeps a delta fed a row per commit from
+// regrowing from one row after every merge.
+func (c *IntColumn) appendInts(vs []int64, rest int) {
+	for len(vs) > 0 {
+		k := len(c.segs)
+		if k == 0 || c.segs[k-1].sealed || len(c.segs[k-1].raw) == SegSize {
+			c.segs = append(c.segs, &intSegment{raw: make([]int64, 0, min(SegSize, max(rest, rawFloor)))})
+			c.starts = append(c.starts, c.n)
+			k++
+		}
+		s := c.segs[k-1]
+		m := min(SegSize-len(s.raw), len(vs))
+		s.raw = append(s.raw, vs[:m]...)
+		c.n += m
+		vs, rest = vs[m:], rest-m
 	}
+}
+
+// merge seals the raw tail segments in place, or with rows to drop
+// rebuilds the column from the kept ones.
+func (c *IntColumn) merge(drop []bool, kept, delta int) (Column, energy.Counters) {
+	var w energy.Counters
+	if drop != nil {
+		w.BytesReadDRAM = uint64(c.n) * 8
+		w.BytesWrittenDRAM = uint64(kept) * 8
+		return sealedFrom(c, drop, kept, nil), w
+	}
+	for _, s := range c.segs {
+		s.seal()
+	}
+	w.BytesReadDRAM = uint64(delta) * 8
+	return c, w
 }
 
 // values returns the segment's values: its raw slice, or, once sealed
@@ -117,7 +144,7 @@ func (s *intSegment) values(buf *[]int64) []int64 {
 // clear (every row when drop is nil), each value replaced by remap[value]
 // when remap is non-nil.  src is decoded a segment at a time and the
 // kept values are cut into exact-capacity SegSize segments — the
-// boundaries Append gives — each sealed as it fills, so no more than one
+// boundaries appendBatch gives — each sealed as it fills, so no more than one
 // segment of raw values is alive besides src.
 func sealedFrom(src *IntColumn, drop []bool, kept int, remap []int64) *IntColumn {
 	c := &IntColumn{}
@@ -154,14 +181,6 @@ func (c *IntColumn) appendSealed(raw []int64) {
 	c.segs = append(c.segs, s)
 	c.starts = append(c.starts, c.n)
 	c.n += len(raw)
-}
-
-// Seal freezes every segment into its advisor-chosen compressed layout.
-// Sealed columns remain appendable: new values open a fresh raw segment.
-func (c *IntColumn) Seal() {
-	for _, s := range c.segs {
-		s.seal()
-	}
 }
 
 // Get returns row i.  Segments may have irregular lengths (sealing opens a

@@ -6,13 +6,10 @@ import (
 	"repro/internal/workload"
 )
 
-// mergeOrders returns the sealed 1 Mi-row orders table (workload.GenOrders,
-// seed 42, the served demo schema) with a live delta of `inserts` committed
-// rows and `deletes` tombstones, one every len/deletes rows: the state a
-// rebuild merge of mixed_rw starts from.
-func mergeOrders(tb testing.TB, o *workload.Orders, inserts, deletes int) *Table {
-	tb.Helper()
-	n := len(o.OrderID)
+// loadOrders commits o (the served demo schema) to a fresh table's delta
+// through one Writer and merges it into the main: a bulk load and
+// Engine.Seal, without the statistics.
+func loadOrders(o *workload.Orders) (*Table, error) {
 	t := NewTable("orders", Schema{
 		{Name: "id", Type: Int64},
 		{Name: "custkey", Type: Int64},
@@ -20,7 +17,7 @@ func mergeOrders(tb testing.TB, o *workload.Orders, inserts, deletes int) *Table
 		{Name: "amount", Type: Float64},
 		{Name: "day", Type: Int64},
 	})
-	regions := make([]string, n)
+	regions := make([]string, len(o.Region))
 	for i, r := range o.Region {
 		regions[i] = workload.RegionNames[r]
 	}
@@ -28,9 +25,20 @@ func mergeOrders(tb testing.TB, o *workload.Orders, inserts, deletes int) *Table
 		String("region", regions...).Float64("amount", o.Amount...).
 		Int64("day", o.OrderDay...).Close()
 	if err == nil {
-		err = t.Seal()
+		_, err = t.Merge(0)
 	}
-	ts := int64(0)
+	return t, err
+}
+
+// mergeOrders returns the sealed 1 Mi-row orders table (workload.GenOrders,
+// seed 42) with a live delta of `inserts` committed rows and `deletes`
+// tombstones, one every len/deletes rows: the state a rebuild merge of
+// mixed_rw starts from.
+func mergeOrders(tb testing.TB, o *workload.Orders, inserts, deletes int) *Table {
+	tb.Helper()
+	n := len(o.OrderID)
+	t, err := loadOrders(o)
+	ts := t.lastTS
 	for i := 0; i < inserts && err == nil; i++ {
 		ts++
 		_, err = t.ApplyInsert(ts, 0, int64(n+1+i), int64(i%40), workload.RegionNames[i%5], 1.5, o.OrderDay[n-1])
@@ -43,6 +51,19 @@ func mergeOrders(tb testing.TB, o *workload.Orders, inserts, deletes int) *Table
 		tb.Fatal(err)
 	}
 	return t
+}
+
+// BenchmarkLoad is the load rung of the layer ladder, beside
+// BenchmarkMergeRebuild: 1 Mi orders staged through one Writer,
+// committed to the delta and merged into the main — what a bulk load
+// and Engine.Seal cost before the statistics.
+func BenchmarkLoad(b *testing.B) {
+	o := workload.GenOrders(42, 1<<20, 10495, 1.1)
+	for i := 0; i < b.N; i++ {
+		if _, err := loadOrders(o); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMergeRebuild is the merge rung of the layer ladder: one

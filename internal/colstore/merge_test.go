@@ -3,7 +3,6 @@ package colstore
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -148,65 +147,14 @@ func rowwiseMerge(t *Table, horizon int64) (MergeStats, error) {
 	return st, nil
 }
 
-// sameIntColumn reports the first difference between two integer
-// columns: segment boundaries, each segment's encoding, zone map and
-// dictionary, the values, then anything else in the layout.
-func sameIntColumn(got, want *IntColumn) error {
-	if !reflect.DeepEqual(got.starts, want.starts) || got.n != want.n {
-		return fmt.Errorf("segments start at %v (%d rows), want %v (%d rows)", got.starts, got.n, want.starts, want.n)
-	}
-	for i, g := range got.segs {
-		w := want.segs[i]
-		if g.sealed != w.sealed || g.enc != w.enc || g.min != w.min || g.max != w.max || g.n != w.n {
-			return fmt.Errorf("segment %d: sealed %v %v [%d,%d] n=%d, want sealed %v %v [%d,%d] n=%d",
-				i, g.sealed, g.enc, g.min, g.max, g.n, w.sealed, w.enc, w.min, w.max, w.n)
-		}
-		if !reflect.DeepEqual(g.dictVals, w.dictVals) {
-			return fmt.Errorf("segment %d: dictionary differs", i)
-		}
-	}
-	if !reflect.DeepEqual(got.Values(), want.Values()) {
-		return fmt.Errorf("values differ")
-	}
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("layouts differ")
-	}
-	return nil
-}
-
 // sameTable fails the test at the first difference between two tables:
-// storage, columns, dictionaries, stable row ids, visibility metadata.
+// stored layout, stable row ids, visibility metadata.
 func sameTable(t *testing.T, label string, got, want *Table) {
 	t.Helper()
-	if g, w := got.Storage(), want.Storage(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: storage %+v, want %+v", label, g, w)
-	}
-	for ci, c := range got.cols {
-		var err error
-		switch g := c.(type) {
-		case *IntColumn:
-			err = sameIntColumn(g, want.cols[ci].(*IntColumn))
-		case *FloatColumn:
-			if !slices.Equal(g.Values(), want.cols[ci].(*FloatColumn).Values()) {
-				err = fmt.Errorf("values differ")
-			}
-		case *StringColumn:
-			w := want.cols[ci].(*StringColumn)
-			switch {
-			case !reflect.DeepEqual(g.Dict(), w.Dict()):
-				err = fmt.Errorf("dictionary %q, want %q", g.Dict(), w.Dict())
-			case g.ordered != w.ordered || !reflect.DeepEqual(g.index, w.index):
-				err = fmt.Errorf("ordered %v, want %v (or the index differs)", g.ordered, w.ordered)
-			default:
-				err = sameIntColumn(g.codes, w.codes)
-			}
-		}
-		if err != nil {
-			t.Fatalf("%s: column %s: %v", label, got.schema[ci].Name, err)
-		}
+	if err := DiffLayout(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	type meta struct {
-		Sealed                     bool
 		SealedRows                 int
 		AddRows, DelRows           []int32
 		AddTS, DelTS, RowIDs       []int64
@@ -214,7 +162,7 @@ func sameTable(t *testing.T, label string, got, want *Table) {
 		AppliedLSN                 uint64
 	}
 	m := func(t *Table) meta {
-		return meta{t.sealed, t.sealedRows, t.addRows, t.delRows, t.addTS, t.delTS, t.rowIDs, t.nextRowID, t.lastTS, t.writeEpoch, t.appliedLSN}
+		return meta{t.sealedRows, t.addRows, t.delRows, t.addTS, t.delTS, t.rowIDs, t.nextRowID, t.lastTS, t.writeEpoch, t.appliedLSN}
 	}
 	if g, w := m(got), m(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: metadata %+v, want %+v", label, g, w)
@@ -253,7 +201,7 @@ func (mc mergeCase) build(t *testing.T) *Table {
 	err := tab.Writer().Int64("id", o.OrderID...).Int64("custkey", o.CustKey...).Int64("wide", wide...).
 		String("region", regions...).Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close()
 	if err == nil {
-		err = tab.Seal()
+		_, err = tab.Merge(0)
 	}
 	ts := int64(0)
 	for i := 0; i < mc.inserts && err == nil; i++ {

@@ -83,15 +83,7 @@ func (t *Table) Storage() TableStorage {
 	defer t.mu.RUnlock()
 	var ts TableStorage
 	for i, c := range t.cols {
-		var cs ColumnStorage
-		switch cc := c.(type) {
-		case *IntColumn:
-			cs = cc.Storage()
-		case *FloatColumn:
-			cs = cc.Storage()
-		case *StringColumn:
-			cs = cc.Storage()
-		}
+		cs := c.Storage()
 		cs.Name = t.schema[i].Name
 		ts.RawBytes += cs.RawBytes
 		ts.StoredBytes += cs.StoredBytes

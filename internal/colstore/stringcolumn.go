@@ -3,12 +3,14 @@ package colstore
 import (
 	"slices"
 	"strings"
+
+	"repro/internal/energy"
 )
 
 // StringColumn stores strings dictionary-encoded: an append-order
 // dictionary assigns dense codes, and the codes live in an IntColumn so
 // equality predicates run as packed integer scans without touching string
-// data.  SealSorted re-maps codes into sorted dictionary order, enabling
+// data.  A merge re-maps codes into sorted dictionary order, enabling
 // range predicates on the code domain (the order-preserving property the
 // paper-era column stores rely on).
 type StringColumn struct {
@@ -38,22 +40,25 @@ func (c *StringColumn) Bytes() uint64 {
 	return b
 }
 
-// Append adds one string, assigning a new code if unseen.
-func (c *StringColumn) Append(s string) {
-	code, ok := c.index[s]
-	if !ok {
-		code = len(c.values)
-		c.values = append(c.values, s)
-		c.index[s] = code
-		c.ordered = false
-	}
-	c.codes.Append(int64(code))
-}
-
-// AppendSlice bulk-appends strings.
-func (c *StringColumn) AppendSlice(vs []string) {
-	for _, s := range vs {
-		c.Append(s)
+// appendBatch interns vals, assigning each unseen string the next
+// code, and appends their codes, a stack buffer's worth at a time.
+func (c *StringColumn) appendBatch(vals any) {
+	vs, _ := vals.([]string)
+	var codes [64]int64
+	for len(vs) > 0 {
+		n := min(len(vs), len(codes))
+		for i, s := range vs[:n] {
+			code, ok := c.index[s]
+			if !ok {
+				code = len(c.values)
+				c.values = append(c.values, s)
+				c.index[s] = code
+				c.ordered = false
+			}
+			codes[i] = int64(code)
+		}
+		c.codes.appendInts(codes[:n], len(vs))
+		vs = vs[n:]
 	}
 }
 
@@ -63,10 +68,7 @@ func (c *StringColumn) Get(i int) string { return c.values[c.codes.Get(i)] }
 // DictSize returns the number of distinct values.
 func (c *StringColumn) DictSize() int { return len(c.values) }
 
-// Ordered reports whether codes are currently in sorted dictionary order.
-func (c *StringColumn) Ordered() bool { return c.ordered }
-
-// Dict exposes the code → string dictionary (sorted once SealSorted has
+// Dict exposes the code → string dictionary (sorted once a merge has
 // run).  The slice is the column's live dictionary — callers must treat
 // it as read-only.  Together with CodeColumn it is the key-extraction
 // surface of the read path: a scanned relation carries the codes and this
@@ -76,7 +78,7 @@ func (c *StringColumn) Ordered() bool { return c.ordered }
 //
 // A slice returned here stays valid, unchanged, for as long as its holder
 // keeps it — past the latch it was read under, through any later write:
-// Append writes only past the slice's length, and SealSorted replaces the
+// an append writes only past the slice's length, and a merge replaces the
 // slice, never rewriting it in place.
 func (c *StringColumn) Dict() []string { return c.values }
 
@@ -86,20 +88,33 @@ func (c *StringColumn) Dict() []string { return c.values }
 // widening per row.
 func (c *StringColumn) CodeColumn() *IntColumn { return c.codes }
 
-// SealSorted re-maps every code into sorted dictionary order and seals the
-// code column, enabling range predicates and packed scans.
-func (c *StringColumn) SealSorted() {
-	if !c.ordered {
+// merge re-maps the codes into sorted dictionary order and seals them:
+// in place when every row stays and no new string arrived (the sealed
+// prefix keeps its codes), otherwise through without.
+func (c *StringColumn) merge(drop []bool, kept, delta int) (Column, energy.Counters) {
+	var w energy.Counters
+	n := uint64(c.Len())
+	switch {
+	case drop != nil:
+		w.BytesReadDRAM, w.BytesWrittenDRAM = n*10, uint64(kept)*10
+		return c.without(drop, kept), w
+	case !c.ordered:
+		// New dictionary entries force a full code remap to restore
+		// the order-preserving dictionary.
+		w.BytesReadDRAM, w.BytesWrittenDRAM = n*8, n*8
 		*c = *c.without(nil, c.Len())
+		return c, w
 	}
-	c.codes.Seal()
+	c.codes.merge(nil, 0, 0)
+	w.BytesReadDRAM = uint64(delta) * 8
+	return c, w
 }
 
 // without returns the sealed column of c's rows whose drop bit is clear
 // (every row when drop is nil; kept of them): its dictionary holds, in
 // sorted order, the values a kept row uses — a new slice, so a Dict() a
 // reader holds is never rewritten — and the codes are remapped onto it
-// in the code domain and cut as Append cuts them.
+// in the code domain and cut as appendBatch cuts them.
 func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
 	used := make([]bool, len(c.values))
 	var buf []int64

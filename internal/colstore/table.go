@@ -8,13 +8,13 @@ import (
 )
 
 // Table is a named collection of equally long columns, organized as the
-// HANA-style main/delta pair (§II): Seal freezes the loaded rows into the
-// compressed, scan-optimized main; rows appended afterwards land in the
+// HANA-style main/delta pair (§II).  Rows enter only through the
 // write-optimized delta — the raw tail segments every column keeps past
-// its sealed prefix — and union with the main in every scan path.  Writes
-// enter through Writer (bulk) or ApplyInsert/ApplyDelete (the
-// transactional path, which stamps MVCC visibility metadata); Merge
-// re-seals the delta into advisor-chosen codecs.  A RWMutex guards
+// its sealed prefix — each batch as one commit (Writer.Close, or
+// ApplyInsert from the transactional path and WAL replay); they reach
+// the compressed, scan-optimized main only through Merge, which re-seals
+// the delta into advisor-chosen codecs.  A fresh table is an empty main
+// plus a delta, and every scan unions the two.  A RWMutex guards
 // structural changes; scans take the read side.
 type Table struct {
 	Name string
@@ -23,18 +23,16 @@ type Table struct {
 	schema Schema
 	cols   []Column
 
-	// Main/delta bookkeeping.  sealed flips at the first Seal; sealedRows
-	// is the merge boundary (rows below it live in compressed segments,
-	// rows at or above it in the raw delta).
-	sealed     bool
+	// sealedRows is the merge boundary: rows below it live in the main's
+	// compressed segments, rows at or above it in the raw delta.
 	sealedRows int
 
-	// MVCC visibility metadata, lazily populated by the transactional
-	// write path so read-only tables pay nothing.  addRows/addTS list the
-	// rows visible only at snapshots >= their commit timestamp; both are
-	// ascending in row order (appends commit in timestamp order, and
-	// Merge preserves relative row order), which is what makes RowsAsOf a
-	// binary search.  delRows/delTS are tombstones, kept sorted by row.
+	// MVCC visibility metadata.  addRows/addTS hold each unmerged
+	// commit's first row and timestamp: its rows, up to the next entry's,
+	// are visible only at snapshots >= the timestamp.  Both are ascending
+	// (appends commit in timestamp order, and Merge preserves relative
+	// row order), which is what makes RowsAsOf a binary search.
+	// delRows/delTS are tombstones, kept sorted by row.
 	addRows []int32
 	addTS   []int64
 	delRows []int32
@@ -46,6 +44,9 @@ type Table struct {
 	// ascending, so lookup is a binary search.
 	rowIDs    []int64
 	nextRowID int64
+	// row is ApplyInsert's one-row batch, reused: one typed slice of
+	// length 1 per column, overwritten in place by each insert.
+	row []any
 
 	// appliedLSN is the highest WAL LSN already applied to this table;
 	// replay skips records at or below it (idempotence).
@@ -183,25 +184,6 @@ func (t *Table) SpanKeys(name string) int {
 	return n
 }
 
-// appendRowLocked appends one row given values in schema order.  Values
-// must be int64, float64, or string matching the column types.
-func (t *Table) appendRowLocked(vals []any) error {
-	if err := t.checkRowLocked(vals); err != nil {
-		return err
-	}
-	for i, v := range vals {
-		switch c := t.cols[i].(type) {
-		case *IntColumn:
-			c.Append(v.(int64))
-		case *FloatColumn:
-			c.Append(v.(float64))
-		case *StringColumn:
-			c.Append(v.(string))
-		}
-	}
-	return nil
-}
-
 // checkRowLocked validates a row against the schema without applying it,
 // so transactional commits can verify every operation before mutating
 // anything (no torn multi-row commits).
@@ -233,41 +215,8 @@ func (t *Table) CheckRow(vals ...any) error {
 	return t.checkRowLocked(vals)
 }
 
-// Seal freezes every column into its scan-optimized representation and
-// validates that all columns have equal length.  Rows appended after Seal
-// land in the delta (raw tail segments) until the next Merge.
-func (t *Table) Seal() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sealLocked()
-}
-
-func (t *Table) sealLocked() error {
-	n := -1
-	for i, c := range t.cols {
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			return fmt.Errorf("colstore: table %s column %q has %d rows, expected %d",
-				t.Name, t.schema[i].Name, c.Len(), n)
-		}
-		switch cc := c.(type) {
-		case *IntColumn:
-			cc.Seal()
-		case *StringColumn:
-			cc.SealSorted()
-		}
-	}
-	t.sealed = true
-	if n < 0 {
-		n = 0
-	}
-	t.sealedRows = n
-	return nil
-}
-
 // DeltaRows returns the number of rows in the write-optimized delta:
-// appended after the last Seal/Merge, stored raw, waiting for compaction.
+// appended after the last Merge, stored raw, waiting for compaction.
 func (t *Table) DeltaRows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -281,6 +230,13 @@ func (t *Table) WriteEpoch() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.writeEpoch
+}
+
+// LastTS returns the highest commit timestamp stamped into this table.
+func (t *Table) LastTS() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.lastTS
 }
 
 // AppliedLSN returns the highest WAL LSN applied to this table.

@@ -16,7 +16,11 @@
 // the same rows but different joules.
 package colstore
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/energy"
+)
 
 // Type is the logical type of a column.
 type Type int
@@ -69,9 +73,23 @@ type Column interface {
 	// Bytes returns the approximate in-memory footprint, used by the
 	// storage-hierarchy experiments to price tier placement.
 	Bytes() uint64
+	// Storage reports the column's physical layout.
+	Storage() ColumnStorage
+
+	// appendBatch copies vals — a []int64, []float64 or []string of the
+	// column's type — into the delta.
+	appendBatch(vals any)
+	// merge returns the column with every row in the main: with drop
+	// nil the delta's delta rows are sealed in place, otherwise the rows
+	// whose drop bit is set go and the kept rest is rebuilt.  The
+	// counters price what the merge streamed.
+	merge(drop []bool, kept, delta int) (Column, energy.Counters)
 }
 
 // SegSize is the number of rows per segment.  64 Ki rows keeps a packed
 // 16-bit segment near the L2 cache size, mirroring the cache-line-as-block
 // analogy from the paper.
 const SegSize = 1 << 16
+
+// rawFloor is the least capacity a new raw segment opens with, in rows.
+const rawFloor = 1024

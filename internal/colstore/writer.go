@@ -2,166 +2,100 @@ package colstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Writer is the single write entry point of a table: it stages column
-// batches and/or whole rows, validates them, and publishes everything in
-// one atomic Close.  On an unsealed table Close bulk-loads straight into
-// the main (the struct-of-arrays load path the workload generators use);
-// on a sealed table Close appends the batch to the delta under one commit
-// timestamp, so plain Writer appends become visible atomically.  The
-// transactional, WAL-durable path is ApplyInsert/ApplyDelete via
-// internal/txn; a raw Writer on a sealed table is for tests and local
-// tools and must not be mixed with engine transactions on the same
-// table.
+// Writer stages a batch of rows — column batches and/or whole rows — and
+// publishes it in one atomic Close: one commit to the delta, stamped one
+// past the table's last commit timestamp.  A load is such a commit; Merge
+// then moves it into the main.  The transactional, WAL-durable path is
+// ApplyInsert/ApplyDelete via internal/txn.  A Writer stamps the table's
+// own clock, not the engine's: a snapshot already taken above zero does
+// not see the batch, and the engine's next commit to the table stamps at
+// or past it — so load, then seal, before serving.
 //
 // Methods are chainable and errors are sticky: the first staging error is
-// returned by Close, which performs no partial work after any error.
+// returned by Close, which changes nothing after any error.  Staging never
+// writes into a caller's slice: the first batch for a column is kept as
+// given until Close copies it; a second one starts the writer's own copy,
+// which later batches extend.
 type Writer struct {
 	t      *Table
 	err    error
 	closed bool
-	ints   map[int][]int64
-	floats map[int][]float64
-	strs   map[int][]string
-	rows   [][]any
+	cols   []any  // staged column batches by schema position; nil = none
+	lens   []int  // their lengths
+	owned  []bool // the batch is the writer's copy, not a caller's slice
+	rows   []any  // Row-staged values, column-wise (nil until a Row)
 }
 
 // Writer returns a fresh batch writer for the table.
-func (t *Table) Writer() *Writer { return &Writer{t: t} }
-
-func (w *Writer) colIndex(name string, want Type) (int, bool) {
-	if w.err != nil {
-		return 0, false
-	}
-	if w.closed {
-		w.err = fmt.Errorf("colstore: writer for %s used after Close", w.t.Name)
-		return 0, false
-	}
-	w.t.mu.RLock()
-	i := w.t.schema.ColIndex(name)
-	var got Type
-	if i >= 0 {
-		got = w.t.cols[i].Type()
-	}
-	w.t.mu.RUnlock()
-	if i < 0 {
-		w.err = fmt.Errorf("colstore: table %s has no column %q", w.t.Name, name)
-		return 0, false
-	}
-	if got != want {
-		w.err = fmt.Errorf("colstore: column %s.%s is %v, not %v", w.t.Name, name, got, want)
-		return 0, false
-	}
-	return i, true
+func (t *Table) Writer() *Writer {
+	n := len(t.schema)
+	return &Writer{t: t, cols: make([]any, n), lens: make([]int, n), owned: make([]bool, n)}
 }
 
-// Int64 stages values for the named BIGINT column.
-func (w *Writer) Int64(name string, vs ...int64) *Writer {
-	if i, ok := w.colIndex(name, Int64); ok {
-		if w.ints == nil {
-			w.ints = map[int][]int64{}
-		}
-		if cur, staged := w.ints[i]; staged {
-			w.ints[i] = append(cur, vs...)
-		} else {
-			w.ints[i] = vs
-		}
-	}
-	return w
-}
-
-// Float64 stages values for the named DOUBLE column.
-func (w *Writer) Float64(name string, vs ...float64) *Writer {
-	if i, ok := w.colIndex(name, Float64); ok {
-		if w.floats == nil {
-			w.floats = map[int][]float64{}
-		}
-		if cur, staged := w.floats[i]; staged {
-			w.floats[i] = append(cur, vs...)
-		} else {
-			w.floats[i] = vs
-		}
-	}
-	return w
-}
-
-// String stages values for the named VARCHAR column.
-func (w *Writer) String(name string, vs ...string) *Writer {
-	if i, ok := w.colIndex(name, String); ok {
-		if w.strs == nil {
-			w.strs = map[int][]string{}
-		}
-		if cur, staged := w.strs[i]; staged {
-			w.strs[i] = append(cur, vs...)
-		} else {
-			w.strs[i] = vs
-		}
-	}
-	return w
-}
-
-// Row stages one row given values in schema order (int64, float64, or
-// string matching the column types).
-func (w *Writer) Row(vals ...any) *Writer {
+func (w *Writer) usable() bool {
 	if w.err == nil && w.closed {
 		w.err = fmt.Errorf("colstore: writer for %s used after Close", w.t.Name)
 	}
-	if w.err == nil {
-		if err := w.t.CheckRow(vals...); err != nil {
-			w.err = err
-			return w
+	return w.err == nil
+}
+
+// stage appends vs to the batch staged for the named column of type want.
+func stage[T any](w *Writer, name string, want Type, vs []T) *Writer {
+	if !w.usable() {
+		return w
+	}
+	t := w.t
+	i := t.schema.ColIndex(name)
+	switch {
+	case i < 0:
+		w.err = fmt.Errorf("colstore: table %s has no column %q", t.Name, name)
+	case t.schema[i].Type != want:
+		w.err = fmt.Errorf("colstore: column %s.%s is %v, not %v", t.Name, name, t.schema[i].Type, want)
+	case w.cols[i] == nil:
+		w.cols[i], w.lens[i] = vs, len(vs)
+	default:
+		cur := w.cols[i].([]T)
+		if !w.owned[i] {
+			cur, w.owned[i] = slices.Clip(cur), true
 		}
-		w.rows = append(w.rows, vals)
+		w.cols[i], w.lens[i] = append(cur, vs...), len(cur)+len(vs)
 	}
 	return w
 }
 
-// stagedCols returns the staged column indices in schema order plus the
-// common batch length, validating that all staged batches agree.
-func (w *Writer) stagedCols() ([]int, int, error) {
-	var idxs []int
-	for i := range w.ints {
-		idxs = append(idxs, i)
+// Int64 stages values for the named BIGINT column.
+func (w *Writer) Int64(name string, vs ...int64) *Writer { return stage(w, name, Int64, vs) }
+
+// Float64 stages values for the named DOUBLE column.
+func (w *Writer) Float64(name string, vs ...float64) *Writer { return stage(w, name, Float64, vs) }
+
+// String stages values for the named VARCHAR column.
+func (w *Writer) String(name string, vs ...string) *Writer { return stage(w, name, String, vs) }
+
+// Row stages one row given values in schema order (int64, float64, or
+// string matching the column types).  Rows follow the column batches in
+// the committed order.
+func (w *Writer) Row(vals ...any) *Writer {
+	if !w.usable() {
+		return w
 	}
-	for i := range w.floats {
-		idxs = append(idxs, i)
+	if err := w.t.CheckRow(vals...); err != nil {
+		w.err = err
+		return w
 	}
-	for i := range w.strs {
-		idxs = append(idxs, i)
+	if w.rows == nil {
+		w.rows = make([]any, len(w.cols))
 	}
-	sort.Ints(idxs)
-	k := -1
-	for _, i := range idxs {
-		var n int
-		switch w.t.cols[i].Type() {
-		case Int64:
-			n = len(w.ints[i])
-		case Float64:
-			n = len(w.floats[i])
-		case String:
-			n = len(w.strs[i])
-		}
-		if k == -1 {
-			k = n
-		} else if n != k {
-			return nil, 0, fmt.Errorf("colstore: writer for %s staged %d rows for %q, expected %d",
-				w.t.Name, n, w.t.schema[i].Name, k)
-		}
-	}
-	if k == -1 {
-		k = 0
-	}
-	return idxs, k, nil
+	appendRow(w.rows, vals)
+	return w
 }
 
-// Close validates and publishes the staged batch, then invalidates the
-// writer.  Pre-seal, column batches may cover any subset of columns
-// (Seal validates final lengths, as bulk loaders fill columns one at a
-// time); post-seal the batch must form complete rows — every column
-// covered by equally long batches, or staged via Row — and is stamped
-// with one fresh commit timestamp into the delta.
+// Close validates the staged batch and commits it to the delta, then
+// invalidates the writer.  Column batches must form complete rows: every
+// column covered, all equally long.  An empty batch commits nothing.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -173,54 +107,25 @@ func (w *Writer) Close() error {
 	t := w.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idxs, k, err := w.stagedCols()
-	if err != nil {
-		return err
+	k, staged := 0, 0
+	for i, b := range w.cols {
+		if b == nil {
+			continue
+		}
+		if staged == 0 {
+			k = w.lens[i]
+		} else if w.lens[i] != k {
+			return fmt.Errorf("colstore: writer for %s staged %d rows for %q, expected %d",
+				t.Name, w.lens[i], t.schema[i].Name, k)
+		}
+		staged++
 	}
-	if !t.sealed {
-		for _, i := range idxs {
-			switch c := t.cols[i].(type) {
-			case *IntColumn:
-				c.AppendSlice(w.ints[i])
-			case *FloatColumn:
-				c.AppendSlice(w.floats[i])
-			case *StringColumn:
-				c.AppendSlice(w.strs[i])
-			}
-		}
-		for _, row := range w.rows {
-			if err := t.appendRowLocked(row); err != nil {
-				return err
-			}
-		}
+	if staged > 0 && staged != len(t.cols) {
+		return fmt.Errorf("colstore: writer for %s covers %d of %d columns", t.Name, staged, len(t.cols))
+	}
+	if k == 0 && w.rows == nil {
 		return nil
 	}
-	// Sealed: the batch lands in the delta under one commit timestamp.
-	if len(idxs) > 0 && len(idxs) != len(t.cols) {
-		return fmt.Errorf("colstore: writer for sealed table %s covers %d of %d columns",
-			t.Name, len(idxs), len(t.cols))
-	}
-	ts := t.lastTS + 1
-	for r := 0; r < k; r++ {
-		row := make([]any, len(t.cols))
-		for _, i := range idxs {
-			switch t.cols[i].Type() {
-			case Int64:
-				row[i] = w.ints[i][r]
-			case Float64:
-				row[i] = w.floats[i][r]
-			case String:
-				row[i] = w.strs[i][r]
-			}
-		}
-		if _, err := t.applyInsertLocked(ts, 0, row); err != nil {
-			return err
-		}
-	}
-	for _, row := range w.rows {
-		if _, err := t.applyInsertLocked(ts, 0, row); err != nil {
-			return err
-		}
-	}
+	t.appendLocked(t.lastTS+1, 0, w.cols, w.rows)
 	return nil
 }

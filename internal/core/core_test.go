@@ -38,11 +38,13 @@ func loadOrders(t testing.TB, e *Engine, n int) {
 			t.Fatal(err)
 		}
 	}
-	check(tab.Writer().Int64("id", o.OrderID...).Close())
-	check(tab.Writer().Int64("custkey", o.CustKey...).Close())
-	check(tab.Writer().String("region", regions...).Close())
-	check(tab.Writer().Float64("amount", o.Amount...).Close())
-	check(tab.Writer().Int64("day", o.OrderDay...).Close())
+	check(tab.Writer().
+		Int64("id", o.OrderID...).
+		Int64("custkey", o.CustKey...).
+		String("region", regions...).
+		Float64("amount", o.Amount...).
+		Int64("day", o.OrderDay...).
+		Close())
 	check(e.Seal("orders"))
 }
 

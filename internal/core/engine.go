@@ -27,12 +27,18 @@ import (
 type Engine struct {
 	mu sync.Mutex
 	// latch is the data latch.  MVCC already fixes WHAT a read sees; the
-	// latch only keeps a delta append or a re-seal from moving memory
+	// latch only keeps a delta append or a merge from moving memory
 	// under a running scan: query executions hold it shared (taken by
-	// Loop at dispatch), ExecDML and maintenance executions hold it
-	// exclusively.  It is never taken while holding mu, and nothing else
-	// is taken while holding it.
+	// Loop at dispatch), ExecDML, Seal, Recover and maintenance
+	// executions hold it exclusively.  It is never taken while holding
+	// mu or reads' mutex; Seal takes reads' mutex under it, briefly.
 	latch sync.RWMutex
+	// reads counts the snapshots of the reads admitted on any loop and not
+	// yet settled: a read takes its snapshot at admission but the latch
+	// only at dispatch, so Seal merges at the oldest of them.  (A merge
+	// ticket's horizon is its own loop's, oldestLiveSnap; Seal belongs to
+	// no loop.)
+	reads snapshots
 	cat   *opt.Catalog
 	model *energy.Model
 	cm    *opt.CostModel
@@ -55,7 +61,7 @@ func WithLog(log *wal.Log) Option { return func(e *Engine) { e.log = log } }
 // Open creates an engine.
 func Open(opts ...Option) *Engine {
 	m := energy.DefaultModel()
-	e := &Engine{cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m)}
+	e := &Engine{cat: opt.NewCatalog(), model: m, cm: opt.NewCostModel(m), reads: snapshots{live: map[int64]int{}}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -94,17 +100,69 @@ func (e *Engine) CreateTable(name string, schema colstore.Schema) (*colstore.Tab
 	return t, nil
 }
 
-// Seal freezes the named table into its scan-optimized layout and
-// refreshes optimizer statistics.  Call it after bulk loads.
+// Seal merges the named table's delta into its compressed main and
+// refreshes its optimizer statistics.  Call it after bulk loads.  With no
+// read in flight — load time — the merge is at horizon 0: every committed
+// row, every tombstone.  Otherwise it is at the oldest snapshot a read
+// admitted on any loop still holds, so that read keeps its view.  It
+// holds the data latch exclusively, as any merge does.
 func (e *Engine) Seal(name string) error {
+	e.latch.Lock()
+	defer e.latch.Unlock()
 	t, err := e.cat.Table(name)
 	if err != nil {
 		return err
 	}
-	if err := t.Seal(); err != nil {
+	if _, err := t.Merge(e.reads.oldest()); err != nil {
 		return err
 	}
 	return e.cat.Refresh(name)
+}
+
+// snapshots is a multiset of the nonzero snapshots reads hold (a read at
+// snapshot 0 sees every row whatever merges, and holds nothing back).
+type snapshots struct {
+	mu   sync.Mutex
+	live map[int64]int
+}
+
+// pin takes the commit clock's snapshot for a read and counts it live.
+// Taking it under mu orders it against oldest: a read either counts for
+// a concurrent Seal or snapshots after it.
+func (s *snapshots) pin(clock *txn.Manager) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ts := clock.SnapshotTS()
+	if ts > 0 {
+		s.live[ts]++
+	}
+	return ts
+}
+
+// unpin releases a snapshot pin returned.
+func (s *snapshots) unpin(ts int64) {
+	if ts == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live[ts]--; s.live[ts] == 0 {
+		delete(s.live, ts)
+	}
+}
+
+// oldest returns the oldest pinned snapshot, 0 when there is none.
+func (s *snapshots) oldest() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var o int64
+	//lint:allow determinism: a minimum over the pinned set does not depend on visit order
+	for ts := range s.live {
+		if o == 0 || ts < o {
+			o = ts
+		}
+	}
+	return o
 }
 
 // Result carries a query's rows plus its measured and modeled costs.

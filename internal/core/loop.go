@@ -108,6 +108,7 @@ type Ticket struct {
 	// the catalog refresh that re-derives what the planner prices against.
 	after   func(table string) error
 	x       *execution // the group's run, from dispatch on
+	pins    *snapshots // a read's engine-wide snapshot pins; nil for maintenance
 	done    bool
 	settled chan struct{}
 }
@@ -128,8 +129,12 @@ func (t *Ticket) Cancel() {
 	}
 }
 
-// settle marks the ticket's result final and releases whoever waits.
+// settle marks the ticket's result final, releases a read's snapshot pin
+// and whoever waits.
 func (t *Ticket) settle() {
+	if t.pins != nil {
+		t.pins.unpin(t.SnapTS)
+	}
 	t.done = true
 	close(t.settled)
 }
@@ -249,7 +254,7 @@ func (l *Loop) OfferPlanned(at time.Duration, node exec.Node, info *opt.PlanInfo
 // is part of the share key: a lookalike admitted after an intervening
 // commit reads different data and must not ride.
 func (l *Loop) offerRead(at time.Duration, node exec.Node, info *opt.PlanInfo, obj opt.Objective, planErr error) *Ticket {
-	t := &Ticket{node: node, SnapTS: l.e.txm.SnapshotTS()}
+	t := &Ticket{node: node, SnapTS: l.e.reads.pin(l.e.txm), pins: &l.e.reads}
 	t.Objective, t.PlanInfo = obj, info
 	return l.admit(at, t, strconv.FormatInt(t.SnapTS, 10), planErr)
 }

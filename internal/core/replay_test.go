@@ -29,13 +29,11 @@ func submitEngine(t testing.TB, n int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().Int64("id", o.OrderID...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Int64("custkey", o.CustKey...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Float64("amount", o.Amount...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("id", o.OrderID...).
+		Int64("custkey", o.CustKey...).
+		Float64("amount", o.Amount...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Seal("orders"); err != nil {
@@ -232,10 +230,10 @@ func TestRunLoopIdentityMatrix(t *testing.T) {
 		for i := range keys {
 			keys[i], tiers[i] = int64(i), int64(i%5)
 		}
-		if err := tab.Writer().Int64("ckey", keys...).Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Writer().Int64("tier", tiers...).Close(); err != nil {
+		if err := tab.Writer().
+			Int64("ckey", keys...).
+			Int64("tier", tiers...).
+			Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Seal("cust"); err != nil {

@@ -300,12 +300,14 @@ func coercePredTo(p expr.Pred, typ colstore.Type) (expr.Pred, error) {
 
 // Recover replays the engine's REDO log into its tables — records
 // address tables by name — then refreshes their statistics: the
-// post-crash path (see WithLog).  Returns the number of records applied; replay is
-// idempotent, so recovering twice (or over partially applied state)
-// changes nothing.
+// post-crash path (see WithLog).  It holds the data latch exclusively.
+// Returns the number of records applied; replay is idempotent, so
+// recovering twice (or over partially applied state) changes nothing.
 //
 //lint:allow reach: README crash-recovery API, ROADMAP item 9; core recovery tests
 func (e *Engine) Recover() (int, error) {
+	e.latch.Lock()
+	defer e.latch.Unlock()
 	applied, err := e.txm.Replay(func(name string) *colstore.Table {
 		t, _ := e.cat.Table(name)
 		return t

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/opt"
+	"repro/internal/sql"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -80,4 +83,220 @@ func TestDMLKeepsCatalogStatsFresh(t *testing.T) {
 	if len(strides) < 2 {
 		t.Fatalf("the script kept the sample stride at %v", strides)
 	}
+}
+
+// TestEntryPointsRunTogether: INSERT statements and Engine.Seal on one
+// goroutine while another loops a query, each on a loop of its own as
+// Engine.Run does.  Seal is a merge and holds the data latch exclusively,
+// as ExecDML does, and the catalog's maps are read by planning while a
+// write or a merge re-states them; under -race this is the check.  Every
+// query must answer, and answer at its snapshot: a read takes it at
+// admission and the latch only at dispatch, so a Seal between the two
+// must leave it the rows committed at or below it, no more.
+func TestEntryPointsRunTogether(t *testing.T) {
+	e, err := OrdersEngine(20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Parse("SELECT COUNT(*) FROM orders WHERE custkey = -7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type read struct{ snap, count int64 }
+	var reads []read
+	done := make(chan struct{})
+	queryErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				queryErr <- nil
+				return
+			default:
+			}
+			l := e.NewLoop(SchedulerConfig{Budget: 2, Arbitrate: true})
+			tk := l.Offer(0, q, opt.MinTime)
+			l.React()
+			l.RunToIdle()
+			if tk.Err != nil {
+				queryErr <- tk.Err
+				return
+			}
+			reads = append(reads, read{tk.SnapTS, tk.Rel.Cols[0].I[0]})
+		}
+	}()
+	var commits []int64 // each INSERT's commit timestamp
+	at := time.Duration(0)
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 20; i++ {
+			at += time.Millisecond
+			res := execStmt(t, e, fmt.Sprintf("INSERT INTO orders VALUES (%d, -7, 'ASIA', 1.5, 15001)", 1_000_000+20*round+i), at)
+			commits = append(commits, res.TS)
+		}
+		if err := e.Seal("orders"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-queryErr; err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if r.snap == 0 {
+			continue // snapshot 0 reads every row there is when it runs
+		}
+		want := int64(0)
+		for _, ts := range commits {
+			if ts <= r.snap {
+				want++
+			}
+		}
+		if r.count != want {
+			t.Fatalf("a read at snapshot %d counted %d rows, want %d", r.snap, r.count, want)
+		}
+	}
+	res, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rel.Cols[0].I[0]; got != 600 {
+		t.Fatalf("%s = %d, want 600", q, got)
+	}
+}
+
+// TestSealKeepsAdmittedSnapshot: a read admitted before a DELETE, an
+// INSERT and Engine.Seal, and dispatched after them, reads at its
+// snapshot — Seal merges only up to it — and once the read has settled
+// a second Seal merges everything.
+func TestSealKeepsAdmittedSnapshot(t *testing.T) {
+	e, err := OrdersEngine(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execStmt(t, e, "INSERT INTO orders VALUES (900001, -7, 'ASIA', 1.5, 15001)", time.Millisecond)
+	execStmt(t, e, "INSERT INTO orders VALUES (900002, -7, 'ASIA', 2.5, 15001)", 2*time.Millisecond)
+	q, err := sql.Parse("SELECT id, amount FROM orders WHERE custkey = -7 ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := e.NewLoop(SchedulerConfig{Budget: 2, Arbitrate: true})
+	tk := l.Offer(0, q, opt.MinTime)
+	execStmt(t, e, "DELETE FROM orders WHERE id = 900001", 3*time.Millisecond)
+	execStmt(t, e, "INSERT INTO orders VALUES (900003, -7, 'ASIA', 3.5, 15001)", 4*time.Millisecond)
+	if err := e.Seal("orders"); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := e.Catalog().Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tab.HasTombstones() || tab.RowsAsOf(tk.SnapTS) == tab.Rows() {
+		t.Fatalf("Seal under a read at snapshot %d merged past it: tombstones %v, %d of %d rows visible",
+			tk.SnapTS, tab.HasTombstones(), tab.RowsAsOf(tk.SnapTS), tab.Rows())
+	}
+	l.React()
+	l.RunToIdle()
+	if tk.Err != nil {
+		t.Fatal(tk.Err)
+	}
+	if got, want := Format(tk.Rel), Format(before.Rel); got != want {
+		t.Fatalf("read at snapshot %d:\n%s\nwant\n%s", tk.SnapTS, got, want)
+	}
+	if err := e.Seal("orders"); err != nil {
+		t.Fatal(err)
+	}
+	if tab.HasTombstones() || tab.DeltaRows() != 0 {
+		t.Fatalf("Seal with no read in flight left %d delta rows, tombstones %v", tab.DeltaRows(), tab.HasTombstones())
+	}
+	after, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Rel.N; n != 2 {
+		t.Fatalf("after the second Seal: %d rows, want 2:\n%s", n, Format(after.Rel))
+	}
+}
+
+// twoBatchOrders opens an engine over log (nil: a fresh one) and loads
+// 200 orders in two Writer batches, so the table's commit timestamps (1
+// and 2) run ahead of the engine's clock; seal merges them.
+func twoBatchOrders(t *testing.T, log *wal.Log, seal bool) *Engine {
+	t.Helper()
+	var opts []Option
+	if log != nil {
+		opts = append(opts, WithLog(log))
+	}
+	e := Open(opts...)
+	tab, err := e.CreateTable("orders", colstore.Schema{
+		{Name: "id", Type: colstore.Int64}, {Name: "custkey", Type: colstore.Int64},
+		{Name: "region", Type: colstore.String}, {Name: "amount", Type: colstore.Float64},
+		{Name: "day", Type: colstore.Int64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 2; b++ {
+		w := tab.Writer()
+		for i := 0; i < 100; i++ {
+			id := int64(100*b + i)
+			w.Row(id, id%10, "ASIA", float64(id)/2, int64(15000+i))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seal {
+		if err := e.Seal("orders"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// TestCommitAfterMultiBatchLoad: after a load of two Writer batches,
+// sealed or not, DML commits at or past the load's timestamps, every
+// read sees the load and the writes, and the log replays into a replica
+// rebuilt the same way.
+func TestCommitAfterMultiBatchLoad(t *testing.T) {
+	for _, seal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("seal=%v", seal), func(t *testing.T) {
+			e := twoBatchOrders(t, nil, seal)
+			execStmt(t, e, "INSERT INTO orders VALUES (900, -7, 'ASIA', 1.5, 15001)", time.Millisecond)
+			execStmt(t, e, "DELETE FROM orders WHERE id = 3", 2*time.Millisecond)
+			execStmt(t, e, "INSERT INTO orders VALUES (901, -7, 'ASIA', 2.5, 15001)", 3*time.Millisecond)
+			const q = "SELECT COUNT(*), SUM(id) FROM orders"
+			res := mustQuery(t, e, q)
+			want := Format(res.Rel)
+			if n := res.Rel.Cols[0].I[0]; n != 201 {
+				t.Fatalf("%s counted %d rows, want 201", q, n)
+			}
+			if _, err := e.Txn().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			log := e.Log()
+			log.Crash()
+			r := twoBatchOrders(t, log, seal)
+			if _, err := r.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if got := Format(mustQuery(t, r, q).Rel); got != want {
+				t.Fatalf("replica reads\n%s\nwant\n%s", got, want)
+			}
+			execStmt(t, r, "INSERT INTO orders VALUES (902, -7, 'ASIA', 3.5, 15001)", 4*time.Millisecond)
+		})
+	}
+}
+
+// mustQuery runs SQL on the engine or fails the test.
+func mustQuery(t *testing.T, e *Engine, text string) *Result {
+	t.Helper()
+	res, err := e.Query(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

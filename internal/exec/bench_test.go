@@ -64,7 +64,7 @@ func BenchmarkFusedAgg(b *testing.B) {
 	}
 	must(b, tab.Writer().Int64("custkey", o.CustKey...).String("region", regions...).
 		Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close())
-	must(b, tab.Seal())
+	mustMerge(b, tab)
 	for _, sel := range []float64{0.10, 1.00} {
 		day := o.OrderDay[int(sel*n)-1] // day ascends with the row
 		for _, g := range []string{"region", "custkey"} {
@@ -106,7 +106,7 @@ func BenchmarkFusedProbeAgg(b *testing.B) {
 		{Name: "day", Type: colstore.Int64},
 	})
 	must(b, orders.Writer().Int64("custkey", o.CustKey...).Int64("day", o.OrderDay...).Close())
-	must(b, orders.Seal())
+	mustMerge(b, orders)
 	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY"}
 	ckey, segment, tier := make([]int64, nCust), make([]string, nCust), make([]int64, nCust)
 	rng := workload.NewRNG(42 ^ 0xC0575EED)
@@ -119,7 +119,7 @@ func BenchmarkFusedProbeAgg(b *testing.B) {
 		{Name: "tier", Type: colstore.Int64},
 	})
 	must(b, customers.Writer().Int64("ckey", ckey...).String("segment", segment...).Int64("tier", tier...).Close())
-	must(b, customers.Seal())
+	mustMerge(b, customers)
 	for _, stmt := range []struct {
 		name  string
 		preds []expr.Pred

@@ -34,20 +34,16 @@ func buildOrdersLike(t *testing.T, n int, seal bool) *colstore.Table {
 	for i := range amounts {
 		amounts[i] = float64(day[i]%97) * 1.25
 	}
-	if err := tab.Writer().Int64("custkey", custkey...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Int64("day", day...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().String("region", regions...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Float64("amount", amounts...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("custkey", custkey...).
+		Int64("day", day...).
+		String("region", regions...).
+		Float64("amount", amounts...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
 	if seal {
-		if err := tab.Seal(); err != nil {
+		if _, err := tab.Merge(0); err != nil {
 			t.Fatal(err)
 		}
 	}

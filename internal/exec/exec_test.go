@@ -29,18 +29,28 @@ func ordersTable(t testing.TB, n int) *colstore.Table {
 	for i, r := range o.Region {
 		regions[i] = workload.RegionNames[r]
 	}
-	must(t, tab.Writer().Int64("id", o.OrderID...).Close())
-	must(t, tab.Writer().Int64("custkey", o.CustKey...).Close())
-	must(t, tab.Writer().String("region", regions...).Close())
-	must(t, tab.Writer().Float64("amount", o.Amount...).Close())
-	must(t, tab.Writer().Int64("day", o.OrderDay...).Close())
-	must(t, tab.Seal())
+	must(t, tab.Writer().
+		Int64("id", o.OrderID...).
+		Int64("custkey", o.CustKey...).
+		String("region", regions...).
+		Float64("amount", o.Amount...).
+		Int64("day", o.OrderDay...).
+		Close())
+	mustMerge(t, tab)
 	return tab
 }
 
 func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustMerge moves a loaded table's delta into the main.
+func mustMerge(t testing.TB, tab *colstore.Table) {
+	t.Helper()
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,7 +259,7 @@ func TestJoin(t *testing.T) {
 		}
 		must(t, cust.Writer().Row(int64(k), seg).Close())
 	}
-	must(t, cust.Seal())
+	mustMerge(t, cust)
 	join := &Join{
 		Left:     &Scan{Source: orders, Select: []string{"id", "custkey", "amount"}},
 		Right:    &Scan{Source: cust},
@@ -288,7 +298,7 @@ func TestJoinThenAggregatePipeline(t *testing.T) {
 		}
 		must(t, cust.Writer().Row(int64(k), seg).Close())
 	}
-	must(t, cust.Seal())
+	mustMerge(t, cust)
 	plan := &Sort{Keys: []expr.SortKey{{Col: "segment"}},
 		Child: &HashAgg{GroupBy: []string{"segment"},
 			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "amount", As: "rev"}, {Func: expr.AggCount, As: "n"}},

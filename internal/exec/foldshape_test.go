@@ -62,7 +62,7 @@ func TestAggColumnIndependentOfSiblings(t *testing.T) {
 		dimKeys[i] = int64(i)
 	}
 	must(t, dim.Writer().Int64("k", dimKeys...).Close())
-	must(t, dim.Seal())
+	mustMerge(t, dim)
 
 	var all, ints []expr.AggSpec
 	for _, col := range []string{"iv", "fv"} {

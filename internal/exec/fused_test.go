@@ -51,14 +51,16 @@ func fusedMatrixTable(t testing.TB, n, extra int) *colstore.Table {
 	for i := range amounts {
 		amounts[i] = float64(i%997) + 0.25
 	}
-	must(t, tab.Writer().Int64("rle", synth.RunsInts(19, n, 16, 64)...).Close())
-	must(t, tab.Writer().Int64("lowcard", synth.UniformInts(20, n, 32)...).Close())
-	must(t, tab.Writer().Int64("sorted", synth.SortedInts(21, n, 8)...).Close())
-	must(t, tab.Writer().Int64("packed", synth.UniformInts(22, n, 1<<20)...).Close())
-	must(t, tab.Writer().Int64("wide", wide...).Close())
-	must(t, tab.Writer().String("region", regions...).Close())
-	must(t, tab.Writer().Float64("amount", amounts...).Close())
-	must(t, tab.Seal())
+	must(t, tab.Writer().
+		Int64("rle", synth.RunsInts(19, n, 16, 64)...).
+		Int64("lowcard", synth.UniformInts(20, n, 32)...).
+		Int64("sorted", synth.SortedInts(21, n, 8)...).
+		Int64("packed", synth.UniformInts(22, n, 1<<20)...).
+		Int64("wide", wide...).
+		String("region", regions...).
+		Float64("amount", amounts...).
+		Close())
+	mustMerge(t, tab)
 
 	// The matrix only holds if the advisor actually chose the codecs the
 	// column names claim; a generator drift would silently hollow the test.
@@ -338,9 +340,11 @@ func fusedDimTable(t testing.TB) *colstore.Table {
 		regions = append(regions, workload.RegionNames[i%nr])
 		weights = append(weights, int64(i)*10)
 	}
-	must(t, tab.Writer().String("region", regions...).Close())
-	must(t, tab.Writer().Int64("weight", weights...).Close())
-	must(t, tab.Seal())
+	must(t, tab.Writer().
+		String("region", regions...).
+		Int64("weight", weights...).
+		Close())
+	mustMerge(t, tab)
 	return tab
 }
 

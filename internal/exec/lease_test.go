@@ -24,13 +24,13 @@ func leaseTable(t *testing.T, n int) *colstore.Table {
 		ks[i] = int64(i % 97)
 		vs[i] = float64(i)
 	}
-	if err := tab.Writer().Int64("k", ks...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("k", ks...).
+		Float64("v", vs...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().Float64("v", vs...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	return tab

@@ -38,6 +38,7 @@ func newMatrixTable(t testing.TB, schema colstore.Schema, row func(i int) []any,
 	for i := range rows {
 		rows[i] = row(i)
 	}
+	w := flat.Writer()
 	for ci, d := range schema {
 		switch d.Type {
 		case colstore.Int64:
@@ -45,22 +46,23 @@ func newMatrixTable(t testing.TB, schema colstore.Schema, row func(i int) []any,
 			for i, r := range rows {
 				vs[i] = r[ci].(int64)
 			}
-			must(t, flat.Writer().Int64(d.Name, vs...).Close())
+			w.Int64(d.Name, vs...)
 		case colstore.Float64:
 			vs := make([]float64, base)
 			for i, r := range rows {
 				vs[i] = r[ci].(float64)
 			}
-			must(t, flat.Writer().Float64(d.Name, vs...).Close())
+			w.Float64(d.Name, vs...)
 		default:
 			vs := make([]string, base)
 			for i, r := range rows {
 				vs[i] = r[ci].(string)
 			}
-			must(t, flat.Writer().String(d.Name, vs...).Close())
+			w.String(d.Name, vs...)
 		}
 	}
-	must(t, flat.Seal())
+	must(t, w.Close())
+	mustMerge(t, flat)
 	return &matrixTable{flat: flat, row: row, base: base}
 }
 
@@ -165,7 +167,7 @@ func oneAggDim(t *testing.T) *colstore.Table {
 		keys[i] = int64(i)
 	}
 	must(t, dim.Writer().Int64("k", keys...).Close())
-	must(t, dim.Seal())
+	mustMerge(t, dim)
 	return dim
 }
 
@@ -406,7 +408,7 @@ func TestFloatSumIsPermutationInvariant(t *testing.T) {
 
 	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
 	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4, 5, 6).Close())
-	must(t, dim.Seal())
+	mustMerge(t, dim)
 	sum := []expr.AggSpec{{Func: expr.AggSum, Col: "x", As: "s"}}
 	arms := func(src *colstore.Table) map[string]Node {
 		scan := func() *Scan {
@@ -468,7 +470,7 @@ func TestFloatMinMaxIsOrderFree(t *testing.T) {
 	}
 	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
 	must(t, dim.Writer().Int64("k", 0).Close())
-	must(t, dim.Seal())
+	mustMerge(t, dim)
 	aggs := []expr.AggSpec{{Func: expr.AggMin, Col: "x"}, {Func: expr.AggMax, Col: "x"}, {Func: expr.AggSum, Col: "x"}}
 	for _, c := range cases {
 		for _, gap := range []int{1, MorselRows} { // the pair in one morsel or two
@@ -598,10 +600,12 @@ func TestIntSumOverflowWrapsIdentically(t *testing.T) {
 		exact["rle"].Add(exact["rle"], big.NewInt(rle[i]))
 		exact["raw"].Add(exact["raw"], big.NewInt(raw[i]))
 	}
-	must(t, tab.Writer().Int64("g", g...).Close())
-	must(t, tab.Writer().Int64("rle", rle...).Close())
-	must(t, tab.Writer().Int64("raw", raw...).Close())
-	must(t, tab.Seal())
+	must(t, tab.Writer().
+		Int64("g", g...).
+		Int64("rle", rle...).
+		Int64("raw", raw...).
+		Close())
+	mustMerge(t, tab)
 	for _, name := range []string{"rle", "raw"} {
 		c, err := tab.IntCol(name)
 		must(t, err)
@@ -616,7 +620,7 @@ func TestIntSumOverflowWrapsIdentically(t *testing.T) {
 	scan := func() *Scan { return &Scan{Source: tab, Select: []string{"g", "rle", "raw"}} }
 	dim := colstore.NewTable("dim", colstore.Schema{{Name: "k", Type: colstore.Int64}})
 	must(t, dim.Writer().Int64("k", 0, 1, 2, 3, 4).Close())
-	must(t, dim.Seal())
+	mustMerge(t, dim)
 	for _, groupBy := range [][]string{nil, {"g"}} {
 		want, _ := runPlan(t, &mapAgg{Child: opaque(scan()), GroupBy: groupBy, Aggs: aggs}, 1)
 		if groupBy == nil {

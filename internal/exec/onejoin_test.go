@@ -109,7 +109,7 @@ func oneJoinTables(t testing.TB, nProbe, nBuild int, dup string, stringKeys, del
 		}
 		must(t, w.Close())
 		if seal {
-			must(t, tab.Seal())
+			mustMerge(t, tab)
 		}
 		return tab
 	}

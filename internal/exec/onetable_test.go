@@ -34,12 +34,14 @@ func oneTable(t testing.TB, n, extra int) *colstore.Table {
 	for i := range amounts {
 		amounts[i] = float64(i%883) + 0.5
 	}
-	must(t, tab.Writer().Int64("custkey", synth.UniformInts(31, n, 1<<16)...).Close())
-	must(t, tab.Writer().Int64("grp", synth.UniformInts(32, n, 24)...).Close())
-	must(t, tab.Writer().String("region", regions...).Close())
-	must(t, tab.Writer().Float64("amount", amounts...).Close())
-	must(t, tab.Writer().Int64("val", synth.UniformInts(34, n, 1<<20)...).Close())
-	must(t, tab.Seal())
+	must(t, tab.Writer().
+		Int64("custkey", synth.UniformInts(31, n, 1<<16)...).
+		Int64("grp", synth.UniformInts(32, n, 24)...).
+		String("region", regions...).
+		Float64("amount", amounts...).
+		Int64("val", synth.UniformInts(34, n, 1<<20)...).
+		Close())
+	mustMerge(t, tab)
 
 	var ids []int64
 	lsn := uint64(1)

@@ -179,8 +179,8 @@ func dictTables(t *testing.T, nFact, nDim int, seal bool) (fact, dim *colstore.T
 		must(t, dim.Writer().Row(names[i], int64(i*11)).Close())
 	}
 	if seal {
-		must(t, fact.Seal())
-		must(t, dim.Seal())
+		mustMerge(t, fact)
+		mustMerge(t, dim)
 	}
 	return fact, dim
 }

@@ -48,7 +48,7 @@ func probeAggDim(t testing.TB) *colstore.Table {
 			Float64("score", float64(i)+0.5)
 	}
 	must(t, w.Close())
-	must(t, tab.Seal())
+	mustMerge(t, tab)
 	return tab
 }
 
@@ -405,7 +405,7 @@ func TestFusedProbeAggScratchBoundedUnderDuplicateKeys(t *testing.T) {
 		pvSum += pv[i]
 	}
 	must(t, probe.Writer().Int64("pk", pk...).Int64("pv", pv...).Close())
-	must(t, probe.Seal())
+	mustMerge(t, probe)
 
 	var made []*morselScratch
 	var mu sync.Mutex
@@ -417,7 +417,7 @@ func TestFusedProbeAggScratchBoundedUnderDuplicateKeys(t *testing.T) {
 			bk[i], bv[i] = 1, int64(i%4)
 		}
 		must(t, build.Writer().Int64("bk", bk...).Int64("bv", bv...).Close())
-		must(t, build.Seal())
+		mustMerge(t, build)
 		a := &HashAgg{Child: &Join{Left: &Scan{Source: probe}, Right: &Scan{Source: build},
 			LeftKey: "pk", RightKey: "bk"}, GroupBy: []string{"bv"}, Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}}
 		if a.fusion() != "fused probe→agg" {

@@ -70,11 +70,11 @@ func probeKeyTable(t testing.TB, layout string) (*colstore.Table, []int64, []int
 	}
 	if layout == "tail" {
 		load(0, MorselRows)
-		must(t, tab.Seal())
+		mustMerge(t, tab)
 		load(MorselRows, len(keys))
 	} else {
 		load(0, len(keys))
-		must(t, tab.Seal())
+		mustMerge(t, tab)
 	}
 	return tab, keys, sel
 }
@@ -116,7 +116,7 @@ func probeKeyBuild(t testing.TB, kind string, probeKeys []int64) *colstore.Table
 		{Name: "bg", Type: colstore.Int64}, {Name: "bv", Type: colstore.Int64},
 	})
 	must(t, tab.Writer().Int64("bk", bk...).String("bs", names...).Int64("bg", bg...).Int64("bv", bv...).Close())
-	must(t, tab.Seal())
+	mustMerge(t, tab)
 	return tab
 }
 
@@ -290,7 +290,7 @@ func FuzzFusedProbe(f *testing.F) {
 		}
 		must(t, probe.Writer().Int64("pk", keys[:tail]...).Int64("sel", sel[:tail]...).Int64("pv", pv[:tail]...).Close())
 		if sealed {
-			must(t, probe.Seal())
+			mustMerge(t, probe)
 			must(t, probe.Writer().Int64("pk", keys[tail:]...).Int64("sel", sel[tail:]...).Int64("pv", pv[tail:]...).Close())
 		}
 		var bk, bg []int64
@@ -304,7 +304,7 @@ func FuzzFusedProbe(f *testing.F) {
 		}
 		build := colstore.NewTable("build", colstore.Schema{{Name: "bk", Type: colstore.Int64}, {Name: "bg", Type: colstore.Int64}})
 		must(t, build.Writer().Int64("bk", bk...).Int64("bg", bg...).Close())
-		must(t, build.Seal())
+		mustMerge(t, build)
 
 		preds := []expr.Pred{{Col: "sel", Op: vec.LT, Val: expr.IntVal(int64(selPct % 101))}}
 		aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}

@@ -40,6 +40,14 @@ func must(t testing.TB, err error) {
 	}
 }
 
+// mustMerge moves a loaded table's delta into the main.
+func mustMerge(t testing.TB, tab *colstore.Table) {
+	t.Helper()
+	if _, err := tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 var shardCounts = []int{1, 4, 16}
 
 // shardTwins builds one flat table plus sharded twins at every shard
@@ -69,12 +77,14 @@ func shardTwins(t testing.TB, n, extra int) (*colstore.Table, map[int]*shard.Tab
 		amounts[i] = float64(i%883) + 0.5
 	}
 	val := synth.UniformInts(34, n, 1<<20)
-	must(t, flat.Writer().Int64("custkey", custkey...).Close())
-	must(t, flat.Writer().Int64("grp", grp...).Close())
-	must(t, flat.Writer().String("region", regions...).Close())
-	must(t, flat.Writer().Float64("amount", amounts...).Close())
-	must(t, flat.Writer().Int64("val", val...).Close())
-	must(t, flat.Seal())
+	must(t, flat.Writer().
+		Int64("custkey", custkey...).
+		Int64("grp", grp...).
+		String("region", regions...).
+		Float64("amount", amounts...).
+		Int64("val", val...).
+		Close())
+	mustMerge(t, flat)
 
 	twins := make(map[int]*shard.Table, len(shardCounts))
 	for _, k := range shardCounts {
@@ -367,9 +377,11 @@ func TestShardedJoinByteIdentityMatrix(t *testing.T) {
 			ck[i] = int64(i * (1 << 16) / nCust) // spans the orders key domain
 			tier[i] = int64(i % 5)
 		}
-		must(t, flatC.Writer().Int64("custkey", ck...).Close())
-		must(t, flatC.Writer().Int64("tier", tier...).Close())
-		must(t, flatC.Seal())
+		must(t, flatC.Writer().
+			Int64("custkey", ck...).
+			Int64("tier", tier...).
+			Close())
+		mustMerge(t, flatC)
 
 		lp := []expr.Pred{{Col: "custkey", Op: vec.LT, Val: expr.IntVal(1 << 13)}}
 		rp := []expr.Pred{{Col: "tier", Op: vec.NE, Val: expr.IntVal(4)}}

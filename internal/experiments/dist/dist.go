@@ -137,7 +137,7 @@ func NewCluster(nodes int, schema colstore.Schema, name string, link *netsim.Lin
 // Seal freezes every node's table into its scan-optimized representation.
 func (c *Cluster) Seal() error {
 	for _, n := range c.Nodes {
-		if err := n.Table.Seal(); err != nil {
+		if _, err := n.Table.Merge(0); err != nil {
 			return fmt.Errorf("dist: node %d: %w", n.ID, err)
 		}
 	}

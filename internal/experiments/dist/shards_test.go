@@ -54,16 +54,14 @@ func loadShardedKV(t *testing.T, k, nodes, rows int, link *netsim.Link) *Sharded
 	t.Helper()
 	tab := colstore.NewTable("orders", shardSchema())
 	ck, rg, qty := shardRows(rows)
-	if err := tab.Writer().Int64("custkey", ck...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("custkey", ck...).
+		String("region", rg...).
+		Int64("qty", qty...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().String("region", rg...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Int64("qty", qty...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	st, err := shard.Cut(tab, "custkey", k)

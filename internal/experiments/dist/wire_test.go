@@ -35,7 +35,7 @@ func TestWireBytesPricesReferencedValues(t *testing.T) {
 	if err := tab.Writer().String("region", regions...).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := (&exec.Scan{Source: tab, Select: []string{"region"}}).Run(exec.NewCtx())

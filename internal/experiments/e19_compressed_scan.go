@@ -97,6 +97,22 @@ func dominantCodec(segs map[string]int) string {
 	return best
 }
 
+// E19Column loads vals as the one column of a fresh table and returns
+// it raw — the load's commit, still in the delta — or, sealed, after a
+// merge has moved it into the compressed main.
+func E19Column(vals []int64, sealed bool) (*colstore.IntColumn, error) {
+	t := colstore.NewTable("e19", colstore.Schema{{Name: "v", Type: colstore.Int64}})
+	if err := t.Writer().Int64("v", vals...).Close(); err != nil {
+		return nil, err
+	}
+	if sealed {
+		if _, err := t.Merge(0); err != nil {
+			return nil, err
+		}
+	}
+	return t.IntCol("v")
+}
+
 // E19Sweep scans each data shape raw (unsealed) and sealed-compressed at
 // several selectivities, verifying byte-identical results and identical
 // logical row counters, and pricing both with the energy model.  It
@@ -110,11 +126,14 @@ func E19Sweep(n int) ([]E19Row, error) {
 	}
 	var out []E19Row
 	for _, shape := range e19Shapes(n) {
-		raw := colstore.NewIntColumn()
-		raw.AppendSlice(shape.Vals)
-		comp := colstore.NewIntColumn()
-		comp.AppendSlice(shape.Vals)
-		comp.Seal()
+		raw, err := E19Column(shape.Vals, false)
+		if err != nil {
+			return nil, err
+		}
+		comp, err := E19Column(shape.Vals, true)
+		if err != nil {
+			return nil, err
+		}
 		codec := dominantCodec(comp.Storage().Segments)
 		if codec != shape.Want {
 			return nil, fmt.Errorf("experiments: E19 %s: advisor chose %s, expected %s",

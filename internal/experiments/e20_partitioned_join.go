@@ -79,10 +79,10 @@ func e20Catalog(nFact, nDim int, seal bool) (*opt.Catalog, error) {
 		return nil, err
 	}
 	if seal {
-		if err := fact.Seal(); err != nil {
+		if _, err := fact.Merge(0); err != nil {
 			return nil, err
 		}
-		if err := dim.Seal(); err != nil {
+		if _, err := dim.Merge(0); err != nil {
 			return nil, err
 		}
 	}

@@ -89,7 +89,7 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fact.Seal(); err != nil {
+	if _, err := fact.Merge(0); err != nil {
 		return nil, err
 	}
 	for _, c := range []struct{ col, want string }{
@@ -119,7 +119,7 @@ func newE24Fixture(n int) (*e24Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dim.Seal(); err != nil {
+	if _, err := dim.Merge(0); err != nil {
 		return nil, err
 	}
 	qs := append([]int64(nil), packed...)

@@ -239,7 +239,7 @@ func (s *Table) Rows() int {
 // Seal freezes every shard into its scan-optimized layout.
 func (s *Table) Seal() error {
 	for _, sh := range s.Shards() {
-		if err := sh.Seal(); err != nil {
+		if _, err := sh.Merge(0); err != nil {
 			return err
 		}
 	}
@@ -364,7 +364,7 @@ func (s *Table) Rebalance(horizon int64) (RebalanceStats, error) {
 		return st, err
 	}
 	for _, sh := range fresh {
-		if err := sh.Seal(); err != nil {
+		if _, err := sh.Merge(0); err != nil {
 			return st, err
 		}
 		st.BytesAfter += sh.Bytes()

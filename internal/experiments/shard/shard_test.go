@@ -14,6 +14,14 @@ func mustOK(t testing.TB, err error) {
 	}
 }
 
+// mustMerge moves a loaded table's delta into the main.
+func mustMerge(t testing.TB, tab *colstore.Table) {
+	t.Helper()
+	if _, err := tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func flatFixture(t testing.TB, keys []int64) *colstore.Table {
 	t.Helper()
 	tab := colstore.NewTable("t", colstore.Schema{
@@ -24,9 +32,11 @@ func flatFixture(t testing.TB, keys []int64) *colstore.Table {
 	for i := range vals {
 		vals[i] = int64(i) * 3
 	}
-	mustOK(t, tab.Writer().Int64("k", keys...).Close())
-	mustOK(t, tab.Writer().Int64("v", vals...).Close())
-	mustOK(t, tab.Seal())
+	mustOK(t, tab.Writer().
+		Int64("k", keys...).
+		Int64("v", vals...).
+		Close())
+	mustMerge(t, tab)
 	return tab
 }
 
@@ -145,7 +155,7 @@ func TestShardTableDegenerate(t *testing.T) {
 	}
 	ftab := colstore.NewTable("f", colstore.Schema{{Name: "x", Type: colstore.Float64}})
 	mustOK(t, ftab.Writer().Float64("x", 1.5).Close())
-	mustOK(t, ftab.Seal())
+	mustMerge(t, ftab)
 	if _, err := Cut(ftab, "x", 2); err == nil {
 		t.Fatal("non-BIGINT shard column must error")
 	}

@@ -13,6 +13,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/expr"
@@ -84,8 +85,11 @@ func (ts *TableStats) Selectivity(p expr.Pred) float64 {
 
 // Catalog registers tables and their statistics: one main/delta table
 // and one TableStats per name, plus the per-column samples those were
-// computed from.
+// computed from.  mu guards the maps: planners read them while a write
+// or a merge re-states a table.  A TableStats is replaced, never
+// changed, so one read under the lock stays valid after it.
 type Catalog struct {
+	mu      sync.RWMutex
 	tables  map[string]*colstore.Table
 	stats   map[string]*TableStats
 	samples map[string]map[string]*colSample // table -> BIGINT column
@@ -103,6 +107,8 @@ func NewCatalog() *Catalog {
 // Add registers a table (superseding any earlier registration under the
 // name) and computes its statistics.
 func (c *Catalog) Add(t *colstore.Table) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.tables[t.Name] = t
 	c.restat(t, nil)
 }
@@ -110,7 +116,9 @@ func (c *Catalog) Add(t *colstore.Table) {
 // Refresh recomputes the statistics of the named table — after loads,
 // recovery or merges, whatever they rewrote.
 func (c *Catalog) Refresh(name string) error {
-	t, err := c.Table(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, err := c.tableLocked(name)
 	if err != nil {
 		return err
 	}
@@ -125,7 +133,9 @@ func (c *Catalog) Refresh(name string) error {
 // does, so the rows it took stay the rows a fresh sample takes; when it
 // moves (or the table shrank), Extend is Refresh.
 func (c *Catalog) Extend(name string) error {
-	t, err := c.Table(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, err := c.tableLocked(name)
 	if err != nil {
 		return err
 	}
@@ -246,6 +256,12 @@ func (s *colSample) distinct() int {
 // Table returns the registered table: what the planner scans, the
 // engine writes and WAL replay and experiment harnesses reach.
 func (c *Catalog) Table(name string) (*colstore.Table, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tableLocked(name)
+}
+
+func (c *Catalog) tableLocked(name string) (*colstore.Table, error) {
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown table %q", name)
@@ -255,6 +271,8 @@ func (c *Catalog) Table(name string) (*colstore.Table, error) {
 
 // Stats returns the statistics for the named table.
 func (c *Catalog) Stats(name string) (*TableStats, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	s, ok := c.stats[name]
 	if !ok {
 		return nil, fmt.Errorf("opt: no statistics for table %q", name)
@@ -264,6 +282,8 @@ func (c *Catalog) Stats(name string) (*TableStats, error) {
 
 // Tables lists registered table names.
 func (c *Catalog) Tables() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		out = append(out, n)

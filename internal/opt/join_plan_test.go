@@ -23,16 +23,24 @@ func intTable(t *testing.T, cat *Catalog, name string, cols map[string][]int64, 
 		schema = append(schema, colstore.ColumnDef{Name: n, Type: colstore.Int64})
 	}
 	tab := colstore.NewTable(name, schema)
+	w := tab.Writer()
 	for _, n := range order {
-		if err := tab.Writer().Int64(n, cols[n]...).Close(); err != nil {
-			t.Fatal(err)
-		}
+		w.Int64(n, cols[n]...)
 	}
-	if err := tab.Seal(); err != nil {
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	cat.Add(tab)
 	return tab
+}
+
+// merge moves a loaded table's delta into the main.
+func merge(t *colstore.Table) error {
+	_, err := t.Merge(0)
+	return err
 }
 
 // TestPlannerJoinOrderDP plans a three-table query and checks that the
@@ -196,7 +204,7 @@ func TestPlannerOneJoinAtEverySize(t *testing.T) {
 		for _, err := range []error{
 			fact.Writer().Int64("fk", fk...).String("seg", seg...).Int64("v", v...).Close(),
 			dim.Writer().Int64("dk", dk...).String("name", name...).Int64("grp", grp...).Close(),
-			fact.Seal(), dim.Seal(),
+			merge(fact), merge(dim),
 		} {
 			if err != nil {
 				t.Fatal(err)
@@ -399,27 +407,27 @@ func TestPlannerCodeDomainJoin(t *testing.T) {
 			{Name: "seg", Type: colstore.String},
 			{Name: "amount", Type: colstore.Int64},
 		})
-		if err := fact.Writer().String("seg", factNames...).Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fact.Writer().Int64("amount", amounts...).Close(); err != nil {
+		if err := fact.Writer().
+			String("seg", factNames...).
+			Int64("amount", amounts...).
+			Close(); err != nil {
 			t.Fatal(err)
 		}
 		dim := colstore.NewTable("dim", colstore.Schema{
 			{Name: "segname", Type: colstore.String},
 			{Name: "score", Type: colstore.Int64},
 		})
-		if err := dim.Writer().String("segname", names...).Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := dim.Writer().Int64("score", scores...).Close(); err != nil {
+		if err := dim.Writer().
+			String("segname", names...).
+			Int64("score", scores...).
+			Close(); err != nil {
 			t.Fatal(err)
 		}
 		if seal {
-			if err := fact.Seal(); err != nil {
+			if _, err := fact.Merge(0); err != nil {
 				t.Fatal(err)
 			}
-			if err := dim.Seal(); err != nil {
+			if _, err := dim.Merge(0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -28,19 +28,15 @@ func testCatalog(t testing.TB, rows int) (*Catalog, *colstore.Table) {
 	for i, r := range o.Region {
 		regions[i] = workload.RegionNames[r]
 	}
-	if err := tab.Writer().Int64("id", o.OrderID...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("id", o.OrderID...).
+		Int64("custkey", o.CustKey...).
+		String("region", regions...).
+		Float64("amount", o.Amount...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().Int64("custkey", o.CustKey...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().String("region", regions...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Float64("amount", o.Amount...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	cat := NewCatalog()
@@ -66,16 +62,14 @@ func customersTable(t testing.TB) *colstore.Table {
 		seg[i] = segments[(i*7)%len(segments)]
 		tier[i] = int64((i * 13) % 4)
 	}
-	if err := tab.Writer().Int64("ckey", ckey...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("ckey", ckey...).
+		String("segment", seg...).
+		Int64("tier", tier...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().String("segment", seg...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Int64("tier", tier...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Seal(); err != nil {
+	if _, err := tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	return tab
@@ -303,7 +297,7 @@ func TestPlannerJoinQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cust.Seal(); err != nil {
+	if _, err := cust.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	cat.Add(cust)

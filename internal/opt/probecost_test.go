@@ -72,10 +72,10 @@ func probeEstimateShapes(t *testing.T, cm *CostModel, nOrders, nCust int, sealed
 		}
 	}
 	if sealed {
-		if err := orders.Seal(); err != nil {
+		if _, err := orders.Merge(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := customers.Seal(); err != nil {
+		if _, err := customers.Merge(0); err != nil {
 			t.Fatal(err)
 		}
 	}

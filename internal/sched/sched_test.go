@@ -88,16 +88,18 @@ func joinEstimate(t *testing.T, m *energy.Model, nFact, nDim int) energy.Counter
 	add := func(name string, cols [2]string, n int, val func(col, i int) int64) {
 		tab := colstore.NewTable(name, colstore.Schema{
 			{Name: cols[0], Type: colstore.Int64}, {Name: cols[1], Type: colstore.Int64}})
+		w := tab.Writer()
 		for c, col := range cols {
 			vs := make([]int64, n)
 			for i := range vs {
 				vs[i] = val(c, i)
 			}
-			if err := tab.Writer().Int64(col, vs...).Close(); err != nil {
-				t.Fatal(err)
-			}
+			w.Int64(col, vs...)
 		}
-		if err := tab.Seal(); err != nil {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Merge(0); err != nil {
 			t.Fatal(err)
 		}
 		cat.Add(tab)

@@ -32,13 +32,11 @@ func testEngine(t testing.TB, n int) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Writer().Int64("id", o.OrderID...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Int64("custkey", o.CustKey...).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Writer().Float64("amount", o.Amount...).Close(); err != nil {
+	if err := tab.Writer().
+		Int64("id", o.OrderID...).
+		Int64("custkey", o.CustKey...).
+		Float64("amount", o.Amount...).
+		Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Seal("orders"); err != nil {

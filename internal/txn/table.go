@@ -137,7 +137,8 @@ type CommitInfo struct {
 }
 
 // Commit validates first-committer-wins, logs REDO records, applies the
-// buffered operations under one fresh commit timestamp, and settles
+// buffered operations under one commit timestamp — past every snapshot
+// handed out, and no lower than any timestamp its tables hold — and settles
 // durability through the group-commit window.  at is the commit's
 // virtual arrival time, which paces the window deterministically.
 func (tx *TableTx) Commit(at time.Duration) (CommitInfo, error) {
@@ -168,7 +169,14 @@ func (tx *TableTx) Commit(at time.Duration) (CommitInfo, error) {
 			}
 		}
 	}
+	// A raw Writer load stamps its table past this clock; a commit never
+	// stamps below a table's history.  It may share the load's last
+	// timestamp: every snapshot handed out so far is at most m.ts, so no
+	// reader can tell the two apart.
 	ts := m.ts + 1
+	for _, op := range tx.ops {
+		ts = max(ts, op.table.LastTS())
+	}
 	info := CommitInfo{TS: ts}
 	// REDO before apply; replay reassigns stable row ids in append
 	// order, so insert records don't carry them.
@@ -240,12 +248,8 @@ func (m *Manager) Sync() (wal.CommitReport, error) {
 // Apply replays one REDO record into its table, resolving tables by
 // name.  Replay is idempotent: records at or below a table's applied LSN
 // are skipped, so replaying a log twice — or replaying records already
-// applied before a crash — changes nothing.  Legacy key/value records
-// (RecSet) are not table state and are skipped.
+// applied before a crash — changes nothing.
 func Apply(rec wal.Record, resolve func(string) *colstore.Table) error {
-	if rec.Kind == wal.RecSet {
-		return nil
-	}
 	t := resolve(rec.Key)
 	if t == nil {
 		return fmt.Errorf("txn: replay: unknown table %q", rec.Key)
@@ -283,7 +287,7 @@ func (m *Manager) Replay(resolve func(string) *colstore.Table) (int, error) {
 	var firstErr error
 	var maxTS int64
 	m.log.Recover(func(rec wal.Record) {
-		if firstErr != nil || rec.Kind == wal.RecSet {
+		if firstErr != nil {
 			return
 		}
 		if t := resolve(rec.Key); t != nil && rec.LSN <= t.AppliedLSN() {

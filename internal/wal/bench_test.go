@@ -8,7 +8,7 @@ func BenchmarkCommitLevels(b *testing.B) {
 		b.Run(level.String(), func(b *testing.B) {
 			l := NewLog(DefaultConfig())
 			for i := 0; i < b.N; i++ {
-				l.Append(Record{TxID: uint64(i), Key: "k", Value: int64(i)})
+				l.Append(Record{Kind: RecDelete, TxID: uint64(i), Key: "k", Value: int64(i)})
 				if _, err := l.Commit(level); err != nil {
 					b.Fatal(err)
 				}
@@ -21,7 +21,7 @@ func BenchmarkCommitLevels(b *testing.B) {
 func BenchmarkRecovery(b *testing.B) {
 	l := NewLog(DefaultConfig())
 	for i := 0; i < 100_000; i++ {
-		l.Append(Record{TxID: uint64(i), Key: "k", Value: int64(i)})
+		l.Append(Record{Kind: RecDelete, TxID: uint64(i), Key: "k", Value: int64(i)})
 	}
 	if _, err := l.Commit(Local); err != nil {
 		b.Fatal(err)

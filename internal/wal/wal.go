@@ -59,18 +59,16 @@ func (l Level) Replicas() int {
 	return 0
 }
 
-// RecKind discriminates REDO entries.  The zero value is the original
-// key/value SET record, so existing producers are unchanged.
+// RecKind discriminates REDO entries.  Every record is table state; the
+// zero value is no kind, so a record built without one fails replay.
 type RecKind int
 
 const (
-	// RecSet is a key/value REDO write (the E9 micro-workloads).
-	RecSet RecKind = iota
 	// RecInsert appends one table row: Key names the table, TxID carries
 	// the commit timestamp, Payload the encoded row (internal/txn's row
 	// codec).  Stable row ids are not logged — replay reassigns them
 	// deterministically in append order.
-	RecInsert
+	RecInsert RecKind = iota + 1
 	// RecDelete tombstones one table row: Key names the table, TxID the
 	// commit timestamp, Value the stable row id.
 	RecDelete

@@ -16,7 +16,7 @@ func TestLevelOrderingLatencyAndEnergy(t *testing.T) {
 	var lastJ energy.Joules = -1
 	for _, lv := range levels {
 		l := NewLog(DefaultConfig())
-		l.Append(Record{TxID: 1, Key: "a", Value: 1}, Record{TxID: 1, Key: "b", Value: 2})
+		l.Append(Record{Kind: RecDelete, TxID: 1, Key: "a", Value: 1}, Record{Kind: RecDelete, TxID: 1, Key: "b", Value: 2})
 		rep, err := l.Commit(lv)
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestLevelOrderingLatencyAndEnergy(t *testing.T) {
 
 func TestCommitIdempotentWhenNothingPending(t *testing.T) {
 	l := NewLog(DefaultConfig())
-	l.Append(Record{TxID: 1, Key: "x", Value: 1})
+	l.Append(Record{Kind: RecDelete, TxID: 1, Key: "x", Value: 1})
 	if _, err := l.Commit(Local); err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestCommitIdempotentWhenNothingPending(t *testing.T) {
 
 func TestCrashLosesOnlyVolatileTail(t *testing.T) {
 	l := NewLog(DefaultConfig())
-	l.Append(Record{TxID: 1, Key: "a", Value: 1})
+	l.Append(Record{Kind: RecDelete, TxID: 1, Key: "a", Value: 1})
 	if _, err := l.Commit(Local); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Record{TxID: 2, Key: "b", Value: 2}) // never committed
+	l.Append(Record{Kind: RecDelete, TxID: 2, Key: "b", Value: 2}) // never committed
 	l.Crash()
 	state := map[string]int64{}
 	l.Recover(func(r Record) { state[r.Key] = r.Value })
@@ -68,9 +68,9 @@ func TestCrashLosesOnlyVolatileTail(t *testing.T) {
 func TestRecoveryIdempotent(t *testing.T) {
 	l := NewLog(DefaultConfig())
 	l.Append(
-		Record{TxID: 1, Key: "k", Value: 1},
-		Record{TxID: 2, Key: "k", Value: 5},
-		Record{TxID: 3, Key: "j", Value: 7},
+		Record{Kind: RecDelete, TxID: 1, Key: "k", Value: 1},
+		Record{Kind: RecDelete, TxID: 2, Key: "k", Value: 5},
+		Record{Kind: RecDelete, TxID: 3, Key: "j", Value: 7},
 	)
 	if _, err := l.Commit(Local); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 
 func TestVolatileNeverDurable(t *testing.T) {
 	l := NewLog(DefaultConfig())
-	l.Append(Record{TxID: 1, Key: "a", Value: 1})
+	l.Append(Record{Kind: RecDelete, TxID: 1, Key: "a", Value: 1})
 	if _, err := l.Commit(Volatile); err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestVolatileNeverDurable(t *testing.T) {
 	}
 	// A volatile commit after a durable one must not advance the durable
 	// LSN: only the durable record survives the next crash.
-	l.Append(Record{TxID: 2, Key: "b", Value: 2})
+	l.Append(Record{Kind: RecDelete, TxID: 2, Key: "b", Value: 2})
 	if _, err := l.Commit(Local); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Record{TxID: 3, Key: "c", Value: 3})
+	l.Append(Record{Kind: RecDelete, TxID: 3, Key: "c", Value: 3})
 	if _, err := l.Commit(Volatile); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestVolatileNeverDurable(t *testing.T) {
 
 func TestReplWithoutLinkErrors(t *testing.T) {
 	l := NewLog(Config{FlushLatency: time.Microsecond})
-	l.Append(Record{TxID: 1, Key: "a", Value: 1})
+	l.Append(Record{Kind: RecDelete, TxID: 1, Key: "a", Value: 1})
 	if _, err := l.Commit(Repl2); err == nil {
 		t.Fatal("replication without a link must error")
 	}
@@ -141,7 +141,7 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	var singleLat time.Duration
 	var singleWork energy.Counters
 	for i := 0; i < n; i++ {
-		rec := Record{TxID: uint64(i + 1), Key: "k", Value: int64(i)}
+		rec := Record{Kind: RecDelete, TxID: uint64(i + 1), Key: "k", Value: int64(i)}
 		batched.Append(rec)
 		single.Append(rec)
 		rep, err := single.Commit(Local)
@@ -173,9 +173,9 @@ func TestGroupCommitReplCostsMore(t *testing.T) {
 	commit := func(level Level) CommitReport {
 		l := NewLog(DefaultConfig())
 		l.Append(
-			Record{TxID: 1, Key: "a", Value: 1},
-			Record{TxID: 2, Key: "b", Value: 2},
-			Record{TxID: 3, Key: "c", Value: 3},
+			Record{Kind: RecDelete, TxID: 1, Key: "a", Value: 1},
+			Record{Kind: RecDelete, TxID: 2, Key: "b", Value: 2},
+			Record{Kind: RecDelete, TxID: 3, Key: "c", Value: 3},
 		)
 		rep, err := l.Commit(level)
 		if err != nil {
