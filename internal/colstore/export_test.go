@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+
+	"repro/internal/num"
 )
 
 // Test-only surface: served code decodes a column a window or a segment
@@ -74,8 +76,10 @@ func (c *StringColumn) Append(s string) {
 // first Seal appended each staged column batch a value at a time, then
 // the staged rows, straight into raw main segments, with no commit
 // timestamp, visibility entry, row id or write epoch; the retired Seal
-// then checked that the columns were equally long and sealed them.
-// cols maps column names to []int64, []float64 or []string batches.
+// then checked that the columns were equally long and sealed them.  The
+// segment synopses every merge now builds are built here too, so that
+// storage compares equal; they are checked against their rows on their
+// own (CheckSynopses).  cols maps column names to []int64, []float64 or []string batches.
 func RetiredLoad(t *Table, cols map[string]any, rows ...[]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -127,6 +131,8 @@ func RetiredLoad(t *Table, cols map[string]any, rows ...[]any) error {
 		}
 	}
 	t.sealedRows = n
+	t.syn = nil
+	t.synopsesLocked(0)
 	return nil
 }
 
@@ -190,4 +196,127 @@ func sameIntColumn(got, want *IntColumn) error {
 		return fmt.Errorf("layouts differ")
 	}
 	return nil
+}
+
+// CheckSynopses recomputes, row by row, the synopses every sealed segment
+// of the grid column that starts on the SegSize grid must keep — one per
+// integer or string column with at most synMaxValues distinct values in
+// its rows, groups in order of first occurrence, and the global one (the
+// first grouped one when there is one) — and returns the first
+// difference from what the table keeps, or nil.
+func CheckSynopses(t *Table) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var want []segSynopses
+	if grid := t.gridLocked(); grid != nil {
+		for si, s := range grid.segs {
+			start, n := grid.starts[si], s.length()
+			if start >= t.sealedRows || start%SegSize != 0 {
+				continue
+			}
+			ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(t.cols))}
+			for ci := range t.cols {
+				if ss.by[ci] = recomputeSynopsis(t, start, n, ci); ss.by[ci] != nil && len(ss.by[ci].Keys) > synMaxValues {
+					ss.by[ci] = nil
+				}
+				if ss.global == nil {
+					ss.global = ss.by[ci]
+				}
+			}
+			if ss.global == nil {
+				ss.global = recomputeSynopsis(t, start, n, -1)
+			}
+			want = append(want, ss)
+		}
+	}
+	if len(t.syn) != len(want) {
+		return fmt.Errorf("%d segments keep synopses, want %d", len(t.syn), len(want))
+	}
+	for i := range want {
+		got, w := t.syn[i], want[i]
+		if got.start != w.start || got.n != w.n {
+			return fmt.Errorf("synopses of rows [%d, +%d), want [%d, +%d)", got.start, got.n, w.start, w.n)
+		}
+		if !reflect.DeepEqual(got.global, w.global) {
+			return fmt.Errorf("segment at row %d: global synopsis %+v, want %+v", w.start, *got.global, *w.global)
+		}
+		for ci := range w.by {
+			if !reflect.DeepEqual(got.by[ci], w.by[ci]) {
+				return fmt.Errorf("segment at row %d: synopsis by %s %+v, want %+v", w.start, t.schema[ci].Name, got.by[ci], w.by[ci])
+			}
+		}
+	}
+	return nil
+}
+
+// recomputeSynopsis aggregates rows [start, start+n) grouped by column
+// by (-1: one group, key 0) a row at a time; nil when by is a DOUBLE.
+func recomputeSynopsis(t *Table, start, n, by int) *Synopsis {
+	vals := func(ci int) []int64 {
+		out := make([]int64, n)
+		switch c := t.cols[ci].(type) {
+		case *IntColumn:
+			c.DecodeRange(start, start+n, out)
+		case *StringColumn:
+			c.codes.DecodeRange(start, start+n, out)
+		default:
+			return nil
+		}
+		return out
+	}
+	keys := make([]int64, n)
+	if by >= 0 {
+		if keys = vals(by); keys == nil {
+			return nil
+		}
+	}
+	s := &Synopsis{
+		Sums: make([][]int64, len(t.cols)), FSums: make([][]num.FloatSum, len(t.cols)),
+		Mins: make([][]int64, len(t.cols)), Maxs: make([][]int64, len(t.cols)),
+	}
+	group := map[int64]int{}
+	gids := make([]int, n)
+	for r, k := range keys {
+		g, ok := group[k]
+		if !ok {
+			g = len(s.Keys)
+			group[k] = g
+			s.Keys, s.Counts = append(s.Keys, k), append(s.Counts, 0)
+		}
+		s.Counts[g]++
+		gids[r] = g
+	}
+	for ci, c := range t.cols {
+		var ks []int64 // the MIN/MAX keys
+		switch c := c.(type) {
+		case *IntColumn:
+			ks = vals(ci)
+			s.Sums[ci] = make([]int64, len(s.Keys))
+			for r, v := range ks {
+				s.Sums[ci][gids[r]] += v
+			}
+		case *FloatColumn:
+			s.FSums[ci] = make([]num.FloatSum, len(s.Keys))
+			for r := 0; r < n; r++ {
+				f := c.Get(start + r)
+				s.FSums[ci][gids[r]].Add(f)
+				ks = append(ks, num.MinMaxKey(f))
+			}
+		default:
+			continue
+		}
+		s.Mins[ci], s.Maxs[ci] = make([]int64, len(s.Keys)), make([]int64, len(s.Keys))
+		seen := make([]bool, len(s.Keys))
+		for r, k := range ks {
+			g := gids[r]
+			if !seen[g] || k < s.Mins[ci][g] {
+				s.Mins[ci][g] = k
+			}
+			if !seen[g] || k > s.Maxs[ci][g] {
+				s.Maxs[ci][g] = k
+			}
+			seen[g] = true
+		}
+	}
+	return s
 }

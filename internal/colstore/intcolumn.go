@@ -33,10 +33,11 @@ type intSegment struct {
 	// compress.Dict.
 	dictVals []int64 // sorted distinct values; code = index
 
-	n      int // rows once sealed
-	min    int64
-	max    int64
-	sealed bool
+	n        int // rows once sealed
+	min      int64
+	max      int64
+	distinct int // distinct values once sealed, from the seal's profile
+	sealed   bool
 }
 
 func (s *intSegment) length() int {

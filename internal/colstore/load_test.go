@@ -170,9 +170,11 @@ type loggedOp struct {
 // horizons, logging every commit; after each merge and at the end it
 // checks the table against a row-at-a-time oracle — each physical row's
 // stable id and values, and at every snapshot a merge left readable,
-// RowsAsOf and FilterVisible — then replays the logged commits into a
-// fresh table through ApplyInsert/ApplyDelete, as WAL recovery does, and
-// checks that at every snapshot.
+// RowsAsOf and FilterVisible — and after each merge every sealed
+// segment's synopses against a recomputation from its rows
+// (CheckSynopses); then replays the logged commits into a fresh table
+// through ApplyInsert/ApplyDelete, as WAL recovery does, and checks that
+// at every snapshot.
 func FuzzAppendMerge(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 2, 2, 3, 3, 0, 4})
 	f.Add([]byte{5, 200, 1, 3, 2, 9, 3, 2, 0, 40, 2, 1, 3, 0, 5, 90, 2, 50, 3, 4})
@@ -302,6 +304,9 @@ func FuzzAppendMerge(f *testing.F) {
 				}
 				floor = max(floor, eff)
 				checkTable(t, "merged", tab, rows, floor, lastTS, false)
+				if err := CheckSynopses(tab); err != nil {
+					t.Fatalf("merged: %v", err)
+				}
 			case 4:
 				checkTable(t, "live", tab, rows, floor, lastTS, false)
 			}

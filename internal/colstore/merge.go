@@ -88,6 +88,13 @@ func (t *Table) Merge(horizon int64) (MergeStats, error) {
 		}
 		t.rowIDs = ids
 	}
+	// The delta's segments get their synopses from their raw values,
+	// before they seal; a rebuild cuts every segment anew, and builds all
+	// of them after.
+	rebuild, recoded := t.recodesLocked(drop != nil)
+	if !rebuild {
+		t.synopsesLocked(t.sealedRows)
+	}
 	var w energy.Counters
 	for i, c := range t.cols {
 		nc, cw := c.merge(drop, kept, delta)
@@ -114,6 +121,12 @@ func (t *Table) Merge(horizon int64) (MergeStats, error) {
 	t.addRows, t.addTS = retain(t.addRows, t.addTS, keep, newPos)
 	t.delRows, t.delTS = retain(t.delRows, t.delTS, keep, newPos)
 	t.sealedRows = kept
+	if rebuild {
+		t.syn = nil
+		t.synopsesLocked(0)
+	} else {
+		t.rekeyLocked(recoded)
+	}
 	t.writeEpoch++
 	st.RowsOut = kept
 	st.BytesAfter = t.bytesLocked()
@@ -137,7 +150,7 @@ func retain(rows []int32, ts []int64, keep func(int64) bool, pos func(int32) int
 }
 
 func (t *Table) bytesLocked() uint64 {
-	var b uint64
+	b := t.synBytesLocked()
 	for _, c := range t.cols {
 		b += c.Bytes()
 	}

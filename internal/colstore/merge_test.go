@@ -137,6 +137,8 @@ func rowwiseMerge(t *Table, horizon int64) (MergeStats, error) {
 	t.addRows, t.addTS = addRows, addTS
 	t.delRows, t.delTS = delRows, delTS
 	t.sealedRows = kept
+	t.syn = nil // the synopses a rebuild merge builds; CheckSynopses checks them
+	t.synopsesLocked(0)
 	w.Instructions += uint64(n) * uint64(len(t.cols)) * 6
 	w.TuplesIn += uint64(n)
 	w.TuplesOut += uint64(kept)
@@ -296,6 +298,9 @@ func TestRebuildMergeMatchesRowwise(t *testing.T) {
 				t.Fatal("the horizon kept no tombstone")
 			}
 			sameTable(t, name, got, want)
+			if err := CheckSynopses(got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if name == "dict-value-vanishes" {
 				region, _ := got.StrCol("region")
 				if region.DictSize() != 4 {

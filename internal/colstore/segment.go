@@ -54,13 +54,13 @@ type deltaCheck struct {
 const rleBytesPerRun = 12
 
 // seal freezes the raw segment into the advisor-chosen compressed
-// layout and records its zone map.
+// layout and records its zone map and distinct count.
 func (s *intSegment) seal() {
 	if s.sealed || len(s.raw) == 0 {
 		return
 	}
 	p := compress.Analyze(s.raw)
-	s.min, s.max = p.Min, p.Max
+	s.min, s.max, s.distinct = p.Min, p.Max, p.Distinct
 	s.n = len(s.raw)
 	switch compress.Choose(p.Stats) {
 	case compress.RLE:

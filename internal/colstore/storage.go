@@ -59,9 +59,12 @@ func (c *StringColumn) Storage() ColumnStorage {
 
 // TableStorage aggregates per-column storage for one table.
 type TableStorage struct {
-	RawBytes    uint64
-	StoredBytes uint64
-	Cols        []ColumnStorage
+	RawBytes uint64
+	// StoredBytes is the columns' stored bytes plus SynopsisBytes, the
+	// segment synopses' (synopsis.go), which no column reports.
+	StoredBytes   uint64
+	SynopsisBytes uint64
+	Cols          []ColumnStorage
 }
 
 // Ratio returns StoredBytes/RawBytes for the whole table.
@@ -89,5 +92,7 @@ func (t *Table) Storage() TableStorage {
 		ts.StoredBytes += cs.StoredBytes
 		ts.Cols = append(ts.Cols, cs)
 	}
+	ts.SynopsisBytes = t.synBytesLocked()
+	ts.StoredBytes += ts.SynopsisBytes
 	return ts
 }

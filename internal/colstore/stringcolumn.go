@@ -41,25 +41,50 @@ func (c *StringColumn) Bytes() uint64 {
 }
 
 // appendBatch interns vals, assigning each unseen string the next
-// code, and appends their codes, a stack buffer's worth at a time.
+// code, and appends their codes, a stack buffer's worth at a time.  A
+// batch repeats few strings many times (a load's region or status), so
+// each string is first looked for in a small memo slotted by its length
+// and end bytes — one compare, and the same string's bytes are not even
+// read — and the dictionary's index is consulted only on a miss.
 func (c *StringColumn) appendBatch(vals any) {
 	vs, _ := vals.([]string)
 	var codes [64]int64
+	var memo [internSlots]struct {
+		s    string
+		code int // the string's code + 1; 0 = empty
+	}
 	for len(vs) > 0 {
 		n := min(len(vs), len(codes))
 		for i, s := range vs[:n] {
-			code, ok := c.index[s]
-			if !ok {
-				code = len(c.values)
-				c.values = append(c.values, s)
-				c.index[s] = code
-				c.ordered = false
+			m := &memo[internSlot(s)]
+			if m.code == 0 || m.s != s {
+				code, ok := c.index[s]
+				if !ok {
+					code = len(c.values)
+					c.values = append(c.values, s)
+					c.index[s] = code
+					c.ordered = false
+				}
+				m.s, m.code = s, code+1
 			}
-			codes[i] = int64(code)
+			codes[i] = int64(m.code - 1)
 		}
 		c.codes.appendInts(codes[:n], len(vs))
 		vs = vs[n:]
 	}
+}
+
+// internSlots is the size of appendBatch's memo.
+const internSlots = 32
+
+// internSlot is s's slot in appendBatch's memo: a multiplicative hash of
+// its length and its first, middle and last bytes.
+func internSlot(s string) int {
+	h := uint32(len(s))
+	if len(s) > 0 {
+		h = h<<24 ^ uint32(s[0])<<16 ^ uint32(s[len(s)/2])<<8 ^ uint32(s[len(s)-1])
+	}
+	return int(h * 0x9E3779B1 >> (32 - 5))
 }
 
 // Get returns row i.

@@ -1,0 +1,346 @@
+package colstore
+
+import (
+	"math"
+	"sort"
+
+	"repro/internal/num"
+)
+
+// Segment synopses: Small Materialized Aggregates (Moerkotte, VLDB 1998)
+// over the main.  A sealed segment does not change until the next merge,
+// so aggregates computed when a merge seals it stay exact until then.
+// Every merge therefore stores, beside each segment it seals, one
+// synopsis per integer or string column with at most synMaxValues
+// distinct values in the segment — the count and every numeric column's
+// aggregates per value of that column — and a global one: the first of
+// those, its groups summed when it is read, or else the aggregates over
+// the whole segment.  A scan window that is exactly one such segment,
+// with every row selected, folds its aggregate from them without reading
+// a row (exec's scan-window feeder): Lin et al.'s operate-on-compressed
+// rule taken from one run of a value (RLE's n·v) to one segment of a
+// value.
+//
+// Every aggregate is num's order-free arithmetic — a BIGINT ring sum, a
+// DOUBLE num.FloatSum, MIN/MAX keys — so a fold from a synopsis gives
+// the bits a fold of the rows gives; and values are kept in order of
+// first occurrence, the group order a fold of the rows produces.
+
+// synMaxValues is the most distinct values a column may have in a
+// segment for the segment to keep a synopsis grouped by it.
+const synMaxValues = 64
+
+// floatSumBytes is the size of a num.FloatSum: three int64 limbs, the
+// window and the flags, padded.
+const floatSumBytes = 32
+
+// Synopsis is the aggregate of every row of one sealed segment, grouped
+// by one column or not at all (one group, key 0).  The per-column slices
+// are indexed by schema column and then by group; a slice is nil where
+// the column's type keeps no such aggregate.
+type Synopsis struct {
+	// Keys are the groups' values — a string column's codes — in order of
+	// first occurrence in the segment; Counts their rows.
+	Keys, Counts []int64
+	Sums         [][]int64        // BIGINT: the ring sum
+	FSums        [][]num.FloatSum // DOUBLE: the exact sum's state
+	Mins, Maxs   [][]int64        // BIGINT as is, DOUBLE as its num.MinMaxKey
+}
+
+// segSynopses are the synopses of one sealed segment, rows
+// [start, start+n): per schema column, the one grouped by it (nil when it
+// keeps none), and the global one — the first grouped one when there is
+// one (a fold with no GROUP BY adds all its groups into its one group),
+// otherwise its own, of one group.
+type segSynopses struct {
+	start, n int
+	global   *Synopsis
+	by       []*Synopsis
+}
+
+// Synopsis returns the synopsis of rows [lo, hi) grouped by schema column
+// col, or the global one when col is -1, if those rows are exactly one
+// sealed segment that keeps it; nil otherwise.
+func (t *Table) Synopsis(lo, hi, col int) *Synopsis {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	i := sort.Search(len(t.syn), func(i int) bool { return t.syn[i].start >= lo })
+	if i == len(t.syn) || t.syn[i].start != lo || t.syn[i].n != hi-lo {
+		return nil
+	}
+	if col < 0 {
+		return t.syn[i].global
+	}
+	return t.syn[i].by[col]
+}
+
+// synopsesLocked builds the synopses of the segments from row from on —
+// called by a merge before the delta's segments seal, from their raw
+// values, or after a rebuild.  The segments are those of the table's grid
+// column (gridLocked) that start on the SegSize grid: exec's scan windows
+// are cut on that grid (MorselRows == SegSize), so no window can equal
+// any other segment.
+func (t *Table) synopsesLocked(from int) {
+	grid := t.gridLocked()
+	if grid == nil {
+		return
+	}
+	b := synBuilder{vals: make([][]int64, len(t.cols)), bufs: make([][]int64, len(t.cols))}
+	for si, s := range grid.segs {
+		if start := grid.starts[si]; start >= from && start%SegSize == 0 {
+			t.syn = append(t.syn, b.segment(t, start, s.length()))
+		}
+	}
+}
+
+// gridLocked returns the column whose segments the synopses follow: the
+// first integer or string column (a string's codes); nil when the table
+// has none (a DOUBLE column is flat).
+func (t *Table) gridLocked() *IntColumn {
+	for _, c := range t.cols {
+		if ic := intsOf(c); ic != nil {
+			return ic
+		}
+	}
+	return nil
+}
+
+// recodesLocked returns, before a merge, per column the old dictionary
+// of a string column the merge re-codes (one that interned a value since
+// the last merge; nil for any other), and whether every synopsis must be
+// built anew: the merge drops rows, so it rebuilds every segment, or it
+// re-codes the grid.
+func (t *Table) recodesLocked(drops bool) (rebuild bool, recoded [][]string) {
+	recoded = make([][]string, len(t.cols))
+	grid := t.gridLocked()
+	for ci, c := range t.cols {
+		if sc, ok := c.(*StringColumn); ok && !sc.ordered {
+			recoded[ci] = sc.values
+			drops = drops || sc.codes == grid
+		}
+	}
+	return drops, recoded
+}
+
+// rekeyLocked re-keys, after a merge that re-coded string columns, every
+// synopsis grouped by one of them: each group's old code (an index into
+// the column's old dictionary, recoded[ci]) becomes the value's new code.
+// A new Synopsis replaces the old, which a reader may still hold.
+func (t *Table) rekeyLocked(recoded [][]string) {
+	for ci, old := range recoded {
+		for i := range t.syn {
+			ss := &t.syn[i]
+			s := ss.by[ci]
+			if old == nil || s == nil {
+				continue
+			}
+			sc := t.cols[ci].(*StringColumn)
+			n := *s
+			n.Keys = make([]int64, len(s.Keys))
+			for g, k := range s.Keys {
+				n.Keys[g] = int64(sc.index[old[k]])
+			}
+			if ss.by[ci] = &n; ss.global == s {
+				ss.global = &n
+			}
+		}
+	}
+}
+
+// synBytesLocked is the synopses' footprint.
+func (t *Table) synBytesLocked() uint64 {
+	var b uint64
+	for _, ss := range t.syn {
+		grouped := uint64(0)
+		for _, s := range ss.by {
+			grouped += s.bytes()
+		}
+		if b += grouped; grouped == 0 {
+			b += ss.global.bytes()
+		}
+	}
+	return b
+}
+
+// bytes is the synopsis's footprint: its keys, counts and accumulators.
+func (s *Synopsis) bytes() uint64 {
+	if s == nil {
+		return 0
+	}
+	b := 16 * len(s.Keys)
+	for ci := range s.Sums {
+		b += 8*(len(s.Sums[ci])+len(s.Mins[ci])+len(s.Maxs[ci])) + floatSumBytes*len(s.FSums[ci])
+	}
+	return uint64(b)
+}
+
+// synBuilder builds the synopses of segments one at a time on reused
+// buffers: each BIGINT column's values, a string column's codes, and the
+// rows' group ids.
+type synBuilder struct {
+	vals  [][]int64 // per schema column, a BIGINT column's values
+	bufs  [][]int64
+	codes []int64
+	gids  []uint8 // a group id per row: synMaxValues fits a byte
+}
+
+// segment builds the synopses of rows [start, start+n).
+func (b *synBuilder) segment(t *Table, start, n int) segSynopses {
+	floats := make([][]float64, len(t.cols))
+	for ci, c := range t.cols {
+		b.vals[ci] = nil
+		switch c := c.(type) {
+		case *IntColumn:
+			b.vals[ci] = rowValues(c, start, n, &b.bufs[ci])
+		case *FloatColumn:
+			floats[ci] = c.vals[start : start+n]
+		}
+	}
+	ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(t.cols))}
+	for ci, c := range t.cols {
+		if ic := intsOf(c); ic != nil {
+			if keys, ok := b.group(ic, start, n, b.vals[ci]); ok {
+				ss.by[ci] = b.synopsis(t.schema, keys, floats)
+				if ss.global == nil {
+					ss.global = ss.by[ci]
+				}
+			}
+		}
+	}
+	if ss.global == nil {
+		b.gids = grown(b.gids, n)
+		clear(b.gids)
+		ss.global = b.synopsis(t.schema, []int64{0}, floats)
+	}
+	return ss
+}
+
+// rowValues returns rows [start, start+n) of c: the raw values of an
+// unsealed segment that holds exactly those rows, in place, or their
+// decoding into *buf.
+func rowValues(c *IntColumn, start, n int, buf *[]int64) []int64 {
+	if si := c.segAt(start); c.starts[si] == start && c.segs[si].length() == n && !c.segs[si].sealed {
+		return c.segs[si].raw
+	}
+	*buf = grown(*buf, n)
+	c.DecodeRange(start, start+n, *buf)
+	return *buf
+}
+
+// group numbers the values of rows [start, start+n) of c (vals, when
+// already read) in order of first occurrence through a small
+// open-addressing table, writes each row's number into b.gids and
+// returns the values in that order — or reports false at the first
+// value past synMaxValues.
+func (b *synBuilder) group(c *IntColumn, start, n int, vals []int64) (keys []int64, ok bool) {
+	if vals == nil {
+		vals = rowValues(c, start, n, &b.codes)
+	}
+	b.gids = grown(b.gids, n)
+	const slots = 2 * synMaxValues
+	var slotKey [slots]int64
+	var slotGroup [slots]uint8 // group + 1; 0 = empty
+	for r, v := range vals {
+		i := (uint64(v) * 0x9E3779B97F4A7C15) >> 57 // the top 7 bits: slots == 128
+		for slotGroup[i] != 0 && slotKey[i] != v {
+			i = (i + 1) % slots
+		}
+		if slotGroup[i] == 0 {
+			if len(keys) == synMaxValues {
+				return nil, false
+			}
+			keys = append(keys, v)
+			slotKey[i], slotGroup[i] = v, uint8(len(keys))
+		}
+		b.gids[r] = slotGroup[i] - 1
+	}
+	return keys, true
+}
+
+// synopsis aggregates the segment's rows into the groups b.gids assigns
+// them, whose values are keys.
+func (b *synBuilder) synopsis(schema Schema, keys []int64, floats [][]float64) *Synopsis {
+	g := len(keys)
+	s := &Synopsis{
+		Keys: keys, Counts: make([]int64, g),
+		Sums: make([][]int64, len(schema)), FSums: make([][]num.FloatSum, len(schema)),
+		Mins: make([][]int64, len(schema)), Maxs: make([][]int64, len(schema)),
+	}
+	for _, gi := range b.gids {
+		s.Counts[gi]++
+	}
+	for ci, d := range schema {
+		switch d.Type {
+		case Int64:
+			s.Sums[ci], s.Mins[ci], s.Maxs[ci] = foldInts(b.vals[ci], b.gids, g)
+		case Float64:
+			s.FSums[ci], s.Mins[ci], s.Maxs[ci] = foldFloats(floats[ci], b.gids, g)
+		}
+	}
+	return s
+}
+
+// foldInts returns each of g groups' ring sum, MIN and MAX of vals, row
+// r in group gids[r].
+func foldInts(vals []int64, gids []uint8, g int) (sums, mins, maxs []int64) {
+	type acc struct{ sum, min, max int64 }
+	a := make([]acc, g)
+	for i := range a {
+		a[i] = acc{0, math.MaxInt64, math.MinInt64}
+	}
+	gids = gids[:len(vals)]
+	for r, v := range vals {
+		p := &a[gids[r]]
+		p.sum, p.min, p.max = num.RingAdd(p.sum, v, 1), min(p.min, v), max(p.max, v)
+	}
+	sums, mins, maxs = make([]int64, g), make([]int64, g), make([]int64, g)
+	for i, p := range a {
+		sums[i], mins[i], maxs[i] = p.sum, p.min, p.max
+	}
+	return sums, mins, maxs
+}
+
+// foldFloats returns each of g groups' exact sum state and the MIN and
+// MAX of its num.MinMaxKeys over vals, row r in group gids[r].
+func foldFloats(vals []float64, gids []uint8, g int) (sums []num.FloatSum, mins, maxs []int64) {
+	type acc struct {
+		sum      num.FloatSum
+		min, max int64
+	}
+	a := make([]acc, g)
+	for i := range a {
+		a[i].min, a[i].max = math.MaxInt64, math.MinInt64
+	}
+	gids = gids[:len(vals)]
+	for r, v := range vals {
+		p, k := &a[gids[r]], num.MinMaxKey(v)
+		p.sum.Add(v)
+		p.min, p.max = min(p.min, k), max(p.max, k)
+	}
+	sums, mins, maxs = make([]num.FloatSum, g), make([]int64, g), make([]int64, g)
+	for i, p := range a {
+		sums[i], mins[i], maxs[i] = p.sum, p.min, p.max
+	}
+	return sums, mins, maxs
+}
+
+// intsOf returns the integer column c is or stores its codes in, nil for
+// a DOUBLE column.
+func intsOf(c Column) *IntColumn {
+	switch c := c.(type) {
+	case *IntColumn:
+		return c
+	case *StringColumn:
+		return c.codes
+	}
+	return nil
+}
+
+// grown returns xs as n entries, on its own storage when that is large
+// enough.
+func grown[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}

@@ -26,6 +26,9 @@ type Table struct {
 	// sealedRows is the merge boundary: rows below it live in the main's
 	// compressed segments, rows at or above it in the raw delta.
 	sealedRows int
+	// syn are the synopses of the main's segments that keep them, in row
+	// order (synopsis.go); a merge brings them up to date.
+	syn []segSynopses
 
 	// MVCC visibility metadata.  addRows/addTS hold each unmerged
 	// commit's first row and timestamp: its rows, up to the next entry's,
@@ -101,15 +104,12 @@ func (t *Table) Rows() int {
 	return t.lenLocked()
 }
 
-// Bytes returns the total memory footprint of all columns.
+// Bytes returns the total memory footprint of all columns and of the
+// segment synopses.
 func (t *Table) Bytes() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var b uint64
-	for _, c := range t.cols {
-		b += c.Bytes()
-	}
-	return b
+	return t.bytesLocked()
 }
 
 // Column returns the named column, or an error naming the table.
@@ -161,13 +161,8 @@ func (t *Table) SpanKeys(name string) int {
 	if i < 0 {
 		return 0
 	}
-	var c *IntColumn
-	switch col := t.cols[i].(type) {
-	case *IntColumn:
-		c = col
-	case *StringColumn:
-		c = col.codes
-	default:
+	c := intsOf(t.cols[i])
+	if c == nil {
 		return t.lenLocked()
 	}
 	n := 0

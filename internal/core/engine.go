@@ -69,6 +69,11 @@ func Open(opts ...Option) *Engine {
 		e.log = wal.NewLog(wal.DefaultConfig())
 	}
 	e.txm = txn.NewManager(e.log, wal.Local, 200*time.Microsecond)
+	// Timestamp 1 is a fresh table's first load's (a Writer stamps its
+	// table's last timestamp plus one), so the clock starts there: no read
+	// is handed snapshot 0, which a table reads as every row there is, so
+	// every commit after a read's admission lies above its snapshot.
+	e.txm.ObserveTS(1)
 	return e
 }
 
@@ -116,11 +121,13 @@ func (e *Engine) Seal(name string) error {
 	if _, err := t.Merge(e.reads.oldest()); err != nil {
 		return err
 	}
+	// A load of several Writer batches stamps the table past the commit
+	// clock; reads admitted from now on see all of it.
+	e.txm.ObserveTS(t.LastTS())
 	return e.cat.Refresh(name)
 }
 
-// snapshots is a multiset of the nonzero snapshots reads hold (a read at
-// snapshot 0 sees every row whatever merges, and holds nothing back).
+// snapshots is a multiset of the snapshots reads hold.
 type snapshots struct {
 	mu   sync.Mutex
 	live map[int64]int
@@ -133,17 +140,12 @@ func (s *snapshots) pin(clock *txn.Manager) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := clock.SnapshotTS()
-	if ts > 0 {
-		s.live[ts]++
-	}
+	s.live[ts]++
 	return ts
 }
 
 // unpin releases a snapshot pin returned.
 func (s *snapshots) unpin(ts int64) {
-	if ts == 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.live[ts]--; s.live[ts] == 0 {

@@ -322,15 +322,15 @@ func (l *Loop) admit(at time.Duration, t *Ticket, share string, planErr error) *
 // group has retired is not counted: it took the data latch at dispatch
 // and the maintenance run asking holds it exclusively, so that read has
 // finished — and leaving it out keeps the horizon a function of the
-// virtual schedule alone.
+// virtual schedule alone.  A maintenance ticket holds no snapshot.
 func (l *Loop) oldestLiveSnap() int64 {
 	var oldest int64
 	//lint:allow determinism: a minimum over the in-flight set does not depend on visit order
 	for _, t := range l.live {
-		if t.x != nil && t.x.retired {
+		if t.pins == nil || t.x != nil && t.x.retired {
 			continue
 		}
-		if t.SnapTS > 0 && (oldest == 0 || t.SnapTS < oldest) {
+		if oldest == 0 || t.SnapTS < oldest {
 			oldest = t.SnapTS
 		}
 	}

@@ -142,9 +142,6 @@ func TestEntryPointsRunTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if r.snap == 0 {
-			continue // snapshot 0 reads every row there is when it runs
-		}
 		want := int64(0)
 		for _, ts := range commits {
 			if ts <= r.snap {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/num"
 )
 
 // HashAgg groups by zero or more columns and computes aggregates.  With no
@@ -61,12 +62,28 @@ type aggShape struct {
 	valTypes   []colstore.Type
 	kinds      []accKind // per aggregate
 	col        []int     // per aggregate: its column in ints or fsums (none for COUNT)
-	// A new group's accumulator rows, one entry per int64 or floatSum
+	// A new group's accumulator rows, one entry per int64 or num.FloatSum
 	// accumulator: ints0 holds each int64's start (0 for a sum, MaxInt64
-	// for MIN, MinInt64 for MAX), fsums0 empty floatSums.  Either is empty
+	// for MIN, MinInt64 for MAX), fsums0 empty FloatSums.  Either is empty
 	// when no aggregate keeps an accumulator of its type.
 	ints0  []int64
-	fsums0 []floatSum
+	fsums0 []num.FloatSum
+	// keyLo and keySpan bound a one-part key, [keyLo, keyLo+keySpan),
+	// when the feeder knows the bound (denseKey): every table of the
+	// aggregation then slots a key at its offset in a direct array, with
+	// no hash and no probe.  keySpan 0: slots are hashed.
+	keyLo, keySpan int64
+}
+
+// denseKeys is the widest key bound slotted directly.
+const denseKeys = 1 << 16
+
+// denseKey sets the key bound of a one-part key whose values lie in
+// [lo, hi], when it is narrow enough to slot directly.
+func (s *aggShape) denseKey(lo, hi int64) {
+	if hi >= lo && uint64(hi)-uint64(lo) < denseKeys {
+		s.keyLo, s.keySpan = lo, hi-lo+1
+	}
 }
 
 // accKind is the one accumulator an aggregate folds into, fixed by its
@@ -76,8 +93,8 @@ type accKind uint8
 const (
 	accCount accKind = iota // COUNT: the group's count is the answer
 	accISum                 // BIGINT SUM/AVG: a ring sum in ints
-	accFSum                 // DOUBLE SUM/AVG: a floatSum in fsums
-	accMin                  // MIN: the least key in ints, a DOUBLE's its minMaxKey
+	accFSum                 // DOUBLE SUM/AVG: a num.FloatSum in fsums
+	accMin                  // MIN: the least key in ints, a DOUBLE's its num.MinMaxKey
 	accMax                  // MAX: the greatest key in ints
 )
 
@@ -93,7 +110,7 @@ func (s *aggShape) setKinds(aggs []expr.AggSpec) {
 		}
 		switch s.kinds[i] = k; k {
 		case accFSum:
-			s.col[i], s.fsums0 = len(s.fsums0), append(s.fsums0, floatSum{})
+			s.col[i], s.fsums0 = len(s.fsums0), append(s.fsums0, num.FloatSum{})
 		case accISum, accMin, accMax:
 			s.col[i], s.ints0 = len(s.ints0), append(s.ints0, [...]int64{accMin: math.MaxInt64, accMax: math.MinInt64}[k])
 		}
@@ -131,7 +148,11 @@ func (s *aggShape) newTable(dicts [][]string) *groupTable {
 		dicts:     sized(t.dicts, len(s.groupTypes)),
 		key:       t.key,
 	}
-	t.reindex(256)
+	if s.keySpan > 0 {
+		t.slotGroup = sized(t.slotGroup, int(s.keySpan))
+	} else {
+		t.reindex(256)
+	}
 	copy(t.dicts, dicts)
 	return t
 }
@@ -150,7 +171,7 @@ func (t *groupTable) release() { tablePool.Put(t) }
 //
 // Each aggregate keeps only the state its function needs (accKind): a
 // COUNT none beyond the group count, a BIGINT SUM/AVG, a MIN or a MAX one
-// int64 column of ints, a DOUBLE SUM/AVG one floatSum column of fsums.
+// int64 column of ints, a DOUBLE SUM/AVG one num.FloatSum column of fsums.
 // An array no aggregate needs stays empty and is never grown or merged
 // (slot, mergeFrom).  Rows arrive resolved: a feeder turns a morsel's
 // rows into group ids, then fold counts them in one loop and folds each
@@ -159,20 +180,20 @@ func (t *groupTable) release() { tablePool.Put(t) }
 // Every accumulator is order-free, so any morsel decomposition, merge
 // order or worker count gives the same bits: a BIGINT sum is
 // ring arithmetic in int64 (the run-at-a-time closed form included), a
-// DOUBLE sum a floatSum, and MIN/MAX keep int64 keys — a BIGINT as is, a
-// DOUBLE as its minMaxKey.
+// DOUBLE sum a num.FloatSum, and MIN/MAX keep int64 keys — a BIGINT as is, a
+// DOUBLE as its num.MinMaxKey.
 //
 //lint:hotpath
 type groupTable struct {
 	k         int
 	sh        *aggShape // the accumulator kinds and columns, a new group's rows
 	mask      uint64
-	slotKey   []int64    // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
-	slotGroup []int32    // group index + 1; 0 = empty
-	keys      []int64    // group-major [group*k + part], groups in first-seen order
-	counts    []int64    // per group
-	ints      []int64    // group-major, len(sh.ints0) per group (sh.acc)
-	fsums     []floatSum // group-major, len(sh.fsums0) per group
+	slotKey   []int64        // the key's first part (0 when k is 0): a one-column probe never leaves the slot arrays
+	slotGroup []int32        // group index + 1; 0 = empty
+	keys      []int64        // group-major [group*k + part], groups in first-seen order
+	counts    []int64        // per group
+	ints      []int64        // group-major, len(sh.ints0) per group (sh.acc)
+	fsums     []num.FloatSum // group-major, len(sh.fsums0) per group
 	// dicts[part] decodes a string part's ids: the dictionary of the
 	// column its codes came from; nil for a BIGINT or DOUBLE part.
 	dicts [][]string
@@ -207,18 +228,17 @@ func floatKey(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
-// minMaxKey maps a DOUBLE onto an int64 whose order is the total order
-// MIN and MAX use: −Inf < … < −0 < +0 < … < +Inf < NaN (NaN sorts highest,
-// as in PostgreSQL).  It is floatKey with a negative value's magnitude
-// bits flipped — a flip that, applied to the key, gives the bits back.
-func minMaxKey(f float64) int64 {
-	k := floatKey(f)
-	return k ^ (k >> 63 & math.MaxInt64)
-}
-
 // slot returns the group index of key (k0, rest...), inserting it (in
-// first-seen order) on first sight.
+// first-seen order) on first sight.  Under a key bound (aggShape.keySpan)
+// the slot is the key's offset.
 func (t *groupTable) slot(k0 int64, rest []int64) int32 {
+	if t.sh.keySpan > 0 {
+		s := &t.slotGroup[k0-t.sh.keyLo]
+		if *s == 0 {
+			*s = t.add(k0, rest) + 1
+		}
+		return *s - 1
+	}
 	i := hashKey(k0, rest) & t.mask
 	for {
 		g := int(t.slotGroup[i])
@@ -231,18 +251,24 @@ func (t *groupTable) slot(k0 int64, rest []int64) int32 {
 		i = (i + 1) & t.mask
 	}
 	t.slotKey[i] = k0
+	g := t.add(k0, rest)
+	t.slotGroup[i] = g + 1
+	if uint64(g+1)*2 >= t.mask+1 {
+		t.reindex((t.mask + 1) * 2)
+	}
+	return g
+}
+
+// add appends group (k0, rest...), its count and its accumulators'
+// starts, and returns its index.
+func (t *groupTable) add(k0 int64, rest []int64) int32 {
 	if t.k > 0 {
 		t.keys = append(append(t.keys, k0), rest...)
 	}
 	t.counts = append(t.counts, 0)
 	t.ints = append(t.ints, t.sh.ints0...)
 	t.fsums = append(t.fsums, t.sh.fsums0...)
-	g := len(t.counts)
-	t.slotGroup[i] = int32(g)
-	if uint64(g)*2 >= t.mask+1 {
-		t.reindex((t.mask + 1) * 2)
-	}
-	return int32(g - 1)
+	return int32(len(t.counts) - 1)
 }
 
 // reindex rebuilds the slot arrays, size slots wide, from the group keys.
@@ -316,11 +342,11 @@ func (t *groupTable) foldAgg(ai int, gids []int32, in foldIn) {
 	case kind == accFSum:
 		w = len(t.sh.fsums0)
 		for j, g := range gids {
-			t.fsums[int(g)*w+c].add(in.floats[at[j]])
+			t.fsums[int(g)*w+c].Add(in.floats[at[j]])
 		}
-	case in.floats != nil: // a DOUBLE MIN/MAX, by its minMaxKey
+	case in.floats != nil: // a DOUBLE MIN/MAX, by its num.MinMaxKey
 		for j, g := range gids {
-			t.minMax(kind, int(g)*w+c, minMaxKey(in.floats[at[j]]))
+			t.minMax(kind, int(g)*w+c, num.MinMaxKey(in.floats[at[j]]))
 		}
 	default:
 		for j, g := range gids {
@@ -347,9 +373,37 @@ func (t *groupTable) minMax(kind accKind, o int, v int64) {
 func (t *groupTable) addN(g int32, ai int, v, n int64) {
 	switch o, kind := t.sh.acc(int(g), ai), t.sh.kinds[ai]; kind {
 	case accISum:
-		t.ints[o] += v * n
+		t.ints[o] = num.RingAdd(t.ints[o], v, n)
 	case accMin, accMax:
 		t.minMax(kind, o, v)
+	}
+}
+
+// foldSynopsis folds a segment synopsis into the table — the synopsis
+// feeder: each of its groups, in its order of first occurrence, adds its
+// count and, per aggregate, the accumulator of the aggregate's input
+// column cols[ai] (a schema index) — into the global group when the
+// table has no key.  That is what a fold of the segment's rows adds,
+// group order included, since every accumulator is order-free.
+func (t *groupTable) foldSynopsis(syn *colstore.Synopsis, cols []int) {
+	for g, key := range syn.Keys {
+		if t.k == 0 {
+			key = 0
+		}
+		gi := int(t.slot(key, nil))
+		t.counts[gi] += syn.Counts[g]
+		for ai, kind := range t.sh.kinds {
+			switch o, ci := t.sh.acc(gi, ai), cols[ai]; kind {
+			case accISum:
+				t.ints[o] = num.RingAdd(t.ints[o], syn.Sums[ci][g], 1)
+			case accFSum:
+				t.fsums[o].Merge(syn.FSums[ci][g])
+			case accMin:
+				t.minMax(kind, o, syn.Mins[ci][g])
+			case accMax:
+				t.minMax(kind, o, syn.Maxs[ci][g])
+			}
+		}
 	}
 }
 
@@ -383,7 +437,7 @@ func (t *groupTable) mergeFrom(src *groupTable) {
 		t.counts[g] += src.counts[gi]
 		for a, kind := range t.sh.kinds {
 			if so := t.sh.acc(gi, a); kind == accFSum {
-				t.fsums[t.sh.acc(int(g), a)].merge(src.fsums[so])
+				t.fsums[t.sh.acc(int(g), a)].Merge(src.fsums[so])
 			} else if kind != accCount {
 				t.addN(g, a, src.ints[so], 1)
 			}
@@ -408,7 +462,7 @@ type aggFeeder interface {
 //	probe matches    the child is a join whose probe side fuses (fused.go)
 //	relation windows anything else: the child is run to a relation
 //
-// A DOUBLE sum is a floatSum, a function of the multiset of its inputs, so
+// A DOUBLE sum is a num.FloatSum, a function of the multiset of its inputs, so
 // every feeder, grid and layout gives the same bits.
 func (a *HashAgg) feeder(ctx *Ctx) (aggFeeder, *aggShape, error) {
 	if sf := a.scanFeed(); sf != nil {
@@ -512,14 +566,13 @@ func (a *HashAgg) buildOutput(shape *aggShape, t *groupTable) *Relation {
 			case s.Func == expr.AggAvg && intIn:
 				oc.F[g] = float64(t.ints[o]) / float64(t.counts[g])
 			case s.Func == expr.AggAvg:
-				oc.F[g] = t.fsums[o].value() / float64(t.counts[g])
+				oc.F[g] = t.fsums[o].Value() / float64(t.counts[g])
 			case intIn:
 				oc.I[g] = t.ints[o]
 			case s.Func == expr.AggSum:
-				oc.F[g] = t.fsums[o].value()
+				oc.F[g] = t.fsums[o].Value()
 			default: // a DOUBLE MIN/MAX key, decoded once per output group
-				k := t.ints[o]
-				oc.F[g] = math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
+				oc.F[g] = num.FromMinMaxKey(t.ints[o])
 			}
 		}
 		out.Cols = append(out.Cols, oc)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"strconv"
 
 	"repro/internal/colstore"
@@ -18,7 +19,7 @@ import (
 // grid from it).  It materializes its child and charges what the parent
 // charged, so a relation-fed HashAgg under 2^16 or from 2^18 input rows
 // must reproduce both its relation and its Meter.  Its DOUBLE aggregates
-// are written from the definition, sharing no code with floatSum: a sum
+// are written from the definition, sharing no code with num.FloatSum: a sum
 // is the inputs' exact math/big sum rounded once (exactSum), MIN/MAX
 // follow floatLess.
 type mapAgg struct {
@@ -344,4 +345,42 @@ func chargeAggMerge(ctx *Ctx, nparts int, partialGroups uint64, groups int, extr
 		CacheMisses:  partialGroups / 4,
 	})
 	ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", nparts), groups, extra)
+}
+
+// exactSum is the reference DOUBLE sum: the specials by num.FloatSum's
+// rules, otherwise the exact sum of xs in math/big rounded once to
+// nearest even, and a zero sum as +0.
+func exactSum(xs []float64) float64 {
+	var nan, pos, negInf bool
+	sum := new(big.Float).SetPrec(2200)
+	for _, x := range xs {
+		switch {
+		case x != x:
+			nan = true
+		case math.IsInf(x, 1):
+			pos = true
+		case math.IsInf(x, -1):
+			negInf = true
+		default:
+			sum.Add(sum, new(big.Float).SetFloat64(x))
+		}
+	}
+	switch {
+	case nan || pos && negInf:
+		return math.NaN()
+	case pos:
+		return math.Inf(1)
+	case negInf:
+		return math.Inf(-1)
+	case sum.Sign() == 0:
+		return 0
+	}
+	f, _ := sum.Float64()
+	return f
+}
+
+// sameBits reports whether two DOUBLEs are the same bits, any two NaNs
+// alike.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }

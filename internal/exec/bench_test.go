@@ -45,10 +45,14 @@ func BenchmarkOperators(b *testing.B) {
 
 // BenchmarkFusedAgg is the operator rung under the scan_agg workload: its
 // four fused shapes — GROUP BY {region, custkey} × SUM {day, amount},
-// each beside COUNT(*) — at 10% and 100% selectivity on day, over a
+// each beside COUNT(*) — at 1%, 10% and 100% selectivity on day, over a
 // sealed 1 Mi-row orders table generated like the benchmark's (custkeys
 // Zipf(1.1) over rows/100+10 customers), at DOP 1.  It reports
-// wall-clock ns per input row and is never gated.
+// wall-clock ns per input row and is never gated.  Every segment below
+// the day bound is fully qualified: a region row folds those segments
+// from their synopses (region has 5 values), a custkey row streams them
+// (custkey has thousands per segment), so the two attribute the
+// synopsis feeder.
 func BenchmarkFusedAgg(b *testing.B) {
 	const n = 1 << 20
 	o := workload.GenOrders(42, n, n/100+10, 1.1)
@@ -65,7 +69,7 @@ func BenchmarkFusedAgg(b *testing.B) {
 	must(b, tab.Writer().Int64("custkey", o.CustKey...).String("region", regions...).
 		Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close())
 	mustMerge(b, tab)
-	for _, sel := range []float64{0.10, 1.00} {
+	for _, sel := range []float64{0.01, 0.10, 1.00} {
 		day := o.OrderDay[int(sel*n)-1] // day ascends with the row
 		for _, g := range []string{"region", "custkey"} {
 			for _, v := range []string{"day", "amount"} {

@@ -56,7 +56,7 @@ import (
 // fixed-width tuples of int64 parts (an integer group value or a
 // dictionary code per GROUP BY column — never concatenated bytes, so no
 // separator byte can make two keys collide), every accumulator is
-// order-free (exact int64 ring arithmetic for BIGINT, the binned floatSum
+// order-free (exact int64 ring arithmetic for BIGINT, the binned num.FloatSum
 // for DOUBLE, int64 keys for MIN/MAX), so the table grid and the
 // filtered-relation grid give the same bits, and partials merge in morsel
 // order, which fixes the group order.  Charged counters are pure
@@ -83,8 +83,17 @@ type scanFeed struct {
 	// vals[i] is the BIGINT or DOUBLE input of aggregate i, nil when the
 	// aggregate needs no values (COUNT).
 	vals []colstore.Column
+	// synCol is the segment synopsis a morsel may fold from: the one
+	// GROUP BY column's schema index, -1 for the global synopsis, or
+	// noSynopsis under a wider GROUP BY; synVals[i] is aggregate i's input
+	// column's schema index.
+	synCol  int
+	synVals []int
 	aggShape
 }
+
+// noSynopsis marks an aggregation no segment synopsis answers.
+const noSynopsis = -2
 
 // scanFeed resolves the scan-window feeder, nil when the aggregation is
 // not scan-fed:
@@ -116,6 +125,17 @@ func (a *HashAgg) scanFeed() *scanFeed {
 	}
 	sf.groupTypes = make([]colstore.Type, len(a.GroupBy))
 	sf.valTypes = make([]colstore.Type, len(a.Aggs))
+	schema := b.Table.Schema()
+	sf.synCol, sf.synVals = noSynopsis, make([]int, len(a.Aggs))
+	switch len(a.GroupBy) {
+	case 0:
+		sf.synCol = -1
+	case 1:
+		sf.synCol = schema.ColIndex(a.GroupBy[0])
+	}
+	for i, spec := range a.Aggs {
+		sf.synVals[i] = schema.ColIndex(spec.Col)
+	}
 	for p, g := range a.GroupBy {
 		ci := b.index(g)
 		if ci < 0 || b.tmpl[ci].Type == colstore.Float64 {
@@ -125,8 +145,14 @@ func (a *HashAgg) scanFeed() *scanFeed {
 		switch gc := b.Cols[ci].(type) {
 		case *colstore.IntColumn:
 			sf.groups[p] = gc
+			if lo, hi, ok := gc.MinMax(); ok && len(a.GroupBy) == 1 {
+				sf.denseKey(lo, hi)
+			}
 		case *colstore.StringColumn:
 			sf.groups[p], sf.dicts[p] = gc.CodeColumn(), b.tmpl[ci].Dict
+			if len(a.GroupBy) == 1 {
+				sf.denseKey(0, int64(len(sf.dicts[p]))-1)
+			}
 		}
 	}
 	for i, spec := range a.Aggs {
@@ -157,11 +183,22 @@ func (sf *scanFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, erro
 
 // morsel filters rows [lo, hi) with the scan's own kernel — charging the
 // exact same scan counters — and folds the selected rows into a partial
-// table without materializing them.
+// table without materializing them: from the window's segment synopsis
+// when one answers it, otherwise off the stored columns.
 func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters) {
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
 	sel, w := sf.scan.selectRows(snap, lo, hi, sc)
+	if syn := sf.synopsis(sel, lo, hi); syn != nil {
+		t := sf.newTable(sf.dicts)
+		t.foldSynopsis(syn, sf.synVals)
+		// The same logical rows as a fold of the window (the scan stage's
+		// output, the aggregate stage's input and groups), but no row read.
+		n := uint64(hi - lo)
+		w.Add(energy.Counters{TuplesIn: n, TuplesOut: n + uint64(t.groups())})
+		w.Add(SynopsisWork(len(syn.Keys), len(sf.vals)))
+		return t, w
+	}
 	sc.rows = sel.AppendIndices(sc.rows[:0])
 	selCnt := len(sc.rows)
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
@@ -191,6 +228,37 @@ func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters
 		})
 	}
 	return t, w
+}
+
+// synopsis returns the segment synopsis morsel [lo, hi) folds from, or
+// nil when it streams its rows: the window must be exactly one sealed
+// segment that keeps a synopsis grouped by the GROUP BY column (the
+// global one with no GROUP BY), and every row of it selected — by the
+// predicates and by visibility at the snapshot, so a tombstoned row, or
+// one a merge kept for an older snapshot, makes the window stream.
+func (sf *scanFeed) synopsis(sel *vec.Bitvec, lo, hi int) *colstore.Synopsis {
+	if sf.synCol == noSynopsis {
+		return nil
+	}
+	syn := sf.scan.Table.Synopsis(lo, hi, sf.synCol)
+	if syn == nil || sel.Count() != hi-lo {
+		return nil
+	}
+	return syn
+}
+
+// SynopsisWork prices folding a segment synopsis of groups groups into a
+// partial table for aggs aggregates: per synopsis group a slot, its key
+// and count, and one accumulator per aggregate read and folded — the one
+// formula of the synopsis feeder, a function of the synopsis alone and
+// never of the segment's rows.
+func SynopsisWork(groups, aggs int) energy.Counters {
+	g := uint64(groups)
+	return energy.Counters{
+		Instructions:  g * uint64(10+4*aggs),
+		CacheMisses:   g,
+		BytesReadDRAM: g * 8 * uint64(2+aggs),
+	}
 }
 
 // scanFold is one morsel's fold of its selected rows (scratch rows) into

@@ -9,6 +9,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/energy"
 	"repro/internal/expr"
+	"repro/internal/num"
 )
 
 // Project keeps only the named columns, in order.
@@ -81,7 +82,7 @@ func (s *Sort) Run(ctx *Ctx) (*Relation, error) {
 		ra, rb := perm[a], perm[b]
 		for i, k := range s.Keys {
 			c := keyCols[i]
-			// A DOUBLE sorts in MIN/MAX's total order (minMaxKey:
+			// A DOUBLE sorts in MIN/MAX's total order (num.MinMaxKey:
 			// −0 < +0, NaN highest), so distinct keys never tie and
 			// the output does not depend on the input order.
 			var d int
@@ -89,7 +90,7 @@ func (s *Sort) Run(ctx *Ctx) (*Relation, error) {
 			case colstore.Int64:
 				d = cmp.Compare(c.I[ra], c.I[rb])
 			case colstore.Float64:
-				d = cmp.Compare(minMaxKey(c.F[ra]), minMaxKey(c.F[rb]))
+				d = cmp.Compare(num.MinMaxKey(c.F[ra]), num.MinMaxKey(c.F[rb]))
 			default:
 				d = strings.Compare(c.Str(int(ra)), c.Str(int(rb)))
 			}

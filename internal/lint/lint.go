@@ -123,7 +123,8 @@ func DefaultConfig() Config {
 		ExecPkgs:  []string{"repro/internal/exec"},
 		PoolFuncs: []string{"runPool", "runMorsels"},
 		HotStructs: map[string][]string{
-			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "floatSum", "morselScratch"},
+			"repro/internal/exec": {"partChunk", "pairChunk", "joinTable", "groupTable", "morselScratch"},
+			"repro/internal/num":  {"FloatSum"},
 		},
 		EnergyPkg:   "repro/internal/energy",
 		ServeRoot:   "repro/cmd/eimdb-serve",

@@ -1,11 +1,18 @@
-package exec
+// Package num is the engine's one exact aggregate arithmetic: the
+// DOUBLE sum (FloatSum), the BIGINT sum's ring rule (RingAdd) and the
+// total order MIN and MAX keep a DOUBLE in (MinMaxKey).  Every one of
+// them is order-free — a function of the multiset of its inputs — so the
+// aggregate fold, its partial merge and the column store's seal-time
+// segment synopses compute the same bits from any decomposition of the
+// same rows.
+package num
 
 import (
 	"math"
 	"math/bits"
 )
 
-// floatSum is the one DOUBLE accumulator behind SUM and AVG: a binned sum
+// FloatSum is the one DOUBLE accumulator behind SUM and AVG: a binned sum
 // whose state is a pure function of the multiset of its inputs, so every
 // morsel grid, worker count, feeder and merge order gives the same
 // bits.
@@ -29,13 +36,13 @@ import (
 // lose the rest.  A limb sums one chunk below 2^32 per input, so the limbs
 // are exact for fewer than 2^31 inputs per group.
 //
-// value rounds the windowed sum once, to nearest even: it is the
+// Value rounds the windowed sum once, to nearest even: it is the
 // correctly rounded sum of the windowed inputs.  NaN if any input was NaN
 // or both infinities were seen, otherwise the infinity seen; a sum that is
 // exactly zero — of zeros alone, or cancelling — is +0.
 //
 //lint:hotpath
-type floatSum struct {
+type FloatSum struct {
 	l     [3]int64 // exact chunk sums of bins top, top−1, top−2
 	top   int32    // 0 until a finite nonzero input arrives
 	flags uint8    // sumNaN | sumPosInf | sumNegInf
@@ -47,8 +54,8 @@ const (
 	sumNegInf
 )
 
-// add folds x into the sum.
-func (s *floatSum) add(x float64) {
+// Add folds x into the sum.
+func (s *FloatSum) Add(x float64) {
 	b := math.Float64bits(x)
 	e := int32(b>>52) & 0x7ff
 	m := b & (1<<52 - 1)
@@ -92,15 +99,15 @@ func (s *floatSum) add(x float64) {
 }
 
 // raise moves the window up to top, dropping the bins that fall out.
-func (s *floatSum) raise(top int32) {
+func (s *FloatSum) raise(top int32) {
 	d := min(top-s.top, 3)
 	copy(s.l[d:], s.l[:3-d])
 	clear(s.l[:d])
 	s.top = top
 }
 
-// merge folds o into s: limb addition once both windows are aligned.
-func (s *floatSum) merge(o floatSum) {
+// Merge folds o into s: limb addition once both windows are aligned.
+func (s *FloatSum) Merge(o FloatSum) {
 	s.flags |= o.flags
 	switch {
 	case o.top > s.top:
@@ -111,8 +118,8 @@ func (s *floatSum) merge(o floatSum) {
 	s.l[0], s.l[1], s.l[2] = s.l[0]+o.l[0], s.l[1]+o.l[1], s.l[2]+o.l[2]
 }
 
-// value returns the windowed sum, rounded once to nearest even.
-func (s *floatSum) value() float64 {
+// Value returns the windowed sum, rounded once to nearest even.
+func (s *FloatSum) Value() float64 {
 	switch {
 	case s.flags&sumNaN != 0 || s.flags&(sumPosInf|sumNegInf) == sumPosInf|sumNegInf:
 		return math.NaN()
@@ -151,3 +158,28 @@ func (s *floatSum) value() float64 {
 	}
 	return f
 }
+
+// MinMaxKey maps a DOUBLE onto an int64 whose order is the total order
+// MIN and MAX use: −Inf < … < −0 < +0 < … < +Inf < NaN (NaN sorts highest,
+// as in PostgreSQL; every NaN is one key).  It is the value's bits with a
+// negative value's magnitude bits flipped — a flip that, applied to the
+// key, gives the bits back (FromMinMaxKey).
+func MinMaxKey(f float64) int64 {
+	if f != f {
+		f = math.NaN()
+	}
+	k := int64(math.Float64bits(f))
+	return k ^ (k >> 63 & math.MaxInt64)
+}
+
+// FromMinMaxKey returns the DOUBLE whose MinMaxKey is k.
+func FromMinMaxKey(k int64) float64 {
+	return math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
+}
+
+// RingAdd returns sum plus n occurrences of v.  A BIGINT SUM is
+// arithmetic in the ring of int64 modulo 2^64: it wraps and is not
+// trapped, and because +, * and a partial merge's + are all operations of
+// that one ring, an overflowing SUM is the same wrapped value whether its
+// rows are added one at a time, a run at a time (n·v) or as partial sums.
+func RingAdd(sum, v, n int64) int64 { return sum + v*n }

@@ -1,4 +1,4 @@
-package exec
+package num
 
 import (
 	"encoding/binary"
@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// exactSum is the reference for floatSum: the specials by the same
+// exactSum is the reference for FloatSum: the specials by the same
 // rules, otherwise the exact sum of xs in math/big rounded once to
 // nearest even, and a zero sum as +0.
 func exactSum(xs []float64) float64 {
@@ -42,16 +42,16 @@ func exactSum(xs []float64) float64 {
 }
 
 // addAll folds every value of xs into s.
-func addAll(s *floatSum, xs []float64) {
+func addAll(s *FloatSum, xs []float64) {
 	for _, x := range xs {
-		s.add(x)
+		s.Add(x)
 	}
 }
 
 func sumOf(xs []float64) float64 {
-	var s floatSum
+	var s FloatSum
 	addAll(&s, xs)
-	return s.value()
+	return s.Value()
 }
 
 // bitSpan returns the absolute positions (0 = 2^-1074) of x's leading
@@ -123,21 +123,21 @@ func TestFloatSumMatchesBigOnAmounts(t *testing.T) {
 		xs[i] = float64(100+rng.IntN(999_900)) / 100
 	}
 	want := exactSum(xs)
-	var ref floatSum
+	var ref FloatSum
 	addAll(&ref, xs)
-	if got := ref.value(); got != want {
+	if got := ref.Value(); got != want {
 		t.Fatalf("sum = %x, math/big %x", math.Float64bits(got), math.Float64bits(want))
 	}
 	for trial := 0; trial < 3; trial++ {
 		rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 		a, b := rng.IntN(len(xs)), rng.IntN(len(xs))
 		a, b = min(a, b), max(a, b)
-		var parts [3]floatSum
+		var parts [3]FloatSum
 		addAll(&parts[0], xs[:a])
 		addAll(&parts[1], xs[a:b])
 		addAll(&parts[2], xs[b:])
-		parts[2].merge(parts[0])
-		parts[2].merge(parts[1])
+		parts[2].Merge(parts[0])
+		parts[2].Merge(parts[1])
 		if parts[2] != ref {
 			t.Fatalf("trial %d: shuffled 3-way split state %+v, serial %+v", trial, parts[2], ref)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFloatSum(b *testing.B) {
 		xs[i] = float64(100+rng.IntN(999_900)) / 100
 	}
 	for i := 0; i < b.N; i++ {
-		var s floatSum
+		var s FloatSum
 		addAll(&s, xs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/value")
@@ -180,7 +180,7 @@ func FuzzFloatSum(f *testing.F) {
 		for ; len(data) >= 8; data = data[8:] {
 			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 		}
-		var serial floatSum
+		var serial FloatSum
 		addAll(&serial, xs)
 		perm := append([]float64(nil), xs...)
 		rand.New(rand.NewPCG(seed, 0)).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -188,10 +188,10 @@ func FuzzFloatSum(f *testing.F) {
 		if len(perm) > 0 {
 			k = int(cut) % (len(perm) + 1)
 		}
-		var a, b floatSum
+		var a, b FloatSum
 		addAll(&a, perm[:k])
 		addAll(&b, perm[k:])
-		b.merge(a)
+		b.Merge(a)
 		if b != serial {
 			t.Fatalf("state depends on order or split: %+v vs %+v", b, serial)
 		}
@@ -205,7 +205,7 @@ func FuzzFloatSum(f *testing.F) {
 			}
 		}
 		if low >= lead-64 {
-			if got, want := serial.value(), exactSum(xs); !sameBits(got, want) {
+			if got, want := serial.Value(), exactSum(xs); !sameBits(got, want) {
 				t.Fatalf("sum = %x (%g), math/big %x (%g)", math.Float64bits(got), got, math.Float64bits(want), want)
 			}
 		}

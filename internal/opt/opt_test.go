@@ -82,7 +82,10 @@ func customersTable(t testing.TB) *colstore.Table {
 // unique column however many rows the stride took; ScanBytesPerValue
 // must match bit for bit — an estimate off by an ulp can flip a DOP
 // near-tie), refreshes are idempotent, and the registered table is the
-// live one.
+// live one.  The stored bytes count the segment synopses: orders keeps
+// one by region (5 values, also its global one) — 5 groups of 112 bytes
+// — customers one by segment (5, also its global one) and one by tier
+// (4): 9 groups of 64 bytes.
 func TestCatalogOneRegistry(t *testing.T) {
 	cat, orders := testCatalog(t, 10000)
 	cat.Add(customersTable(t))
@@ -95,7 +98,7 @@ func TestCatalogOneRegistry(t *testing.T) {
 				"region":  {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5154},
 				"amount":  {Type: colstore.Float64, ScanBytesPerValue: 8},
 			},
-			Storage: colstore.TableStorage{RawBytes: 0x4e272, StoredBytes: 0x1cf57, Cols: []colstore.ColumnStorage{
+			Storage: colstore.TableStorage{RawBytes: 0x4e272, StoredBytes: 0x1cf57 + 560, SynopsisBytes: 560, Cols: []colstore.ColumnStorage{
 				{Name: "id", RawBytes: 0x13880, StoredBytes: 0x2a75, Segments: seg("delta")},
 				{Name: "custkey", RawBytes: 0x13880, StoredBytes: 0x5840, Segments: seg("dict")},
 				{Name: "region", RawBytes: 0x138f2, StoredBytes: 0x1422, Segments: seg("dict")},
@@ -107,7 +110,7 @@ func TestCatalogOneRegistry(t *testing.T) {
 				"segment": {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5563333333333333},
 				"tier":    {Type: colstore.Int64, Min: 0, Max: 3, HasMinMax: true, Distinct: 4, ScanBytesPerValue: 0.392},
 			},
-			Storage: colstore.TableStorage{RawBytes: 0x119bd, StoredBytes: 0x17dd, Cols: []colstore.ColumnStorage{
+			Storage: colstore.TableStorage{RawBytes: 0x119bd, StoredBytes: 0x17dd + 576, SynopsisBytes: 576, Cols: []colstore.ColumnStorage{
 				{Name: "ckey", RawBytes: 0x5dc0, StoredBytes: 0xcc0, Segments: seg("delta")},
 				{Name: "segment", RawBytes: 0x5e3d, StoredBytes: 0x685, Segments: seg("dict")},
 				{Name: "tier", RawBytes: 0x5dc0, StoredBytes: 0x498, Segments: seg("dict")},
