@@ -3,9 +3,11 @@ package colstore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/energy"
 	"repro/internal/workload"
 )
@@ -308,6 +310,73 @@ func TestRebuildMergeMatchesRowwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebuildMarksExactlyTheKeptCodes: a rebuild's dictionary holds
+// exactly the values of kept rows however each code segment's codes are
+// marked — stated by a dictionary (segment 0), by runs (1), by a full
+// code range (3), or decoded (2, a sparse range) — and whether a segment
+// that loses a row is decoded (0, 3) or skipped because what it states is
+// already marked (4).  The retired row-by-row rebuild is the oracle.
+func TestRebuildMarksExactlyTheKeptCodes(t *testing.T) {
+	val := func(seg, i int) int {
+		switch seg {
+		case 0:
+			return 100 + 1000*(i%5)
+		case 1:
+			return 500 * (i / 1000)
+		case 2:
+			return (i*7919)%15000*2 + 1
+		case 3:
+			return 40000 + (i*7919)%10000
+		}
+		return 500 * (i % 10)
+	}
+	build := func() *Table {
+		tab := NewTable("m", Schema{{Name: "s", Type: String}})
+		var vals []string
+		for seg, n := range []int{SegSize, SegSize, SegSize, SegSize, 1000} {
+			for i := range n {
+				vals = append(vals, fmt.Sprintf("v%05d", val(seg, i)))
+			}
+		}
+		if err := tab.Writer().String("s", vals...).Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Merge(0); err != nil {
+			t.Fatal(err)
+		}
+		// v02100 (segment 0's alone) and v45000 (segment 3's) vanish; a
+		// row of segment 4 goes, whose values segment 1 keeps.
+		ts := tab.lastTS
+		for r := range tab.Rows() {
+			if v := tab.cols[0].(*StringColumn).Get(r); v == "v02100" || v == "v45000" || r == 4*SegSize+7 {
+				ts++
+				if err := tab.ApplyDelete(ts, 0, tab.RowID(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tab
+	}
+	got, want := build(), build()
+	codes := got.cols[0].(*StringColumn).codes
+	for si, enc := range []compress.Encoding{compress.Dict, compress.RLE, compress.Bitpack, compress.Bitpack, compress.Dict} {
+		s := codes.segs[si]
+		if _, stated := s.stated(new([]int64)); s.enc != enc || stated != (si != 2) {
+			t.Fatalf("segment %d sealed as %v (stated %v), want %v", si, s.enc, stated, enc)
+		}
+	}
+	if _, err := got.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rowwiseMerge(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "rebuild", got, want)
+	if dict := got.cols[0].(*StringColumn).Dict(); slices.Contains(dict, "v02100") || slices.Contains(dict, "v45000") {
+		t.Fatal("a vanished value is still in the dictionary")
 	}
 }
 

@@ -140,13 +140,36 @@ func (c *StringColumn) merge(drop []bool, kept, delta int) (Column, energy.Count
 // sorted order, the values a kept row uses — a new slice, so a Dict() a
 // reader holds is never rewritten — and the codes are remapped onto it
 // in the code domain and cut as appendBatch cuts them.
+//
+// The used codes come first from every segment that loses no row, from
+// what its layout states (intSegment.stated), decoding only a layout that
+// states nothing.  A segment that loses a row is decoded only when it
+// states a code no such segment marked; sealedFrom then decodes each
+// segment once more to remap it.
 func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
 	used := make([]bool, len(c.values))
 	var buf []int64
+	var losing []int // the segments that lose a row
 	for si, s := range c.codes.segs {
-		start := c.codes.starts[si]
+		if start := c.codes.starts[si]; drop != nil && slices.Contains(drop[start:start+s.length()], true) {
+			losing = append(losing, si)
+			continue
+		}
+		vals, ok := s.stated(&buf)
+		if !ok {
+			vals = s.values(&buf)
+		}
+		for _, code := range vals {
+			used[code] = true
+		}
+	}
+	for _, si := range losing {
+		s, start := c.codes.segs[si], c.codes.starts[si]
+		if vals, ok := s.stated(&buf); ok && !slices.ContainsFunc(vals, func(code int64) bool { return !used[code] }) {
+			continue // whatever it keeps is marked
+		}
 		for j, code := range s.values(&buf) {
-			if drop == nil || !drop[start+j] {
+			if !drop[start+j] {
 				used[code] = true
 			}
 		}

@@ -98,18 +98,27 @@ func BenchmarkFusedAgg(b *testing.B) {
 // BenchmarkFusedProbeAgg is the operator rung under the join_dim
 // workload: its two statements — SELECT segment, COUNT(*), SUM(day) FROM
 // orders JOIN customers ON custkey = ckey GROUP BY segment, unfiltered
-// and with tier = t — over a sealed 1 Mi-row orders table generated like
-// the benchmark's and its 10 495-row customers dimension, at DOP 1.  It
-// reports wall-clock ns per probe row and is never gated.
+// and with tier = t — and the unfiltered join grouped by the probe-side
+// region instead, over a sealed 1 Mi-row orders table generated like the
+// benchmark's and its 10 495-row customers dimension, at DOP 1.  A
+// build-side group resolves each unique key's rows straight to its fold
+// group in the window pass; a probe-side group folds match by match.  It
+// reports wall-clock ns per probe row beside the pass's deterministic
+// lookups and matches per probe row, and is never gated.
 func BenchmarkFusedProbeAgg(b *testing.B) {
 	const n = 1 << 20
 	const nCust = n/100 + 10
 	o := workload.GenOrders(42, n, nCust, 1.1)
+	regions := make([]string, n)
+	for i, r := range o.Region {
+		regions[i] = workload.RegionNames[r]
+	}
 	orders := colstore.NewTable("orders", colstore.Schema{
 		{Name: "custkey", Type: colstore.Int64},
+		{Name: "region", Type: colstore.String},
 		{Name: "day", Type: colstore.Int64},
 	})
-	must(b, orders.Writer().Int64("custkey", o.CustKey...).Int64("day", o.OrderDay...).Close())
+	must(b, orders.Writer().Int64("custkey", o.CustKey...).String("region", regions...).Int64("day", o.OrderDay...).Close())
 	mustMerge(b, orders)
 	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY"}
 	ckey, segment, tier := make([]int64, nCust), make([]string, nCust), make([]int64, nCust)
@@ -125,27 +134,42 @@ func BenchmarkFusedProbeAgg(b *testing.B) {
 	must(b, customers.Writer().Int64("ckey", ckey...).String("segment", segment...).Int64("tier", tier...).Close())
 	mustMerge(b, customers)
 	for _, stmt := range []struct {
-		name  string
-		preds []expr.Pred
-	}{{"unfiltered", nil}, {"tier=3", []expr.Pred{{Col: "tier", Op: vec.EQ, Val: expr.IntVal(3)}}}} {
-		name, preds := stmt.name, stmt.preds
-		a := &HashAgg{GroupBy: []string{"segment"},
+		name, group string
+		preds       []expr.Pred
+	}{
+		{"unfiltered", "segment", nil},
+		{"tier=3", "segment", []expr.Pred{{Col: "tier", Op: vec.EQ, Val: expr.IntVal(3)}}},
+		{"probe-group", "region", nil},
+	} {
+		name := stmt.name
+		a := &HashAgg{GroupBy: []string{stmt.group},
 			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "day"}},
 			Child: &Join{LeftKey: "custkey", RightKey: "ckey",
-				Left:  &Scan{Source: orders, Select: []string{"custkey", "day"}},
-				Right: &Scan{Source: customers, Select: []string{"ckey", "segment"}, Preds: preds}}}
+				Left:  &Scan{Source: orders, Select: []string{"custkey", "region", "day"}},
+				Right: &Scan{Source: customers, Select: []string{"ckey", "segment"}, Preds: stmt.preds}}}
 		if a.fusion() != "fused probe→agg" {
 			b.Fatalf("%s: the join does not fold its matches", name)
 		}
 		b.Run(name, func(b *testing.B) {
+			var c *ProbeCounts
 			for i := 0; i < b.N; i++ {
 				ctx := NewCtx()
 				ctx.Lease = NewLease(1)
 				if _, err := a.Run(ctx); err != nil {
 					b.Fatal(err)
 				}
+				for _, op := range ctx.OpReports {
+					if op.Probe != nil {
+						c = op.Probe
+					}
+				}
+			}
+			if c == nil {
+				b.Fatalf("%s: no lookup phase in the trace", name)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			b.ReportMetric(float64(c.Keys)/n, "keys/row")
+			b.ReportMetric(float64(c.Matches)/n, "matches/row")
 		})
 	}
 }

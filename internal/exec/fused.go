@@ -530,8 +530,11 @@ func pointReads(n int, codes bool) energy.Counters {
 // otherwise) and looks each distinct one up once, on first sight, through
 // a code memo (the dictionary is touched once per code); an RLE span
 // looks up once per run of equal selected keys; every other span
-// (bitpack, delta, raw, the unsealed tail) each row.
-func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
+// (bitpack, delta, raw, the unsealed tail) each row.  Under the fold
+// sink a direct key's rows (joinRun.resolve) write their one match each
+// straight into the fold's vectors — group, probe row and, when an
+// aggregate reads the build side, build row — and leave no hit.
+func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, fold *probeFold, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
 	nrows := hi - lo
 	sel, w := sp.b.selectRows(snap, lo, hi, sc)
 	pw := probeWindow{n: sel.Count()}
@@ -552,11 +555,16 @@ func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, folding b
 	// (snapshot, predicates, grid), and no 8-byte key re-stream follows: the
 	// decode pays the physical bytes — the saving the fused feed exists for.
 	pw.dense = pw.n == nrows
-	if folding {
+	var gids, probeAt, buildAt []int32 // the fold's vectors, for direct rows
+	buildRows := false                 // whether an aggregate reads a build row
+	if fold != nil {
 		pw.dense = pw.n*8 >= nrows
+		w.Add(fold.bind(sc, pw.sel, lo, hi, pw.dense))
+		gids, probeAt, buildAt = sc.gids[:MorselRows], sc.probeAt[:MorselRows], sc.buildAt[:MorselRows]
+		buildRows = fold.pf.price.BuildVals > 0
 	}
 	keys := window(&sc.keys, nrows)
-	points, codes := 0, 0 // a sparse window's point reads of values, of codes
+	points, codes, direct := 0, 0, 0 // a sparse window's point reads of values, of codes; direct rows
 	sc.spans = sp.keyInts.AppendSpans(sc.spans[:0], lo, hi)
 	for _, s := range sc.spans {
 		a, b := s.A-lo, s.B-lo
@@ -576,16 +584,29 @@ func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, folding b
 				}
 				codes += len(at)
 			}
+			// A code's resolution, and a direct code's build row beside it.
+			// The loop writes no build row: a fold that reads the build side
+			// fills in the span's direct rows' afterwards, off the hot loop.
 			dict := s.DictVals()
-			sc.memo = sized(sc.memo, len(dict))
-			memo := sc.memo
+			sc.memo, sc.memoRows = sized(sc.memo, len(dict)), sized(sc.memoRows, len(dict))
+			memo, span := sc.memo, direct
 			for j, r := range at {
-				m := memo[keys[r]]
+				k := keys[r]
+				m := memo[k]
 				if m == 0 {
-					m = jr.lookup(sc, dict[keys[r]], c) + 2
-					memo[keys[r]] = m
+					m, sc.memoRows[k] = jr.resolve(sc, dict[k], c, fold)
+					memo[k] = m
 				}
-				hits[j] = m - 2
+				if m > 0 {
+					hits[j] = m - 2
+					continue
+				}
+				hits[j] = -1
+				gids[direct], probeAt[direct] = ^m, r
+				direct++
+			}
+			for d := span; buildRows && d < direct; d++ {
+				buildAt[d] = sc.memoRows[keys[probeAt[d]]]
 			}
 			continue
 		}
@@ -597,18 +618,53 @@ func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, folding b
 			}
 			points += len(at)
 		}
-		h := int32(-1)
+		var m, br int32
 		for j, r := range at {
 			if j == 0 || s.Enc != compress.RLE || keys[r] != keys[at[j-1]] {
-				h = jr.lookup(sc, keys[r], c)
+				m, br = jr.resolve(sc, keys[r], c, fold)
 			}
-			hits[j] = h
+			if m > 0 {
+				hits[j] = m - 2
+				continue
+			}
+			hits[j] = -1
+			gids[direct], probeAt[direct], buildAt[direct] = ^m, r, br
+			direct++
 		}
+	}
+	if fold != nil {
+		sc.gids, sc.probeAt, sc.buildAt = gids[:direct], probeAt[:direct], buildAt[:direct]
+		c.Matches += direct
 	}
 	typ, _ := sp.keyDomain()
 	w.Add(pointReads(points, typ == colstore.String))
 	w.Add(pointReads(codes, true))
 	return pw, w
+}
+
+// resolve looks key k up (joinRun.lookup) and returns its resolution
+// within its span: its hit index + 2 (1: no match) — or, for a direct
+// key, ^group (negative) and its build row r.  Under a fold whose group
+// does not depend on the probe row — a build-side group or the global
+// group — the key's groups are slotted at its lookup, in chain order, so
+// the table's first-seen group order stays probe-row order.  A collapsed
+// key is then direct: its group and build row are resolved once per span
+// and its rows fold without a hit.  A chained key's matches still walk
+// its chain in probeMorsel, and so does every key under the pair sink or
+// a probe-side group.
+func (jr *joinRun) resolve(sc *morselScratch, k int64, c *ProbeCounts, fold *probeFold) (v, r int32) {
+	h := jr.lookup(sc, k, c)
+	if h < 0 || fold == nil || fold.pf.group.win >= 0 {
+		return h + 2, 0
+	}
+	hit := &sc.res[h]
+	if hit.one {
+		return ^fold.group(0, hit.r), hit.r
+	}
+	for e := hit.e; e != -1; e = hit.t.next[e] {
+		fold.group(0, hit.t.rows[e])
+	}
+	return h + 2, 0
 }
 
 // gather materializes the probe side of the join output: the key column
@@ -820,26 +876,17 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	return w
 }
 
-// hit buffers the match of probe row i with build row r of h for the
-// fold.  Matches arrive in probe-row order with build rows ascending
-// within duplicates — the pair path's output order — so the table's
-// first-seen group order is the materialized join's.  A collapsed key
-// (one build row) whose group does not depend on the probe row resolves
-// its group once, at its first match; every later row sharing the key
-// skips the resolution.
-func (f *probeFold) hit(h *probeHit, i int, r int32) {
-	g, collapse := h.g-1, h.one && f.groupWin == nil
-	if !collapse || g < 0 {
-		g = f.group(i, r)
-		if collapse {
-			h.g = g + 1
-		}
-	}
+// hit buffers the match of window-local probe row i with build row r for
+// the fold.  Matches arrive in probe-row order with build rows ascending
+// within duplicates — the pair path's output order — and a direct key's
+// groups were slotted at its lookup in that order (joinRun.resolve), so
+// the table's first-seen group order is the materialized join's.
+func (f *probeFold) hit(i int, r int32) {
 	sc := f.sc
 	if len(sc.gids) == MorselRows {
 		f.foldMatches(sc)
 	}
-	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, g), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
+	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, f.group(i, r)), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
 }
 
 // group resolves the group of the match (probe row i, build row r).

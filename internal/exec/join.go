@@ -34,7 +34,9 @@ import (
 //	            morsel order and gathered into the output relation — or
 //	            fold straight into a partial aggregate (fused.go's
 //	            probeFold), in chunks of at most MorselRows matches, so no
-//	            pair list is materialized at all.
+//	            pair list is materialized at all.  Under a build-side or
+//	            global group a unique key resolves to its fold group once
+//	            per span, and its rows fold with no per-match step.
 //
 // A tiny input is nothing special: RadixBits(n) == 0 gives one table, one
 // morsel runs on one worker.  There is no serial twin, no row threshold
@@ -126,10 +128,10 @@ type probeSource interface {
 	fused() bool
 	// window filters rows [lo, hi) and resolves the selected rows' keys
 	// (joinRun.lookup, counted in c) into sc.hits, one per selected row,
-	// in the room probeMorsel reserved;
-	// folding picks the fold sink's density rule, the verdict the fold's
-	// own probe-side windows then follow.
-	window(snap int64, lo, hi int, sc *morselScratch, folding bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters)
+	// in the room probeMorsel reserved.  Under the fold sink (fold non-nil)
+	// it binds the fold at the fold's density rule, and a direct key's rows
+	// (joinRun.resolve) write their matches straight into the fold.
+	window(snap int64, lo, hi int, sc *morselScratch, fold *probeFold, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters)
 	// gather materializes the probe side of the output at the matched
 	// rows; keys are the matches' probe keys, carried for a fused source.
 	gather(keys []int64, rows []int32) (*Relation, energy.Counters)
@@ -157,7 +159,7 @@ func (rp *relProbe) keyDomain() (colstore.Type, []string) {
 func (rp *relProbe) rows(int64) int { return rp.rel.N }
 func (rp *relProbe) fused() bool    { return false }
 
-func (rp *relProbe) window(_ int64, lo, hi int, sc *morselScratch, _ bool, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
+func (rp *relProbe) window(_ int64, lo, hi int, sc *morselScratch, _ *probeFold, jr *joinRun, c *ProbeCounts) (probeWindow, energy.Counters) {
 	sc.hits = sc.hits[:hi-lo]
 	for i, k := range rp.key.I[lo:hi] {
 		sc.hits[i] = jr.lookup(sc, k, c)
@@ -309,19 +311,17 @@ func sameDict(a, b []string) bool {
 // their matches in probe-row order.  Matches go to one of two sinks: with
 // fold nil they are emitted as row pairs (the join feeds an arbitrary
 // consumer); otherwise each match folds straight into fold's partial
-// aggregate and no pair is ever written.  The lookup phase is priced by
-// the caller, once per pass, from the returned counts.
+// aggregate and no pair is ever written — a direct key's matches already
+// in the window pass, every other key's here.  The lookup phase is priced
+// by the caller, once per pass, from the returned counts.
 func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChunk, ProbeCounts, energy.Counters) {
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
 	sc.hits, sc.res = room(sc.hits, hi-lo), sc.res[:0]
 	var c ProbeCounts
-	pw, w := jr.src.window(snap, lo, hi, sc, fold != nil, jr, &c)
+	pw, w := jr.src.window(snap, lo, hi, sc, fold, jr, &c)
 	if c.Rows = pw.n; pw.n == 0 {
 		return pairChunk{}, c, w
-	}
-	if fold != nil {
-		w.Add(fold.bind(sc, pw.sel, lo, hi, pw.dense))
 	}
 
 	var pc pairChunk
@@ -352,7 +352,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 			}
 			matches++
 			if fold != nil {
-				fold.hit(hit, i, r)
+				fold.hit(i, r)
 			} else {
 				pc.l, pc.r = append(pc.l, int32(lo+i)), append(pc.r, r)
 				if carry {
@@ -361,7 +361,7 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 			}
 		}
 	}
-	c.Matches, c.Touches = matches, c.Touches+touches
+	c.Matches, c.Touches = c.Matches+matches, c.Touches+touches
 	if fold != nil {
 		fold.flush()
 		w.TuplesOut += uint64(fold.t.groups())
@@ -373,13 +373,12 @@ func (jr *joinRun) probeMorsel(snap int64, lo, hi int, fold *probeFold) (pairChu
 
 // probeHit is one resolved probe key of a morsel: its table and chain
 // head.  A key with one build row (one, collapsed) read that row r at its
-// lookup, and memoizes its fold group in g (plus one; 0 unresolved) when
-// the group does not depend on the probe row.
+// lookup.
 type probeHit struct {
-	t       *joinTable
-	k       int64
-	e, r, g int32 // chain head; a collapsed key's build row; its group + 1
-	one     bool
+	t    *joinTable
+	k    int64
+	e, r int32 // chain head; a collapsed key's build row
+	one  bool
 }
 
 // iota32 is the window-local row list of a fully selected window.

@@ -112,17 +112,18 @@ type morselScratch struct {
 	// A fold's resolved rows: gids[j] is the group of the j-th folded row,
 	// ins[ai] aggregate ai's input (groupTable.fold).  A probe fold's j-th
 	// row is match j, probe row probeAt[j] and build row buildAt[j]; it
-	// holds at most MorselRows matches (probeFold.match).
+	// holds at most MorselRows matches (probeFold.hit).
 	gids, probeAt, buildAt []int32
 	ins                    []foldIn
 	slots                  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
 	spans                  []colstore.SegSpan
-	// A probe window's dictionary span memo (code → hit + 2, 0 unseen),
-	// each selected row's hit index (-1: no match) and the hits
-	// (joinRun.lookup).
-	memo []int32
-	hits []int32
-	res  []probeHit
+	// A probe window's dictionary span memo (code → its resolution,
+	// joinRun.resolve; 0 unseen) and a direct code's build row, each
+	// selected row's hit index (-1: no match, or a direct key's) and the
+	// hits (joinRun.lookup).
+	memo, memoRows []int32
+	hits           []int32
+	res            []probeHit
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}

@@ -81,8 +81,10 @@ func probeKeyTable(t testing.TB, layout string) (*colstore.Table, []int64, []int
 
 // probeKeyBuild is the build side over the probe's distinct keys: once
 // each (unique), twice and every fifth thrice (duplicated), every other
-// one plus keys no probe row has (absent), or once each keyed by its
-// string with extra strings, so the build codes translate ([translate]).
+// one plus keys no probe row has (absent), a third each once, twice and
+// not at all, so one span holds collapsed, chained and absent keys
+// (mixed), or once each keyed by its string with extra strings, so the
+// build codes translate ([translate]).
 func probeKeyBuild(t testing.TB, kind string, probeKeys []int64) *colstore.Table {
 	t.Helper()
 	distinct := slices.Compact(slices.Sorted(slices.Values(probeKeys)))
@@ -99,6 +101,8 @@ func probeKeyBuild(t testing.TB, kind string, probeKeys []int64) *colstore.Table
 				bk = append(bk, k)
 			}
 			bk = append(bk, -1-k)
+		case "mixed":
+			bk = append(bk, slices.Repeat([]int64{k}, i%3)...)
 		default:
 			bk = append(bk, k)
 		}
@@ -179,8 +183,9 @@ func lookupCounts(t *testing.T, ctx *Ctx) ProbeCounts {
 // key multiplicity, sink, probe selectivity and DOP, the fused probe's
 // relation equals the relation probe's (the same plan with its probe
 // scan hidden) and the map oracle's, its relation and counters are
-// identical at DOP 1 and 8, and its lookup phase resolves exactly the
-// distinct selected keys of each span.
+// identical at DOP 1 and 8, its lookup phase resolves exactly the
+// distinct selected keys of each span, and every fold sink's lookup
+// counts are the pair sink's.
 func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 	sinks := []struct {
 		name    string
@@ -195,7 +200,7 @@ func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 		if segs := pk.Storage().Segments; segs[wantEnc[layout]] == 0 || (layout == "tail") != (segs["raw"] > 0) {
 			t.Fatalf("%s: the probe key sealed as %v", layout, segs)
 		}
-		for _, build := range []string{"unique", "duplicated", "absent", "varchar"} {
+		for _, build := range []string{"unique", "duplicated", "absent", "mixed", "varchar"} {
 			bt := probeKeyBuild(t, build, keys)
 			lk, rk := "pk", "bk"
 			keyCol := pk
@@ -211,6 +216,7 @@ func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 					preds = []expr.Pred{{Col: "sel", Op: vec.LT, Val: expr.IntVal(pct)}}
 				}
 				wantRows, wantKeys := expectedProbeKeys(keyCol, func(r int) bool { return selCol[r] < pct })
+				var pairCounts ProbeCounts // sinks[0]'s
 				for _, sink := range sinks {
 					groupBy := sink.groupBy
 					name := fmt.Sprintf("%s/%s/sel=%d%%/%s", layout, build, pct, sink.name)
@@ -255,6 +261,11 @@ func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 					if got.Matches != all.Matches || all.Keys != wantRows || (groupBy == nil && got.Matches != rel1.N) {
 						t.Fatalf("%s: fused %+v vs relation probe %+v", name, got, all)
 					}
+					if groupBy == nil {
+						pairCounts = got
+					} else if got != pairCounts {
+						t.Fatalf("%s: the fold sink counts %+v, the pair sink %+v", name, got, pairCounts)
+					}
 				}
 			}
 		}
@@ -264,7 +275,8 @@ func TestFusedProbeResolvesEachKeyOnce(t *testing.T) {
 // FuzzFusedProbe draws a probe key multiset (random keys or runs of
 // one), a sealed table with an unsealed tail or an unsealed one, a build
 // side whose keys repeat or are absent, and a random selection, and
-// checks the fused probe's pairs and folds against the relation probe's.
+// checks the fused probe's pairs and folds against the relation probe's,
+// and each fold's lookup counts against the fused pair sink's.
 func FuzzFusedProbe(f *testing.F) {
 	f.Add(uint64(1), uint16(3000), uint16(200), uint8(0), uint8(1), true, uint8(100))
 	f.Add(uint64(2), uint16(4000), uint16(50), uint8(40), uint8(3), true, uint8(30))
@@ -308,6 +320,7 @@ func FuzzFusedProbe(f *testing.F) {
 
 		preds := []expr.Pred{{Col: "sel", Op: vec.LT, Val: expr.IntVal(int64(selPct % 101))}}
 		aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "pv"}}
+		var pairCounts ProbeCounts // the pair sink's, run first
 		for _, groupBy := range [][]string{nil, {"bg"}, {}} {
 			plan := func(hide bool) Node {
 				var left Node = &Scan{Source: probe, Select: []string{"pk", "pv"}, Preds: preds}
@@ -320,10 +333,15 @@ func FuzzFusedProbe(f *testing.F) {
 				}
 				return &HashAgg{Child: j, GroupBy: groupBy, Aggs: aggs}
 			}
-			got, _ := runPlan(t, plan(false), 2)
+			got, ctx := runPlan(t, plan(false), 2)
 			want, _ := runPlan(t, plan(true), 2)
 			if !got.Equal(want) {
 				t.Fatalf("GROUP BY %v: fused %d rows, relation probe %d, or rows differ", groupBy, got.N, want.N)
+			}
+			if counts := lookupCounts(t, ctx); groupBy == nil {
+				pairCounts = counts
+			} else if counts != pairCounts {
+				t.Fatalf("GROUP BY %v: the fold counts %+v, the pair sink %+v", groupBy, counts, pairCounts)
 			}
 		}
 	})
