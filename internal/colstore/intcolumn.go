@@ -142,32 +142,17 @@ func (s *intSegment) values(buf *[]int64) []int64 {
 }
 
 // stated returns the values the segment holds as its layout states them,
-// without decoding a row — a dictionary's values, the runs' values, the
-// raw values, or the min..max range its distinct count fills (exact: a
-// segment holds at most SegSize = compress.DistinctCap rows) — into *buf
-// where they need a slice.  Every value the segment holds is returned,
-// and no other, repeats allowed; ok is false for a layout that states
-// nothing short of a decode.
-func (s *intSegment) stated(buf *[]int64) (vals []int64, ok bool) {
-	vals = (*buf)[:0]
+// without decoding a row: the raw values, or a dictionary's values.
+// Every value the segment holds is returned, and no other; ok is false
+// for a layout that states nothing short of a decode.
+func (s *intSegment) stated() (vals []int64, ok bool) {
 	switch {
 	case !s.sealed || s.enc == compress.Raw:
 		return s.raw, true
 	case s.enc == compress.Dict:
 		return s.dictVals, true
-	case s.enc == compress.RLE:
-		for _, r := range s.runs {
-			vals = append(vals, r.Value)
-		}
-	case uint64(s.max)-uint64(s.min) == uint64(s.distinct-1):
-		for v := s.min; len(vals) < s.distinct; v++ {
-			vals = append(vals, v)
-		}
-	default:
-		return nil, false
 	}
-	*buf = vals
-	return vals, true
+	return nil, false
 }
 
 // sealedFrom builds the sealed column of src's rows whose drop bit is

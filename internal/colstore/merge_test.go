@@ -315,28 +315,26 @@ func TestRebuildMergeMatchesRowwise(t *testing.T) {
 
 // TestRebuildMarksExactlyTheKeptCodes: a rebuild's dictionary holds
 // exactly the values of kept rows however each code segment's codes are
-// marked — stated by a dictionary (segment 0), by runs (1), by a full
-// code range (3), or decoded (2, a sparse range) — and whether a segment
-// that loses a row is decoded (0, 3) or skipped because what it states is
-// already marked (4).  The retired row-by-row rebuild is the oracle.
+// marked — stated by a dictionary (segment 1) or decoded (2, bitpacked)
+// — and whether a segment that loses a row is decoded (0) or skipped
+// because what it states is already marked (3).  The retired row-by-row
+// rebuild is the oracle.
 func TestRebuildMarksExactlyTheKeptCodes(t *testing.T) {
 	val := func(seg, i int) int {
 		switch seg {
 		case 0:
 			return 100 + 1000*(i%5)
 		case 1:
-			return 500 * (i / 1000)
+			return 2*(i%20) + 2
 		case 2:
 			return (i*7919)%15000*2 + 1
-		case 3:
-			return 40000 + (i*7919)%10000
 		}
-		return 500 * (i % 10)
+		return 2*(i%10) + 2
 	}
 	build := func() *Table {
 		tab := NewTable("m", Schema{{Name: "s", Type: String}})
 		var vals []string
-		for seg, n := range []int{SegSize, SegSize, SegSize, SegSize, 1000} {
+		for seg, n := range []int{SegSize, SegSize, SegSize, 1000} {
 			for i := range n {
 				vals = append(vals, fmt.Sprintf("v%05d", val(seg, i)))
 			}
@@ -347,11 +345,11 @@ func TestRebuildMarksExactlyTheKeptCodes(t *testing.T) {
 		if _, err := tab.Merge(0); err != nil {
 			t.Fatal(err)
 		}
-		// v02100 (segment 0's alone) and v45000 (segment 3's) vanish; a
-		// row of segment 4 goes, whose values segment 1 keeps.
+		// v02100 (segment 0's alone) vanishes; a row of segment 3 goes,
+		// whose values segment 1 keeps.
 		ts := tab.lastTS
 		for r := range tab.Rows() {
-			if v := tab.cols[0].(*StringColumn).Get(r); v == "v02100" || v == "v45000" || r == 4*SegSize+7 {
+			if tab.cols[0].(*StringColumn).Get(r) == "v02100" || r == 3*SegSize+7 {
 				ts++
 				if err := tab.ApplyDelete(ts, 0, tab.RowID(r)); err != nil {
 					t.Fatal(err)
@@ -362,9 +360,9 @@ func TestRebuildMarksExactlyTheKeptCodes(t *testing.T) {
 	}
 	got, want := build(), build()
 	codes := got.cols[0].(*StringColumn).codes
-	for si, enc := range []compress.Encoding{compress.Dict, compress.RLE, compress.Bitpack, compress.Bitpack, compress.Dict} {
+	for si, enc := range []compress.Encoding{compress.Dict, compress.Dict, compress.Bitpack, compress.Dict} {
 		s := codes.segs[si]
-		if _, stated := s.stated(new([]int64)); s.enc != enc || stated != (si != 2) {
+		if _, stated := s.stated(); s.enc != enc || stated != (si != 2) {
 			t.Fatalf("segment %d sealed as %v (stated %v), want %v", si, s.enc, stated, enc)
 		}
 	}
@@ -375,7 +373,7 @@ func TestRebuildMarksExactlyTheKeptCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTable(t, "rebuild", got, want)
-	if dict := got.cols[0].(*StringColumn).Dict(); slices.Contains(dict, "v02100") || slices.Contains(dict, "v45000") {
+	if slices.Contains(got.cols[0].(*StringColumn).Dict(), "v02100") {
 		t.Fatal("a vanished value is still in the dictionary")
 	}
 }

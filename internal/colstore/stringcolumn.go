@@ -155,7 +155,7 @@ func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
 			losing = append(losing, si)
 			continue
 		}
-		vals, ok := s.stated(&buf)
+		vals, ok := s.stated()
 		if !ok {
 			vals = s.values(&buf)
 		}
@@ -165,7 +165,7 @@ func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
 	}
 	for _, si := range losing {
 		s, start := c.codes.segs[si], c.codes.starts[si]
-		if vals, ok := s.stated(&buf); ok && !slices.ContainsFunc(vals, func(code int64) bool { return !used[code] }) {
+		if vals, ok := s.stated(); ok && !slices.ContainsFunc(vals, func(code int64) bool { return !used[code] }) {
 			continue // whatever it keeps is marked
 		}
 		for j, code := range s.values(&buf) {

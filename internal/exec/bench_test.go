@@ -98,13 +98,16 @@ func BenchmarkFusedAgg(b *testing.B) {
 // BenchmarkFusedProbeAgg is the operator rung under the join_dim
 // workload: its two statements — SELECT segment, COUNT(*), SUM(day) FROM
 // orders JOIN customers ON custkey = ckey GROUP BY segment, unfiltered
-// and with tier = t — and the unfiltered join grouped by the probe-side
-// region instead, over a sealed 1 Mi-row orders table generated like the
+// and with tier = t — the unfiltered join grouped by the probe-side
+// region instead, and a join on duplicate keys (two customers per pair)
+// probed by uniform keys, so each row looks its key up, grouped by the
+// BIGINT tier, over a sealed 1 Mi-row orders table generated like the
 // benchmark's and its 10 495-row customers dimension, at DOP 1.  A
 // build-side group resolves each unique key's rows straight to its fold
-// group in the window pass; a probe-side group folds match by match.  It
-// reports wall-clock ns per probe row beside the pass's deterministic
-// lookups and matches per probe row, and is never gated.
+// group in the window pass; a probe-side group or a duplicate key folds
+// match by match.  It reports wall-clock ns per probe row beside the
+// pass's deterministic lookups and matches per probe row, and is never
+// gated.
 func BenchmarkFusedProbeAgg(b *testing.B) {
 	const n = 1 << 20
 	const nCust = n/100 + 10
@@ -113,40 +116,48 @@ func BenchmarkFusedProbeAgg(b *testing.B) {
 	for i, r := range o.Region {
 		regions[i] = workload.RegionNames[r]
 	}
+	rkey := make([]int64, n) // uniform keys: bitpacked, so each row looks up
+	rng := workload.NewRNG(7)
+	for i := range rkey {
+		rkey[i] = int64(rng.Intn(nCust))
+	}
 	orders := colstore.NewTable("orders", colstore.Schema{
 		{Name: "custkey", Type: colstore.Int64},
+		{Name: "rkey", Type: colstore.Int64},
 		{Name: "region", Type: colstore.String},
 		{Name: "day", Type: colstore.Int64},
 	})
-	must(b, orders.Writer().Int64("custkey", o.CustKey...).String("region", regions...).Int64("day", o.OrderDay...).Close())
+	must(b, orders.Writer().Int64("custkey", o.CustKey...).Int64("rkey", rkey...).String("region", regions...).Int64("day", o.OrderDay...).Close())
 	mustMerge(b, orders)
 	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY"}
-	ckey, segment, tier := make([]int64, nCust), make([]string, nCust), make([]int64, nCust)
-	rng := workload.NewRNG(42 ^ 0xC0575EED)
+	ckey, pair, segment, tier := make([]int64, nCust), make([]int64, nCust), make([]string, nCust), make([]int64, nCust)
+	rng = workload.NewRNG(42 ^ 0xC0575EED)
 	for i := range ckey {
-		ckey[i], segment[i], tier[i] = int64(i), segments[rng.Intn(len(segments))], int64(rng.Intn(10))
+		ckey[i], pair[i], segment[i], tier[i] = int64(i), int64(i/2), segments[rng.Intn(len(segments))], int64(rng.Intn(10))
 	}
 	customers := colstore.NewTable("customers", colstore.Schema{
 		{Name: "ckey", Type: colstore.Int64},
+		{Name: "pair", Type: colstore.Int64},
 		{Name: "segment", Type: colstore.String},
 		{Name: "tier", Type: colstore.Int64},
 	})
-	must(b, customers.Writer().Int64("ckey", ckey...).String("segment", segment...).Int64("tier", tier...).Close())
+	must(b, customers.Writer().Int64("ckey", ckey...).Int64("pair", pair...).String("segment", segment...).Int64("tier", tier...).Close())
 	mustMerge(b, customers)
 	for _, stmt := range []struct {
-		name, group string
-		preds       []expr.Pred
+		name, probeKey, key, group string
+		preds                      []expr.Pred
 	}{
-		{"unfiltered", "segment", nil},
-		{"tier=3", "segment", []expr.Pred{{Col: "tier", Op: vec.EQ, Val: expr.IntVal(3)}}},
-		{"probe-group", "region", nil},
+		{"unfiltered", "custkey", "ckey", "segment", nil},
+		{"tier=3", "custkey", "ckey", "segment", []expr.Pred{{Col: "tier", Op: vec.EQ, Val: expr.IntVal(3)}}},
+		{"probe-group", "custkey", "ckey", "region", nil},
+		{"dup-keys", "rkey", "pair", "tier", nil},
 	} {
 		name := stmt.name
 		a := &HashAgg{GroupBy: []string{stmt.group},
 			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "day"}},
-			Child: &Join{LeftKey: "custkey", RightKey: "ckey",
-				Left:  &Scan{Source: orders, Select: []string{"custkey", "region", "day"}},
-				Right: &Scan{Source: customers, Select: []string{"ckey", "segment"}, Preds: stmt.preds}}}
+			Child: &Join{LeftKey: stmt.probeKey, RightKey: stmt.key,
+				Left:  &Scan{Source: orders, Select: []string{stmt.probeKey, "region", "day"}},
+				Right: &Scan{Source: customers, Select: []string{stmt.key, "segment", "tier"}, Preds: stmt.preds}}}
 		if a.fusion() != "fused probe→agg" {
 			b.Fatalf("%s: the join does not fold its matches", name)
 		}

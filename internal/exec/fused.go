@@ -588,7 +588,7 @@ func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, fold *pro
 			// The loop writes no build row: a fold that reads the build side
 			// fills in the span's direct rows' afterwards, off the hot loop.
 			dict := s.DictVals()
-			sc.memo, sc.memoRows = sized(sc.memo, len(dict)), sized(sc.memoRows, len(dict))
+			sc.memo, sc.memoRows = sized(sc.memo, len(dict)), room(sc.memoRows, len(dict))[:len(dict)]
 			memo, span := sc.memo, direct
 			for j, r := range at {
 				k := keys[r]
@@ -644,26 +644,23 @@ func (sp *scanProbe) window(snap int64, lo, hi int, sc *morselScratch, fold *pro
 
 // resolve looks key k up (joinRun.lookup) and returns its resolution
 // within its span: its hit index + 2 (1: no match) — or, for a direct
-// key, ^group (negative) and its build row r.  Under a fold whose group
-// does not depend on the probe row — a build-side group or the global
-// group — the key's groups are slotted at its lookup, in chain order, so
-// the table's first-seen group order stays probe-row order.  A collapsed
-// key is then direct: its group and build row are resolved once per span
-// and its rows fold without a hit.  A chained key's matches still walk
-// its chain in probeMorsel, and so does every key under the pair sink or
-// a probe-side group.
+// key, ^group (negative) and its build row r.  While the fold is direct
+// (probeFold.direct: its group does not depend on the probe row), a
+// collapsed key is direct: its group is slotted at its lookup, once per
+// span, and its rows fold without a hit.  A chained key walks its chain
+// in probeMorsel, as does every key under the pair sink or a probe-side
+// group; the morsel's first chained key ends its direct keys, so no later
+// key's group is slotted ahead of the chain's and the table's first-seen
+// group order stays probe-row order.
 func (jr *joinRun) resolve(sc *morselScratch, k int64, c *ProbeCounts, fold *probeFold) (v, r int32) {
 	h := jr.lookup(sc, k, c)
-	if h < 0 || fold == nil || fold.pf.group.win >= 0 {
+	if h < 0 || fold == nil || !fold.direct {
 		return h + 2, 0
 	}
-	hit := &sc.res[h]
-	if hit.one {
+	if hit := &sc.res[h]; hit.one {
 		return ^fold.group(0, hit.r), hit.r
 	}
-	for e := hit.e; e != -1; e = hit.t.next[e] {
-		fold.group(0, hit.t.rows[e])
-	}
+	fold.direct = false
 	return h + 2, 0
 }
 
@@ -847,6 +844,7 @@ type probeFold struct {
 	buildGroup []int64    // per build row: its group key (build-side groups)
 	buildVals  [][]int64  // per aggregate: its build-side input column
 	groupWin   []int64    // probe-side group keys of the window
+	direct     bool       // collapsed keys fold in the window pass, up to the morsel's first chained key (joinRun.resolve)
 	// idSlot memoizes each of nids dense group keys' index in t plus one
 	// (0 = not yet seen this morsel), so string groups (keys are dictionary
 	// ids) and the global group (key 0) cost an array load per match, not a
@@ -856,8 +854,8 @@ type probeFold struct {
 }
 
 // bind streams the fold's probe-side windows for rows [lo, hi), following
-// the key stream's density verdict, and resets the match vectors and the
-// slot memo.
+// the key stream's density verdict, and resets the match vectors, the
+// slot memo and the direct verdict.
 func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
 	var w energy.Counters
 	pf := f.pf
@@ -867,7 +865,7 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	if pf.group.win >= 0 {
 		f.groupWin = sc.wins[pf.group.win]
 	}
-	f.sc = sc
+	f.sc, f.direct = sc, pf.group.win < 0
 	sc.gids, sc.probeAt, sc.buildAt = room(sc.gids, MorselRows), room(sc.probeAt, MorselRows), room(sc.buildAt, MorselRows)
 	if f.nids > 0 {
 		sc.slots = sized(sc.slots, f.nids)
@@ -878,9 +876,10 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 
 // hit buffers the match of window-local probe row i with build row r for
 // the fold.  Matches arrive in probe-row order with build rows ascending
-// within duplicates — the pair path's output order — and a direct key's
-// groups were slotted at its lookup in that order (joinRun.resolve), so
-// the table's first-seen group order is the materialized join's.
+// within duplicates — the pair path's output order — and every direct
+// key's group was slotted at its lookup, ahead of the morsel's first
+// chained key (joinRun.resolve), so the table's first-seen group order is
+// the materialized join's.
 func (f *probeFold) hit(i int, r int32) {
 	sc := f.sc
 	if len(sc.gids) == MorselRows {

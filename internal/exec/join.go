@@ -36,7 +36,8 @@ import (
 //	            probeFold), in chunks of at most MorselRows matches, so no
 //	            pair list is materialized at all.  Under a build-side or
 //	            global group a unique key resolves to its fold group once
-//	            per span, and its rows fold with no per-match step.
+//	            per span, and its rows fold with no per-match step, up
+//	            to the morsel's first duplicate key.
 //
 // A tiny input is nothing special: RadixBits(n) == 0 gives one table, one
 // morsel runs on one worker.  There is no serial twin, no row threshold

@@ -118,7 +118,8 @@ type morselScratch struct {
 	slots                  []int32 // a dense key's slot memo: id → group index + 1, 0 unseen
 	spans                  []colstore.SegSpan
 	// A probe window's dictionary span memo (code → its resolution,
-	// joinRun.resolve; 0 unseen) and a direct code's build row, each
+	// joinRun.resolve; 0 unseen) and a direct code's build row (read
+	// only at codes the span resolved, so never cleared), each
 	// selected row's hit index (-1: no match, or a direct key's) and the
 	// hits (joinRun.lookup).
 	memo, memoRows []int32
