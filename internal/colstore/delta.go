@@ -78,6 +78,20 @@ func (t *Table) FilterVisible(snap int64, lo, hi int, sel *vec.Bitvec) energy.Co
 	return w
 }
 
+// Hides reports whether a tombstone visible at snapshot snap hides a row
+// of [lo, hi): whether FilterVisible would clear a bit of the window.
+func (t *Table) Hides(snap int64, lo, hi int) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	i := sort.Search(len(t.delRows), func(i int) bool { return int(t.delRows[i]) >= lo })
+	for ; i < len(t.delRows) && int(t.delRows[i]) < hi; i++ {
+		if snap <= 0 || t.delTS[i] <= snap {
+			return true
+		}
+	}
+	return false
+}
+
 // tombstoneLocked finds row's entry in the sorted tombstone list.
 func (t *Table) tombstoneLocked(row int) (int, bool) {
 	i := sort.Search(len(t.delRows), func(i int) bool { return int(t.delRows[i]) >= row })

@@ -199,10 +199,12 @@ func sameIntColumn(got, want *IntColumn) error {
 }
 
 // CheckSynopses recomputes, row by row, the synopses every sealed segment
-// of the grid column that starts on the SegSize grid must keep — one per
-// integer or string column with at most synMaxValues distinct values in
-// its rows, groups in order of first occurrence, and the global one (the
-// first grouped one when there is one) — and returns the first
+// of the grid column that starts on the SegSize grid must keep — per
+// integer or string column a complete one when it has at most
+// synMaxValues distinct values in the segment's n rows, otherwise a
+// partial one of exactly the values on at least n/synMaxValues rows (none
+// when no value is), groups in order of first occurrence; and the global
+// one, the first complete one when there is one — and returns the first
 // difference from what the table keeps, or nil.
 func CheckSynopses(t *Table) error {
 	t.mu.RLock()
@@ -216,11 +218,12 @@ func CheckSynopses(t *Table) error {
 			}
 			ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(t.cols))}
 			for ci := range t.cols {
-				if ss.by[ci] = recomputeSynopsis(t, start, n, ci); ss.by[ci] != nil && len(ss.by[ci].Keys) > synMaxValues {
-					ss.by[ci] = nil
+				s := recomputeSynopsis(t, start, n, ci)
+				if s != nil && len(s.Keys) > synMaxValues {
+					s = heavyGroups(s, n)
 				}
-				if ss.global == nil {
-					ss.global = ss.by[ci]
+				if ss.by[ci] = s; s != nil && !s.Partial && ss.global == nil {
+					ss.global = s
 				}
 			}
 			if ss.global == nil {
@@ -247,6 +250,44 @@ func CheckSynopses(t *Table) error {
 		}
 	}
 	return nil
+}
+
+// heavyGroups returns the partial synopsis of s, a synopsis of n rows:
+// its groups on at least n/synMaxValues rows, in order; nil when there
+// are none.
+func heavyGroups(s *Synopsis, n int) *Synopsis {
+	h := &Synopsis{Sums: s.Sums, FSums: s.FSums, Mins: s.Mins, Maxs: s.Maxs, Partial: true}
+	pick := func(xs []int64, keep []int) []int64 {
+		if xs == nil {
+			return nil
+		}
+		out := make([]int64, len(keep))
+		for i, g := range keep {
+			out[i] = xs[g]
+		}
+		return out
+	}
+	var keep []int
+	for g, c := range s.Counts {
+		if c*synMaxValues >= int64(n) {
+			keep = append(keep, g)
+		}
+	}
+	if keep == nil {
+		return nil
+	}
+	h.Keys, h.Counts = pick(s.Keys, keep), pick(s.Counts, keep)
+	for ci := range s.Sums {
+		h.Sums[ci], h.Mins[ci], h.Maxs[ci] = pick(s.Sums[ci], keep), pick(s.Mins[ci], keep), pick(s.Maxs[ci], keep)
+		if s.FSums[ci] != nil {
+			fs := make([]num.FloatSum, len(keep))
+			for i, g := range keep {
+				fs[i] = s.FSums[ci][g]
+			}
+			h.FSums[ci] = fs
+		}
+	}
+	return h
 }
 
 // recomputeSynopsis aggregates rows [start, start+n) grouped by column

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sort"
@@ -417,5 +418,73 @@ func TestSealSortedMatchesRowwise(t *testing.T) {
 	check("tail")
 	if !reflect.DeepEqual(held, heldCopy) {
 		t.Fatal("SealSorted rewrote a dictionary a reader holds")
+	}
+}
+
+// TestPartialSynopsesKeepExactlyTheHeavyValues: in a 1 000-row segment a
+// value needs 16 rows (1 000/64 rounded up) to be kept in a partial
+// synopsis.  Each column holds one value on 16 rows, one on 15 and the
+// rest on one row each: unsorted over a narrow span (counted in an array
+// over it), unsorted over a span far wider than the rows (counted through
+// a map), sorted (runs), and as strings (codes).  A merge keeps exactly
+// the 16-row value of each, a sorted column whose longest run is 15 keeps
+// none, every synopsis matches its recomputation, and the stored bytes
+// count the global synopsis beside the partial ones.  A delete that
+// leaves the heavy value 15 of 999 rows drops it at the rebuild merge.
+func TestPartialSynopsesKeepExactlyTheHeavyValues(t *testing.T) {
+	const n = 1000
+	tab := NewTable("p", Schema{
+		{Name: "narrow", Type: Int64}, {Name: "wide", Type: Int64}, {Name: "runs", Type: Int64},
+		{Name: "short", Type: Int64}, {Name: "str", Type: String}, {Name: "f", Type: Float64},
+	})
+	perm := rand.New(rand.NewPCG(3, 0)).Perm(n)
+	narrow, wide, runs, short := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	str, f := make([]string, n), make([]float64, n)
+	for i := range n {
+		v := int64(1000 + i) // one row each
+		switch {
+		case i < 16:
+			v = 7
+		case i < 31:
+			v = 8
+		}
+		narrow[perm[i]], wide[perm[i]], runs[i], str[perm[i]] = v, v<<40, v%1000, fmt.Sprint(v)
+		short[i], f[i] = int64(max(i, 14)), float64(i)/4
+	}
+	err := tab.Writer().Int64("narrow", narrow...).Int64("wide", wide...).Int64("runs", runs...).
+		Int64("short", short...).String("str", str...).Float64("f", f...).Close()
+	if _, err = tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	ss := tab.syn[0]
+	for ci, want := range []int64{7, 7 << 40, 7, -1, int64(tab.cols[4].(*StringColumn).index["7"])} {
+		switch s := ss.by[ci]; {
+		case want < 0 && s != nil:
+			t.Fatalf("%s keeps %v, want no synopsis", tab.schema[ci].Name, s.Keys)
+		case want >= 0 && (s == nil || !s.Partial || !slices.Equal(s.Keys, []int64{want}) || s.Counts[0] != 16):
+			t.Fatalf("%s keeps %+v, want the partial synopsis of %d on 16 rows", tab.schema[ci].Name, s, want)
+		}
+	}
+	if err := CheckSynopses(tab); err != nil {
+		t.Fatal(err)
+	}
+	var b uint64
+	for _, s := range ss.by {
+		b += s.bytes()
+	}
+	if got, want := tab.Storage().SynopsisBytes, b+ss.global.bytes(); got != want {
+		t.Fatalf("synopsis bytes %d, want %d", got, want)
+	}
+	if err := tab.ApplyDelete(tab.LastTS()+1, 1, tab.RowID(slices.Index(narrow, 7))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	if s := tab.syn[0].by[0]; s != nil {
+		t.Fatalf("after the delete narrow keeps %v, want no synopsis", s.Keys)
+	}
+	if err := CheckSynopses(tab); err != nil {
+		t.Fatal(err)
 	}
 }

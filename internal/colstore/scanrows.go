@@ -163,15 +163,15 @@ const (
 // order-preserving dictionary.
 func (c *StringColumn) codePredicate(op vec.CmpOp, s string) (code int64, codeOp vec.CmpOp, mode codeMode) {
 	if op == vec.EQ || op == vec.NE {
-		cd, ok := c.index[s]
-		if !ok {
+		cd := c.Code(s)
+		if cd < 0 {
 			// Unknown string: EQ matches nothing, NE matches everything.
 			if op == vec.NE {
 				return 0, op, codeAll
 			}
 			return 0, op, codeNone
 		}
-		return int64(cd), op, codeScan
+		return cd, op, codeScan
 	}
 	if !c.ordered {
 		return 0, op, codeFallback

@@ -107,6 +107,14 @@ func (c *StringColumn) DictSize() int { return len(c.values) }
 // slice, never rewriting it in place.
 func (c *StringColumn) Dict() []string { return c.values }
 
+// Code returns s's code, -1 when the dictionary does not hold it.
+func (c *StringColumn) Code(s string) int64 {
+	if cd, ok := c.index[s]; ok {
+		return int64(cd)
+	}
+	return -1
+}
+
 // CodeColumn exposes the underlying dictionary-code column (read-only).
 // Joins extract key codes from it morsel-wise with DecodeRange, so
 // bit-packed code segments stream their compressed footprint instead of

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/num"
@@ -11,15 +12,20 @@ import (
 // over the main.  A sealed segment does not change until the next merge,
 // so aggregates computed when a merge seals it stay exact until then.
 // Every merge therefore stores, beside each segment it seals, one
-// synopsis per integer or string column with at most synMaxValues
-// distinct values in the segment — the count and every numeric column's
-// aggregates per value of that column — and a global one: the first of
-// those, its groups summed when it is read, or else the aggregates over
-// the whole segment.  A scan window that is exactly one such segment,
-// with every row selected, folds its aggregate from them without reading
-// a row (exec's scan-window feeder): Lin et al.'s operate-on-compressed
-// rule taken from one run of a value (RLE's n·v) to one segment of a
-// value.
+// synopsis per integer or string column — the count and every numeric
+// column's aggregates per value of that column — and a global one: the
+// first complete one, its groups summed when it is read, or else the
+// aggregates over the whole segment.  A synopsis is complete when the
+// column has at most synMaxValues distinct values in the segment;
+// otherwise it is partial and holds only the column's heavy values, those
+// on at least n/synMaxValues of the segment's n rows (so at most
+// synMaxValues of them), and none when no value is that frequent.  A scan
+// window that is exactly one such segment folds its aggregate from them
+// without reading a row (exec's scan-window feeder) when every row is
+// selected, or when its one predicate is an equality on the column and
+// the synopsis holds the value (a complete one that does not hold it
+// matches no row): Lin et al.'s operate-on-compressed rule taken from one
+// run of a value (RLE's n·v) to one segment of a value.
 //
 // Every aggregate is num's order-free arithmetic — a BIGINT ring sum, a
 // DOUBLE num.FloatSum, MIN/MAX keys — so a fold from a synopsis gives
@@ -27,7 +33,9 @@ import (
 // first occurrence, the group order a fold of the rows produces.
 
 // synMaxValues is the most distinct values a column may have in a
-// segment for the segment to keep a synopsis grouped by it.
+// segment for the segment to keep a complete synopsis grouped by it, and
+// the fraction 1/synMaxValues of its rows a value needs to be kept in a
+// partial one.
 const synMaxValues = 64
 
 // floatSumBytes is the size of a num.FloatSum: three int64 limbs, the
@@ -45,13 +53,16 @@ type Synopsis struct {
 	Sums         [][]int64        // BIGINT: the ring sum
 	FSums        [][]num.FloatSum // DOUBLE: the exact sum's state
 	Mins, Maxs   [][]int64        // BIGINT as is, DOUBLE as its num.MinMaxKey
+	// Partial marks a synopsis of the column's heavy values only: a value
+	// it does not hold may still be on the segment's rows.
+	Partial bool
 }
 
 // segSynopses are the synopses of one sealed segment, rows
 // [start, start+n): per schema column, the one grouped by it (nil when it
-// keeps none), and the global one — the first grouped one when there is
-// one (a fold with no GROUP BY adds all its groups into its one group),
-// otherwise its own, of one group.
+// keeps none), and the global one — the first complete grouped one when
+// there is one (a fold with no GROUP BY adds all its groups into its one
+// group), otherwise its own, of one group.
 type segSynopses struct {
 	start, n int
 	global   *Synopsis
@@ -85,7 +96,7 @@ func (t *Table) synopsesLocked(from int) {
 	if grid == nil {
 		return
 	}
-	b := synBuilder{vals: make([][]int64, len(t.cols)), bufs: make([][]int64, len(t.cols))}
+	b := synBuilder{vals: make([][]int64, len(t.cols)), bufs: make([][]int64, len(t.cols)+1)}
 	for si, s := range grid.segs {
 		if start := grid.starts[si]; start >= from && start%SegSize == 0 {
 			t.syn = append(t.syn, b.segment(t, start, s.length()))
@@ -151,11 +162,10 @@ func (t *Table) rekeyLocked(recoded [][]string) {
 func (t *Table) synBytesLocked() uint64 {
 	var b uint64
 	for _, ss := range t.syn {
-		grouped := uint64(0)
 		for _, s := range ss.by {
-			grouped += s.bytes()
+			b += s.bytes()
 		}
-		if b += grouped; grouped == 0 {
+		if !slices.Contains(ss.by, ss.global) {
 			b += ss.global.bytes()
 		}
 	}
@@ -175,13 +185,16 @@ func (s *Synopsis) bytes() uint64 {
 }
 
 // synBuilder builds the synopses of segments one at a time on reused
-// buffers: each BIGINT column's values, a string column's codes, and the
-// rows' group ids.
+// buffers: each BIGINT column's values, a string column's codes (the last
+// of bufs), the folded rows' group ids, a partial synopsis's rows and its
+// count per value.
 type synBuilder struct {
-	vals  [][]int64 // per schema column, a BIGINT column's values
-	bufs  [][]int64
-	codes []int64
-	gids  []uint8 // a group id per row: synMaxValues fits a byte
+	vals   [][]int64 // per schema column, a BIGINT column's values
+	bufs   [][]int64
+	gids   []uint8 // a group id per folded row: synMaxValues fits a byte
+	rows   []int32
+	counts []int32
+	ids    []int64 // per row, a number for its value (heavy)
 }
 
 // segment builds the synopses of rows [start, start+n).
@@ -198,19 +211,30 @@ func (b *synBuilder) segment(t *Table, start, n int) segSynopses {
 	}
 	ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(t.cols))}
 	for ci, c := range t.cols {
-		if ic := intsOf(c); ic != nil {
-			if keys, ok := b.group(ic, start, n, b.vals[ci]); ok {
-				ss.by[ci] = b.synopsis(t.schema, keys, floats)
-				if ss.global == nil {
-					ss.global = ss.by[ci]
-				}
-			}
+		ic := intsOf(c)
+		if ic == nil {
+			continue
+		}
+		vals := b.vals[ci]
+		if vals == nil {
+			vals = rowValues(ic, start, n, &b.bufs[len(t.cols)])
+		}
+		keys, complete := b.group(vals)
+		var rows []int32
+		if !complete {
+			keys, rows = b.heavy(vals), b.rows
+		}
+		if len(keys) > 0 {
+			ss.by[ci] = b.synopsis(t.schema, keys, rows, floats)
+		}
+		if complete && ss.global == nil {
+			ss.global = ss.by[ci]
 		}
 	}
 	if ss.global == nil {
 		b.gids = grown(b.gids, n)
 		clear(b.gids)
-		ss.global = b.synopsis(t.schema, []int64{0}, floats)
+		ss.global = b.synopsis(t.schema, []int64{0}, nil, floats)
 	}
 	return ss
 }
@@ -227,16 +251,12 @@ func rowValues(c *IntColumn, start, n int, buf *[]int64) []int64 {
 	return *buf
 }
 
-// group numbers the values of rows [start, start+n) of c (vals, when
-// already read) in order of first occurrence through a small
-// open-addressing table, writes each row's number into b.gids and
-// returns the values in that order — or reports false at the first
-// value past synMaxValues.
-func (b *synBuilder) group(c *IntColumn, start, n int, vals []int64) (keys []int64, ok bool) {
-	if vals == nil {
-		vals = rowValues(c, start, n, &b.codes)
-	}
-	b.gids = grown(b.gids, n)
+// group numbers the values of a segment's rows in order of first
+// occurrence through a small open-addressing table, writes each row's
+// number into b.gids and returns the values in that order — or reports
+// false at the first value past synMaxValues.
+func (b *synBuilder) group(vals []int64) (keys []int64, ok bool) {
+	b.gids = grown(b.gids, len(vals))
 	const slots = 2 * synMaxValues
 	var slotKey [slots]int64
 	var slotGroup [slots]uint8 // group + 1; 0 = empty
@@ -257,14 +277,79 @@ func (b *synBuilder) group(c *IntColumn, start, n int, vals []int64) (keys []int
 	return keys, true
 }
 
-// synopsis aggregates the segment's rows into the groups b.gids assigns
-// them, whose values are keys.
-func (b *synBuilder) synopsis(schema Schema, keys []int64, floats [][]float64) *Synopsis {
+// heavy returns a segment's heavy values — those on at least
+// n/synMaxValues of its n rows — in order of first occurrence, with their
+// rows in b.rows and each such row's group in b.gids.  A sorted segment
+// whose runs are all shorter has none; otherwise the values are counted
+// in one array over their span when it is under twice the rows — every
+// integer column the benchmark's merges seal — and over the numbers a map
+// gives the distinct values when it is not.
+func (b *synBuilder) heavy(vals []int64) (keys []int64) {
+	n := len(vals)
+	need := int32((n + synMaxValues - 1) / synMaxValues)
+	lo, hi := vals[0], vals[n-1]
+	if sorted := slices.IsSorted(vals); sorted && !hasRun(vals, int(need)) {
+		return nil
+	} else if !sorted {
+		lo, hi = slices.Min(vals), slices.Max(vals)
+	}
+	ids := vals
+	if uint64(hi)-uint64(lo) >= 2*uint64(n) {
+		number := make(map[int64]int64)
+		b.ids = grown(b.ids, n)
+		for r, v := range vals {
+			id, ok := number[v]
+			if !ok {
+				id = int64(len(number))
+				number[v] = id
+			}
+			b.ids[r] = id
+		}
+		ids, lo, hi = b.ids, 0, int64(len(number))-1
+	}
+	b.counts = grown(b.counts, int(hi-lo)+1)
+	clear(b.counts)
+	for _, v := range ids {
+		b.counts[v-lo]++
+	}
+	b.rows, b.gids = grown(b.rows, n), grown(b.gids, n)
+	k := 0
+	for r, v := range ids {
+		c := b.counts[v-lo]
+		if c >= need { // a heavy value's first row: number it
+			keys = append(keys, vals[r])
+			c = -int32(len(keys))
+			b.counts[v-lo] = c
+		}
+		// Every row is written; only a heavy value's row is kept (c < 0).
+		b.rows[k], b.gids[k] = int32(r), uint8(-c-1)
+		k += int(uint32(c) >> 31)
+	}
+	b.rows, b.gids = b.rows[:k], b.gids[:k]
+	return keys
+}
+
+// hasRun reports whether sorted vals hold a run of k equal values.
+func hasRun(vals []int64, k int) bool {
+	heads := vals[:len(vals)+1-k]
+	for i, v := range vals[k-1:] {
+		if v == heads[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// synopsis aggregates a segment's rows into the groups b.gids assigns
+// them, whose values are keys: every row, or only rows, those of a
+// partial synopsis.
+func (b *synBuilder) synopsis(schema Schema, keys []int64, rows []int32, floats [][]float64) *Synopsis {
 	g := len(keys)
 	s := &Synopsis{
 		Keys: keys, Counts: make([]int64, g),
 		Sums: make([][]int64, len(schema)), FSums: make([][]num.FloatSum, len(schema)),
 		Mins: make([][]int64, len(schema)), Maxs: make([][]int64, len(schema)),
+		Partial: rows != nil,
 	}
 	for _, gi := range b.gids {
 		s.Counts[gi]++
@@ -272,25 +357,28 @@ func (b *synBuilder) synopsis(schema Schema, keys []int64, floats [][]float64) *
 	for ci, d := range schema {
 		switch d.Type {
 		case Int64:
-			s.Sums[ci], s.Mins[ci], s.Maxs[ci] = foldInts(b.vals[ci], b.gids, g)
+			s.Sums[ci], s.Mins[ci], s.Maxs[ci] = foldInts(b.vals[ci], b.gids, rows, g)
 		case Float64:
-			s.FSums[ci], s.Mins[ci], s.Maxs[ci] = foldFloats(floats[ci], b.gids, g)
+			s.FSums[ci], s.Mins[ci], s.Maxs[ci] = foldFloats(floats[ci], b.gids, rows, g)
 		}
 	}
 	return s
 }
 
-// foldInts returns each of g groups' ring sum, MIN and MAX of vals, row
-// r in group gids[r].
-func foldInts(vals []int64, gids []uint8, g int) (sums, mins, maxs []int64) {
+// foldInts returns each of g groups' ring sum, MIN and MAX of vals: the
+// j-th folded row, rows[j] (row j when rows is nil), in group gids[j].
+func foldInts(vals []int64, gids []uint8, rows []int32, g int) (sums, mins, maxs []int64) {
 	type acc struct{ sum, min, max int64 }
 	a := make([]acc, g)
 	for i := range a {
 		a[i] = acc{0, math.MaxInt64, math.MinInt64}
 	}
-	gids = gids[:len(vals)]
-	for r, v := range vals {
-		p := &a[gids[r]]
+	for j, gi := range gids {
+		r := j
+		if rows != nil {
+			r = int(rows[j])
+		}
+		p, v := &a[gi], vals[r]
 		p.sum, p.min, p.max = num.RingAdd(p.sum, v, 1), min(p.min, v), max(p.max, v)
 	}
 	sums, mins, maxs = make([]int64, g), make([]int64, g), make([]int64, g)
@@ -301,8 +389,9 @@ func foldInts(vals []int64, gids []uint8, g int) (sums, mins, maxs []int64) {
 }
 
 // foldFloats returns each of g groups' exact sum state and the MIN and
-// MAX of its num.MinMaxKeys over vals, row r in group gids[r].
-func foldFloats(vals []float64, gids []uint8, g int) (sums []num.FloatSum, mins, maxs []int64) {
+// MAX of its num.MinMaxKeys over vals: the j-th folded row, rows[j] (row
+// j when rows is nil), in group gids[j].
+func foldFloats(vals []float64, gids []uint8, rows []int32, g int) (sums []num.FloatSum, mins, maxs []int64) {
 	type acc struct {
 		sum      num.FloatSum
 		min, max int64
@@ -311,9 +400,13 @@ func foldFloats(vals []float64, gids []uint8, g int) (sums []num.FloatSum, mins,
 	for i := range a {
 		a[i].min, a[i].max = math.MaxInt64, math.MinInt64
 	}
-	gids = gids[:len(vals)]
-	for r, v := range vals {
-		p, k := &a[gids[r]], num.MinMaxKey(v)
+	for j, gi := range gids {
+		r := j
+		if rows != nil {
+			r = int(rows[j])
+		}
+		p, v := &a[gi], vals[r]
+		k := num.MinMaxKey(v)
 		p.sum.Add(v)
 		p.min, p.max = min(p.min, k), max(p.max, k)
 	}

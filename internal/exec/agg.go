@@ -379,14 +379,16 @@ func (t *groupTable) addN(g int32, ai int, v, n int64) {
 	}
 }
 
-// foldSynopsis folds a segment synopsis into the table — the synopsis
-// feeder: each of its groups, in its order of first occurrence, adds its
-// count and, per aggregate, the accumulator of the aggregate's input
-// column cols[ai] (a schema index) — into the global group when the
-// table has no key.  That is what a fold of the segment's rows adds,
-// group order included, since every accumulator is order-free.
-func (t *groupTable) foldSynopsis(syn *colstore.Synopsis, cols []int) {
-	for g, key := range syn.Keys {
+// foldSynopsis folds groups [from, to) of a segment synopsis into the
+// table — the synopsis feeder: each group, in its order of first
+// occurrence, adds its count and, per aggregate, the accumulator of the
+// aggregate's input column cols[ai] (a schema index) — into the global
+// group when the table has no key.  That is what a fold of the group's
+// rows adds, group order included, since every accumulator is
+// order-free.
+func (t *groupTable) foldSynopsis(syn *colstore.Synopsis, cols []int, from, to int) {
+	for g := from; g < to; g++ {
+		key := syn.Keys[g]
 		if t.k == 0 {
 			key = 0
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/expr"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -55,20 +56,7 @@ func BenchmarkOperators(b *testing.B) {
 // synopsis feeder.
 func BenchmarkFusedAgg(b *testing.B) {
 	const n = 1 << 20
-	o := workload.GenOrders(42, n, n/100+10, 1.1)
-	tab := colstore.NewTable("orders", colstore.Schema{
-		{Name: "custkey", Type: colstore.Int64},
-		{Name: "region", Type: colstore.String},
-		{Name: "amount", Type: colstore.Float64},
-		{Name: "day", Type: colstore.Int64},
-	})
-	regions := make([]string, n)
-	for i, r := range o.Region {
-		regions[i] = workload.RegionNames[r]
-	}
-	must(b, tab.Writer().Int64("custkey", o.CustKey...).String("region", regions...).
-		Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close())
-	mustMerge(b, tab)
+	o, tab := benchOrders(b, n)
 	for _, sel := range []float64{0.01, 0.10, 1.00} {
 		day := o.OrderDay[int(sel*n)-1] // day ascends with the row
 		for _, g := range []string{"region", "custkey"} {
@@ -93,6 +81,72 @@ func BenchmarkFusedAgg(b *testing.B) {
 			}
 		}
 	}
+}
+
+// benchOrders is the sealed n-row orders table of the scan rungs,
+// generated like the benchmark's: custkeys Zipf(1.1) over n/100+10
+// customers, day ascending with the row.
+func benchOrders(b *testing.B, n int) (*workload.Orders, *colstore.Table) {
+	o := workload.GenOrders(42, n, n/100+10, 1.1)
+	tab := colstore.NewTable("orders", colstore.Schema{
+		{Name: "custkey", Type: colstore.Int64},
+		{Name: "region", Type: colstore.String},
+		{Name: "amount", Type: colstore.Float64},
+		{Name: "day", Type: colstore.Int64},
+	})
+	regions := make([]string, n)
+	for i, r := range o.Region {
+		regions[i] = workload.RegionNames[r]
+	}
+	must(b, tab.Writer().Int64("custkey", o.CustKey...).String("region", regions...).
+		Float64("amount", o.Amount...).Int64("day", o.OrderDay...).Close())
+	mustMerge(b, tab)
+	return o, tab
+}
+
+// BenchmarkPointAgg is the operator rung under the point_hot workload:
+// SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = k over
+// BenchmarkFusedAgg's sealed 1 Mi-row orders, at DOP 1, for a heavy key
+// (0, on about a ninth of every segment's rows), a light one (39, on too
+// few rows of any segment to be kept in its partial synopsis), an absent
+// one, and the heavy key once every segment holds a tombstone.  Every
+// segment answers the heavy key from its synopsis; the light and absent
+// keys and the tombstoned segments stream, through the selection-bit
+// fold.  It reports wall-clock ns/op beside the deterministic
+// bytes-touched/op (DRAM bytes read and written), and is never gated.
+func BenchmarkPointAgg(b *testing.B) {
+	const n = 1 << 20
+	_, tab := benchOrders(b, n)
+	stmt := func(k int64) *HashAgg {
+		return &HashAgg{Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "amount"}},
+			Child: &Scan{Source: tab, Select: []string{"custkey", "amount"},
+				Preds: []expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(k)}}}}
+	}
+	run := func(name string, k int64) {
+		a := stmt(k)
+		if a.fusion() != "fused" {
+			b.Fatalf("custkey = %d is not scan-fed", k)
+		}
+		b.Run(name, func(b *testing.B) {
+			var work energy.Counters
+			for i := 0; i < b.N; i++ {
+				ctx := NewCtx()
+				ctx.Lease = NewLease(1)
+				if _, err := a.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+				work = ctx.Meter.Snapshot()
+			}
+			b.ReportMetric(float64(work.BytesReadDRAM+work.BytesWrittenDRAM), "bytes-touched/op")
+		})
+	}
+	run("heavy", 0)
+	run("light", 39)
+	run("absent", -1)
+	for lo := 0; lo < n; lo += MorselRows {
+		must(b, tab.ApplyDelete(tab.LastTS()+1, uint64(lo+1), tab.RowID(lo)))
+	}
+	run("heavy-tombstoned", 0)
 }
 
 // BenchmarkFusedProbeAgg is the operator rung under the join_dim

@@ -86,9 +86,17 @@ type scanFeed struct {
 	// synCol is the segment synopsis a morsel may fold from: the one
 	// GROUP BY column's schema index, -1 for the global synopsis, or
 	// noSynopsis under a wider GROUP BY; synVals[i] is aggregate i's input
-	// column's schema index.
-	synCol  int
-	synVals []int
+	// column's schema index.  eqCol is the schema index of the column of
+	// the scan's one predicate when it is an equality on an integer or
+	// string column and the GROUP BY is none or that column (-1
+	// otherwise), and eqVal its value — a string's code, -1 when the
+	// dictionary does not hold it.
+	synCol, eqCol int
+	synVals       []int
+	eqVal         int64
+	// bits: a global fold whose every aggregate is a COUNT or a DOUBLE
+	// sum, folded straight off the selection bits (scanFold.bits).
+	bits bool
 	aggShape
 }
 
@@ -166,6 +174,22 @@ func (a *HashAgg) scanFeed() *scanFeed {
 		}
 	}
 	sf.setKinds(a.Aggs)
+	sf.bits = len(a.GroupBy) == 0 && !slices.ContainsFunc(sf.kinds, func(k accKind) bool { return k != accCount && k != accFSum })
+	sf.eqCol = -1
+	if len(b.preds) == 1 && b.preds[0].Op == vec.EQ {
+		p, ci := b.preds[0], schema.ColIndex(b.preds[0].Col)
+		switch c := b.predCols[0].(type) {
+		case *colstore.IntColumn:
+			sf.eqVal = p.Val.I
+		case *colstore.StringColumn:
+			sf.eqVal = c.Code(p.Val.S)
+		default:
+			ci = -1
+		}
+		if sf.synCol == -1 || sf.synCol == ci {
+			sf.eqCol = ci
+		}
+	}
 	return sf
 }
 
@@ -186,12 +210,29 @@ func (sf *scanFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, erro
 // table without materializing them: from the window's segment synopsis
 // when one answers it, otherwise off the stored columns.
 func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters) {
+	if syn, g := sf.point(snap, lo, hi); syn != nil {
+		// The logical rows a streamed fold of the window books — the
+		// predicate's window in, its matches out of the kernel and the scan
+		// stage and into the aggregate stage — but no row read.
+		t, m := sf.newTable(sf.dicts), int64(0)
+		if g >= 0 {
+			t.foldSynopsis(syn, sf.synVals, g, g+1)
+			m = syn.Counts[g]
+		}
+		w := energy.Counters{TuplesIn: uint64(hi - lo), TuplesOut: 2 * uint64(m)}
+		if m > 0 {
+			w.Add(energy.Counters{TuplesIn: uint64(m), TuplesOut: uint64(t.groups())})
+		}
+		w.Add(SynopsisWork(1, len(sf.vals)))
+		return t, w
+	}
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
 	sel, w := sf.scan.selectRows(snap, lo, hi, sc)
-	if syn := sf.synopsis(sel, lo, hi); syn != nil {
+	selCnt := sel.Count()
+	if syn := sf.synopsis(selCnt, lo, hi); syn != nil {
 		t := sf.newTable(sf.dicts)
-		t.foldSynopsis(syn, sf.synVals)
+		t.foldSynopsis(syn, sf.synVals, 0, len(syn.Keys))
 		// The same logical rows as a fold of the window (the scan stage's
 		// output, the aggregate stage's input and groups), but no row read.
 		n := uint64(hi - lo)
@@ -199,14 +240,17 @@ func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters
 		w.Add(SynopsisWork(len(syn.Keys), len(sf.vals)))
 		return t, w
 	}
-	sc.rows = sel.AppendIndices(sc.rows[:0])
-	selCnt := len(sc.rows)
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	t := sf.newTable(sf.dicts)
 	if selCnt > 0 {
-		f := scanFold{fs: sf, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
-		sc.gids = sized(sc.gids, selCnt)
+		f := scanFold{fs: sf, t: t, sc: sc, sel: sel, lo: lo, hi: hi, n: selCnt, dense: selCnt*8 >= hi-lo}
+		if !sf.bits {
+			sc.rows = sel.AppendIndices(sc.rows[:0])
+			sc.gids = sized(sc.gids, selCnt)
+		}
 		switch {
+		case sf.bits:
+			f.bits()
 		case len(sf.groups) > 1 || !f.dense:
 			f.tuples()
 		case len(sf.groups) == 0:
@@ -230,21 +274,43 @@ func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters
 	return t, w
 }
 
-// synopsis returns the segment synopsis morsel [lo, hi) folds from, or
-// nil when it streams its rows: the window must be exactly one sealed
-// segment that keeps a synopsis grouped by the GROUP BY column (the
-// global one with no GROUP BY), and every row of it selected — by the
-// predicates and by visibility at the snapshot, so a tombstoned row, or
-// one a merge kept for an older snapshot, makes the window stream.
-func (sf *scanFeed) synopsis(sel *vec.Bitvec, lo, hi int) *colstore.Synopsis {
-	if sf.synCol == noSynopsis {
+// synopsis returns the segment synopsis morsel [lo, hi), selCnt of
+// whose rows are selected, folds from, or nil when it streams its rows:
+// the window must be exactly one sealed segment that keeps a complete
+// synopsis grouped by the GROUP BY column (the global one with no GROUP
+// BY), and every row of it selected — by the predicates and by
+// visibility at the snapshot, so a tombstoned row, or one a merge kept
+// for an older snapshot, makes the window stream.
+func (sf *scanFeed) synopsis(selCnt, lo, hi int) *colstore.Synopsis {
+	if sf.synCol == noSynopsis || selCnt != hi-lo {
 		return nil
 	}
-	syn := sf.scan.Table.Synopsis(lo, hi, sf.synCol)
-	if syn == nil || sel.Count() != hi-lo {
-		return nil
+	if syn := sf.scan.Table.Synopsis(lo, hi, sf.synCol); syn != nil && !syn.Partial {
+		return syn
 	}
-	return syn
+	return nil
+}
+
+// point returns the synopsis and the group morsel [lo, hi) folds from
+// under the scan's equality predicate — group -1 when a complete synopsis
+// does not hold the value, so that no row matches — or nil when the
+// morsel streams: the window must be exactly one sealed segment whose
+// synopsis by the predicate's column holds the value or is complete, and
+// no row of it may be tombstoned at the snapshot, where FilterVisible
+// would charge nothing either.
+func (sf *scanFeed) point(snap int64, lo, hi int) (*colstore.Synopsis, int) {
+	if sf.eqCol < 0 {
+		return nil, 0
+	}
+	syn := sf.scan.Table.Synopsis(lo, hi, sf.eqCol)
+	if syn == nil {
+		return nil, 0
+	}
+	g := slices.Index(syn.Keys, sf.eqVal)
+	if (g < 0 && syn.Partial) || sf.scan.Table.Hides(snap, lo, hi) {
+		return nil, 0
+	}
+	return syn, g
 }
 
 // SynopsisWork prices folding a segment synopsis of groups groups into a
@@ -273,13 +339,13 @@ func SynopsisWork(groups, aggs int) energy.Counters {
 // dense window, span-wise.  The first and the last resolve every
 // selected row to its group id and then fold once.
 type scanFold struct {
-	fs     *scanFeed
-	t      *groupTable
-	sc     *morselScratch
-	sel    *vec.Bitvec
-	lo, hi int
-	dense  bool
-	w      energy.Counters
+	fs        *scanFeed
+	t         *groupTable
+	sc        *morselScratch
+	sel       *vec.Bitvec
+	lo, hi, n int // the window; n its selected rows
+	dense     bool
+	w         energy.Counters
 }
 
 // read streams column c into scratch window k (streamWindow).
@@ -294,7 +360,7 @@ func (f *scanFold) read(k int, c *colstore.IntColumn) []int64 {
 // whole window streamed when dense, the selected rows point-read
 // otherwise.
 func (f *scanFold) floats(c *colstore.FloatColumn) []float64 {
-	n := len(f.sc.rows)
+	n := f.n
 	if f.dense {
 		n = f.hi - f.lo
 	}
@@ -350,6 +416,22 @@ func (f *scanFold) global() {
 				at := rowsIn(rows, la, lb)
 				t.foldAgg(ai, sc.gids[:len(at)], foldIn{ints: win, at: at})
 			}
+		}
+	}
+}
+
+// bits folds the window into the global group off the selection bits
+// when every aggregate is a COUNT or a DOUBLE sum: the count is the
+// selection's, and each sum adds the selected values bit by bit
+// (num.FloatSum.AddSelected), so no row list is built.  Its reads are
+// priced as global and tuples price them.
+func (f *scanFold) bits() {
+	t := f.t
+	t.slot(0, nil)
+	t.counts[0] += int64(f.n)
+	for ai, c := range f.fs.vals {
+		if c, ok := c.(*colstore.FloatColumn); ok {
+			t.fsums[t.sh.acc(0, ai)].AddSelected(f.floats(c), f.sel.Words())
 		}
 	}
 }
@@ -845,17 +927,11 @@ type probeFold struct {
 	buildVals  [][]int64  // per aggregate: its build-side input column
 	groupWin   []int64    // probe-side group keys of the window
 	direct     bool       // collapsed keys fold in the window pass, up to the morsel's first chained key (joinRun.resolve)
-	// idSlot memoizes each of nids dense group keys' index in t plus one
-	// (0 = not yet seen this morsel), so string groups (keys are dictionary
-	// ids) and the global group (key 0) cost an array load per match, not a
-	// hash.  BIGINT groups have arbitrary keys: nids 0, no memo.
-	nids   int
-	idSlot []int32
 }
 
 // bind streams the fold's probe-side windows for rows [lo, hi), following
-// the key stream's density verdict, and resets the match vectors, the
-// slot memo and the direct verdict.
+// the key stream's density verdict, and resets the match vectors and the
+// direct verdict.
 func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool) energy.Counters {
 	var w energy.Counters
 	pf := f.pf
@@ -867,10 +943,6 @@ func (f *probeFold) bind(sc *morselScratch, rows []int32, lo, hi int, dense bool
 	}
 	f.sc, f.direct = sc, pf.group.win < 0
 	sc.gids, sc.probeAt, sc.buildAt = room(sc.gids, MorselRows), room(sc.probeAt, MorselRows), room(sc.buildAt, MorselRows)
-	if f.nids > 0 {
-		sc.slots = sized(sc.slots, f.nids)
-		f.idSlot = sc.slots
-	}
 	return w
 }
 
@@ -888,7 +960,8 @@ func (f *probeFold) hit(i int, r int32) {
 	sc.gids, sc.probeAt, sc.buildAt = append(sc.gids, f.group(i, r)), append(sc.probeAt, int32(i)), append(sc.buildAt, r)
 }
 
-// group resolves the group of the match (probe row i, build row r).
+// group resolves the group of the match (probe row i, build row r): an
+// array load when the key is bounded (probeFeed.fold), a hash otherwise.
 func (f *probeFold) group(i int, r int32) int32 {
 	var key int64
 	switch {
@@ -897,15 +970,12 @@ func (f *probeFold) group(i int, r int32) int32 {
 	case f.buildGroup != nil:
 		key = f.buildGroup[r]
 	}
-	if f.idSlot == nil {
-		return f.t.slot(key, nil)
+	if sh := f.t.sh; sh.keySpan > 0 { // a seen bounded key, without a call
+		if g := f.t.slotGroup[key-sh.keyLo]; g > 0 {
+			return g - 1
+		}
 	}
-	g := f.idSlot[key] - 1
-	if g < 0 {
-		g = f.t.slot(key, nil)
-		f.idSlot[key] = g + 1
-	}
-	return g
+	return f.t.slot(key, nil)
 }
 
 // foldMatches folds the buffered matches and empties the buffers: a
@@ -966,7 +1036,11 @@ func ProbeFoldWork(f ProbeFold, matches, touches int) energy.Counters {
 // fold implements aggFeeder: the join with the fold sink.  The build side
 // runs and is hashed as ever (Join.build), then each probe morsel folds
 // its matches into a partial table — one window set, the probe source's
-// morsel grid; no pair list, no gathered join relation.
+// morsel grid; no pair list, no gathered join relation.  A group key is
+// bounded as the scan feeder bounds it, so its slot is an array load: a
+// string by its dictionary, a build-side BIGINT by the build relation's
+// values, a probe-side one by its column's zone maps, the global group's
+// by its one key.
 func (pf *probeFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, error) {
 	jr, err := pf.join.build(ctx, pf.probe)
 	if err != nil {
@@ -976,11 +1050,21 @@ func (pf *probeFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, err
 	switch {
 	case pf.group.build >= 0:
 		c := &jr.right.Cols[pf.group.build]
-		f.buildGroup, f.dicts, f.nids = c.I, [][]string{c.Dict}, len(c.Dict)
+		f.buildGroup, f.dicts = c.I, [][]string{c.Dict}
+		if c.Type == colstore.String {
+			pf.denseKey(0, int64(len(c.Dict))-1)
+		} else if len(c.I) > 0 {
+			pf.denseKey(slices.Min(c.I), slices.Max(c.I))
+		}
+	case pf.groupDict != nil:
+		f.dicts = [][]string{pf.groupDict}
+		pf.denseKey(0, int64(len(pf.groupDict))-1)
 	case pf.group.win >= 0:
-		f.dicts, f.nids = [][]string{pf.groupDict}, len(pf.groupDict)
+		if lo, hi, ok := pf.wins[pf.group.win].MinMax(); ok {
+			pf.denseKey(lo, hi)
+		}
 	default:
-		f.nids = 1 // the global group's one key, 0
+		pf.denseKey(0, 0) // the global group's one key
 	}
 	for ai, in := range pf.aggs {
 		if in.build >= 0 {

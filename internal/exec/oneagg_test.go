@@ -547,6 +547,9 @@ func TestAggAllocsDoNotScaleWithRows(t *testing.T) {
 			sum(expr.AggMax, "day"), sum(expr.AggAvg, "amount")}, nil},
 		{[]string{"region", "custkey"}, []expr.AggSpec{{Func: expr.AggCount}, sum(expr.AggSum, "day")},
 			[]expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(7)}}},
+		// point_hot's statement on its hottest key: segment synopses answer it
+		{nil, []expr.AggSpec{{Func: expr.AggCount}, sum(expr.AggSum, "amount")},
+			[]expr.Pred{{Col: "custkey", Op: vec.EQ, Val: expr.IntVal(0)}}},
 	}
 	base := make([]float64, len(cases))
 	for _, n := range []int{1 << 18, 1 << 20} {

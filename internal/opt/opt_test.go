@@ -83,9 +83,10 @@ func customersTable(t testing.TB) *colstore.Table {
 // must match bit for bit — an estimate off by an ulp can flip a DOP
 // near-tie), refreshes are idempotent, and the registered table is the
 // live one.  The stored bytes count the segment synopses: orders keeps
-// one by region (5 values, also its global one) — 5 groups of 112 bytes
-// — customers one by segment (5, also its global one) and one by tier
-// (4): 9 groups of 64 bytes.
+// one by region (5 values, also its global one) and a partial one by
+// custkey (its 10 values on at least 1/64 of the rows) — 15 groups of 112
+// bytes — customers one by segment (5, also its global one) and one by
+// tier (4): 9 groups of 64 bytes.
 func TestCatalogOneRegistry(t *testing.T) {
 	cat, orders := testCatalog(t, 10000)
 	cat.Add(customersTable(t))
@@ -98,7 +99,7 @@ func TestCatalogOneRegistry(t *testing.T) {
 				"region":  {Type: colstore.String, Distinct: 5, ScanBytesPerValue: 0.5154},
 				"amount":  {Type: colstore.Float64, ScanBytesPerValue: 8},
 			},
-			Storage: colstore.TableStorage{RawBytes: 0x4e272, StoredBytes: 0x1cf57 + 560, SynopsisBytes: 560, Cols: []colstore.ColumnStorage{
+			Storage: colstore.TableStorage{RawBytes: 0x4e272, StoredBytes: 0x1cf57 + 1680, SynopsisBytes: 1680, Cols: []colstore.ColumnStorage{
 				{Name: "id", RawBytes: 0x13880, StoredBytes: 0x2a75, Segments: seg("delta")},
 				{Name: "custkey", RawBytes: 0x13880, StoredBytes: 0x5840, Segments: seg("dict")},
 				{Name: "region", RawBytes: 0x138f2, StoredBytes: 0x1422, Segments: seg("dict")},
