@@ -203,7 +203,8 @@ func sameIntColumn(got, want *IntColumn) error {
 // integer or string column a complete one when it has at most
 // synMaxValues distinct values in the segment's n rows, otherwise a
 // partial one of exactly the values on at least n/synMaxValues rows (none
-// when no value is), groups in order of first occurrence; and the global
+// when no value is, or when the values span 2n or more), groups in order
+// of first occurrence; and the global
 // one, the first complete one when there is one — and returns the first
 // difference from what the table keeps, or nil.
 func CheckSynopses(t *Table) error {
@@ -254,8 +255,11 @@ func CheckSynopses(t *Table) error {
 
 // heavyGroups returns the partial synopsis of s, a synopsis of n rows:
 // its groups on at least n/synMaxValues rows, in order; nil when there
-// are none.
+// are none or its keys span 2n or more.
 func heavyGroups(s *Synopsis, n int) *Synopsis {
+	if uint64(slices.Max(s.Keys))-uint64(slices.Min(s.Keys)) >= 2*uint64(n) {
+		return nil
+	}
 	h := &Synopsis{Sums: s.Sums, FSums: s.FSums, Mins: s.Mins, Maxs: s.Maxs, Partial: true}
 	pick := func(xs []int64, keep []int) []int64 {
 		if xs == nil {

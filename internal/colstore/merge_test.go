@@ -424,11 +424,11 @@ func TestSealSortedMatchesRowwise(t *testing.T) {
 // TestPartialSynopsesKeepExactlyTheHeavyValues: in a 1 000-row segment a
 // value needs 16 rows (1 000/64 rounded up) to be kept in a partial
 // synopsis.  Each column holds one value on 16 rows, one on 15 and the
-// rest on one row each: unsorted over a narrow span (counted in an array
-// over it), unsorted over a span far wider than the rows (counted through
-// a map), sorted (runs), and as strings (codes).  A merge keeps exactly
-// the 16-row value of each, a sorted column whose longest run is 15 keeps
-// none, every synopsis matches its recomputation, and the stored bytes
+// rest on one row each: unsorted over a span of 2n-1 (counted in an
+// array over it), sorted (runs), and as strings (codes).  A merge keeps
+// exactly the 16-row value of each; the same values over a span of 2n,
+// and a sorted column whose longest run is 15, keep none; every synopsis
+// matches its recomputation, and the stored bytes
 // count the global synopsis beside the partial ones.  A delete that
 // leaves the heavy value 15 of 999 rows drops it at the rebuild merge.
 func TestPartialSynopsesKeepExactlyTheHeavyValues(t *testing.T) {
@@ -448,16 +448,17 @@ func TestPartialSynopsesKeepExactlyTheHeavyValues(t *testing.T) {
 		case i < 31:
 			v = 8
 		}
-		narrow[perm[i]], wide[perm[i]], runs[i], str[perm[i]] = v, v<<40, v%1000, fmt.Sprint(v)
+		narrow[perm[i]], wide[perm[i]], runs[i], str[perm[i]] = v, v, v%1000, fmt.Sprint(v)
 		short[i], f[i] = int64(max(i, 14)), float64(i)/4
 	}
+	narrow[perm[n-1]], wide[perm[n-1]] = 7+2*n-1, 7+2*n
 	err := tab.Writer().Int64("narrow", narrow...).Int64("wide", wide...).Int64("runs", runs...).
 		Int64("short", short...).String("str", str...).Float64("f", f...).Close()
 	if _, err = tab.Merge(0); err != nil {
 		t.Fatal(err)
 	}
 	ss := tab.syn[0]
-	for ci, want := range []int64{7, 7 << 40, 7, -1, int64(tab.cols[4].(*StringColumn).index["7"])} {
+	for ci, want := range []int64{7, -1, 7, -1, int64(tab.cols[4].(*StringColumn).index["7"])} {
 		switch s := ss.by[ci]; {
 		case want < 0 && s != nil:
 			t.Fatalf("%s keeps %v, want no synopsis", tab.schema[ci].Name, s.Keys)
@@ -486,5 +487,27 @@ func TestPartialSynopsesKeepExactlyTheHeavyValues(t *testing.T) {
 	}
 	if err := CheckSynopses(tab); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHasRunMatchesScan: hasRun, which probes one row in every k, agrees
+// with a scan of every window of k rows on random sorted columns whose
+// longest run lies on either side of k.
+func TestHasRunMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 0))
+	for trial := range 2000 {
+		vals := make([]int64, 1+rng.IntN(300))
+		for i := 1; i < len(vals); i++ {
+			vals[i] = vals[i-1] + int64(rng.IntN(2+trial%9))
+		}
+		for k := 1; k <= len(vals); k++ {
+			want := false
+			for i := k - 1; i < len(vals); i++ {
+				want = want || vals[i] == vals[i-k+1]
+			}
+			if got := hasRun(vals, k); got != want {
+				t.Fatalf("hasRun(%v, %d) = %v, want %v", vals, k, got, want)
+			}
+		}
 	}
 }

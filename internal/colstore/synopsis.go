@@ -19,7 +19,8 @@ import (
 // column has at most synMaxValues distinct values in the segment;
 // otherwise it is partial and holds only the column's heavy values, those
 // on at least n/synMaxValues of the segment's n rows (so at most
-// synMaxValues of them), and none when no value is that frequent.  A scan
+// synMaxValues of them), and none when no value is that frequent or the
+// values span twice the rows or more.  A scan
 // window that is exactly one such segment folds its aggregate from them
 // without reading a row (exec's scan-window feeder) when every row is
 // selected, or when its one predicate is an equality on the column and
@@ -194,7 +195,6 @@ type synBuilder struct {
 	gids   []uint8 // a group id per folded row: synMaxValues fits a byte
 	rows   []int32
 	counts []int32
-	ids    []int64 // per row, a number for its value (heavy)
 }
 
 // segment builds the synopses of rows [start, start+n).
@@ -279,45 +279,34 @@ func (b *synBuilder) group(vals []int64) (keys []int64, ok bool) {
 
 // heavy returns a segment's heavy values — those on at least
 // n/synMaxValues of its n rows — in order of first occurrence, with their
-// rows in b.rows and each such row's group in b.gids.  A sorted segment
-// whose runs are all shorter has none; otherwise the values are counted
-// in one array over their span when it is under twice the rows — every
-// integer column the benchmark's merges seal — and over the numbers a map
-// gives the distinct values when it is not.
+// rows in b.rows and each such row's group in b.gids.  It keeps none when
+// the values are sorted with every run shorter, or span twice the rows or
+// more; otherwise it counts them in one array over their span.
 func (b *synBuilder) heavy(vals []int64) (keys []int64) {
 	n := len(vals)
-	need := int32((n + synMaxValues - 1) / synMaxValues)
+	need := (n + synMaxValues - 1) / synMaxValues
 	lo, hi := vals[0], vals[n-1]
-	if sorted := slices.IsSorted(vals); sorted && !hasRun(vals, int(need)) {
+	if sorted := slices.IsSorted(vals); sorted && !hasRun(vals, need) {
 		return nil
 	} else if !sorted {
-		lo, hi = slices.Min(vals), slices.Max(vals)
-	}
-	ids := vals
-	if uint64(hi)-uint64(lo) >= 2*uint64(n) {
-		number := make(map[int64]int64)
-		b.ids = grown(b.ids, n)
-		for r, v := range vals {
-			id, ok := number[v]
-			if !ok {
-				id = int64(len(number))
-				number[v] = id
-			}
-			b.ids[r] = id
+		for _, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
 		}
-		ids, lo, hi = b.ids, 0, int64(len(number))-1
+	}
+	if uint64(hi)-uint64(lo) >= 2*uint64(n) {
+		return nil
 	}
 	b.counts = grown(b.counts, int(hi-lo)+1)
 	clear(b.counts)
-	for _, v := range ids {
+	for _, v := range vals {
 		b.counts[v-lo]++
 	}
 	b.rows, b.gids = grown(b.rows, n), grown(b.gids, n)
 	k := 0
-	for r, v := range ids {
+	for r, v := range vals {
 		c := b.counts[v-lo]
-		if c >= need { // a heavy value's first row: number it
-			keys = append(keys, vals[r])
+		if c >= int32(need) { // a heavy value's first row: number it
+			keys = append(keys, v)
 			c = -int32(len(keys))
 			b.counts[v-lo] = c
 		}
@@ -329,11 +318,15 @@ func (b *synBuilder) heavy(vals []int64) (keys []int64) {
 	return keys
 }
 
-// hasRun reports whether sorted vals hold a run of k equal values.
+// hasRun reports whether sorted vals hold a run of k equal values.  Any k
+// consecutive rows hold one multiple of k, so such a run holds some row
+// r = j·k; the run through r starts at or after r-k+1 unless it is long
+// enough, and is k long iff its start's value repeats k-1 rows on.
 func hasRun(vals []int64, k int) bool {
-	heads := vals[:len(vals)+1-k]
-	for i, v := range vals[k-1:] {
-		if v == heads[i] {
+	for r := 0; r < len(vals); r += k {
+		from := max(r-k+1, 0)
+		first := from + sort.Search(r-from, func(i int) bool { return vals[from+i] == vals[r] })
+		if first+k-1 < len(vals) && vals[first+k-1] == vals[r] {
 			return true
 		}
 	}

@@ -94,9 +94,6 @@ type scanFeed struct {
 	synCol, eqCol int
 	synVals       []int
 	eqVal         int64
-	// bits: a global fold whose every aggregate is a COUNT or a DOUBLE
-	// sum, folded straight off the selection bits (scanFold.bits).
-	bits bool
 	aggShape
 }
 
@@ -174,7 +171,6 @@ func (a *HashAgg) scanFeed() *scanFeed {
 		}
 	}
 	sf.setKinds(a.Aggs)
-	sf.bits = len(a.GroupBy) == 0 && !slices.ContainsFunc(sf.kinds, func(k accKind) bool { return k != accCount && k != accFSum })
 	sf.eqCol = -1
 	if len(b.preds) == 1 && b.preds[0].Op == vec.EQ {
 		p, ci := b.preds[0], schema.ColIndex(b.preds[0].Col)
@@ -243,14 +239,10 @@ func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	t := sf.newTable(sf.dicts)
 	if selCnt > 0 {
-		f := scanFold{fs: sf, t: t, sc: sc, sel: sel, lo: lo, hi: hi, n: selCnt, dense: selCnt*8 >= hi-lo}
-		if !sf.bits {
-			sc.rows = sel.AppendIndices(sc.rows[:0])
-			sc.gids = sized(sc.gids, selCnt)
-		}
+		f := scanFold{fs: sf, t: t, sc: sc, sel: sel, lo: lo, hi: hi, dense: selCnt*8 >= hi-lo}
+		sc.rows = sel.AppendIndices(sc.rows[:0])
+		sc.gids = sized(sc.gids, selCnt)
 		switch {
-		case sf.bits:
-			f.bits()
 		case len(sf.groups) > 1 || !f.dense:
 			f.tuples()
 		case len(sf.groups) == 0:
@@ -339,13 +331,13 @@ func SynopsisWork(groups, aggs int) energy.Counters {
 // dense window, span-wise.  The first and the last resolve every
 // selected row to its group id and then fold once.
 type scanFold struct {
-	fs        *scanFeed
-	t         *groupTable
-	sc        *morselScratch
-	sel       *vec.Bitvec
-	lo, hi, n int // the window; n its selected rows
-	dense     bool
-	w         energy.Counters
+	fs     *scanFeed
+	t      *groupTable
+	sc     *morselScratch
+	sel    *vec.Bitvec
+	lo, hi int
+	dense  bool
+	w      energy.Counters
 }
 
 // read streams column c into scratch window k (streamWindow).
@@ -360,7 +352,7 @@ func (f *scanFold) read(k int, c *colstore.IntColumn) []int64 {
 // whole window streamed when dense, the selected rows point-read
 // otherwise.
 func (f *scanFold) floats(c *colstore.FloatColumn) []float64 {
-	n := f.n
+	n := len(f.sc.rows)
 	if f.dense {
 		n = f.hi - f.lo
 	}
@@ -416,22 +408,6 @@ func (f *scanFold) global() {
 				at := rowsIn(rows, la, lb)
 				t.foldAgg(ai, sc.gids[:len(at)], foldIn{ints: win, at: at})
 			}
-		}
-	}
-}
-
-// bits folds the window into the global group off the selection bits
-// when every aggregate is a COUNT or a DOUBLE sum: the count is the
-// selection's, and each sum adds the selected values bit by bit
-// (num.FloatSum.AddSelected), so no row list is built.  Its reads are
-// priced as global and tuples price them.
-func (f *scanFold) bits() {
-	t := f.t
-	t.slot(0, nil)
-	t.counts[0] += int64(f.n)
-	for ai, c := range f.fs.vals {
-		if c, ok := c.(*colstore.FloatColumn); ok {
-			t.fsums[t.sh.acc(0, ai)].AddSelected(f.floats(c), f.sel.Words())
 		}
 	}
 }
@@ -969,11 +945,6 @@ func (f *probeFold) group(i int, r int32) int32 {
 		key = f.groupWin[i]
 	case f.buildGroup != nil:
 		key = f.buildGroup[r]
-	}
-	if sh := f.t.sh; sh.keySpan > 0 { // a seen bounded key, without a call
-		if g := f.t.slotGroup[key-sh.keyLo]; g > 0 {
-			return g - 1
-		}
 	}
 	return f.t.slot(key, nil)
 }

@@ -98,65 +98,6 @@ func (s *FloatSum) Add(x float64) {
 	}
 }
 
-// AddSelected folds xs[i] into the sum for every set bit i of sel (bit
-// i&63 of word i>>6): the state Add reaches on those inputs, with the
-// limbs, the window and the flags held in locals across the walk — the
-// bulk add of a scan morsel's selected DOUBLE values.
-func (s *FloatSum) AddSelected(xs []float64, sel []uint64) {
-	l0, l1, l2, top, flags := s.l[0], s.l[1], s.l[2], s.top, s.flags
-	for wi, word := range sel {
-		for ; word != 0; word &= word - 1 {
-			b := math.Float64bits(xs[wi<<6|bits.TrailingZeros64(word)])
-			e := int32(b>>52) & 0x7ff
-			m := b & (1<<52 - 1)
-			switch {
-			case e == 0x7ff:
-				if m != 0 {
-					flags |= sumNaN
-				} else {
-					flags |= sumPosInf << (b >> 63)
-				}
-				continue
-			case e != 0:
-				m |= 1 << 52
-				e--
-			case m == 0:
-				continue
-			}
-			sh := uint(e & 31)
-			lo, hi := m<<sh, m>>(64-sh)
-			neg := int64(b) >> 63
-			c0 := (int64(lo&(1<<32-1)) ^ neg) - neg
-			c1 := (int64(lo>>32) ^ neg) - neg
-			c2 := (int64(hi) ^ neg) - neg
-			if t := (e+63-int32(bits.LeadingZeros64(m)))>>5 + 1; t > top { // raise
-				switch t - top {
-				case 1:
-					l0, l1, l2 = 0, l0, l1
-				case 2:
-					l0, l1, l2 = 0, 0, l0
-				default:
-					l0, l1, l2 = 0, 0, 0
-				}
-				top = t
-			}
-			switch top - (e>>5 + 1) {
-			case 0:
-				l0 += c0
-			case 1:
-				l0, l1 = l0+c1, l1+c0
-			case 2:
-				l0, l1, l2 = l0+c2, l1+c1, l2+c0
-			case 3:
-				l1, l2 = l1+c2, l2+c1
-			case 4:
-				l2 += c2
-			}
-		}
-	}
-	s.l, s.top, s.flags = [3]int64{l0, l1, l2}, top, flags
-}
-
 // raise moves the window up to top, dropping the bins that fall out.
 func (s *FloatSum) raise(top int32) {
 	d := min(top-s.top, 3)

@@ -195,22 +195,6 @@ func FuzzFloatSum(f *testing.F) {
 		if b != serial {
 			t.Fatalf("state depends on order or split: %+v vs %+v", b, serial)
 		}
-		// The bulk add over random selection bits reaches the state
-		// repeated Adds of the selected inputs reach, on top of any state.
-		rng := rand.New(rand.NewPCG(seed, 1))
-		sel := make([]uint64, (len(xs)+63)/64)
-		var bulk, one FloatSum
-		addAll(&bulk, perm[:k])
-		addAll(&one, perm[:k])
-		for i, x := range xs {
-			if rng.IntN(4) != 0 {
-				sel[i>>6] |= 1 << (i & 63)
-				one.Add(x)
-			}
-		}
-		if bulk.AddSelected(xs, sel); bulk != one {
-			t.Fatalf("AddSelected reaches %+v, repeated Add %+v", bulk, one)
-		}
 		// Where every finite input's lowest set bit lies within 2^64 of the
 		// largest leading bit, nothing leaves the window.
 		lead, low := math.MinInt, math.MaxInt

@@ -54,6 +54,8 @@ func (b *Bitvec) Len() int { return b.n }
 
 // Words exposes the underlying words (the last word's tail bits beyond
 // Len are always zero).
+//
+//lint:allow reach: experiments/xpu.Vertical writes its scan result word at a time (E15, BenchmarkLayouts)
 func (b *Bitvec) Words() []uint64 { return b.words }
 
 // Set sets bit i.
