@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 
+	"repro/internal/compress"
 	"repro/internal/num"
 )
 
@@ -31,13 +32,57 @@ func (c *FloatColumn) AppendSlice(vs []float64) { c.appendBatch(vs) }
 // AppendSlice appends vs.
 func (c *StringColumn) AppendSlice(vs []string) { c.appendBatch(vs) }
 
-// Seal seals every raw segment in place: the column's part of a merge
-// that drops nothing.
-func (c *IntColumn) Seal() { c.merge(nil, 0, 0) }
+// Seal seals every raw segment in place, each with its own profile: the
+// column's part of a merge that extends the main.
+func (c *IntColumn) Seal() {
+	for _, s := range c.segs {
+		if !s.sealed {
+			p := compress.Analyze(s.raw)
+			s.seal(&p)
+		}
+	}
+}
 
 // SealSorted re-maps the codes into sorted dictionary order and seals
-// them: the column's part of a merge that drops nothing.
-func (c *StringColumn) SealSorted() { c.merge(nil, 0, 0) }
+// them: with new strings, the column is rebuilt — redict, then the codes
+// read through a remapping cursor and re-cut on the SegSize grid — as a
+// merge that re-codes a column with sealed rows rebuilds it.
+func (c *StringColumn) SealSorted() {
+	if !c.ordered {
+		nc, remap := c.redict(nil)
+		cur := cursor{src: c.codes, remap: remap}
+		for nc.codes.n < c.codes.n {
+			nc.codes.appendRaw(cur.next(min(SegSize, c.codes.n-nc.codes.n)))
+		}
+		*c = *nc
+	}
+	c.codes.Seal()
+}
+
+// buildSynopses replaces t's synopses with those the seal step builds
+// from each sealed segment's decoded values: the synopses a merge that
+// sealed the table's segments as they are would keep.
+func buildSynopses(t *Table) {
+	cols := slices.Clone(t.cols)
+	for ci, c := range cols {
+		if ic := intsOf(c); ic != nil {
+			raw := NewIntColumn()
+			for _, s := range ic.segs {
+				vals := make([]int64, s.length())
+				s.decodeRange(0, len(vals), vals)
+				raw.appendRaw(vals)
+			}
+			cols[ci] = raw
+		}
+	}
+	t.syn = nil
+	b := newSynBuilder(t.schema)
+	if grid := gridOf(cols); grid != nil {
+		for si := range grid.segs {
+			t.syn = b.seal(cols, si, t.syn)
+		}
+	}
+}
 
 // Ordered reports whether codes are currently in sorted dictionary order.
 func (c *StringColumn) Ordered() bool { return c.ordered }
@@ -77,9 +122,9 @@ func (c *StringColumn) Append(s string) {
 // the staged rows, straight into raw main segments, with no commit
 // timestamp, visibility entry, row id or write epoch; the retired Seal
 // then checked that the columns were equally long and sealed them.  The
-// segment synopses every merge now builds are built here too, so that
-// storage compares equal; they are checked against their rows on their
-// own (CheckSynopses).  cols maps column names to []int64, []float64 or []string batches.
+// segment synopses every merge now builds are built here too
+// (buildSynopses), so that storage compares equal; they are checked
+// against their rows on their own (CheckSynopses).  cols maps column names to []int64, []float64 or []string batches.
 func RetiredLoad(t *Table, cols map[string]any, rows ...[]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -131,8 +176,7 @@ func RetiredLoad(t *Table, cols map[string]any, rows ...[]any) error {
 		}
 	}
 	t.sealedRows = n
-	t.syn = nil
-	t.synopsesLocked(0)
+	buildSynopses(t)
 	return nil
 }
 
@@ -211,7 +255,7 @@ func CheckSynopses(t *Table) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var want []segSynopses
-	if grid := t.gridLocked(); grid != nil {
+	if grid := gridOf(t.cols); grid != nil {
 		for si, s := range grid.segs {
 			start, n := grid.starts[si], s.length()
 			if start >= t.sealedRows || start%SegSize != 0 {

@@ -2,13 +2,12 @@ package colstore
 
 import (
 	"repro/internal/compress"
-	"repro/internal/energy"
 	"repro/internal/vec"
 )
 
 // intSegment is one block of an IntColumn.  Unsealed segments hold raw
-// values; seal (segment.go) runs the compress advisor over the block and
-// freezes it into the advisor-chosen compressed layout — bit-packed
+// values; seal (segment.go) freezes the block into the compressed layout
+// the advisor picks from a merge's profile of it — bit-packed
 // frame-of-reference codes, RLE runs, checkpointed varint deltas, or a
 // sorted dictionary with packed codes — recording its zone map either
 // way.  Scans operate directly on the compressed layout (see the kernels
@@ -33,11 +32,10 @@ type intSegment struct {
 	// compress.Dict.
 	dictVals []int64 // sorted distinct values; code = index
 
-	n        int // rows once sealed
-	min      int64
-	max      int64
-	distinct int // distinct values once sealed, from the seal's profile
-	sealed   bool
+	n      int // rows once sealed
+	min    int64
+	max    int64
+	sealed bool
 }
 
 func (s *intSegment) length() int {
@@ -99,8 +97,7 @@ func (c *IntColumn) appendInts(vs []int64, rest int) {
 	for len(vs) > 0 {
 		k := len(c.segs)
 		if k == 0 || c.segs[k-1].sealed || len(c.segs[k-1].raw) == SegSize {
-			c.segs = append(c.segs, &intSegment{raw: make([]int64, 0, min(SegSize, max(rest, rawFloor)))})
-			c.starts = append(c.starts, c.n)
+			c.appendRaw(make([]int64, 0, min(SegSize, max(rest, rawFloor))))
 			k++
 		}
 		s := c.segs[k-1]
@@ -109,22 +106,6 @@ func (c *IntColumn) appendInts(vs []int64, rest int) {
 		c.n += m
 		vs, rest = vs[m:], rest-m
 	}
-}
-
-// merge seals the raw tail segments in place, or with rows to drop
-// rebuilds the column from the kept ones.
-func (c *IntColumn) merge(drop []bool, kept, delta int) (Column, energy.Counters) {
-	var w energy.Counters
-	if drop != nil {
-		w.BytesReadDRAM = uint64(c.n) * 8
-		w.BytesWrittenDRAM = uint64(kept) * 8
-		return sealedFrom(c, drop, kept, nil), w
-	}
-	for _, s := range c.segs {
-		s.seal()
-	}
-	w.BytesReadDRAM = uint64(delta) * 8
-	return c, w
 }
 
 // values returns the segment's values: its raw slice, or, once sealed
@@ -155,45 +136,9 @@ func (s *intSegment) stated() (vals []int64, ok bool) {
 	return nil, false
 }
 
-// sealedFrom builds the sealed column of src's rows whose drop bit is
-// clear (every row when drop is nil), each value replaced by remap[value]
-// when remap is non-nil.  src is decoded a segment at a time and the
-// kept values are cut into exact-capacity SegSize segments — the
-// boundaries appendBatch gives — each sealed as it fills, so no more than one
-// segment of raw values is alive besides src.
-func sealedFrom(src *IntColumn, drop []bool, kept int, remap []int64) *IntColumn {
-	c := &IntColumn{}
-	var buf, raw []int64
-	for si, s := range src.segs {
-		start := src.starts[si]
-		for j, v := range s.values(&buf) {
-			if drop != nil && drop[start+j] {
-				continue
-			}
-			if remap != nil {
-				v = remap[v]
-			}
-			if raw == nil {
-				raw = make([]int64, 0, min(SegSize, kept-c.n))
-			}
-			raw = append(raw, v)
-			if len(raw) == SegSize {
-				c.appendSealed(raw)
-				raw = nil
-			}
-		}
-	}
-	if raw != nil {
-		c.appendSealed(raw)
-	}
-	return c
-}
-
-// appendSealed adds raw as one more segment, sealed.
-func (c *IntColumn) appendSealed(raw []int64) {
-	s := &intSegment{raw: raw}
-	s.seal()
-	c.segs = append(c.segs, s)
+// appendRaw adds raw as one more segment, unsealed.
+func (c *IntColumn) appendRaw(raw []int64) {
+	c.segs = append(c.segs, &intSegment{raw: raw})
 	c.starts = append(c.starts, c.n)
 	c.n += len(raw)
 }

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -172,7 +173,8 @@ type loggedOp struct {
 // stable id and values, and at every snapshot a merge left readable,
 // RowsAsOf and FilterVisible — and after each merge every sealed
 // segment's synopses against a recomputation from its rows
-// (CheckSynopses); then replays the logged commits into a fresh table
+// (CheckSynopses) and that every integer and string column is cut at
+// the same rows; then replays the logged commits into a fresh table
 // through ApplyInsert/ApplyDelete, as WAL recovery does, and checks that
 // at every snapshot.
 func FuzzAppendMerge(f *testing.F) {
@@ -306,6 +308,12 @@ func FuzzAppendMerge(f *testing.F) {
 				checkTable(t, "merged", tab, rows, floor, lastTS, false)
 				if err := CheckSynopses(tab); err != nil {
 					t.Fatalf("merged: %v", err)
+				}
+				grid := gridOf(tab.cols)
+				for ci, c := range tab.cols {
+					if ic := intsOf(c); ic != nil && !slices.Equal(ic.starts, grid.starts) {
+						t.Fatalf("merged: column %d cut at %v, want %v", ci, ic.starts, grid.starts)
+					}
 				}
 			case 4:
 				checkTable(t, "live", tab, rows, floor, lastTS, false)

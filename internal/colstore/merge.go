@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/energy"
@@ -28,8 +29,11 @@ type MergeStats struct {
 	TombstonesKept int
 	BytesBefore    uint64
 	BytesAfter     uint64
-	Rebuilt        bool // full rewrite (deletes) vs. tail re-seal
-	Work           energy.Counters
+	// Rebuilt reports a main rebuilt from its kept rows — the merge
+	// dropped rows, or re-coded a string column that had sealed rows —
+	// rather than extended by the delta's segments sealed in place.
+	Rebuilt bool
+	Work    energy.Counters
 }
 
 // Merge compacts the table: rows whose tombstone commit timestamp is at
@@ -40,12 +44,15 @@ type MergeStats struct {
 // oldest live snapshot timestamp so in-flight readers keep a consistent
 // view; stable row ids survive the renumbering.
 //
-// It is the only way into the main, and one pass: each column merges
-// itself under the drop mask.  With nothing to drop the delta's raw tail
-// segments are sealed in place (cost proportional to the delta) and row
-// ids stay implicit; otherwise every column is rebuilt from its kept rows
-// (cost proportional to the table).  Either way the visibility metadata
-// is retired and renumbered in place.
+// It is the only way into the main, and one pass a segment at a time.
+// With nothing to drop and no string column that has sealed rows
+// re-coded, the main is extended: the delta's raw segments seal in place
+// (cost proportional to the delta) and row ids stay implicit.  Otherwise
+// it is rebuilt from its kept rows (cost proportional to the table), cut
+// anew so that every integer and string column stays cut at the same
+// rows.  Either way each new segment seals through one step
+// (synBuilder.seal), and the visibility metadata is retired and
+// renumbered in place.
 func (t *Table) Merge(horizon int64) (MergeStats, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -70,7 +77,6 @@ func (t *Table) Merge(horizon int64) (MergeStats, error) {
 	kept := n - st.Dropped
 	var drop []bool
 	if st.Dropped > 0 {
-		st.Rebuilt = true
 		drop = make([]bool, n)
 		for _, r := range dropped {
 			drop[r] = true
@@ -88,29 +94,16 @@ func (t *Table) Merge(horizon int64) (MergeStats, error) {
 		}
 		t.rowIDs = ids
 	}
-	// The delta's segments get their synopses from their raw values,
-	// before they seal; a rebuild cuts every segment anew, and builds all
-	// of them after.
-	rebuild, recoded := t.recodesLocked(drop != nil)
-	if !rebuild {
-		t.synopsesLocked(t.sealedRows)
-	}
-	var w energy.Counters
-	for i, c := range t.cols {
-		nc, cw := c.merge(drop, kept, delta)
-		t.cols[i] = nc
-		w.Add(cw)
-	}
-	if drop != nil {
-		w.Instructions += uint64(n) * uint64(len(t.cols)) * 6
-		w.TuplesIn += uint64(n)
-		w.TuplesOut += uint64(kept)
+	st.Rebuilt = drop != nil || t.sealedRows > 0 && slices.ContainsFunc(t.cols, func(c Column) bool {
+		sc, ok := c.(*StringColumn)
+		return ok && !sc.ordered
+	})
+	st.Work = mergeWork(t.cols, st.Rebuilt, n, delta, kept)
+	if st.Rebuilt {
+		t.rebuildLocked(drop, kept)
 	} else {
-		w.Instructions += uint64(delta) * uint64(len(t.cols)) * 4
-		w.TuplesIn += uint64(delta)
-		w.TuplesOut += uint64(delta)
+		t.extendLocked()
 	}
-	st.Work = w
 	// A row a live snapshot may not see yet was added after the horizon,
 	// so it cannot have been dropped (its tombstone, if any, is newer
 	// still): every kept entry's row survives, shifted down past the
@@ -121,16 +114,148 @@ func (t *Table) Merge(horizon int64) (MergeStats, error) {
 	t.addRows, t.addTS = retain(t.addRows, t.addTS, keep, newPos)
 	t.delRows, t.delTS = retain(t.delRows, t.delTS, keep, newPos)
 	t.sealedRows = kept
-	if rebuild {
-		t.syn = nil
-		t.synopsesLocked(0)
-	} else {
-		t.rekeyLocked(recoded)
-	}
 	t.writeEpoch++
 	st.RowsOut = kept
 	st.BytesAfter = t.bytesLocked()
 	return st, nil
+}
+
+// mergeWork prices a merge of n rows, delta of them in the delta and
+// kept of them kept, over cols as they stand before it.  A rebuild
+// streams every column whole and writes its kept rows, a string column at
+// 10 bytes a row (codes and dictionary); an extend streams the delta's
+// integer and string values and writes the codes a first merge re-codes.
+func mergeWork(cols []Column, rebuilt bool, n, delta, kept int) energy.Counters {
+	var w energy.Counters
+	for _, c := range cols {
+		sc, str := c.(*StringColumn)
+		switch {
+		case rebuilt && str:
+			w.BytesReadDRAM += uint64(n) * 10
+			w.BytesWrittenDRAM += uint64(kept) * 10
+		case rebuilt:
+			w.BytesReadDRAM += uint64(n) * 8
+			w.BytesWrittenDRAM += uint64(kept) * 8
+		case str && !sc.ordered:
+			w.BytesReadDRAM += uint64(delta) * 8
+			w.BytesWrittenDRAM += uint64(delta) * 8
+		case intsOf(c) != nil:
+			w.BytesReadDRAM += uint64(delta) * 8
+		}
+	}
+	if rebuilt {
+		w.Instructions = uint64(n) * uint64(len(cols)) * 6
+		w.TuplesIn, w.TuplesOut = uint64(n), uint64(kept)
+	} else {
+		w.Instructions = uint64(delta) * uint64(len(cols)) * 4
+		w.TuplesIn, w.TuplesOut = uint64(delta), uint64(delta)
+	}
+	return w
+}
+
+// extendLocked seals the delta's raw segments in place, after a first
+// merge has remapped, in place too, each re-coded string column's codes
+// onto its sorted dictionary.
+func (t *Table) extendLocked() {
+	for _, c := range t.cols {
+		if sc, ok := c.(*StringColumn); ok && !sc.ordered {
+			nc, remap := sc.redict(nil)
+			for _, s := range sc.codes.segs {
+				for i, code := range s.raw {
+					s.raw[i] = remap[code]
+				}
+			}
+			nc.codes = sc.codes
+			*sc = *nc
+		}
+	}
+	b := newSynBuilder(t.schema)
+	if grid := gridOf(t.cols); grid != nil {
+		for si, s := range grid.segs {
+			if !s.sealed {
+				t.syn = b.seal(t.cols, si, t.syn)
+			}
+		}
+	}
+}
+
+// rebuildLocked replaces the main with its rows whose drop bit is clear
+// (every row when drop is nil; kept of them), cut anew on the SegSize
+// grid, and their synopses.  Each integer and string column is read
+// through a cursor that decodes each old segment once, and a string
+// column's codes are remapped onto the dictionary of the values kept rows
+// use; each new segment seals as soon as every column has cut it.  The
+// new columns are built aside and swapped in: the old ones are not
+// changed.
+func (t *Table) rebuildLocked(drop []bool, kept int) {
+	cols := make([]Column, len(t.cols))
+	curs := make([]cursor, len(t.cols))
+	for ci, c := range t.cols {
+		switch c := c.(type) {
+		case *IntColumn:
+			cols[ci], curs[ci] = NewIntColumn(), cursor{src: c, drop: drop}
+		case *StringColumn:
+			nc, remap := c.redict(drop)
+			cols[ci], curs[ci] = nc, cursor{src: c.codes, drop: drop, remap: remap}
+		case *FloatColumn:
+			vals := make([]float64, 0, kept)
+			for i, v := range c.vals {
+				if drop == nil || !drop[i] {
+					vals = append(vals, v)
+				}
+			}
+			cols[ci] = &FloatColumn{vals: vals}
+		}
+	}
+	var syn []segSynopses
+	b := newSynBuilder(t.schema)
+	for grid := gridOf(cols); grid != nil && grid.n < kept; {
+		n := min(SegSize, kept-grid.n)
+		for ci, c := range cols {
+			if ic := intsOf(c); ic != nil {
+				ic.appendRaw(curs[ci].next(n))
+			}
+		}
+		syn = b.seal(cols, len(grid.segs)-1, syn)
+	}
+	t.cols, t.syn = cols, syn
+}
+
+// cursor reads an integer column's rows whose drop bit is clear (every
+// row when drop is nil) in order, each value replaced by remap[value]
+// when remap is non-nil; each segment is decoded once, when the first of
+// its rows is read.
+type cursor struct {
+	src   *IntColumn
+	drop  []bool
+	remap []int64
+	si    int     // the next segment to read
+	row   int     // the first row of the segment read last
+	vals  []int64 // its values
+	j     int     // the next of them to read
+	buf   []int64
+}
+
+// next returns the next n values, in a slice of exactly n.
+func (c *cursor) next(n int) []int64 {
+	out := make([]int64, 0, n)
+	for len(out) < n {
+		if c.j == len(c.vals) {
+			c.row, c.vals, c.j = c.src.starts[c.si], c.src.segs[c.si].values(&c.buf), 0
+			c.si++
+		}
+		for ; c.j < len(c.vals) && len(out) < n; c.j++ {
+			if c.drop != nil && c.drop[c.row+c.j] {
+				continue
+			}
+			v := c.vals[c.j]
+			if c.remap != nil {
+				v = c.remap[v]
+			}
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // retain keeps, in place, the visibility entries whose timestamps keep

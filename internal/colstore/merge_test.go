@@ -140,8 +140,7 @@ func rowwiseMerge(t *Table, horizon int64) (MergeStats, error) {
 	t.addRows, t.addTS = addRows, addTS
 	t.delRows, t.delTS = delRows, delTS
 	t.sealedRows = kept
-	t.syn = nil // the synopses a rebuild merge builds; CheckSynopses checks them
-	t.synopsesLocked(0)
+	buildSynopses(t) // the synopses a rebuild merge builds; CheckSynopses checks them
 	w.Instructions += uint64(n) * uint64(len(t.cols)) * 6
 	w.TuplesIn += uint64(n)
 	w.TuplesOut += uint64(kept)
@@ -490,24 +489,31 @@ func TestPartialSynopsesKeepExactlyTheHeavyValues(t *testing.T) {
 	}
 }
 
-// TestHasRunMatchesScan: hasRun, which probes one row in every k, agrees
-// with a scan of every window of k rows on random sorted columns whose
-// longest run lies on either side of k.
-func TestHasRunMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 0))
-	for trial := range 2000 {
-		vals := make([]int64, 1+rng.IntN(300))
-		for i := 1; i < len(vals); i++ {
-			vals[i] = vals[i-1] + int64(rng.IntN(2+trial%9))
+// TestHeavyValueAtTheDistinctBound: a heavy value leaves at most
+// n − ⌈n/64⌉ rows to the others, so a 1 000-row segment with one value
+// on 16 rows and 984 others, 985 distinct values in all, is the most
+// distinct a segment with a heavy value can be: the seal step's profile
+// must not rule it out, and the merge keeps that value.
+func TestHeavyValueAtTheDistinctBound(t *testing.T) {
+	const n = 1000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(1000 + i) // one row each, a span under 2n
+		if i%62 == 0 && i < 992 { // 16 rows: 0, 62, …, 930
+			vals[i] = 7
 		}
-		for k := 1; k <= len(vals); k++ {
-			want := false
-			for i := k - 1; i < len(vals); i++ {
-				want = want || vals[i] == vals[i-k+1]
-			}
-			if got := hasRun(vals, k); got != want {
-				t.Fatalf("hasRun(%v, %d) = %v, want %v", vals, k, got, want)
-			}
-		}
+	}
+	tab := NewTable("b", Schema{{Name: "k", Type: Int64}})
+	if err := tab.Writer().Int64("k", vals...).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	if s := tab.syn[0].by[0]; s == nil || !s.Partial || !slices.Equal(s.Keys, []int64{7}) || s.Counts[0] != 16 {
+		t.Fatalf("k keeps %+v, want the partial synopsis of 7 on 16 rows", s)
+	}
+	if err := CheckSynopses(tab); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -53,14 +53,10 @@ type deltaCheck struct {
 // length, the wire shape of compress.Run.
 const rleBytesPerRun = 12
 
-// seal freezes the raw segment into the advisor-chosen compressed
-// layout and records its zone map and distinct count.
-func (s *intSegment) seal() {
-	if s.sealed || len(s.raw) == 0 {
-		return
-	}
-	p := compress.Analyze(s.raw)
-	s.min, s.max, s.distinct = p.Min, p.Max, p.Distinct
+// seal freezes the raw segment into the compressed layout the advisor
+// picks from p, the profile of its values, and records its zone map.
+func (s *intSegment) seal(p *compress.Profile) {
+	s.min, s.max = p.Min, p.Max
 	s.n = len(s.raw)
 	switch compress.Choose(p.Stats) {
 	case compress.RLE:
@@ -68,7 +64,7 @@ func (s *intSegment) seal() {
 	case compress.Delta:
 		s.sealDelta()
 	case compress.Dict:
-		s.sealDict(&p)
+		s.sealDict(p)
 	default:
 		s.sealBitpack()
 	}

@@ -3,8 +3,6 @@ package colstore
 import (
 	"slices"
 	"strings"
-
-	"repro/internal/energy"
 )
 
 // StringColumn stores strings dictionary-encoded: an append-order
@@ -121,40 +119,16 @@ func (c *StringColumn) Code(s string) int64 {
 // widening per row.
 func (c *StringColumn) CodeColumn() *IntColumn { return c.codes }
 
-// merge re-maps the codes into sorted dictionary order and seals them:
-// in place when every row stays and no new string arrived (the sealed
-// prefix keeps its codes), otherwise through without.
-func (c *StringColumn) merge(drop []bool, kept, delta int) (Column, energy.Counters) {
-	var w energy.Counters
-	n := uint64(c.Len())
-	switch {
-	case drop != nil:
-		w.BytesReadDRAM, w.BytesWrittenDRAM = n*10, uint64(kept)*10
-		return c.without(drop, kept), w
-	case !c.ordered:
-		// New dictionary entries force a full code remap to restore
-		// the order-preserving dictionary.
-		w.BytesReadDRAM, w.BytesWrittenDRAM = n*8, n*8
-		*c = *c.without(nil, c.Len())
-		return c, w
-	}
-	c.codes.merge(nil, 0, 0)
-	w.BytesReadDRAM = uint64(delta) * 8
-	return c, w
-}
-
-// without returns the sealed column of c's rows whose drop bit is clear
-// (every row when drop is nil; kept of them): its dictionary holds, in
-// sorted order, the values a kept row uses — a new slice, so a Dict() a
-// reader holds is never rewritten — and the codes are remapped onto it
-// in the code domain and cut as appendBatch cuts them.
+// redict returns an empty column whose dictionary holds, in sorted
+// order, the values c's rows whose drop bit is clear (every row when drop
+// is nil) use — a new slice, so a Dict() a reader holds is never
+// rewritten — and remap, each of c's codes' code there.
 //
 // The used codes come first from every segment that loses no row, from
 // what its layout states (intSegment.stated), decoding only a layout that
 // states nothing.  A segment that loses a row is decoded only when it
-// states a code no such segment marked; sealedFrom then decodes each
-// segment once more to remap it.
-func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
+// states a code no such segment marked.
+func (c *StringColumn) redict(drop []bool) (*StringColumn, []int64) {
 	used := make([]bool, len(c.values))
 	var buf []int64
 	var losing []int // the segments that lose a row
@@ -199,5 +173,5 @@ func (c *StringColumn) without(drop []bool, kept int) *StringColumn {
 			values = append(values, c.values[old])
 		}
 	}
-	return &StringColumn{codes: sealedFrom(c.codes, drop, kept, remap), values: values, index: index, ordered: true}
+	return &StringColumn{codes: NewIntColumn(), values: values, index: index, ordered: true}, remap
 }

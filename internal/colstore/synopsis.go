@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/compress"
 	"repro/internal/num"
 )
 
@@ -86,77 +87,17 @@ func (t *Table) Synopsis(lo, hi, col int) *Synopsis {
 	return t.syn[i].by[col]
 }
 
-// synopsesLocked builds the synopses of the segments from row from on —
-// called by a merge before the delta's segments seal, from their raw
-// values, or after a rebuild.  The segments are those of the table's grid
-// column (gridLocked) that start on the SegSize grid: exec's scan windows
-// are cut on that grid (MorselRows == SegSize), so no window can equal
-// any other segment.
-func (t *Table) synopsesLocked(from int) {
-	grid := t.gridLocked()
-	if grid == nil {
-		return
-	}
-	b := synBuilder{vals: make([][]int64, len(t.cols)), bufs: make([][]int64, len(t.cols)+1)}
-	for si, s := range grid.segs {
-		if start := grid.starts[si]; start >= from && start%SegSize == 0 {
-			t.syn = append(t.syn, b.segment(t, start, s.length()))
-		}
-	}
-}
-
-// gridLocked returns the column whose segments the synopses follow: the
-// first integer or string column (a string's codes); nil when the table
-// has none (a DOUBLE column is flat).
-func (t *Table) gridLocked() *IntColumn {
-	for _, c := range t.cols {
+// gridOf returns the column whose segments the synopses follow — every
+// integer and string column is cut at the same rows — the first integer
+// or string column (a string's codes); nil when there is none (a DOUBLE
+// column is flat).
+func gridOf(cols []Column) *IntColumn {
+	for _, c := range cols {
 		if ic := intsOf(c); ic != nil {
 			return ic
 		}
 	}
 	return nil
-}
-
-// recodesLocked returns, before a merge, per column the old dictionary
-// of a string column the merge re-codes (one that interned a value since
-// the last merge; nil for any other), and whether every synopsis must be
-// built anew: the merge drops rows, so it rebuilds every segment, or it
-// re-codes the grid.
-func (t *Table) recodesLocked(drops bool) (rebuild bool, recoded [][]string) {
-	recoded = make([][]string, len(t.cols))
-	grid := t.gridLocked()
-	for ci, c := range t.cols {
-		if sc, ok := c.(*StringColumn); ok && !sc.ordered {
-			recoded[ci] = sc.values
-			drops = drops || sc.codes == grid
-		}
-	}
-	return drops, recoded
-}
-
-// rekeyLocked re-keys, after a merge that re-coded string columns, every
-// synopsis grouped by one of them: each group's old code (an index into
-// the column's old dictionary, recoded[ci]) becomes the value's new code.
-// A new Synopsis replaces the old, which a reader may still hold.
-func (t *Table) rekeyLocked(recoded [][]string) {
-	for ci, old := range recoded {
-		for i := range t.syn {
-			ss := &t.syn[i]
-			s := ss.by[ci]
-			if old == nil || s == nil {
-				continue
-			}
-			sc := t.cols[ci].(*StringColumn)
-			n := *s
-			n.Keys = make([]int64, len(s.Keys))
-			for g, k := range s.Keys {
-				n.Keys[g] = int64(sc.index[old[k]])
-			}
-			if ss.by[ci] = &n; ss.global == s {
-				ss.global = &n
-			}
-		}
-	}
 }
 
 // synBytesLocked is the synopses' footprint.
@@ -185,77 +126,83 @@ func (s *Synopsis) bytes() uint64 {
 	return uint64(b)
 }
 
-// synBuilder builds the synopses of segments one at a time on reused
-// buffers: each BIGINT column's values, a string column's codes (the last
-// of bufs), the folded rows' group ids, a partial synopsis's rows and its
-// count per value.
+// synBuilder seals segments and builds their synopses one row group at a
+// time on reused buffers: each integer or string column's raw values
+// (vals; a string column's codes), each DOUBLE column's (floats), the
+// folded rows' group ids, a partial synopsis's rows and its count per
+// value.
 type synBuilder struct {
-	vals   [][]int64 // per schema column, a BIGINT column's values
-	bufs   [][]int64
+	schema Schema
+	vals   [][]int64
+	floats [][]float64
 	gids   []uint8 // a group id per folded row: synMaxValues fits a byte
 	rows   []int32
 	counts []int32
 }
 
-// segment builds the synopses of rows [start, start+n).
-func (b *synBuilder) segment(t *Table, start, n int) segSynopses {
-	floats := make([][]float64, len(t.cols))
-	for ci, c := range t.cols {
-		b.vals[ci] = nil
-		switch c := c.(type) {
-		case *IntColumn:
-			b.vals[ci] = rowValues(c, start, n, &b.bufs[ci])
-		case *FloatColumn:
-			floats[ci] = c.vals[start : start+n]
+func newSynBuilder(schema Schema) *synBuilder {
+	return &synBuilder{schema: schema, vals: make([][]int64, len(schema)), floats: make([][]float64, len(schema))}
+}
+
+// seal seals segment si of every integer and string column of cols — the
+// same rows [start, start+n) in each, raw — and, when it starts on the
+// SegSize grid (exec's scan windows are cut on that grid, MorselRows ==
+// SegSize, so no window can equal any other segment), appends their
+// synopses to syn.  Each column's values are profiled once
+// (compress.Analyze) and the profile is used twice: it picks the
+// segment's codec (intSegment.seal), and its exact distinct count and
+// range pick the synopsis grouped by the column — complete with at most
+// synMaxValues values, none when no value can be on n/synMaxValues rows
+// or the values span 2n or more, partial otherwise.
+func (b *synBuilder) seal(cols []Column, si int, syn []segSynopses) []segSynopses {
+	grid := gridOf(cols)
+	start, n := grid.starts[si], grid.segs[si].length()
+	for ci, c := range cols {
+		if fc, ok := c.(*FloatColumn); ok {
+			b.floats[ci] = fc.vals[start : start+n]
+		} else {
+			b.vals[ci] = intsOf(c).segs[si].raw
 		}
 	}
-	ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(t.cols))}
-	for ci, c := range t.cols {
+	onGrid := start%SegSize == 0
+	ss := segSynopses{start: start, n: n, by: make([]*Synopsis, len(cols))}
+	for ci, c := range cols {
 		ic := intsOf(c)
 		if ic == nil {
 			continue
 		}
 		vals := b.vals[ci]
-		if vals == nil {
-			vals = rowValues(ic, start, n, &b.bufs[len(t.cols)])
+		p := compress.Analyze(vals)
+		switch {
+		case !onGrid:
+		case p.Distinct <= synMaxValues:
+			ss.by[ci] = b.synopsis(b.group(vals), nil)
+			if ss.global == nil {
+				ss.global = ss.by[ci]
+			}
+		default:
+			if keys := b.heavy(vals, &p); len(keys) > 0 {
+				ss.by[ci] = b.synopsis(keys, b.rows)
+			}
 		}
-		keys, complete := b.group(vals)
-		var rows []int32
-		if !complete {
-			keys, rows = b.heavy(vals), b.rows
-		}
-		if len(keys) > 0 {
-			ss.by[ci] = b.synopsis(t.schema, keys, rows, floats)
-		}
-		if complete && ss.global == nil {
-			ss.global = ss.by[ci]
-		}
+		ic.segs[si].seal(&p)
+	}
+	if !onGrid {
+		return syn
 	}
 	if ss.global == nil {
 		b.gids = grown(b.gids, n)
 		clear(b.gids)
-		ss.global = b.synopsis(t.schema, []int64{0}, nil, floats)
+		ss.global = b.synopsis([]int64{0}, nil)
 	}
-	return ss
+	return append(syn, ss)
 }
 
-// rowValues returns rows [start, start+n) of c: the raw values of an
-// unsealed segment that holds exactly those rows, in place, or their
-// decoding into *buf.
-func rowValues(c *IntColumn, start, n int, buf *[]int64) []int64 {
-	if si := c.segAt(start); c.starts[si] == start && c.segs[si].length() == n && !c.segs[si].sealed {
-		return c.segs[si].raw
-	}
-	*buf = grown(*buf, n)
-	c.DecodeRange(start, start+n, *buf)
-	return *buf
-}
-
-// group numbers the values of a segment's rows in order of first
-// occurrence through a small open-addressing table, writes each row's
-// number into b.gids and returns the values in that order — or reports
-// false at the first value past synMaxValues.
-func (b *synBuilder) group(vals []int64) (keys []int64, ok bool) {
+// group numbers the values of a segment's rows, at most synMaxValues
+// distinct ones, in order of first occurrence through a small
+// open-addressing table, writes each row's number into b.gids and returns
+// the values in that order.
+func (b *synBuilder) group(vals []int64) (keys []int64) {
 	b.gids = grown(b.gids, len(vals))
 	const slots = 2 * synMaxValues
 	var slotKey [slots]int64
@@ -266,37 +213,29 @@ func (b *synBuilder) group(vals []int64) (keys []int64, ok bool) {
 			i = (i + 1) % slots
 		}
 		if slotGroup[i] == 0 {
-			if len(keys) == synMaxValues {
-				return nil, false
-			}
 			keys = append(keys, v)
 			slotKey[i], slotGroup[i] = v, uint8(len(keys))
 		}
 		b.gids[r] = slotGroup[i] - 1
 	}
-	return keys, true
+	return keys
 }
 
 // heavy returns a segment's heavy values — those on at least
 // n/synMaxValues of its n rows — in order of first occurrence, with their
-// rows in b.rows and each such row's group in b.gids.  It keeps none when
-// the values are sorted with every run shorter, or span twice the rows or
-// more; otherwise it counts them in one array over their span.
-func (b *synBuilder) heavy(vals []int64) (keys []int64) {
+// rows in b.rows and each such row's group in b.gids; p is the values'
+// profile.  It keeps none when the values are too many for any to be
+// heavy (a heavy value leaves at most n-need other rows), or span twice
+// the rows or more; otherwise it counts them in one array over their
+// span.
+func (b *synBuilder) heavy(vals []int64, p *compress.Profile) (keys []int64) {
 	n := len(vals)
 	need := (n + synMaxValues - 1) / synMaxValues
-	lo, hi := vals[0], vals[n-1]
-	if sorted := slices.IsSorted(vals); sorted && !hasRun(vals, need) {
-		return nil
-	} else if !sorted {
-		for _, v := range vals {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-	}
-	if uint64(hi)-uint64(lo) >= 2*uint64(n) {
+	if p.Distinct > n-need+1 || uint64(p.Max)-uint64(p.Min) >= 2*uint64(n) {
 		return nil
 	}
-	b.counts = grown(b.counts, int(hi-lo)+1)
+	lo := p.Min
+	b.counts = grown(b.counts, int(p.Max-lo)+1)
 	clear(b.counts)
 	for _, v := range vals {
 		b.counts[v-lo]++
@@ -318,25 +257,11 @@ func (b *synBuilder) heavy(vals []int64) (keys []int64) {
 	return keys
 }
 
-// hasRun reports whether sorted vals hold a run of k equal values.  Any k
-// consecutive rows hold one multiple of k, so such a run holds some row
-// r = j·k; the run through r starts at or after r-k+1 unless it is long
-// enough, and is k long iff its start's value repeats k-1 rows on.
-func hasRun(vals []int64, k int) bool {
-	for r := 0; r < len(vals); r += k {
-		from := max(r-k+1, 0)
-		first := from + sort.Search(r-from, func(i int) bool { return vals[from+i] == vals[r] })
-		if first+k-1 < len(vals) && vals[first+k-1] == vals[r] {
-			return true
-		}
-	}
-	return false
-}
-
 // synopsis aggregates a segment's rows into the groups b.gids assigns
 // them, whose values are keys: every row, or only rows, those of a
 // partial synopsis.
-func (b *synBuilder) synopsis(schema Schema, keys []int64, rows []int32, floats [][]float64) *Synopsis {
+func (b *synBuilder) synopsis(keys []int64, rows []int32) *Synopsis {
+	schema := b.schema
 	g := len(keys)
 	s := &Synopsis{
 		Keys: keys, Counts: make([]int64, g),
@@ -352,7 +277,7 @@ func (b *synBuilder) synopsis(schema Schema, keys []int64, rows []int32, floats 
 		case Int64:
 			s.Sums[ci], s.Mins[ci], s.Maxs[ci] = foldInts(b.vals[ci], b.gids, rows, g)
 		case Float64:
-			s.FSums[ci], s.Mins[ci], s.Maxs[ci] = foldFloats(floats[ci], b.gids, rows, g)
+			s.FSums[ci], s.Mins[ci], s.Maxs[ci] = foldFloats(b.floats[ci], b.gids, rows, g)
 		}
 	}
 	return s

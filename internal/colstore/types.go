@@ -16,11 +16,7 @@
 // the same rows but different joules.
 package colstore
 
-import (
-	"fmt"
-
-	"repro/internal/energy"
-)
+import "fmt"
 
 // Type is the logical type of a column.
 type Type int
@@ -79,11 +75,6 @@ type Column interface {
 	// appendBatch copies vals — a []int64, []float64 or []string of the
 	// column's type — into the delta.
 	appendBatch(vals any)
-	// merge returns the column with every row in the main: with drop
-	// nil the delta's delta rows are sealed in place, otherwise the rows
-	// whose drop bit is set go and the kept rest is rebuilt.  The
-	// counters price what the merge streamed.
-	merge(drop []bool, kept, delta int) (Column, energy.Counters)
 }
 
 // SegSize is the number of rows per segment.  64 Ki rows keeps a packed
