@@ -56,7 +56,8 @@ func (t *Table) HasTombstones() bool {
 // counters the masking cost.  The counters are a function of (snapshot,
 // window, tombstones visible at the snapshot) alone — tombstones
 // committed after snap cost nothing — so masked scans stay byte-
-// deterministic at every schedule and DOP.
+// deterministic at every schedule and DOP.  A nil sel prices the masking
+// without clearing a bit.
 func (t *Table) FilterVisible(snap int64, lo, hi int, sel *vec.Bitvec) energy.Counters {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -69,7 +70,9 @@ func (t *Table) FilterVisible(snap int64, lo, hi int, sel *vec.Bitvec) energy.Co
 		if snap > 0 && t.delTS[i] > snap {
 			continue
 		}
-		sel.Clear(int(t.delRows[i]) - lo)
+		if sel != nil {
+			sel.Clear(int(t.delRows[i]) - lo)
+		}
 		// One tombstone probe: a binary-search step amortized over the
 		// window plus the bit clear.
 		w.Instructions += 2

@@ -23,6 +23,12 @@ import (
 // hi-lo).  Sealed segments use zone-map pruning plus the per-codec
 // operate-on-compressed kernels (segment.go); unsealed segments use the
 // branch-free scalar kernel on the overlapping raw slice.
+//
+// A nil out runs no kernel and prices the window instead: the counters
+// are the ones the scan books, one per-segment formula either way, except
+// TuplesOut, which counts the rows the zone maps prove match.  The
+// planner prices a streamed window with it, and a window every
+// predicate's zone maps prove fully selected folds from its synopsis.
 func (c *IntColumn) ScanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitvec) energy.Counters {
 	ctr, _ := c.scanRows(op, cval, lo, hi, out)
 	return ctr
@@ -31,11 +37,12 @@ func (c *IntColumn) ScanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 // scanRows is the shared kernel behind Scan (whole column, with stats)
 // and ScanRows (morsel window).
 func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitvec) (energy.Counters, ScanStats) {
-	if out.Len() != hi-lo {
+	if out != nil && out.Len() != hi-lo {
 		panic("colstore: scan result length mismatch")
 	}
 	var ctr energy.Counters
 	var st ScanStats
+	proven := uint64(0)
 	st.SegmentsTotal = len(c.segs)
 	for si, s := range c.segs {
 		start := c.starts[si]
@@ -66,7 +73,10 @@ func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 			st.SegmentsSkipped++
 		case s.sealed && zoneFull(op, cval, s.min, s.max):
 			// Every row matches: set bits without touching data.
-			out.SetRange(a-lo, b-lo)
+			if out != nil {
+				out.SetRange(a-lo, b-lo)
+			}
+			proven += rows
 			st.SegmentsSkipped++
 			ctr.Instructions += rows / 8
 		case s.sealed && s.enc != compress.Raw:
@@ -77,48 +87,61 @@ func (c *IntColumn) scanRows(op vec.CmpOp, cval int64, lo, hi int, out *vec.Bitv
 			ctr.Add(s.scanCompressed(op, cval, la, lb, start, lo, out))
 		default:
 			st.SegmentsRaw++
-			vec.ScanPredicatedAt(s.raw[la:lb], op, cval, out, a-lo)
+			if out != nil {
+				vec.ScanPredicatedAt(s.raw[la:lb], op, cval, out, a-lo)
+			}
 			ctr.BytesReadDRAM += rows * 8
 			ctr.Instructions += rows * 3
 		}
 	}
-	ctr.TuplesOut = uint64(out.Count())
+	ctr.TuplesOut = proven
+	if out != nil {
+		ctr.TuplesOut = uint64(out.Count())
+	}
 	return ctr, st
 }
 
 // ScanRows evaluates `value op x` over rows [lo, hi) into out (length
 // hi-lo) with the branch-free scalar kernel BIGINT raw segments share.  A
-// NaN row matches only NE.
+// NaN row matches only NE.  A nil out prices the window (IntColumn.
+// ScanRows): a DOUBLE column has no zone map to prove a row.
 func (c *FloatColumn) ScanRows(op vec.CmpOp, x float64, lo, hi int, out *vec.Bitvec) energy.Counters {
-	vec.ScanPredicated(c.vals[lo:hi], op, x, out)
-	return energy.Counters{
+	w := energy.Counters{
 		BytesReadDRAM: uint64(hi-lo) * 8,
 		Instructions:  uint64(hi-lo) * 3,
 		TuplesIn:      uint64(hi - lo),
-		TuplesOut:     uint64(out.Count()),
 	}
+	if out != nil {
+		vec.ScanPredicated(c.vals[lo:hi], op, x, out)
+		w.TuplesOut = uint64(out.Count())
+	}
+	return w
 }
 
 // ScanRows evaluates `value op s` (string comparison semantics) over rows
 // [lo, hi) into out (length hi-lo).  On an order-preserving (SealSorted)
 // dictionary every operator maps onto a packed integer scan in the code
 // domain; unsorted dictionaries fall back to per-row string comparison.
+// A nil out prices the window (IntColumn.ScanRows); the dictionary proves
+// every row of it when no code can fail the predicate.
 func (c *StringColumn) ScanRows(op vec.CmpOp, s string, lo, hi int, out *vec.Bitvec) energy.Counters {
-	if out.Len() != hi-lo {
+	if out != nil && out.Len() != hi-lo {
 		panic("colstore: scan result length mismatch")
 	}
 	switch code, codeOp, mode := c.codePredicate(op, s); mode {
 	case codeScan:
 		return c.codes.ScanRows(codeOp, code, lo, hi, out)
 	case codeAll:
-		out.SetRange(0, hi-lo)
+		if out != nil {
+			out.SetRange(0, hi-lo)
+		}
 		return energy.Counters{TuplesIn: uint64(hi - lo), TuplesOut: uint64(hi - lo)}
 	case codeNone:
 		return energy.Counters{TuplesIn: uint64(hi - lo)}
 	}
 	// Unsorted dictionary: codes do not preserve string order.
 	var ctr energy.Counters
-	for i := lo; i < hi; i++ {
+	for i := lo; out != nil && i < hi; i++ {
 		v := c.Get(i)
 		var m bool
 		switch op {
@@ -142,7 +165,9 @@ func (c *StringColumn) ScanRows(op vec.CmpOp, s string, lo, hi int, out *vec.Bit
 	ctr.TuplesIn = uint64(hi - lo)
 	ctr.Instructions = uint64(hi-lo) * 12 // string compares are pricey
 	ctr.CacheMisses = uint64(hi-lo) / 4
-	ctr.TuplesOut = uint64(out.Count())
+	if out != nil {
+		ctr.TuplesOut = uint64(out.Count())
+	}
 	return ctr
 }
 

@@ -183,8 +183,9 @@ func (s *intSegment) getSealed(i int) int64 {
 
 // scanCompressed evaluates `value op cval` over the segment-local window
 // [la, lb) of a sealed, non-raw segment, setting bit (start+i-lo) of out
-// for each matching local row i.  It returns the physical-work counters;
-// the caller adds the logical row counters.
+// for each matching local row i — none when out is nil, which prices the
+// window alone.  It returns the physical-work counters; the caller adds
+// the logical row counters.
 func (s *intSegment) scanCompressed(op vec.CmpOp, cval int64, la, lb, start, lo int, out *vec.Bitvec) energy.Counters {
 	switch s.enc {
 	case compress.RLE:
@@ -200,27 +201,38 @@ func (s *intSegment) scanCompressed(op vec.CmpOp, cval int64, la, lb, start, lo 
 // scanBitpack rewrites the predicate into the frame-of-reference code
 // domain and runs the word-parallel SWAR kernel over the packed words.
 func (s *intSegment) scanBitpack(op vec.CmpOp, cval int64, la, lb, start, lo int, out *vec.Bitvec) energy.Counters {
+	// Priced per segment word: morsel windows and segments share one
+	// 64 Ki-row grid (exec's MorselRows == SegSize), so a served window
+	// covers its segments whole and the formula bills what runs; a window
+	// that cuts a segment still pays for all of it.
+	words := uint64(s.packed.WordCount())
+	w := energy.Counters{
+		BytesReadDRAM: words * 8,
+		Instructions:  words * 6, // SWAR ops + compaction
+	}
+	if out == nil {
+		return w
+	}
 	dst := start + la - lo
 	if code, ok := shiftConst(op, cval, s.base); ok {
 		s.packed.ScanWindow(op, code, la, lb, out, dst)
 	} else if matchesAll(op, cval, s.min, s.max) {
 		out.SetRange(dst, dst+lb-la)
 	}
-	// Priced per segment word: morsel windows and segments share one
-	// 64 Ki-row grid (exec's MorselRows == SegSize), so a served window
-	// covers its segments whole and the formula bills what runs; a window
-	// that cuts a segment still pays for all of it.
-	words := uint64(s.packed.WordCount())
-	return energy.Counters{
-		BytesReadDRAM: words * 8,
-		Instructions:  words * 6, // SWAR ops + compaction
-	}
+	return w
 }
 
 // scanRLE evaluates the predicate once per run and fills the bit ranges
 // of matching runs — the canonical operate-on-compressed kernel: work is
 // proportional to the number of runs, not the number of rows.
 func (s *intSegment) scanRLE(op vec.CmpOp, cval int64, la, lb, start, lo int, out *vec.Bitvec) energy.Counters {
+	w := energy.Counters{
+		BytesReadDRAM: uint64(len(s.runs)) * rleBytesPerRun,
+		Instructions:  uint64(float64(len(s.runs)) * compress.RLE.CostFactor()),
+	}
+	if out == nil {
+		return w
+	}
 	for ri, r := range s.runs {
 		rs := int(s.runStarts[ri])
 		if rs >= lb {
@@ -239,10 +251,7 @@ func (s *intSegment) scanRLE(op vec.CmpOp, cval int64, la, lb, start, lo int, ou
 		}
 		out.SetRange(start+a-lo, start+b-lo)
 	}
-	return energy.Counters{
-		BytesReadDRAM: uint64(len(s.runs)) * rleBytesPerRun,
-		Instructions:  uint64(float64(len(s.runs)) * compress.RLE.CostFactor()),
-	}
+	return w
 }
 
 // deltaSearch returns the number of values below the bound — strictly
@@ -306,7 +315,7 @@ func (s *intSegment) scanDelta(op vec.CmpOp, cval int64, la, lb, start, lo int, 
 		if b > lb {
 			b = lb
 		}
-		if a < b {
+		if a < b && out != nil {
 			out.SetRange(start+a-lo, start+b-lo)
 		}
 	}
@@ -374,14 +383,16 @@ func (s *intSegment) scanDict(op vec.CmpOp, cval int64, la, lb, start, lo int, o
 		codeOp, code = vec.EQ, uint64(lower)
 	case vec.NE:
 		if !present {
-			if la < lb {
+			if la < lb && out != nil {
 				out.SetRange(start+la-lo, start+lb-lo)
 			}
 			return probe // every row matches, no code words touched
 		}
 		codeOp, code = vec.NE, uint64(lower)
 	}
-	s.packed.ScanWindow(codeOp, code, la, lb, out, start+la-lo)
+	if out != nil {
+		s.packed.ScanWindow(codeOp, code, la, lb, out, start+la-lo)
+	}
 	words := uint64(s.packed.WordCount())
 	probe.BytesReadDRAM += words * 8
 	probe.Instructions += words * 6

@@ -29,9 +29,10 @@ type Engine struct {
 	// latch is the data latch.  MVCC already fixes WHAT a read sees; the
 	// latch only keeps a delta append or a merge from moving memory
 	// under a running scan: query executions hold it shared (taken by
-	// Loop at dispatch), ExecDML, Seal, Recover and maintenance
-	// executions hold it exclusively.  It is never taken while holding
-	// mu or reads' mutex; Seal takes reads' mutex under it, briefly.
+	// Loop at dispatch), and so does planning (Engine.plan); ExecDML,
+	// Seal, Recover and maintenance executions hold it exclusively.  It
+	// is never taken while holding mu or reads' mutex; Seal takes reads'
+	// mutex under it, briefly.
 	latch sync.RWMutex
 	// reads counts the snapshots of the reads admitted on any loop and not
 	// yet settled: a read takes its snapshot at admission but the latch
@@ -233,7 +234,7 @@ func (e *Engine) Explain(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, info, err := e.cat.Plan(q, e.cm)
+	_, info, err := e.plan(q)
 	if err != nil {
 		return "", err
 	}
@@ -248,6 +249,15 @@ func (e *Engine) Explain(text string) (string, error) {
 // is accepted for callers that still pass one, and only ever sets a
 // query's scheduler goal, at the offer.
 func (e *Engine) Plan(q *opt.Query, _ opt.Objective) (exec.Node, *opt.PlanInfo, error) {
+	return e.plan(q)
+}
+
+// plan is Catalog.Plan under the data latch, shared: a scan-fed
+// aggregation is priced off the live segment layout (exec.FusedAggWork),
+// which a merge or a delta append would otherwise move under it.
+func (e *Engine) plan(q *opt.Query) (exec.Node, *opt.PlanInfo, error) {
+	e.latch.RLock()
+	defer e.latch.RUnlock()
 	return e.cat.Plan(q, e.cm)
 }
 

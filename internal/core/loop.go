@@ -237,7 +237,7 @@ func (l *Loop) Ticket(id int) *Ticket { return l.live[id] }
 // Plan failures settle the ticket synchronously (Rejected + Err), as do
 // queue-depth rejections; call React after the last offer of an instant.
 func (l *Loop) Offer(at time.Duration, q *opt.Query, obj opt.Objective) *Ticket {
-	node, info, err := l.e.cat.Plan(q, l.e.cm)
+	node, info, err := l.e.plan(q)
 	return l.offerRead(at, node, info, obj, err)
 }
 

@@ -517,14 +517,21 @@ func (a *HashAgg) Run(ctx *Ctx) (*Relation, error) {
 	if len(partials) > 1 {
 		// The coordinator's merge is priced by the morsel grid's
 		// partial-group count.
-		ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", len(partials)), t.groups(), energy.Counters{
-			TuplesIn:     partialGroups,
-			TuplesOut:    uint64(t.groups()),
-			Instructions: partialGroups * 12,
-			CacheMisses:  partialGroups / 4,
-		})
+		ctx.Charge(fmt.Sprintf("agg-merge(%d partials)", len(partials)), t.groups(), mergeWork(partialGroups, uint64(t.groups())))
 	}
 	return a.buildOutput(shape, t), nil
+}
+
+// mergeWork prices the coordinator's merge of partial tables holding
+// partialGroups groups in all into groups groups — the one agg-merge
+// formula, which Run bills and FusedAggWork prices.
+func mergeWork(partialGroups, groups uint64) energy.Counters {
+	return energy.Counters{
+		TuplesIn:     partialGroups,
+		TuplesOut:    groups,
+		Instructions: partialGroups * 12,
+		CacheMisses:  partialGroups / 4,
+	}
 }
 
 // buildOutput turns the final table into the result relation — the one

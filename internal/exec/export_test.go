@@ -1,6 +1,10 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/expr"
+)
 
 // snapLatest is the snapshot that reads everything committed so far.
 const snapLatest int64 = 0
@@ -17,4 +21,10 @@ func NewRelation(cols ...Col) (*Relation, error) {
 		}
 	}
 	return r, nil
+}
+
+// FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs} is
+// scan-fed: whether FusedAggWork prices it.
+func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
+	return (&HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}).scanFeed() != nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/colstore"
@@ -201,41 +202,21 @@ func (sf *scanFeed) fold(ctx *Ctx) ([]*groupTable, energy.Counters, string, erro
 	return partials, work, sf.a.Label() + " [fused]", nil
 }
 
-// morsel filters rows [lo, hi) with the scan's own kernel — charging the
-// exact same scan counters — and folds the selected rows into a partial
-// table without materializing them: from the window's segment synopsis
-// when one answers it, otherwise off the stored columns.
+// morsel folds rows [lo, hi) into a partial table: from the window's
+// segment synopsis when window says so, otherwise by filtering the rows
+// with the scan's own kernel — charging the exact same scan counters —
+// and folding the selection off the stored columns without
+// materializing it.
 func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters) {
-	if syn, g := sf.point(snap, lo, hi); syn != nil {
-		// The logical rows a streamed fold of the window books — the
-		// predicate's window in, its matches out of the kernel and the scan
-		// stage and into the aggregate stage — but no row read.
-		t, m := sf.newTable(sf.dicts), int64(0)
-		if g >= 0 {
-			t.foldSynopsis(syn, sf.synVals, g, g+1)
-			m = syn.Counts[g]
-		}
-		w := energy.Counters{TuplesIn: uint64(hi - lo), TuplesOut: 2 * uint64(m)}
-		if m > 0 {
-			w.Add(energy.Counters{TuplesIn: uint64(m), TuplesOut: uint64(t.groups())})
-		}
-		w.Add(SynopsisWork(1, len(sf.vals)))
+	if syn, from, to, w := sf.window(snap, lo, hi); syn != nil {
+		t := sf.newTable(sf.dicts)
+		t.foldSynopsis(syn, sf.synVals, from, to)
 		return t, w
 	}
 	sc := scratchPool.Get().(*morselScratch)
 	defer scratchPool.Put(sc)
 	sel, w := sf.scan.selectRows(snap, lo, hi, sc)
 	selCnt := sel.Count()
-	if syn := sf.synopsis(selCnt, lo, hi); syn != nil {
-		t := sf.newTable(sf.dicts)
-		t.foldSynopsis(syn, sf.synVals, 0, len(syn.Keys))
-		// The same logical rows as a fold of the window (the scan stage's
-		// output, the aggregate stage's input and groups), but no row read.
-		n := uint64(hi - lo)
-		w.Add(energy.Counters{TuplesIn: n, TuplesOut: n + uint64(t.groups())})
-		w.Add(SynopsisWork(len(syn.Keys), len(sf.vals)))
-		return t, w
-	}
 	w.TuplesOut += uint64(selCnt) // the scan stage's logical output
 	t := sf.newTable(sf.dicts)
 	if selCnt > 0 {
@@ -250,59 +231,85 @@ func (sf *scanFeed) morsel(snap int64, lo, hi int) (*groupTable, energy.Counters
 		default:
 			f.sweep()
 		}
-		// The aggregate stage's logical rows plus its fold budget; the
-		// physical reads are priced inside the fold.  Strictly below the
-		// relation feeder's rangeWork, which pays one hash probe miss per
-		// row and re-reads every group/agg value at full width from the
-		// materialized intermediate.
+		// The physical reads are priced inside the fold.
 		w.Add(f.w)
-		w.Add(energy.Counters{
-			TuplesIn:     uint64(selCnt),
-			TuplesOut:    uint64(t.groups()),
-			Instructions: uint64(selCnt) * uint64(4+2*len(sf.vals)),
-			CacheMisses:  uint64(selCnt) / 8,
-		})
+		w.Add(foldWork(selCnt, t.groups(), len(sf.vals)))
 	}
 	return t, w
 }
 
-// synopsis returns the segment synopsis morsel [lo, hi), selCnt of
-// whose rows are selected, folds from, or nil when it streams its rows:
-// the window must be exactly one sealed segment that keeps a complete
-// synopsis grouped by the GROUP BY column (the global one with no GROUP
-// BY), and every row of it selected — by the predicates and by
-// visibility at the snapshot, so a tombstoned row, or one a merge kept
-// for an older snapshot, makes the window stream.
-func (sf *scanFeed) synopsis(selCnt, lo, hi int) *colstore.Synopsis {
-	if sf.synCol == noSynopsis || selCnt != hi-lo {
-		return nil
+// foldWork prices the aggregate stage of a streamed window: its logical
+// rows and its fold budget for m selected rows into groups groups.
+// Strictly below the relation feeder's rangeWork, which pays one hash
+// probe miss per row and re-reads every group/agg value at full width
+// from the materialized intermediate.
+func foldWork(m, groups, aggs int) energy.Counters {
+	return energy.Counters{
+		TuplesIn:     uint64(m),
+		TuplesOut:    uint64(groups),
+		Instructions: uint64(m) * uint64(4+2*aggs),
+		CacheMisses:  uint64(m) / 8,
 	}
-	if syn := sf.scan.Table.Synopsis(lo, hi, sf.synCol); syn != nil && !syn.Partial {
-		return syn
-	}
-	return nil
 }
 
-// point returns the synopsis and the group morsel [lo, hi) folds from
-// under the scan's equality predicate — group -1 when a complete synopsis
-// does not hold the value, so that no row matches — or nil when the
-// morsel streams: the window must be exactly one sealed segment whose
-// synopsis by the predicate's column holds the value or is complete, and
-// no row of it may be tombstoned at the snapshot, where FilterVisible
-// would charge nothing either.
-func (sf *scanFeed) point(snap int64, lo, hi int) (*colstore.Synopsis, int) {
-	if sf.eqCol < 0 {
-		return nil, 0
+// window is the scan feeder's one per-window decision, made before a row
+// is read: the synopsis and its groups [from, to) that morsel [lo, hi)
+// folds, with exactly the counters the fold books, or nil when the window
+// streams its rows.  The window must be exactly one sealed segment with
+// no row tombstoned at the snapshot (a row a merge kept for an older
+// snapshot fails the first test), and either
+//
+//	its one predicate is col = v (GROUP BY none or col) and the segment's
+//	synopsis by col holds v, or is complete and lacks it, so that no row
+//	matches (no group);
+//	or every predicate's zone maps prove every row selected, and the GROUP
+//	BY column (the global synopsis with none) keeps a complete synopsis.
+//
+// morsel runs the decision and FusedAggWork prices it.
+func (sf *scanFeed) window(snap int64, lo, hi int) (syn *colstore.Synopsis, from, to int, w energy.Counters) {
+	tab, n := sf.scan.Table, uint64(hi-lo)
+	if sf.eqCol >= 0 {
+		if syn = tab.Synopsis(lo, hi, sf.eqCol); syn != nil && !tab.Hides(snap, lo, hi) {
+			if g := slices.Index(syn.Keys, sf.eqVal); g >= 0 || !syn.Partial {
+				// The logical rows a streamed fold of the window books —
+				// the predicate's window in, its matches out of the kernel
+				// and the scan stage and into the aggregate stage, and the
+				// group — but no row read.
+				w = energy.Counters{TuplesIn: n}
+				if g >= 0 {
+					m := uint64(syn.Counts[g])
+					from, to = g, g+1
+					w.Add(energy.Counters{TuplesIn: m, TuplesOut: 2*m + 1})
+				}
+				w.Add(SynopsisWork(1, len(sf.vals)))
+				return syn, from, to, w
+			}
+		}
 	}
-	syn := sf.scan.Table.Synopsis(lo, hi, sf.eqCol)
-	if syn == nil {
-		return nil, 0
+	if sf.synCol == noSynopsis {
+		return nil, 0, 0, w
 	}
-	g := slices.Index(syn.Keys, sf.eqVal)
-	if (g < 0 && syn.Partial) || sf.scan.Table.Hides(snap, lo, hi) {
-		return nil, 0
+	syn = tab.Synopsis(lo, hi, sf.synCol)
+	if syn == nil || syn.Partial || tab.Hides(snap, lo, hi) {
+		return nil, 0, 0, w
 	}
-	return syn, g
+	if _, w = sf.scan.selectRows(snap, lo, hi, nil); w.TuplesOut != n*uint64(len(sf.scan.preds)) {
+		return nil, 0, 0, energy.Counters{}
+	}
+	// The same logical rows as a fold of the window (the scan stage's
+	// output, the aggregate stage's input and groups), but no row read.
+	w.Add(energy.Counters{TuplesIn: n, TuplesOut: n + uint64(sf.groupsOf(len(syn.Keys)))})
+	w.Add(SynopsisWork(len(syn.Keys), len(sf.vals)))
+	return syn, 0, len(syn.Keys), w
+}
+
+// groupsOf is the number of groups folding k synopsis groups gives: one
+// each, or the one global group when there is no GROUP BY.
+func (sf *scanFeed) groupsOf(k int) int {
+	if len(sf.groups) == 0 {
+		return min(1, k)
+	}
+	return k
 }
 
 // SynopsisWork prices folding a segment synopsis of groups groups into a
@@ -1077,11 +1084,102 @@ func (j *Join) fusion() string {
 	return ""
 }
 
-// FusedAggEligible reports whether HashAgg{Child: scan, GroupBy, Aggs} is
-// scan-fed — the planner's pricing mirror of the feeder selection.
-func FusedAggEligible(scan *Scan, groupBy []string, aggs []expr.AggSpec) bool {
-	a := &HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
-	return a.scanFeed() != nil
+// FusedAggWork prices HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}
+// as its scan feeder runs it at the latest snapshot, window by window of
+// the morsel grid (scanFeed.window): a window that folds from a synopsis
+// at exactly the counters it books; one that streams at the scan
+// kernels' own price of the window (selectRows on no scratch) plus the
+// fold of its estimated matches into at most groups distinct keys
+// (streamFold); and the coordinator's merge at mergeWork.  The streamed
+// windows share the matches, sel of the table's rows, that the folded
+// windows do not hold, in proportion to the rows their zone maps leave
+// possible (Binding.possible).  folded lists, per window, whether it
+// folds.  ok is false when the aggregation is not scan-fed.  The
+// planner's estimate of a scan-fed aggregation, so a plan all of whose
+// windows fold is priced at exactly its Meter.
+func FusedAggWork(scan *Scan, groupBy []string, aggs []expr.AggSpec, sel, groups float64) (w energy.Counters, folded []bool, ok bool) {
+	sf := (&HashAgg{Child: scan, GroupBy: groupBy, Aggs: aggs}).scanFeed()
+	if sf == nil {
+		return w, nil, false
+	}
+	occupied := func(m float64) float64 { return math.Round(groups * (1 - math.Pow(1-1/groups, m))) }
+	keys := map[int64]bool{} // the folded windows' groups
+	n := sf.scan.Table.RowsAsOf(0)
+	left, possible := sel*float64(n), 0.0
+	var streams [][3]int // lo, hi, possible rows of each streamed window
+	var partialGroups, streamed float64
+	for lo := 0; lo < n; lo += MorselRows {
+		hi := min(lo+MorselRows, n)
+		syn, from, to, ww := sf.window(0, lo, hi)
+		folded = append(folded, syn != nil)
+		if syn == nil {
+			p := sf.scan.possible(lo, hi)
+			streams, possible = append(streams, [3]int{lo, hi, p}), possible+float64(p)
+			continue
+		}
+		for g, k := range syn.Keys[from:to] {
+			if len(groupBy) == 0 {
+				k = 0 // every group folds into the global one
+			}
+			keys[k] = true
+			left -= float64(syn.Counts[from+g])
+		}
+		partialGroups += float64(sf.groupsOf(to - from))
+		w.Add(ww)
+	}
+	share := 0.0
+	if possible > 0 {
+		share = min(1, max(0, left)/possible)
+	}
+	for _, s := range streams {
+		m := math.Round(share * float64(s[2]))
+		_, ww := sf.scan.selectRows(0, s[0], s[1], nil)
+		w.Add(ww)
+		w.Add(sf.streamFold(s[1]-s[0], int(m), int(occupied(m))))
+		partialGroups += occupied(m)
+		streamed += m
+	}
+	if len(folded) > 1 {
+		w.Add(mergeWork(uint64(partialGroups), uint64(max(float64(len(keys)), occupied(streamed)))))
+	}
+	return w, folded, true
+}
+
+// streamFold prices a streamed window's fold of m of its rows selected
+// into g groups (scanFold): the scan stage's output, foldWork, and every
+// column the fold reads — a GROUP BY column and each aggregate input — at
+// scanFold's density rule: point-read when sparse; streamed whole when
+// dense, a raw DOUBLE at 8 bytes a row and a BIGINT or code column at its
+// stored bytes per row, decoded at two instructions a row.
+func (sf *scanFeed) streamFold(rows, m, g int) energy.Counters {
+	if m == 0 {
+		return energy.Counters{}
+	}
+	w := foldWork(m, g, len(sf.vals))
+	w.TuplesOut += uint64(m)
+	dense, n := m*8 >= rows, m
+	if dense {
+		n = rows
+	}
+	read := func(c colstore.Column) {
+		switch c := c.(type) {
+		case *colstore.FloatColumn:
+			w.Add(floatRead(n, dense))
+		case *colstore.IntColumn:
+			if !dense {
+				w.Add(pointReads(n, false))
+			} else if c.Len() > 0 {
+				w.Add(energy.Counters{BytesReadDRAM: c.Bytes() * uint64(n) / uint64(c.Len()), Instructions: 2 * uint64(n)})
+			}
+		}
+	}
+	for _, c := range sf.groups {
+		read(c)
+	}
+	for _, c := range sf.vals {
+		read(c)
+	}
+	return w
 }
 
 // FusedProbeEligible reports whether a Join probing scan on leftKey

@@ -139,29 +139,26 @@ func checkPredType(c colstore.Column, p expr.Pred) error {
 // The selection is written into the caller's sel (resized to the window):
 // the first predicate's kernels write it directly; only a second or later
 // predicate scans into scratch, which is ANDed in.  A predicate-free
-// window selects every row.
+// window selects every row.  A nil sel runs no kernel and prices the
+// window: the counters Filter books, with TuplesOut the rows the zone
+// maps prove match, summed over the predicates (colstore's ScanRows).
 func (b *Binding) Filter(snap int64, lo, hi int, sel, scratch *vec.Bitvec) energy.Counters {
 	nrows := hi - lo
-	sel.Resize(nrows)
-	if len(b.preds) == 0 {
-		sel.SetAll()
+	if sel != nil {
+		sel.Resize(nrows)
+		if len(b.preds) == 0 {
+			sel.SetAll()
+		}
 	}
 	var w energy.Counters
 	for i, p := range b.preds {
 		pb := sel
-		if i > 0 {
+		if i > 0 && sel != nil {
 			scratch.Resize(nrows)
 			pb = scratch
 		}
-		switch c := b.predCols[i].(type) {
-		case *colstore.IntColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.I, lo, hi, pb))
-		case *colstore.FloatColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.F, lo, hi, pb))
-		case *colstore.StringColumn:
-			w.Add(c.ScanRows(p.Op, p.Val.S, lo, hi, pb))
-		}
-		if i > 0 {
+		w.Add(b.scanPred(i, p.Op, lo, hi, pb))
+		if i > 0 && sel != nil {
 			sel.And(pb)
 		}
 	}
@@ -169,16 +166,51 @@ func (b *Binding) Filter(snap int64, lo, hi int, sel, scratch *vec.Bitvec) energ
 	return w
 }
 
+// scanPred runs predicate i's column kernel under op over rows [lo, hi)
+// into out (nil prices the window).
+func (b *Binding) scanPred(i int, op vec.CmpOp, lo, hi int, out *vec.Bitvec) energy.Counters {
+	p := b.preds[i]
+	switch c := b.predCols[i].(type) {
+	case *colstore.IntColumn:
+		return c.ScanRows(op, p.Val.I, lo, hi, out)
+	case *colstore.FloatColumn:
+		return c.ScanRows(op, p.Val.F, lo, hi, out)
+	case *colstore.StringColumn:
+		return c.ScanRows(op, p.Val.S, lo, hi, out)
+	}
+	return energy.Counters{}
+}
+
+// negated is the operator that holds exactly where op fails.
+var negated = [...]vec.CmpOp{vec.LT: vec.GE, vec.LE: vec.GT, vec.GT: vec.LE, vec.GE: vec.LT, vec.EQ: vec.NE, vec.NE: vec.EQ}
+
+// possible returns how many rows of [lo, hi) the zone maps leave
+// possible under every predicate: the window less the rows they prove
+// fail the predicate that excludes most (its negation priced on a nil
+// selection).
+func (b *Binding) possible(lo, hi int) int {
+	n := hi - lo
+	for i, p := range b.preds {
+		n = min(n, hi-lo-int(b.scanPred(i, negated[p.Op], lo, hi, nil).TuplesOut))
+	}
+	return n
+}
+
 // selectRows is Filter for the read path, into the worker's scratch, whose
 // scan stage books its logical input even when no predicate streamed a
 // column: a predicate-free window still considered its rows.  (Callers
-// book the selected count as the stage's output.)
+// book the selected count as the stage's output.)  A nil sc prices the
+// window, as Filter does on a nil selection.
 func (b *Binding) selectRows(snap int64, lo, hi int, sc *morselScratch) (*vec.Bitvec, energy.Counters) {
-	w := b.Filter(snap, lo, hi, &sc.sel, &sc.pred)
+	var sel, pred *vec.Bitvec
+	if sc != nil {
+		sel, pred = &sc.sel, &sc.pred
+	}
+	w := b.Filter(snap, lo, hi, sel, pred)
 	if len(b.preds) == 0 {
 		w.TuplesIn += uint64(hi - lo)
 	}
-	return &sc.sel, w
+	return sel, w
 }
 
 // Run implements Node.

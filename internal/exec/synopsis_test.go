@@ -95,21 +95,19 @@ func synopsisWindows(t *testing.T, a *HashAgg, snap int64) []bool {
 	n := sf.scan.Table.RowsAsOf(snap)
 	for lo := 0; lo < n; lo += MorselRows {
 		hi := min(lo+MorselRows, n)
-		sc := new(morselScratch)
-		sel, _ := sf.scan.selectRows(snap, lo, hi, sc)
-		syn, _ := sf.point(snap, lo, hi)
-		if syn != nil {
+		syn, _, _, _ := sf.window(snap, lo, hi)
+		if syn != nil && sf.eqCol >= 0 {
 			_, w := sf.morsel(snap, lo, hi)
-			eq := sf.eqCol
-			sf.eqCol = -1
+			eq, syncol := sf.eqCol, sf.synCol
+			sf.eqCol, sf.synCol = -1, noSynopsis
 			_, streamed := sf.morsel(snap, lo, hi)
-			sf.eqCol = eq
+			sf.eqCol, sf.synCol = eq, syncol
 			if w.TuplesIn != streamed.TuplesIn || w.TuplesOut != streamed.TuplesOut {
 				t.Fatalf("morsel [%d, %d) books %d/%d tuples in/out from its synopsis, %d/%d streamed",
 					lo, hi, w.TuplesIn, w.TuplesOut, streamed.TuplesIn, streamed.TuplesOut)
 			}
 		}
-		out = append(out, syn != nil || sf.synopsis(sel.Count(), lo, hi) != nil)
+		out = append(out, syn != nil)
 	}
 	return out
 }

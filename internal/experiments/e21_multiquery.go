@@ -132,7 +132,7 @@ func E21Sweep(nRows, nQueries int, qps float64, budgets []int, arms ...string) (
 }
 
 func runE21(w io.Writer) error {
-	rows, err := E21Sweep(1<<18, 96, 100_000, []int{2, 4, 8})
+	rows, err := E21Sweep(1<<18, 96, 1_000_000, []int{2, 4, 8})
 	if err != nil {
 		return err
 	}

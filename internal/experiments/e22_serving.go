@@ -124,7 +124,7 @@ func E22Sweep(nRows, nQueries int, qps float64, budgets []int) ([]E22Row, error)
 }
 
 func runE22(w io.Writer) error {
-	rows, err := E22Sweep(1<<18, 64, 100_000, []int{1, 2, 8})
+	rows, err := E22Sweep(1<<18, 64, 1_000_000, []int{1, 2, 8})
 	if err != nil {
 		return err
 	}

@@ -415,7 +415,7 @@ func TestE21Shape(t *testing.T) {
 	// are the scheduler's payoff: batching must actually fire, stream
 	// fewer physical bytes, and cut fleet energy per query at every
 	// budget — on identical results.
-	rows, err := E21Sweep(1<<18, 64, 100_000, []int{2, 8})
+	rows, err := E21Sweep(1<<18, 64, 1_000_000, []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestE22Shape(t *testing.T) {
 	// shape assertions here are the serving payoff: the plan cache
 	// absorbs the storm's repeated texts identically in every arm, and
 	// batching arms stream fewer physical bytes while banking saved-J.
-	rows, err := E22Sweep(1<<17, 48, 100_000, []int{1, 4})
+	rows, err := E22Sweep(1<<17, 48, 1_000_000, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

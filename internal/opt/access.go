@@ -6,8 +6,10 @@ import (
 	"repro/internal/expr"
 )
 
-// The estimation formula below mirrors the counter accounting inside
-// internal/exec's scan.
+// EstimateFullScan is the statistics-level price of a scan, for the
+// scans the executor is not asked about: join sides, DML victim
+// searches and scans no aggregation fuses.  A scan that feeds a fused
+// aggregation is priced by the executor itself (exec.FusedAggWork).
 
 // EstimateFullScan prices a full scan with the given predicates over a
 // table, including materializing ncols output columns.  Streamed bytes

@@ -83,6 +83,16 @@ func (ts *TableStats) Selectivity(p expr.Pred) float64 {
 	return 0.33
 }
 
+// groups estimates the distinct keys of a GROUP BY over cols: the product
+// of their distinct counts, at most the table's rows; 1 with no GROUP BY.
+func (ts *TableStats) groups(cols []string) float64 {
+	g := 1.0
+	for _, c := range cols {
+		g *= float64(max(1, ts.Cols[c].Distinct))
+	}
+	return min(g, float64(max(1, ts.Rows)))
+}
+
 // Catalog registers tables and their statistics: one main/delta table
 // and one TableStats per name, plus the per-column samples those were
 // computed from.  mu guards the maps: planners read them while a write

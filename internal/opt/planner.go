@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/colstore"
+	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/expr"
 )
@@ -131,7 +132,12 @@ type PlanInfo struct {
 }
 
 // Plan lowers the logical query onto the physical operator tree.  Every
-// table is reached by the one exec.Scan, priced by EstimateFullScan.
+// table is reached by the one exec.Scan.  A scan that feeds a fused
+// aggregation is priced as the executor will run it, window by window
+// (exec.FusedAggWork); every other scan by EstimateFullScan, a fused
+// probe side's without materializing a column.  The estimate is
+// computed against the live layout: every write and merge drops the
+// cached plans, and a plan is never shared across literals (ShareSig).
 func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 	if q.From == "" {
 		return nil, nil, fmt.Errorf("opt: query has no FROM table")
@@ -205,10 +211,8 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 		}
 	}
 
-	// scan plans the access to one table as the one exec.Scan, priced
-	// under the table's statistics.
+	// scan plans the access to one table as the one exec.Scan.
 	scan := func(table string) (*exec.Scan, error) {
-		preds := predsOf[table]
 		var sel []string
 		for col := range needed[table] {
 			sel = append(sel, col)
@@ -218,19 +222,27 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := c.Stats(table)
-		if err != nil {
+		if _, err := c.Stats(table); err != nil {
 			return nil, err
 		}
-		est := cm.Price(EstimateFullScan(ts, preds, len(sel)), 0)
-		info.Est = info.Est.plus(est)
+		return &exec.Scan{Source: t, Select: sel, Preds: predsOf[table]}, nil
+	}
+	// price books one scan's estimate w and its table's storage report.
+	price := func(table string, w energy.Counters) {
+		ts, _ := c.Stats(table) // scan checked it
+		info.Est = info.Est.plus(cm.Price(w, 0))
 		info.Storage[table] = TableStorageInfo{
 			Ratio:        ts.Storage.Ratio(),
 			StoredBytes:  ts.Storage.StoredBytes,
 			RawBytes:     ts.Storage.RawBytes,
-			EstScanBytes: est.Work.BytesReadDRAM,
+			EstScanBytes: w.BytesReadDRAM,
 		}
-		return &exec.Scan{Source: t, Select: sel, Preds: preds}, nil
+	}
+	// fullScan is EstimateFullScan of table's scan materializing ncols
+	// columns.
+	fullScan := func(table string, ncols int) energy.Counters {
+		ts, _ := c.Stats(table)
+		return EstimateFullScan(ts, predsOf[table], ncols)
 	}
 
 	// Estimated post-predicate cardinality per table, for join ordering
@@ -343,12 +355,25 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 			probeName, buildName = buildName, probeName
 			lk, rk = rk, lk
 		}
-		root = &exec.Join{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
-		rootScan = nil
-		rootName = "⋈"
 		// Fused probe feed: the probe-side scan never materializes its
 		// relation, and its keys stream compressed and resolve span-wise.
 		fused := probeScan != nil && exec.FusedProbeEligible(probeScan, lk)
+		// Each scan is priced once, materializing its needed columns — a
+		// fused probe side none.
+		scanned := func(s *exec.Scan, table string) {
+			ncols := len(needed[table])
+			if fused && s == probeScan {
+				ncols = 0
+			}
+			price(table, fullScan(table, ncols))
+		}
+		if rootScan != nil {
+			scanned(rootScan, first)
+		}
+		scanned(right, d.pj.table)
+		root = &exec.Join{Left: probe, Right: build, LeftKey: lk, RightKey: rk}
+		rootScan = nil
+		rootName = "⋈"
 		pc, keyBytes := c.probeCounts(d.probeRows, d.buildRows, d.outRows, fused, probeName, lk, buildName, rk)
 		ji := JoinPlanInfo{
 			Probe: probeName, Build: buildName,
@@ -366,12 +391,16 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 		}
 		if fused {
 			info.FusedProbes = append(info.FusedProbes, probeName)
-			info.credit(cm, c.scanMaterialization(probeName, predsOf[probeName], len(needed[probeName])))
 		}
 		info.Joins = append(info.Joins, ji)
 	}
 
-	// Aggregation.
+	// Aggregation.  A lone scan is priced after it: rootW is its
+	// estimate unless a fused aggregation prices it.
+	var rootW energy.Counters
+	if rootScan != nil {
+		rootW = fullScan(first, len(needed[first]))
+	}
 	hasAgg := len(q.GroupBy) > 0
 	for _, s := range q.Select {
 		if s.Agg != expr.AggNone {
@@ -385,12 +414,16 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 				aggs = append(aggs, expr.AggSpec{Func: s.Agg, Col: s.Col, As: s.Name()})
 			}
 		}
-		// Fused filter→aggregate: the scan's filtered relation is never
-		// materialized, so the estimate sheds its materialization terms.
 		switch {
-		case rootScan != nil && exec.FusedAggEligible(rootScan, q.GroupBy, aggs):
-			info.FusedAgg = true
-			info.credit(cm, c.scanMaterialization(q.From, predsOf[q.From], len(needed[q.From])))
+		case rootScan != nil:
+			// Fused filter→aggregate: the executor prices the scan's
+			// windows as it will run them, at the statistics' selectivity
+			// and group count for the windows that stream.
+			ts, _ := c.Stats(first)
+			sel := estRows(first) / float64(max(1, ts.Rows))
+			if w, _, ok := exec.FusedAggWork(rootScan, q.GroupBy, aggs, sel, ts.groups(q.GroupBy)); ok {
+				info.FusedAgg, rootW = true, w
+			}
 		default:
 			// Fused probe→aggregate: the last join's matches fold straight
 			// into partial aggregates, so its pair list and gathered output
@@ -405,6 +438,9 @@ func (c *Catalog) Plan(q *Query, cm *CostModel) (exec.Node, *PlanInfo, error) {
 			info.Est = info.Est.plus(cm.Price(exec.ProbeFoldWork(fold, last.EstProbe.Matches, last.EstProbe.Touches), 0))
 		}
 		root = &exec.HashAgg{Child: root, GroupBy: q.GroupBy, Aggs: aggs}
+	}
+	if rootScan != nil {
+		price(first, rootW)
 	}
 	if len(q.OrderBy) > 0 {
 		root = &exec.Sort{Child: root, Keys: q.OrderBy}

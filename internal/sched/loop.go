@@ -139,7 +139,7 @@ func (l *Loop) React() []Completion {
 }
 
 // AdvanceTo moves virtual time forward to t, processing every finish
-// event at or before t in order — each departure re-prices the
+// event at or before t (finishAt) in order — each departure re-prices the
 // survivors before the next finish time is computed.  Returns the
 // completions in retirement order.  Time never moves backward; a target
 // in the past only collects already-due completions.
@@ -147,11 +147,10 @@ func (l *Loop) AdvanceTo(t time.Duration) []Completion {
 	if l.cfg.Budget <= 0 {
 		return nil
 	}
-	target := t.Seconds()
 	var done []Completion
 	for len(l.running) > 0 {
 		f := l.nextFinish()
-		if f > target {
+		if finishAt(f) > t {
 			break
 		}
 		l.advance(f)
@@ -159,7 +158,7 @@ func (l *Loop) AdvanceTo(t time.Duration) []Completion {
 		l.dispatch()
 		l.reallocate()
 	}
-	l.advance(target)
+	l.advance(t.Seconds())
 	return done
 }
 
@@ -188,16 +187,24 @@ func (l *Loop) Dispatched() []Dispatch {
 }
 
 // NextFinish returns the virtual time of the earliest scheduled
-// completion, or false when nothing is running.  The float-seconds
-// finish is rounded UP to the nanosecond: AdvanceTo(NextFinish()) must
-// retire that completion, and truncating would park it a sub-nanosecond
-// past the target forever (a wake-pump livelock for clock-driven
-// callers).
+// completion (finishAt), or false when nothing is running.
 func (l *Loop) NextFinish() (time.Duration, bool) {
 	if len(l.running) == 0 {
 		return 0, false
 	}
-	return time.Duration(math.Ceil(l.nextFinish() * float64(time.Second))), true
+	return finishAt(l.nextFinish()), true
+}
+
+// finishAt is the one rounding rule from a float-seconds finish to the
+// Duration NextFinish reports and AdvanceTo compares against: up to the
+// nanosecond.  AdvanceTo(NextFinish()) must retire that completion, and
+// any other rule parks it a sub-nanosecond past the target forever (a
+// wake-pump livelock for clock-driven callers): truncating, and also
+// comparing the float finish with t.Seconds(), since the product f*1e9
+// can round down onto an integer (f = 3.6780000000000004e-05 s rounds
+// up to 36780 ns, whose Seconds() is below f).
+func finishAt(f float64) time.Duration {
+	return time.Duration(math.Ceil(f * float64(time.Second)))
 }
 
 // Backlog returns the serial-equivalent CPU seconds of all admitted,

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -134,6 +135,57 @@ func TestLoopNextFinishReachable(t *testing.T) {
 	}
 	if b := l.Backlog(); b != 0 {
 		t.Fatalf("backlog %v after draining by NextFinish steps", b)
+	}
+}
+
+// TestLoopAdvanceToNextFinishRetires is the clock-driver property over
+// random machines: whatever the arrivals, works, DOP caps, budgets and
+// arbitration, AdvanceTo(NextFinish()) retires at least one group.  The
+// first case pins a finish whose nanosecond product rounds onto an
+// integer (3.6780000000000004e-05 s × 1e9 = 36780.0): compared as float
+// seconds against the rounded-up target, it stayed a sub-nanosecond in
+// the future forever.
+func TestLoopAdvanceToNextFinishRetires(t *testing.T) {
+	const f = 3.6780000000000004e-05
+	l := NewLoop(loopCfg(1, false))
+	l.Offer(Task{Seq: 0, Work: energy.Counters{Instructions: 1000}})
+	l.React()
+	l.running[0].remain = f
+	if l.nextFinish() != f {
+		t.Fatalf("seed finish %v, want %v", l.nextFinish(), f)
+	}
+	if d, _ := l.NextFinish(); len(l.AdvanceTo(d)) != 1 {
+		t.Fatalf("AdvanceTo(%v) did not retire the group due at %v s", d, f)
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := workload.NewRNG(seed)
+		cfg := loopCfg(1+rng.Intn(8), rng.Intn(2) == 0)
+		cfg.Arbitrate = rng.Intn(4) != 0
+		l := NewLoop(cfg)
+		var at time.Duration
+		for i := 0; i < 40; i++ {
+			at += time.Duration(rng.ExpFloat64() * float64(20*time.Microsecond))
+			l.AdvanceTo(at)
+			l.Offer(Task{Seq: i, Arrival: at, Goal: Goal(rng.Intn(3)), MaxDOP: rng.Intn(5),
+				ShareKey: fmt.Sprint(rng.Intn(3)),
+				Work:     energy.Counters{Instructions: 1 + rng.Uint64()%4_000_000, BytesReadDRAM: rng.Uint64() % 2_000_000}})
+			l.React()
+			if rng.Intn(3) > 0 {
+				continue
+			}
+			if d, ok := l.NextFinish(); ok && len(l.AdvanceTo(d)) == 0 {
+				t.Fatalf("seed %d arrival %d: AdvanceTo(NextFinish()=%v) retired nothing", seed, i, d)
+			}
+		}
+		for steps := 0; ; steps++ {
+			d, ok := l.NextFinish()
+			if !ok {
+				break
+			}
+			if len(l.AdvanceTo(d)) == 0 {
+				t.Fatalf("seed %d drain step %d: AdvanceTo(NextFinish()=%v) retired nothing", seed, steps, d)
+			}
+		}
 	}
 }
 

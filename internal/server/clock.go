@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +38,15 @@ type SimClock struct {
 	now   time.Duration
 	wakes []simWake
 	seq   int
+	state func() string // the driven server's loop state (Server.loopState), for the stall panic
 }
+
+// maxWakesPerInstant bounds the wakes Advance fires without time moving.
+// A server arms one wake per finish event, so this many at one instant
+// is a wake that re-arms itself forever — a finish the loop reports but
+// never retires — and Advance panics with the loop's state rather than
+// spin until the test binary's timeout.
+const maxWakesPerInstant = 1 << 16
 
 // NewSimClock returns a virtual clock at offset zero.
 //
@@ -67,14 +76,15 @@ func (c *SimClock) Schedule(at time.Duration, wake func()) {
 }
 
 // Advance moves virtual time to the given offset, firing every wake
-// scheduled at or before it, in order.  The clock's lock is released
+// scheduled at or before it, in order, and panics on a wake livelock
+// (maxWakesPerInstant).  The clock's lock is released
 // around each callback: wakes take the server's lock, and the server's
 // handlers take the clock's — holding both here would invert that
 // order and deadlock.  Advance never moves time backward.
 //
 //lint:allow reach: simulated-clock harness of E22 and the server determinism tests
 func (c *SimClock) Advance(to time.Duration) {
-	for {
+	for fired, at := 0, time.Duration(-1); ; fired++ {
 		c.mu.Lock()
 		if len(c.wakes) == 0 || c.wakes[0].at > to {
 			if to > c.now {
@@ -88,7 +98,18 @@ func (c *SimClock) Advance(to time.Duration) {
 		if w.at > c.now {
 			c.now = w.at
 		}
+		if c.now != at {
+			fired, at = 0, c.now
+		}
+		state := c.state
 		c.mu.Unlock()
+		if fired == maxWakesPerInstant {
+			msg := "no server attached"
+			if state != nil {
+				msg = state()
+			}
+			panic(fmt.Sprintf("server: SimClock fired %d wakes at %v without time moving: %s", fired, at, msg))
+		}
 		w.fn()
 	}
 }

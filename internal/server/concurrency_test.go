@@ -256,6 +256,24 @@ func TestServeArmsOneWakePerFinish(t *testing.T) {
 	}
 }
 
+// TestSimClockPanicsOnWakeLivelock: a wake that re-arms itself at the
+// same instant forever makes Advance fail with the attached server's
+// loop state instead of spinning.
+func TestSimClockPanicsOnWakeLivelock(t *testing.T) {
+	sc := NewSimClock()
+	New(testEngine(t, 1<<10), Config{Sched: core.SchedulerConfig{Budget: 1}}, sc)
+	var rearm func()
+	rearm = func() { sc.Schedule(sc.Now(), rearm) }
+	sc.Schedule(time.Millisecond, rearm)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "without time moving") || !strings.Contains(msg, "groups running") {
+			t.Fatalf("Advance returned or panicked without the loop state: %q", msg)
+		}
+	}()
+	sc.Advance(time.Second)
+}
+
 // TestServeSoakReadsWritesMerges runs real goroutines against each
 // other: readers all issue ONE statement (no batching, so its single
 // cached plan node runs concurrently with itself), a writer walks that

@@ -111,7 +111,8 @@ const noWake time.Duration = -1
 // Server is the HTTP front end.  It implements http.Handler.
 //
 // Lock order: mu, then the engine's data latch (ExecDML and merge
-// execution take it under mu), never the reverse — an executing query
+// execution take it under mu, and a plan-cache miss shares it to price
+// the plan), never the reverse — an executing query
 // holds the latch and takes nothing.  Handlers wait for a ticket
 // (Ticket.Settled) only with mu released.
 type Server struct {
@@ -151,6 +152,11 @@ func New(eng *core.Engine, cfg Config, clock Clock) *Server {
 		merging:  make(map[string]bool),
 	}
 	s.loop.OnExecuted(s.onExecuted)
+	if sc, ok := clock.(*SimClock); ok {
+		sc.mu.Lock()
+		sc.state = s.loopState
+		sc.mu.Unlock()
+	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/write", s.handleWrite)
@@ -396,6 +402,16 @@ func (s *Server) wake(at time.Duration) {
 	s.deliverLocked(s.loop.AdvanceTo(now))
 	s.pumpLocked()
 	s.mu.Unlock()
+}
+
+// loopState reports the virtual machine for SimClock's stall panic: its
+// time, its next finish and the groups holding and awaiting cores.
+func (s *Server) loopState() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.loop.NextFinish()
+	return fmt.Sprintf("loop at %v, next finish %v (%v), armed %v, %d groups running, %d queued",
+		s.loop.Now(), f, ok, s.armed, s.loop.Running(), s.loop.Queued())
 }
 
 // onExecuted is the loop's execution-finished hook, called on the

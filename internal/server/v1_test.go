@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -313,6 +314,73 @@ func TestAutoMergeBackground(t *testing.T) {
 	}
 	if tab.DeltaRows() >= 6 {
 		t.Fatalf("delta was never re-sealed: %d delta rows", tab.DeltaRows())
+	}
+}
+
+// TestCachedPointPlanRepricedByInvalidation: a cached plan's estimate
+// is frozen against the layout it was planned on, and every write and
+// merge drops it, so a point read is re-priced as its windows change.
+// The main is one full segment whose synopsis holds the hottest key.
+// New rows of that key stream from the delta until the merge seals them
+// into a segment whose synopsis folds the key too (the estimate falls);
+// a DELETE of one of the key's rows in the main tombstones that segment,
+// which then streams (the estimate rises).
+func TestCachedPointPlanRepricedByInvalidation(t *testing.T) {
+	const n, rows = 1 << 16, 100
+	o := workload.GenOrders(42, n, n/100+10, 1.1) // testEngine's orders
+	counts := map[int64]int{}
+	hot := o.CustKey[0]
+	for _, k := range o.CustKey {
+		if counts[k]++; counts[k] > counts[hot] {
+			hot = k
+		}
+	}
+	victim := o.OrderID[slices.Index(o.CustKey, hot)]
+	s := New(testEngine(t, n), Config{
+		Sched:          core.SchedulerConfig{Budget: 2, Arbitrate: true},
+		MergeDeltaRows: rows,
+	}, NewSimClock())
+	read := fmt.Sprintf("SELECT COUNT(*), SUM(amount) FROM orders WHERE custkey = %d", hot)
+	at := time.Duration(0)
+	replay := func(sqls ...string) {
+		t.Helper()
+		var arrivals []workload.Arrival
+		for _, q := range sqls {
+			at += time.Millisecond
+			arrivals = append(arrivals, workload.Arrival{At: at, SQL: q})
+		}
+		for i, p := range s.Replay(&workload.Script{Arrivals: arrivals}) {
+			if p.Status != http.StatusOK {
+				t.Fatalf("%s: status %d body %s", sqls[i], p.Status, p.Body)
+			}
+		}
+	}
+	estimate := func() energy.Joules {
+		t.Helper()
+		replay(read) // plans and caches it
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e, hit, err := s.lookupLocked(read)
+		if err != nil || !hit {
+			t.Fatalf("cached plan: hit %v, %v", hit, err)
+		}
+		return e.info.Est.Energy
+	}
+	for i := 0; i < rows-1; i++ {
+		replay(fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d.5)", 910000+i, hot, i))
+	}
+	streamed := estimate()
+	replay(fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, 0.5)", 910000+rows, hot))
+	if s.merges != 1 {
+		t.Fatalf("%d merges after %d inserts, want 1", s.merges, rows)
+	}
+	folded := estimate()
+	if folded >= streamed {
+		t.Fatalf("the merge sealed key %d's new rows into a synopsis, yet its estimate went %v -> %v", hot, streamed, folded)
+	}
+	replay(fmt.Sprintf("DELETE FROM orders WHERE id = %d", victim))
+	if tombstoned := estimate(); tombstoned <= folded {
+		t.Fatalf("a DELETE tombstoned key %d's main segment, yet its estimate went %v -> %v", hot, folded, tombstoned)
 	}
 }
 
